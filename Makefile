@@ -1,25 +1,22 @@
-# Development entry points. `make verify` is the tier-1 gate; `make
-# bench-host` records the host-side perf trajectory in BENCH_host.json;
-# `make trace-demo` produces and validates a sample Perfetto timeline;
-# `make resilience-demo` runs a faulted configuration and validates its
-# timeline (crash/re-dispatch spans included); `make host-demo` runs one
-# benchmark live on the host execution backend and checks its checksum;
-# `make host-trace-demo` does the same with the wall-clock tracer attached
-# and validates the exported timeline; `make shard-demo` does the same with
-# the commit pipeline partitioned across four commit shards; `make
-# net-demo` runs one benchmark as a real distributed job — ranks split
-# across daemon OS processes talking TCP on loopback — and checks the same
-# checksum gate; `make serve-demo` boots the dsmtxd job server, drives ~50
-# mixed verified jobs through the HTTP API with dsmtxload, and requires a
-# clean SIGTERM drain.
+# Development entry points. `make verify` is the tier-1 gate (root module
+# plus the bench/ module); `make smoke` runs one VERIFIED-gated end-to-end
+# job per execution surface (scripts/smoke.sh: vtime trace, fault
+# injection, host, traced host, commit-sharded host, multi-process net);
+# `make serve-demo` boots the dsmtxd job server, drives ~50 mixed verified
+# jobs through the HTTP API with dsmtxload, and requires a clean SIGTERM
+# drain; `make bench-host` records the host-side perf trajectory in
+# BENCH_host.json.
 
-.PHONY: verify test bench-host bench-host-baseline trace-demo resilience-demo host-demo host-trace-demo shard-demo net-demo serve-demo
+.PHONY: verify smoke serve-demo bench-host
 
 verify:
 	./verify.sh
 
-test:
-	go test ./...
+smoke:
+	./scripts/smoke.sh
+
+serve-demo:
+	timeout 300 ./scripts/serve-demo.sh
 
 # Record the host benchmarks under a label (override: make bench-host LABEL=pr2).
 # The serving-path load row rides along: a high-concurrency dsmtxload burst
@@ -29,57 +26,3 @@ LABEL ?= current
 bench-host:
 	go run ./tools/benchhost -label $(LABEL)
 	JOBS=200 CLIENTS=120 MAXJOBS=0 DISTINCT=8 OUT=BENCH_host.json LABEL=$(LABEL)-load ./scripts/serve-demo.sh
-
-# Generate a sample virtual-time trace from the example compressor and
-# validate the Chrome trace-event JSON; load trace-demo.json in Perfetto
-# (ui.perfetto.dev) to browse it. CI runs this to keep the export loadable.
-trace-demo:
-	go run ./examples/compress -trace trace-demo.json
-	go run ./tools/tracecheck trace-demo.json
-
-# Run crc32 live on the host backend (real goroutines, wall clock, same
-# protocol) with enough misspeculation to force real recovery, and require
-# the output checksum to verify against the vtime sequential reference.
-# The timeout bounds the run: the host backend has no virtual-time horizon.
-host-demo:
-	timeout 60 go run ./cmd/dsmtxrun -bench crc32 -cores 8 -misspec 0.02 -backend host | tee /dev/stderr | grep -q VERIFIED
-
-# Same live host run with the wall-clock tracer attached: the exported
-# Chrome trace must carry the "clock":"wall" marker, per-track monotone
-# timestamps, and only vocabulary names — tracecheck enforces all three.
-host-trace-demo:
-	timeout 60 go run ./cmd/dsmtxrun -bench crc32 -cores 8 -misspec 0.02 -backend host \
-		-trace host-trace-demo.json | tee /dev/stderr | grep -q VERIFIED
-	go run ./tools/tracecheck host-trace-demo.json
-
-# Run crc32 live on the host backend with the commit pipeline sharded
-# across four commit units (consistent-hash page ownership, ordered
-# cross-shard votes) and enough misspeculation to force cross-shard
-# recovery; the output checksum must still verify against the vtime
-# sequential reference.
-shard-demo:
-	timeout 60 go run ./cmd/dsmtxrun -bench crc32 -cores 16 -commit-shards 4 -misspec 0.02 -backend host | tee /dev/stderr | grep -q VERIFIED
-
-# Run 164.gzip as a real distributed job on the net backend: the
-# coordinator forks two dsmtxd daemon processes on loopback, ranks talk TCP
-# through the wire protocol, and the committed checksum must verify against
-# the vtime sequential reference.
-net-demo:
-	timeout 120 go run ./cmd/dsmtxrun -bench 164.gzip -cores 11 -backend net -net-daemons 2 | tee /dev/stderr | grep -q VERIFIED
-
-# Boot the dsmtxd job server on a loopback ephemeral port, drive ~50 mixed
-# host-backend jobs through the JSON/HTTP API with dsmtxload (every
-# checksum verified against the sequential reference, duplicates served by
-# the result cache), then SIGTERM the server and require a clean drain.
-serve-demo:
-	timeout 300 ./scripts/serve-demo.sh
-
-# Run crc32 under message loss plus a mid-run worker crash, verify the
-# output checksum against the sequential reference, and validate the trace:
-# the resilience vocabulary (fault.crash, recovery.redispatch, retransmits)
-# must survive the Chrome export round-trip.
-resilience-demo:
-	go run ./cmd/dsmtxrun -bench crc32 -cores 16 \
-		-faults drop=0.005,crash=r1@2ms+200us -fault-seed 7 \
-		-trace resilience-demo.json
-	go run ./tools/tracecheck resilience-demo.json

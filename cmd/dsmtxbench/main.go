@@ -52,7 +52,7 @@ import (
 
 	"dsmtx/internal/cli"
 	"dsmtx/internal/core"
-	"dsmtx/internal/expsched"
+	"dsmtx/internal/engine"
 	"dsmtx/internal/harness"
 	"dsmtx/internal/trace"
 	"dsmtx/internal/workloads"
@@ -303,30 +303,21 @@ func newRunner(o *options, stderr io.Writer) *harness.Runner {
 	if r.Workers < 1 {
 		r.Workers = 1
 	}
-	if !o.cacheOff && o.cacheDir != "" {
-		fp, err := harness.ResultFingerprint()
-		if err == nil {
-			r.Cache, err = expsched.OpenCache(o.cacheDir, fp)
-		}
-		if err != nil {
-			// A broken cache must never fail a run that would otherwise work.
-			fmt.Fprintf(stderr, "dsmtxbench: point cache disabled: %v\n", err)
-			r.Cache = nil
-		}
+	if !o.cacheOff {
+		r.Cache = engine.OpenResultCache(o.cacheDir, stderr)
 	}
-	r.Progress = func(done, total int, spec harness.PointSpec, source string) {
+	r.Progress = func(done, total int, spec engine.JobSpec, source string) {
 		fmt.Fprintf(stderr, "dsmtxbench: [%d/%d] %s (%s)\n", done, total, spec, source)
 	}
 	return r
 }
 
-// prefetchSpecs enumerates every experiment point the selected sections
-// will resolve, in a deterministic order, for the parallel fan-out.
-func prefetchSpecs(o *options, in workloads.Input) []harness.PointSpec {
-	var specs []harness.PointSpec
-	if o.all || o.micro {
-		specs = append(specs, harness.PointsMicro()...)
-	}
+// prefetchSpecs enumerates every engine job the selected sections will
+// resolve, in a deterministic order, for the parallel fan-out. (The §5.3
+// micro measurements are not engine jobs; they take a quarter second and
+// resolve on demand.)
+func prefetchSpecs(o *options, in workloads.Input) []engine.JobSpec {
+	var specs []engine.JobSpec
 	if o.all || o.manycore {
 		for _, name := range manycoreNames(o.bench) {
 			if b, err := workloads.ByName(name); err == nil {
@@ -363,7 +354,7 @@ func prefetchSpecs(o *options, in workloads.Input) []harness.PointSpec {
 	if o.all || o.figure == "r" {
 		// The crash points are absent here by design: their fault plans
 		// derive from the clean runs' elapsed times, so RunFigureR resolves
-		// them on demand (still through the disk cache).
+		// them on demand (still through the result cache).
 		for _, name := range harness.FigRBenches() {
 			b, err := workloads.ByName(name)
 			if err != nil {

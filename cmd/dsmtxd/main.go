@@ -43,8 +43,6 @@ import (
 
 	"dsmtx/internal/cli"
 	"dsmtx/internal/engine"
-	"dsmtx/internal/expsched"
-	"dsmtx/internal/harness"
 	"dsmtx/internal/netrun"
 	"dsmtx/internal/trace"
 	_ "dsmtx/internal/workloads" // registers the benchmark provider
@@ -179,16 +177,8 @@ func runServe(o *options, stop <-chan struct{}) error {
 		CoreBudget:    o.coreBudget,
 		PoolPerKey:    o.pool,
 	}
-	if !o.cacheOff && o.cacheDir != "" {
-		fp, err := harness.ResultFingerprint()
-		if err == nil {
-			cfg.Cache, err = expsched.OpenCache(o.cacheDir, fp)
-		}
-		if err != nil {
-			// A broken cache must never keep the server from running.
-			fmt.Fprintf(os.Stderr, "dsmtxd: result cache disabled: %v\n", err)
-			cfg.Cache = nil
-		}
+	if !o.cacheOff {
+		cfg.Cache = engine.OpenResultCache(o.cacheDir, os.Stderr)
 	}
 	var stopMetrics func()
 	if o.metricsAddr != "" {

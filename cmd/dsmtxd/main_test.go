@@ -177,6 +177,9 @@ func TestServeRejectsBadSpec(t *testing.T) {
 		`{"bench":"nope","cores":8}`:     "unknown benchmark",
 		`{"bench":"crc32","cores":-2}`:   "cores",
 		`{"bench":"crc32","bogus":true}`: "bad job spec",
+		// a net job cannot honour a knob; accepting it would cache default
+		// numbers under the knob's key
+		`{"bench":"crc32","cores":8,"backend":"net","knob":"queue-unopt"}`: "knob",
 	} {
 		resp, err := http.Post("http://"+addr+"/jobs?wait=1", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -125,24 +125,21 @@ func parseFlags(args []string) (*options, error) {
 		return nil, fmt.Errorf("-fault-seed needs -faults")
 	}
 
-	if o.backend == core.BackendHost && o.plan != nil {
-		// Fault injection is built on the virtual-time kernel; tracing and
-		// metrics are backend-agnostic.
-		return nil, fmt.Errorf("-faults requires -backend vtime")
+	if o.bench != "" {
+		// The backend × feature rules (faults are vtime-only, net runs the
+		// unsharded DSMTX paradigm, ...) are the engine's; state them once,
+		// there, and surface them as flag errors.
+		if err := o.jobSpec().Normalized().Validate(); err != nil {
+			return nil, err
+		}
 	}
 	if o.backend == core.BackendNet {
-		// The coordinator only orchestrates; observability instruments live
-		// in the daemon processes (each reuses the host delivery layer), so
-		// the coordinator-side flags have nothing to attach to.
 		switch {
-		case o.plan != nil:
-			return nil, fmt.Errorf("-faults requires -backend vtime")
 		case o.traceOut != "" || o.mtxTrace != "" || o.metrics || o.metricsAddr != "":
+			// The coordinator only orchestrates; observability instruments
+			// live in the daemon processes, so these flags' sinks have
+			// nothing to attach to (the engine rejects the options too).
 			return nil, fmt.Errorf("-trace/-mtxtrace/-metrics/-metrics-addr run in-process; on -backend net they belong to the daemons, not the coordinator")
-		case o.shards != 1:
-			return nil, fmt.Errorf("-commit-shards requires -backend vtime or host (shards share an in-process image arena)")
-		case o.paradigm != workloads.DSMTX:
-			return nil, fmt.Errorf("-backend net runs the dsmtx paradigm only")
 		case o.netJoin == "" && o.netDaemons < 1:
 			return nil, fmt.Errorf("-net-daemons must be at least 1")
 		}
@@ -150,6 +147,21 @@ func parseFlags(args []string) (*options, error) {
 		return nil, fmt.Errorf("-net-join requires -backend net")
 	}
 	return o, nil
+}
+
+// jobSpec is the parallel run the flags describe.
+func (o *options) jobSpec() engine.JobSpec {
+	return engine.JobSpec{
+		Bench:        o.bench,
+		Paradigm:     o.paradigm.String(),
+		Backend:      o.backend.String(),
+		Cores:        o.cores,
+		Scale:        o.scale,
+		Seed:         o.seed,
+		Rate:         o.misspec,
+		Faults:       o.plan.Format(),
+		CommitShards: o.shards,
+	}
 }
 
 // writeMTXTrace dumps MTX lifecycle events as JSON lines for external
@@ -212,14 +224,8 @@ func runNet(eng *engine.Engine, o *options, bench string, seqTime platform.Durat
 	if o.netJoin != "" {
 		join = strings.Split(o.netJoin, ",")
 	}
-	res, err := eng.SubmitOpts(context.Background(), engine.JobSpec{
-		Bench:   bench,
-		Backend: core.BackendNet.String(),
-		Cores:   o.cores,
-		Scale:   o.scale,
-		Seed:    o.seed,
-		Rate:    o.misspec,
-	}, engine.Options{NetDaemons: o.netDaemons, NetJoin: join})
+	res, err := eng.SubmitOpts(context.Background(), o.jobSpec(),
+		engine.Options{NetDaemons: o.netDaemons, NetJoin: join})
 	if err != nil {
 		return err
 	}
@@ -291,17 +297,8 @@ func run(o *options, stdout io.Writer) error {
 		defer stop()
 		fmt.Fprintf(stdout, "metrics: serving http://%s/metrics\n", o.metricsAddr)
 	}
-	res, err := eng.SubmitOpts(context.Background(), engine.JobSpec{
-		Bench:        b.Name,
-		Paradigm:     o.paradigm.String(),
-		Backend:      o.backend.String(),
-		Cores:        o.cores,
-		Scale:        o.scale,
-		Seed:         o.seed,
-		Rate:         o.misspec,
-		Faults:       o.plan.Format(),
-		CommitShards: o.shards,
-	}, engine.Options{Tracer: tr, MTXTrace: o.mtxTrace != ""})
+	res, err := eng.SubmitOpts(context.Background(), o.jobSpec(),
+		engine.Options{Tracer: tr, MTXTrace: o.mtxTrace != ""})
 	if err != nil {
 		return err
 	}

@@ -60,7 +60,6 @@ import (
 	"dsmtx/internal/mem"
 	"dsmtx/internal/pipeline"
 	"dsmtx/internal/sim"
-	"dsmtx/internal/tlsrt"
 	"dsmtx/internal/trace"
 	"dsmtx/internal/uva"
 )
@@ -153,7 +152,7 @@ func DSWP(kinds ...string) Plan { return pipeline.DSWP(kinds...) }
 
 // TLSPlan returns the TLS comparison plan: one parallel stage with a
 // synchronization ring for non-speculated loop-carried dependences.
-func TLSPlan() Plan { return tlsrt.Plan() }
+func TLSPlan() Plan { return pipeline.TLS() }
 
 // NewImage returns an empty authoritative memory image (for standalone
 // sequential runs and tests).

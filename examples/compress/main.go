@@ -169,6 +169,6 @@ func main() {
 	if !bytes.Equal(restored, original) {
 		log.Fatal("round trip failed")
 	}
-	fmt.Printf("\ncompressed %d KiB -> %d KiB; round trip verified\n",
+	fmt.Printf("\ncompressed %d KiB -> %d KiB; round trip VERIFIED\n",
 		len(original)>>10, int(img.Load(prog.outCur))>>10)
 }

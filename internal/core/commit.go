@@ -713,8 +713,8 @@ func (c *cuNode) recover(seq *SeqCtx, failed uint64) {
 // pageServer serves Copy-On-Access page requests from the invocation-entry
 // snapshot of the commit unit's memory. Every shard shares the commit
 // unit's rank (and NIC) but runs as its own process so page service
-// continues while the commit unit is busy committing. With
-// Config.PageServShards > 1 (host only) each shard owns a block-interleaved
+// continues while the commit unit is busy committing. On the live
+// backends (Config.pageShards) each shard owns a block-interleaved
 // partition of the page space and listens on its own request tag, so
 // concurrent worker faults stop serializing through one goroutine.
 type pageServer struct {

@@ -144,15 +144,6 @@ type Config struct {
 	PageFaultInstr int64 // worker-side fault handling per COA miss
 	ProtectInstr   int64 // re-arming protection per resident page in recovery
 
-	// PageServShards is the number of page-server processes serving
-	// Copy-On-Access requests, each owning a block-interleaved partition of
-	// the page space with its own published snapshot. 0 (the default)
-	// resolves to 1 on vtime and pageShardsHostDefault on host; vtime
-	// rejects explicit values above 1 (the modelled platform, like the
-	// paper's, has one page server per commit unit — sharding exists so
-	// concurrent host workers stop contending on a single server goroutine).
-	PageServShards int
-
 	// PollMin/PollMax bound the adaptive backoff used at blocking points
 	// (the runtime polls so that control messages interrupt waits).
 	PollMin platform.Duration
@@ -296,26 +287,12 @@ func (c Config) Validate() error {
 	if c.Backend == BackendVTime && c.HostSpanBufCap > 0 {
 		return fmt.Errorf("core: Config.HostSpanBufCap: span buffers are a host-backend feature (vtime records unbounded)")
 	}
-	if c.PageServShards < 0 {
-		return fmt.Errorf("core: Config.PageServShards = %d, need >= 0", c.PageServShards)
-	}
-	if c.Backend == BackendVTime && c.PageServShards > 1 {
-		return fmt.Errorf("core: Config.PageServShards = %d: the vtime backend models a single page server (sharding is host-only)", c.PageServShards)
-	}
-	if base := tagPageShardBase + c.PageServShards; base >= tagQueueBase {
-		return fmt.Errorf("core: Config.PageServShards = %d exhausts the control tag space (max %d)",
-			c.PageServShards, tagQueueBase-tagPageShardBase-1)
-	}
 	if c.CommitShards < 0 {
 		return fmt.Errorf("core: Config.CommitShards = %d, need >= 0", c.CommitShards)
 	}
 	if base := tagCommitVoteBase + c.commitShards() - 1; base >= tagQueueBase {
 		return fmt.Errorf("core: Config.CommitShards = %d exhausts the control tag space (max %d)",
 			c.CommitShards, tagQueueBase-tagCommitVoteBase)
-	}
-	if c.CommitShards > 1 && c.PageServShards > 1 {
-		return fmt.Errorf("core: Config.PageServShards = %d: with Config.CommitShards = %d the page service is already sharded across the commit ranks",
-			c.PageServShards, c.CommitShards)
 	}
 	if c.CommitShards > 1 && c.Faults.HasCrashes() {
 		return fmt.Errorf("core: Config.CommitShards = %d: crash faults require the single commit unit (worker re-dispatch is lead-only)", c.CommitShards)
@@ -387,10 +364,10 @@ const (
 	tagQueueBase      = 100
 )
 
-// pageShardsHostDefault is the auto shard count on the host backend: enough
+// pageShardsLive is the page-server shard count on the live backends: enough
 // to keep page service off the critical path of a concurrent worker pool
 // without spawning a goroutine per core.
-const pageShardsHostDefault = 4
+const pageShardsLive = 4
 
 // pageShardBlock is the shard-interleave granularity in pages: the page
 // space is dealt to shards in 64-page (256 KiB) blocks, so prefetch runs
@@ -398,24 +375,20 @@ const pageShardsHostDefault = 4
 // working sets still spread across them.
 const pageShardBlock = 64
 
-// pageShards resolves the configured shard count (>= 1). With a sharded
-// commit pipeline the page service is already partitioned across the commit
-// ranks (one server per commit shard, each serving its own partition's
-// snapshot), so per-rank page-server sharding collapses to 1.
+// pageShards is the number of page-server processes serving Copy-On-Access
+// requests beside a single commit unit (>= 1), each owning a
+// block-interleaved partition of the page space with its own published
+// snapshot. The modelled platform, like the paper's, has one page server
+// per commit unit; the live backends shard it so concurrent workers stop
+// contending on one server goroutine (net co-locates every shard with the
+// commit rank, so one daemon owns them all). With a sharded commit
+// pipeline the page service is already partitioned across the commit
+// ranks, so this collapses to 1.
 func (c Config) pageShards() int {
-	if c.commitShards() > 1 {
+	if c.commitShards() > 1 || c.Backend == BackendVTime {
 		return 1
 	}
-	if c.PageServShards > 0 {
-		return c.PageServShards
-	}
-	if c.Backend != BackendVTime {
-		// Host and net share the live delivery layer; net co-locates every
-		// page-server shard with the commit rank, so sharding is safe there
-		// too (one daemon owns them all).
-		return pageShardsHostDefault
-	}
-	return 1
+	return pageShardsLive
 }
 
 // pageReqTag is the request tag addressed to page-server shard s.

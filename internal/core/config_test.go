@@ -34,16 +34,6 @@ func TestValidateCommitShardErrors(t *testing.T) {
 			want:  "core: Config.CommitShards = 61 exhausts the control tag space (max 60)",
 		},
 		{
-			name:  "page-server shards redundant",
-			cores: 12,
-			tune: func(cfg *Config) {
-				cfg.Backend = BackendHost
-				cfg.CommitShards = 2
-				cfg.PageServShards = 2
-			},
-			want: "core: Config.PageServShards = 2: with Config.CommitShards = 2 the page service is already sharded across the commit ranks",
-		},
-		{
 			name:  "crash faults need the single commit unit",
 			cores: 12,
 			tune: func(cfg *Config) {
@@ -149,18 +139,15 @@ func TestValidateNetBackendErrors(t *testing.T) {
 }
 
 // The net backend's supported envelope validates cleanly: an injected
-// platform with default shards, any page-server shard count, and a tracer
-// (observability is backend-agnostic).
+// platform with default shards and a tracer (observability is
+// backend-agnostic).
 func TestValidateNetBackendAccepts(t *testing.T) {
-	for _, shards := range []int{0, 1, 2, 4} {
-		cfg := smallConfig(16, pipeline.SpecDOALL())
-		cfg.Backend = BackendNet
-		cfg.Platform = func(int) (platform.Platform, error) { return nil, nil }
-		cfg.PageServShards = shards
-		cfg.Tracer = trace.New()
-		if err := cfg.Validate(); err != nil {
-			t.Fatalf("PageServShards=%d: %v", shards, err)
-		}
+	cfg := smallConfig(16, pipeline.SpecDOALL())
+	cfg.Backend = BackendNet
+	cfg.Platform = func(int) (platform.Platform, error) { return nil, nil }
+	cfg.Tracer = trace.New()
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -290,8 +290,7 @@ func (s *System) Reset(cfg Config, prog Program, initialImage *mem.Image) error 
 	switch {
 	case cfg.Backend != s.cfg.Backend,
 		cfg.TotalCores != s.cfg.TotalCores,
-		cfg.CommitShards != s.cfg.CommitShards,
-		cfg.PageServShards != s.cfg.PageServShards:
+		cfg.CommitShards != s.cfg.CommitShards:
 		return fmt.Errorf("core: Reset config mismatch (cores %d→%d, shards %d→%d)",
 			s.cfg.TotalCores, cfg.TotalCores, s.cfg.CommitShards, cfg.CommitShards)
 	case cfg.Tracer != nil || cfg.Trace || !cfg.Faults.Empty():

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"strings"
@@ -106,6 +107,9 @@ type call struct {
 	done chan struct{}
 	res  Result
 	err  error
+	// ownCtxErr marks err as the leader's own context error (it was
+	// cancelled in the admission queue): followers must not inherit it.
+	ownCtxErr bool
 }
 
 // engineMetrics are the live instruments (nil when Config.Metrics is nil).
@@ -335,52 +339,65 @@ func (e *Engine) SubmitOpts(ctx context.Context, spec JobSpec, opts Options) (Re
 	if err := spec.Validate(); err != nil {
 		return Result{}, err
 	}
+	if err := opts.validate(spec); err != nil {
+		return Result{}, err
+	}
 	e.bump(func(s *Stats) { s.Submitted++ })
 	e.metInc(func(m *engineMetrics) *trace.Counter { return m.cSubmitted })
+	if !opts.plain() {
+		return e.runJob(ctx, spec, opts)
+	}
 
-	cacheable := opts.plain()
-	if cacheable && e.cfg.Cache != nil {
-		var rec record
-		if ok, err := e.cfg.Cache.Get(spec, &rec); err == nil && ok {
+	if e.cfg.Cache != nil {
+		var res Result
+		if ok, err := e.cfg.Cache.Get(spec, &res); err == nil && ok {
 			e.bump(func(s *Stats) { s.CacheHits++; s.Completed++ })
 			e.metInc(func(m *engineMetrics) *trace.Counter { return m.cCacheHit })
-			res := rec.toResult()
-			res.Source = "cache"
+			res.Source, res.PoolWarm = "cache", false
 			return res, nil
 		}
 	}
 
-	if cacheable {
+	for {
 		e.mu.Lock()
-		if c, ok := e.inflight[spec]; ok {
-			e.stats.Coalesced++
+		c, following := e.inflight[spec]
+		if !following {
+			c = &call{done: make(chan struct{})}
+			e.inflight[spec] = c
 			e.mu.Unlock()
-			e.metInc(func(m *engineMetrics) *trace.Counter { return m.cCoalesced })
-			select {
-			case <-c.done:
-				if c.err != nil {
-					return Result{}, c.err
-				}
-				res := c.res
-				res.Source = "coalesced"
-				e.bump(func(s *Stats) { s.Completed++ })
-				return res, nil
-			case <-ctx.Done():
-				return Result{}, ctx.Err()
-			}
+			c.res, c.err = e.runJob(ctx, spec, opts)
+			c.ownCtxErr = ctx.Err() != nil && errors.Is(c.err, ctx.Err())
+			e.mu.Lock()
+			delete(e.inflight, spec)
+			e.mu.Unlock()
+			close(c.done)
+			return c.res, c.err
 		}
-		c := &call{done: make(chan struct{})}
-		e.inflight[spec] = c
+		e.stats.Coalesced++
 		e.mu.Unlock()
-		res, err := e.runJob(ctx, spec, opts)
-		c.res, c.err = res, err
-		e.mu.Lock()
-		delete(e.inflight, spec)
-		e.mu.Unlock()
-		close(c.done)
-		return res, err
+		e.metInc(func(m *engineMetrics) *trace.Counter { return m.cCoalesced })
+		select {
+		case <-c.done:
+		case <-ctx.Done():
+			return Result{}, ctx.Err()
+		}
+		if c.ownCtxErr {
+			// The leader gave up waiting on its own context, which says
+			// nothing about this submission's: go round again, as the new
+			// leader unless another follower got there first.
+			if err := ctx.Err(); err != nil {
+				return Result{}, err
+			}
+			continue
+		}
+		if c.err != nil {
+			return Result{}, c.err
+		}
+		res := c.res
+		res.Source = "coalesced"
+		e.bump(func(s *Stats) { s.Completed++ })
+		return res, nil
 	}
-	return e.runJob(ctx, spec, opts)
 }
 
 // bump mutates the stats under the lock.
@@ -422,7 +439,7 @@ func (e *Engine) runJob(ctx context.Context, spec JobSpec, opts Options) (Result
 	res.Source = "run"
 	if opts.plain() && e.cfg.Cache != nil {
 		// Cache write failures are non-fatal: the job ran.
-		_ = e.cfg.Cache.Put(spec, recordOf(res))
+		_ = e.cfg.Cache.Put(spec, res)
 	}
 	e.bump(func(s *Stats) { s.Completed++ })
 	e.metInc(func(m *engineMetrics) *trace.Counter { return m.cCompleted })

@@ -3,12 +3,15 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"dsmtx/internal/expsched"
+	"dsmtx/internal/trace"
 	"dsmtx/internal/workloads"
 )
 
@@ -319,23 +322,188 @@ func TestDrainRejects(t *testing.T) {
 	}
 }
 
-// TestSubmitValidates: broken specs are rejected before admission.
+// TestSubmitValidates: broken specs — and options the spec's backend
+// cannot honour — are rejected before admission, naming the field.
 func TestSubmitValidates(t *testing.T) {
 	e := New(Config{})
 	defer e.Close()
-	for _, spec := range []JobSpec{
-		{},                          // no bench
-		{Bench: "no-such-bench"},    // unknown bench
-		{Bench: "crc32", Cores: -1}, // bad core count
-		{Bench: "crc32", Cores: 8, Knob: "warp-drive"},                  // unknown knob
-		{Bench: "crc32", Cores: 8, Paradigm: "openmp"},                  // unknown paradigm
-		{Bench: "crc32", Cores: 8, Backend: "host", Faults: "drop=0.5"}, // faults are vtime-only
+	net := JobSpec{Bench: "crc32", Cores: 8, Backend: "net"}
+	for _, tc := range []struct {
+		spec JobSpec
+		opts Options
+		want string
+	}{
+		{spec: JobSpec{}, want: "benchmark name"},
+		{spec: JobSpec{Bench: "no-such-bench"}, want: "unknown benchmark"},
+		{spec: JobSpec{Bench: "crc32", Cores: -1}, want: "cores"},
+		{spec: JobSpec{Bench: "crc32", Cores: 8, Knob: "warp-drive"}, want: "knob"},
+		{spec: JobSpec{Bench: "crc32", Cores: 8, Paradigm: "openmp"}, want: "paradigm"},
+		{spec: JobSpec{Bench: "crc32", Cores: 8, Backend: "host", Faults: "drop=0.5"}, want: "vtime backend only"},
+		// What a net job cannot honour is refused, not silently dropped.
+		{spec: JobSpec{Bench: "crc32", Cores: 8, Backend: "net", Faults: "drop=0.5"}, want: "vtime backend only"},
+		{spec: JobSpec{Bench: "crc32", Cores: 8, Backend: "net", CommitShards: 2}, want: "commit shards"},
+		{spec: JobSpec{Bench: "crc32", Cores: 8, Backend: "net", Paradigm: "TLS"}, want: "paradigm"},
+		{spec: JobSpec{Bench: "crc32", Cores: 8, Backend: "net", Knob: KnobQueueUnopt}, want: `knob "queue-unopt"`},
+		{spec: net, opts: Options{Tracer: trace.New()}, want: "Options.Tracer"},
+		{spec: net, opts: Options{MTXTrace: true}, want: "Options.MTXTrace"},
 	} {
-		if _, err := e.Submit(context.Background(), spec); err == nil {
-			t.Errorf("spec %+v accepted", spec)
+		_, err := e.SubmitOpts(context.Background(), tc.spec, tc.opts)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("spec %+v opts %+v: err = %v, want substring %q", tc.spec, tc.opts, err, tc.want)
 		}
 	}
-	if st := e.Stats(); st.Completed != 0 {
+	if st := e.Stats(); st.Submitted != 0 || st.Completed != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
+}
+
+// TestFollowerSurvivesLeaderCancel: a coalesced follower must not inherit
+// the leader's own cancellation. With the only slot held, the leader
+// queues for admission and a duplicate submission coalesces onto it; when
+// the leader's context is cancelled the follower (live context) takes
+// over as leader and, once the slot frees, runs the job itself.
+func TestFollowerSurvivesLeaderCancel(t *testing.T) {
+	e := New(Config{MaxConcurrent: 1})
+	release, err := e.admit(context.Background(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := crc32Spec(11)
+	leaderCtx, cancelLeader := context.WithCancel(context.Background())
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, err := e.Submit(leaderCtx, spec)
+		leaderErr <- err
+	}()
+	waitFor(t, "leader to queue", func() bool { return e.Stats().Queued == 1 })
+
+	type outcome struct {
+		res Result
+		err error
+	}
+	follower := make(chan outcome, 1)
+	go func() {
+		res, err := e.Submit(context.Background(), spec)
+		follower <- outcome{res, err}
+	}()
+	waitFor(t, "follower to coalesce", func() bool { return e.Stats().Coalesced == 1 })
+
+	cancelLeader()
+	if err := <-leaderErr; err != context.Canceled {
+		t.Fatalf("leader err = %v, want context.Canceled", err)
+	}
+	waitFor(t, "follower to queue as the new leader", func() bool { return e.Stats().Queued == 1 })
+	release()
+	got := <-follower
+	if got.err != nil {
+		t.Fatalf("follower inherited the leader's fate: %v", got.err)
+	}
+	if got.res.Source != "run" || got.res.Committed == 0 {
+		t.Fatalf("follower result = %+v, want its own run", got.res)
+	}
+	if st := e.Stats(); st.Running != 0 || st.Queued != 0 || st.CoresInUse != 0 {
+		t.Fatalf("leaked admission slot: %+v", st)
+	}
+}
+
+// TestResultCacheRoundTrip: the cache stores engine.Result as-is, so a
+// Put→Get round trip must preserve every serialized field — checked by
+// reflection over a fully populated Result, so a field added later without
+// a JSON encoding fails here — and entries written under an older record
+// schema must miss rather than decode into a zeroed Result.
+func TestResultCacheRoundTrip(t *testing.T) {
+	var want Result
+	fillNonZero(reflect.ValueOf(&want).Elem(), 1)
+
+	dir := t.TempDir()
+	fp, err := resultFingerprint(recordSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache, err := expsched.OpenCache(dir, fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := crc32Spec(9).Normalized()
+	if err := cache.Put(spec, want); err != nil {
+		t.Fatal(err)
+	}
+	var got Result
+	if ok, err := cache.Get(spec, &got); err != nil || !ok {
+		t.Fatalf("Get = %v, %v", ok, err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("round trip lost fields:\n got %+v\nwant %+v", got, want)
+	}
+
+	// A hit through the engine reports where it came from, not how the
+	// original ran.
+	e := New(Config{Cache: cache})
+	defer e.Close()
+	hit, err := e.Submit(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hit.Source != "cache" || hit.PoolWarm {
+		t.Fatalf("hit Source=%q PoolWarm=%v, want cache/false", hit.Source, hit.PoolWarm)
+	}
+	hit.Source, hit.PoolWarm = want.Source, want.PoolWarm
+	if !reflect.DeepEqual(hit, want) {
+		t.Fatalf("engine hit differs from the stored record:\n got %+v\nwant %+v", hit, want)
+	}
+
+	// The same JobSpec key under the previous schema string held the old
+	// lower-case record shape; it must be invisible, not a zeroed hit.
+	oldFP, err := resultFingerprint("record-v2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldCache, err := expsched.OpenCache(dir, oldFP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := crc32Spec(10).Normalized()
+	if err := oldCache.Put(stale, map[string]any{"elapsed": 1, "checksum": 2, "committed": 3}); err != nil {
+		t.Fatal(err)
+	}
+	if ok, _ := cache.Get(stale, &got); ok {
+		t.Fatal("an entry written under record-v2 was served under " + recordSchema)
+	}
+	res, err := e.Submit(context.Background(), stale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Source != "run" || res.Committed == 0 {
+		t.Fatalf("stale-schema spec: %+v, want a fresh run", res)
+	}
+}
+
+// fillNonZero sets every serialized field reachable from v to a distinct
+// non-zero value.
+func fillNonZero(v reflect.Value, seed int64) int64 {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if v.Type().Field(i).Tag.Get("json") != "-" {
+				seed = fillNonZero(v.Field(i), seed)
+			}
+		}
+	case reflect.Int, reflect.Int64:
+		v.SetInt(seed)
+		seed++
+	case reflect.Uint64:
+		v.SetUint(uint64(seed))
+		seed++
+	case reflect.Float64:
+		v.SetFloat(float64(seed) + 0.5)
+		seed++
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.String:
+		v.SetString(fmt.Sprint("s", seed))
+		seed++
+	default:
+		panic("fillNonZero: unhandled kind " + v.Kind().String())
+	}
+	return seed
 }

@@ -8,7 +8,6 @@
 package engine
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"dsmtx/internal/cluster"
@@ -27,8 +26,7 @@ const (
 
 // Named configuration variations. A cache key must capture everything that
 // changes a result and an opaque tune closure cannot be hashed, so every
-// variation a client may request is registered here by name (the harness's
-// knob vocabulary).
+// variation a client may request is registered here by name.
 const (
 	KnobNone       = ""
 	KnobQueueUnopt = "queue-unopt" // Fig. 5b: flush every produce
@@ -53,12 +51,11 @@ func KnobTune(knob string) (func(*core.Config), error) {
 }
 
 // JobSpec is the complete identity of one job: everything that can change
-// its result, and nothing else. It is comparable (the singleflight key)
-// and marshals to canonical JSON (struct field order is fixed), which —
-// prefixed by the source fingerprint — addresses the result cache. It is a
-// superset of the harness's PointSpec: the same fields plus the execution
-// backend, an invocation override, and the verify flag the serving path
-// uses.
+// its result, and nothing else. MTXs commit in a predefined order, so a
+// run's outcome is a pure function of this description — which is why the
+// one type can be the memo key and singleflight key (it is comparable) and,
+// marshalled to canonical JSON (struct field order is fixed) and prefixed
+// by the source fingerprint, the result-cache address.
 type JobSpec struct {
 	Kind     string  `json:"kind"`
 	Bench    string  `json:"bench,omitempty"`
@@ -158,11 +155,16 @@ func (s JobSpec) Validate() error {
 		}
 	}
 	if backend == core.BackendNet {
+		// The daemon wire spec carries none of these; accepting them would
+		// cache a default run under the requested variation's key.
 		if s.CommitShards > 1 {
 			return fmt.Errorf("engine: commit shards share an in-process image arena; not available on the net backend")
 		}
 		if s.Paradigm != workloads.DSMTX.String() {
 			return fmt.Errorf("engine: the net backend runs the DSMTX paradigm only")
+		}
+		if s.Knob != KnobNone {
+			return fmt.Errorf("engine: knob %q: config knobs are not forwarded to net daemons; run it on vtime or host", s.Knob)
 		}
 	}
 	return nil
@@ -202,10 +204,10 @@ func (s JobSpec) input() workloads.Input {
 // String renders a compact human label.
 func (s JobSpec) String() string {
 	s = s.Normalized()
-	if s.Kind == KindSeq {
-		return s.Bench + " seq"
+	label := s.Bench + " seq"
+	if s.Kind != KindSeq {
+		label = fmt.Sprintf("%s %s@%d/%s", s.Bench, s.Paradigm, s.Cores, s.Backend)
 	}
-	label := fmt.Sprintf("%s %s@%d/%s", s.Bench, s.Paradigm, s.Cores, s.Backend)
 	if s.Knob != "" {
 		label += "/" + s.Knob
 	}
@@ -223,9 +225,11 @@ func (s JobSpec) String() string {
 // placement does not change results. Any non-zero observability option
 // makes the submission uncacheable and unpoolable.
 type Options struct {
-	// Tracer attaches the trace/metrics registry to the run.
+	// Tracer attaches the trace/metrics registry to the run. In-process
+	// backends only: net ranks live in the daemons.
 	Tracer *trace.Tracer
 	// MTXTrace collects the MTX lifecycle event log (Result.Trace).
+	// In-process backends only.
 	MTXTrace bool
 	// NetDaemons is the loopback fleet size a net-backend job spawns when
 	// NetJoin is empty (default 2).
@@ -239,8 +243,25 @@ type Options struct {
 // is therefore cacheable and poolable.
 func (o Options) plain() bool { return o.Tracer == nil && !o.MTXTrace }
 
+// validate rejects options the spec's backend cannot honour.
+func (o Options) validate(spec JobSpec) error {
+	if spec.backend() != core.BackendNet {
+		return nil
+	}
+	if o.Tracer != nil {
+		return fmt.Errorf("engine: Options.Tracer: net ranks run in the daemon processes; a coordinator-side tracer has nothing to attach to")
+	}
+	if o.MTXTrace {
+		return fmt.Errorf("engine: Options.MTXTrace: net ranks run in the daemon processes; the MTX event log is in-process only")
+	}
+	return nil
+}
+
 // Result is a completed job's outcome. For parallel jobs the embedded
-// workloads.Result carries the run; for seq jobs SeqTime/SeqCheck do.
+// workloads.Result carries the run; for seq jobs SeqTime/SeqCheck do. It is
+// also the cached record, stored as-is: Stalls and Trace never serialize
+// and are empty on cacheable submissions anyway, and a hit overwrites
+// Source and PoolWarm.
 type Result struct {
 	workloads.Result
 	// SeqTime/SeqCheck are the sequential reference (seq jobs always;
@@ -257,56 +278,4 @@ type Result struct {
 	Source string `json:"source,omitempty"`
 	// PoolWarm is true when the run reused a recycled warm rank set.
 	PoolWarm bool `json:"pool_warm,omitempty"`
-}
-
-// record is the cacheable subset of Result. Stalls and Trace are always
-// empty on cacheable submissions (observability options bypass the cache),
-// so the round-trip below is lossless.
-type record struct {
-	Elapsed    platform.Duration     `json:"elapsed"`
-	Checksum   uint64                `json:"checksum"`
-	Committed  uint64                `json:"committed"`
-	Misspecs   uint64                `json:"misspecs"`
-	ERM        platform.Duration     `json:"erm,omitempty"`
-	FLQ        platform.Duration     `json:"flq,omitempty"`
-	SEQ        platform.Duration     `json:"seq,omitempty"`
-	RFP        platform.Duration     `json:"rfp,omitempty"`
-	Bytes      uint64                `json:"bytes,omitempty"`
-	Events     uint64                `json:"events,omitempty"`
-	Crashes    uint64                `json:"crashes,omitempty"`
-	Redispatch platform.Duration     `json:"redispatch,omitempty"`
-	Traffic    platform.TrafficStats `json:"traffic"`
-	SeqTime    platform.Duration     `json:"seq_time,omitempty"`
-	SeqCheck   uint64                `json:"seq_check,omitempty"`
-	Verified   bool                  `json:"verified,omitempty"`
-	Daemons    int                   `json:"daemons,omitempty"`
-}
-
-func recordOf(res Result) record {
-	r := res.Result
-	return record{
-		Elapsed: r.Elapsed, Checksum: r.Checksum, Committed: r.Committed,
-		Misspecs: r.Misspecs, ERM: r.ERM, FLQ: r.FLQ, SEQ: r.SEQ, RFP: r.RFP,
-		Bytes: r.Bytes, Events: r.Events, Crashes: r.Crashes, Redispatch: r.Redispatch,
-		Traffic: r.Traffic, SeqTime: res.SeqTime, SeqCheck: res.SeqCheck,
-		Verified: res.Verified, Daemons: res.Daemons,
-	}
-}
-
-func (rec record) toResult() Result {
-	return Result{
-		Result: workloads.Result{
-			Elapsed: rec.Elapsed, Checksum: rec.Checksum, Committed: rec.Committed,
-			Misspecs: rec.Misspecs, ERM: rec.ERM, FLQ: rec.FLQ, SEQ: rec.SEQ, RFP: rec.RFP,
-			Bytes: rec.Bytes, Events: rec.Events, Crashes: rec.Crashes,
-			Redispatch: rec.Redispatch, Traffic: rec.Traffic,
-		},
-		SeqTime: rec.SeqTime, SeqCheck: rec.SeqCheck, Verified: rec.Verified,
-		Daemons: rec.Daemons,
-	}
-}
-
-// CanonicalJSON renders the normalized spec's canonical cache-key JSON.
-func (s JobSpec) CanonicalJSON() ([]byte, error) {
-	return json.Marshal(s.Normalized())
 }

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"dsmtx/internal/engine"
 	"dsmtx/internal/faults"
 	"dsmtx/internal/sim"
 	"dsmtx/internal/stats"
@@ -54,9 +55,9 @@ func figRCrashPlan(cleanPerInvocation sim.Time) *faults.Plan {
 	}}
 }
 
-// parFaultSpec is parSpec plus a canonical fault-plan string.
-func parFaultSpec(bench string, in workloads.Input, cores int, plan *faults.Plan) PointSpec {
-	s := parSpec(bench, in, workloads.DSMTX, cores, KnobNone)
+// faultJob is parJob plus a canonical fault-plan string.
+func faultJob(bench string, in workloads.Input, cores int, plan *faults.Plan) engine.JobSpec {
+	s := parJob(bench, in, workloads.DSMTX, cores, engine.KnobNone)
 	s.Faults = plan.Format()
 	return s
 }
@@ -65,17 +66,17 @@ func parFaultSpec(bench string, in workloads.Input, cores int, plan *faults.Plan
 // sequential reference, the clean run, the drop sweep, and the straggler
 // run. The crash point cannot be listed here — its plan derives from the
 // clean run's elapsed time — so RunFigureR resolves it on demand; it still
-// passes through the disk cache like every other point.
-func PointsFigureR(b *workloads.Benchmark, in workloads.Input, cores int) []PointSpec {
+// passes through the result cache like every other job.
+func PointsFigureR(b *workloads.Benchmark, in workloads.Input, cores int) []engine.JobSpec {
 	cores = clampCores(b, in, cores)
-	specs := []PointSpec{
-		seqSpec(b.Name, in, KnobNone),
-		parSpec(b.Name, in, workloads.DSMTX, cores, KnobNone),
+	specs := []engine.JobSpec{
+		seqJob(b.Name, in, engine.KnobNone),
+		parJob(b.Name, in, workloads.DSMTX, cores, engine.KnobNone),
 	}
 	for _, rate := range FigRDropRates {
-		specs = append(specs, parFaultSpec(b.Name, in, cores, figRDropPlan(rate)))
+		specs = append(specs, faultJob(b.Name, in, cores, figRDropPlan(rate)))
 	}
-	return append(specs, parFaultSpec(b.Name, in, cores, figRStragglerPlan()))
+	return append(specs, faultJob(b.Name, in, cores, figRStragglerPlan()))
 }
 
 // FigRDrop is one loss-rate cell.
@@ -106,11 +107,11 @@ func RunFigureR(b *workloads.Benchmark, in workloads.Input, cores int) (FigRRow,
 func (r *Runner) RunFigureR(b *workloads.Benchmark, in workloads.Input, cores int) (FigRRow, error) {
 	cores = clampCores(b, in, cores)
 	row := FigRRow{Bench: b.Name, Cores: cores}
-	seqTime, seqCheck, err := r.runSequential(b, in, KnobNone)
+	seqTime, seqCheck, err := r.runSequential(b, in, engine.KnobNone)
 	if err != nil {
 		return row, err
 	}
-	clean, err := r.runParallel(b, in, workloads.DSMTX, cores, KnobNone)
+	clean, err := r.runParallel(b, in, workloads.DSMTX, cores, engine.KnobNone)
 	if err != nil {
 		return row, err
 	}
@@ -127,7 +128,7 @@ func (r *Runner) RunFigureR(b *workloads.Benchmark, in workloads.Input, cores in
 		return nil
 	}
 	for _, rate := range FigRDropRates {
-		res, err := r.runPoint(parFaultSpec(b.Name, in, cores, figRDropPlan(rate)))
+		res, err := r.runPoint(faultJob(b.Name, in, cores, figRDropPlan(rate)))
 		if err != nil {
 			return row, err
 		}
@@ -146,7 +147,7 @@ func (r *Runner) RunFigureR(b *workloads.Benchmark, in workloads.Input, cores in
 		invocations = 1
 	}
 	crashPlan := figRCrashPlan(clean.Elapsed / sim.Time(invocations))
-	crashRes, err := r.runPoint(parFaultSpec(b.Name, in, cores, crashPlan))
+	crashRes, err := r.runPoint(faultJob(b.Name, in, cores, crashPlan))
 	if err != nil {
 		return row, err
 	}
@@ -160,7 +161,7 @@ func (r *Runner) RunFigureR(b *workloads.Benchmark, in workloads.Input, cores in
 	row.Crashes = crashRes.Crashes
 	row.RedispMS = crashRes.Redispatch.Seconds() * 1e3
 
-	stragRes, err := r.runPoint(parFaultSpec(b.Name, in, cores, figRStragglerPlan()))
+	stragRes, err := r.runPoint(faultJob(b.Name, in, cores, figRStragglerPlan()))
 	if err != nil {
 		return row, err
 	}

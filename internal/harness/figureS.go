@@ -3,12 +3,13 @@ package harness
 import (
 	"fmt"
 
+	"dsmtx/internal/engine"
 	"dsmtx/internal/stats"
 	"dsmtx/internal/workloads"
 )
 
 // Figure S (sharding) is not in the paper: it extends the evaluation past
-// the paper's 128-core platform to a 64-node, 16-core cluster (KnobBigCluster)
+// the paper's 128-core platform to a 64-node, 16-core cluster (engine.KnobBigCluster)
 // where the single commit unit of §4 becomes the bottleneck, and sweeps the
 // commit-shard count. Each shard owns a consistent-hashed slice of the page
 // space with its own validate/group-commit/COA loop; multi-shard MTXs commit
@@ -42,24 +43,21 @@ func figSInput(in workloads.Input) workloads.Input {
 	return in
 }
 
-// figSSpec is parSpec on the big cluster plus the commit-shard count; a
-// single shard omits the field so the point is identical to a plain
-// KnobBigCluster run.
-func figSSpec(bench string, in workloads.Input, cores, shards int) PointSpec {
-	s := parSpec(bench, in, workloads.DSMTX, cores, KnobBigCluster)
-	if shards > 1 {
-		s.CommitShards = shards
-	}
+// figSJob is parJob on the big cluster plus the commit-shard count (one
+// shard normalizes to a plain engine.KnobBigCluster run).
+func figSJob(bench string, in workloads.Input, cores, shards int) engine.JobSpec {
+	s := parJob(bench, in, workloads.DSMTX, cores, engine.KnobBigCluster)
+	s.CommitShards = shards
 	return s
 }
 
-// PointsFigureS lists one Figure S cell's points for the parallel prefetch.
-func PointsFigureS(b *workloads.Benchmark, in workloads.Input, cores int) []PointSpec {
+// PointsFigureS lists one Figure S cell's jobs for the parallel prefetch.
+func PointsFigureS(b *workloads.Benchmark, in workloads.Input, cores int) []engine.JobSpec {
 	in = figSInput(in)
 	cores = clampCores(b, in, cores)
-	var specs []PointSpec
+	var specs []engine.JobSpec
 	for _, shards := range FigSShards {
-		specs = append(specs, figSSpec(b.Name, in, cores, shards))
+		specs = append(specs, figSJob(b.Name, in, cores, shards))
 	}
 	return specs
 }
@@ -86,7 +84,7 @@ func (r *Runner) RunFigureS(b *workloads.Benchmark, in workloads.Input, cores in
 	var baseCheck uint64
 	var baseTput float64
 	for _, shards := range FigSShards {
-		res, err := r.runPoint(figSSpec(b.Name, in, cores, shards))
+		res, err := r.runPoint(figSJob(b.Name, in, cores, shards))
 		if err != nil {
 			return row, err
 		}

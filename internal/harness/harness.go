@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"strings"
 
+	"dsmtx/internal/engine"
 	"dsmtx/internal/stats"
 	"dsmtx/internal/workloads"
 )
@@ -45,18 +46,18 @@ func RunFigure4(b *workloads.Benchmark, in workloads.Input, cores []int) (Fig4Se
 // RunFigure4 measures one Fig. 4 panel through the runner's memo/cache.
 func (r *Runner) RunFigure4(b *workloads.Benchmark, in workloads.Input, cores []int) (Fig4Series, error) {
 	out := Fig4Series{Bench: b.Name, Paradigm: b.Paradigm}
-	seqTime, seqCheck, err := r.runSequential(b, in, KnobNone)
+	seqTime, seqCheck, err := r.runSequential(b, in, engine.KnobNone)
 	if err != nil {
 		return out, err
 	}
 	out.SeqTime = seqTime.Seconds()
 	for _, c := range cores {
 		c = clampCores(b, in, c)
-		dres, err := r.runParallel(b, in, workloads.DSMTX, c, KnobNone)
+		dres, err := r.runParallel(b, in, workloads.DSMTX, c, engine.KnobNone)
 		if err != nil {
 			return out, err
 		}
-		tres, err := r.runParallel(b, in, workloads.TLS, c, KnobNone)
+		tres, err := r.runParallel(b, in, workloads.TLS, c, engine.KnobNone)
 		if err != nil {
 			return out, err
 		}
@@ -161,7 +162,7 @@ func (r *Runner) RunFigure5a(b *workloads.Benchmark, in workloads.Input) (Fig5aR
 	base := minCores(b.NewDSMTX(in, 0))
 	for i := 0; i < 4; i++ {
 		c := base + i
-		res, err := r.runParallel(b, in, workloads.DSMTX, c, KnobNone)
+		res, err := r.runParallel(b, in, workloads.DSMTX, c, engine.KnobNone)
 		if err != nil {
 			return row, err
 		}
@@ -200,15 +201,15 @@ func RunFigure5b(b *workloads.Benchmark, in workloads.Input, cores int) (Fig5bRo
 // RunFigure5b measures one Fig. 5b row through the runner's memo/cache.
 func (r *Runner) RunFigure5b(b *workloads.Benchmark, in workloads.Input, cores int) (Fig5bRow, error) {
 	row := Fig5bRow{Bench: b.Name}
-	seqTime, _, err := r.runSequential(b, in, KnobNone)
+	seqTime, _, err := r.runSequential(b, in, engine.KnobNone)
 	if err != nil {
 		return row, err
 	}
-	opt, err := r.runParallel(b, in, workloads.DSMTX, cores, KnobNone)
+	opt, err := r.runParallel(b, in, workloads.DSMTX, cores, engine.KnobNone)
 	if err != nil {
 		return row, err
 	}
-	unopt, err := r.runParallel(b, in, workloads.DSMTX, cores, KnobQueueUnopt)
+	unopt, err := r.runParallel(b, in, workloads.DSMTX, cores, engine.KnobQueueUnopt)
 	if err != nil {
 		return row, err
 	}
@@ -256,22 +257,22 @@ func RunFigure6(b *workloads.Benchmark, in workloads.Input, rate float64, cores 
 // RunFigure6 measures one recovery cell through the runner's memo/cache.
 func (r *Runner) RunFigure6(b *workloads.Benchmark, in workloads.Input, rate float64, cores int) (Fig6Row, error) {
 	row := Fig6Row{Bench: b.Name, Cores: cores}
-	seqTime, _, err := r.runSequential(b, in, KnobNone)
+	seqTime, _, err := r.runSequential(b, in, engine.KnobNone)
 	if err != nil {
 		return row, err
 	}
-	clean, err := r.runParallel(b, in, workloads.DSMTX, cores, KnobNone)
+	clean, err := r.runParallel(b, in, workloads.DSMTX, cores, engine.KnobNone)
 	if err != nil {
 		return row, err
 	}
 	mis := in
 	mis.MisspecRate = rate
 	// The sequential baseline must process the same (corrupted) input.
-	misSeqTime, misCheck, err := r.runSequential(b, mis, KnobNone)
+	misSeqTime, misCheck, err := r.runSequential(b, mis, engine.KnobNone)
 	if err != nil {
 		return row, err
 	}
-	misRes, err := r.runParallel(b, mis, workloads.DSMTX, cores, KnobNone)
+	misRes, err := r.runParallel(b, mis, workloads.DSMTX, cores, engine.KnobNone)
 	if err != nil {
 		return row, err
 	}

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"dsmtx/internal/engine"
 	"dsmtx/internal/stats"
 	"dsmtx/internal/workloads"
 )
@@ -30,8 +31,8 @@ func RunManycore(b *workloads.Benchmark, in workloads.Input) (ManycoreRow, error
 
 // RunManycore measures one §7 row through the runner's memo/cache. The
 // manycore's cores are slower, so each machine's speedup is measured
-// against a sequential run on that same machine (the KnobManycore
-// sequential point).
+// against a sequential run on that same machine (the engine.KnobManycore
+// sequential job).
 func (r *Runner) RunManycore(b *workloads.Benchmark, in workloads.Input) (ManycoreRow, error) {
 	row := ManycoreRow{Bench: b.Name}
 	run := func(p workloads.Paradigm, knob string) (float64, error) {
@@ -46,16 +47,16 @@ func (r *Runner) RunManycore(b *workloads.Benchmark, in workloads.Input) (Manyco
 		return seqTime.Seconds() / res.Elapsed.Seconds(), nil
 	}
 	var err error
-	if row.ClusterDSMTX, err = run(workloads.DSMTX, KnobNone); err != nil {
+	if row.ClusterDSMTX, err = run(workloads.DSMTX, engine.KnobNone); err != nil {
 		return row, err
 	}
-	if row.ClusterTLS, err = run(workloads.TLS, KnobNone); err != nil {
+	if row.ClusterTLS, err = run(workloads.TLS, engine.KnobNone); err != nil {
 		return row, err
 	}
-	if row.ManycoreDSMTX, err = run(workloads.DSMTX, KnobManycore); err != nil {
+	if row.ManycoreDSMTX, err = run(workloads.DSMTX, engine.KnobManycore); err != nil {
 		return row, err
 	}
-	if row.ManycoreTLS, err = run(workloads.TLS, KnobManycore); err != nil {
+	if row.ManycoreTLS, err = run(workloads.TLS, engine.KnobManycore); err != nil {
 		return row, err
 	}
 	return row, nil

@@ -39,25 +39,19 @@ func RunMicroQueue() MicroResult {
 	return res
 }
 
+// microMechanisms are the §5.3 bandwidth measurements.
+var microMechanisms = []string{"queue", "send", "bsend", "isend"}
+
 // RunMicroQueue measures the four mechanisms through the runner's
-// memo/cache; each is its own schedulable point.
+// memo/cache.
 func (r *Runner) RunMicroQueue() (MicroResult, error) {
 	var out MicroResult
-	for _, m := range microMechanisms {
-		rec, _, err := r.resolve(microSpec(m))
+	for i, dst := range []*float64{&out.QueueMBps, &out.SendMBps, &out.BsendMBps, &out.IsendMBps} {
+		mbps, err := r.resolveMicro(microMechanisms[i])
 		if err != nil {
 			return out, err
 		}
-		switch m {
-		case "queue":
-			out.QueueMBps = rec.MBps
-		case "send":
-			out.SendMBps = rec.MBps
-		case "bsend":
-			out.BsendMBps = rec.MBps
-		case "isend":
-			out.IsendMBps = rec.MBps
-		}
+		*dst = mbps
 	}
 	return out, nil
 }

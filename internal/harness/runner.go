@@ -3,8 +3,6 @@ package harness
 import (
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 
@@ -14,30 +12,31 @@ import (
 	"dsmtx/internal/workloads"
 )
 
-// A Runner executes experiment points — the isolated, deterministic
-// simulations behind every figure cell — through three layers: an
-// in-process memo (points shared between figures run once per process),
-// an optional content-addressed disk cache, and the simulations
-// themselves. Prefetch fans a deduplicated point list across Workers
-// host CPUs; because every point is independent and the figure methods
-// then read the memo in their original sequential order, all rendered
+// A Runner is the figure sweeps' client of the job engine. Every figure
+// cell is an engine.JobSpec and every outcome an engine.Result; the engine
+// owns execution and the content-addressed result cache. The Runner adds
+// only what a sweep needs on top: Prefetch fans a deduplicated job list
+// across Workers host CPUs, and a memo keeps the results so the figure
+// methods can then replay them in their original sequential order —
+// every job is an independent deterministic simulation, so all rendered
 // output is byte-identical to a Workers=1 run.
 //
-// The zero value is a sequential, uncached runner, which is exactly the
-// pre-scheduler behaviour of the package-level Run functions.
+// The zero value is a sequential, uncached runner.
 type Runner struct {
 	// Workers bounds concurrent simulations during Prefetch; <= 1 runs
 	// sequentially.
 	Workers int
-	// Cache, when non-nil, persists point results keyed by their full
-	// configuration and the simulator-source fingerprint.
+	// Cache, when non-nil, is handed to the engine as its result store
+	// (and holds the §5.3 micro measurements under their mechanism names).
 	Cache *expsched.Cache
-	// Progress, when non-nil, is called after each Prefetch point with
-	// how it was satisfied ("run" or "cache"). Calls are serialized.
-	Progress func(done, total int, spec PointSpec, source string)
+	// Progress, when non-nil, is called after each Prefetch job with how
+	// it was satisfied (the Result.Source: "run" or "cache"). Calls are
+	// serialized.
+	Progress func(done, total int, spec engine.JobSpec, source string)
 
 	mu    sync.Mutex
-	memo  map[PointSpec]pointRecord
+	memo  map[engine.JobSpec]engine.Result
+	micro map[string]float64 // §5.3 mechanism → MB/s
 	stats RunnerStats
 
 	engOnce sync.Once
@@ -45,18 +44,17 @@ type Runner struct {
 }
 
 // engine lazily builds the job engine every simulation routes through.
-// Admission is unbounded — Prefetch's worker pool already bounds the
-// harness's concurrency — and the engine-level result cache stays off:
-// the Runner layers its own memo and fingerprinted disk cache above.
+// Admission is unbounded: Prefetch's worker pool already bounds the
+// harness's concurrency.
 func (r *Runner) engine() *engine.Engine {
-	r.engOnce.Do(func() { r.eng = engine.New(engine.Config{}) })
+	r.engOnce.Do(func() { r.eng = engine.New(engine.Config{Cache: r.Cache}) })
 	return r.eng
 }
 
-// RunnerStats counts how points were satisfied.
+// RunnerStats counts how jobs (and micro measurements) were satisfied.
 type RunnerStats struct {
 	Computed  int // simulations actually run
-	CacheHits int // points satisfied from the disk cache
+	CacheHits int // satisfied from the result cache
 	MemoHits  int // repeat requests satisfied from the in-process memo
 }
 
@@ -67,183 +65,8 @@ func (r *Runner) Stats() RunnerStats {
 	return r.stats
 }
 
-// Point kinds. A PointSpec's Kind decides which fields are meaningful
-// and which simulation it names.
-const (
-	pointParallel = "parallel" // one RunParallel: Bench, Paradigm, Cores, Scale, Seed, Rate, Knob
-	pointSeq      = "seq"      // one sequential reference: Bench, Scale, Seed, Rate, Knob
-	pointMicro    = "micro"    // one §5.3 bandwidth measurement: Knob = mechanism
-)
-
-// Named configuration variations, registered by name so cache keys can
-// capture them (an opaque tune closure cannot be hashed). The vocabulary
-// lives in internal/engine now; the harness aliases it.
-const (
-	KnobNone       = engine.KnobNone
-	KnobQueueUnopt = engine.KnobQueueUnopt // Fig. 5b: flush every produce
-	KnobManycore   = engine.KnobManycore   // §7: coherence-free manycore machine model
-	KnobBigCluster = engine.KnobBigCluster // Figure S: 64 × 16 cores, same InfiniBand
-)
-
-// PointSpec is the complete identity of one experiment point: everything
-// that can change its result, and nothing else. It doubles as the memo
-// key (it is comparable) and, JSON-marshalled, as the cache key.
-type PointSpec struct {
-	Kind     string  `json:"kind"`
-	Bench    string  `json:"bench"`
-	Paradigm string  `json:"paradigm"`
-	Cores    int     `json:"cores"`
-	Scale    int     `json:"scale"`
-	Seed     uint64  `json:"seed"`
-	Rate     float64 `json:"rate"`
-	Knob     string  `json:"knob"`
-	// Faults is a canonical faults.Plan spec string (faults.Plan.Format),
-	// empty for fault-free points. Canonical form matters: the spec is part
-	// of the cache key, so two spellings of one plan must not split points.
-	Faults string `json:"faults,omitempty"`
-	// CommitShards is the commit-pipeline shard count; 0 or 1 (omitted from
-	// the key) is the single commit unit, so pre-sharding cache entries stay
-	// valid for every existing point.
-	CommitShards int `json:"commit_shards,omitempty"`
-}
-
-// String renders a compact human label for progress reporting.
-func (s PointSpec) String() string {
-	switch s.Kind {
-	case pointSeq:
-		label := s.Bench + " seq"
-		if s.Knob != "" {
-			label += "/" + s.Knob
-		}
-		return label
-	case pointMicro:
-		return "micro/" + s.Knob
-	default:
-		label := fmt.Sprintf("%s %s@%d", s.Bench, s.Paradigm, s.Cores)
-		if s.Knob != "" {
-			label += "/" + s.Knob
-		}
-		if s.Faults != "" {
-			label += "/" + s.Faults
-		}
-		if s.CommitShards > 1 {
-			label += fmt.Sprintf("/cs%d", s.CommitShards)
-		}
-		return label
-	}
-}
-
-// parSpec and seqSpec build normalized specs (Scale <= 0 means 1, as
-// Input does), so equivalent configurations share one point.
-func parSpec(bench string, in workloads.Input, paradigm workloads.Paradigm, cores int, knob string) PointSpec {
-	return PointSpec{Kind: pointParallel, Bench: bench, Paradigm: paradigm.String(),
-		Cores: cores, Scale: normScale(in.Scale), Seed: in.Seed, Rate: in.MisspecRate, Knob: knob}
-}
-
-func seqSpec(bench string, in workloads.Input, knob string) PointSpec {
-	return PointSpec{Kind: pointSeq, Bench: bench,
-		Scale: normScale(in.Scale), Seed: in.Seed, Rate: in.MisspecRate, Knob: knob}
-}
-
-func microSpec(mechanism string) PointSpec {
-	return PointSpec{Kind: pointMicro, Knob: mechanism}
-}
-
-func normScale(scale int) int {
-	if scale <= 0 {
-		return 1
-	}
-	return scale
-}
-
-// pointRecord is a point's serializable result; exactly one field group
-// is populated, per Kind.
-type pointRecord struct {
-	Result   *resultRecord     `json:"result,omitempty"`    // parallel
-	SeqTime  platform.Duration `json:"seq_time,omitempty"`  // seq
-	SeqCheck uint64            `json:"seq_check,omitempty"` // seq
-	MBps     float64           `json:"mbps,omitempty"`      // micro
-}
-
-// resultRecord mirrors the cacheable subset of workloads.Result. Traced
-// runs never pass through the Runner (a Tracer cannot be named in a
-// PointSpec), so Stalls and Trace are always empty here and the
-// reconstruction below is lossless.
-type resultRecord struct {
-	Elapsed   platform.Duration `json:"elapsed"`
-	Checksum  uint64            `json:"checksum"`
-	Committed uint64            `json:"committed"`
-	Misspecs  uint64            `json:"misspecs"`
-	ERM       platform.Duration `json:"erm"`
-	FLQ       platform.Duration `json:"flq"`
-	SEQ       platform.Duration `json:"seq"`
-	RFP       platform.Duration `json:"rfp"`
-	Bytes     uint64            `json:"bytes"`
-	Events    uint64            `json:"events"`
-	// Crash-resilience totals; zero for fault-free points.
-	Crashes    uint64                `json:"crashes,omitempty"`
-	Redispatch platform.Duration     `json:"redispatch,omitempty"`
-	Traffic    platform.TrafficStats `json:"traffic"`
-}
-
-func recordFromResult(res workloads.Result) *resultRecord {
-	return &resultRecord{
-		Elapsed: res.Elapsed, Checksum: res.Checksum, Committed: res.Committed,
-		Misspecs: res.Misspecs, ERM: res.ERM, FLQ: res.FLQ, SEQ: res.SEQ, RFP: res.RFP,
-		Bytes: res.Bytes, Events: res.Events,
-		Crashes: res.Crashes, Redispatch: res.Redispatch, Traffic: res.Traffic,
-	}
-}
-
-func (rec *resultRecord) toResult() workloads.Result {
-	return workloads.Result{
-		Elapsed: rec.Elapsed, Checksum: rec.Checksum, Committed: rec.Committed,
-		Misspecs: rec.Misspecs, ERM: rec.ERM, FLQ: rec.FLQ, SEQ: rec.SEQ, RFP: rec.RFP,
-		Bytes: rec.Bytes, Events: rec.Events,
-		Crashes: rec.Crashes, Redispatch: rec.Redispatch, Traffic: rec.Traffic,
-	}
-}
-
-// resolve satisfies one point: memo, then disk cache, then simulation.
-// It reports where the result came from ("memo", "cache", "run").
-func (r *Runner) resolve(spec PointSpec) (pointRecord, string, error) {
-	r.mu.Lock()
-	if rec, ok := r.memo[spec]; ok {
-		r.stats.MemoHits++
-		r.mu.Unlock()
-		return rec, "memo", nil
-	}
-	r.mu.Unlock()
-
-	var rec pointRecord
-	if r.Cache != nil {
-		if ok, err := r.Cache.Get(spec, &rec); err != nil {
-			return pointRecord{}, "", err
-		} else if ok {
-			r.remember(spec, rec, "cache")
-			return rec, "cache", nil
-		}
-	}
-	rec, err := r.compute(spec)
-	if err != nil {
-		return pointRecord{}, "", err
-	}
-	if r.Cache != nil {
-		if err := r.Cache.Put(spec, rec); err != nil {
-			return pointRecord{}, "", err
-		}
-	}
-	r.remember(spec, rec, "run")
-	return rec, "run", nil
-}
-
-func (r *Runner) remember(spec PointSpec, rec pointRecord, source string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.memo == nil {
-		r.memo = make(map[PointSpec]pointRecord)
-	}
-	r.memo[spec] = rec
+// countLocked books one first-time resolution by its Result.Source.
+func (r *Runner) countLocked(source string) {
 	if source == "cache" {
 		r.stats.CacheHits++
 	} else {
@@ -251,76 +74,98 @@ func (r *Runner) remember(spec PointSpec, rec pointRecord, source string) {
 	}
 }
 
-// compute runs the simulation a spec names: parallel and sequential
-// points are engine submissions (a PointSpec is a strict subset of a
-// JobSpec); the micro bandwidth measurement stays harness-local.
-func (r *Runner) compute(spec PointSpec) (pointRecord, error) {
-	switch spec.Kind {
-	case pointParallel:
-		res, err := r.engine().Submit(context.Background(), engine.JobSpec{
-			Kind: engine.KindParallel, Bench: spec.Bench, Paradigm: spec.Paradigm,
-			Cores: spec.Cores, Scale: spec.Scale, Seed: spec.Seed, Rate: spec.Rate,
-			Knob: spec.Knob, Faults: spec.Faults, CommitShards: spec.CommitShards,
-		})
-		if err != nil {
-			return pointRecord{}, err
-		}
-		return pointRecord{Result: recordFromResult(res.Result)}, nil
-	case pointSeq:
-		res, err := r.engine().Submit(context.Background(), engine.JobSpec{
-			Kind: engine.KindSeq, Bench: spec.Bench, Scale: spec.Scale,
-			Seed: spec.Seed, Rate: spec.Rate, Knob: spec.Knob,
-		})
-		if err != nil {
-			return pointRecord{}, err
-		}
-		return pointRecord{SeqTime: res.SeqTime, SeqCheck: res.SeqCheck}, nil
-	case pointMicro:
-		mbps, err := microBandwidth(spec.Knob)
-		if err != nil {
-			return pointRecord{}, err
-		}
-		return pointRecord{MBps: mbps}, nil
+// resolve satisfies one job: memo, then the engine (cache, then
+// simulation). Result.Source says which: "memo", "cache" or "run".
+func (r *Runner) resolve(spec engine.JobSpec) (engine.Result, error) {
+	spec = spec.Normalized()
+	r.mu.Lock()
+	if res, ok := r.memo[spec]; ok {
+		r.stats.MemoHits++
+		r.mu.Unlock()
+		res.Source = "memo"
+		return res, nil
 	}
-	return pointRecord{}, fmt.Errorf("harness: unknown point kind %q", spec.Kind)
+	r.mu.Unlock()
+
+	res, err := r.engine().Submit(context.Background(), spec)
+	if err != nil {
+		return engine.Result{}, err
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.memo == nil {
+		r.memo = make(map[engine.JobSpec]engine.Result)
+	}
+	r.memo[spec] = res
+	r.countLocked(res.Source)
+	return res, nil
 }
 
-// runParallel is the Runner-mediated replacement for a direct
-// workloads.RunParallel call in the figure harnesses.
+// resolveMicro satisfies one §5.3 bandwidth measurement. These are not
+// engine jobs (no workload, no DSMTX system), so the Runner memoizes them
+// itself and keys the cache by the bare mechanism name.
+func (r *Runner) resolveMicro(mechanism string) (float64, error) {
+	r.mu.Lock()
+	if mbps, ok := r.micro[mechanism]; ok {
+		r.stats.MemoHits++
+		r.mu.Unlock()
+		return mbps, nil
+	}
+	r.mu.Unlock()
+
+	var mbps float64
+	source := "run"
+	if r.Cache != nil {
+		// Like the engine, treat an unreadable entry as a miss.
+		if hit, _ := r.Cache.Get(mechanism, &mbps); hit {
+			source = "cache"
+		}
+	}
+	if source == "run" {
+		var err error
+		if mbps, err = microBandwidth(mechanism); err != nil {
+			return 0, err
+		}
+		if r.Cache != nil {
+			_ = r.Cache.Put(mechanism, mbps) // a failed write only costs a rerun
+		}
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.micro == nil {
+		r.micro = make(map[string]float64)
+	}
+	r.micro[mechanism] = mbps
+	r.countLocked(source)
+	return mbps, nil
+}
+
+// runParallel resolves one parallel figure cell.
 func (r *Runner) runParallel(b *workloads.Benchmark, in workloads.Input, paradigm workloads.Paradigm, cores int, knob string) (workloads.Result, error) {
-	return r.runPoint(parSpec(b.Name, in, paradigm, cores, knob))
+	return r.runPoint(parJob(b.Name, in, paradigm, cores, knob))
 }
 
-// runPoint resolves an arbitrary parallel point spec (Figure R builds specs
-// directly, since fault plans are part of the point identity).
-func (r *Runner) runPoint(spec PointSpec) (workloads.Result, error) {
-	rec, _, err := r.resolve(spec)
-	if err != nil {
-		return workloads.Result{}, err
-	}
-	if rec.Result == nil {
-		return workloads.Result{}, fmt.Errorf("harness: point %s resolved without a parallel result", spec)
-	}
-	return rec.Result.toResult(), nil
+// runPoint resolves an arbitrary parallel job (Figures R and S build specs
+// directly: fault plans and shard counts are part of the job identity).
+func (r *Runner) runPoint(spec engine.JobSpec) (workloads.Result, error) {
+	res, err := r.resolve(spec)
+	return res.Result, err
 }
 
-// runSequential is the Runner-mediated replacement for RunSequentialRef.
+// runSequential resolves one sequential reference.
 func (r *Runner) runSequential(b *workloads.Benchmark, in workloads.Input, knob string) (platform.Duration, uint64, error) {
-	rec, _, err := r.resolve(seqSpec(b.Name, in, knob))
-	if err != nil {
-		return 0, 0, err
-	}
-	return rec.SeqTime, rec.SeqCheck, nil
+	res, err := r.resolve(seqJob(b.Name, in, knob))
+	return res.SeqTime, res.SeqCheck, err
 }
 
-// Prefetch resolves every given point, deduplicated, across the worker
+// Prefetch resolves every given job, deduplicated, across the worker
 // pool. Afterwards the figure methods replay against the warm memo in
 // their original order, so rendering stays deterministic byte-for-byte.
-func (r *Runner) Prefetch(specs []PointSpec) error {
-	seen := make(map[PointSpec]bool, len(specs))
-	uniq := specs[:0:0]
+func (r *Runner) Prefetch(specs []engine.JobSpec) error {
+	seen := make(map[engine.JobSpec]bool, len(specs))
+	var uniq []engine.JobSpec
 	for _, s := range specs {
-		if !seen[s] {
+		if s = s.Normalized(); !seen[s] {
 			seen[s] = true
 			uniq = append(uniq, s)
 		}
@@ -328,75 +173,17 @@ func (r *Runner) Prefetch(specs []PointSpec) error {
 	var done atomic.Int64
 	var progressMu sync.Mutex
 	_, err := expsched.Map(r.Workers, len(uniq), func(i int) (struct{}, error) {
-		_, source, err := r.resolve(uniq[i])
+		res, err := r.resolve(uniq[i])
 		if err != nil {
 			return struct{}{}, fmt.Errorf("%s: %w", uniq[i], err)
 		}
 		if r.Progress != nil {
 			n := int(done.Add(1))
 			progressMu.Lock()
-			r.Progress(n, len(uniq), uniq[i], source)
+			r.Progress(n, len(uniq), uniq[i], res.Source)
 			progressMu.Unlock()
 		}
 		return struct{}{}, nil
 	})
 	return err
-}
-
-// simSourceDirs are the packages whose sources determine simulated
-// results. The cache fingerprint covers exactly these: editing anything
-// else (rendering, CLI, docs, tests) keeps cached points valid, while
-// any kernel/runtime/workload change invalidates every entry.
-var simSourceDirs = []string{
-	"internal/cluster", "internal/core", "internal/engine", "internal/faults",
-	"internal/mem", "internal/mpi", "internal/pipeline", "internal/platform",
-	"internal/queue", "internal/sim", "internal/tlsrt", "internal/uva",
-	"internal/workloads",
-}
-
-// recordSchema versions the pointRecord layout; bump it when the record
-// changes shape so old entries cannot be misdecoded.
-const recordSchema = "record-v2"
-
-// ResultFingerprint computes the cache fingerprint for this checkout:
-// the record schema plus a digest of the simulation sources (located by
-// walking up from the working directory to go.mod). Outside a checkout
-// it falls back to digesting the running executable — coarser, but still
-// sound: a rebuild can only invalidate, never falsely hit.
-func ResultFingerprint() (string, error) {
-	if root, ok := moduleRoot(); ok {
-		dirs := make([]string, len(simSourceDirs))
-		for i, d := range simSourceDirs {
-			dirs[i] = filepath.Join(root, filepath.FromSlash(d))
-		}
-		fp, err := expsched.SourceFingerprint(dirs...)
-		if err != nil {
-			return "", err
-		}
-		return recordSchema + ":src:" + fp, nil
-	}
-	fp, err := expsched.ExecutableFingerprint()
-	if err != nil {
-		return "", err
-	}
-	return recordSchema + ":exe:" + fp, nil
-}
-
-// moduleRoot finds the dsmtx checkout by walking up from the working
-// directory until a go.mod appears.
-func moduleRoot() (string, bool) {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "", false
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, true
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", false
-		}
-		dir = parent
-	}
 }

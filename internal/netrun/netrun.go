@@ -46,8 +46,6 @@ type JobSpec struct {
 	MisspecRate float64
 	Seed        uint64
 	Cores       int
-	// PageServShards overrides core.Config.PageServShards when > 0.
-	PageServShards int
 	// Invocations overrides the benchmark's invocation count when > 0
 	// (tests use 0 = the benchmark's own).
 	Invocations int
@@ -169,9 +167,6 @@ func readCtl(conn gonet.Conn, want wire.FrameType, v any) error {
 func buildConfig(spec JobSpec, plan pipeline.Plan) core.Config {
 	cfg := core.DefaultConfig(spec.Cores, plan)
 	cfg.Backend = core.BackendNet
-	if spec.PageServShards > 0 {
-		cfg.PageServShards = spec.PageServShards
-	}
 	return cfg
 }
 

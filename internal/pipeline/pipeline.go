@@ -192,6 +192,44 @@ func DSWP(kinds ...string) Plan {
 	return fromKinds("DSWP+", kinds)
 }
 
+// TLS is the comparison paradigm's plan: thread-level speculation in the
+// DOACROSS discipline. Each iteration is a single-threaded transaction run
+// entirely by one worker, iterations assigned round-robin across the pool
+// (the STAMPede [27] / Zhai [34] algorithms the paper's baseline follows),
+// and the pool carries the synchronization ring. An MTX with one subTX
+// degenerates to exactly such a transaction, so the DSMTX runtime runs TLS
+// plans directly, on any backend.
+//
+// Conventions TLS programs follow:
+//
+//  1. The stage body receives each synchronized dependence with
+//     Ctx.SyncRecv immediately before its first use and forwards it with
+//     Ctx.SyncSend immediately after its last def — the optimal placement
+//     of Zhai's value-communication optimization. Everything before the
+//     recv overlaps with the predecessor iteration; everything between
+//     recv and send is the serial section, and the forwarding latency sits
+//     on the critical path (the cyclic pattern of Fig. 1 that Spec-DSWP's
+//     acyclic pipelines avoid).
+//  2. The first iteration after a loop entry or a recovery has no running
+//     predecessor; Ctx.EpochFirst selects loading the committed value
+//     instead of receiving it.
+//  3. Speculated accesses use Ctx.Read / Ctx.Write exactly as under
+//     Spec-DSWP; validation and commit are unchanged (single-subTX MTXs).
+func TLS() Plan {
+	p := TLSNoSync()
+	p.Sync = true
+	return p
+}
+
+// TLSNoSync is the TLS plan for loops with no synchronized dependences
+// (pure Spec-DOALL under TLS — e.g. 052.alvinn and swaptions, where the
+// paper notes the TLS and DSMTX parallelizations coincide).
+func TLSNoSync() Plan {
+	p := SpecDOALL()
+	p.Name = "TLS"
+	return p
+}
+
 func fromKinds(prefix string, kinds []string) Plan {
 	p := Plan{Name: prefix + "["}
 	for i, k := range kinds {

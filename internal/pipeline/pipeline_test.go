@@ -171,3 +171,38 @@ func TestLayoutProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestTLSPlanShape(t *testing.T) {
+	p := TLS()
+	if p.Name != "TLS" {
+		t.Fatalf("Name = %q", p.Name)
+	}
+	if !p.Sync {
+		t.Fatal("TLS plan must carry the sync ring")
+	}
+	if len(p.Stages) != 1 || p.Stages[0].Kind != Parallel {
+		t.Fatalf("stages = %+v, want one parallel stage", p.Stages)
+	}
+}
+
+func TestTLSNoSyncPlanShape(t *testing.T) {
+	p := TLSNoSync()
+	if p.Sync {
+		t.Fatal("TLSNoSync must not carry a ring")
+	}
+	if len(p.Stages) != 1 || p.Stages[0].Kind != Parallel {
+		t.Fatalf("stages = %+v", p.Stages)
+	}
+}
+
+func TestTLSPlanLaysOutOnAnyPool(t *testing.T) {
+	for _, workers := range []int{1, 2, 30, 126} {
+		l, err := NewLayout(TLS(), workers)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if len(l.Assign[0]) != workers {
+			t.Fatalf("workers=%d: pool size %d", workers, len(l.Assign[0]))
+		}
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"dsmtx/internal/core"
 	"dsmtx/internal/mem"
 	"dsmtx/internal/pipeline"
-	"dsmtx/internal/tlsrt"
 	"dsmtx/internal/uva"
 )
 
@@ -60,7 +59,7 @@ func Art() *Benchmark {
 
 func (p *artProg) Plan() pipeline.Plan {
 	if p.tls {
-		return tlsrt.Plan()
+		return pipeline.TLS()
 	}
 	plan := pipeline.SpecDSWP("S", "DOALL", "S")
 	plan.Occupancy = true

@@ -6,7 +6,6 @@ import (
 	"dsmtx/internal/core"
 	"dsmtx/internal/mem"
 	"dsmtx/internal/pipeline"
-	"dsmtx/internal/tlsrt"
 	"dsmtx/internal/uva"
 )
 
@@ -65,7 +64,7 @@ func Blackscholes() *Benchmark {
 
 func (p *bsProg) Plan() pipeline.Plan {
 	if p.tls {
-		return tlsrt.Plan()
+		return pipeline.TLS()
 	}
 	return pipeline.DSWP("Spec-DOALL", "S")
 }

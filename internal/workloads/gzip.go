@@ -6,7 +6,6 @@ import (
 	"dsmtx/internal/core"
 	"dsmtx/internal/mem"
 	"dsmtx/internal/pipeline"
-	"dsmtx/internal/tlsrt"
 	"dsmtx/internal/uva"
 )
 
@@ -62,7 +61,7 @@ func Gzip() *Benchmark {
 
 func (p *gzProg) Plan() pipeline.Plan {
 	if p.tls {
-		return tlsrt.Plan()
+		return pipeline.TLS()
 	}
 	return pipeline.SpecDSWP("S", "DOALL", "S")
 }

@@ -4,7 +4,6 @@ import (
 	"dsmtx/internal/core"
 	"dsmtx/internal/mem"
 	"dsmtx/internal/pipeline"
-	"dsmtx/internal/tlsrt"
 	"dsmtx/internal/uva"
 )
 
@@ -62,7 +61,7 @@ func H264() *Benchmark {
 
 func (p *h264Prog) Plan() pipeline.Plan {
 	if p.tls {
-		return tlsrt.Plan()
+		return pipeline.TLS()
 	}
 	return pipeline.SpecDSWP("DOALL", "S")
 }

@@ -8,7 +8,6 @@ import (
 	"dsmtx/internal/core"
 	"dsmtx/internal/mem"
 	"dsmtx/internal/pipeline"
-	"dsmtx/internal/tlsrt"
 	"dsmtx/internal/uva"
 )
 
@@ -71,7 +70,7 @@ func Lisp() *Benchmark {
 
 func (p *liProg) Plan() pipeline.Plan {
 	if p.tls {
-		return tlsrt.Plan()
+		return pipeline.TLS()
 	}
 	return pipeline.DSWP("Spec-DOALL", "S")
 }

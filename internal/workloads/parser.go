@@ -4,7 +4,6 @@ import (
 	"dsmtx/internal/core"
 	"dsmtx/internal/mem"
 	"dsmtx/internal/pipeline"
-	"dsmtx/internal/tlsrt"
 	"dsmtx/internal/uva"
 )
 
@@ -67,7 +66,7 @@ func Parser() *Benchmark {
 
 func (p *parProg) Plan() pipeline.Plan {
 	if p.tls {
-		return tlsrt.Plan()
+		return pipeline.TLS()
 	}
 	return pipeline.SpecDSWP("S", "DOALL", "S")
 }

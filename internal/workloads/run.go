@@ -47,10 +47,12 @@ type Result struct {
 	Traffic platform.TrafficStats
 	// Stalls aggregates per-rank stall attribution across invocations when
 	// the run was tuned with a core.Config.Tracer; empty otherwise.
-	Stalls trace.StallReport
+	// Stalls and Trace are in-process observability, never serialized: the
+	// record the engine caches and serves is every other field.
+	Stalls trace.StallReport `json:"-"`
 	// Trace holds the MTX lifecycle events of every invocation when the
 	// run was tuned with core.Config.Trace.
-	Trace []core.TraceEvent
+	Trace []core.TraceEvent `json:"-"`
 }
 
 // Bandwidth reports wire bytes per second of execution.

@@ -1,0 +1,43 @@
+#!/usr/bin/env bash
+# smoke: one end-to-end run per execution surface — the vtime tracer, fault
+# injection, the live host backend (plain, traced, commit-sharded) and the
+# multi-process net backend. Every row must print VERIFIED (dsmtxrun exits
+# 0 on a checksum MISMATCH, so the exit code alone proves nothing), and a
+# row that names a trace file has it validated by tracecheck. Binaries and
+# artefacts live in a temp dir, never in the checkout.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+go build -o "$work/dsmtxrun" ./cmd/dsmtxrun
+go build -o "$work/compress" ./examples/compress
+go build -o "$work/tracecheck" ./tools/tracecheck
+cd "$work"
+
+# row NAME TRACE CMD...: TRACE is the Chrome trace CMD writes, or - for none.
+# The timeout bounds the live backends, which have no virtual-time horizon.
+row() {
+    local name=$1 trace=$2
+    shift 2
+    echo "== smoke: $name"
+    timeout 120 "$@" | tee "$name.out"
+    grep -q VERIFIED "$name.out" || { echo "smoke: $name: output is not VERIFIED" >&2; exit 1; }
+    [ "$trace" = - ] || ./tracecheck "$trace"
+}
+
+# The public-API example's vtime timeline must stay Perfetto-loadable.
+row trace trace.json ./compress -trace trace.json
+# Message loss plus a mid-run worker crash: the resilience vocabulary
+# (fault.crash, recovery.redispatch, retransmits) must survive the export.
+row resilience resilience.json ./dsmtxrun -bench crc32 -cores 16 \
+    -faults drop=0.005,crash=r1@2ms+200us -fault-seed 7 -trace resilience.json
+# Live goroutines with enough misspeculation to force real recovery.
+row host - ./dsmtxrun -bench crc32 -cores 8 -misspec 0.02 -backend host
+# Same with the wall-clock tracer: "clock":"wall", per-track monotone.
+row host-trace host.json ./dsmtxrun -bench crc32 -cores 8 -misspec 0.02 -backend host -trace host.json
+# Four commit shards: consistent-hash ownership, cross-shard votes and recovery.
+row shard - ./dsmtxrun -bench crc32 -cores 16 -commit-shards 4 -misspec 0.02 -backend host
+# Two daemon OS processes on loopback TCP.
+row net - ./dsmtxrun -bench 164.gzip -cores 11 -backend net -net-daemons 2
+echo "smoke: OK"

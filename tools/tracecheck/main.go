@@ -7,8 +7,8 @@
 // vanishing from timeline queries. Wall-clock traces (top-level
 // "clock":"wall", emitted by host runs) additionally promise per-track
 // start-time monotonicity — the exporter sorts each rank's span buffer —
-// and tracecheck enforces it. CI runs it over the trace-demo,
-// resilience-demo and host-trace-demo outputs.
+// and tracecheck enforces it. CI runs it over the traces scripts/smoke.sh
+// produces (vtime, faulted vtime, and wall clock).
 //
 // Usage:
 //

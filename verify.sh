@@ -56,4 +56,8 @@ go test -race ./internal/core/ -run TestCrossShard
 # sweep, and the core cross-shard tests ride along at both widths.
 GOMAXPROCS=2 go test -race -count=1 ./internal/workloads/ ./internal/core/ -run 'TestBackendEquivalence|TestCrossShard'
 GOMAXPROCS=8 go test -race -count=1 ./internal/workloads/ ./internal/core/ -run 'TestBackendEquivalence|TestCrossShard'
+# bench/ is its own module (BENCHMARK.json's entry point) compiled against
+# this one's internal packages; the root ./... patterns never descend into
+# it, so a root refactor could break the benchmark unnoticed without this.
+(cd bench && go vet ./... && go test -short ./...)
 echo "verify: OK"
