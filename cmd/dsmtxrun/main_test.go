@@ -43,8 +43,8 @@ func TestParseFlagsErrors(t *testing.T) {
 		{Args: []string{"-fault-seed", "7"}, Want: "-fault-seed needs -faults"},
 		{Args: []string{"-faults", "drop=notanumber"}, Want: "-faults"},
 		// the engine's backend × feature rules surface as flag errors
-		{Args: []string{"-bench", "crc32", "-backend", "host", "-faults", "drop=0.01"}, Want: "vtime"},
-		{Args: []string{"-bench", "crc32", "-backend", "net", "-faults", "drop=0.01"}, Want: "vtime"},
+		{Args: []string{"-bench", "crc32", "-backend", "host", "-faults", "drop=0.01"}, Want: "Faults: fault injection is built on the virtual-time kernel"},
+		{Args: []string{"-bench", "crc32", "-backend", "net", "-faults", "drop=0.01"}, Want: "Faults: fault injection is built on the virtual-time kernel"},
 		{Args: []string{"-bench", "crc32", "-backend", "net", "-commit-shards", "2"}, Want: "net backend"},
 		{Args: []string{"-bench", "crc32", "-backend", "net", "-paradigm", "tls"}, Want: "net backend"},
 		{Args: []string{"-bench", "crc32", "-backend", "net", "-trace", "t.json"}, Want: "belong to the daemons"},

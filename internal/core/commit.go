@@ -143,7 +143,7 @@ func (c *cuNode) run(p platform.Proc) {
 		// lead wrote directly into every shard's image via the federated
 		// space; peer shards have not touched their images yet (they park in
 		// tagStart below), so the cross-image snapshots are race-free.
-		c.sys.publishSnapshots(c.img)
+		c.sys.publishSnapshots()
 		for k := 1; k < c.sys.cfg.commitShards(); k++ {
 			c.comm.Send(c.sys.cfg.commitShardRank(k), tagStart, nil, 8)
 		}
@@ -172,17 +172,8 @@ func (c *cuNode) run(p platform.Proc) {
 			f.Finalize(seq)
 		}
 	}
-	// Shut this rank's page-server shard(s) down so the simulation can
-	// drain: with a sharded commit pipeline each commit rank hosts exactly
-	// one server on the base request tag; otherwise the single commit rank
-	// hosts every shard.
-	if c.sys.cfg.commitShards() > 1 {
-		c.comm.Endpoint().Send(c.rank, tagPageReq, nil, 8)
-		return
-	}
-	for shard := range c.sys.srvs {
-		c.comm.Endpoint().Send(c.rank, c.sys.cfg.pageReqTag(shard), nil, 8)
-	}
+	// Shut this rank's page server down so the simulation can drain.
+	c.comm.Endpoint().Send(c.rank, tagPageReq, nil, 8)
 }
 
 func (c *cuNode) bind() {
@@ -618,7 +609,7 @@ func (c *cuNode) recoverCrash(seq *SeqCtx, rank int) {
 
 	// No SEQ re-execution — nothing misspeculated. Refresh the COA snapshots
 	// so the restarted worker pages in committed state.
-	c.sys.publishSnapshots(c.img)
+	c.sys.publishSnapshots()
 
 	c.comm.Barrier(c.sys.allRanks) // B3: resume parallel execution
 
@@ -688,7 +679,7 @@ func (c *cuNode) recover(seq *SeqCtx, failed uint64) {
 	if committer, ok := c.sys.prog.(Committer); ok {
 		committer.Commit(seq, failed)
 	}
-	c.sys.publishSnapshots(c.img)
+	c.sys.publishSnapshots()
 	seqDone := c.proc.Now()
 	c.result.SEQ += seqDone - flqDone
 	c.sys.tr.Span(trace.SpanSEQ, c.rank, trFLQ, failed, 0, 0)
@@ -710,30 +701,25 @@ func (c *cuNode) recover(seq *SeqCtx, failed uint64) {
 	}
 }
 
-// pageServer serves Copy-On-Access page requests from the invocation-entry
-// snapshot of the commit unit's memory. Every shard shares the commit
+// pageServer serves Copy-On-Access page requests for one commit unit's
+// partition of the page space (all of it with a single commit unit) from the
+// invocation-entry snapshot of that unit's memory. It shares the commit
 // unit's rank (and NIC) but runs as its own process so page service
-// continues while the commit unit is busy committing. On the live
-// backends (Config.pageShards) each shard owns a block-interleaved
-// partition of the page space and listens on its own request tag, so
-// concurrent worker faults stop serializing through one goroutine.
+// continues while the commit unit is busy committing.
 type pageServer struct {
 	sys   *System
 	shard int
 	proc  platform.Proc
 	comm  *mpi.Comm
-	// snap is this shard's served snapshot. On vtime the cooperative
-	// scheduler makes the commit unit's swap trivially atomic; on host the
-	// commit unit and the page servers are separate goroutines, so
-	// publication is atomic. Each shard gets its own snapshot image (frames
-	// shared copy-on-write): a snapshot's internal lookup caches mutate on
-	// reads, so concurrent shards must not share one.
+	// snap is the served snapshot. On vtime the cooperative scheduler makes
+	// the commit unit's swap trivially atomic; on host the commit unit and
+	// the page server are separate goroutines, so publication is atomic.
 	snap atomic.Pointer[mem.Image]
 
 	// Served-request accounting (diagnostic; read after Run joins).
 	Requests    uint64
 	PagesServed uint64
-	// depthHW is the high-water request backlog observed on this shard's
+	// depthHW is the high-water request backlog observed on this server's
 	// mailbox (host + tracer only; the stall report's shard-q column).
 	depthHW int64
 
@@ -753,30 +739,23 @@ func newPageServer(s *System, shard int) *pageServer { return &pageServer{sys: s
 func (ps *pageServer) setSnapshot(snap *mem.Image) { ps.snap.Store(snap) }
 
 func (ps *pageServer) run(p platform.Proc) {
-	// With a sharded commit pipeline each commit rank hosts one server for
-	// its own partition on the base request tag; otherwise every server
-	// shard shares the single commit rank and distinguishes by tag.
-	tag := ps.sys.cfg.pageReqTag(ps.shard)
-	if ps.sys.cfg.commitShards() > 1 {
-		tag = tagPageReq
-	}
 	ps.proc = p
-	ps.comm = ps.sys.world.Attach(ps.sys.pageSrvRank(ps.shard), p)
-	box := ps.comm.Endpoint().Mailbox(platform.AnySource, tag)
+	ps.comm = ps.sys.world.Attach(ps.sys.cfg.commitShardRank(ps.shard), p)
+	box := ps.comm.Endpoint().Mailbox(platform.AnySource, tagPageReq)
 	ps.cReq = ps.sys.tr.Metrics().Counter("coa.requests")
 	ps.cPages = ps.sys.tr.Metrics().Counter("coa.pages.served")
 	tr := ps.sys.tr
 	// Host delivery instruments (the host mailbox exposes its backlog;
-	// vtime's does not, and per-shard wall latency is meaningless there).
+	// vtime's does not, and per-server wall latency is meaningless there).
 	var depther interface{ Depth() int }
 	if tr.Enabled() && tr.Wall() {
 		depther, _ = box.(interface{ Depth() int })
 		ps.gDepth = tr.Metrics().Gauge(fmt.Sprintf("pagesrv.shard%d.depth", ps.shard))
 		ps.hServe = tr.Metrics().Histogram(fmt.Sprintf("pagesrv.shard%d.serve.ns", ps.shard))
 	}
-	track := ps.sys.pageSrvTrack() + ps.shard
+	track := ps.sys.pageSrvTrack(ps.shard)
 	for {
-		msg := ps.comm.Endpoint().Recv(p, platform.AnySource, tag)
+		msg := ps.comm.Endpoint().Recv(p, platform.AnySource, tagPageReq)
 		if msg.Payload == nil {
 			return // shutdown sentinel from the commit unit
 		}

@@ -241,6 +241,21 @@ func (c Config) commitShards() int {
 // unit(s) and the commit unit(s)).
 func (c Config) Workers() int { return c.TotalCores - c.commitShards() - c.tcUnits() }
 
+// CheckBackend reports a fault plan or commit-shard count that backend b
+// cannot run. It is the one statement of these two rows of the backend
+// matrix: Config.Validate and engine.JobSpec.Validate both call it and put
+// their own type name in front of the error, which leads with the field name
+// the two types share.
+func CheckBackend(b Backend, hasFaults bool, commitShards int) error {
+	if hasFaults && b != BackendVTime {
+		return fmt.Errorf("Faults: fault injection is built on the virtual-time kernel; unsupported on the %s backend", b)
+	}
+	if commitShards > 1 && b == BackendNet {
+		return fmt.Errorf("CommitShards = %d: commit shards share an in-process image arena; unsupported on the net backend", commitShards)
+	}
+	return nil
+}
+
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	if err := c.Cluster.Validate(); err != nil {
@@ -262,21 +277,11 @@ func (c Config) Validate() error {
 	if c.Backend != BackendVTime && c.Backend != BackendHost && c.Backend != BackendNet {
 		return fmt.Errorf("core: unknown backend %d", c.Backend)
 	}
-	if c.Backend != BackendVTime {
-		// Fault injection is built on the virtual-time kernel (timers,
-		// deterministic rolls); the live backends run the bare protocol.
-		// The tracer is backend-agnostic and allowed on all of them.
-		if !c.Faults.Empty() {
-			return fmt.Errorf("core: Config.Faults: fault injection is built on the virtual-time kernel; unsupported on the %s backend", c.Backend)
-		}
+	if err := CheckBackend(c.Backend, !c.Faults.Empty(), c.CommitShards); err != nil {
+		return fmt.Errorf("core: Config.%w", err)
 	}
-	if c.Backend == BackendNet {
-		if c.Platform == nil {
-			return fmt.Errorf("core: Config.Platform: the net backend needs an injected platform factory (run through internal/netrun or dsmtxrun -backend net)")
-		}
-		if c.CommitShards > 1 {
-			return fmt.Errorf("core: Config.CommitShards = %d: commit shards share an in-process image arena; unsupported on the net backend", c.CommitShards)
-		}
+	if c.Backend == BackendNet && c.Platform == nil {
+		return fmt.Errorf("core: Config.Platform: the net backend needs an injected platform factory (run through internal/netrun or dsmtxrun -backend net)")
 	}
 	if c.Platform != nil && c.Backend != BackendNet {
 		return fmt.Errorf("core: Config.Platform: injected platforms are a net-backend feature (the %s backend builds its own)", c.Backend)
@@ -346,16 +351,12 @@ func (c Config) tcShardOf(addr uva.Addr) int {
 // Control-plane message tags (queue tags are allocated from tagQueueBase).
 const (
 	tagCtrl      = 1 // commit unit -> workers/try-commit: recovery broadcast
-	tagPageReq   = 2 // any -> page server (shard 0)
+	tagPageReq   = 2 // any -> the owning commit unit's page server
 	tagPageReply = 3 // page server -> requester
 	tagOccAck    = 4 // parallel worker -> routing worker: iteration done
 	tagStart     = 5 // commit unit -> all: Setup done, parallel section open
 	tagHeartbeat = 6 // worker -> commit unit: liveness beacon (crash plans only)
 	tagRejoin    = 7 // restarted worker -> commit unit: crashed, need recovery
-	// tagPageShardBase + s is page-server shard s's request tag for s >= 1;
-	// shard 0 keeps tagPageReq so a single-shard system (all of vtime) is
-	// byte-identical to the pre-sharding layout.
-	tagPageShardBase = 7
 	// tagCommitVoteBase + k is the ordered 2PC vote tag addressed to commit
 	// shard k acting as coordinator (cross-shard commits, stop votes at a
 	// false decision, and the termination votes to the lead shard). Unused —
@@ -364,42 +365,8 @@ const (
 	tagQueueBase      = 100
 )
 
-// pageShardsLive is the page-server shard count on the live backends: enough
-// to keep page service off the critical path of a concurrent worker pool
-// without spawning a goroutine per core.
-const pageShardsLive = 4
-
-// pageShardBlock is the shard-interleave granularity in pages: the page
-// space is dealt to shards in 64-page (256 KiB) blocks, so prefetch runs
-// (COAPrefetch pages) almost never straddle shards while neighbouring
-// working sets still spread across them.
+// pageShardBlock is the page-ownership granularity in pages: CommitShards
+// deals the page space to commit units in 64-page (256 KiB) blocks, so
+// prefetch runs (COAPrefetch pages) almost never straddle owners while
+// neighbouring working sets still spread across them.
 const pageShardBlock = 64
-
-// pageShards is the number of page-server processes serving Copy-On-Access
-// requests beside a single commit unit (>= 1), each owning a
-// block-interleaved partition of the page space with its own published
-// snapshot. The modelled platform, like the paper's, has one page server
-// per commit unit; the live backends shard it so concurrent workers stop
-// contending on one server goroutine (net co-locates every shard with the
-// commit rank, so one daemon owns them all). With a sharded commit
-// pipeline the page service is already partitioned across the commit
-// ranks, so this collapses to 1.
-func (c Config) pageShards() int {
-	if c.commitShards() > 1 || c.Backend == BackendVTime {
-		return 1
-	}
-	return pageShardsLive
-}
-
-// pageReqTag is the request tag addressed to page-server shard s.
-func (c Config) pageReqTag(s int) int {
-	if s == 0 {
-		return tagPageReq
-	}
-	return tagPageShardBase + s
-}
-
-// pageShardOf maps a page to the shard that owns it.
-func (c Config) pageShardOf(id uva.PageID) int {
-	return int((uint64(id) / pageShardBlock) % uint64(c.pageShards()))
-}

@@ -127,7 +127,7 @@ type System struct {
 	workers []*workerNode
 	tcs     []*tcNode
 	cus     []*cuNode     // commit shards; cus[0] is the lead
-	srvs    []*pageServer // page-server shards (always 1 on vtime)
+	srvs    []*pageServer // srvs[k] serves commit shard k's partition
 
 	// owner is the HRW (rendezvous-hash) page-ownership table, built only
 	// when CommitShards > 1: bucket b of the page space (64-page blocks,
@@ -196,10 +196,8 @@ func NewSystem(cfg Config, prog Program, initialImage *mem.Image) (*System, erro
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.commitShards() > 1 {
-		if _, ok := prog.(Committer); ok {
-			return nil, fmt.Errorf("core: Config.CommitShards = %d: Committer programs need the single commit unit (the per-MTX hook is a sequential section)", cfg.CommitShards)
-		}
+	if err := checkCommitter(cfg, prog); err != nil {
+		return nil, err
 	}
 	layout, err := pipeline.NewLayout(cfg.Plan, cfg.Workers())
 	if err != nil {
@@ -231,9 +229,6 @@ func NewSystem(cfg Config, prog Program, initialImage *mem.Image) (*System, erro
 		// Distributed daemons. The orchestration layer owns the connection
 		// mesh and injects a platform bound to it; core only supplies the
 		// rank count its layout needs.
-		if cfg.Platform == nil {
-			return nil, fmt.Errorf("core: net backend needs Config.Platform (run through internal/netrun)")
-		}
 		p, err := cfg.Platform(s.cfg.Cluster.Ranks())
 		if err != nil {
 			return nil, err
@@ -267,6 +262,14 @@ func NewSystem(cfg Config, prog Program, initialImage *mem.Image) (*System, erro
 	return s, nil
 }
 
+// checkCommitter rejects a Committer program on a sharded commit pipeline.
+func checkCommitter(cfg Config, prog Program) error {
+	if _, ok := prog.(Committer); ok && cfg.commitShards() > 1 {
+		return fmt.Errorf("core: Config.CommitShards = %d: Committer programs need the single commit unit (the per-MTX hook is a sequential section)", cfg.CommitShards)
+	}
+	return nil
+}
+
 // Reset prepares a finished System to execute another program on the same
 // configuration, reusing everything NewSystem built — rank layout, queue
 // registry, owner table, and the live host endpoint set — instead of
@@ -298,10 +301,8 @@ func (s *System) Reset(cfg Config, prog Program, initialImage *mem.Image) error 
 	case !reflect.DeepEqual(cfg.Plan, s.cfg.Plan):
 		return fmt.Errorf("core: Reset plan mismatch: %q vs %q", cfg.Plan.Name, s.cfg.Plan.Name)
 	}
-	if cfg.commitShards() > 1 {
-		if _, isC := prog.(Committer); isC {
-			return fmt.Errorf("core: Reset: Committer programs need the single commit unit")
-		}
+	if err := checkCommitter(cfg, prog); err != nil {
+		return err
 	}
 	hp.Reset()
 	s.prog = prog
@@ -419,14 +420,25 @@ func (sp *shardSpace) ChecksumRange(addr uva.Addr, n int) uint64 {
 	return mem.ChecksumBytes(sp.LoadBytes(addr, n))
 }
 
-// pageSrvTrack is the page server's synthetic timeline id: it shares the
-// commit unit's rank, so it gets the first id past the real ranks.
-func (s *System) pageSrvTrack() int { return s.cfg.TotalCores }
+// pageSrvTrack is commit shard k's page server's synthetic timeline id: the
+// server shares its commit unit's rank, so the servers take the first ids
+// past the real ranks.
+func (s *System) pageSrvTrack(k int) int { return s.cfg.TotalCores + k }
+
+// pageSrvName names commit shard k's page server (process, track and stall
+// row). Shard 0 keeps the bare name, so single-commit-unit vtime process
+// naming — and hence event ordering — is what it always was.
+func pageSrvName(k int) string {
+	if k == 0 {
+		return "pagesrv"
+	}
+	return fmt.Sprintf("pagesrv%d", k)
+}
 
 // bindTracer attaches cfg.Tracer to this invocation: stitches the
 // platform's clock into the tracer's timeline (the vtime kernel, or the
 // host's monotonic wall clock with per-rank span buffers), labels one track
-// per rank (plus the page-server shards' synthetic tracks), and resolves
+// per rank (plus one synthetic track per page server), and resolves
 // queue metric handles. On host it also hands the tracer to the platform so
 // the delivery layer (rings, parking, spills) self-instruments. A nil
 // tracer leaves everything on the uninstrumented path.
@@ -461,14 +473,7 @@ func (s *System) bindTracer() {
 			label = fmt.Sprintf("commit.shard%d", k)
 		}
 		s.tr.SetTrack(r, node(r), label)
-	}
-	for sh := 0; sh < s.pageSrvCount(); sh++ {
-		label := "pagesrv"
-		if sh > 0 {
-			label = fmt.Sprintf("pagesrv%d", sh)
-		}
-		r := s.pageSrvRank(sh)
-		s.tr.SetTrack(s.pageSrvTrack()+sh, node(r), label)
+		s.tr.SetTrack(s.pageSrvTrack(k), node(r), pageSrvName(k))
 	}
 	for _, q := range s.edgeQ {
 		q.Instrument(s.tr)
@@ -493,38 +498,11 @@ func (s *System) bindTracer() {
 	}
 }
 
-// pageSrvCount is the number of page-server processes: one per commit shard
-// when the commit pipeline is sharded (each serves its own partition's
-// snapshot), else the configured per-rank shard count.
-func (s *System) pageSrvCount() int {
-	if s.cfg.commitShards() > 1 {
-		return s.cfg.commitShards()
-	}
-	return s.cfg.pageShards()
-}
-
-// pageSrvRank is the rank page-server shard sh shares a core with.
-func (s *System) pageSrvRank(sh int) int {
-	if s.cfg.commitShards() > 1 {
-		return s.cfg.commitShardRank(sh)
-	}
-	return s.cfg.commitRank()
-}
-
-// ctrlSrc is the source workers and try-commit units accept control
-// messages from: the single commit rank normally; any commit shard under a
-// sharded pipeline (recovery epochs originate at the coordinator shard).
-func (s *System) ctrlSrc() int {
-	if s.cfg.commitShards() > 1 {
-		return platform.AnySource
-	}
-	return s.cfg.commitRank()
-}
-
-// pageReplySrc is the source workers and try-commit units accept COA page
-// replies from: the single commit rank normally; any owner shard under a
-// sharded pipeline.
-func (s *System) pageReplySrc() int {
+// commitSrc is the source workers and try-commit units accept commit-unit
+// traffic — control broadcasts and COA page replies — from: the single
+// commit rank normally; any commit shard under a sharded pipeline (recovery
+// epochs originate at the coordinator shard, pages at the owner shard).
+func (s *System) commitSrc() int {
 	if s.cfg.commitShards() > 1 {
 		return platform.AnySource
 	}
@@ -692,24 +670,13 @@ func (s *System) spawnRank(name string, rank int, body func(platform.Proc)) {
 	})
 }
 
-// publishSnapshots hands each page-server shard its own copy-on-write
-// snapshot of the commit image. One Snapshot call per shard — not one
-// shared image — because a snapshot's internal lookup caches mutate on
-// reads; the underlying page frames are shared copy-on-write, so the extra
-// snapshots cost one page-table copy each, not a memory copy.
-func (s *System) publishSnapshots(img *mem.Image) {
-	if s.cfg.commitShards() > 1 {
-		// One server per commit shard, each serving its own shard's image;
-		// img (the caller's local image) is ignored. Only called while every
-		// other commit shard is parked (before tagStart, or between recovery
-		// barriers B2 and B3), so snapshotting a peer's image is race-free.
-		for k, ps := range s.srvs {
-			ps.setSnapshot(s.cus[k].img.Snapshot())
-		}
-		return
-	}
-	for _, ps := range s.srvs {
-		ps.setSnapshot(img.Snapshot())
+// publishSnapshots hands every page server a copy-on-write snapshot of its
+// commit unit's image. Only called while every other commit shard is parked
+// (before tagStart, or between recovery barriers B2 and B3), so snapshotting
+// a peer's image is race-free.
+func (s *System) publishSnapshots() {
+	for k, ps := range s.srvs {
+		ps.setSnapshot(s.cus[k].img.Snapshot())
 	}
 }
 
@@ -792,6 +759,7 @@ func (s *System) stopHeartbeats() {
 func (s *System) Run() (Result, error) {
 	for k := 0; k < s.cfg.commitShards(); k++ {
 		s.cus = append(s.cus, newCUNode(s, k))
+		s.srvs = append(s.srvs, newPageServer(s, k))
 	}
 	if s.cfg.commitShards() > 1 {
 		s.seqArena = uva.NewArena(0)
@@ -805,9 +773,6 @@ func (s *System) Run() (Result, error) {
 	}
 	for j := 0; j < s.cfg.tcUnits(); j++ {
 		s.tcs = append(s.tcs, newTCNode(s, j))
-	}
-	for sh := 0; sh < s.pageSrvCount(); sh++ {
-		s.srvs = append(s.srvs, newPageServer(s, sh))
 	}
 	for w := 0; w < s.cfg.Workers(); w++ {
 		s.workers = append(s.workers, newWorkerNode(s, w))
@@ -828,15 +793,10 @@ func (s *System) Run() (Result, error) {
 	for j, tc := range s.tcs {
 		s.spawnRank(fmt.Sprintf("trycommit%d", j), tc.rank, tc.run)
 	}
-	// Page servers share their commit rank's core, so a straggler window on
-	// that rank slows them too. Shard 0 keeps the pre-sharding name so vtime
-	// process naming (and hence event ordering) is unchanged.
-	for sh, ps := range s.srvs {
-		name := "pagesrv"
-		if sh > 0 {
-			name = fmt.Sprintf("pagesrv%d", sh)
-		}
-		s.spawnRank(name, s.pageSrvRank(sh), ps.run)
+	// Page servers share their commit unit's core, so a straggler window on
+	// that rank slows them too.
+	for k, ps := range s.srvs {
+		s.spawnRank(pageSrvName(k), s.cus[k].rank, ps.run)
 	}
 	for _, w := range s.workers {
 		w := w
@@ -990,17 +950,13 @@ func (s *System) buildStallReport() {
 			Blocked:     c.proc.Blocked() - c.recBlk - c.redBlk,
 		})
 	}
-	for sh, ps := range s.srvs {
+	for k, ps := range s.srvs {
 		if ps.proc == nil {
 			continue
 		}
-		label := "pagesrv"
-		if sh > 0 {
-			label = fmt.Sprintf("pagesrv%d", sh)
-		}
 		s.stalls.Add(trace.StallRow{
-			Track:      s.pageSrvTrack() + sh,
-			Label:      label,
+			Track:      s.pageSrvTrack(k),
+			Label:      pageSrvName(k),
 			Stage:      "pagesrv",
 			Busy:       ps.proc.Advanced(),
 			Blocked:    ps.proc.Blocked(),
@@ -1009,7 +965,7 @@ func (s *System) buildStallReport() {
 	}
 	// Host runs add the delivery columns: wall time parked and overflow
 	// spills, read from each rank's endpoint (so the commit row also covers
-	// its co-located page-server shards, which share the rank's mailboxes).
+	// its co-located page server, which shares the rank's mailboxes).
 	if hp, ok := s.plat.(interface {
 		RankDelivery(int) (int64, uint64, uint64)
 	}); ok {

@@ -73,7 +73,7 @@ func (t *tcNode) run(p platform.Proc) {
 // awaitDoneOrRecovery parks a finished try-commit unit until the commit
 // unit confirms completion (true) or orders a recovery (false).
 func (t *tcNode) awaitDoneOrRecovery() bool {
-	src := t.sys.ctrlSrc()
+	src := t.sys.commitSrc()
 	for {
 		msg := t.comm.Recv(src, tagCtrl)
 		cm := msg.Payload.(ctrlMsg)
@@ -91,8 +91,8 @@ func (t *tcNode) bind() {
 	ep := t.comm.Endpoint()
 	// Under a sharded commit pipeline control traffic (recovery epochs) may
 	// originate at any coordinator shard and COA replies at any owner shard.
-	t.ctrlBox = ep.Mailbox(t.sys.ctrlSrc(), tagCtrl)
-	ep.Mailbox(t.sys.pageReplySrc(), tagPageReply)
+	t.ctrlBox = ep.Mailbox(t.sys.commitSrc(), tagCtrl)
+	ep.Mailbox(t.sys.commitSrc(), tagPageReply)
 	t.comm.RegisterBarrierMailboxes()
 	t.view = mem.NewImage(t.coaFault)
 	// The view's pages are private Copy-On-Access clones; recovery's

@@ -138,7 +138,7 @@ func (w *workerNode) run(p platform.Proc) {
 // pendingCtrl set). The host heartbeat daemon keeps beating while the
 // worker is parked here, so a terminated rank never reads as dead.
 func (w *workerNode) awaitDoneOrRecovery() bool {
-	src := w.sys.ctrlSrc()
+	src := w.sys.commitSrc()
 	for {
 		msg := w.comm.Recv(src, tagCtrl)
 		cm := msg.Payload.(ctrlMsg)
@@ -156,8 +156,8 @@ func (w *workerNode) awaitDoneOrRecovery() bool {
 // traffic flows (all processes bind at virtual time zero).
 func (w *workerNode) bind() {
 	ep := w.comm.Endpoint()
-	w.ctrlBox = ep.Mailbox(w.sys.ctrlSrc(), tagCtrl)
-	ep.Mailbox(w.sys.pageReplySrc(), tagPageReply)
+	w.ctrlBox = ep.Mailbox(w.sys.commitSrc(), tagCtrl)
+	ep.Mailbox(w.sys.commitSrc(), tagPageReply)
 	w.comm.RegisterBarrierMailboxes()
 
 	w.img = mem.NewImage(w.coaFault)
@@ -230,19 +230,12 @@ func (c *coaClient) fetch(sys *System, comm *mpi.Comm, img *mem.Image, id uva.Pa
 	cfg := sys.cfg
 	spanStart := sys.tr.Now()
 	comm.Proc().Advance(sys.instrTime(cfg.PageFaultInstr))
-	// Requests go to the page-server shard owning the faulted page; replies
-	// all come back on tagPageReply (one outstanding request per worker, so
-	// shard replies never interleave). Under a sharded commit pipeline the
-	// server is the owner shard's commit rank, reached on the base request
-	// tag — ownership picks a rank, not a tag.
-	dst := cfg.commitRank()
-	reqTag := cfg.pageReqTag(cfg.pageShardOf(id))
-	replySrc := dst
-	if cfg.commitShards() > 1 {
-		dst = cfg.commitShardRank(sys.ownerOf(id))
-		reqTag = tagPageReq
-		replySrc = platform.AnySource
-	}
+	// Requests go to the page server of the commit unit owning the faulted
+	// page; replies all come back on tagPageReply (one outstanding request
+	// per worker, so servers' replies never interleave).
+	owner := sys.ownerOf(id)
+	dst := cfg.commitShardRank(owner)
+	replySrc := sys.commitSrc()
 	if g := cfg.COAGrainBytes; g > 0 && g < uva.PageSize {
 		// Sub-page COA: populate the faulted page one chunk at a time,
 		// paying a full round trip per chunk — the cost §4.2 avoids by
@@ -251,7 +244,7 @@ func (c *coaClient) fetch(sys *System, comm *mpi.Comm, img *mem.Image, id uva.Pa
 		var pg *mem.Page
 		wire := 0
 		for off := 0; off < uva.PageSize; off += g {
-			ep.SendClass(dst, reqTag, pageReq{Start: id, Count: 1, Grain: g}, 24, platform.ClassPage)
+			ep.SendClass(dst, tagPageReq, pageReq{Start: id, Count: 1, Grain: g}, 24, platform.ClassPage)
 			msg := ep.Recv(comm.Proc(), replySrc, tagPageReply)
 			pg = msg.Payload.([]*mem.Page)[0]
 			wire += msg.Bytes
@@ -279,19 +272,14 @@ func (c *coaClient) fetch(sys *System, comm *mpi.Comm, img *mem.Image, id uva.Pa
 		}
 	}
 	count := 1
-	owner := uva.PageAddr(id).Owner()
-	shard := cfg.pageShardOf(id)
+	region := uva.PageAddr(id).Owner()
 	for count < want {
 		next := id + uva.PageID(count)
-		// A prefetch run must stay within one owner region and one page-
-		// server shard (each shard serves only its own partition); the
-		// 64-page interleave blocks make shard truncation rare. Commit-shard
-		// ownership bounds the run the same way: each commit shard's server
-		// holds only its own partition's snapshot.
-		if uva.PageAddr(next).Owner() != owner || cfg.pageShardOf(next) != shard || img.Has(next) {
-			break
-		}
-		if cfg.commitShards() > 1 && sys.ownerOf(next) != sys.ownerOf(id) {
+		// A prefetch run must stay within one allocation region and one
+		// commit unit's partition (each page server holds only its own
+		// partition's snapshot); the 64-page ownership blocks make that
+		// truncation rare.
+		if uva.PageAddr(next).Owner() != region || sys.ownerOf(next) != owner || img.Has(next) {
 			break
 		}
 		count++
@@ -301,7 +289,7 @@ func (c *coaClient) fetch(sys *System, comm *mpi.Comm, img *mem.Image, id uva.Pa
 	// InfiniBand): a fixed per-operation CPU cost, wire time on the NIC,
 	// and no per-byte marshalling.
 	ep := comm.Endpoint()
-	ep.SendClass(dst, reqTag, pageReq{Start: id, Count: count}, 24, platform.ClassPage)
+	ep.SendClass(dst, tagPageReq, pageReq{Start: id, Count: count}, 24, platform.ClassPage)
 	msg := ep.Recv(comm.Proc(), replySrc, tagPageReply)
 	pages := msg.Payload.([]*mem.Page)
 	for i := 1; i < len(pages); i++ {

@@ -268,11 +268,11 @@ func (e *Engine) admit(ctx context.Context, cores int) (func(), error) {
 		e.mu.Unlock()
 		return func() { e.release(cores) }, nil
 	}
-	if len(e.queue) >= e.queueDepth() {
+	if queued := len(e.queue); queued >= e.queueDepth() {
 		e.stats.Rejected++
 		e.mu.Unlock()
 		e.metInc(func(m *engineMetrics) *trace.Counter { return m.cRejected })
-		return nil, &ErrOverloaded{Reason: fmt.Sprintf("%d jobs queued (depth %d)", e.queueDepth(), e.queueDepth())}
+		return nil, &ErrOverloaded{Reason: fmt.Sprintf("%d jobs queued (depth %d)", queued, e.queueDepth())}
 	}
 	t := &ticket{cores: cores, ready: make(chan struct{})}
 	e.queue = append(e.queue, t)

@@ -49,10 +49,16 @@ func TestAdmitQueueFull(t *testing.T) {
 		}()
 	}
 	waitFor(t, "queue to fill", func() bool { return e.Stats().Queued == 2 })
+	// Shrink the depth under the full queue so the message's two numbers
+	// differ: it must report what is queued, then the limit.
+	e.cfg.QueueDepth = 1
 	_, err = e.admit(context.Background(), 1)
 	var over *ErrOverloaded
 	if !errors.As(err, &over) {
 		t.Fatalf("err = %v, want *ErrOverloaded", err)
+	}
+	if want := "2 jobs queued (depth 1)"; over.Reason != want {
+		t.Fatalf("reason = %q, want %q", over.Reason, want)
 	}
 	if e.Stats().Rejected != 1 {
 		t.Fatalf("rejected = %d", e.Stats().Rejected)
@@ -338,10 +344,10 @@ func TestSubmitValidates(t *testing.T) {
 		{spec: JobSpec{Bench: "crc32", Cores: -1}, want: "cores"},
 		{spec: JobSpec{Bench: "crc32", Cores: 8, Knob: "warp-drive"}, want: "knob"},
 		{spec: JobSpec{Bench: "crc32", Cores: 8, Paradigm: "openmp"}, want: "paradigm"},
-		{spec: JobSpec{Bench: "crc32", Cores: 8, Backend: "host", Faults: "drop=0.5"}, want: "vtime backend only"},
+		{spec: JobSpec{Bench: "crc32", Cores: 8, Backend: "host", Faults: "drop=0.5"}, want: "JobSpec.Faults: fault injection is built on the virtual-time kernel; unsupported on the host backend"},
 		// What a net job cannot honour is refused, not silently dropped.
-		{spec: JobSpec{Bench: "crc32", Cores: 8, Backend: "net", Faults: "drop=0.5"}, want: "vtime backend only"},
-		{spec: JobSpec{Bench: "crc32", Cores: 8, Backend: "net", CommitShards: 2}, want: "commit shards"},
+		{spec: JobSpec{Bench: "crc32", Cores: 8, Backend: "net", Faults: "drop=0.5"}, want: "JobSpec.Faults: fault injection is built on the virtual-time kernel; unsupported on the net backend"},
+		{spec: JobSpec{Bench: "crc32", Cores: 8, Backend: "net", CommitShards: 2}, want: "JobSpec.CommitShards = 2: commit shards share an in-process image arena; unsupported on the net backend"},
 		{spec: JobSpec{Bench: "crc32", Cores: 8, Backend: "net", Paradigm: "TLS"}, want: "paradigm"},
 		{spec: JobSpec{Bench: "crc32", Cores: 8, Backend: "net", Knob: KnobQueueUnopt}, want: `knob "queue-unopt"`},
 		{spec: net, opts: Options{Tracer: trace.New()}, want: "Options.Tracer"},

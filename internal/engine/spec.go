@@ -146,20 +146,17 @@ func (s JobSpec) Validate() error {
 	if s.Cores < 1 {
 		return fmt.Errorf("engine: parallel job needs cores >= 1, got %d", s.Cores)
 	}
+	if err := core.CheckBackend(backend, s.Faults != "", s.CommitShards); err != nil {
+		return fmt.Errorf("engine: JobSpec.%w", err)
+	}
 	if s.Faults != "" {
-		if backend != core.BackendVTime {
-			return fmt.Errorf("engine: fault plans run on the vtime backend only")
-		}
 		if _, err := faults.Parse(s.Faults); err != nil {
 			return err
 		}
 	}
 	if backend == core.BackendNet {
-		// The daemon wire spec carries none of these; accepting them would
-		// cache a default run under the requested variation's key.
-		if s.CommitShards > 1 {
-			return fmt.Errorf("engine: commit shards share an in-process image arena; not available on the net backend")
-		}
+		// The daemon wire spec carries neither; accepting them would cache a
+		// default run under the requested variation's key.
 		if s.Paradigm != workloads.DSMTX.String() {
 			return fmt.Errorf("engine: the net backend runs the DSMTX paradigm only")
 		}

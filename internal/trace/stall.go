@@ -33,10 +33,10 @@ type StallRow struct {
 	// Host-delivery columns, populated only on the host backend (the report
 	// renders them when StallReport.Host is set). Park is wall time the
 	// rank's endpoint spent parked in mailbox waits — attributed at endpoint
-	// granularity, so the commit rank's row includes its co-located
-	// page-server shards. Spills counts overflow spills into the rank's
-	// mailboxes. ShardQueue is the high-water request backlog of a
-	// page-server shard (zero on other rows).
+	// granularity, so a commit rank's row includes its co-located page
+	// server. Spills counts overflow spills into the rank's mailboxes.
+	// ShardQueue is the high-water request backlog of a commit unit's page
+	// server (zero on other rows).
 	Park       sim.Time
 	Spills     uint64
 	ShardQueue int64

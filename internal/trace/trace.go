@@ -53,7 +53,7 @@ const (
 	InstDrop                      // the network lost a transmission (MTX = link seq, V1 = bytes, V2 = attempt)
 	InstRetransmit                // a sender retransmitted after ack timeout (MTX = link seq, V1 = bytes, V2 = attempt)
 	InstHeartbeatMiss             // the commit unit declared a rank dead (MTX = rank, V1 = silence ns)
-	SpanPageServe                 // a page-server shard served one COA request (MTX = start page, V1 = pages, V2 = wire bytes)
+	SpanPageServe                 // a commit unit's page server served one COA request (MTX = start page, V1 = pages, V2 = wire bytes)
 	SpanRecvPark                  // host delivery: a receiver parked awaiting a message (V1 = tag)
 	InstRingSpill                 // host delivery: a full mailbox ring spilled to the overflow list (V1 = tag, V2 = overflow depth)
 	SpanShardCommit               // one commit shard applied its partition of an MTX (V1 = entries, V2 = bulk bytes)

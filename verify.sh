@@ -48,14 +48,15 @@ go test -run=NONE -fuzz FuzzWireRoundTrip -fuzztime 10s ./internal/wire/
 # cross-shard vote protocol to the live-goroutine surface; its dedicated
 # tests run under the race detector too.
 go test -race ./internal/core/ -run TestCrossShard
-# The lock-free mailbox rings and the sharded page service behave differently
-# under different scheduler pressure: GOMAXPROCS=2 forces heavy contention and
+# The lock-free mailbox rings and the per-commit-unit page servers behave
+# differently under different scheduler pressure: GOMAXPROCS=2 forces heavy contention and
 # parking (producers outnumber cores), GOMAXPROCS=8 maximises true parallelism.
 # Pinning both in CI surfaces interleaving-dependent bugs here rather than on a
 # loaded box. The backend-equivalence pattern includes the CommitShards
-# sweep, and the core cross-shard tests ride along at both widths.
-GOMAXPROCS=2 go test -race -count=1 ./internal/workloads/ ./internal/core/ -run 'TestBackendEquivalence|TestCrossShard'
-GOMAXPROCS=8 go test -race -count=1 ./internal/workloads/ ./internal/core/ -run 'TestBackendEquivalence|TestCrossShard'
+# sweep, and the core cross-shard and page-placement tests ride along at both
+# widths.
+GOMAXPROCS=2 go test -race -count=1 ./internal/workloads/ ./internal/core/ -run 'TestBackendEquivalence|TestCrossShard|TestPageServicePlacement'
+GOMAXPROCS=8 go test -race -count=1 ./internal/workloads/ ./internal/core/ -run 'TestBackendEquivalence|TestCrossShard|TestPageServicePlacement'
 # bench/ is its own module (BENCHMARK.json's entry point) compiled against
 # this one's internal packages; the root ./... patterns never descend into
 # it, so a root refactor could break the benchmark unnoticed without this.
