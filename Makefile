@@ -4,10 +4,11 @@
 # injection, host, traced host, commit-sharded host, multi-process net);
 # `make serve-demo` boots the dsmtxd job server, drives ~50 mixed verified
 # jobs through the HTTP API with dsmtxload, and requires a clean SIGTERM
-# drain; `make bench-host` records the host-side perf trajectory in
-# BENCH_host.json.
+# drain; `make bench LABEL=prN` runs the repository benchmark (bench/,
+# BENCHMARK.json) once per workload and appends the result lines to
+# BENCH_LOG.jsonl.
 
-.PHONY: verify smoke serve-demo bench-host
+.PHONY: verify smoke serve-demo bench
 
 verify:
 	./verify.sh
@@ -18,11 +19,8 @@ smoke:
 serve-demo:
 	timeout 300 ./scripts/serve-demo.sh
 
-# Record the host benchmarks under a label (override: make bench-host LABEL=pr2).
-# The serving-path load row rides along: a high-concurrency dsmtxload burst
-# against a live dsmtxd serve appends throughput, p50/p99/p999 latency, and
-# cache behaviour to BENCH_host.json under the same label.
+# Record one bench/ result line per BENCHMARK.json workload under a label
+# (override: make bench LABEL=pr17); ~2 minutes, not run by CI.
 LABEL ?= current
-bench-host:
-	go run ./tools/benchhost -label $(LABEL)
-	JOBS=200 CLIENTS=120 MAXJOBS=0 DISTINCT=8 OUT=BENCH_host.json LABEL=$(LABEL)-load ./scripts/serve-demo.sh
+bench:
+	./scripts/bench-record.sh $(LABEL)

@@ -26,12 +26,10 @@
 // Figures and tables go to stdout; progress, logs and the scheduler
 // summary go to stderr, so stdout stays machine-parseable.
 //
-// Host-performance introspection (the simulator's own cost, not the
-// simulated machine's):
+// Host-side profiles (the simulator's own cost, not the simulated
+// machine's) compose with any mode:
 //
-//	dsmtxbench -benchhost                      # wall-clock/allocs per run
-//	dsmtxbench -figure 4 -cpuprofile cpu.out   # profile any mode
-//	dsmtxbench -benchhost -memprofile mem.out
+//	dsmtxbench -figure 4 -cpuprofile cpu.out -memprofile mem.out
 //
 // Virtual-time timeline export (load the file in Perfetto):
 //
@@ -77,8 +75,6 @@ type options struct {
 	cacheOff bool
 
 	traceOut   string
-	benchhost  bool
-	benchN     int
 	cpuprofile string
 	memprofile string
 
@@ -116,8 +112,6 @@ func parseFlags(args []string) (*options, error) {
 	fs.BoolVar(&o.cacheOff, "cache-off", false, "disable the point-result cache")
 
 	fs.StringVar(&o.traceOut, "trace", "", "run one configuration (honors -bench, -cores) and write a Chrome trace-event JSON timeline to this file")
-	fs.BoolVar(&o.benchhost, "benchhost", false, "measure host wall-clock and allocations per simulated run (honors -bench, -cores, -benchn)")
-	fs.IntVar(&o.benchN, "benchn", 3, "repetitions for -benchhost")
 	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile to this file on exit")
 	if err := fs.Parse(args); err != nil {
@@ -213,12 +207,6 @@ func run(o *options, stdout, stderr io.Writer) error {
 		}
 		ran = true
 	}
-	if o.benchhost {
-		if err := runBenchHost(in, o.bench, o.oneCoreCount(), o.benchN, stdout); err != nil {
-			return err
-		}
-		ran = true
-	}
 	if o.all || o.figure == "1" {
 		runFigure1(stdout)
 		ran = true
@@ -286,7 +274,7 @@ func run(o *options, stdout, stderr io.Writer) error {
 		ran = true
 	}
 	if !ran {
-		return fmt.Errorf("nothing selected; use -all, -figure, -table, -micro, -manycore, -trace or -benchhost")
+		return fmt.Errorf("nothing selected; use -all, -figure, -table, -micro, -manycore or -trace")
 	}
 	if s := runner.Stats(); s.Computed+s.CacheHits > 0 {
 		fmt.Fprintf(stderr, "dsmtxbench: sweep workers=%d points=%d computed=%d cached=%d elapsed=%s\n",
@@ -379,8 +367,8 @@ func prefetchSpecs(o *options, in workloads.Input) []engine.JobSpec {
 	return specs
 }
 
-// oneCoreCount picks the core count for single-configuration modes
-// (-trace, -benchhost): the first -cores value, else 32.
+// oneCoreCount picks the core count for the single-configuration -trace
+// mode: the first -cores value, else 32.
 func (o *options) oneCoreCount() int {
 	if o.coreArg != "" {
 		return o.cores[0]
@@ -417,43 +405,6 @@ func runTrace(in workloads.Input, bench string, cores int, path string, stderr i
 	}
 	fmt.Fprintf(stderr, "dsmtxbench: trace: %s on %d cores, %v virtual time, %d events -> %s\n",
 		name, cores, res.Elapsed, len(tr.Events()), path)
-	return nil
-}
-
-// runBenchHost times complete simulated-cluster runs on the host — the
-// same measurement as the BenchmarkHost* functions, without the testing
-// harness, so it composes with -cpuprofile/-memprofile.
-func runBenchHost(in workloads.Input, bench string, cores, n int, stdout io.Writer) error {
-	name := bench
-	if name == "" || name == "geomean" {
-		name = "164.gzip"
-	}
-	b, err := workloads.ByName(name)
-	if err != nil {
-		return err
-	}
-	if n < 1 {
-		n = 1
-	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		res, err := workloads.RunParallel(b, in, workloads.DSMTX, cores, nil)
-		if err != nil {
-			return err
-		}
-		if res.Committed == 0 {
-			return fmt.Errorf("%s: no commits", name)
-		}
-	}
-	wall := time.Since(start)
-	runtime.ReadMemStats(&after)
-	un := uint64(n)
-	fmt.Fprintf(stdout, "benchhost %s DSMTX %d cores: %d ns/op  %d B/op  %d allocs/op  (%d runs)\n",
-		name, cores, wall.Nanoseconds()/int64(n),
-		(after.TotalAlloc-before.TotalAlloc)/un, (after.Mallocs-before.Mallocs)/un, n)
 	return nil
 }
 

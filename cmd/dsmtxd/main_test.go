@@ -177,6 +177,8 @@ func TestServeRejectsBadSpec(t *testing.T) {
 		`{"bench":"nope","cores":8}`:     "unknown benchmark",
 		`{"bench":"crc32","cores":-2}`:   "cores",
 		`{"bench":"crc32","bogus":true}`: "bad job spec",
+		// used to be admitted and run as one shard under a second cache key
+		`{"bench":"crc32","cores":8,"commit_shards":-1}`: "JobSpec.CommitShards = -1",
 		// a net job cannot honour a knob; accepting it would cache default
 		// numbers under the knob's key
 		`{"bench":"crc32","cores":8,"backend":"net","knob":"queue-unopt"}`: "knob",

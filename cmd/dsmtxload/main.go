@@ -8,7 +8,6 @@
 //	dsmtxd serve -listen 127.0.0.1:7800 &
 //	dsmtxload -addr 127.0.0.1:7800 -jobs 200 -clients 120
 //	dsmtxload -addr 127.0.0.1:7800 -rate 50 -bench crc32,164.gzip
-//	dsmtxload -addr 127.0.0.1:7800 -out BENCH_host.json -label pr10
 //
 // Every job is submitted with verify=true, so the server checks each
 // parallel checksum against the sequential vtime reference; dsmtxload
@@ -27,7 +26,6 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -50,8 +48,6 @@ type options struct {
 	scale    int
 	distinct int
 	loadSeed int64
-	out      string
-	label    string
 }
 
 // parseFlags parses and validates args (without the program name).
@@ -67,8 +63,6 @@ func parseFlags(args []string) (*options, error) {
 	fs.IntVar(&o.scale, "scale", 1, "problem-size multiplier per job")
 	fs.IntVar(&o.distinct, "distinct", 16, "distinct seeds per benchmark; more jobs than distinct specs means duplicates that exercise the server's cache")
 	fs.Int64Var(&o.loadSeed, "load-seed", 1, "seed for the arrival-time and mix shuffle randomness")
-	fs.StringVar(&o.out, "out", "", "append a summary row to this BENCH_host.json-format file")
-	fs.StringVar(&o.label, "label", "load", "label for the -out summary row")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -292,9 +286,8 @@ func percentile(sorted []time.Duration, p float64) time.Duration {
 	return sorted[idx]
 }
 
-// report renders the summary and optionally appends the BENCH row. It
-// fails (nonzero exit through cli.Main) when any job errored or any
-// checksum mismatched.
+// report renders the summary. It fails (nonzero exit through cli.Main)
+// when any job errored or any checksum mismatched.
 func report(o *options, stdout io.Writer, outcomes []jobOutcome, elapsed time.Duration,
 	before, after serverStats, maxClient, maxServer int) error {
 	var latencies []time.Duration
@@ -347,49 +340,5 @@ func report(o *options, stdout io.Writer, outcomes []jobOutcome, elapsed time.Du
 		return fmt.Errorf("%d of %d jobs did not verify", len(latencies)-verified, len(latencies))
 	}
 	fmt.Fprintf(stdout, "  output          VERIFIED (%d/%d checksums match sequential)\n", verified, len(latencies))
-
-	if o.out != "" {
-		row := map[string]any{
-			"jobs": o.jobs, "clients": o.clients, "benches": strings.Join(o.benches, ","),
-			"cores_per_job": o.cores, "throughput_jobs_per_sec": round2(throughput),
-			"p50_ms": roundMs(p50), "p99_ms": roundMs(p99), "p999_ms": roundMs(p999),
-			"cache_hits": cacheHits, "coalesced": coalesced,
-			"max_inflight_server": maxServer, "verified": verified,
-		}
-		if err := appendBenchRow(o.out, o.label, row); err != nil {
-			return fmt.Errorf("-out: %w", err)
-		}
-		fmt.Fprintf(stdout, "  bench row       %q appended to %s\n", o.label, o.out)
-	}
 	return nil
-}
-
-func round2(v float64) float64        { return math.Round(v*100) / 100 }
-func roundMs(d time.Duration) float64 { return math.Round(d.Seconds()*1e5) / 100 }
-
-// appendBenchRow appends one labelled entry to a BENCH_host.json-format
-// file (creating it if missing), preserving unknown fields in existing
-// entries by decoding loosely.
-func appendBenchRow(path, label string, load map[string]any) error {
-	doc := map[string]any{
-		"comment": "Host wall-clock per figure-harness run, one labelled entry per PR; written by tools/benchhost (make bench-host).",
-	}
-	if raw, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(raw, &doc); err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-	}
-	entries, _ := doc["entries"].([]any)
-	entries = append(entries, map[string]any{
-		"label":      label,
-		"date":       time.Now().Format("2006-01-02"),
-		"go_version": runtime.Version(),
-		"load":       load,
-	})
-	doc["entries"] = entries
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }

@@ -2,11 +2,8 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"net"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -81,58 +78,6 @@ func TestRunAgainstLiveEngine(t *testing.T) {
 	st := eng.Stats()
 	if st.CacheHits+st.Coalesced == 0 {
 		t.Errorf("no cache hits or coalesced jobs across duplicate specs: %+v", st)
-	}
-}
-
-// TestRunAppendsBenchRow: -out writes a well-formed BENCH_host.json entry
-// and preserves existing ones.
-func TestRunAppendsBenchRow(t *testing.T) {
-	eng := engine.New(engine.Config{})
-	defer eng.Close()
-	hs, addr := serveForTest(t, engine.NewServer(eng))
-	defer hs.Close()
-
-	path := filepath.Join(t.TempDir(), "BENCH_host.json")
-	seed := map[string]any{"comment": "c", "entries": []any{map[string]any{"label": "old"}}}
-	raw, _ := json.Marshal(seed)
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	o, err := parseFlags([]string{"-addr", addr, "-jobs", "4", "-clients", "2",
-		"-bench", "crc32", "-cores", "4", "-out", path, "-label", "loadtest"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	if err := run(o, &out); err != nil {
-		t.Fatalf("run: %v\n%s", err, out.String())
-	}
-	got, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Comment string `json:"comment"`
-		Entries []struct {
-			Label string         `json:"label"`
-			Load  map[string]any `json:"load"`
-		} `json:"entries"`
-	}
-	if err := json.Unmarshal(got, &doc); err != nil {
-		t.Fatalf("appended file is not valid JSON: %v\n%s", err, got)
-	}
-	if doc.Comment != "c" || len(doc.Entries) != 2 || doc.Entries[0].Label != "old" {
-		t.Fatalf("existing content not preserved: %+v", doc)
-	}
-	row := doc.Entries[1]
-	if row.Label != "loadtest" {
-		t.Fatalf("row label = %q", row.Label)
-	}
-	for _, key := range []string{"throughput_jobs_per_sec", "p50_ms", "p99_ms", "p999_ms", "cache_hits", "verified"} {
-		if _, ok := row.Load[key]; !ok {
-			t.Errorf("bench row missing %q: %v", key, row.Load)
-		}
 	}
 }
 

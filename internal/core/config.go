@@ -247,6 +247,9 @@ func (c Config) Workers() int { return c.TotalCores - c.commitShards() - c.tcUni
 // their own type name in front of the error, which leads with the field name
 // the two types share.
 func CheckBackend(b Backend, hasFaults bool, commitShards int) error {
+	if commitShards < 0 {
+		return fmt.Errorf("CommitShards = %d, need >= 0", commitShards)
+	}
 	if hasFaults && b != BackendVTime {
 		return fmt.Errorf("Faults: fault injection is built on the virtual-time kernel; unsupported on the %s backend", b)
 	}
@@ -291,9 +294,6 @@ func (c Config) Validate() error {
 	}
 	if c.Backend == BackendVTime && c.HostSpanBufCap > 0 {
 		return fmt.Errorf("core: Config.HostSpanBufCap: span buffers are a host-backend feature (vtime records unbounded)")
-	}
-	if c.CommitShards < 0 {
-		return fmt.Errorf("core: Config.CommitShards = %d, need >= 0", c.CommitShards)
 	}
 	if base := tagCommitVoteBase + c.commitShards() - 1; base >= tagQueueBase {
 		return fmt.Errorf("core: Config.CommitShards = %d exhausts the control tag space (max %d)",

@@ -2,8 +2,11 @@ package engine
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"sync"
@@ -344,6 +347,8 @@ func TestSubmitValidates(t *testing.T) {
 		{spec: JobSpec{Bench: "crc32", Cores: -1}, want: "cores"},
 		{spec: JobSpec{Bench: "crc32", Cores: 8, Knob: "warp-drive"}, want: "knob"},
 		{spec: JobSpec{Bench: "crc32", Cores: 8, Paradigm: "openmp"}, want: "paradigm"},
+		{spec: JobSpec{Bench: "crc32", Cores: 8, CommitShards: -1}, want: "engine: JobSpec.CommitShards = -1, need >= 0"},
+		{spec: JobSpec{Bench: "crc32", Cores: 8, Invocations: -1}, want: "engine: JobSpec.Invocations = -1, need >= 0"},
 		{spec: JobSpec{Bench: "crc32", Cores: 8, Backend: "host", Faults: "drop=0.5"}, want: "JobSpec.Faults: fault injection is built on the virtual-time kernel; unsupported on the host backend"},
 		// What a net job cannot honour is refused, not silently dropped.
 		{spec: JobSpec{Bench: "crc32", Cores: 8, Backend: "net", Faults: "drop=0.5"}, want: "JobSpec.Faults: fault injection is built on the virtual-time kernel; unsupported on the net backend"},
@@ -512,4 +517,99 @@ func fillNonZero(v reflect.Value, seed int64) int64 {
 		panic("fillNonZero: unhandled kind " + v.Kind().String())
 	}
 	return seed
+}
+
+// TestServerHostileBodies: an oversized POST /jobs body is a 413 and bytes
+// after the JSON object are a 400, both before the engine sees a job.
+func TestServerHostileBodies(t *testing.T) {
+	e := New(Config{})
+	defer e.Close()
+	hs := httptest.NewServer(NewServer(e).Handler())
+	defer hs.Close()
+	good := `{"bench":"crc32","cores":8}`
+	for _, tc := range []struct {
+		name, body, want string
+		status           int
+	}{
+		{"oversized", `{"bench":"` + strings.Repeat("x", maxSpecBytes) + `"}`, "too large", http.StatusRequestEntityTooLarge},
+		{"padded past the cap", good + strings.Repeat(" ", maxSpecBytes), "too large", http.StatusRequestEntityTooLarge},
+		{"second object", good + good, "trailing data", http.StatusBadRequest},
+		{"trailing garbage", good + " xyz", "bad job spec", http.StatusBadRequest},
+	} {
+		resp, err := http.Post(hs.URL+"/jobs?wait=1", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var reply struct {
+			Error string `json:"error"`
+		}
+		_ = json.NewDecoder(resp.Body).Decode(&reply)
+		resp.Body.Close()
+		if resp.StatusCode != tc.status || !strings.Contains(reply.Error, tc.want) {
+			t.Errorf("%s: status %d, error %q; want %d with %q", tc.name, resp.StatusCode, reply.Error, tc.status, tc.want)
+		}
+	}
+	if st := e.Stats(); st.Submitted != 0 {
+		t.Fatalf("hostile bodies reached the engine: %+v", st)
+	}
+}
+
+// TestServerForgetsOldestFinished: the detached-job table keeps the newest
+// maxFinishedJobs finished entries; older ids answer 404 like unknown ones.
+func TestServerForgetsOldestFinished(t *testing.T) {
+	cache, err := expsched.OpenCache(t.TempDir(), "enginetest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(Config{Cache: cache}) // all but the first submission are cache hits
+	defer e.Close()
+	srv := NewServer(e)
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	status := func(id int) int {
+		resp, err := http.Get(fmt.Sprintf("%s/jobs/%d", hs.URL, id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	submit := func(n int) {
+		for i := 0; i < n; i++ {
+			resp, err := http.Post(hs.URL+"/jobs", "application/json", strings.NewReader(`{"bench":"crc32","cores":8}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("detached submit: status %d", resp.StatusCode)
+			}
+		}
+		srv.Drain()
+	}
+	const k = 3
+	submit(k) // finish first, so they are the oldest-finished
+	if got := status(1); got != http.StatusOK {
+		t.Fatalf("job 1 before eviction: status %d", got)
+	}
+	submit(maxFinishedJobs)
+	for id := 1; id <= k; id++ {
+		if got := status(id); got != http.StatusNotFound {
+			t.Errorf("evicted job %d: status %d, want 404", id, got)
+		}
+	}
+	for _, id := range []int{k + 1, k + maxFinishedJobs} {
+		if got := status(id); got != http.StatusOK {
+			t.Errorf("retained job %d: status %d, want 200", id, got)
+		}
+	}
+	srv.mu.Lock()
+	kept, order := len(srv.jobs), len(srv.done)
+	srv.mu.Unlock()
+	if kept != maxFinishedJobs || order != maxFinishedJobs {
+		t.Errorf("table holds %d jobs (%d in eviction order), want %d", kept, order, maxFinishedJobs)
+	}
+	if st := e.Stats(); st.Running != 0 || st.Queued != 0 {
+		t.Errorf("gauges not back to zero: %+v", st)
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -22,7 +23,8 @@ import (
 //	GET  /stats       engine counters plus the result cache footprint
 //
 // Admission rejections map to 503 (clients back off and retry), spec
-// errors to 400, execution failures to 500.
+// errors to 400 (413 for a body over maxSpecBytes), execution failures to
+// 500.
 type Server struct {
 	eng *Engine
 
@@ -34,8 +36,18 @@ type Server struct {
 	mu     sync.Mutex
 	nextID uint64
 	jobs   map[uint64]*jobStatus
+	done   []uint64       // finished ids still in jobs, oldest first
 	wg     sync.WaitGroup // detached jobs in flight
 }
+
+const (
+	// maxSpecBytes caps a POST /jobs body; a JobSpec is a few hundred bytes.
+	maxSpecBytes = 1 << 20
+	// maxFinishedJobs bounds the finished detached jobs GET /jobs/{id} can
+	// still answer for; the oldest-finished is forgotten first and running
+	// jobs are never forgotten.
+	maxFinishedJobs = 1024
+)
 
 // jobStatus tracks one detached submission.
 type jobStatus struct {
@@ -90,10 +102,24 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, "bad job spec: "+err.Error())
+	err := dec.Decode(&spec)
+	if err == nil {
+		// The body is one JSON object and nothing else.
+		if _, err = dec.Token(); err == io.EOF {
+			err = nil
+		} else if err == nil {
+			err = errors.New("trailing data after the JSON object")
+		}
+	}
+	if err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, status, "bad job spec: "+err.Error())
 		return
 	}
 	if spec.Backend == "" && spec.Kind != KindSeq && s.DefaultBackend != "" {
@@ -136,6 +162,11 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		} else {
 			st.State = "done"
 			st.Result = &res
+		}
+		s.done = append(s.done, st.ID)
+		if len(s.done) > maxFinishedJobs {
+			delete(s.jobs, s.done[0])
+			s.done = s.done[1:]
 		}
 		s.mu.Unlock()
 	}()

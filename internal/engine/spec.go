@@ -146,6 +146,10 @@ func (s JobSpec) Validate() error {
 	if s.Cores < 1 {
 		return fmt.Errorf("engine: parallel job needs cores >= 1, got %d", s.Cores)
 	}
+	if s.Invocations < 0 {
+		// Would run as 0 (the benchmark's own count) under a second cache key.
+		return fmt.Errorf("engine: JobSpec.Invocations = %d, need >= 0", s.Invocations)
+	}
 	if err := core.CheckBackend(backend, s.Faults != "", s.CommitShards); err != nil {
 		return fmt.Errorf("engine: JobSpec.%w", err)
 	}

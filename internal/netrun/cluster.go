@@ -42,8 +42,8 @@ type Cluster struct {
 // LaunchLocal forks daemons copies of exe (normally os.Args[0]) on
 // loopback, reading each one's advertised listener address, and dials
 // their control connections. The spawned process must divert into
-// DaemonMain when DaemonEnv is set — dsmtxd, dsmtxrun, benchhost, and the
-// workloads test binary all do.
+// DaemonMain when DaemonEnv is set — dsmtxd, dsmtxrun and the test
+// binaries that launch fleets all do.
 func LaunchLocal(daemons int, exe string) (*Cluster, error) {
 	if daemons < 1 {
 		return nil, fmt.Errorf("netrun: need at least 1 daemon, got %d", daemons)

@@ -7,7 +7,7 @@
 // The package is deliberately ignorant of concrete workloads: a provider —
 // registered by internal/workloads at init — resolves a JobSpec's benchmark
 // name into programs, so daemons embedded in any binary that links the
-// workload set (dsmtxd, dsmtxrun, test binaries, benchhost) can serve jobs
+// workload set (dsmtxd, dsmtxrun, test binaries) can serve jobs
 // without netrun importing the workload table.
 package netrun
 

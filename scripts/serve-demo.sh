@@ -9,8 +9,6 @@
 #   JOBS=50 CLIENTS=16 MAXJOBS=16 BENCHES=crc32,164.gzip CORES=8
 #   DISTINCT=4  — distinct specs per benchmark; fewer than JOBS means the
 #                 tail hits the result cache
-#   OUT=        — append a summary row to this BENCH_host.json file
-#   LABEL=serve-demo
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -20,8 +18,6 @@ MAXJOBS=${MAXJOBS:-16}
 BENCHES=${BENCHES:-crc32,164.gzip}
 CORES=${CORES:-8}
 DISTINCT=${DISTINCT:-4}
-OUT=${OUT:-}
-LABEL=${LABEL:-serve-demo}
 
 work=$(mktemp -d)
 pid=
@@ -52,12 +48,8 @@ if [ -z "$addr" ]; then
     exit 1
 fi
 
-loadflags=(-addr "$addr" -jobs "$JOBS" -clients "$CLIENTS" \
-    -bench "$BENCHES" -cores "$CORES" -distinct "$DISTINCT")
-if [ -n "$OUT" ]; then
-    loadflags+=(-out "$OUT" -label "$LABEL")
-fi
-"$work/dsmtxload" "${loadflags[@]}" | tee "$work/load.out"
+"$work/dsmtxload" -addr "$addr" -jobs "$JOBS" -clients "$CLIENTS" \
+    -bench "$BENCHES" -cores "$CORES" -distinct "$DISTINCT" | tee "$work/load.out"
 grep -q 'VERIFIED' "$work/load.out"
 
 kill -TERM "$pid"
