@@ -6,9 +6,10 @@
 # jobs through the HTTP API with dsmtxload, and requires a clean SIGTERM
 # drain; `make bench LABEL=prN` runs the repository benchmark (bench/,
 # BENCHMARK.json) once per workload and appends the result lines to
-# BENCH_LOG.jsonl.
+# BENCH_LOG.jsonl; `make bench-pair PARENT=<ref> WORKLOAD=<w>` runs the
+# paired parent/change protocol any performance claim needs.
 
-.PHONY: verify smoke serve-demo bench
+.PHONY: verify smoke serve-demo bench bench-pair
 
 verify:
 	./verify.sh
@@ -24,3 +25,9 @@ serve-demo:
 LABEL ?= current
 bench:
 	./scripts/bench-record.sh $(LABEL)
+
+# Ten alternating parent/change runs of one workload with wins, medians and
+# paired ratios (bench/README.md "paired protocol"); ~10 minutes.
+PAIRS ?= 10
+bench-pair:
+	./scripts/bench-pair.sh $(PARENT) $(WORKLOAD) $(PAIRS)

@@ -234,6 +234,10 @@ func runNet(eng *engine.Engine, o *options, bench string, seqTime platform.Durat
 	fmt.Fprintf(stdout, "  parallel        %v wall clock\n", res.Elapsed)
 	fmt.Fprintf(stdout, "  MTXs committed  %d (misspeculations: %d)\n", res.Committed, res.Misspecs)
 	fmt.Fprintf(stdout, "  wire traffic    %.2f MB (%d msgs, modelled)\n", float64(res.Traffic.Bytes)/1e6, res.Traffic.Messages)
+	m := res.Mesh
+	fmt.Fprintf(stdout, "  mesh:           %d frames out / %d in (%.2f MB), %d flushes (%.2f frames/flush), acks %d out / %d in, %d dups dropped, %d reconnects, replay log <= %d frames / %.1f KB, send queue <= %d\n",
+		m.FramesOut, m.FramesIn, float64(m.BytesOut)/1e6, m.Flushes, float64(m.FramesOut)/float64(max(m.Flushes, 1)),
+		m.AcksOut, m.AcksIn, m.DupsDropped, m.Reconnects, m.ReplayFramesMax, float64(m.ReplayBytesMax)/1e3, m.OutQueueMax)
 	if res.Checksum == seqCheck {
 		fmt.Fprintf(stdout, "  output          VERIFIED (checksum %#x matches sequential)\n", res.Checksum)
 	} else {

@@ -379,3 +379,7 @@ func (e *Endpoint) Recv(p platform.Proc, from, tag int) Message {
 func (e *Endpoint) TryRecv(from, tag int) (Message, bool) {
 	return e.box(from, tag).TryRecv()
 }
+
+// Idle is a poll loop's wait step: in virtual time, exactly the modelled
+// back-off d and nothing else.
+func (e *Endpoint) Idle(p platform.Proc, d platform.Duration) { p.Advance(d) }

@@ -241,3 +241,35 @@ func TestEndpointRankPanicsOutOfRange(t *testing.T) {
 	}()
 	m.Endpoint(99)
 }
+
+// TestIdleIsExactlyAdvance pins the vtime meaning of a poll loop's wait
+// step: Idle spends exactly the modelled back-off as busy time — pending
+// deliveries do not shorten it, and it neither consumes nor sends anything.
+func TestIdleIsExactlyAdvance(t *testing.T) {
+	k := sim.NewKernel()
+	m := New(k, testConfig())
+	const d = 1234 * sim.Nanosecond
+	var before, after, busy sim.Time
+	var pending bool
+	k.Spawn("poller", func(p *sim.Proc) {
+		ep := m.Endpoint(1)
+		p.Advance(10 * sim.Microsecond) // the message below is delivered by now
+		before, busy = p.Now(), p.Advanced()
+		ep.Idle(p, d)
+		after, busy = p.Now(), p.Advanced()-busy
+		_, pending = ep.TryRecv(0, 7)
+	})
+	k.Spawn("tx", func(p *sim.Proc) { m.Endpoint(0).Send(1, 7, nil, 8) })
+	if err := k.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if after-before != d || busy != d {
+		t.Fatalf("Idle(%v) advanced the clock by %v and busy time by %v", d, after-before, busy)
+	}
+	if !pending {
+		t.Fatal("Idle consumed the pending message")
+	}
+	if s := m.Stats(); s.Messages != 1 {
+		t.Fatalf("traffic after Idle = %d messages, want the sender's 1", s.Messages)
+	}
+}

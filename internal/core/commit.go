@@ -381,12 +381,7 @@ func (c *cuNode) awaitVotes(key uint64, need int) {
 			}
 			continue
 		}
-		c.proc.Advance(backoff)
-		c.pollTime += backoff
-		c.voteWait += backoff
-		if backoff < c.sys.cfg.PollMax {
-			backoff *= 2
-		}
+		c.sys.pollWait(c.comm, &backoff, &c.pollTime, &c.voteWait)
 	}
 }
 
@@ -528,12 +523,7 @@ func (c *cuNode) consumeNext(port *entryCursor, bucket *platform.Duration) Entry
 			// is transitively blocked on the crash.
 			c.checkLiveness()
 		}
-		c.proc.Advance(backoff)
-		c.pollTime += backoff
-		*bucket += backoff
-		if backoff < c.sys.cfg.PollMax {
-			backoff *= 2
-		}
+		c.sys.pollWait(c.comm, &backoff, &c.pollTime, bucket)
 	}
 }
 

@@ -1,6 +1,10 @@
 package core
 
-import "dsmtx/internal/queue"
+import (
+	"dsmtx/internal/mpi"
+	"dsmtx/internal/platform"
+	"dsmtx/internal/queue"
+)
 
 // entryCursor adapts a RecvPort to batch draining: one TryConsumeBatch
 // pulls every buffered entry at once — charging the same per-entry consume
@@ -40,4 +44,22 @@ func (c *entryCursor) tryNext() (Entry, bool) {
 func (c *entryCursor) abort(epoch uint64) {
 	c.buf, c.pos = nil, 0
 	c.port.Abort(epoch)
+}
+
+// pollWait is the wait step every poll loop takes after a pass that found
+// nothing: idle on the rank's endpoint for the current back-off — exactly
+// that much virtual time under vtime; on the live backends spin-then-park
+// until the next delivery to this rank, so a loop may only wait on
+// conditions that arrive as messages to its own rank — then charge the
+// back-off to the caller's stall buckets and double it up to PollMax.
+// Loops start *backoff at PollMin.
+func (s *System) pollWait(comm *mpi.Comm, backoff *platform.Duration, buckets ...*platform.Duration) {
+	d := *backoff
+	comm.Idle(d)
+	for _, b := range buckets {
+		*b += d
+	}
+	if d < s.cfg.PollMax {
+		*backoff = 2 * d
+	}
 }

@@ -255,11 +255,7 @@ func (t *tcNode) consumeNext(port *entryCursor) Entry {
 			return e
 		}
 		t.checkCtrl()
-		t.proc.Advance(backoff)
-		t.pollTime += backoff
-		if backoff < t.sys.cfg.PollMax {
-			backoff *= 2
-		}
+		t.sys.pollWait(t.comm, &backoff, &t.pollTime)
 	}
 }
 

@@ -517,12 +517,7 @@ func (w *workerNode) chooseRoute(iter uint64) {
 			}
 			w.flushMarkers()
 			w.checkCtrl()
-			w.proc.Advance(backoff)
-			w.pollTime += backoff
-			w.stallBack += backoff
-			if backoff < w.sys.cfg.PollMax {
-				backoff *= 2
-			}
+			w.sys.pollWait(w.comm, &backoff, &w.pollTime, &w.stallBack)
 		}
 	} else {
 		w.curRoute = w.rrNext % len(w.routedPool)
@@ -687,12 +682,7 @@ func (w *workerNode) consumeNext(port *entryCursor) Entry {
 			return e
 		}
 		w.checkCtrl()
-		w.proc.Advance(backoff)
-		w.pollTime += backoff
-		w.stallStarve += backoff
-		if backoff < w.sys.cfg.PollMax {
-			backoff *= 2
-		}
+		w.sys.pollWait(w.comm, &backoff, &w.pollTime, &w.stallStarve)
 	}
 }
 
@@ -799,10 +789,7 @@ func (w *workerNode) doCrash() (done bool) {
 			w.comm.Send(w.sys.cfg.commitRank(), tagRejoin, preEpoch, 16)
 			rejoined = true
 		}
-		w.proc.Advance(backoff)
-		if backoff < w.sys.cfg.PollMax {
-			backoff *= 2
-		}
+		w.sys.pollWait(w.comm, &backoff)
 	}
 }
 

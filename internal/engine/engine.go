@@ -643,6 +643,7 @@ func (e *Engine) executeNet(spec JobSpec, opts Options) (Result, error) {
 			Traffic:   res.Traffic,
 		},
 		Daemons: res.Daemons,
+		Mesh:    res.Mesh,
 	}, nil
 }
 

@@ -14,6 +14,7 @@ import (
 	"dsmtx/internal/core"
 	"dsmtx/internal/faults"
 	"dsmtx/internal/platform"
+	netplat "dsmtx/internal/platform/net"
 	"dsmtx/internal/trace"
 	"dsmtx/internal/workloads"
 )
@@ -274,6 +275,9 @@ type Result struct {
 	Verified bool `json:"verified,omitempty"`
 	// Daemons is the net-backend fleet size (0 otherwise).
 	Daemons int `json:"daemons,omitempty"`
+	// Mesh is the net backend's TCP transport counters folded over the
+	// fleet (zero otherwise).
+	Mesh netplat.MeshStats `json:"mesh,omitzero"`
 	// Source tells how the result was satisfied: "run", "cache", or
 	// "coalesced" (another in-flight submission of the same spec).
 	Source string `json:"source,omitempty"`

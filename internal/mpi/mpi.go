@@ -201,6 +201,10 @@ func (c *Comm) TryRecvBoxBatch(box platform.Mailbox, into []platform.Message) []
 	return msgs
 }
 
+// Idle is the wait step of a poll loop over this rank's mailboxes (see
+// platform.Endpoint.Idle); it charges no call overhead.
+func (c *Comm) Idle(d platform.Duration) { c.ep.Idle(c.p, d) }
+
 // Barrier tags must not collide with application tags; reserve a high range.
 const (
 	tagBarrierArrive  = 1 << 30

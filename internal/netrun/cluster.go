@@ -210,6 +210,7 @@ func (c *Cluster) Run(spec JobSpec) (Result, error) {
 			return Result{}, fmt.Errorf("netrun: result from daemon %d: %w", i, err)
 		}
 		res.Traffic.Add(dr.Traffic)
+		res.Mesh.Add(dr.Mesh)
 		if dr.HasChecksum {
 			if gotChecksum {
 				return Result{}, fmt.Errorf("netrun: two daemons claim the commit rank")

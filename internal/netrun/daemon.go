@@ -349,5 +349,6 @@ func (d *daemon) serveJob(conn gonet.Conn) error {
 		agg.Checksum = lastProg.Checksum(img)
 		agg.HasChecksum = true
 	}
+	agg.Mesh = mesh.Stats()
 	return writeCtl(conn, wire.FrameResult, agg)
 }

@@ -21,6 +21,7 @@ import (
 	"dsmtx/internal/mem"
 	"dsmtx/internal/pipeline"
 	"dsmtx/internal/platform"
+	netplat "dsmtx/internal/platform/net"
 	"dsmtx/internal/wire"
 )
 
@@ -84,6 +85,9 @@ type Result struct {
 	Elapsed platform.Duration
 	// Traffic sums every daemon's locally-accounted wire traffic.
 	Traffic platform.TrafficStats
+	// Mesh folds every daemon's transport counters: what the TCP mesh did
+	// to carry the cross-daemon share of Traffic.
+	Mesh    netplat.MeshStats
 	Daemons int
 }
 
@@ -114,13 +118,15 @@ type errorWire struct {
 }
 
 // daemonResult is one daemon's summed contribution. Protocol counters are
-// only nonzero on the commit daemon (the commit unit owns them); traffic is
-// accounted where the sends happen, so every daemon contributes.
+// only nonzero on the commit daemon (the commit unit owns them); traffic and
+// mesh counters are accounted where the sends happen, so every daemon
+// contributes.
 type daemonResult struct {
 	Committed   uint64
 	Misspecs    uint64
 	Elapsed     platform.Duration
 	Traffic     platform.TrafficStats
+	Mesh        netplat.MeshStats
 	Checksum    uint64
 	HasChecksum bool
 }

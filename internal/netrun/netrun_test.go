@@ -86,6 +86,12 @@ func checkJob(t *testing.T, cl *netrun.Cluster, in workloads.Input, cores int) {
 	if nres.Daemons != cl.Daemons() || nres.Elapsed <= 0 || nres.Traffic.Messages == 0 {
 		t.Errorf("seed %d: daemons %d, elapsed %v, %d messages", in.Seed, nres.Daemons, nres.Elapsed, nres.Traffic.Messages)
 	}
+	// Every cross-daemon message is one frame sent and one admitted, on a
+	// link that never dropped. (Bytes may trail: a daemon can report while
+	// its writer still has the last frames queued.)
+	if m := nres.Mesh; m.FramesOut == 0 || m.FramesOut != m.FramesIn || m.BytesIn == 0 || m.Reconnects != 0 || m.DupsDropped != 0 {
+		t.Errorf("seed %d: mesh counters %+v", in.Seed, m)
+	}
 }
 
 // TestConnectRunsSuccessiveJobs: one control session serves job after job.

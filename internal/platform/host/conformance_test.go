@@ -23,6 +23,7 @@ func (w *hostWorld) ProducerEndpoint(i int) platform.Endpoint { return w.h.Endpo
 func (w *hostWorld) ConsumerEndpoint() platform.Endpoint      { return w.h.Endpoint(w.producers) }
 func (w *hostWorld) SpawnConsumer(fn func(p platform.Proc))   { w.h.Spawn("consumer", fn) }
 func (w *hostWorld) Run() error                               { return w.h.Run(0) }
+func (w *hostWorld) Abort(err error)                          { w.h.Abort(err) }
 func (w *hostWorld) Tracer() *trace.Tracer                    { return w.tr }
 
 func TestDeliveryConformance(t *testing.T) {

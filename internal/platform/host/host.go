@@ -31,11 +31,6 @@ import (
 	"dsmtx/internal/trace"
 )
 
-// sleepFloor is the shortest Advance the OS timer can honor usefully; below
-// it (poll backoffs are 100 ns–1.6 µs) Advance yields the processor instead
-// of sleeping, keeping poll loops responsive without busy-burning a core.
-const sleepFloor = 100 * platform.Microsecond
-
 // killSentinel unwinds a blocked process goroutine after another process
 // has failed, so Run can return instead of deadlocking.
 type killSentinel struct{}
@@ -75,9 +70,9 @@ type telemetry struct {
 	cCAS     *trace.Counter   // host.ring.cas.retry: producer claim retries under contention
 	cSpill   *trace.Counter   // host.ring.spill: messages spilled to an overflow list
 	cUnspill *trace.Counter   // host.ring.unspill: messages folded back from overflow
-	cSpinHit *trace.Counter   // host.recv.spin: blocking receives satisfied within the spin budget
-	cPark    *trace.Counter   // host.recv.park: blocking receives that parked
-	cWake    *trace.Counter   // host.recv.wake: wake tokens sent to parked receivers
+	cSpinHit *trace.Counter   // host.recv.spin: Recv/Idle waits satisfied within the spin budget
+	cPark    *trace.Counter   // host.recv.park: Recv/Idle waits that parked
+	cWake    *trace.Counter   // host.recv.wake: wake tokens sent to parked consumers
 	gDepth   *trace.Gauge     // host.ring.depth: ring occupancy at enqueue (max = high-water)
 	hParkNs  *trace.Histogram // host.recv.park.ns: wall time per park
 }
@@ -134,7 +129,7 @@ func (h *Platform) Inject(msg platform.Message) {
 func (h *Platform) Abort(err error) { h.fail(err) }
 
 // RankDelivery reports a rank's endpoint-level delivery accounting: wall
-// nanoseconds parked in mailbox waits, the number of parks, and overflow
+// nanoseconds parked in Recv and Idle waits, the number of parks, and overflow
 // spills into the rank's mailboxes. All zero unless a tracer is attached.
 // Read after Run for the stall report's host columns.
 func (h *Platform) RankDelivery(rank int) (parkNs int64, parks, spills uint64) {
@@ -155,15 +150,15 @@ func New(ranks int, nodeOf func(int) int) *Platform {
 	h := &Platform{ranks: ranks, nodeOf: nodeOf, start: time.Now(), down: make(chan struct{})}
 	h.eps = make([]*endpoint, ranks)
 	for r := range h.eps {
-		h.eps[r] = &endpoint{h: h, rank: r, boxes: make(map[mbKey]*mailbox)}
+		h.eps[r] = &endpoint{h: h, rank: r, boxes: make(map[mbKey]*mailbox), idle: newWaiter()}
 	}
 	return h
 }
 
 // Reset returns a finished platform to its just-built state so a pooled
 // rank set can run another job without reallocating endpoints: the wall
-// clock restarts, every mailbox registration and traffic counter is
-// cleared, and the failure latch is re-armed. Callers must only invoke it
+// clock restarts, every mailbox registration, traffic counter and idle-wait
+// state is cleared, and the failure latch is re-armed. Callers must only invoke it
 // after Run has returned (no process goroutines are live); the endpoint
 // array itself — the expensive part — is retained.
 func (h *Platform) Reset() {
@@ -190,6 +185,11 @@ func (h *Platform) Reset() {
 		e.del.parkNs.Store(0)
 		e.del.parks.Store(0)
 		e.del.spills.Store(0)
+		// A delivery the last run's consumer never waited on, or a wake
+		// token that lost its race, must not pre-signal the next run.
+		e.delivered.Store(0)
+		e.seen = 0
+		e.idle = newWaiter()
 	}
 }
 
@@ -295,19 +295,14 @@ type proc struct {
 	name string
 }
 
-// Advance spends d of wall time. Zero and negative durations (every
-// instruction charge on host) return immediately; short positive ones —
-// poll backoffs — yield the processor; long ones sleep. The failure check
-// unwinds poll loops that would otherwise spin after another process died.
+// Advance spends d of wall time asleep. Zero and negative durations (every
+// instruction charge on host) return immediately. The failure check unwinds
+// compute loops that would otherwise run on after another process died.
 func (p *proc) Advance(d platform.Duration) {
 	if p.h.failed.Load() {
 		panic(killSentinel{})
 	}
 	if d <= 0 {
-		return
-	}
-	if d < sleepFloor {
-		runtime.Gosched()
 		return
 	}
 	time.Sleep(time.Duration(d))
@@ -360,6 +355,13 @@ type endpoint struct {
 	boxes map[mbKey]*mailbox
 	stats epStats
 	del   epDelivery
+
+	// Idle's eventcount: delivered counts messages enqueued into any box of
+	// this endpoint (bumped after the enqueue), seen is the count the single
+	// polling consumer last returned from Idle with, and idle parks it.
+	delivered atomic.Uint64
+	seen      uint64
+	idle      waiter
 }
 
 // epDelivery is one endpoint's receiver-side delivery accounting, updated
@@ -424,22 +426,42 @@ func (e *endpoint) deliver(msg platform.Message) {
 	if ok {
 		b.enqueue(msg)
 		e.mu.RUnlock()
-		return
+	} else {
+		e.mu.RUnlock()
+		// No box yet: take the write lock and re-resolve — a racing receiver
+		// may have registered (or another delivery auto-created) a box in the
+		// gap, and enqueueing into a stale choice would strand the message.
+		e.mu.Lock()
+		b, ok = e.boxes[mbKey{msg.From, msg.Tag}]
+		if !ok {
+			b, ok = e.boxes[mbKey{platform.AnySource, msg.Tag}]
+		}
+		if !ok {
+			b = e.boxLocked(msg.From, msg.Tag, true)
+		}
+		b.enqueue(msg)
+		e.mu.Unlock()
 	}
-	e.mu.RUnlock()
-	// No box yet: take the write lock and re-resolve — a racing receiver
-	// may have registered (or another delivery auto-created) a box in the
-	// gap, and enqueueing into a stale choice would strand the message.
-	e.mu.Lock()
-	b, ok = e.boxes[mbKey{msg.From, msg.Tag}]
-	if !ok {
-		b, ok = e.boxes[mbKey{platform.AnySource, msg.Tag}]
-	}
-	if !ok {
-		b = e.boxLocked(msg.From, msg.Tag, true)
-	}
-	b.enqueue(msg)
-	e.mu.Unlock()
+	e.delivered.Add(1)
+	e.idle.notify(e.h.tel)
+}
+
+// Idle is the wait step of the rank's poll loop (platform.Endpoint.Idle):
+// return at once if anything was delivered to this endpoint since the
+// previous Idle returned, else yield-poll the delivery count for idleSpin,
+// then park until the next delivery. The modelled back-off is ignored.
+func (e *endpoint) Idle(platform.Proc, platform.Duration) {
+	t0 := time.Now()
+	e.idle.wait(e, -1, // recv.park span tag: no one mailbox is waited on
+		func(int) bool { return time.Since(t0) < idleSpin },
+		func() bool {
+			d := e.delivered.Load()
+			if d == e.seen {
+				return false
+			}
+			e.seen = d
+			return true
+		})
 }
 
 // Send injects a message; delivery is immediate and reliable.

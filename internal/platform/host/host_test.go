@@ -3,9 +3,12 @@ package host
 import (
 	"errors"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
 	"dsmtx/internal/platform"
+	"dsmtx/internal/trace"
 )
 
 // TestSendRecv moves a message between two live processes through the
@@ -99,5 +102,92 @@ func TestPlatformShape(t *testing.T) {
 	}
 	if h.Events() != 0 {
 		t.Error("host has no event calendar")
+	}
+}
+
+// processCPU reports the CPU time (user + system) this process has used.
+func processCPU(t *testing.T) time.Duration {
+	t.Helper()
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		t.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+}
+
+// TestIdleRanksDoNotSpin is the regression pin for the poll loops' wait
+// step: four ranks with nothing to receive must cost (next to) no CPU. The
+// yield loop Idle replaced kept every P busy — about 200 ms of CPU per
+// 100 ms on two CPUs.
+func TestIdleRanksDoNotSpin(t *testing.T) {
+	const ranks = 4
+	h := New(ranks, nil)
+	tr := trace.NewMetricsOnly()
+	h.SetTracer(tr)
+	for r := 0; r < ranks; r++ {
+		h.Spawn("idler", func(p platform.Proc) { h.Endpoint(r).Idle(p, 0) })
+	}
+	// Measure only once every rank is past its spin budget.
+	for deadline := time.Now().Add(10 * time.Second); tr.Metrics().Counter("host.recv.park").Value() < ranks; {
+		if time.Now().After(deadline) {
+			t.Fatal("idle ranks never parked")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	before := processCPU(t)
+	time.Sleep(100 * time.Millisecond)
+	used := processCPU(t) - before
+	for r := 0; r < ranks; r++ {
+		h.Endpoint(0).Send(r, 1, nil, 8) // any delivery ends the wait
+	}
+	if err := h.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if used >= 50*time.Millisecond {
+		t.Fatalf("%d idle ranks used %v of CPU in 100ms, want < 50ms", ranks, used)
+	}
+}
+
+// TestResetRearmsIdle reuses a platform the way the engine's warm pools do.
+// The first run ends with a delivery nobody waited for; after Reset the next
+// run's first Idle must neither return on that stale delivery nor miss the
+// run's own first one.
+func TestResetRearmsIdle(t *testing.T) {
+	h := New(2, nil)
+	h.SetTracer(trace.NewMetricsOnly())
+	h.Spawn("first", func(p platform.Proc) {
+		h.Endpoint(0).Send(1, 1, nil, 8)
+		h.Endpoint(1).Idle(p, 0)
+		h.Endpoint(0).Send(1, 1, nil, 8) // delivered after the last Idle returned
+	})
+	if err := h.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	h.Reset()
+
+	const gap = 20 * time.Millisecond
+	var waited time.Duration
+	var got bool
+	h.Spawn("poller", func(p platform.Proc) {
+		start := time.Now()
+		h.Endpoint(1).Idle(p, 0)
+		waited = time.Since(start)
+		_, got = h.Endpoint(1).TryRecv(0, 2)
+	})
+	h.Spawn("sender", func(p platform.Proc) {
+		time.Sleep(gap)
+		h.Endpoint(0).Send(1, 2, nil, 8)
+	})
+	if err := h.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if waited < gap/2 {
+		t.Errorf("first Idle after Reset returned after %v, before the run's first delivery at %v: pre-signalled by the previous run", waited, gap)
+	}
+	if !got {
+		t.Error("Idle returned but the second run's first delivery was not there")
+	}
+	if _, parks, _ := h.RankDelivery(1); parks != 1 {
+		t.Errorf("rank 1 parks after Reset = %d, want exactly the second run's 1", parks)
 	}
 }

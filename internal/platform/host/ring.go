@@ -17,12 +17,13 @@
 //     before a spill ahead of the spilled ones — and clears the flag.
 //
 //   - Parking. A receiver in blocking Recv spins through a bounded budget of
-//     polls (yielding the processor between attempts), then parks on a
-//     1-token wake channel. Producers notify only when they observe the
-//     parked flag — the empty→nonempty transition with a waiting consumer —
-//     so a busy consumer costs senders one atomic load, not a futex wake.
-//     The platform's down channel, closed on failure, unparks every blocked
-//     receiver so a dead peer cannot strand the rest.
+//     polls (yielding the processor between attempts), then parks on its
+//     waiter's 1-token wake channel. Producers notify only when they observe
+//     the waiting flag — the empty→nonempty transition with a waiting
+//     consumer — so a busy consumer costs senders one atomic load, not a
+//     futex wake. The platform's down channel, closed on failure, unparks
+//     every blocked receiver so a dead peer cannot strand the rest. The same
+//     waiter, one per endpoint and with a time budget, is endpoint.Idle.
 package host
 
 import (
@@ -48,6 +49,27 @@ const (
 	// parking. Each iteration yields the processor, so the budget bounds
 	// scheduler pressure, not burned cycles.
 	spinBudget = 64
+
+	// idleSpin is how long Idle yield-polls before it parks: about what a
+	// park + wake costs. Not shorter: a goroutine readied by a sender that
+	// keeps computing sits in that sender's runnext until an idle P steals
+	// it (2-CPU box, sender busy 300 µs after the send: wake latency p10
+	// 76 µs, p50 300 µs, against ≈ 1.4 µs for a yield-spinner), and
+	// host-stream has 8448 ring messages per 250 ms job on its critical
+	// path. Not longer: a spinner never idles its P, so two net daemons'
+	// pollers hold both CPUs against the daemon that has the page or verdict
+	// they wait for, and against their own netpoller. Paired bench/run.sh
+	// job_p50_ms on that box (parent net-loopback: 1845):
+	//
+	//	park after   net-loopback   host-stream, change/parent beside it
+	//	64 polls     194            302/248 318/263 296/275  (+8…+21%)
+	//	512 polls    167            311/291 318              (+7…+9%)
+	//	4096 polls   297            274/272 277              (flat)
+	//	100 µs       141            307/297 313/285          (+3…+10%)
+	//	400 µs       197 199 223    296/295 290/295          (flat)
+	//
+	// Giving Recv 400 µs too loses (net-loopback 270): it keeps spinBudget.
+	idleSpin = 400 * time.Microsecond
 )
 
 // cell is one ring slot. seq is the Vyukov sequence: slot i%ringSize is
@@ -74,14 +96,11 @@ type mailbox struct {
 	ovSet    atomic.Bool
 	overflow []platform.Message
 
-	// waiting is set by the consumer just before it parks on wake; a
-	// producer that clears it sends the single wake token.
-	waiting atomic.Bool
-	wake    chan struct{}
+	wait waiter // parks the consumer in Recv
 }
 
 func newMailbox(e *endpoint, tag int, auto bool) *mailbox {
-	b := &mailbox{e: e, tag: tag, auto: auto, wake: make(chan struct{}, 1)}
+	b := &mailbox{e: e, tag: tag, auto: auto, wait: newWaiter()}
 	for i := range b.cells {
 		b.cells[i].seq.Store(uint64(i))
 	}
@@ -114,7 +133,7 @@ func (b *mailbox) enqueue(msg platform.Message) {
 						tel.gDepth.Set(d)
 					}
 				}
-				b.notify()
+				b.wait.notify(tel)
 				return
 			}
 			if tel != nil {
@@ -141,26 +160,13 @@ func (b *mailbox) spill(msg platform.Message) {
 	depth := len(b.overflow)
 	b.ovSet.Store(true)
 	b.ovMu.Unlock()
-	if tel := b.e.h.tel; tel != nil {
+	tel := b.e.h.tel
+	if tel != nil {
 		tel.cSpill.Inc()
 		b.e.del.spills.Add(1)
 		tel.tr.Instant(trace.InstRingSpill, b.e.rank, 0, int64(b.tag), int64(depth))
 	}
-	b.notify()
-}
-
-// notify wakes a parked consumer. While the consumer is running (the common
-// case) this is one atomic load.
-func (b *mailbox) notify() {
-	if b.waiting.Load() && b.waiting.CompareAndSwap(true, false) {
-		if tel := b.e.h.tel; tel != nil {
-			tel.cWake.Inc()
-		}
-		select {
-		case b.wake <- struct{}{}:
-		default:
-		}
-	}
+	b.wait.notify(tel)
 }
 
 // tryDequeue pops the oldest available message. Single-consumer only.
@@ -244,17 +250,59 @@ func (b *mailbox) unspill() (platform.Message, bool) {
 // until one arrives. It unwinds with the kill sentinel if the platform has
 // failed, so a dead peer cannot leave this process parked forever.
 func (b *mailbox) Recv(platform.Proc) (platform.Message, bool) {
-	h := b.e.h
+	var msg platform.Message
+	b.wait.wait(b.e, b.tag,
+		func(polls int) bool { return polls < spinBudget },
+		func() (ok bool) { msg, ok = b.tryDequeue(); return ok })
+	return msg, true
+}
+
+// waiter is the one spin-then-park wait of this backend: a mailbox has one
+// for Recv, an endpoint one for Idle. All wait accounting lives here, so
+// the delivery metrics (host.recv.spin/park/wake, host.recv.park.ns, the
+// recv.park span, RankDelivery) count both kinds of wait alike.
+type waiter struct {
+	// waiting is set by the consumer just before it parks on wake; a
+	// producer that clears it sends the single wake token.
+	waiting atomic.Bool
+	wake    chan struct{}
+}
+
+func newWaiter() waiter { return waiter{wake: make(chan struct{}, 1)} }
+
+// notify wakes a parked consumer. While the consumer is running (the common
+// case) this is one atomic load.
+func (w *waiter) notify(tel *telemetry) {
+	if w.waiting.Load() && w.waiting.CompareAndSwap(true, false) {
+		if tel != nil {
+			tel.cWake.Inc()
+		}
+		select {
+		case w.wake <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// wait blocks endpoint e's consumer until ready reports true; ready must
+// consume what it finds. It yield-polls ready while spin (given the number
+// of empty polls so far) allows, then parks; tag labels the recv.park span.
+// Unwinds with the kill sentinel once the platform has failed.
+func (w *waiter) wait(e *endpoint, tag int, spin func(polls int) bool, ready func() bool) {
+	h := e.h
 	tel := h.tel
-	for i := 0; i < spinBudget; i++ {
-		if msg, ok := b.tryDequeue(); ok {
-			if tel != nil && i > 0 {
+	for polls := 0; ; polls++ {
+		if ready() {
+			if tel != nil && polls > 0 {
 				tel.cSpinHit.Inc()
 			}
-			return msg, true
+			return
 		}
 		if h.failed.Load() {
 			panic(killSentinel{})
+		}
+		if !spin(polls) {
+			break
 		}
 		runtime.Gosched()
 	}
@@ -262,52 +310,44 @@ func (b *mailbox) Recv(platform.Proc) (platform.Message, bool) {
 	var parkT0 time.Time
 	var spanT0 sim.Time
 	for {
-		// Publish intent to park, then re-check: a producer that enqueued
+		// Publish intent to park, then re-check: a producer that published
 		// after our last poll either sees waiting and sends the token, or
-		// published its message before our store — this final tryDequeue
-		// finds it. Either way no wakeup is lost.
-		b.waiting.Store(true)
-		if msg, ok := b.tryDequeue(); ok {
-			b.waiting.Store(false)
+		// published before our store — this final check finds it. Either
+		// way no wakeup is lost.
+		w.waiting.Store(true)
+		if ready() {
+			w.waiting.Store(false)
 			select {
-			case <-b.wake: // drop a token raced in by a producer
+			case <-w.wake: // drop a token raced in by a producer
 			default:
 			}
 			if parked {
-				b.endPark(parkT0, spanT0)
+				// Wall time spent parked feeds the park-latency histogram,
+				// the endpoint's stall attribution, and (when spans are on) a
+				// recv.park span on the rank's track.
+				d := time.Since(parkT0).Nanoseconds()
+				tel.hParkNs.Observe(d)
+				e.del.parkNs.Add(d)
+				tel.tr.Span(trace.SpanRecvPark, e.rank, spanT0, 0, int64(tag), 0)
 			}
-			return msg, true
+			return
 		}
 		if h.failed.Load() {
-			b.waiting.Store(false)
+			w.waiting.Store(false)
 			panic(killSentinel{})
 		}
 		if tel != nil && !parked {
 			parked = true
 			tel.cPark.Inc()
-			b.e.del.parks.Add(1)
+			e.del.parks.Add(1)
 			parkT0 = time.Now()
 			spanT0 = tel.tr.Now()
 		}
 		select {
-		case <-b.wake:
+		case <-w.wake:
 		case <-h.down:
 		}
 	}
-}
-
-// endPark closes out one park episode: wall time spent parked feeds the
-// park-latency histogram, the endpoint's stall attribution, and (when spans
-// are on) a recv.park span on the rank's track.
-func (b *mailbox) endPark(parkT0 time.Time, spanT0 sim.Time) {
-	tel := b.e.h.tel
-	if tel == nil {
-		return
-	}
-	d := time.Since(parkT0).Nanoseconds()
-	tel.hParkNs.Observe(d)
-	b.e.del.parkNs.Add(d)
-	tel.tr.Span(trace.SpanRecvPark, b.e.rank, spanT0, 0, int64(b.tag), 0)
 }
 
 // TryRecv dequeues a pending message without blocking.

@@ -52,6 +52,7 @@ func (w *netWorld) Run() error {
 	return err0
 }
 
+func (w *netWorld) Abort(err error)       { w.p1.Abort(err) }
 func (w *netWorld) Tracer() *trace.Tracer { return w.tr }
 
 func TestDeliveryConformance(t *testing.T) {

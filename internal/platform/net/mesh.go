@@ -23,6 +23,7 @@ import (
 
 	"dsmtx/internal/platform"
 	"dsmtx/internal/platform/host"
+	"dsmtx/internal/trace"
 	"dsmtx/internal/wire"
 )
 
@@ -53,6 +54,14 @@ const ackEvery = 64
 // which backpressures workers against a slow link.
 const outDepth = 4096
 
+// A frameLog's free list keeps at most freeMax buffers (two ack windows, the
+// replay log's steady-state length) and none that held a frame above
+// freeFrameMax — those are rare and not worth pinning.
+const freeMax, freeFrameMax = 2 * ackEvery, 64 << 10
+
+// frameHeaderLen is the wire framing overhead per frame, for byte counts.
+var frameHeaderLen = len(wire.AppendFrame(nil, wire.FrameGoodbye, nil))
+
 // dialGiveUp bounds total redial time before the mesh declares the peer
 // unreachable and aborts the job. A variable so tests can shorten the
 // give-up window.
@@ -76,6 +85,76 @@ type Mesh struct {
 
 	lns   []gonet.Listener
 	lnsMu sync.Mutex
+}
+
+// MeshStats is a snapshot of a mesh's transport counters summed over its
+// peers; Add folds the daemons of a job together. Frames are data frames,
+// one per cross-daemon message: FramesOut counts messages accepted for
+// sending (once each, however often a reconnect replays them) and FramesIn
+// frames admitted in order, so over a finished job the sums agree; BytesOut
+// is added as the writer encodes and can trail while frames are queued.
+// FramesOut/Flushes is frames per write syscall.
+type MeshStats struct {
+	FramesOut, BytesOut uint64
+	FramesIn, BytesIn   uint64
+	Flushes             uint64 // buffered-writer flushes that carried data frames
+	AcksOut, AcksIn     uint64
+	DupsDropped         uint64 // replayed frames the reader had already admitted
+	Reconnects          uint64 // sessions a writer lost (each is redialed or re-accepted)
+	// High-water marks (Add takes the maximum): the replay log of unacked
+	// frames, and the per-peer send queue (capacity outDepth).
+	ReplayFramesMax, ReplayBytesMax uint64
+	OutQueueMax                     uint64
+}
+
+// Add folds another snapshot into s.
+func (s *MeshStats) Add(o MeshStats) {
+	s.FramesOut += o.FramesOut
+	s.BytesOut += o.BytesOut
+	s.FramesIn += o.FramesIn
+	s.BytesIn += o.BytesIn
+	s.Flushes += o.Flushes
+	s.AcksOut += o.AcksOut
+	s.AcksIn += o.AcksIn
+	s.DupsDropped += o.DupsDropped
+	s.Reconnects += o.Reconnects
+	s.ReplayFramesMax = max(s.ReplayFramesMax, o.ReplayFramesMax)
+	s.ReplayBytesMax = max(s.ReplayBytesMax, o.ReplayBytesMax)
+	s.OutQueueMax = max(s.OutQueueMax, o.OutQueueMax)
+}
+
+// Stats snapshots the mesh's counters; safe to call at any time.
+func (m *Mesh) Stats() MeshStats {
+	var s MeshStats
+	for _, p := range m.peers {
+		if p == nil {
+			continue
+		}
+		c := &p.ctr
+		s.Add(MeshStats{
+			FramesOut: c.framesOut.Load(), BytesOut: c.bytesOut.Load(),
+			FramesIn: c.framesIn.Load(), BytesIn: c.bytesIn.Load(),
+			Flushes: c.flushes.Load(),
+			AcksOut: c.acksOut.Load(), AcksIn: c.acksIn.Load(),
+			DupsDropped: c.dups.Load(), Reconnects: c.reconnects.Load(),
+			ReplayFramesMax: uint64(c.replayFrames.Max()), ReplayBytesMax: uint64(c.replayBytes.Max()),
+			OutQueueMax: uint64(c.outQueue.Max()),
+		})
+	}
+	return s
+}
+
+// peerCounters backs MeshStats. Each field has one writer goroutine (the
+// peer's writer or its current reader) except framesOut and outQueue, which
+// sending ranks bump; Stats reads them all from outside, hence atomics.
+type peerCounters struct {
+	framesOut, bytesOut       atomic.Uint64
+	framesIn, bytesIn         atomic.Uint64
+	flushes                   atomic.Uint64
+	acksOut, acksIn           atomic.Uint64
+	dups, reconnects          atomic.Uint64
+	replayFrames, replayBytes trace.Gauge // read for their high-water marks
+	outQueue                  trace.Gauge
 }
 
 // binding is the platform currently attached to the mesh.
@@ -172,6 +251,8 @@ func (m *Mesh) send(gen uint64, ownerOf func(int) int, msg platform.Message) {
 	p := m.peers[ownerOf(msg.To)]
 	select {
 	case p.out <- outMsg{gen: gen, msg: msg}:
+		p.ctr.framesOut.Add(1)
+		p.ctr.outQueue.Set(int64(len(p.out)))
 	case <-m.aborted:
 		// The job is failing; the sender will be unwound on its next
 		// Advance. Dropping is safe — nobody will consume this message.
@@ -236,14 +317,60 @@ type session struct {
 	peerLast wire.Seq // peer's last received seq, from its Hello: replay after this
 	dead     chan struct{}
 	deadOne  sync.Once
+	bye      atomic.Bool // the peer said Goodbye: the session ended, it was not lost
 }
 
 func (s *session) kill() { s.deadOne.Do(func() { close(s.dead) }) }
 
-// sentFrame is one unacked data frame kept for reconnect-replay.
+// sentFrame is one unacked data frame kept for reconnect-replay, still in
+// the encoder it was built in.
 type sentFrame struct {
 	seq wire.Seq
-	buf []byte
+	enc *wire.Encoder
+}
+
+// frameLog is a writer's replay log of unacked frames plus the free list
+// their buffers cycle through. The writer goroutine owns both ends — take,
+// encode, push, and trim on ack — so steady-state sending allocates nothing
+// and needs neither a lock nor a sync.Pool.
+type frameLog struct {
+	frames []sentFrame
+	bytes  int // encoded bytes held in frames
+	free   []*wire.Encoder
+}
+
+// take returns an empty encoder to build the next frame in.
+func (l *frameLog) take() *wire.Encoder {
+	n := len(l.free)
+	if n == 0 {
+		return new(wire.Encoder)
+	}
+	fe := l.free[n-1]
+	l.free = l.free[:n-1]
+	fe.Reset()
+	return fe
+}
+
+// push appends a finished frame to the log.
+func (l *frameLog) push(seq wire.Seq, fe *wire.Encoder) {
+	l.frames = append(l.frames, sentFrame{seq: seq, enc: fe})
+	l.bytes += fe.Len()
+}
+
+// trim drops every frame up to and including ack, recycling its encoder,
+// and compacts the log in place so the backing array is reused too.
+func (l *frameLog) trim(ack wire.Seq) {
+	i := 0
+	for ; i < len(l.frames) && !l.frames[i].seq.After(ack); i++ {
+		n := l.frames[i].enc.Len()
+		l.bytes -= n
+		if len(l.free) < freeMax && n <= freeFrameMax {
+			l.free = append(l.free, l.frames[i].enc)
+		}
+	}
+	n := copy(l.frames, l.frames[i:])
+	clear(l.frames[n:])
+	l.frames = l.frames[:n]
 }
 
 // peer is the send/receive state for one remote daemon.
@@ -261,6 +388,8 @@ type peer struct {
 	lastRecv atomic.Uint32 // highest in-order seq received from this peer
 	dialing  atomic.Bool
 	cur      atomic.Pointer[session] // most recently attached session (diagnostics, tests)
+
+	ctr peerCounters
 }
 
 // dial connects to the peer with exponential backoff, performs the Hello
@@ -441,6 +570,7 @@ func (p *peer) readLoop(s *session) {
 			}
 			last := wire.Seq(p.lastRecv.Load())
 			if !seq.After(last) {
+				p.ctr.dups.Add(1)
 				continue // duplicate from reconnect replay
 			}
 			if seq != last.Next() {
@@ -448,6 +578,8 @@ func (p *peer) readLoop(s *session) {
 				return
 			}
 			p.lastRecv.Store(uint32(seq))
+			p.ctr.framesIn.Add(1)
+			p.ctr.bytesIn.Add(uint64(frameHeaderLen + len(body)))
 			p.m.route(gen, msg)
 			if unacked++; unacked >= ackEvery {
 				unacked = 0
@@ -464,6 +596,7 @@ func (p *peer) readLoop(s *session) {
 				p.m.abort(fmt.Errorf("net: corrupt ack from peer %d: %w", p.idx, d.Err()))
 				return
 			}
+			p.ctr.acksIn.Add(1)
 			select {
 			case p.ackIn <- ack:
 			default:
@@ -471,6 +604,7 @@ func (p *peer) readLoop(s *session) {
 				// ack is cumulative and supersedes it.
 			}
 		case wire.FrameGoodbye:
+			s.bye.Store(true)
 			return
 		default:
 			p.m.abort(fmt.Errorf("net: unexpected frame type %d from peer %d", typ, p.idx))
@@ -489,28 +623,28 @@ func (p *peer) writeLoop() {
 		s    *session
 		bw   *bufio.Writer
 		seq  wire.Seq // last sent
-		log  []sentFrame
-		enc  wire.Encoder
+		log  frameLog
+		enc  wire.Encoder // control frames (ack, goodbye)
 		fail = func(err error) {
-			// Drop the session; recovery is a redial (dialer) or a fresh
-			// accepted conn (acceptor).
+			// Drop the session. After the peer's Goodbye that is all: its
+			// mesh is closed for good. Otherwise the session was lost, and
+			// recovery is a redial (dialer) or a fresh accepted conn
+			// (acceptor).
+			bye := s.bye.Load()
 			s.kill()
 			s.conn.Close()
 			s, bw = nil, nil
+			if bye {
+				return
+			}
+			p.ctr.reconnects.Add(1)
+			p.m.logf("net: peer %d session lost: %v", p.idx, err)
 			if p.dialer && p.dialing.CompareAndSwap(false, true) {
 				go p.dial()
 			}
-			_ = err
 		}
 	)
-	trim := func(ack wire.Seq) {
-		i := 0
-		for i < len(log) && !log[i].seq.After(ack) {
-			i++
-		}
-		log = log[i:]
-	}
-	encode := func(om outMsg) (err error) {
+	encode := func(fe *wire.Encoder, om outMsg) (err error) {
 		// A registered codec may panic on a payload it cannot represent
 		// (e.g. an Entry carrying a non-serializable type) — a protocol
 		// bug, surfaced as a job failure rather than a daemon crash.
@@ -519,26 +653,28 @@ func (p *peer) writeLoop() {
 				err = fmt.Errorf("net: encoding for peer %d: %v", p.idx, r)
 			}
 		}()
-		return enc.Message(om.msg)
+		return fe.Message(om.msg)
 	}
 	writeMsg := func(om outMsg) error {
 		seq = seq.Next()
-		enc.Reset()
-		start := enc.BeginFrame(wire.FrameMsg)
-		enc.U32(uint32(seq))
-		enc.Uvarint(om.gen)
-		if err := encode(om); err != nil {
+		fe := log.take()
+		start := fe.BeginFrame(wire.FrameMsg)
+		fe.U32(uint32(seq))
+		fe.Uvarint(om.gen)
+		if err := encode(fe, om); err != nil {
 			// Unencodable payload is a protocol bug, not a link failure.
 			p.m.abort(err)
 			return nil
 		}
-		enc.FinishFrame(start)
-		frame := append([]byte(nil), enc.Bytes()...)
-		log = append(log, sentFrame{seq: seq, buf: frame})
+		fe.FinishFrame(start)
+		log.push(seq, fe)
+		p.ctr.bytesOut.Add(uint64(fe.Len()))
+		p.ctr.replayFrames.Set(int64(len(log.frames)))
+		p.ctr.replayBytes.Set(int64(log.bytes))
 		if bw == nil {
 			return nil // queued in the log; sent by replay when a conn is up
 		}
-		_, err := bw.Write(frame)
+		_, err := bw.Write(fe.Bytes())
 		return err
 	}
 	writeAck := func() error {
@@ -549,6 +685,7 @@ func (p *peer) writeLoop() {
 		start := enc.BeginFrame(wire.FrameAck)
 		enc.U32(p.ackDue.Load())
 		enc.FinishFrame(start)
+		p.ctr.acksOut.Add(1)
 		_, err := bw.Write(enc.Bytes())
 		return err
 	}
@@ -559,12 +696,15 @@ func (p *peer) writeLoop() {
 		}
 		s = ns
 		bw = bufio.NewWriterSize(s.conn, 64<<10)
-		trim(s.peerLast)
-		for _, f := range log {
-			if _, err := bw.Write(f.buf); err != nil {
+		log.trim(s.peerLast)
+		for _, f := range log.frames {
+			if _, err := bw.Write(f.enc.Bytes()); err != nil {
 				fail(err)
 				return
 			}
+		}
+		if len(log.frames) > 0 {
+			p.ctr.flushes.Add(1)
 		}
 		if err := bw.Flush(); err != nil {
 			fail(err)
@@ -582,7 +722,7 @@ func (p *peer) writeLoop() {
 				}
 				continue
 			case ack := <-p.ackIn:
-				trim(ack)
+				log.trim(ack)
 				continue
 			case <-p.m.done:
 				return
@@ -603,6 +743,9 @@ func (p *peer) writeLoop() {
 				break
 			}
 			if err == nil && bw != nil {
+				// Counted before the syscall so a receiver that has the
+				// frames never reads a count that lacks their flush.
+				p.ctr.flushes.Add(1)
 				err = bw.Flush()
 			}
 			if err != nil {
@@ -617,12 +760,17 @@ func (p *peer) writeLoop() {
 				fail(err)
 			}
 		case ack := <-p.ackIn:
-			trim(ack)
+			log.trim(ack)
 		case ns := <-p.connCh:
 			adopt(ns)
 		case <-s.dead:
 			fail(fmt.Errorf("net: connection to peer %d lost", p.idx))
 		case <-p.m.done:
+			// Close follows the local ranks' exit, so their last sends are
+			// queued by now — but select may take done ahead of out. Send
+			// them before the Goodbye, or the peer's ranks wait forever.
+			for len(p.out) > 0 && writeMsg(<-p.out) == nil {
+			}
 			enc.Reset()
 			start := enc.BeginFrame(wire.FrameGoodbye)
 			enc.FinishFrame(start)

@@ -134,12 +134,14 @@ func (t *TrafficStats) Add(o TrafficStats) {
 
 // Proc is the handle a runtime process uses to spend time and identify
 // itself. Under vtime it is a *sim.Proc (cooperative, virtual clock);
-// under host it is a live goroutine's handle (Advance yields or sleeps,
+// under host it is a live goroutine's handle (Advance sleeps,
 // busy/blocked accounting is zero).
 type Proc interface {
-	// Advance spends d of platform time: virtual time under vtime; under
-	// host, small durations yield the processor and large ones sleep.
-	// Non-positive durations yield without advancing the clock.
+	// Advance spends d of platform time: virtual time under vtime, a
+	// wall-clock sleep under host. Non-positive durations spend nothing
+	// (under vtime they still yield to other processes due now). Waiting
+	// for a message is Endpoint.Idle or Mailbox.Recv, never an Advance
+	// loop.
 	Advance(d Duration)
 	// Yield lets other runnable work proceed before resuming.
 	Yield()
@@ -194,6 +196,15 @@ type Endpoint interface {
 	// Mailbox returns (creating if needed) the mailbox for messages from a
 	// specific source rank (or AnySource) carrying the given tag.
 	Mailbox(from, tag int) Mailbox
+	// Idle is the wait step of a poll loop: the endpoint's single polling
+	// consumer calls it after TryRecv found every mailbox it watches
+	// empty, then polls again. Under vtime it advances p by exactly d (the
+	// loop's modelled back-off). Live backends ignore d and return once
+	// anything has been delivered to any mailbox of this endpoint since
+	// the previous Idle returned — spinning briefly, then parking — so a
+	// loop may only wait on conditions that arrive as deliveries here, and
+	// must tolerate returns that are not for a mailbox it watches.
+	Idle(p Proc, d Duration)
 }
 
 // Platform is one execution world: a clock, a set of rank endpoints, and a

@@ -10,7 +10,11 @@
 //     its any-source mailbox fold in without loss or reorder;
 //   - counter algebra: every message is exactly one ring enqueue or one
 //     spill, every spill folds back exactly once, and every message is
-//     dequeued exactly once.
+//     dequeued exactly once;
+//   - idle wait: a TryRecv + Endpoint.Idle poll loop sees every delivery to
+//     any of its mailboxes whether it is spinning or parked (no lost
+//     wake-up), parks are counted with the blocking-Recv metrics, and a
+//     platform failure unwinds a parked poller.
 //
 // The host backend runs the suite over in-process rings; the net backend
 // runs it with producers in one mesh and the consumer in another, so the
@@ -19,7 +23,10 @@
 package platformtest
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -45,6 +52,8 @@ type World interface {
 	SpawnConsumer(fn func(p platform.Proc))
 	// Run executes spawned processes to completion.
 	Run() error
+	// Abort fails the consumer's platform from outside any process.
+	Abort(err error)
 	// Tracer exposes the consumer side's metrics registry (the suite
 	// attaches no tracer itself; the World must wire one in).
 	Tracer() *trace.Tracer
@@ -63,6 +72,9 @@ func Run(t *testing.T, factory Factory) {
 	t.Run("FIFOPerProducerStorm", func(t *testing.T) { fifoStorm(t, factory) })
 	t.Run("AnySourceBatchDrain", func(t *testing.T) { batchDrain(t, factory) })
 	t.Run("SpillUnspillAlgebra", func(t *testing.T) { spillAlgebra(t, factory) })
+	t.Run("IdleWait", func(t *testing.T) { idleWait(t, factory) })
+	t.Run("IdlePingPong", func(t *testing.T) { idlePingPong(t, factory) })
+	t.Run("IdleAbort", func(t *testing.T) { idleAbort(t, factory) })
 }
 
 // fifoStorm hammers the consumer from 8 concurrent producers while a
@@ -219,6 +231,140 @@ func spillAlgebra(t *testing.T, factory Factory) {
 	}
 	if unspill != spill {
 		t.Errorf("unspill = %d, want %d (every spilled message folds back exactly once)", unspill, spill)
+	}
+}
+
+// idleWait polls two mailboxes with TryRecv + Idle while one producer
+// streams with gaps far below Idle's spin budget and then another sends
+// with gaps far above it: every message must arrive in order on a tag the
+// loop is not told about in advance, the long gaps must show up as counted
+// parks, and every park must have been ended by a wake.
+func idleWait(t *testing.T, factory Factory) {
+	const fast, slow = 2000, 20
+	w := factory(t, 2)
+	dst := w.ConsumerRank()
+	ep := w.ConsumerEndpoint()
+	boxes := [2]platform.Mailbox{ep.Mailbox(0, 5), ep.Mailbox(1, 6)}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < fast; i++ {
+			w.ProducerEndpoint(0).Send(dst, 5, uint64(i), 8)
+			runtime.Gosched()
+		}
+		for i := 0; i < slow; i++ {
+			time.Sleep(2 * time.Millisecond)
+			w.ProducerEndpoint(1).Send(dst, 6, uint64(i), 8)
+		}
+	}()
+	var consumeErr error
+	w.SpawnConsumer(func(p platform.Proc) {
+		var next [2]uint64
+		for next != [2]uint64{fast, slow} {
+			progressed := false
+			for k, box := range boxes {
+				for msg, ok := box.TryRecv(); ok; msg, ok = box.TryRecv() {
+					if msg.Payload.(uint64) != next[k] {
+						consumeErr = fmt.Errorf("tag %d delivered %d, want %d", msg.Tag, msg.Payload, next[k])
+						return
+					}
+					next[k]++
+					progressed = true
+				}
+			}
+			if !progressed {
+				ep.Idle(p, 0)
+			}
+		}
+	})
+	if err := w.Run(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	if consumeErr != nil {
+		t.Fatal(consumeErr)
+	}
+	m := w.Tracer().Metrics()
+	parks, wakes := m.Counter("host.recv.park").Value(), m.Counter("host.recv.wake").Value()
+	if parks == 0 {
+		t.Errorf("host.recv.park = 0 across %d gaps of 2ms: idle waits are not parking (or not counted)", slow)
+	}
+	if wakes < parks {
+		t.Errorf("host.recv.wake = %d < host.recv.park = %d: a park ended without a wake", wakes, parks)
+	}
+}
+
+// idlePingPong bounces one message between a bare pinger and a consumer
+// that waits with TryRecv + Idle, for 10^5 rounds or five seconds (over TCP
+// on a loaded box a round trip is slow), whichever ends first; a lost
+// wake-up hangs the test, and the go test timeout then dumps the parked
+// poller. Most rounds are answered inside the spin budget; every thousandth
+// the pinger dawdles past it so the park/wake handshake is crossed too.
+// Under -race this is the data-race audit of the idle eventcount.
+func idlePingPong(t *testing.T, factory Factory) {
+	const rounds = 100000
+	w := factory(t, 1)
+	dst := w.ConsumerRank()
+	pep, cep := w.ProducerEndpoint(0), w.ConsumerEndpoint()
+	pong, ping := pep.Mailbox(dst, 8), cep.Mailbox(0, 7)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		deadline := time.Now().Add(5 * time.Second)
+		i := 0
+		for ; i < rounds && time.Now().Before(deadline); i++ {
+			if i%1000 == 999 {
+				time.Sleep(time.Millisecond)
+			}
+			pep.Send(dst, 7, nil, 8)
+			pong.Recv(nil) // concurrent backends ignore the proc handle
+		}
+		pep.Send(dst, 7, uint64(i), 8) // stop
+		t.Logf("%d round trips", i)
+	}()
+	w.SpawnConsumer(func(p platform.Proc) {
+		for {
+			msg, ok := ping.TryRecv()
+			for ; !ok; msg, ok = ping.TryRecv() {
+				cep.Idle(p, 0)
+			}
+			if msg.Payload != nil {
+				return
+			}
+			cep.Send(0, 8, nil, 8)
+		}
+	})
+	if err := w.Run(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+}
+
+// idleAbort parks a poller with no traffic at all and fails the platform
+// under it: Run must return the failure instead of hanging on the parked
+// rank.
+func idleAbort(t *testing.T, factory Factory) {
+	w := factory(t, 1)
+	ep := w.ConsumerEndpoint()
+	idling := make(chan struct{})
+	w.SpawnConsumer(func(p platform.Proc) {
+		close(idling)
+		for {
+			ep.Idle(p, 0)
+		}
+	})
+	go func() {
+		<-idling
+		time.Sleep(20 * time.Millisecond) // far past the spin budget: parked
+		w.Abort(errors.New("boom"))
+	}()
+	if err := w.Run(); err == nil || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("Run returned %v, want the abort error", err)
+	}
+	if parks := w.Tracer().Metrics().Counter("host.recv.park").Value(); parks == 0 {
+		t.Error("the poller was never parked: the test did not cover the parked path")
 	}
 }
 
