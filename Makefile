@@ -7,9 +7,11 @@
 # drain; `make bench LABEL=prN` runs the repository benchmark (bench/,
 # BENCHMARK.json) once per workload and appends the result lines to
 # BENCH_LOG.jsonl; `make bench-pair PARENT=<ref> WORKLOAD=<w>` runs the
-# paired parent/change protocol any performance claim needs.
+# paired parent/change protocol any performance claim needs; `make loc`
+# prints the size number simplicity PRs quote (tracked non-test Go outside
+# bench/, per package and total).
 
-.PHONY: verify smoke serve-demo bench bench-pair
+.PHONY: verify smoke serve-demo bench bench-pair loc
 
 verify:
 	./verify.sh
@@ -31,3 +33,6 @@ bench:
 PAIRS ?= 10
 bench-pair:
 	./scripts/bench-pair.sh $(PARENT) $(WORKLOAD) $(PAIRS)
+
+loc:
+	./scripts/loc.sh

@@ -33,7 +33,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -65,7 +64,6 @@ type options struct {
 	traceOut    string
 	metrics     bool
 	metricsAddr string
-	mtxTrace    string
 	plan        *faults.Plan
 	netDaemons  int
 	netJoin     string
@@ -86,7 +84,6 @@ func parseFlags(args []string) (*options, error) {
 	fs.StringVar(&o.traceOut, "trace", "", "write a Chrome trace-event JSON timeline (Perfetto-loadable) to this file")
 	fs.BoolVar(&o.metrics, "metrics", false, "print the metrics registry and per-rank stall attribution")
 	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve a live JSON metrics snapshot at http://ADDR/metrics during the run (e.g. 127.0.0.1:9090)")
-	fs.StringVar(&o.mtxTrace, "mtxtrace", "", "write the MTX lifecycle trace to this JSON-lines file")
 	faultArg := fs.String("faults", "", "deterministic fault plan, e.g. drop=0.001,crash=r1@2ms+500us (see internal/faults)")
 	faultSd := fs.Uint64("fault-seed", 0, "override the fault plan's seed (with -faults)")
 	fs.IntVar(&o.netDaemons, "net-daemons", 2, "with -backend net: spawn this many loopback daemon processes")
@@ -135,11 +132,11 @@ func parseFlags(args []string) (*options, error) {
 	}
 	if o.backend == core.BackendNet {
 		switch {
-		case o.traceOut != "" || o.mtxTrace != "" || o.metrics || o.metricsAddr != "":
+		case o.traceOut != "" || o.metrics || o.metricsAddr != "":
 			// The coordinator only orchestrates; observability instruments
 			// live in the daemon processes, so these flags' sinks have
 			// nothing to attach to (the engine rejects the options too).
-			return nil, fmt.Errorf("-trace/-mtxtrace/-metrics/-metrics-addr run in-process; on -backend net they belong to the daemons, not the coordinator")
+			return nil, fmt.Errorf("-trace/-metrics/-metrics-addr run in-process; on -backend net they belong to the daemons, not the coordinator")
 		case o.netJoin == "" && o.netDaemons < 1:
 			return nil, fmt.Errorf("-net-daemons must be at least 1")
 		}
@@ -162,31 +159,6 @@ func (o *options) jobSpec() engine.JobSpec {
 		Faults:       o.plan.Format(),
 		CommitShards: o.shards,
 	}
-}
-
-// writeMTXTrace dumps MTX lifecycle events as JSON lines for external
-// tooling (the Fig. 3c timeline mechanism).
-func writeMTXTrace(path string, events []core.TraceEvent) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	for _, e := range events {
-		rec := map[string]any{
-			"kind": e.Kind.String(), "mtx": e.MTX,
-			"start_ns": int64(e.Start), "end_ns": int64(e.End),
-		}
-		if e.Kind == core.TraceSubTX {
-			rec["stage"] = e.Stage
-			rec["worker"] = e.Tid
-		}
-		if err := enc.Encode(rec); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // writeChromeTrace exports the virtual-time timeline as Chrome trace-event
@@ -301,16 +273,9 @@ func run(o *options, stdout io.Writer) error {
 		defer stop()
 		fmt.Fprintf(stdout, "metrics: serving http://%s/metrics\n", o.metricsAddr)
 	}
-	res, err := eng.SubmitOpts(context.Background(), o.jobSpec(),
-		engine.Options{Tracer: tr, MTXTrace: o.mtxTrace != ""})
+	res, err := eng.SubmitOpts(context.Background(), o.jobSpec(), engine.Options{Tracer: tr})
 	if err != nil {
 		return err
-	}
-	if o.mtxTrace != "" {
-		if err := writeMTXTrace(o.mtxTrace, res.Trace); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "mtxtrace: %d events -> %s\n", len(res.Trace), o.mtxTrace)
 	}
 	if o.traceOut != "" {
 		if err := writeChromeTrace(o.traceOut, tr); err != nil {

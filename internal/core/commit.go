@@ -321,8 +321,6 @@ func (c *cuNode) commitEpoch(seq *SeqCtx) (done bool) {
 			if hasCommitter {
 				committer.Commit(seq, iter)
 			}
-			c.sys.trace(TraceEvent{Kind: TraceCommit, MTX: iter, Stage: -1, Tid: -1,
-				Start: c.proc.Now(), End: c.proc.Now()})
 			c.sys.tr.Span(trace.SpanCommit, c.rank, spanStart, iter, int64(len(c.staged)), int64(bulkBytes))
 		}
 		if c.resumed > 0 {
@@ -360,8 +358,6 @@ func (c *cuNode) shardCommit(iter uint64, spanStart platform.Time, bulkBytes int
 		c.sys.tr.Span(trace.SpanShardVoteWait, c.rank, voteStart, iter, int64(need), 0)
 	}
 	c.result.Committed++
-	c.sys.trace(TraceEvent{Kind: TraceCommit, MTX: iter, Stage: -1, Tid: -1,
-		Start: c.proc.Now(), End: c.proc.Now()})
 	c.sys.tr.Span(trace.SpanCommit, c.rank, spanStart, iter, int64(len(c.staged)), int64(bulkBytes))
 }
 
@@ -676,8 +672,6 @@ func (c *cuNode) recover(seq *SeqCtx, failed uint64) {
 
 	c.comm.Barrier(c.sys.allRanks) // B3: resume parallel execution
 	c.resumed = c.proc.Now()
-	c.sys.trace(TraceEvent{Kind: TraceRecovery, MTX: failed, Stage: -1, Tid: -1,
-		Start: start, End: c.resumed})
 	c.sys.tr.Span(trace.SpanRecovery, c.rank, trStart, failed, 0, 0)
 	c.rfpStart = c.sys.tr.Now()
 	c.recWall += c.resumed - start
@@ -706,9 +700,8 @@ type pageServer struct {
 	// the page server are separate goroutines, so publication is atomic.
 	snap atomic.Pointer[mem.Image]
 
-	// Served-request accounting (diagnostic; read after Run joins).
-	Requests    uint64
-	PagesServed uint64
+	// Requests counts served requests (diagnostic; read after Run joins).
+	Requests uint64
 	// depthHW is the high-water request backlog observed on this server's
 	// mailbox (host + tracer only; the stall report's shard-q column).
 	depthHW int64
@@ -759,7 +752,6 @@ func (ps *pageServer) run(p platform.Proc) {
 		t0 := tr.Now()
 		req := msg.Payload.(pageReq)
 		ps.Requests++
-		ps.PagesServed += uint64(req.Count)
 		ps.cReq.Inc()
 		ps.cPages.Add(uint64(req.Count))
 		ps.proc.Advance(ps.sys.instrTime(ps.sys.cfg.PageServInstr + 60*int64(req.Count)))

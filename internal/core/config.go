@@ -149,10 +149,6 @@ type Config struct {
 	PollMin platform.Duration
 	PollMax platform.Duration
 
-	// Trace records per-MTX activity of every unit (System.Trace) for
-	// execution-model timelines (Fig. 3c).
-	Trace bool
-
 	// Faults, if non-nil and non-empty, injects the compiled fault plan:
 	// inter-node message loss (with the cluster's ack/retransmit layer
 	// engaged), latency spikes and degradation windows, straggler ranks,
@@ -181,12 +177,6 @@ type Config struct {
 	// instruments the delivery layer (ring depth, CAS retries, spills,
 	// spin/park, page-service latency).
 	Tracer *trace.Tracer
-
-	// HostSpanBufCap caps each rank's lock-free span buffer on the host
-	// backend (events beyond the cap are dropped and counted, never
-	// blocked on). 0 means trace.DefaultSpanBufCap. vtime records into one
-	// unbounded slice and rejects explicit values.
-	HostSpanBufCap int
 
 	// Horizon aborts the simulation if virtual time exceeds it (a safety
 	// net for runtime bugs); 0 means none. The host backend ignores it
@@ -288,12 +278,6 @@ func (c Config) Validate() error {
 	}
 	if c.Platform != nil && c.Backend != BackendNet {
 		return fmt.Errorf("core: Config.Platform: injected platforms are a net-backend feature (the %s backend builds its own)", c.Backend)
-	}
-	if c.HostSpanBufCap < 0 {
-		return fmt.Errorf("core: Config.HostSpanBufCap = %d, need >= 0", c.HostSpanBufCap)
-	}
-	if c.Backend == BackendVTime && c.HostSpanBufCap > 0 {
-		return fmt.Errorf("core: Config.HostSpanBufCap: span buffers are a host-backend feature (vtime records unbounded)")
 	}
 	if base := tagCommitVoteBase + c.commitShards() - 1; base >= tagQueueBase {
 		return fmt.Errorf("core: Config.CommitShards = %d exhausts the control tag space (max %d)",

@@ -7,7 +7,6 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"strings"
-	"sync"
 
 	"dsmtx/internal/cluster"
 	"dsmtx/internal/faults"
@@ -71,8 +70,8 @@ type ctrlMsg struct {
 type recoverySignal struct{}
 
 // Result summarizes one parallel execution. Durations are platform-neutral:
-// virtual nanoseconds on the vtime backend, wall-clock nanoseconds on host
-// (where the busy/poll accounting is zero — host processes are not charged).
+// virtual nanoseconds on the vtime backend, wall-clock nanoseconds on host.
+// Per-unit busy and stall time is System.StallReport (needs a Config.Tracer).
 type Result struct {
 	Elapsed   platform.Duration
 	Committed uint64 // MTXs committed (including recovery re-executions)
@@ -90,12 +89,6 @@ type Result struct {
 	// Traffic is the machine-wide wire traffic of the run.
 	Traffic platform.TrafficStats
 	Events  uint64 // simulation events (diagnostic; zero on host)
-	// Busy-time accounting (diagnostic): virtual time each unit spent
-	// computing vs polling empty queues.
-	CUBusy, CUPoll, TCBusy, TCPoll, PageSrvBusy platform.Duration
-	WorkerBusyMax                               platform.Duration
-	WorkerBusyAvg                               platform.Duration
-	PageRequests, PagesServed                   uint64
 }
 
 // Bandwidth reports the application's modelled communication bandwidth in
@@ -163,11 +156,6 @@ type System struct {
 	allRanks []int
 
 	initialImage *mem.Image
-
-	// events collects the execution trace when cfg.Trace is set; traceMu
-	// serializes appends on the host backend (see System.trace).
-	traceMu sync.Mutex
-	events  []TraceEvent
 
 	// tr is cfg.Tracer (nil = observability disabled); stalls is the
 	// per-rank stall attribution assembled after Run.
@@ -296,8 +284,8 @@ func (s *System) Reset(cfg Config, prog Program, initialImage *mem.Image) error 
 		cfg.CommitShards != s.cfg.CommitShards:
 		return fmt.Errorf("core: Reset config mismatch (cores %d→%d, shards %d→%d)",
 			s.cfg.TotalCores, cfg.TotalCores, s.cfg.CommitShards, cfg.CommitShards)
-	case cfg.Tracer != nil || cfg.Trace || !cfg.Faults.Empty():
-		return fmt.Errorf("core: Reset supports plain runs only (tracer/trace/faults bind at construction)")
+	case cfg.Tracer != nil || !cfg.Faults.Empty():
+		return fmt.Errorf("core: Reset supports plain runs only (tracer/faults bind at construction)")
 	case !reflect.DeepEqual(cfg.Plan, s.cfg.Plan):
 		return fmt.Errorf("core: Reset plan mismatch: %q vs %q", cfg.Plan.Name, s.cfg.Plan.Name)
 	}
@@ -310,7 +298,6 @@ func (s *System) Reset(cfg Config, prog Program, initialImage *mem.Image) error 
 	s.workers, s.tcs, s.cus, s.srvs = nil, nil, nil, nil
 	s.merged = nil
 	s.seqArena = nil
-	s.events = nil
 	s.stalls = trace.StallReport{}
 	s.hbDark, s.hbStopped, s.hbCancel = nil, false, nil
 	return nil
@@ -451,7 +438,7 @@ func (s *System) bindTracer() {
 		s.tr.BindKernel(s.kernel)
 		s.mach.SetTracer(s.tr)
 	} else {
-		s.tr.BindWall(s.plat, s.cfg.HostSpanBufCap)
+		s.tr.BindWall(s.plat, 0)
 		// Both wall-clock platforms (host, and net's embedded host) expose
 		// the delivery-layer instrumentation hook.
 		if tp, ok := s.plat.(interface{ SetTracer(*trace.Tracer) }); ok {
@@ -821,47 +808,6 @@ func (s *System) Run() (Result, error) {
 	res.Elapsed = s.plat.Now()
 	res.Traffic = s.plat.Traffic()
 	res.Events = s.plat.Events()
-	// Nodes whose rank lives in another daemon (net backend) were never
-	// spawned here; their proc is nil and their counters belong to the
-	// owning process.
-	for _, c := range s.cus {
-		if c.proc == nil {
-			continue
-		}
-		res.CUBusy += c.proc.Advanced() - c.pollTime
-		res.CUPoll += c.pollTime
-	}
-	for _, tc := range s.tcs {
-		if tc.proc == nil {
-			continue
-		}
-		res.TCBusy += tc.proc.Advanced() - tc.pollTime
-		res.TCPoll += tc.pollTime
-	}
-	for _, ps := range s.srvs {
-		if ps.proc == nil {
-			continue
-		}
-		res.PageSrvBusy += ps.proc.Advanced()
-		res.PageRequests += ps.Requests
-		res.PagesServed += ps.PagesServed
-	}
-	var sum platform.Duration
-	spawned := 0
-	for _, w := range s.workers {
-		if w.proc == nil {
-			continue
-		}
-		spawned++
-		busy := w.proc.Advanced() - w.pollTime
-		sum += busy
-		if busy > res.WorkerBusyMax {
-			res.WorkerBusyMax = busy
-		}
-	}
-	if spawned > 0 {
-		res.WorkerBusyAvg = sum / platform.Duration(spawned)
-	}
 	s.buildStallReport()
 	// Recycle worker and try-commit page frames: their speculative images
 	// are dead once the run ends (only the commit unit's memory is exposed
@@ -1006,19 +952,6 @@ func (s *System) CommitImage() *mem.Image {
 		s.merged = mem.Merge(imgs...)
 	}
 	return s.merged
-}
-
-// WorkerBusy reports each worker's non-poll busy time after Run, indexed
-// by tid (diagnostic).
-func (s *System) WorkerBusy() []platform.Duration {
-	out := make([]platform.Duration, len(s.workers))
-	for i, w := range s.workers {
-		if w.proc == nil {
-			continue // remote rank (net backend)
-		}
-		out[i] = w.proc.Advanced() - w.pollTime
-	}
-	return out
 }
 
 // Layout exposes the worker layout (examples and tests use it).

@@ -161,8 +161,6 @@ func (t *tcNode) validateLoop() bool {
 		for _, v := range t.verdicts {
 			v.Produce(Entry{Kind: entVerdict, MTX: iter, Val: verdictVal})
 		}
-		t.sys.trace(TraceEvent{Kind: TraceValidate, MTX: iter, Stage: -1, Tid: -1,
-			Start: t.proc.Now(), End: t.proc.Now()})
 		t.sys.tr.Span(trace.SpanValidate, t.rank, spanStart, iter, int64(verdictVal), 0)
 		t.sinceFlush++
 		if !ok || t.sinceFlush >= t.sys.cfg.MarkerFlushIters {

@@ -344,7 +344,6 @@ func (w *workerNode) stageLoop() bool {
 		if w.feedsRouted {
 			w.chooseRoute(iter)
 		}
-		subTXStart := w.proc.Now()
 		spanStart := w.sys.tr.Now()
 		ok := true
 		if !w.poisoned {
@@ -355,8 +354,6 @@ func (w *workerNode) stageLoop() bool {
 			return true
 		}
 		w.endIter(iter)
-		w.sys.trace(TraceEvent{Kind: TraceSubTX, MTX: iter, Stage: w.stage,
-			Tid: w.tid, Start: subTXStart, End: w.proc.Now()})
 		w.sys.tr.Span(trace.SpanSubTX, w.rank, spanStart, iter, int64(w.stage), 0)
 		w.nextIter = iter + 1
 		w.poisoned = false

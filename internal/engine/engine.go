@@ -487,7 +487,7 @@ func (e *Engine) execute(spec JobSpec, opts Options) (Result, error) {
 }
 
 // buildTune composes the configuration hook a spec and its options name:
-// knob, then faults, then backend/shards, then observability — the same
+// knob, then faults, then backend/shards, then the tracer — the same
 // composition order the pre-engine callers used.
 func (e *Engine) buildTune(spec JobSpec, opts Options) (func(*core.Config), error) {
 	knob, err := KnobTune(spec.Knob)
@@ -504,14 +504,6 @@ func (e *Engine) buildTune(spec JobSpec, opts Options) (func(*core.Config), erro
 	}
 	backend := spec.backend()
 	shards := spec.CommitShards
-	if knob == nil && plan == nil && backend == core.BackendVTime && shards <= 1 && opts.plain() {
-		// Nothing to tune: hand workloads.RunParallel a nil hook, exactly
-		// like the pre-engine callers, so the default-config path is
-		// untouched.
-		return nil, nil
-	}
-	mtx := opts.MTXTrace
-	tr := opts.Tracer
 	return func(cfg *core.Config) {
 		if knob != nil {
 			knob(cfg)
@@ -523,12 +515,7 @@ func (e *Engine) buildTune(spec JobSpec, opts Options) (func(*core.Config), erro
 		if shards > 1 {
 			cfg.CommitShards = shards
 		}
-		if mtx {
-			cfg.Trace = true
-		}
-		if tr != nil {
-			cfg.Tracer = tr
-		}
+		cfg.Tracer = opts.Tracer
 	}, nil
 }
 
@@ -594,7 +581,7 @@ func (e *Engine) executePooled(b *workloads.Benchmark, in workloads.Input, spec 
 // cluster per placement (the daemons accept successive Job frames on one
 // control session).
 func (e *Engine) executeNet(spec JobSpec, opts Options) (Result, error) {
-	key, h := e.netClusterFor(opts)
+	h := e.netClusterFor(opts)
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.cl == nil {
@@ -626,11 +613,12 @@ func (e *Engine) executeNet(spec JobSpec, opts Options) (Result, error) {
 		Invocations: spec.Invocations,
 	})
 	if err != nil {
-		// The control session is desynchronized; tear the fleet down so
-		// the next job gets a fresh one.
-		h.cl.Close()
-		h.cl = nil
-		e.dropCluster(key)
+		if !errors.Is(err, netrun.ErrRejected) {
+			// The control session is desynchronized; tear the fleet down so
+			// the placement's next job launches a fresh one into this handle.
+			h.cl.Close()
+			h.cl = nil
+		}
 		return Result{}, err
 	}
 	return Result{
@@ -647,15 +635,17 @@ func (e *Engine) executeNet(spec JobSpec, opts Options) (Result, error) {
 	}, nil
 }
 
-// netCluster is one persistent daemon fleet; its mutex serializes jobs on
-// the shared control session.
+// netCluster is one placement's persistent daemon fleet; its mutex
+// serializes jobs on the shared control session. The handle lives in
+// e.clusters as long as the engine (cl is nil between a failed job and the
+// next launch), so Close reaches every fleet a submission ever started.
 type netCluster struct {
 	mu sync.Mutex
 	cl *netrun.Cluster
 }
 
 // netClusterFor resolves the fleet a submission's placement names.
-func (e *Engine) netClusterFor(opts Options) (string, *netCluster) {
+func (e *Engine) netClusterFor(opts Options) *netCluster {
 	var key string
 	if len(opts.NetJoin) > 0 {
 		key = "join:" + strings.Join(opts.NetJoin, ",")
@@ -673,13 +663,7 @@ func (e *Engine) netClusterFor(opts Options) (string, *netCluster) {
 		h = &netCluster{}
 		e.clusters[key] = h
 	}
-	return key, h
-}
-
-func (e *Engine) dropCluster(key string) {
-	e.mu.Lock()
-	delete(e.clusters, key)
-	e.mu.Unlock()
+	return h
 }
 
 // Drain stops admitting new jobs (ErrDraining) and blocks until every

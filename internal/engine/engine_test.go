@@ -356,7 +356,6 @@ func TestSubmitValidates(t *testing.T) {
 		{spec: JobSpec{Bench: "crc32", Cores: 8, Backend: "net", Paradigm: "TLS"}, want: "paradigm"},
 		{spec: JobSpec{Bench: "crc32", Cores: 8, Backend: "net", Knob: KnobQueueUnopt}, want: `knob "queue-unopt"`},
 		{spec: net, opts: Options{Tracer: trace.New()}, want: "Options.Tracer"},
-		{spec: net, opts: Options{MTXTrace: true}, want: "Options.MTXTrace"},
 	} {
 		_, err := e.SubmitOpts(context.Background(), tc.spec, tc.opts)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

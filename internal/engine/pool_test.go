@@ -2,7 +2,11 @@ package engine
 
 import (
 	"context"
+	gonet "net"
+	"strings"
 	"testing"
+
+	"dsmtx/internal/netrun"
 )
 
 // TestWarmPoolDeterminism is the pooling acceptance gate: a host job on a
@@ -86,5 +90,68 @@ func TestVTimeNeverPools(t *testing.T) {
 	st := e.Stats()
 	if st.PoolBuilds != 0 && st.PoolReuses != 0 {
 		t.Fatalf("vtime runs touched the pool: %+v", st)
+	}
+}
+
+// TestNetFleetSurvivesRejectedSpec: a net spec the coordinator refuses
+// before writing a frame (cores: 2 passes JobSpec.Validate and leaves the
+// plan no workers) must not cost the placement its warm fleet — the next
+// job reuses the same cluster through the same handle. The fleet is two
+// in-process netrun.ServeLoop daemons joined via Options.NetJoin.
+func TestNetFleetSurvivesRejectedSpec(t *testing.T) {
+	addrs := make([]string, 2)
+	for i := range addrs {
+		ln, err := gonet.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs[i] = ln.Addr().String()
+		stop := make(chan struct{})
+		exit := make(chan int, 1)
+		go func() { exit <- netrun.ServeLoop(ln, stop) }()
+		t.Cleanup(func() {
+			close(stop)
+			if code := <-exit; code != 0 {
+				t.Errorf("daemon %s: ServeLoop exit code %d", ln.Addr(), code)
+			}
+		})
+	}
+	e := New(Config{})
+	t.Cleanup(e.Close) // before the daemons stop: their drain waits for the coordinator to hang up
+	opts := Options{NetJoin: addrs}
+	fleet := func() (*netCluster, *netrun.Cluster) {
+		h := e.netClusterFor(opts)
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		return h, h.cl
+	}
+
+	good := JobSpec{Bench: "crc32", Backend: "net", Cores: 5, Seed: 42}
+	if _, err := e.SubmitOpts(context.Background(), good, opts); err != nil {
+		t.Fatal(err)
+	}
+	h1, cl1 := fleet()
+	if cl1 == nil {
+		t.Fatal("no fleet after the first job")
+	}
+
+	bad := JobSpec{Bench: "crc32", Backend: "net", Cores: 2}
+	if _, err := e.SubmitOpts(context.Background(), bad, opts); err == nil || !strings.Contains(err.Error(), "workers") {
+		t.Fatalf("cores: 2: err = %v, want the plan's worker shortfall", err)
+	}
+	if h, cl := fleet(); h != h1 || cl != cl1 {
+		t.Fatalf("rejected spec replaced the fleet: handle %p→%p, cluster %p→%p", h1, h, cl1, cl)
+	}
+
+	before := e.Stats().PoolReuses
+	good.Seed = 7
+	if _, err := e.SubmitOpts(context.Background(), good, opts); err != nil {
+		t.Fatalf("job after the rejected spec: %v", err)
+	}
+	if got := e.Stats().PoolReuses - before; got != 1 {
+		t.Errorf("PoolReuses moved by %d on the third job, want 1 (warm fleet)", got)
+	}
+	if h, cl := fleet(); h != h1 || cl != cl1 {
+		t.Errorf("third job ran on another fleet: handle %p→%p, cluster %p→%p", h1, h, cl1, cl)
 	}
 }

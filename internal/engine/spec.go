@@ -223,16 +223,14 @@ func (s JobSpec) String() string {
 }
 
 // Options carries per-submission settings that are deliberately not part
-// of the job's identity: observability sinks cannot be hashed and
-// placement does not change results. Any non-zero observability option
-// makes the submission uncacheable and unpoolable.
+// of the job's identity: an observability sink cannot be hashed and
+// placement does not change results. A submission with a Tracer is
+// uncacheable and unpoolable.
 type Options struct {
-	// Tracer attaches the trace/metrics registry to the run. In-process
-	// backends only: net ranks live in the daemons.
+	// Tracer attaches the trace/metrics registry — the one record of what
+	// each unit did — to the run. In-process backends only: net ranks live
+	// in the daemons.
 	Tracer *trace.Tracer
-	// MTXTrace collects the MTX lifecycle event log (Result.Trace).
-	// In-process backends only.
-	MTXTrace bool
 	// NetDaemons is the loopback fleet size a net-backend job spawns when
 	// NetJoin is empty (default 2).
 	NetDaemons int
@@ -241,29 +239,23 @@ type Options struct {
 	NetJoin []string
 }
 
-// plain reports whether the submission carries no observability sinks and
+// plain reports whether the submission carries no observability sink and
 // is therefore cacheable and poolable.
-func (o Options) plain() bool { return o.Tracer == nil && !o.MTXTrace }
+func (o Options) plain() bool { return o.Tracer == nil }
 
 // validate rejects options the spec's backend cannot honour.
 func (o Options) validate(spec JobSpec) error {
-	if spec.backend() != core.BackendNet {
-		return nil
-	}
-	if o.Tracer != nil {
+	if spec.backend() == core.BackendNet && o.Tracer != nil {
 		return fmt.Errorf("engine: Options.Tracer: net ranks run in the daemon processes; a coordinator-side tracer has nothing to attach to")
-	}
-	if o.MTXTrace {
-		return fmt.Errorf("engine: Options.MTXTrace: net ranks run in the daemon processes; the MTX event log is in-process only")
 	}
 	return nil
 }
 
 // Result is a completed job's outcome. For parallel jobs the embedded
 // workloads.Result carries the run; for seq jobs SeqTime/SeqCheck do. It is
-// also the cached record, stored as-is: Stalls and Trace never serialize
-// and are empty on cacheable submissions anyway, and a hit overwrites
-// Source and PoolWarm.
+// also the cached record, stored as-is: Stalls never serializes and is
+// empty on cacheable submissions anyway, and a hit overwrites Source and
+// PoolWarm.
 type Result struct {
 	workloads.Result
 	// SeqTime/SeqCheck are the sequential reference (seq jobs always;

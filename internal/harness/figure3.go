@@ -7,6 +7,7 @@ import (
 	"dsmtx/internal/core"
 	"dsmtx/internal/pipeline"
 	"dsmtx/internal/sim"
+	"dsmtx/internal/trace"
 	"dsmtx/internal/uva"
 )
 
@@ -55,20 +56,22 @@ func (p *fig3Prog) SeqIter(ctx *core.SeqCtx, iter uint64) {
 	ctx.Store(p.out+uva.Addr(iter*8), v*v+1)
 }
 
-// Fig3Result carries the trace and layout needed to render the timeline.
+// Fig3Result carries the MTX lifecycle spans (SpanSubTX, SpanValidate,
+// SpanCommit, in recording order) and the layout needed to render the
+// timeline.
 type Fig3Result struct {
-	Events  []core.TraceEvent
+	Events  []trace.Event
 	Workers int
 	Elapsed sim.Time
 }
 
 // RunFigure3 executes the Fig. 1(a) loop on a 5-core DSMTX system (as in
 // the paper's diagram: one stage-1 core, two stage-2 cores, try-commit,
-// commit) with tracing on.
+// commit) with a Tracer attached.
 func RunFigure3() (Fig3Result, error) {
 	prog := &fig3Prog{n: 10}
 	cfg := core.DefaultConfig(5, pipeline.SpecDSWP("S", "DOALL"))
-	cfg.Trace = true
+	cfg.Tracer = trace.New()
 	cfg.MarkerFlushIters = 1 // per-iteration flushes, so the diagram shows each MTX's validate/commit
 	cfg.Cluster.InterNodeLatency = 500 * sim.Nanosecond
 	sys, err := core.NewSystem(cfg, prog, nil)
@@ -79,7 +82,14 @@ func RunFigure3() (Fig3Result, error) {
 	if err != nil {
 		return Fig3Result{}, err
 	}
-	return Fig3Result{Events: sys.Trace(), Workers: cfg.Workers(), Elapsed: res.Elapsed}, nil
+	var events []trace.Event
+	for _, e := range cfg.Tracer.Events() {
+		switch e.Kind {
+		case trace.SpanSubTX, trace.SpanValidate, trace.SpanCommit:
+			events = append(events, e)
+		}
+	}
+	return Fig3Result{Events: events, Workers: cfg.Workers(), Elapsed: res.Elapsed}, nil
 }
 
 // RenderFigure3 draws the execution-model timeline: one row per unit, MTX
@@ -89,10 +99,19 @@ func RenderFigure3(r Fig3Result) string {
 	if len(r.Events) == 0 {
 		return "Figure 3: (no trace)\n"
 	}
-	start, end := r.Events[0].Start, sim.Time(0)
+	// A subTX is painted over its interval; validate and commit as the
+	// instant the unit finished with the MTX.
+	interval := func(e trace.Event) (sim.Time, sim.Time) {
+		if e.Kind == trace.SpanSubTX {
+			return e.Start, e.End
+		}
+		return e.End, e.End
+	}
+	start, _ := interval(r.Events[0])
+	end := sim.Time(0)
 	for _, e := range r.Events {
-		if e.Start < start {
-			start = e.Start
+		if lo, _ := interval(e); lo < start {
+			start = lo
 		}
 		if e.End > end {
 			end = e.End
@@ -125,24 +144,24 @@ func RenderFigure3(r Fig3Result) string {
 	}
 	row("TryCommit unit")
 	row("Commit unit")
-	paint := func(name string, e core.TraceEvent) {
+	paint := func(name string, e trace.Event) {
 		line := row(name)
-		lo, hi := col(e.Start), col(e.End)
-		for c := lo; c <= hi; c++ {
+		lo, hi := interval(e)
+		for c := col(lo); c <= col(hi); c++ {
 			line[c] = byte('0' + e.MTX%10)
 		}
 	}
 	for _, e := range r.Events {
 		switch e.Kind {
-		case core.TraceSubTX:
-			if e.Stage == 0 {
+		case trace.SpanSubTX:
+			if e.V1 == 0 { // V1 is the pipeline stage, Track the worker
 				paint("Stage1  (core 1)", e)
 			} else {
-				paint(fmt.Sprintf("Stage2  (core %d)", e.Tid+1), e)
+				paint(fmt.Sprintf("Stage2  (core %d)", e.Track+1), e)
 			}
-		case core.TraceValidate:
+		case trace.SpanValidate:
 			paint("TryCommit unit", e)
-		case core.TraceCommit:
+		case trace.SpanCommit:
 			paint("Commit unit", e)
 		}
 	}

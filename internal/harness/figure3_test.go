@@ -1,10 +1,11 @@
 package harness
 
 import (
+	"os"
 	"strings"
 	"testing"
 
-	"dsmtx/internal/core"
+	"dsmtx/internal/trace"
 	"dsmtx/internal/workloads"
 )
 
@@ -19,14 +20,14 @@ func TestFigure3ExecutionModel(t *testing.T) {
 	if len(r.Events) == 0 {
 		t.Fatal("no trace recorded")
 	}
-	var commits, validates, subtxs []core.TraceEvent
+	var commits, validates, subtxs []trace.Event
 	for _, e := range r.Events {
 		switch e.Kind {
-		case core.TraceCommit:
+		case trace.SpanCommit:
 			commits = append(commits, e)
-		case core.TraceValidate:
+		case trace.SpanValidate:
 			validates = append(validates, e)
-		case core.TraceSubTX:
+		case trace.SpanSubTX:
 			subtxs = append(subtxs, e)
 		}
 	}
@@ -34,7 +35,7 @@ func TestFigure3ExecutionModel(t *testing.T) {
 		t.Fatalf("commits=%d validates=%d, want 10 each", len(commits), len(validates))
 	}
 	// Commits are in MTX order and each follows its validation.
-	valAt := map[uint64]core.TraceEvent{}
+	valAt := map[uint64]trace.Event{}
 	for _, v := range validates {
 		valAt[v.MTX] = v
 	}
@@ -65,6 +66,23 @@ func TestFigure3ExecutionModel(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q", want)
 		}
+	}
+}
+
+// TestFigure3Golden pins the rendered timeline byte for byte. The testdata
+// was generated from the core MTX event log this figure used to read, so it
+// proves the Tracer-fed timeline is the same picture.
+func TestFigure3Golden(t *testing.T) {
+	want, err := os.ReadFile("testdata/figure3.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := RunFigure3()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := RenderFigure3(r); got != string(want) {
+		t.Fatalf("Figure 3 drifted from testdata/figure3.golden:\n%s", got)
 	}
 }
 

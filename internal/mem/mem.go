@@ -178,10 +178,6 @@ func (im *Image) ReleaseOnReset(on bool) { im.release = on }
 // flight.
 func (im *Image) AccessHint() uva.PageID { return im.hintEnd }
 
-// SetFault replaces the fault handler (used when wiring a worker's image to
-// its communication channels after construction).
-func (im *Image) SetFault(fault FaultFunc) { im.fault = fault }
-
 // Resident reports how many pages the image currently holds.
 func (im *Image) Resident() int { return im.resident }
 

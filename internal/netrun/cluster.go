@@ -2,6 +2,7 @@ package netrun
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	gonet "net"
@@ -131,28 +132,41 @@ func (c *Cluster) dialControl() error {
 // Daemons reports the fleet size.
 func (c *Cluster) Daemons() int { return len(c.addrs) }
 
-// Run executes one job across the fleet: distribute the spec, drive the
-// per-invocation start/done barrier, and collect every daemon's result.
-func (c *Cluster) Run(spec JobSpec) (Result, error) {
-	// Validate coordinator-side with the daemons' own config construction so
-	// errors surface before any process starts working. The platform factory
-	// is a placeholder — daemons build the real mesh-bound one.
+// ErrRejected marks a Run error returned before any frame was written: the
+// coordinator refused the spec on its own, every control session is still
+// in step, and the fleet can take the next job. Any other Run error leaves
+// the sessions desynchronized.
+var ErrRejected = errors.New("netrun: job rejected before dispatch")
+
+// check validates spec coordinator-side with the daemons' own config
+// construction, so errors surface before any process starts working. The
+// platform factory is a placeholder — daemons build the real mesh-bound one.
+func (c *Cluster) check(spec JobSpec) error {
 	if provider == nil {
-		return Result{}, fmt.Errorf("netrun: no workload provider registered in this binary")
+		return fmt.Errorf("netrun: no workload provider registered in this binary")
 	}
 	set, err := provider(spec)
 	if err != nil {
-		return Result{}, err
+		return err
 	}
 	cfg := buildConfig(spec, set.New(0).Plan())
 	cfg.Platform = func(int) (platform.Platform, error) {
 		return nil, fmt.Errorf("netrun: coordinator-side config is validate-only")
 	}
 	if err := cfg.Validate(); err != nil {
-		return Result{}, err
+		return err
 	}
 	if spec.Cores < len(c.addrs) {
-		return Result{}, fmt.Errorf("netrun: %d cores across %d daemons: need at least one rank per daemon", spec.Cores, len(c.addrs))
+		return fmt.Errorf("netrun: %d cores across %d daemons: need at least one rank per daemon", spec.Cores, len(c.addrs))
+	}
+	return nil
+}
+
+// Run executes one job across the fleet: distribute the spec, drive the
+// per-invocation start/done barrier, and collect every daemon's result.
+func (c *Cluster) Run(spec JobSpec) (Result, error) {
+	if err := c.check(spec); err != nil {
+		return Result{}, fmt.Errorf("%w: %w", ErrRejected, err)
 	}
 
 	// A fresh ID per job: persistent daemons key each job's mesh on it, so

@@ -250,7 +250,6 @@ type RecvPort[T any] struct {
 	msgBuf  []platform.Message // reusable drain buffer (batched only)
 	epoch   uint64
 	cur     []T
-	items   uint64
 }
 
 // Receiver binds the consuming process to the queue.
@@ -276,7 +275,6 @@ func (r *RecvPort[T]) Consume() T {
 	}
 	v := r.cur[0]
 	r.cur = r.cur[1:]
-	r.items++
 	r.q.cConsumed.Inc()
 	return v
 }
@@ -295,7 +293,6 @@ func (r *RecvPort[T]) TryConsume() (T, bool) {
 	r.comm.Proc().Advance(r.q.world.InstrTime(cfg.ConsumeInstr))
 	v := r.cur[0]
 	r.cur = r.cur[1:]
-	r.items++
 	r.q.cConsumed.Inc()
 	return v, true
 }
@@ -327,7 +324,6 @@ func (r *RecvPort[T]) TryConsumeBatch() ([]T, bool) {
 	r.comm.Proc().Advance(r.q.world.InstrTime(cfg.ConsumeInstr * int64(len(r.cur))))
 	out := r.cur
 	r.cur = nil
-	r.items += uint64(len(out))
 	r.q.cConsumed.Add(uint64(len(out)))
 	return out, true
 }
@@ -372,6 +368,3 @@ func (r *RecvPort[T]) Abort(epoch uint64) {
 	}
 	r.epoch = epoch
 }
-
-// Consumed reports how many values this port has delivered.
-func (r *RecvPort[T]) Consumed() uint64 { return r.items }

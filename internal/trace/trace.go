@@ -144,8 +144,8 @@ type kernelClock struct{ k *sim.Kernel }
 func (c kernelClock) Now() sim.Time { return c.k.Now() }
 
 // DefaultSpanBufCap is the per-track span-buffer capacity in wall-clock
-// mode when the caller does not override it (core.Config.HostSpanBufCap):
-// 16384 events ≈ 900 KiB per track, allocated once at bind time.
+// mode (BindWall with bufCap <= 0, which is what core passes): 16384
+// events ≈ 900 KiB per track, allocated once at bind time.
 const DefaultSpanBufCap = 1 << 14
 
 // wallSpanFloor is the minimum wall-clock duration a RecvWait-style span

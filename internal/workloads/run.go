@@ -46,13 +46,10 @@ type Result struct {
 	// total above.
 	Traffic platform.TrafficStats
 	// Stalls aggregates per-rank stall attribution across invocations when
-	// the run was tuned with a core.Config.Tracer; empty otherwise.
-	// Stalls and Trace are in-process observability, never serialized: the
-	// record the engine caches and serves is every other field.
+	// the run was tuned with a core.Config.Tracer; empty otherwise. It is
+	// in-process observability, never serialized: the record the engine
+	// caches and serves is every other field.
 	Stalls trace.StallReport `json:"-"`
-	// Trace holds the MTX lifecycle events of every invocation when the
-	// run was tuned with core.Config.Trace.
-	Trace []core.TraceEvent `json:"-"`
 }
 
 // Bandwidth reports wire bytes per second of execution.
@@ -126,7 +123,6 @@ func RunParallelSystems(b *Benchmark, in Input, paradigm Paradigm, cores int, tu
 		agg.Redispatch += res.Redispatch
 		agg.Traffic.Add(res.Traffic)
 		agg.Stalls.Merge(sys.StallReport())
-		agg.Trace = append(agg.Trace, sys.Trace()...)
 		if inv == invocations-1 {
 			agg.Checksum = prog.Checksum(img)
 		}

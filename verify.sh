@@ -56,10 +56,10 @@ go test -race ./internal/core/ -run TestCrossShard
 # parking (producers outnumber cores), GOMAXPROCS=8 maximises true parallelism.
 # Pinning both in CI surfaces interleaving-dependent bugs here rather than on a
 # loaded box. The backend-equivalence pattern includes the CommitShards
-# sweep, and the core cross-shard and page-placement tests ride along at both
-# widths.
-GOMAXPROCS=2 go test -race -count=1 ./internal/workloads/ ./internal/core/ -run 'TestBackendEquivalence|TestCrossShard|TestPageServicePlacement'
-GOMAXPROCS=8 go test -race -count=1 ./internal/workloads/ ./internal/core/ -run 'TestBackendEquivalence|TestCrossShard|TestPageServicePlacement'
+# sweep, and the core cross-shard, page-placement and lifecycle-span tests
+# (the Tracer recording from live goroutines) ride along at both widths.
+GOMAXPROCS=2 go test -race -count=1 ./internal/workloads/ ./internal/core/ -run 'TestBackendEquivalence|TestCrossShard|TestPageServicePlacement|TestLifecycleSpans'
+GOMAXPROCS=8 go test -race -count=1 ./internal/workloads/ ./internal/core/ -run 'TestBackendEquivalence|TestCrossShard|TestPageServicePlacement|TestLifecycleSpans'
 # bench/ is its own module (BENCHMARK.json's entry point) compiled against
 # this one's internal packages; the root ./... patterns never descend into
 # it, so a root refactor could break the benchmark unnoticed without this.
