@@ -6,7 +6,7 @@
 # jobs through the HTTP API with dsmtxload, and requires a clean SIGTERM
 # drain; `make bench LABEL=prN` runs the repository benchmark (bench/,
 # BENCHMARK.json) once per workload and appends the result lines to
-# BENCH_LOG.jsonl; `make bench-pair PARENT=<ref> WORKLOAD=<w>` runs the
+# BENCH_LOG.jsonl; `make bench-pair PARENT=<ref> WORKLOAD=<w|all>` runs the
 # paired parent/change protocol any performance claim needs; `make loc`
 # prints the size number simplicity PRs quote (tracked non-test Go outside
 # bench/, per package and total).
@@ -28,8 +28,9 @@ LABEL ?= current
 bench:
 	./scripts/bench-record.sh $(LABEL)
 
-# Ten alternating parent/change runs of one workload with wins, medians and
-# paired ratios (bench/README.md "paired protocol"); ~10 minutes.
+# Ten alternating parent/change runs of one workload (WORKLOAD=all: each in
+# turn) with wins, medians, the parent's quartiles and paired ratios
+# (bench/README.md "paired protocol"); ~10 minutes per workload.
 PAIRS ?= 10
 bench-pair:
 	./scripts/bench-pair.sh $(PARENT) $(WORKLOAD) $(PAIRS)

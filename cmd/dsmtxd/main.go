@@ -17,9 +17,9 @@
 // spawn-local mode dsmtxrun uses internally).
 //
 // As a job server (`dsmtxd serve`) it exposes the job engine over
-// JSON/HTTP: bounded admission, warm worker pools, and a
-// content-addressed result cache behind three endpoints (POST /jobs,
-// GET /jobs/{id}, GET /stats — see internal/engine.Server):
+// JSON/HTTP: bounded admission and a content-addressed result cache
+// behind three endpoints (POST /jobs, GET /jobs/{id}, GET /stats — see
+// internal/engine.Server):
 //
 //	dsmtxd serve -listen 127.0.0.1:7800
 //	curl -s -XPOST 'localhost:7800/jobs?wait=1' \
@@ -58,7 +58,6 @@ type options struct {
 	maxJobs     int
 	queueDepth  int
 	coreBudget  int
-	pool        int
 	cacheDir    string
 	cacheOff    bool
 	metricsAddr string
@@ -90,7 +89,6 @@ func parseFlags(args []string) (*options, error) {
 		fs.IntVar(&o.maxJobs, "max-jobs", runtime.GOMAXPROCS(0), "jobs running concurrently (0 = unlimited)")
 		fs.IntVar(&o.queueDepth, "queue-depth", 64, "jobs waiting for a slot before submissions are rejected with 503")
 		fs.IntVar(&o.coreBudget, "core-budget", 0, "bound on the summed cores of running jobs (0 = unlimited)")
-		fs.IntVar(&o.pool, "pool", 2, "idle warm worker sets kept per job shape")
 		fs.StringVar(&o.cacheDir, "cache", defaultCacheDir(), "directory for the content-addressed result cache (\"\" disables)")
 		fs.BoolVar(&o.cacheOff, "cache-off", false, "disable the result cache")
 		fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve a live JSON metrics snapshot at http://ADDR/metrics (e.g. 127.0.0.1:9090)")
@@ -108,8 +106,8 @@ func parseFlags(args []string) (*options, error) {
 		default:
 			return nil, fmt.Errorf("unknown -backend %q (have host, vtime; net jobs name their own fleet)", o.backend)
 		}
-		if o.maxJobs < 0 || o.queueDepth < 0 || o.coreBudget < 0 || o.pool < 0 {
-			return nil, fmt.Errorf("-max-jobs, -queue-depth, -core-budget and -pool must be >= 0")
+		if o.maxJobs < 0 || o.queueDepth < 0 || o.coreBudget < 0 {
+			return nil, fmt.Errorf("-max-jobs, -queue-depth and -core-budget must be >= 0")
 		}
 		return o, nil
 	}
@@ -175,7 +173,6 @@ func runServe(o *options, stop <-chan struct{}) error {
 		MaxConcurrent: o.maxJobs,
 		QueueDepth:    o.queueDepth,
 		CoreBudget:    o.coreBudget,
-		PoolPerKey:    o.pool,
 	}
 	if !o.cacheOff {
 		cfg.Cache = engine.OpenResultCache(o.cacheDir, os.Stderr)

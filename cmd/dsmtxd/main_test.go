@@ -182,6 +182,9 @@ func TestServeRejectsBadSpec(t *testing.T) {
 		// a net job cannot honour a knob; accepting it would cache default
 		// numbers under the knob's key
 		`{"bench":"crc32","cores":8,"backend":"net","knob":"queue-unopt"}`: "knob",
+		// used to be admitted, fail in core.NewSystem and answer 500
+		`{"bench":"crc32","backend":"host","cores":2}`:   "2 cores leave 0 workers",
+		`{"bench":"crc32","backend":"host","cores":129}`: "exceed the machine's 128",
 	} {
 		resp, err := http.Post("http://"+addr+"/jobs?wait=1", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"reflect"
 	"runtime/pprof"
 	"strconv"
 	"strings"
@@ -184,8 +183,8 @@ func NewSystem(cfg Config, prog Program, initialImage *mem.Image) (*System, erro
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if err := checkCommitter(cfg, prog); err != nil {
-		return nil, err
+	if _, ok := prog.(Committer); ok && cfg.commitShards() > 1 {
+		return nil, fmt.Errorf("core: Config.CommitShards = %d: Committer programs need the single commit unit (the per-MTX hook is a sequential section)", cfg.CommitShards)
 	}
 	layout, err := pipeline.NewLayout(cfg.Plan, cfg.Workers())
 	if err != nil {
@@ -248,59 +247,6 @@ func NewSystem(cfg Config, prog Program, initialImage *mem.Image) (*System, erro
 	}
 	s.bindTracer()
 	return s, nil
-}
-
-// checkCommitter rejects a Committer program on a sharded commit pipeline.
-func checkCommitter(cfg Config, prog Program) error {
-	if _, ok := prog.(Committer); ok && cfg.commitShards() > 1 {
-		return fmt.Errorf("core: Config.CommitShards = %d: Committer programs need the single commit unit (the per-MTX hook is a sequential section)", cfg.CommitShards)
-	}
-	return nil
-}
-
-// Reset prepares a finished System to execute another program on the same
-// configuration, reusing everything NewSystem built — rank layout, queue
-// registry, owner table, and the live host endpoint set — instead of
-// rebuilding it. This is the warm worker-pool path (internal/engine): only
-// the host backend supports reuse (vtime runs own a kernel event calendar,
-// net ranks belong to a daemon mesh), and only plain runs do (no tracer,
-// no MTX trace, no fault plan — their state is bound at construction).
-// cfg is the configuration the caller would have passed to NewSystem for
-// the new program; it must agree with the system's own on everything that
-// shaped the layout. initialImage seeds the commit unit exactly as in
-// NewSystem. On error the system is unchanged and still reusable for a
-// compatible program.
-func (s *System) Reset(cfg Config, prog Program, initialImage *mem.Image) error {
-	if s.cfg.Backend != BackendHost {
-		return fmt.Errorf("core: Reset reuses live host rank sets only (system backend %v)", s.cfg.Backend)
-	}
-	hp, ok := s.plat.(*host.Platform)
-	if !ok {
-		return fmt.Errorf("core: Reset needs a host platform, have %s", s.plat.Name())
-	}
-	switch {
-	case cfg.Backend != s.cfg.Backend,
-		cfg.TotalCores != s.cfg.TotalCores,
-		cfg.CommitShards != s.cfg.CommitShards:
-		return fmt.Errorf("core: Reset config mismatch (cores %d→%d, shards %d→%d)",
-			s.cfg.TotalCores, cfg.TotalCores, s.cfg.CommitShards, cfg.CommitShards)
-	case cfg.Tracer != nil || !cfg.Faults.Empty():
-		return fmt.Errorf("core: Reset supports plain runs only (tracer/faults bind at construction)")
-	case !reflect.DeepEqual(cfg.Plan, s.cfg.Plan):
-		return fmt.Errorf("core: Reset plan mismatch: %q vs %q", cfg.Plan.Name, s.cfg.Plan.Name)
-	}
-	if err := checkCommitter(cfg, prog); err != nil {
-		return err
-	}
-	hp.Reset()
-	s.prog = prog
-	s.initialImage = initialImage
-	s.workers, s.tcs, s.cus, s.srvs = nil, nil, nil, nil
-	s.merged = nil
-	s.seqArena = nil
-	s.stalls = trace.StallReport{}
-	s.hbDark, s.hbStopped, s.hbCancel = nil, false, nil
-	return nil
 }
 
 // ownerBuckets is the consistent-hash table size: the page space is dealt

@@ -10,8 +10,6 @@ import (
 
 	"dsmtx/internal/core"
 	"dsmtx/internal/expsched"
-	"dsmtx/internal/faults"
-	"dsmtx/internal/mem"
 	"dsmtx/internal/netrun"
 	"dsmtx/internal/trace"
 	"dsmtx/internal/workloads"
@@ -45,9 +43,6 @@ type Config struct {
 	// Cache, when non-nil, serves duplicate specs from the
 	// content-addressed result store instead of re-running them.
 	Cache *expsched.Cache
-	// PoolPerKey bounds idle warm systems kept per pool key; <= 0
-	// defaults to 2.
-	PoolPerKey int
 	// Exe is the binary net-backend jobs re-exec as spawn-local daemons;
 	// empty defaults to os.Args[0] (dsmtxrun, dsmtxd, and test binaries
 	// all divert into DaemonMain).
@@ -57,7 +52,10 @@ type Config struct {
 	Metrics *trace.Metrics
 }
 
-// Stats is a snapshot of the engine's counters.
+// Stats is a snapshot of the engine's counters. PoolBuilds counts net daemon
+// fleets launched or joined and PoolReuses net jobs that found their
+// placement's fleet already up; in-process jobs build a fresh core.System
+// each and move neither.
 type Stats struct {
 	Submitted  uint64 `json:"submitted"`
 	Completed  uint64 `json:"completed"`
@@ -73,13 +71,12 @@ type Stats struct {
 }
 
 // Engine executes jobs: bounded admission in FIFO order with per-job core
-// accounting, warm worker pools on the host backend, persistent daemon
-// fleets on the net backend, and a request-level result cache. The zero
-// value is not usable; construct with New.
+// accounting, persistent daemon fleets on the net backend, and a
+// request-level result cache. The zero value is not usable; construct with
+// New.
 type Engine struct {
-	cfg   Config
-	exe   string
-	pools *hostPools
+	cfg Config
+	exe string
 
 	mu         sync.Mutex
 	cond       *sync.Cond // broadcast on job completion (Drain waits on it)
@@ -91,7 +88,7 @@ type Engine struct {
 	inflight   map[JobSpec]*call
 	clusters   map[string]*netCluster
 
-	met *engineMetrics
+	met engineMetrics
 }
 
 // ticket is one queued admission request.
@@ -112,7 +109,8 @@ type call struct {
 	ownCtxErr bool
 }
 
-// engineMetrics are the live instruments (nil when Config.Metrics is nil).
+// engineMetrics are the live instruments; every handle is nil, and so a
+// no-op, when Config.Metrics is nil.
 type engineMetrics struct {
 	cSubmitted *trace.Counter
 	cCompleted *trace.Counter
@@ -133,20 +131,13 @@ func New(cfg Config) *Engine {
 	if exe == "" {
 		exe = os.Args[0]
 	}
-	perKey := cfg.PoolPerKey
-	if perKey <= 0 {
-		perKey = 2
-	}
+	m := cfg.Metrics
 	e := &Engine{
 		cfg:      cfg,
 		exe:      exe,
-		pools:    &hostPools{perKey: perKey},
 		inflight: make(map[JobSpec]*call),
 		clusters: make(map[string]*netCluster),
-	}
-	e.cond = sync.NewCond(&e.mu)
-	if m := cfg.Metrics; m != nil {
-		e.met = &engineMetrics{
+		met: engineMetrics{
 			cSubmitted: m.Counter("engine.jobs.submitted"),
 			cCompleted: m.Counter("engine.jobs.completed"),
 			cFailed:    m.Counter("engine.jobs.failed"),
@@ -158,8 +149,9 @@ func New(cfg Config) *Engine {
 			gRunning:   m.Gauge("engine.jobs.running"),
 			gQueued:    m.Gauge("engine.jobs.queued"),
 			gCores:     m.Gauge("engine.cores.inuse"),
-		}
+		},
 	}
+	e.cond = sync.NewCond(&e.mu)
 	return e
 }
 
@@ -213,10 +205,8 @@ func (e *Engine) canRunLocked(cores int) bool {
 func (e *Engine) grantLocked(cores int) {
 	e.running++
 	e.coresInUse += cores
-	if e.met != nil {
-		e.met.gRunning.Set(int64(e.running))
-		e.met.gCores.Set(int64(e.coresInUse))
-	}
+	e.met.gRunning.Set(int64(e.running))
+	e.met.gCores.Set(int64(e.coresInUse))
 }
 
 // dispatchLocked grants queued tickets in strict FIFO order: the head
@@ -236,9 +226,7 @@ func (e *Engine) dispatchLocked() {
 		e.grantLocked(t.cores)
 		close(t.ready)
 	}
-	if e.met != nil {
-		e.met.gQueued.Set(int64(len(e.queue)))
-	}
+	e.met.gQueued.Set(int64(len(e.queue)))
 }
 
 // admit blocks until the job may run (FIFO, within the core budget) and
@@ -260,7 +248,7 @@ func (e *Engine) admit(ctx context.Context, cores int) (func(), error) {
 	if e.cfg.CoreBudget > 0 && cores > e.cfg.CoreBudget {
 		e.stats.Rejected++
 		e.mu.Unlock()
-		e.metInc(func(m *engineMetrics) *trace.Counter { return m.cRejected })
+		e.met.cRejected.Inc()
 		return nil, &ErrOverloaded{Reason: fmt.Sprintf("job needs %d cores, budget is %d", cores, e.cfg.CoreBudget)}
 	}
 	if len(e.queue) == 0 && e.canRunLocked(cores) {
@@ -271,14 +259,12 @@ func (e *Engine) admit(ctx context.Context, cores int) (func(), error) {
 	if queued := len(e.queue); queued >= e.queueDepth() {
 		e.stats.Rejected++
 		e.mu.Unlock()
-		e.metInc(func(m *engineMetrics) *trace.Counter { return m.cRejected })
+		e.met.cRejected.Inc()
 		return nil, &ErrOverloaded{Reason: fmt.Sprintf("%d jobs queued (depth %d)", queued, e.queueDepth())}
 	}
 	t := &ticket{cores: cores, ready: make(chan struct{})}
 	e.queue = append(e.queue, t)
-	if e.met != nil {
-		e.met.gQueued.Set(int64(len(e.queue)))
-	}
+	e.met.gQueued.Set(int64(len(e.queue)))
 	e.mu.Unlock()
 
 	select {
@@ -307,33 +293,25 @@ func (e *Engine) release(cores int) {
 	e.mu.Lock()
 	e.running--
 	e.coresInUse -= cores
-	if e.met != nil {
-		e.met.gRunning.Set(int64(e.running))
-		e.met.gCores.Set(int64(e.coresInUse))
-	}
+	e.met.gRunning.Set(int64(e.running))
+	e.met.gCores.Set(int64(e.coresInUse))
 	e.dispatchLocked()
 	e.cond.Broadcast()
 	e.mu.Unlock()
 }
 
-func (e *Engine) metInc(pick func(*engineMetrics) *trace.Counter) {
-	if e.met != nil {
-		pick(e.met).Inc()
-	}
-}
-
 // Submit runs one job to completion: cache first, then coalescing with an
-// identical in-flight spec, then bounded admission and execution on a warm
-// pool. It blocks until the result is ready; ctx cancels waiting in the
-// admission queue (a job already running completes regardless — partial
-// speculative state cannot be handed back).
+// identical in-flight spec, then bounded admission and execution. It blocks
+// until the result is ready; ctx cancels waiting in the admission queue (a
+// job already running completes regardless — partial speculative state
+// cannot be handed back).
 func (e *Engine) Submit(ctx context.Context, spec JobSpec) (Result, error) {
 	return e.SubmitOpts(ctx, spec, Options{})
 }
 
 // SubmitOpts is Submit with per-submission observability and placement
-// options. Submissions carrying observability sinks bypass the cache, the
-// coalescer, and the warm pools (tracers bind at system construction).
+// options. Submissions carrying observability sinks bypass the cache and the
+// coalescer.
 func (e *Engine) SubmitOpts(ctx context.Context, spec JobSpec, opts Options) (Result, error) {
 	spec = spec.Normalized()
 	if err := spec.Validate(); err != nil {
@@ -343,7 +321,7 @@ func (e *Engine) SubmitOpts(ctx context.Context, spec JobSpec, opts Options) (Re
 		return Result{}, err
 	}
 	e.bump(func(s *Stats) { s.Submitted++ })
-	e.metInc(func(m *engineMetrics) *trace.Counter { return m.cSubmitted })
+	e.met.cSubmitted.Inc()
 	if !opts.plain() {
 		return e.runJob(ctx, spec, opts)
 	}
@@ -352,8 +330,8 @@ func (e *Engine) SubmitOpts(ctx context.Context, spec JobSpec, opts Options) (Re
 		var res Result
 		if ok, err := e.cfg.Cache.Get(spec, &res); err == nil && ok {
 			e.bump(func(s *Stats) { s.CacheHits++; s.Completed++ })
-			e.metInc(func(m *engineMetrics) *trace.Counter { return m.cCacheHit })
-			res.Source, res.PoolWarm = "cache", false
+			e.met.cCacheHit.Inc()
+			res.Source = "cache"
 			return res, nil
 		}
 	}
@@ -375,7 +353,7 @@ func (e *Engine) SubmitOpts(ctx context.Context, spec JobSpec, opts Options) (Re
 		}
 		e.stats.Coalesced++
 		e.mu.Unlock()
-		e.metInc(func(m *engineMetrics) *trace.Counter { return m.cCoalesced })
+		e.met.cCoalesced.Inc()
 		select {
 		case <-c.done:
 		case <-ctx.Done():
@@ -428,7 +406,7 @@ func (e *Engine) runJob(ctx context.Context, spec JobSpec, opts Options) (Result
 	release()
 	if err != nil {
 		e.bump(func(s *Stats) { s.Failed++ })
-		e.metInc(func(m *engineMetrics) *trace.Counter { return m.cFailed })
+		e.met.cFailed.Inc()
 		return Result{}, err
 	}
 	if spec.Verify {
@@ -442,7 +420,7 @@ func (e *Engine) runJob(ctx context.Context, spec JobSpec, opts Options) (Result
 		_ = e.cfg.Cache.Put(spec, res)
 	}
 	e.bump(func(s *Stats) { s.Completed++ })
-	e.metInc(func(m *engineMetrics) *trace.Counter { return m.cCompleted })
+	e.met.cCompleted.Inc()
 	return res, nil
 }
 
@@ -467,7 +445,7 @@ func (e *Engine) execute(spec JobSpec, opts Options) (Result, error) {
 	if spec.backend() == core.BackendNet {
 		return e.executeNet(spec, opts)
 	}
-	tune, err := e.buildTune(spec, opts)
+	tune, err := spec.tune(opts.Tracer)
 	if err != nil {
 		return Result{}, err
 	}
@@ -476,105 +454,11 @@ func (e *Engine) execute(spec JobSpec, opts Options) (Result, error) {
 		shallow.Invocations = spec.Invocations
 		b = &shallow
 	}
-	if e.poolable(spec, opts) {
-		return e.executePooled(b, in, spec, tune)
-	}
 	res, err := workloads.RunParallel(b, in, spec.paradigm(), spec.Cores, tune)
 	if err != nil {
 		return Result{}, err
 	}
 	return Result{Result: res}, nil
-}
-
-// buildTune composes the configuration hook a spec and its options name:
-// knob, then faults, then backend/shards, then the tracer — the same
-// composition order the pre-engine callers used.
-func (e *Engine) buildTune(spec JobSpec, opts Options) (func(*core.Config), error) {
-	knob, err := KnobTune(spec.Knob)
-	if err != nil {
-		return nil, err
-	}
-	var plan *faults.Plan
-	if spec.Faults != "" {
-		p, err := faults.Parse(spec.Faults)
-		if err != nil {
-			return nil, err
-		}
-		plan = &p
-	}
-	backend := spec.backend()
-	shards := spec.CommitShards
-	return func(cfg *core.Config) {
-		if knob != nil {
-			knob(cfg)
-		}
-		if plan != nil {
-			cfg.Faults = plan
-		}
-		cfg.Backend = backend
-		if shards > 1 {
-			cfg.CommitShards = shards
-		}
-		cfg.Tracer = opts.Tracer
-	}, nil
-}
-
-// poolable reports whether a job may run on a recycled warm rank set:
-// plain host-backend runs only. vtime jobs are never pooled — their
-// byte-identical determinism is the repo's golden invariant and they hold
-// no OS resources worth recycling anyway.
-func (e *Engine) poolable(spec JobSpec, opts Options) bool {
-	return spec.backend() == core.BackendHost && opts.plain() &&
-		spec.Faults == "" && spec.Knob == KnobNone
-}
-
-// executePooled runs a host job on a warm system when one is available,
-// building (and afterwards parking) one otherwise.
-func (e *Engine) executePooled(b *workloads.Benchmark, in workloads.Input, spec JobSpec, tune func(*core.Config)) (Result, error) {
-	key := poolKey{bench: spec.Bench, paradigm: spec.Paradigm, cores: spec.Cores, shards: spec.CommitShards}
-	var sys *core.System
-	warm := false
-	tried := false
-	factory := func(cfg core.Config, prog workloads.Program, img *mem.Image) (*core.System, error) {
-		if sys == nil && !tried {
-			tried = true
-			if ps := e.pools.get(key); ps != nil {
-				if err := ps.Reset(cfg, prog, img); err == nil {
-					sys = ps
-					warm = true
-					return sys, nil
-				}
-				// Incompatible pooled system (stale plan): drop it.
-			}
-		} else if sys != nil {
-			// Later invocation of this job: recycle the same rank set.
-			if err := sys.Reset(cfg, prog, img); err == nil {
-				return sys, nil
-			}
-			sys = nil
-		}
-		fresh, err := core.NewSystem(cfg, prog, img)
-		if err != nil {
-			return nil, err
-		}
-		sys = fresh
-		return sys, nil
-	}
-	res, err := workloads.RunParallelSystems(b, in, spec.paradigm(), spec.Cores, tune, factory)
-	if err != nil {
-		return Result{}, err
-	}
-	if warm {
-		e.bump(func(s *Stats) { s.PoolReuses++ })
-		e.metInc(func(m *engineMetrics) *trace.Counter { return m.cPoolReuse })
-	} else {
-		e.bump(func(s *Stats) { s.PoolBuilds++ })
-		e.metInc(func(m *engineMetrics) *trace.Counter { return m.cPoolBuild })
-	}
-	if sys != nil {
-		e.pools.put(key, sys)
-	}
-	return Result{Result: res, PoolWarm: warm}, nil
 }
 
 // executeNet runs a job across a daemon fleet, reusing a persistent
@@ -590,19 +474,17 @@ func (e *Engine) executeNet(spec JobSpec, opts Options) (Result, error) {
 		if len(opts.NetJoin) > 0 {
 			cl, err = netrun.Connect(opts.NetJoin)
 		} else {
-			daemons := opts.NetDaemons
-			if daemons <= 0 {
-				daemons = 2
-			}
-			cl, err = netrun.LaunchLocal(daemons, e.exe)
+			cl, err = netrun.LaunchLocal(opts.netDaemons(), e.exe)
 		}
 		if err != nil {
 			return Result{}, err
 		}
 		h.cl = cl
+		e.bump(func(s *Stats) { s.PoolBuilds++ })
+		e.met.cPoolBuild.Inc()
 	} else {
 		e.bump(func(s *Stats) { s.PoolReuses++ })
-		e.metInc(func(m *engineMetrics) *trace.Counter { return m.cPoolReuse })
+		e.met.cPoolReuse.Inc()
 	}
 	res, err := h.cl.Run(netrun.JobSpec{
 		Bench:       spec.Bench,
@@ -650,11 +532,7 @@ func (e *Engine) netClusterFor(opts Options) *netCluster {
 	if len(opts.NetJoin) > 0 {
 		key = "join:" + strings.Join(opts.NetJoin, ",")
 	} else {
-		daemons := opts.NetDaemons
-		if daemons <= 0 {
-			daemons = 2
-		}
-		key = fmt.Sprintf("local:%d", daemons)
+		key = fmt.Sprintf("local:%d", opts.netDaemons())
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -677,8 +555,7 @@ func (e *Engine) Drain() {
 	e.mu.Unlock()
 }
 
-// Close drains the engine and tears down its warm resources (net daemon
-// fleets; host pools are plain memory and simply dropped).
+// Close drains the engine and tears down its net daemon fleets.
 func (e *Engine) Close() {
 	e.Drain()
 	e.mu.Lock()
@@ -693,5 +570,4 @@ func (e *Engine) Close() {
 		}
 		h.mu.Unlock()
 	}
-	e.pools.drop()
 }

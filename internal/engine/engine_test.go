@@ -244,6 +244,23 @@ func TestSubmitVerify(t *testing.T) {
 	if res.SeqTime == 0 {
 		t.Fatal("verify must carry the sequential reference time")
 	}
+
+	// An in-process job builds its core.System and drops it: the same
+	// uncached host spec twice is two verified runs, and the fleet counters
+	// stay where net jobs left them.
+	host := JobSpec{Bench: "crc32", Cores: 4, Backend: "host", Seed: 11, Rate: 0.02, Verify: true}
+	for i := 0; i < 2; i++ {
+		res, err := e.Submit(context.Background(), host)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Verified || res.Source != "run" {
+			t.Fatalf("host run %d: %+v", i, res)
+		}
+	}
+	if st := e.Stats(); st.PoolBuilds != 0 || st.PoolReuses != 0 {
+		t.Fatalf("in-process jobs moved the net fleet counters: %+v", st)
+	}
 }
 
 // TestSubmitCache: a configured cache serves the second submission of a
@@ -356,7 +373,18 @@ func TestSubmitValidates(t *testing.T) {
 		{spec: JobSpec{Bench: "crc32", Cores: 8, Backend: "net", Paradigm: "TLS"}, want: "paradigm"},
 		{spec: JobSpec{Bench: "crc32", Cores: 8, Backend: "net", Knob: KnobQueueUnopt}, want: `knob "queue-unopt"`},
 		{spec: net, opts: Options{Tracer: trace.New()}, want: "Options.Tracer"},
+		// What only core.Config.Validate sees is a spec error too, not a
+		// failed job; the machine the cores must fit is the knob's.
+		{spec: JobSpec{Bench: "crc32", Cores: 2, Backend: "host"}, want: "2 cores leave 0 workers"},
+		{spec: JobSpec{Bench: "crc32", Cores: 129, Backend: "host", Verify: true}, want: "129 cores exceed the machine's 128"},
+		{spec: JobSpec{Bench: "crc32", Cores: 200, Knob: KnobBigCluster}},
 	} {
+		if tc.want == "" {
+			if err := tc.spec.Normalized().Validate(); err != nil {
+				t.Errorf("spec %+v: Validate = %v, want accepted", tc.spec, err)
+			}
+			continue
+		}
 		_, err := e.SubmitOpts(context.Background(), tc.spec, tc.opts)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("spec %+v opts %+v: err = %v, want substring %q", tc.spec, tc.opts, err, tc.want)
@@ -454,10 +482,10 @@ func TestResultCacheRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hit.Source != "cache" || hit.PoolWarm {
-		t.Fatalf("hit Source=%q PoolWarm=%v, want cache/false", hit.Source, hit.PoolWarm)
+	if hit.Source != "cache" {
+		t.Fatalf("hit Source=%q, want cache", hit.Source)
 	}
-	hit.Source, hit.PoolWarm = want.Source, want.PoolWarm
+	hit.Source = want.Source
 	if !reflect.DeepEqual(hit, want) {
 		t.Fatalf("engine hit differs from the stored record:\n got %+v\nwant %+v", hit, want)
 	}

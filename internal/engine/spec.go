@@ -1,8 +1,8 @@
 // Package engine owns the job lifecycle that was previously smeared across
 // the harness, the netrun coordinator, and the CLIs: a JobSpec names one
 // benchmark execution completely (workload, paradigm, backend, input scale,
-// config knobs), Engine.Submit runs it with bounded admission, warm
-// worker-pool placement, and a content-addressed result cache, and every
+// config knobs), Engine.Submit runs it with bounded admission, persistent
+// net daemon fleets, and a content-addressed result cache, and every
 // caller — figure sweeps, dsmtxrun, the dsmtxd job server — is a thin
 // client of Submit.
 package engine
@@ -124,7 +124,8 @@ func (s JobSpec) Validate() error {
 	if s.Bench == "" {
 		return fmt.Errorf("engine: job needs a benchmark name")
 	}
-	if _, err := workloads.ByName(s.Bench); err != nil {
+	b, err := workloads.ByName(s.Bench)
+	if err != nil {
 		return err
 	}
 	if _, err := KnobTune(s.Knob); err != nil {
@@ -154,11 +155,6 @@ func (s JobSpec) Validate() error {
 	if err := core.CheckBackend(backend, s.Faults != "", s.CommitShards); err != nil {
 		return fmt.Errorf("engine: JobSpec.%w", err)
 	}
-	if s.Faults != "" {
-		if _, err := faults.Parse(s.Faults); err != nil {
-			return err
-		}
-	}
 	if backend == core.BackendNet {
 		// The daemon wire spec carries neither; accepting them would cache a
 		// default run under the requested variation's key.
@@ -169,7 +165,57 @@ func (s JobSpec) Validate() error {
 			return fmt.Errorf("engine: knob %q: config knobs are not forwarded to net daemons; run it on vtime or host", s.Knob)
 		}
 	}
-	return nil
+	// Build the configuration the run will use: what only core can see — too
+	// few cores for the plan's workers, more ranks than the machine — is a
+	// spec error here, not a failed job after admission.
+	tune, err := s.tune(nil)
+	if err != nil {
+		return err
+	}
+	newProg := b.NewDSMTX
+	if s.paradigm() == workloads.TLS {
+		newProg = b.NewTLS
+	}
+	cfg := core.DefaultConfig(s.Cores, newProg(s.input(), 0).Plan())
+	tune(&cfg)
+	if backend == core.BackendNet {
+		cfg.Platform = func(int) (platform.Platform, error) {
+			return nil, fmt.Errorf("engine: validate-only config; net daemons inject their own platform")
+		}
+	}
+	return cfg.Validate()
+}
+
+// tune composes the configuration hook the spec names — knob, then faults,
+// then backend/shards — and attaches tr (nil for none).
+func (s JobSpec) tune(tr *trace.Tracer) (func(*core.Config), error) {
+	knob, err := KnobTune(s.Knob)
+	if err != nil {
+		return nil, err
+	}
+	var plan *faults.Plan
+	if s.Faults != "" {
+		p, err := faults.Parse(s.Faults)
+		if err != nil {
+			return nil, err
+		}
+		plan = &p
+	}
+	backend := s.backend()
+	shards := s.CommitShards
+	return func(cfg *core.Config) {
+		if knob != nil {
+			knob(cfg)
+		}
+		if plan != nil {
+			cfg.Faults = plan
+		}
+		cfg.Backend = backend
+		if shards > 1 {
+			cfg.CommitShards = shards
+		}
+		cfg.Tracer = tr
+	}, nil
 }
 
 // backend parses the spec's backend (vtime for seq jobs). The spec must be
@@ -224,8 +270,8 @@ func (s JobSpec) String() string {
 
 // Options carries per-submission settings that are deliberately not part
 // of the job's identity: an observability sink cannot be hashed and
-// placement does not change results. A submission with a Tracer is
-// uncacheable and unpoolable.
+// placement does not change results. A submission with a Tracer bypasses
+// the cache and the coalescer.
 type Options struct {
 	// Tracer attaches the trace/metrics registry — the one record of what
 	// each unit did — to the run. In-process backends only: net ranks live
@@ -240,8 +286,16 @@ type Options struct {
 }
 
 // plain reports whether the submission carries no observability sink and
-// is therefore cacheable and poolable.
+// is therefore cacheable.
 func (o Options) plain() bool { return o.Tracer == nil }
+
+// netDaemons resolves the loopback fleet size (default 2).
+func (o Options) netDaemons() int {
+	if o.NetDaemons <= 0 {
+		return 2
+	}
+	return o.NetDaemons
+}
 
 // validate rejects options the spec's backend cannot honour.
 func (o Options) validate(spec JobSpec) error {
@@ -254,8 +308,7 @@ func (o Options) validate(spec JobSpec) error {
 // Result is a completed job's outcome. For parallel jobs the embedded
 // workloads.Result carries the run; for seq jobs SeqTime/SeqCheck do. It is
 // also the cached record, stored as-is: Stalls never serializes and is
-// empty on cacheable submissions anyway, and a hit overwrites Source and
-// PoolWarm.
+// empty on cacheable submissions anyway, and a hit overwrites Source.
 type Result struct {
 	workloads.Result
 	// SeqTime/SeqCheck are the sequential reference (seq jobs always;
@@ -273,6 +326,4 @@ type Result struct {
 	// Source tells how the result was satisfied: "run", "cache", or
 	// "coalesced" (another in-flight submission of the same spec).
 	Source string `json:"source,omitempty"`
-	// PoolWarm is true when the run reused a recycled warm rank set.
-	PoolWarm bool `json:"pool_warm,omitempty"`
 }

@@ -155,44 +155,6 @@ func New(ranks int, nodeOf func(int) int) *Platform {
 	return h
 }
 
-// Reset returns a finished platform to its just-built state so a pooled
-// rank set can run another job without reallocating endpoints: the wall
-// clock restarts, every mailbox registration, traffic counter and idle-wait
-// state is cleared, and the failure latch is re-armed. Callers must only invoke it
-// after Run has returned (no process goroutines are live); the endpoint
-// array itself — the expensive part — is retained.
-func (h *Platform) Reset() {
-	h.start = time.Now()
-	h.failed.Store(false)
-	h.failMu.Lock()
-	h.failure = nil
-	h.failMu.Unlock()
-	h.down = make(chan struct{})
-	h.downOnce = sync.Once{}
-	for _, e := range h.eps {
-		e.boxes = make(map[mbKey]*mailbox)
-		s := &e.stats
-		s.messages.Store(0)
-		s.bytes.Store(0)
-		s.queueMsgs.Store(0)
-		s.queueBytes.Store(0)
-		s.pageMsgs.Store(0)
-		s.pageBytes.Store(0)
-		s.ctrlMsgs.Store(0)
-		s.ctrlBytes.Store(0)
-		s.intraBytes.Store(0)
-		s.interBytes.Store(0)
-		e.del.parkNs.Store(0)
-		e.del.parks.Store(0)
-		e.del.spills.Store(0)
-		// A delivery the last run's consumer never waited on, or a wake
-		// token that lost its race, must not pre-signal the next run.
-		e.delivered.Store(0)
-		e.seen = 0
-		e.idle = newWaiter()
-	}
-}
-
 // Name identifies the backend.
 func (h *Platform) Name() string { return "host" }
 

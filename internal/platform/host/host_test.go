@@ -147,47 +147,3 @@ func TestIdleRanksDoNotSpin(t *testing.T) {
 		t.Fatalf("%d idle ranks used %v of CPU in 100ms, want < 50ms", ranks, used)
 	}
 }
-
-// TestResetRearmsIdle reuses a platform the way the engine's warm pools do.
-// The first run ends with a delivery nobody waited for; after Reset the next
-// run's first Idle must neither return on that stale delivery nor miss the
-// run's own first one.
-func TestResetRearmsIdle(t *testing.T) {
-	h := New(2, nil)
-	h.SetTracer(trace.NewMetricsOnly())
-	h.Spawn("first", func(p platform.Proc) {
-		h.Endpoint(0).Send(1, 1, nil, 8)
-		h.Endpoint(1).Idle(p, 0)
-		h.Endpoint(0).Send(1, 1, nil, 8) // delivered after the last Idle returned
-	})
-	if err := h.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	h.Reset()
-
-	const gap = 20 * time.Millisecond
-	var waited time.Duration
-	var got bool
-	h.Spawn("poller", func(p platform.Proc) {
-		start := time.Now()
-		h.Endpoint(1).Idle(p, 0)
-		waited = time.Since(start)
-		_, got = h.Endpoint(1).TryRecv(0, 2)
-	})
-	h.Spawn("sender", func(p platform.Proc) {
-		time.Sleep(gap)
-		h.Endpoint(0).Send(1, 2, nil, 8)
-	})
-	if err := h.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if waited < gap/2 {
-		t.Errorf("first Idle after Reset returned after %v, before the run's first delivery at %v: pre-signalled by the previous run", waited, gap)
-	}
-	if !got {
-		t.Error("Idle returned but the second run's first delivery was not there")
-	}
-	if _, parks, _ := h.RankDelivery(1); parks != 1 {
-		t.Errorf("rank 1 parks after Reset = %d, want exactly the second run's 1", parks)
-	}
-}

@@ -94,24 +94,47 @@ func (p *gzProg) Setup(ctx *core.SeqCtx) {
 // megabytes through the rng dominates Setup's host cost. rng.bytes
 // back-references within each call's buffer, so the stream depends on the
 // chunking — the cache reproduces Setup's exact 64 KiB chunk loop and is
-// byte-identical to direct generation. Host-parallel sweeps hit this map
-// from many goroutines at once: stored slices are never mutated after
-// insertion, and LoadOrStore keeps a lost race harmless (both runs see some
-// byte-identical buffer).
-var gzInputCache sync.Map // gzInputKey -> []byte
+// byte-identical to direct generation. Host-parallel sweeps and a serving
+// engine hit it from many goroutines at once: stored slices are never
+// mutated after insertion. It holds at most gzInputBudget bytes, oldest
+// entry out first, so a long-lived server fed fresh seeds stays bounded.
+var gzInputCache struct {
+	sync.Mutex
+	entries []gzInputEntry // oldest first
+	bytes   int64
+}
 
-type gzInputKey struct {
-	seed  uint64
-	total int64
+// gzInputBudget fits every reuse pattern in the repo with room to spare: a
+// sweep's one input, a verify job's adjacent seq + parallel pair, and the
+// benchmark's 8 cycling seeds of 24 MB.
+const gzInputBudget = 256 << 20
+
+// gzInputEntry is one memoized input; its key is (seed, len(data)).
+type gzInputEntry struct {
+	seed uint64
+	data []byte
+}
+
+// gzInputLookup finds a memoized input. The caller holds the lock.
+func gzInputLookup(seed uint64, total int64) ([]byte, bool) {
+	for _, e := range gzInputCache.entries {
+		if e.seed == seed && int64(len(e.data)) == total {
+			return e.data, true
+		}
+	}
+	return nil, false
 }
 
 func gzInput(seed uint64, total int64) []byte {
-	key := gzInputKey{seed, total}
-	if v, ok := gzInputCache.Load(key); ok {
-		return v.([]byte)
+	c := &gzInputCache
+	c.Lock()
+	data, ok := gzInputLookup(seed, total)
+	c.Unlock()
+	if ok {
+		return data
 	}
 	r := newRNG(seed)
-	data := make([]byte, 0, total)
+	data = make([]byte, 0, total)
 	const chunk = 1 << 16
 	for off := int64(0); off < total; off += chunk {
 		n := chunk
@@ -120,8 +143,22 @@ func gzInput(seed uint64, total int64) []byte {
 		}
 		data = append(data, r.bytes(n)...)
 	}
-	v, _ := gzInputCache.LoadOrStore(key, data)
-	return v.([]byte)
+	if total > gzInputBudget {
+		return data
+	}
+	c.Lock()
+	defer c.Unlock()
+	if first, ok := gzInputLookup(seed, total); ok {
+		return first // lost a generation race; both buffers are byte-identical
+	}
+	c.entries = append(c.entries, gzInputEntry{seed, data})
+	c.bytes += total
+	for c.bytes > gzInputBudget {
+		c.bytes -= int64(len(c.entries[0].data))
+		c.entries[0].data = nil // the backing array outlives the reslice
+		c.entries = c.entries[1:]
+	}
+	return data
 }
 
 // lzScratch recycles the LZ77 token stream between compress calls: it is

@@ -266,6 +266,37 @@ func TestGzipCompressionRatioSane(t *testing.T) {
 	}
 }
 
+// TestGzInputMemoBounded: the input memo retains at most its budget, a hit
+// is the stored buffer, and an evicted input regenerates byte-identically.
+func TestGzInputMemoBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates 3 x 128 MiB")
+	}
+	const half = gzInputBudget/2 + 1 // two of these do not fit together
+	first := gzInput(901, half)
+	if hit := gzInput(901, half); &hit[0] != &first[0] {
+		t.Fatal("second request for a memoized input generated it again")
+	}
+	gzInput(902, half)
+	gzInputCache.Lock()
+	var held int64
+	for _, e := range gzInputCache.entries {
+		held += int64(len(e.data))
+	}
+	accounted := gzInputCache.bytes
+	gzInputCache.Unlock()
+	if held > gzInputBudget || held != accounted {
+		t.Fatalf("memo holds %d bytes (accounted %d), budget %d", held, accounted, gzInputBudget)
+	}
+	again := gzInput(901, half)
+	if &again[0] == &first[0] {
+		t.Fatal("oldest input still memoized after the budget was exceeded")
+	}
+	if !bytes.Equal(again, first) {
+		t.Fatal("regenerated input differs from its first generation")
+	}
+}
+
 func TestBzip2CompressionRatioSane(t *testing.T) {
 	p := newBzProg(DefaultInput(), false)
 	img := seqSetup(t, p)

@@ -60,30 +60,11 @@ func (r Result) Bandwidth() float64 {
 	return float64(r.Bytes) / r.Elapsed.Seconds()
 }
 
-// SystemFactory builds (or recycles) the core.System for one invocation:
-// cfg is the invocation's tuned configuration, prog its program, img the
-// committed image chained from the previous invocation (nil on the first).
-// The default factory is core.NewSystem; internal/engine substitutes one
-// that resets warm pooled systems instead of rebuilding.
-type SystemFactory func(cfg core.Config, prog Program, img *mem.Image) (*core.System, error)
-
 // RunParallel executes the benchmark under DSMTX with the chosen paradigm
 // on the given core count, chaining invocations through committed memory.
 // tune, if non-nil, may adjust each invocation's runtime configuration
 // (e.g. queue batch sizes for the Fig. 5b comparison).
 func RunParallel(b *Benchmark, in Input, paradigm Paradigm, cores int, tune func(*core.Config)) (Result, error) {
-	return RunParallelSystems(b, in, paradigm, cores, tune, nil)
-}
-
-// RunParallelSystems is RunParallel with an explicit system factory, so a
-// caller owning warm rank sets can reuse them across invocations and jobs.
-// A nil factory builds each invocation's system fresh via core.NewSystem.
-func RunParallelSystems(b *Benchmark, in Input, paradigm Paradigm, cores int, tune func(*core.Config), factory SystemFactory) (Result, error) {
-	if factory == nil {
-		factory = func(cfg core.Config, prog Program, img *mem.Image) (*core.System, error) {
-			return core.NewSystem(cfg, prog, img)
-		}
-	}
 	var agg Result
 	var img *mem.Image
 	invocations := b.Invocations
@@ -101,7 +82,7 @@ func RunParallelSystems(b *Benchmark, in Input, paradigm Paradigm, cores int, tu
 		if tune != nil {
 			tune(&cfg)
 		}
-		sys, err := factory(cfg, prog, img)
+		sys, err := core.NewSystem(cfg, prog, img)
 		if err != nil {
 			return Result{}, fmt.Errorf("%s/%s: %w", b.Name, paradigm, err)
 		}

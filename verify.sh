@@ -26,8 +26,8 @@ go test -race -short ./internal/expsched/ ./internal/harness/ ./internal/workloa
 # every parallel point, so the injector must stay race-clean.
 go test -race ./internal/faults/
 # The job engine multiplexes concurrent submissions over shared admission
-# state, a singleflight table, and warm pools; its storm test and the
-# dsmtxd/dsmtxload serving-path tests run under the race detector.
+# state, a singleflight table, and per-placement net fleets; its storm test
+# and the dsmtxd/dsmtxload serving-path tests run under the race detector.
 go test -race ./internal/engine/ ./cmd/dsmtxd/ ./cmd/dsmtxload/
 # The host backend runs the whole DSMTX protocol on live goroutines; the
 # platform tests and the backend-equivalence tests (vtime and host must both
