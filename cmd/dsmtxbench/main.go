@@ -30,10 +30,6 @@
 // machine's) compose with any mode:
 //
 //	dsmtxbench -figure 4 -cpuprofile cpu.out -memprofile mem.out
-//
-// Virtual-time timeline export (load the file in Perfetto):
-//
-//	dsmtxbench -trace out.json -bench 164.gzip -cores 32
 package main
 
 import (
@@ -49,10 +45,8 @@ import (
 	"time"
 
 	"dsmtx/internal/cli"
-	"dsmtx/internal/core"
 	"dsmtx/internal/engine"
 	"dsmtx/internal/harness"
-	"dsmtx/internal/trace"
 	"dsmtx/internal/workloads"
 )
 
@@ -74,7 +68,6 @@ type options struct {
 	cacheDir string
 	cacheOff bool
 
-	traceOut   string
 	cpuprofile string
 	memprofile string
 
@@ -111,7 +104,6 @@ func parseFlags(args []string) (*options, error) {
 	fs.StringVar(&o.cacheDir, "cache", defaultCacheDir(), "directory for the content-addressed point-result cache (\"\" disables)")
 	fs.BoolVar(&o.cacheOff, "cache-off", false, "disable the point-result cache")
 
-	fs.StringVar(&o.traceOut, "trace", "", "run one configuration (honors -bench, -cores) and write a Chrome trace-event JSON timeline to this file")
 	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile to this file on exit")
 	if err := fs.Parse(args); err != nil {
@@ -199,14 +191,6 @@ func run(o *options, stdout, stderr io.Writer) error {
 	}
 
 	ran := false
-	if o.traceOut != "" {
-		tin := in
-		tin.MisspecRate = o.rate
-		if err := runTrace(tin, o.bench, o.oneCoreCount(), o.traceOut, stderr); err != nil {
-			return err
-		}
-		ran = true
-	}
 	if o.all || o.figure == "1" {
 		runFigure1(stdout)
 		ran = true
@@ -274,7 +258,7 @@ func run(o *options, stdout, stderr io.Writer) error {
 		ran = true
 	}
 	if !ran {
-		return fmt.Errorf("nothing selected; use -all, -figure, -table, -micro, -manycore or -trace")
+		return fmt.Errorf("nothing selected; use -all, -figure, -table, -micro or -manycore")
 	}
 	if s := runner.Stats(); s.Computed+s.CacheHits > 0 {
 		fmt.Fprintf(stderr, "dsmtxbench: sweep workers=%d points=%d computed=%d cached=%d elapsed=%s\n",
@@ -365,47 +349,6 @@ func prefetchSpecs(o *options, in workloads.Input) []engine.JobSpec {
 		}
 	}
 	return specs
-}
-
-// oneCoreCount picks the core count for the single-configuration -trace
-// mode: the first -cores value, else 32.
-func (o *options) oneCoreCount() int {
-	if o.coreArg != "" {
-		return o.cores[0]
-	}
-	return 32
-}
-
-// runTrace executes one configuration with the virtual-time tracer attached
-// and writes the Perfetto-loadable Chrome trace.
-func runTrace(in workloads.Input, bench string, cores int, path string, stderr io.Writer) error {
-	name := bench
-	if name == "" || name == "geomean" {
-		name = "164.gzip"
-	}
-	b, err := workloads.ByName(name)
-	if err != nil {
-		return err
-	}
-	tr := trace.New()
-	res, err := workloads.RunParallel(b, in, workloads.DSMTX, cores,
-		func(cfg *core.Config) { cfg.Tracer = tr })
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteChromeTrace(f); err != nil {
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(stderr, "dsmtxbench: trace: %s on %d cores, %v virtual time, %d events -> %s\n",
-		name, cores, res.Elapsed, len(tr.Events()), path)
-	return nil
 }
 
 // selected resolves the benchmark filter; bench is pre-validated by

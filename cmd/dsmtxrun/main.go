@@ -45,7 +45,6 @@ import (
 	"dsmtx/internal/faults"
 	"dsmtx/internal/harness"
 	"dsmtx/internal/netrun"
-	"dsmtx/internal/platform"
 	"dsmtx/internal/stats"
 	"dsmtx/internal/trace"
 	"dsmtx/internal/workloads"
@@ -185,39 +184,6 @@ func main() {
 	cli.Main("dsmtxrun", parseFlags, func(o *options) error { return run(o, os.Stdout) })
 }
 
-// runNet executes the benchmark as a real distributed job: ranks live in
-// dsmtxd daemon processes (spawned on loopback, or joined via -net-join)
-// and talk over TCP; the engine launches or joins the fleet, the netrun
-// coordinator under it distributes the spec and drives the invocation
-// barrier, and the collected checksum is verified against the sequential
-// reference.
-func runNet(eng *engine.Engine, o *options, bench string, seqTime platform.Duration, seqCheck uint64, stdout io.Writer) error {
-	var join []string
-	if o.netJoin != "" {
-		join = strings.Split(o.netJoin, ",")
-	}
-	res, err := eng.SubmitOpts(context.Background(), o.jobSpec(),
-		engine.Options{NetDaemons: o.netDaemons, NetJoin: join})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "%s, %d cores, paradigm %s, backend net (%d daemons)\n", bench, o.cores, o.paradigm, res.Daemons)
-	fmt.Fprintf(stdout, "  sequential      %v (vtime reference)\n", seqTime)
-	fmt.Fprintf(stdout, "  parallel        %v wall clock\n", res.Elapsed)
-	fmt.Fprintf(stdout, "  MTXs committed  %d (misspeculations: %d)\n", res.Committed, res.Misspecs)
-	fmt.Fprintf(stdout, "  wire traffic    %.2f MB (%d msgs, modelled)\n", float64(res.Traffic.Bytes)/1e6, res.Traffic.Messages)
-	m := res.Mesh
-	fmt.Fprintf(stdout, "  mesh:           %d frames out / %d in (%.2f MB), %d flushes (%.2f frames/flush), acks %d out / %d in, %d dups dropped, %d reconnects, replay log <= %d frames / %.1f KB, send queue <= %d\n",
-		m.FramesOut, m.FramesIn, float64(m.BytesOut)/1e6, m.Flushes, float64(m.FramesOut)/float64(max(m.Flushes, 1)),
-		m.AcksOut, m.AcksIn, m.DupsDropped, m.Reconnects, m.ReplayFramesMax, float64(m.ReplayBytesMax)/1e3, m.OutQueueMax)
-	if res.Checksum == seqCheck {
-		fmt.Fprintf(stdout, "  output          VERIFIED (checksum %#x matches sequential)\n", res.Checksum)
-	} else {
-		fmt.Fprintf(stdout, "  output          MISMATCH: parallel %#x, sequential %#x\n", res.Checksum, seqCheck)
-	}
-	return nil
-}
-
 // shardSuffix renders the commit-shard count in the report header when the
 // pipeline is sharded; the default single unit stays silent so existing
 // output is unchanged.
@@ -228,7 +194,22 @@ func shardSuffix(n int) string {
 	return fmt.Sprintf(", commit shards %d", n)
 }
 
-// run executes the configured benchmark and writes the report to stdout.
+// reportOutput prints the report's verdict line — the parallel checksum
+// against the sequential reference's — and returns an error on a mismatch,
+// so a wrong answer fails the command.
+func reportOutput(stdout io.Writer, parallel, sequential uint64) error {
+	if parallel != sequential {
+		fmt.Fprintf(stdout, "  output          MISMATCH: parallel %#x, sequential %#x\n", parallel, sequential)
+		return fmt.Errorf("output MISMATCH: parallel checksum %#x, sequential %#x", parallel, sequential)
+	}
+	fmt.Fprintf(stdout, "  output          VERIFIED (checksum %#x matches sequential)\n", parallel)
+	return nil
+}
+
+// run executes the configured benchmark and writes the one report every
+// backend shares. On net the ranks live in dsmtxd daemons (spawned on
+// loopback, or joined via -net-join) and talk TCP; the engine launches or
+// joins the fleet and the record it returns adds only the mesh counters.
 func run(o *options, stdout io.Writer) error {
 	if o.bench == "" {
 		fmt.Fprintln(stdout, harness.RenderTable2())
@@ -246,7 +227,7 @@ func run(o *options, stdout io.Writer) error {
 	defer eng.Close()
 
 	// The sequential reference always runs in virtual time: it is the cost
-	// model's baseline and, for the host backend, the checksum oracle.
+	// model's baseline and, for the live backends, the checksum oracle.
 	seqRes, err := eng.Submit(context.Background(), engine.JobSpec{
 		Kind: engine.KindSeq, Bench: b.Name, Scale: o.scale, Seed: o.seed, Rate: o.misspec,
 	})
@@ -254,9 +235,6 @@ func run(o *options, stdout io.Writer) error {
 		return err
 	}
 	seqTime, seqCheck := seqRes.SeqTime, seqRes.SeqCheck
-	if o.backend == core.BackendNet {
-		return runNet(eng, o, b.Name, seqTime, seqCheck, stdout)
-	}
 	// The tracer is shared across invocations; binding stitches each
 	// invocation's clock (virtual or wall) onto one monotonic timeline.
 	var tr *trace.Tracer
@@ -273,7 +251,11 @@ func run(o *options, stdout io.Writer) error {
 		defer stop()
 		fmt.Fprintf(stdout, "metrics: serving http://%s/metrics\n", o.metricsAddr)
 	}
-	res, err := eng.SubmitOpts(context.Background(), o.jobSpec(), engine.Options{Tracer: tr})
+	opts := engine.Options{Tracer: tr, NetDaemons: o.netDaemons}
+	if o.netJoin != "" {
+		opts.NetJoin = strings.Split(o.netJoin, ",")
+	}
+	res, err := eng.SubmitOpts(context.Background(), o.jobSpec(), opts)
 	if err != nil {
 		return err
 	}
@@ -284,24 +266,31 @@ func run(o *options, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "trace: %d events -> %s\n", len(tr.Events()), o.traceOut)
 	}
 
-	if o.backend == core.BackendHost {
-		fmt.Fprintf(stdout, "%s (%s), %d cores, paradigm %s, backend host%s\n", b.Name, b.Paradigm, o.cores, o.paradigm, shardSuffix(o.shards))
-		fmt.Fprintf(stdout, "  sequential      %v (vtime reference)\n", seqTime)
-		fmt.Fprintf(stdout, "  parallel        %v wall clock\n", res.Elapsed)
-	} else {
-		fmt.Fprintf(stdout, "%s (%s), %d cores, paradigm %s%s\n", b.Name, b.Paradigm, o.cores, o.paradigm, shardSuffix(o.shards))
+	head := fmt.Sprintf("%s (%s), %d cores, paradigm %s", b.Name, b.Paradigm, o.cores, o.paradigm)
+	if o.backend == core.BackendVTime {
+		fmt.Fprintf(stdout, "%s%s\n", head, shardSuffix(o.shards))
 		fmt.Fprintf(stdout, "  sequential      %v\n", seqTime)
 		fmt.Fprintf(stdout, "  parallel        %v\n", res.Elapsed)
 		fmt.Fprintf(stdout, "  speedup         %s\n", stats.FormatSpeedup(seqTime.Seconds()/res.Elapsed.Seconds()))
+	} else {
+		fmt.Fprintf(stdout, "%s, backend %s%s\n", head, o.backend, shardSuffix(o.shards))
+		fmt.Fprintf(stdout, "  sequential      %v (vtime reference)\n", seqTime)
+		fmt.Fprintf(stdout, "  parallel        %v wall clock\n", res.Elapsed)
 	}
 	fmt.Fprintf(stdout, "  MTXs committed  %d (misspeculations: %d)\n", res.Committed, res.Misspecs)
-	fmt.Fprintf(stdout, "  wire traffic    %.2f MB (%.1f MB/s)\n", float64(res.Bytes)/1e6, res.Bandwidth()/1e6)
+	fmt.Fprintf(stdout, "  wire traffic    %.2f MB (%.1f MB/s)\n", float64(res.Traffic.Bytes)/1e6, res.Bandwidth()/1e6)
 	if tr != nil {
 		t := res.Traffic
 		fmt.Fprintf(stdout, "  traffic classes queue %.2f MB (%d msgs), COA pages %.2f MB (%d msgs), control %.2f MB (%d msgs)\n",
 			float64(t.QueueBytes)/1e6, t.QueueMessages,
 			float64(t.PageBytes)/1e6, t.PageMessages,
 			float64(t.ControlBytes)/1e6, t.ControlMessages)
+	}
+	if res.Daemons > 0 {
+		m := res.Mesh
+		fmt.Fprintf(stdout, "  mesh:           %d daemons, %d frames out / %d in (%.2f MB), %d flushes (%.2f frames/flush), acks %d out / %d in, %d dups dropped, %d reconnects, replay log <= %d frames / %.1f KB, send queue <= %d\n",
+			res.Daemons, m.FramesOut, m.FramesIn, float64(m.BytesOut)/1e6, m.Flushes, float64(m.FramesOut)/float64(max(m.Flushes, 1)),
+			m.AcksOut, m.AcksIn, m.DupsDropped, m.Reconnects, m.ReplayFramesMax, float64(m.ReplayBytesMax)/1e3, m.OutQueueMax)
 	}
 	if res.Misspecs > 0 {
 		fmt.Fprintf(stdout, "  recovery        ERM %v  FLQ %v  SEQ %v  RFP %v\n", res.ERM, res.FLQ, res.SEQ, res.RFP)
@@ -316,15 +305,11 @@ func run(o *options, stdout io.Writer) error {
 			fmt.Fprintf(stdout, "  crash recovery  %d crash(es) survived, re-dispatch %v\n", res.Crashes, res.Redispatch)
 		}
 	}
-	if res.Checksum == seqCheck {
-		fmt.Fprintf(stdout, "  output          VERIFIED (checksum %#x matches sequential)\n", res.Checksum)
-	} else {
-		fmt.Fprintf(stdout, "  output          MISMATCH: parallel %#x, sequential %#x\n", res.Checksum, seqCheck)
-	}
+	verdict := reportOutput(stdout, res.Checksum, seqCheck)
 	if o.metrics {
 		fmt.Fprintf(stdout, "\nStall attribution (per rank):\n%s\n", res.Stalls.Table())
 		fmt.Fprintf(stdout, "\nStall attribution (per stage):\n%s\n", res.Stalls.StageTable())
 		fmt.Fprintf(stdout, "\nMetrics:\n%s\n", tr.Metrics().Table())
 	}
-	return nil
+	return verdict
 }

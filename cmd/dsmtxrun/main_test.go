@@ -166,6 +166,24 @@ func TestRunHostBackendTraced(t *testing.T) {
 	}
 }
 
+// TestReportOutputMismatchFails: a checksum that does not match the
+// sequential reference prints both and is an error (a non-zero exit), not
+// only a line in a report that exits 0.
+func TestReportOutputMismatchFails(t *testing.T) {
+	var buf bytes.Buffer
+	if err := reportOutput(&buf, 0xabc, 0xabc); err != nil || !strings.Contains(buf.String(), "VERIFIED (checksum 0xabc") {
+		t.Errorf("matching checksums: err = %v, printed %q", err, buf.String())
+	}
+	buf.Reset()
+	err := reportOutput(&buf, 0xabc, 0xdef)
+	if err == nil {
+		t.Error("mismatching checksums returned no error")
+	}
+	if out := buf.String(); !strings.Contains(out, "MISMATCH") || !strings.Contains(out, "0xabc") || !strings.Contains(out, "0xdef") || strings.Contains(out, "VERIFIED") {
+		t.Errorf("mismatch printed %q, want MISMATCH with both checksums", out)
+	}
+}
+
 func TestRunListsBenchmarksWithoutBench(t *testing.T) {
 	o, err := parseFlags(nil)
 	if err != nil {

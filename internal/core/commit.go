@@ -130,6 +130,7 @@ type crashSignal struct{ rank int }
 
 func (c *cuNode) run(p platform.Proc) {
 	c.proc = p
+	defer func(born platform.Time) { c.sys.life[c.rank] = p.Now() - born }(p.Now())
 	c.comm = c.sys.world.Attach(c.rank, p)
 	c.comm.SetTracer(c.sys.tr, c.rank)
 	c.bind()

@@ -80,8 +80,8 @@ type Config struct {
 	// Platform supplies the execution platform for the net backend: the
 	// orchestration layer (internal/netrun) builds one platform per
 	// invocation, bound to its connection mesh, and core calls the factory
-	// with the rank count it laid out. Required when Backend is BackendNet;
-	// must be nil otherwise (vtime and host platforms are built by core).
+	// with the rank count it laid out. NewSystem needs it when Backend is
+	// BackendNet; nil otherwise (vtime and host platforms are built by core).
 	Platform func(ranks int) (platform.Platform, error)
 
 	// Plan is the parallelization scheme laid out over the workers.
@@ -123,11 +123,6 @@ type Config struct {
 	// commit unit and is byte-identical to the pre-sharding layout on both
 	// backends.
 	CommitShards int
-
-	// OccWindow bounds outstanding iterations per worker under
-	// occupancy-based routing; the router blocks for a completion ack when
-	// every worker is saturated (bounded-queue backpressure).
-	OccWindow int
 
 	// COAGrainBytes models Copy-On-Access at sub-page granularity for the
 	// §4.2 ablation ("the round-trip latency induced by COA can be
@@ -198,7 +193,6 @@ func DefaultConfig(totalCores int, plan pipeline.Plan) Config {
 		BulkInstrPerByte: 0.15,
 		MarkerFlushIters: 8,
 		TryCommitUnits:   1,
-		OccWindow:        1,
 		COAPrefetch:      8,
 		PageServInstr:    300,
 		PageFaultInstr:   400,
@@ -272,9 +266,6 @@ func (c Config) Validate() error {
 	}
 	if err := CheckBackend(c.Backend, !c.Faults.Empty(), c.CommitShards); err != nil {
 		return fmt.Errorf("core: Config.%w", err)
-	}
-	if c.Backend == BackendNet && c.Platform == nil {
-		return fmt.Errorf("core: Config.Platform: the net backend needs an injected platform factory (run through internal/netrun or dsmtxrun -backend net)")
 	}
 	if c.Platform != nil && c.Backend != BackendNet {
 		return fmt.Errorf("core: Config.Platform: injected platforms are a net-backend feature (the %s backend builds its own)", c.Backend)

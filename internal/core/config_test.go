@@ -127,12 +127,14 @@ func TestValidateNetBackendErrors(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := smallConfig(tc.cores, pipeline.SpecDOALL())
 			tc.tune(&cfg)
-			err := cfg.Validate()
+			// Through NewSystem, which runs Validate and is alone in needing
+			// the platform a net configuration must carry.
+			_, err := NewSystem(cfg, &misuseProg{}, nil)
 			if err == nil {
-				t.Fatal("Validate accepted the configuration")
+				t.Fatal("NewSystem accepted the configuration")
 			}
 			if err.Error() != tc.want {
-				t.Fatalf("Validate error:\n  got  %q\n  want %q", err.Error(), tc.want)
+				t.Fatalf("NewSystem error:\n  got  %q\n  want %q", err.Error(), tc.want)
 			}
 		})
 	}

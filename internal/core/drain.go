@@ -50,14 +50,17 @@ func (c *entryCursor) abort(epoch uint64) {
 // nothing: idle on the rank's endpoint for the current back-off — exactly
 // that much virtual time under vtime; on the live backends spin-then-park
 // until the next delivery to this rank, so a loop may only wait on
-// conditions that arrive as messages to its own rank — then charge the
-// back-off to the caller's stall buckets and double it up to PollMax.
-// Loops start *backoff at PollMin.
+// conditions that arrive as messages to its own rank — then charge what the
+// wait took on the rank's own clock (under vtime, the back-off) to the
+// caller's stall buckets and double the back-off up to PollMax. Loops start
+// *backoff at PollMin.
 func (s *System) pollWait(comm *mpi.Comm, backoff *platform.Duration, buckets ...*platform.Duration) {
 	d := *backoff
+	start := comm.Proc().Now()
 	comm.Idle(d)
+	waited := comm.Proc().Now() - start
 	for _, b := range buckets {
-		*b += d
+		*b += waited
 	}
 	if d < s.cfg.PollMax {
 		*backoff = 2 * d

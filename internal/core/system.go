@@ -90,6 +90,22 @@ type Result struct {
 	Events  uint64 // simulation events (diagnostic; zero on host)
 }
 
+// Add folds another run's totals into r: a chained invocation's, or one
+// commit shard's share of the same run.
+func (r *Result) Add(o Result) {
+	r.Elapsed += o.Elapsed
+	r.Committed += o.Committed
+	r.Misspecs += o.Misspecs
+	r.ERM += o.ERM
+	r.FLQ += o.FLQ
+	r.SEQ += o.SEQ
+	r.RFP += o.RFP
+	r.Crashes += o.Crashes
+	r.Redispatch += o.Redispatch
+	r.Traffic.Add(o.Traffic)
+	r.Events += o.Events
+}
+
 // Bandwidth reports the application's modelled communication bandwidth in
 // bytes per second — total data transferred divided by execution time
 // (Fig. 5a).
@@ -153,6 +169,7 @@ type System struct {
 	routeSink   int
 
 	allRanks []int
+	life     []platform.Duration // per rank: its process's run time on its own clock
 
 	initialImage *mem.Image
 
@@ -216,6 +233,9 @@ func NewSystem(cfg Config, prog Program, initialImage *mem.Image) (*System, erro
 		// Distributed daemons. The orchestration layer owns the connection
 		// mesh and injects a platform bound to it; core only supplies the
 		// rank count its layout needs.
+		if cfg.Platform == nil {
+			return nil, fmt.Errorf("core: Config.Platform: the net backend needs an injected platform factory (run through internal/netrun or dsmtxrun -backend net)")
+		}
 		p, err := cfg.Platform(s.cfg.Cluster.Ranks())
 		if err != nil {
 			return nil, err
@@ -245,6 +265,7 @@ func NewSystem(cfg Config, prog Program, initialImage *mem.Image) (*System, erro
 	for r := 0; r < cfg.TotalCores; r++ {
 		s.allRanks = append(s.allRanks, r)
 	}
+	s.life = make([]platform.Duration, cfg.TotalCores)
 	s.bindTracer()
 	return s, nil
 }
@@ -476,7 +497,7 @@ func (s *System) analyzePlan() error {
 
 func (s *System) allocTag() int {
 	t := s.nextTag
-	s.nextTag += 2
+	s.nextTag++
 	return t
 }
 
@@ -741,15 +762,7 @@ func (s *System) Run() (Result, error) {
 	}
 	res := s.cus[0].result
 	for _, c := range s.cus[1:] {
-		r := c.result
-		res.Committed += r.Committed
-		res.Misspecs += r.Misspecs
-		res.ERM += r.ERM
-		res.FLQ += r.FLQ
-		res.SEQ += r.SEQ
-		res.RFP += r.RFP
-		res.Crashes += r.Crashes
-		res.Redispatch += r.Redispatch
+		res.Add(c.result)
 	}
 	res.Elapsed = s.plat.Now()
 	res.Traffic = s.plat.Traffic()
@@ -855,9 +868,12 @@ func (s *System) buildStallReport() {
 			ShardQueue: ps.depthHW,
 		})
 	}
-	// Host runs add the delivery columns: wall time parked and overflow
+	// Live runs add the delivery columns: wall time parked and overflow
 	// spills, read from each rank's endpoint (so the commit row also covers
-	// its co-located page server, which shares the rank's mailboxes).
+	// its co-located page server, which shares the rank's mailboxes). Their
+	// processes charge no time (Proc.Advanced and Blocked are zero), so Busy
+	// is what a rank's stall columns leave of its lifetime — untimed blocking
+	// receives (COA replies) included; a page server only ever blocks.
 	if hp, ok := s.plat.(interface {
 		RankDelivery(int) (int64, uint64, uint64)
 	}); ok {
@@ -867,6 +883,7 @@ func (s *System) buildStallReport() {
 			if row.Track >= s.cfg.TotalCores {
 				continue
 			}
+			row.Busy = s.life[row.Track] - (row.Total() - row.Busy)
 			parkNs, _, spills := hp.RankDelivery(row.Track)
 			row.Park = sim.Time(parkNs)
 			row.Spills = spills

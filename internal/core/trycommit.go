@@ -56,6 +56,7 @@ func newTCNode(s *System, shard int) *tcNode {
 
 func (t *tcNode) run(p platform.Proc) {
 	t.proc = p
+	defer func(born platform.Time) { t.sys.life[t.rank] = p.Now() - born }(p.Now())
 	t.comm = t.sys.world.Attach(t.rank, p)
 	t.comm.SetTracer(t.sys.tr, t.rank)
 	t.bind()

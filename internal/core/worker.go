@@ -107,6 +107,7 @@ func newWorkerNode(s *System, tid int) *workerNode {
 
 func (w *workerNode) run(p platform.Proc) {
 	w.proc = p
+	defer func(born platform.Time) { w.sys.life[w.rank] = p.Now() - born }(p.Now())
 	w.comm = w.sys.world.Attach(w.rank, p)
 	w.comm.SetTracer(w.sys.tr, w.rank)
 	w.bind()
@@ -478,6 +479,11 @@ func (w *workerNode) routeFor(dstStage int, iter uint64) int {
 	return w.sys.layout.WorkerOf(dstStage, iter)
 }
 
+// occWindow bounds outstanding iterations per worker under occupancy-based
+// routing; the router blocks for a completion ack when every worker is
+// saturated (bounded-queue backpressure).
+const occWindow = 1
+
 // chooseRoute picks the routed-stage worker for an iteration — round-robin,
 // or least-outstanding-work when occupancy routing is on (179.art) — and
 // publishes the decision to the try-commit unit, the commit unit, and the
@@ -485,7 +491,7 @@ func (w *workerNode) routeFor(dstStage int, iter uint64) int {
 func (w *workerNode) chooseRoute(iter uint64) {
 	if w.sys.cfg.Plan.Occupancy {
 		// Dispatch to the least-loaded worker, bounded: when every pool
-		// member already holds OccWindow outstanding iterations, wait for
+		// member already holds occWindow outstanding iterations, wait for
 		// a completion ack — the backpressure a bounded queue gives the
 		// paper's occupancy-based distributor.
 		backoff := w.sys.cfg.PollMin
@@ -508,7 +514,7 @@ func (w *workerNode) chooseRoute(iter uint64) {
 					best = i
 				}
 			}
-			if w.outstanding[best] < w.sys.cfg.OccWindow {
+			if w.outstanding[best] < occWindow {
 				w.curRoute = best
 				break
 			}

@@ -449,12 +449,7 @@ func (e *Engine) execute(spec JobSpec, opts Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	if spec.Invocations > 0 {
-		shallow := *b
-		shallow.Invocations = spec.Invocations
-		b = &shallow
-	}
-	res, err := workloads.RunParallel(b, in, spec.paradigm(), spec.Cores, tune)
+	res, err := workloads.RunParallel(b.WithInvocations(spec.Invocations), in, spec.paradigm(), spec.Cores, tune)
 	if err != nil {
 		return Result{}, err
 	}
@@ -503,18 +498,7 @@ func (e *Engine) executeNet(spec JobSpec, opts Options) (Result, error) {
 		}
 		return Result{}, err
 	}
-	return Result{
-		Result: workloads.Result{
-			Elapsed:   res.Elapsed,
-			Checksum:  res.Checksum,
-			Committed: res.Committed,
-			Misspecs:  res.Misspecs,
-			Bytes:     res.Traffic.Bytes,
-			Traffic:   res.Traffic,
-		},
-		Daemons: res.Daemons,
-		Mesh:    res.Mesh,
-	}, nil
+	return Result{Result: res.Result, Daemons: res.Daemons, Mesh: res.Mesh}, nil
 }
 
 // netCluster is one placement's persistent daemon fleet; its mutex

@@ -2,8 +2,10 @@ package engine
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	gonet "net"
+	"slices"
 	"testing"
 
 	"dsmtx/internal/netrun"
@@ -45,8 +47,22 @@ func TestNetFleetSurvivesRejectedSpec(t *testing.T) {
 	}
 
 	good := JobSpec{Bench: "crc32", Backend: "net", Cores: 5, Seed: 42}
-	if _, err := e.SubmitOpts(context.Background(), good, opts); err != nil {
+	netRes, err := e.SubmitOpts(context.Background(), good, opts)
+	if err != nil {
 		t.Fatal(err)
+	}
+	// One record on every backend: what a net job serves is what the same
+	// job serves from host, plus the fleet's two fields.
+	onHost := good
+	onHost.Backend = "host"
+	hostRes, err := e.Submit(context.Background(), onHost)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append(jsonKeys(t, hostRes), "daemons", "mesh")
+	slices.Sort(want)
+	if got := jsonKeys(t, netRes); !slices.Equal(got, want) {
+		t.Errorf("net result keys %v, want host's plus daemons and mesh: %v", got, want)
 	}
 	h1, cl1 := fleet()
 	if cl1 == nil {
@@ -74,4 +90,23 @@ func TestNetFleetSurvivesRejectedSpec(t *testing.T) {
 	if h, cl := fleet(); h != h1 || cl != cl1 {
 		t.Errorf("third job ran on another fleet: handle %p→%p, cluster %p→%p", h1, h, cl1, cl)
 	}
+}
+
+// jsonKeys lists the top-level keys v marshals to, sorted.
+func jsonKeys(t *testing.T, v any) []string {
+	t.Helper()
+	data, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var obj map[string]json.RawMessage
+	if err := json.Unmarshal(data, &obj); err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, 0, len(obj))
+	for k := range obj {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }

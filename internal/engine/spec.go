@@ -172,17 +172,8 @@ func (s JobSpec) Validate() error {
 	if err != nil {
 		return err
 	}
-	newProg := b.NewDSMTX
-	if s.paradigm() == workloads.TLS {
-		newProg = b.NewTLS
-	}
-	cfg := core.DefaultConfig(s.Cores, newProg(s.input(), 0).Plan())
+	cfg := core.DefaultConfig(s.Cores, workloads.NewChain(b, s.input()).Plan(s.paradigm()))
 	tune(&cfg)
-	if backend == core.BackendNet {
-		cfg.Platform = func(int) (platform.Platform, error) {
-			return nil, fmt.Errorf("engine: validate-only config; net daemons inject their own platform")
-		}
-	}
 	return cfg.Validate()
 }
 
@@ -306,9 +297,10 @@ func (o Options) validate(spec JobSpec) error {
 }
 
 // Result is a completed job's outcome. For parallel jobs the embedded
-// workloads.Result carries the run; for seq jobs SeqTime/SeqCheck do. It is
-// also the cached record, stored as-is: Stalls never serializes and is
-// empty on cacheable submissions anyway, and a hit overwrites Source.
+// workloads.Result carries the run — the same record on every backend, net
+// adding Daemons and Mesh; for seq jobs SeqTime/SeqCheck do. It is also the
+// cached record, stored as-is: Stalls never serializes and is empty on
+// cacheable submissions anyway, and a hit overwrites Source.
 type Result struct {
 	workloads.Result
 	// SeqTime/SeqCheck are the sequential reference (seq jobs always;

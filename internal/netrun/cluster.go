@@ -12,8 +12,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dsmtx/internal/core"
 	"dsmtx/internal/platform"
 	"dsmtx/internal/wire"
+	"dsmtx/internal/workloads"
 )
 
 // jobCounter makes job IDs unique within a coordinator process; combined
@@ -138,34 +140,31 @@ func (c *Cluster) Daemons() int { return len(c.addrs) }
 // the sessions desynchronized.
 var ErrRejected = errors.New("netrun: job rejected before dispatch")
 
-// check validates spec coordinator-side with the daemons' own config
-// construction, so errors surface before any process starts working. The
-// platform factory is a placeholder — daemons build the real mesh-bound one.
-func (c *Cluster) check(spec JobSpec) error {
-	if provider == nil {
-		return fmt.Errorf("netrun: no workload provider registered in this binary")
-	}
-	set, err := provider(spec)
+// check validates spec coordinator-side against the configuration the
+// daemons will lay out (all but their mesh-bound platform), so errors
+// surface before any process starts working, and reports how many
+// invocations the job's chain has.
+func (c *Cluster) check(spec JobSpec) (invocations int, err error) {
+	chain, err := spec.chain()
 	if err != nil {
-		return err
+		return 0, err
 	}
-	cfg := buildConfig(spec, set.New(0).Plan())
-	cfg.Platform = func(int) (platform.Platform, error) {
-		return nil, fmt.Errorf("netrun: coordinator-side config is validate-only")
-	}
+	cfg := core.DefaultConfig(spec.Cores, chain.Plan(workloads.DSMTX))
+	cfg.Backend = core.BackendNet
 	if err := cfg.Validate(); err != nil {
-		return err
+		return 0, err
 	}
 	if spec.Cores < len(c.addrs) {
-		return fmt.Errorf("netrun: %d cores across %d daemons: need at least one rank per daemon", spec.Cores, len(c.addrs))
+		return 0, fmt.Errorf("netrun: %d cores across %d daemons: need at least one rank per daemon", spec.Cores, len(c.addrs))
 	}
-	return nil
+	return chain.Invocations(), nil
 }
 
 // Run executes one job across the fleet: distribute the spec, drive the
 // per-invocation start/done barrier, and collect every daemon's result.
 func (c *Cluster) Run(spec JobSpec) (Result, error) {
-	if err := c.check(spec); err != nil {
+	invocations, err := c.check(spec)
+	if err != nil {
 		return Result{}, fmt.Errorf("%w: %w", ErrRejected, err)
 	}
 
@@ -179,7 +178,6 @@ func (c *Cluster) Run(spec JobSpec) (Result, error) {
 			return Result{}, fmt.Errorf("netrun: job to daemon %d: %w", i, err)
 		}
 	}
-	invocations := 0
 	for i, conn := range c.conns {
 		var ok jobOKWire
 		conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
@@ -188,10 +186,8 @@ func (c *Cluster) Run(spec JobSpec) (Result, error) {
 		if err != nil {
 			return Result{}, fmt.Errorf("netrun: daemon %d: %w", i, err)
 		}
-		if i == 0 {
-			invocations = ok.Invocations
-		} else if ok.Invocations != invocations {
-			return Result{}, fmt.Errorf("netrun: daemon %d plans %d invocations, daemon 0 plans %d", i, ok.Invocations, invocations)
+		if ok.Invocations != invocations {
+			return Result{}, fmt.Errorf("netrun: daemon %d plans %d invocations, the coordinator %d", i, ok.Invocations, invocations)
 		}
 	}
 
@@ -212,8 +208,8 @@ func (c *Cluster) Run(spec JobSpec) (Result, error) {
 		}
 	}
 
-	var res Result
-	res.Daemons = len(c.conns)
+	res := Result{Daemons: len(c.conns)}
+	var traffic platform.TrafficStats
 	gotChecksum := false
 	for i, conn := range c.conns {
 		var dr daemonResult
@@ -223,19 +219,17 @@ func (c *Cluster) Run(spec JobSpec) (Result, error) {
 		if err != nil {
 			return Result{}, fmt.Errorf("netrun: result from daemon %d: %w", i, err)
 		}
-		res.Traffic.Add(dr.Traffic)
+		traffic.Add(dr.Traffic)
 		res.Mesh.Add(dr.Mesh)
 		if dr.HasChecksum {
 			if gotChecksum {
 				return Result{}, fmt.Errorf("netrun: two daemons claim the commit rank")
 			}
 			gotChecksum = true
-			res.Checksum = dr.Checksum
-			res.Committed = dr.Committed
-			res.Misspecs = dr.Misspecs
-			res.Elapsed = dr.Elapsed
+			res.Result = dr.Result
 		}
 	}
+	res.Traffic = traffic
 	if !gotChecksum {
 		return Result{}, fmt.Errorf("netrun: no daemon reported the committed checksum")
 	}

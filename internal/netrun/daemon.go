@@ -10,10 +10,10 @@ import (
 	"time"
 
 	"dsmtx/internal/core"
-	"dsmtx/internal/mem"
 	"dsmtx/internal/platform"
 	netplat "dsmtx/internal/platform/net"
 	"dsmtx/internal/wire"
+	"dsmtx/internal/workloads"
 )
 
 // DaemonMain is the spawn-local daemon entry point: bind a listener
@@ -270,24 +270,17 @@ func (d *daemon) control(conn gonet.Conn) int {
 	}
 }
 
+// serveJob runs this daemon's ranks of one job: build the mesh, then walk
+// the benchmark's invocation chain with each step bracketed by the
+// coordinator's Start/InvDone barrier and tuned onto a mesh-bound platform.
 func (d *daemon) serveJob(conn gonet.Conn) error {
 	var job jobWire
 	if err := readCtl(conn, wire.FrameJob, &job); err != nil {
 		return err
 	}
-	if provider == nil {
-		return fmt.Errorf("netrun: no workload provider registered in this binary")
-	}
-	set, err := provider(job.Spec)
+	chain, err := job.Spec.chain()
 	if err != nil {
 		return err
-	}
-	invocations := set.Invocations
-	if job.Spec.Invocations > 0 {
-		invocations = job.Spec.Invocations
-	}
-	if invocations < 1 {
-		invocations = 1
 	}
 
 	mesh := netplat.NewMesh(netplat.MeshConfig{
@@ -301,18 +294,12 @@ func (d *daemon) serveJob(conn gonet.Conn) error {
 	d.registerMesh(job.JobID, mesh)
 	defer d.unregisterMesh(job.JobID)
 
-	if err := writeCtl(conn, wire.FrameJobOK, jobOKWire{Invocations: invocations}); err != nil {
+	if err := writeCtl(conn, wire.FrameJobOK, jobOKWire{Invocations: chain.Invocations()}); err != nil {
 		return err
 	}
 
-	// The commit rank lands on the last daemon (contiguous split), which
-	// therefore chains the committed image across invocations and owns the
-	// checksum; other daemons rebuild their views through Copy-On-Access.
-	commitDaemon := job.Self == len(job.Addrs)-1
-	var img *mem.Image
 	var agg daemonResult
-	var lastProg Program
-	for inv := 0; inv < invocations; inv++ {
+	for inv := range chain.Invocations() {
 		var start startWire
 		if err := readCtl(conn, wire.FrameStart, &start); err != nil {
 			return err
@@ -320,34 +307,25 @@ func (d *daemon) serveJob(conn gonet.Conn) error {
 		if start.Inv != inv {
 			return fmt.Errorf("netrun: start for invocation %d, expected %d", start.Inv, inv)
 		}
-		prog := set.New(inv)
-		lastProg = prog
-		cfg := buildConfig(job.Spec, prog.Plan())
-		cfg.Platform = func(ranks int) (platform.Platform, error) {
-			return mesh.Platform(uint64(inv), ranks, job.Spec.Cores)
-		}
-		sys, err := core.NewSystem(cfg, prog, img)
+		err := chain.Step(&agg.Result, workloads.DSMTX, job.Spec.Cores, func(cfg *core.Config) {
+			cfg.Backend = core.BackendNet
+			cfg.Platform = func(ranks int) (platform.Platform, error) {
+				return mesh.Platform(uint64(inv), ranks, job.Spec.Cores)
+			}
+		})
 		if err != nil {
-			return fmt.Errorf("netrun: %s inv %d: %w", job.Spec.Bench, inv, err)
+			return fmt.Errorf("netrun: %w", err)
 		}
-		res, err := sys.Run()
-		if err != nil {
-			return fmt.Errorf("netrun: %s inv %d: %w", job.Spec.Bench, inv, err)
-		}
-		if commitDaemon {
-			img = sys.CommitImage()
-		}
-		agg.Committed += res.Committed
-		agg.Misspecs += res.Misspecs
-		agg.Elapsed += res.Elapsed
-		agg.Traffic.Add(res.Traffic)
 		if err := writeCtl(conn, wire.FrameInvDone, invDoneWire{Inv: inv}); err != nil {
 			return err
 		}
 	}
-	if commitDaemon {
-		agg.Checksum = lastProg.Checksum(img)
-		agg.HasChecksum = true
+	// The commit rank lands on the last daemon (contiguous split), which
+	// therefore chained the committed image and owns the checksum; the other
+	// daemons rebuilt their views through Copy-On-Access.
+	agg.HasChecksum = job.Self == len(job.Addrs)-1
+	if agg.HasChecksum {
+		agg.Checksum = chain.Checksum()
 	}
 	agg.Mesh = mesh.Stats()
 	return writeCtl(conn, wire.FrameResult, agg)

@@ -2,13 +2,9 @@
 // coordinator process launches (or joins) dsmtxd daemons, distributes the
 // job spec, drives the invocation barrier, and collects the result; each
 // daemon hosts a contiguous range of ranks on a mesh-bound platform
-// (internal/platform/net) and runs the unmodified core runtime over it.
-//
-// The package is deliberately ignorant of concrete workloads: a provider —
-// registered by internal/workloads at init — resolves a JobSpec's benchmark
-// name into programs, so daemons embedded in any binary that links the
-// workload set (dsmtxd, dsmtxrun, test binaries) can serve jobs
-// without netrun importing the workload table.
+// (internal/platform/net) and drives the benchmark's invocation chain
+// (workloads.Chain) — the unmodified core runtime — over it, so a net job's
+// record is the one every backend returns.
 package netrun
 
 import (
@@ -17,12 +13,9 @@ import (
 	gonet "net"
 	"time"
 
-	"dsmtx/internal/core"
-	"dsmtx/internal/mem"
-	"dsmtx/internal/pipeline"
-	"dsmtx/internal/platform"
 	netplat "dsmtx/internal/platform/net"
 	"dsmtx/internal/wire"
+	"dsmtx/internal/workloads"
 )
 
 // DaemonEnv marks a process as a spawn-local daemon: when set to 1, main
@@ -52,39 +45,22 @@ type JobSpec struct {
 	Invocations int
 }
 
-// Program is what a provider yields per invocation: a runnable core
-// program that also knows its plan and output checksum.
-type Program interface {
-	core.Program
-	Plan() pipeline.Plan
-	Checksum(img *mem.Image) uint64
+// chain resolves the spec's benchmark and input into its invocation chain.
+func (s JobSpec) chain() (*workloads.Chain, error) {
+	b, err := workloads.ByName(s.Bench)
+	if err != nil {
+		return nil, err
+	}
+	in := workloads.Input{Scale: s.Scale, MisspecRate: s.MisspecRate, Seed: s.Seed}
+	return workloads.NewChain(b.WithInvocations(s.Invocations), in), nil
 }
 
-// ProgramSet is one benchmark's invocation chain.
-type ProgramSet struct {
-	Invocations int
-	New         func(inv int) Program
-}
-
-// Provider resolves a job spec into programs.
-type Provider func(spec JobSpec) (ProgramSet, error)
-
-var provider Provider
-
-// SetProvider installs the workload resolver. Called from an init function
-// (internal/workloads registers the benchmark table).
-func SetProvider(p Provider) { provider = p }
-
-// Result is the coordinator's aggregate over all daemons and invocations.
+// Result is a net job's record: the commit daemon's (the commit unit owns
+// the protocol counters, the committed image and so the checksum; Elapsed is
+// its summed per-invocation wall-clock time) with every daemon's
+// locally-accounted wire traffic folded into Traffic.
 type Result struct {
-	Checksum  uint64
-	Committed uint64
-	Misspecs  uint64
-	// Elapsed is the commit daemon's summed per-invocation platform time
-	// (wall-clock on the net backend).
-	Elapsed platform.Duration
-	// Traffic sums every daemon's locally-accounted wire traffic.
-	Traffic platform.TrafficStats
+	workloads.Result
 	// Mesh folds every daemon's transport counters: what the TCP mesh did
 	// to carry the cross-daemon share of Traffic.
 	Mesh    netplat.MeshStats
@@ -117,17 +93,13 @@ type errorWire struct {
 	Error string
 }
 
-// daemonResult is one daemon's summed contribution. Protocol counters are
-// only nonzero on the commit daemon (the commit unit owns them); traffic and
-// mesh counters are accounted where the sends happen, so every daemon
-// contributes.
+// daemonResult is one daemon's share of the job. Protocol counters are only
+// nonzero on the commit daemon (the commit unit owns them), which alone
+// reports a checksum; traffic and mesh counters are accounted where the
+// sends happen, so every daemon contributes.
 type daemonResult struct {
-	Committed   uint64
-	Misspecs    uint64
-	Elapsed     platform.Duration
-	Traffic     platform.TrafficStats
+	workloads.Result
 	Mesh        netplat.MeshStats
-	Checksum    uint64
 	HasChecksum bool
 }
 
@@ -166,14 +138,6 @@ func readCtl(conn gonet.Conn, want wire.FrameType, v any) error {
 		return nil
 	}
 	return json.Unmarshal(body, v)
-}
-
-// buildConfig is the one place a net run's core.Config is assembled, so
-// coordinator-side validation and every daemon agree on the layout.
-func buildConfig(spec JobSpec, plan pipeline.Plan) core.Config {
-	cfg := core.DefaultConfig(spec.Cores, plan)
-	cfg.Backend = core.BackendNet
-	return cfg
 }
 
 // handshakeTimeout bounds the control-plane waits that should be instant

@@ -55,55 +55,81 @@ func connect(t *testing.T, addrs []string) *netrun.Cluster {
 	return cl
 }
 
-// checkJob runs crc32 on cl and requires the sequential checksum with
-// vtime's committed/misspec counts.
-func checkJob(t *testing.T, cl *netrun.Cluster, in workloads.Input, cores int) {
+// checkJob runs spec on cl and requires the sequential checksum, vtime's
+// committed/misspec counts, and a record as complete as any backend's:
+// every traffic class counted and, after a misspeculation, all four
+// recovery phases timed.
+func checkJob(t *testing.T, cl *netrun.Cluster, spec netrun.JobSpec) netrun.Result {
 	t.Helper()
-	b, err := workloads.ByName("crc32")
+	b, err := workloads.ByName(spec.Bench)
 	if err != nil {
 		t.Fatal(err)
 	}
+	b = b.WithInvocations(spec.Invocations)
+	in := workloads.Input{Scale: spec.Scale, MisspecRate: spec.MisspecRate, Seed: spec.Seed}
 	_, seqCheck, err := workloads.RunSequentialRef(b, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vres, err := workloads.RunParallel(b, in, workloads.DSMTX, cores, nil)
+	vres, err := workloads.RunParallel(b, in, workloads.DSMTX, spec.Cores, nil)
 	if err != nil {
 		t.Fatalf("vtime: %v", err)
 	}
-	nres, err := cl.Run(netrun.JobSpec{Bench: "crc32", Scale: in.Scale,
-		MisspecRate: in.MisspecRate, Seed: in.Seed, Cores: cores})
+	nres, err := cl.Run(spec)
 	if err != nil {
-		t.Fatalf("net seed %d: %v", in.Seed, err)
+		t.Fatalf("net %+v: %v", spec, err)
 	}
 	if nres.Checksum != seqCheck {
-		t.Errorf("seed %d: net checksum %#x != sequential %#x", in.Seed, nres.Checksum, seqCheck)
+		t.Errorf("%+v: net checksum %#x != sequential %#x", spec, nres.Checksum, seqCheck)
 	}
 	if nres.Committed != vres.Committed || nres.Misspecs != vres.Misspecs {
-		t.Errorf("seed %d: net committed/misspecs %d/%d != vtime %d/%d",
-			in.Seed, nres.Committed, nres.Misspecs, vres.Committed, vres.Misspecs)
+		t.Errorf("%+v: net committed/misspecs %d/%d != vtime %d/%d",
+			spec, nres.Committed, nres.Misspecs, vres.Committed, vres.Misspecs)
 	}
-	if nres.Daemons != cl.Daemons() || nres.Elapsed <= 0 || nres.Traffic.Messages == 0 {
-		t.Errorf("seed %d: daemons %d, elapsed %v, %d messages", in.Seed, nres.Daemons, nres.Elapsed, nres.Traffic.Messages)
+	if nres.Daemons != cl.Daemons() || nres.Elapsed <= 0 {
+		t.Errorf("%+v: daemons %d, elapsed %v", spec, nres.Daemons, nres.Elapsed)
+	}
+	if tr := nres.Traffic; tr.QueueMessages == 0 || tr.PageMessages == 0 || tr.ControlMessages == 0 ||
+		tr.QueueMessages+tr.PageMessages+tr.ControlMessages != tr.Messages {
+		t.Errorf("%+v: traffic classes %+v", spec, tr)
+	}
+	if nres.Misspecs > 0 && (nres.ERM <= 0 || nres.FLQ <= 0 || nres.SEQ <= 0 || nres.RFP <= 0) {
+		t.Errorf("%+v: %d misspeculations but recovery ERM %v FLQ %v SEQ %v RFP %v",
+			spec, nres.Misspecs, nres.ERM, nres.FLQ, nres.SEQ, nres.RFP)
 	}
 	// Every cross-daemon message is one frame sent and one admitted, on a
 	// link that never dropped. (Bytes may trail: a daemon can report while
 	// its writer still has the last frames queued.)
 	if m := nres.Mesh; m.FramesOut == 0 || m.FramesOut != m.FramesIn || m.BytesIn == 0 || m.Reconnects != 0 || m.DupsDropped != 0 {
-		t.Errorf("seed %d: mesh counters %+v", in.Seed, m)
+		t.Errorf("%+v: mesh counters %+v", spec, m)
 	}
+	return nres
 }
 
 // TestConnectRunsSuccessiveJobs: one control session serves job after job.
-// The second job has a different input, so a mesh or image left over from
-// the first would show up as a wrong checksum or count.
+// Each job differs from the one before — input, benchmark, invocation count
+// — so a mesh or image left over would show up as a wrong checksum or count.
 func TestConnectRunsSuccessiveJobs(t *testing.T) {
 	cl := connect(t, startDaemons(t, 2))
 	if cl.Daemons() != 2 {
 		t.Fatalf("Daemons() = %d, want 2", cl.Daemons())
 	}
-	checkJob(t, cl, workloads.Input{Scale: 1, Seed: 42, MisspecRate: 0.02}, 5)
-	checkJob(t, cl, workloads.Input{Scale: 1, Seed: 7}, 5)
+	checkJob(t, cl, netrun.JobSpec{Bench: "crc32", Scale: 1, Seed: 42, MisspecRate: 0.02, Cores: 5})
+	checkJob(t, cl, netrun.JobSpec{Bench: "crc32", Scale: 1, Seed: 7, Cores: 5})
+
+	// The one benchmark that chains invocations: each epoch runs on a fresh
+	// mesh generation over the image the commit daemon kept from the last.
+	alvinn := netrun.JobSpec{Bench: "052.alvinn", Scale: 1, Seed: 42, Cores: 6}
+	all := checkJob(t, cl, alvinn)
+	alvinn.Invocations = 1
+	if one := checkJob(t, cl, alvinn); one.Committed == 0 || one.Committed >= all.Committed {
+		t.Errorf("Invocations=1 committed %d MTXs, the whole chain %d", one.Committed, all.Committed)
+	}
+
+	// Recovery: the commit daemon's breakdown is the job's.
+	if rec := checkJob(t, cl, netrun.JobSpec{Bench: "197.parser", Scale: 1, Seed: 42, MisspecRate: 0.05, Cores: 5}); rec.Misspecs != 20 {
+		t.Errorf("197.parser at rate 0.05: %d misspeculations, want 20", rec.Misspecs)
+	}
 }
 
 // TestRunRejectsCoordinatorSide: a spec the coordinator can refuse on its
@@ -117,7 +143,7 @@ func TestRunRejectsCoordinatorSide(t *testing.T) {
 	if _, err := cl.Run(netrun.JobSpec{Bench: "crc32", Cores: 1}); err == nil {
 		t.Fatal("1 core: accepted a job the plan cannot place")
 	}
-	checkJob(t, cl, workloads.Input{Scale: 1, Seed: 42}, 5)
+	checkJob(t, cl, netrun.JobSpec{Bench: "crc32", Scale: 1, Seed: 42, Cores: 5})
 
 	// Five control streams into a listener that records what arrives: after
 	// the refusals and Close each must have carried its Hello and nothing

@@ -7,9 +7,9 @@
 // atomics: no mutex, no cond, no channel operation. Two slow paths preserve
 // the old mutex mailbox's semantics:
 //
-//   - Overflow. The protocol assumes unbounded mailboxes (queue Window=0
-//     means any number of batches may be in flight), so a full ring must not
-//     block or drop. Producers that find the ring full append to a small
+//   - Overflow. The protocol assumes unbounded mailboxes (any number of
+//     queue batches may be in flight), so a full ring must not block or
+//     drop. Producers that find the ring full append to a small
 //     mutex-guarded overflow list and set ovSet; while ovSet is up, every
 //     producer spills, so ring entries never overtake older overflow
 //     entries. The consumer folds overflow back in — after one more ring

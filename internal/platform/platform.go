@@ -53,8 +53,8 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // MsgClass labels a message's role for bandwidth attribution: the Fig. 5a
 // harness and the metrics report split wire traffic into queue batches,
 // Copy-On-Access page transfers, and everything else (control: verdicts
-// travel in queues, but barriers, credits, start/ctrl and occupancy acks
-// are control).
+// travel in queues, but barriers, start/ctrl and occupancy acks are
+// control).
 type MsgClass uint8
 
 // Message classes. The zero value is ClassControl, so untagged sends (the
@@ -184,6 +184,13 @@ type Endpoint interface {
 	// Send injects a message; it does not charge CPU time (the mpi layer
 	// adds per-call instruction costs). Under vtime delivery happens at the
 	// modelled arrival time; under host it is immediate.
+	//
+	// The payload is handed over: once Send returns the sender must not
+	// write to it, or to memory it references. Host and vtime deliver the
+	// very reference; net encodes it on the writer goroutine after Send has
+	// returned and the receiver gets a decoded copy. Either way the
+	// receiver may keep and modify what it received (platformtest pins that
+	// half on host and net).
 	Send(to, tag int, payload any, bytes int)
 	// SendClass is Send with an explicit traffic class for bandwidth
 	// attribution; the class changes accounting only, never timing.

@@ -11,6 +11,8 @@
 //   - counter algebra: every message is exactly one ring enqueue or one
 //     spill, every spill folds back exactly once, and every message is
 //     dequeued exactly once;
+//   - payload hand-off: a received payload is the receiver's to keep and
+//     modify — no later delivery reuses its memory (see Endpoint.Send);
 //   - idle wait: a TryRecv + Endpoint.Idle poll loop sees every delivery to
 //     any of its mailboxes whether it is spinning or parked (no lost
 //     wake-up), parks are counted with the blocking-Recv metrics, and a
@@ -23,6 +25,7 @@
 package platformtest
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
@@ -79,8 +82,13 @@ func Run(t *testing.T, factory Factory) {
 
 // fifoStorm hammers the consumer from 8 concurrent producers while a
 // blocking consumer drains; per-producer FIFO must hold across overflow
-// spills and any transport reordering hazards. Under -race this is the
-// data-race audit of the whole delivery path.
+// spills and any transport reordering hazards. Each payload is a fresh
+// []byte the consumer overwrites and keeps: all must still hold the
+// consumer's bytes at the end, which a transport recycling a delivered
+// buffer for a later message would break (the receiver half of
+// Endpoint.Send's hand-off rule). Under -race this is the data-race audit
+// of the whole delivery path, the sender's last write to a payload against
+// the receiver's first included.
 func fifoStorm(t *testing.T, factory Factory) {
 	const producers = 8
 	perProducer := 4000
@@ -98,21 +106,32 @@ func fifoStorm(t *testing.T, factory Factory) {
 			defer wg.Done()
 			ep := w.ProducerEndpoint(src)
 			for i := 0; i < perProducer; i++ {
-				ep.Send(dst, 5, uint64(i), 8)
+				ep.Send(dst, 5, binary.LittleEndian.AppendUint64(nil, uint64(i)), 8)
 			}
 		}()
 	}
 	var consumeErr error
 	w.SpawnConsumer(func(p platform.Proc) {
+		const taken = ^uint64(0) // the consumer's overwrite; no sender sends it
 		nextFrom := make([]uint64, producers)
+		kept := make([][]byte, 0, producers*perProducer)
 		for n := 0; n < producers*perProducer; n++ {
 			msg, _ := box.Recv(p)
-			if msg.Payload.(uint64) != nextFrom[msg.From] {
+			b := msg.Payload.([]byte)
+			if got := binary.LittleEndian.Uint64(b); got != nextFrom[msg.From] {
 				consumeErr = fmt.Errorf("source %d delivered %d, want %d (message %d)",
-					msg.From, msg.Payload, nextFrom[msg.From], n)
+					msg.From, got, nextFrom[msg.From], n)
 				return
 			}
 			nextFrom[msg.From]++
+			binary.LittleEndian.PutUint64(b, taken)
+			kept = append(kept, b)
+		}
+		for n, b := range kept {
+			if binary.LittleEndian.Uint64(b) != taken {
+				consumeErr = fmt.Errorf("payload %d changed after the consumer took it: %x", n, b)
+				return
+			}
 		}
 	})
 	if err := w.Run(); err != nil {

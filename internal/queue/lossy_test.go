@@ -8,45 +8,41 @@ import (
 )
 
 // TestBatchesSurviveLossyLink: queue batches ride the cluster's reliable
-// layer under fault injection — FIFO delivery and credit-window flow
-// control hold at a drop rate that forces many retransmissions.
+// layer under fault injection — FIFO delivery holds at a drop rate that
+// forces many retransmissions.
 func TestBatchesSurviveLossyLink(t *testing.T) {
 	const n = 2000
-	for _, window := range []int{0, 2} {
-		k := sim.NewKernel()
-		w := newWorld(k)
-		inj, err := faults.Compile(faults.Plan{Seed: 17, DropRate: 0.1, AckDropRate: 0.1})
-		if err != nil {
-			t.Fatal(err)
+	k := sim.NewKernel()
+	w := newWorld(k)
+	inj, err := faults.Compile(faults.Plan{Seed: 17, DropRate: 0.1, AckDropRate: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mach(w).EnableFaults(inj)
+	q := New[uint64](w, "q", 0, 1, 100, DefaultConfig(), nil)
+	var got []uint64
+	k.Spawn("consumer", func(p *sim.Proc) {
+		r := q.Receiver(w.Attach(1, p))
+		for range n {
+			got = append(got, r.Consume())
 		}
-		mach(w).EnableFaults(inj)
-		cfg := DefaultConfig()
-		cfg.Window = window
-		q := New[uint64](w, "q", 0, 1, 100, cfg, nil)
-		var got []uint64
-		k.Spawn("consumer", func(p *sim.Proc) {
-			r := q.Receiver(w.Attach(1, p))
-			for range n {
-				got = append(got, r.Consume())
-			}
-		})
-		k.Spawn("producer", func(p *sim.Proc) {
-			s := q.Sender(w.Attach(0, p))
-			for i := uint64(0); i < n; i++ {
-				s.Produce(i)
-			}
-			s.Flush()
-		})
-		if err := k.Run(0); err != nil {
-			t.Fatalf("window %d: %v", window, err)
-		}
+	})
+	k.Spawn("producer", func(p *sim.Proc) {
+		s := q.Sender(w.Attach(0, p))
 		for i := uint64(0); i < n; i++ {
-			if got[i] != i {
-				t.Fatalf("window %d: got[%d] = %d", window, i, got[i])
-			}
+			s.Produce(i)
 		}
-		if s := mach(w).Stats(); s.RetransMessages == 0 {
-			t.Fatalf("window %d: no retransmissions at 10%% drop: %+v", window, s)
+		s.Flush()
+	})
+	if err := k.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < n; i++ {
+		if got[i] != i {
+			t.Fatalf("got[%d] = %d", i, got[i])
 		}
+	}
+	if s := mach(w).Stats(); s.RetransMessages == 0 {
+		t.Fatalf("no retransmissions at 10%% drop: %+v", s)
 	}
 }

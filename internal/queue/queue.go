@@ -14,15 +14,13 @@
 // self-discarding — that is the "flush the message queues" step of §4.3 in
 // a form that is robust to messages still in the network.
 //
-// Optional credit-based flow control (Config.Window > 0) bounds in-flight
-// batches; the DSMTX runtime runs with unbounded windows (the decoupling
-// between workers and the commit unit is the point of the design), while
-// bounded windows are exercised by tests and the ablation benchmarks.
+// In-flight batches are unbounded: the decoupling between workers and the
+// commit unit is the point of the design.
 //
 // Queues inherit reliability from the layer below: under fault injection
 // the cluster retransmits lost batches and releases them in order, so
-// batch FIFO order, epoch discard, and credit accounting all survive a
-// lossy interconnect unmodified (pinned by the lossy-link queue test).
+// batch FIFO order and epoch discard survive a lossy interconnect
+// unmodified (pinned by the lossy-link queue test).
 package queue
 
 import (
@@ -39,22 +37,18 @@ type Config struct {
 	// batch reaches this many wire bytes. 0 or negative means every produce
 	// flushes immediately — the "NonOptimized" configuration of Fig. 5(b).
 	BatchBytes int
-	// Window bounds the number of unacknowledged batches in flight;
-	// 0 means unbounded.
-	Window int
 	// ProduceInstr/ConsumeInstr are the CPU instructions charged per
 	// produce/consume into/out of the local buffer.
 	ProduceInstr int64
 	ConsumeInstr int64
 }
 
-// DefaultConfig returns the optimized configuration: 4 KiB batches,
-// unbounded window, and light per-operation costs (a handful of
-// instructions to append to a local buffer).
+// DefaultConfig returns the optimized configuration: 4 KiB batches and light
+// per-operation costs (a handful of instructions to append to a local
+// buffer).
 func DefaultConfig() Config {
 	return Config{
 		BatchBytes:   4096,
-		Window:       0,
 		ProduceInstr: 45,
 		ConsumeInstr: 45,
 	}
@@ -75,7 +69,6 @@ type batch[T any] struct {
 }
 
 const batchHeaderBytes = 32
-const creditBytes = 8
 
 // Queue describes one unidirectional, typed channel between two ranks.
 // Create it once, then bind a SendPort on the producing process and a
@@ -84,7 +77,7 @@ type Queue[T any] struct {
 	name     string
 	world    *mpi.World
 	src, dst int
-	tag      int // data tag; tag+1 carries credits back
+	tag      int
 	cfg      Config
 	size     func(T) int
 
@@ -120,7 +113,7 @@ func (q *Queue[T]) Instrument(tr *trace.Tracer) {
 	q.gOccupancy = m.Gauge("queue.occupancy")
 }
 
-// New creates a queue from src to dst using tag and tag+1. size reports the
+// New creates a queue from src to dst using tag. size reports the
 // modelled wire size of an element; nil means 16 bytes (an address/value
 // tuple).
 func New[T any](world *mpi.World, name string, src, dst, tag int, cfg Config, size func(T) int) *Queue[T] {
@@ -143,13 +136,11 @@ type SendStats struct {
 // SendPort is the producer's end. All methods must be called from the
 // process owning comm.
 type SendPort[T any] struct {
-	q         *Queue[T]
-	comm      *mpi.Comm
-	creditBox platform.Mailbox // cached credit mailbox (Window > 0)
-	epoch     uint64
-	pending   batch[T]
-	credits   int
-	stats     SendStats
+	q       *Queue[T]
+	comm    *mpi.Comm
+	epoch   uint64
+	pending batch[T]
+	stats   SendStats
 }
 
 // Sender binds the producing process to the queue.
@@ -157,12 +148,7 @@ func (q *Queue[T]) Sender(comm *mpi.Comm) *SendPort[T] {
 	if comm.Rank() != q.src {
 		panic(fmt.Sprintf("queue %s: Sender rank %d, want %d", q.name, comm.Rank(), q.src))
 	}
-	s := &SendPort[T]{q: q, comm: comm, credits: q.cfg.Window}
-	if q.cfg.Window > 0 {
-		// Credits come back on tag+1; register the mailbox up front.
-		s.creditBox = comm.Endpoint().Mailbox(q.dst, q.tag+1)
-	}
-	return s
+	return &SendPort[T]{q: q, comm: comm}
 }
 
 // Produce appends v to the pending batch, flushing if the batch is full.
@@ -185,9 +171,6 @@ func (s *SendPort[T]) Flush() {
 	if len(s.pending.items) == 0 {
 		return
 	}
-	if s.q.cfg.Window > 0 {
-		s.acquireCredit()
-	}
 	b := batch[T]{epoch: s.epoch, items: s.pending.items, bytes: s.pending.bytes}
 	wire := b.bytes + batchHeaderBytes
 	s.comm.SendClass(s.q.dst, s.q.tag, b, wire, platform.ClassQueue)
@@ -199,35 +182,13 @@ func (s *SendPort[T]) Flush() {
 	s.pending = batch[T]{}
 }
 
-func (s *SendPort[T]) acquireCredit() {
-	// Harvest any credits that already arrived.
-	for {
-		msg, ok := s.comm.TryRecvBox(s.creditBox)
-		if !ok {
-			break
-		}
-		s.noteCredit(msg)
-	}
-	for s.credits == 0 {
-		s.noteCredit(s.comm.Recv(s.q.dst, s.q.tag+1))
-	}
-	s.credits--
-}
-
-func (s *SendPort[T]) noteCredit(msg platform.Message) {
-	if msg.Payload.(uint64) == s.epoch {
-		s.credits++
-	}
-}
-
 // Epoch reports the port's current epoch.
 func (s *SendPort[T]) Epoch() uint64 { return s.epoch }
 
-// Abort discards the pending batch, restores the full credit window and
-// advances to the given epoch; any batch already in flight becomes stale.
+// Abort discards the pending batch and advances to the given epoch; any
+// batch already in flight becomes stale.
 func (s *SendPort[T]) Abort(epoch uint64) {
 	s.pending = batch[T]{}
-	s.credits = s.q.cfg.Window
 	s.epoch = epoch
 }
 
@@ -329,8 +290,7 @@ func (r *RecvPort[T]) TryConsumeBatch() ([]T, bool) {
 }
 
 // drainAll takes every batch pending on the mailbox in one ring drain and
-// concatenates the current-epoch items; stale batches discard as in admit,
-// and credits (if windowed) are acknowledged per batch.
+// concatenates the current-epoch items; stale batches discard as in admit.
 func (r *RecvPort[T]) drainAll() {
 	r.msgBuf = r.comm.TryRecvBoxBatch(r.box, r.msgBuf[:0])
 	for i := range r.msgBuf {
@@ -352,9 +312,6 @@ func (r *RecvPort[T]) admit(msg platform.Message) {
 	}
 	r.q.hDrain.Observe(int64(len(b.items)))
 	r.q.tr.Instant(trace.InstDrain, r.comm.Rank(), 0, int64(len(b.items)), 0)
-	if r.q.cfg.Window > 0 {
-		r.comm.Send(r.q.src, r.q.tag+1, r.epoch, creditBytes)
-	}
 }
 
 // Abort discards buffered and pending input and advances to the given

@@ -13,7 +13,7 @@ import (
 // refill — both diagnoses fall out of this split):
 //
 //	Busy         — executing work (subTX bodies, validation, commit apply)
-//	Backpressure — waiting for downstream queue credit (queue full)
+//	Backpressure — waiting for a saturated downstream stage (occupancy routing)
 //	Starvation   — polling an empty upstream queue
 //	VerdictWait  — the commit unit waiting on a try-commit verdict
 //	VoteWait     — a coordinator commit shard waiting on cross-shard 2PC
@@ -47,6 +47,22 @@ func (r *StallRow) Total() sim.Time {
 	return r.Busy + r.Backpressure + r.Starvation + r.VerdictWait + r.VoteWait + r.Recovery + r.Crashed + r.Blocked
 }
 
+// add accumulates o's columns into r: another invocation of the same rank,
+// or another rank of the same stage. ShardQueue is a high-water mark.
+func (r *StallRow) add(o *StallRow) {
+	r.Busy += o.Busy
+	r.Backpressure += o.Backpressure
+	r.Starvation += o.Starvation
+	r.VerdictWait += o.VerdictWait
+	r.VoteWait += o.VoteWait
+	r.Recovery += o.Recovery
+	r.Crashed += o.Crashed
+	r.Blocked += o.Blocked
+	r.Park += o.Park
+	r.Spills += o.Spills
+	r.ShardQueue = max(r.ShardQueue, o.ShardQueue)
+}
+
 // StallReport collects per-rank stall rows for one or more runs. Host marks
 // a report carrying host-delivery data; its tables then grow the park /
 // spill / shard-q columns. CommitShards marks a report from a sharded
@@ -72,20 +88,7 @@ func (r *StallReport) Merge(o *StallReport) {
 	}
 	for _, row := range o.Rows {
 		if i, ok := byLabel[row.Label]; ok {
-			dst := &r.Rows[i]
-			dst.Busy += row.Busy
-			dst.Backpressure += row.Backpressure
-			dst.Starvation += row.Starvation
-			dst.VerdictWait += row.VerdictWait
-			dst.VoteWait += row.VoteWait
-			dst.Recovery += row.Recovery
-			dst.Crashed += row.Crashed
-			dst.Blocked += row.Blocked
-			dst.Park += row.Park
-			dst.Spills += row.Spills
-			if row.ShardQueue > dst.ShardQueue {
-				dst.ShardQueue = row.ShardQueue
-			}
+			r.Rows[i].add(&row)
 		} else {
 			byLabel[row.Label] = len(r.Rows)
 			r.Rows = append(r.Rows, row)
@@ -147,19 +150,7 @@ func (r *StallReport) StageTable() *stats.Table {
 			agg[row.Stage] = a
 			order = append(order, row.Stage)
 		}
-		a.Busy += row.Busy
-		a.Backpressure += row.Backpressure
-		a.Starvation += row.Starvation
-		a.VerdictWait += row.VerdictWait
-		a.VoteWait += row.VoteWait
-		a.Recovery += row.Recovery
-		a.Crashed += row.Crashed
-		a.Blocked += row.Blocked
-		a.Park += row.Park
-		a.Spills += row.Spills
-		if row.ShardQueue > a.ShardQueue {
-			a.ShardQueue = row.ShardQueue
-		}
+		a.add(row)
 	}
 	for _, stage := range order {
 		t.AddRow(stallCells(stage, agg[stage], r)...)

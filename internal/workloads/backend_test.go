@@ -5,6 +5,8 @@ import (
 
 	"dsmtx/internal/core"
 	"dsmtx/internal/faults"
+	"dsmtx/internal/platform"
+	"dsmtx/internal/trace"
 )
 
 // The host backend runs the same DSMTX protocol as the vtime simulator but
@@ -75,6 +77,39 @@ func TestBackendEquivalenceGzip(t *testing.T) {
 	// A pipelined (multi-stage) plan: exercises cross-stage forwarding and
 	// route records over the host mailboxes.
 	checkBackendEquivalence(t, "164.gzip", Input{Scale: 1, Seed: 42}, 11)
+}
+
+// TestHostStallTableAccountsWallClock: on a live backend the stall table is
+// wall-clock attribution — waits charged at what they took, Busy what they
+// leave of the rank's lifetime — so no cell is negative and no rank accounts
+// for more time than the run lasted. 197.parser at rate 0.05 recovers 20
+// times, the case where the modelled back-off once drove Busy below zero.
+func TestHostStallTableAccountsWallClock(t *testing.T) {
+	b, err := ByName("197.parser")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunParallel(b, Input{Scale: 1, Seed: 42, MisspecRate: 0.05}, DSMTX, 5, func(cfg *core.Config) {
+		cfg.Backend = core.BackendHost
+		cfg.Tracer = trace.NewMetricsOnly()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Stalls.Rows) == 0 || res.Misspecs == 0 {
+		t.Fatalf("%d stall rows, %d misspeculations; want a traced run that recovers", len(res.Stalls.Rows), res.Misspecs)
+	}
+	for _, r := range res.Stalls.Rows {
+		for _, cell := range []platform.Duration{r.Busy, r.Backpressure, r.Starvation, r.VerdictWait, r.VoteWait, r.Recovery, r.Crashed, r.Blocked, r.Park} {
+			if cell < 0 {
+				t.Errorf("%s: negative cell in %+v", r.Label, r)
+				break
+			}
+		}
+		if r.Total() > res.Elapsed {
+			t.Errorf("%s: accounts for %v of a %v run", r.Label, r.Total(), res.Elapsed)
+		}
+	}
 }
 
 // TestHostBackendRejectsVTimeOnlyFeatures pins the validation boundary:

@@ -1,4 +1,4 @@
-package workloads
+package workloads_test
 
 import (
 	"os"
@@ -8,7 +8,7 @@ import (
 )
 
 // TestMain lets net-backend tests re-exec this test binary as a daemon
-// fleet: netrun.LaunchLocal(n, os.Args[0]) forks copies with DaemonEnv set,
+// fleet (external test package: netrun imports workloads): netrun.LaunchLocal(n, os.Args[0]) forks copies with DaemonEnv set,
 // and those copies divert into the daemon loop instead of running tests.
 func TestMain(m *testing.M) {
 	if os.Getenv(netrun.DaemonEnv) == "1" {

@@ -1,10 +1,11 @@
-package workloads
+package workloads_test
 
 import (
 	"os"
 	"testing"
 
 	"dsmtx/internal/netrun"
+	"dsmtx/internal/workloads"
 )
 
 // checkBackendEquivalenceNet is the distributed sibling of
@@ -13,18 +14,18 @@ import (
 // re-execs itself as a loopback daemon fleet (see TestMain) and the ranks
 // talk TCP. All three must agree on the committed checksum, and net must
 // match vtime's committed/misspec counts exactly.
-func checkBackendEquivalenceNet(t *testing.T, name string, in Input, cores, daemons int) {
+func checkBackendEquivalenceNet(t *testing.T, name string, in workloads.Input, cores, daemons int) {
 	t.Helper()
-	b, err := ByName(name)
+	b, err := workloads.ByName(name)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	_, seqCheck, err := RunSequentialRef(b, in)
+	_, seqCheck, err := workloads.RunSequentialRef(b, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vres, err := RunParallel(b, in, DSMTX, cores, nil)
+	vres, err := workloads.RunParallel(b, in, workloads.DSMTX, cores, nil)
 	if err != nil {
 		t.Fatalf("vtime: %v", err)
 	}
@@ -71,13 +72,13 @@ func checkBackendEquivalenceNet(t *testing.T, name string, in Input, cores, daem
 }
 
 func TestBackendEquivalenceNetCRC32(t *testing.T) {
-	checkBackendEquivalenceNet(t, "crc32", Input{Scale: 1, Seed: 42, MisspecRate: 0.02}, 8, 2)
+	checkBackendEquivalenceNet(t, "crc32", workloads.Input{Scale: 1, Seed: 42, MisspecRate: 0.02}, 8, 2)
 }
 
 func TestBackendEquivalenceNetBlackscholes(t *testing.T) {
-	checkBackendEquivalenceNet(t, "blackscholes", Input{Scale: 1, Seed: 42}, 8, 2)
+	checkBackendEquivalenceNet(t, "blackscholes", workloads.Input{Scale: 1, Seed: 42}, 8, 2)
 }
 
 func TestBackendEquivalenceNetGzip(t *testing.T) {
-	checkBackendEquivalenceNet(t, "164.gzip", Input{Scale: 1, Seed: 42}, 11, 2)
+	checkBackendEquivalenceNet(t, "164.gzip", workloads.Input{Scale: 1, Seed: 42}, 11, 2)
 }

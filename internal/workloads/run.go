@@ -5,6 +5,7 @@ import (
 
 	"dsmtx/internal/core"
 	"dsmtx/internal/mem"
+	"dsmtx/internal/pipeline"
 	"dsmtx/internal/platform"
 	"dsmtx/internal/trace"
 )
@@ -25,26 +26,13 @@ func (p Paradigm) String() string {
 	return "DSMTX"
 }
 
-// Result aggregates a benchmark execution across its invocations.
-// Durations are virtual nanoseconds under the vtime backend and wall-clock
-// nanoseconds under host.
+// Result is the record of one benchmark execution: the core totals summed
+// over its chained invocations plus the output checksum — the same record
+// on every backend. Durations are virtual nanoseconds under the vtime
+// backend and wall-clock nanoseconds under host and net.
 type Result struct {
-	Elapsed   platform.Duration
-	Checksum  uint64
-	Committed uint64
-	Misspecs  uint64
-	ERM, FLQ  platform.Duration
-	SEQ, RFP  platform.Duration
-	Bytes     uint64 // total wire traffic
-	Events    uint64
-	// Crash-fault resilience totals (zero without a fault plan): worker
-	// crashes survived and the wall time spent re-dispatching after them.
-	Crashes    uint64
-	Redispatch platform.Duration
-	// Traffic breaks the wire total down by message class (queue batches,
-	// Copy-On-Access pages, control); its Bytes field equals the Bytes
-	// total above.
-	Traffic platform.TrafficStats
+	core.Result
+	Checksum uint64
 	// Stalls aggregates per-rank stall attribution across invocations when
 	// the run was tuned with a core.Config.Tracer; empty otherwise. It is
 	// in-process observability, never serialized: the record the engine
@@ -52,13 +40,78 @@ type Result struct {
 	Stalls trace.StallReport `json:"-"`
 }
 
-// Bandwidth reports wire bytes per second of execution.
-func (r Result) Bandwidth() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(r.Bytes) / r.Elapsed.Seconds()
+// Chain is a benchmark's invocation chain: invocation inv's program runs on
+// the memory image invocation inv-1 committed (e.g. training epochs), and
+// the last one's checksum is the execution's. Every execution — parallel on
+// any backend, a net daemon's share of one, the sequential reference — walks
+// its invocations through one.
+type Chain struct {
+	b    *Benchmark
+	in   Input
+	inv  int        // next invocation to run
+	img  *mem.Image // what the previous invocation committed (nil before the first)
+	last Program    // the previous invocation's program
 }
+
+// NewChain starts b's chain on the given input.
+func NewChain(b *Benchmark, in Input) *Chain { return &Chain{b: b, in: in} }
+
+// Invocations reports how many steps the chain has (>= 1).
+func (c *Chain) Invocations() int { return max(c.b.Invocations, 1) }
+
+// program builds invocation inv's program for the paradigm.
+func (c *Chain) program(paradigm Paradigm, inv int) Program {
+	if paradigm == TLS {
+		return c.b.NewTLS(c.in, inv)
+	}
+	return c.b.NewDSMTX(c.in, inv)
+}
+
+// Plan reports the parallelization scheme the chain's programs are written
+// for under the paradigm — what a core.Config for it must be laid out on.
+func (c *Chain) Plan(paradigm Paradigm) pipeline.Plan { return c.program(paradigm, 0).Plan() }
+
+// next builds the next invocation's program, hands run the image the
+// previous invocation committed, and keeps the image run returns for the
+// one after.
+func (c *Chain) next(paradigm Paradigm, run func(prog Program, img *mem.Image) (*mem.Image, error)) error {
+	prog := c.program(paradigm, c.inv)
+	img, err := run(prog, c.img)
+	if err != nil {
+		return fmt.Errorf("%s/%s inv %d: %w", c.b.Name, paradigm, c.inv, err)
+	}
+	c.img, c.last = img, prog
+	c.inv++
+	return nil
+}
+
+// Step runs the next invocation in parallel on the given core count and
+// folds its outcome into agg. tune, if non-nil, may adjust the invocation's
+// runtime configuration (e.g. queue batch sizes for the Fig. 5b comparison,
+// or the backend).
+func (c *Chain) Step(agg *Result, paradigm Paradigm, cores int, tune func(*core.Config)) error {
+	return c.next(paradigm, func(prog Program, img *mem.Image) (*mem.Image, error) {
+		cfg := core.DefaultConfig(cores, prog.Plan())
+		if tune != nil {
+			tune(&cfg)
+		}
+		sys, err := core.NewSystem(cfg, prog, img)
+		if err != nil {
+			return nil, err
+		}
+		res, err := sys.Run()
+		if err != nil {
+			return nil, err
+		}
+		agg.Add(res)
+		agg.Stalls.Merge(sys.StallReport())
+		return sys.CommitImage(), nil
+	})
+}
+
+// Checksum summarizes the output the last invocation run left in committed
+// memory.
+func (c *Chain) Checksum() uint64 { return c.last.Checksum(c.img) }
 
 // RunParallel executes the benchmark under DSMTX with the chosen paradigm
 // on the given core count, chaining invocations through committed memory.
@@ -66,48 +119,13 @@ func (r Result) Bandwidth() float64 {
 // (e.g. queue batch sizes for the Fig. 5b comparison).
 func RunParallel(b *Benchmark, in Input, paradigm Paradigm, cores int, tune func(*core.Config)) (Result, error) {
 	var agg Result
-	var img *mem.Image
-	invocations := b.Invocations
-	if invocations < 1 {
-		invocations = 1
-	}
-	for inv := 0; inv < invocations; inv++ {
-		var prog Program
-		if paradigm == TLS {
-			prog = b.NewTLS(in, inv)
-		} else {
-			prog = b.NewDSMTX(in, inv)
-		}
-		cfg := core.DefaultConfig(cores, prog.Plan())
-		if tune != nil {
-			tune(&cfg)
-		}
-		sys, err := core.NewSystem(cfg, prog, img)
-		if err != nil {
-			return Result{}, fmt.Errorf("%s/%s: %w", b.Name, paradigm, err)
-		}
-		res, err := sys.Run()
-		if err != nil {
-			return Result{}, fmt.Errorf("%s/%s inv %d: %w", b.Name, paradigm, inv, err)
-		}
-		img = sys.CommitImage()
-		agg.Elapsed += res.Elapsed
-		agg.Committed += res.Committed
-		agg.Misspecs += res.Misspecs
-		agg.ERM += res.ERM
-		agg.FLQ += res.FLQ
-		agg.SEQ += res.SEQ
-		agg.RFP += res.RFP
-		agg.Bytes += res.Traffic.Bytes
-		agg.Events += res.Events
-		agg.Crashes += res.Crashes
-		agg.Redispatch += res.Redispatch
-		agg.Traffic.Add(res.Traffic)
-		agg.Stalls.Merge(sys.StallReport())
-		if inv == invocations-1 {
-			agg.Checksum = prog.Checksum(img)
+	c := NewChain(b, in)
+	for range c.Invocations() {
+		if err := c.Step(&agg, paradigm, cores, tune); err != nil {
+			return Result{}, err
 		}
 	}
+	agg.Checksum = c.Checksum()
 	return agg, nil
 }
 
@@ -123,30 +141,24 @@ func RunSequentialRef(b *Benchmark, in Input) (platform.Duration, uint64, error)
 // sequential baseline on the same machine as the parallel run.
 func RunSequentialTuned(b *Benchmark, in Input, tune func(*core.Config)) (platform.Duration, uint64, error) {
 	var total platform.Duration
-	var img *mem.Image
-	var check uint64
-	invocations := b.Invocations
-	if invocations < 1 {
-		invocations = 1
-	}
-	for inv := 0; inv < invocations; inv++ {
-		prog := b.NewDSMTX(in, inv)
-		cfg := core.DefaultConfig(cores1(prog), prog.Plan())
-		if tune != nil {
-			tune(&cfg)
-		}
-		elapsed, out, err := core.RunSequential(cfg, prog, prog.Iterations(), img)
+	c := NewChain(b, in)
+	for range c.Invocations() {
+		err := c.next(DSMTX, func(prog Program, img *mem.Image) (*mem.Image, error) {
+			// Any valid (unused) core count does for sequential cost accounting.
+			cfg := core.DefaultConfig(prog.Plan().MinWorkers()+2, prog.Plan())
+			if tune != nil {
+				tune(&cfg)
+			}
+			elapsed, out, err := core.RunSequential(cfg, prog, prog.Iterations(), img)
+			if err != nil {
+				return nil, fmt.Errorf("sequential reference: %w", err)
+			}
+			total += elapsed
+			return out, nil
+		})
 		if err != nil {
-			return 0, 0, fmt.Errorf("%s sequential inv %d: %w", b.Name, inv, err)
-		}
-		total += elapsed
-		img = out
-		if inv == invocations-1 {
-			check = prog.Checksum(img)
+			return 0, 0, err
 		}
 	}
-	return total, check, nil
+	return total, c.Checksum(), nil
 }
-
-// cores1 picks a valid (unused) core count for sequential cost accounting.
-func cores1(prog Program) int { return prog.Plan().MinWorkers() + 2 }

@@ -100,9 +100,9 @@ func TestSingleShardByteIdentity(t *testing.T) {
 		}
 		// The full wire/event fingerprint is pinned on the recovery-bearing
 		// row; the zero-valued goldens only pin the result fields above.
-		if g.bytes != 0 && (res.Bytes != g.bytes || res.Events != g.events || res.Traffic.Messages != g.msgs) {
+		if g.bytes != 0 && (res.Traffic.Bytes != g.bytes || res.Events != g.events || res.Traffic.Messages != g.msgs) {
 			t.Errorf("%s@%d rate=%v: bytes=%d events=%d msgs=%d, want %d/%d/%d",
-				g.bench, g.cores, g.rate, res.Bytes, res.Events, res.Traffic.Messages,
+				g.bench, g.cores, g.rate, res.Traffic.Bytes, res.Events, res.Traffic.Messages,
 				g.bytes, g.events, g.msgs)
 		}
 	}

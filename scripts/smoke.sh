@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # smoke: one end-to-end run per execution surface — the vtime tracer, fault
 # injection, the live host backend (plain, traced, commit-sharded) and the
-# multi-process net backend. Every row must print VERIFIED (dsmtxrun exits
-# 0 on a checksum MISMATCH, so the exit code alone proves nothing), and a
-# row that names a trace file has it validated by tracecheck. Binaries and
-# artefacts live in a temp dir, never in the checkout.
+# multi-process net backend. Every row must exit 0 (dsmtxrun fails on a
+# checksum MISMATCH) and, as a second check, print VERIFIED; a row that names
+# a trace file has it validated by tracecheck. Binaries and artefacts live in
+# a temp dir, never in the checkout.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -38,6 +38,10 @@ row host - ./dsmtxrun -bench crc32 -cores 8 -misspec 0.02 -backend host
 row host-trace host.json ./dsmtxrun -bench crc32 -cores 8 -misspec 0.02 -backend host -trace host.json
 # Four commit shards: consistent-hash ownership, cross-shard votes and recovery.
 row shard - ./dsmtxrun -bench crc32 -cores 16 -commit-shards 4 -misspec 0.02 -backend host
-# Two daemon OS processes on loopback TCP.
-row net - ./dsmtxrun -bench 164.gzip -cores 11 -backend net -net-daemons 2
+# Two daemon OS processes on loopback TCP: recovery, whose ERM/FLQ/SEQ/RFP
+# breakdown must come back from the commit daemon, then the one benchmark
+# that chains invocations (an image carried across mesh generations).
+row net-recover - ./dsmtxrun -bench 197.parser -cores 5 -misspec 0.05 -backend net
+grep -q '^  recovery  *ERM ' net-recover.out || { echo "smoke: net-recover: no recovery line" >&2; exit 1; }
+row net-chain - ./dsmtxrun -bench 052.alvinn -cores 6 -backend net
 echo "smoke: OK"

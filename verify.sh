@@ -35,12 +35,14 @@ go test -race ./internal/engine/ ./cmd/dsmtxd/ ./cmd/dsmtxload/
 # data-race audit of the runtime itself. The platform sweep includes the net
 # package (mesh, reconnect replay, generation buffering) and the delivery
 # conformance suite run against both host and net mailboxes (ring delivery
-# and the Idle poll-loop wait alike); netrun's tests run whole jobs over
-# in-process ServeLoop daemons joined with Connect. cluster rides along for
-# the vtime side of the Idle contract.
+# and the Idle poll-loop wait alike); netrun's tests run whole jobs (crc32,
+# the chained 052.alvinn, a recovering 197.parser) over in-process ServeLoop
+# daemons joined with Connect. cluster rides along for the vtime side of the
+# Idle contract.
 go test -race ./internal/platform/... ./internal/cluster/ ./internal/netrun/ ./cmd/dsmtxrun/
-# Backend equivalence covers vtime, host, and net: the Net tests re-exec
-# the (race-instrumented) test binary as a two-daemon loopback fleet, so
+# Backend equivalence covers vtime, host, and net: the Net tests (package
+# workloads_test, since netrun imports workloads) re-exec the
+# (race-instrumented) test binary as a two-daemon loopback fleet, so
 # real multi-process TCP runs of crc32/blackscholes/164.gzip must reach the
 # sequential checksum with committed/misspec counts equal to vtime.
 go test -race ./internal/workloads/ -run TestBackendEquivalence
