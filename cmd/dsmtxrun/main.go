@@ -14,14 +14,17 @@
 //	dsmtxrun -bench crc32 -cores 16 -commit-shards 4 -backend host
 //	dsmtxrun -bench crc32 -cores 8 -backend host -trace host.json -metrics
 //	dsmtxrun -bench 164.gzip -cores 32 -backend host -metrics-addr 127.0.0.1:9090
+//	dsmtxrun -bench 197.parser -cores 5 -misspec 0.05 -backend net -net-daemons 2
 //
 // The -backend flag selects the execution platform: "vtime" (the default)
 // runs on the deterministic virtual-time simulator with the paper's cost
 // model; "host" runs the same protocol live on host goroutines, measuring
-// wall-clock time. The host backend verifies the identical checksum but
-// models no instruction or wire costs, so no speedup is reported. Tracing
-// and metrics work on both backends (host spans carry wall-clock
-// timestamps and add delivery-layer instrumentation); only -faults is
+// wall-clock time; "net" runs it across dsmtxd daemon processes over TCP
+// (spawned on loopback with -net-daemons, or joined with -net-join). The
+// live backends verify the identical checksum but model no instruction or
+// wire costs, so no speedup is reported. Tracing and metrics work on vtime
+// and host (host spans carry wall-clock timestamps and add delivery-layer
+// instrumentation; on net they belong to the daemons); -faults is
 // vtime-only. -commit-shards partitions the commit pipeline across N
 // consistent-hashed commit units (cross-shard MTXs commit through an
 // ordered two-phase vote); the default 1 is the paper's single commit
@@ -76,7 +79,7 @@ func parseFlags(args []string) (*options, error) {
 	fs.IntVar(&o.cores, "cores", 32, "total cores (workers + try-commit + commit)")
 	fs.IntVar(&o.shards, "commit-shards", 1, "commit units partitioning the page space (1 = the paper's single commit unit)")
 	paradigm := fs.String("paradigm", "dsmtx", "dsmtx or tls")
-	backend := fs.String("backend", "vtime", "execution platform: vtime (deterministic simulator) or host (live goroutines, wall clock)")
+	backend := fs.String("backend", "vtime", "execution platform: vtime (deterministic simulator), host (live goroutines, wall clock) or net (dsmtxd daemon processes over TCP, wall clock)")
 	fs.Float64Var(&o.misspec, "misspec", 0, "input misspeculation rate (e.g. 0.001)")
 	fs.IntVar(&o.scale, "scale", 1, "problem-size multiplier")
 	fs.Uint64Var(&o.seed, "seed", 42, "input generation seed")
@@ -294,6 +297,12 @@ func run(o *options, stdout io.Writer) error {
 	}
 	if res.Misspecs > 0 {
 		fmt.Fprintf(stdout, "  recovery        ERM %v  FLQ %v  SEQ %v  RFP %v\n", res.ERM, res.FLQ, res.SEQ, res.RFP)
+		// Useful outcomes over attempts: every stage body the workers ran
+		// against the ones a committed MTX needed.
+		in := workloads.Input{Scale: o.scale, Seed: o.seed, MisspecRate: o.misspec}
+		useful := res.Committed * uint64(len(workloads.NewChain(b, in).Plan(o.paradigm).Stages))
+		squashed := 100 * max(0, 1-float64(useful)/float64(max(res.SubTXs, 1)))
+		fmt.Fprintf(stdout, "  speculation     %d subTXs executed, %d useful (%.1f%% squashed)\n", res.SubTXs, useful, squashed)
 	}
 	if o.plan != nil {
 		t := res.Traffic

@@ -3,6 +3,9 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -33,6 +36,42 @@ func TestParseFlagsBackends(t *testing.T) {
 	}
 	if _, err := parseFlags([]string{"-backend", "qemu"}); err == nil {
 		t.Fatal("accepted unknown backend")
+	}
+}
+
+// TestUsageNamesEveryBackend: the -backend help must list every value
+// core.ParseBackend accepts (it said "vtime or host" while net was accepted).
+func TestUsageNamesEveryBackend(t *testing.T) {
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = w // the flag package prints usage to os.Stderr as of the call
+	_, err = parseFlags([]string{"-h"})
+	os.Stderr = stderr
+	w.Close()
+	if !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("parseFlags(-h): err = %v, want flag.ErrHelp", err)
+	}
+	usage, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, help, _ := strings.Cut(string(usage), "-backend")
+	help, _, _ = strings.Cut(help, "\n  -") // up to the next flag
+	n := 0
+	for b := core.BackendVTime; ; b++ {
+		if got, err := core.ParseBackend(b.String()); err != nil || got != b {
+			break // past the last backend: String falls back to "vtime"
+		}
+		n++
+		if !strings.Contains(help, b.String()) {
+			t.Errorf("-backend help does not name %q:\n%s", b, help)
+		}
+	}
+	if n < 3 {
+		t.Fatalf("enumerated %d backends, want at least vtime, host, net", n)
 	}
 }
 
@@ -97,6 +136,36 @@ func TestRunOutputByteIdentical(t *testing.T) {
 	for _, want := range []string{"crc32", "speedup", "MTXs committed", "VERIFIED"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestRunSpeculationLine: a run that misspeculated reports its squashed work
+// (subTXs executed against the ones committed MTXs needed) beside the
+// recovery line; a clean run prints neither.
+func TestRunSpeculationLine(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want bool
+	}{
+		{[]string{"-bench", "197.parser", "-cores", "5", "-misspec", "0.05"}, true},
+		{[]string{"-bench", "197.parser", "-cores", "5", "-misspec", "0.05", "-backend", "host"}, true},
+		{[]string{"-bench", "197.parser", "-cores", "5"}, false},
+	} {
+		o, err := parseFlags(tc.args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := run(o, &buf); err != nil {
+			t.Fatal(err)
+		}
+		out := buf.String()
+		if got := strings.Contains(out, "  speculation     "); got != tc.want || got != strings.Contains(out, "  recovery        ") {
+			t.Errorf("%v: speculation line printed = %v, want %v, and only beside the recovery line:\n%s", tc.args, got, tc.want, out)
+		}
+		if tc.want && !strings.Contains(out, "subTXs executed, 2400 useful (") {
+			t.Errorf("%v: want 800 MTXs x 3 stages = 2400 useful subTXs:\n%s", tc.args, out)
 		}
 	}
 }

@@ -78,9 +78,11 @@ type cuNode struct {
 	redAdv    platform.Duration
 	redBlk    platform.Duration
 
-	// Misspeculation cause counters (nil when uninstrumented).
+	// Misspeculation cause and progress-report counters (nil when
+	// uninstrumented).
 	cMissWorker   *trace.Counter
 	cMissConflict *trace.Counter
+	cReports      *trace.Counter
 }
 
 func newCUNode(s *System, shard int) *cuNode {
@@ -199,6 +201,7 @@ func (c *cuNode) bind() {
 	}
 	c.cMissWorker = c.sys.tr.Metrics().Counter("misspec.worker")
 	c.cMissConflict = c.sys.tr.Metrics().Counter("misspec.conflict")
+	c.cReports = c.sys.tr.Metrics().Counter("window.reports")
 	if c.sys.hbOn {
 		ep := c.comm.Endpoint()
 		c.hbBox = ep.Mailbox(platform.AnySource, tagHeartbeat)
@@ -331,6 +334,22 @@ func (c *cuNode) commitEpoch(seq *SeqCtx) (done bool) {
 		}
 		delete(c.routes, iter)
 		c.iter = iter + 1
+		c.reportProgress()
+	}
+}
+
+// reportProgress is the commit side of bounded run-ahead (see
+// workerNode.awaitWindow): while the bound is in force the lead commit unit
+// tells the first-stage workers each time its commit point reaches a
+// multiple of windowStride.
+func (c *cuNode) reportProgress() {
+	if c.shard != 0 || !c.sys.bounded(c.epoch) || c.iter%c.sys.windowStride != 0 {
+		return
+	}
+	report := ctrlMsg{epoch: c.epoch, progress: c.iter}
+	for _, w := range c.sys.layout.Assign[0] {
+		c.cReports.Inc()
+		c.comm.Send(w, tagCtrl, report, 24)
 	}
 }
 

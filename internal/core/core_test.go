@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"testing"
+	"time"
 
 	"dsmtx/internal/pipeline"
 	"dsmtx/internal/uva"
@@ -73,15 +75,38 @@ func (p *pipeProg) expect(k uint64) uint64 { return p.f(k*3 + 1) }
 
 func runProg(t *testing.T, cfg Config, prog Program) (*System, Result) {
 	t.Helper()
-	sys, err := NewSystem(cfg, prog, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sys.Run()
+	sys, res, err := runWithin(cfg, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return sys, res
+}
+
+// runWithin runs prog under a wall-clock deadline, so that a wedged run on a
+// live backend — which ignores Config.Horizon — is an error, not a hang (the
+// stuck goroutines are left behind for the failing test binary to exit on).
+func runWithin(cfg Config, prog Program) (*System, Result, error) {
+	sys, err := NewSystem(cfg, prog, nil)
+	if err != nil {
+		return nil, Result{}, err
+	}
+	type outcome struct {
+		res Result
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := sys.Run()
+		done <- outcome{res, err}
+	}()
+	const deadline = 30 * time.Second
+	select {
+	case o := <-done:
+		return sys, o.res, o.err
+	case <-time.After(deadline):
+		return nil, Result{}, fmt.Errorf("core: %s on %d cores (%s): no result after %v — wedged",
+			cfg.Plan.Name, cfg.TotalCores, cfg.Backend, deadline)
+	}
 }
 
 func TestSpecDSWPPipelineCommitsCorrectly(t *testing.T) {

@@ -11,7 +11,24 @@ import (
 
 // Deeper recovery-path coverage: back-to-back misspeculations, misspec on
 // the first iteration, misspec storms, TLS recovery, and property tests
-// over arbitrary misspec sets.
+// over arbitrary misspec sets — on vtime and live on host, where run-ahead
+// is bounded after the first recovery (awaitWindow) and these short loops
+// all end inside the window's floor.
+
+// onBackends runs body once per in-process backend with a config builder
+// for it. Runs go through runWithin, so a wedged live run fails.
+func onBackends(t *testing.T, body func(t *testing.T, config func(cores int, plan pipeline.Plan) Config)) {
+	for _, backend := range []Backend{BackendVTime, BackendHost} {
+		t.Run(backend.String(), func(t *testing.T) {
+			body(t, func(cores int, plan pipeline.Plan) Config {
+				cfg := smallConfig(cores, plan)
+				cfg.Backend = backend
+				cfg.Horizon = sim.Second // vtime's wedge guard; live runs have runWithin's
+				return cfg
+			})
+		})
+	}
+}
 
 func misspecsOf(iters ...uint64) map[uint64]bool {
 	m := make(map[uint64]bool)
@@ -32,21 +49,25 @@ func verifyPipeOut(t *testing.T, sys *System, prog *pipeProg) {
 }
 
 func TestMisspecOnFirstIteration(t *testing.T) {
-	prog := &pipeProg{n: 15, misspecs: misspecsOf(0)}
-	sys, res := runProg(t, smallConfig(6, pipeline.SpecDSWP("S", "DOALL", "S")), prog)
-	if res.Misspecs != 1 || res.Committed != 15 {
-		t.Fatalf("res = %+v", res)
-	}
-	verifyPipeOut(t, sys, prog)
+	onBackends(t, func(t *testing.T, config func(int, pipeline.Plan) Config) {
+		prog := &pipeProg{n: 15, misspecs: misspecsOf(0)}
+		sys, res := runProg(t, config(6, pipeline.SpecDSWP("S", "DOALL", "S")), prog)
+		if res.Misspecs != 1 || res.Committed != 15 {
+			t.Fatalf("res = %+v", res)
+		}
+		verifyPipeOut(t, sys, prog)
+	})
 }
 
 func TestBackToBackMisspecs(t *testing.T) {
-	prog := &pipeProg{n: 20, misspecs: misspecsOf(7, 8, 9)}
-	sys, res := runProg(t, smallConfig(6, pipeline.SpecDSWP("S", "DOALL", "S")), prog)
-	if res.Misspecs != 3 || res.Committed != 20 {
-		t.Fatalf("res = %+v", res)
-	}
-	verifyPipeOut(t, sys, prog)
+	onBackends(t, func(t *testing.T, config func(int, pipeline.Plan) Config) {
+		prog := &pipeProg{n: 20, misspecs: misspecsOf(7, 8, 9)}
+		sys, res := runProg(t, config(6, pipeline.SpecDSWP("S", "DOALL", "S")), prog)
+		if res.Misspecs != 3 || res.Committed != 20 {
+			t.Fatalf("res = %+v", res)
+		}
+		verifyPipeOut(t, sys, prog)
+	})
 }
 
 func TestMisspecStorm(t *testing.T) {
@@ -56,12 +77,14 @@ func TestMisspecStorm(t *testing.T) {
 	for k := uint64(0); k < 30; k += 3 {
 		m[k] = true
 	}
-	prog := &pipeProg{n: 30, misspecs: m}
-	sys, res := runProg(t, smallConfig(7, pipeline.SpecDSWP("S", "DOALL", "S")), prog)
-	if res.Misspecs != 10 || res.Committed != 30 {
-		t.Fatalf("res = %+v", res)
-	}
-	verifyPipeOut(t, sys, prog)
+	onBackends(t, func(t *testing.T, config func(int, pipeline.Plan) Config) {
+		prog := &pipeProg{n: 30, misspecs: m}
+		sys, res := runProg(t, config(7, pipeline.SpecDSWP("S", "DOALL", "S")), prog)
+		if res.Misspecs != 10 || res.Committed != 30 {
+			t.Fatalf("res = %+v", res)
+		}
+		verifyPipeOut(t, sys, prog)
+	})
 }
 
 // tlsMisspecProg: a TLS running sum where chosen iterations take the
@@ -121,82 +144,78 @@ func (p *tlsMisspecProg) expect() uint64 {
 }
 
 func TestTLSRecovery(t *testing.T) {
-	prog := &tlsMisspecProg{n: 24, misspecs: misspecsOf(5, 13)}
 	plan := pipeline.SpecDOALL()
 	plan.Sync = true
-	sys, res := runProg(t, smallConfig(6, plan), prog)
-	if res.Misspecs != 2 || res.Committed != 24 {
-		t.Fatalf("res = %+v", res)
-	}
-	if got := sys.CommitImage().Load(prog.acc); got != prog.expect() {
-		t.Fatalf("acc = %d, want %d", got, prog.expect())
-	}
+	onBackends(t, func(t *testing.T, config func(int, pipeline.Plan) Config) {
+		prog := &tlsMisspecProg{n: 24, misspecs: misspecsOf(5, 13)}
+		sys, res := runProg(t, config(6, plan), prog)
+		if res.Misspecs != 2 || res.Committed != 24 {
+			t.Fatalf("res = %+v", res)
+		}
+		if got := sys.CommitImage().Load(prog.acc); got != prog.expect() {
+			t.Fatalf("acc = %d, want %d", got, prog.expect())
+		}
+	})
 }
 
 // Property: for ANY misspeculation set the pipeline commits the sequential
 // result, and Committed always equals the trip count.
 func TestRecoveryProperty(t *testing.T) {
-	f := func(raw []uint8, coreSel uint8) bool {
-		const n = 18
-		m := make(map[uint64]bool)
-		for _, r := range raw {
-			m[uint64(r)%n] = true
-		}
-		cores := []int{5, 6, 9, 12}[coreSel%4]
-		prog := &pipeProg{n: n, misspecs: m}
-		cfg := smallConfig(cores, pipeline.SpecDSWP("S", "DOALL", "S"))
-		cfg.Horizon = sim.Second // a deadlock must fail, not hang
-		sys, err := NewSystem(cfg, prog, nil)
-		if err != nil {
-			return false
-		}
-		res, err := sys.Run()
-		if err != nil {
-			return false
-		}
-		if res.Committed != n || res.Misspecs != uint64(len(m)) {
-			return false
-		}
-		img := sys.CommitImage()
-		for k := uint64(0); k < n; k++ {
-			if img.Load(prog.out+uva.Addr(k*8)) != prog.expect(k) {
+	onBackends(t, func(t *testing.T, config func(int, pipeline.Plan) Config) {
+		f := func(raw []uint8, coreSel uint8) bool {
+			const n = 18
+			m := make(map[uint64]bool)
+			for _, r := range raw {
+				m[uint64(r)%n] = true
+			}
+			cores := []int{5, 6, 9, 12}[coreSel%4]
+			prog := &pipeProg{n: n, misspecs: m}
+			// A deadlock must fail, not hang: config sets the horizon.
+			sys, res, err := runWithin(config(cores, pipeline.SpecDSWP("S", "DOALL", "S")), prog)
+			if err != nil {
 				return false
 			}
+			if res.Committed != n || res.Misspecs != uint64(len(m)) {
+				return false
+			}
+			img := sys.CommitImage()
+			for k := uint64(0); k < n; k++ {
+				if img.Load(prog.out+uva.Addr(k*8)) != prog.expect(k) {
+					return false
+				}
+			}
+			return true
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
+		if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // Property: the Spec-DOALL conflict-detection path commits the sequential
 // result for any flip point and core count.
 func TestConflictDetectionProperty(t *testing.T) {
-	f := func(flip uint8, coreSel uint8) bool {
-		n := uint64(30)
-		prog := &doallProg{n: n, flip: uint64(flip) % n}
-		cores := []int{4, 7, 11, 16}[coreSel%4]
-		cfg := smallConfig(cores, pipeline.SpecDOALL())
-		cfg.Horizon = sim.Second
-		sys, err := NewSystem(cfg, prog, nil)
-		if err != nil {
-			return false
-		}
-		if _, err := sys.Run(); err != nil {
-			return false
-		}
-		img := sys.CommitImage()
-		for k := uint64(0); k < n; k++ {
-			if img.Load(prog.out+uva.Addr(k*8)) != prog.expect(k) {
+	onBackends(t, func(t *testing.T, config func(int, pipeline.Plan) Config) {
+		f := func(flip uint8, coreSel uint8) bool {
+			n := uint64(30)
+			prog := &doallProg{n: n, flip: uint64(flip) % n}
+			cores := []int{4, 7, 11, 16}[coreSel%4]
+			sys, _, err := runWithin(config(cores, pipeline.SpecDOALL()), prog)
+			if err != nil {
 				return false
 			}
+			img := sys.CommitImage()
+			for k := uint64(0); k < n; k++ {
+				if img.Load(prog.out+uva.Addr(k*8)) != prog.expect(k) {
+					return false
+				}
+			}
+			return true
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
+		if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // Recovery timing invariants: phases are non-negative and MIS runs slower

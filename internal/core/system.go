@@ -56,13 +56,17 @@ type Finalizer interface {
 	Finalize(ctx *SeqCtx)
 }
 
-// ctrlMsg is a commit-unit broadcast: either "enter recovery at epoch,
-// restarting from iteration restart" or — with done set — "the whole run has
-// committed; exit".
+// ctrlMsg is a commit-unit broadcast: "enter recovery at epoch, restarting
+// from iteration restart"; with done set, "the whole run has committed; exit";
+// or, to the first-stage workers under bounded run-ahead (awaitWindow),
+// "epoch's commit point has reached progress". Only a recovery order carries
+// an epoch newer than its receiver's: a report of epoch e is sent after
+// recovery e's last barrier, which every receiver entered holding epoch e.
 type ctrlMsg struct {
-	epoch   uint64
-	restart uint64
-	done    bool
+	epoch    uint64
+	restart  uint64
+	progress uint64
+	done     bool
 }
 
 // recoverySignal unwinds worker/try-commit stacks to their main loops.
@@ -75,6 +79,9 @@ type Result struct {
 	Elapsed   platform.Duration
 	Committed uint64 // MTXs committed (including recovery re-executions)
 	Misspecs  uint64
+	// SubTXs is every stage body the workers ran, squashed ones included:
+	// against Committed × stages it says how much speculation was wasted.
+	SubTXs uint64
 	// Recovery phase totals across all misspeculations (Fig. 6).
 	ERM platform.Duration // enter recovery mode: detection to first barrier
 	FLQ platform.Duration // flush queues + re-protect
@@ -96,6 +103,7 @@ func (r *Result) Add(o Result) {
 	r.Elapsed += o.Elapsed
 	r.Committed += o.Committed
 	r.Misspecs += o.Misspecs
+	r.SubTXs += o.SubTXs
 	r.ERM += o.ERM
 	r.FLQ += o.FLQ
 	r.SEQ += o.SEQ
@@ -170,6 +178,10 @@ type System struct {
 
 	allRanks []int
 	life     []platform.Duration // per rank: its process's run time on its own clock
+
+	// windowStride sizes the bound on first-stage run-ahead once an
+	// invocation has recovered (see boundRunAhead); zero = never bounded.
+	windowStride uint64
 
 	initialImage *mem.Image
 
@@ -259,6 +271,12 @@ func NewSystem(cfg Config, prog Program, initialImage *mem.Image) (*System, erro
 			s.mach.EnableFaults(inj)
 		}
 		s.plat = vtime.New(s.kernel, s.mach)
+	}
+	if s.plat.Concurrent() {
+		// Live ranks share the host's CPUs, so work that will be squashed
+		// competes with the refill. A vtime rank owns its modelled core, as on
+		// the paper's cluster, and Figure 6 measures that unbounded schedule.
+		s.boundRunAhead()
 	}
 	s.world = mpi.NewWorld(s.plat, cfg.MPICost)
 	s.buildQueues()
@@ -764,6 +782,10 @@ func (s *System) Run() (Result, error) {
 	for _, c := range s.cus[1:] {
 		res.Add(c.result)
 	}
+	for _, w := range s.workers {
+		res.SubTXs += w.subTXs // zero for a rank another daemon ran (net)
+	}
+	s.tr.Metrics().Counter("subtx.executed").Add(res.SubTXs)
 	res.Elapsed = s.plat.Now()
 	res.Traffic = s.plat.Traffic()
 	res.Events = s.plat.Events()

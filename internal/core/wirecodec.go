@@ -28,6 +28,7 @@ func init() {
 			m := v.(ctrlMsg)
 			e.U64(m.epoch)
 			e.U64(m.restart)
+			e.U64(m.progress)
 			done := uint8(0)
 			if m.done {
 				done = 1
@@ -38,6 +39,7 @@ func init() {
 			var m ctrlMsg
 			m.epoch = d.U64()
 			m.restart = d.U64()
+			m.progress = d.U64()
 			m.done = d.U8() != 0
 			return m
 		})

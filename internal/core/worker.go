@@ -64,7 +64,7 @@ type workerNode struct {
 	// Stall attribution: pollTime split by cause, plus recovery-window
 	// accounting (wall time, and the advanced/blocked shares inside it).
 	stallStarve platform.Duration // consumeNext polling an empty upstream queue
-	stallBack   platform.Duration // occupancy-routing waits (downstream saturated)
+	stallBack   platform.Duration // occupancy-routing and run-ahead-window waits
 	recWall     platform.Duration
 	recAdv      platform.Duration
 	recBlk      platform.Duration
@@ -84,11 +84,15 @@ type workerNode struct {
 
 	epoch       uint64
 	epochBase   uint64 // first iteration of the current epoch
+	progress    uint64 // newest commit point reported this epoch (awaitWindow)
 	nextIter    uint64
 	curIter     uint64
 	poisoned    bool
 	selfMisspec bool
 	pendingCtrl *ctrlMsg
+
+	subTXs uint64         // stage bodies run, squashed ones included (Result.SubTXs)
+	cWaits *trace.Counter // window.waits (nil when uninstrumented)
 }
 
 func newWorkerNode(s *System, tid int) *workerNode {
@@ -166,6 +170,7 @@ func (w *workerNode) bind() {
 	// discard can recycle the frames.
 	w.img.ReleaseOnReset(true)
 	w.img.Instrument(w.sys.tr.Metrics())
+	w.cWaits = w.sys.tr.Metrics().Counter("window.waits")
 	w.arena = uva.NewArena(w.tid + 1)
 
 	for key, q := range w.sys.edgeQ {
@@ -341,6 +346,9 @@ func (w *workerNode) stageLoop() bool {
 			}
 			iter = it
 		}
+		if first {
+			w.awaitWindow(iter)
+		}
 		w.curIter = iter
 		if w.feedsRouted {
 			w.chooseRoute(iter)
@@ -348,6 +356,7 @@ func (w *workerNode) stageLoop() bool {
 		spanStart := w.sys.tr.Now()
 		ok := true
 		if !w.poisoned {
+			w.subTXs++
 			ok = w.runStage(iter)
 		}
 		if first && !ok {
@@ -685,6 +694,11 @@ func (w *workerNode) consumeNext(port *entryCursor) Entry {
 			return e
 		}
 		w.checkCtrl()
+		if w.sinceFlush > 0 && w.sys.bounded(w.epoch) {
+			// Upstream may be held at the run-ahead bound, on a commit point
+			// that cannot pass the markers batched here (see awaitWindow).
+			w.flushMarkers()
+		}
 		w.sys.pollWait(w.comm, &backoff, &w.pollTime, &w.stallStarve)
 	}
 }
@@ -695,15 +709,100 @@ func (w *workerNode) consumeNext(port *entryCursor) Entry {
 // falling inside a barrier or a blocking receive fires at the next
 // checkpoint — the simulation's fail-stop granularity.
 func (w *workerNode) checkCtrl() {
-	if msg, ok := w.comm.TryRecvBox(w.ctrlBox); ok {
-		cm := msg.Payload.(ctrlMsg)
-		if cm.epoch > w.epoch {
-			w.pendingCtrl = &cm
-			panic(recoverySignal{})
-		}
+	// Drain, not read one: a recovery order may sit behind progress reports.
+	for msg, ok := w.comm.TryRecvBox(w.ctrlBox); ok; msg, ok = w.comm.TryRecvBox(w.ctrlBox) {
+		w.onCtrl(msg.Payload.(ctrlMsg))
 	}
 	if w.sys.hbOn {
 		w.checkCrash()
+	}
+}
+
+// onCtrl acts on one control message: a newer epoch unwinds to recovery, a
+// progress report of this epoch raises progress, anything else is stale.
+func (w *workerNode) onCtrl(cm ctrlMsg) {
+	if cm.epoch > w.epoch {
+		w.pendingCtrl = &cm
+		panic(recoverySignal{})
+	}
+	if cm.epoch == w.epoch && cm.progress > w.progress {
+		w.progress = cm.progress
+	}
+}
+
+// Bounded run-ahead. Nothing upstream throttles the first pipeline stage: on
+// CPUs the ranks share it re-runs the loop after a recovery as far ahead as
+// the scheduler lets it, the next misspeculation squashes all of that again,
+// and the squashed work is what starves the refill. So where ranks share CPUs
+// (boundRunAhead is only called there) and once an invocation has recovered —
+// before that nothing changes: no message, no wait — the lead commit unit
+// reports its commit point to the first-stage workers at every multiple of
+// windowStride (cuNode.reportProgress), and one starts iteration i only while
+//
+//	i < progress + (progress - epochBase) + floor
+//
+// a lead bounded by the clean streak since the last recovery: a recovery
+// squashes at most what its epoch committed plus the floor, and a long clean
+// streak grows the bound back to unbounded.
+//
+// With M = MarkerFlushIters and P the largest stage pool, stride = M·(P+1)
+// and floor = 2·stride (windowEnd). A stride is how far the commit point trails an MTX
+// whose subTXs have all run when nobody is idle — a round-robin pool worker
+// batches the markers of under M subTXs (under M·P iterations), the try-commit
+// unit under M verdicts — so with a floor of two the report that lifts the
+// bound is sent while the pipeline is still full, not once it has drained.
+//
+// Why a blocking wait at the head of every pipeline cannot wedge. The waiter
+// blocks in Recv on the control mailbox (not pollWait, whose spin is CPU the
+// ranks it waits for need), so it reads every report sent, and progress is
+// then within a stride of the commit point c: a worker held at i has
+// i >= progress + floor > c + stride. Take every first-stage worker held or
+// past its exit test, and i the least held. Every iteration below i that the
+// loop has (trip count n) has run at stage 0 — a TLS worker blocked in
+// SyncRecv waits on one of them — with its markers flushed: the waiter
+// flushes before it blocks, emitTerminate flushes. Pipeline edges flush every
+// subTX, and a later-stage worker that runs dry while the bound is in force
+// flushes its markers before parking (consumeNext): round-robin dealing keeps
+// it within the stride anyway, occupancy routing can leave a pool worker
+// without an iteration indefinitely. What is left in a batch is the
+// try-commit unit's under M verdicts, mid-loop or stopped at loop exit
+// collecting terminates, so c > min(i, n) - M. If i <= n that contradicts
+// i > c + stride; otherwise i is an exit test, below n + P, and i - c <
+// P + M <= stride does. A recovery order arrives on the mailbox the waiter
+// blocks on and unwinds it; since one may now sit behind reports, checkCtrl
+// drains the mailbox. With CommitShards > 1 the lead shard reports: every
+// shard consumes the same marker and verdict flushes, so whatever lets the
+// lead reach an MTX lets the shard whose vote it then awaits reach it too.
+func (s *System) boundRunAhead() {
+	pool := 0
+	for _, tids := range s.layout.Assign {
+		pool = max(pool, len(tids))
+	}
+	s.windowStride = uint64(max(s.cfg.MarkerFlushIters, 1) * (pool + 1))
+}
+
+// bounded reports whether the run-ahead bound is in force in epoch: the ranks
+// share CPUs (boundRunAhead ran) and the invocation has recovered at least once.
+func (s *System) bounded(epoch uint64) bool { return s.windowStride != 0 && epoch > 0 }
+
+// windowEnd is the first iteration the bound does not admit yet.
+func (w *workerNode) windowEnd() uint64 {
+	return w.progress + (w.progress - w.epochBase) + 2*w.sys.windowStride
+}
+
+// awaitWindow holds a first-stage worker at iteration iter until the bound
+// admits it, returning at once while the bound is not in force. The wait is
+// charged to the stall table's backpressure column.
+func (w *workerNode) awaitWindow(iter uint64) {
+	if !w.sys.bounded(w.epoch) || iter < w.windowEnd() {
+		return
+	}
+	w.flushMarkers() // the commit point cannot pass a marker still batched here
+	w.cWaits.Inc()
+	start := w.proc.Now()
+	defer func() { w.stallBack += w.proc.Now() - start }() // a recovery order unwinds through here
+	for iter >= w.windowEnd() {
+		w.onCtrl(w.comm.Recv(w.sys.commitSrc(), tagCtrl).Payload.(ctrlMsg))
 	}
 }
 
@@ -847,6 +946,7 @@ func (w *workerNode) doRecovery() {
 
 	w.epoch = cm.epoch
 	w.epochBase = cm.restart
+	w.progress = cm.restart
 	w.nextIter = cm.restart
 	w.poisoned = false
 	w.selfMisspec = false

@@ -21,8 +21,8 @@ var simSourceDirs = []string{
 
 // recordSchema versions the cached Result layout; bump it when the record
 // changes shape so old entries miss instead of decoding into zeros.
-// (record-v3 carried Bytes beside Traffic.Bytes.)
-const recordSchema = "record-v4"
+// (record-v3 carried Bytes beside Traffic.Bytes; record-v4 had no SubTXs.)
+const recordSchema = "record-v5"
 
 // OpenResultCache opens the content-addressed result store at dir, scoped
 // to this checkout's simulator sources; an empty dir means no cache. A

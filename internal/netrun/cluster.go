@@ -210,6 +210,7 @@ func (c *Cluster) Run(spec JobSpec) (Result, error) {
 
 	res := Result{Daemons: len(c.conns)}
 	var traffic platform.TrafficStats
+	var subTXs uint64
 	gotChecksum := false
 	for i, conn := range c.conns {
 		var dr daemonResult
@@ -220,6 +221,7 @@ func (c *Cluster) Run(spec JobSpec) (Result, error) {
 			return Result{}, fmt.Errorf("netrun: result from daemon %d: %w", i, err)
 		}
 		traffic.Add(dr.Traffic)
+		subTXs += dr.SubTXs
 		res.Mesh.Add(dr.Mesh)
 		if dr.HasChecksum {
 			if gotChecksum {
@@ -229,7 +231,7 @@ func (c *Cluster) Run(spec JobSpec) (Result, error) {
 			res.Result = dr.Result
 		}
 	}
-	res.Traffic = traffic
+	res.Traffic, res.SubTXs = traffic, subTXs
 	if !gotChecksum {
 		return Result{}, fmt.Errorf("netrun: no daemon reported the committed checksum")
 	}

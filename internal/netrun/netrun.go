@@ -57,8 +57,9 @@ func (s JobSpec) chain() (*workloads.Chain, error) {
 
 // Result is a net job's record: the commit daemon's (the commit unit owns
 // the protocol counters, the committed image and so the checksum; Elapsed is
-// its summed per-invocation wall-clock time) with every daemon's
-// locally-accounted wire traffic folded into Traffic.
+// its summed per-invocation wall-clock time) with what every daemon accounts
+// locally — wire traffic, stage bodies its workers ran — folded into Traffic
+// and SubTXs.
 type Result struct {
 	workloads.Result
 	// Mesh folds every daemon's transport counters: what the TCP mesh did
@@ -96,7 +97,7 @@ type errorWire struct {
 // daemonResult is one daemon's share of the job. Protocol counters are only
 // nonzero on the commit daemon (the commit unit owns them), which alone
 // reports a checksum; traffic and mesh counters are accounted where the
-// sends happen, so every daemon contributes.
+// sends happen and SubTXs where the workers run, so every daemon contributes.
 type daemonResult struct {
 	workloads.Result
 	Mesh        netplat.MeshStats

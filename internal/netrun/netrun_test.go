@@ -89,6 +89,11 @@ func checkJob(t *testing.T, cl *netrun.Cluster, spec netrun.JobSpec) netrun.Resu
 	if nres.Daemons != cl.Daemons() || nres.Elapsed <= 0 {
 		t.Errorf("%+v: daemons %d, elapsed %v", spec, nres.Daemons, nres.Elapsed)
 	}
+	// Stage bodies run on whichever daemon hosts the worker; the fold must
+	// reach at least one per stage of every MTX the pipeline committed.
+	if stages := uint64(len(workloads.NewChain(b, in).Plan(workloads.DSMTX).Stages)); nres.SubTXs < stages*(nres.Committed-nres.Misspecs) {
+		t.Errorf("%+v: %d subTXs for %d committed MTXs of %d stages", spec, nres.SubTXs, nres.Committed, stages)
+	}
 	if tr := nres.Traffic; tr.QueueMessages == 0 || tr.PageMessages == 0 || tr.ControlMessages == 0 ||
 		tr.QueueMessages+tr.PageMessages+tr.ControlMessages != tr.Messages {
 		t.Errorf("%+v: traffic classes %+v", spec, tr)
@@ -126,9 +131,16 @@ func TestConnectRunsSuccessiveJobs(t *testing.T) {
 		t.Errorf("Invocations=1 committed %d MTXs, the whole chain %d", one.Committed, all.Committed)
 	}
 
-	// Recovery: the commit daemon's breakdown is the job's.
-	if rec := checkJob(t, cl, netrun.JobSpec{Bench: "197.parser", Scale: 1, Seed: 42, MisspecRate: 0.05, Cores: 5}); rec.Misspecs != 20 {
-		t.Errorf("197.parser at rate 0.05: %d misspeculations, want 20", rec.Misspecs)
+	// Recovery: the commit daemon's breakdown is the job's. The first stage
+	// and the commit unit that reports to it run in different processes here,
+	// and the run-ahead bound must hold all the same: the waste inequality of
+	// workloads' TestBoundedRunAheadWaste (n = 800, floor 32).
+	rec := checkJob(t, cl, netrun.JobSpec{Bench: "197.parser", Scale: 1, Seed: 42, MisspecRate: 0.05, Cores: 5})
+	if rec.Misspecs != 20 || rec.Committed != 800 {
+		t.Errorf("197.parser at rate 0.05: %d misspeculations, %d committed, want 20 and 800", rec.Misspecs, rec.Committed)
+	}
+	if limit := 3 * (800 + 2*rec.Committed + 32*rec.Misspecs); rec.SubTXs > limit {
+		t.Errorf("197.parser at rate 0.05: %d subTXs executed, want <= %d", rec.SubTXs, limit)
 	}
 }
 

@@ -39,9 +39,11 @@ row host-trace host.json ./dsmtxrun -bench crc32 -cores 8 -misspec 0.02 -backend
 # Four commit shards: consistent-hash ownership, cross-shard votes and recovery.
 row shard - ./dsmtxrun -bench crc32 -cores 16 -commit-shards 4 -misspec 0.02 -backend host
 # Two daemon OS processes on loopback TCP: recovery, whose ERM/FLQ/SEQ/RFP
-# breakdown must come back from the commit daemon, then the one benchmark
-# that chains invocations (an image carried across mesh generations).
+# breakdown must come back from the commit daemon and whose executed-subTX
+# count is folded over both, then the one benchmark that chains invocations
+# (an image carried across mesh generations).
 row net-recover - ./dsmtxrun -bench 197.parser -cores 5 -misspec 0.05 -backend net
 grep -q '^  recovery  *ERM ' net-recover.out || { echo "smoke: net-recover: no recovery line" >&2; exit 1; }
+grep -q '^  speculation  *[1-9][0-9]* subTXs executed, 2400 useful ' net-recover.out || { echo "smoke: net-recover: no speculation line" >&2; exit 1; }
 row net-chain - ./dsmtxrun -bench 052.alvinn -cores 6 -backend net
 echo "smoke: OK"

@@ -59,9 +59,21 @@ go test -race ./internal/core/ -run TestCrossShard
 # Pinning both in CI surfaces interleaving-dependent bugs here rather than on a
 # loaded box. The backend-equivalence pattern includes the CommitShards
 # sweep, and the core cross-shard, page-placement and lifecycle-span tests
-# (the Tracer recording from live goroutines) ride along at both widths.
-GOMAXPROCS=2 go test -race -count=1 ./internal/workloads/ ./internal/core/ -run 'TestBackendEquivalence|TestCrossShard|TestPageServicePlacement|TestLifecycleSpans'
-GOMAXPROCS=8 go test -race -count=1 ./internal/workloads/ ./internal/core/ -run 'TestBackendEquivalence|TestCrossShard|TestPageServicePlacement|TestLifecycleSpans'
+# (the Tracer recording from live goroutines) ride along at both widths. So
+# does everything that exercises bounded run-ahead — a blocking wait at the
+# head of every pipeline must be wedge-free at both widths: the workloads
+# sweep (the cells where the bound engages), core's recovery tests and seeded
+# random sweep on host, and netrun's two-daemon recovering 197.parser (first
+# stage and commit unit in different processes).
+live='TestBackendEquivalence|TestCrossShard|TestPageServicePlacement|TestLifecycleSpans'
+live+='|TestBoundedRunAhead|TestLiveRecoverySweep|TestMisspecOnFirstIteration|TestBackToBackMisspecs|TestMisspecStorm'
+live+='|TestTLSRecovery|TestRecoveryProperty|TestConflictDetectionProperty|TestConnectRunsSuccessiveJobs'
+GOMAXPROCS=2 go test -race -count=1 ./internal/workloads/ ./internal/core/ ./internal/netrun/ -run "$live"
+GOMAXPROCS=8 go test -race -count=1 ./internal/workloads/ ./internal/core/ ./internal/netrun/ -run "$live"
+# The whole bounded run-ahead sweep: every workload x paradigm, clean and
+# misspeculating, one and two commit shards, each cross-checked against vtime
+# (tier-1 runs only the cells where the bound engages).
+go test -count=1 ./internal/workloads/ -run TestBoundedRunAheadSweep -sweep-all
 # bench/ is its own module (BENCHMARK.json's entry point) compiled against
 # this one's internal packages; the root ./... patterns never descend into
 # it, so a root refactor could break the benchmark unnoticed without this.
