@@ -26,6 +26,9 @@ type misspecSignal struct{}
 // to the try-commit and commit units — every store whose effect must
 // survive the loop (or be seen by later stages) must use Write/WriteTo,
 // or it will be lost at commit time.
+//
+// A *Ctx is valid only during the Stage call it was passed to: the worker
+// reuses it for its next subTX, so stage code must not retain it.
 type Ctx struct {
 	w    *workerNode
 	iter uint64
@@ -144,6 +147,12 @@ func (c *Ctx) LoadBytes(addr uva.Addr, n int) []byte {
 	return c.w.img.LoadBytes(addr, n)
 }
 
+// LoadBytesInto is LoadBytes into the caller's buffer, at the same charge.
+func (c *Ctx) LoadBytesInto(dst []byte, addr uva.Addr) {
+	c.bulkCost(len(dst))
+	c.w.img.LoadBytesInto(dst, addr)
+}
+
 // StoreBytes writes a block to private memory only.
 func (c *Ctx) StoreBytes(addr uva.Addr, b []byte) {
 	c.bulkCost(len(b))
@@ -214,14 +223,16 @@ func (c *Ctx) ConsumeData(fromStage int) any {
 }
 
 func (c *Ctx) take(fromStage int) Entry {
-	box := c.w.inbox[fromStage]
-	if len(box) == 0 {
+	var q inboxQ
+	if fromStage >= 0 && fromStage < len(c.w.inbox) {
+		q = c.w.inbox[fromStage]
+	}
+	if q.pos == len(q.data) {
 		panic(fmt.Sprintf("core: stage %d consumed more than stage %d produced in MTX %d",
 			c.w.stage, fromStage, c.iter))
 	}
-	e := box[0]
-	c.w.inbox[fromStage] = box[1:]
-	return e
+	c.w.inbox[fromStage].pos++
+	return q.data[q.pos]
 }
 
 // SyncSend forwards a synchronized (non-speculated) cross-iteration value to

@@ -1,0 +1,49 @@
+package core
+
+import (
+	"bytes"
+	"testing"
+
+	"dsmtx/internal/mem"
+	"dsmtx/internal/uva"
+)
+
+// TestShardSpaceBulkAcrossOwners pins the federated view's bulk reads to a
+// single image holding the same bytes: LoadBytesInto fills each owner's
+// segment in place, and ChecksumRange carries one FNV-1a state across the
+// owners' segments — at starts off the page and owner-block grid, odd
+// lengths, and ranges spanning several ownership blocks.
+func TestShardSpaceBulkAcrossOwners(t *testing.T) {
+	sys := &System{cfg: Config{CommitShards: 3}}
+	sys.buildOwnerTable()
+	sp := &shardSpace{sys: sys, imgs: []*mem.Image{mem.NewImage(nil), mem.NewImage(nil), mem.NewImage(nil)}}
+	ref := mem.NewImage(nil)
+	base := uva.Base(1)
+	data := make([]byte, 4*ownerSpan+100)
+	for i := range data {
+		data[i] = byte(i*167 + i>>12)
+	}
+	sp.StoreBytes(base, data)
+	ref.StoreBytes(base, data)
+	owners := map[int]bool{}
+	for off := 0; off < len(data); off += ownerSpan {
+		owners[sys.ownerOf((base + uva.Addr(off)).Page())] = true
+	}
+	if len(owners) < 2 {
+		t.Fatalf("fixture spans %d owner, want several", len(owners))
+	}
+	for _, start := range []int{0, 8, uva.PageSize + 16, ownerSpan - 8, 2*ownerSpan - 4096} {
+		for _, n := range []int{0, 1, 13, uva.PageSize + 5, ownerSpan + 1, 3*ownerSpan + 77} {
+			a := base + uva.Addr(start)
+			want := ref.LoadBytes(a, n)
+			got := make([]byte, n)
+			sp.LoadBytesInto(got, a)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("LoadBytesInto(+%d, %d) differs from one image's bytes", start, n)
+			}
+			if h, w := sp.ChecksumRange(a, n), mem.ChecksumBytes(want); h != w {
+				t.Fatalf("ChecksumRange(+%d, %d) = %#x, ChecksumBytes = %#x", start, n, h, w)
+			}
+		}
+	}
+}

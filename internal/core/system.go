@@ -376,10 +376,15 @@ func forEachOwnerRange(addr uva.Addr, n int, fn func(a uva.Addr, off, ln int)) {
 
 func (sp *shardSpace) LoadBytes(addr uva.Addr, n int) []byte {
 	out := make([]byte, n)
-	forEachOwnerRange(addr, n, func(a uva.Addr, off, ln int) {
-		copy(out[off:off+ln], sp.imgFor(a).LoadBytes(a, ln))
-	})
+	sp.LoadBytesInto(out, addr)
 	return out
+}
+
+// LoadBytesInto fills each owner's segment of dst in place.
+func (sp *shardSpace) LoadBytesInto(dst []byte, addr uva.Addr) {
+	forEachOwnerRange(addr, len(dst), func(a uva.Addr, off, ln int) {
+		sp.imgFor(a).LoadBytesInto(dst[off:off+ln], a)
+	})
 }
 
 func (sp *shardSpace) StoreBytes(addr uva.Addr, b []byte) {
@@ -388,8 +393,13 @@ func (sp *shardSpace) StoreBytes(addr uva.Addr, b []byte) {
 	})
 }
 
+// ChecksumRange carries one FNV-1a state across the owners' segments.
 func (sp *shardSpace) ChecksumRange(addr uva.Addr, n int) uint64 {
-	return mem.ChecksumBytes(sp.LoadBytes(addr, n))
+	h := uint64(mem.ChecksumSeed)
+	forEachOwnerRange(addr, n, func(a uva.Addr, _, ln int) {
+		h = sp.imgFor(a).ChecksumFrom(h, a, ln)
+	})
+	return h
 }
 
 // pageSrvTrack is commit shard k's page server's synthetic timeline id: the
@@ -1003,6 +1013,12 @@ func (c *SeqCtx) Compute(n int64) { c.proc.Advance(c.instrTime(n)) }
 func (c *SeqCtx) LoadBytes(addr uva.Addr, n int) []byte {
 	c.Compute(int64(float64(n) * c.cfg.BulkInstrPerByte))
 	return c.img.LoadBytes(addr, n)
+}
+
+// LoadBytesInto is LoadBytes into the caller's buffer, at the same charge.
+func (c *SeqCtx) LoadBytesInto(dst []byte, addr uva.Addr) {
+	c.Compute(int64(float64(len(dst)) * c.cfg.BulkInstrPerByte))
+	c.img.LoadBytesInto(dst, addr)
 }
 
 // StoreBytes writes a block to committed memory, charging bulk cost.

@@ -45,7 +45,8 @@ type workerNode struct {
 	cuMask uint64
 	cuMin  uva.Addr
 
-	inbox map[int][]Entry // fromStage -> data entries buffered for current iter
+	inbox []inboxQ // by source stage: data entries buffered for current iter
+	ctx   Ctx      // the one Ctx every subTX of this worker runs against
 
 	// Feeder-side dynamic routing (this worker feeds the routed stage).
 	feedsRouted bool
@@ -96,7 +97,7 @@ type workerNode struct {
 }
 
 func newWorkerNode(s *System, tid int) *workerNode {
-	return &workerNode{
+	w := &workerNode{
 		sys:      s,
 		tid:      tid,
 		rank:     tid,
@@ -104,8 +105,26 @@ func newWorkerNode(s *System, tid int) *workerNode {
 		poolIdx:  s.layout.PoolIndex(tid),
 		edgeOut:  make(map[int]map[int]*queue.SendPort[Entry]),
 		edgeIn:   make(map[int]map[int]*entryCursor),
-		inbox:    make(map[int][]Entry),
+		inbox:    make([]inboxQ, len(s.cfg.Plan.Stages)),
 		routesIn: make(map[uint64]int),
+	}
+	w.ctx.w = w
+	return w
+}
+
+// inboxQ is one source stage's pipeline data for the current iteration;
+// data[pos:] is not consumed yet. Clearing keeps the storage.
+type inboxQ struct {
+	data []Entry
+	pos  int
+}
+
+// clearInbox empties every stage's inbox, keeping its storage for the next
+// iteration but not the payloads it referenced.
+func (w *workerNode) clearInbox() {
+	for i := range w.inbox {
+		clear(w.inbox[i].data)
+		w.inbox[i] = inboxQ{data: w.inbox[i].data[:0]}
 	}
 }
 
@@ -397,7 +416,8 @@ func (w *workerNode) runStage(iter uint64) (ok bool) {
 			panic(r)
 		}
 	}()
-	return w.sys.prog.Stage(&Ctx{w: w, iter: iter}, w.stage, iter)
+	w.ctx.iter = iter
+	return w.sys.prog.Stage(&w.ctx, w.stage, iter)
 }
 
 // refresh consumes the predecessor subTX(s) of the next iteration: it
@@ -405,9 +425,7 @@ func (w *workerNode) runStage(iter uint64) (ok bool) {
 // data for Consume, and learns the iteration number (mtx_begin's "updating
 // memory with stores in this MTX by earlier subTXs").
 func (w *workerNode) refresh() (iter uint64, term bool) {
-	for k := range w.inbox {
-		delete(w.inbox, k)
-	}
+	w.clearInbox()
 	if w.sys.cfg.Plan.Stages[w.stage].Kind == pipeline.Parallel {
 		// A fed parallel stage has exactly one inbound edge; the next
 		// EndSub marker names the iteration routed to this worker.
@@ -443,7 +461,8 @@ func (w *workerNode) drainSub(port *entryCursor, fromStage int, expect *uint64) 
 		case entWriteBlk:
 			w.img.StoreBytes(e.Addr, e.Payload.([]byte))
 		case entData:
-			w.inbox[fromStage] = append(w.inbox[fromStage], e)
+			q := &w.inbox[fromStage]
+			q.data = append(q.data, e)
 		case entRoute:
 			w.routesIn[e.MTX] = w.sys.layout.Assign[w.sys.routedStage][e.Val]
 		case entMisspec:
@@ -849,9 +868,7 @@ func (w *workerNode) doCrash() (done bool) {
 	// address space for free in doRecovery — a fresh process has no pages.
 	w.img.Reset()
 	w.arena = uva.NewArena(w.tid + 1)
-	for k := range w.inbox {
-		delete(w.inbox, k)
-	}
+	w.clearInbox()
 	w.routesIn = make(map[uint64]int)
 	for i := range w.outstanding {
 		w.outstanding[i] = 0
@@ -927,9 +944,7 @@ func (w *workerNode) doRecovery() {
 		w.syncOut.Abort(cm.epoch)
 		w.syncIn.abort(cm.epoch)
 	}
-	for k := range w.inbox {
-		delete(w.inbox, k)
-	}
+	w.clearInbox()
 	w.routesIn = make(map[uint64]int)
 	for i := range w.outstanding {
 		w.outstanding[i] = 0

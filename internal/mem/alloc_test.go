@@ -35,8 +35,8 @@ func TestLoadStoreAllocFree(t *testing.T) {
 }
 
 // TestLoadStoreBytesAllocBounded bounds the bulk path: LoadBytes allocates
-// the destination slice and nothing else; StoreBytes over resident
-// exclusively-owned pages allocates nothing.
+// the destination slice and nothing else; LoadBytesInto, ChecksumRange, and
+// StoreBytes over resident exclusively-owned pages allocate nothing.
 func TestLoadStoreBytesAllocBounded(t *testing.T) {
 	im := NewImage(nil)
 	base := uva.Base(2)
@@ -56,6 +56,20 @@ func TestLoadStoreBytesAllocBounded(t *testing.T) {
 	})
 	if per > 2 { // destination slice (+ size-class slack)
 		t.Fatalf("LoadBytes allocated %.1f times per run, want <= 2", per)
+	}
+	dst := make([]byte, len(buf)-13) // off the page grid, odd length, three pages
+	per = testing.AllocsPerRun(20, func() {
+		im.LoadBytesInto(dst, base+8)
+	})
+	if per > 0 {
+		t.Fatalf("resident LoadBytesInto allocated %.1f times per run, want 0", per)
+	}
+	var sink uint64
+	per = testing.AllocsPerRun(20, func() {
+		sink += im.ChecksumRange(base+8, len(dst))
+	})
+	if per > 0 {
+		t.Fatalf("resident ChecksumRange allocated %.1f times per run, want 0", per)
 	}
 }
 

@@ -13,13 +13,31 @@ import (
 // faulting pages through the normal Copy-On-Access path. Start addresses
 // must be word-aligned; lengths are arbitrary.
 
-// LoadBytes copies n bytes starting at addr out of the image.
+// LoadBytes copies n bytes starting at addr out of the image into a new
+// slice.
 func (im *Image) LoadBytes(addr uva.Addr, n int) []byte {
+	out := make([]byte, n)
+	im.LoadBytesInto(out, addr)
+	return out
+}
+
+// LoadBytesInto fills dst with the len(dst) bytes starting at addr.
+func (im *Image) LoadBytesInto(dst []byte, addr uva.Addr) {
+	im.loadPages(addr, len(dst), func(pg *Page, off, at, ln int) {
+		copyOut(dst[at:at+ln], pg, off)
+	})
+}
+
+// loadPages is the read side of every bulk access: it walks the n bytes at
+// addr page by page, faulting protected pages in with the access hint set
+// (so Copy-On-Access read-ahead fetches the whole run in one round trip),
+// and hands fn each page, the byte offset into it, how many bytes of the
+// range precede it, and how many of its bytes are in range.
+func (im *Image) loadPages(addr uva.Addr, n int, fn func(pg *Page, off, at, ln int)) {
 	checkAligned(addr)
 	if n < 0 {
-		panic(fmt.Sprintf("mem: LoadBytes(%v, %d)", addr, n))
+		panic(fmt.Sprintf("mem: bulk load of %d bytes at %v", n, addr))
 	}
-	out := make([]byte, n)
 	im.LoadOps += uint64((n + 7) / 8)
 	if n > 0 {
 		im.hintEnd = (addr + uva.Addr(n-1)).Page() + 1
@@ -34,10 +52,9 @@ func (im *Image) LoadBytes(addr uva.Addr, n int) []byte {
 		}
 		off := a.PageOffset()
 		chunk := min(uva.PageSize-off, n-done)
-		copyOut(out[done:done+chunk], s.pg, off)
+		fn(s.pg, off, done, chunk)
 		done += chunk
 	}
-	return out
 }
 
 // StoreBytes copies b into the image starting at addr, copying shared
@@ -84,21 +101,46 @@ func (im *Image) StoreBytes(addr uva.Addr, b []byte) {
 
 // ChecksumRange returns the FNV-1a checksum of n bytes at addr, faulting
 // pages as needed — how the try-commit unit validates bulk speculative
-// reads.
+// reads, and how every workload checksums its output. It hashes the pages
+// in place: ChecksumBytes(LoadBytes(addr, n)) without the copy.
 func (im *Image) ChecksumRange(addr uva.Addr, n int) uint64 {
-	return ChecksumBytes(im.LoadBytes(addr, n))
+	return im.ChecksumFrom(ChecksumSeed, addr, n)
 }
+
+// ChecksumFrom continues an FNV-1a state h over n bytes at addr, so a range
+// split across images (commit shards) hashes as one: starting from
+// ChecksumSeed it is ChecksumRange.
+func (im *Image) ChecksumFrom(h uint64, addr uva.Addr, n int) uint64 {
+	im.loadPages(addr, n, func(pg *Page, off, _, ln int) {
+		// Bulk starts are word-aligned, so the range is whole words and then
+		// a partial tail; byte k of a word is Words[k>>3] >> ((k&7)*8).
+		b, end := off, off+ln
+		for ; b+8 <= end; b += 8 {
+			w := pg.Words[b>>3]
+			for range 8 {
+				h = (h ^ w&0xff) * fnvPrime
+				w >>= 8
+			}
+		}
+		for ; b < end; b++ {
+			h = (h ^ pg.Words[b>>3]>>((b&7)*8)&0xff) * fnvPrime
+		}
+	})
+	return h
+}
+
+// FNV-1a parameters: ChecksumSeed is the state before any byte.
+const (
+	ChecksumSeed = 14695981039346656037
+	fnvPrime     = 1099511628211
+)
 
 // ChecksumBytes is FNV-1a over b.
 func ChecksumBytes(b []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
+	h := uint64(ChecksumSeed)
 	for _, c := range b {
 		h ^= uint64(c)
-		h *= prime64
+		h *= fnvPrime
 	}
 	return h
 }

@@ -67,6 +67,38 @@ func TestChecksumRangeMatchesBytes(t *testing.T) {
 	}
 }
 
+// TestChecksumRangeInPlace pins ChecksumRange, which hashes pages where they
+// lie, to ChecksumBytes over a copy: starts inside a page (bulk starts are
+// word-aligned, so "unaligned" means off the page grid), odd lengths, and
+// ranges straddling one or several page boundaries — through the fault path
+// too, since the range reaches pages the image has never touched.
+func TestChecksumRangeInPlace(t *testing.T) {
+	im := NewImage(nil)
+	base := uva.Base(4)
+	data := make([]byte, 3*uva.PageSize+40)
+	for i := range data {
+		data[i] = byte(i*131 + i>>8)
+	}
+	im.StoreBytes(base, data)
+	for _, start := range []int{0, 8, 16, uva.PageSize - 8, uva.PageSize, 2*uva.PageSize - 24} {
+		for _, n := range []int{0, 1, 7, 13, 255, uva.PageSize - 1, uva.PageSize + 3, 2*uva.PageSize + 9, len(data) - start + 100} {
+			a := base + uva.Addr(start)
+			got := im.ChecksumRange(a, n) // first, so it is the one that faults
+			if want := ChecksumBytes(im.LoadBytes(a, n)); got != want {
+				t.Fatalf("ChecksumRange(+%d, %d) = %#x, ChecksumBytes(LoadBytes) = %#x", start, n, got, want)
+			}
+		}
+	}
+	// Continuing the state across a split equals one pass over the whole.
+	a, n := base+8, 2*uva.PageSize+5
+	for _, cut := range []int{0, 8, uva.PageSize - 8, uva.PageSize + 16} {
+		h := im.ChecksumFrom(ChecksumSeed, a, cut)
+		if h = im.ChecksumFrom(h, a+uva.Addr(cut), n-cut); h != im.ChecksumRange(a, n) {
+			t.Fatalf("split at %d: %#x, want %#x", cut, h, im.ChecksumRange(a, n))
+		}
+	}
+}
+
 func TestChecksumSensitivity(t *testing.T) {
 	a := ChecksumBytes([]byte{0, 0, 1})
 	b := ChecksumBytes([]byte{0, 1, 0})

@@ -338,6 +338,7 @@ type Space interface {
 	LoadFloat(addr uva.Addr) float64
 	StoreFloat(addr uva.Addr, v float64)
 	LoadBytes(addr uva.Addr, n int) []byte
+	LoadBytesInto(dst []byte, addr uva.Addr)
 	StoreBytes(addr uva.Addr, b []byte)
 	ChecksumRange(addr uva.Addr, n int) uint64
 }

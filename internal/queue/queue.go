@@ -17,6 +17,19 @@
 // In-flight batches are unbounded: the decoupling between workers and the
 // commit unit is the point of the design.
 //
+// A batch's lifecycle: it belongs to the sender until Send, to the receiver
+// from delivery until admit has copied its items into the port's own
+// receive buffer, and to the queue's free list after that, from which the
+// sender takes it for a later flush — so a steady stream allocates nothing.
+// The free list is a bounded channel (freeBatches) on the Queue, so only a
+// receiver in the sender's process can recycle. On net, a batch that crosses
+// daemons is encoded by the writer goroutine after Send returns and the
+// receiver gets a decoded copy, so the sender never sees the original again
+// and the copy recycles into the receiving daemon's Queue. Under vtime
+// faults a retransmitted copy of a recycled batch is dropped as a duplicate
+// by the reliable layer before anyone reads it. Abort on either port
+// recycles what it discards.
+//
 // Queues inherit reliability from the layer below: under fault injection
 // the cluster retransmits lost batches and releases them in order, so
 // batch FIFO order and epoch discard survive a lossy interconnect
@@ -61,7 +74,9 @@ func (c Config) Unoptimized() Config {
 	return c
 }
 
-// batch is the unit that crosses the network.
+// batch is the unit that crosses the network. It travels as *batch[T], so a
+// flush boxes nothing and the receiver can hand it back (see the package
+// comment's lifecycle).
 type batch[T any] struct {
 	epoch uint64
 	items []T
@@ -69,6 +84,18 @@ type batch[T any] struct {
 }
 
 const batchHeaderBytes = 32
+
+// freeBatches bounds a queue's free list. A receiver recycles every batch it
+// admits and the sender takes one back per flush, so the list has to hold
+// what one receiver drain returns: the backlog. A pipeline edge flushes once
+// per subTX, so its backlog is its consumer's lag in iterations, and after a
+// recovery core lets the first stage lead by the run-ahead floor, 2·stride =
+// 2·MarkerFlushIters·(P+1) = 32 iterations at the smallest layout (P = 1).
+// A backlog that long recycles whole; past it the excess goes to the
+// collector. (On the contracted host-recover job a bound of 8 left ≈ 15
+// allocations per committed MTX, 32 leaves ≈ 7.) The list never holds more
+// batches than were once in flight at the same time.
+const freeBatches = 32
 
 // Queue describes one unidirectional, typed channel between two ranks.
 // Create it once, then bind a SendPort on the producing process and a
@@ -80,6 +107,7 @@ type Queue[T any] struct {
 	tag      int
 	cfg      Config
 	size     func(T) int
+	free     chan *batch[T] // spent batches on their way back to the sender
 
 	// Instrumentation handles, resolved once by Instrument. All remain nil
 	// on uninstrumented queues; every use is a nil-safe single branch, so
@@ -120,7 +148,19 @@ func New[T any](world *mpi.World, name string, src, dst, tag int, cfg Config, si
 	if size == nil {
 		size = func(T) int { return 16 }
 	}
-	return &Queue[T]{name: name, world: world, src: src, dst: dst, tag: tag, cfg: cfg, size: size}
+	return &Queue[T]{name: name, world: world, src: src, dst: dst, tag: tag, cfg: cfg, size: size,
+		free: make(chan *batch[T], freeBatches)}
+}
+
+// recycle returns a batch its receiver is done with to the free list, or to
+// the collector when the list is full.
+func (q *Queue[T]) recycle(b *batch[T]) {
+	clear(b.items) // drop what the items reference
+	b.items, b.bytes = b.items[:0], 0
+	select {
+	case q.free <- b:
+	default:
+	}
 }
 
 // Name reports the queue's diagnostic name.
@@ -136,11 +176,12 @@ type SendStats struct {
 // SendPort is the producer's end. All methods must be called from the
 // process owning comm.
 type SendPort[T any] struct {
-	q       *Queue[T]
-	comm    *mpi.Comm
-	epoch   uint64
-	pending batch[T]
-	stats   SendStats
+	q        *Queue[T]
+	comm     *mpi.Comm
+	epoch    uint64
+	pending  *batch[T] // nil until the first Produce after a flush
+	maxItems int       // largest batch flushed so far: a fresh batch's capacity
+	stats    SendStats
 }
 
 // Sender binds the producing process to the queue.
@@ -155,31 +196,50 @@ func (q *Queue[T]) Sender(comm *mpi.Comm) *SendPort[T] {
 func (s *SendPort[T]) Produce(v T) {
 	cfg := s.q.cfg
 	s.comm.Proc().Advance(s.q.world.InstrTime(cfg.ProduceInstr))
-	s.pending.items = append(s.pending.items, v)
-	s.pending.bytes += s.q.size(v)
+	b := s.pending
+	if b == nil {
+		b = s.fresh()
+		s.pending = b
+	}
+	b.items = append(b.items, v)
+	b.bytes += s.q.size(v)
 	s.stats.Items++
 	s.q.cProduced.Inc()
-	s.q.gOccupancy.Set(int64(len(s.pending.items)))
-	if s.pending.bytes >= cfg.BatchBytes {
+	s.q.gOccupancy.Set(int64(len(b.items)))
+	if b.bytes >= cfg.BatchBytes {
 		s.Flush()
+	}
+}
+
+// fresh takes a spent batch off the free list, or allocates one sized for
+// the largest batch this port has flushed.
+func (s *SendPort[T]) fresh() *batch[T] {
+	select {
+	case b := <-s.q.free:
+		return b
+	default:
+		return &batch[T]{items: make([]T, 0, s.maxItems)}
 	}
 }
 
 // Flush transmits the pending batch, if any. DSMTX calls it at subTX ends so
 // uncommitted values reach later stages promptly.
 func (s *SendPort[T]) Flush() {
-	if len(s.pending.items) == 0 {
+	b := s.pending
+	if b == nil {
 		return
 	}
-	b := batch[T]{epoch: s.epoch, items: s.pending.items, bytes: s.pending.bytes}
-	wire := b.bytes + batchHeaderBytes
+	s.pending = nil
+	// Read everything off b before Send: from then on it is the receiver's.
+	n, wire := len(b.items), b.bytes+batchHeaderBytes
+	s.maxItems = max(s.maxItems, n)
+	b.epoch = s.epoch
 	s.comm.SendClass(s.q.dst, s.q.tag, b, wire, platform.ClassQueue)
 	s.stats.Batches++
 	s.stats.Bytes += uint64(wire)
-	s.q.hFlushFill.Observe(int64(len(b.items)))
+	s.q.hFlushFill.Observe(int64(n))
 	s.q.hFlushWire.Observe(int64(wire))
-	s.q.tr.Instant(trace.InstFlush, s.comm.Rank(), 0, int64(len(b.items)), int64(wire))
-	s.pending = batch[T]{}
+	s.q.tr.Instant(trace.InstFlush, s.comm.Rank(), 0, int64(n), int64(wire))
 }
 
 // Epoch reports the port's current epoch.
@@ -188,7 +248,10 @@ func (s *SendPort[T]) Epoch() uint64 { return s.epoch }
 // Abort discards the pending batch and advances to the given epoch; any
 // batch already in flight becomes stale.
 func (s *SendPort[T]) Abort(epoch uint64) {
-	s.pending = batch[T]{}
+	if s.pending != nil {
+		s.q.recycle(s.pending)
+		s.pending = nil
+	}
 	s.epoch = epoch
 }
 
@@ -196,7 +259,12 @@ func (s *SendPort[T]) Abort(epoch uint64) {
 func (s *SendPort[T]) Stats() SendStats { return s.stats }
 
 // PendingItems reports how many produced values await the next flush.
-func (s *SendPort[T]) PendingItems() int { return len(s.pending.items) }
+func (s *SendPort[T]) PendingItems() int {
+	if s.pending == nil {
+		return 0
+	}
+	return len(s.pending.items)
+}
 
 // RecvPort is the consumer's end.
 type RecvPort[T any] struct {
@@ -210,7 +278,11 @@ type RecvPort[T any] struct {
 	batched bool
 	msgBuf  []platform.Message // reusable drain buffer (batched only)
 	epoch   uint64
-	cur     []T
+	// buf holds admitted items of the current epoch, copied out of their
+	// batches; buf[pos:] is not consumed yet. The port owns it and reuses it
+	// once it is spent.
+	buf []T
+	pos int
 }
 
 // Receiver binds the consuming process to the queue.
@@ -230,19 +302,19 @@ func (q *Queue[T]) Receiver(comm *mpi.Comm) *RecvPort[T] {
 func (r *RecvPort[T]) Consume() T {
 	cfg := r.q.cfg
 	r.comm.Proc().Advance(r.q.world.InstrTime(cfg.ConsumeInstr))
-	for len(r.cur) == 0 {
+	for r.pos == len(r.buf) {
 		msg := r.comm.Recv(r.q.src, r.q.tag)
 		r.admit(msg)
 	}
-	v := r.cur[0]
-	r.cur = r.cur[1:]
+	v := r.buf[r.pos]
+	r.pos++
 	r.q.cConsumed.Inc()
 	return v
 }
 
 // TryConsume returns a value if one is available now, without blocking.
 func (r *RecvPort[T]) TryConsume() (T, bool) {
-	for len(r.cur) == 0 {
+	for r.pos == len(r.buf) {
 		msg, ok := r.comm.TryRecvBox(r.box)
 		if !ok {
 			var zero T
@@ -252,8 +324,8 @@ func (r *RecvPort[T]) TryConsume() (T, bool) {
 	}
 	cfg := r.q.cfg
 	r.comm.Proc().Advance(r.q.world.InstrTime(cfg.ConsumeInstr))
-	v := r.cur[0]
-	r.cur = r.cur[1:]
+	v := r.buf[r.pos]
+	r.pos++
 	r.q.cConsumed.Inc()
 	return v, true
 }
@@ -267,30 +339,30 @@ func (r *RecvPort[T]) TryConsume() (T, bool) {
 // operation on the port and must not be retained.
 func (r *RecvPort[T]) TryConsumeBatch() ([]T, bool) {
 	if r.batched {
-		if len(r.cur) == 0 {
+		if r.pos == len(r.buf) {
 			r.drainAll()
 		}
-		if len(r.cur) == 0 {
+		if r.pos == len(r.buf) {
 			return nil, false
 		}
 	}
-	for len(r.cur) == 0 {
+	for r.pos == len(r.buf) {
 		msg, ok := r.comm.TryRecvBox(r.box)
 		if !ok {
 			return nil, false
 		}
 		r.admit(msg)
 	}
+	out := r.buf[r.pos:]
+	r.pos = len(r.buf)
 	cfg := r.q.cfg
-	r.comm.Proc().Advance(r.q.world.InstrTime(cfg.ConsumeInstr * int64(len(r.cur))))
-	out := r.cur
-	r.cur = nil
+	r.comm.Proc().Advance(r.q.world.InstrTime(cfg.ConsumeInstr * int64(len(out))))
 	r.q.cConsumed.Add(uint64(len(out)))
 	return out, true
 }
 
 // drainAll takes every batch pending on the mailbox in one ring drain and
-// concatenates the current-epoch items; stale batches discard as in admit.
+// admits each in order; stale batches discard as in admit.
 func (r *RecvPort[T]) drainAll() {
 	r.msgBuf = r.comm.TryRecvBoxBatch(r.box, r.msgBuf[:0])
 	for i := range r.msgBuf {
@@ -299,29 +371,38 @@ func (r *RecvPort[T]) drainAll() {
 	}
 }
 
+// admit appends a delivered batch's items to the receive buffer, unless the
+// batch is stale, and recycles the batch either way.
 func (r *RecvPort[T]) admit(msg platform.Message) {
-	b := msg.Payload.(batch[T])
-	if b.epoch != r.epoch {
-		return // stale speculative state from before a recovery
-	}
-	if len(r.cur) == 0 {
-		r.cur = b.items
-	} else {
-		// Batched drain admitted more than one batch this call.
-		r.cur = append(r.cur, b.items...)
-	}
-	r.q.hDrain.Observe(int64(len(b.items)))
-	r.q.tr.Instant(trace.InstDrain, r.comm.Rank(), 0, int64(len(b.items)), 0)
+	b := msg.Payload.(*batch[T])
+	if b.epoch == r.epoch {
+		if r.pos == len(r.buf) {
+			r.reset() // spent: reuse it from the start
+		}
+		r.buf = append(r.buf, b.items...)
+		r.q.hDrain.Observe(int64(len(b.items)))
+		r.q.tr.Instant(trace.InstDrain, r.comm.Rank(), 0, int64(len(b.items)), 0)
+	} // else stale speculative state from before a recovery
+	r.q.recycle(b)
 }
 
 // Abort discards buffered and pending input and advances to the given
 // epoch: the receiver half of the recovery-time queue flush.
 func (r *RecvPort[T]) Abort(epoch uint64) {
-	r.cur = nil
+	r.reset()
 	for {
-		if _, ok := r.box.TryRecv(); !ok {
+		msg, ok := r.box.TryRecv()
+		if !ok {
 			break
 		}
+		r.q.recycle(msg.Payload.(*batch[T]))
 	}
 	r.epoch = epoch
+}
+
+// reset empties the receive buffer, keeping its storage but not what its
+// items reference. Everything past len was cleared by an earlier reset.
+func (r *RecvPort[T]) reset() {
+	clear(r.buf)
+	r.buf, r.pos = r.buf[:0], 0
 }

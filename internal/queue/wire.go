@@ -7,14 +7,14 @@ package queue
 
 import "dsmtx/internal/wire"
 
-// BatchPrototype returns a zero batch[T] for wire.RegisterPayload — the
+// BatchPrototype returns a *batch[T] for wire.RegisterPayload — the
 // registry needs the concrete dynamic type without exporting it.
-func BatchPrototype[T any]() any { return batch[T]{} }
+func BatchPrototype[T any]() any { return (*batch[T])(nil) }
 
 // EncodeBatch appends a batch[T]'s wire encoding: epoch, modelled byte
 // size, item count, then each item through the supplied codec.
 func EncodeBatch[T any](e *wire.Encoder, payload any, item func(*wire.Encoder, T)) {
-	b := payload.(batch[T])
+	b := payload.(*batch[T])
 	e.U64(b.epoch)
 	e.Uvarint(uint64(b.bytes))
 	e.Uvarint(uint64(len(b.items)))
@@ -23,15 +23,14 @@ func EncodeBatch[T any](e *wire.Encoder, payload any, item func(*wire.Encoder, T
 	}
 }
 
-// DecodeBatch reads a batch[T] back. Items are append-grown rather than
-// preallocated from the count, so a corrupt count cannot drive allocation
-// beyond the bytes that actually arrived (each item read past the end
-// latches the decoder error and stops the loop).
+// DecodeBatch reads a batch[T] back. Items are sized once, to the smaller
+// of the count and the bytes that actually arrived (every item takes at
+// least one), so a corrupt count cannot drive allocation; each item read
+// past the end latches the decoder error and stops the loop.
 func DecodeBatch[T any](d *wire.Decoder, item func(*wire.Decoder) T) any {
-	var b batch[T]
-	b.epoch = d.U64()
-	b.bytes = d.Int()
+	b := &batch[T]{epoch: d.U64(), bytes: d.Int()}
 	n := d.Int()
+	b.items = make([]T, 0, min(n, d.Remaining()))
 	for i := 0; i < n && d.Err() == nil; i++ {
 		b.items = append(b.items, item(d))
 	}

@@ -108,12 +108,19 @@ func TestH264EncodeDeterministicAndMoving(t *testing.T) {
 func TestParserParseBehaviour(t *testing.T) {
 	p := newParProg(DefaultInput(), false)
 	img := seqSetup(t, p)
-	load := func(a uva.Addr, n int) []byte { return img.LoadBytes(a, n) }
-	sentence := p.loadSentence(load, 3)
+	var rec parRecord
+	var words [parMaxWords]uint64
+	img.LoadBytesInto(rec[:], p.sentAddr(3))
+	sentence := rec.words(&words)
 	if len(sentence) < 12 || len(sentence) > parMaxWords {
 		t.Fatalf("sentence length %d", len(sentence))
 	}
-	cost, passes, errPath := p.parse(load, sentence, 3)
+	lookup := func(idx uint64) parEntry {
+		var b parBucket
+		img.LoadBytesInto(b[:], p.bucketAddr(idx))
+		return b.entry(idx)
+	}
+	cost, passes, errPath := p.parse(lookup, sentence, 3)
 	if errPath {
 		t.Fatal("normal sentence took the error path")
 	}
@@ -121,16 +128,16 @@ func TestParserParseBehaviour(t *testing.T) {
 		t.Fatalf("passes = %d", passes)
 	}
 	// Unknown words (out-of-dictionary) hit the error path.
-	if _, _, err2 := p.parse(load, []uint64{1 << 40}, 3); !err2 {
+	if _, _, err2 := p.parse(lookup, []uint64{1 << 40}, 3); !err2 {
 		t.Fatal("unknown word not flagged")
 	}
 	// More permissive options cannot fail where stricter ones succeeded,
 	// and parsing is deterministic.
-	cost2, passes2, _ := p.parse(load, sentence, 3)
+	cost2, passes2, _ := p.parse(lookup, sentence, 3)
 	if cost != cost2 || passes != passes2 {
 		t.Fatal("parse not deterministic")
 	}
-	_, passesLoose, _ := p.parse(load, sentence, 0xff)
+	_, passesLoose, _ := p.parse(lookup, sentence, 0xff)
 	if passesLoose > passes {
 		t.Fatalf("looser options needed more passes (%d > %d)", passesLoose, passes)
 	}

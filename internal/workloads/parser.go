@@ -1,6 +1,8 @@
 package workloads
 
 import (
+	"encoding/binary"
+
 	"dsmtx/internal/core"
 	"dsmtx/internal/mem"
 	"dsmtx/internal/pipeline"
@@ -111,29 +113,48 @@ func (p *parProg) Setup(ctx *core.SeqCtx) {
 	ctx.Store(p.errs, 0)
 }
 
-// lookup pulls the dictionary bucket holding entry idx via the given bulk
-// loader and returns the entry's (left, right, flags).
-func (p *parProg) lookup(load func(uva.Addr, int) []byte, idx uint64) (left, right, flags uint64) {
-	bucket := idx &^ 7 // 8 entries per 256-byte bucket
-	b := load(p.dict+uva.Addr(bucket*4*8), parBucketWords*8)
-	words := unpackWords(b)
-	off := (idx - bucket) * 4
-	return words[off+1], words[off+2], words[off+3]
+type parEntry struct{ left, right, flags uint64 }
+
+// parBucket is one dictionary bucket as loaded: 8 entries of 4 words.
+type parBucket [parBucketWords * 8]byte
+
+// bucketAddr is the address of the bucket holding entry idx.
+func (p *parProg) bucketAddr(idx uint64) uva.Addr { return p.dict + uva.Addr(idx&^7*4*8) }
+
+// entry decodes entry idx's (left, right, flags) out of its loaded bucket.
+func (b *parBucket) entry(idx uint64) parEntry {
+	e := b[idx&7*4*8:]
+	return parEntry{binary.LittleEndian.Uint64(e[8:]), binary.LittleEndian.Uint64(e[16:]), binary.LittleEndian.Uint64(e[24:])}
+}
+
+// parRecord is one sentence record as loaded: its length word, then the
+// words.
+type parRecord [parSentWords * 8]byte
+
+// words decodes the sentence into buf.
+func (r *parRecord) words(buf *[parMaxWords]uint64) []uint64 {
+	n := binary.LittleEndian.Uint64(r[:])
+	for i := range n {
+		buf[i] = binary.LittleEndian.Uint64(r[(i+1)*8:])
+	}
+	return buf[:n]
 }
 
 // parse does the real linkage work: look up every word, then repeatedly try
 // to match adjacent link requirements under the dialect options, relaxing
 // one constraint per ambiguity pass. It reports a cost measure, the pass
-// count, and whether the sentence hit the error path.
-func (p *parProg) parse(load func(uva.Addr, int) []byte, sentence []uint64, opt uint64) (cost uint64, passes int, errPath bool) {
-	type entry struct{ left, right, flags uint64 }
-	entries := make([]entry, len(sentence))
+// count, and whether the sentence hit the error path. lookup is the
+// caller's dictionary probe: a closure that loads the bucket into a buffer
+// of its own through its context's LoadBytesInto (a direct call, so on a
+// worker the buffer never leaves the stack) and decodes the entry.
+func (p *parProg) parse(lookup func(idx uint64) parEntry, sentence []uint64, opt uint64) (cost uint64, passes int, errPath bool) {
+	var buf [parMaxWords]parEntry
+	entries := buf[:len(sentence)]
 	for i, w := range sentence {
 		if w >= parDictEntries {
 			return 0, 0, true // unknown word: error path
 		}
-		l, r, f := p.lookup(load, w)
-		entries[i] = entry{l, r, f}
+		entries[i] = lookup(w)
 	}
 	relax := uint64(0)
 	for passes = 1; ; passes++ {
@@ -164,12 +185,6 @@ func popcount(v uint64) int {
 	return n
 }
 
-func (p *parProg) loadSentence(load func(uva.Addr, int) []byte, iter uint64) []uint64 {
-	words := unpackWords(load(p.sentAddr(iter), parSentWords*8))
-	n := words[0]
-	return words[1 : 1+n]
-}
-
 func (p *parProg) Stage(ctx *core.Ctx, stage int, iter uint64) bool {
 	if p.tls {
 		return p.tlsStage(ctx, iter)
@@ -179,13 +194,16 @@ func (p *parProg) Stage(ctx *core.Ctx, stage int, iter uint64) bool {
 		if iter >= p.sentences {
 			return false
 		}
-		sentence := p.loadSentence(ctx.LoadBytes, iter)
-		for _, w := range sentence {
+		var rec parRecord
+		var words [parMaxWords]uint64
+		ctx.LoadBytesInto(rec[:], p.sentAddr(iter))
+		for _, w := range rec.words(&words) {
 			ctx.Produce(1, w)
 		}
 		ctx.Produce(1, ^uint64(0)) // terminator
 	case 1: // parallel: parse against the (versioned) dictionary
-		var sentence []uint64
+		var words [parMaxWords]uint64
+		sentence := words[:0]
 		for {
 			w := ctx.Consume(0)
 			if w == ^uint64(0) {
@@ -194,7 +212,11 @@ func (p *parProg) Stage(ctx *core.Ctx, stage int, iter uint64) bool {
 			sentence = append(sentence, w)
 		}
 		opt := ctx.Read(p.opt) // speculated-stable global options
-		cost, passes, errPath := p.parse(ctx.LoadBytes, sentence, opt)
+		var bucket parBucket
+		cost, passes, errPath := p.parse(func(idx uint64) parEntry {
+			ctx.LoadBytesInto(bucket[:], p.bucketAddr(idx))
+			return bucket.entry(idx)
+		}, sentence, opt)
 		if errPath {
 			ctx.Misspec()
 		}
@@ -214,9 +236,16 @@ func (p *parProg) tlsStage(ctx *core.Ctx, iter uint64) bool {
 	if iter >= p.sentences {
 		return false
 	}
-	sentence := p.loadSentence(ctx.LoadBytes, iter)
+	var rec parRecord
+	var words [parMaxWords]uint64
+	var bucket parBucket
+	ctx.LoadBytesInto(rec[:], p.sentAddr(iter))
+	sentence := rec.words(&words)
 	opt := ctx.Read(p.opt)
-	cost, passes, errPath := p.parse(ctx.LoadBytes, sentence, opt)
+	cost, passes, errPath := p.parse(func(idx uint64) parEntry {
+		ctx.LoadBytesInto(bucket[:], p.bucketAddr(idx))
+		return bucket.entry(idx)
+	}, sentence, opt)
 	if errPath {
 		ctx.Misspec()
 	}
@@ -239,9 +268,16 @@ func (p *parProg) tlsStage(ctx *core.Ctx, iter uint64) bool {
 }
 
 func (p *parProg) SeqIter(ctx *core.SeqCtx, iter uint64) {
-	sentence := p.loadSentence(ctx.LoadBytes, iter)
+	var rec parRecord
+	var words [parMaxWords]uint64
+	var bucket parBucket
+	ctx.LoadBytesInto(rec[:], p.sentAddr(iter))
+	sentence := rec.words(&words)
 	opt := ctx.Load(p.opt)
-	cost, passes, errPath := p.parse(ctx.LoadBytes, sentence, opt)
+	cost, passes, errPath := p.parse(func(idx uint64) parEntry {
+		ctx.LoadBytesInto(bucket[:], p.bucketAddr(idx))
+		return bucket.entry(idx)
+	}, sentence, opt)
 	if errPath {
 		// The error path: count it, emit a zero parse.
 		ctx.Store(p.errs, ctx.Load(p.errs)+1)

@@ -64,12 +64,16 @@ go test -race ./internal/core/ -run TestCrossShard
 # head of every pipeline must be wedge-free at both widths: the workloads
 # sweep (the cells where the bound engages), core's recovery tests and seeded
 # random sweep on host, and netrun's two-daemon recovering 197.parser (first
-# stage and commit unit in different processes).
+# stage and commit unit in different processes). Queue batches go back to
+# their sender through a free list — a cross-goroutine handoff — so the queue
+# stress test (epoch bumps mid-stream, every value checked) and the
+# cross-daemon no-recycle test ride along too.
 live='TestBackendEquivalence|TestCrossShard|TestPageServicePlacement|TestLifecycleSpans'
 live+='|TestBoundedRunAhead|TestLiveRecoverySweep|TestMisspecOnFirstIteration|TestBackToBackMisspecs|TestMisspecStorm'
 live+='|TestTLSRecovery|TestRecoveryProperty|TestConflictDetectionProperty|TestConnectRunsSuccessiveJobs'
-GOMAXPROCS=2 go test -race -count=1 ./internal/workloads/ ./internal/core/ ./internal/netrun/ -run "$live"
-GOMAXPROCS=8 go test -race -count=1 ./internal/workloads/ ./internal/core/ ./internal/netrun/ -run "$live"
+live+='|TestRecycledBatchesStress|TestCrossDaemonBatchNeverReturnsToSender'
+GOMAXPROCS=2 go test -race -count=1 ./internal/workloads/ ./internal/core/ ./internal/netrun/ ./internal/queue/ -run "$live"
+GOMAXPROCS=8 go test -race -count=1 ./internal/workloads/ ./internal/core/ ./internal/netrun/ ./internal/queue/ -run "$live"
 # The whole bounded run-ahead sweep: every workload x paradigm, clean and
 # misspeculating, one and two commit shards, each cross-checked against vtime
 # (tier-1 runs only the cells where the bound engages).
