@@ -410,20 +410,19 @@ func (e *endpoint) deliver(msg platform.Message) {
 
 // Idle is the wait step of the rank's poll loop (platform.Endpoint.Idle):
 // return at once if anything was delivered to this endpoint since the
-// previous Idle returned, else yield-poll the delivery count for idleSpin,
-// then park until the next delivery. The modelled back-off is ignored.
+// previous Idle returned, else yield-poll the delivery count through the
+// spin budget, then park until the next delivery. The modelled back-off is
+// ignored.
 func (e *endpoint) Idle(platform.Proc, platform.Duration) {
-	t0 := time.Now()
-	e.idle.wait(e, -1, // recv.park span tag: no one mailbox is waited on
-		func(int) bool { return time.Since(t0) < idleSpin },
-		func() bool {
-			d := e.delivered.Load()
-			if d == e.seen {
-				return false
-			}
-			e.seen = d
-			return true
-		})
+	// Span tag -1: no one mailbox is waited on.
+	e.idle.wait(e, -1, func() bool {
+		d := e.delivered.Load()
+		if d == e.seen {
+			return false
+		}
+		e.seen = d
+		return true
+	})
 }
 
 // Send injects a message; delivery is immediate and reliable.

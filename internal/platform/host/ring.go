@@ -23,7 +23,7 @@
 //     consumer — so a busy consumer costs senders one atomic load, not a
 //     futex wake. The platform's down channel, closed on failure, unparks
 //     every blocked receiver so a dead peer cannot strand the rest. The same
-//     waiter, one per endpoint and with a time budget, is endpoint.Idle.
+//     waiter and budget, one per endpoint, is endpoint.Idle.
 package host
 
 import (
@@ -39,37 +39,19 @@ import (
 
 const (
 	// ringBits sizes the lock-free buffer: 2^8 = 256 messages per mailbox
-	// before producers spill to the overflow list. Queue batches are capped
-	// well below this, so spills happen only under extreme receiver lag.
+	// before producers spill to the overflow list. The ring is not sized to
+	// make spills rare: one traced 164.gzip scale-4 job on 5 host ranks
+	// spilled 1,965 times, and the overflow list absorbs them.
 	ringBits = 8
 	ringSize = 1 << ringBits
 	ringMask = ringSize - 1
 
-	// spinBudget is how many empty polls a blocking Recv tolerates before
-	// parking. Each iteration yields the processor, so the budget bounds
-	// scheduler pressure, not burned cycles.
+	// spinBudget is how many empty polls a wait (Recv or Idle) tolerates
+	// before parking. Each poll yields the processor, so the budget is a
+	// count of yields, never a wall-clock interval: runtime.Gosched yields
+	// only to this process's goroutines, and a time-bounded spin on a shared
+	// box holds cores that another process (a co-located daemon) needs.
 	spinBudget = 64
-
-	// idleSpin is how long Idle yield-polls before it parks: about what a
-	// park + wake costs. Not shorter: a goroutine readied by a sender that
-	// keeps computing sits in that sender's runnext until an idle P steals
-	// it (2-CPU box, sender busy 300 µs after the send: wake latency p10
-	// 76 µs, p50 300 µs, against ≈ 1.4 µs for a yield-spinner), and
-	// host-stream has 8448 ring messages per 250 ms job on its critical
-	// path. Not longer: a spinner never idles its P, so two net daemons'
-	// pollers hold both CPUs against the daemon that has the page or verdict
-	// they wait for, and against their own netpoller. Paired bench/run.sh
-	// job_p50_ms on that box (parent net-loopback: 1845):
-	//
-	//	park after   net-loopback   host-stream, change/parent beside it
-	//	64 polls     194            302/248 318/263 296/275  (+8…+21%)
-	//	512 polls    167            311/291 318              (+7…+9%)
-	//	4096 polls   297            274/272 277              (flat)
-	//	100 µs       141            307/297 313/285          (+3…+10%)
-	//	400 µs       197 199 223    296/295 290/295          (flat)
-	//
-	// Giving Recv 400 µs too loses (net-loopback 270): it keeps spinBudget.
-	idleSpin = 400 * time.Microsecond
 )
 
 // cell is one ring slot. seq is the Vyukov sequence: slot i%ringSize is
@@ -251,9 +233,7 @@ func (b *mailbox) unspill() (platform.Message, bool) {
 // failed, so a dead peer cannot leave this process parked forever.
 func (b *mailbox) Recv(platform.Proc) (platform.Message, bool) {
 	var msg platform.Message
-	b.wait.wait(b.e, b.tag,
-		func(polls int) bool { return polls < spinBudget },
-		func() (ok bool) { msg, ok = b.tryDequeue(); return ok })
+	b.wait.wait(b.e, b.tag, func() (ok bool) { msg, ok = b.tryDequeue(); return ok })
 	return msg, true
 }
 
@@ -285,10 +265,10 @@ func (w *waiter) notify(tel *telemetry) {
 }
 
 // wait blocks endpoint e's consumer until ready reports true; ready must
-// consume what it finds. It yield-polls ready while spin (given the number
-// of empty polls so far) allows, then parks; tag labels the recv.park span.
-// Unwinds with the kill sentinel once the platform has failed.
-func (w *waiter) wait(e *endpoint, tag int, spin func(polls int) bool, ready func() bool) {
+// consume what it finds. It yield-polls ready spinBudget times, then parks;
+// tag labels the recv.park span. Unwinds with the kill sentinel once the
+// platform has failed.
+func (w *waiter) wait(e *endpoint, tag int, ready func() bool) {
 	h := e.h
 	tel := h.tel
 	for polls := 0; ; polls++ {
@@ -301,7 +281,7 @@ func (w *waiter) wait(e *endpoint, tag int, spin func(polls int) bool, ready fun
 		if h.failed.Load() {
 			panic(killSentinel{})
 		}
-		if !spin(polls) {
+		if polls == spinBudget {
 			break
 		}
 		runtime.Gosched()

@@ -254,10 +254,11 @@ func spillAlgebra(t *testing.T, factory Factory) {
 }
 
 // idleWait polls two mailboxes with TryRecv + Idle while one producer
-// streams with gaps far below Idle's spin budget and then another sends
-// with gaps far above it: every message must arrive in order on a tag the
-// loop is not told about in advance, the long gaps must show up as counted
-// parks, and every park must have been ended by a wake.
+// streams with gaps of one Gosched — far inside Idle's spin budget of a few
+// dozen yields — and then another sends with 2 ms gaps, far past it: every
+// message must arrive in order on a tag the loop is not told about in
+// advance, the long gaps must show up as counted parks, and every park must
+// have been ended by a wake.
 func idleWait(t *testing.T, factory Factory) {
 	const fast, slow = 2000, 20
 	w := factory(t, 2)

@@ -1,9 +1,13 @@
 package workloads_test
 
 import (
+	gonet "net"
 	"os"
+	"slices"
 	"testing"
+	"time"
 
+	"dsmtx/internal/core"
 	"dsmtx/internal/netrun"
 	"dsmtx/internal/workloads"
 )
@@ -81,4 +85,94 @@ func TestBackendEquivalenceNetBlackscholes(t *testing.T) {
 
 func TestBackendEquivalenceNetGzip(t *testing.T) {
 	checkBackendEquivalenceNet(t, "164.gzip", workloads.Input{Scale: 1, Seed: 42}, 11, 2)
+}
+
+// BenchmarkGzipRungs times 164.gzip (scale 1, 5 cores, the net-loopback
+// bench row's job) on three rungs of the ladder from the host kernel to two
+// daemon processes, so a gap between rungs names the layer that costs it:
+//
+//	r0  host: one process, ranks on goroutines, no wire
+//	r2  two in-process ServeLoop daemons joined with Connect: wire and TCP,
+//	    one Go runtime
+//	r3  two daemon processes (LaunchLocal re-execs this test binary)
+//
+// Rung r1 (the codec alone, no sockets) is not built. Each sub-benchmark
+// runs one untimed job to warm its fleet, then reports the median job as
+// p50_ms beside the mean ns/op; every job must reach the sequential
+// checksum. Run: go test ./internal/workloads/ -run NONE -bench GzipRungs
+// -benchtime 24x
+func BenchmarkGzipRungs(b *testing.B) {
+	const cores = 5
+	in := workloads.Input{Scale: 1, Seed: 1}
+	bench, err := workloads.ByName("164.gzip")
+	if err != nil {
+		b.Fatal(err)
+	}
+	_, want, err := workloads.RunSequentialRef(bench, in)
+	if err != nil {
+		b.Fatal(err)
+	}
+	timeJobs := func(b *testing.B, job func() (uint64, error)) {
+		b.Helper()
+		if _, err := job(); err != nil { // warm-up
+			b.Fatal(err)
+		}
+		ms := make([]float64, 0, b.N)
+		b.ResetTimer()
+		for range b.N {
+			t0 := time.Now()
+			sum, err := job()
+			if err != nil {
+				b.Fatal(err)
+			}
+			ms = append(ms, float64(time.Since(t0).Microseconds())/1e3)
+			if sum != want {
+				b.Fatalf("checksum %#x != sequential %#x", sum, want)
+			}
+		}
+		b.StopTimer()
+		slices.Sort(ms)
+		b.ReportMetric(ms[len(ms)/2], "p50_ms")
+	}
+	netJob := func(cl *netrun.Cluster) func() (uint64, error) {
+		return func() (uint64, error) {
+			res, err := cl.Run(netrun.JobSpec{Bench: "164.gzip", Scale: in.Scale, Seed: in.Seed, Cores: cores})
+			return res.Checksum, err
+		}
+	}
+
+	b.Run("r0-host", func(b *testing.B) {
+		host := func(cfg *core.Config) { cfg.Backend = core.BackendHost }
+		timeJobs(b, func() (uint64, error) {
+			res, err := workloads.RunParallel(bench, in, workloads.DSMTX, cores, host)
+			return res.Checksum, err
+		})
+	})
+	b.Run("r2-inproc", func(b *testing.B) {
+		var addrs []string
+		for range 2 {
+			ln, err := gonet.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				b.Fatal(err)
+			}
+			addrs = append(addrs, ln.Addr().String())
+			stop, exit := make(chan struct{}), make(chan int, 1)
+			go func() { exit <- netrun.ServeLoop(ln, stop) }()
+			b.Cleanup(func() { close(stop); <-exit })
+		}
+		cl, err := netrun.Connect(addrs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(cl.Close) // before the daemons stop: their drain waits for it
+		timeJobs(b, netJob(cl))
+	})
+	b.Run("r3-procs", func(b *testing.B) {
+		cl, err := netrun.LaunchLocal(2, os.Args[0])
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer cl.Close()
+		timeJobs(b, netJob(cl))
+	})
 }

@@ -67,13 +67,17 @@ go test -race ./internal/core/ -run TestCrossShard
 # stage and commit unit in different processes). Queue batches go back to
 # their sender through a free list — a cross-goroutine handoff — so the queue
 # stress test (epoch bumps mid-stream, every value checked) and the
-# cross-daemon no-recycle test ride along too.
+# cross-daemon no-recycle test ride along too. Idle parks after the same
+# 64 polls as Recv, so poll loops park often: the delivery conformance suite
+# (IdleWait, IdlePingPong, IdleAbort on host rings and net meshes) runs at
+# both widths.
 live='TestBackendEquivalence|TestCrossShard|TestPageServicePlacement|TestLifecycleSpans'
 live+='|TestBoundedRunAhead|TestLiveRecoverySweep|TestMisspecOnFirstIteration|TestBackToBackMisspecs|TestMisspecStorm'
 live+='|TestTLSRecovery|TestRecoveryProperty|TestConflictDetectionProperty|TestConnectRunsSuccessiveJobs'
-live+='|TestRecycledBatchesStress|TestCrossDaemonBatchNeverReturnsToSender'
-GOMAXPROCS=2 go test -race -count=1 ./internal/workloads/ ./internal/core/ ./internal/netrun/ ./internal/queue/ -run "$live"
-GOMAXPROCS=8 go test -race -count=1 ./internal/workloads/ ./internal/core/ ./internal/netrun/ ./internal/queue/ -run "$live"
+live+='|TestRecycledBatchesStress|TestCrossDaemonBatchNeverReturnsToSender|TestDeliveryConformance'
+livepkgs='./internal/workloads/ ./internal/core/ ./internal/netrun/ ./internal/queue/ ./internal/platform/...'
+GOMAXPROCS=2 go test -race -count=1 $livepkgs -run "$live"
+GOMAXPROCS=8 go test -race -count=1 $livepkgs -run "$live"
 # The whole bounded run-ahead sweep: every workload x paradigm, clean and
 # misspeculating, one and two commit shards, each cross-checked against vtime
 # (tier-1 runs only the cells where the bound engages).
