@@ -264,13 +264,7 @@ func (c *cuNode) commitEpoch(seq *SeqCtx) (done bool) {
 				c.awaitVotes(termVoteKey, nShards-1)
 			}
 			// Release every parked worker and the try-commit unit.
-			done := ctrlMsg{epoch: c.epoch, done: true}
-			for w := 0; w < c.sys.cfg.Workers(); w++ {
-				c.comm.Send(w, tagCtrl, done, 24)
-			}
-			for j := 0; j < c.sys.cfg.tcUnits(); j++ {
-				c.comm.Send(c.sys.cfg.tryCommitRank(j), tagCtrl, done, 24)
-			}
+			c.tellRanks(ctrlMsg{epoch: c.epoch, done: true})
 			return true
 		}
 		// The verdict arrives after the try-commit unit has validated every
@@ -593,13 +587,7 @@ func (c *cuNode) recoverCrash(seq *SeqCtx, rank int) {
 	trStart := c.sys.tr.Now()
 	adv0, blk0 := c.proc.Advanced(), c.proc.Blocked()
 	c.epoch++
-	cm := ctrlMsg{epoch: c.epoch, restart: c.iter}
-	for w := 0; w < c.sys.cfg.Workers(); w++ {
-		c.comm.Send(w, tagCtrl, cm, 24)
-	}
-	for j := 0; j < c.sys.cfg.tcUnits(); j++ {
-		c.comm.Send(c.sys.cfg.tryCommitRank(j), tagCtrl, cm, 24)
-	}
+	c.tellRanks(ctrlMsg{epoch: c.epoch, restart: c.iter})
 
 	c.comm.Barrier(c.sys.allRanks) // B1: completes once the worker has rejoined
 
@@ -615,7 +603,7 @@ func (c *cuNode) recoverCrash(seq *SeqCtx, rank int) {
 
 	// No SEQ re-execution — nothing misspeculated. Refresh the COA snapshots
 	// so the restarted worker pages in committed state.
-	c.sys.publishSnapshots()
+	c.republish()
 
 	c.comm.Barrier(c.sys.allRanks) // B3: resume parallel execution
 
@@ -642,12 +630,7 @@ func (c *cuNode) recover(seq *SeqCtx, failed uint64) {
 	adv0, blk0 := c.proc.Advanced(), c.proc.Blocked()
 	c.epoch++
 	cm := ctrlMsg{epoch: c.epoch, restart: failed + 1}
-	for w := 0; w < c.sys.cfg.Workers(); w++ {
-		c.comm.Send(w, tagCtrl, cm, 24)
-	}
-	for j := 0; j < c.sys.cfg.tcUnits(); j++ {
-		c.comm.Send(c.sys.cfg.tryCommitRank(j), tagCtrl, cm, 24)
-	}
+	c.tellRanks(cm)
 	// As cross-shard recovery coordinator, release the peer commit shards
 	// parked in followRecovery. Their stop votes arrived before this
 	// broadcast, so none of them can still be committing an earlier MTX.
@@ -685,7 +668,7 @@ func (c *cuNode) recover(seq *SeqCtx, failed uint64) {
 	if committer, ok := c.sys.prog.(Committer); ok {
 		committer.Commit(seq, failed)
 	}
-	c.sys.publishSnapshots()
+	c.republish()
 	seqDone := c.proc.Now()
 	c.result.SEQ += seqDone - flqDone
 	c.sys.tr.Span(trace.SpanSEQ, c.rank, trFLQ, failed, 0, 0)
@@ -702,6 +685,67 @@ func (c *cuNode) recover(seq *SeqCtx, failed uint64) {
 		// The barriers proved every worker alive; without this reset a long
 		// SEQ re-execution would read as heartbeat silence.
 		c.lastHeard[i] = c.proc.Now()
+	}
+}
+
+// tellRanks sends cm to every worker and try-commit unit.
+func (c *cuNode) tellRanks(cm ctrlMsg) {
+	bytes := 24 + 8*len(cm.stale)
+	for w := 0; w < c.sys.cfg.Workers(); w++ {
+		c.comm.Send(w, tagCtrl, cm, bytes)
+	}
+	for j := 0; j < c.sys.cfg.tcUnits(); j++ {
+		c.comm.Send(c.sys.cfg.tryCommitRank(j), tagCtrl, cm, bytes)
+	}
+}
+
+// Selective re-arm. The paper's recovery re-arms protection over the whole
+// heap at every worker and try-commit unit (mem.Image.Reset), and each then
+// re-pulls its working set through Copy-On-Access. Where ranks share CPUs
+// (Platform.Concurrent, the predicate boundRunAhead uses) that refetch is
+// what the refill costs, so there a rank drops only the pages it stored to
+// since they were installed and the pages listed stale here, and keeps the
+// rest (mem.Image.Rearm). vtime keeps Reset, and with it Figure 6.
+//
+// Why a kept page is right, by induction over epochs: when epoch e starts,
+// every clean resident page of a rank equals snapshot S_e. During e a rank
+// fills pages only from S_e — page servers swap snapshots between B2 and B3,
+// when no request is in flight — and a store marks its page dirty. So at the
+// next recovery a clean page p equals S_e[p], and S_{e+1}[p] = S_e[p] unless
+// a commit unit wrote p since S_e: committed MTXs, Committer hooks, the SEQ
+// re-execution. Snapshot marks every page of a commit image shared and a
+// store un-shares it, so the pages not shared right before the new snapshot
+// (AppendUnshared, over every shard's image — peers are parked between B2
+// and B3) are those writes, plus pages first touched by a load, which cost
+// only a refetch. Dropping dirty and listed pages leaves each clean page
+// equal to S_{e+1}.
+//
+// The list goes out before B3 on tagCtrl, and every rank receives it right
+// after B3, before it touches memory (awaitRearm). It is the first message
+// of the new epoch a rank can see: anything else of that epoch — a progress
+// report, the next recovery order — is sent after B3, and a send before B3
+// is already delivered on host and ordered on net's one commit rank.
+func (c *cuNode) republish() {
+	live := c.sys.plat.Concurrent()
+	var stale []uva.PageID
+	if live {
+		for _, cu := range c.sys.cus {
+			stale = cu.img.AppendUnshared(stale)
+		}
+	}
+	c.sys.publishSnapshots()
+	if live {
+		c.tellRanks(ctrlMsg{epoch: c.epoch, rearm: true, stale: stale})
+	}
+}
+
+// awaitRearm receives the stale list of epoch (republish); anything read
+// before it on the control mailbox is from an earlier epoch, and stale.
+func awaitRearm(comm *mpi.Comm, src int, epoch uint64) []uva.PageID {
+	for {
+		if cm := comm.Recv(src, tagCtrl).Payload.(ctrlMsg); cm.rearm && cm.epoch == epoch {
+			return cm.stale
+		}
 	}
 }
 

@@ -59,14 +59,19 @@ type Finalizer interface {
 // ctrlMsg is a commit-unit broadcast: "enter recovery at epoch, restarting
 // from iteration restart"; with done set, "the whole run has committed; exit";
 // or, to the first-stage workers under bounded run-ahead (awaitWindow),
-// "epoch's commit point has reached progress". Only a recovery order carries
-// an epoch newer than its receiver's: a report of epoch e is sent after
-// recovery e's last barrier, which every receiver entered holding epoch e.
+// "epoch's commit point has reached progress"; or, with rearm set, on live
+// backends, "recovery epoch's snapshot differs from the last one in stale"
+// (cuNode.republish). Only a recovery order carries an epoch newer than its
+// receiver's: a list of epoch e is sent just before recovery e's last
+// barrier and a report after it, and both are read only after that barrier,
+// which every receiver entered holding epoch e.
 type ctrlMsg struct {
 	epoch    uint64
 	restart  uint64
 	progress uint64
 	done     bool
+	rearm    bool
+	stale    []uva.PageID
 }
 
 // recoverySignal unwinds worker/try-commit stacks to their main loops.
@@ -655,7 +660,7 @@ func (s *System) spawnRank(name string, rank int, body func(platform.Proc)) {
 // publishSnapshots hands every page server a copy-on-write snapshot of its
 // commit unit's image. Only called while every other commit shard is parked
 // (before tagStart, or between recovery barriers B2 and B3), so snapshotting
-// a peer's image is race-free.
+// — or listing — a peer's image is race-free.
 func (s *System) publishSnapshots() {
 	for k, ps := range s.srvs {
 		ps.setSnapshot(s.cus[k].img.Snapshot())

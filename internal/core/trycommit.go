@@ -287,10 +287,16 @@ func (t *tcNode) doRecovery() {
 	t.routes = make(map[uint64]int)
 	t.comm.Barrier(t.sys.allRanks) // B2: queues flushed
 	t.proc.Advance(t.sys.instrTime(t.sys.cfg.ProtectInstr * int64(t.view.Resident())))
-	t.view.Reset()
+	live := t.sys.plat.Concurrent()
+	if !live {
+		t.view.Reset() // live backends re-arm only what changed (cuNode.republish)
+	}
 	t.epoch = cm.epoch
 	t.nextIter = cm.restart
 	t.comm.Barrier(t.sys.allRanks) // B3: resume
+	if live {
+		t.view.Rearm(awaitRearm(t.comm, t.sys.commitSrc(), t.epoch))
+	}
 	t.recWall += t.proc.Now() - recStart
 	t.recAdv += t.proc.Advanced() - adv0
 	t.recBlk += t.proc.Blocked() - blk0

@@ -22,25 +22,57 @@ const (
 	wireKindBatch   = 0x13
 )
 
+// ctrlMsg flag bits.
+const (
+	ctrlDone  = 1 << 0
+	ctrlRearm = 1 << 1
+)
+
 func init() {
+	// Control broadcasts: three words, a flag byte, then the rearm list as a
+	// count and one word per page. Decode sizes the list from the bytes that
+	// arrived, as the page codec does, so a corrupt count fails on the
+	// truncated list instead of allocating for it.
 	wire.RegisterPayload(wireKindCtrl, ctrlMsg{}, "ctrl",
 		func(e *wire.Encoder, v any) {
 			m := v.(ctrlMsg)
 			e.U64(m.epoch)
 			e.U64(m.restart)
 			e.U64(m.progress)
-			done := uint8(0)
+			flags := uint8(0)
 			if m.done {
-				done = 1
+				flags |= ctrlDone
 			}
-			e.U8(done)
+			if m.rearm {
+				flags |= ctrlRearm
+			}
+			e.U8(flags)
+			e.Uvarint(uint64(len(m.stale)))
+			for _, id := range m.stale {
+				e.U64(uint64(id))
+			}
 		},
 		func(d *wire.Decoder) any {
 			var m ctrlMsg
 			m.epoch = d.U64()
 			m.restart = d.U64()
 			m.progress = d.U64()
-			m.done = d.U8() != 0
+			flags := d.U8()
+			if flags&^(ctrlDone|ctrlRearm) != 0 {
+				d.Failf("bad ctrl flags %#x", flags)
+			}
+			m.done = flags&ctrlDone != 0
+			m.rearm = flags&ctrlRearm != 0
+			if n := d.Int(); n > 0 {
+				m.stale = make([]uva.PageID, 0, min(n, d.Remaining()/8))
+				for range n {
+					id := d.U64()
+					if d.Err() != nil {
+						break
+					}
+					m.stale = append(m.stale, uva.PageID(id))
+				}
+			}
 			return m
 		})
 

@@ -954,9 +954,13 @@ func (w *workerNode) doRecovery() {
 	w.comm.Barrier(w.sys.allRanks) // queues flushed everywhere
 
 	// Reinstate access protection over the heap, discarding speculative
-	// state; the cost scales with the pages this worker had touched.
+	// state; the cost scales with the pages this worker had touched. Live
+	// backends re-arm only what changed, after B3 (cuNode.republish).
 	w.proc.Advance(w.sys.instrTime(w.sys.cfg.ProtectInstr * int64(w.img.Resident())))
-	w.img.Reset()
+	live := w.sys.plat.Concurrent()
+	if !live {
+		w.img.Reset()
+	}
 	w.arena = uva.NewArena(w.tid + 1)
 
 	w.epoch = cm.epoch
@@ -968,6 +972,9 @@ func (w *workerNode) doRecovery() {
 	w.cuMask, w.cuMin = 0, 0
 
 	w.comm.Barrier(w.sys.allRanks) // commit unit has re-executed; resume
+	if live {
+		w.img.Rearm(awaitRearm(w.comm, w.sys.commitSrc(), w.epoch))
+	}
 
 	w.recWall += w.proc.Now() - recStart
 	w.recAdv += w.proc.Advanced() - adv0

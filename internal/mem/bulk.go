@@ -94,6 +94,7 @@ func (im *Image) StoreBytes(addr uva.Addr, b []byte) {
 				s.pg, s.shared = clonePage(s.pg), false
 			}
 		}
+		s.dirty = true
 		copyIn(s.pg, off, b[done:done+chunk])
 		done += chunk
 	}

@@ -7,7 +7,8 @@
 // DSMTX performs Copy-On-Access — fetching the whole 4 KiB page from the
 // commit unit's memory (§3.1, §4.2). Reset drops every resident page,
 // re-arming protection: that is how speculative state is discarded wholesale
-// during misspeculation recovery (§4.3).
+// during misspeculation recovery (§4.3). Rearm drops only the pages the image
+// wrote and the ones its caller names stale — the live backends' recovery.
 //
 // Go has no user-level memory protection, so the page-table state machine
 // is explicit; the protocol it triggers (fault → page request → page reply →
@@ -95,11 +96,13 @@ const (
 	chunkMask  = chunkPages - 1
 )
 
-// pageSlot is one page-table entry: the resident page (nil = protected) and
-// whether a snapshot still aliases it (copy on write).
+// pageSlot is one page-table entry: the resident page (nil = protected),
+// whether a snapshot still aliases it (copy on write), and whether this image
+// stored to it since it was installed (Rearm drops it).
 type pageSlot struct {
 	pg     *Page
 	shared bool
+	dirty  bool
 }
 
 type pageChunk struct {
@@ -165,12 +168,12 @@ func (im *Image) Instrument(m *trace.Metrics) {
 	im.gResident = m.Gauge("mem.resident.pages")
 }
 
-// ReleaseOnReset opts this image into page recycling: Reset (and nothing
-// else) returns its exclusively-owned pages to the shared frame pool. Only
-// safe when no pointer to a resident page outlives the image's speculative
-// state — true for worker and try-commit images, whose pages are private
-// Copy-On-Access clones; never enabled for the commit unit's authoritative
-// image or for user-built images.
+// ReleaseOnReset opts this image into page recycling: Reset and Rearm (and
+// nothing else) return its exclusively-owned pages to the shared frame pool.
+// Only safe when no pointer to a resident page outlives the image's
+// speculative state — true for worker and try-commit images, whose pages are
+// private Copy-On-Access clones; never enabled for the commit unit's
+// authoritative image or for user-built images.
 func (im *Image) ReleaseOnReset(on bool) { im.release = on }
 
 // AccessHint reports the page just past the current bulk access — fault
@@ -226,7 +229,7 @@ func (im *Image) fill(id uva.PageID, s *pageSlot) {
 		im.resident++
 		im.gResident.Add(1)
 	}
-	s.pg, s.shared = pg, false
+	*s = pageSlot{pg: pg}
 }
 
 func (im *Image) page(id uva.PageID) *Page {
@@ -274,6 +277,7 @@ func (im *Image) Store(addr uva.Addr, v uint64) {
 	if s.shared {
 		s.pg, s.shared = clonePage(s.pg), false
 	}
+	s.dirty = true
 	s.pg.Words[addr.WordIndex()] = v
 }
 
@@ -294,7 +298,7 @@ func (im *Image) InstallPage(id uva.PageID, pg *Page) {
 		im.resident++
 		im.gResident.Add(1)
 	}
-	s.pg, s.shared = pg, false
+	*s = pageSlot{pg: pg}
 }
 
 // CopyPage returns a copy of a page for transmission, faulting it in if
@@ -326,6 +330,59 @@ func (im *Image) Reset() {
 	im.lastKey = 0
 	im.lastChunk = nil
 	im.resident = 0
+}
+
+// Rearm re-arms protection over only what a recovery made stale: every page
+// this image stored to since the page was installed (speculative state), and
+// every page in stale (pages whose authoritative copy changed). Each other
+// resident page is an unmodified copy of the snapshot it was fetched from;
+// leaving it out of stale is the caller's word that the new snapshot holds
+// the same page, so it stays. Frames are recycled as on Reset.
+func (im *Image) Rearm(stale []uva.PageID) {
+	dropped, recycled := 0, 0
+	drop := func(s *pageSlot) {
+		if im.release && !s.shared {
+			pagePool.Put(s.pg)
+			recycled++
+		}
+		*s = pageSlot{}
+		dropped++
+	}
+	for _, ch := range im.chunks {
+		for i := range ch.slots {
+			if s := &ch.slots[i]; s.pg != nil && s.dirty {
+				drop(s)
+			}
+		}
+	}
+	for _, id := range stale {
+		if ch, ok := im.chunks[uint64(id)>>chunkShift]; ok {
+			if s := &ch.slots[uint64(id)&chunkMask]; s.pg != nil {
+				drop(s)
+			}
+		}
+	}
+	// Chunks stay, so the last-slot caches stay valid: a dropped slot reads
+	// as protected and the next access faults.
+	im.resident -= dropped
+	im.gResident.Add(-int64(dropped))
+	im.cRecycled.Add(uint64(recycled))
+}
+
+// AppendUnshared appends to dst every resident page no snapshot aliases:
+// exactly the pages written, or first touched, since the last Snapshot,
+// which marks every resident page shared — and a store copies a shared page
+// before writing, clearing the mark.
+func (im *Image) AppendUnshared(dst []uva.PageID) []uva.PageID {
+	for key, ch := range im.chunks {
+		base := key << chunkShift
+		for i := range ch.slots {
+			if s := &ch.slots[i]; s.pg != nil && !s.shared {
+				dst = append(dst, uva.PageID(base|uint64(i)))
+			}
+		}
+	}
+	return dst
 }
 
 // Space is the word/byte access surface workload code programs against. A

@@ -118,8 +118,10 @@ const (
 // helloMagic guards against a stray client connecting to a daemon port.
 const helloMagic = 0x58544d44 // "DMTX"
 
-// helloVersion is bumped on incompatible wire changes.
-const helloVersion = 1
+// helloVersion is bumped on incompatible wire changes, registered payload
+// codecs included. 2: core's ctrl payload carries a progress word, a flag
+// byte and a page list.
+const helloVersion = 2
 
 // Hello is the first frame on every connection.
 type Hello struct {

@@ -70,8 +70,10 @@ go test -race ./internal/core/ -run TestCrossShard
 # cross-daemon no-recycle test ride along too. Idle parks after the same
 # 64 polls as Recv, so poll loops park often: the delivery conformance suite
 # (IdleWait, IdlePingPong, IdleAbort on host rings and net meshes) runs at
-# both widths.
-live='TestBackendEquivalence|TestCrossShard|TestPageServicePlacement|TestLifecycleSpans'
+# both widths. Live recovery re-arms only the pages that changed, from a
+# stale list each rank receives after the last barrier: core's selective
+# re-arm fixture (the commit unit's word, a squashed store) rides along.
+live='TestBackendEquivalence|TestCrossShard|TestPageServicePlacement|TestLifecycleSpans|TestSelectiveRearm'
 live+='|TestBoundedRunAhead|TestLiveRecoverySweep|TestMisspecOnFirstIteration|TestBackToBackMisspecs|TestMisspecStorm'
 live+='|TestTLSRecovery|TestRecoveryProperty|TestConflictDetectionProperty|TestConnectRunsSuccessiveJobs'
 live+='|TestRecycledBatchesStress|TestCrossDaemonBatchNeverReturnsToSender|TestDeliveryConformance'
