@@ -170,7 +170,10 @@ var lzScratch sync.Pool
 
 // compress does the block's real work — LZ77 then canonical Huffman, the
 // two halves of deflate; costs derive from the operations each half
-// actually performed.
+// actually performed. probes and work are the vtime cost contract (instr
+// feeds ctx.Compute) and the output bytes feed every gzip checksum, so a
+// faster kernel must reproduce all three exactly: TestGzipKernelPinned pins
+// them over real blocks and corner inputs.
 func (p *gzProg) compress(block []byte) (comp []byte, instr int64) {
 	buf, _ := lzScratch.Get().([]byte)
 	lz, probes := lzCompressInto(block, buf)

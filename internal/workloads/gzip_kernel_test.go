@@ -1,0 +1,133 @@
+package workloads
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"testing"
+)
+
+// gzKernelBlocks returns n consecutive 164.gzip input blocks for seed.
+func gzKernelBlocks(seed uint64, n int) [][]byte {
+	data := gzInput(seed, int64(n)*gzBlockBytes)
+	blocks := make([][]byte, n)
+	for i := range blocks {
+		blocks[i] = data[i*gzBlockBytes : (i+1)*gzBlockBytes]
+	}
+	return blocks
+}
+
+// gzKernelCorpus is the pinned kernel input set: real gzip blocks from
+// three seeds, the corner cases the match finder and the literal flusher
+// branch on, and a seeded spread of odd sizes and alphabets.
+func gzKernelCorpus() [][]byte {
+	var in [][]byte
+	for _, seed := range []uint64{1, 2, 3} {
+		in = append(in, gzKernelBlocks(seed, 4)...)
+	}
+	r := newRNG(42)
+	random := func(n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(r.next())
+		}
+		return b
+	}
+	lit255, lit256 := random(255), random(256)
+	in = append(in, [][]byte{
+		nil, {7}, {7, 7}, {7, 7, 7}, {1, 2, 3}, {7, 7, 7, 7}, {7, 7, 7, 7, 7},
+		bytes.Repeat([]byte{'a'}, 5000), // 255-byte matches, capped
+		random(4096),                    // incompressible: literal runs only
+		lit255, lit256, random(257), random(510),
+		append(append([]byte{}, lit255...), lit255[:40]...), // a full run, then a match
+		append(append([]byte{}, lit256...), lit256[:40]...),
+	}...)
+	for range 64 {
+		n, alpha := r.intn(3000), 1+r.intn(256)
+		b := make([]byte, n)
+		for i := range b {
+			if i > 8 && r.intn(3) == 0 {
+				b[i] = b[i-1-r.intn(8)] // near repeats: short and failed matches
+			} else {
+				b[i] = byte(r.intn(alpha))
+			}
+		}
+		in = append(in, b)
+	}
+	return in
+}
+
+// Recorded from the byte-at-a-time kernel this one replaced; see
+// TestGzipKernelPinned.
+const (
+	gzKernelDigest = "229856b276513dee20d06c82ae5ff49832605752b8b6f890d87c7996aeb6097a"
+	gzKernelProbes = 466560
+	gzKernelWork   = 4438065
+)
+
+// TestGzipKernelPinned pins the 164.gzip kernel's cost contract. probes and
+// work are what compress charges through ctx.Compute, so they are the vtime
+// cost model, and the Huffman bytes feed every gzip checksum: a kernel
+// rewrite must reproduce all of them exactly. The digest covers, per input,
+// the LZ token stream, probes, the Huffman encoding of the token stream and
+// of the raw input, and both work counts.
+func TestGzipKernelPinned(t *testing.T) {
+	h := sha256.New()
+	word := func(v int64) { h.Write(binary.LittleEndian.AppendUint64(nil, uint64(v))) }
+	chunk := func(b []byte) { word(int64(len(b))); h.Write(b) }
+	var probes, work int64
+	var buf []byte
+	for _, src := range gzKernelCorpus() {
+		lz, p := lzCompressInto(src, buf)
+		chunk(lz)
+		word(int64(p))
+		probes += int64(p)
+		for _, in := range [][]byte{lz, src} {
+			comp, w := huffEncode(in)
+			chunk(comp)
+			word(w)
+			work += w
+		}
+		buf = lz[:0]
+	}
+	got := hex.EncodeToString(h.Sum(nil))
+	if got != gzKernelDigest || probes != gzKernelProbes || work != gzKernelWork {
+		t.Fatalf("gzip kernel drifted: digest %s probes %d work %d, pinned %s probes %d work %d",
+			got, probes, work, gzKernelDigest, gzKernelProbes, gzKernelWork)
+	}
+}
+
+// BenchmarkGzipKernel times the 164.gzip kernel one 24 KiB block per op,
+// cycling through 16 blocks of the benchmark input: compress (the whole
+// stage-1 call), lz (the match finder alone) and huffman (the entropy
+// coder on the LZ token stream). SetBytes counts input block bytes in
+// all three, so their MB/s compare directly.
+func BenchmarkGzipKernel(b *testing.B) {
+	blocks := gzKernelBlocks(1, 16)
+	tokens := make([][]byte, len(blocks))
+	for i, blk := range blocks {
+		tokens[i], _ = lzCompress(blk)
+	}
+	b.Run("compress", func(b *testing.B) {
+		p := &gzProg{}
+		b.SetBytes(gzBlockBytes)
+		for i := 0; b.Loop(); i++ {
+			p.compress(blocks[i%len(blocks)])
+		}
+	})
+	b.Run("lz", func(b *testing.B) {
+		var buf []byte
+		b.SetBytes(gzBlockBytes)
+		for i := 0; b.Loop(); i++ {
+			lz, _ := lzCompressInto(blocks[i%len(blocks)], buf)
+			buf = lz[:0]
+		}
+	})
+	b.Run("huffman", func(b *testing.B) {
+		b.SetBytes(gzBlockBytes)
+		for i := 0; b.Loop(); i++ {
+			huffEncode(tokens[i%len(tokens)])
+		}
+	})
+}

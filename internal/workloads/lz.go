@@ -44,6 +44,10 @@ func lzCompress(src []byte) (out []byte, probes int) {
 
 // lzCompressInto is lzCompress writing into buf (grown as needed), so
 // callers can recycle the token stream when it is only an intermediate.
+//
+// probes is part of the vtime cost contract (TestGzipKernelPinned): one
+// per hashed position, plus the common-prefix length of every candidate
+// inside the window — 0 when its first byte differs.
 func lzCompressInto(src, buf []byte) (out []byte, probes int) {
 	var table [1 << lzHashBits]int32 // stores position+1; 0 means empty
 	// Worst case (incompressible input) is all literal runs: the payload
@@ -54,47 +58,48 @@ func lzCompressInto(src, buf []byte) (out []byte, probes int) {
 	}
 	out = buf[:0]
 	litStart := 0
-	flushLits := func(end int) {
-		for litStart < end {
-			n := end - litStart
-			if n > 255 {
-				n = 255
-			}
-			out = append(out, 0, byte(n))
-			out = append(out, src[litStart:litStart+n]...)
-			litStart += n
-		}
-	}
 	i := 0
 	for i+lzMinMatch <= len(src) {
-		// One 32-bit load instead of three byte loads; identical hash
-		// value (little-endian v holds b0|b1<<8|b2<<16).
+		// Little-endian v holds b0|b1<<8|b2<<16|b3<<24, so the byte
+		// reversal shifted down is the 3-byte key b0<<16|b1<<8|b2.
 		v := binary.LittleEndian.Uint32(src[i:])
-		h := ((v&0xff)<<16 | v&0xff00 | v>>16&0xff) * 2654435761 >> (32 - lzHashBits)
+		h := (bits.ReverseBytes32(v) >> 8) * 2654435761 >> (32 - lzHashBits)
 		cand := int(table[h]) - 1
 		table[h] = int32(i + 1)
 		probes++
-		if cand >= 0 && i-cand < lzMaxDist && src[cand] == src[i] {
-			// Extend the match; one probe per matched byte.
-			limit := len(src) - i
-			if limit > lzMaxMatch {
-				limit = lzMaxMatch
-			}
-			length := lzMatchLen(src, cand, i, limit)
-			probes += length
-			if length >= lzMinMatch {
-				flushLits(i)
-				dist := i - cand
-				out = append(out, 1, byte(length), byte(dist), byte(dist>>8))
-				i += length
-				litStart = i
-				continue
-			}
+		if cand < 0 || i-cand >= lzMaxDist {
+			i++
+			continue
 		}
-		i++
+		// One XOR tests the candidate's first lzMinMatch bytes; a mismatch
+		// costs its common prefix, a full match extends from byte 4 with
+		// one probe per matched byte.
+		if x := binary.LittleEndian.Uint32(src[cand:]) ^ v; x != 0 {
+			probes += bits.TrailingZeros32(x) >> 3
+			i++
+			continue
+		}
+		limit := min(len(src)-i, lzMaxMatch)
+		length := lzMinMatch + lzMatchLen(src, cand+lzMinMatch, i+lzMinMatch, limit-lzMinMatch)
+		probes += length
+		out = lzFlushLits(out, src[litStart:i])
+		dist := i - cand
+		out = append(out, 1, byte(length), byte(dist), byte(dist>>8))
+		i += length
+		litStart = i
 	}
-	flushLits(len(src))
-	return out, probes
+	return lzFlushLits(out, src[litStart:]), probes
+}
+
+// lzFlushLits appends lits as literal-run tokens of at most 255 bytes.
+func lzFlushLits(out, lits []byte) []byte {
+	for len(lits) > 0 {
+		n := min(len(lits), 255)
+		out = append(out, 0, byte(n))
+		out = append(out, lits[:n]...)
+		lits = lits[n:]
+	}
+	return out
 }
 
 // lzDecompress inverts lzCompress.

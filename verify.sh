@@ -15,6 +15,9 @@ fi
 go vet ./...
 go build ./...
 go test ./...
+# The 164.gzip kernel's per-layer benchmark, one op per sub-benchmark so it
+# cannot rot (numbers: EXPERIMENTS.md "The 164.gzip kernel, layer by layer").
+go test -run NONE -bench GzipKernel -benchtime 1x ./internal/workloads/
 # The sim kernel hosts processes on real goroutines; everything above it is
 # cooperative, but the handoff protocol itself must stay race-clean.
 go test -race ./internal/sim/
