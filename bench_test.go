@@ -294,33 +294,6 @@ func BenchmarkAblationMarkerFlush(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationTryCommitShards sweeps the number of try-commit units —
-// the §3.2 parallelization of validation ("the algorithms of the
-// try-commit unit ... are parallelizable"). The paper found one unit
-// sufficient for most benchmarks; the sweep shows where the tradeoff sits
-// (each shard takes a core from the worker pool).
-func BenchmarkAblationTryCommitShards(b *testing.B) {
-	bench, err := workloads.ByName("197.parser")
-	if err != nil {
-		b.Fatal(err)
-	}
-	seq := seqTime(b, bench)
-	for _, shards := range []int{1, 2, 4} {
-		shards := shards
-		b.Run("shards"+itoa(shards), func(b *testing.B) {
-			var res workloads.Result
-			for i := 0; i < b.N; i++ {
-				res, err = workloads.RunParallel(bench, benchInput(), workloads.DSMTX, 64,
-					func(cfg *core.Config) { cfg.TryCommitUnits = shards })
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(seq.Seconds()/res.Elapsed.Seconds(), "speedup")
-		})
-	}
-}
-
 // BenchmarkAblationLatency sweeps inter-node latency on a pipelined
 // workload: the Spec-DSWP curve should barely move (the Fig. 1 argument at
 // application scale).

@@ -33,8 +33,8 @@ type cuNode struct {
 	img   *mem.Image
 	arena *uva.Arena
 
-	in       []*entryCursor // per worker tid
-	verdicts []*entryCursor // per try-commit shard
+	in      []*entryCursor // per worker tid
+	verdict *entryCursor
 
 	staged []Entry // group-commit staging buffer, reused across MTXs
 
@@ -153,9 +153,7 @@ func (c *cuNode) run(p platform.Proc) {
 		for w := 0; w < c.sys.cfg.Workers(); w++ {
 			c.comm.Send(w, tagStart, nil, 8)
 		}
-		for j := 0; j < c.sys.cfg.tcUnits(); j++ {
-			c.comm.Send(c.sys.cfg.tryCommitRank(j), tagStart, nil, 8)
-		}
+		c.comm.Send(c.sys.cfg.tryCommitRank(), tagStart, nil, 8)
 		if c.sys.hbOn {
 			// Workers begin heartbeating once they see tagStart; the
 			// freshness clock starts now so setup time is never counted as
@@ -196,9 +194,7 @@ func (c *cuNode) bind() {
 	for w := 0; w < c.sys.cfg.Workers(); w++ {
 		c.in = append(c.in, newEntryCursor(c.sys.toCUQ[w][c.shard].Receiver(c.comm)))
 	}
-	for j := 0; j < c.sys.cfg.tcUnits(); j++ {
-		c.verdicts = append(c.verdicts, newEntryCursor(c.sys.verdictQ[j][c.shard].Receiver(c.comm)))
-	}
+	c.verdict = newEntryCursor(c.sys.verdictQ[c.shard].Receiver(c.comm))
 	c.cMissWorker = c.sys.tr.Metrics().Counter("misspec.worker")
 	c.cMissConflict = c.sys.tr.Metrics().Counter("misspec.conflict")
 	c.cReports = c.sys.tr.Metrics().Counter("window.reports")
@@ -411,9 +407,7 @@ func (c *cuNode) followRecovery(failed uint64) {
 	for _, port := range c.in {
 		port.abort(c.epoch)
 	}
-	for _, port := range c.verdicts {
-		port.abort(c.epoch)
-	}
+	c.verdict.abort(c.epoch)
 	c.routes = make(map[uint64]int)
 	c.comm.Barrier(c.sys.allRanks) // B2: queues flushed
 	c.comm.Barrier(c.sys.allRanks) // B3: coordinator re-executed; resume
@@ -473,34 +467,23 @@ func (c *cuNode) drainTerminates(endIter uint64) {
 	}
 }
 
-// awaitTerminateVerdict waits for every try-commit shard to confirm it
+// awaitTerminateVerdict waits for the try-commit unit to confirm it
 // validated everything before the loop result is final.
 func (c *cuNode) awaitTerminateVerdict() {
-	for _, port := range c.verdicts {
-		for {
-			e := c.consumeNext(port, &c.stallVerdict)
-			if e.Kind == entTerminate {
-				break
-			}
-		}
+	for c.consumeNext(c.verdict, &c.stallVerdict).Kind != entTerminate {
 	}
 }
 
-// nextVerdict returns the combined validation result for iter: every
-// try-commit shard must approve its address partition.
+// nextVerdict returns the try-commit unit's validation result for iter.
 func (c *cuNode) nextVerdict(iter uint64) bool {
-	ok := true
-	for _, port := range c.verdicts {
-		e := c.consumeNext(port, &c.stallVerdict)
-		if e.Kind != entVerdict {
-			panic(fmt.Sprintf("core: unexpected %v entry on verdict queue", e.Kind))
-		}
-		if e.MTX != iter {
-			panic(fmt.Sprintf("core: verdict for MTX %d while committing %d", e.MTX, iter))
-		}
-		ok = ok && e.Val == 1
+	e := c.consumeNext(c.verdict, &c.stallVerdict)
+	if e.Kind != entVerdict {
+		panic(fmt.Sprintf("core: unexpected %v entry on verdict queue", e.Kind))
 	}
-	return ok
+	if e.MTX != iter {
+		panic(fmt.Sprintf("core: verdict for MTX %d while committing %d", e.MTX, iter))
+	}
+	return e.Val == 1
 }
 
 func (c *cuNode) routeOf(s int, iter uint64) int {
@@ -594,9 +577,7 @@ func (c *cuNode) recoverCrash(seq *SeqCtx, rank int) {
 	for _, port := range c.in {
 		port.abort(c.epoch)
 	}
-	for _, port := range c.verdicts {
-		port.abort(c.epoch)
-	}
+	c.verdict.abort(c.epoch)
 	c.routes = make(map[uint64]int)
 
 	c.comm.Barrier(c.sys.allRanks) // B2: queues flushed
@@ -649,9 +630,7 @@ func (c *cuNode) recover(seq *SeqCtx, failed uint64) {
 	for _, port := range c.in {
 		port.abort(c.epoch)
 	}
-	for _, port := range c.verdicts {
-		port.abort(c.epoch)
-	}
+	c.verdict.abort(c.epoch)
 	c.routes = make(map[uint64]int)
 
 	c.comm.Barrier(c.sys.allRanks) // B2: queues flushed
@@ -688,15 +667,13 @@ func (c *cuNode) recover(seq *SeqCtx, failed uint64) {
 	}
 }
 
-// tellRanks sends cm to every worker and try-commit unit.
+// tellRanks sends cm to every worker and the try-commit unit.
 func (c *cuNode) tellRanks(cm ctrlMsg) {
 	bytes := 24 + 8*len(cm.stale)
 	for w := 0; w < c.sys.cfg.Workers(); w++ {
 		c.comm.Send(w, tagCtrl, cm, bytes)
 	}
-	for j := 0; j < c.sys.cfg.tcUnits(); j++ {
-		c.comm.Send(c.sys.cfg.tryCommitRank(j), tagCtrl, cm, bytes)
-	}
+	c.comm.Send(c.sys.cfg.tryCommitRank(), tagCtrl, cm, bytes)
 }
 
 // Selective re-arm. The paper's recovery re-arms protection over the whole

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"dsmtx/internal/uva"
-
 	"fmt"
 
 	"dsmtx/internal/cluster"
@@ -68,7 +66,7 @@ func ParseBackend(s string) (Backend, error) {
 // Config assembles a DSMTX system.
 type Config struct {
 	// TotalCores is the number of cores devoted to the parallelization,
-	// including the try-commit unit(s) and the commit unit (the x-axis of
+	// including the try-commit unit and the commit unit(s) (the x-axis of
 	// Fig. 4); the rest are workers.
 	TotalCores int
 
@@ -105,12 +103,6 @@ type Config struct {
 	// refill-cost tradeoff of §5.4. Misspeculation markers always flush
 	// immediately.
 	MarkerFlushIters int
-
-	// TryCommitUnits shards the try-commit stage across several cores by
-	// address region — the parallelization the paper's §3.2 points at for
-	// when validation serializes ("the algorithms of the try-commit unit
-	// ... are parallelizable"). 0 or 1 means the paper's single unit.
-	TryCommitUnits int
 
 	// CommitShards partitions the commit pipeline itself: the page space is
 	// consistent-hashed (HRW over 64-page blocks) across this many commit
@@ -192,7 +184,6 @@ func DefaultConfig(totalCores int, plan pipeline.Plan) Config {
 		StoreInstr:       4,
 		BulkInstrPerByte: 0.15,
 		MarkerFlushIters: 8,
-		TryCommitUnits:   1,
 		COAPrefetch:      8,
 		PageServInstr:    300,
 		PageFaultInstr:   400,
@@ -205,14 +196,6 @@ func DefaultConfig(totalCores int, plan pipeline.Plan) Config {
 	}
 }
 
-// tcUnits reports the number of try-commit shards (>= 1).
-func (c Config) tcUnits() int {
-	if c.TryCommitUnits < 1 {
-		return 1
-	}
-	return c.TryCommitUnits
-}
-
 // commitShards reports the number of commit units (>= 1).
 func (c Config) commitShards() int {
 	if c.CommitShards < 1 {
@@ -222,8 +205,8 @@ func (c Config) commitShards() int {
 }
 
 // Workers reports the number of worker threads (cores minus the try-commit
-// unit(s) and the commit unit(s)).
-func (c Config) Workers() int { return c.TotalCores - c.commitShards() - c.tcUnits() }
+// unit and the commit unit(s)).
+func (c Config) Workers() int { return c.TotalCores - c.commitShards() - 1 }
 
 // CheckBackend reports a fault plan or commit-shard count that backend b
 // cannot run. It is the one statement of these two rows of the backend
@@ -304,24 +287,14 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Rank layout: workers occupy ranks 0..W-1, then the try-commit unit(s),
-// then the commit unit(s) (each commit rank also hosts a page-server
-// process). Commit shard 0 is the lead: it runs Setup, the sequential
-// portions, and termination.
+// Rank layout: workers occupy ranks 0..W-1, then the try-commit unit, then
+// the commit unit(s) (each commit rank also hosts a page-server process).
+// Commit shard 0 is the lead: it runs Setup, the sequential portions, and
+// termination.
 
-func (c Config) tryCommitRank(shard int) int   { return c.Workers() + shard }
-func (c Config) commitRank() int               { return c.Workers() + c.tcUnits() }
+func (c Config) tryCommitRank() int            { return c.Workers() }
+func (c Config) commitRank() int               { return c.Workers() + 1 }
 func (c Config) commitShardRank(shard int) int { return c.commitRank() + shard }
-
-// tcShardBits aligns the shard key: addresses are sharded across try-commit
-// units in 1 MiB regions, so bulk operations almost never straddle shards
-// (and are split when they do).
-const tcShardShift = 20
-
-// tcShardOf maps an address to its owning try-commit shard.
-func (c Config) tcShardOf(addr uva.Addr) int {
-	return int((uint64(addr) >> tcShardShift) % uint64(c.tcUnits()))
-}
 
 // Control-plane message tags (queue tags are allocated from tagQueueBase).
 const (

@@ -235,7 +235,7 @@ func TestValueBasedConflictDetection(t *testing.T) {
 	if res.Misspecs == 0 {
 		t.Fatal("expected at least one value-based misspeculation")
 	}
-	if tcConflicts(sys) == 0 {
+	if sys.tc.Conflicts == 0 {
 		t.Fatal("try-commit unit recorded no conflicts")
 	}
 	img := sys.CommitImage()
@@ -391,13 +391,4 @@ func TestHighLatencyStillCorrect(t *testing.T) {
 	if got := img.Load(prog.out + uva.Addr(19*8)); got != prog.expect(19) {
 		t.Fatalf("out[19] = %d", got)
 	}
-}
-
-// tcConflicts sums conflicts over all try-commit shards.
-func tcConflicts(sys *System) uint64 {
-	var n uint64
-	for _, tc := range sys.tcs {
-		n += tc.Conflicts
-	}
-	return n
 }

@@ -94,6 +94,24 @@ func verifyCross(t *testing.T, sys *System, prog *crossProg) {
 	}
 }
 
+// TestCommitShardRankLayout pins the rank arithmetic: workers first, then
+// the try-commit unit, then the commit shards.
+func TestCommitShardRankLayout(t *testing.T) {
+	cfg := smallConfig(10, pipeline.SpecDOALL())
+	cfg.CommitShards = 3
+	if cfg.Workers() != 6 {
+		t.Fatalf("Workers = %d, want 6 (10 cores - 1 TC - 3 CU)", cfg.Workers())
+	}
+	if cfg.tryCommitRank() != 6 {
+		t.Fatalf("tryCommitRank = %d, want 6", cfg.tryCommitRank())
+	}
+	for k := 0; k < 3; k++ {
+		if got := cfg.commitShardRank(k); got != 7+k {
+			t.Fatalf("commitShardRank(%d) = %d, want %d", k, got, 7+k)
+		}
+	}
+}
+
 func TestCrossShardCommit(t *testing.T) {
 	for _, shards := range []int{2, 4} {
 		prog := &crossProg{n: 48, flip: 13}

@@ -73,7 +73,7 @@ func (c *Ctx) Store(addr uva.Addr, v uint64) {
 // MTX tries to commit (the unified value prediction/checking of §3.1).
 func (c *Ctx) Read(addr uva.Addr) uint64 {
 	v := c.Load(addr)
-	c.w.tcPort(addr).Produce(Entry{Kind: entRead, MTX: c.iter, Addr: addr, Val: v})
+	c.w.toTC.Produce(Entry{Kind: entRead, MTX: c.iter, Addr: addr, Val: v})
 	return v
 }
 
@@ -85,7 +85,7 @@ func (c *Ctx) Write(addr uva.Addr, v uint64) {
 	for _, dstStage := range c.w.outStages {
 		c.w.edgeOut[dstStage][c.w.routeFor(dstStage, c.iter)].Produce(e)
 	}
-	c.w.tcPort(addr).Produce(e)
+	c.w.toTC.Produce(e)
 	c.w.cuWrite(e)
 }
 
@@ -100,7 +100,7 @@ func (c *Ctx) WriteTo(dstStage int, addr uva.Addr, v uint64) {
 		panic(fmt.Sprintf("core: WriteTo(%d) from stage %d: no such edge", dstStage, c.w.stage))
 	}
 	ports[c.w.routeFor(dstStage, c.iter)].Produce(e)
-	c.w.tcPort(addr).Produce(e)
+	c.w.toTC.Produce(e)
 	c.w.cuWrite(e)
 }
 
@@ -164,12 +164,7 @@ func (c *Ctx) StoreBytes(addr uva.Addr, b []byte) {
 // committed bytes when this MTX tries to commit.
 func (c *Ctx) ReadBytes(addr uva.Addr, n int) []byte {
 	b := c.LoadBytes(addr, n)
-	// Bulk reads split at shard boundaries so each try-commit shard can
-	// validate its own address partition.
-	c.w.forEachShardRange(addr, n, func(a uva.Addr, off, ln int) {
-		c.w.tcPort(a).Produce(Entry{Kind: entReadBlk, MTX: c.iter, Addr: a,
-			Val: mem.ChecksumBytes(b[off : off+ln]), Bytes: ln})
-	})
+	c.w.toTC.Produce(Entry{Kind: entReadBlk, MTX: c.iter, Addr: addr, Val: mem.ChecksumBytes(b), Bytes: n})
 	return b
 }
 
@@ -181,10 +176,7 @@ func (c *Ctx) WriteBytes(addr uva.Addr, b []byte) {
 	for _, dstStage := range c.w.outStages {
 		c.w.edgeOut[dstStage][c.w.routeFor(dstStage, c.iter)].Produce(e)
 	}
-	c.w.forEachShardRange(addr, len(b), func(a uva.Addr, off, ln int) {
-		c.w.tcPort(a).Produce(Entry{Kind: entWriteBlk, MTX: c.iter, Addr: a,
-			Payload: b[off : off+ln], Bytes: ln})
-	})
+	c.w.toTC.Produce(e)
 	c.w.cuWriteBlk(e)
 }
 

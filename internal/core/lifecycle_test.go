@@ -35,7 +35,7 @@ func TestLifecycleSpans(t *testing.T) {
 				case trace.SpanSubTX:
 					subTXs[[2]uint64{ev.MTX, uint64(ev.V1)}]++
 				case trace.SpanValidate:
-					if int(ev.Track) != cfg.tryCommitRank(0) {
+					if int(ev.Track) != cfg.tryCommitRank() {
 						t.Errorf("validate of MTX %d on track %d", ev.MTX, ev.Track)
 					}
 					validates = append(validates, ev)

@@ -218,6 +218,75 @@ func TestConflictDetectionProperty(t *testing.T) {
 	})
 }
 
+// bulkReadProg reads, validated, a 64 KiB block that straddles a 1 MiB
+// address boundary, then writes its own 1 KiB slice of it: every iteration
+// depends on the slices earlier iterations wrote, so bulk-read validation
+// fails and recovers.
+type bulkReadProg struct {
+	n    uint64
+	base uva.Addr
+}
+
+const bulkReadBlock = 64 << 10
+
+func (p *bulkReadProg) Setup(ctx *SeqCtx) {
+	// Burn address space up to just below the boundary, then allocate the
+	// block across it.
+	const boundary = 1 << 20
+	ctx.Alloc(boundary - uva.PageSize - 512)
+	p.base = ctx.Alloc(bulkReadBlock)
+	if uint64(p.base)/boundary == (uint64(p.base)+bulkReadBlock)/boundary {
+		panic("test setup: block does not straddle a 1 MiB boundary")
+	}
+}
+
+func (p *bulkReadProg) chunk(iter uint64) []byte {
+	b := make([]byte, 1024)
+	for i := range b {
+		b[i] = byte(iter)
+	}
+	return b
+}
+
+func (p *bulkReadProg) Stage(ctx *Ctx, _ int, iter uint64) bool {
+	if iter >= p.n {
+		return false
+	}
+	ctx.ReadBytes(p.base, bulkReadBlock)
+	ctx.WriteBytes(p.base+uva.Addr(iter*1024), p.chunk(iter))
+	ctx.Compute(20000)
+	return true
+}
+
+func (p *bulkReadProg) SeqIter(ctx *SeqCtx, iter uint64) {
+	ctx.LoadBytes(p.base, bulkReadBlock)
+	ctx.StoreBytes(p.base+uva.Addr(iter*1024), p.chunk(iter))
+	ctx.Compute(20000)
+}
+
+// TestBulkReadConflict is the one core fixture whose ReadBytes validation
+// fails: the try-commit unit must catch the stale block, and recovery must
+// still commit the sequential bytes.
+func TestBulkReadConflict(t *testing.T) {
+	onBackends(t, func(t *testing.T, config func(int, pipeline.Plan) Config) {
+		cfg := config(7, pipeline.SpecDOALL())
+		prog := &bulkReadProg{n: 12}
+		sys, res := runProg(t, cfg, prog)
+		if res.Misspecs == 0 || res.Committed != prog.n {
+			t.Fatalf("res = %+v, want misspecs > 0 and %d committed", res, prog.n)
+		}
+		ref := &bulkReadProg{n: prog.n}
+		_, img, err := RunSequential(cfg, ref, ref.n, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := sys.CommitImage().ChecksumRange(prog.base, bulkReadBlock)
+		if want := img.ChecksumRange(ref.base, bulkReadBlock); got != want {
+			t.Fatalf("block checksum %#x, sequential %#x", got, want)
+		}
+	})
+}
+
 // Recovery timing invariants: phases are non-negative and MIS runs slower
 // than clean runs.
 func TestRecoveryOverheadAccounting(t *testing.T) {

@@ -146,7 +146,7 @@ type System struct {
 	layout pipeline.Layout
 
 	workers []*workerNode
-	tcs     []*tcNode
+	tc      *tcNode
 	cus     []*cuNode     // commit shards; cus[0] is the lead
 	srvs    []*pageServer // srvs[k] serves commit shard k's partition
 
@@ -169,9 +169,9 @@ type System struct {
 
 	// Queue registry, keyed by endpoint tids.
 	edgeQ    map[[2]int]*queue.Queue[Entry]
-	toTCQ    [][]*queue.Queue[Entry]     // [worker][tc shard]
+	toTCQ    []*queue.Queue[Entry]       // [worker]
 	toCUQ    [][]*queue.Queue[Entry]     // [worker][commit shard]
-	verdictQ [][]*queue.Queue[Entry]     // [tc shard][commit shard]
+	verdictQ []*queue.Queue[Entry]       // [commit shard]
 	syncQ    map[int]*queue.Queue[Entry] // sender tid -> ring queue
 	nextTag  int
 
@@ -449,10 +449,8 @@ func (s *System) bindTracer() {
 	for w := 0; w < s.cfg.Workers(); w++ {
 		s.tr.SetTrack(w, node(w), fmt.Sprintf("worker%d (S%d)", w, s.layout.StageOf(w)))
 	}
-	for j := 0; j < s.cfg.tcUnits(); j++ {
-		r := s.cfg.tryCommitRank(j)
-		s.tr.SetTrack(r, node(r), fmt.Sprintf("trycommit%d", j))
-	}
+	tc := s.cfg.tryCommitRank()
+	s.tr.SetTrack(tc, node(tc), "trycommit0")
 	for k := 0; k < s.cfg.commitShards(); k++ {
 		r := s.cfg.commitShardRank(k)
 		label := "commit"
@@ -465,27 +463,23 @@ func (s *System) bindTracer() {
 	for _, q := range s.edgeQ {
 		q.Instrument(s.tr)
 	}
-	for _, shards := range s.toTCQ {
-		for _, q := range shards {
-			q.Instrument(s.tr)
-		}
+	for _, q := range s.toTCQ {
+		q.Instrument(s.tr)
 	}
 	for _, shards := range s.toCUQ {
 		for _, q := range shards {
 			q.Instrument(s.tr)
 		}
 	}
-	for _, shards := range s.verdictQ {
-		for _, q := range shards {
-			q.Instrument(s.tr)
-		}
+	for _, q := range s.verdictQ {
+		q.Instrument(s.tr)
 	}
 	for _, q := range s.syncQ {
 		q.Instrument(s.tr)
 	}
 }
 
-// commitSrc is the source workers and try-commit units accept commit-unit
+// commitSrc is the source workers and the try-commit unit accept commit-unit
 // traffic — control broadcasts and COA page replies — from: the single
 // commit rank normally; any commit shard under a sharded pipeline (recovery
 // epochs originate at the coordinator shard, pages at the owner shard).
@@ -564,16 +558,14 @@ func (s *System) buildQueues() {
 		}
 	}
 	// Queue names and tag-allocation order with one commit shard are exactly
-	// the pre-sharding layout ("cu%d", "verdict%d"); extra shards append
-	// ".%d"-suffixed queues in shard order.
+	// the pre-sharding layout ("cu%d", "verdict0"); extra shards append
+	// ".%d"-suffixed queues in shard order. Names order vtime events, so the
+	// try-commit queues keep the ".0" suffix the goldens were recorded with.
 	nCU := s.cfg.commitShards()
+	tc := s.cfg.tryCommitRank()
 	for w := 0; w < s.cfg.Workers(); w++ {
-		var shards []*queue.Queue[Entry]
-		for j := 0; j < s.cfg.tcUnits(); j++ {
-			shards = append(shards,
-				queue.New(s.world, fmt.Sprintf("tc%d.%d", w, j), w, s.cfg.tryCommitRank(j), s.allocTag(), qc, wireSize))
-		}
-		s.toTCQ = append(s.toTCQ, shards)
+		s.toTCQ = append(s.toTCQ,
+			queue.New(s.world, fmt.Sprintf("tc%d.0", w), w, tc, s.allocTag(), qc, wireSize))
 		var cus []*queue.Queue[Entry]
 		for k := 0; k < nCU; k++ {
 			name := fmt.Sprintf("cu%d", w)
@@ -585,17 +577,13 @@ func (s *System) buildQueues() {
 		}
 		s.toCUQ = append(s.toCUQ, cus)
 	}
-	for j := 0; j < s.cfg.tcUnits(); j++ {
-		var cus []*queue.Queue[Entry]
-		for k := 0; k < nCU; k++ {
-			name := fmt.Sprintf("verdict%d", j)
-			if nCU > 1 {
-				name = fmt.Sprintf("verdict%d.%d", j, k)
-			}
-			cus = append(cus,
-				queue.New(s.world, name, s.cfg.tryCommitRank(j), s.cfg.commitShardRank(k), s.allocTag(), qc, wireSize))
+	for k := 0; k < nCU; k++ {
+		name := "verdict0"
+		if nCU > 1 {
+			name = fmt.Sprintf("verdict0.%d", k)
 		}
-		s.verdictQ = append(s.verdictQ, cus)
+		s.verdictQ = append(s.verdictQ,
+			queue.New(s.world, name, tc, s.cfg.commitShardRank(k), s.allocTag(), qc, wireSize))
 	}
 	if s.cfg.Plan.Sync {
 		pool := s.layout.Assign[0]
@@ -758,9 +746,7 @@ func (s *System) Run() (Result, error) {
 			})
 		}
 	}
-	for j := 0; j < s.cfg.tcUnits(); j++ {
-		s.tcs = append(s.tcs, newTCNode(s, j))
-	}
+	s.tc = newTCNode(s)
 	for w := 0; w < s.cfg.Workers(); w++ {
 		s.workers = append(s.workers, newWorkerNode(s, w))
 	}
@@ -777,9 +763,7 @@ func (s *System) Run() (Result, error) {
 		}
 		s.spawnRank(name, cu.rank, cu.run)
 	}
-	for j, tc := range s.tcs {
-		s.spawnRank(fmt.Sprintf("trycommit%d", j), tc.rank, tc.run)
-	}
+	s.spawnRank("trycommit0", s.tc.rank, s.tc.run) // names order vtime events; see pageSrvName
 	// Page servers share their commit unit's core, so a straggler window on
 	// that rank slows them too.
 	for k, ps := range s.srvs {
@@ -813,10 +797,8 @@ func (s *System) Run() (Result, error) {
 			w.img.Reset()
 		}
 	}
-	for _, tc := range s.tcs {
-		if tc.view != nil {
-			tc.view.Reset()
-		}
+	if s.tc.view != nil {
+		s.tc.view.Reset()
 	}
 	return res, nil
 }
@@ -856,13 +838,10 @@ func (s *System) buildStallReport() {
 			Blocked:      w.proc.Blocked() - w.recBlk - w.crashBlk,
 		})
 	}
-	for _, tc := range s.tcs {
-		if tc.proc == nil {
-			continue
-		}
+	if tc := s.tc; tc.proc != nil {
 		s.stalls.Add(trace.StallRow{
 			Track:      tc.rank,
-			Label:      fmt.Sprintf("trycommit%d", tc.shard),
+			Label:      "trycommit0",
 			Stage:      "trycommit",
 			Busy:       tc.proc.Advanced() - tc.pollTime - tc.recAdv,
 			Starvation: tc.pollTime,

@@ -21,7 +21,6 @@ import (
 // committed order produces.
 type tcNode struct {
 	sys     *System
-	shard   int
 	rank    int
 	proc    platform.Proc
 	comm    *mpi.Comm
@@ -50,8 +49,8 @@ type tcNode struct {
 	Conflicts uint64
 }
 
-func newTCNode(s *System, shard int) *tcNode {
-	return &tcNode{sys: s, shard: shard, rank: s.cfg.tryCommitRank(shard), routes: make(map[uint64]int)}
+func newTCNode(s *System) *tcNode {
+	return &tcNode{sys: s, rank: s.cfg.tryCommitRank(), routes: make(map[uint64]int)}
 }
 
 func (t *tcNode) run(p platform.Proc) {
@@ -100,11 +99,11 @@ func (t *tcNode) bind() {
 	// wholesale discard can recycle the frames.
 	t.view.ReleaseOnReset(true)
 	t.view.Instrument(t.sys.tr.Metrics())
-	for w := 0; w < t.sys.cfg.Workers(); w++ {
-		t.in = append(t.in, newEntryCursor(t.sys.toTCQ[w][t.shard].Receiver(t.comm)))
+	for _, q := range t.sys.toTCQ {
+		t.in = append(t.in, newEntryCursor(q.Receiver(t.comm)))
 	}
-	for k := 0; k < t.sys.cfg.commitShards(); k++ {
-		t.verdicts = append(t.verdicts, t.sys.verdictQ[t.shard][k].Sender(t.comm))
+	for _, q := range t.sys.verdictQ {
+		t.verdicts = append(t.verdicts, q.Sender(t.comm))
 	}
 }
 

@@ -33,8 +33,8 @@ type workerNode struct {
 	edgeOut   map[int]map[int]*queue.SendPort[Entry] // dstStage -> dstTid -> port
 	inStages  []int                                  // sorted source stages
 	edgeIn    map[int]map[int]*entryCursor           // fromStage -> srcTid -> cursor
-	toTC      []*queue.SendPort[Entry]               // per try-commit shard
-	toCU      []*queue.SendPort[Entry]               // per commit shard
+	toTC      *queue.SendPort[Entry]
+	toCU      []*queue.SendPort[Entry] // per commit shard
 	syncOut   *queue.SendPort[Entry]
 	syncIn    *entryCursor
 
@@ -214,9 +214,7 @@ func (w *workerNode) bind() {
 	sort.Ints(w.outStages)
 	sort.Ints(w.inStages)
 
-	for j := 0; j < w.sys.cfg.tcUnits(); j++ {
-		w.toTC = append(w.toTC, w.sys.toTCQ[w.tid][j].Sender(w.comm))
-	}
+	w.toTC = w.sys.toTCQ[w.tid].Sender(w.comm)
 	for k := 0; k < w.sys.cfg.commitShards(); k++ {
 		w.toCU = append(w.toCU, w.sys.toCUQ[w.tid][k].Sender(w.comm))
 	}
@@ -557,7 +555,7 @@ func (w *workerNode) chooseRoute(iter uint64) {
 	w.outstanding[w.curRoute]++
 
 	e := Entry{Kind: entRoute, MTX: iter, Val: uint64(w.curRoute)}
-	w.tcBroadcast(e)
+	w.toTC.Produce(e)
 	w.cuBroadcast(e)
 	if w.sys.routeSink >= 0 {
 		w.edgeOut[w.sys.routeSink][w.sys.layout.Assign[w.sys.routeSink][0]].Produce(e)
@@ -574,7 +572,7 @@ func (w *workerNode) endIter(iter uint64) {
 		for _, dstStage := range w.outStages {
 			w.edgeOut[dstStage][w.routeFor(dstStage, iter)].Produce(miss)
 		}
-		w.tcBroadcast(miss)
+		w.toTC.Produce(miss)
 		w.cuBroadcast(miss)
 	}
 	end := Entry{Kind: entEndSub, MTX: iter}
@@ -589,7 +587,7 @@ func (w *workerNode) endIter(iter uint64) {
 		port.Produce(end)
 		port.Flush() // pipeline edges flush every subTX: consumers block on them
 	}
-	w.tcBroadcast(end)
+	w.toTC.Produce(end)
 	w.cuBroadcast(end)
 	w.cuMask, w.cuMin = 0, 0
 	// Validation/commit streams batch across iterations; misspeculation
@@ -617,7 +615,7 @@ func (w *workerNode) emitTerminate() {
 			port.Flush()
 		}
 	}
-	w.tcBroadcast(t)
+	w.toTC.Produce(t)
 	w.cuBroadcast(t)
 	w.flushMarkers()
 }
@@ -628,27 +626,11 @@ func (w *workerNode) emitTerminate() {
 // cannot advance past them, and a misspeculation that would unblock the
 // ring is never detected — a deadlock.
 func (w *workerNode) flushMarkers() {
-	for _, port := range w.toTC {
-		port.Flush()
-	}
+	w.toTC.Flush()
 	for _, port := range w.toCU {
 		port.Flush()
 	}
 	w.sinceFlush = 0
-}
-
-// tcPort routes a speculative access to the try-commit shard owning its
-// address.
-func (w *workerNode) tcPort(addr uva.Addr) *queue.SendPort[Entry] {
-	return w.toTC[w.sys.cfg.tcShardOf(addr)]
-}
-
-// tcBroadcast sends a marker entry to every try-commit shard (each shard
-// frames MTXs independently).
-func (w *workerNode) tcBroadcast(e Entry) {
-	for _, port := range w.toTC {
-		port.Produce(e)
-	}
 }
 
 // cuBroadcast sends a marker entry to every commit shard: each shard
@@ -686,22 +668,6 @@ func (w *workerNode) cuWriteBlk(e Entry) {
 	forEachOwnerRange(e.Addr, e.Bytes, func(a uva.Addr, off, ln int) {
 		w.cuWrite(Entry{Kind: entWriteBlk, MTX: e.MTX, Addr: a, Payload: payload[off : off+ln], Bytes: ln})
 	})
-}
-
-// forEachShardRange splits [addr, addr+n) at try-commit shard boundaries
-// and invokes fn(segmentAddr, offset, length) per segment. With a single
-// shard this is one call covering the whole range.
-func (w *workerNode) forEachShardRange(addr uva.Addr, n int, fn func(a uva.Addr, off, ln int)) {
-	const shardSpan = 1 << tcShardShift
-	for off := 0; off < n; {
-		a := addr + uva.Addr(off)
-		ln := n - off
-		if rem := shardSpan - int(uint64(a)&(shardSpan-1)); ln > rem {
-			ln = rem
-		}
-		fn(a, off, ln)
-		off += ln
-	}
 }
 
 // consumeNext polls a queue with adaptive backoff, watching for the commit
@@ -934,9 +900,7 @@ func (w *workerNode) doRecovery() {
 			w.edgeIn[fromStage][src].abort(cm.epoch)
 		}
 	}
-	for _, port := range w.toTC {
-		port.Abort(cm.epoch)
-	}
+	w.toTC.Abort(cm.epoch)
 	for _, port := range w.toCU {
 		port.Abort(cm.epoch)
 	}

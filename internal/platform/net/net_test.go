@@ -272,8 +272,10 @@ func TestFrameLogSteadyStateAllocFree(t *testing.T) {
 // at the wrong moment — it showed as a hung job under CPU load — so this
 // pins the contract, not the interleaving.) The peer is kept silent
 // meanwhile: the burst stays under an ack window and m0 has read all m1
-// sent, because closing on a peer that is mid-send is a different hazard,
-// see ROADMAP item 4.
+// sent, because closing on a peer that is mid-send is a different hazard:
+// Close shuts the socket right after its Goodbye, and if the peer is then
+// mid-ack the kernel answers with a reset that can discard frames the peer
+// has not read yet.
 func TestCloseSendsQueuedFrames(t *testing.T) {
 	const n = ackEvery - 1
 	m0, m1 := twoMeshes(t)

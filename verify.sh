@@ -54,7 +54,9 @@ go test -race ./internal/workloads/ -run TestBackendEquivalence
 go test -run=NONE -fuzz FuzzWireRoundTrip -fuzztime 10s ./internal/wire/
 # The sharded commit pipeline adds AnySource control mailboxes and the
 # cross-shard vote protocol to the live-goroutine surface; its dedicated
-# tests run under the race detector too.
+# commit-shard tests (TestCrossShardCommit, ...MatchesSingleShard,
+# ...DeterministicRepeat, ...DeterministicConcurrent) run under the race
+# detector too.
 go test -race ./internal/core/ -run TestCrossShard
 # The lock-free mailbox rings and the per-commit-unit page servers behave
 # differently under different scheduler pressure: GOMAXPROCS=2 forces heavy contention and
@@ -78,7 +80,7 @@ go test -race ./internal/core/ -run TestCrossShard
 # re-arm fixture (the commit unit's word, a squashed store) rides along.
 live='TestBackendEquivalence|TestCrossShard|TestPageServicePlacement|TestLifecycleSpans|TestSelectiveRearm'
 live+='|TestBoundedRunAhead|TestLiveRecoverySweep|TestMisspecOnFirstIteration|TestBackToBackMisspecs|TestMisspecStorm'
-live+='|TestTLSRecovery|TestRecoveryProperty|TestConflictDetectionProperty|TestConnectRunsSuccessiveJobs'
+live+='|TestTLSRecovery|TestRecoveryProperty|TestConflictDetectionProperty|TestBulkReadConflict|TestConnectRunsSuccessiveJobs'
 live+='|TestRecycledBatchesStress|TestCrossDaemonBatchNeverReturnsToSender|TestDeliveryConformance'
 livepkgs='./internal/workloads/ ./internal/core/ ./internal/netrun/ ./internal/queue/ ./internal/platform/...'
 GOMAXPROCS=2 go test -race -count=1 $livepkgs -run "$live"
