@@ -26,7 +26,12 @@ import (
 // on the commit unit against its authoritative image.
 type Program interface {
 	// Setup runs sequentially on the commit unit before the parallel
-	// section, generating the initial non-speculative memory state.
+	// section, generating the initial non-speculative memory state. On the
+	// net backend it also runs on every daemon without the commit rank,
+	// with ctx.Shadow() true, so those ranks learn the same arena
+	// addresses. Under Shadow(), Setup must return right after its last
+	// allocation, before generating or storing any data, and must set no
+	// program field other than the addresses it allocated.
 	Setup(ctx *SeqCtx)
 
 	// Stage executes pipeline stage `stage` of iteration `iter`. For the
@@ -655,14 +660,12 @@ func (s *System) publishSnapshots() {
 	}
 }
 
-// shadowSetup replays the program's sequential Setup on net-backend daemons
-// that do not host the commit rank. Setup establishes SPMD program state —
-// arena-allocated addresses, cached layout — that every rank derives
-// identically because the allocation sequence is deterministic; only the
-// commit daemon's memory writes are authoritative, so the shadow run writes
-// into a throwaway image and workers read the real values back through
-// Copy-On-Access. Runs single-threaded before any rank spawns, mirroring
-// the tagStart barrier that orders the real Setup before worker execution.
+// shadowSetup replays the program's allocations on net-backend daemons that
+// do not host the commit rank. Setup caches arena addresses in program
+// fields, and every rank derives the same ones because the allocation
+// sequence is deterministic. Addresses are all a worker needs: the data
+// lives on the commit daemon, and workers pull it through Copy-On-Access.
+// Runs before any rank spawns.
 func (s *System) shadowSetup() {
 	if s.cfg.Backend != BackendNet {
 		return
@@ -671,20 +674,15 @@ func (s *System) shadowSetup() {
 	if !ok || lp.LocalRank(s.cfg.commitRank()) {
 		return
 	}
-	seq := &SeqCtx{cfg: s.cfg, proc: shadowProc{}, img: mem.NewImage(nil), arena: uva.NewArena(0), instr: s.instrTime}
-	s.prog.Setup(seq)
+	shadowReplay(s.cfg, s.prog)
 }
 
-// shadowProc is the inert process behind shadowSetup: the shadow replay is
-// off the critical path and outside the cost model, so time does not pass.
-type shadowProc struct{}
-
-func (shadowProc) Advance(platform.Duration)   {}
-func (shadowProc) Yield()                      {}
-func (shadowProc) Now() platform.Time          { return 0 }
-func (shadowProc) Advanced() platform.Duration { return 0 }
-func (shadowProc) Blocked() platform.Duration  { return 0 }
-func (shadowProc) Name() string                { return "setup.shadow" }
+// shadowReplay runs prog's Setup as an allocation-only replay: a context
+// with an arena but no process and no image, so Setup must return at
+// Shadow() before it touches memory.
+func shadowReplay(cfg Config, prog Program) {
+	prog.Setup(&SeqCtx{cfg: cfg, arena: uva.NewArena(0), shadow: true})
+}
 
 // startHeartbeats launches the liveness daemon of the crash-fault model: a
 // periodic kernel event that sends one 16-byte heartbeat per live worker
@@ -953,7 +951,15 @@ type SeqCtx struct {
 	// instr converts instructions to platform time; nil means the cluster
 	// clock (the pure sequential reference, which always runs in vtime).
 	instr func(int64) platform.Duration
+	// shadow marks the allocation-only replay of Setup (see Shadow).
+	shadow bool
 }
+
+// Shadow reports whether Setup is running as the allocation-only replay on
+// a net daemon that does not host the commit rank. Such a context has an
+// arena but no memory and no clock: Setup must make every allocation it
+// would make for real, then return before it generates or stores data.
+func (c *SeqCtx) Shadow() bool { return c.shadow }
 
 // instrTime converts an instruction count to this context's platform time.
 func (c *SeqCtx) instrTime(n int64) platform.Duration {
@@ -1014,5 +1020,6 @@ func (c *SeqCtx) StoreBytes(addr uva.Addr, b []byte) {
 // Image exposes the underlying memory space for bulk, cost-free
 // initialization in Setup (e.g. loading input files); prefer Load/Store in
 // modelled code. With a single commit unit this is its *mem.Image; with a
-// sharded commit pipeline it is the federated per-shard view.
+// sharded commit pipeline it is the federated per-shard view; under Shadow()
+// it is nil.
 func (c *SeqCtx) Image() mem.Space { return c.img }

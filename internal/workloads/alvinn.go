@@ -92,6 +92,9 @@ func (p *alvProg) Setup(ctx *core.SeqCtx) {
 	p.weights = ctx.AllocWords(alvWeightLen)
 	p.samples = ctx.Alloc(int64(p.chunks) * alvChunkSize * alvSampleBytes)
 	p.grads = ctx.AllocWords(alvSlots * alvSlotWords)
+	if ctx.Shadow() {
+		return
+	}
 	img := ctx.Image()
 	if p.epoch == 0 {
 		r := newRNG(p.seed)

@@ -75,6 +75,9 @@ func (p *artProg) Setup(ctx *core.SeqCtx) {
 	p.inputs = ctx.AllocWords(int(p.windows) * artDims)
 	p.out = ctx.AllocWords(int(p.windows))
 	p.counts = ctx.AllocWords(artCats)
+	if ctx.Shadow() {
+		return
+	}
 	img := ctx.Image()
 	r := newRNG(p.seed)
 	for i := 0; i < artCats*artDims; i++ {

@@ -80,6 +80,9 @@ func (p *bsProg) Setup(ctx *core.SeqCtx) {
 	p.opts = ctx.AllocWords(int(n) * bsOptWords)
 	p.prices = ctx.AllocWords(int(n))
 	p.errs = ctx.AllocWords(1)
+	if ctx.Shadow() {
+		return
+	}
 	img := ctx.Image()
 	r := newRNG(p.seed)
 	for c := uint64(0); c < p.chunks; c++ {

@@ -80,6 +80,9 @@ func (p *bzProg) Setup(ctx *core.SeqCtx) {
 	p.output = ctx.Alloc(2*total + int64(p.blocks)*512)
 	p.outLen = ctx.AllocWords(int(p.blocks))
 	p.outCur = ctx.AllocWords(1)
+	if ctx.Shadow() {
+		return
+	}
 	img := ctx.Image()
 	for i := uint64(0); i < p.blocks; i++ {
 		data := newRNG(mix(p.seed, i*31)).bytes(bzBlockBytes)

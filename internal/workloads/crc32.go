@@ -97,6 +97,9 @@ func (p *crcProg) Setup(ctx *core.SeqCtx) {
 	p.input = ctx.Alloc(int64(p.files) * crcFileBytes)
 	p.out = ctx.AllocWords(int(p.files))
 	p.acc = ctx.AllocWords(1)
+	if ctx.Shadow() {
+		return
+	}
 	img := ctx.Image() // input "files" pre-exist; loading them is not timed
 	for i := uint64(0); i < p.files; i++ {
 		data := newRNG(mix(p.seed, i)).bytes(crcFileBytes)

@@ -75,6 +75,9 @@ func (p *gzProg) Setup(ctx *core.SeqCtx) {
 	p.outLen = ctx.AllocWords(int(p.blocks))
 	p.cursor = ctx.AllocWords(1)
 	p.outCur = ctx.AllocWords(1)
+	if ctx.Shadow() {
+		return
+	}
 	img := ctx.Image()
 	data := gzInput(p.seed, total)
 	const chunk = 1 << 16
@@ -91,10 +94,10 @@ func (p *gzProg) Setup(ctx *core.SeqCtx) {
 
 // gzInputCache memoizes the generated input file: benchmark sweeps re-run
 // Setup for every (workers, rate) point over the same input, and pushing
-// megabytes through the rng dominates Setup's host cost. rng.bytes
-// back-references within each call's buffer, so the stream depends on the
-// chunking — the cache reproduces Setup's exact 64 KiB chunk loop and is
-// byte-identical to direct generation. Host-parallel sweeps and a serving
+// megabytes through the rng dominates Setup's host cost. gzInput fills the
+// file in 64 KiB chunks, and rng.fill back-references only within a chunk,
+// so that chunking is part of the input's definition (TestRNGBytesPinned
+// pins the bytes). Host-parallel sweeps and a serving
 // engine hit it from many goroutines at once: stored slices are never
 // mutated after insertion. It holds at most gzInputBudget bytes, oldest
 // entry out first, so a long-lived server fed fresh seeds stays bounded.
@@ -125,6 +128,8 @@ func gzInputLookup(seed uint64, total int64) ([]byte, bool) {
 	return nil, false
 }
 
+// gzInput returns the input file for seed, from gzInputCache when it holds
+// one.
 func gzInput(seed uint64, total int64) []byte {
 	c := &gzInputCache
 	c.Lock()
@@ -133,16 +138,7 @@ func gzInput(seed uint64, total int64) []byte {
 	if ok {
 		return data
 	}
-	r := newRNG(seed)
-	data = make([]byte, 0, total)
-	const chunk = 1 << 16
-	for off := int64(0); off < total; off += chunk {
-		n := chunk
-		if total-off < int64(n) {
-			n = int(total - off)
-		}
-		data = append(data, r.bytes(n)...)
-	}
+	data = gzGenerate(seed, total)
 	if total > gzInputBudget {
 		return data
 	}
@@ -157,6 +153,18 @@ func gzInput(seed uint64, total int64) []byte {
 		c.bytes -= int64(len(c.entries[0].data))
 		c.entries[0].data = nil // the backing array outlives the reslice
 		c.entries = c.entries[1:]
+	}
+	return data
+}
+
+// gzGenerate generates the input file for seed, one rng.fill per 64 KiB
+// chunk.
+func gzGenerate(seed uint64, total int64) []byte {
+	r := newRNG(seed)
+	data := make([]byte, total)
+	const chunk = 1 << 16
+	for off := int64(0); off < total; off += chunk {
+		r.fill(data[off:min(off+chunk, total)])
 	}
 	return data
 }

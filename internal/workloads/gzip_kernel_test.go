@@ -98,6 +98,54 @@ func TestGzipKernelPinned(t *testing.T) {
 	}
 }
 
+// TestRNGBytesPinned pins the bytes every generated input is made of: per
+// length, the SHA-256 of rng.bytes and of gzInput over seeds 0–7. The
+// lengths cover the back-reference threshold, the 64 KiB gzInput chunk and
+// one past it, and each workload's buffer size. Every checksum and golden
+// downstream hangs off these bytes, so a faster generator must keep them.
+// Recorded from the byte-at-a-time generator rng.fill replaced.
+func TestRNGBytesPinned(t *testing.T) {
+	pins := []struct {
+		n           int
+		bytes, gzip string
+	}{
+		{1, "ab92b34bb2e16026f3130d7914f2c707b21b4e55740b9ce76b61f4932512d2ad", "ab92b34bb2e16026f3130d7914f2c707b21b4e55740b9ce76b61f4932512d2ad"},
+		{64, "541e307a4f091b4c0780f77e8b04f95ad56a592079bf228080cf13afae5204c1", "541e307a4f091b4c0780f77e8b04f95ad56a592079bf228080cf13afae5204c1"},
+		{65, "6159385388a44da77ee0072125ffc93bafe1f186a3912d187d206e477feb2180", "6159385388a44da77ee0072125ffc93bafe1f186a3912d187d206e477feb2180"},
+		{66, "f6e2f063383ce924371e05922d1cd1948d8ce810434b4e37ebb1c2b8d169eb47", "f6e2f063383ce924371e05922d1cd1948d8ce810434b4e37ebb1c2b8d169eb47"},
+		{100, "ba87b5fc81339795e9e458a5ae157f275275038fbeeab115dc5cd51b9e6f0e05", "ba87b5fc81339795e9e458a5ae157f275275038fbeeab115dc5cd51b9e6f0e05"},
+		{1 << 16, "c16f07c7efc13cd9a297587e7fceeb5b09e1a82253720c41860869170ccc30e1", "c16f07c7efc13cd9a297587e7fceeb5b09e1a82253720c41860869170ccc30e1"},
+		{1<<16 + 7, "fa0148cdf72d823c527aa1e09adf4443fd20abf9753b09bccc9d82b485b55f47", "eaf26481c1b4ce3c0dc9055e18132b94a5ca934979bc54b8e74045ac32b94e42"},
+		{gzBlocks * gzBlockBytes, "3973b93834f5ffc86c6654f216cbaf043f93e0e2ff562245e0fea7a86e2a698e", "b8242f9154e401302db9e8cdae8311d202829cfd6787cfcbe61dbaa9ee87d287"},
+		{crcFileBytes, "c16f07c7efc13cd9a297587e7fceeb5b09e1a82253720c41860869170ccc30e1", "c16f07c7efc13cd9a297587e7fceeb5b09e1a82253720c41860869170ccc30e1"},
+		{bzBlockBytes, "654ecedea36273ea26edc1ae3f5c9db4f77cb503619d5dc094a75c169c674320", "654ecedea36273ea26edc1ae3f5c9db4f77cb503619d5dc094a75c169c674320"},
+	}
+	for _, p := range pins {
+		hb, hg := sha256.New(), sha256.New()
+		for seed := range uint64(8) {
+			hb.Write(newRNG(seed).bytes(p.n))
+			hg.Write(gzInput(seed, int64(p.n)))
+		}
+		if got := hex.EncodeToString(hb.Sum(nil)); got != p.bytes {
+			t.Errorf("rng.bytes(%d) drifted: %s, pinned %s", p.n, got, p.bytes)
+		}
+		if got := hex.EncodeToString(hg.Sum(nil)); got != p.gzip {
+			t.Errorf("gzInput(_, %d) drifted: %s, pinned %s", p.n, got, p.gzip)
+		}
+	}
+}
+
+// BenchmarkGzInput times the generation of one scale-1 164.gzip input per
+// op, past gzInputCache: what a net-loopback job pays on the commit daemon
+// for a seed its fleet has not seen.
+func BenchmarkGzInput(b *testing.B) {
+	const total = gzBlocks * gzBlockBytes
+	b.SetBytes(total)
+	for i := uint64(0); b.Loop(); i++ {
+		gzGenerate(i, total)
+	}
+}
+
 // BenchmarkGzipKernel times the 164.gzip kernel one 24 KiB block per op,
 // cycling through 16 blocks of the benchmark input: compress (the whole
 // stage-1 call), lz (the match finder alone) and huffman (the entropy

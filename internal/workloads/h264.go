@@ -81,6 +81,9 @@ func (p *h264Prog) Setup(ctx *core.SeqCtx) {
 	p.strLen = ctx.AllocWords(int(p.gops))
 	p.cursor = ctx.AllocWords(1)
 	p.rate = ctx.AllocWords(1)
+	if ctx.Shadow() {
+		return
+	}
 	img := ctx.Image()
 	r := newRNG(p.seed)
 	// Synthesize video: a drifting gradient plus noise, so motion search

@@ -79,6 +79,9 @@ func (p *hmmProg) Setup(ctx *core.SeqCtx) {
 	p.out = ctx.AllocWords(int(p.batches))
 	p.hist = ctx.AllocWords(hmmBins)
 	p.globMax = ctx.AllocWords(1)
+	if ctx.Shadow() {
+		return
+	}
 	img := ctx.Image()
 	r := newRNG(p.seed)
 	for i := 0; i < hmmStates*hmmAlphabet; i++ {

@@ -104,6 +104,9 @@ func (p *liProg) Setup(ctx *core.SeqCtx) {
 	p.printBuf = ctx.Alloc(int64(p.scripts) * liLineBytes)
 	p.printCur = ctx.AllocWords(1)
 	p.g = ctx.AllocWords(1)
+	if ctx.Shadow() {
+		return
+	}
 	img := ctx.Image()
 	for i := uint64(0); i < p.scripts; i++ {
 		text := p.script(i)

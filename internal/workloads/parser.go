@@ -85,6 +85,9 @@ func (p *parProg) Setup(ctx *core.SeqCtx) {
 	p.out = ctx.AllocWords(int(p.sentences))
 	p.opt = ctx.AllocWords(1)
 	p.errs = ctx.AllocWords(1)
+	if ctx.Shadow() {
+		return
+	}
 	img := ctx.Image()
 	r := newRNG(p.seed)
 	for e := 0; e < parDictEntries; e++ {

@@ -65,6 +65,9 @@ func (p *swnProg) paramAddr(i uint64) uva.Addr {
 func (p *swnProg) Setup(ctx *core.SeqCtx) {
 	p.params = ctx.AllocWords(int(p.n) * swnParamWords)
 	p.out = ctx.AllocWords(int(p.n))
+	if ctx.Shadow() {
+		return
+	}
 	img := ctx.Image()
 	r := newRNG(p.seed)
 	for i := uint64(0); i < p.n; i++ {

@@ -12,6 +12,7 @@
 package workloads
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -135,26 +136,53 @@ func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
 // float returns a value in [0, 1).
 func (r *rng) float() float64 { return float64(r.next()>>11) / (1 << 53) }
 
-// bytes fills a deterministic pseudo-random buffer with text-like byte
-// statistics: literal letters interleaved with repeated phrases, so
-// compressors find real matches (roughly 2x compressible).
+// bytes returns a fresh buffer of n bytes from fill.
 func (r *rng) bytes(n int) []byte {
 	b := make([]byte, n)
+	r.fill(b)
+	return b
+}
+
+// fill overwrites b with deterministic pseudo-random text-like bytes:
+// literal letters interleaved with repeated phrases, so compressors find
+// real matches (roughly 2x compressible). Back-references reach only within
+// b, so the bytes depend on how a caller splits its buffer into fills.
+func (r *rng) fill(b []byte) {
+	s := r.s
+	next := func() uint64 {
+		s ^= s >> 12
+		s ^= s << 25
+		s ^= s >> 27
+		return s * 0x2545f4914f6cdd1d
+	}
+	n := len(b)
 	i := 0
 	for i < n {
-		if i > 64 && r.intn(2) == 0 {
-			length := 6 + r.intn(18)
-			off := 1 + r.intn(60)
+		if i > 64 && next()%2 == 0 {
+			length := 6 + int(next()%18)
+			off := 1 + int(next()%60)
+			if off >= length && i+24 <= n {
+				// With off >= length every byte to copy lies before i, so
+				// three word copies write the same first length bytes as the
+				// byte loop; the rest of the 24 lies past the new i and is
+				// overwritten before anything reads it.
+				src, dst := b[i-off:], b[i:]
+				binary.LittleEndian.PutUint64(dst, binary.LittleEndian.Uint64(src))
+				binary.LittleEndian.PutUint64(dst[8:], binary.LittleEndian.Uint64(src[8:]))
+				binary.LittleEndian.PutUint64(dst[16:], binary.LittleEndian.Uint64(src[16:]))
+				i += length
+				continue
+			}
 			for k := 0; k < length && i < n; k++ {
 				b[i] = b[i-off]
 				i++
 			}
 			continue
 		}
-		b[i] = byte('a' + r.intn(26))
+		b[i] = byte('a' + next()%26)
 		i++
 	}
-	return b
+	r.s = s
 }
 
 // misspecList returns the corrupted iterations in ascending order (for

@@ -15,9 +15,10 @@ fi
 go vet ./...
 go build ./...
 go test ./...
-# The 164.gzip kernel's per-layer benchmark, one op per sub-benchmark so it
-# cannot rot (numbers: EXPERIMENTS.md "The 164.gzip kernel, layer by layer").
-go test -run NONE -bench GzipKernel -benchtime 1x ./internal/workloads/
+# The 164.gzip kernel's per-layer benchmark and its input generator, one op
+# per sub-benchmark so neither can rot (numbers: EXPERIMENTS.md "The 164.gzip
+# kernel, layer by layer").
+go test -run NONE -bench 'GzipKernel|GzInput' -benchtime 1x ./internal/workloads/
 # The sim kernel hosts processes on real goroutines; everything above it is
 # cooperative, but the handoff protocol itself must stay race-clean.
 go test -race ./internal/sim/
@@ -43,11 +44,11 @@ go test -race ./internal/engine/ ./cmd/dsmtxd/ ./cmd/dsmtxload/
 # daemons joined with Connect. cluster rides along for the vtime side of the
 # Idle contract.
 go test -race ./internal/platform/... ./internal/cluster/ ./internal/netrun/ ./cmd/dsmtxrun/
-# Backend equivalence covers vtime, host, and net: the Net tests (package
-# workloads_test, since netrun imports workloads) re-exec the
-# (race-instrumented) test binary as a two-daemon loopback fleet, so
-# real multi-process TCP runs of crc32/blackscholes/164.gzip must reach the
-# sequential checksum with committed/misspec counts equal to vtime.
+# Backend equivalence covers vtime, host, and net: the Net test (package
+# workloads_test, since netrun imports workloads) re-execs the
+# (race-instrumented) test binary as a two-daemon loopback fleet, so a real
+# multi-process TCP run of every workload must reach the sequential checksum
+# with committed/misspec counts equal to vtime (≈ 28 s under -race on 2 CPUs).
 go test -race ./internal/workloads/ -run TestBackendEquivalence
 # The wire codec feeds the net transport; a short fuzz pass keeps the frame
 # decoder total on junk (round-trip identity is seeded in the corpus).
