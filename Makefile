@@ -9,15 +9,20 @@
 # BENCH_LOG.jsonl; `make bench-pair PARENT=<ref> WORKLOAD=<w|all>` runs the
 # paired parent/change protocol any performance claim needs; `make loc`
 # prints the size number simplicity PRs quote (tracked non-test Go outside
-# bench/, per package and total).
+# bench/, per package and total); `make golden` checks the two vtime
+# byte-identity invariants (scripts/golden.sh: the quick sweep and Figure 3
+# stdout sha256s).
 
-.PHONY: verify smoke serve-demo bench bench-pair loc
+.PHONY: verify smoke golden serve-demo bench bench-pair loc
 
 verify:
 	./verify.sh
 
 smoke:
 	./scripts/smoke.sh
+
+golden:
+	./scripts/golden.sh
 
 serve-demo:
 	timeout 300 ./scripts/serve-demo.sh

@@ -8,7 +8,6 @@ import (
 
 	"dsmtx/internal/mem"
 	"dsmtx/internal/mpi"
-	"dsmtx/internal/pipeline"
 	"dsmtx/internal/platform"
 	"dsmtx/internal/trace"
 	"dsmtx/internal/uva"
@@ -57,26 +56,22 @@ type cuNode struct {
 
 	// Stall attribution: pollTime split by what the poll was waiting for
 	// (worker store streams vs try-commit verdicts vs cross-shard votes),
-	// plus recovery-window accounting. rfpStart anchors the RFP span in
-	// tracer time.
+	// plus the recovery windows. rfpStart anchors the RFP span in tracer
+	// time.
 	stallStarve  platform.Duration
 	stallVerdict platform.Duration
 	voteWait     platform.Duration
-	recWall      platform.Duration
-	recAdv       platform.Duration
-	recBlk       platform.Duration
+	rec          window
 	rfpStart     platform.Time
 
 	// Crash-fault machinery, allocated only under a crash plan (sys.hbOn):
 	// hbBox/rejoinBox collect any-source heartbeats and restart
-	// announcements; lastHeard[w] is worker w's newest sign of life; the
-	// red* fields account crash re-dispatch windows for stall attribution.
+	// announcements; lastHeard[w] is worker w's newest sign of life; crash
+	// accounts the crash re-dispatch windows for stall attribution.
 	hbBox     platform.Mailbox
 	rejoinBox platform.Mailbox
 	lastHeard []platform.Time
-	redWall   platform.Duration
-	redAdv    platform.Duration
-	redBlk    platform.Duration
+	crash     window
 
 	// Misspeculation cause and progress-report counters (nil when
 	// uninstrumented).
@@ -132,9 +127,8 @@ type crashSignal struct{ rank int }
 
 func (c *cuNode) run(p platform.Proc) {
 	c.proc = p
-	defer func(born platform.Time) { c.sys.life[c.rank] = p.Now() - born }(p.Now())
-	c.comm = c.sys.world.Attach(c.rank, p)
-	c.comm.SetTracer(c.sys.tr, c.rank)
+	defer c.sys.recordLife(c.rank, p, p.Now())
+	c.comm = c.sys.attach(c.rank, p)
 	c.bind()
 
 	seq := &SeqCtx{cfg: c.sys.cfg, proc: p, img: c.seqSpace(), arena: c.arena, instr: c.sys.instrTime}
@@ -236,7 +230,7 @@ func (c *cuNode) commitEpoch(seq *SeqCtx) (done bool) {
 		misspec := false
 		terminated := false
 		for s := range c.sys.cfg.Plan.Stages {
-			tid := c.routeOf(s, iter)
+			tid := c.sys.routeOf(s, iter, c.routes)
 			subMiss, term := c.drainSub(tid, iter)
 			if term {
 				if s != 0 {
@@ -248,7 +242,7 @@ func (c *cuNode) commitEpoch(seq *SeqCtx) (done bool) {
 			misspec = misspec || subMiss
 		}
 		if terminated {
-			c.drainTerminates(iter)
+			c.sys.drainTerminates(c.in, iter, c.consumeStream)
 			c.awaitTerminateVerdict()
 			if nShards > 1 {
 				if c.shard != 0 {
@@ -396,36 +390,38 @@ func (c *cuNode) awaitVotes(key uint64, need int) {
 // epoch broadcast, then runs the standard flush/re-protect barrier dance
 // while the coordinator re-executes the failed iteration sequentially.
 func (c *cuNode) followRecovery(failed uint64) {
-	start := c.proc.Now()
-	trStart := c.sys.tr.Now()
-	adv0, blk0 := c.proc.Advanced(), c.proc.Blocked()
+	c.rec.open(c.proc, c.sys.tr)
 	msg := c.comm.Recv(platform.AnySource, tagCtrl)
 	cm := msg.Payload.(ctrlMsg)
 	c.epoch = cm.epoch
 
 	c.comm.Barrier(c.sys.allRanks) // B1: everyone is in recovery mode
+	c.flushInputs()
+	c.comm.Barrier(c.sys.allRanks) // B2: queues flushed
+	c.comm.Barrier(c.sys.allRanks) // B3: coordinator re-executed; resume
+
+	c.rec.close(c.proc)
+	c.sys.tr.Span(trace.SpanRecovery, c.rank, c.rec.trStart, failed, 0, 0)
+	c.iter = cm.restart
+	c.resumed = 0
+}
+
+// flushInputs is the commit unit's queue flush in recovery: every worker
+// stream and the verdict cursor drop this epoch's entries, and so do the
+// route records read from them.
+func (c *cuNode) flushInputs() {
 	for _, port := range c.in {
 		port.abort(c.epoch)
 	}
 	c.verdict.abort(c.epoch)
 	c.routes = make(map[uint64]int)
-	c.comm.Barrier(c.sys.allRanks) // B2: queues flushed
-	c.comm.Barrier(c.sys.allRanks) // B3: coordinator re-executed; resume
-
-	end := c.proc.Now()
-	c.recWall += end - start
-	c.recAdv += c.proc.Advanced() - adv0
-	c.recBlk += c.proc.Blocked() - blk0
-	c.sys.tr.Span(trace.SpanRecovery, c.rank, trStart, failed, 0, 0)
-	c.iter = cm.restart
-	c.resumed = 0
 }
 
 // drainSub stages one subTX's stores into the reused staging buffer.
 func (c *cuNode) drainSub(tid int, iter uint64) (misspec, term bool) {
 	port := c.in[tid]
 	for {
-		e := c.consumeNext(port, &c.stallStarve)
+		e := c.consumeStream(port)
 		switch e.Kind {
 		case entWrite, entWriteBlk:
 			c.staged = append(c.staged, e)
@@ -453,20 +449,6 @@ func (c *cuNode) drainSub(tid int, iter uint64) (misspec, term bool) {
 	}
 }
 
-func (c *cuNode) drainTerminates(endIter uint64) {
-	for tid := range c.in {
-		if c.sys.layout.StageOf(tid) == 0 && c.sys.layout.WorkerOf(0, endIter) == tid {
-			continue
-		}
-		for {
-			e := c.consumeNext(c.in[tid], &c.stallStarve)
-			if e.Kind == entTerminate {
-				break
-			}
-		}
-	}
-}
-
 // awaitTerminateVerdict waits for the try-commit unit to confirm it
 // validated everything before the loop result is final.
 func (c *cuNode) awaitTerminateVerdict() {
@@ -484,20 +466,6 @@ func (c *cuNode) nextVerdict(iter uint64) bool {
 		panic(fmt.Sprintf("core: verdict for MTX %d while committing %d", e.MTX, iter))
 	}
 	return e.Val == 1
-}
-
-func (c *cuNode) routeOf(s int, iter uint64) int {
-	if s == c.sys.routedStage {
-		idx, ok := c.routes[iter]
-		if !ok {
-			panic(fmt.Sprintf("core: commit has no route for MTX %d", iter))
-		}
-		return c.sys.layout.Assign[s][idx]
-	}
-	if c.sys.cfg.Plan.Stages[s].Kind == pipeline.Parallel {
-		return c.sys.layout.WorkerOf(s, iter)
-	}
-	return c.sys.layout.Assign[s][0]
 }
 
 // consumeNext polls for the next entry, charging wait time both to the
@@ -520,6 +488,9 @@ func (c *cuNode) consumeNext(port *entryCursor, bucket *platform.Duration) Entry
 	}
 }
 
+// consumeStream is consumeNext on a worker store stream.
+func (c *cuNode) consumeStream(port *entryCursor) Entry { return c.consumeNext(port, &c.stallStarve) }
+
 // checkLiveness drains liveness traffic and unwinds to crash recovery when
 // a worker is down. Heartbeats are consumed at NIC level (no per-message
 // receive charge — hardware keepalive tracking); the commit unit only reads
@@ -528,7 +499,7 @@ func (c *cuNode) consumeNext(port *entryCursor, bucket *platform.Duration) Entry
 // A stale rejoin (from an epoch some recovery already ended) is dropped —
 // the broadcast that ended that epoch is already in the worker's control
 // mailbox and re-integrates it through the ordinary recovery path. The
-// HeartbeatTimeout scan is the backstop for crashes whose downtime exceeds
+// hbTimeout scan is the backstop for crashes whose downtime exceeds
 // the patience of the commit unit.
 func (c *cuNode) checkLiveness() {
 	now := c.proc.Now()
@@ -548,7 +519,7 @@ func (c *cuNode) checkLiveness() {
 			panic(crashSignal{rank: msg.From})
 		}
 	}
-	cutoff := now - c.sys.cfg.HeartbeatTimeout
+	cutoff := now - hbTimeout
 	for w, t := range c.lastHeard {
 		if t < cutoff {
 			c.sys.tr.Instant(trace.InstHeartbeatMiss, c.rank, uint64(w), int64(now-t), 0)
@@ -562,24 +533,16 @@ func (c *cuNode) checkLiveness() {
 // speculative state died with it, but the commit unit's image holds every
 // committed store, so this is §4.3's misspeculation protocol minus the SEQ
 // phase — no iteration failed validation; the uncommitted window simply
-// re-dispatches from the current commit point. Costs land in the red*
-// buckets (the stall table's "crashed" column) and Result.Redispatch, kept
+// re-dispatches from the current commit point. Costs land in the crash
+// window (the stall table's "crashed" column) and Result.Redispatch, kept
 // apart from the ERM/FLQ/SEQ/RFP misspeculation accounting.
 func (c *cuNode) recoverCrash(seq *SeqCtx, rank int) {
-	start := c.proc.Now()
-	trStart := c.sys.tr.Now()
-	adv0, blk0 := c.proc.Advanced(), c.proc.Blocked()
+	c.crash.open(c.proc, c.sys.tr)
 	c.epoch++
 	c.tellRanks(ctrlMsg{epoch: c.epoch, restart: c.iter})
 
 	c.comm.Barrier(c.sys.allRanks) // B1: completes once the worker has rejoined
-
-	for _, port := range c.in {
-		port.abort(c.epoch)
-	}
-	c.verdict.abort(c.epoch)
-	c.routes = make(map[uint64]int)
-
+	c.flushInputs()
 	c.comm.Barrier(c.sys.allRanks) // B2: queues flushed
 
 	// No SEQ re-execution — nothing misspeculated. Refresh the COA snapshots
@@ -588,15 +551,11 @@ func (c *cuNode) recoverCrash(seq *SeqCtx, rank int) {
 
 	c.comm.Barrier(c.sys.allRanks) // B3: resume parallel execution
 
-	end := c.proc.Now()
 	c.result.Crashes++
-	c.result.Redispatch += end - start
-	c.redWall += end - start
-	c.redAdv += c.proc.Advanced() - adv0
-	c.redBlk += c.proc.Blocked() - blk0
-	c.sys.tr.Span(trace.SpanRedispatch, c.rank, trStart, uint64(rank), int64(c.iter), 0)
+	c.result.Redispatch += c.crash.close(c.proc)
+	c.sys.tr.Span(trace.SpanRedispatch, c.rank, c.crash.trStart, uint64(rank), int64(c.iter), 0)
 	for i := range c.lastHeard {
-		c.lastHeard[i] = end // everyone proved liveness at the barriers
+		c.lastHeard[i] = c.proc.Now() // everyone proved liveness at the barriers
 	}
 }
 
@@ -606,9 +565,8 @@ func (c *cuNode) recoverCrash(seq *SeqCtx, rank int) {
 // the pipeline refill cost (RFP) is measured from resume to the next
 // commit.
 func (c *cuNode) recover(seq *SeqCtx, failed uint64) {
-	start := c.proc.Now()
-	trStart := c.sys.tr.Now()
-	adv0, blk0 := c.proc.Advanced(), c.proc.Blocked()
+	c.rec.open(c.proc, c.sys.tr)
+	start, trStart := c.rec.start, c.rec.trStart
 	c.epoch++
 	cm := ctrlMsg{epoch: c.epoch, restart: failed + 1}
 	c.tellRanks(cm)
@@ -626,13 +584,7 @@ func (c *cuNode) recover(seq *SeqCtx, failed uint64) {
 	c.result.ERM += ermDone - start
 	trERM := c.sys.tr.Now()
 	c.sys.tr.Span(trace.SpanERM, c.rank, trStart, failed, 0, 0)
-
-	for _, port := range c.in {
-		port.abort(c.epoch)
-	}
-	c.verdict.abort(c.epoch)
-	c.routes = make(map[uint64]int)
-
+	c.flushInputs()
 	c.comm.Barrier(c.sys.allRanks) // B2: queues flushed
 	flqDone := c.proc.Now()
 	c.result.FLQ += flqDone - ermDone
@@ -653,12 +605,10 @@ func (c *cuNode) recover(seq *SeqCtx, failed uint64) {
 	c.sys.tr.Span(trace.SpanSEQ, c.rank, trFLQ, failed, 0, 0)
 
 	c.comm.Barrier(c.sys.allRanks) // B3: resume parallel execution
+	c.rec.close(c.proc)
 	c.resumed = c.proc.Now()
 	c.sys.tr.Span(trace.SpanRecovery, c.rank, trStart, failed, 0, 0)
 	c.rfpStart = c.sys.tr.Now()
-	c.recWall += c.resumed - start
-	c.recAdv += c.proc.Advanced() - adv0
-	c.recBlk += c.proc.Blocked() - blk0
 	c.iter = failed + 1
 	for i := range c.lastHeard {
 		// The barriers proved every worker alive; without this reset a long

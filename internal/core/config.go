@@ -144,16 +144,6 @@ type Config struct {
 	// fault-free build.
 	Faults *faults.Plan
 
-	// HeartbeatInterval/HeartbeatTimeout drive crash detection, active
-	// only when the fault plan crashes a rank: workers heartbeat the
-	// commit unit every interval, and the commit unit declares a silent
-	// worker dead after the timeout. The timeout also bounds how long a
-	// false positive can take to trigger a (survivable) spurious
-	// recovery, so it trades detection delay against sensitivity to long
-	// legitimate stalls.
-	HeartbeatInterval platform.Duration
-	HeartbeatTimeout  platform.Duration
-
 	// Tracer, if non-nil, attaches the observability layer: per-rank
 	// timeline spans (subTX, validate, commit, COA, recovery phases), the
 	// metrics registry, and per-message-class traffic attribution. nil (the
@@ -190,11 +180,19 @@ func DefaultConfig(totalCores int, plan pipeline.Plan) Config {
 		ProtectInstr:     30,
 		PollMin:          100 * platform.Nanosecond,
 		PollMax:          1600 * platform.Nanosecond,
-
-		HeartbeatInterval: 20 * platform.Microsecond,
-		HeartbeatTimeout:  500 * platform.Microsecond,
 	}
 }
+
+// hbInterval and hbTimeout drive crash detection, active only when the
+// fault plan crashes a rank: workers heartbeat the commit unit every
+// interval, and the commit unit declares a silent worker dead after the
+// timeout. The timeout also bounds how long a false positive can take to
+// trigger a (survivable) spurious recovery, so it trades detection delay
+// against sensitivity to long legitimate stalls.
+const (
+	hbInterval = 20 * platform.Microsecond
+	hbTimeout  = 500 * platform.Microsecond
+)
 
 // commitShards reports the number of commit units (>= 1).
 func (c Config) commitShards() int {
@@ -279,9 +277,6 @@ func (c Config) Validate() error {
 				return fmt.Errorf("core: straggler rank %d outside the %d-core system",
 					st.Rank, c.TotalCores)
 			}
-		}
-		if c.Faults.HasCrashes() && (c.HeartbeatInterval <= 0 || c.HeartbeatTimeout < c.HeartbeatInterval) {
-			return fmt.Errorf("core: bad heartbeat bounds [%v, %v]", c.HeartbeatInterval, c.HeartbeatTimeout)
 		}
 	}
 	return nil

@@ -172,7 +172,8 @@ type System struct {
 	// nil with a single commit unit, which owns its arena privately.
 	seqArena *uva.Arena
 
-	// Queue registry, keyed by endpoint tids.
+	// Queue registry, keyed by endpoint tids; queues lists every one of them.
+	queues   []*queue.Queue[Entry]
 	edgeQ    map[[2]int]*queue.Queue[Entry]
 	toTCQ    []*queue.Queue[Entry]       // [worker]
 	toCUQ    [][]*queue.Queue[Entry]     // [worker][commit shard]
@@ -465,21 +466,7 @@ func (s *System) bindTracer() {
 		s.tr.SetTrack(r, node(r), label)
 		s.tr.SetTrack(s.pageSrvTrack(k), node(r), pageSrvName(k))
 	}
-	for _, q := range s.edgeQ {
-		q.Instrument(s.tr)
-	}
-	for _, q := range s.toTCQ {
-		q.Instrument(s.tr)
-	}
-	for _, shards := range s.toCUQ {
-		for _, q := range shards {
-			q.Instrument(s.tr)
-		}
-	}
-	for _, q := range s.verdictQ {
-		q.Instrument(s.tr)
-	}
-	for _, q := range s.syncQ {
+	for _, q := range s.queues {
 		q.Instrument(s.tr)
 	}
 }
@@ -527,10 +514,13 @@ func (s *System) analyzePlan() error {
 	return nil
 }
 
-func (s *System) allocTag() int {
-	t := s.nextTag
+// newQueue builds and registers the Entry queue name from rank src to rank
+// dst on the next free tag.
+func (s *System) newQueue(name string, src, dst int) *queue.Queue[Entry] {
+	q := queue.New(s.world, name, src, dst, s.nextTag, s.cfg.Queue, wireSize)
 	s.nextTag++
-	return t
+	s.queues = append(s.queues, q)
+	return q
 }
 
 // wiringEdges reports every stage edge the system must create queues for:
@@ -553,12 +543,10 @@ func (s *System) wiringEdges() [][2]int {
 }
 
 func (s *System) buildQueues() {
-	qc := s.cfg.Queue
 	for _, e := range s.wiringEdges() {
 		for _, src := range s.layout.Assign[e[0]] {
 			for _, dst := range s.layout.Assign[e[1]] {
-				name := fmt.Sprintf("fwd%d-%d", src, dst)
-				s.edgeQ[[2]int{src, dst}] = queue.New(s.world, name, src, dst, s.allocTag(), qc, wireSize)
+				s.edgeQ[[2]int{src, dst}] = s.newQueue(fmt.Sprintf("fwd%d-%d", src, dst), src, dst)
 			}
 		}
 	}
@@ -569,16 +557,14 @@ func (s *System) buildQueues() {
 	nCU := s.cfg.commitShards()
 	tc := s.cfg.tryCommitRank()
 	for w := 0; w < s.cfg.Workers(); w++ {
-		s.toTCQ = append(s.toTCQ,
-			queue.New(s.world, fmt.Sprintf("tc%d.0", w), w, tc, s.allocTag(), qc, wireSize))
+		s.toTCQ = append(s.toTCQ, s.newQueue(fmt.Sprintf("tc%d.0", w), w, tc))
 		var cus []*queue.Queue[Entry]
 		for k := 0; k < nCU; k++ {
 			name := fmt.Sprintf("cu%d", w)
 			if nCU > 1 {
 				name = fmt.Sprintf("cu%d.%d", w, k)
 			}
-			cus = append(cus,
-				queue.New(s.world, name, w, s.cfg.commitShardRank(k), s.allocTag(), qc, wireSize))
+			cus = append(cus, s.newQueue(name, w, s.cfg.commitShardRank(k)))
 		}
 		s.toCUQ = append(s.toCUQ, cus)
 	}
@@ -587,14 +573,13 @@ func (s *System) buildQueues() {
 		if nCU > 1 {
 			name = fmt.Sprintf("verdict0.%d", k)
 		}
-		s.verdictQ = append(s.verdictQ,
-			queue.New(s.world, name, tc, s.cfg.commitShardRank(k), s.allocTag(), qc, wireSize))
+		s.verdictQ = append(s.verdictQ, s.newQueue(name, tc, s.cfg.commitShardRank(k)))
 	}
 	if s.cfg.Plan.Sync {
 		pool := s.layout.Assign[0]
 		for i, w := range pool {
 			next := pool[(i+1)%len(pool)]
-			s.syncQ[w] = queue.New(s.world, fmt.Sprintf("sync%d", w), w, next, s.allocTag(), qc, wireSize)
+			s.syncQ[w] = s.newQueue(fmt.Sprintf("sync%d", w), w, next)
 		}
 	}
 }
@@ -631,9 +616,7 @@ func (s *System) applyDilation(p platform.Proc, rank int) {
 // attributes samples per rank role; vtime processes are cooperative
 // goroutines of one scheduler, where per-proc labels would only mislead.
 func (s *System) spawnRank(name string, rank int, body func(platform.Proc)) {
-	// On the net backend only this daemon's ranks run here; remote ranks
-	// are spawned by their owning daemon and reached through the mesh.
-	if lp, ok := s.plat.(interface{ LocalRank(int) bool }); ok && !lp.LocalRank(rank) {
+	if !s.local(rank) {
 		return
 	}
 	if s.plat.Concurrent() {
@@ -648,6 +631,14 @@ func (s *System) spawnRank(name string, rank int, body func(platform.Proc)) {
 		s.applyDilation(p, rank)
 		body(p)
 	})
+}
+
+// local reports whether rank runs in this process. On the net backend only
+// this daemon's ranks do; remote ranks are spawned by their owning daemon and
+// reached through the mesh.
+func (s *System) local(rank int) bool {
+	lp, ok := s.plat.(interface{ LocalRank(int) bool })
+	return !ok || lp.LocalRank(rank)
 }
 
 // publishSnapshots hands every page server a copy-on-write snapshot of its
@@ -667,14 +658,9 @@ func (s *System) publishSnapshots() {
 // lives on the commit daemon, and workers pull it through Copy-On-Access.
 // Runs before any rank spawns.
 func (s *System) shadowSetup() {
-	if s.cfg.Backend != BackendNet {
-		return
+	if s.cfg.Backend == BackendNet && !s.local(s.cfg.commitRank()) {
+		shadowReplay(s.cfg, s.prog)
 	}
-	lp, ok := s.plat.(interface{ LocalRank(int) bool })
-	if !ok || lp.LocalRank(s.cfg.commitRank()) {
-		return
-	}
-	shadowReplay(s.cfg, s.prog)
 }
 
 // shadowReplay runs prog's Setup as an allocation-only replay: a context
@@ -686,7 +672,7 @@ func shadowReplay(cfg Config, prog Program) {
 
 // startHeartbeats launches the liveness daemon of the crash-fault model: a
 // periodic kernel event that sends one 16-byte heartbeat per live worker
-// host to the commit unit every HeartbeatInterval. It deliberately runs
+// host to the commit unit every hbInterval. It deliberately runs
 // outside the worker processes — like a kernel keepalive thread on a real
 // host, it keeps beating while the worker computes, so a long iteration is
 // never mistaken for a dead host; silence means the host itself is dark.
@@ -699,10 +685,9 @@ func (s *System) startHeartbeats() {
 	}
 	s.hbDark = make([]bool, s.cfg.Workers())
 	cu := s.cfg.commitRank()
-	period := s.cfg.HeartbeatInterval
 	var tick func()
 	schedule := func() {
-		s.hbCancel = s.kernel.AtCancel(s.kernel.Now()+period, tick)
+		s.hbCancel = s.kernel.AtCancel(s.kernel.Now()+hbInterval, tick)
 	}
 	tick = func() {
 		if s.hbStopped {
@@ -795,8 +780,8 @@ func (s *System) Run() (Result, error) {
 			w.img.Reset()
 		}
 	}
-	if s.tc.view != nil {
-		s.tc.view.Reset()
+	if s.tc.img != nil {
+		s.tc.img.Reset()
 	}
 	return res, nil
 }
@@ -806,14 +791,12 @@ func (s *System) Run() (Result, error) {
 //
 //	Advanced + Blocked == Busy + Starvation + Backpressure + VerdictWait + Recovery + Blocked'
 //
-// where Recovery is the wall time of recovery windows (virtual time inside
-// a window passes only in Advance or parks, so recWall == recAdv + recBlk
-// and both are pulled out of the Busy/Blocked buckets) and Blocked'
-// excludes parks inside recovery. The bucket *accounting* runs
-// unconditionally — plain integer adds on paths that already do time
-// arithmetic — but the report (its label strings and row slice) is only
-// assembled when a tracer is attached, keeping the untraced Run
-// allocation profile unchanged.
+// where Recovery and Crashed are the wall time of the rank's windows (see
+// stallRow) and Blocked' excludes parks inside them. The bucket
+// *accounting* runs unconditionally — plain integer adds on paths that
+// already do time arithmetic — but the report (its label strings and row
+// slice) is only assembled when a tracer is attached, keeping the untraced
+// Run allocation profile unchanged.
 func (s *System) buildStallReport() {
 	if s.tr == nil {
 		return
@@ -823,29 +806,16 @@ func (s *System) buildStallReport() {
 		if w.proc == nil {
 			continue // remote rank (net backend): reported by its own daemon
 		}
-		s.stalls.Add(trace.StallRow{
-			Track: w.rank,
-			Label: fmt.Sprintf("worker%d", w.tid),
-			Stage: fmt.Sprintf("S%d", w.stage),
-			Busy:  w.proc.Advanced() - w.stallStarve - w.stallBack - w.recAdv - w.crashAdv,
-
-			Backpressure: w.stallBack,
-			Starvation:   w.stallStarve,
-			Recovery:     w.recWall,
-			Crashed:      w.crashWall,
-			Blocked:      w.proc.Blocked() - w.recBlk - w.crashBlk,
-		})
+		row := stallRow(w.proc, w.stallStarve+w.stallBack, w.rec, w.crash)
+		row.Track, row.Label, row.Stage = w.rank, fmt.Sprintf("worker%d", w.tid), fmt.Sprintf("S%d", w.stage)
+		row.Backpressure, row.Starvation = w.stallBack, w.stallStarve
+		s.stalls.Add(row)
 	}
 	if tc := s.tc; tc.proc != nil {
-		s.stalls.Add(trace.StallRow{
-			Track:      tc.rank,
-			Label:      "trycommit0",
-			Stage:      "trycommit",
-			Busy:       tc.proc.Advanced() - tc.pollTime - tc.recAdv,
-			Starvation: tc.pollTime,
-			Recovery:   tc.recWall,
-			Blocked:    tc.proc.Blocked() - tc.recBlk,
-		})
+		row := stallRow(tc.proc, tc.pollTime, tc.rec, window{})
+		row.Track, row.Label, row.Stage = tc.rank, "trycommit0", "trycommit"
+		row.Starvation = tc.pollTime
+		s.stalls.Add(row)
 	}
 	s.stalls.CommitShards = s.cfg.commitShards() > 1
 	for k, c := range s.cus {
@@ -856,18 +826,10 @@ func (s *System) buildStallReport() {
 		if k > 0 {
 			label = fmt.Sprintf("commit.shard%d", k)
 		}
-		s.stalls.Add(trace.StallRow{
-			Track:       c.rank,
-			Label:       label,
-			Stage:       "commit",
-			Busy:        c.proc.Advanced() - c.pollTime - c.recAdv - c.redAdv,
-			Starvation:  c.stallStarve,
-			VerdictWait: c.stallVerdict,
-			VoteWait:    c.voteWait,
-			Recovery:    c.recWall,
-			Crashed:     c.redWall,
-			Blocked:     c.proc.Blocked() - c.recBlk - c.redBlk,
-		})
+		row := stallRow(c.proc, c.pollTime, c.rec, c.crash)
+		row.Track, row.Label, row.Stage = c.rank, label, "commit"
+		row.Starvation, row.VerdictWait, row.VoteWait = c.stallStarve, c.stallVerdict, c.voteWait
+		s.stalls.Add(row)
 	}
 	for k, ps := range s.srvs {
 		if ps.proc == nil {

@@ -5,8 +5,6 @@ import (
 	"sort"
 
 	"dsmtx/internal/faults"
-	"dsmtx/internal/mem"
-	"dsmtx/internal/mpi"
 	"dsmtx/internal/pipeline"
 	"dsmtx/internal/platform"
 	"dsmtx/internal/queue"
@@ -18,15 +16,10 @@ import (
 // iteration after iteration in its own private memory, forwarding
 // speculative state over queues.
 type workerNode struct {
-	sys     *System
+	specRank
 	tid     int
-	rank    int
 	stage   int
 	poolIdx int
-	proc    platform.Proc
-	comm    *mpi.Comm
-	ctrlBox platform.Mailbox // cached (commit rank, tagCtrl) mailbox
-	img     *mem.Image
 	arena   *uva.Arena
 
 	outStages []int                                  // sorted destination stages
@@ -58,39 +51,28 @@ type workerNode struct {
 	// Consumer-side routes for the routed stage (route-sink workers).
 	routesIn map[uint64]int // iter -> srcTid
 
-	coa        coaClient
-	pollTime   platform.Duration
 	sinceFlush int
 
-	// Stall attribution: pollTime split by cause, plus recovery-window
-	// accounting (wall time, and the advanced/blocked shares inside it).
+	// Stall attribution: pollTime split by cause.
 	stallStarve platform.Duration // consumeNext polling an empty upstream queue
 	stallBack   platform.Duration // occupancy-routing and run-ahead-window waits
-	recWall     platform.Duration
-	recAdv      platform.Duration
-	recBlk      platform.Duration
 
 	// Crash-fault machinery, active only when the plan schedules crashes
 	// (sys.hbOn): crashes is this rank's sorted schedule with crashIdx the
 	// next entry to fire; pendingCrash is set by the crash checkpoint and
-	// consumed by doCrash. crashWall is the crash window (downtime + rejoin
-	// wait) for stall attribution, with crashAdv/crashBlk its
-	// advanced/blocked shares.
+	// consumed by doCrash. crash is the crash window (downtime + rejoin
+	// wait) for stall attribution.
 	crashes      []faults.Crash
 	crashIdx     int
 	pendingCrash *faults.Crash
-	crashWall    platform.Duration
-	crashAdv     platform.Duration
-	crashBlk     platform.Duration
+	crash        window
 
-	epoch       uint64
 	epochBase   uint64 // first iteration of the current epoch
 	progress    uint64 // newest commit point reported this epoch (awaitWindow)
 	nextIter    uint64
 	curIter     uint64
 	poisoned    bool
 	selfMisspec bool
-	pendingCtrl *ctrlMsg
 
 	subTXs uint64         // stage bodies run, squashed ones included (Result.SubTXs)
 	cWaits *trace.Counter // window.waits (nil when uninstrumented)
@@ -98,9 +80,8 @@ type workerNode struct {
 
 func newWorkerNode(s *System, tid int) *workerNode {
 	w := &workerNode{
-		sys:      s,
+		specRank: specRank{sys: s, rank: tid},
 		tid:      tid,
-		rank:     tid,
 		stage:    s.layout.StageOf(tid),
 		poolIdx:  s.layout.PoolIndex(tid),
 		edgeOut:  make(map[int]map[int]*queue.SendPort[Entry]),
@@ -129,23 +110,18 @@ func (w *workerNode) clearInbox() {
 }
 
 func (w *workerNode) run(p platform.Proc) {
-	w.proc = p
-	defer func(born platform.Time) { w.sys.life[w.rank] = p.Now() - born }(p.Now())
-	w.comm = w.sys.world.Attach(w.rank, p)
-	w.comm.SetTracer(w.sys.tr, w.rank)
-	w.bind()
+	defer w.sys.recordLife(w.rank, p, p.Now())
+	w.bind(p)
 	w.comm.Recv(w.sys.cfg.commitRank(), tagStart) // Setup must finish first
 	if w.sys.hbOn {
 		w.crashes = w.sys.inj.CrashesFor(w.rank)
 	}
 	for {
-		if w.epochLoop() {
-			// Loop exit emitted — but the commit unit may still detect a
-			// misspeculation in an earlier, uncommitted iteration and
-			// rewind us. Park until its final verdict.
-			if w.awaitDoneOrRecovery() {
-				return
-			}
+		// After loop exit, park until the commit unit's final verdict. The
+		// host heartbeat daemon keeps beating meanwhile, so a terminated rank
+		// never reads as dead.
+		if untilRecovery(w.stageLoop) && w.awaitDoneOrRecovery() {
+			return
 		}
 		if w.pendingCrash != nil {
 			if w.doCrash() {
@@ -157,38 +133,11 @@ func (w *workerNode) run(p platform.Proc) {
 	}
 }
 
-// awaitDoneOrRecovery blocks a terminated worker until the commit unit
-// either confirms completion (true) or orders a recovery (false, with
-// pendingCtrl set). The host heartbeat daemon keeps beating while the
-// worker is parked here, so a terminated rank never reads as dead.
-func (w *workerNode) awaitDoneOrRecovery() bool {
-	src := w.sys.commitSrc()
-	for {
-		msg := w.comm.Recv(src, tagCtrl)
-		cm := msg.Payload.(ctrlMsg)
-		if cm.done {
-			return true
-		}
-		if cm.epoch > w.epoch {
-			w.pendingCtrl = &cm
-			return false
-		}
-	}
-}
-
 // bind registers mailboxes and attaches queue ports; it runs before any
 // traffic flows (all processes bind at virtual time zero).
-func (w *workerNode) bind() {
+func (w *workerNode) bind(p platform.Proc) {
+	w.specRank.bind(p)
 	ep := w.comm.Endpoint()
-	w.ctrlBox = ep.Mailbox(w.sys.commitSrc(), tagCtrl)
-	ep.Mailbox(w.sys.commitSrc(), tagPageReply)
-	w.comm.RegisterBarrierMailboxes()
-
-	w.img = mem.NewImage(w.coaFault)
-	// Worker pages are private Copy-On-Access clones; recovery's wholesale
-	// discard can recycle the frames.
-	w.img.ReleaseOnReset(true)
-	w.img.Instrument(w.sys.tr.Metrics())
 	w.cWaits = w.sys.tr.Metrics().Counter("window.waits")
 	w.arena = uva.NewArena(w.tid + 1)
 
@@ -233,117 +182,8 @@ func (w *workerNode) bind() {
 	}
 }
 
-// coaFault implements Copy-On-Access: the first touch of a protected page
-// requests a run of pages from the page server — the paper's constructive
-// prefetching (a word request returns its whole page), extended with a
-// read-ahead ramp over sequential fault streams.
-func (w *workerNode) coaFault(id uva.PageID) *mem.Page {
-	return w.coa.fetch(w.sys, w.comm, w.img, id)
-}
-
-// coaClient ramps read-ahead like an OS page cache: a fault adjacent to the
-// previous fetched run doubles the window (up to COAPrefetch); a random
-// fault resets to a single page, so scattered access wastes no bandwidth.
-type coaClient struct {
-	nextSeq uva.PageID
-	window  int
-}
-
-func (c *coaClient) fetch(sys *System, comm *mpi.Comm, img *mem.Image, id uva.PageID) *mem.Page {
-	cfg := sys.cfg
-	spanStart := sys.tr.Now()
-	comm.Proc().Advance(sys.instrTime(cfg.PageFaultInstr))
-	// Requests go to the page server of the commit unit owning the faulted
-	// page; replies all come back on tagPageReply (one outstanding request
-	// per worker, so servers' replies never interleave).
-	owner := sys.ownerOf(id)
-	dst := cfg.commitShardRank(owner)
-	replySrc := sys.commitSrc()
-	if g := cfg.COAGrainBytes; g > 0 && g < uva.PageSize {
-		// Sub-page COA: populate the faulted page one chunk at a time,
-		// paying a full round trip per chunk — the cost §4.2 avoids by
-		// transferring whole pages.
-		ep := comm.Endpoint()
-		var pg *mem.Page
-		wire := 0
-		for off := 0; off < uva.PageSize; off += g {
-			ep.SendClass(dst, tagPageReq, pageReq{Start: id, Count: 1, Grain: g}, 24, platform.ClassPage)
-			msg := ep.Recv(comm.Proc(), replySrc, tagPageReply)
-			pg = msg.Payload.([]*mem.Page)[0]
-			wire += msg.Bytes
-		}
-		sys.tr.Span(trace.SpanCOA, comm.Rank(), spanStart, uint64(id), 1, int64(wire))
-		return pg
-	}
-	if id == c.nextSeq && c.window > 0 {
-		c.window *= 2
-		if c.window > cfg.COAPrefetch {
-			c.window = cfg.COAPrefetch
-		}
-	} else {
-		c.window = 1
-	}
-	// A bulk access declares exactly how far it reaches; fetch that run in
-	// one round trip instead of ramping up to it.
-	want := c.window
-	if hint := img.AccessHint(); hint > id {
-		if need := int(hint - id); need > want {
-			want = need
-		}
-		if want > cfg.COAPrefetch {
-			want = cfg.COAPrefetch
-		}
-	}
-	count := 1
-	region := uva.PageAddr(id).Owner()
-	for count < want {
-		next := id + uva.PageID(count)
-		// A prefetch run must stay within one allocation region and one
-		// commit unit's partition (each page server holds only its own
-		// partition's snapshot); the 64-page ownership blocks make that
-		// truncation rare.
-		if uva.PageAddr(next).Owner() != region || sys.ownerOf(next) != owner || img.Has(next) {
-			break
-		}
-		count++
-	}
-	c.nextSeq = id + uva.PageID(count)
-	// Page transfers use RDMA-style zero-copy (the paper's platform is
-	// InfiniBand): a fixed per-operation CPU cost, wire time on the NIC,
-	// and no per-byte marshalling.
-	ep := comm.Endpoint()
-	ep.SendClass(dst, tagPageReq, pageReq{Start: id, Count: count}, 24, platform.ClassPage)
-	msg := ep.Recv(comm.Proc(), replySrc, tagPageReply)
-	pages := msg.Payload.([]*mem.Page)
-	for i := 1; i < len(pages); i++ {
-		img.InstallPage(id+uva.PageID(i), pages[i])
-	}
-	sys.tr.Span(trace.SpanCOA, comm.Rank(), spanStart, uint64(id), int64(count), int64(msg.Bytes))
-	return pages[0]
-}
-
-// epochLoop runs iterations until loop termination (true) or until a
-// recovery broadcast unwinds it (false).
-func (w *workerNode) epochLoop() (terminated bool) {
-	recovered := false
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(recoverySignal); ok {
-					recovered = true
-					return
-				}
-				panic(r)
-			}
-		}()
-		terminated = w.stageLoop()
-	}()
-	if recovered {
-		return false
-	}
-	return terminated
-}
-
+// stageLoop runs iterations until loop termination (true); a recovery
+// broadcast unwinds it.
 func (w *workerNode) stageLoop() bool {
 	first := len(w.inStages) == 0
 	kind := w.sys.cfg.Plan.Stages[w.stage].Kind
@@ -706,10 +546,7 @@ func (w *workerNode) checkCtrl() {
 // onCtrl acts on one control message: a newer epoch unwinds to recovery, a
 // progress report of this epoch raises progress, anything else is stale.
 func (w *workerNode) onCtrl(cm ctrlMsg) {
-	if cm.epoch > w.epoch {
-		w.pendingCtrl = &cm
-		panic(recoverySignal{})
-	}
+	w.recoverOn(cm)
 	if cm.epoch == w.epoch && cm.progress > w.progress {
 		w.progress = cm.progress
 	}
@@ -816,15 +653,11 @@ func (w *workerNode) checkCrash() {
 func (w *workerNode) doCrash() (done bool) {
 	cr := *w.pendingCrash
 	w.pendingCrash = nil
-	crashStart := w.proc.Now()
-	spanStart := w.sys.tr.Now()
-	adv0, blk0 := w.proc.Advanced(), w.proc.Blocked()
-	account := func() {
-		w.crashWall += w.proc.Now() - crashStart
-		w.crashAdv += w.proc.Advanced() - adv0
-		w.crashBlk += w.proc.Blocked() - blk0
-		w.sys.tr.Span(trace.SpanCrash, w.rank, spanStart, uint64(w.rank), int64(cr.Downtime), 0)
-	}
+	w.crash.open(w.proc, w.sys.tr)
+	defer func() {
+		w.crash.close(w.proc)
+		w.sys.tr.Span(trace.SpanCrash, w.rank, w.crash.trStart, uint64(w.rank), int64(cr.Downtime), 0)
+	}()
 
 	// The host goes dark: its heartbeat daemon stops beating until restart.
 	w.sys.hbDark[w.tid] = true
@@ -833,16 +666,7 @@ func (w *workerNode) doCrash() (done bool) {
 	// zeroes Resident(), so the restarted process re-protects an empty
 	// address space for free in doRecovery — a fresh process has no pages.
 	w.img.Reset()
-	w.arena = uva.NewArena(w.tid + 1)
-	w.clearInbox()
-	w.routesIn = make(map[uint64]int)
-	for i := range w.outstanding {
-		w.outstanding[i] = 0
-	}
-	w.rrNext = 0
-	w.poisoned = false
-	w.selfMisspec = false
-	w.cuMask, w.cuMin = 0, 0
+	w.forget()
 
 	// The host is dark: nothing sent, nothing received, no heartbeats.
 	w.proc.Advance(cr.Downtime)
@@ -858,15 +682,8 @@ func (w *workerNode) doCrash() (done bool) {
 	backoff := w.sys.cfg.PollMin
 	for {
 		if msg, ok := w.comm.TryRecvBox(w.ctrlBox); ok {
-			cm := msg.Payload.(ctrlMsg)
-			if cm.done {
-				account()
-				return true
-			}
-			if cm.epoch > w.epoch {
-				w.pendingCtrl = &cm
-				account()
-				return false
+			if done, ok := w.settle(msg.Payload.(ctrlMsg)); ok {
+				return done
 			}
 			continue
 		}
@@ -878,18 +695,25 @@ func (w *workerNode) doCrash() (done bool) {
 	}
 }
 
+// forget drops the private state a recovery or a crash discards: buffered
+// pipeline data, route records and occupancy counts, the arena, and the
+// current iteration's poison and write-owner tracking.
+func (w *workerNode) forget() {
+	w.clearInbox()
+	w.routesIn = make(map[uint64]int)
+	clear(w.outstanding)
+	w.rrNext = 0
+	w.arena = uva.NewArena(w.tid + 1)
+	w.poisoned = false
+	w.selfMisspec = false
+	w.cuMask, w.cuMin = 0, 0
+}
+
 // doRecovery is the worker side of §4.3: barrier, flush speculative queues,
 // barrier, discard speculative memory (re-arming page protection), final
 // barrier, then resume at the restart iteration.
 func (w *workerNode) doRecovery() {
-	cm := *w.pendingCtrl
-	w.pendingCtrl = nil
-	recStart := w.proc.Now()
-	spanStart := w.sys.tr.Now()
-	adv0, blk0 := w.proc.Advanced(), w.proc.Blocked()
-
-	w.comm.Barrier(w.sys.allRanks) // all threads have entered recovery mode
-
+	cm := w.enterRecovery()
 	for _, dstStage := range w.outStages {
 		for _, dst := range w.sys.layout.Assign[dstStage] {
 			w.edgeOut[dstStage][dst].Abort(cm.epoch)
@@ -908,40 +732,9 @@ func (w *workerNode) doRecovery() {
 		w.syncOut.Abort(cm.epoch)
 		w.syncIn.abort(cm.epoch)
 	}
-	w.clearInbox()
-	w.routesIn = make(map[uint64]int)
-	for i := range w.outstanding {
-		w.outstanding[i] = 0
-	}
-	w.rrNext = 0
-
-	w.comm.Barrier(w.sys.allRanks) // queues flushed everywhere
-
-	// Reinstate access protection over the heap, discarding speculative
-	// state; the cost scales with the pages this worker had touched. Live
-	// backends re-arm only what changed, after B3 (cuNode.republish).
-	w.proc.Advance(w.sys.instrTime(w.sys.cfg.ProtectInstr * int64(w.img.Resident())))
-	live := w.sys.plat.Concurrent()
-	if !live {
-		w.img.Reset()
-	}
-	w.arena = uva.NewArena(w.tid + 1)
-
-	w.epoch = cm.epoch
+	w.forget()
 	w.epochBase = cm.restart
 	w.progress = cm.restart
 	w.nextIter = cm.restart
-	w.poisoned = false
-	w.selfMisspec = false
-	w.cuMask, w.cuMin = 0, 0
-
-	w.comm.Barrier(w.sys.allRanks) // commit unit has re-executed; resume
-	if live {
-		w.img.Rearm(awaitRearm(w.comm, w.sys.commitSrc(), w.epoch))
-	}
-
-	w.recWall += w.proc.Now() - recStart
-	w.recAdv += w.proc.Advanced() - adv0
-	w.recBlk += w.proc.Blocked() - blk0
-	w.sys.tr.Span(trace.SpanRecovery, w.rank, spanStart, cm.restart, 0, 0)
+	w.leaveRecovery(cm)
 }

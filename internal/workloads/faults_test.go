@@ -131,6 +131,70 @@ func TestCrashSurvivalMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestVTimeStallTableAccountsWindows pins the recovery and crash windows of
+// the vtime stall table: 197.parser at rate 0.05 recovers often, and a
+// worker crash adds a re-dispatch. No cell may be negative, no rank may
+// account for more than the run, the commit row's crashed column is the
+// re-dispatch total and its recovery column covers ERM+FLQ+SEQ, and the
+// crashed worker's own crash window is charged.
+func TestVTimeStallTableAccountsWindows(t *testing.T) {
+	b, err := ByName("197.parser")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := Input{Scale: 1, Seed: 42, MisspecRate: 0.05}
+	run := func(plan *faults.Plan) Result {
+		t.Helper()
+		res, err := RunParallel(b, in, DSMTX, 5, func(cfg *core.Config) {
+			cfg.Faults = plan
+			cfg.Tracer = trace.NewMetricsOnly()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	const crashRank = 1
+	clean := run(nil)
+	res := run(&faults.Plan{Crashes: []faults.Crash{
+		{Rank: crashRank, At: clean.Elapsed / 2, Downtime: 100 * sim.Microsecond},
+	}})
+	if res.Crashes == 0 || res.Misspecs == 0 {
+		t.Fatalf("%d crashes, %d misspeculations; want a run that does both", res.Crashes, res.Misspecs)
+	}
+	var commit, crashed *trace.StallRow
+	for i := range res.Stalls.Rows {
+		r := &res.Stalls.Rows[i]
+		for _, cell := range []sim.Time{r.Busy, r.Backpressure, r.Starvation, r.VerdictWait, r.VoteWait, r.Recovery, r.Crashed, r.Blocked} {
+			if cell < 0 {
+				t.Errorf("%s: negative cell in %+v", r.Label, *r)
+				break
+			}
+		}
+		if r.Total() > res.Elapsed {
+			t.Errorf("%s: accounts for %v of a %v run", r.Label, r.Total(), res.Elapsed)
+		}
+		switch {
+		case r.Label == "commit":
+			commit = r
+		case r.Track == crashRank && r.Stage != "pagesrv":
+			crashed = r
+		}
+	}
+	if commit == nil || crashed == nil {
+		t.Fatalf("stall table lacks the commit or the crashed worker's row: %+v", res.Stalls.Rows)
+	}
+	if commit.Crashed != res.Redispatch {
+		t.Errorf("commit crashed column %v, re-dispatch total %v", commit.Crashed, res.Redispatch)
+	}
+	if phases := res.ERM + res.FLQ + res.SEQ; commit.Recovery < phases {
+		t.Errorf("commit recovery column %v < ERM+FLQ+SEQ %v", commit.Recovery, phases)
+	}
+	if crashed.Crashed <= 0 {
+		t.Errorf("crashed worker %s has no crash window: %+v", crashed.Label, *crashed)
+	}
+}
+
 // TestCrashedRunsBitIdentical: the full crash/rejoin/re-dispatch path must
 // itself be deterministic, down to the exported trace bytes.
 func TestCrashedRunsBitIdentical(t *testing.T) {

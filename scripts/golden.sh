@@ -1,0 +1,40 @@
+#!/usr/bin/env bash
+# golden: the two vtime byte-identity invariants in one command. The full
+# quick sweep (every figure and table) and Figure 3 are regenerated with the
+# point-result cache off, and their stdout sha256s must equal the recorded
+# ones. The sweep runs across every CPU: its stdout is byte-identical to
+# -parallel 1 by contract (TestRunParallelStdoutByteIdentical), so this also
+# checks the parallel prefetch path. Prints both digests; exits non-zero on a
+# mismatch. A change that moves a golden on purpose updates the digest here
+# and says why.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+sweep=57eb7e16ed3cc4ce3076851c27a4f225a20c7c052a53b6d6a1e9d6fc531e9485
+figure3=d2fd41ade22e305e5b90554f65121d65c9357af6b069b07484052bcdc8714e08
+
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+go build -o "$work/dsmtxbench" ./cmd/dsmtxbench
+
+fail=0
+# check NAME WANT ARGS...: run dsmtxbench ARGS and compare its stdout sha256.
+# Progress lines go to a log, shown only if the run itself fails.
+check() {
+    local name=$1 want=$2 got
+    shift 2
+    if ! "$work/dsmtxbench" "$@" >"$work/$name.out" 2>"$work/$name.log"; then
+        cat "$work/$name.log" >&2
+        echo "golden: $name: dsmtxbench $* failed" >&2
+        exit 1
+    fi
+    got=$(sha256sum <"$work/$name.out" | cut -d' ' -f1)
+    echo "golden: $name $got"
+    if [ "$got" != "$want" ]; then
+        echo "golden: $name: MISMATCH, want $want" >&2
+        fail=1
+    fi
+}
+check sweep "$sweep" -all -quick -cache-off -parallel "$(nproc)"
+check figure3 "$figure3" -figure 3 -cache-off
+exit "$fail"
