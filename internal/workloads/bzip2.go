@@ -84,8 +84,10 @@ func (p *bzProg) Setup(ctx *core.SeqCtx) {
 		return
 	}
 	img := ctx.Image()
+	// StoreBytes copies, so one buffer serves every block.
+	data := make([]byte, bzBlockBytes)
 	for i := uint64(0); i < p.blocks; i++ {
-		data := newRNG(mix(p.seed, i*31)).bytes(bzBlockBytes)
+		newRNG(mix(p.seed, i*31)).fill(data)
 		if p.errIter[i] {
 			data[0] = 0xFE // triggers the speculated-not-taken error path
 		}

@@ -98,12 +98,22 @@ func TestGzipKernelPinned(t *testing.T) {
 	}
 }
 
+// bytes returns a fresh buffer of n bytes from fill.
+func (r *rng) bytes(n int) []byte {
+	b := make([]byte, n)
+	r.fill(b)
+	return b
+}
+
 // TestRNGBytesPinned pins the bytes every generated input is made of: per
 // length, the SHA-256 of rng.bytes and of gzInput over seeds 0–7. The
-// lengths cover the back-reference threshold, the 64 KiB gzInput chunk and
-// one past it, and each workload's buffer size. Every checksum and golden
-// downstream hangs off these bytes, so a faster generator must keep them.
-// Recorded from the byte-at-a-time generator rng.fill replaced.
+// lengths cover the back-reference threshold, the word-copy loop's first
+// entry (89 = 65 literals + 24) and one short of it, the 64 KiB gzInput
+// chunk and one past it, an odd length with a long tail, and each
+// workload's buffer size. Every checksum and golden downstream hangs off
+// these bytes, so a faster generator must keep them. Recorded from the
+// byte-at-a-time generator rng.fill replaced (88, 89 and 4119 from the
+// generator that copied words only when off >= length).
 func TestRNGBytesPinned(t *testing.T) {
 	pins := []struct {
 		n           int
@@ -113,7 +123,10 @@ func TestRNGBytesPinned(t *testing.T) {
 		{64, "541e307a4f091b4c0780f77e8b04f95ad56a592079bf228080cf13afae5204c1", "541e307a4f091b4c0780f77e8b04f95ad56a592079bf228080cf13afae5204c1"},
 		{65, "6159385388a44da77ee0072125ffc93bafe1f186a3912d187d206e477feb2180", "6159385388a44da77ee0072125ffc93bafe1f186a3912d187d206e477feb2180"},
 		{66, "f6e2f063383ce924371e05922d1cd1948d8ce810434b4e37ebb1c2b8d169eb47", "f6e2f063383ce924371e05922d1cd1948d8ce810434b4e37ebb1c2b8d169eb47"},
+		{88, "0d95f4c767805c9f82632898da5208b86e40efe24aaf9aa2433777dd4078b837", "0d95f4c767805c9f82632898da5208b86e40efe24aaf9aa2433777dd4078b837"},
+		{89, "43f963a7e3e37206cbaa0a2c825a7147f54f1efb9a455d6da12763d9da4c753f", "43f963a7e3e37206cbaa0a2c825a7147f54f1efb9a455d6da12763d9da4c753f"},
 		{100, "ba87b5fc81339795e9e458a5ae157f275275038fbeeab115dc5cd51b9e6f0e05", "ba87b5fc81339795e9e458a5ae157f275275038fbeeab115dc5cd51b9e6f0e05"},
+		{4119, "9d439f924e0d0742d6cfc3d36f2feab716130787cbb00502ef04f57b4cf53132", "9d439f924e0d0742d6cfc3d36f2feab716130787cbb00502ef04f57b4cf53132"},
 		{1 << 16, "c16f07c7efc13cd9a297587e7fceeb5b09e1a82253720c41860869170ccc30e1", "c16f07c7efc13cd9a297587e7fceeb5b09e1a82253720c41860869170ccc30e1"},
 		{1<<16 + 7, "fa0148cdf72d823c527aa1e09adf4443fd20abf9753b09bccc9d82b485b55f47", "eaf26481c1b4ce3c0dc9055e18132b94a5ca934979bc54b8e74045ac32b94e42"},
 		{gzBlocks * gzBlockBytes, "3973b93834f5ffc86c6654f216cbaf043f93e0e2ff562245e0fea7a86e2a698e", "b8242f9154e401302db9e8cdae8311d202829cfd6787cfcbe61dbaa9ee87d287"},
@@ -178,4 +191,17 @@ func BenchmarkGzipKernel(b *testing.B) {
 			huffEncode(tokens[i%len(tokens)])
 		}
 	})
+}
+
+// BenchmarkCRC32Kernel times crc32sum one 64 KiB crc32 input file per op,
+// cycling through four files.
+func BenchmarkCRC32Kernel(b *testing.B) {
+	files := make([][]byte, 4)
+	for i := range files {
+		files[i] = newRNG(mix(1, uint64(i))).bytes(crcFileBytes)
+	}
+	b.SetBytes(crcFileBytes)
+	for i := 0; b.Loop(); i++ {
+		crc32sum(files[i%len(files)])
+	}
 }

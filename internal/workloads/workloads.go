@@ -136,43 +136,61 @@ func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
 // float returns a value in [0, 1).
 func (r *rng) float() float64 { return float64(r.next()>>11) / (1 << 53) }
 
-// bytes returns a fresh buffer of n bytes from fill.
-func (r *rng) bytes(n int) []byte {
-	b := make([]byte, n)
-	r.fill(b)
-	return b
-}
-
 // fill overwrites b with deterministic pseudo-random text-like bytes:
 // literal letters interleaved with repeated phrases, so compressors find
 // real matches (roughly 2x compressible). Back-references reach only within
 // b, so the bytes depend on how a caller splits its buffer into fills.
+//
+// The first 65 bytes are letters. After them a coin picks a letter or a
+// back-reference of 6–23 bytes from 1–60 back, copied byte by byte, so a
+// reference nearer than its length repeats its own start. While 24 bytes
+// remain, a reference with off >= 8 copies three 8-byte words instead: each
+// word reads only bytes before its own start, already final, so it writes
+// what the byte loop would, and what it writes past the reference's length
+// is overwritten before anything reads it. off < 8 and the tail keep the
+// byte loop.
 func (r *rng) fill(b []byte) {
 	s := r.s
-	next := func() uint64 {
+	step := func() {
 		s ^= s >> 12
 		s ^= s << 25
 		s ^= s >> 27
+	}
+	next := func() uint64 {
+		step()
 		return s * 0x2545f4914f6cdd1d
 	}
 	n := len(b)
 	i := 0
+	for ; i < n && i <= 64; i++ {
+		b[i] = byte('a' + next()%26)
+	}
+	for i+24 <= n {
+		// The coin is next()%2, which is the state's parity because the
+		// multiplier is odd.
+		if step(); s&1 != 0 {
+			b[i] = byte('a' + next()%26)
+			i++
+			continue
+		}
+		length := 6 + int(next()%18)
+		off := 1 + int(next()%60)
+		if off >= 8 {
+			src, dst := b[i-off:], b[i:]
+			binary.LittleEndian.PutUint64(dst, binary.LittleEndian.Uint64(src))
+			binary.LittleEndian.PutUint64(dst[8:], binary.LittleEndian.Uint64(src[8:]))
+			binary.LittleEndian.PutUint64(dst[16:], binary.LittleEndian.Uint64(src[16:]))
+		} else {
+			for k := range length {
+				b[i+k] = b[i+k-off]
+			}
+		}
+		i += length
+	}
 	for i < n {
-		if i > 64 && next()%2 == 0 {
+		if next()%2 == 0 {
 			length := 6 + int(next()%18)
 			off := 1 + int(next()%60)
-			if off >= length && i+24 <= n {
-				// With off >= length every byte to copy lies before i, so
-				// three word copies write the same first length bytes as the
-				// byte loop; the rest of the 24 lies past the new i and is
-				// overwritten before anything reads it.
-				src, dst := b[i-off:], b[i:]
-				binary.LittleEndian.PutUint64(dst, binary.LittleEndian.Uint64(src))
-				binary.LittleEndian.PutUint64(dst[8:], binary.LittleEndian.Uint64(src[8:]))
-				binary.LittleEndian.PutUint64(dst[16:], binary.LittleEndian.Uint64(src[16:]))
-				i += length
-				continue
-			}
 			for k := 0; k < length && i < n; k++ {
 				b[i] = b[i-off]
 				i++

@@ -205,6 +205,57 @@ func TestCRCKernel(t *testing.T) {
 	}
 }
 
+// crcTable is the IEEE CRC-32 table of the byte-at-a-time software CRC
+// crc32sum replaced; tableCRC32 is that loop, the oracle crc32sum must match.
+var crcTable = func() [256]uint32 {
+	var t [256]uint32
+	for i := range t {
+		c := uint32(i)
+		for k := 0; k < 8; k++ {
+			if c&1 != 0 {
+				c = 0xedb88320 ^ (c >> 1)
+			} else {
+				c >>= 1
+			}
+		}
+		t[i] = c
+	}
+	return t
+}()
+
+func tableCRC32(b []byte) uint32 {
+	c := ^uint32(0)
+	for _, x := range b {
+		c = crcTable[byte(c)^x] ^ (c >> 8)
+	}
+	return ^c
+}
+
+// TestCRC32MatchesTable pins crc32sum to the table loop: every length
+// 0–4096 of seeded random bytes, and three crc32 input files, one carrying
+// the corrupt-header marker.
+func TestCRC32MatchesTable(t *testing.T) {
+	r := newRNG(7)
+	buf := make([]byte, 4096)
+	for i := range buf {
+		buf[i] = byte(r.next())
+	}
+	for n := 0; n <= len(buf); n++ {
+		if got, want := crc32sum(buf[:n]), tableCRC32(buf[:n]); got != want {
+			t.Fatalf("length %d: crc32sum %#x, table %#x", n, got, want)
+		}
+	}
+	for i := range uint64(3) {
+		file := newRNG(mix(42, i)).bytes(crcFileBytes)
+		if i == 1 {
+			file[0] = 0xFF
+		}
+		if got, want := crc32sum(file), tableCRC32(file); got != want {
+			t.Fatalf("file %d: crc32sum %#x, table %#x", i, got, want)
+		}
+	}
+}
+
 func TestBlackScholesKnownValue(t *testing.T) {
 	// Standard textbook case: S=100 K=100 r=5% v=20% T=1 call ≈ 10.45.
 	v := blackScholes(100, 100, 0.05, 0.2, 1, true)

@@ -15,10 +15,11 @@ fi
 go vet ./...
 go build ./...
 go test ./...
-# The 164.gzip kernel's per-layer benchmark and its input generator, one op
-# per sub-benchmark so neither can rot (numbers: EXPERIMENTS.md "The 164.gzip
-# kernel, layer by layer").
-go test -run NONE -bench 'GzipKernel|GzInput' -benchtime 1x ./internal/workloads/
+# The 164.gzip kernel's per-layer benchmark, its input generator and the
+# crc32 kernel (CRC32Kernel, one 64 KiB file per op), one op per benchmark
+# so none can rot (numbers: EXPERIMENTS.md "The 164.gzip kernel, layer by
+# layer" and "serve-mix by job class").
+go test -run NONE -bench 'GzipKernel|GzInput|CRC32Kernel' -benchtime 1x ./internal/workloads/
 # The sim kernel hosts processes on real goroutines; everything above it is
 # cooperative, but the handoff protocol itself must stay race-clean.
 go test -race ./internal/sim/
