@@ -417,11 +417,32 @@ func (e *Engine) runJob(ctx context.Context, spec JobSpec, opts Options) (Result
 	res.Source = "run"
 	if opts.plain() && e.cfg.Cache != nil {
 		// Cache write failures are non-fatal: the job ran.
-		_ = e.cfg.Cache.Put(spec, res)
+		if e.cfg.Cache.Put(spec, res) == nil {
+			e.dropInput(spec)
+		}
 	}
 	e.bump(func(s *Stats) { s.Completed++ })
 	e.met.cCompleted.Inc()
 	return res, nil
+}
+
+// dropInput forgets the generated input of a job whose result is now
+// cached: every repeat of spec is a cache hit, so spec reads it no more.
+// It stays while another queued or running job reads the same input (a
+// sweep's other cores, paradigms and rates), and a seq job never drops it:
+// its verified parallel run reads it next.
+func (e *Engine) dropInput(spec JobSpec) {
+	if spec.Kind == KindSeq {
+		return
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for other := range e.inflight {
+		if other != spec && other.Bench == spec.Bench && other.Seed == spec.Seed && other.Scale == spec.Scale {
+			return
+		}
+	}
+	workloads.DropInput(spec.Bench, spec.input())
 }
 
 // execute runs the admitted job on its backend.

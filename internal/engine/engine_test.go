@@ -297,6 +297,76 @@ func TestSubmitCache(t *testing.T) {
 	}
 }
 
+// TestInputLifetime: an engine with a result cache drops a parallel job's
+// generated input once the result is cached, unless another queued or
+// running job reads the same input (a sweep's other points), and keeps a
+// seq job's (a verify pair's parallel run reads it next); an engine
+// without one keeps every input for the next job over the same seed, as
+// the bench's host engines rely on.
+func TestInputLifetime(t *testing.T) {
+	cache, err := expsched.OpenCache(t.TempDir(), "enginetest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached := New(Config{Cache: cache})
+	defer cached.Close()
+	ctx := context.Background()
+
+	verified := crc32Spec(9101)
+	verified.Verify = true
+	res, err := cached.Submit(ctx, verified)
+	if err != nil || !res.Verified {
+		t.Fatalf("verified job: %+v, %v", res, err)
+	}
+	if workloads.InputCached("crc32", verified.input()) {
+		t.Fatal("a cached verified job's input is still held")
+	}
+	if again, err := cached.Submit(ctx, verified); err != nil || again.Source != "cache" {
+		t.Fatalf("resubmission: source %q, %v; want cache", again.Source, err)
+	}
+
+	// A sibling point over the same input, still queued, keeps it alive;
+	// the last point to finish drops it.
+	point, sibling := crc32Spec(9104), crc32Spec(9104)
+	sibling.Cores, sibling.Rate = 16, 0.05
+	cached.mu.Lock()
+	cached.inflight[sibling.Normalized()] = &call{done: make(chan struct{})}
+	cached.mu.Unlock()
+	if _, err := cached.Submit(ctx, point); err != nil {
+		t.Fatal(err)
+	}
+	if !workloads.InputCached("crc32", point.input()) {
+		t.Fatal("a job dropped an input a queued job shares")
+	}
+	cached.mu.Lock()
+	delete(cached.inflight, sibling.Normalized())
+	cached.mu.Unlock()
+	if _, err := cached.Submit(ctx, sibling); err != nil {
+		t.Fatal(err)
+	}
+	if workloads.InputCached("crc32", point.input()) {
+		t.Fatal("the last job over an input left it held")
+	}
+
+	seq := JobSpec{Kind: KindSeq, Bench: "crc32", Seed: 9102}
+	if _, err := cached.Submit(ctx, seq); err != nil {
+		t.Fatal(err)
+	}
+	if !workloads.InputCached("crc32", seq.input()) {
+		t.Fatal("a seq job dropped its input")
+	}
+
+	plain := New(Config{})
+	defer plain.Close()
+	spec := crc32Spec(9103)
+	if _, err := plain.Submit(ctx, spec); err != nil {
+		t.Fatal(err)
+	}
+	if !workloads.InputCached("crc32", spec.input()) {
+		t.Fatal("an engine without a result cache dropped a job's input")
+	}
+}
+
 // TestSubmitStorm: a storm of concurrent duplicate submissions — the
 // race-detector gate for the engine's admission, singleflight, and stats
 // paths. Every submission must succeed with the identical deterministic

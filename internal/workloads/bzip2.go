@@ -30,7 +30,7 @@ const (
 type bzProg struct {
 	tls     bool
 	blocks  uint64
-	seed    uint64
+	src     inputKey
 	errIter map[uint64]bool // blocks tripping the speculated error path
 
 	input  uva.Addr
@@ -44,9 +44,14 @@ func newBzProg(in Input, tls bool) *bzProg {
 	return &bzProg{
 		tls:     tls,
 		blocks:  blocks,
-		seed:    in.Seed,
+		src:     bzInputKey(in),
 		errIter: misspecSet(blocks, in.MisspecRate, in.Seed+3),
 	}
+}
+
+// bzInputKey names the input file, every block in one buffer.
+func bzInputKey(in Input) inputKey {
+	return inputKey{bzGen, in.Seed, int64(bzBlocks*in.scale()) * bzBlockBytes}
 }
 
 // Bzip2 returns the Table 2 entry.
@@ -60,6 +65,7 @@ func Bzip2() *Benchmark {
 		Invocations: 1,
 		NewDSMTX:    func(in Input, _ int) Program { return newBzProg(in, false) },
 		NewTLS:      func(in Input, _ int) Program { return newBzProg(in, true) },
+		input:       bzInputKey,
 	}
 }
 
@@ -84,14 +90,11 @@ func (p *bzProg) Setup(ctx *core.SeqCtx) {
 		return
 	}
 	img := ctx.Image()
-	// StoreBytes copies, so one buffer serves every block.
-	data := make([]byte, bzBlockBytes)
-	for i := uint64(0); i < p.blocks; i++ {
-		newRNG(mix(p.seed, i*31)).fill(data)
-		if p.errIter[i] {
-			data[0] = 0xFE // triggers the speculated-not-taken error path
-		}
-		img.StoreBytes(p.blockAddr(i), data)
+	img.StoreBytes(p.input, cachedInput(p.src))
+	for i := range p.errIter {
+		// Triggers the speculated-not-taken error path: written into the
+		// image, never into the cached input.
+		img.StoreBytes(p.blockAddr(i), []byte{0xFE})
 	}
 	ctx.Store(p.outCur, 0)
 }

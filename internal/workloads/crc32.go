@@ -35,7 +35,7 @@ func crc32sum(b []byte) uint32 { return crc32.ChecksumIEEE(b) }
 type crcProg struct {
 	tls     bool
 	files   uint64
-	seed    uint64
+	src     inputKey
 	corrupt map[uint64]bool
 
 	input uva.Addr // file i at input + i*crcFileBytes
@@ -48,9 +48,14 @@ func newCRCProg(in Input, tls bool) *crcProg {
 	return &crcProg{
 		tls:     tls,
 		files:   files,
-		seed:    in.Seed,
+		src:     crcInputKey(in),
 		corrupt: misspecSet(files, in.MisspecRate, in.Seed),
 	}
+}
+
+// crcInputKey names the input files, all of them in one buffer.
+func crcInputKey(in Input) inputKey {
+	return inputKey{crcGen, in.Seed, int64(crcFiles*in.scale()) * crcFileBytes}
 }
 
 // CRC32 returns the Table 2 entry.
@@ -64,6 +69,7 @@ func CRC32() *Benchmark {
 		Invocations: 1,
 		NewDSMTX:    func(in Input, _ int) Program { return newCRCProg(in, false) },
 		NewTLS:      func(in Input, _ int) Program { return newCRCProg(in, true) },
+		input:       crcInputKey,
 	}
 }
 
@@ -86,14 +92,11 @@ func (p *crcProg) Setup(ctx *core.SeqCtx) {
 		return
 	}
 	img := ctx.Image() // input "files" pre-exist; loading them is not timed
-	// StoreBytes copies, so one buffer serves every file.
-	data := make([]byte, crcFileBytes)
-	for i := uint64(0); i < p.files; i++ {
-		newRNG(mix(p.seed, i)).fill(data)
-		if p.corrupt[i] {
-			data[0] = 0xFF // corrupt-header marker: the speculated-away error path
-		}
-		img.StoreBytes(p.fileAddr(i), data)
+	img.StoreBytes(p.input, cachedInput(p.src))
+	for i := range p.corrupt {
+		// Corrupt-header marker, the speculated-away error path: written
+		// into the image, never into the cached input.
+		img.StoreBytes(p.fileAddr(i), []byte{0xFF})
 	}
 	ctx.Store(p.acc, 0)
 }

@@ -98,6 +98,39 @@ func TestGzipKernelPinned(t *testing.T) {
 	}
 }
 
+// TestLZTokenBoundHoldsWorstCase: alternating 1-byte literals and 4-byte
+// matches is the densest token stream, 7 bytes per 5 input bytes, and
+// lzCompressInto's presize must hold it without regrowing. The input stays
+// out of gzKernelCorpus, so TestGzipKernelPinned's digest does not move.
+func TestLZTokenBoundHoldsWorstCase(t *testing.T) {
+	// A 256-byte dictionary over bytes 0–127, then groups of one fresh byte
+	// from 128–255 (never a match start, and it ends the match before it)
+	// and four bytes copied out of the dictionary.
+	r := newRNG(5)
+	src := make([]byte, 0, 9000+5)
+	for range 256 {
+		src = append(src, byte(r.intn(128)))
+	}
+	for len(src) < 9000 {
+		p := r.intn(252)
+		src = append(append(src, byte(128+r.intn(128))), src[p:p+4]...)
+	}
+	src = src[:9000]
+	out, _ := lzCompressInto(src, nil)
+	if old := len(src) + len(src)/128 + 16; len(out) <= old {
+		t.Fatalf("%d token bytes fit the incompressible-input presize %d: not a worst case", len(out), old)
+	}
+	if cap(out) != lzTokenBound(len(src)) {
+		t.Fatalf("token stream regrew: cap %d, presize %d (%d token bytes)", cap(out), lzTokenBound(len(src)), len(out))
+	}
+	if !bytes.Equal(lzDecompress(out), src) {
+		t.Fatal("round trip failed")
+	}
+}
+
+// gzInput returns the n-byte 164.gzip input for seed, through inputCache.
+func gzInput(seed uint64, n int64) []byte { return cachedInput(inputKey{gzGen, seed, n}) }
+
 // bytes returns a fresh buffer of n bytes from fill.
 func (r *rng) bytes(n int) []byte {
 	b := make([]byte, n)
@@ -149,7 +182,7 @@ func TestRNGBytesPinned(t *testing.T) {
 }
 
 // BenchmarkGzInput times the generation of one scale-1 164.gzip input per
-// op, past gzInputCache: what a net-loopback job pays on the commit daemon
+// op, past inputCache: what a net-loopback job pays on the commit daemon
 // for a seed its fleet has not seen.
 func BenchmarkGzInput(b *testing.B) {
 	const total = gzBlocks * gzBlockBytes

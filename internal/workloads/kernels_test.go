@@ -279,21 +279,21 @@ func TestGzInputMemoBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates 3 x 128 MiB")
 	}
-	const half = gzInputBudget/2 + 1 // two of these do not fit together
+	const half = inputBudget/2 + 1 // two of these do not fit together
 	first := gzInput(901, half)
 	if hit := gzInput(901, half); &hit[0] != &first[0] {
 		t.Fatal("second request for a memoized input generated it again")
 	}
 	gzInput(902, half)
-	gzInputCache.Lock()
+	inputCache.Lock()
 	var held int64
-	for _, e := range gzInputCache.entries {
+	for _, e := range inputCache.entries {
 		held += int64(len(e.data))
 	}
-	accounted := gzInputCache.bytes
-	gzInputCache.Unlock()
-	if held > gzInputBudget || held != accounted {
-		t.Fatalf("memo holds %d bytes (accounted %d), budget %d", held, accounted, gzInputBudget)
+	accounted := inputCache.bytes
+	inputCache.Unlock()
+	if held > inputBudget || held != accounted {
+		t.Fatalf("memo holds %d bytes (accounted %d), budget %d", held, accounted, inputBudget)
 	}
 	again := gzInput(901, half)
 	if &again[0] == &first[0] {

@@ -50,10 +50,7 @@ func lzCompress(src []byte) (out []byte, probes int) {
 // inside the window — 0 when its first byte differs.
 func lzCompressInto(src, buf []byte) (out []byte, probes int) {
 	var table [1 << lzHashBits]int32 // stores position+1; 0 means empty
-	// Worst case (incompressible input) is all literal runs: the payload
-	// plus a 2-byte header per 255-byte run. Size for that so the stream
-	// never regrows mid-block.
-	if need := len(src) + len(src)/128 + 16; cap(buf) < need {
+	if need := lzTokenBound(len(src)); cap(buf) < need {
 		buf = make([]byte, 0, need)
 	}
 	out = buf[:0]
@@ -90,6 +87,12 @@ func lzCompressInto(src, buf []byte) (out []byte, probes int) {
 	}
 	return lzFlushLits(out, src[litStart:]), probes
 }
+
+// lzTokenBound bounds the token stream of an n-byte input, so the stream
+// never regrows mid-block. Incompressible input is not the worst case (a
+// 255-byte literal run costs 257 bytes): a 1-byte literal run followed by
+// a 4-byte match emits 3 + 4 token bytes per 5 input bytes.
+func lzTokenBound(n int) int { return n + 2*n/5 + 16 }
 
 // lzFlushLits appends lits as literal-run tokens of at most 255 bytes.
 func lzFlushLits(out, lits []byte) []byte {

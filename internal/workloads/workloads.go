@@ -70,6 +70,9 @@ type Benchmark struct {
 	// inv of [0, Invocations).
 	NewDSMTX func(in Input, inv int) Program
 	NewTLS   func(in Input, inv int) Program
+	// input names the generated input file Setup copies from inputCache
+	// at in; nil when Setup generates none.
+	input func(in Input) inputKey
 }
 
 // WithInvocations returns b with n chained invocations in place of its own
