@@ -100,8 +100,9 @@ func parseFlags(args []string) (*options, error) {
 	fs.BoolVar(&o.quick, "quick", false, "coarse core counts (8,16,32,64,96,128)")
 	fs.StringVar(&o.coreArg, "cores", "", "comma-separated core counts (overrides -quick)")
 	fs.Float64Var(&o.rate, "rate", 0.001, "misspeculation rate for figure 6")
-	fs.IntVar(&o.scale, "scale", 1, "problem-size multiplier")
-	fs.Uint64Var(&o.seed, "seed", 42, "input generation seed")
+	def := workloads.DefaultInput()
+	fs.IntVar(&o.scale, "scale", def.Scale, "problem-size multiplier")
+	fs.Uint64Var(&o.seed, "seed", def.Seed, "input generation seed")
 
 	fs.IntVar(&o.parallel, "parallel", runtime.GOMAXPROCS(0), "experiment points to simulate at once (1 = one at a time)")
 	fs.StringVar(&o.cacheDir, "cache", defaultCacheDir(), "directory for the content-addressed point-result cache (\"\" disables)")

@@ -44,7 +44,6 @@ import (
 	"dsmtx/internal/cli"
 	"dsmtx/internal/engine"
 	"dsmtx/internal/netrun"
-	"dsmtx/internal/trace"
 	_ "dsmtx/internal/workloads" // registers the benchmark provider
 )
 
@@ -177,19 +176,15 @@ func runServe(o *options, stop <-chan struct{}) error {
 	if !o.cacheOff {
 		cfg.Cache = engine.OpenResultCache(o.cacheDir, os.Stderr)
 	}
-	var stopMetrics func()
+	eng := engine.New(cfg)
 	if o.metricsAddr != "" {
-		tr := trace.NewMetricsOnly()
-		cfg.Metrics = tr.Metrics()
-		var err error
-		stopMetrics, err = cli.ServeMetrics(o.metricsAddr, tr)
+		stopMetrics, err := cli.ServeMetrics(o.metricsAddr, eng.Metrics())
 		if err != nil {
 			return err
 		}
 		defer stopMetrics()
 		fmt.Printf("dsmtxd: metrics at http://%s/metrics\n", o.metricsAddr)
 	}
-	eng := engine.New(cfg)
 	srv := engine.NewServer(eng)
 	srv.DefaultBackend = o.backend
 

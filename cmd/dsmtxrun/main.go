@@ -81,8 +81,9 @@ func parseFlags(args []string) (*options, error) {
 	paradigm := fs.String("paradigm", "dsmtx", "dsmtx or tls")
 	backend := fs.String("backend", "vtime", "execution platform: vtime (deterministic simulator), host (live goroutines, wall clock) or net (dsmtxd daemon processes over TCP, wall clock)")
 	fs.Float64Var(&o.misspec, "misspec", 0, "input misspeculation rate (e.g. 0.001)")
-	fs.IntVar(&o.scale, "scale", 1, "problem-size multiplier")
-	fs.Uint64Var(&o.seed, "seed", 42, "input generation seed")
+	def := workloads.DefaultInput()
+	fs.IntVar(&o.scale, "scale", def.Scale, "problem-size multiplier")
+	fs.Uint64Var(&o.seed, "seed", def.Seed, "input generation seed")
 	fs.StringVar(&o.traceOut, "trace", "", "write a Chrome trace-event JSON timeline (Perfetto-loadable) to this file")
 	fs.BoolVar(&o.metrics, "metrics", false, "print the metrics registry and per-rank stall attribution")
 	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve a live JSON metrics snapshot at http://ADDR/metrics during the run (e.g. 127.0.0.1:9090)")
@@ -247,7 +248,7 @@ func run(o *options, stdout io.Writer) error {
 		tr = trace.NewMetricsOnly()
 	}
 	if o.metricsAddr != "" {
-		stop, err := cli.ServeMetrics(o.metricsAddr, tr)
+		stop, err := cli.ServeMetrics(o.metricsAddr, tr.Metrics())
 		if err != nil {
 			return err
 		}

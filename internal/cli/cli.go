@@ -31,12 +31,12 @@ func Main[O any](name string, parse func(args []string) (O, error), run func(O) 
 	}
 }
 
-// ServeMetrics starts an HTTP listener publishing a live snapshot of the
-// tracer's metrics registry as JSON at /metrics (expvar-style; instruments
+// ServeMetrics starts an HTTP listener publishing a live snapshot of a
+// metrics registry as JSON at /metrics (expvar-style; instruments
 // update atomically, so sampling mid-run is safe). It returns a shutdown
 // function; binding failures (port taken, bad address) surface immediately
 // rather than mid-run.
-func ServeMetrics(addr string, tr *trace.Tracer) (func(), error) {
+func ServeMetrics(addr string, m *trace.Metrics) (func(), error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("-metrics-addr: %v", err)
@@ -44,7 +44,7 @@ func ServeMetrics(addr string, tr *trace.Tracer) (func(), error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		tr.Metrics().WriteJSON(w)
+		m.WriteJSON(w)
 	})
 	srv := &http.Server{Handler: mux}
 	done := make(chan struct{})

@@ -228,9 +228,6 @@ func New(k *sim.Kernel, cfg Config) *Machine {
 	return m
 }
 
-// Kernel returns the simulation kernel the machine runs on.
-func (m *Machine) Kernel() *sim.Kernel { return m.k }
-
 // Config returns the machine configuration.
 func (m *Machine) Config() Config { return m.cfg }
 
@@ -244,9 +241,6 @@ func (m *Machine) Endpoint(rank int) *Endpoint {
 
 // Stats returns a snapshot of accumulated traffic.
 func (m *Machine) Stats() TrafficStats { return m.stats }
-
-// ResetStats zeroes the traffic accounting (e.g. after warm-up).
-func (m *Machine) ResetStats() { m.stats = TrafficStats{} }
 
 // transmit models the wire: serialization through the sender's NIC for
 // inter-node messages, a fast path for intra-node ones. It returns the
@@ -306,9 +300,6 @@ func (e *Endpoint) Rank() int { return e.rank }
 // Node reports the node hosting this endpoint.
 func (e *Endpoint) Node() int { return e.m.cfg.NodeOf(e.rank) }
 
-// Machine returns the owning machine.
-func (e *Endpoint) Machine() *Machine { return e.m }
-
 // Mailbox returns (creating if needed) the mailbox for messages from a
 // specific source rank (or AnySource) carrying the given tag.
 func (e *Endpoint) Mailbox(from, tag int) platform.Mailbox {
@@ -321,7 +312,7 @@ func (e *Endpoint) box(from, tag int) *sim.Chan[Message] {
 	box, ok := e.boxes[key]
 	if !ok {
 		name := fmt.Sprintf("r%d<-%d#%d", e.rank, from, tag)
-		box = sim.NewChan[Message](e.m.k, name, 0)
+		box = sim.NewChan[Message](name)
 		e.boxes[key] = box
 	}
 	return box

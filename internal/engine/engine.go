@@ -47,9 +47,6 @@ type Config struct {
 	// empty defaults to os.Args[0] (dsmtxrun, dsmtxd, and test binaries
 	// all divert into DaemonMain).
 	Exe string
-	// Metrics, when non-nil, receives the engine's live instruments
-	// (engine.jobs.*, engine.pool.*) for the -metrics-addr machinery.
-	Metrics *trace.Metrics
 }
 
 // Stats is a snapshot of the engine's counters. PoolBuilds counts net daemon
@@ -84,11 +81,11 @@ type Engine struct {
 	running    int
 	coresInUse int
 	draining   bool
-	stats      Stats
 	inflight   map[JobSpec]*call
 	clusters   map[string]*netCluster
 
-	met engineMetrics
+	metrics *trace.Metrics
+	met     engineMetrics
 }
 
 // ticket is one queued admission request.
@@ -109,8 +106,8 @@ type call struct {
 	ownCtxErr bool
 }
 
-// engineMetrics are the live instruments; every handle is nil, and so a
-// no-op, when Config.Metrics is nil.
+// engineMetrics are the engine's instruments in its own registry, and the
+// only record of the counts Stats reports.
 type engineMetrics struct {
 	cSubmitted *trace.Counter
 	cCompleted *trace.Counter
@@ -131,12 +128,13 @@ func New(cfg Config) *Engine {
 	if exe == "" {
 		exe = os.Args[0]
 	}
-	m := cfg.Metrics
+	m := trace.NewMetrics()
 	e := &Engine{
 		cfg:      cfg,
 		exe:      exe,
 		inflight: make(map[JobSpec]*call),
 		clusters: make(map[string]*netCluster),
+		metrics:  m,
 		met: engineMetrics{
 			cSubmitted: m.Counter("engine.jobs.submitted"),
 			cCompleted: m.Counter("engine.jobs.completed"),
@@ -155,11 +153,28 @@ func New(cfg Config) *Engine {
 	return e
 }
 
-// Stats snapshots the counters.
+// Metrics returns the engine's registry: the engine.jobs.*, engine.pool.*
+// and engine.cores.inuse instruments, for a live /metrics endpoint.
+func (e *Engine) Metrics() *trace.Metrics { return e.metrics }
+
+// Stats snapshots the counters: the registry's engine.jobs.* and
+// engine.pool.* values, and the admission state. The counters are read one
+// at a time and only go up; Submitted is read last, so a snapshot never
+// shows more completed, failed or rejected jobs than submitted ones.
 func (e *Engine) Stats() Stats {
+	m := &e.met
+	s := Stats{
+		Completed:  m.cCompleted.Value(),
+		Failed:     m.cFailed.Value(),
+		Rejected:   m.cRejected.Value(),
+		CacheHits:  m.cCacheHit.Value(),
+		Coalesced:  m.cCoalesced.Value(),
+		PoolReuses: m.cPoolReuse.Value(),
+		PoolBuilds: m.cPoolBuild.Value(),
+	}
+	s.Submitted = m.cSubmitted.Value()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	s := e.stats
 	s.Running = e.running
 	s.Queued = len(e.queue)
 	s.CoresInUse = e.coresInUse
@@ -246,7 +261,6 @@ func (e *Engine) admit(ctx context.Context, cores int) (func(), error) {
 		return func() { e.release(cores) }, nil
 	}
 	if e.cfg.CoreBudget > 0 && cores > e.cfg.CoreBudget {
-		e.stats.Rejected++
 		e.mu.Unlock()
 		e.met.cRejected.Inc()
 		return nil, &ErrOverloaded{Reason: fmt.Sprintf("job needs %d cores, budget is %d", cores, e.cfg.CoreBudget)}
@@ -257,7 +271,6 @@ func (e *Engine) admit(ctx context.Context, cores int) (func(), error) {
 		return func() { e.release(cores) }, nil
 	}
 	if queued := len(e.queue); queued >= e.queueDepth() {
-		e.stats.Rejected++
 		e.mu.Unlock()
 		e.met.cRejected.Inc()
 		return nil, &ErrOverloaded{Reason: fmt.Sprintf("%d jobs queued (depth %d)", queued, e.queueDepth())}
@@ -320,7 +333,6 @@ func (e *Engine) SubmitOpts(ctx context.Context, spec JobSpec, opts Options) (Re
 	if err := opts.validate(spec); err != nil {
 		return Result{}, err
 	}
-	e.bump(func(s *Stats) { s.Submitted++ })
 	e.met.cSubmitted.Inc()
 	if !opts.plain() {
 		return e.runJob(ctx, spec, opts)
@@ -329,8 +341,8 @@ func (e *Engine) SubmitOpts(ctx context.Context, spec JobSpec, opts Options) (Re
 	if e.cfg.Cache != nil {
 		var res Result
 		if ok, err := e.cfg.Cache.Get(spec, &res); err == nil && ok {
-			e.bump(func(s *Stats) { s.CacheHits++; s.Completed++ })
 			e.met.cCacheHit.Inc()
+			e.met.cCompleted.Inc()
 			res.Source = "cache"
 			return res, nil
 		}
@@ -351,7 +363,6 @@ func (e *Engine) SubmitOpts(ctx context.Context, spec JobSpec, opts Options) (Re
 			close(c.done)
 			return c.res, c.err
 		}
-		e.stats.Coalesced++
 		e.mu.Unlock()
 		e.met.cCoalesced.Inc()
 		select {
@@ -373,16 +384,9 @@ func (e *Engine) SubmitOpts(ctx context.Context, spec JobSpec, opts Options) (Re
 		}
 		res := c.res
 		res.Source = "coalesced"
-		e.bump(func(s *Stats) { s.Completed++ })
+		e.met.cCompleted.Inc()
 		return res, nil
 	}
-}
-
-// bump mutates the stats under the lock.
-func (e *Engine) bump(f func(*Stats)) {
-	e.mu.Lock()
-	f(&e.stats)
-	e.mu.Unlock()
 }
 
 // runJob admits and executes one job (the singleflight leader's path).
@@ -405,7 +409,6 @@ func (e *Engine) runJob(ctx context.Context, spec JobSpec, opts Options) (Result
 	res, err := e.execute(spec, opts)
 	release()
 	if err != nil {
-		e.bump(func(s *Stats) { s.Failed++ })
 		e.met.cFailed.Inc()
 		return Result{}, err
 	}
@@ -421,7 +424,6 @@ func (e *Engine) runJob(ctx context.Context, spec JobSpec, opts Options) (Result
 			e.dropInput(spec)
 		}
 	}
-	e.bump(func(s *Stats) { s.Completed++ })
 	e.met.cCompleted.Inc()
 	return res, nil
 }
@@ -496,10 +498,8 @@ func (e *Engine) executeNet(spec JobSpec, opts Options) (Result, error) {
 			return Result{}, err
 		}
 		h.cl = cl
-		e.bump(func(s *Stats) { s.PoolBuilds++ })
 		e.met.cPoolBuild.Inc()
 	} else {
-		e.bump(func(s *Stats) { s.PoolReuses++ })
 		e.met.cPoolReuse.Inc()
 	}
 	res, err := h.cl.Run(netrun.JobSpec{

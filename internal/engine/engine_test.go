@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -406,6 +407,96 @@ func TestSubmitStorm(t *testing.T) {
 	}
 	if st.Running != 0 || st.Queued != 0 || st.CoresInUse != 0 {
 		t.Fatalf("engine not quiescent: %+v", st)
+	}
+}
+
+// TestStatsAreTheMetrics: Stats and the registry are one record. After a
+// fresh job, its cache hit, a coalesced follower, an overload rejection and
+// a failed job, every Stats field equals its instrument in Metrics.
+func TestStatsAreTheMetrics(t *testing.T) {
+	cache, err := expsched.OpenCache(t.TempDir(), "enginetest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(Config{Cache: cache, MaxConcurrent: 1, QueueDepth: 1})
+	defer e.Close()
+	ctx := context.Background()
+	for _, want := range []string{"run", "cache"} {
+		if res, err := e.Submit(ctx, crc32Spec(31)); err != nil || res.Source != want {
+			t.Fatalf("source %q err %v, want %q", res.Source, err, want)
+		}
+	}
+
+	// With the only slot held, a leader queues, a duplicate coalesces onto
+	// it, and a third spec finds the queue full.
+	release, err := e.admit(ctx, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 2)
+	submit := func() {
+		_, err := e.Submit(ctx, crc32Spec(32))
+		done <- err
+	}
+	go submit()
+	waitFor(t, "leader to queue", func() bool { return e.Stats().Queued == 1 })
+	go submit()
+	waitFor(t, "follower to coalesce", func() bool { return e.Stats().Coalesced == 1 })
+	var over *ErrOverloaded
+	if _, err := e.Submit(ctx, crc32Spec(33)); !errors.As(err, &over) {
+		t.Fatalf("err = %v, want *ErrOverloaded", err)
+	}
+	release()
+	for range 2 {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// A net job whose daemon refuses the connection fails once admitted.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := ln.Addr().String()
+	ln.Close()
+	if _, err := e.SubmitOpts(ctx, JobSpec{Bench: "crc32", Cores: 5, Backend: "net"}, Options{NetJoin: []string{dead}}); err == nil {
+		t.Fatal("net job against a closed port succeeded")
+	}
+
+	st := e.Stats()
+	if want := (Stats{Submitted: 6, Completed: 4, Failed: 1, Rejected: 1, CacheHits: 1, Coalesced: 1}); st != want {
+		t.Errorf("stats = %+v, want %+v", st, want)
+	}
+	m := e.Metrics()
+	for _, c := range []struct {
+		name string
+		got  uint64
+	}{
+		{"engine.jobs.submitted", st.Submitted},
+		{"engine.jobs.completed", st.Completed},
+		{"engine.jobs.failed", st.Failed},
+		{"engine.jobs.rejected", st.Rejected},
+		{"engine.jobs.cachehit", st.CacheHits},
+		{"engine.jobs.coalesced", st.Coalesced},
+		{"engine.pool.reuse", st.PoolReuses},
+		{"engine.pool.build", st.PoolBuilds},
+	} {
+		if want := m.Counter(c.name).Value(); c.got != want {
+			t.Errorf("%s: Stats %d, registry %d", c.name, c.got, want)
+		}
+	}
+	for _, g := range []struct {
+		name string
+		got  int
+	}{
+		{"engine.jobs.running", st.Running},
+		{"engine.jobs.queued", st.Queued},
+		{"engine.cores.inuse", st.CoresInUse},
+	} {
+		if want := m.Gauge(g.name).Value(); int64(g.got) != want {
+			t.Errorf("%s: Stats %d, registry %d", g.name, g.got, want)
+		}
 	}
 }
 

@@ -35,9 +35,6 @@ func OpenCache(dir, fingerprint string) (*Cache, error) {
 	return &Cache{dir: dir, fingerprint: fingerprint}, nil
 }
 
-// Dir reports the cache root.
-func (c *Cache) Dir() string { return c.dir }
-
 // entry is the on-disk layout: the spec is echoed for debuggability (the
 // key alone is opaque), the value is kept raw so Get can decode it into
 // the caller's type.

@@ -169,10 +169,11 @@ func TestCacheKeying(t *testing.T) {
 // fingerprint mismatch, by contrast, is someone else's valid entry and
 // stays on disk.
 func TestCacheCorruptEntryIsMiss(t *testing.T) {
-	c, _ := OpenCache(t.TempDir(), "fp")
+	dir := t.TempDir()
+	c, _ := OpenCache(dir, "fp")
 	spec := testSpec{Bench: "x"}
 	key, _ := c.Key(spec)
-	path := filepath.Join(c.Dir(), key[:2], key+".json")
+	path := filepath.Join(dir, key[:2], key+".json")
 	for _, corrupt := range []string{
 		"{\"trunc",                 // truncated mid-JSON
 		"\x00\x01 not json at all", // garbled
@@ -201,7 +202,7 @@ func TestCacheCorruptEntryIsMiss(t *testing.T) {
 	}
 
 	// A foreign fingerprint is a miss but not corruption: left in place.
-	other, _ := OpenCache(c.Dir(), "other-fp")
+	other, _ := OpenCache(dir, "other-fp")
 	var v testValue
 	if ok, _ := other.Get(spec, &v); ok {
 		t.Fatal("foreign fingerprint must miss")
@@ -214,7 +215,8 @@ func TestCacheCorruptEntryIsMiss(t *testing.T) {
 // TestCacheStats: entry count and byte size track Puts; temp files and
 // non-entry files are not counted.
 func TestCacheStats(t *testing.T) {
-	c, _ := OpenCache(t.TempDir(), "fp")
+	dir := t.TempDir()
+	c, _ := OpenCache(dir, "fp")
 	st, err := c.Stats()
 	if err != nil || st.Entries != 0 || st.Bytes != 0 {
 		t.Fatalf("empty cache stats = %+v, %v", st, err)
@@ -224,7 +226,7 @@ func TestCacheStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := os.WriteFile(filepath.Join(c.Dir(), "stray.tmp"), []byte("x"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "stray.tmp"), []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	st, err = c.Stats()

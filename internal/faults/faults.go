@@ -212,9 +212,6 @@ func Compile(p Plan) (*Injector, error) {
 	return in, nil
 }
 
-// Plan returns the compiled plan with defaults applied.
-func (in *Injector) Plan() Plan { return in.plan }
-
 // LinkFaults mirrors Plan.LinkFaults on the compiled form.
 func (in *Injector) LinkFaults() bool { return in.plan.LinkFaults() }
 

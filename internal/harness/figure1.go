@@ -38,8 +38,8 @@ const cycle = sim.Nanosecond
 func doacrossCyclesPerIter(latency, iters int) float64 {
 	k := sim.NewKernel()
 	tokens := [2]*sim.Chan[int]{
-		sim.NewChan[int](k, "to0", 0),
-		sim.NewChan[int](k, "to1", 0),
+		sim.NewChan[int]("to0"),
+		sim.NewChan[int]("to1"),
 	}
 	var last sim.Time
 	for core := 0; core < 2; core++ {
@@ -73,7 +73,7 @@ func doacrossCyclesPerIter(latency, iters int) float64 {
 // consuming B's values through a unidirectional queue.
 func dswpCyclesPerIter(latency, iters int) float64 {
 	k := sim.NewKernel()
-	q := sim.NewChan[int](k, "q", 0)
+	q := sim.NewChan[int]("q")
 	var last sim.Time
 	k.Spawn("stage1", func(p *sim.Proc) {
 		for i := 0; i < iters; i++ {

@@ -10,12 +10,12 @@ import (
 // lossyWorld is testWorld with a fault injector on the machine.
 func lossyWorld(t *testing.T, k *sim.Kernel, plan faults.Plan) *World {
 	t.Helper()
-	w := testWorld(k)
+	w, m := testMachineWorld(k)
 	inj, err := faults.Compile(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mach(w).EnableFaults(inj)
+	m.EnableFaults(inj)
 	return w
 }
 
@@ -67,7 +67,7 @@ func TestLossyLinkPreservesMPISemantics(t *testing.T) {
 	if released != 4 {
 		t.Fatalf("%d ranks left the barrier, want 4", released)
 	}
-	if s := mach(w).Stats(); s.RetransMessages == 0 {
+	if s := w.Platform().Traffic(); s.RetransMessages == 0 {
 		t.Fatalf("plan never forced a retransmission: %+v", s)
 	}
 }

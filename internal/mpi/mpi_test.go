@@ -8,16 +8,22 @@ import (
 	"dsmtx/internal/sim"
 )
 
-func testWorld(k *sim.Kernel) *World {
+func testConfig() cluster.Config {
 	cfg := cluster.DefaultConfig()
 	cfg.Nodes = 4
 	cfg.CoresPerNode = 2
-	return NewWorld(vtime.New(k, cluster.New(k, cfg)), DefaultCost())
+	return cfg
 }
 
-// mach recovers the simulated machine behind a vtime-backed test world.
-func mach(w *World) *cluster.Machine {
-	return w.Platform().(*vtime.Platform).Machine()
+func testWorld(k *sim.Kernel) *World {
+	w, _ := testMachineWorld(k)
+	return w
+}
+
+// testMachineWorld is testWorld that also returns the simulated machine.
+func testMachineWorld(k *sim.Kernel) (*World, *cluster.Machine) {
+	m := cluster.New(k, testConfig())
+	return NewWorld(vtime.New(k, m), DefaultCost()), m
 }
 
 func TestSendChargesOverhead(t *testing.T) {
@@ -34,7 +40,7 @@ func TestSendChargesOverhead(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 500 instructions + 2 per-byte instructions at 3 GHz ≈ 167 ns.
-	want := mach(w).Config().InstrTime(502)
+	want := testConfig().InstrTime(502)
 	if txDone != want {
 		t.Fatalf("send completed at %v, want %v", txDone, want)
 	}
@@ -54,7 +60,7 @@ func TestRecvChargesOverheadAfterArrival(t *testing.T) {
 	if err := k.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	cfg := mach(w).Config()
+	cfg := testConfig()
 	// Arrival = send cost + wire; then the receiver pays its own overhead.
 	wantMin := cfg.InstrTime(502) + cfg.InterNodeLatency + cfg.InstrTime(1290)
 	if rxDone < wantMin {

@@ -131,9 +131,6 @@ func (c *Cluster) dialControl() error {
 	return nil
 }
 
-// Daemons reports the fleet size.
-func (c *Cluster) Daemons() int { return len(c.addrs) }
-
 // ErrRejected marks a Run error returned before any frame was written: the
 // coordinator refused the spec on its own, every control session is still
 // in step, and the fleet can take the next job. Any other Run error leaves

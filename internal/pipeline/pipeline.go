@@ -167,12 +167,6 @@ func (l Layout) PoolIndex(tid int) int {
 	panic("pipeline: tid not in its own stage pool")
 }
 
-// Iterates reports whether worker tid executes iteration iter (always true
-// for sequential-stage workers; round-robin membership for parallel ones).
-func (l Layout) Iterates(tid int, iter uint64) bool {
-	return l.WorkerOf(l.stageOf[tid], iter) == tid
-}
-
 // Convenient plan constructors for the paradigms in Table 2.
 
 // SpecDOALL is a one-stage fully parallel plan ("Spec-DOALL").

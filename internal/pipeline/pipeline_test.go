@@ -86,9 +86,6 @@ func TestWorkerOfRoundRobin(t *testing.T) {
 		if got := l.WorkerOf(1, iter); got != want {
 			t.Errorf("WorkerOf(1, %d) = %d, want %d", iter, got, want)
 		}
-		if !l.Iterates(want, iter) {
-			t.Errorf("Iterates(%d, %d) = false", want, iter)
-		}
 	}
 	// Sequential stages execute every iteration.
 	for iter := uint64(0); iter < 5; iter++ {
@@ -134,8 +131,8 @@ func TestPoolIndex(t *testing.T) {
 }
 
 // Property: for any worker budget >= the minimum, every worker lands in
-// exactly one stage, parallel pools absorb all spares, and WorkerOf is
-// consistent with Iterates.
+// exactly one stage, parallel pools absorb all spares, and WorkerOf picks a
+// worker of the stage asked for.
 func TestLayoutProperty(t *testing.T) {
 	plans := []Plan{
 		SpecDOALL(),
@@ -160,7 +157,7 @@ func TestLayoutProperty(t *testing.T) {
 		for iter := uint64(0); iter < 40; iter++ {
 			for s := range p.Stages {
 				w := l.WorkerOf(s, iter)
-				if l.StageOf(w) != s || !l.Iterates(w, iter) {
+				if l.StageOf(w) != s {
 					return false
 				}
 			}

@@ -30,12 +30,6 @@ func New(k *sim.Kernel, m *cluster.Machine) *Platform {
 	return &Platform{k: k, m: m, cfg: m.Config()}
 }
 
-// Kernel returns the underlying simulation kernel.
-func (v *Platform) Kernel() *sim.Kernel { return v.k }
-
-// Machine returns the underlying cluster machine.
-func (v *Platform) Machine() *cluster.Machine { return v.m }
-
 // Name identifies the backend.
 func (v *Platform) Name() string { return "vtime" }
 

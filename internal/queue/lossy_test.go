@@ -13,12 +13,12 @@ import (
 func TestBatchesSurviveLossyLink(t *testing.T) {
 	const n = 2000
 	k := sim.NewKernel()
-	w := newWorld(k)
+	w, m := newMachineWorld(k)
 	inj, err := faults.Compile(faults.Plan{Seed: 17, DropRate: 0.1, AckDropRate: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mach(w).EnableFaults(inj)
+	m.EnableFaults(inj)
 	q := New[uint64](w, "q", 0, 1, 100, DefaultConfig(), nil)
 	var got []uint64
 	k.Spawn("consumer", func(p *sim.Proc) {
@@ -42,7 +42,7 @@ func TestBatchesSurviveLossyLink(t *testing.T) {
 			t.Fatalf("got[%d] = %d", i, got[i])
 		}
 	}
-	if s := mach(w).Stats(); s.RetransMessages == 0 {
+	if s := w.Platform().Traffic(); s.RetransMessages == 0 {
 		t.Fatalf("no retransmissions at 10%% drop: %+v", s)
 	}
 }

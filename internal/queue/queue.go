@@ -163,16 +163,6 @@ func (q *Queue[T]) recycle(b *batch[T]) {
 	}
 }
 
-// Name reports the queue's diagnostic name.
-func (q *Queue[T]) Name() string { return q.name }
-
-// SendStats counts sender-side activity.
-type SendStats struct {
-	Items   uint64
-	Batches uint64
-	Bytes   uint64
-}
-
 // SendPort is the producer's end. All methods must be called from the
 // process owning comm.
 type SendPort[T any] struct {
@@ -181,7 +171,6 @@ type SendPort[T any] struct {
 	epoch    uint64
 	pending  *batch[T] // nil until the first Produce after a flush
 	maxItems int       // largest batch flushed so far: a fresh batch's capacity
-	stats    SendStats
 }
 
 // Sender binds the producing process to the queue.
@@ -203,7 +192,6 @@ func (s *SendPort[T]) Produce(v T) {
 	}
 	b.items = append(b.items, v)
 	b.bytes += s.q.size(v)
-	s.stats.Items++
 	s.q.cProduced.Inc()
 	s.q.gOccupancy.Set(int64(len(b.items)))
 	if b.bytes >= cfg.BatchBytes {
@@ -235,8 +223,6 @@ func (s *SendPort[T]) Flush() {
 	s.maxItems = max(s.maxItems, n)
 	b.epoch = s.epoch
 	s.comm.SendClass(s.q.dst, s.q.tag, b, wire, platform.ClassQueue)
-	s.stats.Batches++
-	s.stats.Bytes += uint64(wire)
 	s.q.hFlushFill.Observe(int64(n))
 	s.q.hFlushWire.Observe(int64(wire))
 	s.q.tr.Instant(trace.InstFlush, s.comm.Rank(), 0, int64(n), int64(wire))
@@ -250,17 +236,6 @@ func (s *SendPort[T]) Abort(epoch uint64) {
 		s.pending = nil
 	}
 	s.epoch = epoch
-}
-
-// Stats returns a snapshot of sender-side counters.
-func (s *SendPort[T]) Stats() SendStats { return s.stats }
-
-// PendingItems reports how many produced values await the next flush.
-func (s *SendPort[T]) PendingItems() int {
-	if s.pending == nil {
-		return 0
-	}
-	return len(s.pending.items)
 }
 
 // RecvPort is the consumer's end.
@@ -309,29 +284,11 @@ func (r *RecvPort[T]) Consume() T {
 	return v
 }
 
-// TryConsume returns a value if one is available now, without blocking.
-func (r *RecvPort[T]) TryConsume() (T, bool) {
-	for r.pos == len(r.buf) {
-		msg, ok := r.comm.TryRecvBox(r.box)
-		if !ok {
-			var zero T
-			return zero, false
-		}
-		r.admit(msg)
-	}
-	cfg := r.q.cfg
-	r.comm.Proc().Advance(r.q.world.InstrTime(cfg.ConsumeInstr))
-	v := r.buf[r.pos]
-	r.pos++
-	r.q.cConsumed.Inc()
-	return v, true
-}
-
 // TryConsumeBatch returns every value currently buffered on the port — the
 // remainder of the in-progress batch, or a newly arrived one — without
-// blocking. It charges the same per-value consume cost as the equivalent
-// sequence of TryConsume calls, but in a single Advance, so draining a
-// batch costs one scheduler interaction instead of one per value. The
+// blocking. It charges Consume's per-value cost for every value returned,
+// but in a single Advance, so draining a batch costs one scheduler
+// interaction instead of one per value. The
 // returned slice is the port's internal buffer: it is valid until the next
 // operation on the port and must not be retained.
 func (r *RecvPort[T]) TryConsumeBatch() ([]T, bool) {

@@ -11,20 +11,22 @@ import (
 )
 
 func newWorld(k *sim.Kernel) *mpi.World {
+	w, _ := newMachineWorld(k)
+	return w
+}
+
+// newMachineWorld is newWorld that also returns the simulated machine.
+func newMachineWorld(k *sim.Kernel) (*mpi.World, *cluster.Machine) {
 	cfg := cluster.DefaultConfig()
 	cfg.Nodes = 4
 	cfg.CoresPerNode = 2
-	return mpi.NewWorld(vtime.New(k, cluster.New(k, cfg)), mpi.DefaultCost())
-}
-
-// mach recovers the simulated machine behind a vtime-backed test world.
-func mach(w *mpi.World) *cluster.Machine {
-	return w.Platform().(*vtime.Platform).Machine()
+	m := cluster.New(k, cfg)
+	return mpi.NewWorld(vtime.New(k, m), mpi.DefaultCost()), m
 }
 
 // run wires a producer proc at rank 0 and consumer proc at rank 1 around a
 // queue and executes the kernel.
-func run(t *testing.T, cfg Config, producer func(*SendPort[uint64]), consumer func(*RecvPort[uint64])) *sim.Kernel {
+func run(t *testing.T, cfg Config, producer func(*SendPort[uint64]), consumer func(*RecvPort[uint64])) *mpi.World {
 	t.Helper()
 	k := sim.NewKernel()
 	w := newWorld(k)
@@ -38,7 +40,7 @@ func run(t *testing.T, cfg Config, producer func(*SendPort[uint64]), consumer fu
 	if err := k.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	return k
+	return w
 }
 
 func TestFIFODelivery(t *testing.T) {
@@ -66,21 +68,19 @@ func TestFIFODelivery(t *testing.T) {
 func TestBatchingReducesMessages(t *testing.T) {
 	const n = 512
 	count := func(cfg Config) uint64 {
-		var batches uint64
-		run(t, cfg,
+		w := run(t, cfg,
 			func(s *SendPort[uint64]) {
 				for i := uint64(0); i < n; i++ {
 					s.Produce(i)
 				}
 				s.Flush()
-				batches = s.Stats().Batches
 			},
 			func(r *RecvPort[uint64]) {
 				for i := 0; i < n; i++ {
 					r.Consume()
 				}
 			})
-		return batches
+		return w.Platform().Traffic().QueueMessages
 	}
 	opt := count(DefaultConfig())                 // 16-byte items, 4096-byte batches
 	unopt := count(DefaultConfig().Unoptimized()) // flush every produce
@@ -97,7 +97,7 @@ func TestBatchingReducesMessages(t *testing.T) {
 func TestQueueBandwidthVsRawMPI(t *testing.T) {
 	const n = 20000
 	bandwidth := func(cfg Config) float64 {
-		k := run(t, cfg,
+		w := run(t, cfg,
 			func(s *SendPort[uint64]) {
 				for i := uint64(0); i < n; i++ {
 					s.Produce(i)
@@ -109,7 +109,7 @@ func TestQueueBandwidthVsRawMPI(t *testing.T) {
 					r.Consume()
 				}
 			})
-		return float64(n*8) / k.Now().Seconds() / 1e6 // MB/s of payload words
+		return float64(n*8) / w.Platform().Now().Seconds() / 1e6 // MB/s of payload words
 	}
 	opt := bandwidth(DefaultConfig())
 	unopt := bandwidth(DefaultConfig().Unoptimized())
@@ -149,20 +149,15 @@ func TestAbortDiscardsPendingProduce(t *testing.T) {
 	run(t, DefaultConfig(),
 		func(s *SendPort[uint64]) {
 			s.Produce(11)
-			if s.PendingItems() != 1 {
-				t.Errorf("pending = %d", s.PendingItems())
-			}
 			s.Abort(1)
-			if s.PendingItems() != 0 {
-				t.Errorf("pending after abort = %d", s.PendingItems())
-			}
 			s.Produce(22)
 			s.Flush()
 		},
 		func(r *RecvPort[uint64]) {
 			r.Abort(1)
-			if got := r.Consume(); got != 22 {
-				t.Errorf("got %d, want 22", got)
+			r.comm.Proc().Advance(sim.Millisecond)
+			if got, ok := r.TryConsumeBatch(); !ok || len(got) != 1 || got[0] != 22 {
+				t.Errorf("TryConsumeBatch = %v, %v; want [22], true", got, ok)
 			}
 		})
 }
@@ -175,13 +170,13 @@ func TestTryConsume(t *testing.T) {
 			s.Flush()
 		},
 		func(r *RecvPort[uint64]) {
-			if _, ok := r.TryConsume(); ok {
-				t.Error("TryConsume returned value before producer ran")
+			if _, ok := r.TryConsumeBatch(); ok {
+				t.Error("TryConsumeBatch returned values before producer ran")
 			}
 			r.comm.Proc().Advance(2 * sim.Millisecond)
-			v, ok := r.TryConsume()
-			if !ok || v != 7 {
-				t.Errorf("TryConsume = %d, %v; want 7, true", v, ok)
+			got, ok := r.TryConsumeBatch()
+			if !ok || len(got) != 1 || got[0] != 7 {
+				t.Errorf("TryConsumeBatch = %v, %v; want [7], true", got, ok)
 			}
 		})
 }

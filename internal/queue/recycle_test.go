@@ -229,15 +229,17 @@ func TestCrossDaemonBatchNeverReturnsToSender(t *testing.T) {
 		// Poll against a deadline: a corrupted batch can lose values, and a
 		// lost value must fail the test, not hang it.
 		for deadline := time.Now().Add(30 * time.Second); got < n && time.Now().Before(deadline); {
-			v, ok := r.TryConsume()
+			vs, ok := r.TryConsumeBatch()
 			if !ok {
 				p.Yield()
 				continue
 			}
-			if v != got && bad == nil {
-				bad = fmt.Errorf("value %d at position %d", v, got)
+			for _, v := range vs {
+				if v != got && bad == nil {
+					bad = fmt.Errorf("value %d at position %d", v, got)
+				}
+				got++
 			}
-			got++
 		}
 	})
 	var wg sync.WaitGroup

@@ -2,74 +2,42 @@ package sim
 
 import "dsmtx/internal/platform"
 
-// Chan is a FIFO channel between simulation processes.
-//
-// With capacity > 0, Send blocks while the buffer is full; with capacity 0
-// the buffer is unbounded and Send never blocks. Push inserts a value
-// without a sending process, for use from kernel callbacks (e.g. a network
-// delivering a message at a future instant).
+// Chan is an unbounded FIFO mailbox between simulation processes. Push
+// never blocks, so it may be called from kernel callbacks (e.g. a network
+// delivering a message at a future instant); Recv blocks the receiving
+// process until a value is buffered.
 type Chan[T any] struct {
-	k      *Kernel
-	name   string
-	buf    []T
-	cap    int
-	sendQ  []*Proc
-	recvQ  []*Proc
-	closed bool
+	name  string
+	buf   []T
+	recvQ []*Proc
 }
 
-// NewChan creates a channel. capacity 0 means unbounded.
-func NewChan[T any](k *Kernel, name string, capacity int) *Chan[T] {
-	return &Chan[T]{k: k, name: name, cap: capacity}
+// NewChan creates an empty channel; name appears in deadlock reports.
+func NewChan[T any](name string) *Chan[T] {
+	return &Chan[T]{name: name}
 }
 
-// Len reports the number of buffered values.
-func (c *Chan[T]) Len() int { return len(c.buf) }
-
-// Name reports the channel's diagnostic name.
-func (c *Chan[T]) Name() string { return c.name }
-
-// Send enqueues v, blocking p while the channel is at capacity.
-// Sending on a closed channel panics, as with native channels.
-func (c *Chan[T]) Send(p *Proc, v T) {
-	for c.cap > 0 && len(c.buf) >= c.cap && !c.closed {
-		c.sendQ = append(c.sendQ, p)
-		p.park("send " + c.name)
-	}
-	if c.closed {
-		panic("sim: send on closed channel " + c.name)
-	}
-	c.buf = append(c.buf, v)
-	c.wakeOneRecv()
-}
-
-// Push enqueues v ignoring capacity, without blocking. It may be called from
-// kernel callbacks. Pushing to a closed channel drops the value.
+// Push enqueues v and wakes one blocked receiver.
 func (c *Chan[T]) Push(v T) {
-	if c.closed {
-		return
-	}
 	c.buf = append(c.buf, v)
-	c.wakeOneRecv()
+	if len(c.recvQ) > 0 {
+		p := c.recvQ[0]
+		c.recvQ = c.recvQ[1:]
+		p.wake()
+	}
 }
 
-// Recv dequeues a value, blocking p until one is available. ok is false only
-// if the channel is closed and drained. The receiver must be a *Proc of this
-// channel's kernel; the platform.Proc parameter lets Chan[platform.Message]
-// satisfy platform.Mailbox directly.
+// Recv dequeues a value, blocking p until one is available; ok is always
+// true. The receiver must be a *Proc of the kernel that pushes to this
+// channel; the platform.Proc parameter lets Chan[platform.Message] satisfy
+// platform.Mailbox directly.
 func (c *Chan[T]) Recv(p platform.Proc) (v T, ok bool) {
 	pp := p.(*Proc)
 	for len(c.buf) == 0 {
-		if c.closed {
-			return v, false
-		}
 		c.recvQ = append(c.recvQ, pp)
 		pp.park("recv " + c.name)
 	}
-	v = c.buf[0]
-	c.buf = c.buf[1:]
-	c.wakeOneSend()
-	return v, true
+	return c.TryRecv()
 }
 
 // TryRecv dequeues a value if one is buffered, never blocking.
@@ -79,123 +47,13 @@ func (c *Chan[T]) TryRecv() (v T, ok bool) {
 	}
 	v = c.buf[0]
 	c.buf = c.buf[1:]
-	c.wakeOneSend()
 	return v, true
 }
 
 // TryRecvBatch appends every buffered value to into and returns the
-// extended slice, never blocking. It exists to satisfy platform.Mailbox;
-// blocked senders are woken just as by repeated TryRecv.
+// extended slice, never blocking. It exists to satisfy platform.Mailbox.
 func (c *Chan[T]) TryRecvBatch(into []T) []T {
-	for {
-		v, ok := c.TryRecv()
-		if !ok {
-			return into
-		}
-		into = append(into, v)
-	}
-}
-
-// Drain discards all buffered values and returns how many were dropped.
-// Waiting senders are woken so they can re-attempt their sends.
-func (c *Chan[T]) Drain() int {
-	n := len(c.buf)
-	c.buf = nil
-	for len(c.sendQ) > 0 {
-		c.wakeOneSend()
-	}
-	return n
-}
-
-// Close marks the channel closed: queued values may still be received;
-// blocked receivers wake with ok=false.
-func (c *Chan[T]) Close() {
-	if c.closed {
-		return
-	}
-	c.closed = true
-	for len(c.recvQ) > 0 {
-		c.wakeOneRecv()
-	}
-	for len(c.sendQ) > 0 {
-		c.wakeOneSend()
-	}
-}
-
-func (c *Chan[T]) wakeOneRecv() {
-	if len(c.recvQ) == 0 {
-		return
-	}
-	p := c.recvQ[0]
-	c.recvQ = c.recvQ[1:]
-	p.wake()
-}
-
-func (c *Chan[T]) wakeOneSend() {
-	if len(c.sendQ) == 0 {
-		return
-	}
-	p := c.sendQ[0]
-	c.sendQ = c.sendQ[1:]
-	p.wake()
-}
-
-// Barrier blocks processes until n of them have arrived, then releases the
-// whole generation at once. It is reusable across generations.
-type Barrier struct {
-	k       *Kernel
-	name    string
-	n       int
-	waiting []*Proc
-	arrived int
-}
-
-// NewBarrier creates a barrier for n parties.
-func NewBarrier(k *Kernel, name string, n int) *Barrier {
-	if n < 1 {
-		panic("sim: barrier size must be >= 1")
-	}
-	return &Barrier{k: k, name: name, n: n}
-}
-
-// Wait blocks p until n parties (including p) have called Wait.
-func (b *Barrier) Wait(p *Proc) {
-	b.arrived++
-	if b.arrived == b.n {
-		b.arrived = 0
-		for _, w := range b.waiting {
-			w.wake()
-		}
-		b.waiting = b.waiting[:0]
-		return
-	}
-	b.waiting = append(b.waiting, p)
-	p.park("barrier " + b.name)
-}
-
-// Cond is a single-owner condition: processes Wait on it and a Broadcast
-// wakes them all. Unlike sync.Cond there is no lock — the cooperative
-// scheduler guarantees exclusivity.
-type Cond struct {
-	name    string
-	waiting []*Proc
-}
-
-// NewCond creates a condition variable with a diagnostic name.
-func NewCond(name string) *Cond { return &Cond{name: name} }
-
-// Wait parks p until the next Broadcast.
-func (c *Cond) Wait(p *Proc) {
-	c.waiting = append(c.waiting, p)
-	p.park("cond " + c.name)
-}
-
-// Broadcast wakes every waiter and returns how many were woken.
-func (c *Cond) Broadcast() int {
-	n := len(c.waiting)
-	for _, w := range c.waiting {
-		w.wake()
-	}
-	c.waiting = c.waiting[:0]
-	return n
+	into = append(into, c.buf...)
+	c.buf = c.buf[len(c.buf):]
+	return into
 }

@@ -3,9 +3,9 @@
 // The kernel advances a virtual clock and runs "processes" — ordinary Go
 // functions hosted on goroutines — in strict cooperative alternation: at any
 // instant exactly one process (or the kernel itself) is executing. Processes
-// spend virtual time with Proc.Advance, communicate over Chan values, and
-// synchronize on Barrier values. Events scheduled for the same virtual
-// instant fire in schedule order, so runs are reproducible bit-for-bit.
+// spend virtual time with Proc.Advance and communicate over Chan values.
+// Events scheduled for the same virtual instant fire in schedule order, so
+// runs are reproducible bit-for-bit.
 //
 // The DSMTX runtime and its cluster substrate run unmodified on this kernel:
 // all of their logic executes for real; only the passage of time is
@@ -126,7 +126,6 @@ type Kernel struct {
 	yield   chan struct{}
 	killing bool
 	failure error
-	stopped bool
 	horizon Time // active Run's horizon (0 = unbounded); guards the Advance fast path
 	// Stats
 	nEvents uint64
@@ -201,12 +200,12 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// Run drives the calendar until it drains, a process panics, Stop is called,
-// or the horizon (if positive) is reached. It returns a deadlock error when
-// live processes remain blocked with an empty calendar.
+// Run drives the calendar until it drains, a process panics, or the horizon
+// (if positive) is reached. It returns a deadlock error when live processes
+// remain blocked with an empty calendar.
 func (k *Kernel) Run(horizon Time) error {
 	k.horizon = horizon
-	for len(k.events) > 0 && !k.stopped && k.failure == nil {
+	for len(k.events) > 0 && k.failure == nil {
 		if horizon > 0 && k.events.peek().t > horizon {
 			break
 		}
@@ -228,7 +227,7 @@ func (k *Kernel) Run(horizon Time) error {
 		<-k.yield
 	}
 	var deadlock error
-	if k.failure == nil && k.live > 0 && !k.stopped && horizon <= 0 {
+	if k.failure == nil && k.live > 0 && horizon <= 0 {
 		deadlock = fmt.Errorf("%w: %d live process(es) blocked: %s", ErrDeadlock, k.live, k.blockedNames())
 	}
 	k.kill()
@@ -237,9 +236,6 @@ func (k *Kernel) Run(horizon Time) error {
 	}
 	return deadlock
 }
-
-// Stop makes Run return after the current event completes.
-func (k *Kernel) Stop() { k.stopped = true }
 
 // kill unwinds every still-parked process so no goroutines leak.
 func (k *Kernel) kill() {
@@ -311,16 +307,13 @@ func (p *Proc) SetDilation(dilate func(now Time, d Duration) Duration) {
 func (p *Proc) Advanced() Time { return p.advanced }
 
 // Blocked reports the total virtual time this process has spent parked in
-// blocking waits (message receives, barriers, conds) — the complement of
-// Advanced in the stall-attribution report. Time parked inside Advance
-// itself is excluded: that is busy time already counted by Advanced.
+// message receives — the complement of Advanced in the stall-attribution
+// report. Time parked inside Advance itself is excluded: that is busy time
+// already counted by Advanced.
 func (p *Proc) Blocked() Time { return p.blocked }
 
 // Name reports the process name given at Spawn.
 func (p *Proc) Name() string { return p.name }
-
-// Kernel returns the kernel hosting this process.
-func (p *Proc) Kernel() *Kernel { return p.k }
 
 // Now reports the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
@@ -357,12 +350,12 @@ func (p *Proc) park(reason string) {
 
 // drive dispatches calendar events on the parked process's goroutine until
 // this process is resumed (return) or the kernel loop must take over
-// (stop/failure, empty calendar, horizon reached — hand the seat back and
+// (kill/failure, empty calendar, horizon reached — hand the seat back and
 // wait for resume).
 func (p *Proc) drive() {
 	k := p.k
 	for {
-		if k.stopped || k.killing || k.failure != nil || len(k.events) == 0 ||
+		if k.killing || k.failure != nil || len(k.events) == 0 ||
 			(k.horizon > 0 && k.events[0].t > k.horizon) {
 			k.yield <- struct{}{}
 			<-p.resume
@@ -415,7 +408,7 @@ func (p *Proc) Advance(d Duration) {
 	// alternation makes the direct clock/heap access safe: the driving seat
 	// (kernel or another process) is parked for as long as this process
 	// runs.
-	if !k.stopped && !k.killing &&
+	if !k.killing &&
 		(len(k.events) == 0 || k.events[0].t > k.now+d) &&
 		(k.horizon <= 0 || k.now+d <= k.horizon) {
 		k.now += d

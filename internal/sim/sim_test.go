@@ -71,20 +71,19 @@ func TestAtAndAfterCallbacks(t *testing.T) {
 
 func TestChanSendRecv(t *testing.T) {
 	k := NewKernel()
-	ch := NewChan[int](k, "c", 0)
+	ch := NewChan[int]("c")
 	var got []int
 	k.Spawn("producer", func(p *Proc) {
 		for i := 0; i < 5; i++ {
 			p.Advance(10)
-			ch.Send(p, i)
+			ch.Push(i)
 		}
-		ch.Close()
 	})
 	k.Spawn("consumer", func(p *Proc) {
-		for {
+		for i := 0; i < 5; i++ {
 			v, ok := ch.Recv(p)
 			if !ok {
-				return
+				t.Errorf("recv %d: ok = false", i)
 			}
 			got = append(got, v)
 		}
@@ -102,31 +101,9 @@ func TestChanSendRecv(t *testing.T) {
 	}
 }
 
-func TestBoundedChanBlocksSender(t *testing.T) {
-	k := NewKernel()
-	ch := NewChan[int](k, "c", 2)
-	var sendDone Time
-	k.Spawn("producer", func(p *Proc) {
-		ch.Send(p, 1)
-		ch.Send(p, 2)
-		ch.Send(p, 3) // must block until the consumer drains one
-		sendDone = p.Now()
-	})
-	k.Spawn("consumer", func(p *Proc) {
-		p.Advance(100)
-		ch.Recv(p)
-	})
-	if err := k.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if sendDone != 100 {
-		t.Fatalf("third send completed at %d, want 100", sendDone)
-	}
-}
-
 func TestChanPushFromCallback(t *testing.T) {
 	k := NewKernel()
-	ch := NewChan[string](k, "net", 0)
+	ch := NewChan[string]("net")
 	var at Time
 	k.At(42, func() { ch.Push("hello") })
 	k.Spawn("rx", func(p *Proc) {
@@ -144,39 +121,9 @@ func TestChanPushFromCallback(t *testing.T) {
 	}
 }
 
-func TestChanDrainWakesSenders(t *testing.T) {
-	k := NewKernel()
-	ch := NewChan[int](k, "c", 1)
-	blocked := false
-	k.Spawn("producer", func(p *Proc) {
-		ch.Send(p, 1)
-		blocked = true
-		ch.Send(p, 2)
-		blocked = false
-	})
-	k.Spawn("drainer", func(p *Proc) {
-		p.Advance(10)
-		if n := ch.Drain(); n != 1 {
-			t.Errorf("drained %d, want 1", n)
-		}
-	})
-	k.Spawn("rx", func(p *Proc) {
-		p.Advance(20)
-		if v, ok := ch.Recv(p); !ok || v != 2 {
-			t.Errorf("recv after drain = %d, %v; want 2, true", v, ok)
-		}
-	})
-	if err := k.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if blocked {
-		t.Fatal("producer still blocked after drain")
-	}
-}
-
 func TestDeadlockDetected(t *testing.T) {
 	k := NewKernel()
-	ch := NewChan[int](k, "never", 0)
+	ch := NewChan[int]("never")
 	k.Spawn("stuck", func(p *Proc) { ch.Recv(p) })
 	err := k.Run(0)
 	if !errors.Is(err, ErrDeadlock) {
@@ -195,7 +142,7 @@ func TestPanicPropagates(t *testing.T) {
 
 func TestKillUnwindsBlockedProcsOnPanic(t *testing.T) {
 	k := NewKernel()
-	ch := NewChan[int](k, "c", 0)
+	ch := NewChan[int]("c")
 	cleaned := false
 	k.Spawn("waiter", func(p *Proc) {
 		defer func() { cleaned = true }()
@@ -210,75 +157,6 @@ func TestKillUnwindsBlockedProcsOnPanic(t *testing.T) {
 	}
 	if !cleaned {
 		t.Fatal("blocked proc's defer did not run during kill")
-	}
-}
-
-func TestBarrierReleasesAllAtOnce(t *testing.T) {
-	k := NewKernel()
-	const n = 5
-	b := NewBarrier(k, "b", n)
-	var release [n]Time
-	for i := 0; i < n; i++ {
-		k.Spawn("w", func(p *Proc) {
-			p.Advance(Duration(i * 10))
-			b.Wait(p)
-			release[i] = p.Now()
-		})
-	}
-	if err := k.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range release {
-		if r != 40 {
-			t.Fatalf("worker %d released at %d, want 40 (last arrival)", i, r)
-		}
-	}
-}
-
-func TestBarrierReusable(t *testing.T) {
-	k := NewKernel()
-	b := NewBarrier(k, "b", 2)
-	rounds := 0
-	for i := 0; i < 2; i++ {
-		k.Spawn("w", func(p *Proc) {
-			for r := 0; r < 3; r++ {
-				p.Advance(Duration(i + 1))
-				b.Wait(p)
-				if i == 0 {
-					rounds++
-				}
-			}
-		})
-	}
-	if err := k.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if rounds != 3 {
-		t.Fatalf("rounds = %d, want 3", rounds)
-	}
-}
-
-func TestCondBroadcast(t *testing.T) {
-	k := NewKernel()
-	c := NewCond("cv")
-	woken := 0
-	for i := 0; i < 4; i++ {
-		k.Spawn("w", func(p *Proc) {
-			c.Wait(p)
-			woken++
-		})
-	}
-	k.Spawn("b", func(p *Proc) {
-		p.Advance(10)
-		if n := c.Broadcast(); n != 4 {
-			t.Errorf("broadcast woke %d, want 4", n)
-		}
-	})
-	if err := k.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if woken != 4 {
-		t.Fatalf("woken = %d, want 4", woken)
 	}
 }
 
@@ -299,38 +177,18 @@ func TestHorizonStopsEarly(t *testing.T) {
 	}
 }
 
-func TestStopHaltsRun(t *testing.T) {
-	k := NewKernel()
-	n := 0
-	k.Spawn("w", func(p *Proc) {
-		for i := 0; i < 100; i++ {
-			p.Advance(1)
-			n++
-			if n == 10 {
-				k.Stop()
-			}
-		}
-	})
-	if err := k.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if n != 10 {
-		t.Fatalf("n = %d, want 10", n)
-	}
-}
-
 // TestDeterminism runs an irregular workload twice and requires identical
 // event counts and finish times.
 func TestDeterminism(t *testing.T) {
 	run := func() (Time, uint64, int) {
 		k := NewKernel()
-		ch := NewChan[int](k, "c", 3)
+		ch := NewChan[int]("c")
 		sum := 0
 		for w := 0; w < 7; w++ {
 			k.Spawn("p", func(p *Proc) {
 				for i := 0; i < 20; i++ {
 					p.Advance(Duration((w*13 + i*7) % 11))
-					ch.Send(p, w*100+i)
+					ch.Push(w*100 + i)
 				}
 			})
 		}
@@ -394,17 +252,16 @@ func TestAdvanceSumProperty(t *testing.T) {
 func TestChanFIFOProperty(t *testing.T) {
 	f := func(vals []uint32) bool {
 		k := NewKernel()
-		ch := NewChan[uint32](k, "c", 4)
+		ch := NewChan[uint32]("c")
 		var got []uint32
 		k.Spawn("tx", func(p *Proc) {
 			for _, v := range vals {
-				ch.Send(p, v)
+				ch.Push(v)
 				p.Advance(Duration(v % 3))
 			}
-			ch.Close()
 		})
 		k.Spawn("rx", func(p *Proc) {
-			for {
+			for range vals {
 				v, ok := ch.Recv(p)
 				if !ok {
 					return
@@ -448,18 +305,24 @@ func TestTimeString(t *testing.T) {
 	}
 }
 
-func TestSpawnAfterStopUnwinds(t *testing.T) {
+// TestUnstartedProcUnwindsOnPanic covers the end-of-Run unwind of a
+// process still in the calendar that never started: Run stops at the panic,
+// the late process never runs, and its goroutine exits.
+func TestUnstartedProcUnwindsOnPanic(t *testing.T) {
 	k := NewKernel()
 	started := false
 	k.Spawn("a", func(p *Proc) {
-		k.Stop()
 		k.Spawn("late", func(p *Proc) { started = true; p.Advance(1) })
+		panic("die")
 	})
-	if err := k.Run(0); err != nil {
-		t.Fatal(err)
+	if err := k.Run(0); err == nil || errors.Is(err, ErrDeadlock) {
+		t.Fatalf("err = %v, want panic error", err)
 	}
 	if started {
-		t.Fatal("process spawned after Stop still ran")
+		t.Fatal("process spawned before the panic still ran")
+	}
+	if k.live != 0 {
+		t.Fatalf("%d process goroutine(s) not unwound", k.live)
 	}
 }
 

@@ -26,18 +26,6 @@ func Geomean(xs []float64) float64 {
 	return math.Exp(sum / float64(n))
 }
 
-// Mean returns the arithmetic mean of xs (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
 // MinMax returns the smallest and largest values of xs.
 func MinMax(xs []float64) (lo, hi float64) {
 	if len(xs) == 0 {

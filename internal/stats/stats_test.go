@@ -40,15 +40,6 @@ func TestGeomeanBetweenMinAndMax(t *testing.T) {
 	}
 }
 
-func TestMean(t *testing.T) {
-	if m := Mean([]float64{1, 2, 3}); m != 2 {
-		t.Fatalf("Mean = %v", m)
-	}
-	if m := Mean(nil); m != 0 {
-		t.Fatalf("Mean(nil) = %v", m)
-	}
-}
-
 func TestMinMax(t *testing.T) {
 	lo, hi := MinMax([]float64{3, -1, 7, 2})
 	if lo != -1 || hi != 7 {

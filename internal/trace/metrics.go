@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -265,14 +264,14 @@ func (m *Metrics) Table() *stats.Table {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, name := range sortedKeys(m.counters) {
+	for _, name := range stats.SortedKeys(m.counters) {
 		t.AddRow(name, fmt.Sprintf("%d", m.counters[name].Value()), "")
 	}
-	for _, name := range sortedKeys(m.gauges) {
+	for _, name := range stats.SortedKeys(m.gauges) {
 		g := m.gauges[name]
 		t.AddRow(name, fmt.Sprintf("%d", g.Value()), fmt.Sprintf("max %d", g.Max()))
 	}
-	for _, name := range sortedKeys(m.histograms) {
+	for _, name := range stats.SortedKeys(m.histograms) {
 		h := m.histograms[name]
 		detail := "-"
 		if h.Count() > 0 {
@@ -322,13 +321,4 @@ func (m *Metrics) WriteJSON(w io.Writer) error {
 	enc = append(enc, '\n')
 	_, err = w.Write(enc)
 	return err
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

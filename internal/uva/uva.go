@@ -76,7 +76,6 @@ type Arena struct {
 	limit Addr
 	free  map[int64][]Addr // size class -> free addresses
 	sizes map[Addr]int64   // live allocation sizes (for Free without size)
-	live  int64            // bytes currently allocated
 }
 
 // NewArena creates the allocator for an owner's region.
@@ -90,12 +89,6 @@ func NewArena(owner int) *Arena {
 	}
 }
 
-// Owner reports the arena's owner thread.
-func (a *Arena) Owner() int { return a.owner }
-
-// Live reports the number of bytes currently allocated.
-func (a *Arena) Live() int64 { return a.live }
-
 func roundUp(n int64) int64 { return (n + WordSize - 1) &^ (WordSize - 1) }
 
 // Alloc returns the address of a fresh size-byte allocation.
@@ -108,7 +101,6 @@ func (a *Arena) Alloc(size int64) Addr {
 		addr := list[len(list)-1]
 		a.free[size] = list[:len(list)-1]
 		a.sizes[addr] = size
-		a.live += size
 		return addr
 	}
 	addr := a.next
@@ -117,7 +109,6 @@ func (a *Arena) Alloc(size int64) Addr {
 	}
 	a.next = Addr(uint64(addr) + uint64(size))
 	a.sizes[addr] = size
-	a.live += size
 	return addr
 }
 
@@ -133,5 +124,4 @@ func (a *Arena) Free(addr Addr) {
 	}
 	delete(a.sizes, addr)
 	a.free[size] = append(a.free[size], addr)
-	a.live -= size
 }

@@ -82,18 +82,6 @@ func TestArenaFreeReuses(t *testing.T) {
 	}
 }
 
-func TestArenaLiveAccounting(t *testing.T) {
-	a := NewArena(0)
-	x := a.Alloc(100) // rounds to 104
-	if a.Live() != 104 {
-		t.Fatalf("Live = %d, want 104", a.Live())
-	}
-	a.Free(x)
-	if a.Live() != 0 {
-		t.Fatalf("Live after free = %d, want 0", a.Live())
-	}
-}
-
 func TestArenaDoubleFreePanics(t *testing.T) {
 	a := NewArena(0)
 	x := a.Alloc(8)
@@ -109,8 +97,8 @@ func TestArenaDoubleFreePanics(t *testing.T) {
 func TestAllocWords(t *testing.T) {
 	a := NewArena(0)
 	addr := a.AllocWords(16)
-	if a.Live() != 128 {
-		t.Fatalf("AllocWords(16) live = %d, want 128", a.Live())
+	if next := a.Alloc(8); next != addr+128 {
+		t.Fatalf("AllocWords(16) at %v, next allocation at %v; want 128 bytes apart", addr, next)
 	}
 	a.Free(addr)
 }

@@ -91,24 +91,6 @@ func ReadFrame(r io.Reader, buf []byte) (FrameType, []byte, []byte, error) {
 	return FrameType(hdr[4]), body, buf, nil
 }
 
-// DecodeFrame splits one frame off the front of b without copying: it
-// returns the type, body, and the remaining bytes. Used by tests and the
-// fuzz target to exercise the framing on raw byte slices.
-func DecodeFrame(b []byte) (FrameType, []byte, []byte, error) {
-	if len(b) < frameHeaderLen {
-		return 0, nil, b, fmt.Errorf("wire: truncated frame header (%d bytes)", len(b))
-	}
-	n := binary.LittleEndian.Uint32(b[:4])
-	if n > MaxFrame {
-		return 0, nil, b, fmt.Errorf("wire: frame length %d exceeds limit %d", n, MaxFrame)
-	}
-	if uint32(len(b)-frameHeaderLen) < n {
-		return 0, nil, b, fmt.Errorf("wire: truncated frame body (need %d, have %d)", n, len(b)-frameHeaderLen)
-	}
-	end := frameHeaderLen + int(n)
-	return FrameType(b[4]), b[frameHeaderLen:end], b[end:], nil
-}
-
 // Connection roles announced in the Hello handshake.
 const (
 	RoleControl uint8 = 0 // coordinator -> daemon orchestration stream

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"testing"
 
@@ -11,8 +12,10 @@ import (
 // FuzzWireRoundTrip pins the two codec guarantees the net backend depends
 // on: (1) a frame the encoder produced decodes back bit-identically, and
 // (2) arbitrary byte junk never panics the decoder — every malformed input
-// surfaces as an error, and a corrupt length prefix never drives an
-// allocation beyond the bytes actually present.
+// surfaces as an error. Frames are walked with ReadFrame over a reader,
+// reusing one buffer, exactly as a daemon's connection reader does: a frame
+// whose body is cut short is an error, and a length prefix above MaxFrame is
+// rejected before the buffer grows.
 func FuzzWireRoundTrip(f *testing.F) {
 	// Seed with one well-formed frame of each type so the fuzzer starts from
 	// valid structure and mutates toward the interesting edges.
@@ -20,24 +23,45 @@ func FuzzWireRoundTrip(f *testing.F) {
 	if err := e.Message(platform.Message{From: 1, To: 2, Tag: 101, Payload: []byte{9, 9}, Bytes: 42, Class: platform.ClassQueue}); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(AppendFrame(nil, FrameMsg, e.Bytes()))
+	msg := AppendFrame(nil, FrameMsg, e.Bytes())
+	f.Add(msg)
 	f.Add(AppendHello(nil, Hello{Role: RoleData, JobID: 7, Peer: 1, LastRecv: 3}))
 	f.Add(AppendFrame(nil, FrameAck, binary4(123)))
 	f.Add(AppendFrame(nil, FrameGoodbye, nil))
 	f.Add(AppendFrame(nil, FrameJob, []byte(`{"bench":"crc32"}`)))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x02}) // oversized length prefix
 	f.Add([]byte{})
+	f.Add(msg[:len(msg)-3]) // truncated body
+	// A valid frame, then a length prefix one byte above MaxFrame.
+	f.Add(binary.LittleEndian.AppendUint32(AppendFrame(nil, FrameGoodbye, nil), MaxFrame+1))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Defensive pass: walk frames off the input until it errors or runs
 		// out. Nothing here may panic, whatever the bytes are.
-		rest := data
-		for len(rest) > 0 {
-			typ, body, r, err := DecodeFrame(rest)
+		r := bytes.NewReader(data)
+		var buf []byte
+		for r.Len() > 0 {
+			rest := data[len(data)-r.Len():]
+			typ, body, nbuf, err := ReadFrame(r, buf)
+			if len(rest) < frameHeaderLen {
+				if err == nil {
+					t.Fatalf("frame read from a %d-byte header", len(rest))
+				}
+			} else if n := binary.LittleEndian.Uint32(rest); n > MaxFrame {
+				if err == nil || cap(nbuf) != cap(buf) {
+					t.Fatalf("length prefix %d: err %v, buffer %d -> %d bytes", n, err, cap(buf), cap(nbuf))
+				}
+			} else if uint64(len(rest)) < frameHeaderLen+uint64(n) {
+				if err == nil {
+					t.Fatalf("frame of %d body bytes read from %d bytes", n, len(rest))
+				}
+			} else if err != nil || len(body) != int(n) {
+				t.Fatalf("complete %d-byte frame: body %d bytes, err %v", n, len(body), err)
+			}
 			if err != nil {
 				break
 			}
-			rest = r
+			buf = nbuf
 			switch typ {
 			case FrameHello:
 				_, _ = ParseHello(body)

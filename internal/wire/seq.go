@@ -9,7 +9,7 @@
 
 package wire
 
-// Seq is a 32-bit serial number. The space wraps; Before/After compare
+// Seq is a 32-bit serial number. The space wraps; After compares
 // correctly as long as live serials span less than half the space (the
 // replay window is thousands of frames, nowhere near 2^31).
 type Seq uint32
@@ -17,11 +17,5 @@ type Seq uint32
 // Next returns the successor serial.
 func (s Seq) Next() Seq { return s + 1 }
 
-// Before reports whether s precedes o in serial order.
-func (s Seq) Before(o Seq) bool { return int32(s-o) < 0 }
-
 // After reports whether s follows o in serial order.
 func (s Seq) After(o Seq) bool { return int32(s-o) > 0 }
-
-// Diff reports the signed distance s - o in serial order.
-func (s Seq) Diff(o Seq) int32 { return int32(s - o) }

@@ -15,6 +15,10 @@ fi
 go vet ./...
 go build ./...
 go test ./...
+# No function or method that only tests call: a type-checked reference scan
+# over the non-test code of this module and bench/ (tools/deadcode; its
+# allowlist names the public API, test oracles and test-helper packages).
+go run ./tools/deadcode
 # The 164.gzip kernel's per-layer benchmark, its input generator and the
 # crc32 kernel (CRC32Kernel, one 64 KiB file per op), one op per benchmark
 # so none can rot (numbers: EXPERIMENTS.md "The 164.gzip kernel, layer by
@@ -51,8 +55,10 @@ go test -race ./internal/platform/... ./internal/cluster/ ./internal/netrun/ ./c
 # multi-process TCP run of every workload must reach the sequential checksum
 # with committed/misspec counts equal to vtime (≈ 28 s under -race on 2 CPUs).
 go test -race ./internal/workloads/ -run TestBackendEquivalence
-# The wire codec feeds the net transport; a short fuzz pass keeps the frame
-# decoder total on junk (round-trip identity is seeded in the corpus).
+# The wire codec feeds the net transport; a short fuzz pass walks junk with
+# ReadFrame, the frame reader the daemons run, reusing one buffer as their
+# connection reader does, and keeps the decoder total on it (round-trip
+# identity, a truncated body and an oversized length prefix are seeded).
 go test -run=NONE -fuzz FuzzWireRoundTrip -fuzztime 10s ./internal/wire/
 # The sharded commit pipeline adds AnySource control mailboxes and the
 # cross-shard vote protocol to the live-goroutine surface; its dedicated
