@@ -47,3 +47,35 @@ func TestShardSpaceBulkAcrossOwners(t *testing.T) {
 		}
 	}
 }
+
+// TestShardSpaceMapPagesToOwners: the federated view maps each page of a
+// run spanning several ownership blocks into its owner shard's image only,
+// aliasing the caller's frame, and reads the run back whole.
+func TestShardSpaceMapPagesToOwners(t *testing.T) {
+	sys := &System{cfg: Config{CommitShards: 3}}
+	sys.buildOwnerTable()
+	imgs := []*mem.Image{mem.NewImage(nil), mem.NewImage(nil), mem.NewImage(nil)}
+	sp := &shardSpace{sys: sys, imgs: imgs}
+	base := uva.Base(1) + ownerSpan - 2*uva.PageSize // off the owner-block grid
+	frames := make([]*mem.Page, 3*pageShardBlock)
+	for i := range frames {
+		frames[i] = new(mem.Page)
+		frames[i].Words[0] = uint64(i + 1)
+	}
+	sp.MapPages(base, frames)
+	for i, f := range frames {
+		id := (base + uva.Addr(i*uva.PageSize)).Page()
+		for k, im := range imgs {
+			if im.Has(id) != (k == sys.ownerOf(id)) {
+				t.Fatalf("page %d resident in shard %d, owner is %d", i, k, sys.ownerOf(id))
+			}
+		}
+		if got := sp.Load(base + uva.Addr(i*uva.PageSize)); got != f.Words[0] {
+			t.Fatalf("page %d reads %d, its frame holds %d", i, got, f.Words[0])
+		}
+	}
+	sp.Store(base, 99)
+	if frames[0].Words[0] != 1 {
+		t.Fatal("a store through the view wrote the caller's frame")
+	}
+}

@@ -404,6 +404,14 @@ func (sp *shardSpace) StoreBytes(addr uva.Addr, b []byte) {
 	})
 }
 
+// MapPages maps each owner's run of frames into its image; owner segments
+// are whole pages, since ownerSpan is.
+func (sp *shardSpace) MapPages(addr uva.Addr, frames []*mem.Page) {
+	forEachOwnerRange(addr, len(frames)*uva.PageSize, func(a uva.Addr, off, ln int) {
+		sp.imgFor(a).MapPages(a, frames[off/uva.PageSize:(off+ln)/uva.PageSize])
+	})
+}
+
 // ChecksumRange carries one FNV-1a state across the owners' segments.
 func (sp *shardSpace) ChecksumRange(addr uva.Addr, n int) uint64 {
 	h := uint64(mem.ChecksumSeed)

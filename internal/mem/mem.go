@@ -301,6 +301,27 @@ func (im *Image) InstallPage(id uva.PageID, pg *Page) {
 	*s = pageSlot{pg: pg}
 }
 
+// MapPages installs frames as the pages from addr (page-aligned) on, each
+// shared copy-on-write as Snapshot and Merge alias pages: the image reads
+// the caller's frame, its first store to a page copies it, and Reset and
+// Rearm never recycle it, so the frames stay unchanged and may back any
+// number of images at once. Like Merge's pages, a mapped page is neither
+// dirty nor unshared: map before the snapshot a recovery's stale scan
+// starts from (Setup does).
+func (im *Image) MapPages(addr uva.Addr, frames []*Page) {
+	if addr.PageOffset() != 0 {
+		panic(fmt.Sprintf("mem: MapPages at unaligned %v", addr))
+	}
+	for i, pg := range frames {
+		s := im.slot(addr.Page() + uva.PageID(i))
+		if s.pg == nil {
+			im.resident++
+			im.gResident.Add(1)
+		}
+		*s = pageSlot{pg: pg, shared: true}
+	}
+}
+
 // CopyPage returns a copy of a page for transmission, faulting it in if
 // needed. The copy comes from the shared frame pool: the Copy-On-Access
 // serve path clones a page per request, and receivers (worker and
@@ -397,6 +418,7 @@ type Space interface {
 	LoadBytes(addr uva.Addr, n int) []byte
 	LoadBytesInto(dst []byte, addr uva.Addr)
 	StoreBytes(addr uva.Addr, b []byte)
+	MapPages(addr uva.Addr, frames []*Page)
 	ChecksumRange(addr uva.Addr, n int) uint64
 }
 

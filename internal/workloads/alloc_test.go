@@ -52,3 +52,57 @@ func TestMTXAllocationCeiling(t *testing.T) {
 		}
 	}
 }
+
+// TestJobAllocationCeiling pins what one warm job allocates, in MB and in
+// heap objects: 164.gzip scale 1 on host with 5 cores, and a crc32 verify
+// pair — the sequential reference plus a 32-core vtime run, as the engine
+// runs a verified job. The input is cached, so what is left is the job's
+// own memory: each Setup maps the cached frames instead of copying them,
+// and the loads whose block never leaves the call fill a borrowed buffer.
+// Before that, gzip read 19.6 MB and 7,500–7,800 objects, and the crc32
+// pair 26.6 MB and ≈ 9,200 objects; now 13.1–13.7 MB and 5,200–6,300
+// objects, and ≈ 1.5 MB and ≈ 5,900 objects. The ceilings sit between, and
+// crc32's MB ceiling leaves room for a collection emptying the page pool
+// mid-job (≈ 6 MB of Copy-On-Access frames). Mallocs and TotalAlloc are
+// process-wide, so a loaded box reads high, never low.
+func TestJobAllocationCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	gzip, crc := Gzip(), CRC32()
+	in := Input{Scale: 1, Seed: 42}
+	for _, c := range []struct {
+		name       string
+		mb, allocs float64
+		job        func() error
+	}{
+		{"164.gzip host 5 cores", 16.5, 7000, func() error {
+			_, err := RunParallel(gzip, in, DSMTX, 5, func(cfg *core.Config) { cfg.Backend = core.BackendHost })
+			return err
+		}},
+		{"crc32 verify pair, vtime 32 cores", 10, 7500, func() error {
+			if _, _, err := RunSequentialRef(crc, in); err != nil {
+				return err
+			}
+			_, err := RunParallel(crc, in, DSMTX, 32, nil)
+			return err
+		}},
+	} {
+		if err := c.job(); err != nil { // warm-up: the input, lazily built tables
+			t.Fatal(err)
+		}
+		runtime.GC() // the job starts on a collected heap, with warm pools
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := c.job(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6
+		allocs := float64(after.Mallocs - before.Mallocs)
+		t.Logf("%s: %.1f MB, %.0f objects per warm job", c.name, mb, allocs)
+		if mb > c.mb || allocs > c.allocs {
+			t.Errorf("%s: %.1f MB and %.0f objects per warm job, want <= %v MB and <= %v", c.name, mb, allocs, c.mb, c.allocs)
+		}
+	}
+}

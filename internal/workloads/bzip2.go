@@ -90,10 +90,10 @@ func (p *bzProg) Setup(ctx *core.SeqCtx) {
 		return
 	}
 	img := ctx.Image()
-	img.StoreBytes(p.input, cachedInput(p.src))
+	img.MapPages(p.input, inputFrames(p.src))
 	for i := range p.errIter {
-		// Triggers the speculated-not-taken error path: written into the
-		// image, never into the cached input.
+		// Triggers the speculated-not-taken error path: the store copies
+		// the block's first page, so the cached frame stays clean.
 		img.StoreBytes(p.blockAddr(i), []byte{0xFE})
 	}
 	ctx.Store(p.outCur, 0)

@@ -84,7 +84,7 @@ func (p *gzProg) Setup(ctx *core.SeqCtx) {
 	if ctx.Shadow() {
 		return
 	}
-	ctx.Image().StoreBytes(p.input, cachedInput(p.src))
+	ctx.Image().MapPages(p.input, inputFrames(p.src))
 	ctx.Store(p.cursor, 0)
 	ctx.Store(p.outCur, 0)
 }
@@ -95,6 +95,12 @@ func (p *gzProg) Setup(ctx *core.SeqCtx) {
 // buffer to exactly one goroutine, and lzCompressInto overwrites from
 // offset zero before any read.
 var lzScratch sync.Pool
+
+// gzBlockBufs recycles the buffer tlsStage and SeqIter read a block into:
+// compress is done with it when it returns, so the calling rank borrows one
+// for the call. Stage 0 keeps LoadBytes, since its block goes down the
+// queue.
+var gzBlockBufs = sync.Pool{New: func() any { return new([gzBlockBytes]byte) }}
 
 // compress does the block's real work — LZ77 then canonical Huffman, the
 // two halves of deflate; costs derive from the operations each half
@@ -151,8 +157,10 @@ func (p *gzProg) tlsStage(ctx *core.Ctx, iter uint64) bool {
 		v := ctx.SyncRecvVec(2)
 		cur, out = v[0], v[1]
 	}
-	block := ctx.LoadBytes(p.input+uva.Addr(cur), gzBlockBytes)
-	comp, instr := p.compress(block)
+	block := gzBlockBufs.Get().(*[gzBlockBytes]byte)
+	ctx.LoadBytesInto(block[:], p.input+uva.Addr(cur))
+	comp, instr := p.compress(block[:])
+	gzBlockBufs.Put(block)
 	ctx.Compute(instr)
 	// Only now is the next block's start (and output position) known.
 	ctx.WriteCommit(p.cursor, cur+gzBlockBytes)
@@ -166,9 +174,11 @@ func (p *gzProg) tlsStage(ctx *core.Ctx, iter uint64) bool {
 
 func (p *gzProg) SeqIter(ctx *core.SeqCtx, iter uint64) {
 	cur := ctx.Load(p.cursor)
-	block := ctx.LoadBytes(p.input+uva.Addr(cur), gzBlockBytes)
+	block := gzBlockBufs.Get().(*[gzBlockBytes]byte)
+	ctx.LoadBytesInto(block[:], p.input+uva.Addr(cur))
 	ctx.Store(p.cursor, cur+gzBlockBytes)
-	comp, instr := p.compress(block)
+	comp, instr := p.compress(block[:])
+	gzBlockBufs.Put(block)
 	ctx.Compute(instr)
 	out := ctx.Load(p.outCur)
 	ctx.StoreBytes(p.output+uva.Addr(out), comp)

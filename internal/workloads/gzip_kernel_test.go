@@ -6,6 +6,9 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"testing"
+
+	"dsmtx/internal/mem"
+	"dsmtx/internal/uva"
 )
 
 // gzKernelBlocks returns n consecutive 164.gzip input blocks for seed.
@@ -128,8 +131,14 @@ func TestLZTokenBoundHoldsWorstCase(t *testing.T) {
 	}
 }
 
-// gzInput returns the n-byte 164.gzip input for seed, through inputCache.
-func gzInput(seed uint64, n int64) []byte { return cachedInput(inputKey{gzGen, seed, n}) }
+// gzInput returns the n-byte 164.gzip input for seed, read back from its
+// inputCache frames mapped into a fresh image.
+func gzInput(seed uint64, n int64) []byte {
+	img := mem.NewImage(nil)
+	base := uva.Base(0)
+	img.MapPages(base, inputFrames(inputKey{gzGen, seed, n}))
+	return img.LoadBytes(base, int(n))
+}
 
 // bytes returns a fresh buffer of n bytes from fill.
 func (r *rng) bytes(n int) []byte {
@@ -181,14 +190,14 @@ func TestRNGBytesPinned(t *testing.T) {
 	}
 }
 
-// BenchmarkGzInput times the generation of one scale-1 164.gzip input per
-// op, past inputCache: what a net-loopback job pays on the commit daemon
-// for a seed its fleet has not seen.
+// BenchmarkGzInput times the generation of one scale-1 164.gzip input into
+// page frames per op, past inputCache: what a net-loopback job pays on the
+// commit daemon for a seed its fleet has not seen.
 func BenchmarkGzInput(b *testing.B) {
 	const total = gzBlocks * gzBlockBytes
 	b.SetBytes(total)
 	for i := uint64(0); b.Loop(); i++ {
-		gzGenerate(i, total)
+		inputKey{gzGen, i, total}.generate()
 	}
 }
 

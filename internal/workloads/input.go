@@ -1,6 +1,14 @@
 package workloads
 
-import "sync"
+import (
+	"encoding/binary"
+	"math/bits"
+	"sync"
+	"unsafe"
+
+	"dsmtx/internal/mem"
+	"dsmtx/internal/uva"
+)
 
 // inputGen names the generator of a workload's input file.
 type inputGen uint8
@@ -12,59 +20,69 @@ const (
 )
 
 // inputKey identifies a generated input: its generator, seed and length.
-// The misspeculation rate is not part of it, so cached bytes never carry a
-// corrupt-file marker: a Setup writes its markers into the image after
-// copying the input in.
+// The misspeculation rate is not part of it, so cached frames never carry a
+// corrupt-file marker: a Setup stores its markers into the image after
+// mapping the input in, and each marker's store copies its page.
 type inputKey struct {
 	gen  inputGen
 	seed uint64
 	n    int64
 }
 
-// generate builds the input k names.
-func (k inputKey) generate() []byte {
+// generate builds the input k names as page frames, zero past n. Each
+// generator fills its input in pieces (rng.fill back-references only within
+// a call, so the pieces are part of the input's definition, and
+// TestRNGBytesPinned pins the bytes): 164.gzip one rng stream in 64 KiB
+// chunks, crc32 and 256.bzip2 one file of size bytes at a time, file i from
+// its own rng seeded mix(seed, i*stride). rng.fill writes each piece
+// straight into the frames, through a byte view of their one backing array.
+func (k inputKey) generate() []*mem.Page {
+	size, stride := int64(1<<16), uint64(0) // gzGen: one stream
 	switch k.gen {
 	case crcGen:
-		return filesGenerate(k.seed, k.n, crcFileBytes, 1)
+		size, stride = crcFileBytes, 1
 	case bzGen:
-		return filesGenerate(k.seed, k.n, bzBlockBytes, 31)
+		size, stride = bzBlockBytes, 31
 	}
-	return gzGenerate(k.seed, k.n)
+	pages := make([]mem.Page, (k.n+uva.PageSize-1)/uva.PageSize)
+	frames := make([]*mem.Page, len(pages))
+	for i := range pages {
+		frames[i] = &pages[i]
+	}
+	view := unsafe.Slice((*byte)(unsafe.Pointer(&pages[0])), k.n)
+	r := newRNG(k.seed)
+	for i, off := uint64(0), int64(0); off < k.n; i, off = i+1, off+size {
+		if stride != 0 {
+			r = newRNG(mix(k.seed, i*stride))
+		}
+		r.fill(view[off:min(off+size, k.n)])
+	}
+	if !littleEndian {
+		// mem keeps byte j of a page in word j>>3 at bit (j&7)*8.
+		for i := range pages {
+			for j, w := range pages[i].Words {
+				pages[i].Words[j] = bits.ReverseBytes64(w)
+			}
+		}
+	}
+	return frames
 }
 
-// gzGenerate generates a 164.gzip input file, one rng stream filled in
-// 64 KiB chunks. rng.fill back-references only within a chunk, so that
-// chunking is part of the input's definition (TestRNGBytesPinned pins the
-// bytes).
-func gzGenerate(seed uint64, n int64) []byte {
-	r := newRNG(seed)
-	data := make([]byte, n)
-	const chunk = 1 << 16
-	for off := int64(0); off < n; off += chunk {
-		r.fill(data[off:min(off+chunk, n)])
-	}
-	return data
-}
+// littleEndian reports whether a word's memory holds its low byte first,
+// as mem's page layout does.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
-// filesGenerate generates n bytes as files of size bytes, file i from its
-// own rng seeded mix(seed, i*stride).
-func filesGenerate(seed uint64, n int64, size, stride uint64) []byte {
-	data := make([]byte, n)
-	for i := uint64(0); i*size < uint64(n); i++ {
-		newRNG(mix(seed, i*stride)).fill(data[i*size : min((i+1)*size, uint64(n))])
-	}
-	return data
-}
-
-// inputCache memoizes generated inputs: benchmark sweeps re-run Setup for
-// every (workers, rate) point over the same input, a verify job's
-// sequential reference and parallel run read the same one, and pushing
-// megabytes through the rng dominates Setup's host cost. Host-parallel
-// sweeps and a serving engine hit it from many goroutines at once: stored
-// slices are never mutated after insertion. It holds at most inputBudget
-// bytes, oldest entry out first, and a caching engine drops a job's input
-// once the job's result is cached (DropInput), so a long-lived server fed
-// fresh seeds keeps no input it will not read again.
+// inputCache memoizes generated inputs as page frames that every Setup
+// reading the input maps copy-on-write (mem.Space.MapPages): benchmark
+// sweeps re-run Setup for every (workers, rate) point over the same input,
+// a verify job's sequential reference and parallel run read the same one,
+// and pushing megabytes through the rng dominates Setup's host cost. Host-
+// parallel sweeps and a serving engine hit it from many goroutines at
+// once: stored frames are never mutated after insertion, and an image
+// copies a frame before its first store to it. It holds at most
+// inputBudget bytes, oldest entry out first, and a caching engine drops a
+// job's input once the job's result is cached (DropInput), so a long-lived
+// server fed fresh seeds keeps no input it will not read again.
 var inputCache struct {
 	sync.Mutex
 	entries []inputEntry // oldest first
@@ -77,8 +95,8 @@ var inputCache struct {
 const inputBudget = 256 << 20
 
 type inputEntry struct {
-	key  inputKey
-	data []byte
+	key    inputKey
+	frames []*mem.Page
 }
 
 // lookupInput finds a memoized input. The caller holds the lock.
@@ -92,7 +110,7 @@ func lookupInput(k inputKey) (int, bool) {
 }
 
 // removeInput deletes entry i, clearing the vacated slot so the backing
-// array does not keep its bytes alive. The caller holds the lock.
+// array does not keep its frames alive. The caller holds the lock.
 func removeInput(i int) {
 	c := &inputCache
 	c.bytes -= c.entries[i].key.n
@@ -102,32 +120,32 @@ func removeInput(i int) {
 	c.entries = c.entries[:last]
 }
 
-// cachedInput returns the input k names, from inputCache when it holds
-// one. The caller must not modify it.
-func cachedInput(k inputKey) []byte {
+// inputFrames returns the frames of the input k names, from inputCache
+// when it holds them. The caller must not modify them.
+func inputFrames(k inputKey) []*mem.Page {
 	c := &inputCache
 	c.Lock()
 	if i, ok := lookupInput(k); ok {
-		data := c.entries[i].data
+		frames := c.entries[i].frames
 		c.Unlock()
-		return data
+		return frames
 	}
 	c.Unlock()
-	data := k.generate()
+	frames := k.generate()
 	if k.n > inputBudget {
-		return data
+		return frames
 	}
 	c.Lock()
 	defer c.Unlock()
 	if i, ok := lookupInput(k); ok {
-		return c.entries[i].data // lost a generation race; both buffers are byte-identical
+		return c.entries[i].frames // lost a generation race; both sets are byte-identical
 	}
-	c.entries = append(c.entries, inputEntry{k, data})
+	c.entries = append(c.entries, inputEntry{k, frames})
 	c.bytes += k.n
 	for c.bytes > inputBudget {
 		removeInput(0)
 	}
-	return data
+	return frames
 }
 
 // inputKeyOf is the key of the input benchmark name generates at in; ok is
@@ -143,8 +161,8 @@ func inputKeyOf(name string, in Input) (k inputKey, ok bool) {
 // DropInput forgets the generated input benchmark name reads at in. An
 // engine with a result cache calls it once a job's result is cached and no
 // other queued or running job reads the same input: every repeat of the
-// job is then a cache hit. A Setup already holding the slice keeps reading
-// it; the next one generates the same bytes again.
+// job is then a cache hit. An image already mapping the frames keeps
+// reading them; the next Setup generates the same bytes again.
 func DropInput(name string, in Input) {
 	k, ok := inputKeyOf(name, in)
 	if !ok {

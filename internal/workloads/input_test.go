@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"dsmtx/internal/core"
+	"dsmtx/internal/mem"
 	"dsmtx/internal/uva"
 )
 
@@ -32,18 +33,42 @@ func setupDigest(b *Benchmark, in Input) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	return regionDigest(prog, img), nil
+}
+
+// hostSetupDigest runs b at in on host over shards commit shards, so Setup
+// maps the input through the federated shard view, and returns the SHA-256
+// of the input region the merged commit image holds afterwards: no
+// iteration stores to the input, so it is the region Setup built.
+func hostSetupDigest(b *Benchmark, in Input, shards int) (string, error) {
+	c := NewChain(b, in)
+	var res Result
+	err := c.Step(&res, DSMTX, 8, func(cfg *core.Config) {
+		cfg.Backend = core.BackendHost
+		cfg.CommitShards = shards
+	})
+	if err != nil {
+		return "", err
+	}
+	return regionDigest(c.last, c.img), nil
+}
+
+// regionDigest is the SHA-256 of prog's input region in img.
+func regionDigest(prog Program, img *mem.Image) string {
 	addr, n := inputRegion(prog)
 	sum := sha256.Sum256(img.LoadBytes(addr, n))
-	return hex.EncodeToString(sum[:]), nil
+	return hex.EncodeToString(sum[:])
 }
 
 // TestGeneratedInputsPinned pins the input region each generating Setup
 // builds, at two seeds and at rates 0 and 0.05 (crc32 and 256.bzip2 write
-// their corrupt-file markers at 0.05; gzip has none). Recorded from the
-// Setups that generated every file into a reused buffer, before inputs
-// were cached whole. Each seed's rate-0.05 Setup runs first on an emptied
-// cache, so the rate-0 Setup after it reads the cached bytes the marked
-// one stored: its pin proves no marker reached the cache.
+// their corrupt-file markers at 0.05; gzip has none), in the sequential
+// reference's image and in the commit image of a host run at 2 and 4
+// commit shards, where Setup maps the frames through the federated view.
+// Recorded from the Setups that generated every file into a reused buffer,
+// before inputs were cached. Each seed's rate-0.05 Setups run first on an
+// emptied cache, so the rate-0 Setups after them map the frames the marked
+// ones mapped: their pin proves no marker reached a cached frame.
 func TestGeneratedInputsPinned(t *testing.T) {
 	pins := []struct {
 		b             *Benchmark
@@ -57,26 +82,44 @@ func TestGeneratedInputsPinned(t *testing.T) {
 		{Bzip2(), 42, "34f779b653fff6cd2b09e9f9601196fdef788f4ffe9280600a5a0f06fd9020cc", "b30825722248d7e0b14aed44c95d2af30ecb7c9648e5e4599faf9f136211c783"},
 		{Bzip2(), 7, "edae3b556e4a311d25a9fdf4bea0b2909d3a8cc3b6a743bd44f79c90eb8b6314", "0f19ac96e9bd4b8455841593bda6862bfa0a480ef49d138d24a79f2f3bdec29d"},
 	}
+	shardCounts := []int{0, 2, 4} // 0: the sequential reference
+	if testing.Short() {
+		// The -race row: Setup maps on one goroutine on every backend, and
+		// 24 host runs cost ≈ 18 s under the race detector.
+		shardCounts = shardCounts[:1]
+	}
 	for _, p := range pins {
 		DropInput(p.b.Name, Input{Scale: 1, Seed: p.seed})
 		for _, row := range []struct {
 			rate float64
 			want string
 		}{{0.05, p.marked}, {0, p.clean}} {
-			got, err := setupDigest(p.b, Input{Scale: 1, Seed: p.seed, MisspecRate: row.rate})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != row.want {
-				t.Errorf("%s seed %d rate %g: input %s, pinned %s", p.b.Name, p.seed, row.rate, got, row.want)
+			in := Input{Scale: 1, Seed: p.seed, MisspecRate: row.rate}
+			for _, shards := range shardCounts {
+				var got string
+				var err error
+				if shards == 0 {
+					got, err = setupDigest(p.b, in)
+				} else {
+					got, err = hostSetupDigest(p.b, in, shards)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != row.want {
+					t.Errorf("%s seed %d rate %g shards %d: input %s, pinned %s", p.b.Name, p.seed, row.rate, shards, got, row.want)
+				}
 			}
 		}
 	}
 }
 
 // TestInputDropRace runs Setups for overlapping seeds on several goroutines
-// while others drop those seeds' inputs: a Setup holding a dropped slice,
-// and one regenerating it, must both build the image a lone Setup built.
+// while others drop those seeds' inputs: a Setup mapping dropped frames,
+// and one regenerating them, must both build the image a lone Setup built.
+// Each seed runs at rate 0.05 and at rate 0, so Setups that store corrupt-
+// file markers (crc32, 256.bzip2) map the same frames as Setups that do
+// not, concurrently: a marker reaching a shared frame fails a clean digest.
 func TestInputDropRace(t *testing.T) {
 	type job struct {
 		b    *Benchmark
@@ -86,15 +129,17 @@ func TestInputDropRace(t *testing.T) {
 	var jobs []job
 	for _, b := range []*Benchmark{Gzip(), CRC32(), Bzip2()} {
 		for _, seed := range []uint64{3, 4} {
-			in := Input{Scale: 1, Seed: seed, MisspecRate: 0.05}
-			want, err := setupDigest(b, in)
-			if err != nil {
-				t.Fatal(err)
+			for _, rate := range []float64{0.05, 0} {
+				in := Input{Scale: 1, Seed: seed, MisspecRate: rate}
+				want, err := setupDigest(b, in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				jobs = append(jobs, job{b, in, want})
 			}
-			jobs = append(jobs, job{b, in, want})
 		}
 	}
-	const setters, rounds = 3, 2
+	const setters, rounds = 3, 1
 	var setups, droppers sync.WaitGroup
 	done := make(chan struct{})
 	errs := make(chan error, setters*rounds*len(jobs))
@@ -106,7 +151,7 @@ func TestInputDropRace(t *testing.T) {
 				j := jobs[(g+r)%len(jobs)]
 				got, err := setupDigest(j.b, j.in)
 				if err == nil && got != j.want {
-					err = fmt.Errorf("%s seed %d: input %s, want %s", j.b.Name, j.in.Seed, got, j.want)
+					err = fmt.Errorf("%s seed %d rate %g: input %s, want %s", j.b.Name, j.in.Seed, j.in.MisspecRate, got, j.want)
 				}
 				if err != nil {
 					errs <- err

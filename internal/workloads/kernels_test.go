@@ -274,33 +274,39 @@ func TestGzipCompressionRatioSane(t *testing.T) {
 }
 
 // TestGzInputMemoBounded: the input memo retains at most its budget, a hit
-// is the stored buffer, and an evicted input regenerates byte-identically.
+// is the stored frames, and an evicted input regenerates byte-identically.
 func TestGzInputMemoBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates 3 x 128 MiB")
 	}
 	const half = inputBudget/2 + 1 // two of these do not fit together
-	first := gzInput(901, half)
-	if hit := gzInput(901, half); &hit[0] != &first[0] {
+	key := inputKey{gzGen, 901, half}
+	first := inputFrames(key)
+	if hit := inputFrames(key); hit[0] != first[0] {
 		t.Fatal("second request for a memoized input generated it again")
 	}
-	gzInput(902, half)
+	inputFrames(inputKey{gzGen, 902, half})
 	inputCache.Lock()
 	var held int64
 	for _, e := range inputCache.entries {
-		held += int64(len(e.data))
+		held += e.key.n
 	}
 	accounted := inputCache.bytes
 	inputCache.Unlock()
 	if held > inputBudget || held != accounted {
 		t.Fatalf("memo holds %d bytes (accounted %d), budget %d", held, accounted, inputBudget)
 	}
-	again := gzInput(901, half)
-	if &again[0] == &first[0] {
+	again := inputFrames(key)
+	if again[0] == first[0] {
 		t.Fatal("oldest input still memoized after the budget was exceeded")
 	}
-	if !bytes.Equal(again, first) {
-		t.Fatal("regenerated input differs from its first generation")
+	if len(again) != len(first) {
+		t.Fatalf("regenerated %d frames, first generation had %d", len(again), len(first))
+	}
+	for i := range again {
+		if *again[i] != *first[i] {
+			t.Fatalf("regenerated frame %d differs from its first generation", i)
+		}
 	}
 }
 
@@ -334,8 +340,7 @@ func TestCRCCorruptHeaderPath(t *testing.T) {
 		iter = k
 		break
 	}
-	data := img.LoadBytes(p.fileAddr(iter), crcFileBytes)
-	if _, ok := p.checkFile(data); ok {
+	if _, ok := p.checkFile(img.LoadBytesInto, iter); ok {
 		t.Fatal("corrupt file passed the check")
 	}
 }

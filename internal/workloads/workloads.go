@@ -70,8 +70,8 @@ type Benchmark struct {
 	// inv of [0, Invocations).
 	NewDSMTX func(in Input, inv int) Program
 	NewTLS   func(in Input, inv int) Program
-	// input names the generated input file Setup copies from inputCache
-	// at in; nil when Setup generates none.
+	// input names the generated input file Setup maps from inputCache at
+	// in; nil when Setup generates none.
 	input func(in Input) inputKey
 }
 
