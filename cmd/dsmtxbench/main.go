@@ -311,7 +311,7 @@ func fig6Cores(cores []int) []int {
 // the cells in row-major order.
 func grid[T any](names []string, cores []int, cell func(b *workloads.Benchmark, cores int) (T, error)) ([]T, error) {
 	n := len(names) * len(cores)
-	return expsched.Map(n, n, func(i int) (T, error) {
+	return expsched.Map(n, func(i int) (T, error) {
 		b, err := workloads.ByName(names[i/len(cores)])
 		if err != nil {
 			var zero T
@@ -338,7 +338,7 @@ func manycore(r *harness.Runner, in workloads.Input, bench string) (string, erro
 
 func figure4(r *harness.Runner, in workloads.Input, cores []int, bench string) (string, error) {
 	bs := selected(bench)
-	series, err := expsched.Map(len(bs), len(bs), func(i int) (harness.Fig4Series, error) {
+	series, err := expsched.Map(len(bs), func(i int) (harness.Fig4Series, error) {
 		return r.RunFigure4(bs[i], in, cores)
 	})
 	if err != nil {
@@ -358,7 +358,7 @@ func figure4(r *harness.Runner, in workloads.Input, cores []int, bench string) (
 
 func figure5a(r *harness.Runner, in workloads.Input, bench string) (string, error) {
 	bs := selected(bench)
-	rows, err := expsched.Map(len(bs), len(bs), func(i int) (harness.Fig5aRow, error) {
+	rows, err := expsched.Map(len(bs), func(i int) (harness.Fig5aRow, error) {
 		return r.RunFigure5a(bs[i], in)
 	})
 	return harness.RenderFigure5a(rows), err
@@ -366,7 +366,7 @@ func figure5a(r *harness.Runner, in workloads.Input, bench string) (string, erro
 
 func figure5b(r *harness.Runner, in workloads.Input, bench string) (string, error) {
 	bs := selected(bench)
-	rows, err := expsched.Map(len(bs), len(bs), func(i int) (harness.Fig5bRow, error) {
+	rows, err := expsched.Map(len(bs), func(i int) (harness.Fig5bRow, error) {
 		return r.RunFigure5b(bs[i], in, 128)
 	})
 	return harness.RenderFigure5b(rows), err

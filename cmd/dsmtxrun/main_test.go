@@ -211,7 +211,7 @@ func TestRunHostBackendTraced(t *testing.T) {
 	if !strings.Contains(out, "VERIFIED") {
 		t.Errorf("traced host run did not verify:\n%s", out)
 	}
-	for _, col := range []string{"park", "spill", "shard-q"} {
+	for _, col := range []string{"park", "shard-q"} {
 		if !strings.Contains(out, col) {
 			t.Errorf("stall tables missing host column %q:\n%s", col, out)
 		}

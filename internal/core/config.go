@@ -146,8 +146,8 @@ type Config struct {
 	// fast path. On vtime the tracer reads the virtual clock and never
 	// alters outcomes; on host it binds to the monotonic wall clock,
 	// buffers spans in fixed per-rank lock-free rings, and additionally
-	// instruments the delivery layer (ring depth, CAS retries, spills,
-	// spin/park, page-service latency).
+	// instruments the delivery layer (mailbox depth, spin/park,
+	// page-service latency).
 	Tracer *trace.Tracer
 
 	// Horizon aborts the simulation if virtual time exceeds it (a safety

@@ -441,7 +441,7 @@ func pageSrvName(k int) string {
 // host's monotonic wall clock with per-rank span buffers), labels one track
 // per rank (plus one synthetic track per page server), and resolves
 // queue metric handles. On host it also hands the tracer to the platform so
-// the delivery layer (rings, parking, spills) self-instruments. A nil
+// the delivery layer (mailboxes, parking) self-instruments. A nil
 // tracer leaves everything on the uninstrumented path.
 func (s *System) bindTracer() {
 	s.tr = s.cfg.Tracer
@@ -852,14 +852,14 @@ func (s *System) buildStallReport() {
 			ShardQueue: ps.depthHW,
 		})
 	}
-	// Live runs add the delivery columns: wall time parked and overflow
-	// spills, read from each rank's endpoint (so the commit row also covers
-	// its co-located page server, which shares the rank's mailboxes). Their
+	// Live runs add the delivery column: wall time parked, read from each
+	// rank's endpoint (so the commit row also covers its co-located page
+	// server, which shares the rank's mailboxes). Their
 	// processes charge no time (Proc.Advanced and Blocked are zero), so Busy
 	// is what a rank's stall columns leave of its lifetime — untimed blocking
 	// receives (COA replies) included; a page server only ever blocks.
 	if hp, ok := s.plat.(interface {
-		RankDelivery(int) (int64, uint64, uint64)
+		RankDelivery(int) int64
 	}); ok {
 		s.stalls.Host = true
 		for i := range s.stalls.Rows {
@@ -868,9 +868,7 @@ func (s *System) buildStallReport() {
 				continue
 			}
 			row.Busy = s.life[row.Track] - (row.Total() - row.Busy)
-			parkNs, _, spills := hp.RankDelivery(row.Track)
-			row.Park = sim.Time(parkNs)
-			row.Spills = spills
+			row.Park = sim.Time(hp.RankDelivery(row.Track))
 		}
 	}
 }

@@ -29,8 +29,7 @@ var ErrDraining = fmt.Errorf("engine: draining: not accepting new jobs")
 
 // Config sizes an Engine.
 type Config struct {
-	// MaxConcurrent bounds jobs running at once; <= 0 is unlimited (the
-	// harness's own worker pool already bounds its submissions).
+	// MaxConcurrent bounds jobs running at once; <= 0 is unlimited.
 	MaxConcurrent int
 	// QueueDepth bounds jobs waiting for a slot beyond the running ones;
 	// <= 0 defaults to 64. Ignored when MaxConcurrent and CoreBudget are

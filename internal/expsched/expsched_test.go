@@ -6,95 +6,79 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
-// TestMapOrderAndConcurrency: results come back in index order regardless
-// of worker count, and the pool really runs concurrently but never above
-// its bound.
+// TestMapOrderAndConcurrency: results come back in index order, and every
+// index runs at once — each call waits for all n to have started, which a
+// bounded pool or a sequential loop would never satisfy.
 func TestMapOrderAndConcurrency(t *testing.T) {
-	for _, workers := range []int{0, 1, 3, 8, 100} {
-		var inFlight, peak atomic.Int64
-		out, err := Map(workers, 40, func(i int) (int, error) {
-			cur := inFlight.Add(1)
-			defer inFlight.Add(-1)
-			for {
-				p := peak.Load()
-				if cur <= p || peak.CompareAndSwap(p, cur) {
-					break
-				}
-			}
-			return i * i, nil
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+	const n = 40
+	var started sync.WaitGroup
+	started.Add(n)
+	allStarted := make(chan struct{})
+	go func() { started.Wait(); close(allStarted) }()
+	out, err := Map(n, func(i int) (int, error) {
+		started.Done()
+		select {
+		case <-allStarted:
+		case <-time.After(10 * time.Second):
+			return 0, fmt.Errorf("index %d: not every index started", i)
 		}
-		for i, v := range out {
-			if v != i*i {
-				t.Fatalf("workers=%d: out[%d] = %d", workers, i, v)
-			}
-		}
-		bound := int64(workers)
-		if workers <= 1 {
-			bound = 1
-		}
-		if workers > 40 {
-			bound = 40
-		}
-		if peak.Load() > bound {
-			t.Errorf("workers=%d: peak concurrency %d exceeds bound %d", workers, peak.Load(), bound)
+		return i * i, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range out {
+		if v != i*i {
+			t.Fatalf("out[%d] = %d", i, v)
 		}
 	}
 }
 
-// TestMapError: a failing index surfaces as an error and no partial
-// results leak; in sequential mode later indices never run.
+// TestMapError: every index runs even when some fail, the lowest-index
+// error is the one returned, and no partial results leak.
 func TestMapError(t *testing.T) {
 	var ran atomic.Int64
-	_, err := Map(1, 10, func(i int) (int, error) {
+	out, err := Map(10, func(i int) (int, error) {
 		ran.Add(1)
-		if i == 3 {
+		if i == 3 || i == 7 {
 			return 0, fmt.Errorf("boom at %d", i)
 		}
 		return i, nil
 	})
-	if err == nil || !strings.Contains(err.Error(), "boom at 3") {
-		t.Fatalf("err = %v", err)
+	if err == nil || err.Error() != "boom at 3" {
+		t.Fatalf("err = %v, want boom at 3", err)
 	}
-	if ran.Load() != 4 {
-		t.Fatalf("sequential mode ran %d calls, want 4 (stop at first error)", ran.Load())
+	if out != nil {
+		t.Fatalf("partial results leaked: %v", out)
 	}
-	_, err = Map(4, 10, func(i int) (int, error) {
-		if i == 3 {
-			return 0, fmt.Errorf("boom at %d", i)
-		}
-		return i, nil
-	})
-	if err == nil || !strings.Contains(err.Error(), "boom at") {
-		t.Fatalf("parallel err = %v", err)
+	if ran.Load() != 10 {
+		t.Fatalf("ran %d calls, want 10", ran.Load())
 	}
 }
 
-// TestMapPanic: a panicking point reports as an error, with the panic
-// value and a stack, instead of killing the process.
+// TestMapPanic: a panicking point reports as its index's error, with the
+// panic value and a stack, instead of killing the process.
 func TestMapPanic(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		_, err := Map(workers, 5, func(i int) (int, error) {
-			if i == 2 {
-				panic("kernel deadlock")
-			}
-			return i, nil
-		})
-		if err == nil || !strings.Contains(err.Error(), "kernel deadlock") {
-			t.Fatalf("workers=%d: err = %v", workers, err)
+	_, err := Map(5, func(i int) (int, error) {
+		if i == 2 {
+			panic("kernel deadlock")
 		}
+		return i, nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "point 2 panicked: kernel deadlock") {
+		t.Fatalf("err = %v", err)
 	}
 }
 
 // TestMapEmpty: zero points is a no-op, not a hang.
 func TestMapEmpty(t *testing.T) {
-	out, err := Map(8, 0, func(i int) (int, error) { return 0, nil })
+	out, err := Map(0, func(i int) (int, error) { return 0, nil })
 	if err != nil || len(out) != 0 {
 		t.Fatalf("out=%v err=%v", out, err)
 	}

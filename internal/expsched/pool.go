@@ -5,88 +5,44 @@
 // Every figure point of the evaluation (workload × cores × mode) is an
 // isolated, deterministic virtual-time simulation: points share nothing
 // and commit nothing, so host-side concurrency cannot change any
-// simulated outcome. The scheduler exploits that — it fans points over a
-// bounded worker pool and returns results in deterministic submission
-// order, so everything rendered from them is byte-identical to a
-// sequential run. The cache exploits the determinism a second time: a
-// point's result is a pure function of its configuration and the
-// simulator sources, so a content hash of the two addresses the result
-// forever.
+// simulated outcome. The scheduler exploits that — it starts every point
+// at once (the job engine's admission bounds how many simulate) and
+// returns results in deterministic submission order, so everything
+// rendered from them is byte-identical to a sequential run. The cache
+// exploits the determinism a second time: a point's result is a pure
+// function of its configuration and the simulator sources, so a content
+// hash of the two addresses the result forever.
 package expsched
 
 import (
 	"fmt"
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 )
 
-// Map runs fn for every index in [0, n) on at most workers concurrent
-// goroutines and returns the results in index order. With workers <= 1 it
-// degenerates to a plain sequential loop that stops at the first error.
-// In parallel mode every started call runs to completion, indices not
-// yet started when a failure lands are abandoned, and the lowest-index
-// error among the calls that ran is returned. A panic inside fn is
-// captured and surfaced as that index's error.
-func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
+// Map runs fn for every index in [0, n), each on its own goroutine, and
+// returns the results in index order once every call has returned. If any
+// call failed it returns the lowest-index error and no results. A panic
+// inside fn is captured and surfaced as that index's error.
+func Map[T any](n int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
-	if n == 0 {
-		return out, nil
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			v, err := call(fn, i)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		return out, nil
-	}
-	if workers > n {
-		workers = n
-	}
 	errs := make([]error, n)
-	var next atomic.Int64
-	var failed atomic.Bool
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for i := range n {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				// After a failure, drain the remaining indices without
-				// running them: their results would be discarded anyway.
-				if failed.Load() {
-					errs[i] = errSkipped
-					continue
-				}
-				v, err := call(fn, i)
-				if err != nil {
-					errs[i] = err
-					failed.Store(true)
-					continue
-				}
-				out[i] = v
-			}
+			out[i], errs[i] = call(fn, i)
 		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
-		if err != nil && err != errSkipped {
+		if err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
 }
-
-// errSkipped marks indices abandoned after another index failed; it is
-// never returned to the caller (a real error always precedes it).
-var errSkipped = fmt.Errorf("expsched: skipped after earlier failure")
 
 // call invokes fn, converting a panic into an error so one bad point
 // reports like any other failure instead of killing sibling workers

@@ -96,7 +96,7 @@ func (r *Runner) countLocked(source string) {
 // resolveAll resolves every spec concurrently and returns the results in
 // order.
 func (r *Runner) resolveAll(specs ...engine.JobSpec) ([]engine.Result, error) {
-	return expsched.Map(len(specs), len(specs), func(i int) (engine.Result, error) {
+	return expsched.Map(len(specs), func(i int) (engine.Result, error) {
 		res, err := r.resolve(specs[i])
 		if err != nil {
 			return res, fmt.Errorf("%s: %w", specs[i], err)

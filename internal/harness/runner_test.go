@@ -21,10 +21,10 @@ type figures struct {
 	Micro            MicroResult
 }
 
-// runFigures calls every figure method through r, r.Workers of them at
-// once, so on a parallel runner the figures that share a job (crc32's
-// sequential reference, Fig. 6's clean run at 16 cores, which is a Fig. 4
-// cell) ask for it concurrently.
+// runFigures calls every figure method through r: one at a time on a
+// sequential runner, all at once on a parallel one, so there the figures
+// that share a job (crc32's sequential reference, Fig. 6's clean run at 16
+// cores, which is a Fig. 4 cell) ask for it concurrently.
 func runFigures(t *testing.T, r *Runner, in workloads.Input) figures {
 	t.Helper()
 	crc, err := workloads.ByName("crc32")
@@ -45,7 +45,15 @@ func runFigures(t *testing.T, r *Runner, in workloads.Input) figures {
 		func() (err error) { f.Many, err = r.RunManycore(crc, in); return },
 		func() (err error) { f.Micro, err = r.RunMicroQueue(); return },
 	}
-	if _, err := expsched.Map(r.Workers, len(steps), func(i int) (struct{}, error) {
+	if r.Workers <= 1 {
+		for _, step := range steps {
+			if err := step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return f
+	}
+	if _, err := expsched.Map(len(steps), func(i int) (struct{}, error) {
 		return struct{}{}, steps[i]()
 	}); err != nil {
 		t.Fatal(err)

@@ -1,22 +1,21 @@
 // Package host executes the DSMTX runtime live on host threads: every
 // platform process is a real goroutine, the clock is the wall clock, and
-// messages move through lock-free ring mailboxes (see ring.go) with no
-// modelled latency, bandwidth, or instruction cost. The protocol above is
-// identical to the vtime backend — same speculation, forwarding, validation,
-// commit, and recovery paths — but interleaving is whatever the Go scheduler
-// produces, so only protocol outcomes (committed MTX counts, output
-// checksums) are reproducible, not timings.
+// messages move through one FIFO mailbox per (source, tag) (see
+// mailbox.go) with no modelled latency, bandwidth, or instruction cost. The
+// protocol above is identical to the vtime backend — same speculation,
+// forwarding, validation, commit, and recovery paths — but interleaving is
+// whatever the Go scheduler produces, so only protocol outcomes (committed
+// MTX counts, output checksums) are reproducible, not timings.
 //
 // Deliberately unmodelled here: NIC serialization and latency (sends
 // deliver immediately), per-instruction CPU charges (InstrTime is zero —
 // real instructions already cost real time), and the vtime-only subsystems
 // (fault injection, heartbeat timers), which core.Config.Validate rejects
 // for this backend. Observability is supported: SetTracer attaches the
-// wall-clock tracer, instrumenting the delivery layer itself — ring
-// enqueue/dequeue, CAS retries, overflow spills, spin-vs-park outcomes,
-// wake signals, park latency — with resolved atomic metric handles, so the
-// instrumented hot path stays lock- and allocation-free and the
-// tracer-nil path is one pointer check.
+// wall-clock tracer, instrumenting the delivery layer itself — mailbox
+// enqueue/dequeue and depth, spin-vs-park outcomes, wake signals, park
+// latency — with resolved atomic metric handles, so the instrumented hot
+// path stays allocation-free and the tracer-nil path is one pointer check.
 package host
 
 import (
@@ -61,19 +60,16 @@ type Platform struct {
 
 // telemetry holds the tracer and its resolved metric handles for the
 // delivery layer. Handles are atomic instruments resolved once here, so the
-// ring hot paths never touch the registry's name map.
+// mailbox hot paths never touch the registry's name map.
 type telemetry struct {
 	tr *trace.Tracer
 
-	cEnq     *trace.Counter   // host.ring.enqueue: messages placed in a ring slot
-	cDeq     *trace.Counter   // host.ring.dequeue: messages consumed (ring or overflow)
-	cCAS     *trace.Counter   // host.ring.cas.retry: producer claim retries under contention
-	cSpill   *trace.Counter   // host.ring.spill: messages spilled to an overflow list
-	cUnspill *trace.Counter   // host.ring.unspill: messages folded back from overflow
+	cEnq     *trace.Counter   // host.ring.enqueue: messages placed in a mailbox
+	cDeq     *trace.Counter   // host.ring.dequeue: messages consumed
 	cSpinHit *trace.Counter   // host.recv.spin: Recv/Idle waits satisfied within the spin budget
 	cPark    *trace.Counter   // host.recv.park: Recv/Idle waits that parked
 	cWake    *trace.Counter   // host.recv.wake: wake tokens sent to parked consumers
-	gDepth   *trace.Gauge     // host.ring.depth: ring occupancy at enqueue (max = high-water)
+	gDepth   *trace.Gauge     // host.ring.depth: producer-side backlog at enqueue (max = high-water)
 	hParkNs  *trace.Histogram // host.recv.park.ns: wall time per park
 }
 
@@ -89,9 +85,6 @@ func (h *Platform) SetTracer(tr *trace.Tracer) {
 		tr:       tr,
 		cEnq:     m.Counter("host.ring.enqueue"),
 		cDeq:     m.Counter("host.ring.dequeue"),
-		cCAS:     m.Counter("host.ring.cas.retry"),
-		cSpill:   m.Counter("host.ring.spill"),
-		cUnspill: m.Counter("host.ring.unspill"),
 		cSpinHit: m.Counter("host.recv.spin"),
 		cPark:    m.Counter("host.recv.park"),
 		cWake:    m.Counter("host.recv.wake"),
@@ -129,12 +122,10 @@ func (h *Platform) Inject(msg platform.Message) {
 func (h *Platform) Abort(err error) { h.fail(err) }
 
 // RankDelivery reports a rank's endpoint-level delivery accounting: wall
-// nanoseconds parked in Recv and Idle waits, the number of parks, and overflow
-// spills into the rank's mailboxes. All zero unless a tracer is attached.
-// Read after Run for the stall report's host columns.
-func (h *Platform) RankDelivery(rank int) (parkNs int64, parks, spills uint64) {
-	e := h.endpoint(rank)
-	return e.del.parkNs.Load(), e.del.parks.Load(), e.del.spills.Load()
+// nanoseconds parked in Recv and Idle waits, zero unless a tracer is
+// attached. Read after Run for the stall report's park column.
+func (h *Platform) RankDelivery(rank int) (parkNs int64) {
+	return h.endpoint(rank).parkNs.Load()
 }
 
 // New builds a host platform with the given number of rank endpoints.
@@ -306,7 +297,7 @@ type epStats struct {
 
 // endpoint is one rank's mailbox set. The RWMutex guards only the box map:
 // delivery takes the read lock (many senders in parallel) and enqueues into
-// the lock-free mailbox while still holding it, so an any-source migration
+// the mailbox while still holding it, so an any-source migration
 // (write lock) can never fold a box while a delivery into it is in flight —
 // the message is either in the box before the fold drains it, or routed
 // after the fold sees the new any-source box.
@@ -316,7 +307,9 @@ type endpoint struct {
 	mu    sync.RWMutex
 	boxes map[mbKey]*mailbox
 	stats epStats
-	del   epDelivery
+	// parkNs is wall time parked in Recv and Idle waits, counted only when
+	// a tracer is attached (see Platform.RankDelivery).
+	parkNs atomic.Int64
 
 	// Idle's eventcount: delivered counts messages enqueued into any box of
 	// this endpoint (bumped after the enqueue), seen is the count the single
@@ -324,14 +317,6 @@ type endpoint struct {
 	delivered atomic.Uint64
 	seen      uint64
 	idle      waiter
-}
-
-// epDelivery is one endpoint's receiver-side delivery accounting, updated
-// only when a tracer is attached (see Platform.RankDelivery).
-type epDelivery struct {
-	parkNs atomic.Int64
-	parks  atomic.Uint64
-	spills atomic.Uint64
 }
 
 // Rank reports this endpoint's rank.

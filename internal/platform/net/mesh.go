@@ -54,6 +54,10 @@ const ackEvery = 64
 // which backpressures workers against a slow link.
 const outDepth = 4096
 
+// closeLinger bounds how long a closing writer, its Goodbye sent, waits for
+// the peer to end the session before it closes the socket anyway.
+const closeLinger = 2 * time.Second
+
 // A frameLog's free list keeps at most freeMax buffers (two ack windows, the
 // replay log's steady-state length) and none that held a frame above
 // freeFrameMax — those are rare and not worth pinning.
@@ -231,7 +235,8 @@ func (m *Mesh) abort(err error) {
 }
 
 // Close says Goodbye on every connection, stops the listeners this mesh
-// serves, and waits for the writer goroutines. Call after the last
+// serves, and waits for the writer goroutines, each of which lingers until
+// its peer ends the session (at most closeLinger). Call after the last
 // invocation's result is collected — at that point the protocol guarantees
 // every message has been consumed.
 func (m *Mesh) Close() {
@@ -543,7 +548,7 @@ func (p *peer) attach(conn gonet.Conn, peerLast wire.Seq) {
 
 // readLoop demultiplexes one session's inbound frames: data frames are
 // admitted in serial order (duplicates from replay overlap dropped, gaps
-// fatal) and routed into the bound platform's mailbox rings; acks trim the
+// fatal) and routed into the bound platform's mailboxes; acks trim the
 // peer writer's replay log; Goodbye ends the session cleanly.
 func (p *peer) readLoop(s *session) {
 	defer s.kill()
@@ -776,8 +781,26 @@ func (p *peer) writeLoop() {
 			enc.FinishFrame(start)
 			bw.Write(enc.Bytes())
 			bw.Flush()
-			s.conn.Close()
+			linger(s)
 			return
 		}
 	}
+}
+
+// linger closes a session after this side's Goodbye without a reset. It
+// shuts only the write half, then lets the session's reader consume what
+// the peer still sends until the peer's Goodbye or EOF (or closeLinger),
+// and only then closes the socket. Closing with the peer's bytes unread
+// would make the kernel answer with a reset, and a peer that is mid-send
+// or mid-ack would lose frames it has not read yet, this side's last ones
+// and its Goodbye included.
+func linger(s *session) {
+	if cw, ok := s.conn.(interface{ CloseWrite() error }); ok {
+		cw.CloseWrite()
+	}
+	select {
+	case <-s.dead:
+	case <-time.After(closeLinger):
+	}
+	s.conn.Close()
 }

@@ -5,6 +5,7 @@ import (
 	gonet "net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -272,10 +273,7 @@ func TestFrameLogSteadyStateAllocFree(t *testing.T) {
 // at the wrong moment — it showed as a hung job under CPU load — so this
 // pins the contract, not the interleaving.) The peer is kept silent
 // meanwhile: the burst stays under an ack window and m0 has read all m1
-// sent, because closing on a peer that is mid-send is a different hazard:
-// Close shuts the socket right after its Goodbye, and if the peer is then
-// mid-ack the kernel answers with a reset that can discard frames the peer
-// has not read yet.
+// sent. TestCloseWhilePeerSends covers closing on a peer that is mid-send.
 func TestCloseSendsQueuedFrames(t *testing.T) {
 	const n = ackEvery - 1
 	m0, m1 := twoMeshes(t)
@@ -306,6 +304,59 @@ func TestCloseSendsQueuedFrames(t *testing.T) {
 	}
 	m0.Close()
 	watchdog := time.AfterFunc(10*time.Second, func() { p1.Abort(fmt.Errorf("queued frames never arrived")) })
+	defer watchdog.Stop()
+	if err := p1.Run(0); err != nil {
+		t.Fatalf("%v (%d of %d frames admitted)", err, m1.Stats().FramesIn-ackEvery, n)
+	}
+}
+
+// TestCloseWhilePeerSends closes a mesh while its peer streams to it: m1
+// sends to m0 without pause while m0 sends n frames (four ack windows) and
+// closes. m1 must receive all n. A Close that shut the socket
+// right after its Goodbye, with m1's stream unread in it, made the kernel
+// answer with a reset that can discard frames m1 has not read yet; Close
+// now shuts only the write half and reads on until m1 ends the session.
+// The reset needs the stream and the close to overlap, so a run without
+// the fix can pass by timing.
+func TestCloseWhilePeerSends(t *testing.T) {
+	const n = 4 * ackEvery
+	m0, m1 := twoMeshes(t)
+	stream(t, m0, m1, 0, ackEvery) // the session is up and adopted
+	p0, err := m0.Platform(1, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p1, err := m1.Platform(1, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The stream stops once m0 has closed, or after a bounded count: frames
+	// sent after m0's Goodbye pile up in m1's replay log.
+	var stop atomic.Bool
+	streamed := make(chan struct{})
+	go func() {
+		defer close(streamed)
+		for i := 0; i < 1<<18 && !stop.Load(); i++ {
+			p1.Endpoint(1).Send(0, 7, nil, 8)
+		}
+	}()
+	for deadline := time.Now().Add(10 * time.Second); m0.Stats().FramesIn < 4*ackEvery; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("m1's stream never reached m0: %+v", m0.Stats())
+		}
+	}
+	p1.Spawn("sink", func(pr platform.Proc) {
+		for i := 0; i < n; i++ {
+			p1.Endpoint(1).Recv(pr, 0, 5)
+		}
+	})
+	for i := 0; i < n; i++ {
+		p0.Endpoint(0).Send(1, 5, nil, 8)
+	}
+	m0.Close()
+	stop.Store(true)
+	<-streamed
+	watchdog := time.AfterFunc(10*time.Second, func() { p1.Abort(fmt.Errorf("frames sent before Close never arrived")) })
 	defer watchdog.Stop()
 	if err := p1.Run(0); err != nil {
 		t.Fatalf("%v (%d of %d frames admitted)", err, m1.Stats().FramesIn-ackEvery, n)

@@ -9,8 +9,8 @@ import (
 
 // Platform is one invocation's execution platform on the mesh: a fresh
 // host platform carrying this daemon's local ranks, with the remote hook
-// diverting cross-daemon sends onto the wire. Everything else — mailbox
-// rings, spill accounting, wall-clock tracing, /metrics — is the host
+// diverting cross-daemon sends onto the wire. Everything else — mailboxes,
+// park accounting, wall-clock tracing, /metrics — is the host
 // delivery layer, reused unchanged behind the sockets.
 type Platform struct {
 	*host.Platform

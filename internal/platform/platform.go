@@ -168,8 +168,8 @@ type Mailbox interface {
 	// TryRecvBatch appends every immediately available message to into and
 	// returns the extended slice, never blocking. Batch consumers (queue
 	// drains) use it to take a whole backlog in one call: on host this
-	// empties the lock-free ring without per-message synchronization; on
-	// vtime it is a TryRecv loop.
+	// takes the mailbox lock once for the whole backlog; on vtime it is a
+	// TryRecv loop.
 	TryRecvBatch(into []Message) []Message
 }
 

@@ -5,12 +5,11 @@
 // correctness rests on:
 //
 //   - per-producer FIFO: messages from one rank arrive in send order, even
-//     across ring-overflow spills and (on net) reconnect replay;
+//     across the consumer's slice swaps and (on net) reconnect replay;
 //   - any-source migration: messages delivered before the consumer registers
 //     its any-source mailbox fold in without loss or reorder;
-//   - counter algebra: every message is exactly one ring enqueue or one
-//     spill, every spill folds back exactly once, and every message is
-//     dequeued exactly once;
+//   - counter algebra: every message is enqueued exactly once and dequeued
+//     exactly once;
 //   - payload hand-off: a received payload is the receiver's to keep and
 //     modify — no later delivery reuses its memory (see Endpoint.Send);
 //   - idle wait: a TryRecv + Endpoint.Idle poll loop sees every delivery to
@@ -18,10 +17,10 @@
 //     wake-up), parks are counted with the blocking-Recv metrics, and a
 //     platform failure unwinds a parked poller.
 //
-// The host backend runs the suite over in-process rings; the net backend
-// runs it with producers in one mesh and the consumer in another, so the
-// same assertions audit the TCP framing, sequence numbering, and the
-// reader's injection into the very same rings.
+// The host backend runs the suite over in-process mailboxes; the net
+// backend runs it with producers in one mesh and the consumer in another,
+// so the same assertions audit the TCP framing, sequence numbering, and the
+// reader's injection into the very same mailboxes.
 package platformtest
 
 import (
@@ -66,23 +65,19 @@ type World interface {
 // gets its own world; the factory registers any cleanup on t.
 type Factory func(t *testing.T, producers int) World
 
-// ringSize mirrors the host delivery ring capacity; storms send well past
-// it so the overflow path is always exercised.
-const ringSize = 256
-
 // Run executes the full conformance suite against the backend.
 func Run(t *testing.T, factory Factory) {
 	t.Run("FIFOPerProducerStorm", func(t *testing.T) { fifoStorm(t, factory) })
 	t.Run("AnySourceBatchDrain", func(t *testing.T) { batchDrain(t, factory) })
-	t.Run("SpillUnspillAlgebra", func(t *testing.T) { spillAlgebra(t, factory) })
+	t.Run("CounterAlgebra", func(t *testing.T) { counterAlgebra(t, factory) })
 	t.Run("IdleWait", func(t *testing.T) { idleWait(t, factory) })
 	t.Run("IdlePingPong", func(t *testing.T) { idlePingPong(t, factory) })
 	t.Run("IdleAbort", func(t *testing.T) { idleAbort(t, factory) })
 }
 
 // fifoStorm hammers the consumer from 8 concurrent producers while a
-// blocking consumer drains; per-producer FIFO must hold across overflow
-// spills and any transport reordering hazards. Each payload is a fresh
+// blocking consumer drains; per-producer FIFO must hold across mailbox
+// swaps and any transport reordering hazards. Each payload is a fresh
 // []byte the consumer overwrites and keeps: all must still hold the
 // consumer's bytes at the end, which a transport recycling a delivered
 // buffer for a later message would break (the receiver half of
@@ -149,10 +144,10 @@ func fifoStorm(t *testing.T, factory Factory) {
 // batchDrain sends the whole load before the consumer registers its
 // any-source mailbox — delivery lands in auto-created exact boxes — then
 // folds and drains in one TryRecvBatch. Order per source must survive the
-// migration, and the batch must take ring and overflow alike.
+// migration.
 func batchDrain(t *testing.T, factory Factory) {
 	const producers = 3
-	const perProducer = ringSize + 20 // the fold must carry overflow too
+	const perProducer = 300
 	w := factory(t, producers)
 	dst := w.ConsumerRank()
 	var wg sync.WaitGroup
@@ -185,11 +180,10 @@ func batchDrain(t *testing.T, factory Factory) {
 	}
 }
 
-// spillAlgebra drives an unconsumed overflow storm, then drains it
-// single-threaded and checks the delivery counters close exactly: enqueues
-// plus spills account for every send, every spill unspills once, every
-// message dequeues once.
-func spillAlgebra(t *testing.T, factory Factory) {
+// counterAlgebra drives a storm into an unconsumed mailbox, then drains it
+// single-threaded and checks per-producer FIFO and that the delivery
+// counters close exactly: every send enqueues once and dequeues once.
+func counterAlgebra(t *testing.T, factory Factory) {
 	const producers = 8
 	perProducer := 2000
 	if testing.Short() {
@@ -198,8 +192,7 @@ func spillAlgebra(t *testing.T, factory Factory) {
 	w := factory(t, producers)
 	dst := w.ConsumerRank()
 	// Register the any-source box up front so the whole storm funnels into
-	// one ring (auto-created exact boxes would give each source its own 256
-	// slots and dilute the spill pressure).
+	// one mailbox (auto-created exact boxes would give each source its own).
 	box := w.ConsumerEndpoint().Mailbox(platform.AnySource, 5)
 	var wg sync.WaitGroup
 	for src := 0; src < producers; src++ {
@@ -217,11 +210,6 @@ func spillAlgebra(t *testing.T, factory Factory) {
 	total := uint64(producers * perProducer)
 	waitDelivered(t, w, total)
 
-	m := w.Tracer().Metrics()
-	if spills := m.Counter("host.ring.spill").Value(); spills < total-ringSize {
-		t.Fatalf("spills = %d, want >= %d (ring holds only %d)", spills, total-ringSize, ringSize)
-	}
-
 	nextFrom := make([]uint64, producers)
 	for n := uint64(0); n < total; n++ {
 		msg, ok := box.TryRecv()
@@ -229,8 +217,7 @@ func spillAlgebra(t *testing.T, factory Factory) {
 			t.Fatalf("backlog dry after %d of %d messages", n, total)
 		}
 		if msg.Payload.(uint64) != nextFrom[msg.From] {
-			t.Fatalf("source %d delivered %d, want %d: spill broke per-producer FIFO",
-				msg.From, msg.Payload, nextFrom[msg.From])
+			t.Fatalf("source %d delivered %d, want %d", msg.From, msg.Payload, nextFrom[msg.From])
 		}
 		nextFrom[msg.From]++
 	}
@@ -238,18 +225,11 @@ func spillAlgebra(t *testing.T, factory Factory) {
 		t.Fatalf("stray message after full drain: %+v", msg)
 	}
 
+	m := w.Tracer().Metrics()
 	enq := m.Counter("host.ring.enqueue").Value()
 	deq := m.Counter("host.ring.dequeue").Value()
-	spill := m.Counter("host.ring.spill").Value()
-	unspill := m.Counter("host.ring.unspill").Value()
-	if enq+spill != total {
-		t.Errorf("enqueue %d + spill %d != %d sends", enq, spill, total)
-	}
-	if deq != total {
-		t.Errorf("dequeue = %d, want %d", deq, total)
-	}
-	if unspill != spill {
-		t.Errorf("unspill = %d, want %d (every spilled message folds back exactly once)", unspill, spill)
+	if enq != total || deq != total {
+		t.Errorf("enqueue %d, dequeue %d, want both = %d sends", enq, deq, total)
 	}
 }
 
@@ -396,7 +376,7 @@ func waitDelivered(t *testing.T, w World, n uint64) {
 	m := w.Tracer().Metrics()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		got := m.Counter("host.ring.enqueue").Value() + m.Counter("host.ring.spill").Value()
+		got := m.Counter("host.ring.enqueue").Value()
 		if got >= n {
 			return
 		}

@@ -315,7 +315,7 @@ func (r *RecvPort[T]) TryConsumeBatch() ([]T, bool) {
 	return out, true
 }
 
-// drainAll takes every batch pending on the mailbox in one ring drain and
+// drainAll takes every batch pending on the mailbox in one batch receive and
 // admits each in order; stale batches discard as in admit.
 func (r *RecvPort[T]) drainAll() {
 	r.msgBuf = r.comm.TryRecvBoxBatch(r.box, r.msgBuf[:0])

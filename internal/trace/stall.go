@@ -34,11 +34,9 @@ type StallRow struct {
 	// renders them when StallReport.Host is set). Park is wall time the
 	// rank's endpoint spent parked in mailbox waits — attributed at endpoint
 	// granularity, so a commit rank's row includes its co-located page
-	// server. Spills counts overflow spills into the rank's mailboxes.
-	// ShardQueue is the high-water request backlog of a commit unit's page
-	// server (zero on other rows).
+	// server. ShardQueue is the high-water request backlog of a commit
+	// unit's page server (zero on other rows).
 	Park       sim.Time
-	Spills     uint64
 	ShardQueue int64
 }
 
@@ -59,13 +57,12 @@ func (r *StallRow) add(o *StallRow) {
 	r.Crashed += o.Crashed
 	r.Blocked += o.Blocked
 	r.Park += o.Park
-	r.Spills += o.Spills
 	r.ShardQueue = max(r.ShardQueue, o.ShardQueue)
 }
 
 // StallReport collects per-rank stall rows for one or more runs. Host marks
 // a report carrying host-delivery data; its tables then grow the park /
-// spill / shard-q columns. CommitShards marks a report from a sharded
+// shard-q columns. CommitShards marks a report from a sharded
 // commit pipeline; its tables then grow the vote-wait column.
 type StallReport struct {
 	Rows         []StallRow
@@ -101,7 +98,7 @@ func (r *StallReport) Merge(o *StallReport) {
 var stallHeader = []string{"rank", "total", "busy", "backpressure", "starvation", "verdict-wait", "recovery", "crashed", "blocked"}
 
 // hostHeader extends stallHeader with the host-delivery columns.
-var hostHeader = []string{"park", "spill", "shard-q"}
+var hostHeader = []string{"park", "shard-q"}
 
 // header builds the table header, swapping the first column's label,
 // inserting the vote-wait column after verdict-wait when the report comes
@@ -178,7 +175,6 @@ func stallCells(name string, r *StallRow, rep *StallReport) []string {
 	if rep.Host {
 		cells = append(cells,
 			fmtDur(r.Park),
-			fmt.Sprintf("%d", r.Spills),
 			fmt.Sprintf("%d", r.ShardQueue))
 	}
 	return cells

@@ -55,7 +55,6 @@ const (
 	InstHeartbeatMiss             // the commit unit declared a rank dead (MTX = rank, V1 = silence ns)
 	SpanPageServe                 // a commit unit's page server served one COA request (MTX = start page, V1 = pages, V2 = wire bytes)
 	SpanRecvPark                  // host delivery: a receiver parked awaiting a message (V1 = tag)
-	InstRingSpill                 // host delivery: a full mailbox ring spilled to the overflow list (V1 = tag, V2 = overflow depth)
 	SpanShardCommit               // one commit shard applied its partition of an MTX (V1 = entries, V2 = bulk bytes)
 	InstShardVote                 // a participant shard sent its ordered 2PC vote (MTX = iteration, V1 = coordinator shard)
 	SpanShardVoteWait             // the coordinator shard awaited cross-shard votes (MTX = iteration, V1 = votes needed)
@@ -89,7 +88,6 @@ var kindMeta = [numKinds]struct {
 	InstHeartbeatMiss: {"fault.heartbeat.miss", "fault", "rank", "silence_ns", ""},
 	SpanPageServe:     {"pagesrv.shard", "pagesrv", "page", "pages", "wire_bytes"},
 	SpanRecvPark:      {"recv.park", "delivery", "", "tag", ""},
-	InstRingSpill:     {"ring.spill", "delivery", "", "tag", "overflow"},
 	SpanShardCommit:   {"commit.shard", "commit", "mtx", "entries", "bulk_bytes"},
 	InstShardVote:     {"commit.shard.vote", "commit", "mtx", "coordinator", ""},
 	SpanShardVoteWait: {"commit.shard.votewait", "commit", "mtx", "votes", ""},

@@ -36,7 +36,7 @@ func TestBindWallRecordsThroughRings(t *testing.T) {
 	clk.t = 400
 	tr.Span(SpanRecvPark, 0, start, 0, 5, 0)
 	clk.t = 500
-	tr.Instant(InstRingSpill, 0, 0, 5, 2)
+	tr.Instant(InstFlush, 0, 0, 5, 2)
 	ev := tr.Events()
 	if len(ev) != 2 {
 		t.Fatalf("events = %d, want 2", len(ev))
@@ -60,12 +60,12 @@ func TestBindWallStitchesInvocations(t *testing.T) {
 	tr.BindWall(c1, 0)
 	tr.SetTrack(0, 0, "worker0")
 	c1.t = 1000
-	tr.Instant(InstRingSpill, 0, 0, 1, 0)
+	tr.Instant(InstFlush, 0, 0, 1, 0)
 
 	c2 := &fakeClock{}
 	tr.BindWall(c2, 0)
 	c2.t = 10
-	tr.Instant(InstRingSpill, 0, 0, 2, 0)
+	tr.Instant(InstFlush, 0, 0, 2, 0)
 
 	ev := tr.Events()
 	if len(ev) != 2 {
@@ -84,7 +84,7 @@ func TestWallBufferOverflowCounted(t *testing.T) {
 	tr.SetTrack(0, 0, "worker0")
 	for i := 0; i < 10; i++ {
 		clk.t = sim.Time(i + 1)
-		tr.Instant(InstRingSpill, 0, uint64(i), 0, 0)
+		tr.Instant(InstFlush, 0, uint64(i), 0, 0)
 	}
 	if got := tr.DroppedSpans(); got != 6 {
 		t.Fatalf("DroppedSpans = %d, want 6", got)
@@ -108,7 +108,7 @@ func TestWallBufferOverflowCounted(t *testing.T) {
 func TestWallUntrackedSpanCounted(t *testing.T) {
 	tr, clk := wallTracer(0)
 	clk.t = 5
-	tr.Instant(InstRingSpill, 42, 0, 0, 0)
+	tr.Instant(InstFlush, 42, 0, 0, 0)
 	if got := tr.DroppedSpans(); got != 1 {
 		t.Fatalf("DroppedSpans = %d, want 1", got)
 	}
@@ -134,7 +134,7 @@ func TestWallFlushSortsPerTrack(t *testing.T) {
 	clk.t = 300
 	tr.Span(SpanSubTX, 0, outer, 7, 0, 0) // recorded second, starts earlier
 	clk.t = 50
-	tr.Instant(InstRingSpill, 1, 0, 0, 0)
+	tr.Instant(InstFlush, 1, 0, 0, 0)
 	ev := tr.Events()
 	if len(ev) != 3 {
 		t.Fatalf("events = %d, want 3", len(ev))
@@ -166,7 +166,7 @@ func TestWallConcurrentRecording(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perTrack; i++ {
-				tr.Instant(InstRingSpill, tk, uint64(i), 0, 0)
+				tr.Instant(InstFlush, tk, uint64(i), 0, 0)
 			}
 		}()
 	}
@@ -283,17 +283,17 @@ func TestStallReportHostColumns(t *testing.T) {
 	}
 
 	host := &StallReport{Host: true}
-	host.Add(StallRow{Label: "worker0", Stage: "S0", Busy: 100, Park: 2500, Spills: 3})
+	host.Add(StallRow{Label: "worker0", Stage: "S0", Busy: 100, Park: 2500})
 	host.Add(StallRow{Label: "pagesrv", Stage: "pagesrv", ShardQueue: 9})
 	got := host.Table().String()
-	for _, want := range []string{"park", "spill", "shard-q", "2.50us", "9"} {
+	for _, want := range []string{"park", "shard-q", "2.50us", "9"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("host table missing %q:\n%s", want, got)
 		}
 	}
 
 	// Merge into an empty aggregate: flag and values must survive, repeat
-	// merges must sum Park/Spills and max ShardQueue.
+	// merges must sum Park and max ShardQueue.
 	agg := &StallReport{}
 	agg.Merge(host)
 	agg.Merge(host)
@@ -301,8 +301,8 @@ func TestStallReportHostColumns(t *testing.T) {
 		t.Fatal("Merge dropped the Host flag")
 	}
 	r := agg.Rows[0]
-	if r.Park != 5000 || r.Spills != 6 {
-		t.Fatalf("merged row = %+v, want Park 5000 Spills 6", r)
+	if r.Park != 5000 {
+		t.Fatalf("merged row = %+v, want Park 5000", r)
 	}
 	if agg.Rows[1].ShardQueue != 9 {
 		t.Fatalf("merged shard queue = %d, want 9 (max, not sum)", agg.Rows[1].ShardQueue)

@@ -124,7 +124,7 @@ func TestCheckWallClockRules(t *testing.T) {
 		{"host vocabulary accepted", `{"traceEvents":[` + meta + `,
 			{"name":"recv.park","ph":"X","pid":0,"tid":0,"ts":0,"dur":2},
 			{"name":"pagesrv.shard","ph":"X","pid":0,"tid":0,"ts":3,"dur":1},
-			{"name":"ring.spill","ph":"i","s":"t","pid":0,"tid":0,"ts":5}],
+			{"name":"queue.flush","ph":"i","s":"t","pid":0,"tid":0,"ts":5}],
 			"clock":"wall"}`, ""},
 		{"wall regression rejected", `{"traceEvents":[` + meta + `,
 			{"name":"recv.park","ph":"X","pid":0,"tid":0,"ts":9,"dur":1},
@@ -135,7 +135,7 @@ func TestCheckWallClockRules(t *testing.T) {
 			{"name":"subTX","ph":"X","pid":0,"tid":0,"ts":4,"dur":1}]}`, ""},
 		{"instant regression rejected", `{"traceEvents":[` + meta + `,
 			{"name":"recv.park","ph":"X","pid":0,"tid":0,"ts":9,"dur":1},
-			{"name":"ring.spill","ph":"i","s":"t","pid":0,"tid":0,"ts":4}],
+			{"name":"queue.flush","ph":"i","s":"t","pid":0,"tid":0,"ts":4}],
 			"clock":"wall"}`, "regresses"},
 		{"independent tracks may interleave", `{"traceEvents":[` + meta + `,
 			{"name":"thread_name","ph":"M","pid":0,"tid":1,"args":{"name":"worker1"}},

@@ -19,11 +19,12 @@ go test ./...
 # over the non-test code of this module and bench/ (tools/deadcode; its
 # allowlist names the public API, test oracles and test-helper packages).
 go run ./tools/deadcode
-# The 164.gzip kernel's per-layer benchmark, its input generator and the
-# crc32 kernel (CRC32Kernel, one 64 KiB file per op), one op per benchmark
-# so none can rot (numbers: EXPERIMENTS.md "The 164.gzip kernel, layer by
-# layer" and "serve-mix by job class").
-go test -run NONE -bench 'GzipKernel|GzInput|CRC32Kernel' -benchtime 1x ./internal/workloads/
+# The 164.gzip kernel's per-layer benchmark, its input generator, the crc32
+# kernel (CRC32Kernel, one 64 KiB file per op) and the host mailbox layer
+# (Mailbox, 1 and 4 producers into one consumer), one op per benchmark so
+# none can rot (numbers: EXPERIMENTS.md "The 164.gzip kernel, layer by
+# layer", "serve-mix by job class" and "The host mailbox layer").
+go test -run NONE -bench 'GzipKernel|GzInput|CRC32Kernel|Mailbox' -benchtime 1x ./internal/workloads/ ./internal/platform/host/
 # The sim kernel hosts processes on real goroutines; everything above it is
 # cooperative, but the handoff protocol itself must stay race-clean.
 go test -race ./internal/sim/
@@ -43,7 +44,7 @@ go test -race ./internal/engine/ ./cmd/dsmtxd/ ./cmd/dsmtxload/
 # reproduce the sequential checksum with equal committed counts) are the
 # data-race audit of the runtime itself. The platform sweep includes the net
 # package (mesh, reconnect replay, generation buffering) and the delivery
-# conformance suite run against both host and net mailboxes (ring delivery
+# conformance suite run against both host and net mailboxes (mailbox delivery
 # and the Idle poll-loop wait alike); netrun's tests run whole jobs (crc32,
 # the chained 052.alvinn, a recovering 197.parser) over in-process ServeLoop
 # daemons joined with Connect. cluster rides along for the vtime side of the
@@ -66,7 +67,7 @@ go test -run=NONE -fuzz FuzzWireRoundTrip -fuzztime 10s ./internal/wire/
 # ...DeterministicRepeat, ...DeterministicConcurrent) run under the race
 # detector too.
 go test -race ./internal/core/ -run TestCrossShard
-# The lock-free mailbox rings and the per-commit-unit page servers behave
+# Mailbox delivery and the per-commit-unit page servers behave
 # differently under different scheduler pressure: GOMAXPROCS=2 forces heavy contention and
 # parking (producers outnumber cores), GOMAXPROCS=8 maximises true parallelism.
 # Pinning both in CI surfaces interleaving-dependent bugs here rather than on a
@@ -82,7 +83,7 @@ go test -race ./internal/core/ -run TestCrossShard
 # stress test (epoch bumps mid-stream, every value checked) and the
 # cross-daemon no-recycle test ride along too. Idle parks after the same
 # 64 polls as Recv, so poll loops park often: the delivery conformance suite
-# (IdleWait, IdlePingPong, IdleAbort on host rings and net meshes) runs at
+# (IdleWait, IdlePingPong, IdleAbort on host mailboxes and net meshes) runs at
 # both widths. Live recovery re-arms only the pages that changed, from a
 # stale list each rank receives after the last barrier: core's selective
 # re-arm fixture (the commit unit's word, a squashed store) rides along.
