@@ -22,7 +22,7 @@
 //	dsmtxbench -all -parallel 8          # simulate up to 8 points at once
 //	dsmtxbench -all -parallel 1          # one at a time; output is byte-identical
 //	dsmtxbench -all -cache /tmp/points   # reuse results across runs
-//	dsmtxbench -all -cache-off           # always simulate
+//	dsmtxbench -all -cache ''            # always simulate
 //
 // Sections print in a fixed order. Figures and tables go to stdout;
 // progress, logs and the scheduler summary go to stderr, so stdout stays
@@ -69,7 +69,6 @@ type options struct {
 
 	parallel int
 	cacheDir string
-	cacheOff bool
 
 	cpuprofile string
 	memprofile string
@@ -106,7 +105,6 @@ func parseFlags(args []string) (*options, error) {
 
 	fs.IntVar(&o.parallel, "parallel", runtime.GOMAXPROCS(0), "experiment points to simulate at once (1 = one at a time)")
 	fs.StringVar(&o.cacheDir, "cache", defaultCacheDir(), "directory for the content-addressed point-result cache (\"\" disables)")
-	fs.BoolVar(&o.cacheOff, "cache-off", false, "disable the point-result cache")
 
 	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile to this file on exit")
@@ -202,12 +200,10 @@ func run(o *options, stdout, stderr io.Writer) error {
 }
 
 // newRunner wires the experiment scheduler: worker count, the
-// content-addressed cache (unless disabled) and progress to stderr.
+// content-addressed cache (none when -cache is empty) and progress to
+// stderr.
 func newRunner(o *options, stderr io.Writer) *harness.Runner {
-	r := &harness.Runner{Workers: max(o.parallel, 1)}
-	if !o.cacheOff {
-		r.Cache = engine.OpenResultCache(o.cacheDir, stderr)
-	}
+	r := &harness.Runner{Workers: max(o.parallel, 1), Cache: engine.OpenResultCache(o.cacheDir, stderr)}
 	n := 0 // the Runner serializes Progress calls
 	r.Progress = func(spec engine.JobSpec, source string) {
 		n++
@@ -229,10 +225,7 @@ func sections(o *options, r *harness.Runner, in workloads.Input) []section {
 	}
 	add(o.all || o.figure == "1", func() (string, error) { return figure1(), nil })
 	add(o.all || o.table == 2, func() (string, error) { return harness.RenderTable2(), nil })
-	add(o.all || o.micro, func() (string, error) {
-		res, err := r.RunMicroQueue()
-		return harness.RenderMicro(res), err
-	})
+	add(o.all || o.micro, func() (string, error) { return harness.RenderMicro(harness.RunMicroQueue()), nil })
 	add(o.all || o.figure == "3", func() (string, error) {
 		res, err := harness.RunFigure3()
 		return harness.RenderFigure3(res), err

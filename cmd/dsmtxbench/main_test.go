@@ -71,7 +71,7 @@ func TestRunNothingSelected(t *testing.T) {
 // while stderr carries only progress/log lines, so stdout stays
 // machine-parseable.
 func TestRunStdoutStderrSeparation(t *testing.T) {
-	o, err := parseFlags([]string{"-figure", "1", "-cache-off"})
+	o, err := parseFlags([]string{"-figure", "1", "-cache", ""})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestRunStdoutStderrSeparation(t *testing.T) {
 func TestRunParallelStdoutByteIdentical(t *testing.T) {
 	render := func(parallel string) (stdout, stderr string) {
 		t.Helper()
-		o, err := parseFlags([]string{"-micro", "-figure", "5b", "-bench", "crc32", "-parallel", parallel, "-cache-off"})
+		o, err := parseFlags([]string{"-micro", "-figure", "5b", "-bench", "crc32", "-parallel", parallel, "-cache", ""})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -58,7 +58,6 @@ type options struct {
 	queueDepth  int
 	coreBudget  int
 	cacheDir    string
-	cacheOff    bool
 	metricsAddr string
 
 	// onReady, when set (tests), receives the bound listen address.
@@ -89,7 +88,6 @@ func parseFlags(args []string) (*options, error) {
 		fs.IntVar(&o.queueDepth, "queue-depth", 64, "jobs waiting for a slot before submissions are rejected with 503")
 		fs.IntVar(&o.coreBudget, "core-budget", 0, "bound on the summed cores of running jobs (0 = unlimited)")
 		fs.StringVar(&o.cacheDir, "cache", defaultCacheDir(), "directory for the content-addressed result cache (\"\" disables)")
-		fs.BoolVar(&o.cacheOff, "cache-off", false, "disable the result cache")
 		fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve a live JSON metrics snapshot at http://ADDR/metrics (e.g. 127.0.0.1:9090)")
 		if err := fs.Parse(args[1:]); err != nil {
 			return nil, err
@@ -172,9 +170,7 @@ func runServe(o *options, stop <-chan struct{}) error {
 		MaxConcurrent: o.maxJobs,
 		QueueDepth:    o.queueDepth,
 		CoreBudget:    o.coreBudget,
-	}
-	if !o.cacheOff {
-		cfg.Cache = engine.OpenResultCache(o.cacheDir, os.Stderr)
+		Cache:         engine.OpenResultCache(o.cacheDir, os.Stderr),
 	}
 	eng := engine.New(cfg)
 	if o.metricsAddr != "" {

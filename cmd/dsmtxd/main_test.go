@@ -45,7 +45,7 @@ func TestParseFlagsRoles(t *testing.T) {
 // synchronous job and a detached one over HTTP, reads /stats, then closes
 // the stop channel and requires a clean drain.
 func TestServeLifecycle(t *testing.T) {
-	o, err := parseFlags([]string{"serve", "-listen", "127.0.0.1:0", "-backend", "vtime", "-cache-off"})
+	o, err := parseFlags([]string{"serve", "-listen", "127.0.0.1:0", "-backend", "vtime", "-cache", ""})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestServeLifecycle(t *testing.T) {
 
 // TestServeRejectsBadSpec: spec errors are 400s with a useful message.
 func TestServeRejectsBadSpec(t *testing.T) {
-	o, err := parseFlags([]string{"serve", "-listen", "127.0.0.1:0", "-cache-off"})
+	o, err := parseFlags([]string{"serve", "-listen", "127.0.0.1:0", "-cache", ""})
 	if err != nil {
 		t.Fatal(err)
 	}

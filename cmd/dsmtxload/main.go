@@ -136,12 +136,11 @@ func run(o *options, stdout io.Writer) error {
 	specs := make([]engine.JobSpec, o.jobs)
 	for i := range specs {
 		specs[i] = engine.JobSpec{
-			Bench:       o.benches[i%len(o.benches)],
-			Cores:       o.cores,
-			Scale:       o.scale,
-			Seed:        uint64(1 + i%o.distinct),
-			Invocations: 1,
-			Verify:      true,
+			Bench:  o.benches[i%len(o.benches)],
+			Cores:  o.cores,
+			Scale:  o.scale,
+			Seed:   uint64(1 + i%o.distinct),
+			Verify: true,
 		}
 	}
 	rng.Shuffle(len(specs), func(i, j int) { specs[i], specs[j] = specs[j], specs[i] })

@@ -471,7 +471,7 @@ func (e *Engine) execute(spec JobSpec, opts Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	res, err := workloads.RunParallel(b.WithInvocations(spec.Invocations), in, spec.paradigm(), spec.Cores, tune)
+	res, err := workloads.RunParallel(b, in, spec.paradigm(), spec.Cores, tune)
 	if err != nil {
 		return Result{}, err
 	}
@@ -507,7 +507,6 @@ func (e *Engine) executeNet(spec JobSpec, opts Options) (Result, error) {
 		MisspecRate: spec.Rate,
 		Seed:        spec.Seed,
 		Cores:       spec.Cores,
-		Invocations: spec.Invocations,
 	})
 	if err != nil {
 		if !errors.Is(err, netrun.ErrRejected) {

@@ -262,6 +262,16 @@ func TestSubmitVerify(t *testing.T) {
 	if st := e.Stats(); st.PoolBuilds != 0 || st.PoolReuses != 0 {
 		t.Fatalf("in-process jobs moved the net fleet counters: %+v", st)
 	}
+
+	// The one chained benchmark: its parallel run and its sequential
+	// reference both run every epoch.
+	res, err = e.Submit(context.Background(), JobSpec{Bench: "052.alvinn", Cores: 8, Verify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Verified || res.Checksum != res.SeqCheck {
+		t.Fatalf("chained verify: %+v", res)
+	}
 }
 
 // TestSubmitCache: a configured cache serves the second submission of a
@@ -526,7 +536,6 @@ func TestSubmitValidates(t *testing.T) {
 		{spec: JobSpec{Bench: "crc32", Cores: 8, Knob: "warp-drive"}, want: "knob"},
 		{spec: JobSpec{Bench: "crc32", Cores: 8, Paradigm: "openmp"}, want: "paradigm"},
 		{spec: JobSpec{Bench: "crc32", Cores: 8, CommitShards: -1}, want: "engine: JobSpec.CommitShards = -1, need >= 0"},
-		{spec: JobSpec{Bench: "crc32", Cores: 8, Invocations: -1}, want: "engine: JobSpec.Invocations = -1, need >= 0"},
 		{spec: JobSpec{Bench: "crc32", Cores: 8, Backend: "host", Faults: "drop=0.5"}, want: "JobSpec.Faults: fault injection is built on the virtual-time kernel; unsupported on the host backend"},
 		// What a net job cannot honour is refused, not silently dropped.
 		{spec: JobSpec{Bench: "crc32", Cores: 8, Backend: "net", Faults: "drop=0.5"}, want: "JobSpec.Faults: fault injection is built on the virtual-time kernel; unsupported on the net backend"},
@@ -723,6 +732,7 @@ func TestServerHostileBodies(t *testing.T) {
 		{"padded past the cap", good + strings.Repeat(" ", maxSpecBytes), "too large", http.StatusRequestEntityTooLarge},
 		{"second object", good + good, "trailing data", http.StatusBadRequest},
 		{"trailing garbage", good + " xyz", "bad job spec", http.StatusBadRequest},
+		{"invocations", `{"bench":"052.alvinn","cores":8,"invocations":1}`, `unknown field "invocations"`, http.StatusBadRequest},
 	} {
 		resp, err := http.Post(hs.URL+"/jobs?wait=1", "application/json", strings.NewReader(tc.body))
 		if err != nil {

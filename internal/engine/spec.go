@@ -74,9 +74,6 @@ type JobSpec struct {
 	// CommitShards partitions the commit pipeline; 0 or 1 is the paper's
 	// single commit unit.
 	CommitShards int `json:"commit_shards,omitempty"`
-	// Invocations overrides the benchmark's invocation count when > 0
-	// (load tests use 1 to bound job size).
-	Invocations int `json:"invocations,omitempty"`
 	// Verify asks the engine to also resolve the sequential vtime
 	// reference and report whether the parallel checksum matches — the
 	// serving path's correctness gate.
@@ -93,7 +90,7 @@ func (s JobSpec) Normalized() JobSpec {
 	if s.Kind == KindSeq {
 		// The sequential reference always runs in vtime on one core;
 		// paradigm, backend, cores, and shards do not apply.
-		s.Paradigm, s.Backend, s.Cores, s.CommitShards, s.Invocations = "", "", 0, 0, 0
+		s.Paradigm, s.Backend, s.Cores, s.CommitShards = "", "", 0, 0
 		s.Verify = false
 	} else {
 		if s.Paradigm == "" {
@@ -147,10 +144,6 @@ func (s JobSpec) Validate() error {
 	}
 	if s.Cores < 1 {
 		return fmt.Errorf("engine: parallel job needs cores >= 1, got %d", s.Cores)
-	}
-	if s.Invocations < 0 {
-		// Would run as 0 (the benchmark's own count) under a second cache key.
-		return fmt.Errorf("engine: JobSpec.Invocations = %d, need >= 0", s.Invocations)
 	}
 	if err := core.CheckBackend(backend, s.Faults != "", s.CommitShards); err != nil {
 		return fmt.Errorf("engine: JobSpec.%w", err)

@@ -65,7 +65,7 @@ type FigSRow struct {
 	Cells []FigSCell
 }
 
-// RunFigureS measures one Figure S cell through the runner's memo/cache.
+// RunFigureS measures one Figure S row: one job per shard count.
 func (r *Runner) RunFigureS(b *workloads.Benchmark, in workloads.Input, cores int) (FigSRow, error) {
 	in = figSInput(in)
 	cores = clampCores(b, in, cores)

@@ -30,36 +30,16 @@ func microWorld(k *sim.Kernel) *mpi.World {
 	return mpi.NewWorld(vtime.New(k, cluster.New(k, cfg)), mpi.DefaultCost())
 }
 
-// microMechanisms are the §5.3 bandwidth measurements.
-var microMechanisms = []string{"queue", "send", "bsend", "isend"}
-
-// RunMicroQueue measures the four mechanisms through the runner's
-// memo/cache.
-func (r *Runner) RunMicroQueue() (MicroResult, error) {
-	var out MicroResult
-	for i, dst := range []*float64{&out.QueueMBps, &out.SendMBps, &out.BsendMBps, &out.IsendMBps} {
-		mbps, err := r.resolveMicro(microMechanisms[i])
-		if err != nil {
-			return out, err
-		}
-		*dst = mbps
+// RunMicroQueue measures the four mechanisms. They are not engine jobs (no
+// workload, no DSMTX system) and take a fraction of a second together, so
+// they run every time, outside the engine and its cache.
+func RunMicroQueue() MicroResult {
+	return MicroResult{
+		QueueMBps: microQueueBandwidth(),
+		SendMBps:  microMPIBandwidth(func(c *mpi.Comm) { c.Send(1, 1, nil, 8) }),
+		BsendMBps: microMPIBandwidth(func(c *mpi.Comm) { c.Bsend(1, 1, nil, 8) }),
+		IsendMBps: microMPIBandwidth(func(c *mpi.Comm) { c.Isend(1, 1, nil, 8).Wait() }),
 	}
-	return out, nil
-}
-
-// microBandwidth runs one mechanism's measurement by name.
-func microBandwidth(mechanism string) (float64, error) {
-	switch mechanism {
-	case "queue":
-		return microQueueBandwidth(), nil
-	case "send":
-		return microMPIBandwidth(func(c *mpi.Comm) { c.Send(1, 1, nil, 8) }), nil
-	case "bsend":
-		return microMPIBandwidth(func(c *mpi.Comm) { c.Bsend(1, 1, nil, 8) }), nil
-	case "isend":
-		return microMPIBandwidth(func(c *mpi.Comm) { c.Isend(1, 1, nil, 8).Wait() }), nil
-	}
-	return 0, fmt.Errorf("harness: unknown micro mechanism %q", mechanism)
 }
 
 func microQueueBandwidth() float64 {

@@ -40,9 +40,6 @@ type JobSpec struct {
 	MisspecRate float64
 	Seed        uint64
 	Cores       int
-	// Invocations overrides the benchmark's invocation count when > 0
-	// (tests use 0 = the benchmark's own).
-	Invocations int
 }
 
 // chain resolves the spec's benchmark and input into its invocation chain.
@@ -52,7 +49,7 @@ func (s JobSpec) chain() (*workloads.Chain, error) {
 		return nil, err
 	}
 	in := workloads.Input{Scale: s.Scale, MisspecRate: s.MisspecRate, Seed: s.Seed}
-	return workloads.NewChain(b.WithInvocations(s.Invocations), in), nil
+	return workloads.NewChain(b, in), nil
 }
 
 // Result is a net job's record: the commit daemon's (the commit unit owns

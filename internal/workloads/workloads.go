@@ -75,17 +75,6 @@ type Benchmark struct {
 	input func(in Input) inputKey
 }
 
-// WithInvocations returns b with n chained invocations in place of its own
-// count when n > 0 (load tests bound job size with 1), b itself otherwise.
-func (b *Benchmark) WithInvocations(n int) *Benchmark {
-	if n <= 0 {
-		return b
-	}
-	cut := *b
-	cut.Invocations = n
-	return &cut
-}
-
 // All returns the Table 2 benchmarks in the paper's order.
 func All() []*Benchmark {
 	return []*Benchmark{
