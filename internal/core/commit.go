@@ -327,7 +327,7 @@ func (c *cuNode) commitEpoch(seq *SeqCtx) (done bool) {
 // tells the first-stage workers each time its commit point reaches a
 // multiple of windowStride.
 func (c *cuNode) reportProgress() {
-	if c.shard != 0 || !c.sys.bounded(c.epoch) || c.iter%c.sys.windowStride != 0 {
+	if c.shard != 0 || !c.sys.bounded() || c.iter%c.sys.windowStride != 0 {
 		return
 	}
 	report := ctrlMsg{epoch: c.epoch, progress: c.iter}

@@ -12,8 +12,8 @@ import (
 // Deeper recovery-path coverage: back-to-back misspeculations, misspec on
 // the first iteration, misspec storms, TLS recovery, and property tests
 // over arbitrary misspec sets — on vtime and live on host, where run-ahead
-// is bounded after the first recovery (awaitWindow) and these short loops
-// all end inside the window's floor.
+// is bounded in every epoch (awaitWindow) and these short loops all end
+// inside the window's floor.
 
 // onBackends runs body once per in-process backend with a config builder
 // for it. Runs go through runWithin, so a wedged live run fails.

@@ -190,8 +190,8 @@ type System struct {
 	allRanks []int
 	life     []platform.Duration // per rank: its process's run time on its own clock
 
-	// windowStride sizes the bound on first-stage run-ahead once an
-	// invocation has recovered (see boundRunAhead); zero = never bounded.
+	// windowStride sizes the bound on first-stage run-ahead (see
+	// boundRunAhead); zero = never bounded.
 	windowStride uint64
 
 	initialImage *mem.Image

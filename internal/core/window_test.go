@@ -6,12 +6,13 @@ import (
 	"testing"
 
 	"dsmtx/internal/pipeline"
+	"dsmtx/internal/trace"
 	"dsmtx/internal/uva"
 )
 
 // TestLiveRecoverySweep drives seeded random programs through the host
-// backend, where the first stage waits at the run-ahead window after the
-// first recovery (awaitWindow): loop lengths 1-400 straddle the window's
+// backend, where the first stage waits at the run-ahead window in every
+// epoch (awaitWindow): loop lengths 1-400 straddle the window's
 // floor and the trip count, misspeculation sets run from none to a storm,
 // and the plan shapes are the ones the wedge argument names — a sequential
 // first stage feeding a round-robin or occupancy-routed pool, a parallel
@@ -19,12 +20,15 @@ import (
 // one or two commit shards, and marker batches of 1, 3 and 8 (stride and
 // floor derive from them). Every run goes through runWithin, so a wedge
 // fails instead of hanging, and the committed words are compared one by one
-// with the sequential result.
+// with the sequential result. Clean programs run under the bound too, and at
+// least one of the full 150 (the short 30 may have none) must wait at it, so
+// the wedge argument is exercised in epoch 0 and not only after a recovery.
 func TestLiveRecoverySweep(t *testing.T) {
 	programs := 150
 	if testing.Short() {
 		programs = 30
 	}
+	cleanWaits := 0
 	for seed := int64(1); seed <= int64(programs); seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := uint64(1 + rng.Intn(400))
@@ -62,6 +66,8 @@ func TestLiveRecoverySweep(t *testing.T) {
 		cfg.Backend = BackendHost
 		cfg.CommitShards = shards
 		cfg.MarkerFlushIters = []int{1, 3, 8}[rng.Intn(3)]
+		tr := trace.NewMetricsOnly()
+		cfg.Tracer = tr
 		name := fmt.Sprintf("seed %d: %s n=%d, %d misspecs, %d cores, %d shards, occupancy %v, flush %d",
 			seed, plan.Name, n, len(misspecs), cores, shards, plan.Occupancy, cfg.MarkerFlushIters)
 		sys, res, err := runWithin(cfg, prog)
@@ -94,5 +100,12 @@ func TestLiveRecoverySweep(t *testing.T) {
 		if res.Misspecs != wantMisspecs {
 			t.Errorf("%s: %d misspeculations", name, res.Misspecs)
 		}
+		if res.Misspecs == 0 && tr.Metrics().Counter("window.waits").Value() > 0 {
+			cleanWaits++
+		}
 	}
+	if cleanWaits == 0 && !testing.Short() {
+		t.Errorf("no clean program waited at the run-ahead window")
+	}
+	t.Logf("%d clean programs waited at the window", cleanWaits)
 }

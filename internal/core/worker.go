@@ -43,6 +43,9 @@ type workerNode struct {
 
 	// Feeder-side dynamic routing (this worker feeds the routed stage).
 	feedsRouted bool
+	// occRouted: this worker is in the routed pool under occupancy routing,
+	// so it acks every iteration and may go without one indefinitely.
+	occRouted   bool
 	routedPool  []int
 	outstanding []int
 	rrNext      int
@@ -76,6 +79,7 @@ type workerNode struct {
 
 	subTXs uint64         // stage bodies run, squashed ones included (Result.SubTXs)
 	cWaits *trace.Counter // window.waits (nil when uninstrumented)
+	cDry   *trace.Counter // window.dryflush (nil when uninstrumented)
 }
 
 func newWorkerNode(s *System, tid int) *workerNode {
@@ -139,6 +143,7 @@ func (w *workerNode) bind(p platform.Proc) {
 	w.specRank.bind(p)
 	ep := w.comm.Endpoint()
 	w.cWaits = w.sys.tr.Metrics().Counter("window.waits")
+	w.cDry = w.sys.tr.Metrics().Counter("window.dryflush")
 	w.arena = uva.NewArena(w.tid + 1)
 
 	for key, q := range w.sys.edgeQ {
@@ -172,6 +177,7 @@ func (w *workerNode) bind(p platform.Proc) {
 		w.syncOut = w.sys.syncQ[w.tid].Sender(w.comm)
 		w.syncIn = newEntryCursor(w.sys.syncQ[w.sys.prevPool(w.tid)].Receiver(w.comm))
 	}
+	w.occRouted = w.sys.cfg.Plan.Occupancy && w.stage == w.sys.routedStage
 	if w.sys.routedStage >= 0 && w.stage == w.sys.routedStage-1 {
 		w.feedsRouted = true
 		w.routedPool = w.sys.layout.Assign[w.sys.routedStage]
@@ -436,7 +442,7 @@ func (w *workerNode) endIter(iter uint64) {
 	if w.sinceFlush >= w.sys.cfg.MarkerFlushIters || w.poisoned || w.selfMisspec {
 		w.flushMarkers()
 	}
-	if w.sys.cfg.Plan.Occupancy && w.stage == w.sys.routedStage {
+	if w.occRouted {
 		feeder := w.sys.layout.Assign[w.stage-1][0]
 		w.comm.Send(feeder, tagOccAck, iter, 16)
 	}
@@ -519,9 +525,11 @@ func (w *workerNode) consumeNext(port *entryCursor) Entry {
 			return e
 		}
 		w.checkCtrl()
-		if w.sinceFlush > 0 && w.sys.bounded(w.epoch) {
+		if w.sinceFlush > 0 && w.occRouted && w.sys.bounded() {
 			// Upstream may be held at the run-ahead bound, on a commit point
-			// that cannot pass the markers batched here (see awaitWindow).
+			// that cannot pass the markers batched here: occupancy routing
+			// may deal this worker nothing more (see boundRunAhead).
+			w.cDry.Inc()
 			w.flushMarkers()
 		}
 		w.sys.pollWait(w.comm, &backoff, &w.pollTime, &w.stallStarve)
@@ -553,48 +561,65 @@ func (w *workerNode) onCtrl(cm ctrlMsg) {
 }
 
 // Bounded run-ahead. Nothing upstream throttles the first pipeline stage: on
-// CPUs the ranks share it re-runs the loop after a recovery as far ahead as
-// the scheduler lets it, the next misspeculation squashes all of that again,
-// and the squashed work is what starves the refill. So where ranks share CPUs
-// (boundRunAhead is only called there) and once an invocation has recovered —
-// before that nothing changes: no message, no wait — the lead commit unit
-// reports its commit point to the first-stage workers at every multiple of
-// windowStride (cuNode.reportProgress), and one starts iteration i only while
+// CPUs the ranks share it runs as far ahead of the commit point as the
+// scheduler lets it, a misspeculation squashes all of that (commit order is
+// predefined, so every later in-flight MTX goes), and the squashed work is
+// what starves the refill. So where ranks share CPUs (boundRunAhead is only
+// called there), in every epoch from an invocation's first iteration, the
+// lead commit unit reports its commit point to the first-stage workers at
+// every multiple of windowStride (cuNode.reportProgress), and one starts
+// iteration i only while
 //
 //	i < progress + (progress - epochBase) + floor
 //
-// a lead bounded by the clean streak since the last recovery: a recovery
-// squashes at most what its epoch committed plus the floor, and a long clean
-// streak grows the bound back to unbounded.
+// where progress is the newest report of the epoch, or epochBase before the
+// first: a lead bounded by the clean streak since the epoch began (iteration 0
+// of the invocation, or a recovery's restart), so a misspeculation squashes
+// at most what its epoch committed plus the floor, and a long clean streak
+// grows the bound back to unbounded. An epoch starts with a lead of exactly
+// the floor; the first report doubles it.
 //
 // With M = MarkerFlushIters and P the largest stage pool, stride = M·(P+1)
-// and floor = 2·stride (windowEnd). A stride is how far the commit point trails an MTX
-// whose subTXs have all run when nobody is idle — a round-robin pool worker
-// batches the markers of under M subTXs (under M·P iterations), the try-commit
-// unit under M verdicts — so with a floor of two the report that lifts the
-// bound is sent while the pipeline is still full, not once it has drained.
+// and floor = 2·stride (windowEnd). A stride is how far the commit point
+// trails an MTX whose subTXs have all run: a pool worker batches the markers
+// of under M subTXs, which round-robin dealing spreads over under M·P
+// iterations, and the try-commit unit batches under M verdicts. With a floor
+// of two the report that lifts the bound is sent while the pipeline is still
+// full, not once it has drained.
 //
 // Why a blocking wait at the head of every pipeline cannot wedge. The waiter
 // blocks in Recv on the control mailbox (not pollWait, whose spin is CPU the
 // ranks it waits for need), so it reads every report sent, and progress is
-// then within a stride of the commit point c: a worker held at i has
-// i >= progress + floor > c + stride. Take every first-stage worker held or
-// past its exit test, and i the least held. Every iteration below i that the
-// loop has (trip count n) has run at stage 0 — a TLS worker blocked in
-// SyncRecv waits on one of them — with its markers flushed: the waiter
-// flushes before it blocks, emitTerminate flushes. Pipeline edges flush every
-// subTX, and a later-stage worker that runs dry while the bound is in force
-// flushes its markers before parking (consumeNext): round-robin dealing keeps
-// it within the stride anyway, occupancy routing can leave a pool worker
-// without an iteration indefinitely. What is left in a batch is the
-// try-commit unit's under M verdicts, mid-loop or stopped at loop exit
-// collecting terminates, so c > min(i, n) - M. If i <= n that contradicts
-// i > c + stride; otherwise i is an exit test, below n + P, and i - c <
-// P + M <= stride does. A recovery order arrives on the mailbox the waiter
-// blocks on and unwinds it; since one may now sit behind reports, checkCtrl
-// drains the mailbox. With CommitShards > 1 the lead shard reports: every
-// shard consumes the same marker and verdict flushes, so whatever lets the
-// lead reach an MTX lets the shard whose vote it then awaits reach it too.
+// then within a stride of the commit point c: before an epoch's first report
+// c is below the first multiple of the stride past epochBase, so progress =
+// epochBase > c - stride too. A worker held at i thus has i >= progress +
+// floor > c + stride. Take every first-stage worker held or past its exit
+// test, and i the least held. Every iteration below i that the loop has
+// (trip count n) has run at stage 0 — a TLS worker blocked in SyncRecv waits
+// on one of them, and flushes before it blocks — with its markers flushed:
+// the waiter flushes before it blocks, emitTerminate flushes. Pipeline edges
+// flush every subTX, so each iteration below min(i, n) has run at every
+// stage, and a later-stage worker's batch holds its last under M subTXs. On
+// a round-robin pool those are iterations at or above min(i, n) - (M-1)·P.
+// Occupancy routing can deal a pool worker nothing for as long as the others
+// keep up, so its batch could be arbitrarily old: that worker, and only it,
+// flushes its markers whenever it runs dry (consumeNext, counted by
+// window.dryflush). What is left beyond the stage batches is the try-commit
+// unit's under M verdicts, mid-loop or stopped at loop exit collecting
+// terminates, so c >= min(i, n) - (M-1)·(P+1) > min(i, n) - stride. If i <= n
+// that contradicts i > c + stride; otherwise i is an exit test, below n + P,
+// and i - c < P + (M-1)·(P+1) < stride does.
+//
+// The argument never uses a recovery, so it holds from epoch 0. The floor
+// is admitted unchecked, so a loop whose exit tests all fall below it never
+// waits, and one held before the first report is either case above. Each
+// chained invocation builds a new System, so its epoch 0 starts at its own
+// iteration 0 with no report carried over. A recovery order arrives on the
+// mailbox the waiter blocks on and unwinds it; since one may sit behind
+// reports, checkCtrl drains the mailbox. With CommitShards > 1 the lead shard
+// reports: every shard consumes the same marker and verdict flushes, so
+// whatever lets the lead reach an MTX lets the shard whose vote it then
+// awaits reach it too.
 func (s *System) boundRunAhead() {
 	pool := 0
 	for _, tids := range s.layout.Assign {
@@ -603,9 +628,9 @@ func (s *System) boundRunAhead() {
 	s.windowStride = uint64(max(s.cfg.MarkerFlushIters, 1) * (pool + 1))
 }
 
-// bounded reports whether the run-ahead bound is in force in epoch: the ranks
-// share CPUs (boundRunAhead ran) and the invocation has recovered at least once.
-func (s *System) bounded(epoch uint64) bool { return s.windowStride != 0 && epoch > 0 }
+// bounded reports whether the run-ahead bound is in force: the ranks share
+// CPUs (boundRunAhead ran).
+func (s *System) bounded() bool { return s.windowStride != 0 }
 
 // windowEnd is the first iteration the bound does not admit yet.
 func (w *workerNode) windowEnd() uint64 {
@@ -616,7 +641,7 @@ func (w *workerNode) windowEnd() uint64 {
 // admits it, returning at once while the bound is not in force. The wait is
 // charged to the stall table's backpressure column.
 func (w *workerNode) awaitWindow(iter uint64) {
-	if !w.sys.bounded(w.epoch) || iter < w.windowEnd() {
+	if !w.sys.bounded() || iter < w.windowEnd() {
 		return
 	}
 	w.flushMarkers() // the commit point cannot pass a marker still batched here

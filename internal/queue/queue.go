@@ -88,9 +88,10 @@ const batchHeaderBytes = 32
 // freeBatches bounds a queue's free list. A receiver recycles every batch it
 // admits and the sender takes one back per flush, so the list has to hold
 // what one receiver drain returns: the backlog. A pipeline edge flushes once
-// per subTX, so its backlog is its consumer's lag in iterations, and after a
-// recovery core lets the first stage lead by the run-ahead floor, 2·stride =
-// 2·MarkerFlushIters·(P+1) = 32 iterations at the smallest layout (P = 1).
+// per subTX, so its backlog is its consumer's lag in iterations, and at the
+// start of every epoch core's live backends let the first stage lead by the
+// run-ahead floor, 2·stride = 2·MarkerFlushIters·(P+1) = 32 iterations at the
+// smallest layout (P = 1).
 // A backlog that long recycles whole; past it the excess goes to the
 // collector. (On the contracted host-recover job a bound of 8 left ≈ 15
 // allocations per committed MTX, 32 leaves ≈ 7.) The list never holds more

@@ -75,10 +75,11 @@ go test -race ./internal/core/ -run TestCrossShard
 # sweep, and the core cross-shard, page-placement and lifecycle-span tests
 # (the Tracer recording from live goroutines) ride along at both widths. So
 # does everything that exercises bounded run-ahead — a blocking wait at the
-# head of every pipeline must be wedge-free at both widths: the workloads
-# sweep (the cells where the bound engages), core's recovery tests and seeded
-# random sweep on host, and netrun's two-daemon recovering 197.parser (first
-# stage and commit unit in different processes). Queue batches go back to
+# head of every pipeline, in every epoch of a live run, must be wedge-free at
+# both widths: the workloads sweep (its misspeculating one-shard cells),
+# core's recovery tests and seeded random sweep on host (clean programs
+# included, at least one of which must wait), and netrun's two-daemon
+# recovering 197.parser (first stage and commit unit in different processes). Queue batches go back to
 # their sender through a free list — a cross-goroutine handoff — so the queue
 # stress test (epoch bumps mid-stream, every value checked) and the
 # cross-daemon no-recycle test ride along too. Idle parks after the same
@@ -96,8 +97,8 @@ GOMAXPROCS=2 go test -race -count=1 $livepkgs -run "$live"
 GOMAXPROCS=8 go test -race -count=1 $livepkgs -run "$live"
 # The whole bounded run-ahead sweep: every workload x paradigm, clean and
 # misspeculating, one, two and four commit shards, each cross-checked against
-# vtime at the same shard count (tier-1 runs only the cells where the bound
-# engages).
+# vtime at the same shard count (tier-1 runs only the misspeculating
+# one-shard cells, without the cross-check).
 go test -count=1 ./internal/workloads/ -run TestBoundedRunAheadSweep -sweep-all
 # bench/ is its own module (BENCHMARK.json's entry point) compiled against
 # this one's internal packages; the root ./... patterns never descend into
