@@ -50,6 +50,7 @@ import (
 	"dsmtx/internal/engine"
 	"dsmtx/internal/expsched"
 	"dsmtx/internal/harness"
+	"dsmtx/internal/job"
 	"dsmtx/internal/workloads"
 )
 
@@ -205,7 +206,7 @@ func run(o *options, stdout, stderr io.Writer) error {
 func newRunner(o *options, stderr io.Writer) *harness.Runner {
 	r := &harness.Runner{Workers: max(o.parallel, 1), Cache: engine.OpenResultCache(o.cacheDir, stderr)}
 	n := 0 // the Runner serializes Progress calls
-	r.Progress = func(spec engine.JobSpec, source string) {
+	r.Progress = func(spec job.Spec, source string) {
 		n++
 		fmt.Fprintf(stderr, "dsmtxbench: [%d] %s (%s)\n", n, spec, source)
 	}

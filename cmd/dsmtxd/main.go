@@ -1,9 +1,10 @@
 // Command dsmtxd serves DSMTX jobs, in two roles.
 //
-// As the net-backend rank daemon it hosts a contiguous range of DSMTX
-// ranks: a coordinator (dsmtxrun -backend net -net-join) distributes the
-// job spec over the control connection; daemons dial each other directly
-// for rank-to-rank traffic and run the unmodified core runtime over TCP.
+// As the net-backend rank daemon it hosts a contiguous range of ranks: a
+// coordinator (dsmtxrun -backend net -net-join) distributes the job spec,
+// which each daemon validates and tunes its ranks by (either paradigm, any
+// config knob); daemons dial each other directly for rank-to-rank traffic
+// and run the unmodified core runtime over TCP.
 // Daemons are persistent — they accept successive jobs from successive
 // coordinators until stopped:
 //

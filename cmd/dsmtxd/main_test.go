@@ -178,10 +178,10 @@ func TestServeRejectsBadSpec(t *testing.T) {
 		`{"bench":"crc32","cores":-2}`:   "cores",
 		`{"bench":"crc32","bogus":true}`: "bad job spec",
 		// used to be admitted and run as one shard under a second cache key
-		`{"bench":"crc32","cores":8,"commit_shards":-1}`: "JobSpec.CommitShards = -1",
-		// a net job cannot honour a knob; accepting it would cache default
-		// numbers under the knob's key
-		`{"bench":"crc32","cores":8,"backend":"net","knob":"queue-unopt"}`: "knob",
+		`{"bench":"crc32","cores":8,"commit_shards":-1}`: "Config.CommitShards = -1",
+		// a net job cannot honour a fault plan; accepting it would cache
+		// fault-free numbers under the plan's key
+		`{"bench":"crc32","cores":8,"backend":"net","faults":"drop=0.5"}`: "Config.Faults",
 		// used to be admitted, fail in core.NewSystem and answer 500
 		`{"bench":"crc32","backend":"host","cores":2}`:   "2 cores leave 0 workers",
 		`{"bench":"crc32","backend":"host","cores":129}`: "exceed the machine's 128",

@@ -34,6 +34,7 @@ import (
 
 	"dsmtx/internal/cli"
 	"dsmtx/internal/engine"
+	"dsmtx/internal/job"
 	"dsmtx/internal/workloads"
 )
 
@@ -133,9 +134,9 @@ func run(o *options, stdout io.Writer) error {
 	// The job list: benchmarks cycled, seeds bounded by -distinct so the
 	// tail of a long run re-requests specs the server has already computed.
 	rng := rand.New(rand.NewSource(o.loadSeed))
-	specs := make([]engine.JobSpec, o.jobs)
+	specs := make([]job.Spec, o.jobs)
 	for i := range specs {
-		specs[i] = engine.JobSpec{
+		specs[i] = job.Spec{
 			Bench:  o.benches[i%len(o.benches)],
 			Cores:  o.cores,
 			Scale:  o.scale,
@@ -233,7 +234,7 @@ func run(o *options, stdout io.Writer) error {
 }
 
 // submit posts one synchronous job.
-func submit(client *http.Client, base string, spec engine.JobSpec) (jobReply, error) {
+func submit(client *http.Client, base string, spec job.Spec) (jobReply, error) {
 	body, err := json.Marshal(spec)
 	if err != nil {
 		return jobReply{}, err

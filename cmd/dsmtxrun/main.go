@@ -15,6 +15,7 @@
 //	dsmtxrun -bench crc32 -cores 8 -backend host -trace host.json -metrics
 //	dsmtxrun -bench 164.gzip -cores 32 -backend host -metrics-addr 127.0.0.1:9090
 //	dsmtxrun -bench 197.parser -cores 5 -misspec 0.05 -backend net -net-daemons 2
+//	dsmtxrun -bench crc32 -cores 8 -misspec 0.02 -paradigm tls -backend net
 //
 // The -backend flag selects the execution platform: "vtime" (the default)
 // runs on the deterministic virtual-time simulator with the paper's cost
@@ -47,6 +48,7 @@ import (
 	"dsmtx/internal/engine"
 	"dsmtx/internal/faults"
 	"dsmtx/internal/harness"
+	"dsmtx/internal/job"
 	"dsmtx/internal/netrun"
 	"dsmtx/internal/stats"
 	"dsmtx/internal/trace"
@@ -55,42 +57,38 @@ import (
 
 // options are the parsed, validated command-line settings.
 type options struct {
-	bench       string
-	cores       int
-	shards      int
-	paradigm    workloads.Paradigm
-	backend     core.Backend
-	misspec     float64
-	scale       int
-	seed        uint64
+	spec        job.Spec // the parallel run the flags describe, normalized
 	traceOut    string
 	metrics     bool
 	metricsAddr string
 	plan        *faults.Plan
-	netDaemons  int
-	netJoin     string
+	// opts are the submission options the flags describe: the fleet's
+	// placement, and the tracer -trace, -metrics or -metrics-addr asks for
+	// (shared across invocations, binding stitches each invocation's clock,
+	// virtual or wall, onto one timeline).
+	opts engine.Options
 }
 
 // parseFlags parses and validates args (without the program name).
 func parseFlags(args []string) (*options, error) {
 	o := &options{}
 	fs := flag.NewFlagSet("dsmtxrun", flag.ContinueOnError)
-	fs.StringVar(&o.bench, "bench", "", "benchmark name (see dsmtxbench -table 2); empty lists them")
-	fs.IntVar(&o.cores, "cores", 32, "total cores (workers + try-commit + commit)")
-	fs.IntVar(&o.shards, "commit-shards", 1, "commit units partitioning the page space (1 = the paper's single commit unit)")
+	fs.StringVar(&o.spec.Bench, "bench", "", "benchmark name (see dsmtxbench -table 2); empty lists them")
+	fs.IntVar(&o.spec.Cores, "cores", 32, "total cores (workers + try-commit + commit)")
+	fs.IntVar(&o.spec.CommitShards, "commit-shards", 1, "commit units partitioning the page space (1 = the paper's single commit unit)")
 	paradigm := fs.String("paradigm", "dsmtx", "dsmtx or tls")
 	backend := fs.String("backend", "vtime", "execution platform: vtime (deterministic simulator), host (live goroutines, wall clock) or net (dsmtxd daemon processes over TCP, wall clock)")
-	fs.Float64Var(&o.misspec, "misspec", 0, "input misspeculation rate (e.g. 0.001)")
+	fs.Float64Var(&o.spec.Rate, "misspec", 0, "input misspeculation rate (e.g. 0.001)")
 	def := workloads.DefaultInput()
-	fs.IntVar(&o.scale, "scale", def.Scale, "problem-size multiplier")
-	fs.Uint64Var(&o.seed, "seed", def.Seed, "input generation seed")
+	fs.IntVar(&o.spec.Scale, "scale", def.Scale, "problem-size multiplier")
+	fs.Uint64Var(&o.spec.Seed, "seed", def.Seed, "input generation seed")
 	fs.StringVar(&o.traceOut, "trace", "", "write a Chrome trace-event JSON timeline (Perfetto-loadable) to this file")
 	fs.BoolVar(&o.metrics, "metrics", false, "print the metrics registry and per-rank stall attribution")
 	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve a live JSON metrics snapshot at http://ADDR/metrics during the run (e.g. 127.0.0.1:9090)")
 	faultArg := fs.String("faults", "", "deterministic fault plan, e.g. drop=0.001,crash=r1@2ms+500us (see internal/faults)")
 	faultSd := fs.Uint64("fault-seed", 0, "override the fault plan's seed (with -faults)")
-	fs.IntVar(&o.netDaemons, "net-daemons", 2, "with -backend net: spawn this many loopback daemon processes")
-	fs.StringVar(&o.netJoin, "net-join", "", "with -backend net: comma-separated dsmtxd addresses to join instead of spawning (last hosts the commit unit)")
+	fs.IntVar(&o.opts.NetDaemons, "net-daemons", 2, "with -backend net: spawn this many loopback daemon processes")
+	netJoin := fs.String("net-join", "", "with -backend net: comma-separated dsmtxd addresses to join instead of spawning (last hosts the commit unit)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -98,19 +96,15 @@ func parseFlags(args []string) (*options, error) {
 		return nil, fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
 
-	switch *paradigm {
-	case "dsmtx":
-		o.paradigm = workloads.DSMTX
-	case "tls":
-		o.paradigm = workloads.TLS
-	default:
+	p, err := workloads.ParseParadigm(strings.ToUpper(*paradigm))
+	if err != nil {
 		return nil, fmt.Errorf("unknown -paradigm %q (have dsmtx, tls)", *paradigm)
 	}
 	b, err := core.ParseBackend(*backend)
 	if err != nil {
 		return nil, err
 	}
-	o.backend = b
+	o.spec.Paradigm, o.spec.Backend = p.String(), b.String()
 
 	if *faultArg != "" {
 		p, err := faults.Parse(*faultArg)
@@ -124,44 +118,36 @@ func parseFlags(args []string) (*options, error) {
 	} else if *faultSd != 0 {
 		return nil, fmt.Errorf("-fault-seed needs -faults")
 	}
+	o.spec.Faults = o.plan.Format()
+	o.spec = o.spec.Normalized()
 
-	if o.bench != "" {
-		// The backend × feature rules (faults are vtime-only, net runs the
-		// unsharded DSMTX paradigm, ...) are the engine's; state them once,
-		// there, and surface them as flag errors.
-		if err := o.jobSpec().Normalized().Validate(); err != nil {
+	if *netJoin != "" {
+		o.opts.NetJoin = strings.Split(*netJoin, ",")
+	}
+	if o.traceOut != "" {
+		o.opts.Tracer = trace.New()
+	} else if o.metrics || o.metricsAddr != "" {
+		o.opts.Tracer = trace.NewMetricsOnly()
+	}
+	if o.spec.Bench != "" {
+		// The backend × feature rules (faults are vtime-only, net refuses
+		// commit shards and a tracer, ...) are the job spec's and the
+		// engine's; state them once, there, and surface them as flag errors.
+		if err := o.spec.Validate(); err != nil {
+			return nil, err
+		}
+		if err := o.opts.Validate(o.spec); err != nil {
 			return nil, err
 		}
 	}
-	if o.backend == core.BackendNet {
-		switch {
-		case o.traceOut != "" || o.metrics || o.metricsAddr != "":
-			// The coordinator only orchestrates; observability instruments
-			// live in the daemon processes, so these flags' sinks have
-			// nothing to attach to (the engine rejects the options too).
-			return nil, fmt.Errorf("-trace/-metrics/-metrics-addr run in-process; on -backend net they belong to the daemons, not the coordinator")
-		case o.netJoin == "" && o.netDaemons < 1:
+	if b == core.BackendNet {
+		if o.opts.NetJoin == nil && o.opts.NetDaemons < 1 {
 			return nil, fmt.Errorf("-net-daemons must be at least 1")
 		}
-	} else if o.netJoin != "" {
+	} else if o.opts.NetJoin != nil {
 		return nil, fmt.Errorf("-net-join requires -backend net")
 	}
 	return o, nil
-}
-
-// jobSpec is the parallel run the flags describe.
-func (o *options) jobSpec() engine.JobSpec {
-	return engine.JobSpec{
-		Bench:        o.bench,
-		Paradigm:     o.paradigm.String(),
-		Backend:      o.backend.String(),
-		Cores:        o.cores,
-		Scale:        o.scale,
-		Seed:         o.seed,
-		Rate:         o.misspec,
-		Faults:       o.plan.Format(),
-		CommitShards: o.shards,
-	}
 }
 
 // writeChromeTrace exports the virtual-time timeline as Chrome trace-event
@@ -215,11 +201,11 @@ func reportOutput(stdout io.Writer, parallel, sequential uint64) error {
 // loopback, or joined via -net-join) and talk TCP; the engine launches or
 // joins the fleet and the record it returns adds only the mesh counters.
 func run(o *options, stdout io.Writer) error {
-	if o.bench == "" {
+	if o.spec.Bench == "" {
 		fmt.Fprintln(stdout, harness.RenderTable2())
 		return nil
 	}
-	b, err := workloads.ByName(o.bench)
+	b, err := workloads.ByName(o.spec.Bench)
 	if err != nil {
 		return err
 	}
@@ -232,21 +218,14 @@ func run(o *options, stdout io.Writer) error {
 
 	// The sequential reference always runs in virtual time: it is the cost
 	// model's baseline and, for the live backends, the checksum oracle.
-	seqRes, err := eng.Submit(context.Background(), engine.JobSpec{
-		Kind: engine.KindSeq, Bench: b.Name, Scale: o.scale, Seed: o.seed, Rate: o.misspec,
+	seqRes, err := eng.Submit(context.Background(), job.Spec{
+		Kind: job.KindSeq, Bench: b.Name, Scale: o.spec.Scale, Seed: o.spec.Seed, Rate: o.spec.Rate,
 	})
 	if err != nil {
 		return err
 	}
 	seqTime, seqCheck := seqRes.SeqTime, seqRes.SeqCheck
-	// The tracer is shared across invocations; binding stitches each
-	// invocation's clock (virtual or wall) onto one monotonic timeline.
-	var tr *trace.Tracer
-	if o.traceOut != "" {
-		tr = trace.New()
-	} else if o.metrics || o.metricsAddr != "" {
-		tr = trace.NewMetricsOnly()
-	}
+	tr := o.opts.Tracer
 	if o.metricsAddr != "" {
 		stop, err := cli.ServeMetrics(o.metricsAddr, tr.Metrics())
 		if err != nil {
@@ -255,11 +234,7 @@ func run(o *options, stdout io.Writer) error {
 		defer stop()
 		fmt.Fprintf(stdout, "metrics: serving http://%s/metrics\n", o.metricsAddr)
 	}
-	opts := engine.Options{Tracer: tr, NetDaemons: o.netDaemons}
-	if o.netJoin != "" {
-		opts.NetJoin = strings.Split(o.netJoin, ",")
-	}
-	res, err := eng.SubmitOpts(context.Background(), o.jobSpec(), opts)
+	res, err := eng.SubmitOpts(context.Background(), o.spec, o.opts)
 	if err != nil {
 		return err
 	}
@@ -270,14 +245,14 @@ func run(o *options, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "trace: %d events -> %s\n", len(tr.Events()), o.traceOut)
 	}
 
-	head := fmt.Sprintf("%s (%s), %d cores, paradigm %s", b.Name, b.Paradigm, o.cores, o.paradigm)
-	if o.backend == core.BackendVTime {
-		fmt.Fprintf(stdout, "%s%s\n", head, shardSuffix(o.shards))
+	head := fmt.Sprintf("%s (%s), %d cores, paradigm %s", b.Name, b.Paradigm, o.spec.Cores, o.spec.Paradigm)
+	if o.spec.ParsedBackend() == core.BackendVTime {
+		fmt.Fprintf(stdout, "%s%s\n", head, shardSuffix(o.spec.CommitShards))
 		fmt.Fprintf(stdout, "  sequential      %v\n", seqTime)
 		fmt.Fprintf(stdout, "  parallel        %v\n", res.Elapsed)
 		fmt.Fprintf(stdout, "  speedup         %s\n", stats.FormatSpeedup(seqTime.Seconds()/res.Elapsed.Seconds()))
 	} else {
-		fmt.Fprintf(stdout, "%s, backend %s%s\n", head, o.backend, shardSuffix(o.shards))
+		fmt.Fprintf(stdout, "%s, backend %s%s\n", head, o.spec.Backend, shardSuffix(o.spec.CommitShards))
 		fmt.Fprintf(stdout, "  sequential      %v (vtime reference)\n", seqTime)
 		fmt.Fprintf(stdout, "  parallel        %v wall clock\n", res.Elapsed)
 	}
@@ -300,8 +275,7 @@ func run(o *options, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "  recovery        ERM %v  FLQ %v  SEQ %v  RFP %v\n", res.ERM, res.FLQ, res.SEQ, res.RFP)
 		// Useful outcomes over attempts: every stage body the workers ran
 		// against the ones a committed MTX needed.
-		in := workloads.Input{Scale: o.scale, Seed: o.seed, MisspecRate: o.misspec}
-		useful := res.Committed * uint64(len(workloads.NewChain(b, in).Plan(o.paradigm).Stages))
+		useful := res.Committed * uint64(len(workloads.NewChain(b, o.spec.Input()).Plan(o.spec.ParsedParadigm()).Stages))
 		squashed := 100 * max(0, 1-float64(useful)/float64(max(res.SubTXs, 1)))
 		fmt.Fprintf(stdout, "  speculation     %d subTXs executed, %d useful (%.1f%% squashed)\n", res.SubTXs, useful, squashed)
 	}

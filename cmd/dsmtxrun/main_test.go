@@ -21,7 +21,7 @@ func TestParseFlagsDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.bench != "" || o.cores != 32 || o.paradigm != workloads.DSMTX || o.backend != core.BackendVTime {
+	if o.spec.Bench != "" || o.spec.Cores != 32 || o.spec.ParsedParadigm() != workloads.DSMTX || o.spec.ParsedBackend() != core.BackendVTime {
 		t.Fatalf("unexpected defaults: %+v", o)
 	}
 }
@@ -31,11 +31,16 @@ func TestParseFlagsBackends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.backend != core.BackendHost {
-		t.Fatalf("backend = %v, want host", o.backend)
+	if o.spec.ParsedBackend() != core.BackendHost {
+		t.Fatalf("backend = %v, want host", o.spec.Backend)
 	}
 	if _, err := parseFlags([]string{"-backend", "qemu"}); err == nil {
 		t.Fatal("accepted unknown backend")
+	}
+	// Net daemons configure their ranks from the job spec, so TLS runs there.
+	o, err = parseFlags([]string{"-bench", "crc32", "-cores", "8", "-backend", "net", "-paradigm", "tls"})
+	if err != nil || o.spec.ParsedParadigm() != workloads.TLS {
+		t.Fatalf("-backend net -paradigm tls: %v", err)
 	}
 }
 
@@ -85,8 +90,7 @@ func TestParseFlagsErrors(t *testing.T) {
 		{Args: []string{"-bench", "crc32", "-backend", "host", "-faults", "drop=0.01"}, Want: "Faults: fault injection is built on the virtual-time kernel"},
 		{Args: []string{"-bench", "crc32", "-backend", "net", "-faults", "drop=0.01"}, Want: "Faults: fault injection is built on the virtual-time kernel"},
 		{Args: []string{"-bench", "crc32", "-backend", "net", "-commit-shards", "2"}, Want: "net backend"},
-		{Args: []string{"-bench", "crc32", "-backend", "net", "-paradigm", "tls"}, Want: "net backend"},
-		{Args: []string{"-bench", "crc32", "-backend", "net", "-trace", "t.json"}, Want: "belong to the daemons"},
+		{Args: []string{"-bench", "crc32", "-backend", "net", "-trace", "t.json"}, Want: "Options.Tracer"},
 		{Args: []string{"-bench", "999.nope"}, Want: "unknown benchmark"},
 	})
 }

@@ -206,24 +206,6 @@ func (c Config) commitShards() int {
 // unit and the commit unit(s)).
 func (c Config) Workers() int { return c.TotalCores - c.commitShards() - 1 }
 
-// CheckBackend reports a fault plan or commit-shard count that backend b
-// cannot run. It is the one statement of these two rows of the backend
-// matrix: Config.Validate and engine.JobSpec.Validate both call it and put
-// their own type name in front of the error, which leads with the field name
-// the two types share.
-func CheckBackend(b Backend, hasFaults bool, commitShards int) error {
-	if commitShards < 0 {
-		return fmt.Errorf("CommitShards = %d, need >= 0", commitShards)
-	}
-	if hasFaults && b != BackendVTime {
-		return fmt.Errorf("Faults: fault injection is built on the virtual-time kernel; unsupported on the %s backend", b)
-	}
-	if commitShards > 1 && b == BackendNet {
-		return fmt.Errorf("CommitShards = %d: commit shards share an in-process image arena; unsupported on the net backend", commitShards)
-	}
-	return nil
-}
-
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	if err := c.Cluster.Validate(); err != nil {
@@ -242,8 +224,16 @@ func (c Config) Validate() error {
 	if c.Backend != BackendVTime && c.Backend != BackendHost && c.Backend != BackendNet {
 		return fmt.Errorf("core: unknown backend %d", c.Backend)
 	}
-	if err := CheckBackend(c.Backend, !c.Faults.Empty(), c.CommitShards); err != nil {
-		return fmt.Errorf("core: Config.%w", err)
+	if c.CommitShards < 0 {
+		return fmt.Errorf("core: Config.CommitShards = %d, need >= 0", c.CommitShards)
+	}
+	// What a live backend cannot run yet, each with its reason: the one
+	// statement of these rows of the backend matrix (ROADMAP 6 and 7(c)).
+	if !c.Faults.Empty() && c.Backend != BackendVTime {
+		return fmt.Errorf("core: Config.Faults: fault injection is built on the virtual-time kernel; unsupported on the %s backend", c.Backend)
+	}
+	if c.CommitShards > 1 && c.Backend == BackendNet {
+		return fmt.Errorf("core: Config.CommitShards = %d: commit shards share an in-process image arena; unsupported on the net backend", c.CommitShards)
 	}
 	if c.Platform != nil && c.Backend != BackendNet {
 		return fmt.Errorf("core: Config.Platform: injected platforms are a net-backend feature (the %s backend builds its own)", c.Backend)

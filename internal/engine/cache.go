@@ -12,11 +12,13 @@ import (
 // simSourceDirs are the packages whose sources determine job results. The
 // cache fingerprint covers exactly these: editing anything else
 // (rendering, CLI, docs, tests) keeps cached results valid, while any
-// kernel/runtime/workload change invalidates every entry.
+// kernel/runtime/workload change — a net daemon's config build and wire
+// codec included — invalidates every entry.
 var simSourceDirs = []string{
 	"internal/cluster", "internal/core", "internal/engine", "internal/faults",
-	"internal/mem", "internal/mpi", "internal/pipeline", "internal/platform",
-	"internal/queue", "internal/sim", "internal/uva", "internal/workloads",
+	"internal/job", "internal/mem", "internal/mpi", "internal/netrun",
+	"internal/pipeline", "internal/platform", "internal/queue", "internal/sim",
+	"internal/uva", "internal/wire", "internal/workloads",
 }
 
 // recordSchema versions the cached Result layout; bump it when the record

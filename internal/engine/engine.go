@@ -10,6 +10,7 @@ import (
 
 	"dsmtx/internal/core"
 	"dsmtx/internal/expsched"
+	"dsmtx/internal/job"
 	"dsmtx/internal/netrun"
 	"dsmtx/internal/trace"
 	"dsmtx/internal/workloads"
@@ -80,7 +81,7 @@ type Engine struct {
 	running    int
 	coresInUse int
 	draining   bool
-	inflight   map[JobSpec]*call
+	inflight   map[job.Spec]*call
 	clusters   map[string]*netCluster
 
 	metrics *trace.Metrics
@@ -131,7 +132,7 @@ func New(cfg Config) *Engine {
 	e := &Engine{
 		cfg:      cfg,
 		exe:      exe,
-		inflight: make(map[JobSpec]*call),
+		inflight: make(map[job.Spec]*call),
 		clusters: make(map[string]*netCluster),
 		metrics:  m,
 		met: engineMetrics{
@@ -317,19 +318,19 @@ func (e *Engine) release(cores int) {
 // until the result is ready; ctx cancels waiting in the admission queue (a
 // job already running completes regardless — partial speculative state
 // cannot be handed back).
-func (e *Engine) Submit(ctx context.Context, spec JobSpec) (Result, error) {
+func (e *Engine) Submit(ctx context.Context, spec job.Spec) (Result, error) {
 	return e.SubmitOpts(ctx, spec, Options{})
 }
 
 // SubmitOpts is Submit with per-submission observability and placement
 // options. Submissions carrying observability sinks bypass the cache and the
 // coalescer.
-func (e *Engine) SubmitOpts(ctx context.Context, spec JobSpec, opts Options) (Result, error) {
+func (e *Engine) SubmitOpts(ctx context.Context, spec job.Spec, opts Options) (Result, error) {
 	spec = spec.Normalized()
 	if err := spec.Validate(); err != nil {
 		return Result{}, err
 	}
-	if err := opts.validate(spec); err != nil {
+	if err := opts.Validate(spec); err != nil {
 		return Result{}, err
 	}
 	e.met.cSubmitted.Inc()
@@ -389,19 +390,20 @@ func (e *Engine) SubmitOpts(ctx context.Context, spec JobSpec, opts Options) (Re
 }
 
 // runJob admits and executes one job (the singleflight leader's path).
-func (e *Engine) runJob(ctx context.Context, spec JobSpec, opts Options) (Result, error) {
+func (e *Engine) runJob(ctx context.Context, spec job.Spec, opts Options) (Result, error) {
 	// Resolve the verification reference before taking an admission slot:
 	// the seq job takes its own slot, and nesting Submit under a held slot
 	// could deadlock a fully-loaded engine.
 	var seqTime Result
 	if spec.Verify {
 		var err error
-		seqTime, err = e.Submit(ctx, spec.seqSpec())
+		seqTime, err = e.Submit(ctx, job.Spec{Kind: job.KindSeq, Bench: spec.Bench,
+			Scale: spec.Scale, Seed: spec.Seed, Rate: spec.Rate, Knob: spec.Knob})
 		if err != nil {
 			return Result{}, fmt.Errorf("engine: %s: sequential reference: %w", spec, err)
 		}
 	}
-	release, err := e.admit(ctx, spec.coresNeeded())
+	release, err := e.admit(ctx, max(spec.Cores, 1)) // a seq job's Cores normalize to 0
 	if err != nil {
 		return Result{}, err
 	}
@@ -432,8 +434,8 @@ func (e *Engine) runJob(ctx context.Context, spec JobSpec, opts Options) (Result
 // It stays while another queued or running job reads the same input (a
 // sweep's other cores, paradigms and rates), and a seq job never drops it:
 // its verified parallel run reads it next.
-func (e *Engine) dropInput(spec JobSpec) {
-	if spec.Kind == KindSeq {
+func (e *Engine) dropInput(spec job.Spec) {
+	if spec.Kind == job.KindSeq {
 		return
 	}
 	e.mu.Lock()
@@ -443,18 +445,18 @@ func (e *Engine) dropInput(spec JobSpec) {
 			return
 		}
 	}
-	workloads.DropInput(spec.Bench, spec.input())
+	workloads.DropInput(spec.Bench, spec.Input())
 }
 
 // execute runs the admitted job on its backend.
-func (e *Engine) execute(spec JobSpec, opts Options) (Result, error) {
+func (e *Engine) execute(spec job.Spec, opts Options) (Result, error) {
 	b, err := workloads.ByName(spec.Bench)
 	if err != nil {
 		return Result{}, err
 	}
-	in := spec.input()
-	if spec.Kind == KindSeq {
-		tune, err := KnobTune(spec.Knob)
+	in := spec.Input()
+	if spec.Kind == job.KindSeq {
+		tune, err := job.KnobTune(spec.Knob)
 		if err != nil {
 			return Result{}, err
 		}
@@ -464,14 +466,14 @@ func (e *Engine) execute(spec JobSpec, opts Options) (Result, error) {
 		}
 		return Result{SeqTime: elapsed, SeqCheck: check}, nil
 	}
-	if spec.backend() == core.BackendNet {
+	if spec.ParsedBackend() == core.BackendNet {
 		return e.executeNet(spec, opts)
 	}
-	tune, err := spec.tune(opts.Tracer)
+	tune, err := spec.Tune(opts.Tracer)
 	if err != nil {
 		return Result{}, err
 	}
-	res, err := workloads.RunParallel(b, in, spec.paradigm(), spec.Cores, tune)
+	res, err := workloads.RunParallel(b, in, spec.ParsedParadigm(), spec.Cores, tune)
 	if err != nil {
 		return Result{}, err
 	}
@@ -481,7 +483,7 @@ func (e *Engine) execute(spec JobSpec, opts Options) (Result, error) {
 // executeNet runs a job across a daemon fleet, reusing a persistent
 // cluster per placement (the daemons accept successive Job frames on one
 // control session).
-func (e *Engine) executeNet(spec JobSpec, opts Options) (Result, error) {
+func (e *Engine) executeNet(spec job.Spec, opts Options) (Result, error) {
 	h := e.netClusterFor(opts)
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -501,13 +503,7 @@ func (e *Engine) executeNet(spec JobSpec, opts Options) (Result, error) {
 	} else {
 		e.met.cPoolReuse.Inc()
 	}
-	res, err := h.cl.Run(netrun.JobSpec{
-		Bench:       spec.Bench,
-		Scale:       spec.Scale,
-		MisspecRate: spec.Rate,
-		Seed:        spec.Seed,
-		Cores:       spec.Cores,
-	})
+	res, err := h.cl.RunJob(spec)
 	if err != nil {
 		if !errors.Is(err, netrun.ErrRejected) {
 			// The control session is desynchronized; tear the fleet down so

@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"go/build"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -15,6 +17,7 @@ import (
 	"time"
 
 	"dsmtx/internal/expsched"
+	"dsmtx/internal/job"
 	"dsmtx/internal/trace"
 	"dsmtx/internal/workloads"
 )
@@ -32,8 +35,8 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 // crc32Spec is the cheap vtime job the behavioural tests run.
-func crc32Spec(seed uint64) JobSpec {
-	return JobSpec{Bench: "crc32", Cores: 8, Seed: seed}
+func crc32Spec(seed uint64) job.Spec {
+	return job.Spec{Bench: "crc32", Cores: 8, Seed: seed}
 }
 
 // TestAdmitQueueFull: with one slot running and the queue at depth, the
@@ -216,7 +219,7 @@ func TestSubmitVTimeMatchesDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := workloads.RunParallel(b, spec.input(), spec.paradigm(), spec.Cores, nil)
+	want, err := workloads.RunParallel(b, spec.Input(), spec.ParsedParadigm(), spec.Cores, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +252,7 @@ func TestSubmitVerify(t *testing.T) {
 	// An in-process job builds its core.System and drops it: the same
 	// uncached host spec twice is two verified runs, and the fleet counters
 	// stay where net jobs left them.
-	host := JobSpec{Bench: "crc32", Cores: 4, Backend: "host", Seed: 11, Rate: 0.02, Verify: true}
+	host := job.Spec{Bench: "crc32", Cores: 4, Backend: "host", Seed: 11, Rate: 0.02, Verify: true}
 	for i := 0; i < 2; i++ {
 		res, err := e.Submit(context.Background(), host)
 		if err != nil {
@@ -265,7 +268,7 @@ func TestSubmitVerify(t *testing.T) {
 
 	// The one chained benchmark: its parallel run and its sequential
 	// reference both run every epoch.
-	res, err = e.Submit(context.Background(), JobSpec{Bench: "052.alvinn", Cores: 8, Verify: true})
+	res, err = e.Submit(context.Background(), job.Spec{Bench: "052.alvinn", Cores: 8, Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +332,7 @@ func TestInputLifetime(t *testing.T) {
 	if err != nil || !res.Verified {
 		t.Fatalf("verified job: %+v, %v", res, err)
 	}
-	if workloads.InputCached("crc32", verified.input()) {
+	if workloads.InputCached("crc32", verified.Input()) {
 		t.Fatal("a cached verified job's input is still held")
 	}
 	if again, err := cached.Submit(ctx, verified); err != nil || again.Source != "cache" {
@@ -346,7 +349,7 @@ func TestInputLifetime(t *testing.T) {
 	if _, err := cached.Submit(ctx, point); err != nil {
 		t.Fatal(err)
 	}
-	if !workloads.InputCached("crc32", point.input()) {
+	if !workloads.InputCached("crc32", point.Input()) {
 		t.Fatal("a job dropped an input a queued job shares")
 	}
 	cached.mu.Lock()
@@ -355,15 +358,15 @@ func TestInputLifetime(t *testing.T) {
 	if _, err := cached.Submit(ctx, sibling); err != nil {
 		t.Fatal(err)
 	}
-	if workloads.InputCached("crc32", point.input()) {
+	if workloads.InputCached("crc32", point.Input()) {
 		t.Fatal("the last job over an input left it held")
 	}
 
-	seq := JobSpec{Kind: KindSeq, Bench: "crc32", Seed: 9102}
+	seq := job.Spec{Kind: job.KindSeq, Bench: "crc32", Seed: 9102}
 	if _, err := cached.Submit(ctx, seq); err != nil {
 		t.Fatal(err)
 	}
-	if !workloads.InputCached("crc32", seq.input()) {
+	if !workloads.InputCached("crc32", seq.Input()) {
 		t.Fatal("a seq job dropped its input")
 	}
 
@@ -373,7 +376,7 @@ func TestInputLifetime(t *testing.T) {
 	if _, err := plain.Submit(ctx, spec); err != nil {
 		t.Fatal(err)
 	}
-	if !workloads.InputCached("crc32", spec.input()) {
+	if !workloads.InputCached("crc32", spec.Input()) {
 		t.Fatal("an engine without a result cache dropped a job's input")
 	}
 }
@@ -470,7 +473,7 @@ func TestStatsAreTheMetrics(t *testing.T) {
 	}
 	dead := ln.Addr().String()
 	ln.Close()
-	if _, err := e.SubmitOpts(ctx, JobSpec{Bench: "crc32", Cores: 5, Backend: "net"}, Options{NetJoin: []string{dead}}); err == nil {
+	if _, err := e.SubmitOpts(ctx, job.Spec{Bench: "crc32", Cores: 5, Backend: "net"}, Options{NetJoin: []string{dead}}); err == nil {
 		t.Fatal("net job against a closed port succeeded")
 	}
 
@@ -524,30 +527,32 @@ func TestDrainRejects(t *testing.T) {
 func TestSubmitValidates(t *testing.T) {
 	e := New(Config{})
 	defer e.Close()
-	net := JobSpec{Bench: "crc32", Cores: 8, Backend: "net"}
+	net := job.Spec{Bench: "crc32", Cores: 8, Backend: "net"}
 	for _, tc := range []struct {
-		spec JobSpec
+		spec job.Spec
 		opts Options
 		want string
 	}{
-		{spec: JobSpec{}, want: "benchmark name"},
-		{spec: JobSpec{Bench: "no-such-bench"}, want: "unknown benchmark"},
-		{spec: JobSpec{Bench: "crc32", Cores: -1}, want: "cores"},
-		{spec: JobSpec{Bench: "crc32", Cores: 8, Knob: "warp-drive"}, want: "knob"},
-		{spec: JobSpec{Bench: "crc32", Cores: 8, Paradigm: "openmp"}, want: "paradigm"},
-		{spec: JobSpec{Bench: "crc32", Cores: 8, CommitShards: -1}, want: "engine: JobSpec.CommitShards = -1, need >= 0"},
-		{spec: JobSpec{Bench: "crc32", Cores: 8, Backend: "host", Faults: "drop=0.5"}, want: "JobSpec.Faults: fault injection is built on the virtual-time kernel; unsupported on the host backend"},
-		// What a net job cannot honour is refused, not silently dropped.
-		{spec: JobSpec{Bench: "crc32", Cores: 8, Backend: "net", Faults: "drop=0.5"}, want: "JobSpec.Faults: fault injection is built on the virtual-time kernel; unsupported on the net backend"},
-		{spec: JobSpec{Bench: "crc32", Cores: 8, Backend: "net", CommitShards: 2}, want: "JobSpec.CommitShards = 2: commit shards share an in-process image arena; unsupported on the net backend"},
-		{spec: JobSpec{Bench: "crc32", Cores: 8, Backend: "net", Paradigm: "TLS"}, want: "paradigm"},
-		{spec: JobSpec{Bench: "crc32", Cores: 8, Backend: "net", Knob: KnobQueueUnopt}, want: `knob "queue-unopt"`},
+		{spec: job.Spec{}, want: "benchmark name"},
+		{spec: job.Spec{Bench: "no-such-bench"}, want: "unknown benchmark"},
+		{spec: job.Spec{Bench: "crc32", Cores: -1}, want: "cores"},
+		{spec: job.Spec{Bench: "crc32", Cores: 8, Knob: "warp-drive"}, want: "knob"},
+		{spec: job.Spec{Bench: "crc32", Cores: 8, Paradigm: "openmp"}, want: "paradigm"},
+		{spec: job.Spec{Bench: "crc32", Cores: 8, CommitShards: -1}, want: "core: Config.CommitShards = -1, need >= 0"},
+		{spec: job.Spec{Bench: "crc32", Cores: 8, Backend: "host", Faults: "drop=0.5"}, want: "Config.Faults: fault injection is built on the virtual-time kernel; unsupported on the host backend"},
+		// What a net job cannot honour is refused, not silently dropped:
+		// faults, commit shards and a coordinator-side tracer, and no more.
+		{spec: job.Spec{Bench: "crc32", Cores: 8, Backend: "net", Faults: "drop=0.5"}, want: "Config.Faults: fault injection is built on the virtual-time kernel; unsupported on the net backend"},
+		{spec: job.Spec{Bench: "crc32", Cores: 8, Backend: "net", CommitShards: 2}, want: "Config.CommitShards = 2: commit shards share an in-process image arena; unsupported on the net backend"},
 		{spec: net, opts: Options{Tracer: trace.New()}, want: "Options.Tracer"},
+		// The daemons run the spec's own tune hook, so TLS and the knobs run.
+		{spec: job.Spec{Bench: "crc32", Cores: 8, Backend: "net", Paradigm: "TLS"}},
+		{spec: job.Spec{Bench: "crc32", Cores: 8, Backend: "net", Knob: job.KnobQueueUnopt}},
 		// What only core.Config.Validate sees is a spec error too, not a
 		// failed job; the machine the cores must fit is the knob's.
-		{spec: JobSpec{Bench: "crc32", Cores: 2, Backend: "host"}, want: "2 cores leave 0 workers"},
-		{spec: JobSpec{Bench: "crc32", Cores: 129, Backend: "host", Verify: true}, want: "129 cores exceed the machine's 128"},
-		{spec: JobSpec{Bench: "crc32", Cores: 200, Knob: KnobBigCluster}},
+		{spec: job.Spec{Bench: "crc32", Cores: 2, Backend: "host"}, want: "2 cores leave 0 workers"},
+		{spec: job.Spec{Bench: "crc32", Cores: 129, Backend: "host", Verify: true}, want: "129 cores exceed the machine's 128"},
+		{spec: job.Spec{Bench: "crc32", Cores: 200, Knob: job.KnobBigCluster}},
 	} {
 		if tc.want == "" {
 			if err := tc.spec.Normalized().Validate(); err != nil {
@@ -614,6 +619,50 @@ func TestFollowerSurvivesLeaderCancel(t *testing.T) {
 	}
 }
 
+// resultNeutral are the packages on Submit's run path whose sources cannot
+// change a cached result: instrumentation, formatting and the cache itself.
+var resultNeutral = map[string]bool{"internal/trace": true, "internal/stats": true, "internal/expsched": true}
+
+// TestFingerprintCoversRunPath: every in-module package Submit's run path
+// imports, directly or not, is under a simSourceDirs entry or named
+// result-neutral, so editing it invalidates the result cache.
+func TestFingerprintCoversRunPath(t *testing.T) {
+	root, ok := moduleRoot()
+	if !ok {
+		t.Skip("not inside the module")
+	}
+	seen := map[string]bool{}
+	var walk func(rel string)
+	walk = func(rel string) {
+		if seen[rel] {
+			return
+		}
+		seen[rel] = true
+		pkg, err := build.ImportDir(filepath.Join(root, filepath.FromSlash(rel)), 0)
+		if err != nil {
+			t.Fatalf("%s: %v", rel, err)
+		}
+		for _, imp := range pkg.Imports {
+			if dep, ok := strings.CutPrefix(imp, "dsmtx/"); ok {
+				walk(dep)
+			}
+		}
+	}
+	walk("internal/engine")
+	for rel := range seen {
+		covered := resultNeutral[rel]
+		for _, dir := range simSourceDirs {
+			covered = covered || rel == dir || strings.HasPrefix(rel, dir+"/")
+		}
+		if !covered {
+			t.Errorf("%s is on the run path but neither in simSourceDirs nor result-neutral", rel)
+		}
+	}
+	if !seen["internal/netrun"] || !seen["internal/job"] {
+		t.Fatalf("walk missed the net path: %v", seen)
+	}
+}
+
 // TestResultCacheRoundTrip: the cache stores engine.Result as-is, so a
 // Put→Get round trip must preserve every serialized field — checked by
 // reflection over a fully populated Result, so a field added later without
@@ -660,7 +709,7 @@ func TestResultCacheRoundTrip(t *testing.T) {
 		t.Fatalf("engine hit differs from the stored record:\n got %+v\nwant %+v", hit, want)
 	}
 
-	// The same JobSpec key under the previous schema string held the old
+	// The same job.Spec key under the previous schema string held the old
 	// lower-case record shape; it must be invisible, not a zeroed hit.
 	oldFP, err := resultFingerprint("record-v2")
 	if err != nil {

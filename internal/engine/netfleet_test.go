@@ -8,11 +8,12 @@ import (
 	"slices"
 	"testing"
 
+	"dsmtx/internal/job"
 	"dsmtx/internal/netrun"
 )
 
 // TestNetFleetSurvivesRejectedSpec: a net spec the coordinator refuses
-// before writing a frame (cores: 4 passes JobSpec.Validate — crc32 needs two
+// before writing a frame (cores: 4 passes job.Spec.Validate — crc32 needs two
 // workers — and leaves one of five daemons without a rank) must not cost the
 // placement its warm fleet — the next job reuses the same cluster through the
 // same handle — and Stats counts the fleet: one build when it is joined, one
@@ -46,7 +47,7 @@ func TestNetFleetSurvivesRejectedSpec(t *testing.T) {
 		return h, h.cl
 	}
 
-	good := JobSpec{Bench: "crc32", Backend: "net", Cores: 5, Seed: 42}
+	good := job.Spec{Bench: "crc32", Backend: "net", Cores: 5, Seed: 42}
 	netRes, err := e.SubmitOpts(context.Background(), good, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +73,7 @@ func TestNetFleetSurvivesRejectedSpec(t *testing.T) {
 		t.Errorf("after the first job: %+v, want 1 build, 0 reuses", st)
 	}
 
-	bad := JobSpec{Bench: "crc32", Backend: "net", Cores: 4}
+	bad := job.Spec{Bench: "crc32", Backend: "net", Cores: 4}
 	if _, err := e.SubmitOpts(context.Background(), bad, opts); !errors.Is(err, netrun.ErrRejected) {
 		t.Fatalf("cores: 4 on 5 daemons: err = %v, want netrun.ErrRejected", err)
 	}

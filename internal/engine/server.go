@@ -12,6 +12,7 @@ import (
 	"sync"
 
 	"dsmtx/internal/expsched"
+	"dsmtx/internal/job"
 )
 
 // Server exposes an Engine over JSON/HTTP — the `dsmtxd serve` job-serving
@@ -51,11 +52,11 @@ const (
 
 // jobStatus tracks one detached submission.
 type jobStatus struct {
-	ID     uint64  `json:"id"`
-	Spec   JobSpec `json:"spec"`
-	State  string  `json:"state"` // "running", "done", "failed"
-	Result *Result `json:"result,omitempty"`
-	Error  string  `json:"error,omitempty"`
+	ID     uint64   `json:"id"`
+	Spec   job.Spec `json:"spec"`
+	State  string   `json:"state"` // "running", "done", "failed"
+	Result *Result  `json:"result,omitempty"`
+	Error  string   `json:"error,omitempty"`
 }
 
 // NewServer wraps an engine.
@@ -101,7 +102,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "POST a JobSpec to /jobs")
 		return
 	}
-	var spec JobSpec
+	var spec job.Spec
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	err := dec.Decode(&spec)
@@ -122,7 +123,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		httpError(w, status, "bad job spec: "+err.Error())
 		return
 	}
-	if spec.Backend == "" && spec.Kind != KindSeq && s.DefaultBackend != "" {
+	if spec.Backend == "" && spec.Kind != job.KindSeq && s.DefaultBackend != "" {
 		spec.Backend = s.DefaultBackend
 	}
 	spec = spec.Normalized()

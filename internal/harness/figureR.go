@@ -5,6 +5,7 @@ import (
 
 	"dsmtx/internal/engine"
 	"dsmtx/internal/faults"
+	"dsmtx/internal/job"
 	"dsmtx/internal/sim"
 	"dsmtx/internal/stats"
 	"dsmtx/internal/workloads"
@@ -56,8 +57,8 @@ func figRCrashPlan(cleanPerInvocation sim.Time) *faults.Plan {
 }
 
 // faultJob is parJob plus a canonical fault-plan string.
-func faultJob(bench string, in workloads.Input, cores int, plan *faults.Plan) engine.JobSpec {
-	s := parJob(bench, in, workloads.DSMTX, cores, engine.KnobNone)
+func faultJob(bench string, in workloads.Input, cores int, plan *faults.Plan) job.Spec {
+	s := parJob(bench, in, workloads.DSMTX, cores, job.KnobNone)
 	s.Faults = plan.Format()
 	return s
 }
@@ -87,9 +88,9 @@ type FigRRow struct {
 func (r *Runner) RunFigureR(b *workloads.Benchmark, in workloads.Input, cores int) (FigRRow, error) {
 	cores = clampCores(b, in, cores)
 	row := FigRRow{Bench: b.Name, Cores: cores}
-	specs := []engine.JobSpec{
-		seqJob(b.Name, in, engine.KnobNone),
-		parJob(b.Name, in, workloads.DSMTX, cores, engine.KnobNone),
+	specs := []job.Spec{
+		seqJob(b.Name, in, job.KnobNone),
+		parJob(b.Name, in, workloads.DSMTX, cores, job.KnobNone),
 		faultJob(b.Name, in, cores, figRStragglerPlan()),
 	}
 	for _, rate := range FigRDropRates {

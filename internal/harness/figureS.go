@@ -4,12 +4,13 @@ import (
 	"fmt"
 
 	"dsmtx/internal/engine"
+	"dsmtx/internal/job"
 	"dsmtx/internal/stats"
 	"dsmtx/internal/workloads"
 )
 
 // Figure S (sharding) is not in the paper: it extends the evaluation past
-// the paper's 128-core platform to a 64-node, 16-core cluster (engine.KnobBigCluster)
+// the paper's 128-core platform to a 64-node, 16-core cluster (job.KnobBigCluster)
 // where the single commit unit of §4 becomes the bottleneck, and sweeps the
 // commit-shard count. Each shard owns a consistent-hashed slice of the page
 // space with its own validate/group-commit/COA loop; multi-shard MTXs commit
@@ -44,9 +45,9 @@ func figSInput(in workloads.Input) workloads.Input {
 }
 
 // figSJob is parJob on the big cluster plus the commit-shard count (one
-// shard normalizes to a plain engine.KnobBigCluster run).
-func figSJob(bench string, in workloads.Input, cores, shards int) engine.JobSpec {
-	s := parJob(bench, in, workloads.DSMTX, cores, engine.KnobBigCluster)
+// shard normalizes to a plain job.KnobBigCluster run).
+func figSJob(bench string, in workloads.Input, cores, shards int) job.Spec {
+	s := parJob(bench, in, workloads.DSMTX, cores, job.KnobBigCluster)
 	s.CommitShards = shards
 	return s
 }
@@ -70,7 +71,7 @@ func (r *Runner) RunFigureS(b *workloads.Benchmark, in workloads.Input, cores in
 	in = figSInput(in)
 	cores = clampCores(b, in, cores)
 	row := FigSRow{Bench: b.Name, Cores: cores}
-	var specs []engine.JobSpec
+	var specs []job.Spec
 	for _, shards := range FigSShards {
 		specs = append(specs, figSJob(b.Name, in, cores, shards))
 	}

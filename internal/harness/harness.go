@@ -7,7 +7,7 @@ import (
 	"fmt"
 	"strings"
 
-	"dsmtx/internal/engine"
+	"dsmtx/internal/job"
 	"dsmtx/internal/stats"
 	"dsmtx/internal/workloads"
 )
@@ -34,13 +34,13 @@ func clampCores(b *workloads.Benchmark, in workloads.Input, c int) int {
 
 // parJob and seqJob describe one parallel run / one sequential reference
 // of a figure cell as an engine job.
-func parJob(bench string, in workloads.Input, paradigm workloads.Paradigm, cores int, knob string) engine.JobSpec {
-	return engine.JobSpec{Bench: bench, Paradigm: paradigm.String(), Cores: cores,
+func parJob(bench string, in workloads.Input, paradigm workloads.Paradigm, cores int, knob string) job.Spec {
+	return job.Spec{Bench: bench, Paradigm: paradigm.String(), Cores: cores,
 		Scale: in.Scale, Seed: in.Seed, Rate: in.MisspecRate, Knob: knob}
 }
 
-func seqJob(bench string, in workloads.Input, knob string) engine.JobSpec {
-	return engine.JobSpec{Kind: engine.KindSeq, Bench: bench,
+func seqJob(bench string, in workloads.Input, knob string) job.Spec {
+	return job.Spec{Kind: job.KindSeq, Bench: bench,
 		Scale: in.Scale, Seed: in.Seed, Rate: in.MisspecRate, Knob: knob}
 }
 
@@ -59,13 +59,13 @@ type Fig4Series struct {
 // count, each raised to the plan's minimum.
 func (r *Runner) RunFigure4(b *workloads.Benchmark, in workloads.Input, cores []int) (Fig4Series, error) {
 	out := Fig4Series{Bench: b.Name, Paradigm: b.Paradigm}
-	specs := []engine.JobSpec{seqJob(b.Name, in, engine.KnobNone)}
+	specs := []job.Spec{seqJob(b.Name, in, job.KnobNone)}
 	for _, c := range cores {
 		c = clampCores(b, in, c)
 		out.Cores = append(out.Cores, c)
 		specs = append(specs,
-			parJob(b.Name, in, workloads.DSMTX, c, engine.KnobNone),
-			parJob(b.Name, in, workloads.TLS, c, engine.KnobNone))
+			parJob(b.Name, in, workloads.DSMTX, c, job.KnobNone),
+			parJob(b.Name, in, workloads.TLS, c, job.KnobNone))
 	}
 	res, err := r.resolveAll(specs...)
 	if err != nil {
@@ -169,10 +169,10 @@ type Fig5aRow struct {
 func (r *Runner) RunFigure5a(b *workloads.Benchmark, in workloads.Input) (Fig5aRow, error) {
 	row := Fig5aRow{Bench: b.Name}
 	base := minCores(b.NewDSMTX(in, 0))
-	var specs []engine.JobSpec
+	var specs []job.Spec
 	for c := base; c < base+4; c++ {
 		row.Cores = append(row.Cores, c)
-		specs = append(specs, parJob(b.Name, in, workloads.DSMTX, c, engine.KnobNone))
+		specs = append(specs, parJob(b.Name, in, workloads.DSMTX, c, job.KnobNone))
 	}
 	res, err := r.resolveAll(specs...)
 	if err != nil {
@@ -210,9 +210,9 @@ type Fig5bRow struct {
 func (r *Runner) RunFigure5b(b *workloads.Benchmark, in workloads.Input, cores int) (Fig5bRow, error) {
 	row := Fig5bRow{Bench: b.Name}
 	res, err := r.resolveAll(
-		seqJob(b.Name, in, engine.KnobNone),
-		parJob(b.Name, in, workloads.DSMTX, cores, engine.KnobNone),
-		parJob(b.Name, in, workloads.DSMTX, cores, engine.KnobQueueUnopt))
+		seqJob(b.Name, in, job.KnobNone),
+		parJob(b.Name, in, workloads.DSMTX, cores, job.KnobNone),
+		parJob(b.Name, in, workloads.DSMTX, cores, job.KnobQueueUnopt))
 	if err != nil {
 		return row, err
 	}
@@ -261,10 +261,10 @@ func (r *Runner) RunFigure6(b *workloads.Benchmark, in workloads.Input, rate flo
 	mis.MisspecRate = rate
 	// The sequential baseline must process the same (corrupted) input.
 	res, err := r.resolveAll(
-		seqJob(b.Name, in, engine.KnobNone),
-		parJob(b.Name, in, workloads.DSMTX, cores, engine.KnobNone),
-		seqJob(b.Name, mis, engine.KnobNone),
-		parJob(b.Name, mis, workloads.DSMTX, cores, engine.KnobNone))
+		seqJob(b.Name, in, job.KnobNone),
+		parJob(b.Name, in, workloads.DSMTX, cores, job.KnobNone),
+		seqJob(b.Name, mis, job.KnobNone),
+		parJob(b.Name, mis, workloads.DSMTX, cores, job.KnobNone))
 	if err != nil {
 		return row, err
 	}

@@ -3,7 +3,7 @@ package harness
 import (
 	"fmt"
 
-	"dsmtx/internal/engine"
+	"dsmtx/internal/job"
 	"dsmtx/internal/stats"
 	"dsmtx/internal/workloads"
 )
@@ -26,12 +26,12 @@ type ManycoreRow struct {
 
 // RunManycore measures one benchmark on both machines at 48 cores. The
 // manycore's cores are slower, so each machine's speedup is measured
-// against a sequential run on that same machine (the engine.KnobManycore
+// against a sequential run on that same machine (the job.KnobManycore
 // sequential job).
 func (r *Runner) RunManycore(b *workloads.Benchmark, in workloads.Input) (ManycoreRow, error) {
 	row := ManycoreRow{Bench: b.Name}
-	var specs []engine.JobSpec
-	for _, knob := range []string{engine.KnobNone, engine.KnobManycore} {
+	var specs []job.Spec
+	for _, knob := range []string{job.KnobNone, job.KnobManycore} {
 		specs = append(specs,
 			seqJob(b.Name, in, knob),
 			parJob(b.Name, in, workloads.DSMTX, 48, knob),

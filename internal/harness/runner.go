@@ -8,10 +8,11 @@ import (
 
 	"dsmtx/internal/engine"
 	"dsmtx/internal/expsched"
+	"dsmtx/internal/job"
 )
 
 // A Runner is the figure sweeps' client of the job engine. Every figure
-// cell is an engine.JobSpec and every outcome an engine.Result; the engine
+// cell is a job.Spec and every outcome an engine.Result; the engine
 // owns execution, admission, the content-addressed result cache and the
 // coalescing of duplicate in-flight jobs. Each figure's Run method names
 // its jobs once and hands them to resolveAll, which submits them together
@@ -29,7 +30,7 @@ type Runner struct {
 	// Progress, when non-nil, is called once per job request the engine
 	// satisfied, with how (the Result.Source: "run", "cache" or
 	// "coalesced"). Calls are serialized.
-	Progress func(spec engine.JobSpec, source string)
+	Progress func(spec job.Spec, source string)
 
 	progressMu sync.Mutex
 
@@ -66,7 +67,7 @@ func (r *Runner) Stats() RunnerStats {
 
 // resolveAll resolves every spec concurrently and returns the results in
 // order.
-func (r *Runner) resolveAll(specs ...engine.JobSpec) ([]engine.Result, error) {
+func (r *Runner) resolveAll(specs ...job.Spec) ([]engine.Result, error) {
 	return expsched.Map(len(specs), func(i int) (engine.Result, error) {
 		res, err := r.resolve(specs[i])
 		if err != nil {
@@ -77,7 +78,7 @@ func (r *Runner) resolveAll(specs ...engine.JobSpec) ([]engine.Result, error) {
 }
 
 // resolve submits one job to the engine and reports it to Progress.
-func (r *Runner) resolve(spec engine.JobSpec) (engine.Result, error) {
+func (r *Runner) resolve(spec job.Spec) (engine.Result, error) {
 	res, err := r.engine().Submit(context.Background(), spec)
 	if err == nil && r.Progress != nil {
 		r.progressMu.Lock()

@@ -4,8 +4,8 @@ import (
 	"reflect"
 	"testing"
 
-	"dsmtx/internal/engine"
 	"dsmtx/internal/expsched"
+	"dsmtx/internal/job"
 	"dsmtx/internal/workloads"
 )
 
@@ -116,7 +116,7 @@ func TestWarmCacheRerun(t *testing.T) {
 		t.Fatal(err)
 	}
 	stale := &Runner{Workers: 8, Cache: staleCache}
-	if _, err := stale.resolve(seqJob("crc32", in, engine.KnobNone)); err != nil {
+	if _, err := stale.resolve(seqJob("crc32", in, job.KnobNone)); err != nil {
 		t.Fatal(err)
 	}
 	if s := stale.Stats(); s.CacheHits != 0 || s.Computed != 1 {
@@ -129,14 +129,14 @@ func TestWarmCacheRerun(t *testing.T) {
 // every request once, satisfied by a run or by coalescing onto one.
 func TestResolveAllProgress(t *testing.T) {
 	in := workloads.DefaultInput()
-	specs := []engine.JobSpec{
-		seqJob("crc32", in, engine.KnobNone),
-		parJob("crc32", in, workloads.DSMTX, 8, engine.KnobNone),
-		parJob("crc32", in, workloads.DSMTX, 8, engine.KnobQueueUnopt),
+	specs := []job.Spec{
+		seqJob("crc32", in, job.KnobNone),
+		parJob("crc32", in, workloads.DSMTX, 8, job.KnobNone),
+		parJob("crc32", in, workloads.DSMTX, 8, job.KnobQueueUnopt),
 	}
 	specs = append(specs, specs...)
-	seen := map[engine.JobSpec]int{}
-	r := &Runner{Workers: 4, Progress: func(spec engine.JobSpec, source string) {
+	seen := map[job.Spec]int{}
+	r := &Runner{Workers: 4, Progress: func(spec job.Spec, source string) {
 		seen[spec]++
 		if source != "run" && source != "coalesced" {
 			t.Errorf("source = %q, want run or coalesced", source)

@@ -13,9 +13,9 @@ import (
 	"time"
 
 	"dsmtx/internal/core"
+	"dsmtx/internal/job"
 	"dsmtx/internal/platform"
 	"dsmtx/internal/wire"
-	"dsmtx/internal/workloads"
 )
 
 // jobCounter makes job IDs unique within a coordinator process; combined
@@ -137,41 +137,34 @@ func (c *Cluster) dialControl() error {
 // the sessions desynchronized.
 var ErrRejected = errors.New("netrun: job rejected before dispatch")
 
-// check validates spec coordinator-side against the configuration the
-// daemons will lay out (all but their mesh-bound platform), so errors
-// surface before any process starts working, and reports how many
-// invocations the job's chain has.
-func (c *Cluster) check(spec JobSpec) (invocations int, err error) {
-	chain, err := spec.chain()
-	if err != nil {
-		return 0, err
-	}
-	cfg := core.DefaultConfig(spec.Cores, chain.Plan(workloads.DSMTX))
-	cfg.Backend = core.BackendNet
-	if err := cfg.Validate(); err != nil {
-		return 0, err
-	}
-	if spec.Cores < len(c.addrs) {
-		return 0, fmt.Errorf("netrun: %d cores across %d daemons: need at least one rank per daemon", spec.Cores, len(c.addrs))
-	}
-	return chain.Invocations(), nil
+// Run runs the DSMTX job the five-field spec names; until ROADMAP 8(i).
+func (c *Cluster) Run(s JobSpec) (Result, error) {
+	return c.RunJob(job.Spec{Bench: s.Bench, Backend: core.BackendNet.String(), Cores: s.Cores,
+		Scale: s.Scale, Seed: s.Seed, Rate: s.MisspecRate})
 }
 
-// Run executes one job across the fleet: distribute the spec, drive the
-// per-invocation start/done barrier, and collect every daemon's result.
-func (c *Cluster) Run(spec JobSpec) (Result, error) {
-	invocations, err := c.check(spec)
+// RunJob executes one job across the fleet: check the normalized spec as
+// every daemon will, so errors surface before any process starts working,
+// distribute it, drive the per-invocation start/done barrier, and collect
+// every daemon's result. The spec's backend must be net.
+func (c *Cluster) RunJob(spec job.Spec) (Result, error) {
+	spec = spec.Normalized()
+	chain, err := netChain(spec)
+	if err == nil && spec.Cores < len(c.addrs) {
+		err = fmt.Errorf("netrun: %d cores across %d daemons: need at least one rank per daemon", spec.Cores, len(c.addrs))
+	}
 	if err != nil {
 		return Result{}, fmt.Errorf("%w: %w", ErrRejected, err)
 	}
+	invocations := chain.Invocations()
 
 	// A fresh ID per job: persistent daemons key each job's mesh on it, so
 	// successive jobs on one session never adopt each other's (or a stale
 	// redial's) data connections.
 	jobID := newJobID()
 	for i, conn := range c.conns {
-		job := jobWire{JobID: jobID, Self: i, Addrs: c.addrs, Spec: spec}
-		if err := writeCtl(conn, wire.FrameJob, job); err != nil {
+		jw := jobWire{JobID: jobID, Self: i, Addrs: c.addrs, Spec: spec}
+		if err := writeCtl(conn, wire.FrameJob, jw); err != nil {
 			return Result{}, fmt.Errorf("netrun: job to daemon %d: %w", i, err)
 		}
 	}

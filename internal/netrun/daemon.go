@@ -13,7 +13,6 @@ import (
 	"dsmtx/internal/platform"
 	netplat "dsmtx/internal/platform/net"
 	"dsmtx/internal/wire"
-	"dsmtx/internal/workloads"
 )
 
 // DaemonMain is the spawn-local daemon entry point: bind a listener
@@ -270,29 +269,35 @@ func (d *daemon) control(conn gonet.Conn) int {
 	}
 }
 
-// serveJob runs this daemon's ranks of one job: build the mesh, then walk
-// the benchmark's invocation chain with each step bracketed by the
-// coordinator's Start/InvDone barrier and tuned onto a mesh-bound platform.
+// serveJob runs this daemon's ranks of one job: validate the spec, build the
+// mesh, then walk the benchmark's invocation chain with each step bracketed
+// by the coordinator's Start/InvDone barrier, configured by the spec's own
+// tune hook plus a mesh-bound platform.
 func (d *daemon) serveJob(conn gonet.Conn) error {
-	var job jobWire
-	if err := readCtl(conn, wire.FrameJob, &job); err != nil {
+	var jw jobWire
+	if err := readCtl(conn, wire.FrameJob, &jw); err != nil {
 		return err
 	}
-	chain, err := job.Spec.chain()
+	spec := jw.Spec
+	chain, err := netChain(spec)
+	if err != nil {
+		return err
+	}
+	tune, err := spec.Tune(nil)
 	if err != nil {
 		return err
 	}
 
 	mesh := netplat.NewMesh(netplat.MeshConfig{
-		JobID: job.JobID,
-		Self:  job.Self,
-		Addrs: job.Addrs,
+		JobID: jw.JobID,
+		Self:  jw.Self,
+		Addrs: jw.Addrs,
 		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "dsmtxd[%d]: "+format+"\n", append([]any{job.Self}, args...)...)
+			fmt.Fprintf(os.Stderr, "dsmtxd[%d]: "+format+"\n", append([]any{jw.Self}, args...)...)
 		},
 	})
-	d.registerMesh(job.JobID, mesh)
-	defer d.unregisterMesh(job.JobID)
+	d.registerMesh(jw.JobID, mesh)
+	defer d.unregisterMesh(jw.JobID)
 
 	if err := writeCtl(conn, wire.FrameJobOK, jobOKWire{Invocations: chain.Invocations()}); err != nil {
 		return err
@@ -307,10 +312,10 @@ func (d *daemon) serveJob(conn gonet.Conn) error {
 		if start.Inv != inv {
 			return fmt.Errorf("netrun: start for invocation %d, expected %d", start.Inv, inv)
 		}
-		err := chain.Step(&agg.Result, workloads.DSMTX, job.Spec.Cores, func(cfg *core.Config) {
-			cfg.Backend = core.BackendNet
+		err := chain.Step(&agg.Result, spec.ParsedParadigm(), spec.Cores, func(cfg *core.Config) {
+			tune(cfg)
 			cfg.Platform = func(ranks int) (platform.Platform, error) {
-				return mesh.Platform(uint64(inv), ranks, job.Spec.Cores)
+				return mesh.Platform(uint64(inv), ranks, spec.Cores)
 			}
 		})
 		if err != nil {
@@ -323,7 +328,7 @@ func (d *daemon) serveJob(conn gonet.Conn) error {
 	// The commit rank lands on the last daemon (contiguous split), which
 	// therefore chained the committed image and owns the checksum; the other
 	// daemons rebuilt their views through Copy-On-Access.
-	agg.HasChecksum = job.Self == len(job.Addrs)-1
+	agg.HasChecksum = jw.Self == len(jw.Addrs)-1
 	if agg.HasChecksum {
 		agg.Checksum = chain.Checksum()
 	}

@@ -13,6 +13,8 @@ import (
 	gonet "net"
 	"time"
 
+	"dsmtx/internal/core"
+	"dsmtx/internal/job"
 	netplat "dsmtx/internal/platform/net"
 	"dsmtx/internal/wire"
 	"dsmtx/internal/workloads"
@@ -31,9 +33,8 @@ const ListenEnv = "DSMTX_NET_LISTEN"
 // listener is bound; the coordinator scrapes the address after it.
 const listenLine = "DSMTXD LISTEN "
 
-// JobSpec is everything a daemon needs to reconstruct the run: the
-// benchmark by name plus the runtime knobs. Every daemon builds an
-// identical core.Config from it, so rank layout agrees across processes.
+// JobSpec is the five-field DSMTX spec bench/ still builds (Cluster.Run);
+// until ROADMAP 8(i) moves bench onto job.Spec.
 type JobSpec struct {
 	Bench       string
 	Scale       int
@@ -42,14 +43,17 @@ type JobSpec struct {
 	Cores       int
 }
 
-// chain resolves the spec's benchmark and input into its invocation chain.
-func (s JobSpec) chain() (*workloads.Chain, error) {
-	b, err := workloads.ByName(s.Bench)
-	if err != nil {
+// netChain validates a spec for a net fleet and resolves its invocation
+// chain: the one check the coordinator and every daemon run on the spec
+// the Job frame carries.
+func netChain(spec job.Spec) (*workloads.Chain, error) {
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	in := workloads.Input{Scale: s.Scale, MisspecRate: s.MisspecRate, Seed: s.Seed}
-	return workloads.NewChain(b, in), nil
+	if b := spec.ParsedBackend(); b != core.BackendNet {
+		return nil, fmt.Errorf("netrun: a %s job cannot run on a net fleet", b)
+	}
+	return spec.Chain()
 }
 
 // Result is a net job's record: the commit daemon's (the commit unit owns
@@ -72,7 +76,7 @@ type jobWire struct {
 	JobID uint64
 	Self  int
 	Addrs []string
-	Spec  JobSpec
+	Spec  job.Spec // normalized
 }
 
 type jobOKWire struct {

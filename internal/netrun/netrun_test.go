@@ -1,6 +1,8 @@
 package netrun_test
 
 import (
+	"encoding/json"
+	"errors"
 	"io"
 	gonet "net"
 	"strings"
@@ -8,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"dsmtx/internal/job"
 	"dsmtx/internal/netrun"
 	"dsmtx/internal/wire"
 	"dsmtx/internal/workloads"
@@ -59,22 +62,24 @@ func connect(t *testing.T, addrs []string) *netrun.Cluster {
 // committed/misspec counts, and a record as complete as any backend's:
 // every traffic class counted and, after a misspeculation, all four
 // recovery phases timed.
-func checkJob(t *testing.T, cl *netrun.Cluster, spec netrun.JobSpec) netrun.Result {
+func checkJob(t *testing.T, cl *netrun.Cluster, spec job.Spec) netrun.Result {
 	t.Helper()
+	spec.Backend = "net"
+	spec = spec.Normalized()
 	b, err := workloads.ByName(spec.Bench)
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := workloads.Input{Scale: spec.Scale, MisspecRate: spec.MisspecRate, Seed: spec.Seed}
+	in, paradigm := spec.Input(), spec.ParsedParadigm()
 	_, seqCheck, err := workloads.RunSequentialRef(b, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vres, err := workloads.RunParallel(b, in, workloads.DSMTX, spec.Cores, nil)
+	vres, err := workloads.RunParallel(b, in, paradigm, spec.Cores, nil)
 	if err != nil {
 		t.Fatalf("vtime: %v", err)
 	}
-	nres, err := cl.Run(spec)
+	nres, err := cl.RunJob(spec)
 	if err != nil {
 		t.Fatalf("net %+v: %v", spec, err)
 	}
@@ -90,7 +95,7 @@ func checkJob(t *testing.T, cl *netrun.Cluster, spec netrun.JobSpec) netrun.Resu
 	}
 	// Stage bodies run on whichever daemon hosts the worker; the fold must
 	// reach at least one per stage of every MTX the pipeline committed.
-	if stages := uint64(len(workloads.NewChain(b, in).Plan(workloads.DSMTX).Stages)); nres.SubTXs < stages*(nres.Committed-nres.Misspecs) {
+	if stages := uint64(len(workloads.NewChain(b, in).Plan(paradigm).Stages)); nres.SubTXs < stages*(nres.Committed-nres.Misspecs) {
 		t.Errorf("%+v: %d subTXs for %d committed MTXs of %d stages", spec, nres.SubTXs, nres.Committed, stages)
 	}
 	if tr := nres.Traffic; tr.QueueMessages == 0 || tr.PageMessages == 0 || tr.ControlMessages == 0 ||
@@ -115,12 +120,14 @@ func checkJob(t *testing.T, cl *netrun.Cluster, spec netrun.JobSpec) netrun.Resu
 // image left over would show up as a wrong checksum or count.
 func TestConnectRunsSuccessiveJobs(t *testing.T) {
 	cl := connect(t, startDaemons(t, 2))
-	checkJob(t, cl, netrun.JobSpec{Bench: "crc32", Scale: 1, Seed: 42, MisspecRate: 0.02, Cores: 5})
-	checkJob(t, cl, netrun.JobSpec{Bench: "crc32", Scale: 1, Seed: 7, Cores: 5})
+	checkJob(t, cl, job.Spec{Bench: "crc32", Seed: 42, Rate: 0.02, Cores: 5})
+	checkJob(t, cl, job.Spec{Bench: "crc32", Seed: 7, Cores: 5})
+	// The daemons run the paradigm the spec names.
+	checkJob(t, cl, job.Spec{Bench: "crc32", Paradigm: "TLS", Seed: 42, Rate: 0.02, Cores: 5})
 
 	// The one benchmark that chains invocations: each epoch runs on a fresh
 	// mesh generation over the image the commit daemon kept from the last.
-	alvinn := netrun.JobSpec{Bench: "052.alvinn", Scale: 1, Seed: 42, Cores: 6}
+	alvinn := job.Spec{Bench: "052.alvinn", Seed: 42, Cores: 6}
 	checkJob(t, cl, alvinn)
 
 	// Recovery: the commit daemon's breakdown is the job's. The first stage
@@ -128,7 +135,7 @@ func TestConnectRunsSuccessiveJobs(t *testing.T) {
 	// and the run-ahead bound must hold all the same, in every epoch: the
 	// waste inequality of workloads' TestBoundedRunAheadWaste (floor 32,
 	// misspecs + 1 epochs). The stale page lists cross daemons too.
-	rec := checkJob(t, cl, netrun.JobSpec{Bench: "197.parser", Scale: 1, Seed: 42, MisspecRate: 0.05, Cores: 5})
+	rec := checkJob(t, cl, job.Spec{Bench: "197.parser", Seed: 42, Rate: 0.05, Cores: 5})
 	if rec.Misspecs != 20 || rec.Committed != 800 {
 		t.Errorf("197.parser at rate 0.05: %d misspeculations, %d committed, want 20 and 800", rec.Misspecs, rec.Committed)
 	}
@@ -148,13 +155,16 @@ func TestConnectRunsSuccessiveJobs(t *testing.T) {
 // step and the next job runs.
 func TestRunRejectsCoordinatorSide(t *testing.T) {
 	cl := connect(t, startDaemons(t, 2))
-	if _, err := cl.Run(netrun.JobSpec{Bench: "no-such-bench", Cores: 5}); err == nil || !strings.Contains(err.Error(), "unknown benchmark") {
+	if _, err := cl.RunJob(job.Spec{Bench: "no-such-bench", Backend: "net", Cores: 5}); err == nil || !strings.Contains(err.Error(), "unknown benchmark") {
 		t.Fatalf("unknown bench: err = %v", err)
 	}
-	if _, err := cl.Run(netrun.JobSpec{Bench: "crc32", Cores: 1}); err == nil {
+	if _, err := cl.RunJob(job.Spec{Bench: "crc32", Backend: "net", Cores: 1}); err == nil {
 		t.Fatal("1 core: accepted a job the plan cannot place")
 	}
-	checkJob(t, cl, netrun.JobSpec{Bench: "crc32", Scale: 1, Seed: 42, Cores: 5})
+	if _, err := cl.RunJob(job.Spec{Bench: "crc32", Cores: 5}); !errors.Is(err, netrun.ErrRejected) || !strings.Contains(err.Error(), "vtime job cannot run on a net fleet") {
+		t.Fatalf("vtime spec: err = %v", err)
+	}
+	checkJob(t, cl, job.Spec{Bench: "crc32", Seed: 42, Cores: 5})
 
 	// Five control streams into a listener that records what arrives: after
 	// the refusals and Close each must have carried its Hello and nothing
@@ -198,10 +208,10 @@ func TestRunRejectsCoordinatorSide(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wide.Run(netrun.JobSpec{Bench: "crc32", Cores: 4}); err == nil || !strings.Contains(err.Error(), "need at least one rank per daemon") {
+	if _, err := wide.RunJob(job.Spec{Bench: "crc32", Backend: "net", Cores: 4}); err == nil || !strings.Contains(err.Error(), "need at least one rank per daemon") {
 		t.Errorf("4 cores on 5 daemons: err = %v", err)
 	}
-	if _, err := wide.Run(netrun.JobSpec{Bench: "no-such-bench", Cores: 8}); err == nil {
+	if _, err := wide.RunJob(job.Spec{Bench: "no-such-bench", Backend: "net", Cores: 8}); err == nil {
 		t.Error("unknown bench accepted")
 	}
 	wide.Close()
@@ -210,6 +220,36 @@ func TestRunRejectsCoordinatorSide(t *testing.T) {
 		if msg := <-extra; msg != "" {
 			t.Errorf("control stream: %s", msg)
 		}
+	}
+}
+
+// TestDaemonRefusesUnrunnableSpec: a control session that skips the
+// coordinator's check and sends a spec no daemon can run (an unknown knob)
+// gets a FrameError naming it, not a panic.
+func TestDaemonRefusesUnrunnableSpec(t *testing.T) {
+	ln, err := gonet.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	stop, exit := make(chan struct{}), make(chan int, 1)
+	go func() { exit <- netrun.ServeLoop(ln, stop) }()
+	defer func() { close(stop); <-exit }()
+
+	conn, err := gonet.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	body := `{"JobID":1,"Self":0,"Addrs":["` + addr + `"],"Spec":{"kind":"parallel","bench":"crc32",` +
+		`"paradigm":"DSMTX","backend":"net","cores":5,"scale":1,"knob":"warp-drive"}}`
+	conn.Write(wire.AppendHello(nil, wire.Hello{Role: wire.RoleControl, JobID: 1}))
+	conn.Write(wire.AppendFrame(nil, wire.FrameJob, []byte(body)))
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	typ, reply, _, err := wire.ReadFrame(conn, nil)
+	var e struct{ Error string }
+	if err != nil || typ != wire.FrameError || json.Unmarshal(reply, &e) != nil || !strings.Contains(e.Error, `unknown config knob "warp-drive"`) {
+		t.Fatalf("reply: frame %d %q, err %v; want a FrameError naming the knob", typ, reply, err)
 	}
 }
 
@@ -242,7 +282,7 @@ func TestCloseIdempotent(t *testing.T) {
 	cl := connect(t, startDaemons(t, 2))
 	cl.Close()
 	cl.Close()
-	if _, err := cl.Run(netrun.JobSpec{Bench: "crc32", Cores: 5}); err == nil {
+	if _, err := cl.RunJob(job.Spec{Bench: "crc32", Backend: "net", Cores: 5}); err == nil {
 		t.Fatal("Run on a closed cluster succeeded")
 	}
 }

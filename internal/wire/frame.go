@@ -102,8 +102,10 @@ const helloMagic = 0x58544d44 // "DMTX"
 
 // helloVersion is bumped on incompatible wire changes, registered payload
 // codecs included. 2: core's ctrl payload carries a progress word, a flag
-// byte and a page list.
-const helloVersion = 2
+// byte and a page list. 3: the Job frame carries the whole job.Spec; a
+// version-2 daemon would decode its keys case-insensitively into the old
+// five-field spec, drop rate and paradigm, and run DSMTX at rate 0.
+const helloVersion = 3
 
 // Hello is the first frame on every connection.
 type Hello struct {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dsmtx/internal/platform"
@@ -164,6 +165,21 @@ func TestHelloRejectsGarbage(t *testing.T) {
 	}
 	if _, err := ParseHello(nil); err == nil {
 		t.Error("empty hello accepted")
+	}
+}
+
+// TestHelloRejectsOldVersion: a version-2 peer (the Job frame's old spec)
+// is refused at the handshake, never handed a spec it would misread.
+func TestHelloRejectsOldVersion(t *testing.T) {
+	var e Encoder
+	e.U32(helloMagic)
+	e.U8(2)
+	e.U8(RoleControl)
+	e.U64(1)
+	e.Uvarint(0)
+	e.U32(0)
+	if _, err := ParseHello(e.Bytes()); err == nil || !strings.Contains(err.Error(), "hello version 2, want 3") {
+		t.Fatalf("version-2 hello: err = %v", err)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dsmtx/internal/core"
+	"dsmtx/internal/job"
 	"dsmtx/internal/netrun"
 	"dsmtx/internal/workloads"
 )
@@ -16,12 +17,14 @@ import (
 // checkBackendEquivalence: every benchmark runs sequentially, on the
 // virtual-time kernel, and as a real multi-process job — the test binary
 // re-execs itself as a loopback daemon fleet (see TestMain) and the ranks
-// talk TCP. All three must agree on the committed checksum, and net must
-// match vtime's committed/misspec counts exactly. Every job runs on the
-// one two-daemon fleet, so the daemon without the commit rank replays each
-// workload's Setup allocation-only, as a production fleet does. Several
-// workloads never misspeculate at this rate (vtime reads 0 too), so the
-// recovery path is required of the table, not of each row.
+// talk TCP — under both paradigms. All three must agree on the committed
+// checksum, and net must match vtime's committed/misspec counts exactly.
+// Every job runs on the one two-daemon fleet, so the daemon without the
+// commit rank replays each workload's Setup allocation-only, as a
+// production fleet does. Several workloads never misspeculate at this rate
+// (vtime reads 0 too), so the recovery path is required of the table, not
+// of each row. A last leg runs each config knob on three workloads: the
+// daemons tune their ranks from the spec, so a knob must verify too.
 func TestBackendEquivalenceNet(t *testing.T) {
 	const cores = 8
 	in := workloads.Input{Scale: 1, Seed: 42, MisspecRate: 0.02}
@@ -30,6 +33,10 @@ func TestBackendEquivalenceNet(t *testing.T) {
 		t.Fatalf("launch daemons: %v", err)
 	}
 	defer cl.Close()
+	spec := func(bench string, p workloads.Paradigm, knob string) job.Spec {
+		return job.Spec{Bench: bench, Paradigm: p.String(), Backend: "net", Cores: cores,
+			Scale: in.Scale, Seed: in.Seed, Rate: in.MisspecRate, Knob: knob}
+	}
 	var recovered int
 	for _, b := range workloads.All() {
 		t.Run(b.Name, func(t *testing.T) {
@@ -37,44 +44,68 @@ func TestBackendEquivalenceNet(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			vres, err := workloads.RunParallel(b, in, workloads.DSMTX, cores, nil)
-			if err != nil {
-				t.Fatalf("vtime: %v", err)
+			for _, p := range []workloads.Paradigm{workloads.DSMTX, workloads.TLS} {
+				t.Run(p.String(), func(t *testing.T) {
+					vres, err := workloads.RunParallel(b, in, p, cores, nil)
+					if err != nil {
+						t.Fatalf("vtime: %v", err)
+					}
+					if vres.Checksum != seqCheck {
+						t.Fatalf("vtime checksum %#x != sequential %#x", vres.Checksum, seqCheck)
+					}
+					nres, err := cl.RunJob(spec(b.Name, p, job.KnobNone))
+					if err != nil {
+						t.Fatalf("net: %v", err)
+					}
+					if nres.Checksum != seqCheck {
+						t.Errorf("net checksum %#x != sequential %#x", nres.Checksum, seqCheck)
+					}
+					if nres.Committed != vres.Committed {
+						t.Errorf("net committed %d != vtime %d", nres.Committed, vres.Committed)
+					}
+					if nres.Misspecs != vres.Misspecs {
+						t.Errorf("net misspecs %d != vtime %d", nres.Misspecs, vres.Misspecs)
+					}
+					if nres.Elapsed <= 0 {
+						t.Errorf("net elapsed %v, want > 0", nres.Elapsed)
+					}
+					// The paradigm is the plan: a clean run executes each of its
+					// stages once per committed MTX, on any backend.
+					if nres.Misspecs == 0 && nres.SubTXs != vres.SubTXs {
+						t.Errorf("clean run: net executed %d subTXs, vtime %d", nres.SubTXs, vres.SubTXs)
+					}
+					if nres.Misspecs > 0 {
+						recovered++
+					}
+					t.Logf("%d daemons, committed %d, misspecs %d, traffic %d msgs / %d bytes",
+						nres.Daemons, nres.Committed, nres.Misspecs, nres.Traffic.Messages, nres.Traffic.Bytes)
+				})
 			}
-			if vres.Checksum != seqCheck {
-				t.Fatalf("vtime checksum %#x != sequential %#x", vres.Checksum, seqCheck)
-			}
-			nres, err := cl.Run(netrun.JobSpec{
-				Bench:       b.Name,
-				Scale:       in.Scale,
-				MisspecRate: in.MisspecRate,
-				Seed:        in.Seed,
-				Cores:       cores,
-			})
-			if err != nil {
-				t.Fatalf("net: %v", err)
-			}
-			if nres.Checksum != seqCheck {
-				t.Errorf("net checksum %#x != sequential %#x", nres.Checksum, seqCheck)
-			}
-			if nres.Committed != vres.Committed {
-				t.Errorf("net committed %d != vtime %d", nres.Committed, vres.Committed)
-			}
-			if nres.Misspecs != vres.Misspecs {
-				t.Errorf("net misspecs %d != vtime %d", nres.Misspecs, vres.Misspecs)
-			}
-			if nres.Elapsed <= 0 {
-				t.Errorf("net elapsed %v, want > 0", nres.Elapsed)
-			}
-			if nres.Misspecs > 0 {
-				recovered++
-			}
-			t.Logf("%d daemons, committed %d, misspecs %d, traffic %d msgs / %d bytes",
-				nres.Daemons, nres.Committed, nres.Misspecs, nres.Traffic.Messages, nres.Traffic.Bytes)
 		})
 	}
 	if recovered == 0 && !t.Failed() {
 		t.Errorf("misspec rate %v produced no misspeculations on net in any workload", in.MisspecRate)
+	}
+	for _, knob := range []string{job.KnobQueueUnopt, job.KnobManycore, job.KnobBigCluster} {
+		for _, bench := range []string{"crc32", "164.gzip", "197.parser"} {
+			t.Run("knob="+knob+"/"+bench, func(t *testing.T) {
+				b, err := workloads.ByName(bench)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, seqCheck, err := workloads.RunSequentialRef(b, in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				nres, err := cl.RunJob(spec(bench, workloads.DSMTX, knob))
+				if err != nil {
+					t.Fatalf("net: %v", err)
+				}
+				if nres.Checksum != seqCheck {
+					t.Errorf("net checksum %#x != sequential %#x", nres.Checksum, seqCheck)
+				}
+			})
+		}
 	}
 }
 
@@ -140,7 +171,7 @@ func BenchmarkGzipRungs(b *testing.B) {
 	seen := func(b *testing.B) []uint64 { return slices.Repeat([]uint64{1}, b.N+1) }
 	netJob := func(cl *netrun.Cluster) func(uint64) (uint64, error) {
 		return func(seed uint64) (uint64, error) {
-			res, err := cl.Run(netrun.JobSpec{Bench: "164.gzip", Scale: 1, Seed: seed, Cores: cores})
+			res, err := cl.RunJob(job.Spec{Bench: "164.gzip", Backend: "net", Seed: seed, Cores: cores})
 			return res.Checksum, err
 		}
 	}

@@ -26,6 +26,17 @@ func (p Paradigm) String() string {
 	return "DSMTX"
 }
 
+// ParseParadigm resolves a paradigm by its String name: the one parser
+// behind a job spec's Paradigm and dsmtxrun's -paradigm flag.
+func ParseParadigm(name string) (Paradigm, error) {
+	for _, p := range []Paradigm{DSMTX, TLS} {
+		if name == p.String() {
+			return p, nil
+		}
+	}
+	return DSMTX, fmt.Errorf("unknown paradigm %q (have DSMTX, TLS)", name)
+}
+
 // Result is the record of one benchmark execution: the core totals summed
 // over its chained invocations plus the output checksum — the same record
 // on every backend. Durations are virtual nanoseconds under the vtime

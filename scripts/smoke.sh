@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # smoke: one end-to-end run per execution surface — the vtime tracer, fault
 # injection, the live host backend (plain, traced, commit-sharded) and the
-# multi-process net backend. Every row must exit 0 (dsmtxrun fails on a
+# multi-process net backend (both paradigms). Every row must exit 0 (dsmtxrun fails on a
 # checksum MISMATCH) and, as a second check, print VERIFIED; a row that names
 # a trace file has it validated by tracecheck. Binaries and artefacts live in
 # a temp dir, never in the checkout.
@@ -46,4 +46,7 @@ row net-recover - ./dsmtxrun -bench 197.parser -cores 5 -misspec 0.05 -backend n
 grep -q '^  recovery  *ERM ' net-recover.out || { echo "smoke: net-recover: no recovery line" >&2; exit 1; }
 grep -q '^  speculation  *[1-9][0-9]* subTXs executed, 2400 useful ' net-recover.out || { echo "smoke: net-recover: no speculation line" >&2; exit 1; }
 row net-chain - ./dsmtxrun -bench 052.alvinn -cores 6 -backend net
+# The TLS paradigm across the same daemons: each one configures its ranks
+# from the job spec it is sent, paradigm included.
+row net-tls - ./dsmtxrun -bench crc32 -cores 8 -misspec 0.02 -paradigm tls -backend net
 echo "smoke: OK"

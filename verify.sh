@@ -53,8 +53,11 @@ go test -race ./internal/platform/... ./internal/cluster/ ./internal/netrun/ ./c
 # Backend equivalence covers vtime, host, and net: the Net test (package
 # workloads_test, since netrun imports workloads) re-execs the
 # (race-instrumented) test binary as a two-daemon loopback fleet, so a real
-# multi-process TCP run of every workload must reach the sequential checksum
-# with committed/misspec counts equal to vtime (≈ 28 s under -race on 2 CPUs).
+# multi-process TCP run of every workload, under both paradigms, must reach
+# the sequential checksum with committed/misspec counts equal to vtime, and
+# three config knobs must verify there too (≈ 75 s of tests under -race on
+# 2 CPUs, the Net test ≈ 68 s of it; the two GOMAXPROCS rows below run it
+# again at each width).
 go test -race ./internal/workloads/ -run TestBackendEquivalence
 # The wire codec feeds the net transport; a short fuzz pass walks junk with
 # ReadFrame, the frame reader the daemons run, reusing one buffer as their
