@@ -68,7 +68,7 @@ func TestUsageNamesEveryBackend(t *testing.T) {
 	n := 0
 	for b := core.BackendVTime; ; b++ {
 		if got, err := core.ParseBackend(b.String()); err != nil || got != b {
-			break // past the last backend: String falls back to "vtime"
+			break // past the last backend, which String renders as backend(N)
 		}
 		n++
 		if !strings.Contains(help, b.String()) {

@@ -7,6 +7,10 @@
 // (0..n-1) map onto (node, core) pairs; messages between ranks on the same
 // node take the cheap intra-node path, messages between nodes serialize
 // through the sender's NIC and pay wire latency.
+//
+// A Machine is the vtime platform (platform.Platform): the runtime spawns
+// its processes on the machine's kernel and sends through its endpoints, so
+// a run is deterministic in virtual time.
 package cluster
 
 import (
@@ -168,7 +172,8 @@ type mailboxKey struct {
 	tag  int
 }
 
-// Machine is a simulated cluster instance bound to a sim.Kernel.
+// Machine is a simulated cluster instance bound to a sim.Kernel, and the
+// virtual-time execution platform over it.
 type Machine struct {
 	k       *sim.Kernel
 	cfg     Config
@@ -228,19 +233,42 @@ func New(k *sim.Kernel, cfg Config) *Machine {
 	return m
 }
 
-// Config returns the machine configuration.
-func (m *Machine) Config() Config { return m.cfg }
-
 // Endpoint returns the communication endpoint for a rank.
-func (m *Machine) Endpoint(rank int) *Endpoint {
+func (m *Machine) Endpoint(rank int) platform.Endpoint { return m.endpoint(rank) }
+
+func (m *Machine) endpoint(rank int) *Endpoint {
 	if rank < 0 || rank >= len(m.eps) {
 		panic(fmt.Sprintf("cluster: rank %d out of range [0,%d)", rank, len(m.eps)))
 	}
 	return m.eps[rank]
 }
 
-// Stats returns a snapshot of accumulated traffic.
-func (m *Machine) Stats() TrafficStats { return m.stats }
+// InstrTime charges instructions at the machine's modelled clock rate.
+func (m *Machine) InstrTime(instructions int64) platform.Duration {
+	return m.cfg.InstrTime(instructions)
+}
+
+// Spawn creates a simulation process on the machine's kernel; it starts
+// when Run drives the calendar.
+func (m *Machine) Spawn(name string, fn func(p platform.Proc)) {
+	m.k.Spawn(name, func(p *sim.Proc) { fn(p) })
+}
+
+// Run drives the event calendar to completion (or to the horizon).
+func (m *Machine) Run(horizon platform.Duration) error { return m.k.Run(horizon) }
+
+// Now reports the current virtual time.
+func (m *Machine) Now() platform.Time { return m.k.Now() }
+
+// Events reports how many calendar events have fired.
+func (m *Machine) Events() uint64 { return m.k.Events() }
+
+// Traffic returns a snapshot of accumulated traffic.
+func (m *Machine) Traffic() TrafficStats { return m.stats }
+
+// Concurrent is false: simulation processes run in strict cooperative
+// alternation, so runtime state needs no synchronization.
+func (m *Machine) Concurrent() bool { return false }
 
 // transmit models the wire: serialization through the sender's NIC for
 // inter-node messages, a fast path for intra-node ones. It returns the
@@ -297,9 +325,6 @@ type Endpoint struct {
 // Rank reports this endpoint's rank.
 func (e *Endpoint) Rank() int { return e.rank }
 
-// Node reports the node hosting this endpoint.
-func (e *Endpoint) Node() int { return e.m.cfg.NodeOf(e.rank) }
-
 // Mailbox returns (creating if needed) the mailbox for messages from a
 // specific source rank (or AnySource) carrying the given tag.
 func (e *Endpoint) Mailbox(from, tag int) platform.Mailbox {
@@ -347,7 +372,7 @@ func (e *Endpoint) SendClass(to, tag int, payload any, bytes int, class MsgClass
 		panic("cluster: negative message size")
 	}
 	msg := Message{From: e.rank, To: to, Tag: tag, Payload: payload, Bytes: bytes, Class: class}
-	dst := e.m.Endpoint(to)
+	dst := e.m.endpoint(to)
 	if e.m.linkFaults && e.m.cfg.NodeOf(msg.From) != e.m.cfg.NodeOf(to) {
 		e.m.sendReliable(msg)
 		return
@@ -364,11 +389,6 @@ func (e *Endpoint) Recv(p platform.Proc, from, tag int) Message {
 		panic("cluster: mailbox closed")
 	}
 	return msg
-}
-
-// TryRecv returns a pending message without blocking.
-func (e *Endpoint) TryRecv(from, tag int) (Message, bool) {
-	return e.box(from, tag).TryRecv()
 }
 
 // Idle is a poll loop's wait step: in virtual time, exactly the modelled

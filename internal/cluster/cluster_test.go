@@ -186,7 +186,7 @@ func TestTrafficStats(t *testing.T) {
 	if err := k.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	s := m.Stats()
+	s := m.Traffic()
 	if s.Messages != 2 || s.Bytes != 150 || s.InterNodeBytes != 100 || s.IntraNodeBytes != 50 {
 		t.Fatalf("stats = %+v", s)
 	}
@@ -253,7 +253,7 @@ func TestIdleIsExactlyAdvance(t *testing.T) {
 		before, busy = p.Now(), p.Advanced()
 		ep.Idle(p, d)
 		after, busy = p.Now(), p.Advanced()-busy
-		_, pending = ep.TryRecv(0, 7)
+		_, pending = ep.Mailbox(0, 7).TryRecv()
 	})
 	k.Spawn("tx", func(p *sim.Proc) { m.Endpoint(0).Send(1, 7, nil, 8) })
 	if err := k.Run(0); err != nil {
@@ -265,7 +265,7 @@ func TestIdleIsExactlyAdvance(t *testing.T) {
 	if !pending {
 		t.Fatal("Idle consumed the pending message")
 	}
-	if s := m.Stats(); s.Messages != 1 {
+	if s := m.Traffic(); s.Messages != 1 {
 		t.Fatalf("traffic after Idle = %d messages, want the sender's 1", s.Messages)
 	}
 }

@@ -48,7 +48,7 @@ func TestReliableExactlyOnceInOrder(t *testing.T) {
 			t.Fatalf("got[%d] = %d (out of order or duplicated)", i, got[i])
 		}
 	}
-	s := m.Stats()
+	s := m.Traffic()
 	if s.DroppedMessages == 0 || s.RetransMessages == 0 || s.AckMessages == 0 {
 		t.Fatalf("fault layer never engaged: %+v", s)
 	}
@@ -77,7 +77,7 @@ func TestReliableIntraNodeUntouched(t *testing.T) {
 	if arrival != testConfig().IntraNodeLatency {
 		t.Fatalf("intra-node arrival %v, want bare latency %v", arrival, testConfig().IntraNodeLatency)
 	}
-	if s := m.Stats(); s.DroppedMessages != 0 || s.AckMessages != 0 {
+	if s := m.Traffic(); s.DroppedMessages != 0 || s.AckMessages != 0 {
 		t.Fatalf("intra-node message engaged the reliable layer: %+v", s)
 	}
 }
@@ -101,7 +101,7 @@ func TestReliableDeterministic(t *testing.T) {
 		if err := k.Run(0); err != nil {
 			t.Fatal(err)
 		}
-		return k.Now(), m.Stats()
+		return k.Now(), m.Traffic()
 	}
 	t1, s1 := run()
 	t2, s2 := run()
@@ -139,7 +139,7 @@ func TestLatencyFaultsDelayButPreserveOrder(t *testing.T) {
 		if err := k.Run(0); err != nil {
 			return false
 		}
-		return ok && m.Stats().DroppedMessages == 0
+		return ok && m.Traffic().DroppedMessages == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)

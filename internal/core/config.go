@@ -39,15 +39,18 @@ const (
 	BackendNet
 )
 
-// String names the backend as the -backend CLI flag spells it.
+// String names the backend as the -backend CLI flag spells it, and an
+// unknown value as backend(N).
 func (b Backend) String() string {
 	switch b {
+	case BackendVTime:
+		return "vtime"
 	case BackendHost:
 		return "host"
 	case BackendNet:
 		return "net"
 	}
-	return "vtime"
+	return fmt.Sprintf("backend(%d)", int(b))
 }
 
 // ParseBackend converts a -backend flag value into a Backend.
@@ -151,8 +154,8 @@ type Config struct {
 	Tracer *trace.Tracer
 
 	// Horizon aborts the simulation if virtual time exceeds it (a safety
-	// net for runtime bugs); 0 means none. The host backend ignores it
-	// (bound wall time with test or command timeouts instead).
+	// net for runtime bugs); 0 means none. The host and net backends
+	// ignore it (bound wall time with test or command timeouts instead).
 	Horizon platform.Duration
 }
 

@@ -153,6 +153,14 @@ func TestValidateNetBackendAccepts(t *testing.T) {
 	}
 }
 
+// A value past the last backend renders as itself, not as a backend it is
+// not (dsmtxrun's TestUsageNamesEveryBackend round-trips the known ones).
+func TestBackendString(t *testing.T) {
+	if got := Backend(3).String(); got != "backend(3)" {
+		t.Errorf("Backend(3).String() = %q, want backend(3)", got)
+	}
+}
+
 // Legal shard counts — including 0, the "default to 1" spelling — validate.
 func TestValidateCommitShardCounts(t *testing.T) {
 	for _, shards := range []int{0, 1, 2, 4, 8} {

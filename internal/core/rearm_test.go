@@ -81,7 +81,7 @@ func (p *rearmProg) SeqIter(ctx *SeqCtx, iter uint64) {
 }
 
 // digest is the committed result: every output word, and w.
-func (p *rearmProg) digest(img mem.Space) uint64 {
+func (p *rearmProg) digest(img *mem.Image) uint64 {
 	return img.ChecksumRange(p.out, int(p.n)*8) ^ img.Load(p.w())
 }
 

@@ -14,7 +14,6 @@ import (
 	"dsmtx/internal/pipeline"
 	"dsmtx/internal/platform"
 	"dsmtx/internal/platform/host"
-	"dsmtx/internal/platform/vtime"
 	"dsmtx/internal/queue"
 	"dsmtx/internal/sim"
 	"dsmtx/internal/trace"
@@ -104,7 +103,7 @@ type Result struct {
 	Redispatch platform.Duration
 	// Traffic is the machine-wide wire traffic of the run.
 	Traffic platform.TrafficStats
-	Events  uint64 // simulation events (diagnostic; zero on host)
+	Events  uint64 // simulation events (diagnostic; zero on host and net)
 }
 
 // Add folds another run's totals into r: a chained invocation's, or one
@@ -281,7 +280,7 @@ func NewSystem(cfg Config, prog Program, initialImage *mem.Image) (*System, erro
 			s.hbOn = inj.HasCrashes()
 			s.mach.EnableFaults(inj)
 		}
-		s.plat = vtime.New(s.kernel, s.mach)
+		s.plat = s.mach
 	}
 	if s.plat.Concurrent() {
 		// Live ranks share the host's CPUs, so work that will be squashed
@@ -366,10 +365,6 @@ func (sp *shardSpace) imgFor(addr uva.Addr) *mem.Image {
 
 func (sp *shardSpace) Load(addr uva.Addr) uint64     { return sp.imgFor(addr).Load(addr) }
 func (sp *shardSpace) Store(addr uva.Addr, v uint64) { sp.imgFor(addr).Store(addr, v) }
-func (sp *shardSpace) LoadFloat(addr uva.Addr) float64 {
-	return sp.imgFor(addr).LoadFloat(addr)
-}
-func (sp *shardSpace) StoreFloat(addr uva.Addr, v float64) { sp.imgFor(addr).StoreFloat(addr, v) }
 
 // forEachOwnerRange splits [addr, addr+n) at ownership-block boundaries and
 // invokes fn per single-owner segment.
@@ -410,15 +405,6 @@ func (sp *shardSpace) MapPages(addr uva.Addr, frames []*mem.Page) {
 	forEachOwnerRange(addr, len(frames)*uva.PageSize, func(a uva.Addr, off, ln int) {
 		sp.imgFor(a).MapPages(a, frames[off/uva.PageSize:(off+ln)/uva.PageSize])
 	})
-}
-
-// ChecksumRange carries one FNV-1a state across the owners' segments.
-func (sp *shardSpace) ChecksumRange(addr uva.Addr, n int) uint64 {
-	h := uint64(mem.ChecksumSeed)
-	forEachOwnerRange(addr, n, func(a uva.Addr, _, ln int) {
-		h = sp.imgFor(a).ChecksumFrom(h, a, ln)
-	})
-	return h
 }
 
 // pageSrvTrack is commit shard k's page server's synthetic timeline id: the

@@ -5,7 +5,6 @@ import (
 
 	"dsmtx/internal/cluster"
 	"dsmtx/internal/mpi"
-	"dsmtx/internal/platform/vtime"
 	"dsmtx/internal/queue"
 	"dsmtx/internal/sim"
 	"dsmtx/internal/stats"
@@ -27,7 +26,7 @@ func microWorld(k *sim.Kernel) *mpi.World {
 	cfg := cluster.DefaultConfig()
 	cfg.Nodes = 2
 	cfg.CoresPerNode = 1
-	return mpi.NewWorld(vtime.New(k, cluster.New(k, cfg)), mpi.DefaultCost())
+	return mpi.NewWorld(cluster.New(k, cfg), mpi.DefaultCost())
 }
 
 // RunMicroQueue measures the four mechanisms. They are not engine jobs (no

@@ -105,13 +105,7 @@ func (im *Image) StoreBytes(addr uva.Addr, b []byte) {
 // reads, and how every workload checksums its output. It hashes the pages
 // in place: ChecksumBytes(LoadBytes(addr, n)) without the copy.
 func (im *Image) ChecksumRange(addr uva.Addr, n int) uint64 {
-	return im.ChecksumFrom(ChecksumSeed, addr, n)
-}
-
-// ChecksumFrom continues an FNV-1a state h over n bytes at addr, so a range
-// split across images (commit shards) hashes as one: starting from
-// ChecksumSeed it is ChecksumRange.
-func (im *Image) ChecksumFrom(h uint64, addr uva.Addr, n int) uint64 {
+	h := uint64(checksumSeed)
 	im.loadPages(addr, n, func(pg *Page, off, _, ln int) {
 		// Bulk starts are word-aligned, so the range is whole words and then
 		// a partial tail; byte k of a word is Words[k>>3] >> ((k&7)*8).
@@ -130,15 +124,15 @@ func (im *Image) ChecksumFrom(h uint64, addr uva.Addr, n int) uint64 {
 	return h
 }
 
-// FNV-1a parameters: ChecksumSeed is the state before any byte.
+// FNV-1a parameters: checksumSeed is the state before any byte.
 const (
-	ChecksumSeed = 14695981039346656037
+	checksumSeed = 14695981039346656037
 	fnvPrime     = 1099511628211
 )
 
 // ChecksumBytes is FNV-1a over b.
 func ChecksumBytes(b []byte) uint64 {
-	h := uint64(ChecksumSeed)
+	h := uint64(checksumSeed)
 	for _, c := range b {
 		h ^= uint64(c)
 		h *= fnvPrime

@@ -25,7 +25,6 @@ package mem
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"dsmtx/internal/trace"
@@ -281,12 +280,6 @@ func (im *Image) Store(addr uva.Addr, v uint64) {
 	s.pg.Words[addr.WordIndex()] = v
 }
 
-// LoadFloat and StoreFloat give workloads float64 views of words.
-func (im *Image) LoadFloat(addr uva.Addr) float64 { return math.Float64frombits(im.Load(addr)) }
-
-// StoreFloat stores a float64 into the word at addr.
-func (im *Image) StoreFloat(addr uva.Addr, v float64) { im.Store(addr, math.Float64bits(v)) }
-
 // InstallPage places a received page into the image, unprotecting it.
 // Used by the COA client when a page reply arrives.
 func (im *Image) InstallPage(id uva.PageID, pg *Page) {
@@ -413,13 +406,10 @@ func (im *Image) AppendUnshared(dst []uva.PageID) []uva.PageID {
 type Space interface {
 	Load(addr uva.Addr) uint64
 	Store(addr uva.Addr, v uint64)
-	LoadFloat(addr uva.Addr) float64
-	StoreFloat(addr uva.Addr, v float64)
 	LoadBytes(addr uva.Addr, n int) []byte
 	LoadBytesInto(dst []byte, addr uva.Addr)
 	StoreBytes(addr uva.Addr, b []byte)
 	MapPages(addr uva.Addr, frames []*Page)
-	ChecksumRange(addr uva.Addr, n int) uint64
 }
 
 var _ Space = (*Image)(nil)

@@ -16,15 +16,6 @@ func TestLoadStoreRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFloatRoundTrip(t *testing.T) {
-	im := NewImage(nil)
-	addr := uva.Base(0)
-	im.StoreFloat(addr, 3.14159)
-	if got := im.LoadFloat(addr); got != 3.14159 {
-		t.Fatalf("LoadFloat = %v", got)
-	}
-}
-
 func TestUnalignedAccessPanics(t *testing.T) {
 	im := NewImage(nil)
 	defer func() {

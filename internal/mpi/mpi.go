@@ -168,11 +168,7 @@ func (c *Comm) Recv(from, tag int) platform.Message {
 // TryRecv receives a pending matching message without blocking; the receive
 // overhead is charged only on success.
 func (c *Comm) TryRecv(from, tag int) (platform.Message, bool) {
-	msg, ok := c.ep.TryRecv(from, tag)
-	if ok {
-		c.charge(c.w.cost.Recv, msg.Bytes)
-	}
-	return msg, ok
+	return c.TryRecvBox(c.ep.Mailbox(from, tag))
 }
 
 // TryRecvBox is TryRecv against a mailbox handle obtained from

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"dsmtx/internal/cluster"
-	"dsmtx/internal/platform/vtime"
 	"dsmtx/internal/sim"
 )
 
@@ -23,7 +22,7 @@ func testWorld(k *sim.Kernel) *World {
 // testMachineWorld is testWorld that also returns the simulated machine.
 func testMachineWorld(k *sim.Kernel) (*World, *cluster.Machine) {
 	m := cluster.New(k, testConfig())
-	return NewWorld(vtime.New(k, m), DefaultCost()), m
+	return NewWorld(m, DefaultCost()), m
 }
 
 func TestSendChargesOverhead(t *testing.T) {

@@ -20,7 +20,6 @@ package host
 
 import (
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -36,7 +35,6 @@ type killSentinel struct{}
 
 // Platform is a live-goroutine execution world.
 type Platform struct {
-	ranks  int
 	nodeOf func(int) int
 	start  time.Time
 	eps    []*endpoint
@@ -138,22 +136,13 @@ func New(ranks int, nodeOf func(int) int) *Platform {
 	if nodeOf == nil {
 		nodeOf = func(int) int { return 0 }
 	}
-	h := &Platform{ranks: ranks, nodeOf: nodeOf, start: time.Now(), down: make(chan struct{})}
+	h := &Platform{nodeOf: nodeOf, start: time.Now(), down: make(chan struct{})}
 	h.eps = make([]*endpoint, ranks)
 	for r := range h.eps {
 		h.eps[r] = &endpoint{h: h, rank: r, boxes: make(map[mbKey]*mailbox), idle: newWaiter()}
 	}
 	return h
 }
-
-// Name identifies the backend.
-func (h *Platform) Name() string { return "host" }
-
-// Ranks reports the number of endpoints.
-func (h *Platform) Ranks() int { return h.ranks }
-
-// NodeOf reports the node a rank is attributed to.
-func (h *Platform) NodeOf(rank int) int { return h.nodeOf(rank) }
 
 // Endpoint returns the communication endpoint for a rank.
 func (h *Platform) Endpoint(rank int) platform.Endpoint { return h.endpoint(rank) }
@@ -174,7 +163,7 @@ func (h *Platform) InstrTime(int64) platform.Duration { return 0 }
 // blocked process so Run can return it.
 func (h *Platform) Spawn(name string, fn func(p platform.Proc)) {
 	h.wg.Add(1)
-	p := &proc{h: h, name: name}
+	p := &proc{h: h}
 	go func() {
 		defer func() {
 			if r := recover(); r != nil {
@@ -243,10 +232,7 @@ func (h *Platform) fail(err error) {
 }
 
 // proc is a live goroutine's platform handle.
-type proc struct {
-	h    *Platform
-	name string
-}
+type proc struct{ h *Platform }
 
 // Advance spends d of wall time asleep. Zero and negative durations (every
 // instruction charge on host) return immediately. The failure check unwinds
@@ -261,9 +247,6 @@ func (p *proc) Advance(d platform.Duration) {
 	time.Sleep(time.Duration(d))
 }
 
-// Yield lets other goroutines run.
-func (p *proc) Yield() { runtime.Gosched() }
-
 // Now reports wall-clock time since the platform started.
 func (p *proc) Now() platform.Time { return p.h.Now() }
 
@@ -272,9 +255,6 @@ func (p *proc) Advanced() platform.Duration { return 0 }
 
 // Blocked is zero: host processes have no accounted blocking time.
 func (p *proc) Blocked() platform.Duration { return 0 }
-
-// Name reports the process name given at Spawn.
-func (p *proc) Name() string { return p.name }
 
 type mbKey struct{ from, tag int }
 
@@ -321,9 +301,6 @@ type endpoint struct {
 
 // Rank reports this endpoint's rank.
 func (e *endpoint) Rank() int { return e.rank }
-
-// Node reports the node this endpoint is attributed to.
-func (e *endpoint) Node() int { return e.h.nodeOf(e.rank) }
 
 // Mailbox returns (creating if needed) the mailbox for (from, tag).
 func (e *endpoint) Mailbox(from, tag int) platform.Mailbox {
@@ -458,9 +435,4 @@ func (e *endpoint) Recv(p platform.Proc, from, tag int) platform.Message {
 		panic("host: mailbox closed")
 	}
 	return msg
-}
-
-// TryRecv returns a pending matching message without blocking.
-func (e *endpoint) TryRecv(from, tag int) (platform.Message, bool) {
-	return e.Mailbox(from, tag).TryRecv()
 }

@@ -40,13 +40,13 @@ func TestAnySourceMigration(t *testing.T) {
 	// Deliver first: creates the auto box for (0, tag 3) on rank 1.
 	h.Endpoint(0).Send(1, 3, "early", 5)
 	// Register any-source afterwards; the early message must migrate.
-	msg, ok := h.Endpoint(1).TryRecv(platform.AnySource, 3)
+	msg, ok := h.Endpoint(1).Mailbox(platform.AnySource, 3).TryRecv()
 	if !ok || msg.Payload != "early" {
 		t.Fatalf("any-source receive after early delivery: %+v ok=%v", msg, ok)
 	}
 	// Future sends from the same source route to the any-source box too.
 	h.Endpoint(0).Send(1, 3, "late", 4)
-	msg, ok = h.Endpoint(1).TryRecv(platform.AnySource, 3)
+	msg, ok = h.Endpoint(1).Mailbox(platform.AnySource, 3).TryRecv()
 	if !ok || msg.Payload != "late" {
 		t.Fatalf("any-source receive after migration: %+v ok=%v", msg, ok)
 	}
@@ -92,14 +92,8 @@ func TestPlatformShape(t *testing.T) {
 	if !h.Concurrent() {
 		t.Error("host must report Concurrent")
 	}
-	if h.Name() != "host" {
-		t.Errorf("name %q", h.Name())
-	}
 	if h.InstrTime(1_000_000) != 0 {
 		t.Error("host must not charge instruction time")
-	}
-	if h.Ranks() != 3 || h.NodeOf(2) != 0 {
-		t.Errorf("ranks %d nodeOf(2) %d", h.Ranks(), h.NodeOf(2))
 	}
 	if h.Events() != 0 {
 		t.Error("host has no event calendar")

@@ -2,6 +2,7 @@ package host
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -294,7 +295,7 @@ func TestMailboxParkWake(t *testing.T) {
 		// must deliver; under -race and repeated CI runs the parked path is
 		// exercised with overwhelming probability.
 		for i := 0; i < 10000; i++ {
-			p.Yield()
+			runtime.Gosched()
 		}
 		h.Endpoint(0).Send(1, 2, "wake", 4)
 	})

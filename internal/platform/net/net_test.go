@@ -51,9 +51,6 @@ func TestCrossDaemonRoundTrip(t *testing.T) {
 	if !p0.LocalRank(0) || p0.LocalRank(1) || !p1.LocalRank(1) {
 		t.Fatal("rank ownership split is wrong")
 	}
-	if p0.Name() != "net" {
-		t.Fatalf("Name = %q", p0.Name())
-	}
 
 	var got uint64
 	p1.Spawn("echo", func(pr platform.Proc) {

@@ -51,9 +51,6 @@ func (m *Mesh) Platform(gen uint64, ranks, active int) (*Platform, error) {
 	return &Platform{Platform: inner, mesh: m, gen: gen, ownerOf: ownerOf}, nil
 }
 
-// Name identifies the backend.
-func (p *Platform) Name() string { return "net" }
-
 // LocalRank reports whether a rank lives in this process. The runtime
 // spawns only local ranks; remote ones are reached through the mesh.
 func (p *Platform) LocalRank(rank int) bool {

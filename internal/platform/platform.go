@@ -2,11 +2,14 @@
 // runtime runs against: a clock, processes, message endpoints with
 // per-(source, tag) mailboxes, and instruction-cost charging. The protocol
 // layers above — core, queue, mpi, the COA page path — speak only these
-// interfaces, so the same runtime executes either in deterministic virtual
-// time (platform/vtime, a thin adapter over the sim + cluster stack) or
-// live on host threads (platform/host, real goroutines and wall-clock
-// time). The paper's contribution is the runtime protocol, not the
-// simulator; this package is the seam that keeps them separable.
+// interfaces, so the same runtime executes on any of three backends: in
+// deterministic virtual time (vtime: cluster.Machine, the simulated
+// cluster on a sim kernel, is the platform), live on host threads
+// (platform/host, real goroutines and wall-clock time), or across daemon
+// processes (platform/net, host mailboxes joined by a TCP mesh). The
+// paper's contribution is the runtime protocol, not the simulator; this
+// package is the seam that keeps them separable, and it holds only what
+// the runtime calls.
 //
 // The package also owns the vocabulary both worlds share: Time/Duration,
 // Message, MsgClass, and TrafficStats. sim and cluster alias these types
@@ -132,8 +135,8 @@ func (t *TrafficStats) Add(o TrafficStats) {
 	t.AckBytes += o.AckBytes
 }
 
-// Proc is the handle a runtime process uses to spend time and identify
-// itself. Under vtime it is a *sim.Proc (cooperative, virtual clock);
+// Proc is the handle a runtime process uses to spend time. Under vtime it
+// is a *sim.Proc (cooperative, virtual clock);
 // under host it is a live goroutine's handle (Advance sleeps,
 // busy/blocked accounting is zero).
 type Proc interface {
@@ -143,8 +146,6 @@ type Proc interface {
 	// for a message is Endpoint.Idle or Mailbox.Recv, never an Advance
 	// loop.
 	Advance(d Duration)
-	// Yield lets other runnable work proceed before resuming.
-	Yield()
 	// Now reports the current platform time.
 	Now() Time
 	// Advanced reports total time spent in Advance — busy time. Host
@@ -153,8 +154,6 @@ type Proc interface {
 	// Blocked reports total time spent parked in blocking waits. Host
 	// processes report zero.
 	Blocked() Duration
-	// Name reports the process name given at Spawn.
-	Name() string
 }
 
 // Mailbox is a handle to one (source, tag) receive queue; poll-heavy paths
@@ -179,8 +178,6 @@ type Mailbox interface {
 type Endpoint interface {
 	// Rank reports this endpoint's rank.
 	Rank() int
-	// Node reports the node hosting this endpoint.
-	Node() int
 	// Send injects a message; it does not charge CPU time (the mpi layer
 	// adds per-call instruction costs). Under vtime delivery happens at the
 	// modelled arrival time; under host it is immediate.
@@ -198,13 +195,11 @@ type Endpoint interface {
 	// Recv blocks p until a message from the given source (or AnySource)
 	// with the given tag arrives, and returns it.
 	Recv(p Proc, from, tag int) Message
-	// TryRecv returns a pending message without blocking.
-	TryRecv(from, tag int) (Message, bool)
 	// Mailbox returns (creating if needed) the mailbox for messages from a
 	// specific source rank (or AnySource) carrying the given tag.
 	Mailbox(from, tag int) Mailbox
 	// Idle is the wait step of a poll loop: the endpoint's single polling
-	// consumer calls it after TryRecv found every mailbox it watches
+	// consumer calls it after Mailbox.TryRecv found every mailbox it watches
 	// empty, then polls again. Under vtime it advances p by exactly d (the
 	// loop's modelled back-off). Live backends ignore d and return once
 	// anything has been delivered to any mailbox of this endpoint since
@@ -217,12 +212,6 @@ type Endpoint interface {
 // Platform is one execution world: a clock, a set of rank endpoints, and a
 // process scheduler. core.System drives exactly one Platform per run.
 type Platform interface {
-	// Name identifies the backend ("vtime" or "host").
-	Name() string
-	// Ranks reports the number of communication endpoints.
-	Ranks() int
-	// NodeOf reports the node hosting a rank (placement model).
-	NodeOf(rank int) int
 	// Endpoint returns the communication endpoint for a rank.
 	Endpoint(rank int) Endpoint
 	// InstrTime converts an instruction count into platform time: modelled

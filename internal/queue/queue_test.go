@@ -6,7 +6,6 @@ import (
 
 	"dsmtx/internal/cluster"
 	"dsmtx/internal/mpi"
-	"dsmtx/internal/platform/vtime"
 	"dsmtx/internal/sim"
 )
 
@@ -21,7 +20,7 @@ func newMachineWorld(k *sim.Kernel) (*mpi.World, *cluster.Machine) {
 	cfg.Nodes = 4
 	cfg.CoresPerNode = 2
 	m := cluster.New(k, cfg)
-	return mpi.NewWorld(vtime.New(k, m), mpi.DefaultCost()), m
+	return mpi.NewWorld(m, mpi.DefaultCost()), m
 }
 
 // run wires a producer proc at rank 0 and consumer proc at rank 1 around a

@@ -231,7 +231,7 @@ func TestCrossDaemonBatchNeverReturnsToSender(t *testing.T) {
 		for deadline := time.Now().Add(30 * time.Second); got < n && time.Now().Before(deadline); {
 			vs, ok := r.TryConsumeBatch()
 			if !ok {
-				p.Yield()
+				runtime.Gosched()
 				continue
 			}
 			for _, v := range vs {

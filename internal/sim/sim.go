@@ -312,9 +312,6 @@ func (p *Proc) Advanced() Time { return p.advanced }
 // already counted by Advanced.
 func (p *Proc) Blocked() Time { return p.blocked }
 
-// Name reports the process name given at Spawn.
-func (p *Proc) Name() string { return p.name }
-
 // Now reports the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
 
@@ -417,6 +414,3 @@ func (p *Proc) Advance(d Duration) {
 	k.schedule(k.now+d, p, nil)
 	p.park("advance")
 }
-
-// Yield lets every other event at the current instant run before resuming.
-func (p *Proc) Yield() { p.Advance(0) }

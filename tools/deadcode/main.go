@@ -1,13 +1,19 @@
 // Command deadcode reports every function and method that no non-test code
-// references, across the root module and the bench/ module together.
+// references, and every method of the modules' own interfaces that no
+// non-test code calls, across the root module and the bench/ module together.
 //
 // It type-checks each package's non-test files from source (standard-library
 // imports come from the compiler's export data via `go list -export`) and
 // counts as a reference any use of the function outside its own body. A
-// method is also live when its type implements an interface that has it:
-// an interface written anywhere in the modules' code (named, or anonymous as
-// in a type assertion), any named interface of an imported package, or
-// error. main, init and the names in allowlist are never reported.
+// method is also live when its type implements an interface that has it and
+// that method of the interface is called: an interface written anywhere in
+// the modules' code (named, or anonymous as in a type assertion) keeps it
+// alive only if non-test code calls the interface's method, while any named
+// interface of an imported package, and error, always does. Identical
+// interfaces count as one, so a method called through one anonymous
+// interface literal is called through every literal that spells the same
+// method set. main, init and the names in allowlist are never reported;
+// an allowlisted interface method counts as called.
 //
 // Usage (from the repository root; exit status 1 when anything is reported):
 //
@@ -66,13 +72,13 @@ func main() {
 		fmt.Println(d)
 	}
 	if len(dead) > 0 {
-		fmt.Fprintf(os.Stderr, "deadcode: %d function(s) referenced by no non-test code\n", len(dead))
+		fmt.Fprintf(os.Stderr, "deadcode: %d function(s) or interface method(s) used by no non-test code\n", len(dead))
 		os.Exit(1)
 	}
 }
 
 // run type-checks the non-test packages of every module in dirs and returns
-// one line per unreferenced function.
+// one line per unreferenced function and per uncalled interface method.
 func run(dirs []string) ([]string, error) {
 	var (
 		exports = map[string]string{} // standard-library path -> export data
@@ -113,7 +119,7 @@ func run(dirs []string) ([]string, error) {
 	var (
 		decls     = map[*types.Func]*ast.FuncDecl{}
 		uses      = map[*types.Func]bool{}
-		ifaces    []*types.Interface
+		ifaces    = map[*types.Interface]bool{}
 		instances = map[*types.Named][]*types.Named{} // generic type -> its instantiations
 	)
 	for _, p := range order {
@@ -147,7 +153,7 @@ func run(dirs []string) ([]string, error) {
 		}
 		for _, tv := range info.Types {
 			if it, ok := tv.Type.Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
-				ifaces = append(ifaces, it)
+				ifaces[it] = true
 			}
 		}
 		for _, inst := range info.Instances {
@@ -168,31 +174,126 @@ func run(dirs []string) ([]string, error) {
 			uses[fn] = true
 		}
 	}
-	ifaces = append(ifaces, importedInterfaces(checked)...)
-	ifaces = append(ifaces, types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
+	for _, it := range importedInterfaces(checked) {
+		ifaces[it] = true
+	}
+	ifaces[types.Universe.Lookup("error").Type().Underlying().(*types.Interface)] = true
+	calls := newCallSet(ifaces, uses, checked)
 
 	wd, err := os.Getwd()
 	if err != nil {
 		return nil, err
 	}
-	var found []*types.Func
+	type finding struct {
+		fn   *types.Func
+		verb string
+	}
+	var found []finding
 	for fn, fd := range decls {
-		if !uses[fn] && !allowed(funcKey(fn)) && fd.Name.Name != "_" && !entryPoint(fn) && !satisfies(fn, ifaces, instances) {
-			found = append(found, fn)
+		if !uses[fn] && !allowed(funcKey(fn)) && fd.Name.Name != "_" && !entryPoint(fn) && !satisfies(fn, ifaces, calls, instances) {
+			found = append(found, finding{fn, "referenced"})
 		}
+	}
+	for _, m := range calls.uncalled() {
+		found = append(found, finding{m, "called"})
 	}
 	// Files enter the file set in package order, so positions sort by
 	// package, then file, then line.
-	sort.Slice(found, func(i, j int) bool { return found[i].Pos() < found[j].Pos() })
+	sort.Slice(found, func(i, j int) bool { return found[i].fn.Pos() < found[j].fn.Pos() })
 	var dead []string
-	for _, fn := range found {
-		pos := fset.Position(fn.Pos())
+	for _, f := range found {
+		pos := fset.Position(f.fn.Pos())
 		if rel, err := filepath.Rel(wd, pos.Filename); err == nil {
 			pos.Filename = rel
 		}
-		dead = append(dead, fmt.Sprintf("%s: %s is referenced by no non-test code", pos, funcKey(fn)))
+		dead = append(dead, fmt.Sprintf("%s: %s is %s by no non-test code", pos, funcKey(f.fn), f.verb))
 	}
 	return dead, nil
+}
+
+// callSet records which methods of the modules' own interfaces non-test code
+// calls. Identical interfaces count as one: a method is called through each
+// of them when it is called through any.
+type callSet struct {
+	module map[*types.Package]bool               // the modules' packages
+	reps   []*types.Interface                    // one interface per set of identical ones
+	rep    map[*types.Interface]*types.Interface // module interface -> its entry in reps
+	called map[ifaceMethod]bool                  // methods called, keyed by rep
+	own    map[*types.Func]*types.Interface      // explicit module method -> its interface
+}
+
+type ifaceMethod struct {
+	rep  *types.Interface
+	name string
+}
+
+// newCallSet groups every interface in ifaces that has a method declared in
+// one of the checked packages, and marks the methods that uses (or the
+// allowlist) calls.
+func newCallSet(ifaces map[*types.Interface]bool, uses map[*types.Func]bool, checked map[string]*types.Package) *callSet {
+	c := &callSet{
+		module: map[*types.Package]bool{},
+		rep:    map[*types.Interface]*types.Interface{},
+		called: map[ifaceMethod]bool{},
+		own:    map[*types.Func]*types.Interface{},
+	}
+	for _, p := range checked {
+		c.module[p] = true
+	}
+	for it := range ifaces {
+		for i := 0; i < it.NumMethods(); i++ {
+			if c.module[it.Method(i).Pkg()] {
+				c.add(it, uses)
+				break
+			}
+		}
+	}
+	return c
+}
+
+// add files it under the first identical interface in reps, or as a new
+// one, and marks its called methods.
+func (c *callSet) add(it *types.Interface, uses map[*types.Func]bool) {
+	rep := it
+	for _, r := range c.reps {
+		if types.Identical(r, it) {
+			rep = r
+			break
+		}
+	}
+	if rep == it {
+		c.reps = append(c.reps, it)
+	}
+	c.rep[it] = rep
+	for i := 0; i < it.NumMethods(); i++ {
+		if m := it.Method(i).Origin(); uses[m] || allowed(funcKey(m)) {
+			c.called[ifaceMethod{rep, m.Name()}] = true
+		}
+	}
+	for i := 0; i < it.NumExplicitMethods(); i++ {
+		if m := it.ExplicitMethod(i).Origin(); c.module[m.Pkg()] {
+			c.own[m] = it
+		}
+	}
+}
+
+// calls reports whether m, a method of interface it, is called: always for
+// a method declared outside the modules (library code may call it), else
+// when non-test code calls it through it or an identical interface.
+func (c *callSet) calls(it *types.Interface, m *types.Func) bool {
+	return !c.module[m.Pkg()] || c.called[ifaceMethod{c.rep[it], m.Name()}]
+}
+
+// uncalled returns every method the modules' interfaces declare that no
+// non-test code calls.
+func (c *callSet) uncalled() []*types.Func {
+	var out []*types.Func
+	for m, it := range c.own {
+		if !c.calls(it, m) {
+			out = append(out, m)
+		}
+	}
+	return out
 }
 
 // goList lists the non-test packages of the module in dir with all their
@@ -249,9 +350,9 @@ func importedInterfaces(checked map[string]*types.Package) []*types.Interface {
 }
 
 // satisfies reports whether fn is a method that its receiver type provides
-// to some interface in ifaces. A generic type provides it when one of its
-// instantiations does.
-func satisfies(fn *types.Func, ifaces []*types.Interface, instances map[*types.Named][]*types.Named) bool {
+// to some interface in ifaces whose method of that name is called. A generic
+// type provides it when one of its instantiations does.
+func satisfies(fn *types.Func, ifaces map[*types.Interface]bool, calls *callSet, instances map[*types.Named][]*types.Named) bool {
 	named := recvType(fn)
 	if named == nil {
 		return false
@@ -260,8 +361,8 @@ func satisfies(fn *types.Func, ifaces []*types.Interface, instances map[*types.N
 	if named.TypeParams().Len() > 0 {
 		candidates = instances[named.Origin()]
 	}
-	for _, it := range ifaces {
-		if !hasMethod(it, fn.Name()) {
+	for it := range ifaces {
+		if m := method(it, fn.Name()); m == nil || !calls.calls(it, m) {
 			continue
 		}
 		for _, t := range candidates {
@@ -273,16 +374,18 @@ func satisfies(fn *types.Func, ifaces []*types.Interface, instances map[*types.N
 	return false
 }
 
-func hasMethod(it *types.Interface, name string) bool {
+// method returns the method of it called name, or nil.
+func method(it *types.Interface, name string) *types.Func {
 	for i := 0; i < it.NumMethods(); i++ {
-		if it.Method(i).Name() == name {
-			return true
+		if m := it.Method(i); m.Name() == name {
+			return m.Origin()
 		}
 	}
-	return false
+	return nil
 }
 
-// recvType returns the type fn is a method of, or nil for a function.
+// recvType returns the named type fn is a method of, or nil for a function
+// or a method of an anonymous interface.
 func recvType(fn *types.Func) *types.Named {
 	recv := fn.Type().(*types.Signature).Recv()
 	if recv == nil {
@@ -302,10 +405,14 @@ func entryPoint(fn *types.Func) bool {
 	return recvType(fn) == nil && (fn.Name() == "init" || fn.Name() == "main" && fn.Pkg().Name() == "main")
 }
 
-// funcKey names fn as "pkgpath.Name" or "pkgpath.Recv.Name".
+// funcKey names fn as "pkgpath.Name", "pkgpath.Recv.Name", or, for a
+// method of an anonymous interface, "pkgpath.interface.Name".
 func funcKey(fn *types.Func) string {
 	if named := recvType(fn); named != nil {
 		return fn.Pkg().Path() + "." + named.Obj().Name() + "." + fn.Name()
+	}
+	if fn.Type().(*types.Signature).Recv() != nil {
+		return fn.Pkg().Path() + ".interface." + fn.Name()
 	}
 	return fn.Pkg().Path() + "." + fn.Name()
 }

@@ -11,6 +11,10 @@ import (
 // nothing calls and one that only calls itself are reported; functions
 // called from main, a String method fmt reaches through fmt.Stringer, and
 // a method reached only through an anonymous interface assertion are not.
+// A method of the module's own interface that nothing calls is reported,
+// and so is the implementation only that method kept alive; a method called
+// through one anonymous interface literal is called through an identical
+// one.
 func TestReportsOnlyUnreferenced(t *testing.T) {
 	dir := t.TempDir()
 	files := map[string]string{
@@ -27,6 +31,24 @@ func (T) Unused() int    { return 2 }
 
 func used() any { return T{} }
 
+type Shape interface {
+	Area() int
+	Sides() int
+}
+
+type Sq struct{}
+
+func (Sq) Area() int  { return 1 }
+func (Sq) Sides() int { return 4 }
+
+func (T) Depth() int { return 3 }
+
+func depth(v any) int {
+	var d interface{ Depth() int }
+	d, _ = v.(interface{ Depth() int })
+	return d.Depth()
+}
+
 func planted() {}
 
 func spin(n int) int {
@@ -41,6 +63,8 @@ func main() {
 	if h, ok := v.(interface{ Hidden() int }); ok {
 		fmt.Println(v, h.Hidden())
 	}
+	var s Shape = Sq{}
+	fmt.Println(s.Area(), depth(v))
 }
 `,
 	}
@@ -59,6 +83,8 @@ func main() {
 	}
 	want := []string{
 		"example.T.Unused is referenced by no non-test code",
+		"example.Shape.Sides is called by no non-test code",
+		"example.Sq.Sides is referenced by no non-test code",
 		"example.planted is referenced by no non-test code",
 		"example.spin is referenced by no non-test code",
 	}

@@ -15,9 +15,10 @@ fi
 go vet ./...
 go build ./...
 go test ./...
-# No function or method that only tests call: a type-checked reference scan
-# over the non-test code of this module and bench/ (tools/deadcode; its
-# allowlist names the public API, test oracles and test-helper packages).
+# No function or method that only tests call, and no method of the modules'
+# own interfaces that only tests call: a type-checked reference scan over the
+# non-test code of this module and bench/ (tools/deadcode; its allowlist
+# names the public API, test oracles and test-helper packages).
 go run ./tools/deadcode
 # The 164.gzip kernel's per-layer benchmark, its input generator, the crc32
 # kernel (CRC32Kernel, one 64 KiB file per op) and the host mailbox layer
