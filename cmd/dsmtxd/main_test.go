@@ -177,6 +177,8 @@ func TestServeRejectsBadSpec(t *testing.T) {
 		`{"bench":"nope","cores":8}`:     "unknown benchmark",
 		`{"bench":"crc32","cores":-2}`:   "cores",
 		`{"bench":"crc32","bogus":true}`: "bad job spec",
+		// used to be admitted and run as rate 0
+		`{"bench":"crc32","cores":8,"rate":-0.5}`: "rate -0.5 outside [0,1]",
 		// used to be admitted and run as one shard under a second cache key
 		`{"bench":"crc32","cores":8,"commit_shards":-1}`: "Config.CommitShards = -1",
 		// a net job cannot honour a fault plan; accepting it would cache

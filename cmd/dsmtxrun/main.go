@@ -9,7 +9,7 @@
 //	dsmtxrun -bench crc32 -cores 96 -misspec 0.001
 //	dsmtxrun -bench 164.gzip -cores 32 -trace out.json -metrics
 //	dsmtxrun -bench 164.gzip -cores 32 -faults drop=0.001,crash=r1@2ms+500us
-//	dsmtxrun -bench crc32 -cores 32 -faults drop=0.01 -fault-seed 7
+//	dsmtxrun -bench crc32 -cores 32 -faults drop=0.01,seed=7
 //	dsmtxrun -bench crc32 -cores 8 -backend host
 //	dsmtxrun -bench crc32 -cores 16 -commit-shards 4 -backend host
 //	dsmtxrun -bench crc32 -cores 8 -backend host -trace host.json -metrics
@@ -85,8 +85,7 @@ func parseFlags(args []string) (*options, error) {
 	fs.StringVar(&o.traceOut, "trace", "", "write a Chrome trace-event JSON timeline (Perfetto-loadable) to this file")
 	fs.BoolVar(&o.metrics, "metrics", false, "print the metrics registry and per-rank stall attribution")
 	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve a live JSON metrics snapshot at http://ADDR/metrics during the run (e.g. 127.0.0.1:9090)")
-	faultArg := fs.String("faults", "", "deterministic fault plan, e.g. drop=0.001,crash=r1@2ms+500us (see internal/faults)")
-	faultSd := fs.Uint64("fault-seed", 0, "override the fault plan's seed (with -faults)")
+	faultArg := fs.String("faults", "", "deterministic fault plan, e.g. drop=0.001,crash=r1@2ms+500us,seed=7 (see internal/faults)")
 	fs.IntVar(&o.opts.NetDaemons, "net-daemons", 2, "with -backend net: spawn this many loopback daemon processes")
 	netJoin := fs.String("net-join", "", "with -backend net: comma-separated dsmtxd addresses to join instead of spawning (last hosts the commit unit)")
 	if err := fs.Parse(args); err != nil {
@@ -111,12 +110,7 @@ func parseFlags(args []string) (*options, error) {
 		if err != nil {
 			return nil, fmt.Errorf("-faults: %v", err)
 		}
-		if *faultSd != 0 {
-			p.Seed = *faultSd
-		}
 		o.plan = &p
-	} else if *faultSd != 0 {
-		return nil, fmt.Errorf("-fault-seed needs -faults")
 	}
 	o.spec.Faults = o.plan.Format()
 	o.spec = o.spec.Normalized()

@@ -84,7 +84,7 @@ func TestParseFlagsErrors(t *testing.T) {
 	clitest.RejectAll(t, parseFlags, []clitest.RejectCase{
 		{Args: []string{"stray-positional"}, Want: "unexpected arguments"},
 		{Args: []string{"-paradigm", "openmp"}, Want: "unknown -paradigm"},
-		{Args: []string{"-fault-seed", "7"}, Want: "-fault-seed needs -faults"},
+		{Args: []string{"-bench", "crc32", "-misspec", "NaN"}, Want: "rate NaN outside [0,1]"},
 		{Args: []string{"-faults", "drop=notanumber"}, Want: "-faults"},
 		// the engine's backend × feature rules surface as flag errors
 		{Args: []string{"-bench", "crc32", "-backend", "host", "-faults", "drop=0.01"}, Want: "Faults: fault injection is built on the virtual-time kernel"},
@@ -110,7 +110,7 @@ func TestParseFlagsHostObservability(t *testing.T) {
 }
 
 func TestParseFlagsFaultPlan(t *testing.T) {
-	o, err := parseFlags([]string{"-bench", "crc32", "-faults", "drop=0.01", "-fault-seed", "7"})
+	o, err := parseFlags([]string{"-bench", "crc32", "-faults", "drop=0.01,seed=7"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"go/build"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -536,6 +537,11 @@ func TestSubmitValidates(t *testing.T) {
 		{spec: job.Spec{}, want: "benchmark name"},
 		{spec: job.Spec{Bench: "no-such-bench"}, want: "unknown benchmark"},
 		{spec: job.Spec{Bench: "crc32", Cores: -1}, want: "cores"},
+		// Used to run as rates 0, 1 and 0 under cache keys of their own; NaN
+		// (never equal to itself) also stranded its singleflight entry.
+		{spec: job.Spec{Bench: "crc32", Cores: 8, Rate: -0.5}, want: "rate -0.5 outside [0,1]"},
+		{spec: job.Spec{Bench: "crc32", Cores: 8, Rate: 2}, want: "rate 2 outside [0,1]"},
+		{spec: job.Spec{Bench: "crc32", Cores: 8, Rate: math.NaN()}, want: "rate NaN outside [0,1]"},
 		{spec: job.Spec{Bench: "crc32", Cores: 8, Knob: "warp-drive"}, want: "knob"},
 		{spec: job.Spec{Bench: "crc32", Cores: 8, Paradigm: "openmp"}, want: "paradigm"},
 		{spec: job.Spec{Bench: "crc32", Cores: 8, CommitShards: -1}, want: "core: Config.CommitShards = -1, need >= 0"},

@@ -112,6 +112,9 @@ func (s Spec) Validate() error {
 	if s.Bench == "" {
 		return fmt.Errorf("job: spec needs a benchmark name")
 	}
+	if !(s.Rate >= 0 && s.Rate <= 1) { // NaN fails both comparisons
+		return fmt.Errorf("job: rate %g outside [0,1]", s.Rate)
+	}
 	chain, err := s.Chain()
 	if err != nil {
 		return err

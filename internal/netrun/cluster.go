@@ -36,10 +36,6 @@ type Cluster struct {
 	addrs []string
 	conns []gonet.Conn
 	procs []*exec.Cmd
-	// sessionID identifies this coordinator's control session; each Run
-	// additionally mints a fresh job ID so daemons can tell one job's data
-	// connections from a stale redial of the previous job's.
-	sessionID uint64
 }
 
 // LaunchLocal forks daemons copies of exe (normally os.Args[0]) on
@@ -51,7 +47,7 @@ func LaunchLocal(daemons int, exe string) (*Cluster, error) {
 	if daemons < 1 {
 		return nil, fmt.Errorf("netrun: need at least 1 daemon, got %d", daemons)
 	}
-	c := &Cluster{sessionID: newJobID()}
+	c := &Cluster{}
 	for i := 0; i < daemons; i++ {
 		cmd := exec.Command(exe)
 		cmd.Env = append(os.Environ(), DaemonEnv+"=1")
@@ -90,7 +86,7 @@ func Connect(addrs []string) (*Cluster, error) {
 	if len(addrs) < 1 {
 		return nil, fmt.Errorf("netrun: need at least one daemon address")
 	}
-	c := &Cluster{sessionID: newJobID(), addrs: append([]string(nil), addrs...)}
+	c := &Cluster{addrs: append([]string(nil), addrs...)}
 	if err := c.dialControl(); err != nil {
 		c.Close()
 		return nil, err
@@ -121,8 +117,7 @@ func (c *Cluster) dialControl() error {
 		if err != nil {
 			return fmt.Errorf("netrun: control dial daemon %d (%s): %w", i, addr, err)
 		}
-		hello := wire.Hello{Role: wire.RoleControl, JobID: c.sessionID}
-		if _, err := conn.Write(wire.AppendHello(nil, hello)); err != nil {
+		if _, err := conn.Write(wire.AppendHello(nil, wire.Hello{Role: wire.RoleControl})); err != nil {
 			conn.Close()
 			return fmt.Errorf("netrun: control hello daemon %d: %w", i, err)
 		}
@@ -145,18 +140,23 @@ func (c *Cluster) Run(s JobSpec) (Result, error) {
 
 // RunJob executes one job across the fleet: check the normalized spec as
 // every daemon will, so errors surface before any process starts working,
-// distribute it, drive the per-invocation start/done barrier, and collect
-// every daemon's result. The spec's backend must be net.
+// distribute it, wait until every daemon has accepted it, start them all,
+// and collect every daemon's result. The spec's backend must be net.
+//
+// JobOK then Start is the acceptance barrier: the accepting end of a mesh
+// link has no give-up timer, so a rank that ran before a peer refused the
+// spec would wait forever for a dial that never comes. After Start each
+// daemon walks the whole invocation chain on its own; the mesh's
+// generation tags order the invocations.
 func (c *Cluster) RunJob(spec job.Spec) (Result, error) {
 	spec = spec.Normalized()
-	chain, err := netChain(spec)
+	_, err := netChain(spec)
 	if err == nil && spec.Cores < len(c.addrs) {
 		err = fmt.Errorf("netrun: %d cores across %d daemons: need at least one rank per daemon", spec.Cores, len(c.addrs))
 	}
 	if err != nil {
 		return Result{}, fmt.Errorf("%w: %w", ErrRejected, err)
 	}
-	invocations := chain.Invocations()
 
 	// A fresh ID per job: persistent daemons key each job's mesh on it, so
 	// successive jobs on one session never adopt each other's (or a stale
@@ -169,32 +169,16 @@ func (c *Cluster) RunJob(spec job.Spec) (Result, error) {
 		}
 	}
 	for i, conn := range c.conns {
-		var ok jobOKWire
 		conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
-		err := readCtl(conn, wire.FrameJobOK, &ok)
+		err := readCtl(conn, wire.FrameJobOK, nil)
 		conn.SetReadDeadline(time.Time{})
 		if err != nil {
 			return Result{}, fmt.Errorf("netrun: daemon %d: %w", i, err)
 		}
-		if ok.Invocations != invocations {
-			return Result{}, fmt.Errorf("netrun: daemon %d plans %d invocations, the coordinator %d", i, ok.Invocations, invocations)
-		}
 	}
-
-	for inv := 0; inv < invocations; inv++ {
-		for i, conn := range c.conns {
-			if err := writeCtl(conn, wire.FrameStart, startWire{Inv: inv}); err != nil {
-				return Result{}, fmt.Errorf("netrun: start %d to daemon %d: %w", inv, i, err)
-			}
-		}
-		for i, conn := range c.conns {
-			var done invDoneWire
-			if err := readCtl(conn, wire.FrameInvDone, &done); err != nil {
-				return Result{}, fmt.Errorf("netrun: daemon %d invocation %d: %w", i, inv, err)
-			}
-			if done.Inv != inv {
-				return Result{}, fmt.Errorf("netrun: daemon %d finished invocation %d, expected %d", i, done.Inv, inv)
-			}
+	for i, conn := range c.conns {
+		if err := writeCtl(conn, wire.FrameStart, nil); err != nil {
+			return Result{}, fmt.Errorf("netrun: start to daemon %d: %w", i, err)
 		}
 	}
 
@@ -204,10 +188,7 @@ func (c *Cluster) RunJob(spec job.Spec) (Result, error) {
 	gotChecksum := false
 	for i, conn := range c.conns {
 		var dr daemonResult
-		conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
-		err := readCtl(conn, wire.FrameResult, &dr)
-		conn.SetReadDeadline(time.Time{})
-		if err != nil {
+		if err := readCtl(conn, wire.FrameResult, &dr); err != nil {
 			return Result{}, fmt.Errorf("netrun: result from daemon %d: %w", i, err)
 		}
 		traffic.Add(dr.Traffic)

@@ -270,9 +270,9 @@ func (d *daemon) control(conn gonet.Conn) int {
 }
 
 // serveJob runs this daemon's ranks of one job: validate the spec, build the
-// mesh, then walk the benchmark's invocation chain with each step bracketed
-// by the coordinator's Start/InvDone barrier, configured by the spec's own
-// tune hook plus a mesh-bound platform.
+// mesh, accept, then — on the coordinator's Start — walk the benchmark's
+// whole invocation chain, each step on its own mesh generation, configured
+// by the spec's own tune hook plus a mesh-bound platform.
 func (d *daemon) serveJob(conn gonet.Conn) error {
 	var jw jobWire
 	if err := readCtl(conn, wire.FrameJob, &jw); err != nil {
@@ -299,19 +299,15 @@ func (d *daemon) serveJob(conn gonet.Conn) error {
 	d.registerMesh(jw.JobID, mesh)
 	defer d.unregisterMesh(jw.JobID)
 
-	if err := writeCtl(conn, wire.FrameJobOK, jobOKWire{Invocations: chain.Invocations()}); err != nil {
+	if err := writeCtl(conn, wire.FrameJobOK, nil); err != nil {
+		return err
+	}
+	if err := readCtl(conn, wire.FrameStart, nil); err != nil {
 		return err
 	}
 
 	var agg daemonResult
 	for inv := range chain.Invocations() {
-		var start startWire
-		if err := readCtl(conn, wire.FrameStart, &start); err != nil {
-			return err
-		}
-		if start.Inv != inv {
-			return fmt.Errorf("netrun: start for invocation %d, expected %d", start.Inv, inv)
-		}
 		err := chain.Step(&agg.Result, spec.ParsedParadigm(), spec.Cores, func(cfg *core.Config) {
 			tune(cfg)
 			cfg.Platform = func(ranks int) (platform.Platform, error) {
@@ -320,9 +316,6 @@ func (d *daemon) serveJob(conn gonet.Conn) error {
 		})
 		if err != nil {
 			return fmt.Errorf("netrun: %w", err)
-		}
-		if err := writeCtl(conn, wire.FrameInvDone, invDoneWire{Inv: inv}); err != nil {
-			return err
 		}
 	}
 	// The commit rank lands on the last daemon (contiguous split), which

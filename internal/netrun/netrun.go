@@ -1,10 +1,11 @@
 // Package netrun orchestrates distributed jobs on the net backend: a
 // coordinator process launches (or joins) dsmtxd daemons, distributes the
-// job spec, drives the invocation barrier, and collects the result; each
-// daemon hosts a contiguous range of ranks on a mesh-bound platform
-// (internal/platform/net) and drives the benchmark's invocation chain
-// (workloads.Chain) — the unmodified core runtime — over it, so a net job's
-// record is the one every backend returns.
+// job spec, starts the fleet once every daemon has accepted it, and
+// collects the result; each daemon hosts a contiguous range of ranks on a
+// mesh-bound platform (internal/platform/net) and walks the benchmark's
+// whole invocation chain (workloads.Chain) — the unmodified core runtime —
+// over it, one mesh generation per invocation, so a net job's record is
+// the one every backend returns.
 package netrun
 
 import (
@@ -79,18 +80,6 @@ type jobWire struct {
 	Spec  job.Spec // normalized
 }
 
-type jobOKWire struct {
-	Invocations int
-}
-
-type startWire struct {
-	Inv int
-}
-
-type invDoneWire struct {
-	Inv int
-}
-
 type errorWire struct {
 	Error string
 }
@@ -105,11 +94,14 @@ type daemonResult struct {
 	HasChecksum bool
 }
 
-// writeCtl sends one JSON-bodied control frame.
+// writeCtl sends one JSON-bodied control frame (v nil: no body).
 func writeCtl(conn gonet.Conn, typ wire.FrameType, v any) error {
-	body, err := json.Marshal(v)
-	if err != nil {
-		return err
+	var body []byte
+	var err error
+	if v != nil {
+		if body, err = json.Marshal(v); err != nil {
+			return err
+		}
 	}
 	if len(body) > wire.MaxFrame {
 		return fmt.Errorf("netrun: control body %d bytes exceeds frame limit", len(body))
@@ -118,9 +110,9 @@ func writeCtl(conn gonet.Conn, typ wire.FrameType, v any) error {
 	return err
 }
 
-// readCtl reads one control frame and unmarshals it into v (pass nil to
-// accept any body). It returns the frame type so callers can branch on
-// errors and state mismatches.
+// readCtl reads one control frame of type want and unmarshals its body
+// into v (pass nil to ignore the body); a FrameError becomes the remote's
+// error.
 func readCtl(conn gonet.Conn, want wire.FrameType, v any) error {
 	typ, body, _, err := wire.ReadFrame(conn, nil)
 	if err != nil {
@@ -143,6 +135,6 @@ func readCtl(conn gonet.Conn, want wire.FrameType, v any) error {
 }
 
 // handshakeTimeout bounds the control-plane waits that should be instant
-// (hello, job acceptance); invocation barriers wait without deadline —
-// run time belongs to the workload.
+// (hello, job acceptance); the result waits without deadline — run time
+// belongs to the workload.
 const handshakeTimeout = 20 * time.Second

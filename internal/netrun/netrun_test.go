@@ -58,11 +58,11 @@ func connect(t *testing.T, addrs []string) *netrun.Cluster {
 	return cl
 }
 
-// checkJob runs spec on cl and requires the sequential checksum, vtime's
-// committed/misspec counts, and a record as complete as any backend's:
-// every traffic class counted and, after a misspeculation, all four
-// recovery phases timed.
-func checkJob(t *testing.T, cl *netrun.Cluster, spec job.Spec) netrun.Result {
+// checkJob runs spec on cl, a fleet of daemons, and requires the
+// sequential checksum, vtime's committed/misspec counts, and a record as
+// complete as any backend's: every traffic class counted and, after a
+// misspeculation, all four recovery phases timed.
+func checkJob(t *testing.T, cl *netrun.Cluster, daemons int, spec job.Spec) netrun.Result {
 	t.Helper()
 	spec.Backend = "net"
 	spec = spec.Normalized()
@@ -90,8 +90,8 @@ func checkJob(t *testing.T, cl *netrun.Cluster, spec job.Spec) netrun.Result {
 		t.Errorf("%+v: net committed/misspecs %d/%d != vtime %d/%d",
 			spec, nres.Committed, nres.Misspecs, vres.Committed, vres.Misspecs)
 	}
-	if nres.Daemons != 2 || nres.Elapsed <= 0 { // every fleet checkJob runs on has two daemons
-		t.Errorf("%+v: daemons %d, elapsed %v", spec, nres.Daemons, nres.Elapsed)
+	if nres.Daemons != daemons || nres.Elapsed <= 0 {
+		t.Errorf("%+v: daemons %d (want %d), elapsed %v", spec, nres.Daemons, daemons, nres.Elapsed)
 	}
 	// Stage bodies run on whichever daemon hosts the worker; the fold must
 	// reach at least one per stage of every MTX the pipeline committed.
@@ -120,22 +120,22 @@ func checkJob(t *testing.T, cl *netrun.Cluster, spec job.Spec) netrun.Result {
 // image left over would show up as a wrong checksum or count.
 func TestConnectRunsSuccessiveJobs(t *testing.T) {
 	cl := connect(t, startDaemons(t, 2))
-	checkJob(t, cl, job.Spec{Bench: "crc32", Seed: 42, Rate: 0.02, Cores: 5})
-	checkJob(t, cl, job.Spec{Bench: "crc32", Seed: 7, Cores: 5})
+	checkJob(t, cl, 2, job.Spec{Bench: "crc32", Seed: 42, Rate: 0.02, Cores: 5})
+	checkJob(t, cl, 2, job.Spec{Bench: "crc32", Seed: 7, Cores: 5})
 	// The daemons run the paradigm the spec names.
-	checkJob(t, cl, job.Spec{Bench: "crc32", Paradigm: "TLS", Seed: 42, Rate: 0.02, Cores: 5})
+	checkJob(t, cl, 2, job.Spec{Bench: "crc32", Paradigm: "TLS", Seed: 42, Rate: 0.02, Cores: 5})
 
 	// The one benchmark that chains invocations: each epoch runs on a fresh
 	// mesh generation over the image the commit daemon kept from the last.
 	alvinn := job.Spec{Bench: "052.alvinn", Seed: 42, Cores: 6}
-	checkJob(t, cl, alvinn)
+	checkJob(t, cl, 2, alvinn)
 
 	// Recovery: the commit daemon's breakdown is the job's. The first stage
 	// and the commit unit that reports to it run in different processes here,
 	// and the run-ahead bound must hold all the same, in every epoch: the
 	// waste inequality of workloads' TestBoundedRunAheadWaste (floor 32,
 	// misspecs + 1 epochs). The stale page lists cross daemons too.
-	rec := checkJob(t, cl, job.Spec{Bench: "197.parser", Seed: 42, Rate: 0.05, Cores: 5})
+	rec := checkJob(t, cl, 2, job.Spec{Bench: "197.parser", Seed: 42, Rate: 0.05, Cores: 5})
 	if rec.Misspecs != 20 || rec.Committed != 800 {
 		t.Errorf("197.parser at rate 0.05: %d misspeculations, %d committed, want 20 and 800", rec.Misspecs, rec.Committed)
 	}
@@ -147,6 +147,81 @@ func TestConnectRunsSuccessiveJobs(t *testing.T) {
 	// ≈ 1,580 when every recovery dropped every page.
 	if pages := rec.Traffic.PageMessages; pages > 600 {
 		t.Errorf("197.parser at rate 0.05: %d page messages, want <= 600", pages)
+	}
+}
+
+// TestThreeDaemons: in a fleet of three the middle daemon hosts only
+// workers, between the first stage's daemon and the commit unit's. All
+// three walk their invocation chains with no coordinator barrier between
+// steps, so one may bind the next mesh generation while a peer still sends
+// on the last: the chained 052.alvinn and a recovering crc32 must still
+// reach the sequential checksum.
+func TestThreeDaemons(t *testing.T) {
+	cl := connect(t, startDaemons(t, 3))
+	checkJob(t, cl, 3, job.Spec{Bench: "052.alvinn", Seed: 42, Cores: 6})
+	if rec := checkJob(t, cl, 3, job.Spec{Bench: "crc32", Seed: 42, Rate: 0.02, Cores: 6}); rec.Misspecs == 0 {
+		t.Error("crc32 at rate 0.02: no misspeculation to recover from")
+	}
+}
+
+// TestOneStartRunsTheChain: after JobOK one Start runs every invocation of
+// the chain, and the next control frame is the Result. The daemon's fleet
+// is itself alone, so every rank is local and the raw session sees the
+// whole control stream of the two-invocation 052.alvinn.
+func TestOneStartRunsTheChain(t *testing.T) {
+	ln, err := gonet.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	stop, exit := make(chan struct{}), make(chan int, 1)
+	go func() { exit <- netrun.ServeLoop(ln, stop) }()
+	defer func() { close(stop); <-exit }()
+
+	spec := job.Spec{Bench: "052.alvinn", Backend: "net", Seed: 42, Cores: 6}.Normalized()
+	b, err := workloads.ByName(spec.Bench)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := workloads.NewChain(b, spec.Input()).Invocations(); n != 2 {
+		t.Fatalf("052.alvinn chains %d invocations, want 2", n)
+	}
+	_, seqCheck, err := workloads.RunSequentialRef(b, spec.Input())
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(struct {
+		JobID uint64
+		Self  int
+		Addrs []string
+		Spec  job.Spec
+	}{JobID: 1, Addrs: []string{addr}, Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	conn, err := gonet.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(30 * time.Second))
+	conn.Write(wire.AppendHello(nil, wire.Hello{Role: wire.RoleControl}))
+	conn.Write(wire.AppendFrame(nil, wire.FrameJob, body))
+	if typ, reply, _, err := wire.ReadFrame(conn, nil); err != nil || typ != wire.FrameJobOK {
+		t.Fatalf("after Job: frame %d %q, err %v; want JobOK", typ, reply, err)
+	}
+	conn.Write(wire.AppendFrame(nil, wire.FrameStart, nil))
+	typ, reply, _, err := wire.ReadFrame(conn, nil)
+	var res struct {
+		Checksum    uint64
+		HasChecksum bool
+	}
+	if err != nil || typ != wire.FrameResult || json.Unmarshal(reply, &res) != nil {
+		t.Fatalf("after Start: frame %d %q, err %v; want the Result", typ, reply, err)
+	}
+	if !res.HasChecksum || res.Checksum != seqCheck {
+		t.Fatalf("result checksum %#x (reported %v), want the sequential %#x", res.Checksum, res.HasChecksum, seqCheck)
 	}
 }
 
@@ -164,7 +239,7 @@ func TestRunRejectsCoordinatorSide(t *testing.T) {
 	if _, err := cl.RunJob(job.Spec{Bench: "crc32", Cores: 5}); !errors.Is(err, netrun.ErrRejected) || !strings.Contains(err.Error(), "vtime job cannot run on a net fleet") {
 		t.Fatalf("vtime spec: err = %v", err)
 	}
-	checkJob(t, cl, job.Spec{Bench: "crc32", Seed: 42, Cores: 5})
+	checkJob(t, cl, 2, job.Spec{Bench: "crc32", Seed: 42, Cores: 5})
 
 	// Five control streams into a listener that records what arrives: after
 	// the refusals and Close each must have carried its Hello and nothing

@@ -362,7 +362,9 @@ func TestCloseWhilePeerSends(t *testing.T) {
 
 // TestGenerationBuffering starts generation 1 on daemon 0 and sends before
 // daemon 1 has bound generation 1; the frames must buffer in the mesh and
-// drain when the platform binds.
+// drain when the platform binds. A frame of generation 0 that arrives after
+// daemon 1 bound generation 1 is a straggler and must be dropped, not
+// delivered to the generation-1 rank receiving on its tag.
 func TestGenerationBuffering(t *testing.T) {
 	m0, m1 := twoMeshes(t)
 	// Generation 0 on both sides completes an invocation.
@@ -398,15 +400,23 @@ func TestGenerationBuffering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got uint64
+	// Per-link FIFO: the straggler reaches daemon 1 ahead of the
+	// generation-1 frame on the same tag.
+	p0.Endpoint(0).Send(1, 3, uint64(99), 8)
+	q0.Endpoint(0).Send(1, 3, uint64(8), 8)
+	var got, next uint64
 	q1.Spawn("g1", func(pr platform.Proc) {
 		got = q1.Endpoint(1).Recv(pr, 0, 2).Payload.(uint64)
+		next = q1.Endpoint(1).Recv(pr, 0, 3).Payload.(uint64)
 	})
 	if err := q1.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	if got != 7 {
 		t.Fatalf("buffered generation payload = %d, want 7", got)
+	}
+	if next != 8 {
+		t.Fatalf("generation-1 receive after a generation-0 straggler = %d, want 8", next)
 	}
 }
 

@@ -15,18 +15,18 @@ import (
 type FrameType uint8
 
 // Frame types. Hello/Msg/Ack/Goodbye flow on data connections between
-// daemons; Hello/Job/JobOK/Start/InvDone/Result/Error flow on the control
-// connection between the coordinator and each daemon (their bodies are
-// JSON — orchestration is rare and debuggable beats compact there).
+// daemons; Hello/Job/JobOK/Start/Result/Error flow on the control
+// connection between the coordinator and each daemon, once per job in that
+// order (Job, Result and Error bodies are JSON — orchestration is rare and
+// debuggable beats compact there; JobOK and Start carry no body).
 const (
 	FrameHello   FrameType = 1 // handshake: role, job, peer index, last received seq
 	FrameMsg     FrameType = 2 // one platform.Message (seq, generation, message)
 	FrameAck     FrameType = 3 // cumulative receive ack, trims the sender's replay log
 	FrameGoodbye FrameType = 4 // graceful close: peer is done sending
 	FrameJob     FrameType = 5 // coordinator -> daemon: JSON job spec
-	FrameJobOK   FrameType = 6 // daemon -> coordinator: job accepted, invocation count
-	FrameStart   FrameType = 7 // coordinator -> daemon: start invocation N
-	FrameInvDone FrameType = 8 // daemon -> coordinator: invocation N finished
+	FrameJobOK   FrameType = 6 // daemon -> coordinator: job accepted
+	FrameStart   FrameType = 7 // coordinator -> daemon: every daemon accepted, run the chain
 	FrameResult  FrameType = 9 // daemon -> coordinator: JSON aggregate result
 
 	// FrameError carries a daemon-side failure as text; either side treats
@@ -105,11 +105,14 @@ const helloMagic = 0x58544d44 // "DMTX"
 // byte and a page list. 3: the Job frame carries the whole job.Spec; a
 // version-2 daemon would decode its keys case-insensitively into the old
 // five-field spec, drop rate and paradigm, and run DSMTX at rate 0.
-const helloVersion = 3
+// 4: one Start runs the whole invocation chain; a version-3 daemon would
+// wait for a second Start after the first invocation.
+const helloVersion = 4
 
 // Hello is the first frame on every connection.
 type Hello struct {
-	Role  uint8
+	Role uint8
+	// JobID names the job a data connection belongs to (zero on control).
 	JobID uint64
 	// Peer is the sender's daemon index (data connections; unused for
 	// control).

@@ -168,18 +168,18 @@ func TestHelloRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestHelloRejectsOldVersion: a version-2 peer (the Job frame's old spec)
-// is refused at the handshake, never handed a spec it would misread.
+// TestHelloRejectsOldVersion: a version-3 peer (one Start per invocation)
+// is refused at the handshake, never left waiting for a second Start.
 func TestHelloRejectsOldVersion(t *testing.T) {
 	var e Encoder
 	e.U32(helloMagic)
-	e.U8(2)
+	e.U8(3)
 	e.U8(RoleControl)
-	e.U64(1)
+	e.U64(0)
 	e.Uvarint(0)
 	e.U32(0)
-	if _, err := ParseHello(e.Bytes()); err == nil || !strings.Contains(err.Error(), "hello version 2, want 3") {
-		t.Fatalf("version-2 hello: err = %v", err)
+	if _, err := ParseHello(e.Bytes()); err == nil || !strings.Contains(err.Error(), "hello version 3, want 4") {
+		t.Fatalf("version-3 hello: err = %v", err)
 	}
 }
 

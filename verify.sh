@@ -82,8 +82,10 @@ go test -race ./internal/core/ -run TestCrossShard
 # head of every pipeline, in every epoch of a live run, must be wedge-free at
 # both widths: the workloads sweep (its misspeculating one-shard cells),
 # core's recovery tests and seeded random sweep on host (clean programs
-# included, at least one of which must wait), and netrun's two-daemon
-# recovering 197.parser (first stage and commit unit in different processes). Queue batches go back to
+# included, at least one of which must wait), netrun's two-daemon
+# recovering 197.parser (first stage and commit unit in different processes)
+# and its three-daemon fleet, where a workers-only daemon sits between two
+# others and each daemon crosses invocation boundaries on its own. Queue batches go back to
 # their sender through a free list — a cross-goroutine handoff — so the queue
 # stress test (epoch bumps mid-stream, every value checked) and the
 # cross-daemon no-recycle test ride along too. Idle parks after the same
@@ -94,7 +96,7 @@ go test -race ./internal/core/ -run TestCrossShard
 # re-arm fixture (the commit unit's word, a squashed store) rides along.
 live='TestBackendEquivalence|TestCrossShard|TestPageServicePlacement|TestLifecycleSpans|TestSelectiveRearm'
 live+='|TestBoundedRunAhead|TestLiveRecoverySweep|TestMisspecOnFirstIteration|TestBackToBackMisspecs|TestMisspecStorm'
-live+='|TestTLSRecovery|TestRecoveryProperty|TestConflictDetectionProperty|TestBulkReadConflict|TestConnectRunsSuccessiveJobs'
+live+='|TestTLSRecovery|TestRecoveryProperty|TestConflictDetectionProperty|TestBulkReadConflict|TestConnectRunsSuccessiveJobs|TestThreeDaemons'
 live+='|TestRecycledBatchesStress|TestCrossDaemonBatchNeverReturnsToSender|TestDeliveryConformance'
 livepkgs='./internal/workloads/ ./internal/core/ ./internal/netrun/ ./internal/queue/ ./internal/platform/...'
 GOMAXPROCS=2 go test -race -count=1 $livepkgs -run "$live"
