@@ -143,30 +143,6 @@ func (c Config) InstrTime(instructions int64) sim.Duration {
 	return sim.Duration(float64(instructions) / c.ClockGHz)
 }
 
-// MsgClass labels a message's role for bandwidth attribution; it aliases
-// the platform-neutral type so the runtime layers above use the same values
-// on every backend.
-type MsgClass = platform.MsgClass
-
-// Message classes. The zero value is ClassControl, so untagged sends (the
-// default path) count as control traffic.
-const (
-	ClassControl = platform.ClassControl
-	ClassQueue   = platform.ClassQueue
-	ClassPage    = platform.ClassPage
-)
-
-// Message is one unit of data in flight between ranks.
-type Message = platform.Message
-
-// AnySource registers a mailbox that receives messages from every sender
-// using a given tag. Register such mailboxes before any traffic flows.
-const AnySource = platform.AnySource
-
-// TrafficStats accumulates modelled wire traffic for an entire run; the
-// figure-5a bandwidth numbers divide these by execution time.
-type TrafficStats = platform.TrafficStats
-
 type mailboxKey struct {
 	from int
 	tag  int
@@ -183,7 +159,7 @@ type Machine struct {
 	// even when a small message follows a large one on a faster path.
 	lastArrival map[[2]int]sim.Time
 	eps         []*Endpoint
-	stats       TrafficStats
+	stats       platform.TrafficStats
 
 	// Fault-injection state; all nil/false when faults are off, and every
 	// faulty-path branch below is gated so the fault-free paths are
@@ -228,7 +204,7 @@ func New(k *sim.Kernel, cfg Config) *Machine {
 		eps:         make([]*Endpoint, cfg.Ranks()),
 	}
 	for r := range m.eps {
-		m.eps[r] = &Endpoint{m: m, rank: r, boxes: make(map[mailboxKey]*sim.Chan[Message])}
+		m.eps[r] = &Endpoint{m: m, rank: r, boxes: make(map[mailboxKey]*sim.Chan[platform.Message])}
 	}
 	return m
 }
@@ -264,7 +240,7 @@ func (m *Machine) Now() platform.Time { return m.k.Now() }
 func (m *Machine) Events() uint64 { return m.k.Events() }
 
 // Traffic returns a snapshot of accumulated traffic.
-func (m *Machine) Traffic() TrafficStats { return m.stats }
+func (m *Machine) Traffic() platform.TrafficStats { return m.stats }
 
 // Concurrent is false: simulation processes run in strict cooperative
 // alternation, so runtime state needs no synchronization.
@@ -273,15 +249,15 @@ func (m *Machine) Concurrent() bool { return false }
 // transmit models the wire: serialization through the sender's NIC for
 // inter-node messages, a fast path for intra-node ones. It returns the
 // arrival time at the destination.
-func (m *Machine) transmit(msg Message) sim.Time {
+func (m *Machine) transmit(msg platform.Message) sim.Time {
 	now := m.k.Now()
 	m.stats.Messages++
 	m.stats.Bytes += uint64(msg.Bytes)
 	switch msg.Class {
-	case ClassQueue:
+	case platform.ClassQueue:
 		m.stats.QueueMessages++
 		m.stats.QueueBytes += uint64(msg.Bytes)
-	case ClassPage:
+	case platform.ClassPage:
 		m.stats.PageMessages++
 		m.stats.PageBytes += uint64(msg.Bytes)
 	default:
@@ -319,7 +295,7 @@ func (m *Machine) transmit(msg Message) sim.Time {
 type Endpoint struct {
 	m     *Machine
 	rank  int
-	boxes map[mailboxKey]*sim.Chan[Message]
+	boxes map[mailboxKey]*sim.Chan[platform.Message]
 }
 
 // Rank reports this endpoint's rank.
@@ -332,12 +308,12 @@ func (e *Endpoint) Mailbox(from, tag int) platform.Mailbox {
 }
 
 // box is Mailbox with the concrete channel type, for internal delivery.
-func (e *Endpoint) box(from, tag int) *sim.Chan[Message] {
+func (e *Endpoint) box(from, tag int) *sim.Chan[platform.Message] {
 	key := mailboxKey{from, tag}
 	box, ok := e.boxes[key]
 	if !ok {
 		name := fmt.Sprintf("r%d<-%d#%d", e.rank, from, tag)
-		box = sim.NewChan[Message](name)
+		box = sim.NewChan[platform.Message](name)
 		e.boxes[key] = box
 	}
 	return box
@@ -346,12 +322,12 @@ func (e *Endpoint) box(from, tag int) *sim.Chan[Message] {
 // deliver routes an arrived message to the matching mailbox: an exact
 // (from, tag) box if registered, else the any-source box for the tag, else a
 // fresh exact box.
-func (e *Endpoint) deliver(msg Message) {
+func (e *Endpoint) deliver(msg platform.Message) {
 	if box, ok := e.boxes[mailboxKey{msg.From, msg.Tag}]; ok {
 		box.Push(msg)
 		return
 	}
-	if box, ok := e.boxes[mailboxKey{AnySource, msg.Tag}]; ok {
+	if box, ok := e.boxes[mailboxKey{platform.AnySource, msg.Tag}]; ok {
 		box.Push(msg)
 		return
 	}
@@ -362,16 +338,16 @@ func (e *Endpoint) deliver(msg Message) {
 // mpi package layers per-call instruction costs on top). Delivery happens at
 // the modelled arrival time.
 func (e *Endpoint) Send(to, tag int, payload any, bytes int) {
-	e.SendClass(to, tag, payload, bytes, ClassControl)
+	e.SendClass(to, tag, payload, bytes, platform.ClassControl)
 }
 
 // SendClass is Send with an explicit traffic class for bandwidth
 // attribution; the class changes accounting only, never timing.
-func (e *Endpoint) SendClass(to, tag int, payload any, bytes int, class MsgClass) {
+func (e *Endpoint) SendClass(to, tag int, payload any, bytes int, class platform.MsgClass) {
 	if bytes < 0 {
 		panic("cluster: negative message size")
 	}
-	msg := Message{From: e.rank, To: to, Tag: tag, Payload: payload, Bytes: bytes, Class: class}
+	msg := platform.Message{From: e.rank, To: to, Tag: tag, Payload: payload, Bytes: bytes, Class: class}
 	dst := e.m.endpoint(to)
 	if e.m.linkFaults && e.m.cfg.NodeOf(msg.From) != e.m.cfg.NodeOf(to) {
 		e.m.sendReliable(msg)
@@ -383,7 +359,7 @@ func (e *Endpoint) SendClass(to, tag int, payload any, bytes int, class MsgClass
 
 // Recv blocks p until a message from the given source (or AnySource) with
 // the given tag arrives, and returns it.
-func (e *Endpoint) Recv(p platform.Proc, from, tag int) Message {
+func (e *Endpoint) Recv(p platform.Proc, from, tag int) platform.Message {
 	msg, ok := e.box(from, tag).Recv(p)
 	if !ok {
 		panic("cluster: mailbox closed")

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dsmtx/internal/platform"
 	"dsmtx/internal/sim"
 )
 
@@ -153,10 +154,10 @@ func TestAnySourceMailbox(t *testing.T) {
 	got := map[int]bool{}
 	k.Spawn("rx", func(p *sim.Proc) {
 		ep := m.Endpoint(0)
-		ep.Mailbox(AnySource, tag) // register before traffic
+		ep.Mailbox(platform.AnySource, tag) // register before traffic
 		p.Advance(10)
 		for i := 0; i < 3; i++ {
-			msg := ep.Recv(p, AnySource, tag)
+			msg := ep.Recv(p, platform.AnySource, tag)
 			got[msg.From] = true
 		}
 	})

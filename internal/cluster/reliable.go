@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 
+	"dsmtx/internal/platform"
 	"dsmtx/internal/sim"
 	"dsmtx/internal/trace"
 )
@@ -40,7 +41,7 @@ const ackWireBytes = 16
 type relLink struct {
 	nextSeq     uint64
 	nextDeliver uint64
-	held        map[uint64]Message
+	held        map[uint64]platform.Message
 }
 
 // relState tracks one message in flight: whether any copy has been acked
@@ -51,11 +52,11 @@ type relState struct {
 }
 
 // sendReliable assigns the link sequence number and launches attempt 0.
-func (m *Machine) sendReliable(msg Message) {
+func (m *Machine) sendReliable(msg platform.Message) {
 	pair := [2]int{msg.From, msg.To}
 	link := m.rel[pair]
 	if link == nil {
-		link = &relLink{held: make(map[uint64]Message)}
+		link = &relLink{held: make(map[uint64]platform.Message)}
 		m.rel[pair] = link
 	}
 	msg.Seq = link.nextSeq
@@ -65,17 +66,17 @@ func (m *Machine) sendReliable(msg Message) {
 
 // relAttempt transmits one copy of msg (attempt n) and arms the
 // retransmission timer for attempt n+1.
-func (m *Machine) relAttempt(link *relLink, msg Message, st *relState, attempt int) {
+func (m *Machine) relAttempt(link *relLink, msg platform.Message, st *relState, attempt int) {
 	now := m.k.Now()
 	bytes := uint64(msg.Bytes)
 	m.stats.Messages++
 	m.stats.Bytes += bytes
 	m.stats.InterNodeBytes += bytes
 	switch msg.Class {
-	case ClassQueue:
+	case platform.ClassQueue:
 		m.stats.QueueMessages++
 		m.stats.QueueBytes += bytes
-	case ClassPage:
+	case platform.ClassPage:
 		m.stats.PageMessages++
 		m.stats.PageBytes += bytes
 	default:
@@ -118,7 +119,7 @@ func (m *Machine) relAttempt(link *relLink, msg Message, st *relState, attempt i
 
 // relArrive handles one received copy: ack it, then release every
 // in-sequence message to the destination endpoint.
-func (m *Machine) relArrive(link *relLink, msg Message, st *relState) {
+func (m *Machine) relArrive(link *relLink, msg platform.Message, st *relState) {
 	// Ack every copy, including duplicates — the ack of an earlier copy
 	// may itself have been lost, and the retransmitted copy's ack is what
 	// finally silences the sender's timer.
@@ -144,7 +145,7 @@ func (m *Machine) relArrive(link *relLink, msg Message, st *relState) {
 
 // relAck models the reverse-direction ack frame: control-class wire
 // bytes, pure latency (no NIC serialization), droppable.
-func (m *Machine) relAck(msg Message, st *relState) {
+func (m *Machine) relAck(msg platform.Message, st *relState) {
 	m.stats.Messages++
 	m.stats.Bytes += ackWireBytes
 	m.stats.InterNodeBytes += ackWireBytes

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"dsmtx/internal/faults"
+	"dsmtx/internal/platform"
 	"dsmtx/internal/sim"
 )
 
@@ -85,7 +86,7 @@ func TestReliableIntraNodeUntouched(t *testing.T) {
 // TestReliableDeterministic: two machines running the same traffic under
 // the same plan agree on every virtual-time outcome.
 func TestReliableDeterministic(t *testing.T) {
-	run := func() (sim.Time, TrafficStats) {
+	run := func() (sim.Time, platform.TrafficStats) {
 		k, m := faultyMachine(t, faults.Plan{Seed: 5, DropRate: 0.1, AckDropRate: 0.1, SpikeRate: 0.05, SpikeExtra: 30 * sim.Microsecond})
 		k.Spawn("rx", func(p *sim.Proc) {
 			for range 200 {

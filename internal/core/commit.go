@@ -13,16 +13,17 @@ import (
 	"dsmtx/internal/uva"
 )
 
-// cuNode is one commit unit. With a single commit shard it is the paper's
-// commit unit: the only process holding authoritative memory, executing the
-// sequential portions, committing each validated MTX atomically (group
-// transaction commit) and orchestrating misspeculation recovery. With
-// CommitShards > 1 each cuNode owns a consistent-hashed partition of the
+// cuNode is one commit shard. Each owns a consistent-hashed partition of the
 // page space: every shard consumes all markers and verdicts (so decisions
 // replicate deterministically), stages and applies only its own partition's
 // writes, and MTXs whose writes span shards commit through an ordered
 // two-phase vote coordinated by the shard owning the MTX's lowest written
-// page. Shard 0 is the lead: Setup, termination and Finalize run there.
+// page. Shard 0 is the lead: Setup, termination and Finalize run there. The
+// paper's single commit unit — the only process holding authoritative
+// memory, executing the sequential portions, committing each validated MTX
+// atomically (group transaction commit) and orchestrating misspeculation
+// recovery — is this pipeline with one shard: it owns every page,
+// coordinates every MTX and never waits for a peer's vote.
 type cuNode struct {
 	sys   *System
 	shard int
@@ -37,11 +38,11 @@ type cuNode struct {
 
 	staged []Entry // group-commit staging buffer, reused across MTXs
 
-	// Cross-shard commit state (CommitShards > 1 only). curMask/curMin
-	// accumulate the current MTX's write-owner mask and lowest written
-	// address from the EndSub markers; votesBox receives ordered 2PC votes
-	// addressed to this shard as coordinator; voteCount buffers early votes
-	// from run-ahead participants (keyed by MTX).
+	// Cross-shard commit state. curMask/curMin accumulate the current MTX's
+	// write-owner mask and lowest written address from the EndSub markers;
+	// votesBox receives ordered 2PC votes addressed to this shard as
+	// coordinator; voteCount buffers early votes from run-ahead participants
+	// (keyed by MTX).
 	curMask   uint64
 	curMin    uva.Addr
 	votesBox  platform.Mailbox
@@ -83,12 +84,9 @@ type cuNode struct {
 func newCUNode(s *System, shard int) *cuNode {
 	c := &cuNode{sys: s, shard: shard, rank: s.cfg.commitShardRank(shard), routes: make(map[uint64]int)}
 	// The image exists from construction (single-threaded, before spawn) so
-	// the lead shard can seed every partition during Setup via the federated
-	// space; with one shard the seed image simply becomes the image.
+	// Run can scatter the seed image into it and the lead shard can seed
+	// every partition during Setup via the federated space.
 	c.img = mem.NewImage(nil)
-	if s.cfg.commitShards() == 1 && s.initialImage != nil {
-		c.img = s.initialImage
-	}
 	c.img.Instrument(s.tr.Metrics())
 	return c
 }
@@ -98,12 +96,8 @@ func newCUNode(s *System, shard int) *cuNode {
 const termVoteKey = ^uint64(0)
 
 // seqSpace is the memory view sequential code (Setup, SeqIter, Finalize)
-// runs against on this shard: the image itself with one commit unit, the
-// federated per-shard view otherwise.
+// runs against on this shard: the federated view over every shard's image.
 func (c *cuNode) seqSpace() mem.Space {
-	if c.sys.cfg.commitShards() == 1 {
-		return c.img
-	}
 	imgs := make([]*mem.Image, len(c.sys.cus))
 	for k, cu := range c.sys.cus {
 		imgs[k] = cu.img
@@ -173,18 +167,14 @@ func (c *cuNode) run(p platform.Proc) {
 
 func (c *cuNode) bind() {
 	c.comm.RegisterBarrierMailboxes()
-	if c.sys.cfg.commitShards() > 1 {
-		// The sequential arena is shared across shards: Setup, recovery
-		// re-execution and Finalize may run on different shards but must
-		// allocate from one bump pointer.
-		c.arena = c.sys.seqArena
-		ep := c.comm.Endpoint()
-		c.votesBox = ep.Mailbox(platform.AnySource, tagCommitVoteBase+c.shard)
-		ep.Mailbox(platform.AnySource, tagCtrl) // recovery epochs from any coordinator
-		c.voteCount = make(map[uint64]int)
-	} else {
-		c.arena = uva.NewArena(0)
-	}
+	// The sequential arena is shared across shards: Setup, recovery
+	// re-execution and Finalize may run on different shards but must
+	// allocate from one bump pointer.
+	c.arena = c.sys.seqArena
+	ep := c.comm.Endpoint()
+	c.votesBox = ep.Mailbox(platform.AnySource, tagCommitVoteBase+c.shard)
+	ep.Mailbox(platform.AnySource, tagCtrl) // recovery epochs from any coordinator
+	c.voteCount = make(map[uint64]int)
 	for w := 0; w < c.sys.cfg.Workers(); w++ {
 		c.in = append(c.in, newEntryCursor(c.sys.toCUQ[w][c.shard].Receiver(c.comm)))
 	}
@@ -193,7 +183,6 @@ func (c *cuNode) bind() {
 	c.cMissConflict = c.sys.tr.Metrics().Counter("misspec.conflict")
 	c.cReports = c.sys.tr.Metrics().Counter("window.reports")
 	if c.sys.hbOn {
-		ep := c.comm.Endpoint()
 		c.hbBox = ep.Mailbox(platform.AnySource, tagHeartbeat)
 		c.rejoinBox = ep.Mailbox(platform.AnySource, tagRejoin)
 		c.lastHeard = make([]platform.Time, c.sys.cfg.Workers())
@@ -221,7 +210,6 @@ func (c *cuNode) commitEpoch(seq *SeqCtx) (done bool) {
 			c.recoverCrash(seq, cs.rank)
 		}
 	}()
-	committer, hasCommitter := c.sys.prog.(Committer)
 	nShards := c.sys.cfg.commitShards()
 	for {
 		iter := c.iter
@@ -244,15 +232,13 @@ func (c *cuNode) commitEpoch(seq *SeqCtx) (done bool) {
 		if terminated {
 			c.sys.drainTerminates(c.in, iter, c.consumeStream)
 			c.awaitTerminateVerdict()
-			if nShards > 1 {
-				if c.shard != 0 {
-					// Ordered termination vote: tell the lead this shard's
-					// partition is fully committed, then exit.
-					c.comm.Send(c.sys.cfg.commitShardRank(0), tagCommitVoteBase, termVoteKey, 16)
-					return true
-				}
-				c.awaitVotes(termVoteKey, nShards-1)
+			if c.shard != 0 {
+				// Ordered termination vote: tell the lead this shard's
+				// partition is fully committed, then exit.
+				c.comm.Send(c.sys.cfg.commitShardRank(0), tagCommitVoteBase, termVoteKey, 16)
+				return true
 			}
+			c.awaitVotes(termVoteKey, nShards-1)
 			// Release every parked worker and the try-commit unit.
 			c.tellRanks(ctrlMsg{epoch: c.epoch, done: true})
 			return true
@@ -266,18 +252,15 @@ func (c *cuNode) commitEpoch(seq *SeqCtx) (done bool) {
 			misspec = true
 		}
 		if misspec {
-			if nShards > 1 {
-				coord := c.coordinator()
-				if c.shard != coord {
-					// Stop vote: prove this shard reached the failed MTX (and
-					// so consumed every earlier vote) before the coordinator
-					// broadcasts the recovery epoch.
-					c.comm.Send(c.sys.cfg.commitShardRank(coord), tagCommitVoteBase+coord, iter, 16)
-					c.followRecovery(iter)
-					continue
-				}
-				c.awaitVotes(iter, nShards-1)
+			if coord := c.coordinator(); c.shard != coord {
+				// Stop vote: prove this shard reached the failed MTX (and so
+				// consumed every earlier vote) before the coordinator
+				// broadcasts the recovery epoch.
+				c.comm.Send(c.sys.cfg.commitShardRank(coord), tagCommitVoteBase+coord, iter, 16)
+				c.followRecovery(iter)
+				continue
 			}
+			c.awaitVotes(iter, nShards-1)
 			if markerMiss {
 				c.cMissWorker.Inc()
 			} else {
@@ -289,8 +272,8 @@ func (c *cuNode) commitEpoch(seq *SeqCtx) (done bool) {
 		}
 		spanStart := c.sys.tr.Now()
 		// Group transaction commit: apply all stores in subTX order; the
-		// last write to a location wins. With a sharded pipeline only this
-		// partition's stores were routed here.
+		// last write to a location wins. Only this partition's stores were
+		// routed here.
 		var bulkBytes int
 		for _, e := range c.staged {
 			if e.Kind == entWriteBlk {
@@ -302,15 +285,7 @@ func (c *cuNode) commitEpoch(seq *SeqCtx) (done bool) {
 		}
 		c.proc.Advance(c.sys.instrTime(int64(len(c.staged))*c.sys.cfg.StoreInstr +
 			int64(float64(bulkBytes)*c.sys.cfg.BulkInstrPerByte)))
-		if nShards > 1 {
-			c.shardCommit(iter, spanStart, bulkBytes)
-		} else {
-			c.result.Committed++
-			if hasCommitter {
-				committer.Commit(seq, iter)
-			}
-			c.sys.tr.Span(trace.SpanCommit, c.rank, spanStart, iter, int64(len(c.staged)), int64(bulkBytes))
-		}
+		c.shardCommit(seq, iter, spanStart, bulkBytes)
 		if c.resumed > 0 {
 			c.result.RFP += c.proc.Now() - c.resumed
 			c.sys.tr.Span(trace.SpanRFP, c.rank, c.rfpStart, iter, 0, 0)
@@ -337,20 +312,19 @@ func (c *cuNode) reportProgress() {
 	}
 }
 
-// shardCommit finishes a clean MTX under a sharded commit pipeline: the
-// stores are already applied locally; participating shards send the
-// coordinator their ordered prepare vote (the entire 2PC prepare round —
-// the predefined commit order means ordering races cannot abort, only real
-// conflicts, and those were already ruled out by the verdict), and the
-// coordinator collects the votes before counting the MTX committed.
-func (c *cuNode) shardCommit(iter uint64, spanStart platform.Time, bulkBytes int) {
+// shardCommit finishes a clean MTX: the stores are already applied locally;
+// participating shards send the coordinator their ordered prepare vote (the
+// entire 2PC prepare round — the predefined commit order means ordering
+// races cannot abort, only real conflicts, and those were already ruled out
+// by the verdict), and the coordinator collects the votes before counting
+// the MTX committed and running the Committer hook. The coordinator's
+// SpanCommit covers its own partition; only a non-coordinator participant
+// records SpanShardCommit.
+func (c *cuNode) shardCommit(seq *SeqCtx, iter uint64, spanStart platform.Time, bulkBytes int) {
 	coord := c.coordinator()
-	self := uint64(1) << uint(c.shard)
-	if c.curMask&self != 0 {
-		c.sys.tr.Span(trace.SpanShardCommit, c.rank, spanStart, iter, int64(len(c.staged)), int64(bulkBytes))
-	}
 	if c.shard != coord {
-		if c.curMask&self != 0 {
+		if c.curMask&(1<<uint(c.shard)) != 0 {
+			c.sys.tr.Span(trace.SpanShardCommit, c.rank, spanStart, iter, int64(len(c.staged)), int64(bulkBytes))
 			c.sys.tr.Instant(trace.InstShardVote, c.rank, iter, int64(coord), 0)
 			c.comm.Send(c.sys.cfg.commitShardRank(coord), tagCommitVoteBase+coord, iter, 16)
 		}
@@ -362,6 +336,9 @@ func (c *cuNode) shardCommit(iter uint64, spanStart platform.Time, bulkBytes int
 		c.sys.tr.Span(trace.SpanShardVoteWait, c.rank, voteStart, iter, int64(need), 0)
 	}
 	c.result.Committed++
+	if committer, ok := c.sys.prog.(Committer); ok {
+		committer.Commit(seq, iter)
+	}
 	c.sys.tr.Span(trace.SpanCommit, c.rank, spanStart, iter, int64(len(c.staged)), int64(bulkBytes))
 }
 
@@ -668,9 +645,9 @@ func (c *cuNode) republish() {
 
 // awaitRearm receives the stale list of epoch (republish); anything read
 // before it on the control mailbox is from an earlier epoch, and stale.
-func awaitRearm(comm *mpi.Comm, src int, epoch uint64) []uva.PageID {
+func awaitRearm(comm *mpi.Comm, epoch uint64) []uva.PageID {
 	for {
-		if cm := comm.Recv(src, tagCtrl).Payload.(ctrlMsg); cm.rearm && cm.epoch == epoch {
+		if cm := comm.Recv(platform.AnySource, tagCtrl).Payload.(ctrlMsg); cm.rearm && cm.epoch == epoch {
 			return cm.stale
 		}
 	}

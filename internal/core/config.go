@@ -115,8 +115,8 @@ type Config struct {
 	// coordinates, and because the global commit order is predefined the
 	// prepare round is a single ordered vote per participant — ordering races
 	// cannot abort, only real conflicts can. 0 or 1 means the paper's single
-	// commit unit and is byte-identical to the pre-sharding layout on both
-	// backends.
+	// commit unit: the same pipeline with one shard, which owns every page,
+	// coordinates every MTX and never waits for a vote.
 	CommitShards int
 
 	// COAGrainBytes models Copy-On-Access at sub-page granularity for the

@@ -49,14 +49,16 @@ func (s *System) recordLife(rank int, p platform.Proc, born platform.Time) {
 
 // bind attaches the rank's process and registers what every speculative rank
 // receives from the commit unit — control broadcasts, COA page replies and
-// barriers — before any traffic flows. The image's pages are private
-// Copy-On-Access clones, so recovery's wholesale discard can recycle them.
+// barriers — before any traffic flows, from any commit shard (recovery
+// epochs originate at the coordinator shard, pages at the owner shard). The
+// image's pages are private Copy-On-Access clones, so recovery's wholesale
+// discard can recycle them.
 func (r *specRank) bind(p platform.Proc) {
 	r.proc = p
 	r.comm = r.sys.attach(r.rank, p)
 	ep := r.comm.Endpoint()
-	r.ctrlBox = ep.Mailbox(r.sys.commitSrc(), tagCtrl)
-	ep.Mailbox(r.sys.commitSrc(), tagPageReply)
+	r.ctrlBox = ep.Mailbox(platform.AnySource, tagCtrl)
+	ep.Mailbox(platform.AnySource, tagPageReply)
 	r.comm.RegisterBarrierMailboxes()
 	r.img = mem.NewImage(r.coaFault)
 	r.img.ReleaseOnReset(true)
@@ -85,7 +87,6 @@ func (r *specRank) coaFault(id uva.PageID) *mem.Page {
 	// per rank, so servers' replies never interleave).
 	owner := sys.ownerOf(id)
 	dst := cfg.commitShardRank(owner)
-	replySrc := sys.commitSrc()
 	if g := cfg.COAGrainBytes; g > 0 && g < uva.PageSize {
 		// Sub-page COA: populate the faulted page one chunk at a time,
 		// paying a full round trip per chunk — the cost §4.2 avoids by
@@ -95,7 +96,7 @@ func (r *specRank) coaFault(id uva.PageID) *mem.Page {
 		wire := 0
 		for off := 0; off < uva.PageSize; off += g {
 			ep.SendClass(dst, tagPageReq, pageReq{Start: id, Count: 1, Grain: g}, 24, platform.ClassPage)
-			msg := ep.Recv(comm.Proc(), replySrc, tagPageReply)
+			msg := ep.Recv(comm.Proc(), platform.AnySource, tagPageReply)
 			pg = msg.Payload.([]*mem.Page)[0]
 			wire += msg.Bytes
 		}
@@ -140,7 +141,7 @@ func (r *specRank) coaFault(id uva.PageID) *mem.Page {
 	// and no per-byte marshalling.
 	ep := comm.Endpoint()
 	ep.SendClass(dst, tagPageReq, pageReq{Start: id, Count: count}, 24, platform.ClassPage)
-	msg := ep.Recv(comm.Proc(), replySrc, tagPageReply)
+	msg := ep.Recv(comm.Proc(), platform.AnySource, tagPageReply)
 	pages := msg.Payload.([]*mem.Page)
 	for i := 1; i < len(pages); i++ {
 		img.InstallPage(id+uva.PageID(i), pages[i])
@@ -190,9 +191,8 @@ func (r *specRank) settle(cm ctrlMsg) (done, ok bool) {
 // misspeculation in an earlier, uncommitted MTX — orders a recovery (false,
 // with pendingCtrl set).
 func (r *specRank) awaitDoneOrRecovery() bool {
-	src := r.sys.commitSrc()
 	for {
-		if done, ok := r.settle(r.comm.Recv(src, tagCtrl).Payload.(ctrlMsg)); ok {
+		if done, ok := r.settle(r.comm.Recv(platform.AnySource, tagCtrl).Payload.(ctrlMsg)); ok {
 			return done
 		}
 	}
@@ -225,7 +225,7 @@ func (r *specRank) leaveRecovery(cm ctrlMsg) {
 	r.epoch = cm.epoch
 	r.comm.Barrier(r.sys.allRanks) // B3: the commit unit has re-executed; resume
 	if live {
-		r.img.Rearm(awaitRearm(r.comm, r.sys.commitSrc(), r.epoch))
+		r.img.Rearm(awaitRearm(r.comm, r.epoch))
 	}
 	r.rec.close(r.proc)
 	r.sys.tr.Span(trace.SpanRecovery, r.rank, r.rec.trStart, cm.restart, 0, 0)

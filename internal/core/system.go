@@ -154,11 +154,10 @@ type System struct {
 	cus     []*cuNode     // commit shards; cus[0] is the lead
 	srvs    []*pageServer // srvs[k] serves commit shard k's partition
 
-	// owner is the HRW (rendezvous-hash) page-ownership table, built only
-	// when CommitShards > 1: bucket b of the page space (64-page blocks,
-	// modulo ownerBuckets) belongs to the commit shard whose hash weight for
-	// b is highest. nil with a single commit unit, where ownerOf is
-	// constant 0.
+	// owner is the HRW (rendezvous-hash) page-ownership table: bucket b of
+	// the page space (64-page blocks, modulo ownerBuckets) belongs to the
+	// commit shard whose hash weight for b is highest — shard 0 for every
+	// bucket with one shard.
 	owner []uint8
 
 	// merged memoizes the sequential-checksum view over the per-shard
@@ -166,9 +165,8 @@ type System struct {
 	merged *mem.Image
 
 	// seqArena is the sequential allocation region shared by every commit
-	// shard's SeqCtx when CommitShards > 1 (Setup, recovery re-execution and
-	// Finalize may run on different shards but must share one bump pointer);
-	// nil with a single commit unit, which owns its arena privately.
+	// shard's SeqCtx (Setup, recovery re-execution and Finalize may run on
+	// different shards but must share one bump pointer).
 	seqArena *uva.Arena
 
 	// Queue registry, keyed by endpoint tids; queues lists every one of them.
@@ -222,7 +220,7 @@ func NewSystem(cfg Config, prog Program, initialImage *mem.Image) (*System, erro
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if _, ok := prog.(Committer); ok && cfg.commitShards() > 1 {
+	if _, ok := prog.(Committer); ok && cfg.commitShards() > 1 { // the hook is a sequential section
 		return nil, fmt.Errorf("core: Config.CommitShards = %d: Committer programs need the single commit unit (the per-MTX hook is a sequential section)", cfg.CommitShards)
 	}
 	layout, err := pipeline.NewLayout(cfg.Plan, cfg.Workers())
@@ -243,9 +241,7 @@ func NewSystem(cfg Config, prog Program, initialImage *mem.Image) (*System, erro
 	if err := s.analyzePlan(); err != nil {
 		return nil, err
 	}
-	if cfg.commitShards() > 1 {
-		s.buildOwnerTable()
-	}
+	s.buildOwnerTable()
 	// The commit unit's node doubles as page server; it gets the head
 	// node's fat pipe (see cluster.Config.HeadNode).
 	if s.cfg.Cluster.HeadNode < 0 {
@@ -332,12 +328,9 @@ func (s *System) buildOwnerTable() {
 	}
 }
 
-// ownerOf maps a page to the commit shard owning it: constant 0 with a
-// single commit unit, else the HRW table keyed by the page's 64-page block.
+// ownerOf maps a page to the commit shard owning it: the HRW table keyed by
+// the page's 64-page block.
 func (s *System) ownerOf(id uva.PageID) int {
-	if s.owner == nil {
-		return 0
-	}
 	return int(s.owner[(uint64(id)/pageShardBlock)%ownerBuckets])
 }
 
@@ -465,17 +458,6 @@ func (s *System) bindTracer() {
 	}
 }
 
-// commitSrc is the source workers and the try-commit unit accept commit-unit
-// traffic — control broadcasts and COA page replies — from: the single
-// commit rank normally; any commit shard under a sharded pipeline (recovery
-// epochs originate at the coordinator shard, pages at the owner shard).
-func (s *System) commitSrc() int {
-	if s.cfg.commitShards() > 1 {
-		return platform.AnySource
-	}
-	return s.cfg.commitRank()
-}
-
 // analyzePlan finds the routed parallel stage and its downstream route sink,
 // and rejects shapes the runtime does not support.
 func (s *System) analyzePlan() error {
@@ -555,7 +537,7 @@ func (s *System) buildQueues() {
 		var cus []*queue.Queue[Entry]
 		for k := 0; k < nCU; k++ {
 			name := fmt.Sprintf("cu%d", w)
-			if nCU > 1 {
+			if nCU > 1 { // names order vtime events: one shard keeps "cu%d"
 				name = fmt.Sprintf("cu%d.%d", w, k)
 			}
 			cus = append(cus, s.newQueue(name, w, s.cfg.commitShardRank(k)))
@@ -564,7 +546,7 @@ func (s *System) buildQueues() {
 	}
 	for k := 0; k < nCU; k++ {
 		name := "verdict0"
-		if nCU > 1 {
+		if nCU > 1 { // names order vtime events: one shard keeps "verdict0"
 			name = fmt.Sprintf("verdict0.%d", k)
 		}
 		s.verdictQ = append(s.verdictQ, s.newQueue(name, tc, s.cfg.commitShardRank(k)))
@@ -713,15 +695,15 @@ func (s *System) Run() (Result, error) {
 		s.cus = append(s.cus, newCUNode(s, k))
 		s.srvs = append(s.srvs, newPageServer(s, k))
 	}
-	if s.cfg.commitShards() > 1 {
-		s.seqArena = uva.NewArena(0)
-		if s.initialImage != nil {
-			// Scatter the seed image to its owner shards before any process
-			// starts (single-threaded here, so spawn gives happens-before).
-			s.initialImage.ForEachResident(func(id uva.PageID, pg *mem.Page) {
-				s.cus[s.ownerOf(id)].img.InstallPage(id, pg.Clone())
-			})
-		}
+	s.seqArena = uva.NewArena(0)
+	if s.initialImage != nil {
+		// Scatter the seed image to its owner shards before any process
+		// starts (single-threaded here, so spawn gives happens-before). Each
+		// frame is mapped shared, so a shard's first store to it copies it
+		// and the seed stays unchanged.
+		s.initialImage.ForEachResident(func(id uva.PageID, pg *mem.Page) {
+			s.cus[s.ownerOf(id)].img.MapPages(uva.PageAddr(id), []*mem.Page{pg})
+		})
 	}
 	s.tc = newTCNode(s)
 	for w := 0; w < s.cfg.Workers(); w++ {
@@ -811,7 +793,7 @@ func (s *System) buildStallReport() {
 		row.Starvation = tc.pollTime
 		s.stalls.Add(row)
 	}
-	s.stalls.CommitShards = s.cfg.commitShards() > 1
+	s.stalls.CommitShards = s.cfg.commitShards() > 1 // display only: the shard columns
 	for k, c := range s.cus {
 		if c.proc == nil {
 			continue
@@ -872,7 +854,7 @@ func (s *System) CommitImage() *mem.Image {
 	if len(s.cus) == 0 {
 		return nil
 	}
-	if s.cfg.commitShards() == 1 {
+	if s.cfg.commitShards() == 1 { // one image needs no merge
 		return s.cus[0].img
 	}
 	if s.merged == nil {
@@ -970,7 +952,6 @@ func (c *SeqCtx) StoreBytes(addr uva.Addr, b []byte) {
 
 // Image exposes the underlying memory space for bulk, cost-free
 // initialization in Setup (e.g. loading input files); prefer Load/Store in
-// modelled code. With a single commit unit this is its *mem.Image; with a
-// sharded commit pipeline it is the federated per-shard view; under Shadow()
-// it is nil.
+// modelled code. It is the federated view over every commit shard's image
+// (one image with a single commit unit); under Shadow() it is nil.
 func (c *SeqCtx) Image() mem.Space { return c.img }

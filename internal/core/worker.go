@@ -31,10 +31,10 @@ type workerNode struct {
 	syncOut   *queue.SendPort[Entry]
 	syncIn    *entryCursor
 
-	// Per-iteration commit-shard write tracking (CommitShards > 1 only):
-	// cuMask is the set of shards this subTX wrote, cuMin the lowest written
-	// address; both ride out on the EndSub marker so every commit shard can
-	// derive the cross-shard coordinator.
+	// Per-iteration commit-shard write tracking: cuMask is the set of shards
+	// this subTX wrote, cuMin the lowest written address; both ride out on
+	// the EndSub marker so every commit shard can derive the cross-shard
+	// coordinator.
 	cuMask uint64
 	cuMin  uva.Addr
 
@@ -421,13 +421,10 @@ func (w *workerNode) endIter(iter uint64) {
 		w.toTC.Produce(miss)
 		w.cuBroadcast(miss)
 	}
-	end := Entry{Kind: entEndSub, MTX: iter}
-	if len(w.toCU) > 1 {
-		// The marker carries this subTX's write-owner mask and lowest
-		// written address (same wire size — markers never carry a payload);
-		// every commit shard folds these into the MTX's coordinator choice.
-		end.Addr, end.Val = w.cuMin, w.cuMask
-	}
+	// The marker carries this subTX's write-owner mask and lowest written
+	// address (same wire size — markers never carry a payload); every commit
+	// shard folds these into the MTX's coordinator choice.
+	end := Entry{Kind: entEndSub, MTX: iter, Addr: w.cuMin, Val: w.cuMask}
 	for _, dstStage := range w.outStages {
 		port := w.edgeOut[dstStage][w.routeFor(dstStage, iter)]
 		port.Produce(end)
@@ -491,10 +488,6 @@ func (w *workerNode) cuBroadcast(e Entry) {
 // cuWrite routes a committed-store entry to the commit shard owning its
 // address, folding the destination into the subTX's write-owner mask.
 func (w *workerNode) cuWrite(e Entry) {
-	if len(w.toCU) == 1 {
-		w.toCU[0].Produce(e)
-		return
-	}
 	k := w.sys.ownerOf(e.Addr.Page())
 	if w.cuMask == 0 || e.Addr < w.cuMin {
 		w.cuMin = e.Addr
@@ -506,8 +499,8 @@ func (w *workerNode) cuWrite(e Entry) {
 // cuWriteBlk routes a bulk store, splitting it at commit-shard ownership
 // boundaries so each segment lands on its owner.
 func (w *workerNode) cuWriteBlk(e Entry) {
-	if len(w.toCU) == 1 {
-		w.toCU[0].Produce(e)
+	if len(w.toCU) == 1 { // one owner: unsplit, as the vtime goldens' entries are
+		w.cuWrite(e)
 		return
 	}
 	payload := e.Payload.([]byte)
@@ -649,7 +642,7 @@ func (w *workerNode) awaitWindow(iter uint64) {
 	start := w.proc.Now()
 	defer func() { w.stallBack += w.proc.Now() - start }() // a recovery order unwinds through here
 	for iter >= w.windowEnd() {
-		w.onCtrl(w.comm.Recv(w.sys.commitSrc(), tagCtrl).Payload.(ctrlMsg))
+		w.onCtrl(w.comm.Recv(platform.AnySource, tagCtrl).Payload.(ctrlMsg))
 	}
 }
 

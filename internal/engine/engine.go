@@ -202,9 +202,6 @@ func (e *Engine) queueDepth() int {
 	return e.cfg.QueueDepth
 }
 
-// bounded reports whether admission control is active at all.
-func (e *Engine) bounded() bool { return e.cfg.MaxConcurrent > 0 || e.cfg.CoreBudget > 0 }
-
 // canRunLocked reports whether a job wanting cores fits right now.
 func (e *Engine) canRunLocked(cores int) bool {
 	if e.cfg.MaxConcurrent > 0 && e.running >= e.cfg.MaxConcurrent {
@@ -247,18 +244,14 @@ func (e *Engine) dispatchLocked() {
 // admit blocks until the job may run (FIFO, within the core budget) and
 // returns its release function. Rejections are immediate and typed:
 // *ErrOverloaded when the queue is full or the job can never fit,
-// ErrDraining after shutdown began.
+// ErrDraining after shutdown began. With neither MaxConcurrent nor
+// CoreBudget set every job fits, so the queue stays empty and each job is
+// granted at once.
 func (e *Engine) admit(ctx context.Context, cores int) (func(), error) {
 	e.mu.Lock()
 	if e.draining {
 		e.mu.Unlock()
 		return nil, ErrDraining
-	}
-	if !e.bounded() {
-		// Unlimited admission: account for Stats/Drain only.
-		e.grantLocked(cores)
-		e.mu.Unlock()
-		return func() { e.release(cores) }, nil
 	}
 	if e.cfg.CoreBudget > 0 && cores > e.cfg.CoreBudget {
 		e.mu.Unlock()

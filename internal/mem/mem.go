@@ -37,12 +37,6 @@ type Page struct {
 	Words [uva.PageWords]uint64
 }
 
-// Clone returns a copy of the page.
-func (pg *Page) Clone() *Page {
-	c := *pg
-	return &c
-}
-
 // pagePool recycles Page frames across images and runs. Pages enter the
 // pool only from images that opted in via ReleaseOnReset (worker and
 // try-commit images, whose pages are exclusively owned clones), so a pooled
@@ -400,9 +394,9 @@ func (im *Image) AppendUnshared(dst []uva.PageID) []uva.PageID {
 }
 
 // Space is the word/byte access surface workload code programs against. A
-// single *Image satisfies it directly; with a sharded commit pipeline the
-// runtime hands sequential code (Setup, Finalize, recovery re-execution) a
-// federated view that routes each access to the owning shard's image.
+// single *Image satisfies it directly; the runtime hands sequential code
+// (Setup, Finalize, recovery re-execution) a federated view over the commit
+// shards' images that routes each access to the owning shard's image.
 type Space interface {
 	Load(addr uva.Addr) uint64
 	Store(addr uva.Addr, v uint64)

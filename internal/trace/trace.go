@@ -55,7 +55,7 @@ const (
 	InstHeartbeatMiss             // the commit unit declared a rank dead (MTX = rank, V1 = silence ns)
 	SpanPageServe                 // a commit unit's page server served one COA request (MTX = start page, V1 = pages, V2 = wire bytes)
 	SpanRecvPark                  // host delivery: a receiver parked awaiting a message (V1 = tag)
-	SpanShardCommit               // one commit shard applied its partition of an MTX (V1 = entries, V2 = bulk bytes)
+	SpanShardCommit               // a non-coordinator participant shard applied its partition of an MTX (V1 = entries, V2 = bulk bytes)
 	InstShardVote                 // a participant shard sent its ordered 2PC vote (MTX = iteration, V1 = coordinator shard)
 	SpanShardVoteWait             // the coordinator shard awaited cross-shard votes (MTX = iteration, V1 = votes needed)
 	numKinds

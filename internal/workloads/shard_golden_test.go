@@ -57,12 +57,12 @@ func TestBackendEquivalenceCommitShards(t *testing.T) {
 	}
 }
 
-// TestSingleShardByteIdentity pins the CommitShards=1 layout to the
-// pre-sharding runtime, observable for observable: virtual elapsed time,
-// checksum, committed/misspec counts, wire bytes, kernel events and message
-// totals captured on the commit of record before the sharded pipeline
-// landed. Any drift here means the default configuration stopped being the
-// paper's single-commit-unit machine.
+// TestSingleShardByteIdentity pins CommitShards=1 — the sharded pipeline
+// run with one shard — to the pre-sharding runtime, observable for
+// observable: virtual elapsed time, checksum, committed/misspec counts, wire
+// bytes, kernel events and message totals captured on the commit of record
+// before the sharded pipeline landed. Any drift here means the default
+// configuration stopped being the paper's single-commit-unit machine.
 func TestSingleShardByteIdentity(t *testing.T) {
 	goldens := []struct {
 		bench     string

@@ -93,8 +93,11 @@ go test -race ./internal/core/ -run TestCrossShard
 # (IdleWait, IdlePingPong, IdleAbort on host mailboxes and net meshes) runs at
 # both widths. Live recovery re-arms only the pages that changed, from a
 # stale list each rank receives after the last barrier: core's selective
-# re-arm fixture (the commit unit's word, a squashed store) rides along.
-live='TestBackendEquivalence|TestCrossShard|TestPageServicePlacement|TestLifecycleSpans|TestSelectiveRearm'
+# re-arm fixture (the commit unit's word, a squashed store) rides along. The
+# Committer hook runs on the commit goroutine after the votes while a Program
+# value shared with the test records it: core's hook test (once per MTX, in
+# order, recovery's re-executions included) rides along too.
+live='TestBackendEquivalence|TestCrossShard|TestPageServicePlacement|TestLifecycleSpans|TestSelectiveRearm|TestCommitterHook'
 live+='|TestBoundedRunAhead|TestLiveRecoverySweep|TestMisspecOnFirstIteration|TestBackToBackMisspecs|TestMisspecStorm'
 live+='|TestTLSRecovery|TestRecoveryProperty|TestConflictDetectionProperty|TestBulkReadConflict|TestConnectRunsSuccessiveJobs|TestThreeDaemons'
 live+='|TestRecycledBatchesStress|TestCrossDaemonBatchNeverReturnsToSender|TestDeliveryConformance'
