@@ -184,6 +184,10 @@ func TestServeRejectsBadSpec(t *testing.T) {
 		// a net job cannot honour a fault plan; accepting it would cache
 		// fault-free numbers under the plan's key
 		`{"bench":"crc32","cores":8,"backend":"net","faults":"drop=0.5"}`: "Config.Faults",
+		// removed fault clauses: an old spec naming one must be refused,
+		// never run fault-free under its old cache key
+		`{"bench":"crc32","cores":8,"faults":"crash=r1@1ms+1ms"}`: "unknown clause key",
+		`{"bench":"crc32","cores":8,"faults":"rto=20us"}`:         "unknown clause key",
 		// used to be admitted, fail in core.NewSystem and answer 500
 		`{"bench":"crc32","backend":"host","cores":2}`:   "2 cores leave 0 workers",
 		`{"bench":"crc32","backend":"host","cores":129}`: "exceed the machine's 128",

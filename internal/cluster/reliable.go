@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 
+	"dsmtx/internal/faults"
 	"dsmtx/internal/platform"
 	"dsmtx/internal/sim"
 	"dsmtx/internal/trace"
@@ -19,9 +20,9 @@ import (
 //     arrivals in a reorder buffer — this subsumes the non-overtaking
 //     clamp the plain path gets from lastArrival;
 //   - the sender keeps a retransmission timer per in-flight message with
-//     exponential backoff (faults.Injector.RTO); an arriving ack cancels
-//     it via sim.Kernel.AtCancel, so a cancelled timer can never stretch
-//     the run's virtual elapsed time.
+//     exponential backoff (faults.RTO); an arriving ack cancels it via
+//     sim.Kernel.AtCancel, so a cancelled timer can never stretch the
+//     run's virtual elapsed time.
 //
 // Acks are modelled as NIC-hardware acks: latency-only, no sender-side
 // serialization (they are 16-byte wire frames riding the reverse link's
@@ -102,11 +103,11 @@ func (m *Machine) relAttempt(link *relLink, msg platform.Message, st *relState, 
 		m.k.At(depart+xmit+lat, func() { m.relArrive(link, msg, st) })
 	}
 	next := attempt + 1
-	st.cancel = m.k.AtCancel(depart+xmit+m.inj.RTO(attempt), func() {
+	st.cancel = m.k.AtCancel(depart+xmit+faults.RTO(attempt), func() {
 		if st.acked {
 			return
 		}
-		if next >= m.inj.MaxAttempts() {
+		if next >= faults.MaxAttempts {
 			// A plan whose drop rate defeats MaxAttempts retries is a
 			// configuration error, not a survivable fault: at the shipped
 			// defaults the chance is (rate)^12 per message.

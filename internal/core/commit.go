@@ -65,15 +65,6 @@ type cuNode struct {
 	rec          window
 	rfpStart     platform.Time
 
-	// Crash-fault machinery, allocated only under a crash plan (sys.hbOn):
-	// hbBox/rejoinBox collect any-source heartbeats and restart
-	// announcements; lastHeard[w] is worker w's newest sign of life; crash
-	// accounts the crash re-dispatch windows for stall attribution.
-	hbBox     platform.Mailbox
-	rejoinBox platform.Mailbox
-	lastHeard []platform.Time
-	crash     window
-
 	// Misspeculation cause and progress-report counters (nil when
 	// uninstrumented).
 	cMissWorker   *trace.Counter
@@ -115,10 +106,6 @@ func (c *cuNode) coordinator() int {
 	return c.sys.ownerOf(c.curMin.Page())
 }
 
-// crashSignal unwinds the commit loop when a worker crash is detected; the
-// deferred handler in commitEpoch converts it into a crash recovery.
-type crashSignal struct{ rank int }
-
 func (c *cuNode) run(p platform.Proc) {
 	c.proc = p
 	defer c.sys.recordLife(c.rank, p, p.Now())
@@ -142,21 +129,12 @@ func (c *cuNode) run(p platform.Proc) {
 			c.comm.Send(w, tagStart, nil, 8)
 		}
 		c.comm.Send(c.sys.cfg.tryCommitRank(), tagStart, nil, 8)
-		if c.sys.hbOn {
-			// Workers begin heartbeating once they see tagStart; the
-			// freshness clock starts now so setup time is never counted as
-			// silence.
-			for i := range c.lastHeard {
-				c.lastHeard[i] = p.Now()
-			}
-		}
 	} else {
 		c.comm.Recv(c.sys.cfg.commitRank(), tagStart) // lead Setup must finish first
 	}
 
 	c.commitLoop(seq)
 	if c.shard == 0 {
-		c.sys.stopHeartbeats()
 		if f, ok := c.sys.prog.(Finalizer); ok {
 			f.Finalize(seq)
 		}
@@ -182,34 +160,12 @@ func (c *cuNode) bind() {
 	c.cMissWorker = c.sys.tr.Metrics().Counter("misspec.worker")
 	c.cMissConflict = c.sys.tr.Metrics().Counter("misspec.conflict")
 	c.cReports = c.sys.tr.Metrics().Counter("window.reports")
-	if c.sys.hbOn {
-		c.hbBox = ep.Mailbox(platform.AnySource, tagHeartbeat)
-		c.rejoinBox = ep.Mailbox(platform.AnySource, tagRejoin)
-		c.lastHeard = make([]platform.Time, c.sys.cfg.Workers())
-	}
 }
 
 // commitLoop stages each MTX's stores from the worker streams, awaits the
-// try-commit verdict, and either commits atomically or recovers. A detected
-// worker crash unwinds the loop body (crashSignal), is repaired by
-// recoverCrash, and the loop resumes from the same iteration.
+// try-commit verdict, and either commits atomically or recovers, until the
+// loop terminates.
 func (c *cuNode) commitLoop(seq *SeqCtx) {
-	for !c.commitEpoch(seq) {
-	}
-}
-
-// commitEpoch runs the commit loop until loop termination (true) or until a
-// worker crash unwinds it (false, with recovery already performed).
-func (c *cuNode) commitEpoch(seq *SeqCtx) (done bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			cs, ok := r.(crashSignal)
-			if !ok {
-				panic(r)
-			}
-			c.recoverCrash(seq, cs.rank)
-		}
-	}()
 	nShards := c.sys.cfg.commitShards()
 	for {
 		iter := c.iter
@@ -236,12 +192,12 @@ func (c *cuNode) commitEpoch(seq *SeqCtx) (done bool) {
 				// Ordered termination vote: tell the lead this shard's
 				// partition is fully committed, then exit.
 				c.comm.Send(c.sys.cfg.commitShardRank(0), tagCommitVoteBase, termVoteKey, 16)
-				return true
+				return
 			}
 			c.awaitVotes(termVoteKey, nShards-1)
 			// Release every parked worker and the try-commit unit.
 			c.tellRanks(ctrlMsg{epoch: c.epoch, done: true})
-			return true
+			return
 		}
 		// The verdict arrives after the try-commit unit has validated every
 		// subTX of this MTX. Every shard consumes the same markers and
@@ -455,86 +411,12 @@ func (c *cuNode) consumeNext(port *entryCursor, bucket *platform.Duration) Entry
 		if e, ok := port.tryNext(); ok {
 			return e
 		}
-		if c.hbBox != nil {
-			// A stalled poll is exactly when a dead worker matters: either
-			// this stream is the crashed worker's, or someone upstream of it
-			// is transitively blocked on the crash.
-			c.checkLiveness()
-		}
 		c.sys.pollWait(c.comm, &backoff, &c.pollTime, bucket)
 	}
 }
 
 // consumeStream is consumeNext on a worker store stream.
 func (c *cuNode) consumeStream(port *entryCursor) Entry { return c.consumeNext(port, &c.stallStarve) }
-
-// checkLiveness drains liveness traffic and unwinds to crash recovery when
-// a worker is down. Heartbeats are consumed at NIC level (no per-message
-// receive charge — hardware keepalive tracking); the commit unit only reads
-// the freshness table. A rejoin announcement carrying the current epoch is
-// the primary detection trigger: it proves a crash happened in this epoch.
-// A stale rejoin (from an epoch some recovery already ended) is dropped —
-// the broadcast that ended that epoch is already in the worker's control
-// mailbox and re-integrates it through the ordinary recovery path. The
-// hbTimeout scan is the backstop for crashes whose downtime exceeds
-// the patience of the commit unit.
-func (c *cuNode) checkLiveness() {
-	now := c.proc.Now()
-	for {
-		msg, ok := c.hbBox.TryRecv()
-		if !ok {
-			break
-		}
-		c.lastHeard[msg.From] = now
-	}
-	for {
-		msg, ok := c.rejoinBox.TryRecv()
-		if !ok {
-			break
-		}
-		if msg.Payload.(uint64) == c.epoch {
-			panic(crashSignal{rank: msg.From})
-		}
-	}
-	cutoff := now - hbTimeout
-	for w, t := range c.lastHeard {
-		if t < cutoff {
-			c.sys.tr.Instant(trace.InstHeartbeatMiss, c.rank, uint64(w), int64(now-t), 0)
-			c.lastHeard[w] = now // at most one recovery per detection
-			panic(crashSignal{rank: w})
-		}
-	}
-}
-
-// recoverCrash re-integrates a crashed-and-restarted worker. The worker's
-// speculative state died with it, but the commit unit's image holds every
-// committed store, so this is §4.3's misspeculation protocol minus the SEQ
-// phase — no iteration failed validation; the uncommitted window simply
-// re-dispatches from the current commit point. Costs land in the crash
-// window (the stall table's "crashed" column) and Result.Redispatch, kept
-// apart from the ERM/FLQ/SEQ/RFP misspeculation accounting.
-func (c *cuNode) recoverCrash(seq *SeqCtx, rank int) {
-	c.crash.open(c.proc, c.sys.tr)
-	c.epoch++
-	c.tellRanks(ctrlMsg{epoch: c.epoch, restart: c.iter})
-
-	c.comm.Barrier(c.sys.allRanks) // B1: completes once the worker has rejoined
-	c.flushInputs()
-	c.comm.Barrier(c.sys.allRanks) // B2: queues flushed
-
-	// No SEQ re-execution — nothing misspeculated. Refresh the COA snapshots
-	// so the restarted worker pages in committed state.
-	c.republish()
-
-	c.comm.Barrier(c.sys.allRanks) // B3: resume parallel execution
-
-	c.result.Crashes++
-	c.result.Redispatch += c.crash.close(c.proc)
-	c.sys.tr.Span(trace.SpanRedispatch, c.rank, c.crash.trStart, uint64(rank), int64(c.iter), 0)
-	for i := range c.lastHeard {
-		c.lastHeard[i] = c.proc.Now() // everyone proved liveness at the barriers
-	}
-}
 
 // recover orchestrates the four-phase recovery of §4.3 for a misspeculated
 // iteration: broadcast + barrier (ERM), queue flush + barrier (FLQ),
@@ -587,11 +469,6 @@ func (c *cuNode) recover(seq *SeqCtx, failed uint64) {
 	c.sys.tr.Span(trace.SpanRecovery, c.rank, trStart, failed, 0, 0)
 	c.rfpStart = c.sys.tr.Now()
 	c.iter = failed + 1
-	for i := range c.lastHeard {
-		// The barriers proved every worker alive; without this reset a long
-		// SEQ re-execution would read as heartbeat silence.
-		c.lastHeard[i] = c.proc.Now()
-	}
 }
 
 // tellRanks sends cm to every worker and the try-commit unit.

@@ -136,10 +136,9 @@ type Config struct {
 
 	// Faults, if non-nil and non-empty, injects the compiled fault plan:
 	// inter-node message loss (with the cluster's ack/retransmit layer
-	// engaged), latency spikes and degradation windows, straggler ranks,
-	// and worker crashes with commit-unit-driven recovery. nil (the
-	// default) and the empty plan leave every path byte-identical to a
-	// fault-free build.
+	// engaged), latency spikes and degradation windows, and straggler
+	// ranks. nil (the default) and the empty plan leave every path
+	// byte-identical to a fault-free build.
 	Faults *faults.Plan
 
 	// Tracer, if non-nil, attaches the observability layer: per-rank
@@ -184,17 +183,6 @@ func DefaultConfig(totalCores int, plan pipeline.Plan) Config {
 const (
 	pollMin = 100 * platform.Nanosecond
 	pollMax = 1600 * platform.Nanosecond
-)
-
-// hbInterval and hbTimeout drive crash detection, active only when the
-// fault plan crashes a rank: workers heartbeat the commit unit every
-// interval, and the commit unit declares a silent worker dead after the
-// timeout. The timeout also bounds how long a false positive can take to
-// trigger a (survivable) spurious recovery, so it trades detection delay
-// against sensitivity to long legitimate stalls.
-const (
-	hbInterval = 20 * platform.Microsecond
-	hbTimeout  = 500 * platform.Microsecond
 )
 
 // commitShards reports the number of commit units (>= 1).
@@ -245,22 +233,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: Config.CommitShards = %d exhausts the control tag space (max %d)",
 			c.CommitShards, tagQueueBase-tagCommitVoteBase)
 	}
-	if c.CommitShards > 1 && c.Faults.HasCrashes() {
-		return fmt.Errorf("core: Config.CommitShards = %d: crash faults require the single commit unit (worker re-dispatch is lead-only)", c.CommitShards)
-	}
 	if !c.Faults.Empty() {
 		if err := c.Faults.Validate(); err != nil {
 			return err
-		}
-		for _, cr := range c.Faults.Crashes {
-			// Only workers crash: the commit unit holds the sole
-			// non-speculative image (its loss is unrecoverable by design,
-			// §4.3), and try-commit state is rebuilt only via the full
-			// misspeculation path.
-			if cr.Rank >= c.Workers() {
-				return fmt.Errorf("core: crash rank %d is not a worker (workers are 0..%d)",
-					cr.Rank, c.Workers()-1)
-			}
 		}
 		for _, st := range c.Faults.Stragglers {
 			if st.Rank >= c.TotalCores {
@@ -288,8 +263,6 @@ const (
 	tagPageReply = 3 // page server -> requester
 	tagOccAck    = 4 // parallel worker -> routing worker: iteration done
 	tagStart     = 5 // commit unit -> all: Setup done, parallel section open
-	tagHeartbeat = 6 // worker -> commit unit: liveness beacon (crash plans only)
-	tagRejoin    = 7 // restarted worker -> commit unit: crashed, need recovery
 	// tagCommitVoteBase + k is the ordered 2PC vote tag addressed to commit
 	// shard k acting as coordinator (cross-shard commits, stop votes at a
 	// false decision, and the termination votes to the lead shard). Unused —

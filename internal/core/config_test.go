@@ -33,15 +33,6 @@ func TestValidateCommitShardErrors(t *testing.T) {
 			tune:  func(cfg *Config) { cfg.CommitShards = 61 },
 			want:  "core: Config.CommitShards = 61 exhausts the control tag space (max 60)",
 		},
-		{
-			name:  "crash faults need the single commit unit",
-			cores: 12,
-			tune: func(cfg *Config) {
-				cfg.CommitShards = 2
-				cfg.Faults = &faults.Plan{Crashes: []faults.Crash{{Rank: 0, At: 1, Downtime: 1}}}
-			},
-			want: "core: Config.CommitShards = 2: crash faults require the single commit unit (worker re-dispatch is lead-only)",
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

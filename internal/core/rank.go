@@ -172,28 +172,19 @@ func (r *specRank) recoverOn(cm ctrlMsg) {
 	}
 }
 
-// settle classifies a control message read while parked: completion (done),
-// or a newer epoch's recovery order, kept in pendingCtrl. ok is false for
-// anything else, which is stale.
-func (r *specRank) settle(cm ctrlMsg) (done, ok bool) {
-	if cm.done {
-		return true, true
-	}
-	if cm.epoch > r.epoch {
-		r.pendingCtrl = &cm
-		return false, true
-	}
-	return false, false
-}
-
 // awaitDoneOrRecovery parks a rank whose loop has terminated until the
 // commit unit either confirms completion (true) or — having found a
 // misspeculation in an earlier, uncommitted MTX — orders a recovery (false,
-// with pendingCtrl set).
+// with pendingCtrl set). Any other control message is stale.
 func (r *specRank) awaitDoneOrRecovery() bool {
 	for {
-		if done, ok := r.settle(r.comm.Recv(platform.AnySource, tagCtrl).Payload.(ctrlMsg)); ok {
-			return done
+		cm := r.comm.Recv(platform.AnySource, tagCtrl).Payload.(ctrlMsg)
+		if cm.done {
+			return true
+		}
+		if cm.epoch > r.epoch {
+			r.pendingCtrl = &cm
+			return false
 		}
 	}
 }
@@ -231,11 +222,11 @@ func (r *specRank) leaveRecovery(cm ctrlMsg) {
 	r.sys.tr.Span(trace.SpanRecovery, r.rank, r.rec.trStart, cm.restart, 0, 0)
 }
 
-// window accounts one kind of stall window — recoveries, or a crash's
-// downtime and re-dispatch — for the stall table: the wall time inside it
-// and the shares of that time its process advanced and was parked, which
-// the table moves out of Busy and Blocked. A window is opened and closed on
-// one process; trStart anchors the window's span in tracer time.
+// window accounts a rank's recovery windows for the stall table: the wall
+// time inside them and the shares of that time its process advanced and was
+// parked, which the table moves out of Busy and Blocked. A window is opened
+// and closed on one process; trStart anchors the window's span in tracer
+// time.
 type window struct {
 	wall, adv, blk platform.Duration
 	start          platform.Time
@@ -248,27 +239,24 @@ func (w *window) open(p platform.Proc, tr *trace.Tracer) {
 	w.trStart = tr.Now()
 }
 
-// close ends the window and returns its wall time.
-func (w *window) close(p platform.Proc) platform.Duration {
-	d := p.Now() - w.start
-	w.wall += d
+// close ends the window.
+func (w *window) close(p platform.Proc) {
+	w.wall += p.Now() - w.start
 	w.adv += p.Advanced() - w.adv0
 	w.blk += p.Blocked() - w.blk0
-	return d
 }
 
-// stallRow starts a rank's stall-table row: its windows' wall times in the
-// Recovery and Crashed columns, with what its process advanced inside them
-// (and, in polled, outside them in the row's other stall columns) taken out
-// of Busy, and what it was parked inside them out of Blocked. Virtual time
-// inside a window passes only in Advance or parks, so each window's wall time
+// stallRow starts a rank's stall-table row: its recovery windows' wall time
+// in the Recovery column, with what its process advanced inside them (and,
+// in polled, outside them in the row's other stall columns) taken out of
+// Busy, and what it was parked inside them out of Blocked. Virtual time
+// inside a window passes only in Advance or parks, so a window's wall time
 // is its advanced plus its parked share.
-func stallRow(p platform.Proc, polled platform.Duration, rec, crash window) trace.StallRow {
+func stallRow(p platform.Proc, polled platform.Duration, rec window) trace.StallRow {
 	return trace.StallRow{
-		Busy:     p.Advanced() - polled - rec.adv - crash.adv,
+		Busy:     p.Advanced() - polled - rec.adv,
 		Recovery: rec.wall,
-		Crashed:  crash.wall,
-		Blocked:  p.Blocked() - rec.blk - crash.blk,
+		Blocked:  p.Blocked() - rec.blk,
 	}
 }
 

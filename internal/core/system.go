@@ -96,11 +96,6 @@ type Result struct {
 	FLQ platform.Duration // flush queues + re-protect
 	SEQ platform.Duration // sequential re-execution of the aborted iteration
 	RFP platform.Duration // refill pipeline: resume to first post-recovery commit
-	// Crash-fault resilience totals (zero without a fault plan): worker
-	// crashes survived, and the wall time of commit-unit crash recovery
-	// (detection through pipeline restart — the re-dispatch cost).
-	Crashes    uint64
-	Redispatch platform.Duration
 	// Traffic is the machine-wide wire traffic of the run.
 	Traffic platform.TrafficStats
 	Events  uint64 // simulation events (diagnostic; zero on host and net)
@@ -117,8 +112,6 @@ func (r *Result) Add(o Result) {
 	r.FLQ += o.FLQ
 	r.SEQ += o.SEQ
 	r.RFP += o.RFP
-	r.Crashes += o.Crashes
-	r.Redispatch += o.Redispatch
 	r.Traffic.Add(o.Traffic)
 	r.Events += o.Events
 }
@@ -141,8 +134,8 @@ type System struct {
 	prog Program
 	// plat is the execution platform every protocol component runs against.
 	// kernel and mach are the vtime backend's underlying simulator stack,
-	// kept for the vtime-only subsystems (faults, tracing, heartbeat
-	// timers); both are nil on the host backend.
+	// kept for the vtime-only subsystems (faults and the tracer's virtual
+	// clock); both are nil on the host backend.
 	plat   platform.Platform
 	kernel *sim.Kernel
 	mach   *cluster.Machine
@@ -198,19 +191,8 @@ type System struct {
 	tr     *trace.Tracer
 	stalls trace.StallReport
 
-	// inj is the compiled fault plan (nil = faults off); hbOn gates the
-	// heartbeat/crash-detection machinery, which only a plan with crashes
-	// needs — drop/latency/straggler plans leave the control plane
-	// untouched.
-	inj  *faults.Injector
-	hbOn bool
-
-	// Host-level heartbeat daemon state (see startHeartbeats): hbDark[w]
-	// silences worker w's host while it is crashed; hbStopped/hbCancel shut
-	// the ticker down when the commit unit finishes.
-	hbDark    []bool
-	hbStopped bool
-	hbCancel  func()
+	// inj is the compiled fault plan (nil = faults off).
+	inj *faults.Injector
 }
 
 // NewSystem validates the configuration and builds the (unstarted) system.
@@ -273,7 +255,6 @@ func NewSystem(cfg Config, prog Program, initialImage *mem.Image) (*System, erro
 				return nil, err
 			}
 			s.inj = inj
-			s.hbOn = inj.HasCrashes()
 			s.mach.EnableFaults(inj)
 		}
 		s.plat = s.mach
@@ -646,48 +627,6 @@ func shadowReplay(cfg Config, prog Program) {
 	prog.Setup(&SeqCtx{cfg: cfg, arena: uva.NewArena(0), shadow: true})
 }
 
-// startHeartbeats launches the liveness daemon of the crash-fault model: a
-// periodic kernel event that sends one 16-byte heartbeat per live worker
-// host to the commit unit every hbInterval. It deliberately runs
-// outside the worker processes — like a kernel keepalive thread on a real
-// host, it keeps beating while the worker computes, so a long iteration is
-// never mistaken for a dead host; silence means the host itself is dark.
-// The messages ride the normal control plane (NIC serialization, the
-// reliable layer when links are lossy), so liveness detection has a real,
-// measured cost rather than a modelled-away one.
-func (s *System) startHeartbeats() {
-	if !s.hbOn {
-		return
-	}
-	s.hbDark = make([]bool, s.cfg.Workers())
-	cu := s.cfg.commitRank()
-	var tick func()
-	schedule := func() {
-		s.hbCancel = s.kernel.AtCancel(s.kernel.Now()+hbInterval, tick)
-	}
-	tick = func() {
-		if s.hbStopped {
-			return
-		}
-		for w := 0; w < s.cfg.Workers(); w++ {
-			if !s.hbDark[w] {
-				s.mach.Endpoint(w).Send(cu, tagHeartbeat, nil, 16)
-			}
-		}
-		schedule()
-	}
-	schedule()
-}
-
-// stopHeartbeats cancels the daemon so the event calendar can drain; the
-// cancelled tick is skipped without advancing virtual time.
-func (s *System) stopHeartbeats() {
-	if s.hbCancel != nil {
-		s.hbStopped = true
-		s.hbCancel()
-	}
-}
-
 // Run executes the parallel invocation to completion and reports the
 // result. The commit unit's final memory is available via CommitImage.
 func (s *System) Run() (Result, error) {
@@ -732,7 +671,6 @@ func (s *System) Run() (Result, error) {
 		w := w
 		s.spawnRank(fmt.Sprintf("worker%d", w.tid), w.rank, w.run)
 	}
-	s.startHeartbeats()
 	if err := s.plat.Run(s.cfg.Horizon); err != nil {
 		return Result{}, fmt.Errorf("core: %s on %d cores: %w", s.cfg.Plan.Name, s.cfg.TotalCores, err)
 	}
@@ -767,7 +705,7 @@ func (s *System) Run() (Result, error) {
 //
 //	Advanced + Blocked == Busy + Starvation + Backpressure + VerdictWait + Recovery + Blocked'
 //
-// where Recovery and Crashed are the wall time of the rank's windows (see
+// where Recovery is the wall time of the rank's recovery windows (see
 // stallRow) and Blocked' excludes parks inside them. The bucket
 // *accounting* runs unconditionally — plain integer adds on paths that
 // already do time arithmetic — but the report (its label strings and row
@@ -782,13 +720,13 @@ func (s *System) buildStallReport() {
 		if w.proc == nil {
 			continue // remote rank (net backend): reported by its own daemon
 		}
-		row := stallRow(w.proc, w.stallStarve+w.stallBack, w.rec, w.crash)
+		row := stallRow(w.proc, w.stallStarve+w.stallBack, w.rec)
 		row.Track, row.Label, row.Stage = w.rank, fmt.Sprintf("worker%d", w.tid), fmt.Sprintf("S%d", w.stage)
 		row.Backpressure, row.Starvation = w.stallBack, w.stallStarve
 		s.stalls.Add(row)
 	}
 	if tc := s.tc; tc.proc != nil {
-		row := stallRow(tc.proc, tc.pollTime, tc.rec, window{})
+		row := stallRow(tc.proc, tc.pollTime, tc.rec)
 		row.Track, row.Label, row.Stage = tc.rank, "trycommit0", "trycommit"
 		row.Starvation = tc.pollTime
 		s.stalls.Add(row)
@@ -802,7 +740,7 @@ func (s *System) buildStallReport() {
 		if k > 0 {
 			label = fmt.Sprintf("commit.shard%d", k)
 		}
-		row := stallRow(c.proc, c.pollTime, c.rec, c.crash)
+		row := stallRow(c.proc, c.pollTime, c.rec)
 		row.Track, row.Label, row.Stage = c.rank, label, "commit"
 		row.Starvation, row.VerdictWait, row.VoteWait = c.stallStarve, c.stallVerdict, c.voteWait
 		s.stalls.Add(row)

@@ -93,8 +93,8 @@ func init() {
 
 	// Page replies: count, then each page's words raw — the zero-copy fast
 	// path (one contiguous append per page, no per-word framing). Decode
-	// checks the remaining byte budget before allocating each frame, so a
-	// corrupt count cannot outrun the data that arrived.
+	// sizes the list from the bytes that arrived and keeps only whole
+	// pages, so a corrupt count cannot outrun the data.
 	wire.RegisterPayload(wireKindPages, []*mem.Page(nil), "pages",
 		func(e *wire.Encoder, v any) {
 			pages := v.([]*mem.Page)
@@ -105,10 +105,12 @@ func init() {
 		},
 		func(d *wire.Decoder) any {
 			n := d.Int()
-			pages := make([]*mem.Page, 0, min(n, d.Remaining()/(8*uva.PageWords)+1))
-			for i := 0; i < n && d.Err() == nil; i++ {
+			pages := make([]*mem.Page, 0, min(n, d.Remaining()/(8*uva.PageWords)))
+			for range n {
 				pg := &mem.Page{}
-				d.U64s(pg.Words[:])
+				if d.U64s(pg.Words[:]); d.Err() != nil {
+					break
+				}
 				pages = append(pages, pg)
 			}
 			return pages

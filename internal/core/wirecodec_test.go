@@ -1,9 +1,11 @@
 package core
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 
+	"dsmtx/internal/mem"
 	"dsmtx/internal/uva"
 	"dsmtx/internal/wire"
 )
@@ -79,4 +81,74 @@ func TestControlStaleListTruncated(t *testing.T) {
 	if c := cap(got.(ctrlMsg).stale); c > 1 {
 		t.Errorf("decoder sized the list for %d pages from one page of data", c)
 	}
+}
+
+// FuzzCorePayloads walks junk through the payload decoders core registers —
+// ctrl, page-request, page-reply and queue-batch bodies, which daemons
+// decode off the network and which the wire package's fuzzer cannot
+// register. No input may panic a decoder; a decoded page or stale list never
+// holds more elements than the input has bytes for; and a value that decoded
+// cleanly re-encodes and decodes back to itself.
+func FuzzCorePayloads(f *testing.F) {
+	var pg mem.Page
+	pg.Words[0], pg.Words[uva.PageWords-1] = 7, 9
+	for _, v := range []any{
+		ctrlMsg{epoch: 8, restart: 3, progress: 96, done: true, rearm: true, stale: []uva.PageID{0, 9}},
+		pageReq{Start: 0x1234_5678_9abc, Count: 8, Grain: 512},
+		[]*mem.Page{&pg},
+	} {
+		var e wire.Encoder
+		if err := e.Payload(v); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(append([]byte(nil), e.Bytes()...))
+	}
+	// A queue batch's type is the queue package's own, so its seed is
+	// spelled out: kind, epoch, modelled bytes, count, then two entries
+	// (kind, MTX, address, value, bytes, payload flag [, blob]).
+	var e wire.Encoder
+	e.U8(wireKindBatch)
+	e.U64(2)
+	e.Uvarint(96)
+	e.Uvarint(2)
+	e.U8(uint8(entWrite))
+	e.Uvarint(5)
+	e.U64(0x1000)
+	e.U64(42)
+	e.Uvarint(8)
+	e.U8(0)
+	e.U8(uint8(entWriteBlk))
+	e.Uvarint(5)
+	e.U64(0x2000)
+	e.U64(0)
+	e.Uvarint(3)
+	e.U8(1)
+	e.Blob([]byte{1, 2, 3})
+	f.Add(e.Bytes())
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d := wire.NewDecoder(data)
+		v := d.Payload()
+		switch m := v.(type) {
+		case ctrlMsg:
+			if len(m.stale) > len(data)/8 || cap(m.stale) > len(data)/8 {
+				t.Fatalf("stale list of %d (cap %d) from %d bytes", len(m.stale), cap(m.stale), len(data))
+			}
+		case []*mem.Page:
+			if most := len(data) / (8 * uva.PageWords); len(m) > most || cap(m) > most {
+				t.Fatalf("%d pages (cap %d) from %d bytes", len(m), cap(m), len(data))
+			}
+		}
+		if d.Err() != nil {
+			return
+		}
+		var e wire.Encoder
+		if err := e.Payload(v); err != nil {
+			t.Fatalf("decoded %T failed to re-encode: %v", v, err)
+		}
+		d2 := wire.NewDecoder(e.Bytes())
+		if v2 := d2.Payload(); d2.Err() != nil || d2.Remaining() != 0 || !reflect.DeepEqual(v, v2) {
+			t.Fatalf("round trip: %+v became %+v (err %v, %d bytes left)", v, v2, d2.Err(), d2.Remaining())
+		}
+	})
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"dsmtx/internal/faults"
 	"dsmtx/internal/pipeline"
 	"dsmtx/internal/platform"
 	"dsmtx/internal/queue"
@@ -60,16 +59,6 @@ type workerNode struct {
 	stallStarve platform.Duration // consumeNext polling an empty upstream queue
 	stallBack   platform.Duration // occupancy-routing and run-ahead-window waits
 
-	// Crash-fault machinery, active only when the plan schedules crashes
-	// (sys.hbOn): crashes is this rank's sorted schedule with crashIdx the
-	// next entry to fire; pendingCrash is set by the crash checkpoint and
-	// consumed by doCrash. crash is the crash window (downtime + rejoin
-	// wait) for stall attribution.
-	crashes      []faults.Crash
-	crashIdx     int
-	pendingCrash *faults.Crash
-	crash        window
-
 	epochBase   uint64 // first iteration of the current epoch
 	progress    uint64 // newest commit point reported this epoch (awaitWindow)
 	nextIter    uint64
@@ -117,21 +106,10 @@ func (w *workerNode) run(p platform.Proc) {
 	defer w.sys.recordLife(w.rank, p, p.Now())
 	w.bind(p)
 	w.comm.Recv(w.sys.cfg.commitRank(), tagStart) // Setup must finish first
-	if w.sys.hbOn {
-		w.crashes = w.sys.inj.CrashesFor(w.rank)
-	}
 	for {
-		// After loop exit, park until the commit unit's final verdict. The
-		// host heartbeat daemon keeps beating meanwhile, so a terminated rank
-		// never reads as dead.
+		// After loop exit, park until the commit unit's final verdict.
 		if untilRecovery(w.stageLoop) && w.awaitDoneOrRecovery() {
 			return
-		}
-		if w.pendingCrash != nil {
-			if w.doCrash() {
-				return // the loop completed while this worker was down
-			}
-			// doCrash left pendingCtrl set: re-integrate below.
 		}
 		w.doRecovery()
 	}
@@ -530,17 +508,11 @@ func (w *workerNode) consumeNext(port *entryCursor) Entry {
 }
 
 // checkCtrl unwinds to the recovery handler if the commit unit has
-// broadcast a new epoch. Under a crash plan it doubles as the crash
-// checkpoint: it sits on every worker poll/iteration path. A crash instant
-// falling inside a barrier or a blocking receive fires at the next
-// checkpoint — the simulation's fail-stop granularity.
+// broadcast a new epoch.
 func (w *workerNode) checkCtrl() {
 	// Drain, not read one: a recovery order may sit behind progress reports.
 	for msg, ok := w.comm.TryRecvBox(w.ctrlBox); ok; msg, ok = w.comm.TryRecvBox(w.ctrlBox) {
 		w.onCtrl(msg.Payload.(ctrlMsg))
-	}
-	if w.sys.hbOn {
-		w.checkCrash()
 	}
 }
 
@@ -646,87 +618,6 @@ func (w *workerNode) awaitWindow(iter uint64) {
 	}
 }
 
-// checkCrash fires the next scheduled crash once virtual time reaches it.
-func (w *workerNode) checkCrash() {
-	if w.crashIdx >= len(w.crashes) {
-		return
-	}
-	cr := w.crashes[w.crashIdx]
-	if w.proc.Now() < cr.At {
-		return
-	}
-	w.crashIdx++
-	w.pendingCrash = &cr
-	panic(recoverySignal{})
-}
-
-// doCrash models a fail-stop worker crash with restart: every piece of
-// private state — speculative pages, arena, buffered pipeline data, route
-// records — dies with the process. The host is dark for Downtime, then the
-// replacement process announces itself to the commit unit (tagRejoin
-// carries the pre-crash epoch) and waits, without heartbeating, for the
-// epoch broadcast that re-integrates it; from there the ordinary §4.3
-// recovery machinery (doRecovery) rebuilds the pipeline from committed
-// state. Returns true if the loop completed while this worker was down.
-func (w *workerNode) doCrash() (done bool) {
-	cr := *w.pendingCrash
-	w.pendingCrash = nil
-	w.crash.open(w.proc, w.sys.tr)
-	defer func() {
-		w.crash.close(w.proc)
-		w.sys.tr.Span(trace.SpanCrash, w.rank, w.crash.trStart, uint64(w.rank), int64(cr.Downtime), 0)
-	}()
-
-	// The host goes dark: its heartbeat daemon stops beating until restart.
-	w.sys.hbDark[w.tid] = true
-
-	// Private state dies with the process. Resetting the image here also
-	// zeroes Resident(), so the restarted process re-protects an empty
-	// address space for free in doRecovery — a fresh process has no pages.
-	w.img.Reset()
-	w.forget()
-
-	// The host is dark: nothing sent, nothing received, no heartbeats.
-	w.proc.Advance(cr.Downtime)
-	w.sys.hbDark[w.tid] = false // restarted: the keepalive daemon resumes
-
-	// Restart. If an epoch broadcast arrived while dark (a concurrent
-	// misspeculation recovery is blocked at its first barrier waiting for
-	// us), join it — the commit unit then ignores our stale rejoin. At most
-	// one such broadcast can be pending: recovery cannot complete without
-	// this rank, so the commit unit cannot have moved further ahead.
-	preEpoch := w.epoch
-	rejoined := false
-	backoff := pollMin
-	for {
-		if msg, ok := w.comm.TryRecvBox(w.ctrlBox); ok {
-			if done, ok := w.settle(msg.Payload.(ctrlMsg)); ok {
-				return done
-			}
-			continue
-		}
-		if !rejoined {
-			w.comm.Send(w.sys.cfg.commitRank(), tagRejoin, preEpoch, 16)
-			rejoined = true
-		}
-		w.sys.pollWait(w.comm, &backoff)
-	}
-}
-
-// forget drops the private state a recovery or a crash discards: buffered
-// pipeline data, route records and occupancy counts, the arena, and the
-// current iteration's poison and write-owner tracking.
-func (w *workerNode) forget() {
-	w.clearInbox()
-	w.routesIn = make(map[uint64]int)
-	clear(w.outstanding)
-	w.rrNext = 0
-	w.arena = uva.NewArena(w.tid + 1)
-	w.poisoned = false
-	w.selfMisspec = false
-	w.cuMask, w.cuMin = 0, 0
-}
-
 // doRecovery is the worker side of §4.3: barrier, flush speculative queues,
 // barrier, discard speculative memory (re-arming page protection), final
 // barrier, then resume at the restart iteration.
@@ -750,7 +641,17 @@ func (w *workerNode) doRecovery() {
 		w.syncOut.Abort(cm.epoch)
 		w.syncIn.abort(cm.epoch)
 	}
-	w.forget()
+	// Drop the private state recovery discards: buffered pipeline data,
+	// route records and occupancy counts, the arena, and the current
+	// iteration's poison and write-owner tracking.
+	w.clearInbox()
+	w.routesIn = make(map[uint64]int)
+	clear(w.outstanding)
+	w.rrNext = 0
+	w.arena = uva.NewArena(w.tid + 1)
+	w.poisoned = false
+	w.selfMisspec = false
+	w.cuMask, w.cuMin = 0, 0
 	w.epochBase = cm.restart
 	w.progress = cm.restart
 	w.nextIter = cm.restart

@@ -546,6 +546,10 @@ func TestSubmitValidates(t *testing.T) {
 		{spec: job.Spec{Bench: "crc32", Cores: 8, Paradigm: "openmp"}, want: "paradigm"},
 		{spec: job.Spec{Bench: "crc32", Cores: 8, CommitShards: -1}, want: "core: Config.CommitShards = -1, need >= 0"},
 		{spec: job.Spec{Bench: "crc32", Cores: 8, Backend: "host", Faults: "drop=0.5"}, want: "Config.Faults: fault injection is built on the virtual-time kernel; unsupported on the host backend"},
+		// Removed fault clauses: a spec naming one must fail, never run
+		// fault-free under a cache key of its own.
+		{spec: job.Spec{Bench: "crc32", Cores: 8, Faults: "crash=r1@1ms+1ms"}, want: "unknown clause key"},
+		{spec: job.Spec{Bench: "crc32", Cores: 8, Faults: "rto=20us"}, want: "unknown clause key"},
 		// What a net job cannot honour is refused, not silently dropped:
 		// faults, commit shards and a coordinator-side tracer, and no more.
 		{spec: job.Spec{Bench: "crc32", Cores: 8, Backend: "net", Faults: "drop=0.5"}, want: "Config.Faults: fault injection is built on the virtual-time kernel; unsupported on the net backend"},

@@ -1,14 +1,14 @@
 // Package faults is the deterministic fault-injection subsystem. A Plan
 // describes *what* can go wrong — transient inter-node message loss,
-// latency spikes and sustained link degradation, straggler ranks, and
-// worker crashes — and Compile turns it into an Injector the cluster and
-// core layers consult at well-defined points. Every decision is a pure
-// function of the plan seed and the identity of the event being decided
-// (link endpoints, per-link sequence number, retransmit attempt), computed
-// with a splitmix64-style finalizer: no wall clock, no shared PRNG stream,
-// no dependence on the order in which the simulator happens to ask. Two
-// runs with the same plan therefore inject byte-identical fault schedules,
-// and concurrent simulations cannot perturb each other.
+// latency spikes and sustained link degradation, and straggler ranks — and
+// Compile turns it into an Injector the cluster and core layers consult at
+// well-defined points. Every decision is a pure function of the plan seed
+// and the identity of the event being decided (link endpoints, per-link
+// sequence number, retransmit attempt), computed with a splitmix64-style
+// finalizer: no wall clock, no shared PRNG stream, no dependence on the
+// order in which the simulator happens to ask. Two runs with the same plan
+// therefore inject byte-identical fault schedules, and concurrent
+// simulations cannot perturb each other.
 //
 // All times in a Plan are virtual (sim.Time / sim.Duration, nanoseconds).
 package faults
@@ -22,16 +22,16 @@ import (
 	"dsmtx/internal/sim"
 )
 
-// Defaults applied by Compile when the plan leaves the field zero.
+// The reliable-link layer's retransmission constants.
 const (
-	// DefaultRTO is the base retransmit timeout for the reliable-link
-	// layer; it doubles per attempt (exponential backoff).
-	DefaultRTO = 20 * sim.Microsecond
-	// DefaultMaxAttempts bounds retransmissions per message. At drop rate
-	// p the chance of losing all attempts is p^n — for p=0.01, n=12 that
-	// is 1e-24, i.e. unreachable in any shipped scenario; exceeding it is
-	// a configuration error and panics.
-	DefaultMaxAttempts = 12
+	// BaseRTO is the base retransmit timeout; it doubles per attempt
+	// (exponential backoff, see RTO).
+	BaseRTO = 20 * sim.Microsecond
+	// MaxAttempts bounds transmissions per message. At drop rate p the
+	// chance of losing all attempts is p^n — for p=0.01, n=12 that is
+	// 1e-24, i.e. unreachable in any shipped scenario; exceeding it is a
+	// configuration error and panics.
+	MaxAttempts = 12
 	// maxAttemptsCap keeps the attempt count encodable alongside the
 	// per-link sequence number in the decision hash.
 	maxAttemptsCap = 32
@@ -54,15 +54,6 @@ type Straggler struct {
 	Factor float64 // >= 1
 }
 
-// Crash kills a worker rank at virtual time At. The rank loses all
-// speculative state, is silent for Downtime, then restarts and rejoins;
-// the commit unit re-dispatches its in-flight iterations.
-type Crash struct {
-	Rank     int
-	At       sim.Time
-	Downtime sim.Duration
-}
-
 // Plan is a declarative fault schedule. The zero value injects nothing.
 type Plan struct {
 	// Seed drives every probabilistic decision. Identical plans with
@@ -78,23 +69,17 @@ type Plan struct {
 	// latency to an inter-node delivery.
 	SpikeRate  float64
 	SpikeExtra sim.Duration
-	// RTO is the base retransmit timeout (0 = DefaultRTO); backoff is
-	// exponential per attempt.
-	RTO sim.Duration
-	// MaxAttempts bounds retransmissions (0 = DefaultMaxAttempts).
-	MaxAttempts int
 
 	Degrades   []Degrade
 	Stragglers []Straggler
-	Crashes    []Crash
 }
 
-// Empty reports whether the plan injects nothing at all. Seed, RTO and
-// MaxAttempts alone do not make a plan non-empty: with no faults the
-// resilience layer is never engaged.
+// Empty reports whether the plan injects nothing at all. A seed alone does
+// not make a plan non-empty: with no faults the resilience layer is never
+// engaged.
 func (p *Plan) Empty() bool {
 	return p == nil || (p.DropRate == 0 && p.AckDropRate == 0 && p.SpikeRate == 0 &&
-		len(p.Degrades) == 0 && len(p.Stragglers) == 0 && len(p.Crashes) == 0)
+		len(p.Degrades) == 0 && len(p.Stragglers) == 0)
 }
 
 // LinkFaults reports whether the plan requires the reliable (ack +
@@ -102,10 +87,6 @@ func (p *Plan) Empty() bool {
 func (p *Plan) LinkFaults() bool {
 	return p != nil && (p.DropRate > 0 || p.AckDropRate > 0)
 }
-
-// HasCrashes reports whether the plan crashes any rank; only then do
-// heartbeats and commit-unit liveness monitoring switch on.
-func (p *Plan) HasCrashes() bool { return p != nil && len(p.Crashes) > 0 }
 
 // Validate rejects plans that cannot be injected coherently. Rank upper
 // bounds are the caller's business (the core layer knows the worker
@@ -132,12 +113,6 @@ func (p *Plan) Validate() error {
 	if p.SpikeRate > 0 && p.SpikeExtra <= 0 {
 		return fmt.Errorf("faults: spike rate %g needs a positive extra latency", p.SpikeRate)
 	}
-	if p.RTO < 0 {
-		return fmt.Errorf("faults: negative RTO %v", p.RTO)
-	}
-	if p.MaxAttempts < 0 || p.MaxAttempts > maxAttemptsCap {
-		return fmt.Errorf("faults: max attempts %d outside [0,%d]", p.MaxAttempts, maxAttemptsCap)
-	}
 	for _, d := range p.Degrades {
 		if d.Factor < 1 {
 			return fmt.Errorf("faults: degrade factor %g below 1", d.Factor)
@@ -157,38 +132,22 @@ func (p *Plan) Validate() error {
 			return fmt.Errorf("faults: straggler window [%v +%v) invalid", s.From, s.Dur)
 		}
 	}
-	for _, c := range p.Crashes {
-		if c.Rank < 0 {
-			return fmt.Errorf("faults: crash rank %d negative", c.Rank)
-		}
-		if c.At < 0 || c.Downtime <= 0 {
-			return fmt.Errorf("faults: crash at %v downtime %v invalid", c.At, c.Downtime)
-		}
-	}
 	return nil
 }
 
 // Injector is a compiled, immutable Plan ready for consultation from the
-// cluster (drops, latency, retransmit pacing) and core (stragglers,
-// crashes) layers. Safe for use from any number of concurrently running
-// simulations because it holds no mutable state.
+// cluster (drops, latency) and core (stragglers) layers. Safe for use from
+// any number of concurrently running simulations because it holds no
+// mutable state.
 type Injector struct {
 	plan       Plan
 	stragglers map[int][]Straggler
-	crashes    map[int][]Crash
 }
 
-// Compile validates the plan, applies RTO/MaxAttempts defaults, and
-// indexes the per-rank schedules.
+// Compile validates the plan and indexes the per-rank straggler windows.
 func Compile(p Plan) (*Injector, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
-	}
-	if p.RTO == 0 {
-		p.RTO = DefaultRTO
-	}
-	if p.MaxAttempts == 0 {
-		p.MaxAttempts = DefaultMaxAttempts
 	}
 	in := &Injector{plan: p}
 	if len(p.Stragglers) > 0 {
@@ -198,15 +157,6 @@ func Compile(p Plan) (*Injector, error) {
 		}
 		for _, ws := range in.stragglers {
 			sort.Slice(ws, func(i, j int) bool { return ws[i].From < ws[j].From })
-		}
-	}
-	if len(p.Crashes) > 0 {
-		in.crashes = make(map[int][]Crash)
-		for _, c := range p.Crashes {
-			in.crashes[c.Rank] = append(in.crashes[c.Rank], c)
-		}
-		for _, cs := range in.crashes {
-			sort.Slice(cs, func(i, j int) bool { return cs[i].At < cs[j].At })
 		}
 	}
 	return in, nil
@@ -220,9 +170,6 @@ func (in *Injector) LinkFaults() bool { return in.plan.LinkFaults() }
 func (in *Injector) HasLatencyFaults() bool {
 	return in.plan.SpikeRate > 0 || len(in.plan.Degrades) > 0
 }
-
-// HasCrashes mirrors Plan.HasCrashes on the compiled form.
-func (in *Injector) HasCrashes() bool { return in.plan.HasCrashes() }
 
 // mix is the splitmix64 finalizer: a bijective avalanche over 64 bits.
 func mix(x uint64) uint64 {
@@ -286,16 +233,13 @@ func (in *Injector) ExtraLatency(from, to int, seq uint64, attempt int, at sim.T
 }
 
 // RTO returns the retransmit timeout for the given attempt number:
-// base << attempt (exponential backoff).
-func (in *Injector) RTO(attempt int) sim.Duration {
+// BaseRTO << attempt (exponential backoff).
+func RTO(attempt int) sim.Duration {
 	if attempt > 16 {
 		attempt = 16
 	}
-	return in.plan.RTO << uint(attempt)
+	return BaseRTO << uint(attempt)
 }
-
-// MaxAttempts returns the transmission bound (with defaults applied).
-func (in *Injector) MaxAttempts() int { return in.plan.MaxAttempts }
 
 // DilationFor returns the compute-time dilation function for a rank, or
 // nil if the rank never straggles. The returned function multiplies any
@@ -317,9 +261,6 @@ func (in *Injector) DilationFor(rank int) func(sim.Time, sim.Duration) sim.Durat
 	}
 }
 
-// CrashesFor returns the crash schedule for a rank, sorted by At.
-func (in *Injector) CrashesFor(rank int) []Crash { return in.crashes[rank] }
-
 // ---------------------------------------------------------------------------
 // Spec strings
 //
@@ -332,9 +273,6 @@ func (in *Injector) CrashesFor(rank int) []Crash { return in.crashes[rank] }
 //	spike=F:DUR                 latency-spike probability and magnitude
 //	degrade=Fx@START+DUR        sustained latency multiplier window
 //	straggler=rR:Fx@START+DUR   per-rank compute multiplier window
-//	crash=rR@START+DUR          kill rank R at START for DUR
-//	rto=DUR                     base retransmit timeout
-//	attempts=N                  retransmission bound
 //
 // Durations accept ns/us/µs/ms/s suffixes. Format renders the canonical
 // form (fixed clause order, sorted windows, smallest exact unit), and
@@ -371,10 +309,6 @@ func Parse(spec string) (Plan, error) {
 			if p.SpikeRate, err = parseRate(rate); err == nil {
 				p.SpikeExtra, err = parseDur(dur)
 			}
-		case "rto":
-			p.RTO, err = parseDur(val)
-		case "attempts":
-			p.MaxAttempts, err = strconv.Atoi(val)
 		case "degrade":
 			var d Degrade
 			if d.Factor, d.From, d.Dur, err = parseWindow(val); err == nil {
@@ -389,17 +323,6 @@ func Parse(spec string) (Plan, error) {
 			if s.Rank, err = parseRank(rank); err == nil {
 				if s.Factor, s.From, s.Dur, err = parseWindow(rest); err == nil {
 					p.Stragglers = append(p.Stragglers, s)
-				}
-			}
-		case "crash":
-			rank, rest, found := strings.Cut(val, "@")
-			if !found {
-				return Plan{}, fmt.Errorf("faults: bad crash %q (want rR@START+DUR)", val)
-			}
-			var c Crash
-			if c.Rank, err = parseRank(rank); err == nil {
-				if c.At, c.Downtime, err = parseSpan(rest); err == nil {
-					p.Crashes = append(p.Crashes, c)
 				}
 			}
 		default:
@@ -454,23 +377,6 @@ func (p *Plan) Format() string {
 	for _, s := range stragglers {
 		add(fmt.Sprintf("straggler=r%d:%sx@%s+%s", s.Rank, fmtRate(s.Factor), fmtDur(sim.Duration(s.From)), fmtDur(s.Dur)))
 	}
-	crashes := append([]Crash(nil), p.Crashes...)
-	sort.Slice(crashes, func(i, j int) bool {
-		a, b := crashes[i], crashes[j]
-		if a.Rank != b.Rank {
-			return a.Rank < b.Rank
-		}
-		return a.At < b.At
-	})
-	for _, c := range crashes {
-		add(fmt.Sprintf("crash=r%d@%s+%s", c.Rank, fmtDur(sim.Duration(c.At)), fmtDur(c.Downtime)))
-	}
-	if p.RTO != 0 {
-		add("rto=" + fmtDur(p.RTO))
-	}
-	if p.MaxAttempts != 0 {
-		add(fmt.Sprintf("attempts=%d", p.MaxAttempts))
-	}
 	return strings.Join(parts, ",")
 }
 
@@ -502,25 +408,18 @@ func parseWindow(s string) (factor float64, from sim.Time, dur sim.Duration, err
 	if factor, err = parseRate(f); err != nil {
 		return 0, 0, 0, err
 	}
-	from, dur, err = parseSpan(rest)
-	return factor, from, dur, err
-}
-
-// parseSpan parses "START+DUR".
-func parseSpan(s string) (from sim.Time, dur sim.Duration, err error) {
-	start, length, ok := strings.Cut(s, "+")
+	start, length, ok := strings.Cut(rest, "+")
 	if !ok {
-		return 0, 0, fmt.Errorf("bad span %q (want START+DUR)", s)
+		return 0, 0, 0, fmt.Errorf("bad span %q (want START+DUR)", rest)
 	}
-	f, err := parseDur(start)
+	at, err := parseDur(start)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
-	d, err := parseDur(length)
-	if err != nil {
-		return 0, 0, err
+	if dur, err = parseDur(length); err != nil {
+		return 0, 0, 0, err
 	}
-	return sim.Time(f), d, nil
+	return factor, sim.Time(at), dur, nil
 }
 
 var durUnits = []struct {

@@ -13,8 +13,8 @@ func TestSpecRoundTrip(t *testing.T) {
 		"seed=7,drop=0.01",
 		"seed=7,drop=0.0001,ackdrop=0.02,spike=0.002:50us",
 		"seed=1,degrade=2x@1ms+500us",
-		"seed=9,straggler=r3:4x@200us+1ms,crash=r2@1ms+300us,rto=20us,attempts=12",
-		"drop=0.01,crash=r0@0ns+5us,crash=r0@2ms+5us,crash=r4@1ms+1ms",
+		"seed=9,straggler=r3:4x@200us+1ms,straggler=r2:2x@1ms+300us",
+		"drop=0.01,straggler=r0:2x@0ns+5us,straggler=r0:2x@2ms+5us,straggler=r4:3x@1ms+1ms",
 	}
 	for _, spec := range specs {
 		p, err := Parse(spec)
@@ -35,11 +35,11 @@ func TestSpecRoundTrip(t *testing.T) {
 func TestSpecCanonicalForm(t *testing.T) {
 	// Clause order and window sorting are normalized; durations render in
 	// their largest exact unit.
-	p, err := Parse("crash=r2@1500us+300us,drop=0.01,seed=7,crash=r1@1ms+2ms")
+	p, err := Parse("straggler=r2:2x@1500us+300us,drop=0.01,seed=7,straggler=r1:2x@1ms+2ms")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := "seed=7,drop=0.01,crash=r1@1ms+2ms,crash=r2@1500us+300us"
+	want := "seed=7,drop=0.01,straggler=r1:2x@1ms+2ms,straggler=r2:2x@1500us+300us"
 	if got := p.Format(); got != want {
 		t.Fatalf("Format = %q, want %q", got, want)
 	}
@@ -56,11 +56,12 @@ func TestParseErrors(t *testing.T) {
 		"spike=0.1:10",              // unitless duration
 		"straggler=3:2x@0ns+1ms",    // rank without r prefix
 		"straggler=r3:0.5x@0ns+1ms", // factor below 1
-		"crash=r1@1ms",              // missing downtime
-		"crash=r-1@1ms+1ms",         // negative rank
+		"straggler=r1:2x@1ms",       // missing window length
+		"straggler=r-1:2x@1ms+1ms",  // negative rank
 		"degrade=2x@1ms+0ns",        // empty window
-		"attempts=99",               // above encodable cap
-		"rto=-5us",                  // negative timeout
+		"crash=r1@1ms+1ms",          // removed clause: unknown key
+		"rto=20us",                  // removed clause: unknown key
+		"attempts=12",               // removed clause: unknown key
 	}
 	for _, spec := range bad {
 		if _, err := Parse(spec); err == nil {
@@ -74,9 +75,9 @@ func TestEmpty(t *testing.T) {
 	if !nilPlan.Empty() {
 		t.Error("nil plan should be empty")
 	}
-	p := Plan{Seed: 42, RTO: DefaultRTO, MaxAttempts: 3}
+	p := Plan{Seed: 42}
 	if !p.Empty() {
-		t.Error("seed/rto/attempts alone should leave the plan empty")
+		t.Error("a seed alone should leave the plan empty")
 	}
 	p.DropRate = 0.1
 	if p.Empty() {
@@ -145,22 +146,17 @@ func TestDropRateStatistics(t *testing.T) {
 }
 
 func TestRTOBackoff(t *testing.T) {
-	in, err := Compile(Plan{DropRate: 0.01, RTO: 10 * sim.Microsecond, MaxAttempts: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for attempt, want := range []sim.Duration{10, 20, 40, 80} {
-		if got := in.RTO(attempt); got != want*sim.Microsecond {
-			t.Fatalf("RTO(%d) = %v, want %v", attempt, got, want*sim.Microsecond)
+	for attempt, want := range []sim.Duration{1, 2, 4, 8} {
+		if got := RTO(attempt); got != want*BaseRTO {
+			t.Fatalf("RTO(%d) = %v, want %v", attempt, got, want*BaseRTO)
 		}
 	}
-	if in.MaxAttempts() != 5 {
-		t.Fatalf("MaxAttempts = %d", in.MaxAttempts())
+	// The backoff stops doubling at attempt 16.
+	if RTO(40) != RTO(16) || RTO(16) != BaseRTO<<16 {
+		t.Fatalf("RTO(40) = %v, RTO(16) = %v, want both %v", RTO(40), RTO(16), BaseRTO<<16)
 	}
-	// Defaults apply when unset.
-	in2, _ := Compile(Plan{DropRate: 0.01})
-	if in2.RTO(0) != DefaultRTO || in2.MaxAttempts() != DefaultMaxAttempts {
-		t.Fatalf("defaults not applied: rto=%v attempts=%d", in2.RTO(0), in2.MaxAttempts())
+	if MaxAttempts > maxAttemptsCap {
+		t.Fatalf("MaxAttempts %d exceeds the decision hash's cap %d", MaxAttempts, maxAttemptsCap)
 	}
 }
 
@@ -205,25 +201,5 @@ func TestDilation(t *testing.T) {
 	}
 	if got := f(sim.Time(2*sim.Millisecond), d); got != d {
 		t.Fatalf("after window: %v, want %v", got, d)
-	}
-}
-
-func TestCrashSchedule(t *testing.T) {
-	in, err := Compile(Plan{Crashes: []Crash{
-		{Rank: 2, At: sim.Time(5 * sim.Millisecond), Downtime: sim.Millisecond},
-		{Rank: 2, At: sim.Time(1 * sim.Millisecond), Downtime: sim.Millisecond},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs := in.CrashesFor(2)
-	if len(cs) != 2 || cs[0].At > cs[1].At {
-		t.Fatalf("crash schedule not sorted: %+v", cs)
-	}
-	if in.CrashesFor(0) != nil {
-		t.Fatal("rank 0 has no crashes")
-	}
-	if !in.HasCrashes() {
-		t.Fatal("HasCrashes = false")
 	}
 }

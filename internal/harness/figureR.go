@@ -14,8 +14,7 @@ import (
 // Figure R (resilience) is not in the paper: it extends the evaluation with
 // the deterministic fault-injection subsystem, measuring how DSMTX speedup
 // degrades as the commodity-cluster assumption erodes — message loss on the
-// interconnect, a straggling host, and a worker crash with restart. Every
-// faulty run must still produce the sequential reference checksum; the
+// interconnect and a straggling host. Every faulty run must still produce the sequential reference checksum; the
 // figure reports the performance cost of surviving, never wrong answers.
 
 // FigRDropRates is the symmetric loss sweep (data and acks) of the drop
@@ -46,16 +45,6 @@ func figRStragglerPlan() *faults.Plan {
 	}}
 }
 
-// figRCrashPlan schedules one mid-invocation crash of worker rank 1 with a
-// downtime of a tenth of the clean invocation; both instants derive from
-// the clean run's elapsed time, so the plan self-scales across benchmarks
-// and core counts.
-func figRCrashPlan(cleanPerInvocation sim.Time) *faults.Plan {
-	return &faults.Plan{Crashes: []faults.Crash{
-		{Rank: 1, At: cleanPerInvocation / 2, Downtime: cleanPerInvocation / 10},
-	}}
-}
-
 // faultJob is parJob plus a canonical fault-plan string.
 func faultJob(bench string, in workloads.Input, cores int, plan *faults.Plan) job.Spec {
 	s := parJob(bench, in, workloads.DSMTX, cores, job.KnobNone)
@@ -76,15 +65,11 @@ type FigRRow struct {
 	Cores     int
 	Clean     float64 // fault-free speedup over sequential
 	Drop      []FigRDrop
-	Crash     float64 // speedup with one worker crash per invocation
-	Crashes   uint64  // crashes survived across the run
-	RedispMS  float64 // commit-unit re-dispatch wall time, milliseconds
 	Straggler float64 // speedup with rank 1 at half speed
 }
 
 // RunFigureR measures one resilience cell: the sequential reference, the
-// clean run, the straggler run and the drop sweep, then the crash run,
-// whose plan derives from the clean run's elapsed time.
+// clean run, the straggler run and the drop sweep.
 func (r *Runner) RunFigureR(b *workloads.Benchmark, in workloads.Input, cores int) (FigRRow, error) {
 	cores = clampCores(b, in, cores)
 	row := FigRRow{Bench: b.Name, Cores: cores}
@@ -124,22 +109,6 @@ func (r *Runner) RunFigureR(b *workloads.Benchmark, in workloads.Input, cores in
 		})
 	}
 
-	crashPlan := figRCrashPlan(clean.Elapsed / sim.Time(max(b.Invocations, 1)))
-	res, err = r.resolveAll(faultJob(b.Name, in, cores, crashPlan))
-	if err != nil {
-		return row, err
-	}
-	crash := res[0]
-	if err := check("crash", crash); err != nil {
-		return row, err
-	}
-	if crash.Crashes == 0 {
-		return row, fmt.Errorf("%s@%d: scheduled crash never fired", b.Name, cores)
-	}
-	row.Crash = speedup(crash)
-	row.Crashes = crash.Crashes
-	row.RedispMS = crash.Redispatch.Seconds() * 1e3
-
 	if err := check("straggler", strag); err != nil {
 		return row, err
 	}
@@ -153,7 +122,7 @@ func RenderFigureR(rows []FigRRow) string {
 	for _, rate := range FigRDropRates {
 		header = append(header, fmt.Sprintf("drop %g", rate))
 	}
-	header = append(header, "crash", "straggler", "retrans@1%", "crashes", "redisp ms")
+	header = append(header, "straggler", "retrans@1%")
 	tb := stats.Table{Header: header}
 	for _, r := range rows {
 		cells := []string{r.Bench, fmt.Sprint(r.Cores), stats.FormatSpeedup(r.Clean)}
@@ -162,8 +131,7 @@ func RenderFigureR(rows []FigRRow) string {
 			cells = append(cells, stats.FormatSpeedup(d.Speedup))
 			worstRetrans = d.Retrans
 		}
-		cells = append(cells, stats.FormatSpeedup(r.Crash), stats.FormatSpeedup(r.Straggler),
-			fmt.Sprint(worstRetrans), fmt.Sprint(r.Crashes), fmt.Sprintf("%.3f", r.RedispMS))
+		cells = append(cells, stats.FormatSpeedup(r.Straggler), fmt.Sprint(worstRetrans))
 		tb.AddRow(cells...)
 	}
 	return "Figure R: speedup under injected faults (all runs reproduce the sequential checksum)\n" + tb.String()

@@ -8,9 +8,9 @@ import (
 )
 
 // TestFigureRResilience: every faulted run reproduces the sequential
-// checksum, the scheduled crash fires and is survived, and the straggler
-// and loss sweeps slow the run without corrupting it. crc32 keeps the
-// test fast; the CLI sweep uses FigRBenches.
+// checksum, and the straggler and loss sweeps slow the run without
+// corrupting it. crc32 keeps the test fast; the CLI sweep uses
+// FigRBenches.
 func TestFigureRResilience(t *testing.T) {
 	if testing.Short() {
 		t.Skip("resilience sweep")
@@ -36,20 +36,11 @@ func TestFigureRResilience(t *testing.T) {
 	if worst.Speedup > row.Clean {
 		t.Errorf("lossy speedup %.2f exceeds clean %.2f", worst.Speedup, row.Clean)
 	}
-	if row.Crashes == 0 {
-		t.Errorf("crash variant survived zero crashes")
-	}
-	if row.Crash >= row.Clean {
-		t.Errorf("crashed speedup %.2f should trail clean %.2f", row.Crash, row.Clean)
-	}
-	if row.RedispMS <= 0 {
-		t.Errorf("re-dispatch time not accounted: %+v", row)
-	}
 	if row.Straggler >= row.Clean {
 		t.Errorf("straggler speedup %.2f should trail clean %.2f", row.Straggler, row.Clean)
 	}
 	out := RenderFigureR([]FigRRow{row})
-	if !strings.Contains(out, "crc32") || !strings.Contains(out, "crashes") {
+	if !strings.Contains(out, "crc32") || !strings.Contains(out, "straggler") {
 		t.Fatalf("render: %q", out)
 	}
 }

@@ -9,13 +9,13 @@
 //
 // Deliberately unmodelled here: NIC serialization and latency (sends
 // deliver immediately), per-instruction CPU charges (InstrTime is zero —
-// real instructions already cost real time), and the vtime-only subsystems
-// (fault injection, heartbeat timers), which core.Config.Validate rejects
-// for this backend. Observability is supported: SetTracer attaches the
-// wall-clock tracer, instrumenting the delivery layer itself — mailbox
-// enqueue/dequeue and depth, spin-vs-park outcomes, wake signals, park
-// latency — with resolved atomic metric handles, so the instrumented hot
-// path stays allocation-free and the tracer-nil path is one pointer check.
+// real instructions already cost real time), and fault injection, which
+// is vtime-only and which core.Config.Validate rejects for this backend.
+// Observability is supported: SetTracer attaches the wall-clock tracer,
+// instrumenting the delivery layer itself — mailbox enqueue/dequeue and
+// depth, spin-vs-park outcomes, wake signals, park latency — with resolved
+// atomic metric handles, so the instrumented hot path stays allocation-free
+// and the tracer-nil path is one pointer check.
 package host
 
 import (

@@ -20,15 +20,13 @@ import (
 //	               votes (CommitShards > 1 only)
 //	Recovery     — inside a misspeculation-recovery window (ERM/FLQ/SEQ
 //	               plus refill stall)
-//	Crashed      — inside a crash-fault window: a worker's outage + rejoin,
-//	               or the commit unit's crash-recovery re-dispatch
 //	Blocked      — parked on a message or synchronization primitive
 type StallRow struct {
 	Track int    // rank (or synthetic track id)
 	Label string // "worker3", "trycommit0", "commit", "pagesrv"
 	Stage string // aggregation key: "S0".."Sn", "trycommit", "commit", "pagesrv"
 
-	Busy, Backpressure, Starvation, VerdictWait, VoteWait, Recovery, Crashed, Blocked sim.Time
+	Busy, Backpressure, Starvation, VerdictWait, VoteWait, Recovery, Blocked sim.Time
 
 	// Host-delivery columns, populated only on the host backend (the report
 	// renders them when StallReport.Host is set). Park is wall time the
@@ -42,7 +40,7 @@ type StallRow struct {
 
 // Total is the row's accounted virtual time.
 func (r *StallRow) Total() sim.Time {
-	return r.Busy + r.Backpressure + r.Starvation + r.VerdictWait + r.VoteWait + r.Recovery + r.Crashed + r.Blocked
+	return r.Busy + r.Backpressure + r.Starvation + r.VerdictWait + r.VoteWait + r.Recovery + r.Blocked
 }
 
 // add accumulates o's columns into r: another invocation of the same rank,
@@ -54,7 +52,6 @@ func (r *StallRow) add(o *StallRow) {
 	r.VerdictWait += o.VerdictWait
 	r.VoteWait += o.VoteWait
 	r.Recovery += o.Recovery
-	r.Crashed += o.Crashed
 	r.Blocked += o.Blocked
 	r.Park += o.Park
 	r.ShardQueue = max(r.ShardQueue, o.ShardQueue)
@@ -95,7 +92,7 @@ func (r *StallReport) Merge(o *StallReport) {
 	r.CommitShards = r.CommitShards || o.CommitShards
 }
 
-var stallHeader = []string{"rank", "total", "busy", "backpressure", "starvation", "verdict-wait", "recovery", "crashed", "blocked"}
+var stallHeader = []string{"rank", "total", "busy", "backpressure", "starvation", "verdict-wait", "recovery", "blocked"}
 
 // hostHeader extends stallHeader with the host-delivery columns.
 var hostHeader = []string{"park", "shard-q"}
@@ -171,7 +168,7 @@ func stallCells(name string, r *StallRow, rep *StallReport) []string {
 	if rep.CommitShards {
 		cells = append(cells, cell(r.VoteWait))
 	}
-	cells = append(cells, cell(r.Recovery), cell(r.Crashed), cell(r.Blocked))
+	cells = append(cells, cell(r.Recovery), cell(r.Blocked))
 	if rep.Host {
 		cells = append(cells,
 			fmtDur(r.Park),

@@ -48,11 +48,8 @@ const (
 	InstFlush                     // a queue batch left the sender (V1 = items, V2 = wire bytes)
 	InstDrain                     // a queue batch was drained by the consumer (V1 = items)
 	InstMisspec                   // a misspeculation marker was emitted (MTX = iteration)
-	SpanCrash                     // a worker's crash outage, downtime through rejoin (MTX = rank, V1 = downtime ns)
-	SpanRedispatch                // commit-unit crash recovery, detection to resume (MTX = crashed rank, V1 = restart iteration)
 	InstDrop                      // the network lost a transmission (MTX = link seq, V1 = bytes, V2 = attempt)
 	InstRetransmit                // a sender retransmitted after ack timeout (MTX = link seq, V1 = bytes, V2 = attempt)
-	InstHeartbeatMiss             // the commit unit declared a rank dead (MTX = rank, V1 = silence ns)
 	SpanPageServe                 // a commit unit's page server served one COA request (MTX = start page, V1 = pages, V2 = wire bytes)
 	SpanRecvPark                  // host delivery: a receiver parked awaiting a message (V1 = tag)
 	SpanShardCommit               // a non-coordinator participant shard applied its partition of an MTX (V1 = entries, V2 = bulk bytes)
@@ -81,11 +78,8 @@ var kindMeta = [numKinds]struct {
 	InstFlush:         {"queue.flush", "queue", "", "items", "bytes"},
 	InstDrain:         {"queue.drain", "queue", "", "items", ""},
 	InstMisspec:       {"misspec", "worker", "mtx", "", ""},
-	SpanCrash:         {"fault.crash", "fault", "rank", "downtime_ns", ""},
-	SpanRedispatch:    {"recovery.redispatch", "recovery", "rank", "restart", ""},
 	InstDrop:          {"fault.drop", "fault", "seq", "bytes", "attempt"},
 	InstRetransmit:    {"fault.retransmit", "fault", "seq", "bytes", "attempt"},
-	InstHeartbeatMiss: {"fault.heartbeat.miss", "fault", "rank", "silence_ns", ""},
 	SpanPageServe:     {"pagesrv.shard", "pagesrv", "page", "pages", "wire_bytes"},
 	SpanRecvPark:      {"recv.park", "delivery", "", "tag", ""},
 	SpanShardCommit:   {"commit.shard", "commit", "mtx", "entries", "bulk_bytes"},

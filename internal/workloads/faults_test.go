@@ -3,6 +3,7 @@ package workloads
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -40,7 +41,7 @@ func faultRun(t *testing.T, in Input, plan *faults.Plan, tr *trace.Tracer) (Resu
 
 // TestEmptyFaultPlanIsByteIdentical pins the zero-cost-when-off contract: a
 // non-nil but empty plan must leave every virtual-time outcome identical to
-// a nil plan — no reliable-layer state, no heartbeats, no extra events.
+// a nil plan — no reliable-layer state, no extra events.
 func TestEmptyFaultPlanIsByteIdentical(t *testing.T) {
 	in := Input{Scale: 1, Seed: 42, MisspecRate: 0.02}
 	withNil, _ := faultRun(t, in, nil, nil)
@@ -85,87 +86,31 @@ func TestFaultedRunsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCrashSurvivalMatchesSequential injects a mid-run worker crash (the
-// crash instant is derived from a clean run's elapsed time, so the test
-// self-scales) and requires the run to complete with the sequential
-// reference checksum, a recorded crash, and re-dispatch time attributed in
-// the stall table's crashed column.
-func TestCrashSurvivalMatchesSequential(t *testing.T) {
-	in := Input{Scale: 1, Seed: 42, MisspecRate: 0.001}
-	clean, _ := faultRun(t, in, nil, nil)
-	b, err := ByName("crc32")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, wantSum, err := RunSequentialRef(b, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if clean.Checksum != wantSum {
-		t.Fatalf("clean run checksum %#x != sequential %#x", clean.Checksum, wantSum)
-	}
-	plan := &faults.Plan{
-		Crashes: []faults.Crash{
-			{Rank: 1, At: clean.Elapsed / 2, Downtime: 100 * sim.Microsecond},
-		},
-	}
-	res, _ := faultRun(t, in, plan, trace.New())
-	if res.Crashes == 0 {
-		t.Fatal("scheduled crash never fired")
-	}
-	if res.Redispatch <= 0 {
-		t.Fatal("crash recovery accounted no re-dispatch time")
-	}
-	if res.Checksum != wantSum {
-		t.Fatalf("crashed run checksum %#x != sequential %#x", res.Checksum, wantSum)
-	}
-	if res.Elapsed <= clean.Elapsed {
-		t.Fatalf("crash was free: %v with crash vs %v clean", res.Elapsed, clean.Elapsed)
-	}
-	var crashed sim.Time
-	for _, row := range res.Stalls.Rows {
-		crashed += row.Crashed
-	}
-	if crashed <= 0 {
-		t.Fatal("stall attribution has no time in the crashed column")
-	}
-}
-
-// TestVTimeStallTableAccountsWindows pins the recovery and crash windows of
-// the vtime stall table: 197.parser at rate 0.05 recovers often, and a
-// worker crash adds a re-dispatch. No cell may be negative, no rank may
-// account for more than the run, the commit row's crashed column is the
-// re-dispatch total and its recovery column covers ERM+FLQ+SEQ, and the
-// crashed worker's own crash window is charged.
+// TestVTimeStallTableAccountsWindows pins the recovery windows of the vtime
+// stall table: 197.parser at rate 0.05 recovers often. No cell may be
+// negative, no rank may account for more than the run, the commit row's
+// recovery column covers ERM+FLQ+SEQ, and every worker, which joins each
+// recovery's barriers, has a recovery window charged.
 func TestVTimeStallTableAccountsWindows(t *testing.T) {
 	b, err := ByName("197.parser")
 	if err != nil {
 		t.Fatal(err)
 	}
 	in := Input{Scale: 1, Seed: 42, MisspecRate: 0.05}
-	run := func(plan *faults.Plan) Result {
-		t.Helper()
-		res, err := RunParallel(b, in, DSMTX, 5, func(cfg *core.Config) {
-			cfg.Faults = plan
-			cfg.Tracer = trace.NewMetricsOnly()
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	res, err := RunParallel(b, in, DSMTX, 5, func(cfg *core.Config) {
+		cfg.Tracer = trace.NewMetricsOnly()
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	const crashRank = 1
-	clean := run(nil)
-	res := run(&faults.Plan{Crashes: []faults.Crash{
-		{Rank: crashRank, At: clean.Elapsed / 2, Downtime: 100 * sim.Microsecond},
-	}})
-	if res.Crashes == 0 || res.Misspecs == 0 {
-		t.Fatalf("%d crashes, %d misspeculations; want a run that does both", res.Crashes, res.Misspecs)
+	if res.Misspecs == 0 {
+		t.Fatal("no misspeculation; want a run that recovers")
 	}
-	var commit, crashed *trace.StallRow
+	var commit *trace.StallRow
+	workers := 0
 	for i := range res.Stalls.Rows {
 		r := &res.Stalls.Rows[i]
-		for _, cell := range []sim.Time{r.Busy, r.Backpressure, r.Starvation, r.VerdictWait, r.VoteWait, r.Recovery, r.Crashed, r.Blocked} {
+		for _, cell := range []sim.Time{r.Busy, r.Backpressure, r.Starvation, r.VerdictWait, r.VoteWait, r.Recovery, r.Blocked} {
 			if cell < 0 {
 				t.Errorf("%s: negative cell in %+v", r.Label, *r)
 				break
@@ -177,45 +122,43 @@ func TestVTimeStallTableAccountsWindows(t *testing.T) {
 		switch {
 		case r.Label == "commit":
 			commit = r
-		case r.Track == crashRank && r.Stage != "pagesrv":
-			crashed = r
+		case strings.HasPrefix(r.Label, "worker"):
+			workers++
+			if r.Recovery <= 0 {
+				t.Errorf("worker %s has no recovery window: %+v", r.Label, *r)
+			}
 		}
 	}
-	if commit == nil || crashed == nil {
-		t.Fatalf("stall table lacks the commit or the crashed worker's row: %+v", res.Stalls.Rows)
-	}
-	if commit.Crashed != res.Redispatch {
-		t.Errorf("commit crashed column %v, re-dispatch total %v", commit.Crashed, res.Redispatch)
+	if commit == nil || workers == 0 {
+		t.Fatalf("stall table lacks the commit or a worker row: %+v", res.Stalls.Rows)
 	}
 	if phases := res.ERM + res.FLQ + res.SEQ; commit.Recovery < phases {
 		t.Errorf("commit recovery column %v < ERM+FLQ+SEQ %v", commit.Recovery, phases)
 	}
-	if crashed.Crashed <= 0 {
-		t.Errorf("crashed worker %s has no crash window: %+v", crashed.Label, *crashed)
-	}
 }
 
-// TestCrashedRunsBitIdentical: the full crash/rejoin/re-dispatch path must
-// itself be deterministic, down to the exported trace bytes.
-func TestCrashedRunsBitIdentical(t *testing.T) {
+// TestFaultedTracesBitIdentical: a faulted run must be deterministic down to
+// the exported trace bytes — drops, retransmits and a straggler window
+// included.
+func TestFaultedTracesBitIdentical(t *testing.T) {
 	in := Input{Scale: 1, Seed: 42, MisspecRate: 0.001}
 	clean, _ := faultRun(t, in, nil, nil)
 	plan := &faults.Plan{
 		Seed: 3, DropRate: 0.001, AckDropRate: 0.001,
-		Crashes: []faults.Crash{
-			{Rank: 2, At: clean.Elapsed / 3, Downtime: 50 * sim.Microsecond},
+		Stragglers: []faults.Straggler{
+			{Rank: 2, From: clean.Elapsed / 3, Dur: clean.Elapsed / 3, Factor: 2},
 		},
 	}
 	res1, trace1 := faultRun(t, in, plan, trace.New())
 	res2, trace2 := faultRun(t, in, plan, trace.New())
-	if res1.Crashes == 0 {
-		t.Fatal("scheduled crash never fired")
+	if res1.Traffic.RetransMessages == 0 {
+		t.Fatal("plan never forced a retransmission; raise the drop rate")
 	}
 	if !bytes.Equal(trace1, trace2) {
-		t.Fatalf("crashed-run traces differ: %d vs %d bytes", len(trace1), len(trace2))
+		t.Fatalf("faulted-run traces differ: %d vs %d bytes", len(trace1), len(trace2))
 	}
 	if !reflect.DeepEqual(res1, res2) {
-		t.Fatalf("crashed runs differ:\n got %+v\nwant %+v", res2, res1)
+		t.Fatalf("faulted runs differ:\n got %+v\nwant %+v", res2, res1)
 	}
 }
 

@@ -28,10 +28,10 @@ row() {
 
 # The public-API example's vtime timeline must stay Perfetto-loadable.
 row trace trace.json ./compress -trace trace.json
-# Message loss plus a mid-run worker crash: the resilience vocabulary
-# (fault.crash, recovery.redispatch, retransmits) must survive the export.
+# Message loss plus a straggling worker: the resilience vocabulary
+# (fault.drop, fault.retransmit) must survive the export.
 row resilience resilience.json ./dsmtxrun -bench crc32 -cores 16 \
-    -faults drop=0.005,crash=r1@2ms+200us,seed=7 -trace resilience.json
+    -faults drop=0.005,straggler=r1:2x@2ms+200us,seed=7 -trace resilience.json
 # Live goroutines with enough misspeculation to force real recovery.
 row host - ./dsmtxrun -bench crc32 -cores 8 -misspec 0.02 -backend host
 # Same with the wall-clock tracer: "clock":"wall", per-track monotone.

@@ -8,14 +8,13 @@ import (
 
 	"dsmtx/internal/core"
 	"dsmtx/internal/faults"
-	"dsmtx/internal/sim"
 	"dsmtx/internal/trace"
 	"dsmtx/internal/workloads"
 )
 
 // realTrace produces a Chrome trace from a faulted run, so the export
-// exercises the resilience vocabulary (crash spans, re-dispatch, drops,
-// retransmits) alongside the ordinary execution spans.
+// exercises the resilience vocabulary (drops, retransmits) alongside the
+// ordinary execution spans.
 func realTrace(t *testing.T) []byte {
 	t.Helper()
 	b, err := workloads.ByName("crc32")
@@ -23,11 +22,7 @@ func realTrace(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	tr := trace.New()
-	plan := faults.Plan{
-		Seed:     3,
-		DropRate: 0.01,
-		Crashes:  []faults.Crash{{Rank: 1, At: 2 * sim.Millisecond, Downtime: 100 * sim.Microsecond}},
-	}
+	plan := faults.Plan{Seed: 3, DropRate: 0.01}
 	if _, err := workloads.RunParallel(b, workloads.DefaultInput(), workloads.DSMTX, 16,
 		func(cfg *core.Config) {
 			cfg.Tracer = tr
@@ -51,8 +46,7 @@ func TestCheckAcceptsRealFaultedTrace(t *testing.T) {
 	if !strings.Contains(summary, "spans") {
 		t.Fatalf("summary: %q", summary)
 	}
-	for _, name := range []string{trace.SpanCrash.String(), trace.SpanRedispatch.String(),
-		trace.InstRetransmit.String()} {
+	for _, name := range []string{trace.InstDrop.String(), trace.InstRetransmit.String()} {
 		if !bytes.Contains(data, []byte(`"`+name+`"`)) {
 			t.Errorf("faulted trace missing %q events", name)
 		}
@@ -264,11 +258,11 @@ func TestCheckRejectsMalformedTraces(t *testing.T) {
 			{"name":"bogus_meta","ph":"M","pid":1,"tid":0,"args":{}}]}`,
 			"unknown metadata record"},
 		{"unnamed thread", `{"traceEvents":[
-			{"name":"fault.crash","ph":"X","pid":1,"tid":7,"ts":0,"dur":1}]}`,
+			{"name":"subTX","ph":"X","pid":1,"tid":7,"ts":0,"dur":1}]}`,
 			"no thread_name metadata"},
 		{"negative dur", `{"traceEvents":[
 			{"name":"thread_name","ph":"M","pid":1,"tid":0,"args":{"name":"worker0"}},
-			{"name":"fault.crash","ph":"X","pid":1,"tid":0,"ts":0,"dur":-5}]}`,
+			{"name":"subTX","ph":"X","pid":1,"tid":0,"ts":0,"dur":-5}]}`,
 			"negative ts/dur"},
 	}
 	for _, tc := range cases {

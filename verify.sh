@@ -65,6 +65,14 @@ go test -race ./internal/workloads/ -run TestBackendEquivalence
 # connection reader does, and keeps the decoder total on it (round-trip
 # identity, a truncated body and an oversized length prefix are seeded).
 go test -run=NONE -fuzz FuzzWireRoundTrip -fuzztime 10s ./internal/wire/
+# The payload bodies core registers on top of it — ctrl, page request, page
+# reply, queue batch — are what daemons decode off the network; a second
+# pass keeps their decoders total and bounded by the bytes that arrived.
+# -fuzzminimizetime 10x: by default each new interesting input may be
+# minimized for up to 60 s, longer than the whole pass, so one large page
+# reply can hold the budget; capped at 10 executions, the 10 s go to new
+# inputs (≈ 20 k a second on a 2-CPU box).
+go test -run=NONE -fuzz FuzzCorePayloads -fuzztime 10s -fuzzminimizetime 10x ./internal/core/
 # The sharded commit pipeline adds AnySource control mailboxes and the
 # cross-shard vote protocol to the live-goroutine surface; its dedicated
 # commit-shard tests (TestCrossShardCommit, ...MatchesSingleShard,
