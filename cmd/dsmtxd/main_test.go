@@ -183,11 +183,13 @@ func TestServeRejectsBadSpec(t *testing.T) {
 		`{"bench":"crc32","cores":8,"commit_shards":-1}`: "Config.CommitShards = -1",
 		// a net job cannot honour a fault plan; accepting it would cache
 		// fault-free numbers under the plan's key
-		`{"bench":"crc32","cores":8,"backend":"net","faults":"drop=0.5"}`: "Config.Faults",
+		`{"bench":"crc32","cores":8,"backend":"net","faults":"straggler=r1:2x@0ns+1ms"}`: "Config.Faults",
 		// removed fault clauses: an old spec naming one must be refused,
 		// never run fault-free under its old cache key
 		`{"bench":"crc32","cores":8,"faults":"crash=r1@1ms+1ms"}`: "unknown clause key",
 		`{"bench":"crc32","cores":8,"faults":"rto=20us"}`:         "unknown clause key",
+		`{"bench":"crc32","cores":8,"faults":"drop=0.01"}`:        "unknown clause key",
+		`{"bench":"crc32","cores":8,"faults":"ackdrop=0.01"}`:     "unknown clause key",
 		// used to be admitted, fail in core.NewSystem and answer 500
 		`{"bench":"crc32","backend":"host","cores":2}`:   "2 cores leave 0 workers",
 		`{"bench":"crc32","backend":"host","cores":129}`: "exceed the machine's 128",

@@ -8,8 +8,8 @@
 //	dsmtxrun -bench 130.li -cores 32 -paradigm tls
 //	dsmtxrun -bench crc32 -cores 96 -misspec 0.001
 //	dsmtxrun -bench 164.gzip -cores 32 -trace out.json -metrics
-//	dsmtxrun -bench 164.gzip -cores 32 -faults drop=0.001,straggler=r1:2x@2ms+500us
-//	dsmtxrun -bench crc32 -cores 32 -faults drop=0.01,seed=7
+//	dsmtxrun -bench 164.gzip -cores 32 -faults spike=0.001:20us,straggler=r1:2x@2ms+500us
+//	dsmtxrun -bench crc32 -cores 32 -faults spike=0.01:20us,seed=7
 //	dsmtxrun -bench crc32 -cores 8 -backend host
 //	dsmtxrun -bench crc32 -cores 16 -commit-shards 4 -backend host
 //	dsmtxrun -bench crc32 -cores 8 -backend host -trace host.json -metrics
@@ -85,7 +85,7 @@ func parseFlags(args []string) (*options, error) {
 	fs.StringVar(&o.traceOut, "trace", "", "write a Chrome trace-event JSON timeline (Perfetto-loadable) to this file")
 	fs.BoolVar(&o.metrics, "metrics", false, "print the metrics registry and per-rank stall attribution")
 	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve a live JSON metrics snapshot at http://ADDR/metrics during the run (e.g. 127.0.0.1:9090)")
-	faultArg := fs.String("faults", "", "deterministic fault plan, e.g. drop=0.001,straggler=r1:2x@2ms+500us,seed=7 (see internal/faults)")
+	faultArg := fs.String("faults", "", "deterministic fault plan, e.g. spike=0.001:20us,straggler=r1:2x@2ms+500us,seed=7 (see internal/faults)")
 	fs.IntVar(&o.opts.NetDaemons, "net-daemons", 2, "with -backend net: spawn this many loopback daemon processes")
 	netJoin := fs.String("net-join", "", "with -backend net: comma-separated dsmtxd addresses to join instead of spawning (last hosts the commit unit)")
 	if err := fs.Parse(args); err != nil {
@@ -274,11 +274,7 @@ func run(o *options, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "  speculation     %d subTXs executed, %d useful (%.1f%% squashed)\n", res.SubTXs, useful, squashed)
 	}
 	if o.plan != nil {
-		t := res.Traffic
 		fmt.Fprintf(stdout, "  fault plan      %s\n", o.plan.Format())
-		fmt.Fprintf(stdout, "  resilience      dropped %d msgs, retransmitted %d (%.2f MB), acks %d (%.2f MB)\n",
-			t.DroppedMessages, t.RetransMessages, float64(t.RetransBytes)/1e6,
-			t.AckMessages, float64(t.AckBytes)/1e6)
 	}
 	verdict := reportOutput(stdout, res.Checksum, seqCheck)
 	if o.metrics {

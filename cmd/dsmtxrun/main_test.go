@@ -85,10 +85,13 @@ func TestParseFlagsErrors(t *testing.T) {
 		{Args: []string{"stray-positional"}, Want: "unexpected arguments"},
 		{Args: []string{"-paradigm", "openmp"}, Want: "unknown -paradigm"},
 		{Args: []string{"-bench", "crc32", "-misspec", "NaN"}, Want: "rate NaN outside [0,1]"},
-		{Args: []string{"-faults", "drop=notanumber"}, Want: "-faults"},
+		{Args: []string{"-faults", "spike=notanumber:1us"}, Want: "-faults"},
+		// removed fault clauses
+		{Args: []string{"-faults", "drop=0.01"}, Want: "unknown clause key"},
+		{Args: []string{"-faults", "ackdrop=0.01"}, Want: "unknown clause key"},
 		// the engine's backend × feature rules surface as flag errors
-		{Args: []string{"-bench", "crc32", "-backend", "host", "-faults", "drop=0.01"}, Want: "Faults: fault injection is built on the virtual-time kernel"},
-		{Args: []string{"-bench", "crc32", "-backend", "net", "-faults", "drop=0.01"}, Want: "Faults: fault injection is built on the virtual-time kernel"},
+		{Args: []string{"-bench", "crc32", "-backend", "host", "-faults", "straggler=r1:2x@0ns+1ms"}, Want: "Faults: fault injection is built on the virtual-time kernel"},
+		{Args: []string{"-bench", "crc32", "-backend", "net", "-faults", "straggler=r1:2x@0ns+1ms"}, Want: "Faults: fault injection is built on the virtual-time kernel"},
 		{Args: []string{"-bench", "crc32", "-backend", "net", "-commit-shards", "2"}, Want: "net backend"},
 		{Args: []string{"-bench", "crc32", "-backend", "net", "-trace", "t.json"}, Want: "Options.Tracer"},
 		{Args: []string{"-bench", "999.nope"}, Want: "unknown benchmark"},
@@ -110,7 +113,7 @@ func TestParseFlagsHostObservability(t *testing.T) {
 }
 
 func TestParseFlagsFaultPlan(t *testing.T) {
-	o, err := parseFlags([]string{"-bench", "crc32", "-faults", "drop=0.01,seed=7"})
+	o, err := parseFlags([]string{"-bench", "crc32", "-faults", "spike=0.01:20us,seed=7"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,6 @@ import (
 	"dsmtx/internal/faults"
 	"dsmtx/internal/platform"
 	"dsmtx/internal/sim"
-	"dsmtx/internal/trace"
 )
 
 // Config describes the machine. The zero value is unusable; use
@@ -161,34 +160,21 @@ type Machine struct {
 	eps         []*Endpoint
 	stats       platform.TrafficStats
 
-	// Fault-injection state; all nil/false when faults are off, and every
-	// faulty-path branch below is gated so the fault-free paths are
+	// Fault-injection state; nil/false when faults are off, and the
+	// latency branch in transmit is gated so the fault-free path is
 	// byte-identical to a machine without an injector.
-	inj        *faults.Injector
-	tr         *trace.Tracer
-	linkFaults bool                // route inter-node traffic through the reliable layer
-	latFaults  bool                // consult the injector for spikes/degradation
-	rel        map[[2]int]*relLink // per (src,dst) reliable-link state
-	sendSeq    uint64              // plain-path per-message identity for latency rolls
-	ackSeq     uint64              // unique identity per physical ack for drop rolls
+	inj       *faults.Injector
+	latFaults bool   // consult the injector for spikes/degradation
+	sendSeq   uint64 // per-message identity for latency rolls
 }
 
 // EnableFaults installs a compiled fault injector. Must be called before
-// any traffic flows. With link faults in the plan, all inter-node traffic
-// switches to the reliable ack/retransmit layer; latency faults alone
-// keep the plain path and only stretch deliveries.
+// any traffic flows. Link faults only stretch inter-node arrivals in
+// transmit; nothing is dropped or reordered.
 func (m *Machine) EnableFaults(inj *faults.Injector) {
 	m.inj = inj
-	m.linkFaults = inj != nil && inj.LinkFaults()
 	m.latFaults = inj != nil && inj.HasLatencyFaults()
-	if m.linkFaults {
-		m.rel = make(map[[2]int]*relLink)
-	}
 }
-
-// SetTracer lets the machine record fault instants (drops, retransmits).
-// A nil tracer (the default) records nothing.
-func (m *Machine) SetTracer(tr *trace.Tracer) { m.tr = tr }
 
 // New builds a machine on the given kernel. It panics on invalid
 // configuration (construction-time misuse, per Effective Go).
@@ -278,7 +264,7 @@ func (m *Machine) transmit(msg platform.Message) sim.Time {
 		arrival = depart + xmit + m.cfg.InterNodeLatency
 		if m.latFaults {
 			m.sendSeq++
-			arrival += m.inj.ExtraLatency(msg.From, msg.To, m.sendSeq, 0, now, m.cfg.InterNodeLatency)
+			arrival += m.inj.ExtraLatency(msg.From, msg.To, m.sendSeq, now, m.cfg.InterNodeLatency)
 		}
 	}
 	pair := [2]int{msg.From, msg.To}
@@ -349,10 +335,6 @@ func (e *Endpoint) SendClass(to, tag int, payload any, bytes int, class platform
 	}
 	msg := platform.Message{From: e.rank, To: to, Tag: tag, Payload: payload, Bytes: bytes, Class: class}
 	dst := e.m.endpoint(to)
-	if e.m.linkFaults && e.m.cfg.NodeOf(msg.From) != e.m.cfg.NodeOf(to) {
-		e.m.sendReliable(msg)
-		return
-	}
 	arrival := e.m.transmit(msg)
 	e.m.k.At(arrival, func() { dst.deliver(msg) })
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dsmtx/internal/faults"
 	"dsmtx/internal/platform"
 	"dsmtx/internal/sim"
 )
@@ -268,5 +269,78 @@ func TestIdleIsExactlyAdvance(t *testing.T) {
 	}
 	if s := m.Traffic(); s.Messages != 1 {
 		t.Fatalf("traffic after Idle = %d messages, want the sender's 1", s.Messages)
+	}
+}
+
+// TestLatencyFaultsDelayButPreserveOrder: latency spikes stretch
+// deliveries but keep MPI's non-overtaking guarantee.
+func TestLatencyFaultsDelayButPreserveOrder(t *testing.T) {
+	f := func(seed uint64) bool {
+		k := sim.NewKernel()
+		m := New(k, testConfig())
+		inj, err := faults.Compile(faults.Plan{Seed: seed, SpikeRate: 0.3, SpikeExtra: 100 * sim.Microsecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.EnableFaults(inj)
+		ok := true
+		k.Spawn("rx", func(p *sim.Proc) {
+			for i := range 50 {
+				msg := m.Endpoint(1).Recv(p, 0, 3)
+				if msg.Payload.(int) != i {
+					ok = false
+				}
+			}
+		})
+		k.Spawn("tx", func(p *sim.Proc) {
+			for i := range 50 {
+				m.Endpoint(0).Send(1, 3, i, 8)
+				p.Advance(10)
+			}
+		})
+		if err := k.Run(0); err != nil {
+			return false
+		}
+		return ok
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDegradedLinkSlowsDelivery: inside a degradation window the wire
+// latency multiplies; outside it the link recovers.
+func TestDegradedLinkSlowsDelivery(t *testing.T) {
+	cfg := testConfig()
+	k := sim.NewKernel()
+	m := New(k, cfg)
+	inj, err := faults.Compile(faults.Plan{
+		Degrades: []faults.Degrade{{From: 0, Dur: 10 * sim.Microsecond, Factor: 5}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.EnableFaults(inj)
+	var inside, outside sim.Time
+	k.Spawn("rx", func(p *sim.Proc) {
+		m.Endpoint(1).Recv(p, 0, 1)
+		inside = p.Now()
+		m.Endpoint(1).Recv(p, 0, 1)
+		outside = p.Now()
+	})
+	const gap = 20 * sim.Microsecond
+	k.Spawn("tx", func(p *sim.Proc) {
+		m.Endpoint(0).Send(1, 1, nil, 0) // departs at t=0, inside the window
+		p.Advance(gap)                   // past the window
+		m.Endpoint(0).Send(1, 1, nil, 0)
+	})
+	if err := k.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if inside != 5*cfg.InterNodeLatency {
+		t.Fatalf("degraded delivery at %v, want %v", inside, 5*cfg.InterNodeLatency)
+	}
+	if outside != gap+cfg.InterNodeLatency {
+		t.Fatalf("recovered delivery at %v, want %v", outside, gap+cfg.InterNodeLatency)
 	}
 }

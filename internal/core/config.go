@@ -135,8 +135,7 @@ type Config struct {
 	ProtectInstr   int64 // re-arming protection per resident page in recovery
 
 	// Faults, if non-nil and non-empty, injects the compiled fault plan:
-	// inter-node message loss (with the cluster's ack/retransmit layer
-	// engaged), latency spikes and degradation windows, and straggler
+	// inter-node latency spikes and degradation windows, and straggler
 	// ranks. nil (the default) and the empty plan leave every path
 	// byte-identical to a fault-free build.
 	Faults *faults.Plan
@@ -219,7 +218,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: Config.CommitShards = %d, need >= 0", c.CommitShards)
 	}
 	// What a live backend cannot run yet, each with its reason: the one
-	// statement of these rows of the backend matrix (ROADMAP 6 and 7(c)).
+	// statement of these rows of the backend matrix (ROADMAP "Faults where
+	// failures are real" and "Shard federation by message only").
 	if !c.Faults.Empty() && c.Backend != BackendVTime {
 		return fmt.Errorf("core: Config.Faults: fault injection is built on the virtual-time kernel; unsupported on the %s backend", c.Backend)
 	}

@@ -410,7 +410,6 @@ func (s *System) bindTracer() {
 	}
 	if s.kernel != nil {
 		s.tr.BindKernel(s.kernel)
-		s.mach.SetTracer(s.tr)
 	} else {
 		s.tr.BindWall(s.plat, 0)
 		// Both wall-clock platforms (host, and net's embedded host) expose

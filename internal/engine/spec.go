@@ -19,10 +19,10 @@ import (
 )
 
 // JobSpec and KindParallel are the names bench/ builds jobs with; until
-// ROADMAP 8(i) moves bench onto job.Spec.
+// bench/ moves onto job.Spec (ROADMAP "`bench/` housekeeping").
 type JobSpec = job.Spec
 
-// KindParallel is job.KindParallel; until ROADMAP 8(i).
+// KindParallel is job.KindParallel; until bench/ moves onto job.Spec.
 const KindParallel = job.KindParallel
 
 // Options carries per-submission settings that are deliberately not part
@@ -55,7 +55,8 @@ func (o Options) netDaemons() int {
 }
 
 // Validate rejects options the spec's backend cannot honour: on net, a
-// Tracer (ROADMAP 5(c) would carry spans back from the daemons).
+// Tracer (ROADMAP "One job, one trace" would carry spans back from the
+// daemons).
 func (o Options) Validate(spec job.Spec) error {
 	if spec.ParsedBackend() == core.BackendNet && o.Tracer != nil {
 		return fmt.Errorf("engine: Options.Tracer: net ranks run in the daemon processes; a coordinator-side tracer has nothing to attach to")

@@ -1,10 +1,10 @@
 // Package faults is the deterministic fault-injection subsystem. A Plan
-// describes *what* can go wrong — transient inter-node message loss,
-// latency spikes and sustained link degradation, and straggler ranks — and
-// Compile turns it into an Injector the cluster and core layers consult at
-// well-defined points. Every decision is a pure function of the plan seed
-// and the identity of the event being decided (link endpoints, per-link
-// sequence number, retransmit attempt), computed with a splitmix64-style
+// describes *what* can go wrong — inter-node latency spikes, sustained link
+// degradation, and straggler ranks — and Compile turns it into an Injector
+// the cluster and core layers consult at well-defined points. Nothing is
+// ever lost: every fault is a delay. Every decision is a pure function of
+// the plan seed and the identity of the event being decided (link
+// endpoints, per-message sequence number), computed with a splitmix64-style
 // finalizer: no wall clock, no shared PRNG stream, no dependence on the
 // order in which the simulator happens to ask. Two runs with the same plan
 // therefore inject byte-identical fault schedules, and concurrent
@@ -20,21 +20,6 @@ import (
 	"strings"
 
 	"dsmtx/internal/sim"
-)
-
-// The reliable-link layer's retransmission constants.
-const (
-	// BaseRTO is the base retransmit timeout; it doubles per attempt
-	// (exponential backoff, see RTO).
-	BaseRTO = 20 * sim.Microsecond
-	// MaxAttempts bounds transmissions per message. At drop rate p the
-	// chance of losing all attempts is p^n — for p=0.01, n=12 that is
-	// 1e-24, i.e. unreachable in any shipped scenario; exceeding it is a
-	// configuration error and panics.
-	MaxAttempts = 12
-	// maxAttemptsCap keeps the attempt count encodable alongside the
-	// per-link sequence number in the decision hash.
-	maxAttemptsCap = 32
 )
 
 // Degrade is a sustained link degradation: while active, inter-node
@@ -59,12 +44,6 @@ type Plan struct {
 	// Seed drives every probabilistic decision. Identical plans with
 	// identical seeds produce identical fault schedules.
 	Seed uint64
-	// DropRate is the per-transmission loss probability on inter-node
-	// links (each retransmission rolls independently).
-	DropRate float64
-	// AckDropRate is the loss probability for the acks of the reliable
-	// layer (forcing spurious retransmissions).
-	AckDropRate float64
 	// SpikeRate is the per-message probability of adding SpikeExtra
 	// latency to an inter-node delivery.
 	SpikeRate  float64
@@ -75,37 +54,17 @@ type Plan struct {
 }
 
 // Empty reports whether the plan injects nothing at all. A seed alone does
-// not make a plan non-empty: with no faults the resilience layer is never
-// engaged.
+// not make a plan non-empty: with no faults no injector is installed.
 func (p *Plan) Empty() bool {
-	return p == nil || (p.DropRate == 0 && p.AckDropRate == 0 && p.SpikeRate == 0 &&
-		len(p.Degrades) == 0 && len(p.Stragglers) == 0)
-}
-
-// LinkFaults reports whether the plan requires the reliable (ack +
-// retransmit) link layer: any chance of message or ack loss.
-func (p *Plan) LinkFaults() bool {
-	return p != nil && (p.DropRate > 0 || p.AckDropRate > 0)
+	return p == nil || (p.SpikeRate == 0 && len(p.Degrades) == 0 && len(p.Stragglers) == 0)
 }
 
 // Validate rejects plans that cannot be injected coherently. Rank upper
 // bounds are the caller's business (the core layer knows the worker
 // count); everything else is checked here.
 func (p *Plan) Validate() error {
-	check01 := func(name string, v float64) error {
-		if v < 0 || v > 1 {
-			return fmt.Errorf("faults: %s %g outside [0,1]", name, v)
-		}
-		return nil
-	}
-	if err := check01("drop rate", p.DropRate); err != nil {
-		return err
-	}
-	if err := check01("ack drop rate", p.AckDropRate); err != nil {
-		return err
-	}
-	if err := check01("spike rate", p.SpikeRate); err != nil {
-		return err
+	if p.SpikeRate < 0 || p.SpikeRate > 1 {
+		return fmt.Errorf("faults: spike rate %g outside [0,1]", p.SpikeRate)
 	}
 	if p.SpikeExtra < 0 {
 		return fmt.Errorf("faults: spike extra latency %v negative", p.SpikeExtra)
@@ -136,7 +95,7 @@ func (p *Plan) Validate() error {
 }
 
 // Injector is a compiled, immutable Plan ready for consultation from the
-// cluster (drops, latency) and core (stragglers) layers. Safe for use from
+// cluster (latency) and core (stragglers) layers. Safe for use from
 // any number of concurrently running simulations because it holds no
 // mutable state.
 type Injector struct {
@@ -162,11 +121,8 @@ func Compile(p Plan) (*Injector, error) {
 	return in, nil
 }
 
-// LinkFaults mirrors Plan.LinkFaults on the compiled form.
-func (in *Injector) LinkFaults() bool { return in.plan.LinkFaults() }
-
-// HasLatencyFaults reports whether deliveries may be delayed (spikes or
-// degradation) even when nothing is dropped.
+// HasLatencyFaults reports whether inter-node deliveries may be delayed
+// (spikes or degradation).
 func (in *Injector) HasLatencyFaults() bool {
 	return in.plan.SpikeRate > 0 || len(in.plan.Degrades) > 0
 }
@@ -179,49 +135,22 @@ func mix(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Decision-kind salts keep the drop, ack-drop and spike streams
-// statistically independent even for the same (link, seq) identity.
-const (
-	kindDrop uint64 = iota + 1
-	kindAckDrop
-	kindSpike
-)
-
-// roll maps a fully-qualified decision identity to a uniform [0,1) float.
-func (in *Injector) roll(kind uint64, from, to int, seq uint64) float64 {
-	h := mix(in.plan.Seed ^ kind)
+// roll maps a message identity on the from→to link to a uniform [0,1)
+// float.
+func (in *Injector) roll(from, to int, seq uint64) float64 {
+	h := mix(in.plan.Seed)
 	h = mix(h ^ (uint64(uint32(from))<<32 | uint64(uint32(to))))
 	h = mix(h ^ seq)
 	return float64(h>>11) / (1 << 53)
 }
 
-// DropData decides whether transmission `attempt` of message `seq` on the
-// from→to link is lost. Each attempt rolls independently.
-func (in *Injector) DropData(from, to int, seq uint64, attempt int) bool {
-	if in.plan.DropRate == 0 {
-		return false
-	}
-	return in.roll(kindDrop, from, to, seq*maxAttemptsCap+uint64(attempt)) < in.plan.DropRate
-}
-
-// DropAck decides whether ack instance `ackSeq` on the from→to link is
-// lost. ackSeq must be unique per physical ack (the cluster keeps a
-// monotone counter) so duplicate acks roll independently.
-func (in *Injector) DropAck(from, to int, ackSeq uint64) bool {
-	if in.plan.AckDropRate == 0 {
-		return false
-	}
-	return in.roll(kindAckDrop, from, to, ackSeq) < in.plan.AckDropRate
-}
-
-// ExtraLatency returns the additional delivery latency for transmission
-// `attempt` of message `seq` departing at virtual time `at`, given the
-// link's base inter-node latency: a probabilistic spike plus any active
-// sustained degradation window.
-func (in *Injector) ExtraLatency(from, to int, seq uint64, attempt int, at sim.Time, base sim.Duration) sim.Duration {
+// ExtraLatency returns the additional delivery latency for message `seq`
+// departing at virtual time `at`, given the link's base inter-node
+// latency: a probabilistic spike plus any active sustained degradation
+// window.
+func (in *Injector) ExtraLatency(from, to int, seq uint64, at sim.Time, base sim.Duration) sim.Duration {
 	var extra sim.Duration
-	if in.plan.SpikeRate > 0 &&
-		in.roll(kindSpike, from, to, seq*maxAttemptsCap+uint64(attempt)) < in.plan.SpikeRate {
+	if in.plan.SpikeRate > 0 && in.roll(from, to, seq) < in.plan.SpikeRate {
 		extra += in.plan.SpikeExtra
 	}
 	for _, d := range in.plan.Degrades {
@@ -230,15 +159,6 @@ func (in *Injector) ExtraLatency(from, to int, seq uint64, attempt int, at sim.T
 		}
 	}
 	return extra
-}
-
-// RTO returns the retransmit timeout for the given attempt number:
-// BaseRTO << attempt (exponential backoff).
-func RTO(attempt int) sim.Duration {
-	if attempt > 16 {
-		attempt = 16
-	}
-	return BaseRTO << uint(attempt)
 }
 
 // DilationFor returns the compute-time dilation function for a rank, or
@@ -268,8 +188,6 @@ func (in *Injector) DilationFor(rank int) func(sim.Time, sim.Duration) sim.Durat
 // strings. The grammar is a comma-separated clause list:
 //
 //	seed=N                      PRNG seed (decimal)
-//	drop=F                      inter-node loss probability
-//	ackdrop=F                   ack loss probability
 //	spike=F:DUR                 latency-spike probability and magnitude
 //	degrade=Fx@START+DUR        sustained latency multiplier window
 //	straggler=rR:Fx@START+DUR   per-rank compute multiplier window
@@ -297,10 +215,6 @@ func Parse(spec string) (Plan, error) {
 		switch key {
 		case "seed":
 			p.Seed, err = strconv.ParseUint(val, 10, 64)
-		case "drop":
-			p.DropRate, err = parseRate(val)
-		case "ackdrop":
-			p.AckDropRate, err = parseRate(val)
 		case "spike":
 			rate, dur, found := strings.Cut(val, ":")
 			if !found {
@@ -349,12 +263,6 @@ func (p *Plan) Format() string {
 	add := func(s string) { parts = append(parts, s) }
 	if p.Seed != 0 {
 		add(fmt.Sprintf("seed=%d", p.Seed))
-	}
-	if p.DropRate != 0 {
-		add("drop=" + fmtRate(p.DropRate))
-	}
-	if p.AckDropRate != 0 {
-		add("ackdrop=" + fmtRate(p.AckDropRate))
 	}
 	if p.SpikeRate != 0 {
 		add("spike=" + fmtRate(p.SpikeRate) + ":" + fmtDur(p.SpikeExtra))

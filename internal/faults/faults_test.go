@@ -10,11 +10,11 @@ import (
 func TestSpecRoundTrip(t *testing.T) {
 	specs := []string{
 		"",
-		"seed=7,drop=0.01",
-		"seed=7,drop=0.0001,ackdrop=0.02,spike=0.002:50us",
+		"seed=7,spike=0.01:20us",
+		"seed=7,spike=0.002:50us,degrade=2x@1ms+500us",
 		"seed=1,degrade=2x@1ms+500us",
 		"seed=9,straggler=r3:4x@200us+1ms,straggler=r2:2x@1ms+300us",
-		"drop=0.01,straggler=r0:2x@0ns+5us,straggler=r0:2x@2ms+5us,straggler=r4:3x@1ms+1ms",
+		"spike=0.01:1ms,straggler=r0:2x@0ns+5us,straggler=r0:2x@2ms+5us,straggler=r4:3x@1ms+1ms",
 	}
 	for _, spec := range specs {
 		p, err := Parse(spec)
@@ -35,11 +35,11 @@ func TestSpecRoundTrip(t *testing.T) {
 func TestSpecCanonicalForm(t *testing.T) {
 	// Clause order and window sorting are normalized; durations render in
 	// their largest exact unit.
-	p, err := Parse("straggler=r2:2x@1500us+300us,drop=0.01,seed=7,straggler=r1:2x@1ms+2ms")
+	p, err := Parse("straggler=r2:2x@1500us+300us,spike=0.01:1000us,seed=7,straggler=r1:2x@1ms+2ms")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := "seed=7,drop=0.01,straggler=r1:2x@1ms+2ms,straggler=r2:2x@1500us+300us"
+	want := "seed=7,spike=0.01:1ms,straggler=r1:2x@1ms+2ms,straggler=r2:2x@1500us+300us"
 	if got := p.Format(); got != want {
 		t.Fatalf("Format = %q, want %q", got, want)
 	}
@@ -47,10 +47,10 @@ func TestSpecCanonicalForm(t *testing.T) {
 
 func TestParseErrors(t *testing.T) {
 	bad := []string{
-		"drop",                      // no value
+		"spike",                     // no value
 		"bogus=1",                   // unknown key
-		"drop=x",                    // not a number
-		"drop=1.5",                  // rate outside [0,1]
+		"spike=x:1us",               // not a number
+		"spike=1.5:1us",             // rate outside [0,1]
 		"spike=0.1",                 // missing duration
 		"spike=0.1:banana",          // bad duration
 		"spike=0.1:10",              // unitless duration
@@ -62,6 +62,8 @@ func TestParseErrors(t *testing.T) {
 		"crash=r1@1ms+1ms",          // removed clause: unknown key
 		"rto=20us",                  // removed clause: unknown key
 		"attempts=12",               // removed clause: unknown key
+		"drop=0.01",                 // removed clause: unknown key
+		"ackdrop=0.01",              // removed clause: unknown key
 	}
 	for _, spec := range bad {
 		if _, err := Parse(spec); err == nil {
@@ -79,9 +81,9 @@ func TestEmpty(t *testing.T) {
 	if !p.Empty() {
 		t.Error("a seed alone should leave the plan empty")
 	}
-	p.DropRate = 0.1
+	p.SpikeRate, p.SpikeExtra = 0.1, sim.Microsecond
 	if p.Empty() {
-		t.Error("drop rate makes the plan non-empty")
+		t.Error("spike rate makes the plan non-empty")
 	}
 }
 
@@ -89,34 +91,33 @@ func TestEmpty(t *testing.T) {
 // decision depends only on its identity, never on query order or on other
 // queries in between.
 func TestDecisionsDeterministicAndOrderFree(t *testing.T) {
-	in, err := Compile(Plan{Seed: 99, DropRate: 0.3, AckDropRate: 0.2, SpikeRate: 0.5, SpikeExtra: 10 * sim.Microsecond})
+	const extra = 10 * sim.Microsecond
+	in, err := Compile(Plan{Seed: 99, SpikeRate: 0.5, SpikeExtra: extra})
 	if err != nil {
 		t.Fatal(err)
 	}
 	type q struct {
 		from, to int
 		seq      uint64
-		attempt  int
 	}
-	queries := []q{{0, 5, 0, 0}, {0, 5, 0, 1}, {5, 0, 0, 0}, {3, 7, 19, 0}, {3, 7, 20, 0}}
-	forward := make([]bool, len(queries))
+	queries := []q{{0, 5, 0}, {0, 5, 1}, {5, 0, 0}, {3, 7, 19}, {3, 7, 20}}
+	forward := make([]sim.Duration, len(queries))
 	for i, e := range queries {
-		forward[i] = in.DropData(e.from, e.to, e.seq, e.attempt)
+		forward[i] = in.ExtraLatency(e.from, e.to, e.seq, 0, sim.Microsecond)
 	}
 	// Reverse order, with unrelated rolls interleaved.
 	for i := len(queries) - 1; i >= 0; i-- {
 		e := queries[i]
-		in.DropAck(e.to, e.from, e.seq)
-		in.ExtraLatency(e.from, e.to, e.seq, e.attempt, 0, sim.Microsecond)
-		if got := in.DropData(e.from, e.to, e.seq, e.attempt); got != forward[i] {
-			t.Fatalf("DropData(%+v) flipped between orders", e)
+		in.ExtraLatency(e.to, e.from, e.seq+100, 0, sim.Microsecond)
+		if got := in.ExtraLatency(e.from, e.to, e.seq, 0, sim.Microsecond); got != forward[i] {
+			t.Fatalf("ExtraLatency(%+v) flipped between orders", e)
 		}
 	}
 	// Distinct seeds must decorrelate the stream.
-	in2, _ := Compile(Plan{Seed: 100, DropRate: 0.3})
+	in2, _ := Compile(Plan{Seed: 100, SpikeRate: 0.5, SpikeExtra: extra})
 	same := 0
 	for seq := uint64(0); seq < 64; seq++ {
-		if in.DropData(1, 2, seq, 0) == in2.DropData(1, 2, seq, 0) {
+		if in.ExtraLatency(1, 2, seq, 0, 0) == in2.ExtraLatency(1, 2, seq, 0, 0) {
 			same++
 		}
 	}
@@ -125,38 +126,23 @@ func TestDecisionsDeterministicAndOrderFree(t *testing.T) {
 	}
 }
 
-// TestDropRateStatistics sanity-checks the hash-to-uniform mapping: the
-// empirical drop frequency must track the configured rate.
-func TestDropRateStatistics(t *testing.T) {
+// TestSpikeRateStatistics sanity-checks the hash-to-uniform mapping: the
+// empirical spike frequency must track the configured rate.
+func TestSpikeRateStatistics(t *testing.T) {
 	const rate, n = 0.1, 20000
-	in, err := Compile(Plan{Seed: 1, DropRate: rate})
+	in, err := Compile(Plan{Seed: 1, SpikeRate: rate, SpikeExtra: sim.Microsecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	drops := 0
+	spikes := 0
 	for seq := uint64(0); seq < n; seq++ {
-		if in.DropData(2, 9, seq, 0) {
-			drops++
+		if in.ExtraLatency(2, 9, seq, 0, 0) > 0 {
+			spikes++
 		}
 	}
-	got := float64(drops) / n
+	got := float64(spikes) / n
 	if math.Abs(got-rate) > 0.02 {
-		t.Fatalf("empirical drop rate %.4f, want ~%.2f", got, rate)
-	}
-}
-
-func TestRTOBackoff(t *testing.T) {
-	for attempt, want := range []sim.Duration{1, 2, 4, 8} {
-		if got := RTO(attempt); got != want*BaseRTO {
-			t.Fatalf("RTO(%d) = %v, want %v", attempt, got, want*BaseRTO)
-		}
-	}
-	// The backoff stops doubling at attempt 16.
-	if RTO(40) != RTO(16) || RTO(16) != BaseRTO<<16 {
-		t.Fatalf("RTO(40) = %v, RTO(16) = %v, want both %v", RTO(40), RTO(16), BaseRTO<<16)
-	}
-	if MaxAttempts > maxAttemptsCap {
-		t.Fatalf("MaxAttempts %d exceeds the decision hash's cap %d", MaxAttempts, maxAttemptsCap)
+		t.Fatalf("empirical spike rate %.4f, want ~%.2f", got, rate)
 	}
 }
 
@@ -169,11 +155,11 @@ func TestExtraLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := 2 * sim.Microsecond
-	if got := in.ExtraLatency(0, 1, 0, 0, 0, base); got != 0 {
+	if got := in.ExtraLatency(0, 1, 0, 0, base); got != 0 {
 		t.Fatalf("outside window: extra = %v, want 0", got)
 	}
 	at := sim.Time(1500 * sim.Microsecond)
-	if got := in.ExtraLatency(0, 1, 0, 0, at, base); got != 2*base {
+	if got := in.ExtraLatency(0, 1, 0, at, base); got != 2*base {
 		t.Fatalf("inside 3x window: extra = %v, want %v", got, 2*base)
 	}
 }

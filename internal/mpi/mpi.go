@@ -8,12 +8,11 @@
 // reason DSMTX batches produces into larger messages (§4.2, Fig. 5b). The
 // Cost fields reproduce that model.
 //
-// Reliability is below this layer: when fault injection is active the
-// cluster's NIC-level ack/retransmit path (cluster.Machine.EnableFaults)
-// delivers every message exactly once and in order, so the MPI semantics
-// here — blocking receives, non-overtaking per (source, dest) pair — hold
-// unchanged on a lossy interconnect; senders only observe the extra wire
-// time of retransmissions.
+// Reliability is below this layer, as it is below MPI on the paper's
+// InfiniBand: every platform delivers each message exactly once and in
+// order. Injected faults (cluster.Machine.EnableFaults) only delay
+// deliveries, so the MPI semantics here — blocking receives,
+// non-overtaking per (source, dest) pair — hold unchanged under them.
 package mpi
 
 import (

@@ -132,7 +132,8 @@ func (c *Cluster) dialControl() error {
 // the sessions desynchronized.
 var ErrRejected = errors.New("netrun: job rejected before dispatch")
 
-// Run runs the DSMTX job the five-field spec names; until ROADMAP 8(i).
+// Run runs the DSMTX job the five-field spec names; until bench/ moves
+// onto job.Spec.
 func (c *Cluster) Run(s JobSpec) (Result, error) {
 	return c.RunJob(job.Spec{Bench: s.Bench, Backend: core.BackendNet.String(), Cores: s.Cores,
 		Scale: s.Scale, Seed: s.Seed, Rate: s.MisspecRate})

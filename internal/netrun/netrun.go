@@ -35,7 +35,7 @@ const ListenEnv = "DSMTX_NET_LISTEN"
 const listenLine = "DSMTXD LISTEN "
 
 // JobSpec is the five-field DSMTX spec bench/ still builds (Cluster.Run);
-// until ROADMAP 8(i) moves bench onto job.Spec.
+// until bench/ moves onto job.Spec (ROADMAP "`bench/` housekeeping").
 type JobSpec struct {
 	Bench       string
 	Scale       int

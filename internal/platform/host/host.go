@@ -194,8 +194,7 @@ func (h *Platform) Now() platform.Time { return platform.Time(time.Since(h.start
 func (h *Platform) Events() uint64 { return 0 }
 
 // Traffic sums the per-endpoint counters into a snapshot. Message and byte
-// counts are real; there is no dropped/retransmit accounting (delivery is
-// reliable and immediate).
+// counts are real (delivery is reliable and immediate).
 func (h *Platform) Traffic() platform.TrafficStats {
 	var t platform.TrafficStats
 	for _, e := range h.eps {

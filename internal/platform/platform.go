@@ -75,10 +75,6 @@ type Message struct {
 	Payload  any
 	Bytes    int // modelled wire size; must be >= 0
 	Class    MsgClass
-	// Seq is the reliable-layer per-link sequence number; only meaningful
-	// when fault injection routes the message through the ack/retransmit
-	// path (zero otherwise).
-	Seq uint64
 }
 
 // AnySource registers a mailbox that receives messages from every sender
@@ -101,18 +97,6 @@ type TrafficStats struct {
 	PageBytes       uint64
 	ControlMessages uint64
 	ControlBytes    uint64
-
-	// Resilience-layer accounting, all zero when fault injection is off.
-	// Retransmissions and acks are real wire traffic, so their bytes are
-	// *also* counted in the totals and class sums above; these fields say
-	// how much of that traffic the fault layer caused. Dropped messages
-	// consumed the sender's NIC but never arrived.
-	DroppedMessages uint64
-	DroppedBytes    uint64
-	RetransMessages uint64
-	RetransBytes    uint64
-	AckMessages     uint64
-	AckBytes        uint64
 }
 
 // Add accumulates another run's traffic into t (multi-invocation totals).
@@ -127,12 +111,6 @@ func (t *TrafficStats) Add(o TrafficStats) {
 	t.PageBytes += o.PageBytes
 	t.ControlMessages += o.ControlMessages
 	t.ControlBytes += o.ControlBytes
-	t.DroppedMessages += o.DroppedMessages
-	t.DroppedBytes += o.DroppedBytes
-	t.RetransMessages += o.RetransMessages
-	t.RetransBytes += o.RetransBytes
-	t.AckMessages += o.AckMessages
-	t.AckBytes += o.AckBytes
 }
 
 // Proc is the handle a runtime process uses to spend time. Under vtime it

@@ -25,15 +25,12 @@
 // receiver in the sender's process can recycle. On net, a batch that crosses
 // daemons is encoded by the writer goroutine after Send returns and the
 // receiver gets a decoded copy, so the sender never sees the original again
-// and the copy recycles into the receiving daemon's Queue. Under vtime
-// faults a retransmitted copy of a recycled batch is dropped as a duplicate
-// by the reliable layer before anyone reads it. Abort on either port
-// recycles what it discards.
+// and the copy recycles into the receiving daemon's Queue. Abort on either
+// port recycles what it discards.
 //
-// Queues inherit reliability from the layer below: under fault injection
-// the cluster retransmits lost batches and releases them in order, so
-// batch FIFO order and epoch discard survive a lossy interconnect
-// unmodified (pinned by the lossy-link queue test).
+// Queues inherit reliability from the layer below: every platform delivers
+// each batch exactly once and in order, and injected faults only delay
+// deliveries, so batch FIFO order and epoch discard hold under them.
 package queue
 
 import (

@@ -175,6 +175,44 @@ func init() {
 		func(d *wire.Decoder) any { return DecodeBatch(d, (*wire.Decoder).U64) })
 }
 
+// TestDecodeBatchKeepsOnlyWholeItems: a batch body cut short must fail to
+// decode and keep exactly the items that arrived whole — never a zero item
+// for the read that failed.
+func TestDecodeBatchKeepsOnlyWholeItems(t *testing.T) {
+	type cut struct{ count, whole, extra int } // extra: bytes of a partial item
+	var cases []cut
+	for _, count := range []int{1, 5} {
+		for whole := range count {
+			cases = append(cases, cut{count, whole, 0})
+		}
+	}
+	cases = append(cases, cut{5, 2, 3})
+	for _, c := range cases {
+		var e wire.Encoder
+		e.U64(9)
+		e.Uvarint(64)
+		e.Uvarint(uint64(c.count))
+		for i := range c.whole {
+			e.U64(100 + uint64(i))
+		}
+		e.Raw(make([]byte, c.extra))
+		d := wire.NewDecoder(e.Bytes())
+		b := DecodeBatch(d, (*wire.Decoder).U64).(*batch[uint64])
+		if d.Err() == nil {
+			t.Errorf("%+v: decoded without error", c)
+		}
+		if len(b.items) != c.whole {
+			t.Errorf("%+v: kept %d items %v, want the %d whole ones", c, len(b.items), b.items, c.whole)
+			continue
+		}
+		for i, v := range b.items {
+			if v != 100+uint64(i) {
+				t.Errorf("%+v: item %d = %d, want %d", c, i, v, 100+i)
+			}
+		}
+	}
+}
+
 // TestCrossDaemonBatchNeverReturnsToSender runs a queue between two
 // in-process net meshes, each daemon with its own copy of the Queue as the
 // runtime builds it. The writer goroutine encodes a batch after Send has

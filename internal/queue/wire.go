@@ -25,14 +25,18 @@ func EncodeBatch[T any](e *wire.Encoder, payload any, item func(*wire.Encoder, T
 
 // DecodeBatch reads a batch[T] back. Items are sized once, to the smaller
 // of the count and the bytes that actually arrived (every item takes at
-// least one), so a corrupt count cannot drive allocation; each item read
-// past the end latches the decoder error and stops the loop.
+// least one), so a corrupt count cannot drive allocation; an item read
+// past the end latches the decoder error, is not kept, and stops the loop.
 func DecodeBatch[T any](d *wire.Decoder, item func(*wire.Decoder) T) any {
 	b := &batch[T]{epoch: d.U64(), bytes: d.Int()}
 	n := d.Int()
 	b.items = make([]T, 0, min(n, d.Remaining()))
-	for i := 0; i < n && d.Err() == nil; i++ {
-		b.items = append(b.items, item(d))
+	for range n {
+		it := item(d)
+		if d.Err() != nil {
+			break
+		}
+		b.items = append(b.items, it)
 	}
 	return b
 }

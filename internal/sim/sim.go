@@ -43,15 +43,12 @@ const (
 var ErrDeadlock = errors.New("sim: deadlock")
 
 // event is a single entry in the kernel's calendar: either "resume process p"
-// or "call fn" at time t. Same-time events fire in seq order. dead, when
-// non-nil and set, marks a cancelled event: it is discarded on pop without
-// firing and without moving the clock.
+// or "call fn" at time t. Same-time events fire in seq order.
 type event struct {
-	t    Time
-	seq  uint64
-	p    *Proc
-	fn   func()
-	dead *bool
+	t   Time
+	seq uint64
+	p   *Proc
+	fn  func()
 }
 
 // eventHeap is a hand-rolled binary min-heap over event values. Avoiding
@@ -157,21 +154,6 @@ func (k *Kernel) At(t Time, fn func()) { k.schedule(t, nil, fn) }
 // After schedules fn to run d from now. fn must not block.
 func (k *Kernel) After(d Duration, fn func()) { k.schedule(k.now+d, nil, fn) }
 
-// AtCancel schedules fn like At and returns a cancel function. Cancelled
-// events are discarded when popped — before the clock moves to their
-// timestamp — so an armed-then-cancelled timer (e.g. a retransmission
-// timeout whose ack arrived) can never stretch the virtual clock or the
-// run's elapsed time. Cancelling after the event fired is a no-op.
-func (k *Kernel) AtCancel(t Time, fn func()) (cancel func()) {
-	if t < k.now {
-		t = k.now
-	}
-	dead := new(bool)
-	k.seq++
-	k.events.push(event{t: t, seq: k.seq, fn: fn, dead: dead})
-	return func() { *dead = true }
-}
-
 // Spawn creates a new process executing fn and schedules it to start at the
 // current virtual time. The name appears in deadlock reports.
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
@@ -210,9 +192,6 @@ func (k *Kernel) Run(horizon Time) error {
 			break
 		}
 		e := k.events.popMin()
-		if e.dead != nil && *e.dead {
-			continue
-		}
 		k.now = e.t
 		k.nEvents++
 		if e.fn != nil {
@@ -359,9 +338,6 @@ func (p *Proc) drive() {
 			return
 		}
 		e := k.events.popMin()
-		if e.dead != nil && *e.dead {
-			continue
-		}
 		k.now = e.t
 		k.nEvents++
 		if e.fn != nil {

@@ -354,3 +354,34 @@ func TestProcAdvancedAccounting(t *testing.T) {
 		t.Fatalf("Advanced = %v, want 123", proc.Advanced())
 	}
 }
+
+// TestSetDilation: a dilation hook stretches Advance quanta (including
+// through the park-free fast path) and the stretch lands in Advanced.
+func TestSetDilation(t *testing.T) {
+	k := NewKernel()
+	var end Time
+	var busy Time
+	k.Spawn("straggler", func(p *Proc) {
+		p.SetDilation(func(now Time, d Duration) Duration {
+			if now >= 10*Microsecond && now < 20*Microsecond {
+				return 3 * d
+			}
+			return d
+		})
+		p.Advance(10 * Microsecond) // outside window: 10µs
+		p.Advance(5 * Microsecond)  // inside window: 15µs
+		p.SetDilation(nil)
+		p.Advance(5 * Microsecond) // hook removed: 5µs
+		end = p.Now()
+		busy = p.Advanced()
+	})
+	if err := k.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if end != 30*Microsecond {
+		t.Fatalf("end = %v, want 30µs", end)
+	}
+	if busy != 30*Microsecond {
+		t.Fatalf("Advanced = %v, want 30µs (dilation is busy time)", busy)
+	}
+}

@@ -48,8 +48,6 @@ const (
 	InstFlush                     // a queue batch left the sender (V1 = items, V2 = wire bytes)
 	InstDrain                     // a queue batch was drained by the consumer (V1 = items)
 	InstMisspec                   // a misspeculation marker was emitted (MTX = iteration)
-	InstDrop                      // the network lost a transmission (MTX = link seq, V1 = bytes, V2 = attempt)
-	InstRetransmit                // a sender retransmitted after ack timeout (MTX = link seq, V1 = bytes, V2 = attempt)
 	SpanPageServe                 // a commit unit's page server served one COA request (MTX = start page, V1 = pages, V2 = wire bytes)
 	SpanRecvPark                  // host delivery: a receiver parked awaiting a message (V1 = tag)
 	SpanShardCommit               // a non-coordinator participant shard applied its partition of an MTX (V1 = entries, V2 = bulk bytes)
@@ -78,8 +76,6 @@ var kindMeta = [numKinds]struct {
 	InstFlush:         {"queue.flush", "queue", "", "items", "bytes"},
 	InstDrain:         {"queue.drain", "queue", "", "items", ""},
 	InstMisspec:       {"misspec", "worker", "mtx", "", ""},
-	InstDrop:          {"fault.drop", "fault", "seq", "bytes", "attempt"},
-	InstRetransmit:    {"fault.retransmit", "fault", "seq", "bytes", "attempt"},
 	SpanPageServe:     {"pagesrv.shard", "pagesrv", "page", "pages", "wire_bytes"},
 	SpanRecvPark:      {"recv.park", "delivery", "", "tag", ""},
 	SpanShardCommit:   {"commit.shard", "commit", "mtx", "entries", "bulk_bytes"},

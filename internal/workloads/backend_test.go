@@ -6,6 +6,7 @@ import (
 	"dsmtx/internal/core"
 	"dsmtx/internal/faults"
 	"dsmtx/internal/platform"
+	"dsmtx/internal/sim"
 	"dsmtx/internal/trace"
 )
 
@@ -122,7 +123,7 @@ func TestHostBackendRejectsVTimeOnlyFeatures(t *testing.T) {
 	prog := b.NewDSMTX(Input{Scale: 1, Seed: 42}, 0)
 	cfg := core.DefaultConfig(8, prog.Plan())
 	cfg.Backend = core.BackendHost
-	cfg.Faults = &faults.Plan{Seed: 1, DropRate: 0.1}
+	cfg.Faults = &faults.Plan{Stragglers: []faults.Straggler{{Rank: 1, From: 0, Dur: sim.Millisecond, Factor: 2}}}
 	if _, err := core.NewSystem(cfg, prog, nil); err == nil {
 		t.Fatal("host backend accepted a fault plan")
 	}

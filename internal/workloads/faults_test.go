@@ -41,7 +41,7 @@ func faultRun(t *testing.T, in Input, plan *faults.Plan, tr *trace.Tracer) (Resu
 
 // TestEmptyFaultPlanIsByteIdentical pins the zero-cost-when-off contract: a
 // non-nil but empty plan must leave every virtual-time outcome identical to
-// a nil plan — no reliable-layer state, no extra events.
+// a nil plan — no injector, no extra events.
 func TestEmptyFaultPlanIsByteIdentical(t *testing.T) {
 	in := Input{Scale: 1, Seed: 42, MisspecRate: 0.02}
 	withNil, _ := faultRun(t, in, nil, nil)
@@ -51,19 +51,28 @@ func TestEmptyFaultPlanIsByteIdentical(t *testing.T) {
 	}
 }
 
+// delayPlan spikes 1% of inter-node messages, doubles link latency over
+// the middle third of a clean run and halves rank 2's speed over the same
+// window: every fault kind the plan grammar has.
+func delayPlan(seed uint64, clean sim.Duration) *faults.Plan {
+	from, dur := sim.Time(clean/3), clean/3
+	return &faults.Plan{
+		Seed: seed, SpikeRate: 0.01, SpikeExtra: 20 * sim.Microsecond,
+		Degrades:   []faults.Degrade{{From: from, Dur: dur, Factor: 2}},
+		Stragglers: []faults.Straggler{{Rank: 2, From: from, Dur: dur, Factor: 2}},
+	}
+}
+
 // TestFaultedRunsBitIdentical extends the repeat-run determinism pin to a
-// lossy interconnect: identical fault seeds must reproduce every Result
-// field — including the drop/retransmission counters — across repeated and
-// concurrent runs.
+// faulted interconnect: identical fault seeds must reproduce every Result
+// field across repeated and concurrent runs.
 func TestFaultedRunsBitIdentical(t *testing.T) {
 	in := Input{Scale: 1, Seed: 42, MisspecRate: 0.001}
-	plan := &faults.Plan{
-		Seed: 9, DropRate: 0.002, AckDropRate: 0.002,
-		SpikeRate: 0.01, SpikeExtra: 20 * sim.Microsecond,
-	}
+	clean, _ := faultRun(t, in, nil, nil)
+	plan := delayPlan(9, clean.Elapsed)
 	base, _ := faultRun(t, in, plan, nil)
-	if base.Traffic.RetransMessages == 0 {
-		t.Fatal("plan never forced a retransmission; raise the drop rate")
+	if base.Elapsed == clean.Elapsed {
+		t.Fatal("plan never engaged: elapsed equals the clean run's")
 	}
 	again, _ := faultRun(t, in, plan, nil)
 	if !reflect.DeepEqual(again, base) {
@@ -138,21 +147,16 @@ func TestVTimeStallTableAccountsWindows(t *testing.T) {
 }
 
 // TestFaultedTracesBitIdentical: a faulted run must be deterministic down to
-// the exported trace bytes — drops, retransmits and a straggler window
+// the exported trace bytes — spikes, a degraded link and a straggler window
 // included.
 func TestFaultedTracesBitIdentical(t *testing.T) {
 	in := Input{Scale: 1, Seed: 42, MisspecRate: 0.001}
 	clean, _ := faultRun(t, in, nil, nil)
-	plan := &faults.Plan{
-		Seed: 3, DropRate: 0.001, AckDropRate: 0.001,
-		Stragglers: []faults.Straggler{
-			{Rank: 2, From: clean.Elapsed / 3, Dur: clean.Elapsed / 3, Factor: 2},
-		},
-	}
+	plan := delayPlan(3, clean.Elapsed)
 	res1, trace1 := faultRun(t, in, plan, trace.New())
 	res2, trace2 := faultRun(t, in, plan, trace.New())
-	if res1.Traffic.RetransMessages == 0 {
-		t.Fatal("plan never forced a retransmission; raise the drop rate")
+	if res1.Elapsed == clean.Elapsed {
+		t.Fatal("plan never engaged: elapsed equals the clean run's")
 	}
 	if !bytes.Equal(trace1, trace2) {
 		t.Fatalf("faulted-run traces differ: %d vs %d bytes", len(trace1), len(trace2))

@@ -8,12 +8,13 @@ import (
 
 	"dsmtx/internal/core"
 	"dsmtx/internal/faults"
+	"dsmtx/internal/sim"
 	"dsmtx/internal/trace"
 	"dsmtx/internal/workloads"
 )
 
-// realTrace produces a Chrome trace from a faulted run, so the export
-// exercises the resilience vocabulary (drops, retransmits) alongside the
+// realTrace produces a Chrome trace from a faulted run (a straggler and
+// latency spikes), so the checker sees a stretched schedule alongside the
 // ordinary execution spans.
 func realTrace(t *testing.T) []byte {
 	t.Helper()
@@ -22,7 +23,10 @@ func realTrace(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	tr := trace.New()
-	plan := faults.Plan{Seed: 3, DropRate: 0.01}
+	plan := faults.Plan{
+		Seed: 3, SpikeRate: 0.01, SpikeExtra: 20 * sim.Microsecond,
+		Stragglers: []faults.Straggler{{Rank: 1, From: 0, Dur: sim.Millisecond, Factor: 2}},
+	}
 	if _, err := workloads.RunParallel(b, workloads.DefaultInput(), workloads.DSMTX, 16,
 		func(cfg *core.Config) {
 			cfg.Tracer = tr
@@ -45,11 +49,6 @@ func TestCheckAcceptsRealFaultedTrace(t *testing.T) {
 	}
 	if !strings.Contains(summary, "spans") {
 		t.Fatalf("summary: %q", summary)
-	}
-	for _, name := range []string{trace.InstDrop.String(), trace.InstRetransmit.String()} {
-		if !bytes.Contains(data, []byte(`"`+name+`"`)) {
-			t.Errorf("faulted trace missing %q events", name)
-		}
 	}
 }
 
