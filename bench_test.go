@@ -12,7 +12,7 @@ import (
 
 	"dsmtx/internal/core"
 	"dsmtx/internal/harness"
-	"dsmtx/internal/sim"
+	"dsmtx/internal/platform"
 	"dsmtx/internal/workloads"
 )
 
@@ -21,9 +21,9 @@ func benchInput() workloads.Input { return workloads.DefaultInput() }
 
 // seqTimes caches sequential baselines per benchmark (they are
 // deterministic).
-var seqTimes = map[string]sim.Time{}
+var seqTimes = map[string]platform.Time{}
 
-func seqTime(b *testing.B, bench *workloads.Benchmark) sim.Time {
+func seqTime(b *testing.B, bench *workloads.Benchmark) platform.Time {
 	if t, ok := seqTimes[bench.Name]; ok {
 		return t
 	}
@@ -309,7 +309,7 @@ func BenchmarkAblationLatency(b *testing.B) {
 			var res workloads.Result
 			for i := 0; i < b.N; i++ {
 				res, err = workloads.RunParallel(bench, benchInput(), workloads.DSMTX, 64,
-					func(cfg *core.Config) { cfg.Cluster.InterNodeLatency = sim.Duration(us) * sim.Microsecond })
+					func(cfg *core.Config) { cfg.Cluster.InterNodeLatency = platform.Duration(us) * platform.Microsecond })
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -45,7 +45,6 @@ import (
 	"dsmtx/internal/cli"
 	"dsmtx/internal/engine"
 	"dsmtx/internal/netrun"
-	_ "dsmtx/internal/workloads" // registers the benchmark provider
 )
 
 // options are the parsed, validated command-line settings for both roles.

@@ -190,6 +190,8 @@ func TestServeRejectsBadSpec(t *testing.T) {
 		`{"bench":"crc32","cores":8,"faults":"rto=20us"}`:         "unknown clause key",
 		`{"bench":"crc32","cores":8,"faults":"drop=0.01"}`:        "unknown clause key",
 		`{"bench":"crc32","cores":8,"faults":"ackdrop=0.01"}`:     "unknown clause key",
+		// used to be admitted: NaN passed the parser and Validate
+		`{"bench":"crc32","cores":8,"faults":"straggler=r1:NaNx@0ns+1ms"}`: "bad number",
 		// used to be admitted, fail in core.NewSystem and answer 500
 		`{"bench":"crc32","backend":"host","cores":2}`:   "2 cores leave 0 workers",
 		`{"bench":"crc32","backend":"host","cores":129}`: "exceed the machine's 128",

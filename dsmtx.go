@@ -59,7 +59,7 @@ import (
 	"dsmtx/internal/core"
 	"dsmtx/internal/mem"
 	"dsmtx/internal/pipeline"
-	"dsmtx/internal/sim"
+	"dsmtx/internal/platform"
 	"dsmtx/internal/trace"
 	"dsmtx/internal/uva"
 )
@@ -96,7 +96,7 @@ type (
 	// Plan is a parallelization scheme in the paper's DSWP+[...] notation.
 	Plan = pipeline.Plan
 	// Time is virtual time in nanoseconds.
-	Time = sim.Time
+	Time = platform.Time
 )
 
 // Observability types: set Config.Tracer to a NewTracer (timeline + metrics)

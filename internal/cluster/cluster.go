@@ -27,8 +27,8 @@ type Config struct {
 	Nodes        int // number of nodes
 	CoresPerNode int // cores (ranks) per node
 
-	InterNodeLatency sim.Duration // one-way wire latency between nodes
-	IntraNodeLatency sim.Duration // one-way latency between cores of a node
+	InterNodeLatency platform.Duration // one-way wire latency between nodes
+	IntraNodeLatency platform.Duration // one-way latency between cores of a node
 
 	LinkBandwidth      float64 // bytes per virtual second through one NIC
 	IntraNodeBandwidth float64 // bytes per virtual second between local cores
@@ -51,8 +51,8 @@ func DefaultConfig() Config {
 	return Config{
 		Nodes:              32,
 		CoresPerNode:       4,
-		InterNodeLatency:   1900 * sim.Nanosecond,
-		IntraNodeLatency:   90 * sim.Nanosecond,
+		InterNodeLatency:   1900 * platform.Nanosecond,
+		IntraNodeLatency:   90 * platform.Nanosecond,
 		LinkBandwidth:      2.0e9,
 		IntraNodeBandwidth: 24e9,
 		HeadNode:           -1,
@@ -70,8 +70,8 @@ func ManycoreConfig() Config {
 	return Config{
 		Nodes:              48,
 		CoresPerNode:       1,
-		InterNodeLatency:   200 * sim.Nanosecond, // on-die mesh hop
-		IntraNodeLatency:   50 * sim.Nanosecond,
+		InterNodeLatency:   200 * platform.Nanosecond, // on-die mesh hop
+		IntraNodeLatency:   50 * platform.Nanosecond,
 		LinkBandwidth:      5e9, // on-die links
 		IntraNodeBandwidth: 24e9,
 		HeadNode:           -1,
@@ -135,11 +135,11 @@ func (c Config) NodeOf(rank int) int { return rank % c.Nodes }
 
 // InstrTime converts an instruction count to virtual time at the
 // configured clock rate.
-func (c Config) InstrTime(instructions int64) sim.Duration {
+func (c Config) InstrTime(instructions int64) platform.Duration {
 	if instructions <= 0 {
 		return 0
 	}
-	return sim.Duration(float64(instructions) / c.ClockGHz)
+	return platform.Duration(float64(instructions) / c.ClockGHz)
 }
 
 type mailboxKey struct {
@@ -152,11 +152,11 @@ type mailboxKey struct {
 type Machine struct {
 	k       *sim.Kernel
 	cfg     Config
-	nicFree []sim.Time // per-node time at which the NIC is next idle
+	nicFree []platform.Time // per-node time at which the NIC is next idle
 	// lastArrival enforces MPI's non-overtaking guarantee: two messages
 	// between the same (src, dst) pair are never delivered out of order,
 	// even when a small message follows a large one on a faster path.
-	lastArrival map[[2]int]sim.Time
+	lastArrival map[[2]int]platform.Time
 	eps         []*Endpoint
 	stats       platform.TrafficStats
 
@@ -185,8 +185,8 @@ func New(k *sim.Kernel, cfg Config) *Machine {
 	m := &Machine{
 		k:           k,
 		cfg:         cfg,
-		nicFree:     make([]sim.Time, cfg.Nodes),
-		lastArrival: make(map[[2]int]sim.Time),
+		nicFree:     make([]platform.Time, cfg.Nodes),
+		lastArrival: make(map[[2]int]platform.Time),
 		eps:         make([]*Endpoint, cfg.Ranks()),
 	}
 	for r := range m.eps {
@@ -235,7 +235,7 @@ func (m *Machine) Concurrent() bool { return false }
 // transmit models the wire: serialization through the sender's NIC for
 // inter-node messages, a fast path for intra-node ones. It returns the
 // arrival time at the destination.
-func (m *Machine) transmit(msg platform.Message) sim.Time {
+func (m *Machine) transmit(msg platform.Message) platform.Time {
 	now := m.k.Now()
 	m.stats.Messages++
 	m.stats.Bytes += uint64(msg.Bytes)
@@ -251,15 +251,15 @@ func (m *Machine) transmit(msg platform.Message) sim.Time {
 		m.stats.ControlBytes += uint64(msg.Bytes)
 	}
 	srcNode, dstNode := m.cfg.NodeOf(msg.From), m.cfg.NodeOf(msg.To)
-	var arrival sim.Time
+	var arrival platform.Time
 	if srcNode == dstNode {
 		m.stats.IntraNodeBytes += uint64(msg.Bytes)
-		xmit := sim.Duration(float64(msg.Bytes) / m.cfg.IntraNodeBandwidth * 1e9)
+		xmit := platform.Duration(float64(msg.Bytes) / m.cfg.IntraNodeBandwidth * 1e9)
 		arrival = now + m.cfg.IntraNodeLatency + xmit
 	} else {
 		m.stats.InterNodeBytes += uint64(msg.Bytes)
 		depart := max(now, m.nicFree[srcNode])
-		xmit := sim.Duration(float64(msg.Bytes) / m.cfg.bandwidthOf(srcNode) * 1e9)
+		xmit := platform.Duration(float64(msg.Bytes) / m.cfg.bandwidthOf(srcNode) * 1e9)
 		m.nicFree[srcNode] = depart + xmit
 		arrival = depart + xmit + m.cfg.InterNodeLatency
 		if m.latFaults {

@@ -70,7 +70,7 @@ func TestNodePlacementRoundRobin(t *testing.T) {
 
 func TestInstrTime(t *testing.T) {
 	cfg := testConfig() // 3 GHz
-	if got := cfg.InstrTime(3000); got != 1000*sim.Nanosecond {
+	if got := cfg.InstrTime(3000); got != 1000*platform.Nanosecond {
 		t.Fatalf("3000 instr @3GHz = %v, want 1µs", got)
 	}
 	if got := cfg.InstrTime(-5); got != 0 {
@@ -81,7 +81,7 @@ func TestInstrTime(t *testing.T) {
 func TestInterNodeLatencyApplied(t *testing.T) {
 	k := sim.NewKernel()
 	m := New(k, testConfig())
-	var arrival sim.Time
+	var arrival platform.Time
 	k.Spawn("rx", func(p *sim.Proc) {
 		m.Endpoint(1).Recv(p, 0, 7) // rank 1 is node 1: inter-node
 		arrival = p.Now()
@@ -100,7 +100,7 @@ func TestInterNodeLatencyApplied(t *testing.T) {
 func TestIntraNodeFasterThanInterNode(t *testing.T) {
 	k := sim.NewKernel()
 	m := New(k, testConfig())
-	var intra, inter sim.Time
+	var intra, inter platform.Time
 	// Rank 0 and 4 share node 0; rank 1 is on node 1.
 	k.Spawn("rxIntra", func(p *sim.Proc) {
 		m.Endpoint(4).Recv(p, 0, 1)
@@ -129,7 +129,7 @@ func TestNICSerialization(t *testing.T) {
 	cfg.LinkBandwidth = 1e9 // 1 byte/ns
 	k := sim.NewKernel()
 	m := New(k, cfg)
-	var first, second sim.Time
+	var first, second platform.Time
 	k.Spawn("rx", func(p *sim.Proc) {
 		m.Endpoint(1).Recv(p, 0, 1)
 		first = p.Now()
@@ -143,7 +143,7 @@ func TestNICSerialization(t *testing.T) {
 	if err := k.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	if second-first != 1000*sim.Nanosecond {
+	if second-first != 1000*platform.Nanosecond {
 		t.Fatalf("gap = %v, want 1µs NIC serialization", second-first)
 	}
 }
@@ -164,7 +164,7 @@ func TestAnySourceMailbox(t *testing.T) {
 	})
 	for _, src := range []int{1, 2, 3} {
 		k.Spawn("tx", func(p *sim.Proc) {
-			p.Advance(sim.Duration(src * 100))
+			p.Advance(platform.Duration(src * 100))
 			m.Endpoint(src).Send(0, tag, nil, 8)
 		})
 	}
@@ -211,7 +211,7 @@ func TestMessagesFIFOPerPair(t *testing.T) {
 		k.Spawn("tx", func(p *sim.Proc) {
 			for i, sz := range sizes {
 				m.Endpoint(0).Send(1, 3, i, int(sz))
-				p.Advance(sim.Duration(sz % 7))
+				p.Advance(platform.Duration(sz % 7))
 			}
 		})
 		if err := k.Run(0); err != nil {
@@ -246,12 +246,12 @@ func TestEndpointRankPanicsOutOfRange(t *testing.T) {
 func TestIdleIsExactlyAdvance(t *testing.T) {
 	k := sim.NewKernel()
 	m := New(k, testConfig())
-	const d = 1234 * sim.Nanosecond
-	var before, after, busy sim.Time
+	const d = 1234 * platform.Nanosecond
+	var before, after, busy platform.Time
 	var pending bool
 	k.Spawn("poller", func(p *sim.Proc) {
 		ep := m.Endpoint(1)
-		p.Advance(10 * sim.Microsecond) // the message below is delivered by now
+		p.Advance(10 * platform.Microsecond) // the message below is delivered by now
 		before, busy = p.Now(), p.Advanced()
 		ep.Idle(p, d)
 		after, busy = p.Now(), p.Advanced()-busy
@@ -278,7 +278,7 @@ func TestLatencyFaultsDelayButPreserveOrder(t *testing.T) {
 	f := func(seed uint64) bool {
 		k := sim.NewKernel()
 		m := New(k, testConfig())
-		inj, err := faults.Compile(faults.Plan{Seed: seed, SpikeRate: 0.3, SpikeExtra: 100 * sim.Microsecond})
+		inj, err := faults.Compile(faults.Plan{Seed: seed, SpikeRate: 0.3, SpikeExtra: 100 * platform.Microsecond})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -315,20 +315,20 @@ func TestDegradedLinkSlowsDelivery(t *testing.T) {
 	k := sim.NewKernel()
 	m := New(k, cfg)
 	inj, err := faults.Compile(faults.Plan{
-		Degrades: []faults.Degrade{{From: 0, Dur: 10 * sim.Microsecond, Factor: 5}},
+		Degrades: []faults.Degrade{{From: 0, Dur: 10 * platform.Microsecond, Factor: 5}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	m.EnableFaults(inj)
-	var inside, outside sim.Time
+	var inside, outside platform.Time
 	k.Spawn("rx", func(p *sim.Proc) {
 		m.Endpoint(1).Recv(p, 0, 1)
 		inside = p.Now()
 		m.Endpoint(1).Recv(p, 0, 1)
 		outside = p.Now()
 	})
-	const gap = 20 * sim.Microsecond
+	const gap = 20 * platform.Microsecond
 	k.Spawn("tx", func(p *sim.Proc) {
 		m.Endpoint(0).Send(1, 1, nil, 0) // departs at t=0, inside the window
 		p.Advance(gap)                   // past the window

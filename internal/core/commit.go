@@ -9,6 +9,7 @@ import (
 	"dsmtx/internal/mem"
 	"dsmtx/internal/mpi"
 	"dsmtx/internal/platform"
+	"dsmtx/internal/queue"
 	"dsmtx/internal/trace"
 	"dsmtx/internal/uva"
 )
@@ -33,8 +34,8 @@ type cuNode struct {
 	img   *mem.Image
 	arena *uva.Arena
 
-	in      []*entryCursor // per worker tid
-	verdict *entryCursor
+	in      []*queue.RecvPort[Entry] // per worker tid
+	verdict *queue.RecvPort[Entry]
 
 	staged []Entry // group-commit staging buffer, reused across MTXs
 
@@ -154,9 +155,9 @@ func (c *cuNode) bind() {
 	ep.Mailbox(platform.AnySource, tagCtrl) // recovery epochs from any coordinator
 	c.voteCount = make(map[uint64]int)
 	for w := 0; w < c.sys.cfg.Workers(); w++ {
-		c.in = append(c.in, newEntryCursor(c.sys.toCUQ[w][c.shard].Receiver(c.comm)))
+		c.in = append(c.in, c.sys.toCUQ[w][c.shard].Receiver(c.comm))
 	}
-	c.verdict = newEntryCursor(c.sys.verdictQ[c.shard].Receiver(c.comm))
+	c.verdict = c.sys.verdictQ[c.shard].Receiver(c.comm)
 	c.cMissWorker = c.sys.tr.Metrics().Counter("misspec.worker")
 	c.cMissConflict = c.sys.tr.Metrics().Counter("misspec.conflict")
 	c.cReports = c.sys.tr.Metrics().Counter("window.reports")
@@ -340,13 +341,13 @@ func (c *cuNode) followRecovery(failed uint64) {
 }
 
 // flushInputs is the commit unit's queue flush in recovery: every worker
-// stream and the verdict cursor drop this epoch's entries, and so do the
+// stream and the verdict port drop this epoch's entries, and so do the
 // route records read from them.
 func (c *cuNode) flushInputs() {
 	for _, port := range c.in {
-		port.abort(c.epoch)
+		port.Abort(c.epoch)
 	}
-	c.verdict.abort(c.epoch)
+	c.verdict.Abort(c.epoch)
 	c.routes = make(map[uint64]int)
 }
 
@@ -405,10 +406,10 @@ func (c *cuNode) nextVerdict(iter uint64) bool {
 // total (pollTime) and to the caller's stall bucket: starvation when
 // waiting on worker store streams, verdict-wait when waiting on the
 // try-commit unit.
-func (c *cuNode) consumeNext(port *entryCursor, bucket *platform.Duration) Entry {
+func (c *cuNode) consumeNext(port *queue.RecvPort[Entry], bucket *platform.Duration) Entry {
 	backoff := pollMin
 	for {
-		if e, ok := port.tryNext(); ok {
+		if e, ok := port.TryNext(); ok {
 			return e
 		}
 		c.sys.pollWait(c.comm, &backoff, &c.pollTime, bucket)
@@ -416,7 +417,9 @@ func (c *cuNode) consumeNext(port *entryCursor, bucket *platform.Duration) Entry
 }
 
 // consumeStream is consumeNext on a worker store stream.
-func (c *cuNode) consumeStream(port *entryCursor) Entry { return c.consumeNext(port, &c.stallStarve) }
+func (c *cuNode) consumeStream(port *queue.RecvPort[Entry]) Entry {
+	return c.consumeNext(port, &c.stallStarve)
+}
 
 // recover orchestrates the four-phase recovery of §4.3 for a misspeculated
 // iteration: broadcast + barrier (ERM), queue flush + barrier (FLQ),

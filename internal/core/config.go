@@ -265,8 +265,9 @@ const (
 	tagStart     = 5 // commit unit -> all: Setup done, parallel section open
 	// tagCommitVoteBase + k is the ordered 2PC vote tag addressed to commit
 	// shard k acting as coordinator (cross-shard commits, stop votes at a
-	// false decision, and the termination votes to the lead shard). Unused —
-	// and never registered — when CommitShards <= 1.
+	// false decision, and the termination votes to the lead shard). Every
+	// commit unit registers its box at bind; with one shard nothing is sent
+	// to it.
 	tagCommitVoteBase = 40
 	tagQueueBase      = 100
 )

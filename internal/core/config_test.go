@@ -8,7 +8,6 @@ import (
 	"dsmtx/internal/faults"
 	"dsmtx/internal/pipeline"
 	"dsmtx/internal/platform"
-	"dsmtx/internal/sim"
 	"dsmtx/internal/trace"
 )
 
@@ -86,7 +85,7 @@ func TestValidateNetBackendErrors(t *testing.T) {
 			tune: func(cfg *Config) {
 				cfg.Backend = BackendNet
 				cfg.Platform = netPlat
-				cfg.Faults = &faults.Plan{Stragglers: []faults.Straggler{{Rank: 1, From: 0, Dur: sim.Millisecond, Factor: 2}}}
+				cfg.Faults = &faults.Plan{Stragglers: []faults.Straggler{{Rank: 1, From: 0, Dur: platform.Millisecond, Factor: 2}}}
 			},
 			want: "core: Config.Faults: fault injection is built on the virtual-time kernel; unsupported on the net backend",
 		},
@@ -95,7 +94,7 @@ func TestValidateNetBackendErrors(t *testing.T) {
 			cores: 12,
 			tune: func(cfg *Config) {
 				cfg.Backend = BackendHost
-				cfg.Faults = &faults.Plan{Stragglers: []faults.Straggler{{Rank: 1, From: 0, Dur: sim.Millisecond, Factor: 2}}}
+				cfg.Faults = &faults.Plan{Stragglers: []faults.Straggler{{Rank: 1, From: 0, Dur: platform.Millisecond, Factor: 2}}}
 			},
 			want: "core: Config.Faults: fault injection is built on the virtual-time kernel; unsupported on the host backend",
 		},

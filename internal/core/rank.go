@@ -7,6 +7,7 @@ import (
 	"dsmtx/internal/mpi"
 	"dsmtx/internal/pipeline"
 	"dsmtx/internal/platform"
+	"dsmtx/internal/queue"
 	"dsmtx/internal/trace"
 	"dsmtx/internal/uva"
 )
@@ -281,7 +282,7 @@ func (s *System) routeOf(stage int, iter uint64, routes map[uint64]int) int {
 // stream in in except that of endIter's first-stage worker, whose marker
 // ended the loop. Entries of squashed run-ahead subTXs may precede a marker;
 // they are dead.
-func (s *System) drainTerminates(in []*entryCursor, endIter uint64, next func(*entryCursor) Entry) {
+func (s *System) drainTerminates(in []*queue.RecvPort[Entry], endIter uint64, next func(*queue.RecvPort[Entry]) Entry) {
 	for tid, port := range in {
 		if s.layout.StageOf(tid) == 0 && s.layout.WorkerOf(0, endIter) == tid {
 			continue

@@ -5,7 +5,7 @@ import (
 	"testing/quick"
 
 	"dsmtx/internal/pipeline"
-	"dsmtx/internal/sim"
+	"dsmtx/internal/platform"
 	"dsmtx/internal/uva"
 )
 
@@ -23,7 +23,7 @@ func onBackends(t *testing.T, body func(t *testing.T, config func(cores int, pla
 			body(t, func(cores int, plan pipeline.Plan) Config {
 				cfg := smallConfig(cores, plan)
 				cfg.Backend = backend
-				cfg.Horizon = sim.Second // vtime's wedge guard; live runs have runWithin's
+				cfg.Horizon = platform.Second // vtime's wedge guard; live runs have runWithin's
 				return cfg
 			})
 		})

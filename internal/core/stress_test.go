@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"dsmtx/internal/pipeline"
-	"dsmtx/internal/sim"
+	"dsmtx/internal/platform"
 )
 
 // Deadlock-freedom stress tests. A protocol deadlock in the runtime shows
@@ -14,7 +14,7 @@ import (
 // guarded runs prog and fails the test if it deadlocks or under-commits.
 func guarded(t *testing.T, cfg Config, prog Program, wantCommits uint64) Result {
 	t.Helper()
-	cfg.Horizon = sim.Second
+	cfg.Horizon = platform.Second
 	sys, err := NewSystem(cfg, prog, nil)
 	if err != nil {
 		t.Fatal(err)

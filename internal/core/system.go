@@ -773,7 +773,7 @@ func (s *System) buildStallReport() {
 				continue
 			}
 			row.Busy = s.life[row.Track] - (row.Total() - row.Busy)
-			row.Park = sim.Time(hp.RankDelivery(row.Track))
+			row.Park = platform.Time(hp.RankDelivery(row.Track))
 		}
 	}
 }

@@ -18,7 +18,7 @@ import (
 type tcNode struct {
 	specRank
 
-	in       []*entryCursor           // per worker tid
+	in       []*queue.RecvPort[Entry] // per worker tid
 	verdicts []*queue.SendPort[Entry] // per commit shard
 
 	sinceFlush int
@@ -38,7 +38,7 @@ func (t *tcNode) run(p platform.Proc) {
 	defer t.sys.recordLife(t.rank, p, p.Now())
 	t.bind(p)
 	for _, q := range t.sys.toTCQ {
-		t.in = append(t.in, newEntryCursor(q.Receiver(t.comm)))
+		t.in = append(t.in, q.Receiver(t.comm))
 	}
 	for _, q := range t.sys.verdictQ {
 		t.verdicts = append(t.verdicts, q.Sender(t.comm))
@@ -136,10 +136,10 @@ func (t *tcNode) drainSub(tid int, iter uint64) (ok, term bool) {
 	}
 }
 
-func (t *tcNode) consumeNext(port *entryCursor) Entry {
+func (t *tcNode) consumeNext(port *queue.RecvPort[Entry]) Entry {
 	backoff := pollMin
 	for {
-		if e, ok := port.tryNext(); ok {
+		if e, ok := port.TryNext(); ok {
 			return e
 		}
 		t.checkCtrl()
@@ -158,7 +158,7 @@ func (t *tcNode) checkCtrl() {
 func (t *tcNode) doRecovery() {
 	cm := t.enterRecovery()
 	for _, port := range t.in {
-		port.abort(cm.epoch)
+		port.Abort(cm.epoch)
 	}
 	for _, v := range t.verdicts {
 		v.Abort(cm.epoch)

@@ -24,11 +24,11 @@ type workerNode struct {
 	outStages []int                                  // sorted destination stages
 	edgeOut   map[int]map[int]*queue.SendPort[Entry] // dstStage -> dstTid -> port
 	inStages  []int                                  // sorted source stages
-	edgeIn    map[int]map[int]*entryCursor           // fromStage -> srcTid -> cursor
+	edgeIn    map[int]map[int]*queue.RecvPort[Entry] // fromStage -> srcTid -> port
 	toTC      *queue.SendPort[Entry]
 	toCU      []*queue.SendPort[Entry] // per commit shard
 	syncOut   *queue.SendPort[Entry]
-	syncIn    *entryCursor
+	syncIn    *queue.RecvPort[Entry]
 
 	// Per-iteration commit-shard write tracking: cuMask is the set of shards
 	// this subTX wrote, cuMin the lowest written address; both ride out on
@@ -46,6 +46,7 @@ type workerNode struct {
 	// so it acks every iteration and may go without one indefinitely.
 	occRouted   bool
 	routedPool  []int
+	occAckBox   platform.Mailbox // completion acks from the routed pool (occupancy routing)
 	outstanding []int
 	rrNext      int
 	curRoute    int
@@ -78,7 +79,7 @@ func newWorkerNode(s *System, tid int) *workerNode {
 		stage:    s.layout.StageOf(tid),
 		poolIdx:  s.layout.PoolIndex(tid),
 		edgeOut:  make(map[int]map[int]*queue.SendPort[Entry]),
-		edgeIn:   make(map[int]map[int]*entryCursor),
+		edgeIn:   make(map[int]map[int]*queue.RecvPort[Entry]),
 		inbox:    make([]inboxQ, len(s.cfg.Plan.Stages)),
 		routesIn: make(map[uint64]int),
 	}
@@ -137,10 +138,10 @@ func (w *workerNode) bind(p platform.Proc) {
 		case dst == w.tid:
 			fromStage := w.sys.layout.StageOf(src)
 			if w.edgeIn[fromStage] == nil {
-				w.edgeIn[fromStage] = make(map[int]*entryCursor)
+				w.edgeIn[fromStage] = make(map[int]*queue.RecvPort[Entry])
 				w.inStages = append(w.inStages, fromStage)
 			}
-			w.edgeIn[fromStage][src] = newEntryCursor(q.Receiver(w.comm))
+			w.edgeIn[fromStage][src] = q.Receiver(w.comm)
 		}
 	}
 	sort.Ints(w.outStages)
@@ -153,7 +154,7 @@ func (w *workerNode) bind(p platform.Proc) {
 
 	if w.sys.cfg.Plan.Sync {
 		w.syncOut = w.sys.syncQ[w.tid].Sender(w.comm)
-		w.syncIn = newEntryCursor(w.sys.syncQ[w.sys.prevPool(w.tid)].Receiver(w.comm))
+		w.syncIn = w.sys.syncQ[w.sys.prevPool(w.tid)].Receiver(w.comm)
 	}
 	w.occRouted = w.sys.cfg.Plan.Occupancy && w.stage == w.sys.routedStage
 	if w.sys.routedStage >= 0 && w.stage == w.sys.routedStage-1 {
@@ -161,7 +162,7 @@ func (w *workerNode) bind(p platform.Proc) {
 		w.routedPool = w.sys.layout.Assign[w.sys.routedStage]
 		w.outstanding = make([]int, len(w.routedPool))
 		if w.sys.cfg.Plan.Occupancy {
-			ep.Mailbox(platform.AnySource, tagOccAck)
+			w.occAckBox = ep.Mailbox(platform.AnySource, tagOccAck)
 		}
 	}
 }
@@ -252,7 +253,7 @@ func (w *workerNode) refresh() (iter uint64, term bool) {
 		// A fed parallel stage has exactly one inbound edge; the next
 		// EndSub marker names the iteration routed to this worker.
 		fromStage := w.inStages[0]
-		var port *entryCursor
+		var port *queue.RecvPort[Entry]
 		for _, p := range w.edgeIn[fromStage] {
 			port = p
 		}
@@ -274,7 +275,7 @@ func (w *workerNode) refresh() (iter uint64, term bool) {
 // drainSub consumes one subTX worth of entries from port. If expect is
 // non-nil the EndSub must match *expect; otherwise the EndSub's iteration is
 // returned.
-func (w *workerNode) drainSub(port *entryCursor, fromStage int, expect *uint64) (iter uint64, term bool) {
+func (w *workerNode) drainSub(port *queue.RecvPort[Entry], fromStage int, expect *uint64) (iter uint64, term bool) {
 	for {
 		e := w.consumeNext(port)
 		switch e.Kind {
@@ -347,7 +348,7 @@ func (w *workerNode) chooseRoute(iter uint64) {
 		backoff := pollMin
 		for {
 			for {
-				msg, ok := w.comm.TryRecv(platform.AnySource, tagOccAck)
+				msg, ok := w.comm.TryRecvBox(w.occAckBox)
 				if !ok {
 					break
 				}
@@ -489,10 +490,10 @@ func (w *workerNode) cuWriteBlk(e Entry) {
 
 // consumeNext polls a queue with adaptive backoff, watching for the commit
 // unit's recovery broadcast so blocked workers always unwind.
-func (w *workerNode) consumeNext(port *entryCursor) Entry {
+func (w *workerNode) consumeNext(port *queue.RecvPort[Entry]) Entry {
 	backoff := pollMin
 	for {
-		if e, ok := port.tryNext(); ok {
+		if e, ok := port.TryNext(); ok {
 			return e
 		}
 		w.checkCtrl()
@@ -630,7 +631,7 @@ func (w *workerNode) doRecovery() {
 	}
 	for _, fromStage := range w.inStages {
 		for _, src := range w.sys.layout.Assign[fromStage] {
-			w.edgeIn[fromStage][src].abort(cm.epoch)
+			w.edgeIn[fromStage][src].Abort(cm.epoch)
 		}
 	}
 	w.toTC.Abort(cm.epoch)
@@ -639,7 +640,7 @@ func (w *workerNode) doRecovery() {
 	}
 	if w.syncOut != nil {
 		w.syncOut.Abort(cm.epoch)
-		w.syncIn.abort(cm.epoch)
+		w.syncIn.Abort(cm.epoch)
 	}
 	// Drop the private state recovery discards: buffered pipeline data,
 	// route records and occupancy counts, the arena, and the current

@@ -552,6 +552,8 @@ func TestSubmitValidates(t *testing.T) {
 		{spec: job.Spec{Bench: "crc32", Cores: 8, Faults: "rto=20us"}, want: "unknown clause key"},
 		{spec: job.Spec{Bench: "crc32", Cores: 8, Faults: "drop=0.01"}, want: "unknown clause key"},
 		{spec: job.Spec{Bench: "crc32", Cores: 8, Faults: "ackdrop=0.01"}, want: "unknown clause key"},
+		// Used to pass Parse and Validate (NaN fails every comparison).
+		{spec: job.Spec{Bench: "crc32", Cores: 8, Faults: "straggler=r1:NaNx@0ns+1ms"}, want: "bad number"},
 		// What a net job cannot honour is refused, not silently dropped:
 		// faults, commit shards and a coordinator-side tracer, and no more.
 		{spec: job.Spec{Bench: "crc32", Cores: 8, Backend: "net", Faults: "straggler=r1:2x@0ns+1ms"}, want: "Config.Faults: fault injection is built on the virtual-time kernel; unsupported on the net backend"},

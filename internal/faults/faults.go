@@ -10,23 +10,25 @@
 // therefore inject byte-identical fault schedules, and concurrent
 // simulations cannot perturb each other.
 //
-// All times in a Plan are virtual (sim.Time / sim.Duration, nanoseconds).
+// All times in a Plan are virtual (platform.Time / platform.Duration,
+// nanoseconds).
 package faults
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
 
-	"dsmtx/internal/sim"
+	"dsmtx/internal/platform"
 )
 
 // Degrade is a sustained link degradation: while active, inter-node
 // latency is multiplied by Factor (applied to every inter-node link).
 type Degrade struct {
-	From   sim.Time
-	Dur    sim.Duration
+	From   platform.Time
+	Dur    platform.Duration
 	Factor float64 // >= 1
 }
 
@@ -34,8 +36,8 @@ type Degrade struct {
 // inside the window costs Factor times its nominal virtual duration.
 type Straggler struct {
 	Rank   int
-	From   sim.Time
-	Dur    sim.Duration
+	From   platform.Time
+	Dur    platform.Duration
 	Factor float64 // >= 1
 }
 
@@ -47,7 +49,7 @@ type Plan struct {
 	// SpikeRate is the per-message probability of adding SpikeExtra
 	// latency to an inter-node delivery.
 	SpikeRate  float64
-	SpikeExtra sim.Duration
+	SpikeExtra platform.Duration
 
 	Degrades   []Degrade
 	Stragglers []Straggler
@@ -63,7 +65,7 @@ func (p *Plan) Empty() bool {
 // bounds are the caller's business (the core layer knows the worker
 // count); everything else is checked here.
 func (p *Plan) Validate() error {
-	if p.SpikeRate < 0 || p.SpikeRate > 1 {
+	if !(p.SpikeRate >= 0 && p.SpikeRate <= 1) {
 		return fmt.Errorf("faults: spike rate %g outside [0,1]", p.SpikeRate)
 	}
 	if p.SpikeExtra < 0 {
@@ -73,8 +75,8 @@ func (p *Plan) Validate() error {
 		return fmt.Errorf("faults: spike rate %g needs a positive extra latency", p.SpikeRate)
 	}
 	for _, d := range p.Degrades {
-		if d.Factor < 1 {
-			return fmt.Errorf("faults: degrade factor %g below 1", d.Factor)
+		if !finiteFactor(d.Factor) {
+			return fmt.Errorf("faults: degrade factor %g not a finite number >= 1", d.Factor)
 		}
 		if d.From < 0 || d.Dur <= 0 {
 			return fmt.Errorf("faults: degrade window [%v +%v) invalid", d.From, d.Dur)
@@ -84,8 +86,8 @@ func (p *Plan) Validate() error {
 		if s.Rank < 0 {
 			return fmt.Errorf("faults: straggler rank %d negative", s.Rank)
 		}
-		if s.Factor < 1 {
-			return fmt.Errorf("faults: straggler factor %g below 1", s.Factor)
+		if !finiteFactor(s.Factor) {
+			return fmt.Errorf("faults: straggler factor %g not a finite number >= 1", s.Factor)
 		}
 		if s.From < 0 || s.Dur <= 0 {
 			return fmt.Errorf("faults: straggler window [%v +%v) invalid", s.From, s.Dur)
@@ -93,6 +95,10 @@ func (p *Plan) Validate() error {
 	}
 	return nil
 }
+
+// finiteFactor reports whether f is a usable slowdown factor: finite and at
+// least 1. NaN fails every comparison, so it is refused too.
+func finiteFactor(f float64) bool { return f >= 1 && !math.IsInf(f, 1) }
 
 // Injector is a compiled, immutable Plan ready for consultation from the
 // cluster (latency) and core (stragglers) layers. Safe for use from
@@ -148,14 +154,14 @@ func (in *Injector) roll(from, to int, seq uint64) float64 {
 // departing at virtual time `at`, given the link's base inter-node
 // latency: a probabilistic spike plus any active sustained degradation
 // window.
-func (in *Injector) ExtraLatency(from, to int, seq uint64, at sim.Time, base sim.Duration) sim.Duration {
-	var extra sim.Duration
+func (in *Injector) ExtraLatency(from, to int, seq uint64, at platform.Time, base platform.Duration) platform.Duration {
+	var extra platform.Duration
 	if in.plan.SpikeRate > 0 && in.roll(from, to, seq) < in.plan.SpikeRate {
 		extra += in.plan.SpikeExtra
 	}
 	for _, d := range in.plan.Degrades {
 		if at >= d.From && at < d.From+d.Dur {
-			extra += sim.Duration(float64(base) * (d.Factor - 1))
+			extra += platform.Duration(float64(base) * (d.Factor - 1))
 		}
 	}
 	return extra
@@ -166,15 +172,15 @@ func (in *Injector) ExtraLatency(from, to int, seq uint64, at sim.Time, base sim
 // compute quantum that *begins* inside a straggler window; quanta are
 // microsecond-scale against millisecond-scale windows, so per-quantum
 // resolution is accurate without splitting quanta across boundaries.
-func (in *Injector) DilationFor(rank int) func(sim.Time, sim.Duration) sim.Duration {
+func (in *Injector) DilationFor(rank int) func(platform.Time, platform.Duration) platform.Duration {
 	ws := in.stragglers[rank]
 	if len(ws) == 0 {
 		return nil
 	}
-	return func(now sim.Time, d sim.Duration) sim.Duration {
+	return func(now platform.Time, d platform.Duration) platform.Duration {
 		for _, w := range ws {
 			if now >= w.From && now < w.From+w.Dur {
-				return sim.Duration(float64(d) * w.Factor)
+				return platform.Duration(float64(d) * w.Factor)
 			}
 		}
 		return d
@@ -272,7 +278,7 @@ func (p *Plan) Format() string {
 		return degrades[i].From < degrades[j].From
 	})
 	for _, d := range degrades {
-		add(fmt.Sprintf("degrade=%sx@%s+%s", fmtRate(d.Factor), fmtDur(sim.Duration(d.From)), fmtDur(d.Dur)))
+		add(fmt.Sprintf("degrade=%sx@%s+%s", fmtRate(d.Factor), fmtDur(platform.Duration(d.From)), fmtDur(d.Dur)))
 	}
 	stragglers := append([]Straggler(nil), p.Stragglers...)
 	sort.Slice(stragglers, func(i, j int) bool {
@@ -283,14 +289,14 @@ func (p *Plan) Format() string {
 		return a.From < b.From
 	})
 	for _, s := range stragglers {
-		add(fmt.Sprintf("straggler=r%d:%sx@%s+%s", s.Rank, fmtRate(s.Factor), fmtDur(sim.Duration(s.From)), fmtDur(s.Dur)))
+		add(fmt.Sprintf("straggler=r%d:%sx@%s+%s", s.Rank, fmtRate(s.Factor), fmtDur(platform.Duration(s.From)), fmtDur(s.Dur)))
 	}
 	return strings.Join(parts, ",")
 }
 
 func parseRate(s string) (float64, error) {
 	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
+	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 		return 0, fmt.Errorf("bad number %q", s)
 	}
 	return v, nil
@@ -308,7 +314,7 @@ func parseRank(s string) (int, error) {
 }
 
 // parseWindow parses "Fx@START+DUR" (factor, window start, window length).
-func parseWindow(s string) (factor float64, from sim.Time, dur sim.Duration, err error) {
+func parseWindow(s string) (factor float64, from platform.Time, dur platform.Duration, err error) {
 	f, rest, ok := strings.Cut(s, "x@")
 	if !ok {
 		return 0, 0, 0, fmt.Errorf("bad window %q (want Fx@START+DUR)", s)
@@ -327,31 +333,34 @@ func parseWindow(s string) (factor float64, from sim.Time, dur sim.Duration, err
 	if dur, err = parseDur(length); err != nil {
 		return 0, 0, 0, err
 	}
-	return factor, sim.Time(at), dur, nil
+	return factor, platform.Time(at), dur, nil
 }
 
 var durUnits = []struct {
 	suffix string
-	scale  sim.Duration
+	scale  platform.Duration
 }{
-	{"ns", sim.Nanosecond},
-	{"us", sim.Microsecond},
-	{"µs", sim.Microsecond},
-	{"ms", sim.Millisecond},
-	{"s", sim.Second},
+	{"ns", platform.Nanosecond},
+	{"us", platform.Microsecond},
+	{"µs", platform.Microsecond},
+	{"ms", platform.Millisecond},
+	{"s", platform.Second},
 }
 
-func parseDur(s string) (sim.Duration, error) {
+func parseDur(s string) (platform.Duration, error) {
 	for _, u := range durUnits {
 		if num, ok := strings.CutSuffix(s, u.suffix); ok {
 			// "s" also terminates "ns"/"us"/"ms"; the table is ordered so
 			// the longer suffixes match first, but a trailing digit check
-			// keeps "17" from slipping through as unitless.
+			// keeps "17" from slipping through as unitless. !(v >= 0)
+			// refuses NaN; the bound refuses +Inf and anything past int64
+			// nanoseconds.
 			v, err := strconv.ParseFloat(num, 64)
-			if err != nil || v < 0 {
+			ns := v * float64(u.scale)
+			if err != nil || !(v >= 0) || ns >= math.MaxInt64 {
 				return 0, fmt.Errorf("bad duration %q", s)
 			}
-			return sim.Duration(v * float64(u.scale)), nil
+			return platform.Duration(ns), nil
 		}
 	}
 	return 0, fmt.Errorf("bad duration %q (want number + ns/us/ms/s)", s)
@@ -359,16 +368,16 @@ func parseDur(s string) (sim.Duration, error) {
 
 // fmtDur renders a duration in its largest exact unit so canonical specs
 // stay human-readable ("1500us", not "1500000ns").
-func fmtDur(d sim.Duration) string {
+func fmtDur(d platform.Duration) string {
 	switch {
 	case d == 0:
 		return "0ns"
-	case d%sim.Second == 0:
-		return strconv.FormatInt(int64(d/sim.Second), 10) + "s"
-	case d%sim.Millisecond == 0:
-		return strconv.FormatInt(int64(d/sim.Millisecond), 10) + "ms"
-	case d%sim.Microsecond == 0:
-		return strconv.FormatInt(int64(d/sim.Microsecond), 10) + "us"
+	case d%platform.Second == 0:
+		return strconv.FormatInt(int64(d/platform.Second), 10) + "s"
+	case d%platform.Millisecond == 0:
+		return strconv.FormatInt(int64(d/platform.Millisecond), 10) + "ms"
+	case d%platform.Microsecond == 0:
+		return strconv.FormatInt(int64(d/platform.Microsecond), 10) + "us"
 	default:
 		return strconv.FormatInt(int64(d), 10) + "ns"
 	}

@@ -2,9 +2,10 @@ package faults
 
 import (
 	"math"
+	"strings"
 	"testing"
 
-	"dsmtx/internal/sim"
+	"dsmtx/internal/platform"
 )
 
 func TestSpecRoundTrip(t *testing.T) {
@@ -70,6 +71,37 @@ func TestParseErrors(t *testing.T) {
 			t.Errorf("Parse(%q) succeeded, want error", spec)
 		}
 	}
+	// Non-finite numbers and durations past int64 nanoseconds are refused
+	// by the parser itself, not by a later check they slip through.
+	for spec, want := range map[string]string{
+		"spike=NaN:20us":               "bad number",
+		"straggler=r1:NaNx@0ns+1ms":    "bad number",
+		"degrade=NaNx@0ns+1ms":         "bad number",
+		"straggler=r1:Infx@0ns+1ms":    "bad number",
+		"degrade=+Infx@0ns+1ms":        "bad number",
+		"spike=0.5:NaNus":              "bad duration",
+		"spike=0.5:Infus":              "bad duration",
+		"spike=0.5:1e10s":              "bad duration",
+		"straggler=r1:2x@0ns+9.3e18ns": "bad duration",
+	} {
+		if _, err := Parse(spec); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Parse(%q) = %v, want error containing %q", spec, err, want)
+		}
+	}
+}
+
+// TestValidateRefusesNonFinite holds Validate to NaN-safe comparisons for
+// plans built without Parse.
+func TestValidateRefusesNonFinite(t *testing.T) {
+	for _, p := range []Plan{
+		{SpikeRate: math.NaN(), SpikeExtra: platform.Microsecond},
+		{Degrades: []Degrade{{Factor: math.NaN(), Dur: platform.Millisecond}}},
+		{Stragglers: []Straggler{{Rank: 1, Factor: math.Inf(1), Dur: platform.Millisecond}}},
+	} {
+		if err := p.Validate(); err == nil {
+			t.Errorf("Validate(%+v) = nil, want error", p)
+		}
+	}
 }
 
 func TestEmpty(t *testing.T) {
@@ -81,7 +113,7 @@ func TestEmpty(t *testing.T) {
 	if !p.Empty() {
 		t.Error("a seed alone should leave the plan empty")
 	}
-	p.SpikeRate, p.SpikeExtra = 0.1, sim.Microsecond
+	p.SpikeRate, p.SpikeExtra = 0.1, platform.Microsecond
 	if p.Empty() {
 		t.Error("spike rate makes the plan non-empty")
 	}
@@ -91,7 +123,7 @@ func TestEmpty(t *testing.T) {
 // decision depends only on its identity, never on query order or on other
 // queries in between.
 func TestDecisionsDeterministicAndOrderFree(t *testing.T) {
-	const extra = 10 * sim.Microsecond
+	const extra = 10 * platform.Microsecond
 	in, err := Compile(Plan{Seed: 99, SpikeRate: 0.5, SpikeExtra: extra})
 	if err != nil {
 		t.Fatal(err)
@@ -101,15 +133,15 @@ func TestDecisionsDeterministicAndOrderFree(t *testing.T) {
 		seq      uint64
 	}
 	queries := []q{{0, 5, 0}, {0, 5, 1}, {5, 0, 0}, {3, 7, 19}, {3, 7, 20}}
-	forward := make([]sim.Duration, len(queries))
+	forward := make([]platform.Duration, len(queries))
 	for i, e := range queries {
-		forward[i] = in.ExtraLatency(e.from, e.to, e.seq, 0, sim.Microsecond)
+		forward[i] = in.ExtraLatency(e.from, e.to, e.seq, 0, platform.Microsecond)
 	}
 	// Reverse order, with unrelated rolls interleaved.
 	for i := len(queries) - 1; i >= 0; i-- {
 		e := queries[i]
-		in.ExtraLatency(e.to, e.from, e.seq+100, 0, sim.Microsecond)
-		if got := in.ExtraLatency(e.from, e.to, e.seq, 0, sim.Microsecond); got != forward[i] {
+		in.ExtraLatency(e.to, e.from, e.seq+100, 0, platform.Microsecond)
+		if got := in.ExtraLatency(e.from, e.to, e.seq, 0, platform.Microsecond); got != forward[i] {
 			t.Fatalf("ExtraLatency(%+v) flipped between orders", e)
 		}
 	}
@@ -130,7 +162,7 @@ func TestDecisionsDeterministicAndOrderFree(t *testing.T) {
 // empirical spike frequency must track the configured rate.
 func TestSpikeRateStatistics(t *testing.T) {
 	const rate, n = 0.1, 20000
-	in, err := Compile(Plan{Seed: 1, SpikeRate: rate, SpikeExtra: sim.Microsecond})
+	in, err := Compile(Plan{Seed: 1, SpikeRate: rate, SpikeExtra: platform.Microsecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,16 +181,16 @@ func TestSpikeRateStatistics(t *testing.T) {
 func TestExtraLatency(t *testing.T) {
 	in, err := Compile(Plan{
 		Seed:     3,
-		Degrades: []Degrade{{From: 1 * sim.Millisecond, Dur: 1 * sim.Millisecond, Factor: 3}},
+		Degrades: []Degrade{{From: 1 * platform.Millisecond, Dur: 1 * platform.Millisecond, Factor: 3}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := 2 * sim.Microsecond
+	base := 2 * platform.Microsecond
 	if got := in.ExtraLatency(0, 1, 0, 0, base); got != 0 {
 		t.Fatalf("outside window: extra = %v, want 0", got)
 	}
-	at := sim.Time(1500 * sim.Microsecond)
+	at := platform.Time(1500 * platform.Microsecond)
 	if got := in.ExtraLatency(0, 1, 0, at, base); got != 2*base {
 		t.Fatalf("inside 3x window: extra = %v, want %v", got, 2*base)
 	}
@@ -166,7 +198,7 @@ func TestExtraLatency(t *testing.T) {
 
 func TestDilation(t *testing.T) {
 	in, err := Compile(Plan{
-		Stragglers: []Straggler{{Rank: 3, From: sim.Time(100 * sim.Microsecond), Dur: 1 * sim.Millisecond, Factor: 4}},
+		Stragglers: []Straggler{{Rank: 3, From: platform.Time(100 * platform.Microsecond), Dur: 1 * platform.Millisecond, Factor: 4}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -178,14 +210,14 @@ func TestDilation(t *testing.T) {
 	if f == nil {
 		t.Fatal("rank 3 should straggle")
 	}
-	d := 10 * sim.Microsecond
+	d := 10 * platform.Microsecond
 	if got := f(0, d); got != d {
 		t.Fatalf("before window: %v, want %v", got, d)
 	}
-	if got := f(sim.Time(200*sim.Microsecond), d); got != 4*d {
+	if got := f(platform.Time(200*platform.Microsecond), d); got != 4*d {
 		t.Fatalf("inside window: %v, want %v", got, 4*d)
 	}
-	if got := f(sim.Time(2*sim.Millisecond), d); got != d {
+	if got := f(platform.Time(2*platform.Millisecond), d); got != d {
 		t.Fatalf("after window: %v, want %v", got, d)
 	}
 }

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"dsmtx/internal/platform"
 	"dsmtx/internal/sim"
 	"dsmtx/internal/stats"
 )
@@ -30,7 +31,7 @@ func RunFigure1(latency int) Fig1Result {
 	}
 }
 
-const cycle = sim.Nanosecond
+const cycle = platform.Nanosecond
 
 // doacrossCyclesPerIter schedules whole iterations on alternating cores;
 // the loop-carried B→A dependence crosses cores every iteration (cyclic
@@ -41,7 +42,7 @@ func doacrossCyclesPerIter(latency, iters int) float64 {
 		sim.NewChan[int]("to0"),
 		sim.NewChan[int]("to1"),
 	}
-	var last sim.Time
+	var last platform.Time
 	for core := 0; core < 2; core++ {
 		core := core
 		k.Spawn(fmt.Sprintf("core%d", core), func(p *sim.Proc) {
@@ -54,7 +55,7 @@ func doacrossCyclesPerIter(latency, iters int) float64 {
 				// produced in cycle t is usable in cycle t+L.
 				next := tokens[1-core]
 				v := i
-				k.After(sim.Duration(latency-1)*cycle, func() { next.Push(v) })
+				k.After(platform.Duration(latency-1)*cycle, func() { next.Push(v) })
 				p.Advance(2 * cycle) // C;D overlap with the next iteration's A;B
 				if i >= iters-2 {
 					last = p.Now()
@@ -74,12 +75,12 @@ func doacrossCyclesPerIter(latency, iters int) float64 {
 func dswpCyclesPerIter(latency, iters int) float64 {
 	k := sim.NewKernel()
 	q := sim.NewChan[int]("q")
-	var last sim.Time
+	var last platform.Time
 	k.Spawn("stage1", func(p *sim.Proc) {
 		for i := 0; i < iters; i++ {
 			p.Advance(2 * cycle) // A;B — recurrence local to this core
 			v := i
-			k.After(sim.Duration(latency-1)*cycle, func() { q.Push(v) })
+			k.After(platform.Duration(latency-1)*cycle, func() { q.Push(v) })
 		}
 	})
 	k.Spawn("stage2", func(p *sim.Proc) {
@@ -93,7 +94,7 @@ func dswpCyclesPerIter(latency, iters int) float64 {
 		panic(err)
 	}
 	// Exclude the pipeline-fill time, as the paper's steady-state numbers do.
-	fill := sim.Duration(1+latency) * cycle
+	fill := platform.Duration(1+latency) * cycle
 	return float64(last-fill) / float64(iters)
 }
 

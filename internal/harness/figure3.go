@@ -6,7 +6,7 @@ import (
 
 	"dsmtx/internal/core"
 	"dsmtx/internal/pipeline"
-	"dsmtx/internal/sim"
+	"dsmtx/internal/platform"
 	"dsmtx/internal/trace"
 	"dsmtx/internal/uva"
 )
@@ -62,7 +62,7 @@ func (p *fig3Prog) SeqIter(ctx *core.SeqCtx, iter uint64) {
 type Fig3Result struct {
 	Events  []trace.Event
 	Workers int
-	Elapsed sim.Time
+	Elapsed platform.Time
 }
 
 // RunFigure3 executes the Fig. 1(a) loop on a 5-core DSMTX system (as in
@@ -73,7 +73,7 @@ func RunFigure3() (Fig3Result, error) {
 	cfg := core.DefaultConfig(5, pipeline.SpecDSWP("S", "DOALL"))
 	cfg.Tracer = trace.New()
 	cfg.MarkerFlushIters = 1 // per-iteration flushes, so the diagram shows each MTX's validate/commit
-	cfg.Cluster.InterNodeLatency = 500 * sim.Nanosecond
+	cfg.Cluster.InterNodeLatency = 500 * platform.Nanosecond
 	sys, err := core.NewSystem(cfg, prog, nil)
 	if err != nil {
 		return Fig3Result{}, err
@@ -101,14 +101,14 @@ func RenderFigure3(r Fig3Result) string {
 	}
 	// A subTX is painted over its interval; validate and commit as the
 	// instant the unit finished with the MTX.
-	interval := func(e trace.Event) (sim.Time, sim.Time) {
+	interval := func(e trace.Event) (platform.Time, platform.Time) {
 		if e.Kind == trace.SpanSubTX {
 			return e.Start, e.End
 		}
 		return e.End, e.End
 	}
 	start, _ := interval(r.Events[0])
-	end := sim.Time(0)
+	end := platform.Time(0)
 	for _, e := range r.Events {
 		if lo, _ := interval(e); lo < start {
 			start = lo
@@ -118,7 +118,7 @@ func RenderFigure3(r Fig3Result) string {
 		}
 	}
 	span := float64(end - start)
-	col := func(t sim.Time) int {
+	col := func(t platform.Time) int {
 		c := int(float64(t-start) / span * (width - 1))
 		if c < 0 {
 			c = 0

@@ -6,7 +6,7 @@ import (
 	"dsmtx/internal/engine"
 	"dsmtx/internal/faults"
 	"dsmtx/internal/job"
-	"dsmtx/internal/sim"
+	"dsmtx/internal/platform"
 	"dsmtx/internal/stats"
 	"dsmtx/internal/workloads"
 )
@@ -30,7 +30,7 @@ func FigRCores() []int { return []int{32, 96} }
 // run (the window deliberately outlasts any simulated execution).
 func figRStragglerPlan() *faults.Plan {
 	return &faults.Plan{Stragglers: []faults.Straggler{
-		{Rank: 1, From: 0, Dur: 3600 * sim.Second, Factor: 2},
+		{Rank: 1, From: 0, Dur: 3600 * platform.Second, Factor: 2},
 	}}
 }
 

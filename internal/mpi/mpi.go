@@ -59,9 +59,6 @@ func NewWorld(p platform.Platform, cost Cost) *World {
 	return &World{p: p, cost: cost}
 }
 
-// Platform exposes the underlying execution platform.
-func (w *World) Platform() platform.Platform { return w.p }
-
 // InstrTime converts an instruction count to platform time (zero on
 // backends without instruction charging).
 func (w *World) InstrTime(instructions int64) platform.Duration {
@@ -164,33 +161,16 @@ func (c *Comm) Recv(from, tag int) platform.Message {
 	return msg
 }
 
-// TryRecv receives a pending matching message without blocking; the receive
-// overhead is charged only on success.
-func (c *Comm) TryRecv(from, tag int) (platform.Message, bool) {
-	return c.TryRecvBox(c.ep.Mailbox(from, tag))
-}
-
-// TryRecvBox is TryRecv against a mailbox handle obtained from
-// Endpoint().Mailbox — poll-heavy paths cache the handle to skip the
-// per-call (source, tag) map lookup.
+// TryRecvBox receives a pending message from a mailbox handle obtained from
+// Endpoint().Mailbox without blocking; the receive overhead is charged only
+// on success. Poll loops cache the handle, so a poll never takes the
+// endpoint's (source, tag) lookup.
 func (c *Comm) TryRecvBox(box platform.Mailbox) (platform.Message, bool) {
 	msg, ok := box.TryRecv()
 	if ok {
 		c.charge(c.w.cost.Recv, msg.Bytes)
 	}
 	return msg, ok
-}
-
-// TryRecvBoxBatch drains every message pending on a mailbox handle into
-// `into` and returns the extended slice, charging the per-receive overhead
-// for each message taken. One call replaces a TryRecvBox poll loop: on the
-// host backend the mailbox hands over its whole ring backlog at once.
-func (c *Comm) TryRecvBoxBatch(box platform.Mailbox, into []platform.Message) []platform.Message {
-	msgs := box.TryRecvBatch(into)
-	for i := len(into); i < len(msgs); i++ {
-		c.charge(c.w.cost.Recv, msgs[i].Bytes)
-	}
-	return msgs
 }
 
 // Idle is the wait step of a poll loop over this rank's mailboxes (see

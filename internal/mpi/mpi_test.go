@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dsmtx/internal/cluster"
+	"dsmtx/internal/platform"
 	"dsmtx/internal/sim"
 )
 
@@ -28,7 +29,7 @@ func testMachineWorld(k *sim.Kernel) (*World, *cluster.Machine) {
 func TestSendChargesOverhead(t *testing.T) {
 	k := sim.NewKernel()
 	w := testWorld(k)
-	var txDone sim.Time
+	var txDone platform.Time
 	k.Spawn("rx", func(p *sim.Proc) { w.Attach(1, p).Recv(0, 1) })
 	k.Spawn("tx", func(p *sim.Proc) {
 		c := w.Attach(0, p)
@@ -48,7 +49,7 @@ func TestSendChargesOverhead(t *testing.T) {
 func TestRecvChargesOverheadAfterArrival(t *testing.T) {
 	k := sim.NewKernel()
 	w := testWorld(k)
-	var rxDone sim.Time
+	var rxDone platform.Time
 	k.Spawn("rx", func(p *sim.Proc) {
 		w.Attach(1, p).Recv(0, 1)
 		rxDone = p.Now()
@@ -92,12 +93,17 @@ func TestTryRecv(t *testing.T) {
 	w := testWorld(k)
 	k.Spawn("rx", func(p *sim.Proc) {
 		c := w.Attach(1, p)
-		if _, ok := c.TryRecv(0, 5); ok {
-			t.Error("TryRecv returned message before any send")
+		box := c.Endpoint().Mailbox(0, 5)
+		if _, ok := c.TryRecvBox(box); ok {
+			t.Error("TryRecvBox returned message before any send")
 		}
-		p.Advance(sim.Millisecond)
-		if _, ok := c.TryRecv(0, 5); !ok {
-			t.Error("TryRecv missed delivered message")
+		p.Advance(platform.Millisecond)
+		start := p.Now()
+		if _, ok := c.TryRecvBox(box); !ok {
+			t.Error("TryRecvBox missed delivered message")
+		}
+		if p.Now() == start {
+			t.Error("TryRecvBox charged no receive overhead")
 		}
 	})
 	k.Spawn("tx", func(p *sim.Proc) { w.Attach(0, p).Send(1, 5, nil, 8) })
@@ -110,15 +116,15 @@ func TestBarrierSynchronizes(t *testing.T) {
 	k := sim.NewKernel()
 	w := testWorld(k)
 	ranks := []int{0, 1, 2, 3}
-	var releases [4]sim.Time
-	var maxArrival sim.Time
+	var releases [4]platform.Time
+	var maxArrival platform.Time
 	for i, r := range ranks {
 		k.Spawn("w", func(p *sim.Proc) {
 			c := w.Attach(r, p)
 			if r == 0 {
 				c.RegisterBarrierMailboxes()
 			}
-			p.Advance(sim.Duration(r) * 100 * sim.Microsecond)
+			p.Advance(platform.Duration(r) * 100 * platform.Microsecond)
 			if p.Now() > maxArrival {
 				maxArrival = p.Now()
 			}

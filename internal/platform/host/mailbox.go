@@ -7,9 +7,10 @@
 // it. The consumer reads its own out slice without a lock or a shared write
 // and, once that is spent, swaps it for in under the same mutex, handing the
 // spent (cleared) array back to the producers. An empty poll is one atomic
-// load; a batch drain takes the lock once per backlog. A producer never
-// blocks on the consumer, and the mutex keeps each producer's messages in
-// send order.
+// load; TryRecv takes the lock once per backlog, and every later TryRecv
+// until that backlog is spent is a pop from the consumer's own slice. A
+// producer never blocks on the consumer, and the mutex keeps each
+// producer's messages in send order.
 //
 // A receiver in blocking Recv spins through a bounded budget of polls
 // (yielding the processor between attempts), then parks on its waiter's
@@ -28,7 +29,6 @@ import (
 	"time"
 
 	"dsmtx/internal/platform"
-	"dsmtx/internal/sim"
 	"dsmtx/internal/trace"
 )
 
@@ -174,7 +174,7 @@ func (w *waiter) wait(e *endpoint, tag int, ready func() bool) {
 	}
 	parked := false
 	var parkT0 time.Time
-	var spanT0 sim.Time
+	var spanT0 platform.Time
 	for {
 		// Publish intent to park, then re-check: a producer that published
 		// after our last poll either sees waiting and sends the token, or
@@ -218,33 +218,6 @@ func (w *waiter) wait(e *endpoint, tag int, ready func() bool) {
 // TryRecv dequeues a pending message without blocking.
 func (b *mailbox) TryRecv() (platform.Message, bool) {
 	return b.tryDequeue()
-}
-
-// TryRecvBatch appends every immediately available message to into and
-// returns the extended slice: the rest of the consumer's slice, then
-// everything producers had queued, taken in one swap.
-func (b *mailbox) TryRecvBatch(into []platform.Message) []platform.Message {
-	into = b.takeOut(into)
-	if b.refill() {
-		into = b.takeOut(into)
-	}
-	return into
-}
-
-// takeOut appends the consumer's unread messages to into and marks them
-// read.
-func (b *mailbox) takeOut(into []platform.Message) []platform.Message {
-	rest := b.out[b.next:]
-	if len(rest) == 0 {
-		return into
-	}
-	into = append(into, rest...)
-	clear(rest)
-	b.next = len(b.out)
-	if tel := b.e.h.tel; tel != nil {
-		tel.cDeq.Add(uint64(len(rest)))
-	}
-	return into
 }
 
 // drainInto moves every queued message into dst in order. The caller must

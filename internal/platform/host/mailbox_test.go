@@ -90,9 +90,9 @@ func TestRingEmptyAndFullBoundaries(t *testing.T) {
 	}
 }
 
-// TestMailboxBatchDrain checks TryRecvBatch takes the whole backlog in one
-// call, in order: the unread rest of the consumer's slice, then everything
-// producers queued after the swap that produced it.
+// TestMailboxBatchDrain drains a backlog with TryRecv across a swap
+// boundary, in order: the unread rest of the consumer's slice, then
+// everything producers queued after the swap that produced it.
 func TestMailboxBatchDrain(t *testing.T) {
 	b := testBox(t)
 	const total = 300
@@ -100,24 +100,22 @@ func TestMailboxBatchDrain(t *testing.T) {
 		b.enqueue(platform.Message{Bytes: i})
 	}
 	for i := 0; i < 10; i++ { // swap once, and read part of the slice
-		if msg, ok := b.tryDequeue(); !ok || msg.Bytes != i {
+		if msg, ok := b.TryRecv(); !ok || msg.Bytes != i {
 			t.Fatalf("dequeue %d: %+v ok=%v", i, msg, ok)
 		}
 	}
 	for i := total / 2; i < total; i++ {
 		b.enqueue(platform.Message{Bytes: i})
 	}
-	got := b.TryRecvBatch(nil)
-	if len(got) != total-10 {
-		t.Fatalf("batch drained %d, want %d", len(got), total-10)
-	}
-	for i, msg := range got {
-		if msg.Bytes != i+10 {
-			t.Fatalf("batch[%d] = %d, want %d", i, msg.Bytes, i+10)
+	got := 10
+	for msg, ok := b.TryRecv(); ok; msg, ok = b.TryRecv() {
+		if msg.Bytes != got {
+			t.Fatalf("drain[%d] = %d, want %d", got, msg.Bytes, got)
 		}
+		got++
 	}
-	if got := b.TryRecvBatch(nil); len(got) != 0 {
-		t.Fatalf("drained box batched %d more", len(got))
+	if got != total {
+		t.Fatalf("drained %d, want %d", got, total)
 	}
 }
 
@@ -309,11 +307,12 @@ func TestMailboxParkWake(t *testing.T) {
 
 // BenchmarkMailbox measures the mailbox layer alone: P producer goroutines
 // send b.N messages in total into one any-source box, and one consumer
-// drains them either as a queue port does (TryRecvBatch, Idle when empty)
-// or one blocking Recv at a time. ns/op is per message, end to end.
+// drains them either as a queue port does (poll: TryRecv until the box is
+// empty, Idle when it is) or one blocking Recv at a time. ns/op is per
+// message, end to end.
 func BenchmarkMailbox(b *testing.B) {
 	for _, producers := range []int{1, 4} {
-		for _, mode := range []string{"batch", "recv"} {
+		for _, mode := range []string{"poll", "recv"} {
 			b.Run(fmt.Sprintf("%dto1/%s", producers, mode), func(b *testing.B) {
 				h := New(producers+1, nil)
 				ep := h.Endpoint(producers)
@@ -331,18 +330,17 @@ func BenchmarkMailbox(b *testing.B) {
 						}
 					}()
 				}
-				var buf []platform.Message
 				for got := 0; got < b.N; {
 					if mode == "recv" {
 						box.Recv(nil)
 						got++
 						continue
 					}
-					buf = box.TryRecvBatch(buf[:0])
-					if len(buf) == 0 {
+					if _, ok := box.TryRecv(); !ok {
 						ep.Idle(nil, 0)
+						continue
 					}
-					got += len(buf)
+					got++
 				}
 			})
 		}

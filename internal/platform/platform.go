@@ -11,11 +11,10 @@
 // package is the seam that keeps them separable, and it holds only what
 // the runtime calls.
 //
-// The package also owns the vocabulary both worlds share: Time/Duration,
-// Message, MsgClass, and TrafficStats. sim and cluster alias these types
-// (type Time = platform.Time, ...), so existing code and golden outputs are
-// unchanged — the vtime backend is bit-identical to the pre-platform stack
-// by construction.
+// The package also owns the vocabulary every backend shares: Time/Duration,
+// Message, MsgClass, and TrafficStats. sim and cluster use these types
+// directly, so one clock type flows unconverted between the simulator and
+// the runtime layers above.
 package platform
 
 import "fmt"
@@ -135,19 +134,16 @@ type Proc interface {
 }
 
 // Mailbox is a handle to one (source, tag) receive queue; poll-heavy paths
-// cache it to skip the per-call map lookup.
+// cache it to skip the per-call map lookup. A receiver drains a backlog by
+// calling TryRecv until it reports false: on host the first call takes the
+// whole backlog under the mailbox lock once and the rest pop from the
+// consumer's own slice.
 type Mailbox interface {
 	// Recv dequeues a message, blocking p until one is available. ok is
 	// false only if the mailbox is closed and drained.
 	Recv(p Proc) (Message, bool)
 	// TryRecv dequeues a pending message without blocking.
 	TryRecv() (Message, bool)
-	// TryRecvBatch appends every immediately available message to into and
-	// returns the extended slice, never blocking. Batch consumers (queue
-	// drains) use it to take a whole backlog in one call: on host this
-	// takes the mailbox lock once for the whole backlog; on vtime it is a
-	// TryRecv loop.
-	TryRecvBatch(into []Message) []Message
 }
 
 // Endpoint is one rank's attachment to the interconnect. Mailboxes are

@@ -8,8 +8,8 @@ import (
 )
 
 // TestProduceConsumeAllocBounded is an allocation-regression test for the
-// queue hot path: steady-state Produce plus batch-drain Consume must
-// amortize to well under one heap allocation per item. The ceiling covers
+// queue hot path: steady-state Produce plus TryNext must amortize to well
+// under one heap allocation per item. The ceiling covers
 // world/queue setup and one allocation set per wire batch (slice, message,
 // calendar event) with generous slack — reintroducing a per-item
 // allocation blows through it.
@@ -38,8 +38,8 @@ func testProduceConsumeAllocBounded(t *testing.T, tr *trace.Tracer) {
 			r := q.Receiver(w.Attach(1, p))
 			got := 0
 			for got < n {
-				if batch, ok := r.TryConsumeBatch(); ok {
-					got += len(batch)
+				if _, ok := r.TryNext(); ok {
+					got++
 					continue
 				}
 				p.Advance(100)

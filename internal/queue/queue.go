@@ -84,7 +84,8 @@ const batchHeaderBytes = 32
 
 // freeBatches bounds a queue's free list. A receiver recycles every batch it
 // admits and the sender takes one back per flush, so the list has to hold
-// what one receiver drain returns: the backlog. A pipeline edge flushes once
+// what a receiver returns while it works through a backlog faster than the
+// sender flushes: at most the backlog. A pipeline edge flushes once
 // per subTX, so its backlog is its consumer's lag in iterations, and at the
 // start of every epoch core's live backends let the first stage lead by the
 // run-ahead floor, 2·stride = 2·MarkerFlushIters·(P+1) = 32 iterations at the
@@ -238,16 +239,10 @@ func (s *SendPort[T]) Abort(epoch uint64) {
 
 // RecvPort is the consumer's end.
 type RecvPort[T any] struct {
-	q    *Queue[T]
-	comm *mpi.Comm
-	box  platform.Mailbox // cached mailbox handle for the poll path
-	// batched marks a concurrent platform (host): several batches can be
-	// pending at once, so TryConsumeBatch drains the whole mailbox backlog
-	// in one call instead of admitting one message per call. On vtime the
-	// per-message path is kept so the charge sequence stays bit-identical.
-	batched bool
-	msgBuf  []platform.Message // reusable drain buffer (batched only)
-	epoch   uint64
+	q     *Queue[T]
+	comm  *mpi.Comm
+	box   platform.Mailbox // cached mailbox handle for the poll path
+	epoch uint64
 	// buf holds admitted items of the current epoch, copied out of their
 	// batches; buf[pos:] is not consumed yet. The port owns it and reuses it
 	// once it is spent.
@@ -260,11 +255,7 @@ func (q *Queue[T]) Receiver(comm *mpi.Comm) *RecvPort[T] {
 	if comm.Rank() != q.dst {
 		panic(fmt.Sprintf("queue %s: Receiver rank %d, want %d", q.name, comm.Rank(), q.dst))
 	}
-	return &RecvPort[T]{
-		q: q, comm: comm,
-		box:     comm.Endpoint().Mailbox(q.src, q.tag),
-		batched: q.world.Platform().Concurrent(),
-	}
+	return &RecvPort[T]{q: q, comm: comm, box: comm.Endpoint().Mailbox(q.src, q.tag)}
 }
 
 // Consume blocks until a value of the current epoch is available and
@@ -282,45 +273,30 @@ func (r *RecvPort[T]) Consume() T {
 	return v
 }
 
-// TryConsumeBatch returns every value currently buffered on the port — the
-// remainder of the in-progress batch, or a newly arrived one — without
-// blocking. It charges Consume's per-value cost for every value returned,
-// but in a single Advance, so draining a batch costs one scheduler
-// interaction instead of one per value. The
-// returned slice is the port's internal buffer: it is valid until the next
-// operation on the port and must not be retained.
-func (r *RecvPort[T]) TryConsumeBatch() ([]T, bool) {
-	if r.batched {
-		if r.pos == len(r.buf) {
-			r.drainAll()
+// TryNext returns the next buffered value without blocking. Once the buffer
+// is spent it admits delivered messages one at a time until a batch of the
+// current epoch lands, and charges Consume's per-value cost for that whole
+// batch in a single Advance, so a batch costs one scheduler interaction
+// instead of one per value. It reports false when nothing of the current
+// epoch has arrived. Mixing TryNext and Consume on one port would charge a
+// batch's values twice.
+func (r *RecvPort[T]) TryNext() (T, bool) {
+	if r.pos == len(r.buf) {
+		for r.pos == len(r.buf) {
+			msg, ok := r.comm.TryRecvBox(r.box)
+			if !ok {
+				var zero T
+				return zero, false
+			}
+			r.admit(msg)
 		}
-		if r.pos == len(r.buf) {
-			return nil, false
-		}
+		n := int64(len(r.buf) - r.pos)
+		r.comm.Proc().Advance(r.q.world.InstrTime(r.q.cfg.ConsumeInstr * n))
+		r.q.cConsumed.Add(uint64(n))
 	}
-	for r.pos == len(r.buf) {
-		msg, ok := r.comm.TryRecvBox(r.box)
-		if !ok {
-			return nil, false
-		}
-		r.admit(msg)
-	}
-	out := r.buf[r.pos:]
-	r.pos = len(r.buf)
-	cfg := r.q.cfg
-	r.comm.Proc().Advance(r.q.world.InstrTime(cfg.ConsumeInstr * int64(len(out))))
-	r.q.cConsumed.Add(uint64(len(out)))
-	return out, true
-}
-
-// drainAll takes every batch pending on the mailbox in one batch receive and
-// admits each in order; stale batches discard as in admit.
-func (r *RecvPort[T]) drainAll() {
-	r.msgBuf = r.comm.TryRecvBoxBatch(r.box, r.msgBuf[:0])
-	for i := range r.msgBuf {
-		r.admit(r.msgBuf[i])
-		r.msgBuf[i] = platform.Message{} // drop the payload reference
-	}
+	v := r.buf[r.pos]
+	r.pos++
+	return v, true
 }
 
 // admit appends a delivered batch's items to the receive buffer, unless the

@@ -6,6 +6,7 @@ import (
 
 	"dsmtx/internal/cluster"
 	"dsmtx/internal/mpi"
+	"dsmtx/internal/platform"
 	"dsmtx/internal/sim"
 )
 
@@ -24,11 +25,11 @@ func newMachineWorld(k *sim.Kernel) (*mpi.World, *cluster.Machine) {
 }
 
 // run wires a producer proc at rank 0 and consumer proc at rank 1 around a
-// queue and executes the kernel.
-func run(t *testing.T, cfg Config, producer func(*SendPort[uint64]), consumer func(*RecvPort[uint64])) *mpi.World {
+// queue, executes the kernel and returns the simulated machine.
+func run(t *testing.T, cfg Config, producer func(*SendPort[uint64]), consumer func(*RecvPort[uint64])) *cluster.Machine {
 	t.Helper()
 	k := sim.NewKernel()
-	w := newWorld(k)
+	w, m := newMachineWorld(k)
 	q := New[uint64](w, "q", 0, 1, 100, cfg, nil)
 	k.Spawn("consumer", func(p *sim.Proc) {
 		consumer(q.Receiver(w.Attach(1, p)))
@@ -39,7 +40,7 @@ func run(t *testing.T, cfg Config, producer func(*SendPort[uint64]), consumer fu
 	if err := k.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	return w
+	return m
 }
 
 func TestFIFODelivery(t *testing.T) {
@@ -67,7 +68,7 @@ func TestFIFODelivery(t *testing.T) {
 func TestBatchingReducesMessages(t *testing.T) {
 	const n = 512
 	count := func(cfg Config) uint64 {
-		w := run(t, cfg,
+		m := run(t, cfg,
 			func(s *SendPort[uint64]) {
 				for i := uint64(0); i < n; i++ {
 					s.Produce(i)
@@ -79,7 +80,7 @@ func TestBatchingReducesMessages(t *testing.T) {
 					r.Consume()
 				}
 			})
-		return w.Platform().Traffic().QueueMessages
+		return m.Traffic().QueueMessages
 	}
 	opt := count(DefaultConfig())                 // 16-byte items, 4096-byte batches
 	unopt := count(DefaultConfig().Unoptimized()) // flush every produce
@@ -96,7 +97,7 @@ func TestBatchingReducesMessages(t *testing.T) {
 func TestQueueBandwidthVsRawMPI(t *testing.T) {
 	const n = 20000
 	bandwidth := func(cfg Config) float64 {
-		w := run(t, cfg,
+		m := run(t, cfg,
 			func(s *SendPort[uint64]) {
 				for i := uint64(0); i < n; i++ {
 					s.Produce(i)
@@ -108,7 +109,7 @@ func TestQueueBandwidthVsRawMPI(t *testing.T) {
 					r.Consume()
 				}
 			})
-		return float64(n*8) / w.Platform().Now().Seconds() / 1e6 // MB/s of payload words
+		return float64(n*8) / m.Now().Seconds() / 1e6 // MB/s of payload words
 	}
 	opt := bandwidth(DefaultConfig())
 	unopt := bandwidth(DefaultConfig().Unoptimized())
@@ -130,13 +131,13 @@ func TestEpochDiscardsStaleBatches(t *testing.T) {
 		func(s *SendPort[uint64]) {
 			s.Produce(1) // epoch 0 — will be stale by the time it is read
 			s.Flush()
-			s.comm.Proc().Advance(sim.Millisecond)
+			s.comm.Proc().Advance(platform.Millisecond)
 			s.Abort(1)
 			s.Produce(2) // epoch 1
 			s.Flush()
 		},
 		func(r *RecvPort[uint64]) {
-			r.comm.Proc().Advance(500 * sim.Microsecond)
+			r.comm.Proc().Advance(500 * platform.Microsecond)
 			r.Abort(1) // recovery: advance epoch before consuming
 			if got := r.Consume(); got != 2 {
 				t.Errorf("consumed %d from stale epoch, want 2", got)
@@ -154,9 +155,12 @@ func TestAbortDiscardsPendingProduce(t *testing.T) {
 		},
 		func(r *RecvPort[uint64]) {
 			r.Abort(1)
-			r.comm.Proc().Advance(sim.Millisecond)
-			if got, ok := r.TryConsumeBatch(); !ok || len(got) != 1 || got[0] != 22 {
-				t.Errorf("TryConsumeBatch = %v, %v; want [22], true", got, ok)
+			r.comm.Proc().Advance(platform.Millisecond)
+			if got, ok := r.TryNext(); !ok || got != 22 {
+				t.Errorf("TryNext = %v, %v; want 22, true", got, ok)
+			}
+			if got, ok := r.TryNext(); ok {
+				t.Errorf("TryNext = %v after the only value", got)
 			}
 		})
 }
@@ -164,18 +168,78 @@ func TestAbortDiscardsPendingProduce(t *testing.T) {
 func TestTryConsume(t *testing.T) {
 	run(t, DefaultConfig(),
 		func(s *SendPort[uint64]) {
-			s.comm.Proc().Advance(sim.Millisecond)
+			s.comm.Proc().Advance(platform.Millisecond)
 			s.Produce(7)
 			s.Flush()
 		},
 		func(r *RecvPort[uint64]) {
-			if _, ok := r.TryConsumeBatch(); ok {
-				t.Error("TryConsumeBatch returned values before producer ran")
+			if _, ok := r.TryNext(); ok {
+				t.Error("TryNext returned a value before producer ran")
 			}
-			r.comm.Proc().Advance(2 * sim.Millisecond)
-			got, ok := r.TryConsumeBatch()
-			if !ok || len(got) != 1 || got[0] != 7 {
-				t.Errorf("TryConsumeBatch = %v, %v; want [7], true", got, ok)
+			r.comm.Proc().Advance(2 * platform.Millisecond)
+			if got, ok := r.TryNext(); !ok || got != 7 {
+				t.Errorf("TryNext = %v, %v; want 7, true", got, ok)
+			}
+		})
+}
+
+// TestTryNextChargesPerBatch pins the one receive path: TryNext returns
+// values in FIFO order across batch boundaries, skips a stale-epoch batch,
+// and charges the consumer one Recv per message it takes plus one
+// ConsumeInstr × items per batch it admits, all on the call that admits the
+// batch. Abort drops what is still buffered.
+func TestTryNextChargesPerBatch(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.BatchBytes = 1 << 20 // flush only when told to
+	run(t, cfg,
+		func(s *SendPort[uint64]) {
+			flush := func(epoch uint64, vals ...uint64) {
+				s.Abort(epoch)
+				for _, v := range vals {
+					s.Produce(v)
+				}
+				s.Flush()
+			}
+			flush(1, 1, 2)
+			flush(0, 99) // a sender that has not seen the recovery yet
+			flush(1, 3)
+			flush(1, 4, 5, 6)
+		},
+		func(r *RecvPort[uint64]) {
+			r.Abort(1)
+			p, w := r.comm.Proc(), r.q.world
+			p.Advance(platform.Millisecond) // every batch has landed
+			recv := func(items int64) platform.Duration {
+				c := mpi.DefaultCost()
+				return w.InstrTime(c.Recv + int64(float64(items*16+batchHeaderBytes)*c.PerByte))
+			}
+			consume := func(items int64) platform.Duration { return w.InstrTime(cfg.ConsumeInstr * items) }
+			want := []struct {
+				v      uint64
+				charge platform.Duration
+			}{
+				{1, recv(2) + consume(2)},
+				{2, 0},
+				{3, recv(1) + recv(1) + consume(1)}, // the stale batch, then [3]
+				{4, recv(3) + consume(3)},
+			}
+			for _, c := range want {
+				start := p.Now()
+				v, ok := r.TryNext()
+				if !ok || v != c.v {
+					t.Fatalf("TryNext = %d, %v; want %d, true", v, ok, c.v)
+				}
+				if got := p.Now() - start; got != c.charge {
+					t.Errorf("TryNext returning %d charged %v, want %v", v, got, c.charge)
+				}
+			}
+			r.Abort(2)
+			start := p.Now()
+			if v, ok := r.TryNext(); ok {
+				t.Errorf("TryNext = %d after Abort, want nothing buffered", v)
+			}
+			if got := p.Now() - start; got != 0 {
+				t.Errorf("an empty TryNext charged %v", got)
 			}
 		})
 }

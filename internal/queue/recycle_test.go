@@ -47,23 +47,21 @@ func TestRecycledBatchesStress(t *testing.T) {
 		ep := comm.Endpoint()
 		ctl := ep.Mailbox(0, tagCtl)
 		epoch, next := uint64(0), uint64(0)
-		check := func(vals []uint64) {
-			for k, v := range vals {
-				if k%16 == 0 {
-					runtime.Gosched() // read slowly: let the producer reuse batches meanwhile
-				}
-				if e, i := v>>32, v&0xffffffff; bad == "" && (e != epoch || i != next) {
-					bad = fmt.Sprintf("epoch/index %d/%d, want %d/%d", e, i, epoch, next)
-				}
-				next++
+		check := func(v uint64) {
+			if next%16 == 0 {
+				runtime.Gosched() // read slowly: let the producer reuse batches meanwhile
 			}
+			if e, i := v>>32, v&0xffffffff; bad == "" && (e != epoch || i != next) {
+				bad = fmt.Sprintf("epoch/index %d/%d, want %d/%d", e, i, epoch, next)
+			}
+			next++
 		}
 		for {
 			if msg, ok := ctl.TryRecv(); ok {
 				if msg.Payload.(uint64) == done {
 					// Everything was sent before the marker: drain it and stop.
-					for vals, ok := r.TryConsumeBatch(); ok; vals, ok = r.TryConsumeBatch() {
-						check(vals)
+					for v, ok := r.TryNext(); ok; v, ok = r.TryNext() {
+						check(v)
 					}
 					seen = next
 					return
@@ -73,8 +71,8 @@ func TestRecycledBatchesStress(t *testing.T) {
 				ep.Send(0, tagAck, nil, 8)
 				continue
 			}
-			if vals, ok := r.TryConsumeBatch(); ok {
-				check(vals)
+			if v, ok := r.TryNext(); ok {
+				check(v)
 				continue
 			}
 			comm.Idle(0)
@@ -118,7 +116,7 @@ func TestRecycledBatchesStress(t *testing.T) {
 }
 
 // TestHostRoundTripAllocFree pins the steady state: once the buffers have
-// reached their size, a produce → flush → TryConsumeBatch round trip between
+// reached their size, a produce → flush → TryNext round trip between
 // two host ranks allocates nothing — the batch comes off the free list, the
 // payload is a pointer, the receive buffer is the port's own.
 func TestHostRoundTripAllocFree(t *testing.T) {
@@ -133,8 +131,8 @@ func TestHostRoundTripAllocFree(t *testing.T) {
 		// Two rounds more than measured: the producer's own warm-up and
 		// AllocsPerRun's.
 		for got := 0; got < (rounds+2)*items; {
-			if vals, ok := r.TryConsumeBatch(); ok {
-				if got += len(vals); got%items == 0 {
+			if _, ok := r.TryNext(); ok {
+				if got++; got%items == 0 {
 					comm.Endpoint().Send(0, tagAck, nil, 8)
 				}
 				continue
@@ -267,17 +265,15 @@ func TestCrossDaemonBatchNeverReturnsToSender(t *testing.T) {
 		// Poll against a deadline: a corrupted batch can lose values, and a
 		// lost value must fail the test, not hang it.
 		for deadline := time.Now().Add(30 * time.Second); got < n && time.Now().Before(deadline); {
-			vs, ok := r.TryConsumeBatch()
+			v, ok := r.TryNext()
 			if !ok {
 				runtime.Gosched()
 				continue
 			}
-			for _, v := range vs {
-				if v != got && bad == nil {
-					bad = fmt.Errorf("value %d at position %d", v, got)
-				}
-				got++
+			if v != got && bad == nil {
+				bad = fmt.Errorf("value %d at position %d", v, got)
 			}
+			got++
 		}
 	})
 	var wg sync.WaitGroup

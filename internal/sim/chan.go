@@ -49,11 +49,3 @@ func (c *Chan[T]) TryRecv() (v T, ok bool) {
 	c.buf = c.buf[1:]
 	return v, true
 }
-
-// TryRecvBatch appends every buffered value to into and returns the
-// extended slice, never blocking. It exists to satisfy platform.Mailbox.
-func (c *Chan[T]) TryRecvBatch(into []T) []T {
-	into = append(into, c.buf...)
-	c.buf = c.buf[len(c.buf):]
-	return into
-}

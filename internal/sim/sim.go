@@ -22,22 +22,6 @@ import (
 	"dsmtx/internal/platform"
 )
 
-// Time is a point in virtual time, measured in virtual nanoseconds from the
-// start of the run. It aliases the platform-neutral clock type, so values
-// flow unconverted between the simulator and the runtime layers above.
-type Time = platform.Time
-
-// Duration aliases Time for readability when a length of time is meant.
-type Duration = Time
-
-// Convenient virtual-time units.
-const (
-	Nanosecond  = platform.Nanosecond
-	Microsecond = platform.Microsecond
-	Millisecond = platform.Millisecond
-	Second      = platform.Second
-)
-
 // ErrDeadlock is returned (wrapped) by Run when live processes remain but no
 // event can ever wake them.
 var ErrDeadlock = errors.New("sim: deadlock")
@@ -45,7 +29,7 @@ var ErrDeadlock = errors.New("sim: deadlock")
 // event is a single entry in the kernel's calendar: either "resume process p"
 // or "call fn" at time t. Same-time events fire in seq order.
 type event struct {
-	t   Time
+	t   platform.Time
 	seq uint64
 	p   *Proc
 	fn  func()
@@ -115,7 +99,7 @@ type killSentinel struct{}
 // A Kernel must be driven from a single goroutine via Run; processes are
 // created with Spawn before or during the run.
 type Kernel struct {
-	now     Time
+	now     platform.Time
 	events  eventHeap
 	seq     uint64
 	procs   []*Proc
@@ -123,7 +107,7 @@ type Kernel struct {
 	yield   chan struct{}
 	killing bool
 	failure error
-	horizon Time // active Run's horizon (0 = unbounded); guards the Advance fast path
+	horizon platform.Time // active Run's horizon (0 = unbounded); guards the Advance fast path
 	// Stats
 	nEvents uint64
 }
@@ -134,12 +118,12 @@ func NewKernel() *Kernel {
 }
 
 // Now reports the current virtual time.
-func (k *Kernel) Now() Time { return k.now }
+func (k *Kernel) Now() platform.Time { return k.now }
 
 // Events reports how many calendar events have fired so far.
 func (k *Kernel) Events() uint64 { return k.nEvents }
 
-func (k *Kernel) schedule(t Time, p *Proc, fn func()) {
+func (k *Kernel) schedule(t platform.Time, p *Proc, fn func()) {
 	if t < k.now {
 		t = k.now
 	}
@@ -149,10 +133,10 @@ func (k *Kernel) schedule(t Time, p *Proc, fn func()) {
 
 // At schedules fn to run at virtual time t (or now, if t is in the past).
 // fn runs on the kernel's goroutine and must not block.
-func (k *Kernel) At(t Time, fn func()) { k.schedule(t, nil, fn) }
+func (k *Kernel) At(t platform.Time, fn func()) { k.schedule(t, nil, fn) }
 
 // After schedules fn to run d from now. fn must not block.
-func (k *Kernel) After(d Duration, fn func()) { k.schedule(k.now+d, nil, fn) }
+func (k *Kernel) After(d platform.Duration, fn func()) { k.schedule(k.now+d, nil, fn) }
 
 // Spawn creates a new process executing fn and schedules it to start at the
 // current virtual time. The name appears in deadlock reports.
@@ -185,7 +169,7 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 // Run drives the calendar until it drains, a process panics, or the horizon
 // (if positive) is reached. It returns a deadlock error when live processes
 // remain blocked with an empty calendar.
-func (k *Kernel) Run(horizon Time) error {
+func (k *Kernel) Run(horizon platform.Time) error {
 	k.horizon = horizon
 	for len(k.events) > 0 && k.failure == nil {
 		if horizon > 0 && k.events.peek().t > horizon {
@@ -268,31 +252,31 @@ type Proc struct {
 	resume    chan struct{}
 	state     procState
 	blockedOn string
-	advanced  Time
-	blocked   Time
-	dilate    func(Time, Duration) Duration
+	advanced  platform.Time
+	blocked   platform.Time
+	dilate    func(platform.Time, platform.Duration) platform.Duration
 }
 
 // SetDilation installs a compute-time dilation hook: every subsequent
 // Advance(d) spends dilate(now, d) instead of d. The fault layer uses it
 // to model straggler ranks; nil removes the hook. Dilated time counts as
 // busy time in Advanced, exactly as if the work really were slower.
-func (p *Proc) SetDilation(dilate func(now Time, d Duration) Duration) {
+func (p *Proc) SetDilation(dilate func(now platform.Time, d platform.Duration) platform.Duration) {
 	p.dilate = dilate
 }
 
 // Advanced reports the total virtual time this process has spent in
 // Advance — its busy time, as opposed to blocking waits.
-func (p *Proc) Advanced() Time { return p.advanced }
+func (p *Proc) Advanced() platform.Time { return p.advanced }
 
 // Blocked reports the total virtual time this process has spent parked in
 // message receives — the complement of Advanced in the stall-attribution
 // report. Time parked inside Advance itself is excluded: that is busy time
 // already counted by Advanced.
-func (p *Proc) Blocked() Time { return p.blocked }
+func (p *Proc) Blocked() platform.Time { return p.blocked }
 
 // Now reports the current virtual time.
-func (p *Proc) Now() Time { return p.k.now }
+func (p *Proc) Now() platform.Time { return p.k.now }
 
 // park suspends the process until something schedules it again. The caller
 // must already have registered the process somewhere it can be woken from.
@@ -364,7 +348,7 @@ func (p *Proc) wake() { p.k.schedule(p.k.now, p, nil) }
 // Advance spends d of virtual time — the simulation analogue of computing
 // for d. Negative and zero durations yield the processor without advancing
 // the clock (same-time events scheduled earlier still run first).
-func (p *Proc) Advance(d Duration) {
+func (p *Proc) Advance(d platform.Duration) {
 	if d < 0 {
 		d = 0
 	}

@@ -4,27 +4,29 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
+
+	"dsmtx/internal/platform"
 )
 
 func TestAdvanceAccumulatesTime(t *testing.T) {
 	k := NewKernel()
-	var end Time
+	var end platform.Time
 	k.Spawn("w", func(p *Proc) {
-		p.Advance(5 * Microsecond)
-		p.Advance(10 * Microsecond)
+		p.Advance(5 * platform.Microsecond)
+		p.Advance(10 * platform.Microsecond)
 		end = p.Now()
 	})
 	if err := k.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	if end != 15*Microsecond {
+	if end != 15*platform.Microsecond {
 		t.Fatalf("end = %v, want 15µs", end)
 	}
 }
 
 func TestSpawnStartsAtCurrentTime(t *testing.T) {
 	k := NewKernel()
-	var childStart Time
+	var childStart platform.Time
 	k.Spawn("parent", func(p *Proc) {
 		p.Advance(7)
 		k.Spawn("child", func(c *Proc) { childStart = c.Now() })
@@ -55,7 +57,7 @@ func TestSameTimeEventsFireInScheduleOrder(t *testing.T) {
 
 func TestAtAndAfterCallbacks(t *testing.T) {
 	k := NewKernel()
-	var at, after Time
+	var at, after platform.Time
 	k.At(50, func() { at = k.Now() })
 	k.Spawn("w", func(p *Proc) {
 		p.Advance(10)
@@ -104,7 +106,7 @@ func TestChanSendRecv(t *testing.T) {
 func TestChanPushFromCallback(t *testing.T) {
 	k := NewKernel()
 	ch := NewChan[string]("net")
-	var at Time
+	var at platform.Time
 	k.At(42, func() { ch.Push("hello") })
 	k.Spawn("rx", func(p *Proc) {
 		v, ok := ch.Recv(p)
@@ -180,14 +182,14 @@ func TestHorizonStopsEarly(t *testing.T) {
 // TestDeterminism runs an irregular workload twice and requires identical
 // event counts and finish times.
 func TestDeterminism(t *testing.T) {
-	run := func() (Time, uint64, int) {
+	run := func() (platform.Time, uint64, int) {
 		k := NewKernel()
 		ch := NewChan[int]("c")
 		sum := 0
 		for w := 0; w < 7; w++ {
 			k.Spawn("p", func(p *Proc) {
 				for i := 0; i < 20; i++ {
-					p.Advance(Duration((w*13 + i*7) % 11))
+					p.Advance(platform.Duration((w*13 + i*7) % 11))
 					ch.Push(w*100 + i)
 				}
 			})
@@ -219,9 +221,9 @@ func TestAdvanceSumProperty(t *testing.T) {
 			durs = durs[:64]
 		}
 		k := NewKernel()
-		var want, got Time
+		var want, got platform.Time
 		for _, d := range durs {
-			dd := Duration(d)
+			dd := platform.Duration(d)
 			if dd < 0 {
 				dd = 0
 			}
@@ -234,7 +236,7 @@ func TestAdvanceSumProperty(t *testing.T) {
 		})
 		k.Spawn("w", func(p *Proc) {
 			for _, d := range durs {
-				p.Advance(Duration(d))
+				p.Advance(platform.Duration(d))
 			}
 			got = p.Now()
 		})
@@ -257,7 +259,7 @@ func TestChanFIFOProperty(t *testing.T) {
 		k.Spawn("tx", func(p *Proc) {
 			for _, v := range vals {
 				ch.Push(v)
-				p.Advance(Duration(v % 3))
+				p.Advance(platform.Duration(v % 3))
 			}
 		})
 		k.Spawn("rx", func(p *Proc) {
@@ -290,13 +292,13 @@ func TestChanFIFOProperty(t *testing.T) {
 
 func TestTimeString(t *testing.T) {
 	cases := []struct {
-		t    Time
+		t    platform.Time
 		want string
 	}{
 		{5, "5ns"},
 		{1500, "1.500µs"},
-		{2 * Millisecond, "2.000ms"},
-		{3 * Second, "3.000s"},
+		{2 * platform.Millisecond, "2.000ms"},
+		{3 * platform.Second, "3.000s"},
 	}
 	for _, c := range cases {
 		if got := c.t.String(); got != c.want {
@@ -359,29 +361,29 @@ func TestProcAdvancedAccounting(t *testing.T) {
 // through the park-free fast path) and the stretch lands in Advanced.
 func TestSetDilation(t *testing.T) {
 	k := NewKernel()
-	var end Time
-	var busy Time
+	var end platform.Time
+	var busy platform.Time
 	k.Spawn("straggler", func(p *Proc) {
-		p.SetDilation(func(now Time, d Duration) Duration {
-			if now >= 10*Microsecond && now < 20*Microsecond {
+		p.SetDilation(func(now platform.Time, d platform.Duration) platform.Duration {
+			if now >= 10*platform.Microsecond && now < 20*platform.Microsecond {
 				return 3 * d
 			}
 			return d
 		})
-		p.Advance(10 * Microsecond) // outside window: 10µs
-		p.Advance(5 * Microsecond)  // inside window: 15µs
+		p.Advance(10 * platform.Microsecond) // outside window: 10µs
+		p.Advance(5 * platform.Microsecond)  // inside window: 15µs
 		p.SetDilation(nil)
-		p.Advance(5 * Microsecond) // hook removed: 5µs
+		p.Advance(5 * platform.Microsecond) // hook removed: 5µs
 		end = p.Now()
 		busy = p.Advanced()
 	})
 	if err := k.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	if end != 30*Microsecond {
+	if end != 30*platform.Microsecond {
 		t.Fatalf("end = %v, want 30µs", end)
 	}
-	if busy != 30*Microsecond {
+	if busy != 30*platform.Microsecond {
 		t.Fatalf("Advanced = %v, want 30µs (dilation is busy time)", busy)
 	}
 }

@@ -7,7 +7,7 @@ import (
 	"sort"
 	"strings"
 
-	"dsmtx/internal/sim"
+	"dsmtx/internal/platform"
 )
 
 // WriteChromeTrace renders the recorded timeline as Chrome trace-event
@@ -110,7 +110,7 @@ func (t *Tracer) writeEvent(bw *bufio.Writer, e *Event) {
 
 // usec renders virtual nanoseconds as the trace format's microseconds,
 // keeping exact nanosecond precision as a fixed three-decimal fraction.
-func usec(ns sim.Time) string {
+func usec(ns platform.Time) string {
 	if ns < 0 {
 		ns = 0
 	}

@@ -3,7 +3,7 @@ package trace
 import (
 	"fmt"
 
-	"dsmtx/internal/sim"
+	"dsmtx/internal/platform"
 	"dsmtx/internal/stats"
 )
 
@@ -26,7 +26,7 @@ type StallRow struct {
 	Label string // "worker3", "trycommit0", "commit", "pagesrv"
 	Stage string // aggregation key: "S0".."Sn", "trycommit", "commit", "pagesrv"
 
-	Busy, Backpressure, Starvation, VerdictWait, VoteWait, Recovery, Blocked sim.Time
+	Busy, Backpressure, Starvation, VerdictWait, VoteWait, Recovery, Blocked platform.Time
 
 	// Host-delivery columns, populated only on the host backend (the report
 	// renders them when StallReport.Host is set). Park is wall time the
@@ -34,12 +34,12 @@ type StallRow struct {
 	// granularity, so a commit rank's row includes its co-located page
 	// server. ShardQueue is the high-water request backlog of a commit
 	// unit's page server (zero on other rows).
-	Park       sim.Time
+	Park       platform.Time
 	ShardQueue int64
 }
 
 // Total is the row's accounted virtual time.
-func (r *StallRow) Total() sim.Time {
+func (r *StallRow) Total() platform.Time {
 	return r.Busy + r.Backpressure + r.Starvation + r.VerdictWait + r.VoteWait + r.Recovery + r.Blocked
 }
 
@@ -154,7 +154,7 @@ func (r *StallReport) StageTable() *stats.Table {
 
 func stallCells(name string, r *StallRow, rep *StallReport) []string {
 	total := r.Total()
-	cell := func(v sim.Time) string {
+	cell := func(v platform.Time) string {
 		if total == 0 {
 			return fmtDur(v)
 		}
@@ -178,7 +178,7 @@ func stallCells(name string, r *StallRow, rep *StallReport) []string {
 }
 
 // fmtDur renders virtual nanoseconds with a human unit.
-func fmtDur(t sim.Time) string {
+func fmtDur(t platform.Time) string {
 	switch {
 	case t >= 1e9:
 		return fmt.Sprintf("%.2fs", float64(t)/1e9)

@@ -27,6 +27,7 @@ import (
 	"sort"
 	"sync/atomic"
 
+	"dsmtx/internal/platform"
 	"dsmtx/internal/sim"
 )
 
@@ -107,7 +108,7 @@ func (k Kind) String() string {
 type Event struct {
 	Kind       Kind
 	Track      int32 // timeline id: the simulated rank (or a synthetic id)
-	Start, End sim.Time
+	Start, End platform.Time
 	MTX        uint64
 	V1, V2     int64
 }
@@ -121,15 +122,15 @@ type trackInfo struct {
 
 // Clock is the time source spans are stamped against: the virtual-time
 // kernel on the vtime backend, the platform's monotonic wall clock on host.
-// platform.Platform satisfies it directly (sim.Time aliases platform.Time).
+// platform.Platform satisfies it directly.
 type Clock interface {
-	Now() sim.Time
+	Now() platform.Time
 }
 
 // kernelClock adapts a simulation kernel to the Clock interface.
 type kernelClock struct{ k *sim.Kernel }
 
-func (c kernelClock) Now() sim.Time { return c.k.Now() }
+func (c kernelClock) Now() platform.Time { return c.k.Now() }
 
 // DefaultSpanBufCap is the per-track span-buffer capacity in wall-clock
 // mode (BindWall with bufCap <= 0, which is what core passes): 16384
@@ -138,7 +139,7 @@ const DefaultSpanBufCap = 1 << 14
 
 // wallSpanFloor is the minimum wall-clock duration a RecvWait-style span
 // must reach to be worth recording (see SpanFloor).
-const wallSpanFloor sim.Time = 1000 // 1 µs
+const wallSpanFloor platform.Time = 1000 // 1 µs
 
 // spanRing is one track's fixed-size lock-free span buffer for wall-clock
 // mode. Writers claim a slot with an atomic fetch-add and store the event;
@@ -173,7 +174,7 @@ func (r *spanRing) put(ev Event) {
 // (it happens between runs, after the platform's goroutines have joined).
 type Tracer struct {
 	clock  Clock
-	base   sim.Time
+	base   platform.Time
 	spans  bool
 	events []Event
 	tracks map[int32]trackInfo
@@ -260,7 +261,7 @@ func (t *Tracer) Wall() bool { return t != nil && t.wall }
 // clock is a modelled event worth keeping, and ~1 µs on the wall clock,
 // where every blocking receive takes nonzero real time and recording them
 // all would flood the fixed buffers with noise.
-func (t *Tracer) SpanFloor() sim.Time {
+func (t *Tracer) SpanFloor() platform.Time {
 	if t == nil || !t.wall {
 		return 0
 	}
@@ -289,7 +290,7 @@ func (t *Tracer) SetTrack(track, pid int, name string) {
 // Now reports the tracer-relative time — the value to pass as a span's
 // start. It returns 0 when recording is off, making the capture-then-record
 // pattern free in the disabled state.
-func (t *Tracer) Now() sim.Time {
+func (t *Tracer) Now() platform.Time {
 	if t == nil || !t.spans || t.clock == nil {
 		return 0
 	}
@@ -313,7 +314,7 @@ func (t *Tracer) record(ev Event) {
 
 // Span records an interval from start (a value captured with Now) to the
 // current clock time.
-func (t *Tracer) Span(kind Kind, track int, start sim.Time, mtx uint64, v1, v2 int64) {
+func (t *Tracer) Span(kind Kind, track int, start platform.Time, mtx uint64, v1, v2 int64) {
 	if t == nil || !t.spans || t.clock == nil {
 		return
 	}

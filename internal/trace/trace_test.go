@@ -6,11 +6,12 @@ import (
 	"strings"
 	"testing"
 
+	"dsmtx/internal/platform"
 	"dsmtx/internal/sim"
 )
 
 // kernelAt builds a kernel and a proc parked at virtual time t.
-func kernelAt(t *testing.T, at sim.Time) *sim.Kernel {
+func kernelAt(t *testing.T, at platform.Time) *sim.Kernel {
 	k := sim.NewKernel()
 	k.Spawn("p", func(p *sim.Proc) { p.Advance(at) })
 	k.Run(0)

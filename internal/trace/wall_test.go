@@ -7,13 +7,13 @@ import (
 	"sync"
 	"testing"
 
-	"dsmtx/internal/sim"
+	"dsmtx/internal/platform"
 )
 
 // fakeClock is a settable wall clock for wall-mode tests.
-type fakeClock struct{ t sim.Time }
+type fakeClock struct{ t platform.Time }
 
-func (c *fakeClock) Now() sim.Time { return c.t }
+func (c *fakeClock) Now() platform.Time { return c.t }
 
 func wallTracer(bufCap int) (*Tracer, *fakeClock) {
 	tr := New()
@@ -83,7 +83,7 @@ func TestWallBufferOverflowCounted(t *testing.T) {
 	tr, clk := wallTracer(4)
 	tr.SetTrack(0, 0, "worker0")
 	for i := 0; i < 10; i++ {
-		clk.t = sim.Time(i + 1)
+		clk.t = platform.Time(i + 1)
 		tr.Instant(InstFlush, 0, uint64(i), 0, 0)
 	}
 	if got := tr.DroppedSpans(); got != 6 {

@@ -9,7 +9,7 @@ import (
 
 	"dsmtx/internal/core"
 	"dsmtx/internal/faults"
-	"dsmtx/internal/sim"
+	"dsmtx/internal/platform"
 	"dsmtx/internal/trace"
 )
 
@@ -54,10 +54,10 @@ func TestEmptyFaultPlanIsByteIdentical(t *testing.T) {
 // delayPlan spikes 1% of inter-node messages, doubles link latency over
 // the middle third of a clean run and halves rank 2's speed over the same
 // window: every fault kind the plan grammar has.
-func delayPlan(seed uint64, clean sim.Duration) *faults.Plan {
-	from, dur := sim.Time(clean/3), clean/3
+func delayPlan(seed uint64, clean platform.Duration) *faults.Plan {
+	from, dur := platform.Time(clean/3), clean/3
 	return &faults.Plan{
-		Seed: seed, SpikeRate: 0.01, SpikeExtra: 20 * sim.Microsecond,
+		Seed: seed, SpikeRate: 0.01, SpikeExtra: 20 * platform.Microsecond,
 		Degrades:   []faults.Degrade{{From: from, Dur: dur, Factor: 2}},
 		Stragglers: []faults.Straggler{{Rank: 2, From: from, Dur: dur, Factor: 2}},
 	}
@@ -119,7 +119,7 @@ func TestVTimeStallTableAccountsWindows(t *testing.T) {
 	workers := 0
 	for i := range res.Stalls.Rows {
 		r := &res.Stalls.Rows[i]
-		for _, cell := range []sim.Time{r.Busy, r.Backpressure, r.Starvation, r.VerdictWait, r.VoteWait, r.Recovery, r.Blocked} {
+		for _, cell := range []platform.Time{r.Busy, r.Backpressure, r.Starvation, r.VerdictWait, r.VoteWait, r.Recovery, r.Blocked} {
 			if cell < 0 {
 				t.Errorf("%s: negative cell in %+v", r.Label, *r)
 				break

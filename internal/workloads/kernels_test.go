@@ -8,7 +8,7 @@ import (
 
 	"dsmtx/internal/core"
 	"dsmtx/internal/mem"
-	"dsmtx/internal/sim"
+	"dsmtx/internal/platform"
 	"dsmtx/internal/uva"
 )
 
@@ -362,7 +362,7 @@ func TestSeqCtxCostsCharged(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}
-		if elapsed <= sim.Time(0) {
+		if elapsed <= platform.Time(0) {
 			t.Errorf("%s: sequential run charged no time", b.Name)
 		}
 	}

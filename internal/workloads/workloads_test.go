@@ -6,14 +6,14 @@ import (
 
 	"dsmtx/internal/core"
 	"dsmtx/internal/mem"
-	"dsmtx/internal/sim"
+	"dsmtx/internal/platform"
 )
 
 func coreDefaultFor(prog Program) core.Config {
 	return core.DefaultConfig(prog.Plan().MinWorkers()+2, prog.Plan())
 }
 
-func coreRunSeq(cfg core.Config, prog Program) (sim.Time, *mem.Image, error) {
+func coreRunSeq(cfg core.Config, prog Program) (platform.Time, *mem.Image, error) {
 	return core.RunSequential(cfg, prog, prog.Iterations(), nil)
 }
 

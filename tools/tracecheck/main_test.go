@@ -8,7 +8,7 @@ import (
 
 	"dsmtx/internal/core"
 	"dsmtx/internal/faults"
-	"dsmtx/internal/sim"
+	"dsmtx/internal/platform"
 	"dsmtx/internal/trace"
 	"dsmtx/internal/workloads"
 )
@@ -24,8 +24,8 @@ func realTrace(t *testing.T) []byte {
 	}
 	tr := trace.New()
 	plan := faults.Plan{
-		Seed: 3, SpikeRate: 0.01, SpikeExtra: 20 * sim.Microsecond,
-		Stragglers: []faults.Straggler{{Rank: 1, From: 0, Dur: sim.Millisecond, Factor: 2}},
+		Seed: 3, SpikeRate: 0.01, SpikeExtra: 20 * platform.Microsecond,
+		Stragglers: []faults.Straggler{{Rank: 1, From: 0, Dur: platform.Millisecond, Factor: 2}},
 	}
 	if _, err := workloads.RunParallel(b, workloads.DefaultInput(), workloads.DSMTX, 16,
 		func(cfg *core.Config) {
