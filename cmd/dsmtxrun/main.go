@@ -8,8 +8,6 @@
 //	dsmtxrun -bench 130.li -cores 32 -paradigm tls
 //	dsmtxrun -bench crc32 -cores 96 -misspec 0.001
 //	dsmtxrun -bench 164.gzip -cores 32 -trace out.json -metrics
-//	dsmtxrun -bench 164.gzip -cores 32 -faults spike=0.001:20us,straggler=r1:2x@2ms+500us
-//	dsmtxrun -bench crc32 -cores 32 -faults spike=0.01:20us,seed=7
 //	dsmtxrun -bench crc32 -cores 8 -backend host
 //	dsmtxrun -bench crc32 -cores 16 -commit-shards 4 -backend host
 //	dsmtxrun -bench crc32 -cores 8 -backend host -trace host.json -metrics
@@ -25,11 +23,10 @@
 // live backends verify the identical checksum but model no instruction or
 // wire costs, so no speedup is reported. Tracing and metrics work on vtime
 // and host (host spans carry wall-clock timestamps and add delivery-layer
-// instrumentation; on net they belong to the daemons); -faults is
-// vtime-only. -commit-shards partitions the commit pipeline across N
-// consistent-hashed commit units (cross-shard MTXs commit through an
-// ordered two-phase vote); the default 1 is the paper's single commit
-// unit. -metrics-addr serves the live metrics registry as JSON at
+// instrumentation; on net they belong to the daemons). -commit-shards
+// partitions the commit pipeline across N consistent-hashed commit units
+// (cross-shard MTXs commit through an ordered two-phase vote); the default
+// 1 is the paper's single commit unit. -metrics-addr serves the live metrics registry as JSON at
 // /metrics while the run executes.
 //
 // Results go to stdout; errors go to stderr.
@@ -46,7 +43,6 @@ import (
 	"dsmtx/internal/cli"
 	"dsmtx/internal/core"
 	"dsmtx/internal/engine"
-	"dsmtx/internal/faults"
 	"dsmtx/internal/harness"
 	"dsmtx/internal/job"
 	"dsmtx/internal/netrun"
@@ -61,7 +57,6 @@ type options struct {
 	traceOut    string
 	metrics     bool
 	metricsAddr string
-	plan        *faults.Plan
 	// opts are the submission options the flags describe: the fleet's
 	// placement, and the tracer -trace, -metrics or -metrics-addr asks for
 	// (shared across invocations, binding stitches each invocation's clock,
@@ -85,7 +80,6 @@ func parseFlags(args []string) (*options, error) {
 	fs.StringVar(&o.traceOut, "trace", "", "write a Chrome trace-event JSON timeline (Perfetto-loadable) to this file")
 	fs.BoolVar(&o.metrics, "metrics", false, "print the metrics registry and per-rank stall attribution")
 	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve a live JSON metrics snapshot at http://ADDR/metrics during the run (e.g. 127.0.0.1:9090)")
-	faultArg := fs.String("faults", "", "deterministic fault plan, e.g. spike=0.001:20us,straggler=r1:2x@2ms+500us,seed=7 (see internal/faults)")
 	fs.IntVar(&o.opts.NetDaemons, "net-daemons", 2, "with -backend net: spawn this many loopback daemon processes")
 	netJoin := fs.String("net-join", "", "with -backend net: comma-separated dsmtxd addresses to join instead of spawning (last hosts the commit unit)")
 	if err := fs.Parse(args); err != nil {
@@ -105,14 +99,6 @@ func parseFlags(args []string) (*options, error) {
 	}
 	o.spec.Paradigm, o.spec.Backend = p.String(), b.String()
 
-	if *faultArg != "" {
-		p, err := faults.Parse(*faultArg)
-		if err != nil {
-			return nil, fmt.Errorf("-faults: %v", err)
-		}
-		o.plan = &p
-	}
-	o.spec.Faults = o.plan.Format()
 	o.spec = o.spec.Normalized()
 
 	if *netJoin != "" {
@@ -124,8 +110,8 @@ func parseFlags(args []string) (*options, error) {
 		o.opts.Tracer = trace.NewMetricsOnly()
 	}
 	if o.spec.Bench != "" {
-		// The backend × feature rules (faults are vtime-only, net refuses
-		// commit shards and a tracer, ...) are the job spec's and the
+		// The backend × feature rules (net refuses commit shards and a
+		// tracer, ...) are the job spec's and the
 		// engine's; state them once, there, and surface them as flag errors.
 		if err := o.spec.Validate(); err != nil {
 			return nil, err
@@ -272,9 +258,6 @@ func run(o *options, stdout io.Writer) error {
 		useful := res.Committed * uint64(len(workloads.NewChain(b, o.spec.Input()).Plan(o.spec.ParsedParadigm()).Stages))
 		squashed := 100 * max(0, 1-float64(useful)/float64(max(res.SubTXs, 1)))
 		fmt.Fprintf(stdout, "  speculation     %d subTXs executed, %d useful (%.1f%% squashed)\n", res.SubTXs, useful, squashed)
-	}
-	if o.plan != nil {
-		fmt.Fprintf(stdout, "  fault plan      %s\n", o.plan.Format())
 	}
 	verdict := reportOutput(stdout, res.Checksum, seqCheck)
 	if o.metrics {

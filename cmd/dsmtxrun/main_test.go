@@ -85,13 +85,9 @@ func TestParseFlagsErrors(t *testing.T) {
 		{Args: []string{"stray-positional"}, Want: "unexpected arguments"},
 		{Args: []string{"-paradigm", "openmp"}, Want: "unknown -paradigm"},
 		{Args: []string{"-bench", "crc32", "-misspec", "NaN"}, Want: "rate NaN outside [0,1]"},
-		{Args: []string{"-faults", "spike=notanumber:1us"}, Want: "-faults"},
-		// removed fault clauses
-		{Args: []string{"-faults", "drop=0.01"}, Want: "unknown clause key"},
-		{Args: []string{"-faults", "ackdrop=0.01"}, Want: "unknown clause key"},
+		// fault injection is gone from the product
+		{Args: []string{"-faults", "x"}, Want: "flag provided but not defined"},
 		// the engine's backend × feature rules surface as flag errors
-		{Args: []string{"-bench", "crc32", "-backend", "host", "-faults", "straggler=r1:2x@0ns+1ms"}, Want: "Faults: fault injection is built on the virtual-time kernel"},
-		{Args: []string{"-bench", "crc32", "-backend", "net", "-faults", "straggler=r1:2x@0ns+1ms"}, Want: "Faults: fault injection is built on the virtual-time kernel"},
 		{Args: []string{"-bench", "crc32", "-backend", "net", "-commit-shards", "2"}, Want: "net backend"},
 		{Args: []string{"-bench", "crc32", "-backend", "net", "-trace", "t.json"}, Want: "Options.Tracer"},
 		{Args: []string{"-bench", "999.nope"}, Want: "unknown benchmark"},
@@ -109,16 +105,6 @@ func TestParseFlagsHostObservability(t *testing.T) {
 		if _, err := parseFlags(args); err != nil {
 			t.Errorf("parseFlags(%v): %v", args, err)
 		}
-	}
-}
-
-func TestParseFlagsFaultPlan(t *testing.T) {
-	o, err := parseFlags([]string{"-bench", "crc32", "-faults", "spike=0.01:20us,seed=7"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.plan == nil || o.plan.Seed != 7 {
-		t.Fatalf("plan = %+v, want seed 7", o.plan)
 	}
 }
 

@@ -16,7 +16,6 @@ package cluster
 import (
 	"fmt"
 
-	"dsmtx/internal/faults"
 	"dsmtx/internal/platform"
 	"dsmtx/internal/sim"
 )
@@ -160,20 +159,19 @@ type Machine struct {
 	eps         []*Endpoint
 	stats       platform.TrafficStats
 
-	// Fault-injection state; nil/false when faults are off, and the
-	// latency branch in transmit is gated so the fault-free path is
-	// byte-identical to a machine without an injector.
-	inj       *faults.Injector
-	latFaults bool   // consult the injector for spikes/degradation
-	sendSeq   uint64 // per-message identity for latency rolls
+	// extra, when set, adds latency to every message before the
+	// non-overtaking clamp (SetExtraLatency).
+	extra func(from, to int, now platform.Time) platform.Duration
 }
 
-// EnableFaults installs a compiled fault injector. Must be called before
-// any traffic flows. Link faults only stretch inter-node arrivals in
-// transmit; nothing is dropped or reordered.
-func (m *Machine) EnableFaults(inj *faults.Injector) {
-	m.inj = inj
-	m.latFaults = inj != nil && inj.HasLatencyFaults()
+// SetExtraLatency installs a schedule perturbation: every message, intra-
+// and inter-node alike, arrives extra(from, to, sendTime) later than the
+// model says, still never ahead of an earlier message between the same
+// pair. It moves arrivals only — nothing is dropped or reordered per pair —
+// so a perturbed run computes what a clean one does on another
+// interleaving. Must be called before any traffic flows; nil removes it.
+func (m *Machine) SetExtraLatency(extra func(from, to int, now platform.Time) platform.Duration) {
+	m.extra = extra
 }
 
 // New builds a machine on the given kernel. It panics on invalid
@@ -262,10 +260,9 @@ func (m *Machine) transmit(msg platform.Message) platform.Time {
 		xmit := platform.Duration(float64(msg.Bytes) / m.cfg.bandwidthOf(srcNode) * 1e9)
 		m.nicFree[srcNode] = depart + xmit
 		arrival = depart + xmit + m.cfg.InterNodeLatency
-		if m.latFaults {
-			m.sendSeq++
-			arrival += m.inj.ExtraLatency(msg.From, msg.To, m.sendSeq, now, m.cfg.InterNodeLatency)
-		}
+	}
+	if m.extra != nil {
+		arrival += m.extra(msg.From, msg.To, now)
 	}
 	pair := [2]int{msg.From, msg.To}
 	if last := m.lastArrival[pair]; arrival < last {

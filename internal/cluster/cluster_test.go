@@ -1,10 +1,11 @@
 package cluster
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
-	"dsmtx/internal/faults"
 	"dsmtx/internal/platform"
 	"dsmtx/internal/sim"
 )
@@ -272,75 +273,48 @@ func TestIdleIsExactlyAdvance(t *testing.T) {
 	}
 }
 
-// TestLatencyFaultsDelayButPreserveOrder: latency spikes stretch
-// deliveries but keep MPI's non-overtaking guarantee.
+// TestLatencyFaultsDelayButPreserveOrder: random extra latency on every
+// message (SetExtraLatency) stretches deliveries, on the intra-node pair
+// 0→1 and the inter-node pair 0→2 alike, but keeps MPI's non-overtaking
+// guarantee.
 func TestLatencyFaultsDelayButPreserveOrder(t *testing.T) {
-	f := func(seed uint64) bool {
+	run := func(extra func(from, to int, now platform.Time) platform.Duration) (platform.Time, bool) {
 		k := sim.NewKernel()
 		m := New(k, testConfig())
-		inj, err := faults.Compile(faults.Plan{Seed: seed, SpikeRate: 0.3, SpikeExtra: 100 * platform.Microsecond})
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.EnableFaults(inj)
+		m.SetExtraLatency(extra)
 		ok := true
-		k.Spawn("rx", func(p *sim.Proc) {
-			for i := range 50 {
-				msg := m.Endpoint(1).Recv(p, 0, 3)
-				if msg.Payload.(int) != i {
-					ok = false
+		var end platform.Time
+		for _, dst := range []int{1, 2} {
+			k.Spawn(fmt.Sprintf("rx%d", dst), func(p *sim.Proc) {
+				for i := range 50 {
+					if msg := m.Endpoint(dst).Recv(p, 0, 3); msg.Payload.(int) != i {
+						ok = false
+					}
 				}
-			}
-		})
+				end = max(end, p.Now())
+			})
+		}
 		k.Spawn("tx", func(p *sim.Proc) {
 			for i := range 50 {
 				m.Endpoint(0).Send(1, 3, i, 8)
+				m.Endpoint(0).Send(2, 3, i, 8)
 				p.Advance(10)
 			}
 		})
 		if err := k.Run(0); err != nil {
-			return false
+			t.Fatal(err)
 		}
-		return ok
+		return end, ok
+	}
+	clean, _ := run(nil)
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		end, ok := run(func(int, int, platform.Time) platform.Duration {
+			return platform.Duration(rng.Int63n(int64(100 * platform.Microsecond)))
+		})
+		return ok && end > clean
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestDegradedLinkSlowsDelivery: inside a degradation window the wire
-// latency multiplies; outside it the link recovers.
-func TestDegradedLinkSlowsDelivery(t *testing.T) {
-	cfg := testConfig()
-	k := sim.NewKernel()
-	m := New(k, cfg)
-	inj, err := faults.Compile(faults.Plan{
-		Degrades: []faults.Degrade{{From: 0, Dur: 10 * platform.Microsecond, Factor: 5}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.EnableFaults(inj)
-	var inside, outside platform.Time
-	k.Spawn("rx", func(p *sim.Proc) {
-		m.Endpoint(1).Recv(p, 0, 1)
-		inside = p.Now()
-		m.Endpoint(1).Recv(p, 0, 1)
-		outside = p.Now()
-	})
-	const gap = 20 * platform.Microsecond
-	k.Spawn("tx", func(p *sim.Proc) {
-		m.Endpoint(0).Send(1, 1, nil, 0) // departs at t=0, inside the window
-		p.Advance(gap)                   // past the window
-		m.Endpoint(0).Send(1, 1, nil, 0)
-	})
-	if err := k.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if inside != 5*cfg.InterNodeLatency {
-		t.Fatalf("degraded delivery at %v, want %v", inside, 5*cfg.InterNodeLatency)
-	}
-	if outside != gap+cfg.InterNodeLatency {
-		t.Fatalf("recovered delivery at %v, want %v", outside, gap+cfg.InterNodeLatency)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"dsmtx/internal/cluster"
-	"dsmtx/internal/faults"
 	"dsmtx/internal/mpi"
 	"dsmtx/internal/pipeline"
 	"dsmtx/internal/platform"
@@ -25,8 +24,7 @@ const (
 	// scheduler-dependent interleaving. Protocol outcomes (committed MTXs,
 	// checksums) match vtime; timings do not. The observability tracer runs
 	// here too, bound to the monotonic wall clock with lock-free per-rank
-	// span buffers; only fault injection (built on virtual-time timers and
-	// deterministic rolls) is rejected.
+	// span buffers.
 	BackendHost
 	// BackendNet executes the protocol across OS processes: each daemon
 	// hosts a contiguous range of ranks on an embedded host platform, and
@@ -134,12 +132,6 @@ type Config struct {
 	PageFaultInstr int64 // worker-side fault handling per COA miss
 	ProtectInstr   int64 // re-arming protection per resident page in recovery
 
-	// Faults, if non-nil and non-empty, injects the compiled fault plan:
-	// inter-node latency spikes and degradation windows, and straggler
-	// ranks. nil (the default) and the empty plan leave every path
-	// byte-identical to a fault-free build.
-	Faults *faults.Plan
-
 	// Tracer, if non-nil, attaches the observability layer: per-rank
 	// timeline spans (subTX, validate, commit, COA, recovery phases), the
 	// metrics registry, and per-message-class traffic attribution. nil (the
@@ -217,12 +209,9 @@ func (c Config) Validate() error {
 	if c.CommitShards < 0 {
 		return fmt.Errorf("core: Config.CommitShards = %d, need >= 0", c.CommitShards)
 	}
-	// What a live backend cannot run yet, each with its reason: the one
-	// statement of these rows of the backend matrix (ROADMAP "Faults where
-	// failures are real" and "Shard federation by message only").
-	if !c.Faults.Empty() && c.Backend != BackendVTime {
-		return fmt.Errorf("core: Config.Faults: fault injection is built on the virtual-time kernel; unsupported on the %s backend", c.Backend)
-	}
+	// What a live backend cannot run yet, with its reason: the one
+	// statement of this row of the backend matrix (ROADMAP "Shard
+	// federation by message only").
 	if c.CommitShards > 1 && c.Backend == BackendNet {
 		return fmt.Errorf("core: Config.CommitShards = %d: commit shards share an in-process image arena; unsupported on the net backend", c.CommitShards)
 	}
@@ -232,17 +221,6 @@ func (c Config) Validate() error {
 	if base := tagCommitVoteBase + c.commitShards() - 1; base >= tagQueueBase {
 		return fmt.Errorf("core: Config.CommitShards = %d exhausts the control tag space (max %d)",
 			c.CommitShards, tagQueueBase-tagCommitVoteBase)
-	}
-	if !c.Faults.Empty() {
-		if err := c.Faults.Validate(); err != nil {
-			return err
-		}
-		for _, st := range c.Faults.Stragglers {
-			if st.Rank >= c.TotalCores {
-				return fmt.Errorf("core: straggler rank %d outside the %d-core system",
-					st.Rank, c.TotalCores)
-			}
-		}
 	}
 	return nil
 }

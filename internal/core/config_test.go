@@ -5,7 +5,6 @@ import (
 
 	"fmt"
 
-	"dsmtx/internal/faults"
 	"dsmtx/internal/pipeline"
 	"dsmtx/internal/platform"
 	"dsmtx/internal/trace"
@@ -50,8 +49,8 @@ func TestValidateCommitShardErrors(t *testing.T) {
 }
 
 // The net backend narrows the configuration space: platforms are injected
-// by the orchestration layer, fault injection stays vtime-only, and the
-// commit pipeline cannot shard across processes. Every rejection must name
+// by the orchestration layer, and the commit pipeline cannot shard across
+// processes. Every rejection must name
 // the offending field.
 func TestValidateNetBackendErrors(t *testing.T) {
 	netPlat := func(int) (platform.Platform, error) {
@@ -78,25 +77,6 @@ func TestValidateNetBackendErrors(t *testing.T) {
 				cfg.CommitShards = 2
 			},
 			want: "core: Config.CommitShards = 2: commit shards share an in-process image arena; unsupported on the net backend",
-		},
-		{
-			name:  "faults are vtime-only on net",
-			cores: 12,
-			tune: func(cfg *Config) {
-				cfg.Backend = BackendNet
-				cfg.Platform = netPlat
-				cfg.Faults = &faults.Plan{Stragglers: []faults.Straggler{{Rank: 1, From: 0, Dur: platform.Millisecond, Factor: 2}}}
-			},
-			want: "core: Config.Faults: fault injection is built on the virtual-time kernel; unsupported on the net backend",
-		},
-		{
-			name:  "faults are vtime-only on host",
-			cores: 12,
-			tune: func(cfg *Config) {
-				cfg.Backend = BackendHost
-				cfg.Faults = &faults.Plan{Stragglers: []faults.Straggler{{Rank: 1, From: 0, Dur: platform.Millisecond, Factor: 2}}}
-			},
-			want: "core: Config.Faults: fault injection is built on the virtual-time kernel; unsupported on the host backend",
 		},
 		{
 			name:  "injected platform is net-only",

@@ -86,10 +86,17 @@ func runProg(t *testing.T, cfg Config, prog Program) (*System, Result) {
 // live backend — which ignores Config.Horizon — is an error, not a hang (the
 // stuck goroutines are left behind for the failing test binary to exit on).
 func runWithin(cfg Config, prog Program) (*System, Result, error) {
+	return runHooked(cfg, prog, schedHook{})
+}
+
+// runHooked is runWithin with the schedule hook set between NewSystem and
+// Run.
+func runHooked(cfg Config, prog Program, hook schedHook) (*System, Result, error) {
 	sys, err := NewSystem(cfg, prog, nil)
 	if err != nil {
 		return nil, Result{}, err
 	}
+	sys.hook = hook
 	type outcome struct {
 		res Result
 		err error

@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"dsmtx/internal/cluster"
-	"dsmtx/internal/faults"
 	"dsmtx/internal/mem"
 	"dsmtx/internal/mpi"
 	"dsmtx/internal/pipeline"
@@ -134,8 +133,8 @@ type System struct {
 	prog Program
 	// plat is the execution platform every protocol component runs against.
 	// kernel and mach are the vtime backend's underlying simulator stack,
-	// kept for the vtime-only subsystems (faults and the tracer's virtual
-	// clock); both are nil on the host backend.
+	// kept for the tracer's virtual clock and the schedule hook; both are
+	// nil on the live backends.
 	plat   platform.Platform
 	kernel *sim.Kernel
 	mach   *cluster.Machine
@@ -191,8 +190,19 @@ type System struct {
 	tr     *trace.Tracer
 	stalls trace.StallReport
 
-	// inj is the compiled fault plan (nil = faults off).
-	inj *faults.Injector
+	// hook perturbs the vtime schedule; the zero value leaves it alone.
+	hook schedHook
+}
+
+// schedHook moves a vtime run onto another interleaving without changing
+// what it computes: latency adds to every message's arrival (the
+// non-overtaking clamp still applies) and dilation stretches each rank's
+// compute quanta. It is the seam of the schedule explorer: core's tests set
+// it between NewSystem and Run, and the live backends, whose schedule is
+// the host's, ignore it.
+type schedHook struct {
+	latency  func(from, to int, now platform.Time) platform.Duration
+	dilation func(rank int) func(now platform.Time, d platform.Duration) platform.Duration
 }
 
 // NewSystem validates the configuration and builds the (unstarted) system.
@@ -242,21 +252,12 @@ func NewSystem(cfg Config, prog Program, initialImage *mem.Image) (*System, erro
 		}
 		s.plat = p
 	} else if cfg.Backend == BackendHost {
-		// Live goroutines under the same protocol. Validate already
-		// rejected the vtime-only subsystems (faults); the cluster
-		// topology still drives rank placement for traffic attribution.
+		// Live goroutines under the same protocol; the cluster topology
+		// still drives rank placement for traffic attribution.
 		s.plat = host.New(s.cfg.Cluster.Ranks(), s.cfg.Cluster.NodeOf)
 	} else {
 		s.kernel = sim.NewKernel()
 		s.mach = cluster.New(s.kernel, s.cfg.Cluster)
-		if !cfg.Faults.Empty() {
-			inj, err := faults.Compile(*cfg.Faults)
-			if err != nil {
-				return nil, err
-			}
-			s.inj = inj
-			s.mach.EnableFaults(inj)
-		}
 		s.plat = s.mach
 	}
 	if s.plat.Concurrent() {
@@ -552,22 +553,8 @@ func (s *System) prevPool(tid int) int {
 	panic("core: tid not in pool")
 }
 
-// applyDilation installs the fault plan's straggler multiplier (if any) on
-// the process executing rank. Dilation stretches compute quanta only — wire
-// time and queue latency are modelled elsewhere — which is exactly how a
-// slow core (thermal throttling, co-tenant interference) presents. Fault
-// plans exist only on the vtime backend, so the process is a *sim.Proc.
-func (s *System) applyDilation(p platform.Proc, rank int) {
-	if s.inj == nil {
-		return
-	}
-	if d := s.inj.DilationFor(rank); d != nil {
-		p.(*sim.Proc).SetDilation(d)
-	}
-}
-
-// spawnRank starts a named protocol process on the platform, applying any
-// straggler dilation configured for its rank. On the host backend the
+// spawnRank starts a named protocol process on the platform, applying the
+// schedule hook's dilation for its rank on vtime. On the host backend the
 // goroutine carries pprof labels (rank, role) so -cpuprofile output
 // attributes samples per rank role; vtime processes are cooperative
 // goroutines of one scheduler, where per-proc labels would only mislead.
@@ -584,7 +571,9 @@ func (s *System) spawnRank(name string, rank int, body func(platform.Proc)) {
 		return
 	}
 	s.plat.Spawn(name, func(p platform.Proc) {
-		s.applyDilation(p, rank)
+		if s.hook.dilation != nil {
+			p.(*sim.Proc).SetDilation(s.hook.dilation(rank))
+		}
 		body(p)
 	})
 }
@@ -648,6 +637,9 @@ func (s *System) Run() (Result, error) {
 		s.workers = append(s.workers, newWorkerNode(s, w))
 	}
 	s.shadowSetup()
+	if s.mach != nil {
+		s.mach.SetExtraLatency(s.hook.latency)
+	}
 	// Spawn order: receivers of early traffic must bind mailboxes in their
 	// spawn bodies before any delivery event fires; on vtime all spawns are
 	// enqueued ahead of any send, so order here is just cosmetic. On host,
@@ -661,8 +653,8 @@ func (s *System) Run() (Result, error) {
 		s.spawnRank(name, cu.rank, cu.run)
 	}
 	s.spawnRank("trycommit0", s.tc.rank, s.tc.run) // names order vtime events; see pageSrvName
-	// Page servers share their commit unit's core, so a straggler window on
-	// that rank slows them too.
+	// Page servers share their commit unit's core, so the rank's dilation
+	// slows them too.
 	for k, ps := range s.srvs {
 		s.spawnRank(pageSrvName(k), s.cus[k].rank, ps.run)
 	}

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 
 	"dsmtx/internal/pipeline"
+	"dsmtx/internal/platform"
 	"dsmtx/internal/trace"
 	"dsmtx/internal/uva"
 )
@@ -108,4 +112,114 @@ func TestLiveRecoverySweep(t *testing.T) {
 		t.Errorf("no clean program waited at the run-ahead window")
 	}
 	t.Logf("%d clean programs waited at the window", cleanWaits)
+}
+
+// seededHook is one point of the schedule explorer's space: every message
+// gains 0-2 µs of extra latency and every rank computes 1-2× slower, both
+// drawn from a hash of the seed, so a seed names one reproducible
+// interleaving.
+func seededHook(seed uint64) schedHook {
+	mix := func(xs ...uint64) uint64 { // splitmix64 over the words
+		h := seed
+		for _, x := range xs {
+			h += x + 0x9e3779b97f4a7c15
+			h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
+			h = (h ^ h>>27) * 0x94d049bb133111eb
+			h ^= h >> 31
+		}
+		return h
+	}
+	return schedHook{
+		latency: func(from, to int, now platform.Time) platform.Duration {
+			return platform.Duration(mix(uint64(from), uint64(to), uint64(now)) % uint64(2*platform.Microsecond))
+		},
+		dilation: func(rank int) func(platform.Time, platform.Duration) platform.Duration {
+			f := 1 + float64(mix(uint64(rank))%1000)/1000
+			return func(_ platform.Time, d platform.Duration) platform.Duration {
+				return platform.Duration(float64(d) * f)
+			}
+		},
+	}
+}
+
+// TestScheduleExplorer runs one misspeculating Spec-DSWP program on vtime,
+// clean and then under seeded schedule perturbations (schedHook): each
+// interleaving must be reproducible — a repeat run and two concurrent runs
+// give the same Result, and one seed's exported trace is byte-identical
+// across two runs — and correct — the committed count and every committed
+// word equal the clean run's — while its timing differs from the clean
+// run's, and across seeds.
+func TestScheduleExplorer(t *testing.T) {
+	const n = 80
+	misspecs := map[uint64]bool{9: true, 41: true}
+	cfg := smallConfig(6, pipeline.SpecDSWP("S", "DOALL", "S"))
+	run := func(hook schedHook, tr *trace.Tracer) (Result, []uint64) {
+		c := cfg
+		c.Tracer = tr
+		prog := &pipeProg{n: n, misspecs: misspecs}
+		sys, res, err := runHooked(c, prog, hook)
+		if err != nil {
+			t.Error(err)
+			return Result{}, nil
+		}
+		words := make([]uint64, n)
+		for k := range words {
+			words[k] = sys.CommitImage().Load(prog.out + uva.Addr(k*8))
+		}
+		return res, words
+	}
+	clean, cleanWords := run(schedHook{}, nil)
+	if clean.Misspecs != uint64(len(misspecs)) || clean.Committed < n {
+		t.Fatalf("clean run: %+v", clean)
+	}
+	for k, w := range cleanWords {
+		if want := (&pipeProg{}).expect(uint64(k)); w != want {
+			t.Fatalf("clean run: out[%d] = %d, want %d", k, w, want)
+		}
+	}
+	elapsed := make(map[platform.Duration]bool)
+	for seed := uint64(1); seed <= 6; seed++ {
+		hook := seededHook(seed)
+		base, words := run(hook, nil)
+		if base.Committed != clean.Committed || !reflect.DeepEqual(words, cleanWords) {
+			t.Errorf("seed %d: committed %d MTXs, words equal %v; clean committed %d",
+				seed, base.Committed, reflect.DeepEqual(words, cleanWords), clean.Committed)
+		}
+		if base.Elapsed == clean.Elapsed {
+			t.Errorf("seed %d: elapsed %v equals the clean run's: the hook never engaged", seed, base.Elapsed)
+		}
+		elapsed[base.Elapsed] = true
+		results := make([]Result, 3)
+		results[0], _ = run(hook, nil)
+		var wg sync.WaitGroup
+		for i := 1; i < len(results); i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				results[i], _ = run(hook, nil)
+			}()
+		}
+		wg.Wait()
+		for i, got := range results {
+			if !reflect.DeepEqual(got, base) {
+				t.Errorf("seed %d: run %d differs:\n got %+v\nwant %+v", seed, i, got, base)
+			}
+		}
+	}
+	if len(elapsed) < 2 {
+		t.Errorf("every seed gave elapsed %v: the seeds explore one schedule", elapsed)
+	}
+	t.Logf("clean run %v, %d MTXs; perturbed runs %v", clean.Elapsed, clean.Committed, elapsed)
+	export := func() []byte {
+		tr := trace.New()
+		run(seededHook(3), tr)
+		var buf bytes.Buffer
+		if err := tr.WriteChromeTrace(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	if a, b := export(), export(); !bytes.Equal(a, b) {
+		t.Errorf("perturbed traces differ: %d vs %d bytes", len(a), len(b))
+	}
 }

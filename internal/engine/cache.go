@@ -15,7 +15,7 @@ import (
 // kernel/runtime/workload change — a net daemon's config build and wire
 // codec included — invalidates every entry.
 var simSourceDirs = []string{
-	"internal/cluster", "internal/core", "internal/engine", "internal/faults",
+	"internal/cluster", "internal/core", "internal/engine",
 	"internal/job", "internal/mem", "internal/mpi", "internal/netrun",
 	"internal/pipeline", "internal/platform", "internal/queue", "internal/sim",
 	"internal/uva", "internal/wire", "internal/workloads",

@@ -545,18 +545,8 @@ func TestSubmitValidates(t *testing.T) {
 		{spec: job.Spec{Bench: "crc32", Cores: 8, Knob: "warp-drive"}, want: "knob"},
 		{spec: job.Spec{Bench: "crc32", Cores: 8, Paradigm: "openmp"}, want: "paradigm"},
 		{spec: job.Spec{Bench: "crc32", Cores: 8, CommitShards: -1}, want: "core: Config.CommitShards = -1, need >= 0"},
-		{spec: job.Spec{Bench: "crc32", Cores: 8, Backend: "host", Faults: "straggler=r1:2x@0ns+1ms"}, want: "Config.Faults: fault injection is built on the virtual-time kernel; unsupported on the host backend"},
-		// Removed fault clauses: a spec naming one must fail, never run
-		// fault-free under a cache key of its own.
-		{spec: job.Spec{Bench: "crc32", Cores: 8, Faults: "crash=r1@1ms+1ms"}, want: "unknown clause key"},
-		{spec: job.Spec{Bench: "crc32", Cores: 8, Faults: "rto=20us"}, want: "unknown clause key"},
-		{spec: job.Spec{Bench: "crc32", Cores: 8, Faults: "drop=0.01"}, want: "unknown clause key"},
-		{spec: job.Spec{Bench: "crc32", Cores: 8, Faults: "ackdrop=0.01"}, want: "unknown clause key"},
-		// Used to pass Parse and Validate (NaN fails every comparison).
-		{spec: job.Spec{Bench: "crc32", Cores: 8, Faults: "straggler=r1:NaNx@0ns+1ms"}, want: "bad number"},
 		// What a net job cannot honour is refused, not silently dropped:
-		// faults, commit shards and a coordinator-side tracer, and no more.
-		{spec: job.Spec{Bench: "crc32", Cores: 8, Backend: "net", Faults: "straggler=r1:2x@0ns+1ms"}, want: "Config.Faults: fault injection is built on the virtual-time kernel; unsupported on the net backend"},
+		// commit shards and a coordinator-side tracer, and no more.
 		{spec: job.Spec{Bench: "crc32", Cores: 8, Backend: "net", CommitShards: 2}, want: "Config.CommitShards = 2: commit shards share an in-process image arena; unsupported on the net backend"},
 		{spec: net, opts: Options{Tracer: trace.New()}, want: "Options.Tracer"},
 		// The daemons run the spec's own tune hook, so TLS and the knobs run.

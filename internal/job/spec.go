@@ -10,7 +10,6 @@ import (
 
 	"dsmtx/internal/cluster"
 	"dsmtx/internal/core"
-	"dsmtx/internal/faults"
 	"dsmtx/internal/trace"
 	"dsmtx/internal/workloads"
 )
@@ -64,10 +63,6 @@ type Spec struct {
 	Seed     uint64  `json:"seed,omitempty"`
 	Rate     float64 `json:"rate,omitempty"`
 	Knob     string  `json:"knob,omitempty"`
-	// Faults is a canonical faults.Plan spec string (faults.Plan.Format),
-	// empty for fault-free jobs. Canonical form matters: two spellings of
-	// one plan must not split cache entries.
-	Faults string `json:"faults,omitempty"`
 	// CommitShards partitions the commit pipeline; 0 or 1 is the paper's
 	// single commit unit.
 	CommitShards int `json:"commit_shards,omitempty"`
@@ -140,9 +135,9 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("job: parallel job needs cores >= 1, got %d", s.Cores)
 	}
 	// Build the configuration the run will use: what only core can see — too
-	// few cores for the plan's workers, more ranks than the machine, a fault
-	// plan or commit shards the backend cannot run — is a spec error here,
-	// not a failed job after admission.
+	// few cores for the plan's workers, more ranks than the machine, commit
+	// shards the backend cannot run — is a spec error here, not a failed job
+	// after admission.
 	tune, err := s.Tune(nil)
 	if err != nil {
 		return err
@@ -152,30 +147,19 @@ func (s Spec) Validate() error {
 	return cfg.Validate()
 }
 
-// Tune composes the configuration hook the spec names — knob, then faults,
-// then backend/shards — and attaches tr (nil for none). A net daemon adds
+// Tune composes the configuration hook the spec names — knob, then
+// backend/shards — and attaches tr (nil for none). A net daemon adds
 // only its mesh platform on top.
 func (s Spec) Tune(tr *trace.Tracer) (func(*core.Config), error) {
 	knob, err := KnobTune(s.Knob)
 	if err != nil {
 		return nil, err
 	}
-	var plan *faults.Plan
-	if s.Faults != "" {
-		p, err := faults.Parse(s.Faults)
-		if err != nil {
-			return nil, err
-		}
-		plan = &p
-	}
 	backend := s.ParsedBackend()
 	shards := s.CommitShards
 	return func(cfg *core.Config) {
 		if knob != nil {
 			knob(cfg)
-		}
-		if plan != nil {
-			cfg.Faults = plan
 		}
 		cfg.Backend = backend
 		cfg.CommitShards = shards
@@ -223,9 +207,6 @@ func (s Spec) String() string {
 	}
 	if s.Knob != "" {
 		label += "/" + s.Knob
-	}
-	if s.Faults != "" {
-		label += "/" + s.Faults
 	}
 	if s.CommitShards > 1 {
 		label += fmt.Sprintf("/cs%d", s.CommitShards)

@@ -10,9 +10,9 @@
 //
 // Reliability is below this layer, as it is below MPI on the paper's
 // InfiniBand: every platform delivers each message exactly once and in
-// order. Injected faults (cluster.Machine.EnableFaults) only delay
-// deliveries, so the MPI semantics here — blocking receives,
-// non-overtaking per (source, dest) pair — hold unchanged under them.
+// order. The vtime schedule hook (cluster.Machine.SetExtraLatency) only
+// delays deliveries, so the MPI semantics here — blocking receives,
+// non-overtaking per (source, dest) pair — hold unchanged under it.
 package mpi
 
 import (

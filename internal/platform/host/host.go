@@ -9,8 +9,7 @@
 //
 // Deliberately unmodelled here: NIC serialization and latency (sends
 // deliver immediately), per-instruction CPU charges (InstrTime is zero —
-// real instructions already cost real time), and fault injection, which
-// is vtime-only and which core.Config.Validate rejects for this backend.
+// real instructions already cost real time).
 // Observability is supported: SetTracer attaches the wall-clock tracer,
 // instrumenting the delivery layer itself — mailbox enqueue/dequeue and
 // depth, spin-vs-park outcomes, wake signals, park latency — with resolved

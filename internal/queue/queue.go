@@ -29,8 +29,8 @@
 // port recycles what it discards.
 //
 // Queues inherit reliability from the layer below: every platform delivers
-// each batch exactly once and in order, and injected faults only delay
-// deliveries, so batch FIFO order and epoch discard hold under them.
+// each batch exactly once and in order, and the vtime schedule hook only
+// delays deliveries, so batch FIFO order and epoch discard hold under it.
 package queue
 
 import (

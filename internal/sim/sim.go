@@ -258,8 +258,8 @@ type Proc struct {
 }
 
 // SetDilation installs a compute-time dilation hook: every subsequent
-// Advance(d) spends dilate(now, d) instead of d. The fault layer uses it
-// to model straggler ranks; nil removes the hook. Dilated time counts as
+// Advance(d) spends dilate(now, d) instead of d. The schedule explorer's
+// hook (core's schedHook) uses it to slow chosen ranks; nil removes it. Dilated time counts as
 // busy time in Advanced, exactly as if the work really were slower.
 func (p *Proc) SetDilation(dilate func(now platform.Time, d platform.Duration) platform.Duration) {
 	p.dilate = dilate

@@ -22,7 +22,9 @@ import (
 // field order. Wall-clock (host) traces flush their per-track buffers
 // first — events come out grouped by track, sorted by start time — and
 // carry a top-level "clock":"wall" marker so validators know per-track
-// start-time monotonicity is guaranteed (Perfetto ignores the extra key).
+// start-time monotonicity is guaranteed, and a top-level "dropped":N when
+// full track buffers discarded N events (DroppedSpans), so an incomplete
+// timeline says so in the file. Perfetto ignores both keys.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	t.flush()
 	bw := bufio.NewWriter(w)
@@ -66,6 +68,9 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	bw.WriteString("\n]")
 	if t.Wall() {
 		bw.WriteString(`,"clock":"wall"`)
+	}
+	if d := t.DroppedSpans(); d > 0 {
+		fmt.Fprintf(bw, `,"dropped":%d`, d)
 	}
 	bw.WriteString("}\n")
 	return bw.Flush()

@@ -1,10 +1,10 @@
 package workloads
 
 import (
+	"strings"
 	"testing"
 
 	"dsmtx/internal/core"
-	"dsmtx/internal/faults"
 	"dsmtx/internal/platform"
 	"dsmtx/internal/trace"
 )
@@ -112,18 +112,53 @@ func TestHostStallTableAccountsWallClock(t *testing.T) {
 	}
 }
 
-// TestHostBackendRejectsVTimeOnlyFeatures pins the validation boundary:
-// the fault and tracing subsystems are built on the virtual-time kernel.
-func TestHostBackendRejectsVTimeOnlyFeatures(t *testing.T) {
-	b, err := ByName("crc32")
+// TestVTimeStallTableAccountsWindows pins the recovery windows of the vtime
+// stall table: 197.parser at rate 0.05 recovers often. No cell may be
+// negative, no rank may account for more than the run, the commit row's
+// recovery column covers ERM+FLQ+SEQ, and every worker, which joins each
+// recovery's barriers, has a recovery window charged.
+func TestVTimeStallTableAccountsWindows(t *testing.T) {
+	b, err := ByName("197.parser")
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := b.NewDSMTX(Input{Scale: 1, Seed: 42}, 0)
-	cfg := core.DefaultConfig(8, prog.Plan())
-	cfg.Backend = core.BackendHost
-	cfg.Faults = &faults.Plan{Stragglers: []faults.Straggler{{Rank: 1, From: 0, Dur: platform.Millisecond, Factor: 2}}}
-	if _, err := core.NewSystem(cfg, prog, nil); err == nil {
-		t.Fatal("host backend accepted a fault plan")
+	in := Input{Scale: 1, Seed: 42, MisspecRate: 0.05}
+	res, err := RunParallel(b, in, DSMTX, 5, func(cfg *core.Config) {
+		cfg.Tracer = trace.NewMetricsOnly()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Misspecs == 0 {
+		t.Fatal("no misspeculation; want a run that recovers")
+	}
+	var commit *trace.StallRow
+	workers := 0
+	for i := range res.Stalls.Rows {
+		r := &res.Stalls.Rows[i]
+		for _, cell := range []platform.Time{r.Busy, r.Backpressure, r.Starvation, r.VerdictWait, r.VoteWait, r.Recovery, r.Blocked} {
+			if cell < 0 {
+				t.Errorf("%s: negative cell in %+v", r.Label, *r)
+				break
+			}
+		}
+		if r.Total() > res.Elapsed {
+			t.Errorf("%s: accounts for %v of a %v run", r.Label, r.Total(), res.Elapsed)
+		}
+		switch {
+		case r.Label == "commit":
+			commit = r
+		case strings.HasPrefix(r.Label, "worker"):
+			workers++
+			if r.Recovery <= 0 {
+				t.Errorf("worker %s has no recovery window: %+v", r.Label, *r)
+			}
+		}
+	}
+	if commit == nil || workers == 0 {
+		t.Fatalf("stall table lacks the commit or a worker row: %+v", res.Stalls.Rows)
+	}
+	if phases := res.ERM + res.FLQ + res.SEQ; commit.Recovery < phases {
+		t.Errorf("commit recovery column %v < ERM+FLQ+SEQ %v", commit.Recovery, phases)
 	}
 }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# smoke: one end-to-end run per execution surface — the vtime tracer, fault
-# injection, the live host backend (plain, traced, commit-sharded) and the
+# smoke: one end-to-end run per execution surface — the vtime tracer, vtime
+# recovery, the live host backend (plain, traced, commit-sharded) and the
 # multi-process net backend (both paradigms). Every row must exit 0 (dsmtxrun fails on a
 # checksum MISMATCH) and, as a second check, print VERIFIED; a row that names
 # a trace file has it validated by tracecheck. Binaries and artefacts live in
@@ -28,10 +28,9 @@ row() {
 
 # The public-API example's vtime timeline must stay Perfetto-loadable.
 row trace trace.json ./compress -trace trace.json
-# Latency spikes plus a straggling worker: the run stays VERIFIED and its
-# stretched timeline stays Perfetto-loadable.
-row resilience resilience.json ./dsmtxrun -bench crc32 -cores 16 \
-    -faults spike=0.01:20us,straggler=r1:2x@2ms+200us,seed=7 -trace resilience.json
+# Misspeculation in virtual time: the run recovers, stays VERIFIED, and its
+# timeline, recovery phases included, stays Perfetto-loadable.
+row misspec misspec.json ./dsmtxrun -bench 197.parser -cores 5 -misspec 0.05 -trace misspec.json
 # Live goroutines with enough misspeculation to force real recovery.
 row host - ./dsmtxrun -bench crc32 -cores 8 -misspec 0.02 -backend host
 # Same with the wall-clock tracer: "clock":"wall", per-track monotone.

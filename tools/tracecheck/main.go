@@ -7,8 +7,11 @@
 // vanishing from timeline queries. Wall-clock traces (top-level
 // "clock":"wall", emitted by host runs) additionally promise per-track
 // start-time monotonicity — the exporter sorts each rank's span buffer —
-// and tracecheck enforces it. CI runs it over the traces scripts/smoke.sh
-// produces (vtime, faulted vtime, and wall clock).
+// and tracecheck enforces it. A file whose top-level "dropped" count is
+// non-zero lost events to full track buffers; tracecheck refuses it, since
+// a timeline with holes reads as idle time that never happened. CI runs it
+// over the traces scripts/smoke.sh produces (vtime, misspeculating vtime,
+// and wall clock).
 //
 // Usage:
 //
@@ -37,7 +40,8 @@ type event struct {
 
 type traceFile struct {
 	TraceEvents []event `json:"traceEvents"`
-	Clock       string  `json:"clock"` // "wall" on host traces; empty on vtime
+	Clock       string  `json:"clock"`   // "wall" on host traces; empty on vtime
+	Dropped     uint64  `json:"dropped"` // events lost to full track buffers
 }
 
 // metadataNames are the Chrome metadata records the exporter emits beside
@@ -62,6 +66,9 @@ func check(data []byte) (string, error) {
 	}
 	if len(tf.TraceEvents) == 0 {
 		return "", fmt.Errorf("no traceEvents")
+	}
+	if tf.Dropped > 0 {
+		return "", fmt.Errorf("%d events dropped by full track buffers: the timeline is incomplete", tf.Dropped)
 	}
 
 	known := make(map[string]bool)

@@ -7,32 +7,30 @@ import (
 	"testing"
 
 	"dsmtx/internal/core"
-	"dsmtx/internal/faults"
 	"dsmtx/internal/platform"
 	"dsmtx/internal/trace"
 	"dsmtx/internal/workloads"
 )
 
-// realTrace produces a Chrome trace from a faulted run (a straggler and
-// latency spikes), so the checker sees a stretched schedule alongside the
-// ordinary execution spans.
+// realTrace produces a Chrome trace from a misspeculating vtime run
+// (197.parser at rate 0.05), so the checker sees the recovery phases
+// alongside the ordinary execution spans.
 func realTrace(t *testing.T) []byte {
 	t.Helper()
-	b, err := workloads.ByName("crc32")
+	b, err := workloads.ByName("197.parser")
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := trace.New()
-	plan := faults.Plan{
-		Seed: 3, SpikeRate: 0.01, SpikeExtra: 20 * platform.Microsecond,
-		Stragglers: []faults.Straggler{{Rank: 1, From: 0, Dur: platform.Millisecond, Factor: 2}},
-	}
-	if _, err := workloads.RunParallel(b, workloads.DefaultInput(), workloads.DSMTX, 16,
-		func(cfg *core.Config) {
-			cfg.Tracer = tr
-			cfg.Faults = &plan
-		}); err != nil {
+	in := workloads.DefaultInput()
+	in.MisspecRate = 0.05
+	res, err := workloads.RunParallel(b, in, workloads.DSMTX, 5,
+		func(cfg *core.Config) { cfg.Tracer = tr })
+	if err != nil {
 		t.Fatal(err)
+	}
+	if res.Misspecs == 0 {
+		t.Fatal("no misspeculation; want a run that recovers")
 	}
 	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf); err != nil {
@@ -41,7 +39,7 @@ func realTrace(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
-func TestCheckAcceptsRealFaultedTrace(t *testing.T) {
+func TestCheckAcceptsRealMisspecTrace(t *testing.T) {
 	data := realTrace(t)
 	summary, err := check(data)
 	if err != nil {
@@ -49,6 +47,31 @@ func TestCheckAcceptsRealFaultedTrace(t *testing.T) {
 	}
 	if !strings.Contains(summary, "spans") {
 		t.Fatalf("summary: %q", summary)
+	}
+}
+
+// stepClock is a wall clock that advances one nanosecond per reading.
+type stepClock struct{ t platform.Time }
+
+func (c *stepClock) Now() platform.Time { c.t++; return c.t }
+
+// TestCheckRejectsDroppedSpans: a wall-clock track that overflows its
+// buffer loses events; the exported file must say so and check must refuse
+// it, naming the count.
+func TestCheckRejectsDroppedSpans(t *testing.T) {
+	tr := trace.New()
+	clk := &stepClock{}
+	tr.BindWall(clk, 2)
+	tr.SetTrack(0, 0, "worker0")
+	for range 5 {
+		tr.Span(trace.SpanSubTX, 0, clk.Now(), 0, 0, 0)
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := check(buf.Bytes()); err == nil || !strings.Contains(err.Error(), "3 events dropped") {
+		t.Fatalf("check(%s) = %v, want the 3 dropped events named", buf.Bytes(), err)
 	}
 }
 

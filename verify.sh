@@ -33,9 +33,6 @@ go test -race ./internal/sim/
 # the scheduler, the harness that feeds it, the workloads' shared caches, and
 # the CLI run under the race detector too (short mode keeps it a smoke test).
 go test -race -short ./internal/expsched/ ./internal/harness/ ./internal/workloads/ ./cmd/dsmtxbench/
-# Fault plans are compiled once and then read concurrently by every rank of
-# every parallel point, so the injector must stay race-clean.
-go test -race ./internal/faults/
 # The job engine multiplexes concurrent submissions over shared admission
 # state, a singleflight table, and per-placement net fleets; its storm test
 # and the dsmtxd/dsmtxload serving-path tests run under the race detector.
