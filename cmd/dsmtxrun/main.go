@@ -247,9 +247,8 @@ func run(o *options, stdout io.Writer) error {
 	}
 	if res.Daemons > 0 {
 		m := res.Mesh
-		fmt.Fprintf(stdout, "  mesh:           %d daemons, %d frames out / %d in (%.2f MB), %d flushes (%.2f frames/flush), acks %d out / %d in, %d dups dropped, %d reconnects, replay log <= %d frames / %.1f KB, send queue <= %d\n",
-			res.Daemons, m.FramesOut, m.FramesIn, float64(m.BytesOut)/1e6, m.Flushes, float64(m.FramesOut)/float64(max(m.Flushes, 1)),
-			m.AcksOut, m.AcksIn, m.DupsDropped, m.Reconnects, m.ReplayFramesMax, float64(m.ReplayBytesMax)/1e3, m.OutQueueMax)
+		fmt.Fprintf(stdout, "  mesh:           %d daemons, %d frames out / %d in (%.2f MB), %d flushes (%.2f frames/flush), send queue <= %d\n",
+			res.Daemons, m.FramesOut, m.FramesIn, float64(m.BytesOut)/1e6, m.Flushes, float64(m.FramesOut)/float64(max(m.Flushes, 1)), m.OutQueueMax)
 	}
 	if res.Misspecs > 0 {
 		fmt.Fprintf(stdout, "  recovery        ERM %v  FLQ %v  SEQ %v  RFP %v\n", res.ERM, res.FLQ, res.SEQ, res.RFP)

@@ -106,10 +106,10 @@ func checkJob(t *testing.T, cl *netrun.Cluster, daemons int, spec job.Spec) netr
 		t.Errorf("%+v: %d misspeculations but recovery ERM %v FLQ %v SEQ %v RFP %v",
 			spec, nres.Misspecs, nres.ERM, nres.FLQ, nres.SEQ, nres.RFP)
 	}
-	// Every cross-daemon message is one frame sent and one admitted, on a
-	// link that never dropped. (Bytes may trail: a daemon can report while
-	// its writer still has the last frames queued.)
-	if m := nres.Mesh; m.FramesOut == 0 || m.FramesOut != m.FramesIn || m.BytesIn == 0 || m.Reconnects != 0 || m.DupsDropped != 0 {
+	// Every cross-daemon message is one frame sent and one read. (Bytes may
+	// trail: a daemon can report while its writer still has the last frames
+	// queued.)
+	if m := nres.Mesh; m.FramesOut == 0 || m.FramesOut != m.FramesIn || m.BytesIn == 0 {
 		t.Errorf("%+v: mesh counters %+v", spec, m)
 	}
 	return nres

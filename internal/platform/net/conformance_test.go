@@ -13,8 +13,8 @@ import (
 // netWorld adapts a two-daemon loopback mesh to the shared delivery
 // conformance suite. Ranks split contiguously, so low producer ranks live
 // with daemon 0 and the rest share daemon 1 with the consumer: the same
-// assertions cover remote producers (TCP framing, sequence numbers, reader
-// injection) and local ones (plain mailbox delivery) in one storm.
+// assertions cover remote producers (TCP framing, reader injection) and
+// local ones (plain mailbox delivery) in one storm.
 type netWorld struct {
 	producers int
 	p0, p1    *Platform

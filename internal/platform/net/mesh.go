@@ -3,8 +3,10 @@
 // Mesh of TCP connections carries every cross-daemon message as a wire
 // frame. The runtime protocol above is unchanged — commit order is
 // predefined, so the transport only has to deliver reliably and in
-// per-link order, which one TCP connection per daemon pair plus
-// serial-number sequencing and reconnect-replay provides.
+// per-link order, which one TCP session per daemon pair provides for the
+// life of the job. A session that ends without the peer's Goodbye is a
+// lost peer: the mesh aborts, and with it the bound platform, so the job
+// fails on every side at once instead of waiting on the dead link.
 //
 // Split of responsibilities: a Mesh lives for a whole job (connections
 // persist across invocations); a Platform wraps one fresh host platform
@@ -30,7 +32,7 @@ import (
 // MeshConfig describes one daemon's view of the job's connection mesh.
 type MeshConfig struct {
 	// JobID pairs connections with their job; a Hello with the wrong job is
-	// rejected (a stale daemon from a previous run redialing).
+	// rejected (a stale daemon from a previous run dialing).
 	JobID uint64
 	// Self is this daemon's index in Addrs.
 	Self int
@@ -46,29 +48,20 @@ type MeshConfig struct {
 // buffered write before flushing — batched flush without unbounded latency.
 const flushBatch = 64
 
-// ackEvery is how many accepted frames a reader lets accumulate before
-// publishing a cumulative ack (which trims the sender's replay log).
-const ackEvery = 64
-
 // outDepth is the per-peer send queue depth; senders block when it fills,
-// which backpressures workers against a slow link.
+// which backpressures workers against a slow link (or one not yet up).
 const outDepth = 4096
 
 // closeLinger bounds how long a closing writer, its Goodbye sent, waits for
 // the peer to end the session before it closes the socket anyway.
 const closeLinger = 2 * time.Second
 
-// A frameLog's free list keeps at most freeMax buffers (two ack windows, the
-// replay log's steady-state length) and none that held a frame above
-// freeFrameMax — those are rare and not worth pinning.
-const freeMax, freeFrameMax = 2 * ackEvery, 64 << 10
-
 // frameHeaderLen is the wire framing overhead per frame, for byte counts.
 var frameHeaderLen = len(wire.AppendFrame(nil, wire.FrameGoodbye, nil))
 
-// dialGiveUp bounds total redial time before the mesh declares the peer
-// unreachable and aborts the job. A variable so tests can shorten the
-// give-up window.
+// dialGiveUp bounds how long the first dial retries before the mesh
+// declares the peer unreachable and aborts the job. A variable so tests
+// can shorten the give-up window.
 var dialGiveUp = 20 * time.Second
 
 // Mesh is one daemon's set of peer connections for a job.
@@ -83,7 +76,6 @@ type Mesh struct {
 
 	done     chan struct{} // closed by Close: writers say Goodbye and exit
 	aborted  chan struct{} // closed by abort: senders stop blocking
-	abortOne sync.Once
 	closeOne sync.Once
 	wg       sync.WaitGroup
 
@@ -94,21 +86,14 @@ type Mesh struct {
 // MeshStats is a snapshot of a mesh's transport counters summed over its
 // peers; Add folds the daemons of a job together. Frames are data frames,
 // one per cross-daemon message: FramesOut counts messages accepted for
-// sending (once each, however often a reconnect replays them) and FramesIn
-// frames admitted in order, so over a finished job the sums agree; BytesOut
-// is added as the writer encodes and can trail while frames are queued.
-// FramesOut/Flushes is frames per write syscall.
+// sending and FramesIn frames read, so over a finished job the sums agree;
+// BytesOut is added as the writer encodes and can trail while frames are
+// queued. FramesOut/Flushes is frames per write syscall.
 type MeshStats struct {
 	FramesOut, BytesOut uint64
 	FramesIn, BytesIn   uint64
 	Flushes             uint64 // buffered-writer flushes that carried data frames
-	AcksOut, AcksIn     uint64
-	DupsDropped         uint64 // replayed frames the reader had already admitted
-	Reconnects          uint64 // sessions a writer lost (each is redialed or re-accepted)
-	// High-water marks (Add takes the maximum): the replay log of unacked
-	// frames, and the per-peer send queue (capacity outDepth).
-	ReplayFramesMax, ReplayBytesMax uint64
-	OutQueueMax                     uint64
+	OutQueueMax         uint64 // high-water mark of the per-peer send queue (capacity outDepth); Add takes the maximum
 }
 
 // Add folds another snapshot into s.
@@ -118,12 +103,6 @@ func (s *MeshStats) Add(o MeshStats) {
 	s.FramesIn += o.FramesIn
 	s.BytesIn += o.BytesIn
 	s.Flushes += o.Flushes
-	s.AcksOut += o.AcksOut
-	s.AcksIn += o.AcksIn
-	s.DupsDropped += o.DupsDropped
-	s.Reconnects += o.Reconnects
-	s.ReplayFramesMax = max(s.ReplayFramesMax, o.ReplayFramesMax)
-	s.ReplayBytesMax = max(s.ReplayBytesMax, o.ReplayBytesMax)
 	s.OutQueueMax = max(s.OutQueueMax, o.OutQueueMax)
 }
 
@@ -138,10 +117,7 @@ func (m *Mesh) Stats() MeshStats {
 		s.Add(MeshStats{
 			FramesOut: c.framesOut.Load(), BytesOut: c.bytesOut.Load(),
 			FramesIn: c.framesIn.Load(), BytesIn: c.bytesIn.Load(),
-			Flushes: c.flushes.Load(),
-			AcksOut: c.acksOut.Load(), AcksIn: c.acksIn.Load(),
-			DupsDropped: c.dups.Load(), Reconnects: c.reconnects.Load(),
-			ReplayFramesMax: uint64(c.replayFrames.Max()), ReplayBytesMax: uint64(c.replayBytes.Max()),
+			Flushes:     c.flushes.Load(),
 			OutQueueMax: uint64(c.outQueue.Max()),
 		})
 	}
@@ -149,16 +125,13 @@ func (m *Mesh) Stats() MeshStats {
 }
 
 // peerCounters backs MeshStats. Each field has one writer goroutine (the
-// peer's writer or its current reader) except framesOut and outQueue, which
+// peer's writer or its reader) except framesOut and outQueue, which
 // sending ranks bump; Stats reads them all from outside, hence atomics.
 type peerCounters struct {
-	framesOut, bytesOut       atomic.Uint64
-	framesIn, bytesIn         atomic.Uint64
-	flushes                   atomic.Uint64
-	acksOut, acksIn           atomic.Uint64
-	dups, reconnects          atomic.Uint64
-	replayFrames, replayBytes trace.Gauge // read for their high-water marks
-	outQueue                  trace.Gauge
+	framesOut, bytesOut atomic.Uint64
+	framesIn, bytesIn   atomic.Uint64
+	flushes             atomic.Uint64
+	outQueue            trace.Gauge // read for its high-water mark
 }
 
 // binding is the platform currently attached to the mesh.
@@ -185,19 +158,15 @@ func NewMesh(cfg MeshConfig) *Mesh {
 			continue
 		}
 		p := &peer{
-			m:       m,
-			idx:     i,
-			dialer:  cfg.Self > i,
-			out:     make(chan outMsg, outDepth),
-			connCh:  make(chan *session, 1),
-			ackIn:   make(chan wire.Seq, 16),
-			ackNote: make(chan struct{}, 1),
+			m:      m,
+			idx:    i,
+			out:    make(chan outMsg, outDepth),
+			connCh: make(chan *session, 1),
 		}
 		m.peers[i] = p
 		m.wg.Add(1)
 		go p.writeLoop()
-		if p.dialer {
-			p.dialing.Store(true)
+		if cfg.Self > i {
 			go p.dial()
 		}
 	}
@@ -222,16 +191,30 @@ func (m *Mesh) Err() error {
 // every blocked rank unwinds instead of waiting on a link that died.
 func (m *Mesh) abort(err error) {
 	m.mu.Lock()
-	if m.failure == nil {
+	first := m.failure == nil
+	if first {
 		m.failure = err
 	}
 	b := m.bound
 	m.mu.Unlock()
-	m.abortOne.Do(func() { close(m.aborted) })
+	if !first {
+		return
+	}
+	close(m.aborted)
 	if b != nil {
 		b.plat.Abort(err)
 	}
 	m.logf("net: mesh abort: %v", err)
+}
+
+// closing reports whether Close has begun.
+func (m *Mesh) closing() bool {
+	select {
+	case <-m.done:
+		return true
+	default:
+		return false
+	}
 }
 
 // Close says Goodbye on every connection, stops the listeners this mesh
@@ -265,11 +248,10 @@ func (m *Mesh) send(gen uint64, ownerOf func(int) int, msg platform.Message) {
 	}
 }
 
-// route delivers an accepted inbound message to the bound platform, or
-// buffers it for a generation that has not bound yet. Stale generations are
-// dropped. Injection for the bound generation happens under the mesh lock
-// so a concurrent Bind cannot reorder a peer's frames around its pending
-// drain.
+// route delivers an inbound message to the bound platform, or buffers it
+// for a generation that has not bound yet. Stale generations are dropped.
+// Injection for the bound generation happens under the mesh lock so a
+// concurrent Bind cannot reorder a peer's frames around its pending drain.
 func (m *Mesh) route(gen uint64, msg platform.Message) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -314,85 +296,25 @@ type outMsg struct {
 	msg platform.Message
 }
 
-// session is one live TCP connection to a peer. A new session replaces the
-// old one on reconnect; dead is closed by whichever side notices failure
-// first so an idle writer still learns the conn is gone.
+// session is the one TCP connection to a peer. dead is closed when its
+// reader stops, so an idle writer still learns the session ended.
 type session struct {
-	conn     gonet.Conn
-	peerLast wire.Seq // peer's last received seq, from its Hello: replay after this
-	dead     chan struct{}
-	deadOne  sync.Once
-	bye      atomic.Bool // the peer said Goodbye: the session ended, it was not lost
+	conn    gonet.Conn
+	dead    chan struct{}
+	deadOne sync.Once
+	bye     atomic.Bool // the peer said Goodbye: the session ended, it was not lost
 }
 
 func (s *session) kill() { s.deadOne.Do(func() { close(s.dead) }) }
 
-// sentFrame is one unacked data frame kept for reconnect-replay, still in
-// the encoder it was built in.
-type sentFrame struct {
-	seq wire.Seq
-	enc *wire.Encoder
-}
-
-// frameLog is a writer's replay log of unacked frames plus the free list
-// their buffers cycle through. The writer goroutine owns both ends — take,
-// encode, push, and trim on ack — so steady-state sending allocates nothing
-// and needs neither a lock nor a sync.Pool.
-type frameLog struct {
-	frames []sentFrame
-	bytes  int // encoded bytes held in frames
-	free   []*wire.Encoder
-}
-
-// take returns an empty encoder to build the next frame in.
-func (l *frameLog) take() *wire.Encoder {
-	n := len(l.free)
-	if n == 0 {
-		return new(wire.Encoder)
-	}
-	fe := l.free[n-1]
-	l.free = l.free[:n-1]
-	fe.Reset()
-	return fe
-}
-
-// push appends a finished frame to the log.
-func (l *frameLog) push(seq wire.Seq, fe *wire.Encoder) {
-	l.frames = append(l.frames, sentFrame{seq: seq, enc: fe})
-	l.bytes += fe.Len()
-}
-
-// trim drops every frame up to and including ack, recycling its encoder,
-// and compacts the log in place so the backing array is reused too.
-func (l *frameLog) trim(ack wire.Seq) {
-	i := 0
-	for ; i < len(l.frames) && !l.frames[i].seq.After(ack); i++ {
-		n := l.frames[i].enc.Len()
-		l.bytes -= n
-		if len(l.free) < freeMax && n <= freeFrameMax {
-			l.free = append(l.free, l.frames[i].enc)
-		}
-	}
-	n := copy(l.frames, l.frames[i:])
-	clear(l.frames[n:])
-	l.frames = l.frames[:n]
-}
-
 // peer is the send/receive state for one remote daemon.
 type peer struct {
-	m      *Mesh
-	idx    int
-	dialer bool
+	m   *Mesh
+	idx int
 
-	out     chan outMsg
-	connCh  chan *session
-	ackIn   chan wire.Seq // acks the peer sent us: trim the replay log
-	ackNote chan struct{} // reader nudges writer to emit an ack
-	ackDue  atomic.Uint32 // cumulative seq to ack, published by the reader
-
-	lastRecv atomic.Uint32 // highest in-order seq received from this peer
-	dialing  atomic.Bool
-	cur      atomic.Pointer[session] // most recently attached session (diagnostics, tests)
+	out    chan outMsg
+	connCh chan *session           // hands the session to the writer
+	sess   atomic.Pointer[session] // the one session, once attached
 
 	ctr peerCounters
 }
@@ -401,7 +323,6 @@ type peer struct {
 // exchange, and attaches the session. Gives up (and aborts the mesh) after
 // dialGiveUp of consecutive failures.
 func (p *peer) dial() {
-	defer p.dialing.Store(false)
 	addr := p.m.cfg.Addrs[p.idx]
 	backoff := 50 * time.Millisecond
 	deadline := time.Now().Add(dialGiveUp)
@@ -415,13 +336,13 @@ func (p *peer) dial() {
 		}
 		conn, err := gonet.DialTimeout("tcp", addr, 5*time.Second)
 		if err == nil {
-			hello, herr := p.handshakeDial(conn)
-			if herr == nil {
-				p.attach(conn, hello.LastRecv)
+			if err = p.handshakeDial(conn); err == nil {
+				if err := p.attach(conn); err != nil {
+					p.m.abort(err)
+				}
 				return
 			}
 			conn.Close()
-			err = herr
 		}
 		if time.Now().After(deadline) {
 			p.m.abort(fmt.Errorf("net: peer %d (%s) unreachable: %w", p.idx, addr, err))
@@ -443,38 +364,34 @@ func (p *peer) dial() {
 
 // handshakeDial runs the dialer side of the Hello exchange: send ours, read
 // theirs.
-func (p *peer) handshakeDial(conn gonet.Conn) (wire.Hello, error) {
+func (p *peer) handshakeDial(conn gonet.Conn) error {
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
 	defer conn.SetDeadline(time.Time{})
-	ours := wire.Hello{
-		Role:     wire.RoleData,
-		JobID:    p.m.cfg.JobID,
-		Peer:     p.m.cfg.Self,
-		LastRecv: wire.Seq(p.lastRecv.Load()),
-	}
+	ours := wire.Hello{Role: wire.RoleData, JobID: p.m.cfg.JobID, Peer: p.m.cfg.Self}
 	if _, err := conn.Write(wire.AppendHello(nil, ours)); err != nil {
-		return wire.Hello{}, err
+		return err
 	}
 	typ, body, _, err := wire.ReadFrame(conn, nil)
 	if err != nil {
-		return wire.Hello{}, err
+		return err
 	}
 	if typ != wire.FrameHello {
-		return wire.Hello{}, fmt.Errorf("net: expected hello, got frame type %d", typ)
+		return fmt.Errorf("net: expected hello, got frame type %d", typ)
 	}
 	theirs, err := wire.ParseHello(body)
 	if err != nil {
-		return wire.Hello{}, err
+		return err
 	}
 	if theirs.JobID != p.m.cfg.JobID || theirs.Peer != p.idx {
-		return wire.Hello{}, fmt.Errorf("net: hello mismatch: job %d peer %d", theirs.JobID, theirs.Peer)
+		return fmt.Errorf("net: hello mismatch: job %d peer %d", theirs.JobID, theirs.Peer)
 	}
-	return theirs, nil
+	return nil
 }
 
 // AcceptData attaches an inbound data connection whose Hello has already
 // been read (the daemon's listener dispatches on the first frame). It
-// replies with this side's Hello and starts the session.
+// replies with this side's Hello and starts the session. A peer gets one
+// session per mesh: a second data connection from it is refused.
 func (m *Mesh) AcceptData(conn gonet.Conn, h wire.Hello) error {
 	if h.JobID != m.cfg.JobID {
 		conn.Close()
@@ -485,12 +402,11 @@ func (m *Mesh) AcceptData(conn gonet.Conn, h wire.Hello) error {
 		return fmt.Errorf("net: hello from unknown peer %d", h.Peer)
 	}
 	p := m.peers[h.Peer]
-	ours := wire.Hello{
-		Role:     wire.RoleData,
-		JobID:    m.cfg.JobID,
-		Peer:     m.cfg.Self,
-		LastRecv: wire.Seq(p.lastRecv.Load()),
+	if p.sess.Load() != nil {
+		conn.Close()
+		return fmt.Errorf("net: peer %d already has a session", h.Peer)
 	}
+	ours := wire.Hello{Role: wire.RoleData, JobID: m.cfg.JobID, Peer: m.cfg.Self}
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
 	_, err := conn.Write(wire.AppendHello(nil, ours))
 	conn.SetDeadline(time.Time{})
@@ -498,8 +414,7 @@ func (m *Mesh) AcceptData(conn gonet.Conn, h wire.Hello) error {
 		conn.Close()
 		return err
 	}
-	p.attach(conn, h.LastRecv)
-	return nil
+	return p.attach(conn)
 }
 
 // ServeListener accepts data connections on ln until the mesh closes —
@@ -534,80 +449,56 @@ func (m *Mesh) ServeListener(ln gonet.Listener) {
 	}()
 }
 
-// attach hands a fresh session to the writer and starts its reader.
-func (p *peer) attach(conn gonet.Conn, peerLast wire.Seq) {
-	s := &session{conn: conn, peerLast: peerLast, dead: make(chan struct{})}
-	p.cur.Store(s)
-	go p.readLoop(s)
-	select {
-	case p.connCh <- s:
-	case <-p.m.done:
+// attach makes conn the peer's one session, starts its reader and hands it
+// to the writer.
+func (p *peer) attach(conn gonet.Conn) error {
+	s := &session{conn: conn, dead: make(chan struct{})}
+	if !p.sess.CompareAndSwap(nil, s) {
 		conn.Close()
+		return fmt.Errorf("net: peer %d already has a session", p.idx)
 	}
+	go p.readLoop(s)
+	p.connCh <- s // buffered for the one session: never blocks
+	return nil
 }
 
-// readLoop demultiplexes one session's inbound frames: data frames are
-// admitted in serial order (duplicates from replay overlap dropped, gaps
-// fatal) and routed into the bound platform's mailboxes; acks trim the
-// peer writer's replay log; Goodbye ends the session cleanly.
+// end closes a session. Unless the peer said Goodbye or this mesh is
+// closing, the session was lost, and so is the job: the mesh aborts.
+func (p *peer) end(s *session, err error) {
+	s.kill()
+	s.conn.Close()
+	if s.bye.Load() || p.m.closing() {
+		return
+	}
+	p.m.abort(fmt.Errorf("net: peer %d session lost: %w", p.idx, err))
+}
+
+// readLoop demultiplexes the session's inbound frames: data frames are
+// routed into the bound platform's mailboxes, Goodbye ends the session
+// cleanly, a read error ends it as lost, and a corrupt or unexpected frame
+// aborts the mesh.
 func (p *peer) readLoop(s *session) {
 	defer s.kill()
 	var buf []byte
-	var unacked int
 	for {
 		typ, body, nbuf, err := wire.ReadFrame(s.conn, buf)
 		if err != nil {
-			// Connection lost. The writer redials (dialer side) or waits for
-			// the peer to redial (acceptor side); only handshake exhaustion
-			// aborts the job.
+			p.end(s, err)
 			return
 		}
 		buf = nbuf
 		switch typ {
 		case wire.FrameMsg:
 			d := wire.NewDecoder(body)
-			seq := wire.Seq(d.U32())
 			gen := d.Uvarint()
 			msg := d.Message()
 			if d.Err() != nil {
 				p.m.abort(fmt.Errorf("net: corrupt frame from peer %d: %w", p.idx, d.Err()))
 				return
 			}
-			last := wire.Seq(p.lastRecv.Load())
-			if !seq.After(last) {
-				p.ctr.dups.Add(1)
-				continue // duplicate from reconnect replay
-			}
-			if seq != last.Next() {
-				p.m.abort(fmt.Errorf("net: sequence gap from peer %d: have %d, got %d", p.idx, last, seq))
-				return
-			}
-			p.lastRecv.Store(uint32(seq))
 			p.ctr.framesIn.Add(1)
 			p.ctr.bytesIn.Add(uint64(frameHeaderLen + len(body)))
 			p.m.route(gen, msg)
-			if unacked++; unacked >= ackEvery {
-				unacked = 0
-				p.ackDue.Store(uint32(seq))
-				select {
-				case p.ackNote <- struct{}{}:
-				default:
-				}
-			}
-		case wire.FrameAck:
-			d := wire.NewDecoder(body)
-			ack := wire.Seq(d.U32())
-			if d.Err() != nil {
-				p.m.abort(fmt.Errorf("net: corrupt ack from peer %d: %w", p.idx, d.Err()))
-				return
-			}
-			p.ctr.acksIn.Add(1)
-			select {
-			case p.ackIn <- ack:
-			default:
-				// A dropped ack only delays replay-log trimming; the next
-				// ack is cumulative and supersedes it.
-			}
 		case wire.FrameGoodbye:
 			s.bye.Store(true)
 			return
@@ -618,167 +509,108 @@ func (p *peer) readLoop(s *session) {
 	}
 }
 
-// writeLoop owns the peer's outbound side: it encodes queued messages into
-// sequenced frames with batched flush, keeps unacked frames for replay,
-// emits cumulative acks on the reader's nudge, and survives reconnects by
-// replaying everything after the peer's acknowledged position.
+// writeMsg encodes om's data frame into enc, reusing its buffer, and
+// writes it to bw.
+func (p *peer) writeMsg(bw *bufio.Writer, enc *wire.Encoder, om outMsg) error {
+	if err := p.encode(enc, om); err != nil {
+		// Unencodable payload is a protocol bug, not a link failure.
+		p.m.abort(err)
+		return nil
+	}
+	p.ctr.bytesOut.Add(uint64(enc.Len()))
+	_, err := bw.Write(enc.Bytes())
+	return err
+}
+
+// encode builds om's data frame in enc. A registered codec may panic on a
+// payload it cannot represent (e.g. an Entry carrying a non-serializable
+// type) — a protocol bug, surfaced as a job failure rather than a daemon
+// crash.
+func (p *peer) encode(enc *wire.Encoder, om outMsg) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("net: encoding for peer %d: %v", p.idx, r)
+		}
+	}()
+	enc.Reset()
+	start := enc.BeginFrame(wire.FrameMsg)
+	enc.Uvarint(om.gen)
+	if err := enc.Message(om.msg); err != nil {
+		return err
+	}
+	enc.FinishFrame(start)
+	return nil
+}
+
+// writeLoop owns the peer's outbound side. Once it stops writing — Goodbye
+// said, the session ended, or the mesh aborted before one came up — it
+// drains and drops whatever is still sent to the peer until Close, so no
+// sender ever blocks on a link that carries nothing more. A session that
+// comes up after an abort is closed at once.
 func (p *peer) writeLoop() {
 	defer p.m.wg.Done()
-	var (
-		s    *session
-		bw   *bufio.Writer
-		seq  wire.Seq // last sent
-		log  frameLog
-		enc  wire.Encoder // control frames (ack, goodbye)
-		fail = func(err error) {
-			// Drop the session. After the peer's Goodbye that is all: its
-			// mesh is closed for good. Otherwise the session was lost, and
-			// recovery is a redial (dialer) or a fresh accepted conn
-			// (acceptor).
-			bye := s.bye.Load()
-			s.kill()
-			s.conn.Close()
-			s, bw = nil, nil
-			if bye {
-				return
-			}
-			p.ctr.reconnects.Add(1)
-			p.m.logf("net: peer %d session lost: %v", p.idx, err)
-			if p.dialer && p.dialing.CompareAndSwap(false, true) {
-				go p.dial()
-			}
-		}
-	)
-	encode := func(fe *wire.Encoder, om outMsg) (err error) {
-		// A registered codec may panic on a payload it cannot represent
-		// (e.g. an Entry carrying a non-serializable type) — a protocol
-		// bug, surfaced as a job failure rather than a daemon crash.
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("net: encoding for peer %d: %v", p.idx, r)
-			}
-		}()
-		return fe.Message(om.msg)
-	}
-	writeMsg := func(om outMsg) error {
-		seq = seq.Next()
-		fe := log.take()
-		start := fe.BeginFrame(wire.FrameMsg)
-		fe.U32(uint32(seq))
-		fe.Uvarint(om.gen)
-		if err := encode(fe, om); err != nil {
-			// Unencodable payload is a protocol bug, not a link failure.
-			p.m.abort(err)
-			return nil
-		}
-		fe.FinishFrame(start)
-		log.push(seq, fe)
-		p.ctr.bytesOut.Add(uint64(fe.Len()))
-		p.ctr.replayFrames.Set(int64(len(log.frames)))
-		p.ctr.replayBytes.Set(int64(log.bytes))
-		if bw == nil {
-			return nil // queued in the log; sent by replay when a conn is up
-		}
-		_, err := bw.Write(fe.Bytes())
-		return err
-	}
-	writeAck := func() error {
-		if bw == nil {
-			return nil
-		}
-		enc.Reset()
-		start := enc.BeginFrame(wire.FrameAck)
-		enc.U32(p.ackDue.Load())
-		enc.FinishFrame(start)
-		p.ctr.acksOut.Add(1)
-		_, err := bw.Write(enc.Bytes())
-		return err
-	}
-	adopt := func(ns *session) {
-		if s != nil {
-			s.kill()
-			s.conn.Close()
-		}
-		s = ns
-		bw = bufio.NewWriterSize(s.conn, 64<<10)
-		log.trim(s.peerLast)
-		for _, f := range log.frames {
-			if _, err := bw.Write(f.enc.Bytes()); err != nil {
-				fail(err)
-				return
-			}
-		}
-		if len(log.frames) > 0 {
-			p.ctr.flushes.Add(1)
-		}
-		if err := bw.Flush(); err != nil {
-			fail(err)
-		}
-	}
+	p.write()
 	for {
-		if s == nil {
-			select {
-			case ns := <-p.connCh:
-				adopt(ns)
-				continue
-			case om := <-p.out:
-				if err := writeMsg(om); err != nil {
-					fail(err)
-				}
-				continue
-			case ack := <-p.ackIn:
-				log.trim(ack)
-				continue
-			case <-p.m.done:
-				return
-			}
+		select {
+		case <-p.out:
+		case s := <-p.connCh:
+			s.conn.Close()
+		case <-p.m.done:
+			return
 		}
+	}
+}
+
+// write waits for the session, then encodes queued messages into frames
+// with batched flush until Close (Goodbye and linger) or the session ends.
+func (p *peer) write() {
+	var s *session
+	select {
+	case s = <-p.connCh:
+	case <-p.m.done:
+		return
+	case <-p.m.aborted:
+		return
+	}
+	bw := bufio.NewWriterSize(s.conn, 64<<10)
+	var enc wire.Encoder
+	for {
 		select {
 		case om := <-p.out:
-			err := writeMsg(om)
+			err := p.writeMsg(bw, &enc, om)
 			// Batched flush: drain whatever else is queued (bounded) before
 			// paying the syscall.
 			for n := 0; err == nil && n < flushBatch; n++ {
 				select {
 				case om := <-p.out:
-					err = writeMsg(om)
+					err = p.writeMsg(bw, &enc, om)
 					continue
 				default:
 				}
 				break
 			}
-			if err == nil && bw != nil {
+			if err == nil {
 				// Counted before the syscall so a receiver that has the
 				// frames never reads a count that lacks their flush.
 				p.ctr.flushes.Add(1)
 				err = bw.Flush()
 			}
 			if err != nil {
-				fail(err)
+				p.end(s, err)
+				return
 			}
-		case <-p.ackNote:
-			if err := writeAck(); err != nil {
-				fail(err)
-				continue
-			}
-			if err := bw.Flush(); err != nil {
-				fail(err)
-			}
-		case ack := <-p.ackIn:
-			log.trim(ack)
-		case ns := <-p.connCh:
-			adopt(ns)
 		case <-s.dead:
-			fail(fmt.Errorf("net: connection to peer %d lost", p.idx))
+			// The reader saw the peer's Goodbye, or ended the session as lost.
+			s.conn.Close()
+			return
 		case <-p.m.done:
 			// Close follows the local ranks' exit, so their last sends are
 			// queued by now — but select may take done ahead of out. Send
 			// them before the Goodbye, or the peer's ranks wait forever.
-			for len(p.out) > 0 && writeMsg(<-p.out) == nil {
+			for len(p.out) > 0 && p.writeMsg(bw, &enc, <-p.out) == nil {
 			}
 			enc.Reset()
-			start := enc.BeginFrame(wire.FrameGoodbye)
-			enc.FinishFrame(start)
+			enc.FinishFrame(enc.BeginFrame(wire.FrameGoodbye))
 			bw.Write(enc.Bytes())
 			bw.Flush()
 			linger(s)
@@ -792,8 +624,8 @@ func (p *peer) writeLoop() {
 // the peer still sends until the peer's Goodbye or EOF (or closeLinger),
 // and only then closes the socket. Closing with the peer's bytes unread
 // would make the kernel answer with a reset, and a peer that is mid-send
-// or mid-ack would lose frames it has not read yet, this side's last ones
-// and its Goodbye included.
+// would lose frames it has not read yet, this side's last ones and its
+// Goodbye included.
 func linger(s *session) {
 	if cw, ok := s.conn.(interface{ CloseWrite() error }); ok {
 		cw.CloseWrite()

@@ -14,16 +14,15 @@ import (
 // FrameType discriminates connection frames.
 type FrameType uint8
 
-// Frame types. Hello/Msg/Ack/Goodbye flow on data connections between
+// Frame types. Hello/Msg/Goodbye flow on data connections between
 // daemons; Hello/Job/JobOK/Start/Result/Error flow on the control
 // connection between the coordinator and each daemon, once per job in that
 // order (Job, Result and Error bodies are JSON — orchestration is rare and
 // debuggable beats compact there; JobOK and Start carry no body).
 const (
-	FrameHello   FrameType = 1 // handshake: role, job, peer index, last received seq
-	FrameMsg     FrameType = 2 // one platform.Message (seq, generation, message)
-	FrameAck     FrameType = 3 // cumulative receive ack, trims the sender's replay log
-	FrameGoodbye FrameType = 4 // graceful close: peer is done sending
+	FrameHello   FrameType = 1 // handshake: role, job, peer index
+	FrameMsg     FrameType = 2 // one platform.Message (generation, message)
+	FrameGoodbye FrameType = 4 // graceful close: peer is done sending; 3 is unassigned
 	FrameJob     FrameType = 5 // coordinator -> daemon: JSON job spec
 	FrameJobOK   FrameType = 6 // daemon -> coordinator: job accepted
 	FrameStart   FrameType = 7 // coordinator -> daemon: every daemon accepted, run the chain
@@ -106,8 +105,10 @@ const helloMagic = 0x58544d44 // "DMTX"
 // version-2 daemon would decode its keys case-insensitively into the old
 // five-field spec, drop rate and paradigm, and run DSMTX at rate 0.
 // 4: one Start runs the whole invocation chain; a version-3 daemon would
-// wait for a second Start after the first invocation.
-const helloVersion = 4
+// wait for a second Start after the first invocation. 5: data frames carry
+// no serial number and a Hello no last-received one; a version-4 daemon
+// would misread every Msg frame's generation.
+const helloVersion = 5
 
 // Hello is the first frame on every connection.
 type Hello struct {
@@ -117,10 +118,6 @@ type Hello struct {
 	// Peer is the sender's daemon index (data connections; unused for
 	// control).
 	Peer int
-	// LastRecv is the highest in-order data sequence number the sender has
-	// received from this peer — on reconnect the receiver of the Hello
-	// replays everything after it.
-	LastRecv Seq
 }
 
 // AppendHello appends a Hello frame to dst.
@@ -131,7 +128,6 @@ func AppendHello(dst []byte, h Hello) []byte {
 	e.U8(h.Role)
 	e.U64(h.JobID)
 	e.Uvarint(uint64(h.Peer))
-	e.U32(uint32(h.LastRecv))
 	return AppendFrame(dst, FrameHello, e.Bytes())
 }
 
@@ -148,6 +144,5 @@ func ParseHello(body []byte) (Hello, error) {
 	h.Role = d.U8()
 	h.JobID = d.U64()
 	h.Peer = d.Int()
-	h.LastRecv = Seq(d.U32())
 	return h, d.Err()
 }

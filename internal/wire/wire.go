@@ -1,8 +1,6 @@
 // Package wire is the compact binary codec of the net execution backend:
 // length-prefixed frames carrying platform messages, Copy-On-Access page
-// transfers, and the control/handshake traffic between daemons, plus the
-// serial-number arithmetic that gives every connection per-link ordering
-// and reconnect-replay.
+// transfers, and the control/handshake traffic between daemons.
 //
 // The format is deliberately simple — little-endian fixed words, unsigned
 // varints, and a one-byte payload-kind tag — because the runtime above it
@@ -290,8 +288,7 @@ func (d *Decoder) Payload() any {
 }
 
 // Message appends the platform.Message fast path: varint routing header,
-// class byte, kind-tagged payload. The reliable-layer Seq field is not
-// carried — the transport's own per-connection sequence numbers replace it.
+// class byte, kind-tagged payload.
 func (e *Encoder) Message(m platform.Message) error {
 	if m.From < 0 || m.To < 0 || m.Tag < 0 || m.Bytes < 0 {
 		return fmt.Errorf("wire: negative message field (from %d, to %d, tag %d, bytes %d)", m.From, m.To, m.Tag, m.Bytes)

@@ -144,7 +144,7 @@ func TestFrameLengthBound(t *testing.T) {
 }
 
 func TestHelloRoundTrip(t *testing.T) {
-	h := Hello{Role: RoleData, JobID: 0xfeedface, Peer: 3, LastRecv: Seq(1 << 31)}
+	h := Hello{Role: RoleData, JobID: 0xfeedface, Peer: 3}
 	buf := AppendHello(nil, h)
 	typ, body, _, err := ReadFrame(bytes.NewReader(buf), nil)
 	if err != nil || typ != FrameHello {
@@ -168,47 +168,18 @@ func TestHelloRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestHelloRejectsOldVersion: a version-3 peer (one Start per invocation)
-// is refused at the handshake, never left waiting for a second Start.
+// TestHelloRejectsOldVersion: a version-4 peer (a serial number in every
+// Msg frame) is refused at the handshake, never left to misread frames.
 func TestHelloRejectsOldVersion(t *testing.T) {
 	var e Encoder
 	e.U32(helloMagic)
-	e.U8(3)
-	e.U8(RoleControl)
+	e.U8(4)
+	e.U8(RoleData)
 	e.U64(0)
 	e.Uvarint(0)
 	e.U32(0)
-	if _, err := ParseHello(e.Bytes()); err == nil || !strings.Contains(err.Error(), "hello version 3, want 4") {
-		t.Fatalf("version-3 hello: err = %v", err)
-	}
-}
-
-func TestSerialNumberArithmetic(t *testing.T) {
-	cases := []struct {
-		a, b   Seq
-		before bool
-	}{
-		{0, 1, true},
-		{1, 0, false},
-		{5, 5, false},
-		// Wraparound: maximum serial precedes zero's successor.
-		{math.MaxUint32, 0, true},
-		{math.MaxUint32, 3, true},
-		{0, math.MaxUint32, false},
-		// Largest defined forward distance (half the space minus one).
-		{0, (1 << 31) - 1, true},
-		{(1 << 31) - 1, 0, false},
-	}
-	for _, c := range cases {
-		if got := c.b.After(c.a); got != c.before {
-			t.Errorf("Seq(%d).After(%d) = %v, want %v", c.b, c.a, got, c.before)
-		}
-		if c.before && c.a.After(c.b) {
-			t.Errorf("Seq(%d).After(%d) = true, want false", c.a, c.b)
-		}
-	}
-	if s := Seq(math.MaxUint32).Next(); s != 0 {
-		t.Errorf("MaxUint32.Next() = %d, want 0 (wrap)", s)
+	if _, err := ParseHello(e.Bytes()); err == nil || !strings.Contains(err.Error(), "hello version 4, want 5") {
+		t.Fatalf("version-4 hello: err = %v", err)
 	}
 }
 

@@ -41,12 +41,13 @@ go test -race ./internal/engine/ ./cmd/dsmtxd/ ./cmd/dsmtxload/
 # platform tests and the backend-equivalence tests (vtime and host must both
 # reproduce the sequential checksum with equal committed counts) are the
 # data-race audit of the runtime itself. The platform sweep includes the net
-# package (mesh, reconnect replay, generation buffering) and the delivery
-# conformance suite run against both host and net mailboxes (mailbox delivery
-# and the Idle poll-loop wait alike); netrun's tests run whole jobs (crc32,
-# the chained 052.alvinn, a recovering 197.parser) over in-process ServeLoop
-# daemons joined with Connect. cluster rides along for the vtime side of the
-# Idle contract.
+# package (mesh, a lost session failing both sides, generation buffering)
+# and the delivery conformance suite run against both host and net mailboxes
+# (mailbox delivery and the Idle poll-loop wait alike); netrun's tests run
+# whole jobs (crc32, the chained 052.alvinn, a recovering 197.parser) over
+# in-process ServeLoop daemons joined with Connect, and kill one of two
+# spawn-local daemons mid-job, which must fail the job on the survivor.
+# cluster rides along for the vtime side of the Idle contract.
 go test -race ./internal/platform/... ./internal/cluster/ ./internal/netrun/ ./cmd/dsmtxrun/
 # Backend equivalence covers vtime, host, and net: the Net test (package
 # workloads_test, since netrun imports workloads) re-execs the
