@@ -537,7 +537,11 @@ func awaitRearm(comm *mpi.Comm, epoch uint64) []uva.PageID {
 // partition of the page space (all of it with a single commit unit) from the
 // invocation-entry snapshot of that unit's memory. It shares the commit
 // unit's rank (and NIC) but runs as its own process so page service
-// continues while the commit unit is busy committing.
+// continues while the commit unit is busy committing. A reply lends the
+// snapshot's frames (mem.Image.SharePage) rather than cloning them: every
+// write to a shared frame copies it first, so the frames stay as the
+// snapshot took them for as long as any image maps them, and net encodes
+// them on its writer goroutine unchanged.
 type pageServer struct {
 	sys   *System
 	shard int
@@ -606,7 +610,7 @@ func (ps *pageServer) run(p platform.Proc) {
 		snap := ps.snap.Load()
 		pages := make([]*mem.Page, req.Count)
 		for i := range pages {
-			pages[i] = snap.CopyPage(req.Start + uva.PageID(i))
+			pages[i] = snap.SharePage(req.Start + uva.PageID(i))
 		}
 		wire := req.Count*(uva.PageSize+8) + 56
 		if req.Grain > 0 {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"dsmtx/internal/mem"
 	"dsmtx/internal/pipeline"
 	"dsmtx/internal/trace"
 	"dsmtx/internal/uva"
@@ -148,6 +149,97 @@ func TestPageServicePlacement(t *testing.T) {
 		}
 		if straddleRuns == 0 {
 			t.Errorf("shards=%d: no worker faulted on the straddling page", shards)
+		}
+	}
+}
+
+// lendProg reads one word of a page every iteration and, the first time a
+// worker runs, stores privately (Ctx.Store, never forwarded) to another word
+// of the same page, recording the frame it was served and the frame it holds
+// after the store.
+type lendProg struct {
+	n      uint64
+	page   uva.Addr // word 0 is read, word 1 is the worker's private store
+	out    uva.Addr
+	served [16]*mem.Page // per pool index: the frame the worker was served
+	stored [16]*mem.Page // per pool index: its frame after the store
+}
+
+func (p *lendProg) Setup(ctx *SeqCtx) {
+	p.page = uva.PageAddr(ctx.Alloc(2*uva.PageSize).Page() + 1)
+	p.out = ctx.AllocWords(int(p.n))
+	ctx.Store(p.page, 41)
+	ctx.Store(p.page+8, 7)
+}
+
+func (p *lendProg) Stage(ctx *Ctx, _ int, iter uint64) bool {
+	if iter >= p.n {
+		return false
+	}
+	v := ctx.Read(p.page)
+	if i := ctx.PoolIndex(); p.served[i] == nil {
+		p.served[i] = frameOf(ctx.w.img, p.page.Page())
+		ctx.Store(p.page+8, 99)
+		p.stored[i] = frameOf(ctx.w.img, p.page.Page())
+	}
+	ctx.Write(p.out+uva.Addr(iter*8), v+iter)
+	return true
+}
+
+func (p *lendProg) SeqIter(ctx *SeqCtx, iter uint64) {
+	ctx.Store(p.out+uva.Addr(iter*8), ctx.Load(p.page)+iter)
+}
+
+// frameOf returns the frame img holds for page id, or nil.
+func frameOf(img *mem.Image, id uva.PageID) (frame *mem.Page) {
+	img.ForEachResident(func(at uva.PageID, pg *mem.Page) {
+		if at == id {
+			frame = pg
+		}
+	})
+	return frame
+}
+
+// TestServedFrameIsLent: a Copy-On-Access reply lends the snapshot's own
+// frame — each worker's frame is pointer-equal to the served snapshot's —
+// and a worker's store into the page copies it, so the snapshot, the frame
+// and the commit image still read the old word. The frames are recorded on
+// the worker goroutines and compared after Run joins them.
+func TestServedFrameIsLent(t *testing.T) {
+	for _, backend := range []Backend{BackendVTime, BackendHost} {
+		cfg := smallConfig(5, pipeline.SpecDOALL())
+		cfg.Backend = backend
+		const n = 40
+		prog := &lendProg{n: n}
+		sys, res := runProg(t, cfg, prog)
+		if res.Committed != n || res.Misspecs != 0 {
+			t.Fatalf("%s: committed %d misspecs %d, want %d and 0", backend, res.Committed, res.Misspecs, n)
+		}
+		snap := sys.srvs[0].snap.Load()
+		want := frameOf(snap, prog.page.Page())
+		workers := 0
+		for i, served := range prog.served {
+			if served == nil {
+				continue
+			}
+			workers++
+			if served != want {
+				t.Errorf("%s: worker %d was served a copy, not the snapshot's frame", backend, i)
+			}
+			if prog.stored[i] == served {
+				t.Errorf("%s: worker %d's store wrote the lent frame in place", backend, i)
+			}
+		}
+		if workers == 0 {
+			t.Fatalf("%s: no worker recorded a served frame", backend)
+		}
+		if want.Words[1] != 7 || snap.Load(prog.page+8) != 7 || sys.CommitImage().Load(prog.page+8) != 7 {
+			t.Errorf("%s: a worker's private store reached the snapshot or the commit image", backend)
+		}
+		for iter := uint64(0); iter < n; iter++ {
+			if got := sys.CommitImage().Load(prog.out + uva.Addr(iter*8)); got != 41+iter {
+				t.Fatalf("%s: out[%d] = %d, want %d", backend, iter, got, 41+iter)
+			}
 		}
 	}
 }

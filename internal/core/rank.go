@@ -52,8 +52,9 @@ func (s *System) recordLife(rank int, p platform.Proc, born platform.Time) {
 // receives from the commit unit — control broadcasts, COA page replies and
 // barriers — before any traffic flows, from any commit shard (recovery
 // epochs originate at the coordinator shard, pages at the owner shard). The
-// image's pages are private Copy-On-Access clones, so recovery's wholesale
-// discard can recycle them.
+// image maps its Copy-On-Access frames copy-on-write (they are lent by a
+// page server's snapshot), so recovery's discard recycles only the copies
+// the rank's own stores made and the zero pages it filled.
 func (r *specRank) bind(p platform.Proc) {
 	r.proc = p
 	r.comm = r.sys.attach(r.rank, p)
@@ -77,7 +78,9 @@ type coaClient struct {
 // coaFault implements Copy-On-Access: the first touch of a protected page
 // requests a run of pages from the page server — the paper's constructive
 // prefetching (a word request returns its whole page), extended with a
-// read-ahead ramp over sequential fault streams.
+// read-ahead ramp over sequential fault streams. The reply's frames are
+// lent: in one process they are the snapshot's own, and the image maps
+// them copy-on-write, so a page this rank only reads is never copied.
 func (r *specRank) coaFault(id uva.PageID) *mem.Page {
 	sys, comm, img, c := r.sys, r.comm, r.img, &r.coa
 	cfg := sys.cfg

@@ -149,3 +149,61 @@ func TestMapPagesUnalignedPanics(t *testing.T) {
 	}()
 	NewImage(nil).MapPages(uva.Base(1)+8, []*Page{new(Page)})
 }
+
+// TestBorrowedFrameIsCopyOnWrite: a frame the fault handler returns, or
+// InstallPage is given, is lent exactly as a mapped one: the image reads it
+// in place, a word store, a partial bulk store and a full-page bulk store
+// each give the image its own page and leave the frame byte-identical, and
+// neither Rearm nor Reset counts it in mem.pages.recycled or pools it.
+func TestBorrowedFrameIsCopyOnWrite(t *testing.T) {
+	frames, want := mapFrames(5)
+	base := uva.Base(1)
+	at := func(p int) uva.Addr { return base + uva.Addr(p)*uva.PageSize }
+	im := NewImage(func(id uva.PageID) *Page { return frames[id-base.Page()] })
+	im.ReleaseOnReset(true)
+	m := trace.NewMetrics()
+	im.Instrument(m)
+	recycled := m.Counter("mem.pages.recycled")
+
+	for p := range 4 {
+		if got := im.Load(at(p) + 16); got != uint64(p*1000+2) {
+			t.Fatalf("page %d word 2 = %d, want %d", p, got, p*1000+2)
+		}
+	}
+	im.InstallPage(at(4).Page(), frames[4])
+	for p := range 5 {
+		if s := im.slot(at(p).Page()); s.pg != frames[p] || !s.shared {
+			t.Fatalf("page %d does not read its lent frame in place", p)
+		}
+	}
+	im.Store(at(0)+8, 7)
+	im.StoreBytes(at(1)+8, []byte{1, 2, 3})
+	im.StoreBytes(at(2), make([]byte, uva.PageSize))
+	checkFrames(t, frames, want)
+	for p := range 3 {
+		if im.slot(at(p).Page()).pg == frames[p] {
+			t.Errorf("page %d still maps its lent frame after a store", p)
+		}
+	}
+	if im.Load(at(0)+8) != 7 || im.Load(at(0)+16) != 2 || im.Load(at(1)+16) != 1002 || im.Load(at(2)+16) != 0 {
+		t.Error("the stored pages lost a store or the lent frame's other words")
+	}
+
+	im.Rearm([]uva.PageID{at(3).Page()})
+	if got := recycled.Value(); got != 3 {
+		t.Errorf("Rearm recycled %d frames, want 3 (the copies of pages 0-2)", got)
+	}
+	im.Load(at(3))
+	im.Reset()
+	if got := recycled.Value(); got != 3 {
+		t.Errorf("Reset recycled %d frames in all, want 3 (page 3 and 4 were lent)", got)
+	}
+	for range 8 {
+		for _, f := range frames {
+			if getPageRaw() == f {
+				t.Fatal("a lent frame came out of the pool")
+			}
+		}
+	}
+	checkFrames(t, frames, want)
+}

@@ -5,7 +5,10 @@
 // virtual address space. Pages a process has never touched are "protected";
 // the first access faults and invokes the image's fault handler, which in
 // DSMTX performs Copy-On-Access — fetching the whole 4 KiB page from the
-// commit unit's memory (§3.1, §4.2). Reset drops every resident page,
+// commit unit's memory (§3.1, §4.2). Inside one process the fetch lends the
+// snapshot's own frame (SharePage) rather than a clone: the image maps a
+// fetched frame copy-on-write, so a page it only reads exists once per
+// process and the first store copies it. Reset drops every resident page,
 // re-arming protection: that is how speculative state is discarded wholesale
 // during misspeculation recovery (§4.3). Rearm drops only the pages the image
 // wrote and the ones its caller names stale — the live backends' recovery.
@@ -18,9 +21,10 @@
 // Host-side layout: the page table is two-level — a map of 512-page chunks
 // (2 MiB of address space each) holding dense slot arrays — plus a
 // per-image last-slot cache, so the common case of touching the same page
-// (or the same 2 MiB region) repeatedly does no map lookup at all. Pages
-// are recycled through a free list (sync.Pool) on images that opt in with
-// ReleaseOnReset; none of this is visible in simulated time.
+// (or the same 2 MiB region) repeatedly does no map lookup at all. The
+// frames an image copied for itself are recycled through a free list
+// (sync.Pool) on images that opt in with ReleaseOnReset; none of this is
+// visible in simulated time.
 package mem
 
 import (
@@ -37,14 +41,16 @@ type Page struct {
 	Words [uva.PageWords]uint64
 }
 
-// pagePool recycles Page frames across images and runs. Pages enter the
+// pagePool recycles Page frames across images and runs. Frames enter the
 // pool only from images that opted in via ReleaseOnReset (worker and
-// try-commit images, whose pages are exclusively owned clones), so a pooled
-// frame is never still referenced. The pool is also shared by simulations
-// running concurrently on the host (the experiment scheduler's fan-out):
-// that is safe because sync.Pool is goroutine-safe and every taker fully
-// initializes the frame before use — getPageRaw callers overwrite every
-// word, getPageZero clears — so no kernel can observe another's contents.
+// try-commit images), and only unshared ones: the clones a store made and
+// the zero pages the image filled itself. Lent and mapped frames stay
+// shared, so a pooled frame is never still referenced. The pool is also
+// shared by simulations running concurrently on the host (the experiment
+// scheduler's fan-out): that is safe because sync.Pool is goroutine-safe
+// and every taker fully initializes the frame before use — getPageRaw
+// callers overwrite every word, getPageZero clears — so no kernel can
+// observe another's contents.
 var pagePool sync.Pool
 
 // getPageRaw returns a page frame with undefined contents; callers must
@@ -73,10 +79,12 @@ func clonePage(src *Page) *Page {
 	return dst
 }
 
-// FaultFunc resolves a page miss, returning the page contents to install
-// (Copy-On-Access from the commit unit), or nil to install a zero page
-// (fresh thread-local allocation). It may block the calling process and
-// charge virtual time.
+// FaultFunc resolves a page miss, returning the frame to install
+// (Copy-On-Access from the commit unit), or nil to install a private zero
+// page (fresh thread-local allocation). A returned frame is lent: the image
+// maps it copy-on-write, as MapPages does, so it reads the frame in place,
+// its first store copies it, and Reset and Rearm never recycle it. It may
+// block the calling process and charge virtual time.
 type FaultFunc func(id uva.PageID) *Page
 
 // Page-table geometry: pageID's low chunkShift bits index a dense slot
@@ -162,10 +170,11 @@ func (im *Image) Instrument(m *trace.Metrics) {
 }
 
 // ReleaseOnReset opts this image into page recycling: Reset and Rearm (and
-// nothing else) return its exclusively-owned pages to the shared frame pool.
-// Only safe when no pointer to a resident page outlives the image's
-// speculative state — true for worker and try-commit images, whose pages are
-// private Copy-On-Access clones; never enabled for the commit unit's
+// nothing else) return its unshared frames — the copies its stores made and
+// the zero pages it filled — to the shared frame pool. Only safe when no
+// pointer to an unshared frame outlives the image's speculative state — true
+// for worker and try-commit images, which serve no pages and hold their
+// Copy-On-Access frames shared; never enabled for the commit unit's
 // authoritative image or for user-built images.
 func (im *Image) ReleaseOnReset(on bool) { im.release = on }
 
@@ -215,22 +224,30 @@ func (im *Image) fill(id uva.PageID, s *pageSlot) {
 	if im.fault != nil {
 		pg = im.fault(id)
 	}
-	if pg == nil {
+	im.install(s, pg)
+}
+
+// install makes s resident with pg, lent and mapped copy-on-write, or with
+// a private zero page when pg is nil.
+func (im *Image) install(s *pageSlot, pg *Page) {
+	lent := pg != nil
+	if !lent {
 		pg = getPageZero()
 	}
 	if s.pg == nil {
 		im.resident++
 		im.gResident.Add(1)
 	}
-	*s = pageSlot{pg: pg}
+	*s = pageSlot{pg: pg, shared: lent}
 }
 
-func (im *Image) page(id uva.PageID) *Page {
+// faultIn returns id's slot with its page resident.
+func (im *Image) faultIn(id uva.PageID) *pageSlot {
 	s := im.slot(id)
 	if s.pg == nil {
 		im.fill(id, s)
 	}
-	return s.pg
+	return s
 }
 
 func checkAligned(addr uva.Addr) {
@@ -275,18 +292,10 @@ func (im *Image) Store(addr uva.Addr, v uint64) {
 }
 
 // InstallPage places a received page into the image, unprotecting it.
-// Used by the COA client when a page reply arrives.
-func (im *Image) InstallPage(id uva.PageID, pg *Page) {
-	if pg == nil {
-		pg = getPageZero()
-	}
-	s := im.slot(id)
-	if s.pg == nil {
-		im.resident++
-		im.gResident.Add(1)
-	}
-	*s = pageSlot{pg: pg}
-}
+// Used by the COA client for the read-ahead pages of a page reply. Like a
+// frame a FaultFunc returns, pg is lent and mapped copy-on-write; nil
+// installs a private zero page.
+func (im *Image) InstallPage(id uva.PageID, pg *Page) { im.install(im.slot(id), pg) }
 
 // MapPages installs frames as the pages from addr (page-aligned) on, each
 // shared copy-on-write as Snapshot and Merge alias pages: the image reads
@@ -300,20 +309,24 @@ func (im *Image) MapPages(addr uva.Addr, frames []*Page) {
 		panic(fmt.Sprintf("mem: MapPages at unaligned %v", addr))
 	}
 	for i, pg := range frames {
-		s := im.slot(addr.Page() + uva.PageID(i))
-		if s.pg == nil {
-			im.resident++
-			im.gResident.Add(1)
-		}
-		*s = pageSlot{pg: pg, shared: true}
+		im.install(im.slot(addr.Page()+uva.PageID(i)), pg)
 	}
 }
 
-// CopyPage returns a copy of a page for transmission, faulting it in if
-// needed. The copy comes from the shared frame pool: the Copy-On-Access
-// serve path clones a page per request, and receivers (worker and
-// try-commit images) recycle the frames on Reset.
-func (im *Image) CopyPage(id uva.PageID) *Page { return clonePage(im.page(id)) }
+// SharePage lends the page's own frame, faulting it in if needed, and marks
+// the slot shared, so a later store through this image copies the page
+// first. The Copy-On-Access page server serves its snapshot this way; the
+// receiving image maps the frame copy-on-write, so no one writes it in place.
+func (im *Image) SharePage(id uva.PageID) *Page {
+	s := im.faultIn(id)
+	s.shared = true
+	return s.pg
+}
+
+// CopyPage returns a private copy of a page from the shared frame pool,
+// faulting it in if needed. The runtime lends frames instead (SharePage);
+// this whole-page copy is what the benchmark's mem.copy_page_ns probe times.
+func (im *Image) CopyPage(id uva.PageID) *Page { return clonePage(im.faultIn(id).pg) }
 
 // Reset drops every resident page, re-arming protection over the whole
 // space: the recovery step "reinstate the access protection to the heap
@@ -343,7 +356,7 @@ func (im *Image) Reset() {
 // Rearm re-arms protection over only what a recovery made stale: every page
 // this image stored to since the page was installed (speculative state), and
 // every page in stale (pages whose authoritative copy changed). Each other
-// resident page is an unmodified copy of the snapshot it was fetched from;
+// resident page is an unmodified page of the snapshot it was fetched from;
 // leaving it out of stale is the caller's word that the new snapshot holds
 // the same page, so it stays. Frames are recycled as on Reset.
 func (im *Image) Rearm(stale []uva.PageID) {

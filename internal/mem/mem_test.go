@@ -131,6 +131,27 @@ func TestInstallPage(t *testing.T) {
 	}
 }
 
+// TestSharePageAliases: SharePage lends the slot's own frame, faulting it in
+// first, and a later store through the source image copies the page, so the
+// lent frame keeps the old word.
+func TestSharePageAliases(t *testing.T) {
+	im := NewImage(nil)
+	addr := uva.Base(0)
+	im.Store(addr, 5)
+	pg := im.SharePage(addr.Page())
+	if s := im.slot(addr.Page()); s.pg != pg || !s.shared {
+		t.Fatal("SharePage did not lend the slot's frame shared")
+	}
+	im.Store(addr, 6)
+	if pg.Words[addr.WordIndex()] != 5 || im.Load(addr) != 6 {
+		t.Fatalf("after a store through the source: lent word %d, source %d; want 5 and 6",
+			pg.Words[addr.WordIndex()], im.Load(addr))
+	}
+	if zero := im.SharePage(addr.Page() + 1); zero.Words != (Page{}).Words || im.Resident() != 2 {
+		t.Fatal("SharePage of a protected page did not fault in a zero page")
+	}
+}
+
 func TestCopyPageIndependent(t *testing.T) {
 	im := NewImage(nil)
 	addr := uva.Base(0)

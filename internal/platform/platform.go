@@ -161,7 +161,10 @@ type Endpoint interface {
 	// very reference; net encodes it on the writer goroutine after Send has
 	// returned and the receiver gets a decoded copy. Either way the
 	// receiver may keep and modify what it received (platformtest pins that
-	// half on host and net).
+	// half on host and net). The one exception is a Copy-On-Access page
+	// reply: its frames are lent read-only, since the sender's snapshot
+	// keeps serving them, and mem maps them copy-on-write, so the receiver
+	// writes only its own copy of a page.
 	Send(to, tag int, payload any, bytes int)
 	// SendClass is Send with an explicit traffic class for bandwidth
 	// attribution; the class changes accounting only, never timing.

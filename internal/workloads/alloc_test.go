@@ -54,22 +54,30 @@ func TestMTXAllocationCeiling(t *testing.T) {
 }
 
 // TestJobAllocationCeiling pins what one warm job allocates, in MB and in
-// heap objects: 164.gzip scale 1 on host with 5 cores, and a crc32 verify
-// pair — the sequential reference plus a 32-core vtime run, as the engine
-// runs a verified job. The input is cached, so what is left is the job's
-// own memory: each Setup maps the cached frames instead of copying them,
-// and the loads whose block never leaves the call fill a borrowed buffer.
-// Before that, gzip read 19.6 MB and 7,500–7,800 objects, and the crc32
-// pair 26.6 MB and ≈ 9,200 objects; now 13.1–13.7 MB and 5,200–6,300
-// objects, and ≈ 1.5 MB and ≈ 5,900 objects. The ceilings sit between, and
-// crc32's MB ceiling leaves room for a collection emptying the page pool
-// mid-job (≈ 6 MB of Copy-On-Access frames). Mallocs and TotalAlloc are
-// process-wide, so a loaded box reads high, never low.
+// heap objects: 164.gzip scale 1 on host with 5 cores, the host-recover spec
+// (197.parser on host with 5 cores at misspeculation rate 0.05), and a crc32
+// verify pair — the sequential reference plus a 32-core vtime run, as the
+// engine runs a verified job. The input is cached, so what is left is the
+// job's own memory: each Setup maps the cached frames instead of copying
+// them, the loads whose block never leaves the call fill a borrowed buffer,
+// and a Copy-On-Access reply lends the snapshot's frames, so only a page a
+// rank writes is copied. Before the first two, gzip read 19.6 MB and
+// 7,500–7,800 objects, and the crc32 pair 26.6 MB and ≈ 9,200 objects; then
+// 13.1–13.7 MB and 5,200–6,300 objects, and ≈ 1.5 MB and ≈ 5,900 objects.
+// With lent frames gzip reads 12.5–12.6 MB and 5,500–5,700 objects. Those
+// two ceilings sit between, and crc32's MB ceiling leaves room for a
+// collection emptying the page pool mid-job. The parser job reads 0.6–0.8
+// MB and 2,770–3,110 objects; its ceilings sit 25% above. Mallocs and
+// TotalAlloc are process-wide, so a loaded box reads high, never low.
 func TestJobAllocationCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
 	gzip, crc := Gzip(), CRC32()
+	parser, err := ByName("197.parser")
+	if err != nil {
+		t.Fatal(err)
+	}
 	in := Input{Scale: 1, Seed: 42}
 	for _, c := range []struct {
 		name       string
@@ -78,6 +86,10 @@ func TestJobAllocationCeiling(t *testing.T) {
 	}{
 		{"164.gzip host 5 cores", 16.5, 7000, func() error {
 			_, err := RunParallel(gzip, in, DSMTX, 5, func(cfg *core.Config) { cfg.Backend = core.BackendHost })
+			return err
+		}},
+		{"197.parser host 5 cores rate 0.05", 1.0, 3900, func() error {
+			_, err := RunParallel(parser, Input{Scale: 1, Seed: 42, MisspecRate: 0.05}, DSMTX, 5, func(cfg *core.Config) { cfg.Backend = core.BackendHost })
 			return err
 		}},
 		{"crc32 verify pair, vtime 32 cores", 10, 7500, func() error {

@@ -29,6 +29,10 @@ go test -run NONE -bench 'GzipKernel|GzInput|CRC32Kernel|Mailbox' -benchtime 1x 
 # The sim kernel hosts processes on real goroutines; everything above it is
 # cooperative, but the handoff protocol itself must stay race-clean.
 go test -race ./internal/sim/
+# A Copy-On-Access reply lends the page server's snapshot frames, which
+# worker goroutines then read while others copy them on a store: the page
+# image's copy-on-write rules run under the race detector too.
+go test -race ./internal/mem/
 # The experiment scheduler fans whole simulations across host goroutines, so
 # the scheduler, the harness that feeds it, the workloads' shared caches, and
 # the CLI run under the race detector too (short mode keeps it a smoke test).
@@ -102,8 +106,10 @@ go test -race ./internal/core/ -run TestCrossShard
 # re-arm fixture (the commit unit's word, a squashed store) rides along. The
 # Committer hook runs on the commit goroutine after the votes while a Program
 # value shared with the test records it: core's hook test (once per MTX, in
-# order, recovery's re-executions included) rides along too.
-live='TestBackendEquivalence|TestCrossShard|TestPageServicePlacement|TestLifecycleSpans|TestSelectiveRearm|TestCommitterHook'
+# order, recovery's re-executions included) rides along too. A page reply
+# lends the snapshot's frames, read by several worker goroutines at once:
+# core's lent-frame test rides along as well.
+live='TestBackendEquivalence|TestCrossShard|TestPageServicePlacement|TestLifecycleSpans|TestSelectiveRearm|TestCommitterHook|TestServedFrameIsLent'
 live+='|TestBoundedRunAhead|TestLiveRecoverySweep|TestMisspecOnFirstIteration|TestBackToBackMisspecs|TestMisspecStorm'
 live+='|TestTLSRecovery|TestRecoveryProperty|TestConflictDetectionProperty|TestBulkReadConflict|TestConnectRunsSuccessiveJobs|TestThreeDaemons'
 live+='|TestRecycledBatchesStress|TestCrossDaemonBatchNeverReturnsToSender|TestDeliveryConformance'
