@@ -141,11 +141,6 @@ func (c Config) InstrTime(instructions int64) platform.Duration {
 	return platform.Duration(float64(instructions) / c.ClockGHz)
 }
 
-type mailboxKey struct {
-	from int
-	tag  int
-}
-
 // Machine is a simulated cluster instance bound to a sim.Kernel, and the
 // virtual-time execution platform over it.
 type Machine struct {
@@ -188,7 +183,7 @@ func New(k *sim.Kernel, cfg Config) *Machine {
 		eps:         make([]*Endpoint, cfg.Ranks()),
 	}
 	for r := range m.eps {
-		m.eps[r] = &Endpoint{m: m, rank: r, boxes: make(map[mailboxKey]*sim.Chan[platform.Message])}
+		m.eps[r] = &Endpoint{m: m, rank: r, boxes: make(map[int]*tagBox)}
 	}
 	return m
 }
@@ -272,50 +267,57 @@ func (m *Machine) transmit(msg platform.Message) platform.Time {
 	return arrival
 }
 
-// Endpoint is one rank's attachment to the interconnect. Mailboxes are
-// keyed by (source, tag); register any-source mailboxes with
-// Mailbox(AnySource, tag) before traffic with that tag flows.
+// Endpoint is one rank's attachment to the interconnect: one mailbox per
+// tag, created by whichever comes first, its receiver's registration or its
+// first delivery.
 type Endpoint struct {
 	m     *Machine
 	rank  int
-	boxes map[mailboxKey]*sim.Chan[platform.Message]
+	boxes map[int]*tagBox
+}
+
+// tagBox is a tag's one mailbox and the exact sender its registrations
+// named (AnySource until one names a rank).
+type tagBox struct {
+	ch   *sim.Chan[platform.Message]
+	from int
 }
 
 // Rank reports this endpoint's rank.
 func (e *Endpoint) Rank() int { return e.rank }
 
-// Mailbox returns (creating if needed) the mailbox for messages from a
-// specific source rank (or AnySource) carrying the given tag.
+// Mailbox returns (creating if needed) the tag's mailbox. from does not
+// route: it names the tag's one sender, or is AnySource. It panics if an
+// earlier registration on the tag named a different sender.
 func (e *Endpoint) Mailbox(from, tag int) platform.Mailbox {
 	return e.box(from, tag)
 }
 
-// box is Mailbox with the concrete channel type, for internal delivery.
+// box is Mailbox with the concrete channel type.
 func (e *Endpoint) box(from, tag int) *sim.Chan[platform.Message] {
-	key := mailboxKey{from, tag}
-	box, ok := e.boxes[key]
-	if !ok {
-		name := fmt.Sprintf("r%d<-%d#%d", e.rank, from, tag)
-		box = sim.NewChan[platform.Message](name)
-		e.boxes[key] = box
+	b := e.boxOf(tag)
+	if from != platform.AnySource {
+		if b.from != platform.AnySource && b.from != from {
+			panic(fmt.Sprintf("cluster: rank %d tag %d registered for sender %d, then for sender %d",
+				e.rank, tag, b.from, from))
+		}
+		b.from = from
 	}
-	return box
+	return b.ch
 }
 
-// deliver routes an arrived message to the matching mailbox: an exact
-// (from, tag) box if registered, else the any-source box for the tag, else a
-// fresh exact box.
-func (e *Endpoint) deliver(msg platform.Message) {
-	if box, ok := e.boxes[mailboxKey{msg.From, msg.Tag}]; ok {
-		box.Push(msg)
-		return
+// boxOf returns (creating if needed) the tag's mailbox.
+func (e *Endpoint) boxOf(tag int) *tagBox {
+	b, ok := e.boxes[tag]
+	if !ok {
+		b = &tagBox{ch: sim.NewChan[platform.Message](fmt.Sprintf("r%d#%d", e.rank, tag)), from: platform.AnySource}
+		e.boxes[tag] = b
 	}
-	if box, ok := e.boxes[mailboxKey{platform.AnySource, msg.Tag}]; ok {
-		box.Push(msg)
-		return
-	}
-	e.box(msg.From, msg.Tag).Push(msg)
+	return b
 }
+
+// deliver puts an arrived message in its tag's mailbox.
+func (e *Endpoint) deliver(msg platform.Message) { e.boxOf(msg.Tag).ch.Push(msg) }
 
 // Send injects a message into the network; it does not charge CPU time (the
 // mpi package layers per-call instruction costs on top). Delivery happens at
@@ -336,8 +338,8 @@ func (e *Endpoint) SendClass(to, tag int, payload any, bytes int, class platform
 	e.m.k.At(arrival, func() { dst.deliver(msg) })
 }
 
-// Recv blocks p until a message from the given source (or AnySource) with
-// the given tag arrives, and returns it.
+// Recv blocks p until a message with the given tag arrives, and returns it;
+// from is checked as Mailbox checks it.
 func (e *Endpoint) Recv(p platform.Proc, from, tag int) platform.Message {
 	msg, ok := e.box(from, tag).Recv(p)
 	if !ok {

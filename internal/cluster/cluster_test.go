@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -156,7 +157,7 @@ func TestAnySourceMailbox(t *testing.T) {
 	got := map[int]bool{}
 	k.Spawn("rx", func(p *sim.Proc) {
 		ep := m.Endpoint(0)
-		ep.Mailbox(platform.AnySource, tag) // register before traffic
+		ep.Mailbox(platform.AnySource, tag)
 		p.Advance(10)
 		for i := 0; i < 3; i++ {
 			msg := ep.Recv(p, platform.AnySource, tag)
@@ -175,6 +176,61 @@ func TestAnySourceMailbox(t *testing.T) {
 	if len(got) != 3 {
 		t.Fatalf("received from %d sources, want 3", len(got))
 	}
+}
+
+// TestTrafficBeforeRegistration sends on a tag before its receiver has
+// registered the tag's mailbox: every message waits in the tag's one box,
+// and each sender's messages come out in send order.
+func TestTrafficBeforeRegistration(t *testing.T) {
+	k := sim.NewKernel()
+	m := New(k, testConfig())
+	const tag, perSource = 9, 5
+	next := map[int]int{}
+	k.Spawn("rx", func(p *sim.Proc) {
+		p.Advance(platform.Millisecond) // every message has arrived by now
+		box := m.Endpoint(0).Mailbox(platform.AnySource, tag)
+		for range 3 * perSource {
+			msg, _ := box.Recv(p)
+			if msg.Payload.(int) != next[msg.From] {
+				t.Errorf("source %d delivered %d, want %d", msg.From, msg.Payload, next[msg.From])
+			}
+			next[msg.From]++
+		}
+	})
+	for _, src := range []int{1, 2, 3} {
+		k.Spawn("tx", func(p *sim.Proc) {
+			for i := range perSource {
+				m.Endpoint(src).Send(0, tag, i, 8)
+			}
+		})
+	}
+	if err := k.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []int{1, 2, 3} {
+		if next[src] != perSource {
+			t.Errorf("received %d messages from source %d, want %d", next[src], src, perSource)
+		}
+	}
+}
+
+// TestConflictingSendersPanic: a tag has one mailbox, so two registrations
+// naming different senders on one tag are a protocol bug and panic, naming
+// the rank, the tag and both senders. AnySource never conflicts.
+func TestConflictingSendersPanic(t *testing.T) {
+	m := New(sim.NewKernel(), testConfig())
+	ep := m.Endpoint(0)
+	ep.Mailbox(platform.AnySource, 4)
+	ep.Mailbox(1, 4)
+	ep.Mailbox(platform.AnySource, 4)
+	ep.Mailbox(1, 4)
+	defer func() {
+		msg, _ := recover().(string)
+		if want := "rank 0 tag 4 registered for sender 1, then for sender 2"; !strings.Contains(msg, want) {
+			t.Fatalf("panic %q, want one containing %q", msg, want)
+		}
+	}()
+	ep.Mailbox(2, 4)
 }
 
 func TestTrafficStats(t *testing.T) {

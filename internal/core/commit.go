@@ -145,14 +145,12 @@ func (c *cuNode) run(p platform.Proc) {
 }
 
 func (c *cuNode) bind() {
-	c.comm.RegisterBarrierMailboxes()
 	// The sequential arena is shared across shards: Setup, recovery
 	// re-execution and Finalize may run on different shards but must
 	// allocate from one bump pointer.
 	c.arena = c.sys.seqArena
 	ep := c.comm.Endpoint()
 	c.votesBox = ep.Mailbox(platform.AnySource, tagCommitVoteBase+c.shard)
-	ep.Mailbox(platform.AnySource, tagCtrl) // recovery epochs from any coordinator
 	c.voteCount = make(map[uint64]int)
 	for w := 0; w < c.sys.cfg.Workers(); w++ {
 		c.in = append(c.in, c.sys.toCUQ[w][c.shard].Receiver(c.comm))
@@ -590,7 +588,7 @@ func (ps *pageServer) run(p platform.Proc) {
 	}
 	track := ps.sys.pageSrvTrack(ps.shard)
 	for {
-		msg := ps.comm.Endpoint().Recv(p, platform.AnySource, tagPageReq)
+		msg, _ := box.Recv(p)
 		if msg.Payload == nil {
 			return // shutdown sentinel from the commit unit
 		}

@@ -25,7 +25,8 @@ type specRank struct {
 	rank    int
 	proc    platform.Proc
 	comm    *mpi.Comm
-	ctrlBox platform.Mailbox // cached (commit rank, tagCtrl) mailbox
+	ctrlBox platform.Mailbox // cached tagCtrl mailbox
+	pageBox platform.Mailbox // cached tagPageReply mailbox
 	img     *mem.Image
 	coa     coaClient
 
@@ -48,20 +49,19 @@ func (s *System) recordLife(rank int, p platform.Proc, born platform.Time) {
 	s.life[rank] = p.Now() - born
 }
 
-// bind attaches the rank's process and registers what every speculative rank
-// receives from the commit unit — control broadcasts, COA page replies and
-// barriers — before any traffic flows, from any commit shard (recovery
-// epochs originate at the coordinator shard, pages at the owner shard). The
-// image maps its Copy-On-Access frames copy-on-write (they are lent by a
-// page server's snapshot), so recovery's discard recycles only the copies
-// the rank's own stores made and the zero pages it filled.
+// bind attaches the rank's process and caches the mailboxes of what every
+// speculative rank receives from the commit units: control broadcasts
+// (recovery epochs originate at the coordinator shard) and COA page replies
+// (from the owner shard). The image maps its Copy-On-Access frames
+// copy-on-write (they are lent by a page server's snapshot), so recovery's
+// discard recycles only the copies the rank's own stores made and the zero
+// pages it filled.
 func (r *specRank) bind(p platform.Proc) {
 	r.proc = p
 	r.comm = r.sys.attach(r.rank, p)
 	ep := r.comm.Endpoint()
 	r.ctrlBox = ep.Mailbox(platform.AnySource, tagCtrl)
-	ep.Mailbox(platform.AnySource, tagPageReply)
-	r.comm.RegisterBarrierMailboxes()
+	r.pageBox = ep.Mailbox(platform.AnySource, tagPageReply)
 	r.img = mem.NewImage(r.coaFault)
 	r.img.ReleaseOnReset(true)
 	r.img.Instrument(r.sys.tr.Metrics())
@@ -100,7 +100,7 @@ func (r *specRank) coaFault(id uva.PageID) *mem.Page {
 		wire := 0
 		for off := 0; off < uva.PageSize; off += g {
 			ep.SendClass(dst, tagPageReq, pageReq{Start: id, Count: 1, Grain: g}, 24, platform.ClassPage)
-			msg := ep.Recv(comm.Proc(), platform.AnySource, tagPageReply)
+			msg, _ := r.pageBox.Recv(comm.Proc())
 			pg = msg.Payload.([]*mem.Page)[0]
 			wire += msg.Bytes
 		}
@@ -145,7 +145,7 @@ func (r *specRank) coaFault(id uva.PageID) *mem.Page {
 	// and no per-byte marshalling.
 	ep := comm.Endpoint()
 	ep.SendClass(dst, tagPageReq, pageReq{Start: id, Count: count}, 24, platform.ClassPage)
-	msg := ep.Recv(comm.Proc(), platform.AnySource, tagPageReply)
+	msg, _ := r.pageBox.Recv(comm.Proc())
 	pages := msg.Payload.([]*mem.Page)
 	for i := 1; i < len(pages); i++ {
 		img.InstallPage(id+uva.PageID(i), pages[i])

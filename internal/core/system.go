@@ -640,11 +640,6 @@ func (s *System) Run() (Result, error) {
 	if s.mach != nil {
 		s.mach.SetExtraLatency(s.hook.latency)
 	}
-	// Spawn order: receivers of early traffic must bind mailboxes in their
-	// spawn bodies before any delivery event fires; on vtime all spawns are
-	// enqueued ahead of any send, so order here is just cosmetic. On host,
-	// goroutines start immediately and registration can race delivery — the
-	// host endpoint's any-source migration makes that safe.
 	for k, cu := range s.cus {
 		name := "commit"
 		if k > 0 {

@@ -116,8 +116,7 @@ func (w *workerNode) run(p platform.Proc) {
 	}
 }
 
-// bind registers mailboxes and attaches queue ports; it runs before any
-// traffic flows (all processes bind at virtual time zero).
+// bind caches the rank's mailboxes and attaches its queue ports.
 func (w *workerNode) bind(p platform.Proc) {
 	w.specRank.bind(p)
 	ep := w.comm.Endpoint()

@@ -38,7 +38,6 @@ func (im *Image) loadPages(addr uva.Addr, n int, fn func(pg *Page, off, at, ln i
 	if n < 0 {
 		panic(fmt.Sprintf("mem: bulk load of %d bytes at %v", n, addr))
 	}
-	im.LoadOps += uint64((n + 7) / 8)
 	if n > 0 {
 		im.hintEnd = (addr + uva.Addr(n-1)).Page() + 1
 		defer func() { im.hintEnd = 0 }()
@@ -63,7 +62,6 @@ func (im *Image) loadPages(addr uva.Addr, n int, fn func(pg *Page, off, at, ln i
 // byte would waste a Copy-On-Access round trip (write-allocate bypass).
 func (im *Image) StoreBytes(addr uva.Addr, b []byte) {
 	checkAligned(addr)
-	im.StoreOps += uint64((len(b) + 7) / 8)
 	if len(b) > 0 {
 		im.hintEnd = (addr + uva.Addr(len(b)-1)).Page() + 1
 		defer func() { im.hintEnd = 0 }()

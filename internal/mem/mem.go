@@ -131,10 +131,8 @@ type Image struct {
 	resident int
 	release  bool // return exclusively-owned pages to the pool on Reset
 
-	// Counters for tests and instrumentation.
-	Faults   uint64
-	LoadOps  uint64
-	StoreOps uint64
+	// Faults counts page faults, for tests and instrumentation.
+	Faults uint64
 
 	// Metric handles, resolved once by Instrument; nil on uninstrumented
 	// images (every use is a nil-safe single branch). They sit on the fault
@@ -259,7 +257,6 @@ func checkAligned(addr uva.Addr) {
 // Load reads the word at addr, faulting the page in if protected.
 func (im *Image) Load(addr uva.Addr) uint64 {
 	checkAligned(addr)
-	im.LoadOps++
 	id := addr.Page()
 	s := im.lastSlot
 	if s == nil || id != im.lastID {
@@ -275,7 +272,6 @@ func (im *Image) Load(addr uva.Addr) uint64 {
 // aliased by a snapshot is copied first (copy-on-write).
 func (im *Image) Store(addr uva.Addr, v uint64) {
 	checkAligned(addr)
-	im.StoreOps++
 	id := addr.Page()
 	s := im.lastSlot
 	if s == nil || id != im.lastID {

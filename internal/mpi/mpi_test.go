@@ -121,10 +121,9 @@ func TestBarrierSynchronizes(t *testing.T) {
 	for i, r := range ranks {
 		k.Spawn("w", func(p *sim.Proc) {
 			c := w.Attach(r, p)
-			if r == 0 {
-				c.RegisterBarrierMailboxes()
-			}
-			p.Advance(platform.Duration(r) * 100 * platform.Microsecond)
+			// The root arrives last: every other arrival reaches it before
+			// it has registered anything.
+			p.Advance(platform.Duration(len(ranks)-1-r) * 100 * platform.Microsecond)
 			if p.Now() > maxArrival {
 				maxArrival = p.Now()
 			}

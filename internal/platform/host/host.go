@@ -1,7 +1,7 @@
 // Package host executes the DSMTX runtime live on host threads: every
 // platform process is a real goroutine, the clock is the wall clock, and
-// messages move through one FIFO mailbox per (source, tag) (see
-// mailbox.go) with no modelled latency, bandwidth, or instruction cost. The
+// messages move through one FIFO mailbox per (rank, tag) (see mailbox.go)
+// with no modelled latency, bandwidth, or instruction cost. The
 // protocol above is identical to the vtime backend — same speculation,
 // forwarding, validation, commit, and recovery paths — but interleaving is
 // whatever the Go scheduler produces, so only protocol outcomes (committed
@@ -138,7 +138,7 @@ func New(ranks int, nodeOf func(int) int) *Platform {
 	h := &Platform{nodeOf: nodeOf, start: time.Now(), down: make(chan struct{})}
 	h.eps = make([]*endpoint, ranks)
 	for r := range h.eps {
-		h.eps[r] = &endpoint{h: h, rank: r, boxes: make(map[mbKey]*mailbox), idle: newWaiter()}
+		h.eps[r] = &endpoint{h: h, rank: r, boxes: make(map[int]*mailbox), idle: newWaiter()}
 	}
 	return h
 }
@@ -254,8 +254,6 @@ func (p *proc) Advanced() platform.Duration { return 0 }
 // Blocked is zero: host processes have no accounted blocking time.
 func (p *proc) Blocked() platform.Duration { return 0 }
 
-type mbKey struct{ from, tag int }
-
 // epStats is one endpoint's sender-side traffic accounting. Plain atomics:
 // sends from different ranks touch different endpoints, so the old global
 // stats mutex would have been the last cross-rank serialization point on
@@ -273,17 +271,15 @@ type epStats struct {
 	interBytes atomic.Uint64
 }
 
-// endpoint is one rank's mailbox set. The RWMutex guards only the box map:
-// delivery takes the read lock (many senders in parallel) and enqueues into
-// the mailbox while still holding it, so an any-source migration
-// (write lock) can never fold a box while a delivery into it is in flight —
-// the message is either in the box before the fold drains it, or routed
-// after the fold sees the new any-source box.
+// endpoint is one rank's mailbox set, one box per tag. The RWMutex guards
+// only the box map: finding a box that exists takes the read lock (many
+// senders in parallel), and only creating one takes the write lock. Boxes
+// are never removed, so a box found is the tag's box for good.
 type endpoint struct {
 	h     *Platform
 	rank  int
 	mu    sync.RWMutex
-	boxes map[mbKey]*mailbox
+	boxes map[int]*mailbox
 	stats epStats
 	// parkNs is wall time parked in Recv and Idle waits, counted only when
 	// a tracer is attached (see Platform.RankDelivery).
@@ -300,70 +296,36 @@ type endpoint struct {
 // Rank reports this endpoint's rank.
 func (e *endpoint) Rank() int { return e.rank }
 
-// Mailbox returns (creating if needed) the mailbox for (from, tag).
+// Mailbox returns (creating if needed) the tag's mailbox. from does not
+// route: it names the tag's one sender, or is AnySource. It panics if an
+// earlier registration on the tag named a different sender.
 func (e *endpoint) Mailbox(from, tag int) platform.Mailbox {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.boxLocked(from, tag, false)
-}
-
-// boxLocked returns or creates the (from, tag) box; e.mu must be held for
-// writing. Unlike vtime — where registration always happens before traffic
-// because startup is cooperative — a host sender can race a receiver's
-// any-source registration, parking early messages in auto-created exact
-// boxes. When a receiver registers the any-source box for a tag, those
-// stray boxes are drained into it and deleted, so neither the queued
-// messages nor future sends from the same source can strand behind an
-// exact match.
-func (e *endpoint) boxLocked(from, tag int, auto bool) *mailbox {
-	key := mbKey{from, tag}
-	if b, ok := e.boxes[key]; ok {
-		if !auto {
-			b.auto = false
-		}
-		return b
-	}
-	b := newMailbox(e, tag, auto)
-	if from == platform.AnySource {
-		for k, eb := range e.boxes {
-			if k.tag == tag && eb.auto {
-				eb.drainInto(b)
-				delete(e.boxes, k)
-			}
-		}
-	}
-	e.boxes[key] = b
+	b := e.box(tag)
+	b.claim(from)
 	return b
 }
 
-// deliver routes a message exactly like the vtime endpoint: exact box if
-// registered, else the any-source box for the tag, else a fresh exact box.
-// The fast path — box already exists — runs under the read lock only.
-func (e *endpoint) deliver(msg platform.Message) {
+// box returns (creating if needed) the tag's mailbox.
+func (e *endpoint) box(tag int) *mailbox {
 	e.mu.RLock()
-	b, ok := e.boxes[mbKey{msg.From, msg.Tag}]
-	if !ok {
-		b, ok = e.boxes[mbKey{platform.AnySource, msg.Tag}]
-	}
+	b, ok := e.boxes[tag]
+	e.mu.RUnlock()
 	if ok {
-		b.enqueue(msg)
-		e.mu.RUnlock()
-	} else {
-		e.mu.RUnlock()
-		// No box yet: take the write lock and re-resolve — a racing receiver
-		// may have registered (or another delivery auto-created) a box in the
-		// gap, and enqueueing into a stale choice would strand the message.
-		e.mu.Lock()
-		b, ok = e.boxes[mbKey{msg.From, msg.Tag}]
-		if !ok {
-			b, ok = e.boxes[mbKey{platform.AnySource, msg.Tag}]
-		}
-		if !ok {
-			b = e.boxLocked(msg.From, msg.Tag, true)
-		}
-		b.enqueue(msg)
-		e.mu.Unlock()
+		return b
 	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if b, ok = e.boxes[tag]; !ok {
+		b = newMailbox(e, tag)
+		e.boxes[tag] = b
+	}
+	return b
+}
+
+// deliver puts a message in its tag's mailbox, creating the box if no
+// receiver has registered it yet.
+func (e *endpoint) deliver(msg platform.Message) {
+	e.box(msg.Tag).enqueue(msg)
 	e.delivered.Add(1)
 	e.idle.notify(e.h.tel)
 }
@@ -426,7 +388,8 @@ func (e *endpoint) account(msg platform.Message) {
 	}
 }
 
-// Recv blocks until a matching message arrives.
+// Recv blocks until a message with the given tag arrives; from is checked
+// as Mailbox checks it.
 func (e *endpoint) Recv(p platform.Proc, from, tag int) platform.Message {
 	msg, ok := e.Mailbox(from, tag).Recv(p)
 	if !ok {

@@ -31,25 +31,43 @@ func TestSendRecv(t *testing.T) {
 	}
 }
 
-// TestAnySourceMigration pins the registration race the vtime backend
-// cannot have: a message delivered before any receiver registered its tag
-// parks in an auto-created exact box, and a later any-source registration
-// must fold that box in rather than strand the message.
-func TestAnySourceMigration(t *testing.T) {
+// TestEarlyTraffic delivers on a tag before its receiver registers it: the
+// message waits in the tag's one box, and later sends land there too.
+func TestEarlyTraffic(t *testing.T) {
 	h := New(2, nil)
-	// Deliver first: creates the auto box for (0, tag 3) on rank 1.
 	h.Endpoint(0).Send(1, 3, "early", 5)
-	// Register any-source afterwards; the early message must migrate.
-	msg, ok := h.Endpoint(1).Mailbox(platform.AnySource, 3).TryRecv()
-	if !ok || msg.Payload != "early" {
-		t.Fatalf("any-source receive after early delivery: %+v ok=%v", msg, ok)
+	box := h.Endpoint(1).Mailbox(platform.AnySource, 3)
+	if msg, ok := box.TryRecv(); !ok || msg.Payload != "early" {
+		t.Fatalf("receive after early delivery: %+v ok=%v", msg, ok)
 	}
-	// Future sends from the same source route to the any-source box too.
 	h.Endpoint(0).Send(1, 3, "late", 4)
-	msg, ok = h.Endpoint(1).Mailbox(platform.AnySource, 3).TryRecv()
-	if !ok || msg.Payload != "late" {
-		t.Fatalf("any-source receive after migration: %+v ok=%v", msg, ok)
+	if msg, ok := box.TryRecv(); !ok || msg.Payload != "late" {
+		t.Fatalf("receive after registration: %+v ok=%v", msg, ok)
 	}
+}
+
+// TestConflictingSendersPanic: a tag has one mailbox, so two registrations
+// naming different senders on one tag are a protocol bug and panic, naming
+// the rank, the tag and both senders. AnySource never conflicts, and a
+// blocking Recv registers as Mailbox does.
+func TestConflictingSendersPanic(t *testing.T) {
+	h := New(3, nil)
+	ep := h.Endpoint(0)
+	ep.Mailbox(platform.AnySource, 4)
+	ep.Mailbox(1, 4)
+	ep.Mailbox(platform.AnySource, 4)
+	h.Endpoint(1).Send(0, 4, nil, 8)
+	h.Spawn("rx", func(p platform.Proc) { ep.Recv(p, 1, 4) })
+	if err := h.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if want := "rank 0 tag 4 registered for sender 1, then for sender 2"; !strings.Contains(msg, want) {
+			t.Fatalf("panic %q, want one containing %q", msg, want)
+		}
+	}()
+	ep.Mailbox(2, 4)
 }
 
 // TestFailureUnwindsBlockedRecv kills one process and requires Run to

@@ -1,12 +1,12 @@
 // Mailboxes for the host backend.
 //
-// Each (source, tag) mailbox is one unbounded FIFO: many producers (several
-// sender goroutines, and any-source aggregation, can target one box), one
-// consumer (a mailbox belongs to exactly one receiving rank). Producers
-// append to the box's in slice under its mutex and bump an atomic count of
-// it. The consumer reads its own out slice without a lock or a shared write
-// and, once that is spent, swaps it for in under the same mutex, handing the
-// spent (cleared) array back to the producers. An empty poll is one atomic
+// Each (rank, tag) mailbox is one unbounded FIFO: many producers (every
+// sender on the tag), one consumer (a mailbox belongs to exactly one
+// receiving rank). Producers append to the box's in slice under its mutex
+// and bump an atomic count of it. The consumer reads its own out slice
+// without a lock or a shared write and, once that is spent, swaps it for in
+// under the same mutex, handing the spent (cleared) array back to the
+// producers. An empty poll is one atomic
 // load; TryRecv takes the lock once per backlog, and every later TryRecv
 // until that backlog is spent is a pop from the consumer's own slice. A
 // producer never blocks on the consumer, and the mutex keeps each
@@ -23,6 +23,7 @@
 package host
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -39,13 +40,13 @@ import (
 // that another process (a co-located daemon) needs.
 const spinBudget = 64
 
-// mailbox is one (source, tag) receive queue.
+// mailbox is one (rank, tag) receive queue.
 type mailbox struct {
 	e   *endpoint
 	tag int // the box's message tag (delivery telemetry attribution)
-	// auto marks a box created by delivery before any receiver registered
-	// it; any-source registration may fold such boxes in (see boxLocked).
-	auto bool
+	// from is the exact sender the tag's registrations named, AnySource
+	// until one names a rank (see claim).
+	from atomic.Int64
 
 	mu sync.Mutex
 	in []platform.Message // producers append here under mu
@@ -57,8 +58,24 @@ type mailbox struct {
 	wait waiter // parks the consumer in Recv
 }
 
-func newMailbox(e *endpoint, tag int, auto bool) *mailbox {
-	return &mailbox{e: e, tag: tag, auto: auto, wait: newWaiter()}
+func newMailbox(e *endpoint, tag int) *mailbox {
+	b := &mailbox{e: e, tag: tag, wait: newWaiter()}
+	b.from.Store(platform.AnySource)
+	return b
+}
+
+// claim records from as the tag's one sender; AnySource claims nothing. It
+// panics if an earlier registration named a different sender.
+func (b *mailbox) claim(from int) {
+	if from == platform.AnySource {
+		return
+	}
+	had := b.from.Load()
+	if had == int64(from) || had == platform.AnySource && b.from.CompareAndSwap(had, int64(from)) {
+		return
+	}
+	panic(fmt.Sprintf("host: rank %d tag %d registered for sender %d, then for sender %d",
+		b.e.rank, b.tag, b.from.Load(), from))
 }
 
 // enqueue delivers one message. It never blocks on the consumer. Safe for
@@ -218,17 +235,4 @@ func (w *waiter) wait(e *endpoint, tag int, ready func() bool) {
 // TryRecv dequeues a pending message without blocking.
 func (b *mailbox) TryRecv() (platform.Message, bool) {
 	return b.tryDequeue()
-}
-
-// drainInto moves every queued message into dst in order. The caller must
-// hold the endpoint write lock, which excludes concurrent producers; auto
-// boxes never had a consumer, so the single-consumer rule holds too.
-func (b *mailbox) drainInto(dst *mailbox) {
-	for {
-		msg, ok := b.tryDequeue()
-		if !ok {
-			return
-		}
-		dst.enqueue(msg)
-	}
 }

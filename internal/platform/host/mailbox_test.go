@@ -119,10 +119,11 @@ func TestMailboxBatchDrain(t *testing.T) {
 	}
 }
 
-// TestAnySourceMigrationOrder delivers from several sources into auto-created
-// exact boxes, then registers the any-source box and checks per-source FIFO
-// order survives the fold (cross-source order is unspecified).
-func TestAnySourceMigrationOrder(t *testing.T) {
+// TestEarlyTrafficOrder delivers from several sources before the receiver
+// registers the tag: all of it waits in the tag's one box, and each
+// source's messages come out in send order (cross-source order is
+// unspecified).
+func TestEarlyTrafficOrder(t *testing.T) {
 	h := New(4, nil)
 	const perSource = 300
 	for i := 0; i < perSource; i++ {
@@ -145,7 +146,7 @@ func TestAnySourceMigrationOrder(t *testing.T) {
 		n++
 	}
 	if n != 3*perSource {
-		t.Fatalf("migrated %d messages, want %d", n, 3*perSource)
+		t.Fatalf("received %d messages, want %d", n, 3*perSource)
 	}
 }
 

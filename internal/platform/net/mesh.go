@@ -59,9 +59,11 @@ const closeLinger = 2 * time.Second
 // frameHeaderLen is the wire framing overhead per frame, for byte counts.
 var frameHeaderLen = len(wire.AppendFrame(nil, wire.FrameGoodbye, nil))
 
-// dialGiveUp bounds how long the first dial retries before the mesh
-// declares the peer unreachable and aborts the job. A variable so tests
-// can shorten the give-up window.
+// dialGiveUp bounds how long a peer's session may take to come up: the
+// dialing side retries that long before it declares the peer unreachable,
+// and the accepting side waits that long before it declares the peer never
+// connected. Either aborts the job. A variable so tests can shorten the
+// give-up window.
 var dialGiveUp = 20 * time.Second
 
 // Mesh is one daemon's set of peer connections for a job.
@@ -143,8 +145,9 @@ type binding struct {
 
 // NewMesh builds the mesh and starts dialing every lower-indexed peer.
 // Connections to higher-indexed peers arrive through AcceptData (or
-// ServeListener). Messages queued before a connection is up are sent once
-// it is, so callers need no readiness barrier.
+// ServeListener); one that has not arrived within dialGiveUp aborts the
+// mesh. Messages queued before a connection is up are sent once it is, so
+// callers need no readiness barrier.
 func NewMesh(cfg MeshConfig) *Mesh {
 	m := &Mesh{
 		cfg:     cfg,
@@ -168,6 +171,8 @@ func NewMesh(cfg MeshConfig) *Mesh {
 		go p.writeLoop()
 		if cfg.Self > i {
 			go p.dial()
+		} else {
+			p.giveUp = time.AfterFunc(dialGiveUp, p.neverConnected)
 		}
 	}
 	return m
@@ -200,11 +205,13 @@ func (m *Mesh) abort(err error) {
 	if !first {
 		return
 	}
+	// Log before anything unwinds: a caller that returns once its ranks
+	// have failed may stop accepting diagnostics.
+	m.logf("net: mesh abort: %v", err)
 	close(m.aborted)
 	if b != nil {
 		b.plat.Abort(err)
 	}
-	m.logf("net: mesh abort: %v", err)
 }
 
 // closing reports whether Close has begun.
@@ -315,6 +322,9 @@ type peer struct {
 	out    chan outMsg
 	connCh chan *session           // hands the session to the writer
 	sess   atomic.Pointer[session] // the one session, once attached
+	// giveUp, on the accepting side, runs neverConnected. attach stops it:
+	// a pending timer keeps the whole mesh reachable until it fires.
+	giveUp *time.Timer
 
 	ctr peerCounters
 }
@@ -359,6 +369,14 @@ func (p *peer) dial() {
 		if backoff *= 2; backoff > 2*time.Second {
 			backoff = 2 * time.Second
 		}
+	}
+}
+
+// neverConnected runs dialGiveUp after NewMesh for a peer that dials this
+// daemon, and aborts the mesh if the peer has not attached its session.
+func (p *peer) neverConnected() {
+	if p.sess.Load() == nil && !p.m.closing() {
+		p.m.abort(fmt.Errorf("net: peer %d never connected", p.idx))
 	}
 }
 
@@ -456,6 +474,9 @@ func (p *peer) attach(conn gonet.Conn) error {
 	if !p.sess.CompareAndSwap(nil, s) {
 		conn.Close()
 		return fmt.Errorf("net: peer %d already has a session", p.idx)
+	}
+	if p.giveUp != nil {
+		p.giveUp.Stop()
 	}
 	go p.readLoop(s)
 	p.connCh <- s // buffered for the one session: never blocks

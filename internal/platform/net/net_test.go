@@ -573,3 +573,48 @@ func TestJobIDMismatchRejected(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 }
+
+// TestNeverDialingPeerFailsJob: daemon 1 never dials daemon 0. The
+// accepting side gives a peer the dialer's give-up window, so a rank
+// waiting on rank 1 must fail the job naming the peer that never
+// connected, within twice the window, and Close must then return at once.
+func TestNeverDialingPeerFailsJob(t *testing.T) {
+	old := dialGiveUp
+	dialGiveUp = 500 * time.Millisecond
+	defer func() { dialGiveUp = old }()
+	ln, err := gonet.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m0 := NewMesh(MeshConfig{JobID: 42, Self: 0, Addrs: []string{ln.Addr().String(), ""}, Logf: t.Logf})
+	m0.ServeListener(ln)
+	p0, err := m0.Platform(0, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p0.Spawn("wait", func(pr platform.Proc) { p0.Endpoint(0).Recv(pr, 1, 9) })
+	start := time.Now()
+	errc := make(chan error, 1)
+	go func() { errc <- p0.Run(0) }()
+	select {
+	case err := <-errc:
+		if err == nil || !strings.Contains(err.Error(), "net: peer 1 never connected") {
+			t.Errorf("Run = %v, want an error naming the peer that never connected", err)
+		}
+		t.Logf("Run failed after %v", time.Since(start))
+	case <-time.After(2 * dialGiveUp):
+		p0.Abort(fmt.Errorf("still waiting"))
+		<-errc
+		t.Errorf("a rank still waits %v after the give-up window", 2*dialGiveUp)
+	}
+	closed := make(chan struct{})
+	go func() {
+		m0.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(time.Second):
+		t.Fatal("Close still blocks 1 s after the mesh aborted")
+	}
+}

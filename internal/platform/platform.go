@@ -1,6 +1,6 @@
 // Package platform defines the execution-platform abstraction the DSMTX
 // runtime runs against: a clock, processes, message endpoints with
-// per-(source, tag) mailboxes, and instruction-cost charging. The protocol
+// one mailbox per tag, and instruction-cost charging. The protocol
 // layers above — core, queue, mpi, the COA page path — speak only these
 // interfaces, so the same runtime executes on any of three backends: in
 // deterministic virtual time (vtime: cluster.Machine, the simulated
@@ -76,8 +76,8 @@ type Message struct {
 	Class    MsgClass
 }
 
-// AnySource registers a mailbox that receives messages from every sender
-// using a given tag. Register such mailboxes before any traffic flows.
+// AnySource registers a tag's mailbox without naming its sender: the tag
+// has several.
 const AnySource = -1
 
 // TrafficStats accumulates wire traffic for an entire run; the figure-5a
@@ -133,7 +133,7 @@ type Proc interface {
 	Blocked() Duration
 }
 
-// Mailbox is a handle to one (source, tag) receive queue; poll-heavy paths
+// Mailbox is a handle to one (rank, tag) receive queue; poll-heavy paths
 // cache it to skip the per-call map lookup. A receiver drains a backlog by
 // calling TryRecv until it reports false: on host the first call takes the
 // whole backlog under the mailbox lock once and the rest pop from the
@@ -146,9 +146,12 @@ type Mailbox interface {
 	TryRecv() (Message, bool)
 }
 
-// Endpoint is one rank's attachment to the interconnect. Mailboxes are
-// keyed by (source, tag); register any-source mailboxes with
-// Mailbox(AnySource, tag) before traffic with that tag flows.
+// Endpoint is one rank's attachment to the interconnect. It has one
+// mailbox per tag, and delivery routes by tag alone: a message sent before
+// its receiver registers the tag waits in the tag's box, and each sender's
+// messages keep their send order in it. Each stream the runtime addresses
+// owns its tag (a queue's tag has one sender), so no receive needs to
+// match a source.
 type Endpoint interface {
 	// Rank reports this endpoint's rank.
 	Rank() int
@@ -169,11 +172,13 @@ type Endpoint interface {
 	// SendClass is Send with an explicit traffic class for bandwidth
 	// attribution; the class changes accounting only, never timing.
 	SendClass(to, tag int, payload any, bytes int, class MsgClass)
-	// Recv blocks p until a message from the given source (or AnySource)
-	// with the given tag arrives, and returns it.
+	// Recv blocks p until a message with the given tag arrives, and
+	// returns it. from is checked as Mailbox checks it.
 	Recv(p Proc, from, tag int) Message
-	// Mailbox returns (creating if needed) the mailbox for messages from a
-	// specific source rank (or AnySource) carrying the given tag.
+	// Mailbox returns (creating if needed) the tag's mailbox. from does not
+	// route: it names the tag's one sender, or is AnySource. A registration
+	// naming a different sender from an earlier one on the same tag panics;
+	// AnySource registrations never conflict.
 	Mailbox(from, tag int) Mailbox
 	// Idle is the wait step of a poll loop: the endpoint's single polling
 	// consumer calls it after Mailbox.TryRecv found every mailbox it watches

@@ -5,9 +5,10 @@
 // correctness rests on:
 //
 //   - per-producer FIFO: messages from one rank arrive in send order, even
-//     across the consumer's slice swaps and (on net) reconnect replay;
-//   - any-source migration: messages delivered before the consumer registers
-//     its any-source mailbox fold in without loss or reorder;
+//     across the consumer's slice swaps and (on net) the TCP framing;
+//   - early traffic: messages delivered before the consumer registers the
+//     tag's mailbox wait in the tag's one box, none lost and each
+//     producer's in send order;
 //   - counter algebra: every message is enqueued exactly once and dequeued
 //     exactly once;
 //   - payload hand-off: a received payload is the receiver's to keep and
@@ -19,8 +20,8 @@
 //
 // The host backend runs the suite over in-process mailboxes; the net
 // backend runs it with producers in one mesh and the consumer in another,
-// so the same assertions audit the TCP framing, sequence numbering, and the
-// reader's injection into the very same mailboxes.
+// so the same assertions audit the TCP framing and the reader's injection
+// into the very same mailboxes.
 package platformtest
 
 import (
@@ -141,10 +142,10 @@ func fifoStorm(t *testing.T, factory Factory) {
 	}
 }
 
-// batchDrain sends the whole load before the consumer registers its
-// any-source mailbox — delivery lands in auto-created exact boxes — then
-// folds and drains with a TryRecv loop. Order per source must survive the
-// migration.
+// batchDrain sends the whole load before the consumer registers the tag's
+// mailbox, so every message waits in the tag's one box, then drains it with
+// a TryRecv loop. Nothing may be lost, and each source's messages must come
+// out in send order.
 func batchDrain(t *testing.T, factory Factory) {
 	const producers = 3
 	const perProducer = 300
@@ -192,8 +193,6 @@ func counterAlgebra(t *testing.T, factory Factory) {
 	}
 	w := factory(t, producers)
 	dst := w.ConsumerRank()
-	// Register the any-source box up front so the whole storm funnels into
-	// one mailbox (auto-created exact boxes would give each source its own).
 	box := w.ConsumerEndpoint().Mailbox(platform.AnySource, 5)
 	var wg sync.WaitGroup
 	for src := 0; src < producers; src++ {

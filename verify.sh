@@ -45,7 +45,8 @@ go test -race ./internal/engine/ ./cmd/dsmtxd/ ./cmd/dsmtxload/
 # platform tests and the backend-equivalence tests (vtime and host must both
 # reproduce the sequential checksum with equal committed counts) are the
 # data-race audit of the runtime itself. The platform sweep includes the net
-# package (mesh, a lost session failing both sides, generation buffering)
+# package (mesh, a lost session failing both sides, a peer that never dials
+# failing the job on the accepting side, generation buffering)
 # and the delivery conformance suite run against both host and net mailboxes
 # (mailbox delivery and the Idle poll-loop wait alike); netrun's tests run
 # whole jobs (crc32, the chained 052.alvinn, a recovering 197.parser) over
@@ -108,11 +109,14 @@ go test -race ./internal/core/ -run TestCrossShard
 # value shared with the test records it: core's hook test (once per MTX, in
 # order, recovery's re-executions included) rides along too. A page reply
 # lends the snapshot's frames, read by several worker goroutines at once:
-# core's lent-frame test rides along as well.
+# core's lent-frame test rides along as well. So do the delivery rule's
+# host tests (traffic sent before its tag is registered, conflicting
+# senders on one tag) and the never-dialing mesh peer.
 live='TestBackendEquivalence|TestCrossShard|TestPageServicePlacement|TestLifecycleSpans|TestSelectiveRearm|TestCommitterHook|TestServedFrameIsLent'
 live+='|TestBoundedRunAhead|TestLiveRecoverySweep|TestMisspecOnFirstIteration|TestBackToBackMisspecs|TestMisspecStorm'
 live+='|TestTLSRecovery|TestRecoveryProperty|TestConflictDetectionProperty|TestBulkReadConflict|TestConnectRunsSuccessiveJobs|TestThreeDaemons'
 live+='|TestRecycledBatchesStress|TestCrossDaemonBatchNeverReturnsToSender|TestDeliveryConformance'
+live+='|TestEarlyTraffic|TestConflictingSendersPanic|TestNeverDialingPeerFailsJob'
 livepkgs='./internal/workloads/ ./internal/core/ ./internal/netrun/ ./internal/queue/ ./internal/platform/...'
 GOMAXPROCS=2 go test -race -count=1 $livepkgs -run "$live"
 GOMAXPROCS=8 go test -race -count=1 $livepkgs -run "$live"
