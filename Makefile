@@ -1,7 +1,7 @@
 # Development entry points. `make verify` is the tier-1 gate (root module
 # plus the bench/ module); `make smoke` runs one VERIFIED-gated end-to-end
 # job per execution surface (scripts/smoke.sh: vtime trace, misspeculating
-# vtime trace, host, traced host, commit-sharded host, multi-process net);
+# vtime trace, host, traced host, multi-process net);
 # `make serve-demo` boots the dsmtxd job server, drives ~50 mixed verified
 # jobs through the HTTP API with dsmtxload, and requires a clean SIGTERM
 # drain; `make bench LABEL=prN` runs the repository benchmark (bench/,

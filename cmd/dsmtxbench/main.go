@@ -6,7 +6,6 @@
 //	dsmtxbench -figure 4                 # all Fig. 4 panels + geomean
 //	dsmtxbench -figure 4 -bench 164.gzip # one panel
 //	dsmtxbench -figure 5a | -figure 5b | -figure 6 | -figure 1
-//	dsmtxbench -figure s                 # commit-shard sweep at 512-1024 cores
 //	dsmtxbench -table 2
 //	dsmtxbench -micro                    # §5.3 queue-vs-MPI bandwidth
 //	dsmtxbench -all
@@ -90,7 +89,7 @@ func defaultCacheDir() string {
 func parseFlags(args []string) (*options, error) {
 	o := &options{}
 	fs := flag.NewFlagSet("dsmtxbench", flag.ContinueOnError)
-	fs.StringVar(&o.figure, "figure", "", "figure to regenerate: 1, 3, 4, 5a, 5b, 6 or s (commit sharding)")
+	fs.StringVar(&o.figure, "figure", "", "figure to regenerate: 1, 3, 4, 5a, 5b or 6")
 	fs.IntVar(&o.table, "table", 0, "table to regenerate: 2")
 	fs.BoolVar(&o.micro, "micro", false, "run the §5.3 queue-vs-MPI micro-benchmark")
 	fs.BoolVar(&o.manycore, "manycore", false, "run the §7 coherence-free manycore comparison")
@@ -116,9 +115,9 @@ func parseFlags(args []string) (*options, error) {
 	}
 
 	switch o.figure {
-	case "", "1", "3", "4", "5a", "5b", "6", "s":
+	case "", "1", "3", "4", "5a", "5b", "6":
 	default:
-		return nil, fmt.Errorf("unknown -figure %q (have 1, 3, 4, 5a, 5b, 6, s)", o.figure)
+		return nil, fmt.Errorf("unknown -figure %q (have 1, 3, 4, 5a, 5b, 6)", o.figure)
 	}
 	if o.table != 0 && o.table != 2 {
 		return nil, fmt.Errorf("unknown -table %d (have 2)", o.table)
@@ -235,7 +234,6 @@ func sections(o *options, r *harness.Runner, in workloads.Input) []section {
 	add(o.all || o.figure == "5a", func() (string, error) { return figure5a(r, in, o.bench) })
 	add(o.all || o.figure == "5b", func() (string, error) { return figure5b(r, in, o.bench) })
 	add(o.all || o.figure == "6", func() (string, error) { return figure6(r, in, o.rate, o.cores) })
-	add(o.all || o.figure == "s", func() (string, error) { return figureS(r, in) })
 	return secs
 }
 
@@ -369,11 +367,4 @@ func figure6(r *harness.Runner, in workloads.Input, rate float64, cores []int) (
 		return r.RunFigure6(b, in, rate, c)
 	})
 	return harness.RenderFigure6(rows), err
-}
-
-func figureS(r *harness.Runner, in workloads.Input) (string, error) {
-	rows, err := grid(harness.FigSBenches(), harness.FigSCores(), func(b *workloads.Benchmark, c int) (harness.FigSRow, error) {
-		return r.RunFigureS(b, in, c)
-	})
-	return harness.RenderFigureS(rows), err
 }

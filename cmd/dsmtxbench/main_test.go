@@ -17,6 +17,7 @@ func TestParseFlagsErrors(t *testing.T) {
 		{Args: []string{"-figure", "9"}, Want: "unknown -figure"},
 		{Args: []string{"-figure", "5c"}, Want: "unknown -figure"},
 		{Args: []string{"-figure", "r"}, Want: "unknown -figure"}, // fault injection left the product
+		{Args: []string{"-figure", "s"}, Want: "unknown -figure"}, // commit sharding left the product
 		{Args: []string{"-table", "3"}, Want: "unknown -table"},
 		{Args: []string{"-bench", "999.nope"}, Want: "unknown benchmark"},
 		{Args: []string{"-cores", "8,banana"}, Want: "bad -cores"},

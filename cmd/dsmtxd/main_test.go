@@ -179,8 +179,9 @@ func TestServeRejectsBadSpec(t *testing.T) {
 		`{"bench":"crc32","bogus":true}`: "bad job spec",
 		// used to be admitted and run as rate 0
 		`{"bench":"crc32","cores":8,"rate":-0.5}`: "rate -0.5 outside [0,1]",
-		// used to be admitted and run as one shard under a second cache key
-		`{"bench":"crc32","cores":8,"commit_shards":-1}`: "Config.CommitShards = -1",
+		// commit sharding left the product: an old sharded spec is refused,
+		// never run on one commit unit under a cache key of its own
+		`{"bench":"crc32","cores":8,"commit_shards":2}`: `bad job spec: json: unknown field \"commit_shards\"`,
 		// fault injection left the product: an old faulted spec is refused,
 		// never run fault-free under a cache key of its own
 		`{"bench":"crc32","cores":8,"faults":"straggler=r1:2x@0ns+1ms"}`: "bad job spec",

@@ -9,7 +9,6 @@
 //	dsmtxrun -bench crc32 -cores 96 -misspec 0.001
 //	dsmtxrun -bench 164.gzip -cores 32 -trace out.json -metrics
 //	dsmtxrun -bench crc32 -cores 8 -backend host
-//	dsmtxrun -bench crc32 -cores 16 -commit-shards 4 -backend host
 //	dsmtxrun -bench crc32 -cores 8 -backend host -trace host.json -metrics
 //	dsmtxrun -bench 164.gzip -cores 32 -backend host -metrics-addr 127.0.0.1:9090
 //	dsmtxrun -bench 197.parser -cores 5 -misspec 0.05 -backend net -net-daemons 2
@@ -23,11 +22,8 @@
 // live backends verify the identical checksum but model no instruction or
 // wire costs, so no speedup is reported. Tracing and metrics work on vtime
 // and host (host spans carry wall-clock timestamps and add delivery-layer
-// instrumentation; on net they belong to the daemons). -commit-shards
-// partitions the commit pipeline across N consistent-hashed commit units
-// (cross-shard MTXs commit through an ordered two-phase vote); the default
-// 1 is the paper's single commit unit. -metrics-addr serves the live metrics registry as JSON at
-// /metrics while the run executes.
+// instrumentation; on net they belong to the daemons). -metrics-addr serves
+// the live metrics registry as JSON at /metrics while the run executes.
 //
 // Results go to stdout; errors go to stderr.
 package main
@@ -70,7 +66,6 @@ func parseFlags(args []string) (*options, error) {
 	fs := flag.NewFlagSet("dsmtxrun", flag.ContinueOnError)
 	fs.StringVar(&o.spec.Bench, "bench", "", "benchmark name (see dsmtxbench -table 2); empty lists them")
 	fs.IntVar(&o.spec.Cores, "cores", 32, "total cores (workers + try-commit + commit)")
-	fs.IntVar(&o.spec.CommitShards, "commit-shards", 1, "commit units partitioning the page space (1 = the paper's single commit unit)")
 	paradigm := fs.String("paradigm", "dsmtx", "dsmtx or tls")
 	backend := fs.String("backend", "vtime", "execution platform: vtime (deterministic simulator), host (live goroutines, wall clock) or net (dsmtxd daemon processes over TCP, wall clock)")
 	fs.Float64Var(&o.spec.Rate, "misspec", 0, "input misspeculation rate (e.g. 0.001)")
@@ -110,9 +105,9 @@ func parseFlags(args []string) (*options, error) {
 		o.opts.Tracer = trace.NewMetricsOnly()
 	}
 	if o.spec.Bench != "" {
-		// The backend × feature rules (net refuses commit shards and a
-		// tracer, ...) are the job spec's and the
-		// engine's; state them once, there, and surface them as flag errors.
+		// The backend × feature rules (net refuses a tracer) are the job
+		// spec's and the engine's; state them once, there, and surface them
+		// as flag errors.
 		if err := o.spec.Validate(); err != nil {
 			return nil, err
 		}
@@ -152,16 +147,6 @@ func main() {
 		os.Exit(netrun.DaemonMain())
 	}
 	cli.Main("dsmtxrun", parseFlags, func(o *options) error { return run(o, os.Stdout) })
-}
-
-// shardSuffix renders the commit-shard count in the report header when the
-// pipeline is sharded; the default single unit stays silent so existing
-// output is unchanged.
-func shardSuffix(n int) string {
-	if n <= 1 {
-		return ""
-	}
-	return fmt.Sprintf(", commit shards %d", n)
 }
 
 // reportOutput prints the report's verdict line — the parallel checksum
@@ -227,12 +212,12 @@ func run(o *options, stdout io.Writer) error {
 
 	head := fmt.Sprintf("%s (%s), %d cores, paradigm %s", b.Name, b.Paradigm, o.spec.Cores, o.spec.Paradigm)
 	if o.spec.ParsedBackend() == core.BackendVTime {
-		fmt.Fprintf(stdout, "%s%s\n", head, shardSuffix(o.spec.CommitShards))
+		fmt.Fprintln(stdout, head)
 		fmt.Fprintf(stdout, "  sequential      %v\n", seqTime)
 		fmt.Fprintf(stdout, "  parallel        %v\n", res.Elapsed)
 		fmt.Fprintf(stdout, "  speedup         %s\n", stats.FormatSpeedup(seqTime.Seconds()/res.Elapsed.Seconds()))
 	} else {
-		fmt.Fprintf(stdout, "%s, backend %s%s\n", head, o.spec.Backend, shardSuffix(o.spec.CommitShards))
+		fmt.Fprintf(stdout, "%s, backend %s\n", head, o.spec.Backend)
 		fmt.Fprintf(stdout, "  sequential      %v (vtime reference)\n", seqTime)
 		fmt.Fprintf(stdout, "  parallel        %v wall clock\n", res.Elapsed)
 	}

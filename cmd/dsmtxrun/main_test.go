@@ -85,10 +85,10 @@ func TestParseFlagsErrors(t *testing.T) {
 		{Args: []string{"stray-positional"}, Want: "unexpected arguments"},
 		{Args: []string{"-paradigm", "openmp"}, Want: "unknown -paradigm"},
 		{Args: []string{"-bench", "crc32", "-misspec", "NaN"}, Want: "rate NaN outside [0,1]"},
-		// fault injection is gone from the product
+		// fault injection and commit sharding are gone from the product
 		{Args: []string{"-faults", "x"}, Want: "flag provided but not defined"},
+		{Args: []string{"-commit-shards", "2"}, Want: "flag provided but not defined"},
 		// the engine's backend × feature rules surface as flag errors
-		{Args: []string{"-bench", "crc32", "-backend", "net", "-commit-shards", "2"}, Want: "net backend"},
 		{Args: []string{"-bench", "crc32", "-backend", "net", "-trace", "t.json"}, Want: "Options.Tracer"},
 		{Args: []string{"-bench", "999.nope"}, Want: "unknown benchmark"},
 	})

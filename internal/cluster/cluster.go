@@ -79,17 +79,6 @@ func ManycoreConfig() Config {
 	}
 }
 
-// BigClusterConfig scales the paper's platform out to 64 nodes of 16 cores
-// (1024 ranks) with the same InfiniBand parameters — the machine the
-// commit-shard sweep (Figure S) runs on, where a single commit unit is the
-// bottleneck the sweep exposes.
-func BigClusterConfig() Config {
-	c := DefaultConfig()
-	c.Nodes = 64
-	c.CoresPerNode = 16
-	return c
-}
-
 // bandwidthOf reports a node's outbound NIC bandwidth.
 func (c Config) bandwidthOf(node int) float64 {
 	if node == c.HeadNode && c.HeadBandwidth > 0 {

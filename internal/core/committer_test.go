@@ -2,7 +2,6 @@ package core
 
 import (
 	"slices"
-	"strings"
 	"testing"
 
 	"dsmtx/internal/mem"
@@ -39,8 +38,7 @@ func (p *committerProg) checksum(img *mem.Image) [2]uint64 {
 // TestCommitterHook pins the per-MTX Commit hook: on vtime and live on host,
 // with misspeculations, it runs exactly once per committed MTX and in MTX
 // order — the MTXs recovery re-executes sequentially included — and the
-// committed memory matches RunSequential's. Above one commit shard the hook
-// is refused.
+// committed memory matches RunSequential's.
 func TestCommitterHook(t *testing.T) {
 	const n = 24
 	misspecs := misspecsOf(0, 7, 8, 15)
@@ -67,11 +65,4 @@ func TestCommitterHook(t *testing.T) {
 			t.Fatalf("checksum %#x, sequential %#x", got, want)
 		}
 	})
-
-	cfg := smallConfig(6, pipeline.SpecDSWP("S", "DOALL", "S"))
-	cfg.CommitShards = 2
-	_, err := NewSystem(cfg, &committerProg{pipeProg: pipeProg{n: n}}, nil)
-	if err == nil || !strings.Contains(err.Error(), "Committer programs need the single commit unit") {
-		t.Fatalf("NewSystem at CommitShards = 2: err = %v, want the single-commit-unit refusal", err)
-	}
 }

@@ -67,7 +67,7 @@ func ParseBackend(s string) (Backend, error) {
 // Config assembles a DSMTX system.
 type Config struct {
 	// TotalCores is the number of cores devoted to the parallelization,
-	// including the try-commit unit and the commit unit(s) (the x-axis of
+	// including the try-commit unit and the commit unit (the x-axis of
 	// Fig. 4); the rest are workers.
 	TotalCores int
 
@@ -104,18 +104,6 @@ type Config struct {
 	// refill-cost tradeoff of §5.4. Misspeculation markers always flush
 	// immediately.
 	MarkerFlushIters int
-
-	// CommitShards partitions the commit pipeline itself: the page space is
-	// consistent-hashed (HRW over 64-page blocks) across this many commit
-	// units, each owning its partition's committed image and running its own
-	// group-commit/COA loop. MTXs whose writes span shards commit through an
-	// ordered two-phase vote: the shard owning the MTX's lowest written page
-	// coordinates, and because the global commit order is predefined the
-	// prepare round is a single ordered vote per participant — ordering races
-	// cannot abort, only real conflicts can. 0 or 1 means the paper's single
-	// commit unit: the same pipeline with one shard, which owns every page,
-	// coordinates every MTX and never waits for a vote.
-	CommitShards int
 
 	// COAGrainBytes models Copy-On-Access at sub-page granularity for the
 	// §4.2 ablation ("the round-trip latency induced by COA can be
@@ -176,17 +164,9 @@ const (
 	pollMax = 1600 * platform.Nanosecond
 )
 
-// commitShards reports the number of commit units (>= 1).
-func (c Config) commitShards() int {
-	if c.CommitShards < 1 {
-		return 1
-	}
-	return c.CommitShards
-}
-
 // Workers reports the number of worker threads (cores minus the try-commit
-// unit and the commit unit(s)).
-func (c Config) Workers() int { return c.TotalCores - c.commitShards() - 1 }
+// unit and the commit unit).
+func (c Config) Workers() int { return c.TotalCores - 2 }
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
@@ -206,52 +186,24 @@ func (c Config) Validate() error {
 	if c.Backend != BackendVTime && c.Backend != BackendHost && c.Backend != BackendNet {
 		return fmt.Errorf("core: unknown backend %d", c.Backend)
 	}
-	if c.CommitShards < 0 {
-		return fmt.Errorf("core: Config.CommitShards = %d, need >= 0", c.CommitShards)
-	}
-	// What a live backend cannot run yet, with its reason: the one
-	// statement of this row of the backend matrix (ROADMAP "Shard
-	// federation by message only").
-	if c.CommitShards > 1 && c.Backend == BackendNet {
-		return fmt.Errorf("core: Config.CommitShards = %d: commit shards share an in-process image arena; unsupported on the net backend", c.CommitShards)
-	}
 	if c.Platform != nil && c.Backend != BackendNet {
 		return fmt.Errorf("core: Config.Platform: injected platforms are a net-backend feature (the %s backend builds its own)", c.Backend)
-	}
-	if base := tagCommitVoteBase + c.commitShards() - 1; base >= tagQueueBase {
-		return fmt.Errorf("core: Config.CommitShards = %d exhausts the control tag space (max %d)",
-			c.CommitShards, tagQueueBase-tagCommitVoteBase)
 	}
 	return nil
 }
 
 // Rank layout: workers occupy ranks 0..W-1, then the try-commit unit, then
-// the commit unit(s) (each commit rank also hosts a page-server process).
-// Commit shard 0 is the lead: it runs Setup, the sequential portions, and
-// termination.
+// the commit unit (whose rank also hosts the page-server process).
 
-func (c Config) tryCommitRank() int            { return c.Workers() }
-func (c Config) commitRank() int               { return c.Workers() + 1 }
-func (c Config) commitShardRank(shard int) int { return c.commitRank() + shard }
+func (c Config) tryCommitRank() int { return c.Workers() }
+func (c Config) commitRank() int    { return c.Workers() + 1 }
 
 // Control-plane message tags (queue tags are allocated from tagQueueBase).
 const (
 	tagCtrl      = 1 // commit unit -> workers/try-commit: recovery broadcast
-	tagPageReq   = 2 // any -> the owning commit unit's page server
+	tagPageReq   = 2 // any -> the commit unit's page server
 	tagPageReply = 3 // page server -> requester
 	tagOccAck    = 4 // parallel worker -> routing worker: iteration done
 	tagStart     = 5 // commit unit -> all: Setup done, parallel section open
-	// tagCommitVoteBase + k is the ordered 2PC vote tag addressed to commit
-	// shard k acting as coordinator (cross-shard commits, stop votes at a
-	// false decision, and the termination votes to the lead shard). Every
-	// commit unit registers its box at bind; with one shard nothing is sent
-	// to it.
-	tagCommitVoteBase = 40
-	tagQueueBase      = 100
+	tagQueueBase = 100
 )
-
-// pageShardBlock is the page-ownership granularity in pages: CommitShards
-// deals the page space to commit units in 64-page (256 KiB) blocks, so
-// prefetch runs (COAPrefetch pages) almost never straddle owners while
-// neighbouring working sets still spread across them.
-const pageShardBlock = 64

@@ -86,7 +86,7 @@ func (c *Ctx) Write(addr uva.Addr, v uint64) {
 		c.w.edgeOut[dstStage][c.w.routeFor(dstStage, c.iter)].Produce(e)
 	}
 	c.w.toTC.Produce(e)
-	c.w.cuWrite(e)
+	c.w.toCU.Produce(e)
 }
 
 // WriteTo performs a speculative store forwarded only to the worker
@@ -101,7 +101,7 @@ func (c *Ctx) WriteTo(dstStage int, addr uva.Addr, v uint64) {
 	}
 	ports[c.w.routeFor(dstStage, c.iter)].Produce(e)
 	c.w.toTC.Produce(e)
-	c.w.cuWrite(e)
+	c.w.toCU.Produce(e)
 }
 
 // WriteCommit performs a speculative store forwarded only to the commit
@@ -110,13 +110,13 @@ func (c *Ctx) WriteTo(dstStage int, addr uva.Addr, v uint64) {
 // validation streams.
 func (c *Ctx) WriteCommit(addr uva.Addr, v uint64) {
 	c.Store(addr, v)
-	c.w.cuWrite(Entry{Kind: entWrite, MTX: c.iter, Addr: addr, Val: v})
+	c.w.toCU.Produce(Entry{Kind: entWrite, MTX: c.iter, Addr: addr, Val: v})
 }
 
 // WriteBytesCommit is the bulk form of WriteCommit.
 func (c *Ctx) WriteBytesCommit(addr uva.Addr, b []byte) {
 	c.StoreBytes(addr, b)
-	c.w.cuWriteBlk(Entry{Kind: entWriteBlk, MTX: c.iter, Addr: addr, Payload: b, Bytes: len(b)})
+	c.w.toCU.Produce(Entry{Kind: entWriteBlk, MTX: c.iter, Addr: addr, Payload: b, Bytes: len(b)})
 }
 
 // WriteFloatCommit is WriteCommit for float64 words.
@@ -177,7 +177,7 @@ func (c *Ctx) WriteBytes(addr uva.Addr, b []byte) {
 		c.w.edgeOut[dstStage][c.w.routeFor(dstStage, c.iter)].Produce(e)
 	}
 	c.w.toTC.Produce(e)
-	c.w.cuWriteBlk(e)
+	c.w.toCU.Produce(e)
 }
 
 // Produce enqueues a word of pipeline dataflow for stage dstStage of this

@@ -50,9 +50,8 @@ func (s *System) recordLife(rank int, p platform.Proc, born platform.Time) {
 }
 
 // bind attaches the rank's process and caches the mailboxes of what every
-// speculative rank receives from the commit units: control broadcasts
-// (recovery epochs originate at the coordinator shard) and COA page replies
-// (from the owner shard). The image maps its Copy-On-Access frames
+// speculative rank receives from the commit unit's rank: control broadcasts
+// and COA page replies. The image maps its Copy-On-Access frames
 // copy-on-write (they are lent by a page server's snapshot), so recovery's
 // discard recycles only the copies the rank's own stores made and the zero
 // pages it filled.
@@ -86,11 +85,9 @@ func (r *specRank) coaFault(id uva.PageID) *mem.Page {
 	cfg := sys.cfg
 	spanStart := sys.tr.Now()
 	comm.Proc().Advance(sys.instrTime(cfg.PageFaultInstr))
-	// Requests go to the page server of the commit unit owning the faulted
-	// page; replies all come back on tagPageReply (one outstanding request
-	// per rank, so servers' replies never interleave).
-	owner := sys.ownerOf(id)
-	dst := cfg.commitShardRank(owner)
+	// Requests go to the page server on the commit unit's rank; replies come
+	// back on tagPageReply (one outstanding request per rank).
+	dst := cfg.commitRank()
 	if g := cfg.COAGrainBytes; g > 0 && g < uva.PageSize {
 		// Sub-page COA: populate the faulted page one chunk at a time,
 		// paying a full round trip per chunk — the cost §4.2 avoids by
@@ -130,11 +127,8 @@ func (r *specRank) coaFault(id uva.PageID) *mem.Page {
 	region := uva.PageAddr(id).Owner()
 	for count < want {
 		next := id + uva.PageID(count)
-		// A prefetch run must stay within one allocation region and one
-		// commit unit's partition (each page server holds only its own
-		// partition's snapshot); the 64-page ownership blocks make that
-		// truncation rare.
-		if uva.PageAddr(next).Owner() != region || sys.ownerOf(next) != owner || img.Has(next) {
+		// A prefetch run stays within one allocation region.
+		if uva.PageAddr(next).Owner() != region || img.Has(next) {
 			break
 		}
 		count++

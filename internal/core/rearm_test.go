@@ -85,16 +85,8 @@ func (p *rearmProg) digest(img *mem.Image) uint64 {
 	return img.ChecksumRange(p.out, int(p.n)*8) ^ img.Load(p.w())
 }
 
-func coaRequests(sys *System) uint64 {
-	var n uint64
-	for _, ps := range sys.srvs {
-		n += ps.Requests
-	}
-	return n
-}
-
 // TestSelectiveRearm runs rearmProg on vtime, which re-arms everything, and
-// live on host with one and two commit shards. Both must commit the
+// live on host. Both must commit the
 // sequential result with vtime's misspeculation count — a stale word either
 // commits or fails validation — and host must fetch at most a third of the
 // pages vtime does, the refetch selective re-arm exists to save.
@@ -117,26 +109,21 @@ func TestSelectiveRearm(t *testing.T) {
 	if got := vprog.digest(vsys.CommitImage()); got != want || vres.Misspecs != uint64(len(rare)) {
 		t.Fatalf("vtime: digest %#x misspecs %d, want %#x and %d", got, vres.Misspecs, want, len(rare))
 	}
-	full := coaRequests(vsys)
+	full := vsys.srv.Requests
 
-	for _, shards := range []int{1, 2} {
-		cfg := smallConfig(4+shards, pipeline.SpecDOALL())
-		cfg.Backend = BackendHost
-		cfg.CommitShards = shards
-		prog := &rearmProg{n: n, rare: rare}
-		sys, res := runProg(t, cfg, prog)
-		if got := prog.digest(sys.CommitImage()); got != want {
-			t.Errorf("host, %d shards: digest %#x, want the sequential %#x", shards, got, want)
-		}
-		if res.Committed != n || res.Misspecs != vres.Misspecs {
-			t.Errorf("host, %d shards: committed %d misspecs %d, want %d and vtime's %d",
-				shards, res.Committed, res.Misspecs, n, vres.Misspecs)
-		}
-		got := coaRequests(sys)
-		t.Logf("host, %d shards: %d Copy-On-Access requests; vtime: %d", shards, got, full)
-		if 3*got > full {
-			t.Errorf("host, %d shards: %d Copy-On-Access requests, want <= a third of vtime's full re-arm (%d)",
-				shards, got, full)
-		}
+	cfg.Backend = BackendHost
+	prog := &rearmProg{n: n, rare: rare}
+	sys, res := runProg(t, cfg, prog)
+	if got := prog.digest(sys.CommitImage()); got != want {
+		t.Errorf("host: digest %#x, want the sequential %#x", got, want)
+	}
+	if res.Committed != n || res.Misspecs != vres.Misspecs {
+		t.Errorf("host: committed %d misspecs %d, want %d and vtime's %d",
+			res.Committed, res.Misspecs, n, vres.Misspecs)
+	}
+	got := sys.srv.Requests
+	t.Logf("host: %d Copy-On-Access requests; vtime: %d", got, full)
+	if 3*got > full {
+		t.Errorf("host: %d Copy-On-Access requests, want <= a third of vtime's full re-arm (%d)", got, full)
 	}
 }

@@ -100,8 +100,7 @@ type Result struct {
 	Events  uint64 // simulation events (diagnostic; zero on host and net)
 }
 
-// Add folds another run's totals into r: a chained invocation's, or one
-// commit shard's share of the same run.
+// Add folds another run's totals into r: a chained invocation's.
 func (r *Result) Add(o Result) {
 	r.Elapsed += o.Elapsed
 	r.Committed += o.Committed
@@ -143,30 +142,15 @@ type System struct {
 
 	workers []*workerNode
 	tc      *tcNode
-	cus     []*cuNode     // commit shards; cus[0] is the lead
-	srvs    []*pageServer // srvs[k] serves commit shard k's partition
-
-	// owner is the HRW (rendezvous-hash) page-ownership table: bucket b of
-	// the page space (64-page blocks, modulo ownerBuckets) belongs to the
-	// commit shard whose hash weight for b is highest — shard 0 for every
-	// bucket with one shard.
-	owner []uint8
-
-	// merged memoizes the sequential-checksum view over the per-shard
-	// committed images (CommitImage at CommitShards > 1).
-	merged *mem.Image
-
-	// seqArena is the sequential allocation region shared by every commit
-	// shard's SeqCtx (Setup, recovery re-execution and Finalize may run on
-	// different shards but must share one bump pointer).
-	seqArena *uva.Arena
+	cu      *cuNode
+	srv     *pageServer
 
 	// Queue registry, keyed by endpoint tids; queues lists every one of them.
 	queues   []*queue.Queue[Entry]
 	edgeQ    map[[2]int]*queue.Queue[Entry]
 	toTCQ    []*queue.Queue[Entry]       // [worker]
-	toCUQ    [][]*queue.Queue[Entry]     // [worker][commit shard]
-	verdictQ []*queue.Queue[Entry]       // [commit shard]
+	toCUQ    []*queue.Queue[Entry]       // [worker]
+	verdictQ *queue.Queue[Entry]         // try-commit -> commit
 	syncQ    map[int]*queue.Queue[Entry] // sender tid -> ring queue
 	nextTag  int
 
@@ -212,9 +196,6 @@ func NewSystem(cfg Config, prog Program, initialImage *mem.Image) (*System, erro
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if _, ok := prog.(Committer); ok && cfg.commitShards() > 1 { // the hook is a sequential section
-		return nil, fmt.Errorf("core: Config.CommitShards = %d: Committer programs need the single commit unit (the per-MTX hook is a sequential section)", cfg.CommitShards)
-	}
 	layout, err := pipeline.NewLayout(cfg.Plan, cfg.Workers())
 	if err != nil {
 		return nil, err
@@ -233,7 +214,6 @@ func NewSystem(cfg Config, prog Program, initialImage *mem.Image) (*System, erro
 	if err := s.analyzePlan(); err != nil {
 		return nil, err
 	}
-	s.buildOwnerTable()
 	// The commit unit's node doubles as page server; it gets the head
 	// node's fat pipe (see cluster.Config.HeadNode).
 	if s.cfg.Cluster.HeadNode < 0 {
@@ -276,126 +256,10 @@ func NewSystem(cfg Config, prog Program, initialImage *mem.Image) (*System, erro
 	return s, nil
 }
 
-// ownerBuckets is the consistent-hash table size: the page space is dealt
-// to buckets in pageShardBlock (64-page) blocks, and each bucket is owned by
-// one commit shard. 4096 buckets keep per-shard load within a fraction of a
-// percent of uniform for any realistic shard count while the table stays one
-// cache line short of 4 KiB.
-const ownerBuckets = 4096
-
-// splitmix64 is the mixing function behind the rendezvous hash — cheap,
-// stateless, and well-distributed for sequential inputs.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// buildOwnerTable assigns every bucket to the commit shard with the highest
-// rendezvous weight (HRW). Highest-random-weight hashing gives the CARP
-// property the design calls for: growing from N to N+1 shards only moves the
-// buckets the new shard wins — every other page keeps its owner.
-func (s *System) buildOwnerTable() {
-	n := s.cfg.commitShards()
-	s.owner = make([]uint8, ownerBuckets)
-	for b := 0; b < ownerBuckets; b++ {
-		best, bestW := 0, uint64(0)
-		for k := 0; k < n; k++ {
-			if w := splitmix64(uint64(b)<<16 | uint64(k)); w >= bestW {
-				bestW, best = w, k
-			}
-		}
-		s.owner[b] = uint8(best)
-	}
-}
-
-// ownerOf maps a page to the commit shard owning it: the HRW table keyed by
-// the page's 64-page block.
-func (s *System) ownerOf(id uva.PageID) int {
-	return int(s.owner[(uint64(id)/pageShardBlock)%ownerBuckets])
-}
-
-// ownerSpan is the byte span over which page ownership is constant: owners
-// can only change at pageShardBlock page boundaries, so bulk operations are
-// split at most every ownerSpan bytes.
-const ownerSpan = pageShardBlock * uva.PageSize
-
-// shardSpace is the federated view of committed memory over every commit
-// shard's image: each access routes to the owner shard. Sequential code
-// (Setup, recovery re-execution, Finalize) runs against it on whichever
-// shard holds the sequential baton at that moment — always at a point where
-// every other commit shard is parked (before tagStart, or between recovery
-// barriers), so cross-image access needs no locking.
-type shardSpace struct {
-	sys  *System
-	imgs []*mem.Image
-}
-
-var _ mem.Space = (*shardSpace)(nil)
-
-func (sp *shardSpace) imgFor(addr uva.Addr) *mem.Image {
-	return sp.imgs[sp.sys.ownerOf(addr.Page())]
-}
-
-func (sp *shardSpace) Load(addr uva.Addr) uint64     { return sp.imgFor(addr).Load(addr) }
-func (sp *shardSpace) Store(addr uva.Addr, v uint64) { sp.imgFor(addr).Store(addr, v) }
-
-// forEachOwnerRange splits [addr, addr+n) at ownership-block boundaries and
-// invokes fn per single-owner segment.
-func forEachOwnerRange(addr uva.Addr, n int, fn func(a uva.Addr, off, ln int)) {
-	for off := 0; off < n; {
-		a := addr + uva.Addr(off)
-		ln := n - off
-		if rem := ownerSpan - int(uint64(a)&(ownerSpan-1)); ln > rem {
-			ln = rem
-		}
-		fn(a, off, ln)
-		off += ln
-	}
-}
-
-func (sp *shardSpace) LoadBytes(addr uva.Addr, n int) []byte {
-	out := make([]byte, n)
-	sp.LoadBytesInto(out, addr)
-	return out
-}
-
-// LoadBytesInto fills each owner's segment of dst in place.
-func (sp *shardSpace) LoadBytesInto(dst []byte, addr uva.Addr) {
-	forEachOwnerRange(addr, len(dst), func(a uva.Addr, off, ln int) {
-		sp.imgFor(a).LoadBytesInto(dst[off:off+ln], a)
-	})
-}
-
-func (sp *shardSpace) StoreBytes(addr uva.Addr, b []byte) {
-	forEachOwnerRange(addr, len(b), func(a uva.Addr, off, ln int) {
-		sp.imgFor(a).StoreBytes(a, b[off:off+ln])
-	})
-}
-
-// MapPages maps each owner's run of frames into its image; owner segments
-// are whole pages, since ownerSpan is.
-func (sp *shardSpace) MapPages(addr uva.Addr, frames []*mem.Page) {
-	forEachOwnerRange(addr, len(frames)*uva.PageSize, func(a uva.Addr, off, ln int) {
-		sp.imgFor(a).MapPages(a, frames[off/uva.PageSize:(off+ln)/uva.PageSize])
-	})
-}
-
-// pageSrvTrack is commit shard k's page server's synthetic timeline id: the
-// server shares its commit unit's rank, so the servers take the first ids
-// past the real ranks.
-func (s *System) pageSrvTrack(k int) int { return s.cfg.TotalCores + k }
-
-// pageSrvName names commit shard k's page server (process, track and stall
-// row). Shard 0 keeps the bare name, so single-commit-unit vtime process
-// naming — and hence event ordering — is what it always was.
-func pageSrvName(k int) string {
-	if k == 0 {
-		return "pagesrv"
-	}
-	return fmt.Sprintf("pagesrv%d", k)
-}
+// pageSrvTrack is the page server's synthetic timeline id: the server
+// shares the commit unit's rank, so it takes the first id past the real
+// ranks.
+func (s *System) pageSrvTrack() int { return s.cfg.TotalCores }
 
 // bindTracer attaches cfg.Tracer to this invocation: stitches the
 // platform's clock into the tracer's timeline (the vtime kernel, or the
@@ -425,15 +289,9 @@ func (s *System) bindTracer() {
 	}
 	tc := s.cfg.tryCommitRank()
 	s.tr.SetTrack(tc, node(tc), "trycommit0")
-	for k := 0; k < s.cfg.commitShards(); k++ {
-		r := s.cfg.commitShardRank(k)
-		label := "commit"
-		if k > 0 {
-			label = fmt.Sprintf("commit.shard%d", k)
-		}
-		s.tr.SetTrack(r, node(r), label)
-		s.tr.SetTrack(s.pageSrvTrack(k), node(r), pageSrvName(k))
-	}
+	cu := s.cfg.commitRank()
+	s.tr.SetTrack(cu, node(cu), "commit")
+	s.tr.SetTrack(s.pageSrvTrack(), node(cu), "pagesrv")
 	for _, q := range s.queues {
 		q.Instrument(s.tr)
 	}
@@ -507,31 +365,14 @@ func (s *System) buildQueues() {
 			}
 		}
 	}
-	// Queue names and tag-allocation order with one commit shard are exactly
-	// the pre-sharding layout ("cu%d", "verdict0"); extra shards append
-	// ".%d"-suffixed queues in shard order. Names order vtime events, so the
-	// try-commit queues keep the ".0" suffix the goldens were recorded with.
-	nCU := s.cfg.commitShards()
-	tc := s.cfg.tryCommitRank()
+	// Queue names and tag-allocation order order vtime events, so they stay
+	// as the goldens were recorded: "tc%d.0", "cu%d", then "verdict0".
+	tc, cu := s.cfg.tryCommitRank(), s.cfg.commitRank()
 	for w := 0; w < s.cfg.Workers(); w++ {
 		s.toTCQ = append(s.toTCQ, s.newQueue(fmt.Sprintf("tc%d.0", w), w, tc))
-		var cus []*queue.Queue[Entry]
-		for k := 0; k < nCU; k++ {
-			name := fmt.Sprintf("cu%d", w)
-			if nCU > 1 { // names order vtime events: one shard keeps "cu%d"
-				name = fmt.Sprintf("cu%d.%d", w, k)
-			}
-			cus = append(cus, s.newQueue(name, w, s.cfg.commitShardRank(k)))
-		}
-		s.toCUQ = append(s.toCUQ, cus)
+		s.toCUQ = append(s.toCUQ, s.newQueue(fmt.Sprintf("cu%d", w), w, cu))
 	}
-	for k := 0; k < nCU; k++ {
-		name := "verdict0"
-		if nCU > 1 { // names order vtime events: one shard keeps "verdict0"
-			name = fmt.Sprintf("verdict0.%d", k)
-		}
-		s.verdictQ = append(s.verdictQ, s.newQueue(name, tc, s.cfg.commitShardRank(k)))
-	}
+	s.verdictQ = s.newQueue("verdict0", tc, cu)
 	if s.cfg.Plan.Sync {
 		pool := s.layout.Assign[0]
 		for i, w := range pool {
@@ -586,16 +427,6 @@ func (s *System) local(rank int) bool {
 	return !ok || lp.LocalRank(rank)
 }
 
-// publishSnapshots hands every page server a copy-on-write snapshot of its
-// commit unit's image. Only called while every other commit shard is parked
-// (before tagStart, or between recovery barriers B2 and B3), so snapshotting
-// — or listing — a peer's image is race-free.
-func (s *System) publishSnapshots() {
-	for k, ps := range s.srvs {
-		ps.setSnapshot(s.cus[k].img.Snapshot())
-	}
-}
-
 // shadowSetup replays the program's allocations on net-backend daemons that
 // do not host the commit rank. Setup caches arena addresses in program
 // fields, and every rank derives the same ones because the allocation
@@ -618,18 +449,15 @@ func shadowReplay(cfg Config, prog Program) {
 // Run executes the parallel invocation to completion and reports the
 // result. The commit unit's final memory is available via CommitImage.
 func (s *System) Run() (Result, error) {
-	for k := 0; k < s.cfg.commitShards(); k++ {
-		s.cus = append(s.cus, newCUNode(s, k))
-		s.srvs = append(s.srvs, newPageServer(s, k))
-	}
-	s.seqArena = uva.NewArena(0)
+	s.cu = newCUNode(s)
+	s.srv = &pageServer{sys: s}
 	if s.initialImage != nil {
-		// Scatter the seed image to its owner shards before any process
-		// starts (single-threaded here, so spawn gives happens-before). Each
-		// frame is mapped shared, so a shard's first store to it copies it
-		// and the seed stays unchanged.
+		// Seed the commit image before any process starts (single-threaded
+		// here, so spawn gives happens-before). Each frame is mapped shared,
+		// so the commit unit's first store to it copies it and the seed stays
+		// unchanged.
 		s.initialImage.ForEachResident(func(id uva.PageID, pg *mem.Page) {
-			s.cus[s.ownerOf(id)].img.MapPages(uva.PageAddr(id), []*mem.Page{pg})
+			s.cu.img.MapPages(uva.PageAddr(id), []*mem.Page{pg})
 		})
 	}
 	s.tc = newTCNode(s)
@@ -640,19 +468,12 @@ func (s *System) Run() (Result, error) {
 	if s.mach != nil {
 		s.mach.SetExtraLatency(s.hook.latency)
 	}
-	for k, cu := range s.cus {
-		name := "commit"
-		if k > 0 {
-			name = fmt.Sprintf("commit%d", k)
-		}
-		s.spawnRank(name, cu.rank, cu.run)
-	}
-	s.spawnRank("trycommit0", s.tc.rank, s.tc.run) // names order vtime events; see pageSrvName
-	// Page servers share their commit unit's core, so the rank's dilation
-	// slows them too.
-	for k, ps := range s.srvs {
-		s.spawnRank(pageSrvName(k), s.cus[k].rank, ps.run)
-	}
+	// Process names order vtime events: they stay "commit", "trycommit0"
+	// and "pagesrv". The page server shares the commit unit's core, so the
+	// rank's dilation slows it too.
+	s.spawnRank("commit", s.cu.rank, s.cu.run)
+	s.spawnRank("trycommit0", s.tc.rank, s.tc.run)
+	s.spawnRank("pagesrv", s.cu.rank, s.srv.run)
 	for _, w := range s.workers {
 		w := w
 		s.spawnRank(fmt.Sprintf("worker%d", w.tid), w.rank, w.run)
@@ -660,10 +481,7 @@ func (s *System) Run() (Result, error) {
 	if err := s.plat.Run(s.cfg.Horizon); err != nil {
 		return Result{}, fmt.Errorf("core: %s on %d cores: %w", s.cfg.Plan.Name, s.cfg.TotalCores, err)
 	}
-	res := s.cus[0].result
-	for _, c := range s.cus[1:] {
-		res.Add(c.result)
-	}
+	res := s.cu.result
 	for _, w := range s.workers {
 		res.SubTXs += w.subTXs // zero for a rank another daemon ran (net)
 	}
@@ -717,27 +535,16 @@ func (s *System) buildStallReport() {
 		row.Starvation = tc.pollTime
 		s.stalls.Add(row)
 	}
-	s.stalls.CommitShards = s.cfg.commitShards() > 1 // display only: the shard columns
-	for k, c := range s.cus {
-		if c.proc == nil {
-			continue
-		}
-		label := "commit"
-		if k > 0 {
-			label = fmt.Sprintf("commit.shard%d", k)
-		}
+	if c := s.cu; c.proc != nil {
 		row := stallRow(c.proc, c.pollTime, c.rec)
-		row.Track, row.Label, row.Stage = c.rank, label, "commit"
-		row.Starvation, row.VerdictWait, row.VoteWait = c.stallStarve, c.stallVerdict, c.voteWait
+		row.Track, row.Label, row.Stage = c.rank, "commit", "commit"
+		row.Starvation, row.VerdictWait = c.stallStarve, c.stallVerdict
 		s.stalls.Add(row)
 	}
-	for k, ps := range s.srvs {
-		if ps.proc == nil {
-			continue
-		}
+	if ps := s.srv; ps.proc != nil {
 		s.stalls.Add(trace.StallRow{
-			Track:      s.pageSrvTrack(k),
-			Label:      pageSrvName(k),
+			Track:      s.pageSrvTrack(),
+			Label:      "pagesrv",
 			Stage:      "pagesrv",
 			Busy:       ps.proc.Advanced(),
 			Blocked:    ps.proc.Blocked(),
@@ -771,24 +578,11 @@ func (s *System) StallReport() *trace.StallReport { return &s.stalls }
 
 // CommitImage exposes the committed memory after Run, for checksum
 // comparison against the sequential reference and for chaining invocations.
-// With a sharded commit pipeline this is a copy-on-write merge of every
-// shard's image (their page sets are disjoint by ownership), built once and
-// memoized.
 func (s *System) CommitImage() *mem.Image {
-	if len(s.cus) == 0 {
+	if s.cu == nil {
 		return nil
 	}
-	if s.cfg.commitShards() == 1 { // one image needs no merge
-		return s.cus[0].img
-	}
-	if s.merged == nil {
-		imgs := make([]*mem.Image, len(s.cus))
-		for k, c := range s.cus {
-			imgs[k] = c.img
-		}
-		s.merged = mem.Merge(imgs...)
-	}
-	return s.merged
+	return s.cu.img
 }
 
 // instrTime converts instructions to time under the execution platform
@@ -876,6 +670,6 @@ func (c *SeqCtx) StoreBytes(addr uva.Addr, b []byte) {
 
 // Image exposes the underlying memory space for bulk, cost-free
 // initialization in Setup (e.g. loading input files); prefer Load/Store in
-// modelled code. It is the federated view over every commit shard's image
-// (one image with a single commit unit); under Shadow() it is nil.
+// modelled code. It is the commit unit's image (the sequential reference's
+// in RunSequential); under Shadow() it is nil.
 func (c *SeqCtx) Image() mem.Space { return c.img }

@@ -18,8 +18,8 @@ import (
 type tcNode struct {
 	specRank
 
-	in       []*queue.RecvPort[Entry] // per worker tid
-	verdicts []*queue.SendPort[Entry] // per commit shard
+	in      []*queue.RecvPort[Entry] // per worker tid
+	verdict *queue.SendPort[Entry]
 
 	sinceFlush int
 	routes     map[uint64]int // iter -> pool index of routed stage
@@ -40,9 +40,7 @@ func (t *tcNode) run(p platform.Proc) {
 	for _, q := range t.sys.toTCQ {
 		t.in = append(t.in, q.Receiver(t.comm))
 	}
-	for _, q := range t.sys.verdictQ {
-		t.verdicts = append(t.verdicts, q.Sender(t.comm))
-	}
+	t.verdict = t.sys.verdictQ.Sender(t.comm)
 	t.comm.Recv(t.sys.cfg.commitRank(), tagStart) // Setup must finish first
 	for {
 		if untilRecovery(t.validateLoop) && t.awaitDoneOrRecovery() {
@@ -68,10 +66,8 @@ func (t *tcNode) validateLoop() bool {
 					panic(fmt.Sprintf("core: try-commit saw terminate mid-MTX %d at stage %d", iter, s))
 				}
 				t.sys.drainTerminates(t.in, iter, t.consumeNext)
-				for _, v := range t.verdicts {
-					v.Produce(Entry{Kind: entTerminate, MTX: iter})
-					v.Flush()
-				}
+				t.verdict.Produce(Entry{Kind: entTerminate, MTX: iter})
+				t.verdict.Flush()
 				return true
 			}
 			ok = ok && subOK
@@ -81,15 +77,11 @@ func (t *tcNode) validateLoop() bool {
 			verdictVal = 0
 			t.Conflicts++
 		}
-		for _, v := range t.verdicts {
-			v.Produce(Entry{Kind: entVerdict, MTX: iter, Val: verdictVal})
-		}
+		t.verdict.Produce(Entry{Kind: entVerdict, MTX: iter, Val: verdictVal})
 		t.sys.tr.Span(trace.SpanValidate, t.rank, spanStart, iter, int64(verdictVal), 0)
 		t.sinceFlush++
 		if !ok || t.sinceFlush >= t.sys.cfg.MarkerFlushIters {
-			for _, v := range t.verdicts {
-				v.Flush() // conflicts flush immediately; the rest batch
-			}
+			t.verdict.Flush() // conflicts flush immediately; the rest batch
 			t.sinceFlush = 0
 		}
 		delete(t.routes, iter)
@@ -160,9 +152,7 @@ func (t *tcNode) doRecovery() {
 	for _, port := range t.in {
 		port.Abort(cm.epoch)
 	}
-	for _, v := range t.verdicts {
-		v.Abort(cm.epoch)
-	}
+	t.verdict.Abort(cm.epoch)
 	t.routes = make(map[uint64]int)
 	t.nextIter = cm.restart
 	t.leaveRecovery(cm)

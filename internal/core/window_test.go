@@ -20,9 +20,8 @@ import (
 // floor and the trip count, misspeculation sets run from none to a storm,
 // and the plan shapes are the ones the wedge argument names — a sequential
 // first stage feeding a round-robin or occupancy-routed pool, a parallel
-// first stage with value conflicts, the TLS sync ring — at 5/6/9/12 cores,
-// one or two commit shards, and marker batches of 1, 3 and 8 (stride and
-// floor derive from them). Every run goes through runWithin, so a wedge
+// first stage with value conflicts, the TLS sync ring — at 5/6/9/12 cores
+// and marker batches of 1, 3 and 8 (stride and floor derive from them). Every run goes through runWithin, so a wedge
 // fails instead of hanging, and the committed words are compared one by one
 // with the sequential result. Clean programs run under the bound too, and at
 // least one of the full 150 (the short 30 may have none) must wait at it, so
@@ -48,10 +47,6 @@ func TestLiveRecoverySweep(t *testing.T) {
 			}
 		}
 		cores := []int{5, 6, 9, 12}[rng.Intn(4)]
-		shards := 1 + rng.Intn(2)
-		if cores-shards-1 < 3 {
-			shards = 1 // the three-stage plan needs three workers
-		}
 		plan := pipeline.SpecDSWP("S", "DOALL", "S")
 		var prog Program
 		switch kind := rng.Intn(4); kind {
@@ -68,12 +63,11 @@ func TestLiveRecoverySweep(t *testing.T) {
 		}
 		cfg := smallConfig(cores, plan)
 		cfg.Backend = BackendHost
-		cfg.CommitShards = shards
 		cfg.MarkerFlushIters = []int{1, 3, 8}[rng.Intn(3)]
 		tr := trace.NewMetricsOnly()
 		cfg.Tracer = tr
-		name := fmt.Sprintf("seed %d: %s n=%d, %d misspecs, %d cores, %d shards, occupancy %v, flush %d",
-			seed, plan.Name, n, len(misspecs), cores, shards, plan.Occupancy, cfg.MarkerFlushIters)
+		name := fmt.Sprintf("seed %d: %s n=%d, %d misspecs, %d cores, occupancy %v, flush %d",
+			seed, plan.Name, n, len(misspecs), cores, plan.Occupancy, cfg.MarkerFlushIters)
 		sys, res, err := runWithin(cfg, prog)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

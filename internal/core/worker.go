@@ -26,16 +26,9 @@ type workerNode struct {
 	inStages  []int                                  // sorted source stages
 	edgeIn    map[int]map[int]*queue.RecvPort[Entry] // fromStage -> srcTid -> port
 	toTC      *queue.SendPort[Entry]
-	toCU      []*queue.SendPort[Entry] // per commit shard
+	toCU      *queue.SendPort[Entry]
 	syncOut   *queue.SendPort[Entry]
 	syncIn    *queue.RecvPort[Entry]
-
-	// Per-iteration commit-shard write tracking: cuMask is the set of shards
-	// this subTX wrote, cuMin the lowest written address; both ride out on
-	// the EndSub marker so every commit shard can derive the cross-shard
-	// coordinator.
-	cuMask uint64
-	cuMin  uva.Addr
 
 	inbox []inboxQ // by source stage: data entries buffered for current iter
 	ctx   Ctx      // the one Ctx every subTX of this worker runs against
@@ -147,9 +140,7 @@ func (w *workerNode) bind(p platform.Proc) {
 	sort.Ints(w.inStages)
 
 	w.toTC = w.sys.toTCQ[w.tid].Sender(w.comm)
-	for k := 0; k < w.sys.cfg.commitShards(); k++ {
-		w.toCU = append(w.toCU, w.sys.toCUQ[w.tid][k].Sender(w.comm))
-	}
+	w.toCU = w.sys.toCUQ[w.tid].Sender(w.comm)
 
 	if w.sys.cfg.Plan.Sync {
 		w.syncOut = w.sys.syncQ[w.tid].Sender(w.comm)
@@ -380,7 +371,7 @@ func (w *workerNode) chooseRoute(iter uint64) {
 
 	e := Entry{Kind: entRoute, MTX: iter, Val: uint64(w.curRoute)}
 	w.toTC.Produce(e)
-	w.cuBroadcast(e)
+	w.toCU.Produce(e)
 	if w.sys.routeSink >= 0 {
 		w.edgeOut[w.sys.routeSink][w.sys.layout.Assign[w.sys.routeSink][0]].Produce(e)
 	}
@@ -397,20 +388,16 @@ func (w *workerNode) endIter(iter uint64) {
 			w.edgeOut[dstStage][w.routeFor(dstStage, iter)].Produce(miss)
 		}
 		w.toTC.Produce(miss)
-		w.cuBroadcast(miss)
+		w.toCU.Produce(miss)
 	}
-	// The marker carries this subTX's write-owner mask and lowest written
-	// address (same wire size — markers never carry a payload); every commit
-	// shard folds these into the MTX's coordinator choice.
-	end := Entry{Kind: entEndSub, MTX: iter, Addr: w.cuMin, Val: w.cuMask}
+	end := Entry{Kind: entEndSub, MTX: iter}
 	for _, dstStage := range w.outStages {
 		port := w.edgeOut[dstStage][w.routeFor(dstStage, iter)]
 		port.Produce(end)
 		port.Flush() // pipeline edges flush every subTX: consumers block on them
 	}
 	w.toTC.Produce(end)
-	w.cuBroadcast(end)
-	w.cuMask, w.cuMin = 0, 0
+	w.toCU.Produce(end)
 	// Validation/commit streams batch across iterations; misspeculation
 	// flushes immediately so recovery is not delayed by batching.
 	w.sinceFlush++
@@ -437,7 +424,7 @@ func (w *workerNode) emitTerminate() {
 		}
 	}
 	w.toTC.Produce(t)
-	w.cuBroadcast(t)
+	w.toCU.Produce(t)
 	w.flushMarkers()
 }
 
@@ -448,43 +435,8 @@ func (w *workerNode) emitTerminate() {
 // ring is never detected — a deadlock.
 func (w *workerNode) flushMarkers() {
 	w.toTC.Flush()
-	for _, port := range w.toCU {
-		port.Flush()
-	}
+	w.toCU.Flush()
 	w.sinceFlush = 0
-}
-
-// cuBroadcast sends a marker entry to every commit shard: each shard
-// consumes the full marker stream so commit decisions replicate without
-// communication.
-func (w *workerNode) cuBroadcast(e Entry) {
-	for _, port := range w.toCU {
-		port.Produce(e)
-	}
-}
-
-// cuWrite routes a committed-store entry to the commit shard owning its
-// address, folding the destination into the subTX's write-owner mask.
-func (w *workerNode) cuWrite(e Entry) {
-	k := w.sys.ownerOf(e.Addr.Page())
-	if w.cuMask == 0 || e.Addr < w.cuMin {
-		w.cuMin = e.Addr
-	}
-	w.cuMask |= 1 << uint(k)
-	w.toCU[k].Produce(e)
-}
-
-// cuWriteBlk routes a bulk store, splitting it at commit-shard ownership
-// boundaries so each segment lands on its owner.
-func (w *workerNode) cuWriteBlk(e Entry) {
-	if len(w.toCU) == 1 { // one owner: unsplit, as the vtime goldens' entries are
-		w.cuWrite(e)
-		return
-	}
-	payload := e.Payload.([]byte)
-	forEachOwnerRange(e.Addr, e.Bytes, func(a uva.Addr, off, ln int) {
-		w.cuWrite(Entry{Kind: entWriteBlk, MTX: e.MTX, Addr: a, Payload: payload[off : off+ln], Bytes: ln})
-	})
 }
 
 // consumeNext polls a queue with adaptive backoff, watching for the commit
@@ -531,7 +483,7 @@ func (w *workerNode) onCtrl(cm ctrlMsg) {
 // predefined, so every later in-flight MTX goes), and the squashed work is
 // what starves the refill. So where ranks share CPUs (boundRunAhead is only
 // called there), in every epoch from an invocation's first iteration, the
-// lead commit unit reports its commit point to the first-stage workers at
+// commit unit reports its commit point to the first-stage workers at
 // every multiple of windowStride (cuNode.reportProgress), and one starts
 // iteration i only while
 //
@@ -581,10 +533,7 @@ func (w *workerNode) onCtrl(cm ctrlMsg) {
 // chained invocation builds a new System, so its epoch 0 starts at its own
 // iteration 0 with no report carried over. A recovery order arrives on the
 // mailbox the waiter blocks on and unwinds it; since one may sit behind
-// reports, checkCtrl drains the mailbox. With CommitShards > 1 the lead shard
-// reports: every shard consumes the same marker and verdict flushes, so
-// whatever lets the lead reach an MTX lets the shard whose vote it then
-// awaits reach it too.
+// reports, checkCtrl drains the mailbox.
 func (s *System) boundRunAhead() {
 	pool := 0
 	for _, tids := range s.layout.Assign {
@@ -634,16 +583,14 @@ func (w *workerNode) doRecovery() {
 		}
 	}
 	w.toTC.Abort(cm.epoch)
-	for _, port := range w.toCU {
-		port.Abort(cm.epoch)
-	}
+	w.toCU.Abort(cm.epoch)
 	if w.syncOut != nil {
 		w.syncOut.Abort(cm.epoch)
 		w.syncIn.Abort(cm.epoch)
 	}
 	// Drop the private state recovery discards: buffered pipeline data,
 	// route records and occupancy counts, the arena, and the current
-	// iteration's poison and write-owner tracking.
+	// iteration's poison.
 	w.clearInbox()
 	w.routesIn = make(map[uint64]int)
 	clear(w.outstanding)
@@ -651,7 +598,6 @@ func (w *workerNode) doRecovery() {
 	w.arena = uva.NewArena(w.tid + 1)
 	w.poisoned = false
 	w.selfMisspec = false
-	w.cuMask, w.cuMin = 0, 0
 	w.epochBase = cm.restart
 	w.progress = cm.restart
 	w.nextIter = cm.restart

@@ -544,10 +544,8 @@ func TestSubmitValidates(t *testing.T) {
 		{spec: job.Spec{Bench: "crc32", Cores: 8, Rate: math.NaN()}, want: "rate NaN outside [0,1]"},
 		{spec: job.Spec{Bench: "crc32", Cores: 8, Knob: "warp-drive"}, want: "knob"},
 		{spec: job.Spec{Bench: "crc32", Cores: 8, Paradigm: "openmp"}, want: "paradigm"},
-		{spec: job.Spec{Bench: "crc32", Cores: 8, CommitShards: -1}, want: "core: Config.CommitShards = -1, need >= 0"},
-		// What a net job cannot honour is refused, not silently dropped:
-		// commit shards and a coordinator-side tracer, and no more.
-		{spec: job.Spec{Bench: "crc32", Cores: 8, Backend: "net", CommitShards: 2}, want: "Config.CommitShards = 2: commit shards share an in-process image arena; unsupported on the net backend"},
+		// What a net job cannot honour is refused, not silently dropped: a
+		// coordinator-side tracer, and no more.
 		{spec: net, opts: Options{Tracer: trace.New()}, want: "Options.Tracer"},
 		// The daemons run the spec's own tune hook, so TLS and the knobs run.
 		{spec: job.Spec{Bench: "crc32", Cores: 8, Backend: "net", Paradigm: "TLS"}},
@@ -556,7 +554,7 @@ func TestSubmitValidates(t *testing.T) {
 		// failed job; the machine the cores must fit is the knob's.
 		{spec: job.Spec{Bench: "crc32", Cores: 2, Backend: "host"}, want: "2 cores leave 0 workers"},
 		{spec: job.Spec{Bench: "crc32", Cores: 129, Backend: "host", Verify: true}, want: "129 cores exceed the machine's 128"},
-		{spec: job.Spec{Bench: "crc32", Cores: 200, Knob: job.KnobBigCluster}},
+		{spec: job.Spec{Bench: "crc32", Cores: 49, Knob: job.KnobManycore}, want: "49 cores exceed the machine's 48"},
 	} {
 		if tc.want == "" {
 			if err := tc.spec.Normalized().Validate(); err != nil {

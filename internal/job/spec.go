@@ -27,7 +27,6 @@ const (
 	KnobNone       = ""
 	KnobQueueUnopt = "queue-unopt" // Fig. 5b: flush every produce
 	KnobManycore   = "manycore"    // §7: coherence-free manycore machine model
-	KnobBigCluster = "bigcluster"  // Figure S: 64 × 16 cores, same InfiniBand
 )
 
 // KnobTune resolves a knob name to its configuration hook (nil for
@@ -40,8 +39,6 @@ func KnobTune(knob string) (func(*core.Config), error) {
 		return func(cfg *core.Config) { cfg.Queue = cfg.Queue.Unoptimized() }, nil
 	case KnobManycore:
 		return func(cfg *core.Config) { cfg.Cluster = cluster.ManycoreConfig() }, nil
-	case KnobBigCluster:
-		return func(cfg *core.Config) { cfg.Cluster = cluster.BigClusterConfig() }, nil
 	}
 	return nil, fmt.Errorf("job: unknown config knob %q", knob)
 }
@@ -63,9 +60,6 @@ type Spec struct {
 	Seed     uint64  `json:"seed,omitempty"`
 	Rate     float64 `json:"rate,omitempty"`
 	Knob     string  `json:"knob,omitempty"`
-	// CommitShards partitions the commit pipeline; 0 or 1 is the paper's
-	// single commit unit.
-	CommitShards int `json:"commit_shards,omitempty"`
 	// Verify asks the engine to also resolve the sequential vtime
 	// reference and report whether the parallel checksum matches — the
 	// serving path's correctness gate.
@@ -81,8 +75,8 @@ func (s Spec) Normalized() Spec {
 	}
 	if s.Kind == KindSeq {
 		// The sequential reference always runs in vtime on one core;
-		// paradigm, backend, cores, and shards do not apply.
-		s.Paradigm, s.Backend, s.Cores, s.CommitShards = "", "", 0, 0
+		// paradigm, backend and cores do not apply.
+		s.Paradigm, s.Backend, s.Cores = "", "", 0
 		s.Verify = false
 	} else {
 		if s.Paradigm == "" {
@@ -90,9 +84,6 @@ func (s Spec) Normalized() Spec {
 		}
 		if s.Backend == "" {
 			s.Backend = core.BackendVTime.String()
-		}
-		if s.CommitShards == 1 {
-			s.CommitShards = 0
 		}
 	}
 	if s.Scale <= 0 {
@@ -135,9 +126,8 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("job: parallel job needs cores >= 1, got %d", s.Cores)
 	}
 	// Build the configuration the run will use: what only core can see — too
-	// few cores for the plan's workers, more ranks than the machine, commit
-	// shards the backend cannot run — is a spec error here, not a failed job
-	// after admission.
+	// few cores for the plan's workers, more ranks than the machine — is a
+	// spec error here, not a failed job after admission.
 	tune, err := s.Tune(nil)
 	if err != nil {
 		return err
@@ -148,7 +138,7 @@ func (s Spec) Validate() error {
 }
 
 // Tune composes the configuration hook the spec names — knob, then
-// backend/shards — and attaches tr (nil for none). A net daemon adds
+// backend — and attaches tr (nil for none). A net daemon adds
 // only its mesh platform on top.
 func (s Spec) Tune(tr *trace.Tracer) (func(*core.Config), error) {
 	knob, err := KnobTune(s.Knob)
@@ -156,13 +146,11 @@ func (s Spec) Tune(tr *trace.Tracer) (func(*core.Config), error) {
 		return nil, err
 	}
 	backend := s.ParsedBackend()
-	shards := s.CommitShards
 	return func(cfg *core.Config) {
 		if knob != nil {
 			knob(cfg)
 		}
 		cfg.Backend = backend
-		cfg.CommitShards = shards
 		cfg.Tracer = tr
 	}, nil
 }
@@ -207,9 +195,6 @@ func (s Spec) String() string {
 	}
 	if s.Knob != "" {
 		label += "/" + s.Knob
-	}
-	if s.CommitShards > 1 {
-		label += fmt.Sprintf("/cs%d", s.CommitShards)
 	}
 	return label
 }

@@ -73,7 +73,7 @@ func TestMapPagesCopyOnWrite(t *testing.T) {
 
 // TestMapPagesNeverPooled: Reset and Rearm on a recycling image return only
 // the image's own copies to the frame pool, never a mapped frame, and a
-// Snapshot or Merge of the image keeps aliasing the frame copy-on-write.
+// Snapshot of the image keeps aliasing the frame copy-on-write.
 func TestMapPagesNeverPooled(t *testing.T) {
 	frames, want := mapFrames(3)
 	base := uva.Base(1)
@@ -124,8 +124,7 @@ func TestMapPagesNeverPooled(t *testing.T) {
 	src := NewImage(nil)
 	src.MapPages(base, frames)
 	snap := src.Snapshot()
-	merged := Merge(src)
-	for p, view := range []*Image{src, snap, merged} {
+	for p, view := range []*Image{src, snap} {
 		if s := view.slot(at(p).Page()); s.pg != frames[p] || !s.shared {
 			t.Errorf("view %d does not alias frame %d copy-on-write", p, p)
 		}

@@ -294,10 +294,10 @@ func (im *Image) Store(addr uva.Addr, v uint64) {
 func (im *Image) InstallPage(id uva.PageID, pg *Page) { im.install(im.slot(id), pg) }
 
 // MapPages installs frames as the pages from addr (page-aligned) on, each
-// shared copy-on-write as Snapshot and Merge alias pages: the image reads
+// shared copy-on-write as Snapshot aliases pages: the image reads
 // the caller's frame, its first store to a page copies it, and Reset and
 // Rearm never recycle it, so the frames stay unchanged and may back any
-// number of images at once. Like Merge's pages, a mapped page is neither
+// number of images at once. Like a snapshot's pages, a mapped page is neither
 // dirty nor unshared: map before the snapshot a recovery's stale scan
 // starts from (Setup does).
 func (im *Image) MapPages(addr uva.Addr, frames []*Page) {
@@ -402,10 +402,10 @@ func (im *Image) AppendUnshared(dst []uva.PageID) []uva.PageID {
 	return dst
 }
 
-// Space is the word/byte access surface workload code programs against. A
-// single *Image satisfies it directly; the runtime hands sequential code
-// (Setup, Finalize, recovery re-execution) a federated view over the commit
-// shards' images that routes each access to the owning shard's image.
+// Space is the word/byte access surface sequential workload code (Setup,
+// Finalize, recovery re-execution) programs against. An *Image satisfies
+// it; the interface is the seam where a reference space that shares no code
+// with Image can plug in.
 type Space interface {
 	Load(addr uva.Addr) uint64
 	Store(addr uva.Addr, v uint64)
@@ -430,37 +430,6 @@ func (im *Image) ForEachResident(fn func(uva.PageID, *Page)) {
 			}
 		}
 	}
-}
-
-// Merge builds one copy-on-write image over the union of the inputs'
-// resident pages. Inputs must hold disjoint page sets (true for commit
-// shards, which partition the page space by ownership hash); pages are
-// aliased, not copied, and marked shared on both sides so any later store —
-// through the merged view or a source image — copies first.
-func Merge(imgs ...*Image) *Image {
-	out := NewImage(nil)
-	for _, im := range imgs {
-		if im == nil {
-			continue
-		}
-		im.ForEachResident(func(id uva.PageID, pg *Page) {
-			s := out.slot(id)
-			if s.pg != nil {
-				panic(fmt.Sprintf("mem: Merge inputs overlap at page %#x", uint64(id)))
-			}
-			out.resident++
-			s.pg, s.shared = pg, true
-		})
-		// Mark the source slots shared too: the merged view now aliases them.
-		for _, ch := range im.chunks {
-			for i := range ch.slots {
-				if ch.slots[i].pg != nil {
-					ch.slots[i].shared = true
-				}
-			}
-		}
-	}
-	return out
 }
 
 // Snapshot returns a frozen copy-on-write view of the image as it is now.

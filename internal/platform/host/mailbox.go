@@ -127,8 +127,8 @@ func (b *mailbox) tryDequeue() (platform.Message, bool) {
 }
 
 // Depth reports the queued backlog. Consumer only: exact between its own
-// dequeues, an approximation while producers race it. Core's page servers
-// poll it for the per-shard queue depth gauge.
+// dequeues, an approximation while producers race it. Core's page server
+// polls it for its queue depth gauge.
 func (b *mailbox) Depth() int { return len(b.out) - b.next + int(b.n.Load()) }
 
 // Recv dequeues a message, spinning through the budget and then parking

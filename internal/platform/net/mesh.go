@@ -138,9 +138,9 @@ type peerCounters struct {
 
 // binding is the platform currently attached to the mesh.
 type binding struct {
-	gen     uint64
-	plat    *host.Platform
-	ownerOf func(rank int) int
+	gen      uint64
+	plat     *host.Platform
+	daemonOf func(rank int) int
 }
 
 // NewMesh builds the mesh and starts dialing every lower-indexed peer.
@@ -242,8 +242,8 @@ func (m *Mesh) Close() {
 
 // send queues msg for the daemon owning msg.To. Called from rank
 // goroutines via the host platform's remote hook.
-func (m *Mesh) send(gen uint64, ownerOf func(int) int, msg platform.Message) {
-	p := m.peers[ownerOf(msg.To)]
+func (m *Mesh) send(gen uint64, daemonOf func(int) int, msg platform.Message) {
+	p := m.peers[daemonOf(msg.To)]
 	select {
 	case p.out <- outMsg{gen: gen, msg: msg}:
 		p.ctr.framesOut.Add(1)

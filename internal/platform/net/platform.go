@@ -14,9 +14,9 @@ import (
 // delivery layer, reused unchanged behind the sockets.
 type Platform struct {
 	*host.Platform
-	mesh    *Mesh
-	gen     uint64
-	ownerOf func(rank int) int
+	mesh     *Mesh
+	gen      uint64
+	daemonOf func(rank int) int
 }
 
 // Platform builds and binds the platform for one invocation (generation
@@ -34,27 +34,27 @@ func (m *Mesh) Platform(gen uint64, ranks, active int) (*Platform, error) {
 	if active < daemons {
 		return nil, fmt.Errorf("net: %d active ranks across %d daemons: need at least one rank per daemon", active, daemons)
 	}
-	ownerOf := func(rank int) int {
+	daemonOf := func(rank int) int {
 		if rank >= active {
 			return daemons - 1
 		}
 		return rank * daemons / active
 	}
-	inner := host.New(ranks, ownerOf)
+	inner := host.New(ranks, daemonOf)
 	inner.SetRemote(
-		func(rank int) bool { return ownerOf(rank) == m.cfg.Self },
-		func(msg platform.Message) { m.send(gen, ownerOf, msg) },
+		func(rank int) bool { return daemonOf(rank) == m.cfg.Self },
+		func(msg platform.Message) { m.send(gen, daemonOf, msg) },
 	)
-	if err := m.bind(gen, &binding{gen: gen, plat: inner, ownerOf: ownerOf}); err != nil {
+	if err := m.bind(gen, &binding{gen: gen, plat: inner, daemonOf: daemonOf}); err != nil {
 		return nil, err
 	}
-	return &Platform{Platform: inner, mesh: m, gen: gen, ownerOf: ownerOf}, nil
+	return &Platform{Platform: inner, mesh: m, gen: gen, daemonOf: daemonOf}, nil
 }
 
 // LocalRank reports whether a rank lives in this process. The runtime
 // spawns only local ranks; remote ones are reached through the mesh.
 func (p *Platform) LocalRank(rank int) bool {
-	return p.ownerOf(rank) == p.mesh.cfg.Self
+	return p.daemonOf(rank) == p.mesh.cfg.Self
 }
 
 // Run executes the local ranks and surfaces transport failures alongside

@@ -16,8 +16,6 @@ import (
 //	Backpressure — waiting for a saturated downstream stage (occupancy routing)
 //	Starvation   — polling an empty upstream queue
 //	VerdictWait  — the commit unit waiting on a try-commit verdict
-//	VoteWait     — a coordinator commit shard waiting on cross-shard 2PC
-//	               votes (CommitShards > 1 only)
 //	Recovery     — inside a misspeculation-recovery window (ERM/FLQ/SEQ
 //	               plus refill stall)
 //	Blocked      — parked on a message or synchronization primitive
@@ -26,21 +24,21 @@ type StallRow struct {
 	Label string // "worker3", "trycommit0", "commit", "pagesrv"
 	Stage string // aggregation key: "S0".."Sn", "trycommit", "commit", "pagesrv"
 
-	Busy, Backpressure, Starvation, VerdictWait, VoteWait, Recovery, Blocked platform.Time
+	Busy, Backpressure, Starvation, VerdictWait, Recovery, Blocked platform.Time
 
 	// Host-delivery columns, populated only on the host backend (the report
 	// renders them when StallReport.Host is set). Park is wall time the
 	// rank's endpoint spent parked in mailbox waits — attributed at endpoint
 	// granularity, so a commit rank's row includes its co-located page
-	// server. ShardQueue is the high-water request backlog of a commit
-	// unit's page server (zero on other rows).
+	// server. ShardQueue is the high-water request backlog of the page
+	// server (zero on other rows).
 	Park       platform.Time
 	ShardQueue int64
 }
 
 // Total is the row's accounted virtual time.
 func (r *StallRow) Total() platform.Time {
-	return r.Busy + r.Backpressure + r.Starvation + r.VerdictWait + r.VoteWait + r.Recovery + r.Blocked
+	return r.Busy + r.Backpressure + r.Starvation + r.VerdictWait + r.Recovery + r.Blocked
 }
 
 // add accumulates o's columns into r: another invocation of the same rank,
@@ -50,7 +48,6 @@ func (r *StallRow) add(o *StallRow) {
 	r.Backpressure += o.Backpressure
 	r.Starvation += o.Starvation
 	r.VerdictWait += o.VerdictWait
-	r.VoteWait += o.VoteWait
 	r.Recovery += o.Recovery
 	r.Blocked += o.Blocked
 	r.Park += o.Park
@@ -59,12 +56,10 @@ func (r *StallRow) add(o *StallRow) {
 
 // StallReport collects per-rank stall rows for one or more runs. Host marks
 // a report carrying host-delivery data; its tables then grow the park /
-// shard-q columns. CommitShards marks a report from a sharded
-// commit pipeline; its tables then grow the vote-wait column.
+// shard-q columns.
 type StallReport struct {
-	Rows         []StallRow
-	Host         bool
-	CommitShards bool
+	Rows []StallRow
+	Host bool
 }
 
 // Add appends a row.
@@ -89,7 +84,6 @@ func (r *StallReport) Merge(o *StallReport) {
 		}
 	}
 	r.Host = r.Host || o.Host
-	r.CommitShards = r.CommitShards || o.CommitShards
 }
 
 var stallHeader = []string{"rank", "total", "busy", "backpressure", "starvation", "verdict-wait", "recovery", "blocked"}
@@ -97,22 +91,10 @@ var stallHeader = []string{"rank", "total", "busy", "backpressure", "starvation"
 // hostHeader extends stallHeader with the host-delivery columns.
 var hostHeader = []string{"park", "shard-q"}
 
-// header builds the table header, swapping the first column's label,
-// inserting the vote-wait column after verdict-wait when the report comes
-// from a sharded commit pipeline, and appending the host columns when the
-// report carries host data.
+// header builds the table header, swapping the first column's label and
+// appending the host columns when the report carries host data.
 func (r *StallReport) header(first string) []string {
 	h := append([]string{first}, stallHeader[1:]...)
-	if r.CommitShards {
-		i := len(h)
-		for j, col := range h {
-			if col == "verdict-wait" {
-				i = j + 1
-				break
-			}
-		}
-		h = append(h[:i:i], append([]string{"vote-wait"}, h[i:]...)...)
-	}
 	if r.Host {
 		h = append(h, hostHeader...)
 	}
@@ -163,12 +145,8 @@ func stallCells(name string, r *StallRow, rep *StallReport) []string {
 	cells := []string{
 		name, fmtDur(total),
 		cell(r.Busy), cell(r.Backpressure), cell(r.Starvation),
-		cell(r.VerdictWait),
+		cell(r.VerdictWait), cell(r.Recovery), cell(r.Blocked),
 	}
-	if rep.CommitShards {
-		cells = append(cells, cell(r.VoteWait))
-	}
-	cells = append(cells, cell(r.Recovery), cell(r.Blocked))
 	if rep.Host {
 		cells = append(cells,
 			fmtDur(r.Park),

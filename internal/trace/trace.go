@@ -36,24 +36,21 @@ type Kind uint8
 
 // Span and instant kinds. Spans have duration; Inst* events are points.
 const (
-	SpanSubTX         Kind = iota // a worker executed one subTX (V1 = stage)
-	SpanValidate                  // the try-commit unit validated one MTX (V1 = verdict)
-	SpanCommit                    // group commit of one MTX (V1 = entries, V2 = bulk bytes)
-	SpanCOA                       // one Copy-On-Access fault round trip (MTX = page, V1 = pages, V2 = wire bytes)
-	SpanRecvWait                  // a blocking message receive (V1 = tag)
-	SpanRecovery                  // one rank's whole recovery window (MTX = restart iteration)
-	SpanERM                       // recovery: enter-recovery-mode barrier (commit unit)
-	SpanFLQ                       // recovery: flush-queues barrier (commit unit)
-	SpanSEQ                       // recovery: sequential re-execution (commit unit)
-	SpanRFP                       // recovery: refill-pipeline, resume to next commit (commit unit)
-	InstFlush                     // a queue batch left the sender (V1 = items, V2 = wire bytes)
-	InstDrain                     // a queue batch was drained by the consumer (V1 = items)
-	InstMisspec                   // a misspeculation marker was emitted (MTX = iteration)
-	SpanPageServe                 // a commit unit's page server served one COA request (MTX = start page, V1 = pages, V2 = wire bytes)
-	SpanRecvPark                  // host delivery: a receiver parked awaiting a message (V1 = tag)
-	SpanShardCommit               // a non-coordinator participant shard applied its partition of an MTX (V1 = entries, V2 = bulk bytes)
-	InstShardVote                 // a participant shard sent its ordered 2PC vote (MTX = iteration, V1 = coordinator shard)
-	SpanShardVoteWait             // the coordinator shard awaited cross-shard votes (MTX = iteration, V1 = votes needed)
+	SpanSubTX     Kind = iota // a worker executed one subTX (V1 = stage)
+	SpanValidate              // the try-commit unit validated one MTX (V1 = verdict)
+	SpanCommit                // group commit of one MTX (V1 = entries, V2 = bulk bytes)
+	SpanCOA                   // one Copy-On-Access fault round trip (MTX = page, V1 = pages, V2 = wire bytes)
+	SpanRecvWait              // a blocking message receive (V1 = tag)
+	SpanRecovery              // one rank's whole recovery window (MTX = restart iteration)
+	SpanERM                   // recovery: enter-recovery-mode barrier (commit unit)
+	SpanFLQ                   // recovery: flush-queues barrier (commit unit)
+	SpanSEQ                   // recovery: sequential re-execution (commit unit)
+	SpanRFP                   // recovery: refill-pipeline, resume to next commit (commit unit)
+	InstFlush                 // a queue batch left the sender (V1 = items, V2 = wire bytes)
+	InstDrain                 // a queue batch was drained by the consumer (V1 = items)
+	InstMisspec               // a misspeculation marker was emitted (MTX = iteration)
+	SpanPageServe             // a commit unit's page server served one COA request (MTX = start page, V1 = pages, V2 = wire bytes)
+	SpanRecvPark              // host delivery: a receiver parked awaiting a message (V1 = tag)
 	numKinds
 )
 
@@ -64,24 +61,21 @@ var kindMeta = [numKinds]struct {
 	name, cat       string
 	mtxName, a1, a2 string
 }{
-	SpanSubTX:         {"subTX", "worker", "mtx", "stage", ""},
-	SpanValidate:      {"validate", "trycommit", "mtx", "ok", ""},
-	SpanCommit:        {"commit", "commit", "mtx", "entries", "bulk_bytes"},
-	SpanCOA:           {"coa.fault", "mem", "page", "pages", "wire_bytes"},
-	SpanRecvWait:      {"recv.wait", "mpi", "", "tag", ""},
-	SpanRecovery:      {"recovery", "recovery", "restart", "", ""},
-	SpanERM:           {"recovery.ERM", "recovery", "mtx", "", ""},
-	SpanFLQ:           {"recovery.FLQ", "recovery", "mtx", "", ""},
-	SpanSEQ:           {"recovery.SEQ", "recovery", "mtx", "", ""},
-	SpanRFP:           {"recovery.RFP", "recovery", "mtx", "", ""},
-	InstFlush:         {"queue.flush", "queue", "", "items", "bytes"},
-	InstDrain:         {"queue.drain", "queue", "", "items", ""},
-	InstMisspec:       {"misspec", "worker", "mtx", "", ""},
-	SpanPageServe:     {"pagesrv.shard", "pagesrv", "page", "pages", "wire_bytes"},
-	SpanRecvPark:      {"recv.park", "delivery", "", "tag", ""},
-	SpanShardCommit:   {"commit.shard", "commit", "mtx", "entries", "bulk_bytes"},
-	InstShardVote:     {"commit.shard.vote", "commit", "mtx", "coordinator", ""},
-	SpanShardVoteWait: {"commit.shard.votewait", "commit", "mtx", "votes", ""},
+	SpanSubTX:     {"subTX", "worker", "mtx", "stage", ""},
+	SpanValidate:  {"validate", "trycommit", "mtx", "ok", ""},
+	SpanCommit:    {"commit", "commit", "mtx", "entries", "bulk_bytes"},
+	SpanCOA:       {"coa.fault", "mem", "page", "pages", "wire_bytes"},
+	SpanRecvWait:  {"recv.wait", "mpi", "", "tag", ""},
+	SpanRecovery:  {"recovery", "recovery", "restart", "", ""},
+	SpanERM:       {"recovery.ERM", "recovery", "mtx", "", ""},
+	SpanFLQ:       {"recovery.FLQ", "recovery", "mtx", "", ""},
+	SpanSEQ:       {"recovery.SEQ", "recovery", "mtx", "", ""},
+	SpanRFP:       {"recovery.RFP", "recovery", "mtx", "", ""},
+	InstFlush:     {"queue.flush", "queue", "", "items", "bytes"},
+	InstDrain:     {"queue.drain", "queue", "", "items", ""},
+	InstMisspec:   {"misspec", "worker", "mtx", "", ""},
+	SpanPageServe: {"pagesrv.shard", "pagesrv", "page", "pages", "wire_bytes"},
+	SpanRecvPark:  {"recv.park", "delivery", "", "tag", ""},
 }
 
 // KnownEventNames reports every event name the Chrome exporter can emit

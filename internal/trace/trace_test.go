@@ -247,42 +247,3 @@ func TestStallReportTables(t *testing.T) {
 		t.Fatalf("merged worker0 busy = %d", r.Rows[0].Busy)
 	}
 }
-
-// TestStallReportCommitShardColumn: the vote-wait column renders only for
-// sharded-commit reports, one row per commit shard, and Merge propagates
-// both the flag and the accumulated wait.
-func TestStallReportCommitShardColumn(t *testing.T) {
-	base := &StallReport{}
-	base.Add(StallRow{Label: "commit", Stage: "commit", Busy: 100})
-	if got := base.Table().String(); strings.Contains(got, "vote-wait") {
-		t.Fatalf("single-commit-unit report grew a vote-wait column:\n%s", got)
-	}
-
-	sharded := &StallReport{CommitShards: true}
-	sharded.Add(StallRow{Label: "commit.shard0", Stage: "commit", Busy: 700, VoteWait: 300})
-	sharded.Add(StallRow{Label: "commit.shard1", Stage: "commit", Busy: 900, VoteWait: 100})
-	got := sharded.Table().String()
-	for _, want := range []string{"vote-wait", "commit.shard0", "commit.shard1", "30.0%"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("sharded table missing %q:\n%s", want, got)
-		}
-	}
-
-	// VoteWait is part of the accounted total: busy 700 + vote 300 = 70% busy.
-	if !strings.Contains(got, "70.0%") {
-		t.Errorf("vote-wait not in the row total:\n%s", got)
-	}
-
-	agg := &StallReport{}
-	agg.Merge(sharded)
-	agg.Merge(sharded)
-	if !agg.CommitShards {
-		t.Fatal("Merge dropped the CommitShards flag")
-	}
-	if agg.Rows[0].VoteWait != 600 {
-		t.Fatalf("merged vote wait = %d, want 600", agg.Rows[0].VoteWait)
-	}
-	if got := agg.StageTable().String(); !strings.Contains(got, "vote-wait") {
-		t.Fatalf("stage table missing vote-wait column:\n%s", got)
-	}
-}

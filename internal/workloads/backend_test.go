@@ -100,7 +100,7 @@ func TestHostStallTableAccountsWallClock(t *testing.T) {
 		t.Fatalf("%d stall rows, %d misspeculations; want a traced run that recovers", len(res.Stalls.Rows), res.Misspecs)
 	}
 	for _, r := range res.Stalls.Rows {
-		for _, cell := range []platform.Duration{r.Busy, r.Backpressure, r.Starvation, r.VerdictWait, r.VoteWait, r.Recovery, r.Blocked, r.Park} {
+		for _, cell := range []platform.Duration{r.Busy, r.Backpressure, r.Starvation, r.VerdictWait, r.Recovery, r.Blocked, r.Park} {
 			if cell < 0 {
 				t.Errorf("%s: negative cell in %+v", r.Label, r)
 				break
@@ -136,7 +136,7 @@ func TestVTimeStallTableAccountsWindows(t *testing.T) {
 	workers := 0
 	for i := range res.Stalls.Rows {
 		r := &res.Stalls.Rows[i]
-		for _, cell := range []platform.Time{r.Busy, r.Backpressure, r.Starvation, r.VerdictWait, r.VoteWait, r.Recovery, r.Blocked} {
+		for _, cell := range []platform.Time{r.Busy, r.Backpressure, r.Starvation, r.VerdictWait, r.Recovery, r.Blocked} {
 			if cell < 0 {
 				t.Errorf("%s: negative cell in %+v", r.Label, *r)
 				break

@@ -36,16 +36,14 @@ func setupDigest(b *Benchmark, in Input) (string, error) {
 	return regionDigest(prog, img), nil
 }
 
-// hostSetupDigest runs b at in on host over shards commit shards, so Setup
-// maps the input through the federated shard view, and returns the SHA-256
-// of the input region the merged commit image holds afterwards: no
-// iteration stores to the input, so it is the region Setup built.
-func hostSetupDigest(b *Benchmark, in Input, shards int) (string, error) {
+// hostSetupDigest runs b at in on host and returns the SHA-256 of the input
+// region the commit image holds afterwards: no iteration stores to the
+// input, so it is the region Setup built.
+func hostSetupDigest(b *Benchmark, in Input) (string, error) {
 	c := NewChain(b, in)
 	var res Result
 	err := c.Step(&res, DSMTX, 8, func(cfg *core.Config) {
 		cfg.Backend = core.BackendHost
-		cfg.CommitShards = shards
 	})
 	if err != nil {
 		return "", err
@@ -63,9 +61,7 @@ func regionDigest(prog Program, img *mem.Image) string {
 // TestGeneratedInputsPinned pins the input region each generating Setup
 // builds, at two seeds and at rates 0 and 0.05 (crc32 and 256.bzip2 write
 // their corrupt-file markers at 0.05; gzip has none), in the sequential
-// reference's image and in the commit image of a host run at 2 and 4
-// commit shards, where Setup maps the frames through the federated view.
-// Recorded from the Setups that generated every file into a reused buffer,
+// reference's image and in the commit image of a host run. Recorded from the Setups that generated every file into a reused buffer,
 // before inputs were cached. Each seed's rate-0.05 Setups run first on an
 // emptied cache, so the rate-0 Setups after them map the frames the marked
 // ones mapped: their pin proves no marker reached a cached frame.
@@ -82,12 +78,9 @@ func TestGeneratedInputsPinned(t *testing.T) {
 		{Bzip2(), 42, "34f779b653fff6cd2b09e9f9601196fdef788f4ffe9280600a5a0f06fd9020cc", "b30825722248d7e0b14aed44c95d2af30ecb7c9648e5e4599faf9f136211c783"},
 		{Bzip2(), 7, "edae3b556e4a311d25a9fdf4bea0b2909d3a8cc3b6a743bd44f79c90eb8b6314", "0f19ac96e9bd4b8455841593bda6862bfa0a480ef49d138d24a79f2f3bdec29d"},
 	}
-	shardCounts := []int{0, 2, 4} // 0: the sequential reference
-	if testing.Short() {
-		// The -race row: Setup maps on one goroutine on every backend, and
-		// 24 host runs cost ≈ 18 s under the race detector.
-		shardCounts = shardCounts[:1]
-	}
+	// The -race row skips the host runs: Setup maps on one goroutine on
+	// every backend, and the host runs cost seconds under the race detector.
+	host := !testing.Short()
 	for _, p := range pins {
 		DropInput(p.b.Name, Input{Scale: 1, Seed: p.seed})
 		for _, row := range []struct {
@@ -95,19 +88,20 @@ func TestGeneratedInputsPinned(t *testing.T) {
 			want string
 		}{{0.05, p.marked}, {0, p.clean}} {
 			in := Input{Scale: 1, Seed: p.seed, MisspecRate: row.rate}
-			for _, shards := range shardCounts {
-				var got string
-				var err error
-				if shards == 0 {
-					got, err = setupDigest(p.b, in)
-				} else {
-					got, err = hostSetupDigest(p.b, in, shards)
+			for _, live := range []bool{false, true} {
+				if live && !host {
+					continue
 				}
+				digest, where := setupDigest, "sequential"
+				if live {
+					digest, where = hostSetupDigest, "host"
+				}
+				got, err := digest(p.b, in)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if got != row.want {
-					t.Errorf("%s seed %d rate %g shards %d: input %s, pinned %s", p.b.Name, p.seed, row.rate, shards, got, row.want)
+					t.Errorf("%s seed %d rate %g %s: input %s, pinned %s", p.b.Name, p.seed, row.rate, where, got, row.want)
 				}
 			}
 		}

@@ -86,7 +86,7 @@ func TestBackendEquivalenceNet(t *testing.T) {
 	if recovered == 0 && !t.Failed() {
 		t.Errorf("misspec rate %v produced no misspeculations on net in any workload", in.MisspecRate)
 	}
-	for _, knob := range []string{job.KnobQueueUnopt, job.KnobManycore, job.KnobBigCluster} {
+	for _, knob := range []string{job.KnobQueueUnopt, job.KnobManycore} {
 		for _, bench := range []string{"crc32", "164.gzip", "197.parser"} {
 			t.Run("knob="+knob+"/"+bench, func(t *testing.T) {
 				b, err := workloads.ByName(bench)

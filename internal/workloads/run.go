@@ -151,6 +151,16 @@ func RunSequentialRef(b *Benchmark, in Input) (platform.Duration, uint64, error)
 // machine-model comparisons (e.g. the §7 manycore) can measure their
 // sequential baseline on the same machine as the parallel run.
 func RunSequentialTuned(b *Benchmark, in Input, tune func(*core.Config)) (platform.Duration, uint64, error) {
+	c, total, err := sequentialChain(b, in, tune)
+	if err != nil {
+		return 0, 0, err
+	}
+	return total, c.Checksum(), nil
+}
+
+// sequentialChain walks b's invocation chain through core.RunSequential and
+// returns it holding the final image, with the summed elapsed virtual time.
+func sequentialChain(b *Benchmark, in Input, tune func(*core.Config)) (*Chain, platform.Duration, error) {
 	var total platform.Duration
 	c := NewChain(b, in)
 	for range c.Invocations() {
@@ -168,8 +178,8 @@ func RunSequentialTuned(b *Benchmark, in Input, tune func(*core.Config)) (platfo
 			return out, nil
 		})
 		if err != nil {
-			return 0, 0, err
+			return nil, 0, err
 		}
 	}
-	return total, c.Checksum(), nil
+	return c, total, nil
 }

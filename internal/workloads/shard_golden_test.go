@@ -3,66 +3,14 @@ package workloads
 import (
 	"testing"
 
-	"dsmtx/internal/core"
 	"dsmtx/internal/platform"
 )
 
-// TestBackendEquivalenceCommitShards extends the backend-equivalence gate
-// across the sharded commit pipeline: for every shard count both backends
-// must reproduce the sequential checksum with identical committed and
-// misspeculation counts. Part of the -race gate in verify.sh, which makes
-// the cross-shard vote and the AnySource control mailboxes part of the
-// host data-race audit.
-func TestBackendEquivalenceCommitShards(t *testing.T) {
-	in := Input{Scale: 1, Seed: 42, MisspecRate: 0.02}
-	b, err := ByName("crc32")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, seqCheck, err := RunSequentialRef(b, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var base Result
-	for _, shards := range []int{1, 2, 4} {
-		vres, err := RunParallel(b, in, DSMTX, 12, func(cfg *core.Config) {
-			cfg.CommitShards = shards
-		})
-		if err != nil {
-			t.Fatalf("vtime shards=%d: %v", shards, err)
-		}
-		hres, err := RunParallel(b, in, DSMTX, 12, func(cfg *core.Config) {
-			cfg.Backend = core.BackendHost
-			cfg.CommitShards = shards
-		})
-		if err != nil {
-			t.Fatalf("host shards=%d: %v", shards, err)
-		}
-		if vres.Checksum != seqCheck {
-			t.Errorf("shards=%d: vtime checksum %#x != sequential %#x", shards, vres.Checksum, seqCheck)
-		}
-		if hres.Checksum != seqCheck {
-			t.Errorf("shards=%d: host checksum %#x != sequential %#x", shards, hres.Checksum, seqCheck)
-		}
-		if hres.Committed != vres.Committed || hres.Misspecs != vres.Misspecs {
-			t.Errorf("shards=%d: host committed/misspecs %d/%d, vtime %d/%d",
-				shards, hres.Committed, hres.Misspecs, vres.Committed, vres.Misspecs)
-		}
-		if shards == 1 {
-			base = vres
-		} else if vres.Committed != base.Committed || vres.Misspecs != base.Misspecs {
-			t.Errorf("shards=%d: committed/misspecs %d/%d differ from 1-shard %d/%d",
-				shards, vres.Committed, vres.Misspecs, base.Committed, base.Misspecs)
-		}
-	}
-}
-
-// TestSingleShardByteIdentity pins CommitShards=1 — the sharded pipeline
-// run with one shard — to the pre-sharding runtime, observable for
-// observable: virtual elapsed time, checksum, committed/misspec counts, wire
-// bytes, kernel events and message totals captured on the commit of record
-// before the sharded pipeline landed. Any drift here means the default
-// configuration stopped being the paper's single-commit-unit machine.
+// TestSingleShardByteIdentity pins the one commit unit to goldens captured
+// before commit sharding existed, observable for observable: virtual elapsed
+// time, checksum, committed/misspec counts, wire bytes, kernel events and
+// message totals. Any drift here means the default configuration stopped
+// being the paper's single-commit-unit machine.
 func TestSingleShardByteIdentity(t *testing.T) {
 	goldens := []struct {
 		bench     string

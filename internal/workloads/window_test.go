@@ -16,30 +16,28 @@ import (
 // pays for it only in progress reports, and how much squashed work it leaves.
 
 var sweepAll = flag.Bool("sweep-all", false,
-	"TestBoundedRunAheadSweep: run every cell with its vtime cross-check (verify.sh does), not only the misspeculating one-shard cells")
+	"TestBoundedRunAheadSweep: run every cell with its vtime cross-check (verify.sh does), not only the misspeculating cells")
 
 // runCounted is RunParallel on the host backend with a metrics-only tracer,
 // returning the registry's counter reader beside the result.
-func runCounted(b *Benchmark, in Input, paradigm Paradigm, cores, shards int) (Result, func(string) uint64, error) {
+func runCounted(b *Benchmark, in Input, paradigm Paradigm, cores int) (Result, func(string) uint64, error) {
 	tr := trace.NewMetricsOnly()
 	res, err := RunParallel(b, in, paradigm, cores, func(cfg *core.Config) {
 		cfg.Backend = core.BackendHost
-		cfg.CommitShards = shards
 		cfg.Tracer = tr
 	})
 	return res, func(name string) uint64 { return tr.Metrics().Counter(name).Value() }, err
 }
 
 // TestBoundedRunAheadSweep runs every workload under both paradigms live at
-// 8 cores, clean and misspeculating, on one, two and four commit shards (four
-// leave 3 workers, every plan's minimum): each cell must reach the sequential
-// checksum with the committed and misspeculation counts of a vtime run at the
-// same shard count, since the layout decides which iterations conflict. The
-// bound is in force in every cell, so the accounting is exact instead: a clean
-// one-shard run moves the control messages vtime (which has no bound) moves
-// plus its progress reports, and nothing else. Without -sweep-all (tier-1, and
-// the GOMAXPROCS=2/8 -race rows of verify.sh) only rate 0.02 on one shard
-// runs, without the vtime cross-check: a misspeculating cell waits at the
+// 8 cores, clean and misspeculating: each cell must reach the sequential
+// checksum with the committed and misspeculation counts of a vtime run, since
+// the layout decides which iterations conflict. The bound is in force in
+// every cell, so the accounting is exact instead: a clean run moves the
+// control messages vtime (which has no bound) moves plus its progress
+// reports, and nothing else. Without -sweep-all (tier-1, and the
+// GOMAXPROCS=2/8 -race rows of verify.sh) only rate 0.02 runs, without the
+// vtime cross-check: a misspeculating cell waits at the
 // bound in epoch 0 as a clean one does and then in every epoch after a
 // recovery, and five workloads ignore the rate, so their cells are clean runs
 // all the same.
@@ -49,7 +47,6 @@ func TestBoundedRunAheadSweep(t *testing.T) {
 	}
 	const cores = 8
 	for _, b := range All() {
-		_, committer := b.NewDSMTX(small(), 0).(core.Committer)
 		for _, rate := range []float64{0, 0.02} {
 			if rate == 0 && !*sweepAll {
 				continue
@@ -60,44 +57,39 @@ func TestBoundedRunAheadSweep(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, paradigm := range []Paradigm{DSMTX, TLS} {
-				for _, shards := range []int{1, 2, 4} {
-					if shards > 1 && (committer || !*sweepAll) {
-						continue // a Committer needs the single commit unit
-					}
-					name := fmt.Sprintf("%s/%s rate %v shards %d", b.Name, paradigm, rate, shards)
-					var vres *Result
-					if *sweepAll {
-						res, err := RunParallel(b, in, paradigm, cores, func(cfg *core.Config) { cfg.CommitShards = shards })
-						if err != nil {
-							t.Fatalf("%s: vtime: %v", name, err)
-						}
-						vres = &res
-					}
-					hres, count, err := runCounted(b, in, paradigm, cores, shards)
+				name := fmt.Sprintf("%s/%s rate %v", b.Name, paradigm, rate)
+				var vres *Result
+				if *sweepAll {
+					res, err := RunParallel(b, in, paradigm, cores, nil)
 					if err != nil {
-						t.Fatalf("%s: host: %v", name, err)
+						t.Fatalf("%s: vtime: %v", name, err)
 					}
-					if hres.Checksum != seqCheck {
-						t.Errorf("%s: checksum %#x, want sequential %#x", name, hres.Checksum, seqCheck)
-					}
-					if vres != nil && (hres.Committed != vres.Committed || hres.Misspecs != vres.Misspecs) {
-						t.Errorf("%s: committed/misspecs %d/%d, vtime %d/%d",
-							name, hres.Committed, hres.Misspecs, vres.Committed, vres.Misspecs)
-					}
-					if hres.SubTXs != count("subtx.executed") || hres.SubTXs == 0 {
-						t.Errorf("%s: Result.SubTXs %d, subtx.executed %d", name, hres.SubTXs, count("subtx.executed"))
-					}
-					reports, waits := count("window.reports"), count("window.waits")
-					if hres.Misspecs > 0 && reports == 0 {
-						t.Errorf("%s: %d misspeculations and no progress report", name, hres.Misspecs)
-					}
-					if hres.Misspecs > 0 {
-						continue
-					}
-					if vres != nil && shards == 1 && hres.Traffic.ControlMessages != vres.Traffic.ControlMessages+reports {
-						t.Errorf("%s: clean run moved %d control messages, want vtime's %d + %d reports (%d waits)",
-							name, hres.Traffic.ControlMessages, vres.Traffic.ControlMessages, reports, waits)
-					}
+					vres = &res
+				}
+				hres, count, err := runCounted(b, in, paradigm, cores)
+				if err != nil {
+					t.Fatalf("%s: host: %v", name, err)
+				}
+				if hres.Checksum != seqCheck {
+					t.Errorf("%s: checksum %#x, want sequential %#x", name, hres.Checksum, seqCheck)
+				}
+				if vres != nil && (hres.Committed != vres.Committed || hres.Misspecs != vres.Misspecs) {
+					t.Errorf("%s: committed/misspecs %d/%d, vtime %d/%d",
+						name, hres.Committed, hres.Misspecs, vres.Committed, vres.Misspecs)
+				}
+				if hres.SubTXs != count("subtx.executed") || hres.SubTXs == 0 {
+					t.Errorf("%s: Result.SubTXs %d, subtx.executed %d", name, hres.SubTXs, count("subtx.executed"))
+				}
+				reports, waits := count("window.reports"), count("window.waits")
+				if hres.Misspecs > 0 && reports == 0 {
+					t.Errorf("%s: %d misspeculations and no progress report", name, hres.Misspecs)
+				}
+				if hres.Misspecs > 0 {
+					continue
+				}
+				if vres != nil && hres.Traffic.ControlMessages != vres.Traffic.ControlMessages+reports {
+					t.Errorf("%s: clean run moved %d control messages, want vtime's %d + %d reports (%d waits)",
+						name, hres.Traffic.ControlMessages, vres.Traffic.ControlMessages, reports, waits)
 				}
 			}
 		}
@@ -116,7 +108,7 @@ func TestBoundedRunAheadWaste(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, count, err := runCounted(b, Input{Scale: 1, Seed: 42, MisspecRate: 0.05}, DSMTX, 5, 1)
+	res, count, err := runCounted(b, Input{Scale: 1, Seed: 42, MisspecRate: 0.05}, DSMTX, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,12 +13,13 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# The sweep digest moved when fault injection left the product: Figure R's
-# section (its title, header, rule and four rows) left -all, every other
-# line of the sweep stayed byte-identical, and the sweep simulates 263
-# points instead of 267 (Figure R's four straggler runs; its clean runs
-# are Figure 4's points).
-sweep=5a96c04dcaa23bc9fea6367895e91666ff9cdc66cea25b9bda993500e3186f8b
+# The sweep digest moved when commit sharding left the product: Figure S's
+# section (its title, header, rule, six rows and blank line) left -all,
+# every other line of the sweep stayed byte-identical, and the sweep
+# simulates 239 points instead of 263 (Figure S's 24 runs at 512 and 1024
+# cores). Before that it moved when fault injection left: Figure R's block
+# went, 267 points to 263.
+sweep=fecddff4fa70a5e4cce1355b0882fe1329d95f8908cf192bdb7315fcfb79af70
 figure3=d2fd41ade22e305e5b90554f65121d65c9357af6b069b07484052bcdc8714e08
 
 work=$(mktemp -d)

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # smoke: one end-to-end run per execution surface — the vtime tracer, vtime
-# recovery, the live host backend (plain, traced, commit-sharded) and the
+# recovery, the live host backend (plain and traced) and the
 # multi-process net backend (both paradigms). Every row must exit 0 (dsmtxrun fails on a
 # checksum MISMATCH) and, as a second check, print VERIFIED; a row that names
 # a trace file has it validated by tracecheck. Binaries and artefacts live in
@@ -35,8 +35,6 @@ row misspec misspec.json ./dsmtxrun -bench 197.parser -cores 5 -misspec 0.05 -tr
 row host - ./dsmtxrun -bench crc32 -cores 8 -misspec 0.02 -backend host
 # Same with the wall-clock tracer: "clock":"wall", per-track monotone.
 row host-trace host.json ./dsmtxrun -bench crc32 -cores 8 -misspec 0.02 -backend host -trace host.json
-# Four commit shards: consistent-hash ownership, cross-shard votes and recovery.
-row shard - ./dsmtxrun -bench crc32 -cores 16 -commit-shards 4 -misspec 0.02 -backend host
 # Two daemon OS processes on loopback TCP: recovery, whose ERM/FLQ/SEQ/RFP
 # breakdown must come back from the commit daemon and whose executed-subTX
 # count is folded over both, then the one benchmark that chains invocations

@@ -174,96 +174,6 @@ func TestCheckWallClockRules(t *testing.T) {
 	}
 }
 
-// shardTrace produces a trace from a sharded-commit run, so the export
-// exercises the cross-shard vocabulary (per-shard commit spans, vote
-// instants, vote waits) on either backend. gzip's bulk output regularly
-// straddles 64-page owner blocks, so multi-shard MTXs — and hence votes —
-// are guaranteed.
-func shardTrace(t *testing.T, backend core.Backend) []byte {
-	t.Helper()
-	b, err := workloads.ByName("164.gzip")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := trace.New()
-	if _, err := workloads.RunParallel(b, workloads.DefaultInput(), workloads.DSMTX, 12,
-		func(cfg *core.Config) {
-			cfg.Tracer = tr
-			cfg.Backend = backend
-			cfg.CommitShards = 4
-		}); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestCheckAcceptsShardedTraces validates real sharded-commit traces on both
-// backends: the cross-shard vocabulary passes the name gate (with wall-clock
-// monotonicity on the host), and the vote instants actually appear.
-func TestCheckAcceptsShardedTraces(t *testing.T) {
-	for _, bk := range []struct {
-		name    string
-		backend core.Backend
-	}{{"vtime", core.BackendVTime}, {"host", core.BackendHost}} {
-		data := shardTrace(t, bk.backend)
-		summary, err := check(data)
-		if err != nil {
-			t.Fatalf("%s: check rejected a sharded trace: %v", bk.name, err)
-		}
-		if !strings.Contains(summary, "spans") {
-			t.Fatalf("%s: summary: %q", bk.name, summary)
-		}
-		for _, name := range []string{trace.SpanShardCommit.String(), trace.InstShardVote.String()} {
-			if !bytes.Contains(data, []byte(`"`+name+`"`)) {
-				t.Errorf("%s: sharded trace missing %q events", bk.name, name)
-			}
-		}
-	}
-}
-
-// TestCheckCommitShardVocabulary covers the cross-shard names as a table:
-// the published spellings pass (including under wall-clock monotonicity on
-// one commit-shard track), and near-miss spellings fail the name gate.
-func TestCheckCommitShardVocabulary(t *testing.T) {
-	const meta = `{"name":"thread_name","ph":"M","pid":0,"tid":0,"args":{"name":"commit.shard1"}}`
-	cases := []struct {
-		name string
-		data string
-		want string // error substring; empty = must pass
-	}{
-		{"shard vocabulary accepted", `{"traceEvents":[` + meta + `,
-			{"name":"commit.shard","ph":"X","pid":0,"tid":0,"ts":0,"dur":2},
-			{"name":"commit.shard.vote","ph":"i","s":"t","pid":0,"tid":0,"ts":3},
-			{"name":"commit.shard.votewait","ph":"X","pid":0,"tid":0,"ts":4,"dur":1}],
-			"clock":"wall"}`, ""},
-		{"shard wall regression rejected", `{"traceEvents":[` + meta + `,
-			{"name":"commit.shard","ph":"X","pid":0,"tid":0,"ts":9,"dur":1},
-			{"name":"commit.shard.vote","ph":"i","s":"t","pid":0,"tid":0,"ts":4}],
-			"clock":"wall"}`, "regresses"},
-		{"misspelled shard span rejected", `{"traceEvents":[` + meta + `,
-			{"name":"commit.shards","ph":"X","pid":0,"tid":0,"ts":0,"dur":1}]}`,
-			"not in the tracer vocabulary"},
-		{"misspelled vote instant rejected", `{"traceEvents":[` + meta + `,
-			{"name":"commit.shard","ph":"X","pid":0,"tid":0,"ts":0,"dur":1},
-			{"name":"commit.shard.votes","ph":"i","s":"t","pid":0,"tid":0,"ts":2}]}`,
-			"not in the tracer vocabulary"},
-	}
-	for _, tc := range cases {
-		_, err := check([]byte(tc.data))
-		if tc.want == "" {
-			if err != nil {
-				t.Errorf("%s: unexpected error: %v", tc.name, err)
-			}
-		} else if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
-		}
-	}
-}
-
 func TestCheckRejectsMalformedTraces(t *testing.T) {
 	cases := []struct {
 		name string

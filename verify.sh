@@ -59,7 +59,7 @@ go test -race ./internal/platform/... ./internal/cluster/ ./internal/netrun/ ./c
 # (race-instrumented) test binary as a two-daemon loopback fleet, so a real
 # multi-process TCP run of every workload, under both paradigms, must reach
 # the sequential checksum with committed/misspec counts equal to vtime, and
-# three config knobs must verify there too (≈ 75 s of tests under -race on
+# two config knobs must verify there too (≈ 75 s of tests under -race on
 # 2 CPUs, the Net test ≈ 68 s of it; the two GOMAXPROCS rows below run it
 # again at each width).
 go test -race ./internal/workloads/ -run TestBackendEquivalence
@@ -76,22 +76,17 @@ go test -run=NONE -fuzz FuzzWireRoundTrip -fuzztime 10s ./internal/wire/
 # reply can hold the budget; capped at 10 executions, the 10 s go to new
 # inputs (≈ 20 k a second on a 2-CPU box).
 go test -run=NONE -fuzz FuzzCorePayloads -fuzztime 10s -fuzzminimizetime 10x ./internal/core/
-# The sharded commit pipeline adds AnySource control mailboxes and the
-# cross-shard vote protocol to the live-goroutine surface; its dedicated
-# commit-shard tests (TestCrossShardCommit, ...MatchesSingleShard,
-# ...DeterministicRepeat, ...DeterministicConcurrent) run under the race
-# detector too.
-go test -race ./internal/core/ -run TestCrossShard
-# Mailbox delivery and the per-commit-unit page servers behave
-# differently under different scheduler pressure: GOMAXPROCS=2 forces heavy contention and
-# parking (producers outnumber cores), GOMAXPROCS=8 maximises true parallelism.
+# Mailbox delivery and the page server behave differently under different
+# scheduler pressure: GOMAXPROCS=2 forces heavy contention and parking
+# (producers outnumber cores), GOMAXPROCS=8 maximises true parallelism.
 # Pinning both in CI surfaces interleaving-dependent bugs here rather than on a
-# loaded box. The backend-equivalence pattern includes the CommitShards
-# sweep, and the core cross-shard, page-placement and lifecycle-span tests
-# (the Tracer recording from live goroutines) ride along at both widths. So
+# loaded box. The core page-placement and lifecycle-span tests (the Tracer
+# recording from live goroutines) ride along at both widths, and so does the
+# whole-image test (every workload's committed image, vtime and host, against
+# the sequential one). So
 # does everything that exercises bounded run-ahead — a blocking wait at the
 # head of every pipeline, in every epoch of a live run, must be wedge-free at
-# both widths: the workloads sweep (its misspeculating one-shard cells),
+# both widths: the workloads sweep (its misspeculating cells),
 # core's recovery tests and seeded random sweep on host (clean programs
 # included, at least one of which must wait), netrun's two-daemon
 # recovering 197.parser (first stage and commit unit in different processes)
@@ -105,14 +100,14 @@ go test -race ./internal/core/ -run TestCrossShard
 # both widths. Live recovery re-arms only the pages that changed, from a
 # stale list each rank receives after the last barrier: core's selective
 # re-arm fixture (the commit unit's word, a squashed store) rides along. The
-# Committer hook runs on the commit goroutine after the votes while a Program
+# Committer hook runs on the commit goroutine while a Program
 # value shared with the test records it: core's hook test (once per MTX, in
 # order, recovery's re-executions included) rides along too. A page reply
 # lends the snapshot's frames, read by several worker goroutines at once:
 # core's lent-frame test rides along as well. So do the delivery rule's
 # host tests (traffic sent before its tag is registered, conflicting
 # senders on one tag) and the never-dialing mesh peer.
-live='TestBackendEquivalence|TestCrossShard|TestPageServicePlacement|TestLifecycleSpans|TestSelectiveRearm|TestCommitterHook|TestServedFrameIsLent'
+live='TestBackendEquivalence|TestCommittedImageMatchesSequential|TestPageServicePlacement|TestLifecycleSpans|TestSelectiveRearm|TestCommitterHook|TestServedFrameIsLent'
 live+='|TestBoundedRunAhead|TestLiveRecoverySweep|TestMisspecOnFirstIteration|TestBackToBackMisspecs|TestMisspecStorm'
 live+='|TestTLSRecovery|TestRecoveryProperty|TestConflictDetectionProperty|TestBulkReadConflict|TestConnectRunsSuccessiveJobs|TestThreeDaemons'
 live+='|TestRecycledBatchesStress|TestCrossDaemonBatchNeverReturnsToSender|TestDeliveryConformance'
@@ -121,9 +116,8 @@ livepkgs='./internal/workloads/ ./internal/core/ ./internal/netrun/ ./internal/q
 GOMAXPROCS=2 go test -race -count=1 $livepkgs -run "$live"
 GOMAXPROCS=8 go test -race -count=1 $livepkgs -run "$live"
 # The whole bounded run-ahead sweep: every workload x paradigm, clean and
-# misspeculating, one, two and four commit shards, each cross-checked against
-# vtime at the same shard count (tier-1 runs only the misspeculating
-# one-shard cells, without the cross-check).
+# misspeculating, each cross-checked against vtime (tier-1 runs only the
+# misspeculating cells, without the cross-check).
 go test -count=1 ./internal/workloads/ -run TestBoundedRunAheadSweep -sweep-all
 # bench/ is its own module (BENCHMARK.json's entry point) compiled against
 # this one's internal packages; the root ./... patterns never descend into
