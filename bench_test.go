@@ -183,6 +183,9 @@ func BenchmarkTable1Operations(b *testing.B) {
 }
 
 // --- Ablations (design choices from DESIGN.md §6) ---
+//
+// Each reports DSMTX's vtime speedup over the sequential run, so one run
+// is exact; EXPERIMENTS.md "Ablations" records what they print.
 
 // BenchmarkAblationBatchSize sweeps the queue batch threshold — the lever
 // behind Fig. 5(b) (bigger batches amortize MPI call overhead) and Fig. 6
@@ -238,40 +241,10 @@ func BenchmarkAblationCOAPrefetch(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationCOAGranularity demonstrates §4.2's claim that
-// Copy-On-Access "can be prohibitive if done at a word granularity": the
-// same run with page-granularity transfers vs 64-byte and 8-byte chunks
-// (each chunk a full round trip).
-func BenchmarkAblationCOAGranularity(b *testing.B) {
-	bench, err := workloads.ByName("197.parser")
-	if err != nil {
-		b.Fatal(err)
-	}
-	seq := seqTime(b, bench)
-	for _, grain := range []int{0, 64, 8} {
-		grain := grain
-		name := "page"
-		if grain > 0 {
-			name = itoa(grain) + "B"
-		}
-		b.Run(name, func(b *testing.B) {
-			var res workloads.Result
-			for i := 0; i < b.N; i++ {
-				res, err = workloads.RunParallel(bench, benchInput(), workloads.DSMTX, 32,
-					func(cfg *core.Config) { cfg.COAGrainBytes = grain })
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(seq.Seconds()/res.Elapsed.Seconds(), "speedup")
-		})
-	}
-}
-
 // BenchmarkAblationMarkerFlush sweeps how many iterations of
 // validation/commit stream batch per flush — the decoupling of the
 // try-commit/commit units from the workers' critical path (§3.2): flushing
-// every iteration puts MPI receive overhead on the commit rate.
+// every iteration pays more messages, batching delays each commit.
 func BenchmarkAblationMarkerFlush(b *testing.B) {
 	bench, err := workloads.ByName("052.alvinn")
 	if err != nil {
@@ -295,8 +268,7 @@ func BenchmarkAblationMarkerFlush(b *testing.B) {
 }
 
 // BenchmarkAblationLatency sweeps inter-node latency on a pipelined
-// workload: the Spec-DSWP curve should barely move (the Fig. 1 argument at
-// application scale).
+// workload (the Fig. 1 argument at application scale).
 func BenchmarkAblationLatency(b *testing.B) {
 	bench, err := workloads.ByName("456.hmmer")
 	if err != nil {

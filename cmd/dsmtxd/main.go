@@ -19,8 +19,8 @@
 //
 // As a job server (`dsmtxd serve`) it exposes the job engine over
 // JSON/HTTP: bounded admission and a content-addressed result cache
-// behind three endpoints (POST /jobs, GET /jobs/{id}, GET /stats — see
-// internal/engine.Server):
+// behind four endpoints on one listener (POST /jobs, GET /jobs/{id},
+// GET /stats, GET /metrics — see internal/engine.Server):
 //
 //	dsmtxd serve -listen 127.0.0.1:7800
 //	curl -s -XPOST 'localhost:7800/jobs?wait=1' \
@@ -53,12 +53,11 @@ type options struct {
 	listen string // both roles; empty in daemon role = spawn-local mode
 
 	// serve-role engine sizing.
-	backend     string
-	maxJobs     int
-	queueDepth  int
-	coreBudget  int
-	cacheDir    string
-	metricsAddr string
+	backend    string
+	maxJobs    int
+	queueDepth int
+	coreBudget int
+	cacheDir   string
 
 	// onReady, when set (tests), receives the bound listen address.
 	onReady func(addr string)
@@ -88,7 +87,6 @@ func parseFlags(args []string) (*options, error) {
 		fs.IntVar(&o.queueDepth, "queue-depth", 64, "jobs waiting for a slot before submissions are rejected with 503")
 		fs.IntVar(&o.coreBudget, "core-budget", 0, "bound on the summed cores of running jobs (0 = unlimited)")
 		fs.StringVar(&o.cacheDir, "cache", defaultCacheDir(), "directory for the content-addressed result cache (\"\" disables)")
-		fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve a live JSON metrics snapshot at http://ADDR/metrics (e.g. 127.0.0.1:9090)")
 		if err := fs.Parse(args[1:]); err != nil {
 			return nil, err
 		}
@@ -173,14 +171,6 @@ func runServe(o *options, stop <-chan struct{}) error {
 		Cache:         engine.OpenResultCache(o.cacheDir, os.Stderr),
 	}
 	eng := engine.New(cfg)
-	if o.metricsAddr != "" {
-		stopMetrics, err := cli.ServeMetrics(o.metricsAddr, eng.Metrics())
-		if err != nil {
-			return err
-		}
-		defer stopMetrics()
-		fmt.Printf("dsmtxd: metrics at http://%s/metrics\n", o.metricsAddr)
-	}
 	srv := engine.NewServer(eng)
 	srv.DefaultBackend = o.backend
 

@@ -21,6 +21,8 @@ func TestParseFlagsErrors(t *testing.T) {
 		{Args: []string{"serve", "-backend", "net"}, Want: "unknown -backend"},
 		{Args: []string{"serve", "-max-jobs", "-1"}, Want: ">= 0"},
 		{Args: []string{"serve", "-queue-depth", "-1"}, Want: ">= 0"},
+		// The job listener serves /metrics; there is no second listener.
+		{Args: []string{"serve", "-metrics-addr", "x"}, Want: "flag provided but not defined"},
 	})
 }
 
@@ -42,8 +44,9 @@ func TestParseFlagsRoles(t *testing.T) {
 }
 
 // TestServeLifecycle boots `dsmtxd serve` on an ephemeral port, submits a
-// synchronous job and a detached one over HTTP, reads /stats, then closes
-// the stop channel and requires a clean drain.
+// synchronous job and a detached one over HTTP, reads /stats and /metrics
+// on the same listener, then closes the stop channel and requires a clean
+// drain.
 func TestServeLifecycle(t *testing.T) {
 	o, err := parseFlags([]string{"serve", "-listen", "127.0.0.1:0", "-backend", "vtime", "-cache", ""})
 	if err != nil {
@@ -140,6 +143,23 @@ func TestServeLifecycle(t *testing.T) {
 	resp.Body.Close()
 	if stats.Engine.Completed < 2 {
 		t.Fatalf("completed = %d, want >= 2", stats.Engine.Completed)
+	}
+
+	// The engine's metrics registry, on the job listener.
+	resp, err = http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var metrics struct {
+		Counters map[string]uint64 `json:"counters"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&metrics)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || err != nil {
+		t.Fatalf("/metrics: status %d, decode error %v", resp.StatusCode, err)
+	}
+	if n, ok := metrics.Counters["engine.jobs.submitted"]; !ok || n < 2 {
+		t.Fatalf("/metrics engine.jobs.submitted = %d (present %v), want >= 2", n, ok)
 	}
 
 	// Graceful drain.

@@ -210,7 +210,7 @@ func run(o *options, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "trace: %d events -> %s\n", len(tr.Events()), o.traceOut)
 	}
 
-	head := fmt.Sprintf("%s (%s), %d cores, paradigm %s", b.Name, b.Paradigm, o.spec.Cores, o.spec.Paradigm)
+	head := fmt.Sprintf("%s (%s), %d cores, paradigm %s", b.Name, b.Paradigm(), o.spec.Cores, o.spec.Paradigm)
 	if o.spec.ParsedBackend() == core.BackendVTime {
 		fmt.Fprintln(stdout, head)
 		fmt.Fprintf(stdout, "  sequential      %v\n", seqTime)

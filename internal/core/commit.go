@@ -377,8 +377,6 @@ type pageServer struct {
 	// the page server are separate goroutines, so publication is atomic.
 	snap atomic.Pointer[mem.Image]
 
-	// Requests counts served requests (diagnostic; read after Run joins).
-	Requests uint64
 	// depthHW is the high-water request backlog observed on the server's
 	// mailbox (host + tracer only; the stall report's shard-q column).
 	depthHW int64
@@ -427,7 +425,6 @@ func (ps *pageServer) run(p platform.Proc) {
 		}
 		t0 := tr.Now()
 		req := msg.Payload.(pageReq)
-		ps.Requests++
 		ps.cReq.Inc()
 		ps.cPages.Add(uint64(req.Count))
 		ps.proc.Advance(ps.sys.instrTime(ps.sys.cfg.PageServInstr + 60*int64(req.Count)))
@@ -437,9 +434,6 @@ func (ps *pageServer) run(p platform.Proc) {
 			pages[i] = snap.SharePage(req.Start + uva.PageID(i))
 		}
 		wire := req.Count*(uva.PageSize+8) + 56
-		if req.Grain > 0 {
-			wire = req.Grain + 56 // sub-page chunk (word-granularity ablation)
-		}
 		// RDMA put: wire time only, no per-byte CPU marshalling.
 		ps.comm.Endpoint().SendClass(msg.From, tagPageReply, pages, wire, platform.ClassPage)
 		if ps.hServe != nil {

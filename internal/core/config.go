@@ -105,13 +105,6 @@ type Config struct {
 	// immediately.
 	MarkerFlushIters int
 
-	// COAGrainBytes models Copy-On-Access at sub-page granularity for the
-	// §4.2 ablation ("the round-trip latency induced by COA can be
-	// prohibitive if COA is done at a word granularity"): a fault then
-	// takes PageSize/COAGrainBytes round trips to populate its page.
-	// 0 (the default) is the paper's page granularity.
-	COAGrainBytes int
-
 	// COAPrefetch is how many contiguous non-resident pages one
 	// Copy-On-Access fault pulls (read-ahead extending the paper's
 	// "constructive prefetching" within a page to runs of pages).

@@ -74,9 +74,6 @@ type Entry struct {
 type pageReq struct {
 	Start uva.PageID
 	Count int
-	// Grain, if nonzero, asks for one sub-page chunk of Grain bytes (the
-	// word-granularity COA ablation); Count is 1.
-	Grain int
 }
 
 // wireSize models the on-the-wire footprint of an entry.

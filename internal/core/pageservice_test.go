@@ -99,7 +99,7 @@ func TestPageServicePlacement(t *testing.T) {
 	}
 
 	// The one server served every request, on its own track.
-	served, serveSpans := sys.srv.Requests, uint64(0)
+	serveSpans := uint64(0)
 	if dropped := cfg.Tracer.DroppedSpans(); dropped != 0 {
 		t.Fatalf("%d spans dropped", dropped)
 	}
@@ -121,8 +121,8 @@ func TestPageServicePlacement(t *testing.T) {
 			runFaults++
 		}
 	}
-	if req := cfg.Tracer.Metrics().Counter("coa.requests").Value(); served == 0 || served != req || served != serveSpans {
-		t.Errorf("server counted %d requests, coa.requests %d, serve spans %d", served, req, serveSpans)
+	if req := cfg.Tracer.Metrics().Counter("coa.requests").Value(); req == 0 || req != serveSpans {
+		t.Errorf("coa.requests %d, serve spans %d", req, serveSpans)
 	}
 	if runFaults == 0 {
 		t.Error("no worker faulted on the bulk-read run")

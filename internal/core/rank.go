@@ -88,22 +88,6 @@ func (r *specRank) coaFault(id uva.PageID) *mem.Page {
 	// Requests go to the page server on the commit unit's rank; replies come
 	// back on tagPageReply (one outstanding request per rank).
 	dst := cfg.commitRank()
-	if g := cfg.COAGrainBytes; g > 0 && g < uva.PageSize {
-		// Sub-page COA: populate the faulted page one chunk at a time,
-		// paying a full round trip per chunk — the cost §4.2 avoids by
-		// transferring whole pages.
-		ep := comm.Endpoint()
-		var pg *mem.Page
-		wire := 0
-		for off := 0; off < uva.PageSize; off += g {
-			ep.SendClass(dst, tagPageReq, pageReq{Start: id, Count: 1, Grain: g}, 24, platform.ClassPage)
-			msg, _ := r.pageBox.Recv(comm.Proc())
-			pg = msg.Payload.([]*mem.Page)[0]
-			wire += msg.Bytes
-		}
-		sys.tr.Span(trace.SpanCOA, comm.Rank(), spanStart, uint64(id), 1, int64(wire))
-		return pg
-	}
 	if id == c.nextSeq && c.window > 0 {
 		c.window *= 2
 		if c.window > cfg.COAPrefetch {

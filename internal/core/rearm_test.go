@@ -5,6 +5,7 @@ import (
 
 	"dsmtx/internal/mem"
 	"dsmtx/internal/pipeline"
+	"dsmtx/internal/trace"
 	"dsmtx/internal/uva"
 )
 
@@ -104,14 +105,19 @@ func TestSelectiveRearm(t *testing.T) {
 	}
 	want := ref.digest(seqImg)
 
+	// The server's request count is read from coa.requests through a
+	// metrics-only tracer; tracing never changes a vtime outcome.
+	coaRequests := func() uint64 { return cfg.Tracer.Metrics().Counter("coa.requests").Value() }
+	cfg.Tracer = trace.NewMetricsOnly()
 	vprog := &rearmProg{n: n, rare: rare}
 	vsys, vres := runProg(t, cfg, vprog)
 	if got := vprog.digest(vsys.CommitImage()); got != want || vres.Misspecs != uint64(len(rare)) {
 		t.Fatalf("vtime: digest %#x misspecs %d, want %#x and %d", got, vres.Misspecs, want, len(rare))
 	}
-	full := vsys.srv.Requests
+	full := coaRequests()
 
 	cfg.Backend = BackendHost
+	cfg.Tracer = trace.NewMetricsOnly()
 	prog := &rearmProg{n: n, rare: rare}
 	sys, res := runProg(t, cfg, prog)
 	if got := prog.digest(sys.CommitImage()); got != want {
@@ -121,7 +127,7 @@ func TestSelectiveRearm(t *testing.T) {
 		t.Errorf("host: committed %d misspecs %d, want %d and vtime's %d",
 			res.Committed, res.Misspecs, n, vres.Misspecs)
 	}
-	got := sys.srv.Requests
+	got := coaRequests()
 	t.Logf("host: %d Copy-On-Access requests; vtime: %d", got, full)
 	if 3*got > full {
 		t.Errorf("host: %d Copy-On-Access requests, want <= a third of vtime's full re-arm (%d)", got, full)

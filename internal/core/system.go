@@ -339,20 +339,12 @@ func (s *System) newQueue(name string, src, dst int) *queue.Queue[Entry] {
 }
 
 // wiringEdges reports every stage edge the system must create queues for:
-// the plan's edges plus the implicit route-record edge feeder→sink.
+// the plan's adjacent edges plus the route-record edge feeder→sink, which
+// spans the routed stage and so is never adjacent.
 func (s *System) wiringEdges() [][2]int {
 	edges := s.cfg.Plan.Edges()
 	if s.routedStage >= 0 && s.routeSink >= 0 {
-		feeder := s.routedStage - 1
-		found := false
-		for _, e := range edges {
-			if e == [2]int{feeder, s.routeSink} {
-				found = true
-			}
-		}
-		if !found {
-			edges = append(edges, [2]int{feeder, s.routeSink})
-		}
+		edges = append(edges, [2]int{s.routedStage - 1, s.routeSink})
 	}
 	return edges
 }

@@ -25,8 +25,7 @@ type tcNode struct {
 	routes     map[uint64]int // iter -> pool index of routed stage
 	nextIter   uint64
 
-	// Validated counts, for tests.
-	Checked   uint64
+	// Conflicts counts failed validations, for tests.
 	Conflicts uint64
 }
 
@@ -101,12 +100,10 @@ func (t *tcNode) drainSub(tid int, iter uint64) (ok, term bool) {
 		case entWriteBlk:
 			t.img.StoreBytes(e.Addr, e.Payload.([]byte))
 		case entRead:
-			t.Checked++
 			if t.img.Load(e.Addr) != e.Val {
 				ok = false
 			}
 		case entReadBlk:
-			t.Checked++
 			t.proc.Advance(t.sys.instrTime(int64(float64(e.Bytes) * t.sys.cfg.BulkInstrPerByte)))
 			if t.img.ChecksumRange(e.Addr, e.Bytes) != e.Val {
 				ok = false

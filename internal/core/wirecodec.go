@@ -81,13 +81,11 @@ func init() {
 			r := v.(pageReq)
 			e.U64(uint64(r.Start))
 			e.Uvarint(uint64(r.Count))
-			e.Uvarint(uint64(r.Grain))
 		},
 		func(d *wire.Decoder) any {
 			var r pageReq
 			r.Start = uva.PageID(d.U64())
 			r.Count = d.Int()
-			r.Grain = d.Int()
 			return r
 		})
 

@@ -22,7 +22,7 @@ func TestControlPayloadsRoundTrip(t *testing.T) {
 		ctrlMsg{epoch: 1<<63 + 5, progress: 1<<40 + 1},
 		ctrlMsg{epoch: 7, rearm: true},
 		ctrlMsg{epoch: 8, rearm: true, stale: []uva.PageID{0, 0x1234_5678_9abc, 1<<52 - 1, 9}},
-		pageReq{Start: 0x1234_5678_9abc, Count: 8, Grain: 512},
+		pageReq{Start: 0x1234_5678_9abc, Count: 8},
 	} {
 		var e wire.Encoder
 		if err := e.Payload(want); err != nil {
@@ -94,7 +94,7 @@ func FuzzCorePayloads(f *testing.F) {
 	pg.Words[0], pg.Words[uva.PageWords-1] = 7, 9
 	for _, v := range []any{
 		ctrlMsg{epoch: 8, restart: 3, progress: 96, done: true, rearm: true, stale: []uva.PageID{0, 9}},
-		pageReq{Start: 0x1234_5678_9abc, Count: 8, Grain: 512},
+		pageReq{Start: 0x1234_5678_9abc, Count: 8},
 		[]*mem.Page{&pg},
 	} {
 		var e wire.Encoder

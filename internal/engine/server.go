@@ -16,12 +16,13 @@ import (
 )
 
 // Server exposes an Engine over JSON/HTTP — the `dsmtxd serve` job-serving
-// path. The protocol is three endpoints:
+// path. The protocol is four endpoints:
 //
 //	POST /jobs        submit a JobSpec; ?wait=1 blocks for the Result,
 //	                  otherwise 202 + {"id": N} and the job runs detached
 //	GET  /jobs/{id}   a detached job's status and, once done, its Result
 //	GET  /stats       engine counters plus the result cache footprint
+//	GET  /metrics     a live JSON snapshot of the engine's metrics registry
 //
 // Admission rejections map to 503 (clients back off and retry), spec
 // errors to 400 (413 for a body over maxSpecBytes), execution failures to
@@ -70,6 +71,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/jobs", s.handleJobs)
 	mux.HandleFunc("/jobs/", s.handleJobByID)
 	mux.HandleFunc("/stats", s.handleStats)
+	mux.HandleFunc("/metrics", s.handleMetrics)
 	return mux
 }
 
@@ -95,6 +97,17 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		reply.Cache = &st
 	}
 	writeJSON(w, http.StatusOK, reply)
+}
+
+// handleMetrics writes the registry's live snapshot; instruments update
+// atomically, so sampling mid-job is safe.
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet {
+		httpError(w, http.StatusMethodNotAllowed, "GET only")
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	s.eng.Metrics().WriteJSON(w)
 }
 
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {

@@ -58,7 +58,7 @@ type Fig4Series struct {
 // Fig. 4): the sequential reference plus a DSMTX and a TLS run per core
 // count, each raised to the plan's minimum.
 func (r *Runner) RunFigure4(b *workloads.Benchmark, in workloads.Input, cores []int) (Fig4Series, error) {
-	out := Fig4Series{Bench: b.Name, Paradigm: b.Paradigm}
+	out := Fig4Series{Bench: b.Name, Paradigm: b.Paradigm()}
 	specs := []job.Spec{seqJob(b.Name, in, job.KnobNone)}
 	for _, c := range cores {
 		c = clampCores(b, in, c)
@@ -299,7 +299,7 @@ func RenderFigure6(rows []Fig6Row) string {
 func RenderTable2() string {
 	tb := stats.Table{Header: []string{"Benchmark", "Source Suite", "Description", "Parallelization Paradigm", "Speculation"}}
 	for _, b := range workloads.All() {
-		tb.AddRow(b.Name, b.Suite, b.Description, b.Paradigm, b.SpecTypes)
+		tb.AddRow(b.Name, b.Suite, b.Description, b.Paradigm(), b.SpecTypes)
 	}
 	return "Table 2: Benchmark Details\n" + tb.String()
 }

@@ -144,11 +144,11 @@ func (c *Cluster) Run(s JobSpec) (Result, error) {
 // distribute it, wait until every daemon has accepted it, start them all,
 // and collect every daemon's result. The spec's backend must be net.
 //
-// JobOK then Start is the acceptance barrier: the accepting end of a mesh
-// link has no give-up timer, so a rank that ran before a peer refused the
-// spec would wait forever for a dial that never comes. After Start each
-// daemon walks the whole invocation chain on its own; the mesh's
-// generation tags order the invocations.
+// JobOK then Start is the acceptance barrier: a daemon that refuses the
+// spec fails the job at once with its typed error, instead of leaving its
+// peers' mesh links to wait out dialGiveUp for a dial that never comes.
+// After Start each daemon walks the whole invocation chain on its own; the
+// mesh's generation tags order the invocations.
 func (c *Cluster) RunJob(spec job.Spec) (Result, error) {
 	spec = spec.Normalized()
 	_, err := netChain(spec)

@@ -15,17 +15,13 @@ import (
 	"dsmtx/internal/wire"
 )
 
-// DaemonMain is the spawn-local daemon entry point: bind a listener
-// (loopback/ephemeral unless ListenEnv overrides), advertise it on stdout,
-// serve one coordinator session (a stream of jobs on one control
-// connection), and exit when the coordinator hangs up. Binaries call it
-// from main/TestMain when DaemonEnv is set, before any flag parsing.
+// DaemonMain is the spawn-local daemon entry point: bind an ephemeral
+// loopback listener, advertise it on stdout, serve one coordinator session
+// (a stream of jobs on one control connection), and exit when the
+// coordinator hangs up. Binaries call it from main/TestMain when DaemonEnv
+// is set, before any flag parsing.
 func DaemonMain() int {
-	addr := os.Getenv(ListenEnv)
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	ln, err := gonet.Listen("tcp", addr)
+	ln, err := gonet.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dsmtxd: %v\n", err)
 		return 1

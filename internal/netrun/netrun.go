@@ -26,10 +26,6 @@ import (
 // that links netrun can re-exec itself as a daemon fleet.
 const DaemonEnv = "DSMTX_NET_DAEMON"
 
-// ListenEnv optionally overrides the spawn-local daemon's listen address
-// (default loopback with an ephemeral port).
-const ListenEnv = "DSMTX_NET_LISTEN"
-
 // listenLine is the advertisement a daemon prints on stdout once its
 // listener is bound; the coordinator scrapes the address after it.
 const listenLine = "DSMTXD LISTEN "

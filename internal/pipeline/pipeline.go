@@ -33,13 +33,11 @@ type Stage struct {
 	Name string // optional diagnostic label, e.g. "read", "compress", "write"
 }
 
-// Plan is a parallelization scheme: the stages plus any non-adjacent
-// forwarding edges the workload needs (for example a first stage routing
-// work-distribution decisions directly to the last stage, as 179.art does).
+// Plan is a parallelization scheme: a sequence of stages, each forwarding
+// to the next.
 type Plan struct {
-	Name       string // paper notation, e.g. "Spec-DSWP+[S,DOALL,S]"
-	Stages     []Stage
-	ExtraEdges [][2]int // stage pairs (from < to) beyond adjacent ones
+	Name   string // paper notation, e.g. "Spec-DSWP+[S,DOALL,S]"
+	Stages []Stage
 
 	// Sync adds an intra-stage ring of synchronization queues over the
 	// (single) parallel stage's pool: worker i forwards to worker i+1.
@@ -58,11 +56,6 @@ func (p Plan) Validate() error {
 	if len(p.Stages) == 0 {
 		return fmt.Errorf("pipeline: plan %q has no stages", p.Name)
 	}
-	for _, e := range p.ExtraEdges {
-		if e[0] < 0 || e[1] >= len(p.Stages) || e[0] >= e[1] {
-			return fmt.Errorf("pipeline: plan %q has bad edge %v", p.Name, e)
-		}
-	}
 	return nil
 }
 
@@ -80,22 +73,12 @@ func (p Plan) ParallelStages() int {
 	return n
 }
 
-// Edges lists every forwarding edge: adjacent stages plus extras,
-// deduplicated, in (from, to) order.
+// Edges lists the forwarding edges, one per adjacent stage pair, in
+// (from, to) order.
 func (p Plan) Edges() [][2]int {
-	seen := make(map[[2]int]bool)
 	var edges [][2]int
-	add := func(e [2]int) {
-		if !seen[e] {
-			seen[e] = true
-			edges = append(edges, e)
-		}
-	}
 	for s := 0; s+1 < len(p.Stages); s++ {
-		add([2]int{s, s + 1})
-	}
-	for _, e := range p.ExtraEdges {
-		add(e)
+		edges = append(edges, [2]int{s, s + 1})
 	}
 	return edges
 }

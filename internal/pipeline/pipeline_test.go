@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -95,26 +96,13 @@ func TestWorkerOfRoundRobin(t *testing.T) {
 	}
 }
 
-func TestEdgesAdjacentPlusExtra(t *testing.T) {
-	p := SpecDSWP("S", "DOALL", "S")
-	p.ExtraEdges = [][2]int{{0, 2}, {0, 1}} // {0,1} duplicates an adjacent edge
-	edges := p.Edges()
-	want := map[[2]int]bool{{0, 1}: true, {1, 2}: true, {0, 2}: true}
-	if len(edges) != 3 {
-		t.Fatalf("edges = %v", edges)
+func TestEdgesAdjacent(t *testing.T) {
+	edges := SpecDSWP("S", "DOALL", "S", "S").Edges()
+	if want := [][2]int{{0, 1}, {1, 2}, {2, 3}}; !reflect.DeepEqual(edges, want) {
+		t.Fatalf("edges = %v, want %v", edges, want)
 	}
-	for _, e := range edges {
-		if !want[e] {
-			t.Errorf("unexpected edge %v", e)
-		}
-	}
-}
-
-func TestPlanValidateBadEdge(t *testing.T) {
-	p := SpecDSWP("S", "DOALL", "S")
-	p.ExtraEdges = [][2]int{{2, 1}}
-	if err := p.Validate(); err == nil {
-		t.Fatal("backward edge accepted")
+	if edges := SpecDOALL().Edges(); len(edges) != 0 {
+		t.Fatalf("one-stage plan has edges %v", edges)
 	}
 }
 

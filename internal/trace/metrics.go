@@ -284,8 +284,9 @@ func (m *Metrics) Table() *stats.Table {
 
 // WriteJSON renders a point-in-time snapshot of the registry as one JSON
 // object (expvar-style), keyed by instrument family with names sorted
-// alphabetically — the payload of dsmtxrun's -metrics-addr endpoint. Safe
-// to call while instruments are being updated.
+// alphabetically — the payload of dsmtxrun's -metrics-addr endpoint and of
+// dsmtxd serve's GET /metrics. Safe to call while instruments are being
+// updated.
 func (m *Metrics) WriteJSON(w io.Writer) error {
 	doc := map[string]any{
 		"counters":   map[string]any{},

@@ -107,8 +107,9 @@ const helloMagic = 0x58544d44 // "DMTX"
 // 4: one Start runs the whole invocation chain; a version-3 daemon would
 // wait for a second Start after the first invocation. 5: data frames carry
 // no serial number and a Hello no last-received one; a version-4 daemon
-// would misread every Msg frame's generation.
-const helloVersion = 5
+// would misread every Msg frame's generation. 6: core's page-request body
+// carries no chunk size; a version-5 daemon would misread it.
+const helloVersion = 6
 
 // Hello is the first frame on every connection.
 type Hello struct {

@@ -168,18 +168,18 @@ func TestHelloRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestHelloRejectsOldVersion: a version-4 peer (a serial number in every
-// Msg frame) is refused at the handshake, never left to misread frames.
+// TestHelloRejectsOldVersion: a version-5 peer (a chunk size in every
+// page request) is refused at the handshake, never left to misread frames.
 func TestHelloRejectsOldVersion(t *testing.T) {
 	var e Encoder
 	e.U32(helloMagic)
-	e.U8(4)
+	e.U8(5)
 	e.U8(RoleData)
 	e.U64(0)
 	e.Uvarint(0)
 	e.U32(0)
-	if _, err := ParseHello(e.Bytes()); err == nil || !strings.Contains(err.Error(), "hello version 4, want 5") {
-		t.Fatalf("version-4 hello: err = %v", err)
+	if _, err := ParseHello(e.Bytes()); err == nil || !strings.Contains(err.Error(), "hello version 5, want 6") {
+		t.Fatalf("version-5 hello: err = %v", err)
 	}
 }
 

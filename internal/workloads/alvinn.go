@@ -66,7 +66,6 @@ func Alvinn() *Benchmark {
 		Name:        "052.alvinn",
 		Suite:       "SPEC CFP 92",
 		Description: "neural network",
-		Paradigm:    "Spec-DOALL",
 		SpecTypes:   "MV",
 		Invocations: alvEpochs,
 		NewDSMTX:    func(in Input, inv int) Program { return newAlvProg(in, inv) },

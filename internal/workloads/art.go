@@ -49,7 +49,6 @@ func Art() *Benchmark {
 		Name:        "179.art",
 		Suite:       "SPEC CFP 2000",
 		Description: "image recognition",
-		Paradigm:    "Spec-DSWP+[S,DOALL,S]",
 		SpecTypes:   "MV",
 		Invocations: 1,
 		NewDSMTX:    func(in Input, _ int) Program { return newArtProg(in, false) },

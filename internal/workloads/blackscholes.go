@@ -54,7 +54,6 @@ func Blackscholes() *Benchmark {
 		Name:        "blackscholes",
 		Suite:       "PARSEC",
 		Description: "option pricing",
-		Paradigm:    "DSWP+[Spec-DOALL,S]",
 		SpecTypes:   "CFS",
 		Invocations: 1,
 		NewDSMTX:    func(in Input, _ int) Program { return newBSProg(in, false) },

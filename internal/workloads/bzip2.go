@@ -60,7 +60,6 @@ func Bzip2() *Benchmark {
 		Name:        "256.bzip2",
 		Suite:       "SPEC CINT 2000",
 		Description: "file compressor",
-		Paradigm:    "Spec-DSWP+[S,DOALL,S]",
 		SpecTypes:   "CFS,MV",
 		Invocations: 1,
 		NewDSMTX:    func(in Input, _ int) Program { return newBzProg(in, false) },

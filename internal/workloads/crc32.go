@@ -65,7 +65,6 @@ func CRC32() *Benchmark {
 		Name:        "crc32",
 		Suite:       "Ref. Impl.",
 		Description: "polynomial code checksum",
-		Paradigm:    "DSWP+[Spec-DOALL,S]",
 		SpecTypes:   "CFS,MV",
 		Invocations: 1,
 		NewDSMTX:    func(in Input, _ int) Program { return newCRCProg(in, false) },

@@ -56,7 +56,6 @@ func Gzip() *Benchmark {
 		Name:        "164.gzip",
 		Suite:       "SPEC CINT 2000",
 		Description: "file compressor",
-		Paradigm:    "Spec-DSWP+[S,DOALL,S]",
 		SpecTypes:   "MV",
 		Invocations: 1,
 		NewDSMTX:    func(in Input, _ int) Program { return newGzProg(in, false) },

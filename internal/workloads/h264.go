@@ -51,7 +51,6 @@ func H264() *Benchmark {
 		Name:        "464.h264ref",
 		Suite:       "SPEC CINT 2006",
 		Description: "video encoder",
-		Paradigm:    "Spec-DSWP+[DOALL,S]",
 		SpecTypes:   "MV",
 		Invocations: 1,
 		NewDSMTX:    func(in Input, _ int) Program { return newH264Prog(in, false) },
@@ -226,6 +225,7 @@ func (p *h264Prog) SeqIter(ctx *core.SeqCtx, iter uint64) {
 func (p *h264Prog) Checksum(img *mem.Image) uint64 {
 	h := img.Load(p.cursor)
 	h = mix(h, img.Load(p.rate))
+	h = mix(h, img.ChecksumRange(p.strLen, int(p.gops)*8))
 	h = mix(h, img.ChecksumRange(p.stream, int(img.Load(p.cursor))))
 	return h
 }

@@ -50,7 +50,6 @@ func Hmmer() *Benchmark {
 		Name:        "456.hmmer",
 		Suite:       "SPEC CINT 2006",
 		Description: "gene sequence database search",
-		Paradigm:    "Spec-DSWP+[DOALL,S]",
 		SpecTypes:   "MV",
 		Invocations: 1,
 		NewDSMTX:    func(in Input, _ int) Program { return newHmmProg(in, false) },

@@ -105,6 +105,23 @@ func TestH264EncodeDeterministicAndMoving(t *testing.T) {
 	}
 }
 
+// TestH264ChecksumCoversStreamLengths: the per-GoP length words are
+// committed output like the stream itself, so a commit that loses one must
+// change the checksum.
+func TestH264ChecksumCoversStreamLengths(t *testing.T) {
+	c, _, err := sequentialChain(H264(), DefaultInput(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := c.last.(*h264Prog)
+	before := c.Checksum()
+	at := p.strLen + 5*8
+	c.img.Store(at, c.img.Load(at)+1)
+	if c.Checksum() == before {
+		t.Fatal("changing GoP 5's strLen word left the checksum unchanged")
+	}
+}
+
 func TestParserParseBehaviour(t *testing.T) {
 	p := newParProg(DefaultInput(), false)
 	img := seqSetup(t, p)

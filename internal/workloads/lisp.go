@@ -60,7 +60,6 @@ func Lisp() *Benchmark {
 		Name:        "130.li",
 		Suite:       "SPEC CINT 95",
 		Description: "lisp interpreter",
-		Paradigm:    "DSWP+[Spec-DOALL,S]",
 		SpecTypes:   "CFS,MVS,MV",
 		Invocations: 1,
 		NewDSMTX:    func(in Input, _ int) Program { return newLiProg(in, false) },

@@ -58,7 +58,6 @@ func Parser() *Benchmark {
 		Name:        "197.parser",
 		Suite:       "SPEC CINT 2000",
 		Description: "English parser",
-		Paradigm:    "Spec-DSWP+[S,DOALL,S]",
 		SpecTypes:   "CFS,MVS,MV",
 		Invocations: 1,
 		NewDSMTX:    func(in Input, _ int) Program { return newParProg(in, false) },

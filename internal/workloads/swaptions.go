@@ -45,7 +45,6 @@ func Swaptions() *Benchmark {
 		Name:        "swaptions",
 		Suite:       "PARSEC",
 		Description: "portfolio pricing",
-		Paradigm:    "Spec-DOALL",
 		SpecTypes:   "CFS",
 		Invocations: 1,
 		// Both parallelizations are Spec-DOALL, as in the paper.

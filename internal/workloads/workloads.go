@@ -61,7 +61,6 @@ type Benchmark struct {
 	Name        string
 	Suite       string
 	Description string
-	Paradigm    string // DSMTX parallelization, in the paper's notation
 	SpecTypes   string // CFS / MVS / MV
 	// Invocations is the number of parallel invocations chained through
 	// committed memory (e.g. training epochs); 1 for single-loop programs.
@@ -74,6 +73,10 @@ type Benchmark struct {
 	// in; nil when Setup generates none.
 	input func(in Input) inputKey
 }
+
+// Paradigm names the DSMTX parallelization in the paper's notation: its
+// plan's name, so Table 2 reads what runs.
+func (b *Benchmark) Paradigm() string { return b.NewDSMTX(Input{}, 0).Plan().Name }
 
 // All returns the Table 2 benchmarks in the paper's order.
 func All() []*Benchmark {

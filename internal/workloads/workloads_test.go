@@ -104,7 +104,7 @@ func TestRegistryComplete(t *testing.T) {
 			t.Errorf("duplicate benchmark %s", b.Name)
 		}
 		seen[b.Name] = true
-		if b.Paradigm == "" || b.SpecTypes == "" || b.Suite == "" {
+		if b.Paradigm() == "" || b.SpecTypes == "" || b.Suite == "" {
 			t.Errorf("%s: incomplete Table 2 metadata: %+v", b.Name, b)
 		}
 		if _, err := ByName(b.Name); err != nil {

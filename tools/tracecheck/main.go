@@ -9,9 +9,15 @@
 // start-time monotonicity — the exporter sorts each rank's span buffer —
 // and tracecheck enforces it. A file whose top-level "dropped" count is
 // non-zero lost events to full track buffers; tracecheck refuses it, since
-// a timeline with holes reads as idle time that never happened. CI runs it
-// over the traces scripts/smoke.sh produces (vtime, misspeculating vtime,
-// and wall clock).
+// a timeline with holes reads as idle time that never happened.
+//
+// One protocol invariant is checked too (paper §4, the predefined commit
+// order): on the commit unit's track ("commit"), the commit and
+// recovery.SEQ spans together cover MTX 0, 1, 2, ... exactly once each, in
+// ascending order — a recovered MTX is re-executed instead of committed. A
+// span of MTX 0 after a higher MTX starts the next invocation of a chained
+// workload. CI runs tracecheck over the traces scripts/smoke.sh produces
+// (vtime, misspeculating vtime, and wall clock).
 //
 // Usage:
 //
@@ -52,6 +58,34 @@ var metadataNames = map[string]bool{
 	"thread_sort_index": true,
 }
 
+// commitTrack is the commit unit's thread name; commitOrderSpans are the
+// spans that finish an MTX there.
+const commitTrack = "commit"
+
+var commitOrderSpans = map[string]bool{
+	trace.SpanCommit.String(): true,
+	trace.SpanSEQ.String():    true,
+}
+
+// checkCommitOrder requires mtxs, the MTX of each commit-order span on one
+// track in file order, to count up from 0 by one, restarting at 0 only
+// after a higher MTX (the next chained invocation).
+func checkCommitOrder(mtxs []uint64) error {
+	next := uint64(0)
+	for i, m := range mtxs {
+		switch {
+		case m == next:
+			next++
+		case m == 0 && next > 1:
+			next = 1
+		default:
+			return fmt.Errorf("commit order: span %d on the %s track finishes MTX %d, want MTX %d",
+				i, commitTrack, m, next)
+		}
+	}
+	return nil
+}
+
 // usec parses a trace timestamp (a JSON number in microseconds, emitted
 // with nanosecond precision as %d.%03d).
 func usec(raw json.RawMessage) (float64, error) {
@@ -79,7 +113,8 @@ func check(data []byte) (string, error) {
 	eventTids := make(map[int]int)
 	spans, instants := 0, 0
 	kinds := make(map[string]int)
-	lastTs := make(map[int]float64) // tid -> last event ts (wall monotonicity)
+	lastTs := make(map[int]float64)    // tid -> last event ts (wall monotonicity)
+	finished := make(map[int][]uint64) // tid -> MTX of each commit/SEQ span
 	wall := tf.Clock == "wall"
 	if tf.Clock != "" && !wall {
 		return "", fmt.Errorf("unknown clock %q (have wall, or omit for vtime)", tf.Clock)
@@ -93,6 +128,19 @@ func check(data []byte) (string, error) {
 				i, e.Name, ts, prev, *e.Tid)
 		}
 		lastTs[*e.Tid] = ts
+		return nil
+	}
+	// noteFinish records a commit-order span's MTX; a zero-length one is
+	// exported as an instant, so both phases come here.
+	noteFinish := func(i int, e *event) error {
+		if !commitOrderSpans[e.Name] {
+			return nil
+		}
+		mtx, ok := e.Args["mtx"].(float64)
+		if !ok || mtx < 0 {
+			return fmt.Errorf("event %d (%q): no mtx arg", i, e.Name)
+		}
+		finished[*e.Tid] = append(finished[*e.Tid], uint64(mtx))
 		return nil
 	}
 	for i, e := range tf.TraceEvents {
@@ -129,6 +177,9 @@ func check(data []byte) (string, error) {
 			if err := checkMono(i, &e, ts); err != nil {
 				return "", err
 			}
+			if err := noteFinish(i, &e); err != nil {
+				return "", err
+			}
 			spans++
 			kinds[e.Name]++
 			eventTids[*e.Tid]++
@@ -141,6 +192,9 @@ func check(data []byte) (string, error) {
 				return "", fmt.Errorf("event %d (%q): bad ts %s: %v", i, e.Name, e.Ts, err)
 			}
 			if err := checkMono(i, &e, ts); err != nil {
+				return "", err
+			}
+			if err := noteFinish(i, &e); err != nil {
 				return "", err
 			}
 			instants++
@@ -156,6 +210,11 @@ func check(data []byte) (string, error) {
 	for tid := range eventTids {
 		if named[tid] == "" {
 			return "", fmt.Errorf("thread %d has %d events but no thread_name metadata", tid, eventTids[tid])
+		}
+		if named[tid] == commitTrack {
+			if err := checkCommitOrder(finished[tid]); err != nil {
+				return "", err
+			}
 		}
 	}
 	clk := "vtime"

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -199,6 +200,66 @@ func TestCheckRejectsMalformedTraces(t *testing.T) {
 	}
 	for _, tc := range cases {
 		if _, err := check([]byte(tc.data)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestCheckRejectsCommitOrderFixtures: three hand-edited cuts of a
+// recovering 197.parser vtime trace's commit track — one commit dropped,
+// one duplicated, two swapped. Each is a well-formed trace; each breaks the
+// predefined commit order.
+func TestCheckRejectsCommitOrderFixtures(t *testing.T) {
+	for _, name := range []string{"commit_dropped.json", "commit_duplicated.json", "commit_swapped.json"} {
+		data, err := os.ReadFile("testdata/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := check(data); err == nil || !strings.Contains(err.Error(), "commit order") {
+			t.Errorf("%s: err = %v, want a commit-order error", name, err)
+		}
+	}
+}
+
+// TestCheckCommitOrderRules: commit and recovery.SEQ spans on the commit
+// track count up from MTX 0 together; MTX 0 after a higher MTX starts the
+// next chained invocation; other tracks are not held to the order.
+func TestCheckCommitOrderRules(t *testing.T) {
+	const meta = `{"name":"thread_name","ph":"M","pid":0,"tid":4,"args":{"name":"commit"}},
+		{"name":"thread_name","ph":"M","pid":0,"tid":0,"args":{"name":"worker0"}}`
+	span := func(name string, mtx int) string {
+		return fmt.Sprintf(`,{"name":%q,"ph":"X","pid":0,"tid":4,"ts":%d,"dur":1,"args":{"mtx":%d}}`, name, mtx, mtx)
+	}
+	commits := func(mtxs ...int) string {
+		s := ""
+		for _, m := range mtxs {
+			s += span("commit", m)
+		}
+		return s
+	}
+	cases := []struct {
+		name, events, want string // want: error substring; empty = must pass
+	}{
+		{"ascending", commits(0, 1, 2, 3), ""},
+		{"SEQ finishes a recovered MTX", commits(0, 1) + span("recovery.SEQ", 2) + commits(3), ""},
+		{"chained invocations", commits(0, 1, 2, 0, 1, 2, 3, 0), ""},
+		{"zero-length commit exported as an instant", commits(0) +
+			`,{"name":"commit","ph":"i","s":"t","pid":0,"tid":4,"ts":5,"args":{"mtx":2}}`, "finishes MTX 2, want MTX 1"},
+		{"skipped MTX", commits(0, 2), "finishes MTX 2, want MTX 1"},
+		{"SEQ and commit of one MTX", commits(0, 1) + span("recovery.SEQ", 1), "finishes MTX 1, want MTX 2"},
+		{"repeated MTX 0", commits(0, 0), "finishes MTX 0, want MTX 1"},
+		{"not from MTX 0", commits(1, 2), "finishes MTX 1, want MTX 0"},
+		{"other tracks unordered", commits(0, 1) +
+			`,{"name":"commit","ph":"X","pid":0,"tid":0,"ts":0,"dur":1,"args":{"mtx":7}}`, ""},
+		{"no mtx arg", `,{"name":"commit","ph":"X","pid":0,"tid":4,"ts":0,"dur":1}`, "no mtx arg"},
+	}
+	for _, tc := range cases {
+		_, err := check([]byte(`{"traceEvents":[` + meta + tc.events + `]}`))
+		if tc.want == "" {
+			if err != nil {
+				t.Errorf("%s: unexpected error: %v", tc.name, err)
+			}
+		} else if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
 		}
 	}

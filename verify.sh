@@ -26,6 +26,10 @@ go run ./tools/deadcode
 # none can rot (numbers: EXPERIMENTS.md "The 164.gzip kernel, layer by
 # layer", "serve-mix by job class" and "The host mailbox layer").
 go test -run NONE -bench 'GzipKernel|GzInput|CRC32Kernel|Mailbox' -benchtime 1x ./internal/workloads/ ./internal/platform/host/
+# The design-choice ablations (batch size, COA read-ahead, marker flushing,
+# inter-node latency), one run each so none can rot; their numbers are
+# virtual time, so deterministic (EXPERIMENTS.md "Ablations").
+go test -run NONE -bench Ablation -benchtime 1x .
 # The sim kernel hosts processes on real goroutines; everything above it is
 # cooperative, but the handoff protocol itself must stay race-clean.
 go test -race ./internal/sim/
