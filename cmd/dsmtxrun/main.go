@@ -149,15 +149,15 @@ func main() {
 	cli.Main("dsmtxrun", parseFlags, func(o *options) error { return run(o, os.Stdout) })
 }
 
-// reportOutput prints the report's verdict line — the parallel checksum
-// against the sequential reference's — and returns an error on a mismatch,
-// so a wrong answer fails the command.
-func reportOutput(stdout io.Writer, parallel, sequential uint64) error {
-	if parallel != sequential {
-		fmt.Fprintf(stdout, "  output          MISMATCH: parallel %#x, sequential %#x\n", parallel, sequential)
-		return fmt.Errorf("output MISMATCH: parallel checksum %#x, sequential %#x", parallel, sequential)
+// reportOutput prints the report's verdict line — the engine's verdict on
+// the parallel checksum against the sequential reference's — and returns an
+// error on a mismatch, so a wrong answer fails the command.
+func reportOutput(stdout io.Writer, res engine.Result) error {
+	if !res.Verified {
+		fmt.Fprintf(stdout, "  output          MISMATCH: parallel %#x, sequential %#x\n", res.Checksum, res.SeqCheck)
+		return fmt.Errorf("output MISMATCH: parallel checksum %#x, sequential %#x", res.Checksum, res.SeqCheck)
 	}
-	fmt.Fprintf(stdout, "  output          VERIFIED (checksum %#x matches sequential)\n", parallel)
+	fmt.Fprintf(stdout, "  output          VERIFIED (checksum %#x matches sequential)\n", res.Checksum)
 	return nil
 }
 
@@ -176,20 +176,12 @@ func run(o *options, stdout io.Writer) error {
 	}
 
 	// Every execution routes through the job engine: the report below is
-	// one Submit for the sequential reference and one for the parallel run
-	// (unbounded admission — a CLI invocation is its own client).
+	// one verified Submit (unbounded admission — a CLI invocation is its own
+	// client). The engine resolves the sequential reference, which always
+	// runs in virtual time: it is the cost model's baseline and, for the
+	// live backends, the checksum oracle.
 	eng := engine.New(engine.Config{})
 	defer eng.Close()
-
-	// The sequential reference always runs in virtual time: it is the cost
-	// model's baseline and, for the live backends, the checksum oracle.
-	seqRes, err := eng.Submit(context.Background(), job.Spec{
-		Kind: job.KindSeq, Bench: b.Name, Scale: o.spec.Scale, Seed: o.spec.Seed, Rate: o.spec.Rate,
-	})
-	if err != nil {
-		return err
-	}
-	seqTime, seqCheck := seqRes.SeqTime, seqRes.SeqCheck
 	tr := o.opts.Tracer
 	if o.metricsAddr != "" {
 		stop, err := cli.ServeMetrics(o.metricsAddr, tr.Metrics())
@@ -199,7 +191,9 @@ func run(o *options, stdout io.Writer) error {
 		defer stop()
 		fmt.Fprintf(stdout, "metrics: serving http://%s/metrics\n", o.metricsAddr)
 	}
-	res, err := eng.SubmitOpts(context.Background(), o.spec, o.opts)
+	spec := o.spec
+	spec.Verify = true
+	res, err := eng.SubmitOpts(context.Background(), spec, o.opts)
 	if err != nil {
 		return err
 	}
@@ -210,15 +204,16 @@ func run(o *options, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "trace: %d events -> %s\n", len(tr.Events()), o.traceOut)
 	}
 
-	head := fmt.Sprintf("%s (%s), %d cores, paradigm %s", b.Name, b.Paradigm(), o.spec.Cores, o.spec.Paradigm)
+	plan := workloads.NewChain(b, o.spec.Input()).Plan(o.spec.ParsedParadigm())
+	head := fmt.Sprintf("%s (%s), %d cores, paradigm %s", b.Name, plan.Name, o.spec.Cores, o.spec.Paradigm)
 	if o.spec.ParsedBackend() == core.BackendVTime {
 		fmt.Fprintln(stdout, head)
-		fmt.Fprintf(stdout, "  sequential      %v\n", seqTime)
+		fmt.Fprintf(stdout, "  sequential      %v\n", res.SeqTime)
 		fmt.Fprintf(stdout, "  parallel        %v\n", res.Elapsed)
-		fmt.Fprintf(stdout, "  speedup         %s\n", stats.FormatSpeedup(seqTime.Seconds()/res.Elapsed.Seconds()))
+		fmt.Fprintf(stdout, "  speedup         %s\n", stats.FormatSpeedup(res.SeqTime.Seconds()/res.Elapsed.Seconds()))
 	} else {
 		fmt.Fprintf(stdout, "%s, backend %s\n", head, o.spec.Backend)
-		fmt.Fprintf(stdout, "  sequential      %v (vtime reference)\n", seqTime)
+		fmt.Fprintf(stdout, "  sequential      %v (vtime reference)\n", res.SeqTime)
 		fmt.Fprintf(stdout, "  parallel        %v wall clock\n", res.Elapsed)
 	}
 	fmt.Fprintf(stdout, "  MTXs committed  %d (misspeculations: %d)\n", res.Committed, res.Misspecs)
@@ -239,11 +234,11 @@ func run(o *options, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "  recovery        ERM %v  FLQ %v  SEQ %v  RFP %v\n", res.ERM, res.FLQ, res.SEQ, res.RFP)
 		// Useful outcomes over attempts: every stage body the workers ran
 		// against the ones a committed MTX needed.
-		useful := res.Committed * uint64(len(workloads.NewChain(b, o.spec.Input()).Plan(o.spec.ParsedParadigm()).Stages))
+		useful := res.Committed * uint64(len(plan.Stages))
 		squashed := 100 * max(0, 1-float64(useful)/float64(max(res.SubTXs, 1)))
 		fmt.Fprintf(stdout, "  speculation     %d subTXs executed, %d useful (%.1f%% squashed)\n", res.SubTXs, useful, squashed)
 	}
-	verdict := reportOutput(stdout, res.Checksum, seqCheck)
+	verdict := reportOutput(stdout, res)
 	if o.metrics {
 		fmt.Fprintf(stdout, "\nStall attribution (per rank):\n%s\n", res.Stalls.Table())
 		fmt.Fprintf(stdout, "\nStall attribution (per stage):\n%s\n", res.Stalls.StageTable())

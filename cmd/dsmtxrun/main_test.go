@@ -13,6 +13,7 @@ import (
 
 	"dsmtx/internal/cli/clitest"
 	"dsmtx/internal/core"
+	"dsmtx/internal/engine"
 	"dsmtx/internal/workloads"
 )
 
@@ -133,6 +134,32 @@ func TestRunOutputByteIdentical(t *testing.T) {
 	}
 }
 
+// TestRunHeaderNamesPlanThatRan: the header names the plan of the paradigm
+// the run used, not the benchmark's DSMTX plan, and the report carries the
+// engine's sequential reference.
+func TestRunHeaderNamesPlanThatRan(t *testing.T) {
+	for paradigm, head := range map[string]string{
+		"dsmtx": "crc32 (DSWP+[Spec-DOALL,S]), 8 cores, paradigm DSMTX\n",
+		"tls":   "crc32 (TLS), 8 cores, paradigm TLS\n",
+	} {
+		o, err := parseFlags([]string{"-bench", "crc32", "-cores", "8", "-paradigm", paradigm})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := run(o, &buf); err != nil {
+			t.Fatal(err)
+		}
+		out := buf.String()
+		if !strings.HasPrefix(out, head) {
+			t.Errorf("-paradigm %s: header is not %q:\n%s", paradigm, head, out)
+		}
+		if !strings.Contains(out, "  sequential      ") || strings.Contains(out, "  sequential      0s\n") || !strings.Contains(out, "VERIFIED") {
+			t.Errorf("-paradigm %s: no sequential time or verdict:\n%s", paradigm, out)
+		}
+	}
+}
+
 // TestRunSpeculationLine: a run that misspeculated reports its squashed work
 // (subTXs executed against the ones committed MTXs needed) beside the
 // recovery line; a clean run prints neither.
@@ -233,11 +260,14 @@ func TestRunHostBackendTraced(t *testing.T) {
 // only a line in a report that exits 0.
 func TestReportOutputMismatchFails(t *testing.T) {
 	var buf bytes.Buffer
-	if err := reportOutput(&buf, 0xabc, 0xabc); err != nil || !strings.Contains(buf.String(), "VERIFIED (checksum 0xabc") {
+	var res engine.Result
+	res.Checksum, res.SeqCheck, res.Verified = 0xabc, 0xabc, true
+	if err := reportOutput(&buf, res); err != nil || !strings.Contains(buf.String(), "VERIFIED (checksum 0xabc") {
 		t.Errorf("matching checksums: err = %v, printed %q", err, buf.String())
 	}
 	buf.Reset()
-	err := reportOutput(&buf, 0xabc, 0xdef)
+	res.SeqCheck, res.Verified = 0xdef, false
+	err := reportOutput(&buf, res)
 	if err == nil {
 		t.Error("mismatching checksums returned no error")
 	}

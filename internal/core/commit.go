@@ -30,14 +30,13 @@ type cuNode struct {
 
 	staged []Entry // group-commit staging buffer, reused across MTXs
 
-	routes   map[uint64]int
-	epoch    uint64
-	pollTime platform.Duration
-	iter     uint64
-	result   Result
-	resumed  platform.Time // time of last recovery resume, 0 if none pending RFP
+	routes  map[uint64]int
+	epoch   uint64
+	iter    uint64
+	result  Result
+	resumed platform.Time // time of last recovery resume, 0 if none pending RFP
 
-	// Stall attribution: pollTime split by what the poll was waiting for
+	// Stall attribution: poll time by what the poll was waiting for
 	// (worker store streams vs try-commit verdicts), plus the recovery
 	// windows. rfpStart anchors the RFP span in tracer time.
 	stallStarve  platform.Duration
@@ -240,17 +239,16 @@ func (c *cuNode) nextVerdict(iter uint64) bool {
 	return e.Val == 1
 }
 
-// consumeNext polls for the next entry, charging wait time both to the
-// total (pollTime) and to the caller's stall bucket: starvation when
-// waiting on worker store streams, verdict-wait when waiting on the
-// try-commit unit.
+// consumeNext polls for the next entry, charging wait time to the caller's
+// stall bucket: starvation when waiting on worker store streams,
+// verdict-wait when waiting on the try-commit unit.
 func (c *cuNode) consumeNext(port *queue.RecvPort[Entry], bucket *platform.Duration) Entry {
 	backoff := pollMin
 	for {
 		if e, ok := port.TryNext(); ok {
 			return e
 		}
-		c.sys.pollWait(c.comm, &backoff, &c.pollTime, bucket)
+		c.sys.pollWait(c.comm, &backoff, bucket)
 	}
 }
 

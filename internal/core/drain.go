@@ -11,16 +11,13 @@ import (
 // until the next delivery to this rank, so a loop may only wait on
 // conditions that arrive as messages to its own rank — then charge what the
 // wait took on the rank's own clock (under vtime, the back-off) to the
-// caller's stall buckets and double the back-off up to pollMax. Loops start
+// caller's stall bucket and double the back-off up to pollMax. Loops start
 // *backoff at pollMin.
-func (s *System) pollWait(comm *mpi.Comm, backoff *platform.Duration, buckets ...*platform.Duration) {
+func (s *System) pollWait(comm *mpi.Comm, backoff *platform.Duration, bucket *platform.Duration) {
 	d := *backoff
 	start := comm.Proc().Now()
 	comm.Idle(d)
-	waited := comm.Proc().Now() - start
-	for _, b := range buckets {
-		*b += waited
-	}
+	*bucket += comm.Proc().Now() - start
 	if d < pollMax {
 		*backoff = 2 * d
 	}

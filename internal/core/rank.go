@@ -32,7 +32,6 @@ type specRank struct {
 
 	epoch       uint64
 	pendingCtrl *ctrlMsg
-	pollTime    platform.Duration
 	rec         window // recovery windows, for stall attribution
 }
 

@@ -528,7 +528,7 @@ func (s *System) buildStallReport() {
 		s.stalls.Add(row)
 	}
 	if c := s.cu; c.proc != nil {
-		row := stallRow(c.proc, c.pollTime, c.rec)
+		row := stallRow(c.proc, c.stallStarve+c.stallVerdict, c.rec)
 		row.Track, row.Label, row.Stage = c.rank, "commit", "commit"
 		row.Starvation, row.VerdictWait = c.stallStarve, c.stallVerdict
 		s.stalls.Add(row)

@@ -24,6 +24,7 @@ type tcNode struct {
 	sinceFlush int
 	routes     map[uint64]int // iter -> pool index of routed stage
 	nextIter   uint64
+	pollTime   platform.Duration // stall attribution: all of it starvation
 
 	// Conflicts counts failed validations, for tests.
 	Conflicts uint64

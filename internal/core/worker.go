@@ -49,7 +49,7 @@ type workerNode struct {
 
 	sinceFlush int
 
-	// Stall attribution: pollTime split by cause.
+	// Stall attribution: poll time by cause.
 	stallStarve platform.Duration // consumeNext polling an empty upstream queue
 	stallBack   platform.Duration // occupancy-routing and run-ahead-window waits
 
@@ -361,7 +361,7 @@ func (w *workerNode) chooseRoute(iter uint64) {
 			}
 			w.flushMarkers()
 			w.checkCtrl()
-			w.sys.pollWait(w.comm, &backoff, &w.pollTime, &w.stallBack)
+			w.sys.pollWait(w.comm, &backoff, &w.stallBack)
 		}
 	} else {
 		w.curRoute = w.rrNext % len(w.routedPool)
@@ -455,7 +455,7 @@ func (w *workerNode) consumeNext(port *queue.RecvPort[Entry]) Entry {
 			w.cDry.Inc()
 			w.flushMarkers()
 		}
-		w.sys.pollWait(w.comm, &backoff, &w.pollTime, &w.stallStarve)
+		w.sys.pollWait(w.comm, &backoff, &w.stallStarve)
 	}
 }
 

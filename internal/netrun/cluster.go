@@ -145,10 +145,10 @@ func (c *Cluster) Run(s JobSpec) (Result, error) {
 // and collect every daemon's result. The spec's backend must be net.
 //
 // JobOK then Start is the acceptance barrier: a daemon that refuses the
-// spec fails the job at once with its typed error, instead of leaving its
-// peers' mesh links to wait out dialGiveUp for a dial that never comes.
-// After Start each daemon walks the whole invocation chain on its own; the
-// mesh's generation tags order the invocations.
+// spec fails the job at once with its typed error, and no daemon builds
+// its mesh or dials a peer until Start, so every data dial follows every
+// acceptance. After Start each daemon walks the whole invocation chain on
+// its own; the mesh's generation tags order the invocations.
 func (c *Cluster) RunJob(spec job.Spec) (Result, error) {
 	spec = spec.Normalized()
 	_, err := netChain(spec)
@@ -159,9 +159,9 @@ func (c *Cluster) RunJob(spec job.Spec) (Result, error) {
 		return Result{}, fmt.Errorf("%w: %w", ErrRejected, err)
 	}
 
-	// A fresh ID per job: persistent daemons key each job's mesh on it, so
-	// successive jobs on one session never adopt each other's (or a stale
-	// redial's) data connections.
+	// A fresh ID per job: a daemon closes any data hello that names another
+	// job than the one it holds, so successive jobs on one session never
+	// adopt each other's (or a stale redial's) data connections.
 	jobID := newJobID()
 	for i, conn := range c.conns {
 		jw := jobWire{JobID: jobID, Self: i, Addrs: c.addrs, Spec: spec}

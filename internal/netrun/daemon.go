@@ -7,7 +7,6 @@ import (
 	gonet "net"
 	"os"
 	"sync"
-	"time"
 
 	"dsmtx/internal/core"
 	"dsmtx/internal/platform"
@@ -71,36 +70,34 @@ func ServeLoop(ln gonet.Listener, stop <-chan struct{}) int {
 
 // newDaemon builds the serving state.
 func newDaemon(ln gonet.Listener) *daemon {
-	return &daemon{
-		ln:          ln,
-		meshes:      make(map[uint64]*netplat.Mesh),
-		arrival:     make(map[uint64]chan struct{}),
-		finished:    make(map[uint64]bool),
-		sessionDone: make(chan int, 1),
-	}
+	d := &daemon{ln: ln, sessionDone: make(chan int, 1)}
+	d.ctlIdle = sync.NewCond(&d.mu)
+	return d
 }
 
 // daemon is one serving process's state: at most one coordinator session
-// at a time, each a stream of jobs; every job owns a mesh, and inbound
-// data connections are routed to their job's mesh by the JobID in their
-// hello.
+// at a time, each a stream of jobs, and at most one job at a time — the one
+// it last sent JobOK for. That job's mesh is built when first needed: at
+// Start, or when a peer that read Start first dials in. Start follows every
+// daemon's JobOK, so every data dial follows every acceptance, and a data
+// hello naming any other job is closed at once.
 type daemon struct {
 	ln gonet.Listener
 
-	mu       sync.Mutex
-	meshes   map[uint64]*netplat.Mesh
-	arrival  map[uint64]chan struct{} // closed when the job's mesh registers
-	finished map[uint64]bool          // jobs already torn down (stale data conns)
-	ctlBusy  bool
-	ctlIdle  *sync.Cond // signalled when ctlBusy drops (drain waits)
-	closed   bool
+	mu      sync.Mutex
+	job     *netplat.MeshConfig // the held job's mesh config; nil between jobs
+	mesh    *netplat.Mesh       // the held job's mesh, once built
+	ctlBusy bool
+	ctlIdle *sync.Cond // signalled when ctlBusy drops (drain waits)
+	closed  bool
 
 	sessionDone chan int // one code per completed coordinator session
 }
 
 // acceptLoop dispatches inbound connections on their first frame: the
-// coordinator's control stream runs the job stream; peer data streams park
-// until their job's spec has built the mesh, then join it.
+// coordinator's control stream runs the job stream; a peer's data stream
+// joins the held job's mesh, building it if this daemon has not yet read
+// Start, and is closed at once if it names any other job.
 func (d *daemon) acceptLoop() {
 	for {
 		conn, err := d.ln.Accept()
@@ -137,18 +134,11 @@ func (d *daemon) dispatch(conn gonet.Conn) {
 		code := d.control(conn)
 		d.mu.Lock()
 		d.ctlBusy = false
-		// Job tombstones belong to the ended session; a persistent daemon
-		// would otherwise accrete one per job forever.
-		d.finished = make(map[uint64]bool)
-		if d.ctlIdle != nil {
-			d.ctlIdle.Broadcast()
-		}
+		d.ctlIdle.Broadcast()
 		d.mu.Unlock()
 		d.sessionDone <- code
 	case wire.RoleData:
-		// The peer may dial before our own job spec arrives; wait for the
-		// job's mesh, then hand over.
-		m := d.meshFor(h.JobID)
+		m := d.meshOf(h.JobID)
 		if m == nil {
 			conn.Close()
 			return
@@ -161,86 +151,44 @@ func (d *daemon) dispatch(conn gonet.Conn) {
 	}
 }
 
-// registerMesh publishes a job's mesh and wakes data connections parked on
-// its JobID.
-func (d *daemon) registerMesh(jobID uint64, m *netplat.Mesh) {
+// meshOf returns the held job's mesh, building it on first need, or nil
+// when jobID names any other job.
+func (d *daemon) meshOf(jobID uint64) *netplat.Mesh {
 	d.mu.Lock()
-	d.meshes[jobID] = m
-	if ch, ok := d.arrival[jobID]; ok {
-		close(ch)
-		delete(d.arrival, jobID)
+	defer d.mu.Unlock()
+	if d.job == nil || d.job.JobID != jobID {
+		return nil
 	}
-	d.mu.Unlock()
+	if d.mesh == nil {
+		d.mesh = netplat.NewMesh(*d.job)
+	}
+	return d.mesh
 }
 
-// unregisterMesh retires a finished job: its mesh closes and late data
-// dials for it are rejected instead of parked.
-func (d *daemon) unregisterMesh(jobID uint64) {
+// release drops the held job and closes its mesh, if one was built.
+func (d *daemon) release() {
 	d.mu.Lock()
-	m := d.meshes[jobID]
-	delete(d.meshes, jobID)
-	d.finished[jobID] = true
-	if ch, ok := d.arrival[jobID]; ok {
-		close(ch)
-		delete(d.arrival, jobID)
-	}
+	m := d.mesh
+	d.job, d.mesh = nil, nil
 	d.mu.Unlock()
 	if m != nil {
 		m.Close()
 	}
 }
 
-// meshFor resolves the mesh serving jobID, waiting (bounded by the
-// handshake timeout) for the job spec to arrive on the control stream. It
-// returns nil for unknown-and-never-arriving or already-finished jobs.
-func (d *daemon) meshFor(jobID uint64) *netplat.Mesh {
-	d.mu.Lock()
-	if m, ok := d.meshes[jobID]; ok {
-		d.mu.Unlock()
-		return m
-	}
-	if d.finished[jobID] || d.closed {
-		d.mu.Unlock()
-		return nil
-	}
-	ch, ok := d.arrival[jobID]
-	if !ok {
-		ch = make(chan struct{})
-		d.arrival[jobID] = ch
-	}
-	d.mu.Unlock()
-
-	select {
-	case <-ch:
-		d.mu.Lock()
-		m := d.meshes[jobID]
-		d.mu.Unlock()
-		return m
-	case <-time.After(handshakeTimeout):
-		return nil
-	}
-}
-
 // drain blocks until the in-flight coordinator session (if any) finishes.
 func (d *daemon) drain() {
 	d.mu.Lock()
-	if d.ctlIdle == nil {
-		d.ctlIdle = sync.NewCond(&d.mu)
-	}
 	for d.ctlBusy {
 		d.ctlIdle.Wait()
 	}
 	d.mu.Unlock()
 }
 
-// close rejects future data waits and wakes parked ones.
+// close rejects any later coordinator session.
 func (d *daemon) close() {
 	d.mu.Lock()
 	d.closed = true
-	for id, ch := range d.arrival {
-		close(ch)
-		delete(d.arrival, id)
-	}
 	d.mu.Unlock()
 }
 
@@ -265,10 +213,11 @@ func (d *daemon) control(conn gonet.Conn) int {
 	}
 }
 
-// serveJob runs this daemon's ranks of one job: validate the spec, build the
-// mesh, accept, then — on the coordinator's Start — walk the benchmark's
-// whole invocation chain, each step on its own mesh generation, configured
-// by the spec's own tune hook plus a mesh-bound platform.
+// serveJob runs this daemon's ranks of one job: validate the spec, hold the
+// job and accept it, then — on the coordinator's Start — build the mesh and
+// walk the benchmark's whole invocation chain, each step on its own mesh
+// generation, configured by the spec's own tune hook plus a mesh-bound
+// platform. A refused job is never held: it builds no mesh and dials no one.
 func (d *daemon) serveJob(conn gonet.Conn) error {
 	var jw jobWire
 	if err := readCtl(conn, wire.FrameJob, &jw); err != nil {
@@ -284,16 +233,17 @@ func (d *daemon) serveJob(conn gonet.Conn) error {
 		return err
 	}
 
-	mesh := netplat.NewMesh(netplat.MeshConfig{
+	d.mu.Lock()
+	d.job = &netplat.MeshConfig{
 		JobID: jw.JobID,
 		Self:  jw.Self,
 		Addrs: jw.Addrs,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "dsmtxd[%d]: "+format+"\n", append([]any{jw.Self}, args...)...)
 		},
-	})
-	d.registerMesh(jw.JobID, mesh)
-	defer d.unregisterMesh(jw.JobID)
+	}
+	d.mu.Unlock()
+	defer d.release()
 
 	if err := writeCtl(conn, wire.FrameJobOK, nil); err != nil {
 		return err
@@ -301,6 +251,7 @@ func (d *daemon) serveJob(conn gonet.Conn) error {
 	if err := readCtl(conn, wire.FrameStart, nil); err != nil {
 		return err
 	}
+	mesh := d.meshOf(jw.JobID)
 
 	var agg daemonResult
 	for inv := range chain.Invocations() {

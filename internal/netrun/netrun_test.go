@@ -5,6 +5,8 @@ import (
 	"errors"
 	"io"
 	gonet "net"
+	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -164,19 +166,149 @@ func TestThreeDaemons(t *testing.T) {
 	}
 }
 
+// serveRaw runs one ServeLoop daemon for a test that drives its control
+// stream by hand, and stops it at test end whatever its sessions returned.
+func serveRaw(t *testing.T) string {
+	t.Helper()
+	ln, err := gonet.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop, exit := make(chan struct{}), make(chan int, 1)
+	go func() { exit <- netrun.ServeLoop(ln, stop) }()
+	t.Cleanup(func() { close(stop); <-exit })
+	return ln.Addr().String()
+}
+
+// controlSession opens a raw control stream to addr and sends it one Job
+// frame with body.
+func controlSession(t *testing.T, addr, body string) gonet.Conn {
+	t.Helper()
+	conn, err := gonet.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	conn.SetDeadline(time.Now().Add(30 * time.Second))
+	conn.Write(wire.AppendHello(nil, wire.Hello{Role: wire.RoleControl}))
+	conn.Write(wire.AppendFrame(nil, wire.FrameJob, []byte(body)))
+	return conn
+}
+
+// requireDataHelloClosed dials addr as mesh peer 0 of jobID and requires
+// the daemon to close the connection within 1 s, without a reply.
+func requireDataHelloClosed(t *testing.T, addr string, jobID uint64) {
+	t.Helper()
+	conn, err := gonet.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	conn.Write(wire.AppendHello(nil, wire.Hello{Role: wire.RoleData, JobID: jobID}))
+	conn.SetReadDeadline(start.Add(time.Second))
+	if n, err := conn.Read(make([]byte, 1)); n > 0 || err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("data hello for job %d: read %d bytes, err %v after %v; want the daemon to close it at once",
+			jobID, n, err, time.Since(start))
+	}
+}
+
+// TestForeignDataHelloClosedAtOnce: a daemon holds at most the one job it
+// accepted, so a data hello that names any other job is closed at once
+// rather than parked, and the daemon goes on to run a normal job.
+func TestForeignDataHelloClosedAtOnce(t *testing.T) {
+	addrs := startDaemons(t, 2)
+	for _, addr := range addrs {
+		requireDataHelloClosed(t, addr, 12345)
+	}
+	checkJob(t, connect(t, addrs), 2, job.Spec{Bench: "crc32", Seed: 42, Cores: 5})
+}
+
+// peerListener stands in for mesh peer 0 of a raw job whose daemon is peer
+// 1: a mesh the daemon built would dial it. It closes every connection and
+// reports each on the channel.
+func peerListener(t *testing.T) (string, <-chan struct{}) {
+	t.Helper()
+	ln, err := gonet.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	dialed := make(chan struct{}, 4)
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			conn.Close()
+			select {
+			case dialed <- struct{}{}:
+			default:
+			}
+		}
+	}()
+	return ln.Addr().String(), dialed
+}
+
+// crc32Job is the Job body of a five-core crc32 job whose daemon at addr is
+// peer 1 of {peer, addr}; knob, when set, is one no daemon knows.
+func crc32Job(id int, peer, addr, knob string) string {
+	return `{"JobID":` + strconv.Itoa(id) + `,"Self":1,"Addrs":["` + peer + `","` + addr + `"],` +
+		`"Spec":{"kind":"parallel","bench":"crc32","paradigm":"DSMTX","backend":"net","cores":5,"scale":1,"knob":"` + knob + `"}}`
+}
+
+// TestRefusedJobIsNotHeld: a control session that skips the coordinator's
+// check and sends a spec no daemon can run (an unknown knob) gets a
+// FrameError naming it before any JobOK, not a panic. The daemon holds no
+// job afterwards, so a data hello naming the refused job is closed at
+// once, and it never dialed a peer.
+func TestRefusedJobIsNotHeld(t *testing.T) {
+	addr := serveRaw(t)
+	peer, dialed := peerListener(t)
+	conn := controlSession(t, addr, crc32Job(7, peer, addr, "warp-drive"))
+	typ, reply, _, err := wire.ReadFrame(conn, nil)
+	var e struct{ Error string }
+	if err != nil || typ != wire.FrameError || json.Unmarshal(reply, &e) != nil || !strings.Contains(e.Error, `unknown config knob "warp-drive"`) {
+		t.Fatalf("refused job: frame %d %q, err %v; want a FrameError naming the knob", typ, reply, err)
+	}
+	requireDataHelloClosed(t, addr, 7)
+	select {
+	case <-dialed:
+		t.Fatal("a daemon that refused the job dialed a peer")
+	default:
+	}
+}
+
+// TestMeshWaitsForStart: a daemon that accepted a job builds its mesh only
+// at Start, so until then it dials no peer; a coordinator that hangs up
+// instead of starting leaves it holding no job.
+func TestMeshWaitsForStart(t *testing.T) {
+	addr := serveRaw(t)
+	peer, dialed := peerListener(t)
+	conn := controlSession(t, addr, crc32Job(8, peer, addr, ""))
+	if typ, reply, _, err := wire.ReadFrame(conn, nil); err != nil || typ != wire.FrameJobOK {
+		t.Fatalf("accepted job: frame %d %q, err %v; want JobOK", typ, reply, err)
+	}
+	select {
+	case <-dialed:
+		t.Fatal("the daemon dialed a peer before Start")
+	case <-time.After(200 * time.Millisecond):
+	}
+	// The daemon releases the job before it ends the session.
+	conn.(*gonet.TCPConn).CloseWrite()
+	if rest, err := io.ReadAll(conn); err != nil || len(rest) > 0 {
+		t.Fatalf("after the hang-up: %q, err %v; want the daemon to end the session", rest, err)
+	}
+	requireDataHelloClosed(t, addr, 8)
+}
+
 // TestOneStartRunsTheChain: after JobOK one Start runs every invocation of
 // the chain, and the next control frame is the Result. The daemon's fleet
 // is itself alone, so every rank is local and the raw session sees the
 // whole control stream of the two-invocation 052.alvinn.
 func TestOneStartRunsTheChain(t *testing.T) {
-	ln, err := gonet.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	stop, exit := make(chan struct{}), make(chan int, 1)
-	go func() { exit <- netrun.ServeLoop(ln, stop) }()
-	defer func() { close(stop); <-exit }()
+	addr := serveRaw(t)
 
 	spec := job.Spec{Bench: "052.alvinn", Backend: "net", Seed: 42, Cores: 6}.Normalized()
 	b, err := workloads.ByName(spec.Bench)
@@ -200,14 +332,7 @@ func TestOneStartRunsTheChain(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	conn, err := gonet.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(30 * time.Second))
-	conn.Write(wire.AppendHello(nil, wire.Hello{Role: wire.RoleControl}))
-	conn.Write(wire.AppendFrame(nil, wire.FrameJob, body))
+	conn := controlSession(t, addr, string(body))
 	if typ, reply, _, err := wire.ReadFrame(conn, nil); err != nil || typ != wire.FrameJobOK {
 		t.Fatalf("after Job: frame %d %q, err %v; want JobOK", typ, reply, err)
 	}
@@ -295,36 +420,6 @@ func TestRunRejectsCoordinatorSide(t *testing.T) {
 		if msg := <-extra; msg != "" {
 			t.Errorf("control stream: %s", msg)
 		}
-	}
-}
-
-// TestDaemonRefusesUnrunnableSpec: a control session that skips the
-// coordinator's check and sends a spec no daemon can run (an unknown knob)
-// gets a FrameError naming it, not a panic.
-func TestDaemonRefusesUnrunnableSpec(t *testing.T) {
-	ln, err := gonet.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	stop, exit := make(chan struct{}), make(chan int, 1)
-	go func() { exit <- netrun.ServeLoop(ln, stop) }()
-	defer func() { close(stop); <-exit }()
-
-	conn, err := gonet.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	body := `{"JobID":1,"Self":0,"Addrs":["` + addr + `"],"Spec":{"kind":"parallel","bench":"crc32",` +
-		`"paradigm":"DSMTX","backend":"net","cores":5,"scale":1,"knob":"warp-drive"}}`
-	conn.Write(wire.AppendHello(nil, wire.Hello{Role: wire.RoleControl, JobID: 1}))
-	conn.Write(wire.AppendFrame(nil, wire.FrameJob, []byte(body)))
-	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	typ, reply, _, err := wire.ReadFrame(conn, nil)
-	var e struct{ Error string }
-	if err != nil || typ != wire.FrameError || json.Unmarshal(reply, &e) != nil || !strings.Contains(e.Error, `unknown config knob "warp-drive"`) {
-		t.Fatalf("reply: frame %d %q, err %v; want a FrameError naming the knob", typ, reply, err)
 	}
 }
 

@@ -16,8 +16,11 @@
 // recovery.SEQ spans together cover MTX 0, 1, 2, ... exactly once each, in
 // ascending order — a recovered MTX is re-executed instead of committed. A
 // span of MTX 0 after a higher MTX starts the next invocation of a chained
-// workload. CI runs tracecheck over the traces scripts/smoke.sh produces
-// (vtime, misspeculating vtime, and wall clock).
+// workload. And when the try-commit unit's track ("trycommit0") has
+// validate spans, every commit span of MTX i starts at or after the end of
+// a validate span of i with ok=1 there, in the same chained invocation: a
+// group commit follows its verdict. CI runs tracecheck over the traces
+// scripts/smoke.sh produces (vtime, misspeculating vtime, and wall clock).
 //
 // Usage:
 //
@@ -28,6 +31,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"strconv"
 
@@ -59,21 +63,31 @@ var metadataNames = map[string]bool{
 }
 
 // commitTrack is the commit unit's thread name; commitOrderSpans are the
-// spans that finish an MTX there.
-const commitTrack = "commit"
+// spans that finish an MTX there. verdictTrack is the try-commit unit's,
+// whose validate spans carry each MTX's verdict.
+const commitTrack, verdictTrack = "commit", "trycommit0"
 
 var commitOrderSpans = map[string]bool{
 	trace.SpanCommit.String(): true,
 	trace.SpanSEQ.String():    true,
 }
 
-// checkCommitOrder requires mtxs, the MTX of each commit-order span on one
-// track in file order, to count up from 0 by one, restarting at 0 only
-// after a higher MTX (the next chained invocation).
-func checkCommitOrder(mtxs []uint64) error {
+// mtxSpan is a commit-order or validate span (or zero-length instant): its
+// MTX, its times in nanoseconds and a validate's verdict.
+type mtxSpan struct {
+	name       string
+	mtx        uint64
+	start, end int64
+	ok         bool
+}
+
+// checkCommitOrder requires spans, the commit-order spans of one track in
+// file order, to count up from MTX 0 by one, restarting at 0 only after a
+// higher MTX (the next chained invocation).
+func checkCommitOrder(spans []mtxSpan) error {
 	next := uint64(0)
-	for i, m := range mtxs {
-		switch {
+	for i, sp := range spans {
+		switch m := sp.mtx; {
 		case m == next:
 			next++
 		case m == 0 && next > 1:
@@ -81,6 +95,35 @@ func checkCommitOrder(mtxs []uint64) error {
 		default:
 			return fmt.Errorf("commit order: span %d on the %s track finishes MTX %d, want MTX %d",
 				i, commitTrack, m, next)
+		}
+	}
+	return nil
+}
+
+// checkVerdicts requires every commit in commits (the commit track's
+// spans, in commit order) to start at or after the end of a validate of its
+// MTX with ok=1 in validates (the try-commit track's, in file order), in
+// the same chained invocation. On either track MTX 0 after any other span
+// starts the next invocation.
+func checkVerdicts(commits, validates []mtxSpan) error {
+	verdict := make(map[[2]uint64]int64) // (invocation, MTX) -> end of its first ok=1 validate
+	inv := uint64(0)
+	for i, v := range validates {
+		if v.mtx == 0 && i > 0 {
+			inv++
+		}
+		if _, seen := verdict[[2]uint64{inv, v.mtx}]; v.ok && !seen {
+			verdict[[2]uint64{inv, v.mtx}] = v.end
+		}
+	}
+	inv = 0
+	for i, c := range commits {
+		if c.mtx == 0 && i > 0 {
+			inv++
+		}
+		if end, ok := verdict[[2]uint64{inv, c.mtx}]; c.name == trace.SpanCommit.String() && (!ok || c.start < end) {
+			return fmt.Errorf("verdict: the commit of MTX %d (invocation %d) starts at %d ns, before any validate of it with ok=1 ends on the %s track",
+				c.mtx, inv, c.start, verdictTrack)
 		}
 	}
 	return nil
@@ -113,8 +156,8 @@ func check(data []byte) (string, error) {
 	eventTids := make(map[int]int)
 	spans, instants := 0, 0
 	kinds := make(map[string]int)
-	lastTs := make(map[int]float64)    // tid -> last event ts (wall monotonicity)
-	finished := make(map[int][]uint64) // tid -> MTX of each commit/SEQ span
+	lastTs := make(map[int]float64)     // tid -> last event ts (wall monotonicity)
+	mtxSpans := make(map[int][]mtxSpan) // tid -> its commit-order and validate spans
 	wall := tf.Clock == "wall"
 	if tf.Clock != "" && !wall {
 		return "", fmt.Errorf("unknown clock %q (have wall, or omit for vtime)", tf.Clock)
@@ -130,17 +173,19 @@ func check(data []byte) (string, error) {
 		lastTs[*e.Tid] = ts
 		return nil
 	}
-	// noteFinish records a commit-order span's MTX; a zero-length one is
-	// exported as an instant, so both phases come here.
-	noteFinish := func(i int, e *event) error {
-		if !commitOrderSpans[e.Name] {
+	// noteMTX records a commit-order or validate span; a zero-length one is
+	// exported as an instant (dur 0), so both phases come here.
+	noteMTX := func(i int, e *event, ts, dur float64) error {
+		if !commitOrderSpans[e.Name] && e.Name != trace.SpanValidate.String() {
 			return nil
 		}
 		mtx, ok := e.Args["mtx"].(float64)
 		if !ok || mtx < 0 {
 			return fmt.Errorf("event %d (%q): no mtx arg", i, e.Name)
 		}
-		finished[*e.Tid] = append(finished[*e.Tid], uint64(mtx))
+		verdict, _ := e.Args["ok"].(float64)
+		mtxSpans[*e.Tid] = append(mtxSpans[*e.Tid], mtxSpan{e.Name, uint64(mtx),
+			int64(math.Round(ts * 1000)), int64(math.Round((ts + dur) * 1000)), verdict == 1})
 		return nil
 	}
 	for i, e := range tf.TraceEvents {
@@ -177,7 +222,7 @@ func check(data []byte) (string, error) {
 			if err := checkMono(i, &e, ts); err != nil {
 				return "", err
 			}
-			if err := noteFinish(i, &e); err != nil {
+			if err := noteMTX(i, &e, ts, dur); err != nil {
 				return "", err
 			}
 			spans++
@@ -194,7 +239,7 @@ func check(data []byte) (string, error) {
 			if err := checkMono(i, &e, ts); err != nil {
 				return "", err
 			}
-			if err := noteFinish(i, &e); err != nil {
+			if err := noteMTX(i, &e, ts, 0); err != nil {
 				return "", err
 			}
 			instants++
@@ -207,14 +252,23 @@ func check(data []byte) (string, error) {
 	if spans == 0 {
 		return "", fmt.Errorf("no duration events")
 	}
+	var commits, validates []mtxSpan
 	for tid := range eventTids {
-		if named[tid] == "" {
+		switch named[tid] {
+		case "":
 			return "", fmt.Errorf("thread %d has %d events but no thread_name metadata", tid, eventTids[tid])
-		}
-		if named[tid] == commitTrack {
-			if err := checkCommitOrder(finished[tid]); err != nil {
+		case commitTrack:
+			commits = mtxSpans[tid]
+			if err := checkCommitOrder(commits); err != nil {
 				return "", err
 			}
+		case verdictTrack:
+			validates = mtxSpans[tid]
+		}
+	}
+	if validates != nil {
+		if err := checkVerdicts(commits, validates); err != nil {
+			return "", err
 		}
 	}
 	clk := "vtime"

@@ -264,3 +264,58 @@ func TestCheckCommitOrderRules(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckRejectsCommitBeforeVerdict: a hand-edited cut of a recovering
+// 197.parser vtime trace's trycommit0 and commit tracks (MTXs 0–10), whose
+// commit of MTX 0 was moved to start before its validate ends. It keeps the
+// commit order, so only the verdict rule refuses it.
+func TestCheckRejectsCommitBeforeVerdict(t *testing.T) {
+	data, err := os.ReadFile("testdata/commit_before_verdict.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := check(data); err == nil || !strings.Contains(err.Error(), "the commit of MTX 0 (invocation 0) starts at 344000 ns, before any validate of it with ok=1 ends") {
+		t.Errorf("err = %v, want the early commit of MTX 0 named", err)
+	}
+}
+
+// TestCheckVerdictRules: with a trycommit0 track present, each commit of
+// MTX i must start at or after the end of an ok=1 validate of i in the same
+// chained invocation; a recovered MTX (recovery.SEQ) needs none.
+func TestCheckVerdictRules(t *testing.T) {
+	const meta = `{"name":"thread_name","ph":"M","pid":0,"tid":4,"args":{"name":"commit"}},
+		{"name":"thread_name","ph":"M","pid":0,"tid":3,"args":{"name":"trycommit0"}}`
+	// validate: [ts, ts+dur) on trycommit0; commit and SEQ start at ts.
+	validate := func(mtx, ok, ts, dur int) string {
+		return fmt.Sprintf(`,{"name":"validate","ph":"X","pid":0,"tid":3,"ts":%d,"dur":%d,"args":{"mtx":%d,"ok":%d}}`, ts, dur, mtx, ok)
+	}
+	on4 := func(name string, mtx, ts int) string {
+		return fmt.Sprintf(`,{"name":%q,"ph":"X","pid":0,"tid":4,"ts":%d,"dur":1,"args":{"mtx":%d}}`, name, ts, mtx)
+	}
+	cases := []struct {
+		name, events, want string // want: error substring; empty = must pass
+	}{
+		{"commit after verdict", validate(0, 1, 0, 2) + validate(1, 1, 2, 2) + on4("commit", 0, 2) + on4("commit", 1, 4), ""},
+		{"commit before verdict ends", validate(0, 1, 0, 2) + on4("commit", 0, 1), "commit of MTX 0 (invocation 0) starts at 1000 ns, before any validate"},
+		{"refused MTX recovered", validate(0, 1, 0, 1) + validate(1, 0, 1, 1) + on4("commit", 0, 1) + on4("recovery.SEQ", 1, 2), ""},
+		{"refused MTX committed", validate(0, 0, 0, 1) + on4("commit", 0, 1), "commit of MTX 0 (invocation 0) starts at 1000 ns, before any validate"},
+		{"revalidated after recovery", validate(0, 1, 0, 1) + validate(1, 0, 1, 1) + validate(2, 1, 2, 1) +
+			on4("commit", 0, 1) + on4("recovery.SEQ", 1, 3) + validate(2, 1, 4, 1) + on4("commit", 2, 5), ""},
+		{"chained invocations", validate(0, 1, 0, 1) + validate(1, 1, 1, 1) + on4("commit", 0, 1) + on4("commit", 1, 2) +
+			validate(0, 1, 5, 1) + validate(1, 1, 6, 1) + on4("commit", 0, 6) + on4("commit", 1, 7), ""},
+		{"verdict from the last invocation", validate(0, 1, 0, 1) + validate(1, 1, 1, 1) + on4("commit", 0, 1) + on4("commit", 1, 2) +
+			validate(0, 1, 5, 1) + on4("commit", 0, 6) + on4("commit", 1, 7), "commit of MTX 1 (invocation 1) starts at 7000 ns, before any validate"},
+		{"zero-length validate exported as an instant", validate(0, 1, 0, 1) +
+			`,{"name":"validate","ph":"i","s":"t","pid":0,"tid":3,"ts":3,"args":{"mtx":1,"ok":1}}` + on4("commit", 0, 1) + on4("commit", 1, 3), ""},
+	}
+	for _, tc := range cases {
+		_, err := check([]byte(`{"traceEvents":[` + meta + tc.events + `]}`))
+		if tc.want == "" {
+			if err != nil {
+				t.Errorf("%s: unexpected error: %v", tc.name, err)
+			}
+		} else if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}

@@ -110,12 +110,16 @@ go test -run=NONE -fuzz FuzzCorePayloads -fuzztime 10s -fuzzminimizetime 10x ./i
 # lends the snapshot's frames, read by several worker goroutines at once:
 # core's lent-frame test rides along as well. So do the delivery rule's
 # host tests (traffic sent before its tag is registered, conflicting
-# senders on one tag) and the never-dialing mesh peer.
+# senders on one tag) and the never-dialing mesh peer. So do the daemon's
+# one-job tests: a data hello naming a job the daemon does not hold (a
+# foreign one, or one it refused) is closed at once while the accept loop
+# and a control session run beside it, and no mesh is built before Start.
 live='TestBackendEquivalence|TestCommittedImageMatchesSequential|TestPageServicePlacement|TestLifecycleSpans|TestSelectiveRearm|TestCommitterHook|TestServedFrameIsLent'
 live+='|TestBoundedRunAhead|TestLiveRecoverySweep|TestMisspecOnFirstIteration|TestBackToBackMisspecs|TestMisspecStorm'
 live+='|TestTLSRecovery|TestRecoveryProperty|TestConflictDetectionProperty|TestBulkReadConflict|TestConnectRunsSuccessiveJobs|TestThreeDaemons'
 live+='|TestRecycledBatchesStress|TestCrossDaemonBatchNeverReturnsToSender|TestDeliveryConformance'
 live+='|TestEarlyTraffic|TestConflictingSendersPanic|TestNeverDialingPeerFailsJob'
+live+='|TestForeignDataHelloClosedAtOnce|TestRefusedJobIsNotHeld|TestMeshWaitsForStart'
 livepkgs='./internal/workloads/ ./internal/core/ ./internal/netrun/ ./internal/queue/ ./internal/platform/...'
 GOMAXPROCS=2 go test -race -count=1 $livepkgs -run "$live"
 GOMAXPROCS=8 go test -race -count=1 $livepkgs -run "$live"
