@@ -210,10 +210,6 @@ func (m *Machine) Events() uint64 { return m.k.Events() }
 // Traffic returns a snapshot of accumulated traffic.
 func (m *Machine) Traffic() platform.TrafficStats { return m.stats }
 
-// Concurrent is false: simulation processes run in strict cooperative
-// alternation, so runtime state needs no synchronization.
-func (m *Machine) Concurrent() bool { return false }
-
 // transmit models the wire: serialization through the sender's NIC for
 // inter-node messages, a fast path for intra-node ones. It returns the
 // arrival time at the destination.

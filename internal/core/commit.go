@@ -170,11 +170,10 @@ func (c *cuNode) commitLoop(seq *SeqCtx) {
 }
 
 // reportProgress is the commit side of bounded run-ahead (see
-// workerNode.awaitWindow): while the bound is in force the commit unit
-// tells the first-stage workers each time its commit point reaches a
-// multiple of windowStride.
+// workerNode.awaitWindow): the commit unit tells the first-stage workers
+// each time its commit point reaches a multiple of windowStride.
 func (c *cuNode) reportProgress() {
-	if !c.sys.bounded() || c.iter%c.sys.windowStride != 0 {
+	if c.iter%c.sys.windowStride != 0 {
 		return
 	}
 	report := ctrlMsg{epoch: c.epoch, progress: c.iter}
@@ -311,13 +310,12 @@ func (c *cuNode) tellRanks(cm ctrlMsg) {
 	c.comm.Send(c.sys.cfg.tryCommitRank(), tagCtrl, cm, bytes)
 }
 
-// Selective re-arm. The paper's recovery re-arms protection over the whole
-// heap at every worker and try-commit unit (mem.Image.Reset), and each then
-// re-pulls its working set through Copy-On-Access. Where ranks share CPUs
-// (Platform.Concurrent, the predicate boundRunAhead uses) that refetch is
-// what the refill costs, so there a rank drops only the pages it stored to
-// since they were installed and the pages listed stale here, and keeps the
-// rest (mem.Image.Rearm). vtime keeps Reset, and with it Figure 6.
+// Selective re-arm. §4.3 re-arms protection over the whole heap at every
+// worker and try-commit unit, which then re-pull their working sets through
+// Copy-On-Access: most of what the refill costs. Here a rank drops only the
+// pages it stored to since they were installed and the pages listed stale
+// here (mem.Image.Rearm); both leave every clean page equal to the new
+// snapshot.
 //
 // Why a kept page is right, by induction over epochs: when epoch e starts,
 // every clean resident page of a rank equals snapshot S_e. During e a rank
@@ -332,30 +330,15 @@ func (c *cuNode) tellRanks(cm ctrlMsg) {
 // equal to S_{e+1}.
 //
 // The list goes out before B3 on tagCtrl, and every rank receives it right
-// after B3, before it touches memory (awaitRearm). It is the first message
-// of the new epoch a rank can see: anything else of that epoch — a progress
-// report, the next recovery order — is sent after B3, and a send before B3
-// is already delivered on host and ordered on net's one commit rank.
+// after B3, before it touches memory (specRank.leaveRecovery). It is the
+// first message of the new epoch a rank can see: anything else of that
+// epoch — a progress report, the next recovery order — is sent after B3,
+// and a send before B3 is already delivered on host, ordered on net's one
+// commit rank, and not overtaken on vtime.
 func (c *cuNode) republish() {
-	live := c.sys.plat.Concurrent()
-	var stale []uva.PageID
-	if live {
-		stale = c.img.AppendUnshared(stale)
-	}
+	stale := c.img.AppendUnshared(nil)
 	c.sys.srv.setSnapshot(c.img.Snapshot())
-	if live {
-		c.tellRanks(ctrlMsg{epoch: c.epoch, rearm: true, stale: stale})
-	}
-}
-
-// awaitRearm receives the stale list of epoch (republish); anything read
-// before it on the control mailbox is from an earlier epoch, and stale.
-func awaitRearm(comm *mpi.Comm, epoch uint64) []uva.PageID {
-	for {
-		if cm := comm.Recv(platform.AnySource, tagCtrl).Payload.(ctrlMsg); cm.rearm && cm.epoch == epoch {
-			return cm.stale
-		}
-	}
+	c.tellRanks(ctrlMsg{epoch: c.epoch, rearm: true, stale: stale})
 }
 
 // pageServer serves Copy-On-Access page requests from the snapshot of the

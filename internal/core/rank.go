@@ -184,28 +184,30 @@ func (r *specRank) enterRecovery() ctrlMsg {
 // leaveRecovery finishes a speculative rank's side of §4.3 once its queues
 // are flushed: barrier B2, then reinstate access protection over the heap,
 // discarding speculative state — the charge scales with the pages the rank
-// had touched — and barrier B3 while the commit unit re-executes. vtime
-// discards the whole image before B3; live backends keep it and, right after
-// B3, drop only what changed (cuNode.republish).
+// had touched — and barrier B3 while the commit unit re-executes. The rank
+// keeps its image across B3 and, right after it, drops only what changed
+// (cuNode.republish).
 func (r *specRank) leaveRecovery(cm ctrlMsg) {
 	r.comm.Barrier(r.sys.allRanks) // B2: queues flushed everywhere
 	r.proc.Advance(r.sys.instrTime(r.sys.cfg.ProtectInstr * int64(r.img.Resident())))
-	live := r.sys.plat.Concurrent()
-	if !live {
-		r.img.Reset()
-	}
 	r.epoch = cm.epoch
 	r.comm.Barrier(r.sys.allRanks) // B3: the commit unit has re-executed; resume
-	if live {
-		r.img.Rearm(awaitRearm(r.comm, r.epoch))
+	// The stale list of this epoch (republish) is the first control message
+	// of it; anything read before it is from an earlier epoch, and stale.
+	for {
+		if m := r.comm.Recv(platform.AnySource, tagCtrl).Payload.(ctrlMsg); m.rearm && m.epoch == r.epoch {
+			r.img.Rearm(m.stale)
+			break
+		}
 	}
 	r.rec.close(r.proc)
 	r.sys.tr.Span(trace.SpanRecovery, r.rank, r.rec.trStart, cm.restart, 0, 0)
 }
 
-// window accounts a rank's recovery windows for the stall table: the wall
-// time inside them and the shares of that time its process advanced and was
-// parked, which the table moves out of Busy and Blocked. A window is opened
+// window accounts a rank's recovery windows (or run-ahead waits) for the
+// stall table: the wall time inside them and the shares of that time its
+// process advanced and was parked, which the table moves out of Busy and
+// Blocked. A window is opened
 // and closed on one process; trStart anchors the window's span in tracer
 // time.
 type window struct {

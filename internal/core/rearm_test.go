@@ -9,9 +9,9 @@ import (
 	"dsmtx/internal/uva"
 )
 
-// Selective re-arm on live backends (cuNode.republish): after a recovery a
-// worker or try-commit unit keeps every page that neither it nor a commit
-// unit wrote, and drops the rest.
+// Selective re-arm (cuNode.republish): after a recovery a worker or
+// try-commit unit keeps every page that neither it nor the commit unit
+// wrote, and drops the rest.
 
 const (
 	rearmWS    = 24 // working-set pages every iteration reads
@@ -86,11 +86,15 @@ func (p *rearmProg) digest(img *mem.Image) uint64 {
 	return img.ChecksumRange(p.out, int(p.n)*8) ^ img.Load(p.w())
 }
 
-// TestSelectiveRearm runs rearmProg on vtime, which re-arms everything, and
-// live on host. Both must commit the
-// sequential result with vtime's misspeculation count — a stale word either
-// commits or fails validation — and host must fetch at most a third of the
-// pages vtime does, the refetch selective re-arm exists to save.
+// TestSelectiveRearm runs rearmProg on vtime and live on host. Each must
+// commit the sequential result with one misspeculation per rare iteration — a
+// stale word either commits or fails validation — and its reference is a full
+// reset counted on the same run: at each recovery a rank's Rearm drops some
+// pages (mem.pages.rearmed) and keeps the rest (mem.pages.kept), and Reset
+// would have dropped both. rearmProg reads every page it holds each
+// iteration, so each page dropped is one refetch; re-arm must drop at most a
+// third of what a full reset would, the refetch selective re-arm exists to
+// save.
 func TestSelectiveRearm(t *testing.T) {
 	const n = 128
 	rare := make(map[uint64]bool)
@@ -105,31 +109,27 @@ func TestSelectiveRearm(t *testing.T) {
 	}
 	want := ref.digest(seqImg)
 
-	// The server's request count is read from coa.requests through a
-	// metrics-only tracer; tracing never changes a vtime outcome.
-	coaRequests := func() uint64 { return cfg.Tracer.Metrics().Counter("coa.requests").Value() }
-	cfg.Tracer = trace.NewMetricsOnly()
-	vprog := &rearmProg{n: n, rare: rare}
-	vsys, vres := runProg(t, cfg, vprog)
-	if got := vprog.digest(vsys.CommitImage()); got != want || vres.Misspecs != uint64(len(rare)) {
-		t.Fatalf("vtime: digest %#x misspecs %d, want %#x and %d", got, vres.Misspecs, want, len(rare))
-	}
-	full := coaRequests()
-
-	cfg.Backend = BackendHost
-	cfg.Tracer = trace.NewMetricsOnly()
-	prog := &rearmProg{n: n, rare: rare}
-	sys, res := runProg(t, cfg, prog)
-	if got := prog.digest(sys.CommitImage()); got != want {
-		t.Errorf("host: digest %#x, want the sequential %#x", got, want)
-	}
-	if res.Committed != n || res.Misspecs != vres.Misspecs {
-		t.Errorf("host: committed %d misspecs %d, want %d and vtime's %d",
-			res.Committed, res.Misspecs, n, vres.Misspecs)
-	}
-	got := coaRequests()
-	t.Logf("host: %d Copy-On-Access requests; vtime: %d", got, full)
-	if 3*got > full {
-		t.Errorf("host: %d Copy-On-Access requests, want <= a third of vtime's full re-arm (%d)", got, full)
+	for _, backend := range []Backend{BackendVTime, BackendHost} {
+		c := cfg
+		c.Backend = backend
+		// Counts come through a metrics-only tracer; tracing never changes a
+		// vtime outcome.
+		tr := trace.NewMetricsOnly()
+		c.Tracer = tr
+		prog := &rearmProg{n: n, rare: rare}
+		sys, res := runProg(t, c, prog)
+		if got := prog.digest(sys.CommitImage()); got != want {
+			t.Errorf("%v: digest %#x, want the sequential %#x", backend, got, want)
+		}
+		if res.Committed != n || res.Misspecs != uint64(len(rare)) {
+			t.Errorf("%v: committed %d misspecs %d, want %d and %d", backend, res.Committed, res.Misspecs, n, len(rare))
+		}
+		count := func(name string) uint64 { return tr.Metrics().Counter(name).Value() }
+		dropped, kept := count("mem.pages.rearmed"), count("mem.pages.kept")
+		t.Logf("%v: re-arm dropped %d pages, a full reset %d; %d Copy-On-Access requests",
+			backend, dropped, dropped+kept, count("coa.requests"))
+		if kept == 0 || 3*dropped > dropped+kept {
+			t.Errorf("%v: re-arm dropped %d of %d resident pages, want <= a third", backend, dropped, dropped+kept)
+		}
 	}
 }

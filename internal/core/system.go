@@ -61,9 +61,9 @@ type Finalizer interface {
 
 // ctrlMsg is a commit-unit broadcast: "enter recovery at epoch, restarting
 // from iteration restart"; with done set, "the whole run has committed; exit";
-// or, to the first-stage workers under bounded run-ahead (awaitWindow),
-// "epoch's commit point has reached progress"; or, with rearm set, on live
-// backends, "recovery epoch's snapshot differs from the last one in stale"
+// or, to the first-stage workers (bounded run-ahead, awaitWindow),
+// "epoch's commit point has reached progress"; or, with rearm set,
+// "recovery epoch's snapshot differs from the last one in stale"
 // (cuNode.republish). Only a recovery order carries an epoch newer than its
 // receiver's: a list of epoch e is sent just before recovery e's last
 // barrier and a report after it, and both are read only after that barrier,
@@ -164,7 +164,7 @@ type System struct {
 	life     []platform.Duration // per rank: its process's run time on its own clock
 
 	// windowStride sizes the bound on first-stage run-ahead (see
-	// boundRunAhead); zero = never bounded.
+	// boundRunAhead).
 	windowStride uint64
 
 	initialImage *mem.Image
@@ -240,12 +240,7 @@ func NewSystem(cfg Config, prog Program, initialImage *mem.Image) (*System, erro
 		s.mach = cluster.New(s.kernel, s.cfg.Cluster)
 		s.plat = s.mach
 	}
-	if s.plat.Concurrent() {
-		// Live ranks share the host's CPUs, so work that will be squashed
-		// competes with the refill. A vtime rank owns its modelled core, as on
-		// the paper's cluster, and Figure 6 measures that unbounded schedule.
-		s.boundRunAhead()
-	}
+	s.boundRunAhead()
 	s.world = mpi.NewWorld(s.plat, cfg.MPICost)
 	s.buildQueues()
 	for r := 0; r < cfg.TotalCores; r++ {
@@ -387,27 +382,26 @@ func (s *System) prevPool(tid int) int {
 }
 
 // spawnRank starts a named protocol process on the platform, applying the
-// schedule hook's dilation for its rank on vtime. On the host backend the
-// goroutine carries pprof labels (rank, role) so -cpuprofile output
+// schedule hook's dilation for its rank on vtime. On the live backends (no
+// sim kernel) the goroutine carries pprof labels (rank, role) so -cpuprofile output
 // attributes samples per rank role; vtime processes are cooperative
 // goroutines of one scheduler, where per-proc labels would only mislead.
 func (s *System) spawnRank(name string, rank int, body func(platform.Proc)) {
 	if !s.local(rank) {
 		return
 	}
-	if s.plat.Concurrent() {
-		role := strings.TrimRight(name, "0123456789")
-		labels := pprof.Labels("dsmtx-rank", strconv.Itoa(rank), "dsmtx-role", role)
+	if s.kernel != nil {
 		s.plat.Spawn(name, func(p platform.Proc) {
-			pprof.Do(context.Background(), labels, func(context.Context) { body(p) })
+			if s.hook.dilation != nil {
+				p.(*sim.Proc).SetDilation(s.hook.dilation(rank))
+			}
+			body(p)
 		})
 		return
 	}
+	labels := pprof.Labels("dsmtx-rank", strconv.Itoa(rank), "dsmtx-role", strings.TrimRight(name, "0123456789"))
 	s.plat.Spawn(name, func(p platform.Proc) {
-		if s.hook.dilation != nil {
-			p.(*sim.Proc).SetDilation(s.hook.dilation(rank))
-		}
-		body(p)
+		pprof.Do(context.Background(), labels, func(context.Context) { body(p) })
 	})
 }
 
@@ -516,9 +510,10 @@ func (s *System) buildStallReport() {
 		if w.proc == nil {
 			continue // remote rank (net backend): reported by its own daemon
 		}
-		row := stallRow(w.proc, w.stallStarve+w.stallBack, w.rec)
+		row := stallRow(w.proc, w.stallStarve+w.stallBack+w.held.adv, w.rec)
 		row.Track, row.Label, row.Stage = w.rank, fmt.Sprintf("worker%d", w.tid), fmt.Sprintf("S%d", w.stage)
-		row.Backpressure, row.Starvation = w.stallBack, w.stallStarve
+		row.Backpressure, row.Starvation = w.stallBack+w.held.wall, w.stallStarve
+		row.Blocked -= w.held.blk
 		s.stalls.Add(row)
 	}
 	if tc := s.tc; tc.proc != nil {

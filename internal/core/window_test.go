@@ -14,24 +14,27 @@ import (
 	"dsmtx/internal/uva"
 )
 
-// TestLiveRecoverySweep drives seeded random programs through the host
-// backend, where the first stage waits at the run-ahead window in every
-// epoch (awaitWindow): loop lengths 1-400 straddle the window's
-// floor and the trip count, misspeculation sets run from none to a storm,
-// and the plan shapes are the ones the wedge argument names — a sequential
-// first stage feeding a round-robin or occupancy-routed pool, a parallel
-// first stage with value conflicts, the TLS sync ring — at 5/6/9/12 cores
-// and marker batches of 1, 3 and 8 (stride and floor derive from them). Every run goes through runWithin, so a wedge
-// fails instead of hanging, and the committed words are compared one by one
-// with the sequential result. Clean programs run under the bound too, and at
-// least one of the full 150 (the short 30 may have none) must wait at it, so
-// the wedge argument is exercised in epoch 0 and not only after a recovery.
+// TestLiveRecoverySweep drives seeded random programs through vtime or the
+// host backend, drawn per seed, where the first stage waits at the run-ahead
+// window in every epoch (awaitWindow): loop lengths 1-400 straddle the
+// window's floor and the trip count, misspeculation sets run from none to a
+// storm, and the plan shapes are the ones the wedge argument names — a
+// sequential first stage feeding a round-robin or occupancy-routed pool, a
+// parallel first stage with value conflicts, the TLS sync ring — at
+// 5/6/9/12 cores and marker batches of 1, 3 and 8 (stride and floor derive
+// from them). Every run goes through runWithin, so a wedge fails instead of
+// hanging, and the committed words are compared one by one with the
+// sequential result. A failing vtime seed replays exactly. Clean programs run
+// under the bound too, and at least one clean vtime program, of the full 150
+// or the short 30, must wait at it, so the wedge argument is exercised in
+// epoch 0 and not only after a recovery; on vtime whether one waits does not
+// depend on the machine.
 func TestLiveRecoverySweep(t *testing.T) {
 	programs := 150
 	if testing.Short() {
 		programs = 30
 	}
-	cleanWaits := 0
+	cleanWaits := map[Backend]int{}
 	for seed := int64(1); seed <= int64(programs); seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := uint64(1 + rng.Intn(400))
@@ -62,12 +65,12 @@ func TestLiveRecoverySweep(t *testing.T) {
 			prog = &tlsMisspecProg{n: n, misspecs: misspecs}
 		}
 		cfg := smallConfig(cores, plan)
-		cfg.Backend = BackendHost
 		cfg.MarkerFlushIters = []int{1, 3, 8}[rng.Intn(3)]
+		cfg.Backend = []Backend{BackendVTime, BackendHost}[rng.Intn(2)]
 		tr := trace.NewMetricsOnly()
 		cfg.Tracer = tr
-		name := fmt.Sprintf("seed %d: %s n=%d, %d misspecs, %d cores, occupancy %v, flush %d",
-			seed, plan.Name, n, len(misspecs), cores, plan.Occupancy, cfg.MarkerFlushIters)
+		name := fmt.Sprintf("seed %d: %v %s n=%d, %d misspecs, %d cores, occupancy %v, flush %d",
+			seed, cfg.Backend, plan.Name, n, len(misspecs), cores, plan.Occupancy, cfg.MarkerFlushIters)
 		sys, res, err := runWithin(cfg, prog)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -99,13 +102,106 @@ func TestLiveRecoverySweep(t *testing.T) {
 			t.Errorf("%s: %d misspeculations", name, res.Misspecs)
 		}
 		if res.Misspecs == 0 && tr.Metrics().Counter("window.waits").Value() > 0 {
-			cleanWaits++
+			cleanWaits[cfg.Backend]++
 		}
 	}
-	if cleanWaits == 0 && !testing.Short() {
-		t.Errorf("no clean program waited at the run-ahead window")
+	if cleanWaits[BackendVTime] == 0 {
+		t.Errorf("no clean vtime program waited at the run-ahead window")
 	}
-	t.Logf("%d clean programs waited at the window", cleanWaits)
+	t.Logf("clean programs that waited at the window: %d on vtime, %d on host", cleanWaits[BackendVTime], cleanWaits[BackendHost])
+}
+
+// TestStallIdentity pins buildStallReport's identity on vtime, exactly, for
+// a run that both waits at the run-ahead window and recovers: for every
+// worker, try-commit and commit row, Advanced + Blocked of its process equals
+// the row's columns summed, and no column is negative. A wait at the window
+// parks (its blocking Recv) as well as advances, as a recovery window does.
+func TestStallIdentity(t *testing.T) {
+	cfg := smallConfig(6, pipeline.SpecDSWP("S", "DOALL", "S"))
+	cfg.MarkerFlushIters = 1
+	tr := trace.NewMetricsOnly()
+	cfg.Tracer = tr
+	sys, res := runProg(t, cfg, &pipeProg{n: 120, misspecs: map[uint64]bool{30: true, 75: true}})
+	if res.Misspecs == 0 || tr.Metrics().Counter("window.waits").Value() == 0 {
+		t.Fatalf("%d misspeculations, %d window waits; want a run that does both",
+			res.Misspecs, tr.Metrics().Counter("window.waits").Value())
+	}
+	procs := map[string]platform.Proc{"trycommit0": sys.tc.proc, "commit": sys.cu.proc}
+	for _, w := range sys.workers {
+		procs[fmt.Sprintf("worker%d", w.tid)] = w.proc
+	}
+	held := false
+	for _, row := range sys.StallReport().Rows {
+		p, ok := procs[row.Label]
+		if !ok {
+			continue
+		}
+		delete(procs, row.Label)
+		for _, cell := range []platform.Duration{row.Busy, row.Backpressure, row.Starvation, row.VerdictWait, row.Recovery, row.Blocked} {
+			if cell < 0 {
+				t.Errorf("%s: negative cell in %+v", row.Label, row)
+				break
+			}
+		}
+		if got, want := row.Total(), p.Advanced()+p.Blocked(); got != want {
+			t.Errorf("%s: columns sum to %v, Advanced + Blocked is %v: %+v", row.Label, got, want, row)
+		}
+		held = held || row.Backpressure > 0
+	}
+	if len(procs) != 0 {
+		t.Errorf("no stall row for %v", procs)
+	}
+	if !held {
+		t.Error("no row charged backpressure, though a worker waited at the window")
+	}
+}
+
+// TestScheduleExplorerRearm runs rearmProg, whose recoveries each leave a
+// commit-unit word and a squashed store stale (selective re-arm), on vtime
+// under the explorer's six seeds, with a marker batch of two so the first
+// stage also waits at the run-ahead window: each seed must commit the
+// sequential digest with one misspeculation per rare iteration, and repeat
+// bit for bit.
+func TestScheduleExplorerRearm(t *testing.T) {
+	const n = 128
+	rare := make(map[uint64]bool)
+	for k := uint64(9); k+3 < n; k += 10 {
+		rare[k] = true
+	}
+	cfg := smallConfig(5, pipeline.SpecDOALL())
+	cfg.MarkerFlushIters = 2
+	ref := &rearmProg{n: n, rare: rare}
+	_, seqImg, err := RunSequential(cfg, ref, n, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ref.digest(seqImg)
+	run := func(seed uint64) (Result, uint64, uint64) {
+		c := cfg
+		tr := trace.NewMetricsOnly()
+		c.Tracer = tr
+		prog := &rearmProg{n: n, rare: rare}
+		sys, res, err := runHooked(c, prog, seededHook(seed))
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		return res, prog.digest(sys.CommitImage()), tr.Metrics().Counter("window.waits").Value()
+	}
+	waits := uint64(0)
+	for seed := uint64(1); seed <= 6; seed++ {
+		res, digest, w := run(seed)
+		if digest != want || res.Committed != n || res.Misspecs != uint64(len(rare)) {
+			t.Errorf("seed %d: digest %#x committed %d misspecs %d, want %#x, %d and %d",
+				seed, digest, res.Committed, res.Misspecs, want, n, len(rare))
+		}
+		if again, digest2, w2 := run(seed); !reflect.DeepEqual(again, res) || digest2 != digest || w2 != w {
+			t.Errorf("seed %d: the repeat run differs:\n got %+v\nwant %+v", seed, again, res)
+		}
+		waits += w
+	}
+	if waits == 0 {
+		t.Error("no seed waited at the run-ahead window")
+	}
 }
 
 // seededHook is one point of the schedule explorer's space: every message

@@ -51,7 +51,8 @@ type workerNode struct {
 
 	// Stall attribution: poll time by cause.
 	stallStarve platform.Duration // consumeNext polling an empty upstream queue
-	stallBack   platform.Duration // occupancy-routing and run-ahead-window waits
+	stallBack   platform.Duration // occupancy-routing waits
+	held        window            // run-ahead-window waits (awaitWindow)
 
 	epochBase   uint64 // first iteration of the current epoch
 	progress    uint64 // newest commit point reported this epoch (awaitWindow)
@@ -448,7 +449,7 @@ func (w *workerNode) consumeNext(port *queue.RecvPort[Entry]) Entry {
 			return e
 		}
 		w.checkCtrl()
-		if w.sinceFlush > 0 && w.occRouted && w.sys.bounded() {
+		if w.sinceFlush > 0 && w.occRouted {
 			// Upstream may be held at the run-ahead bound, on a commit point
 			// that cannot pass the markers batched here: occupancy routing
 			// may deal this worker nothing more (see boundRunAhead).
@@ -477,15 +478,14 @@ func (w *workerNode) onCtrl(cm ctrlMsg) {
 	}
 }
 
-// Bounded run-ahead. Nothing upstream throttles the first pipeline stage: on
-// CPUs the ranks share it runs as far ahead of the commit point as the
-// scheduler lets it, a misspeculation squashes all of that (commit order is
-// predefined, so every later in-flight MTX goes), and the squashed work is
-// what starves the refill. So where ranks share CPUs (boundRunAhead is only
-// called there), in every epoch from an invocation's first iteration, the
-// commit unit reports its commit point to the first-stage workers at
-// every multiple of windowStride (cuNode.reportProgress), and one starts
-// iteration i only while
+// Bounded run-ahead. Nothing upstream throttles the first pipeline stage,
+// and a misspeculation squashes everything it ran ahead (commit order is
+// predefined, so every later in-flight MTX goes). How far speculation may
+// lead is part of the protocol, not of the machine, so every backend runs
+// one bound and vtime reproduces the schedules host and net run. In every
+// epoch from an invocation's first iteration, the commit unit reports its
+// commit point to the first-stage workers at every multiple of windowStride
+// (cuNode.reportProgress), and one starts iteration i only while
 //
 //	i < progress + (progress - epochBase) + floor
 //
@@ -542,26 +542,21 @@ func (s *System) boundRunAhead() {
 	s.windowStride = uint64(max(s.cfg.MarkerFlushIters, 1) * (pool + 1))
 }
 
-// bounded reports whether the run-ahead bound is in force: the ranks share
-// CPUs (boundRunAhead ran).
-func (s *System) bounded() bool { return s.windowStride != 0 }
-
 // windowEnd is the first iteration the bound does not admit yet.
 func (w *workerNode) windowEnd() uint64 {
 	return w.progress + (w.progress - w.epochBase) + 2*w.sys.windowStride
 }
 
 // awaitWindow holds a first-stage worker at iteration iter until the bound
-// admits it, returning at once while the bound is not in force. The wait is
-// charged to the stall table's backpressure column.
+// admits it. The wait (held) is the stall table's backpressure.
 func (w *workerNode) awaitWindow(iter uint64) {
-	if !w.sys.bounded() || iter < w.windowEnd() {
+	if iter < w.windowEnd() {
 		return
 	}
 	w.flushMarkers() // the commit point cannot pass a marker still batched here
 	w.cWaits.Inc()
-	start := w.proc.Now()
-	defer func() { w.stallBack += w.proc.Now() - start }() // a recovery order unwinds through here
+	w.held.open(w.proc, w.sys.tr)
+	defer w.held.close(w.proc) // a recovery order unwinds through here
 	for iter >= w.windowEnd() {
 		w.onCtrl(w.comm.Recv(platform.AnySource, tagCtrl).Payload.(ctrlMsg))
 	}

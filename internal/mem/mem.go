@@ -8,10 +8,9 @@
 // commit unit's memory (§3.1, §4.2). Inside one process the fetch lends the
 // snapshot's own frame (SharePage) rather than a clone: the image maps a
 // fetched frame copy-on-write, so a page it only reads exists once per
-// process and the first store copies it. Reset drops every resident page,
-// re-arming protection: that is how speculative state is discarded wholesale
-// during misspeculation recovery (§4.3). Rearm drops only the pages the image
-// wrote and the ones its caller names stale — the live backends' recovery.
+// process and the first store copies it. Rearm drops the pages the image
+// wrote and the ones its caller names stale: misspeculation recovery's
+// re-arm (§4.3). Reset drops every page, recycling an image after a run.
 //
 // Go has no user-level memory protection, so the page-table state machine
 // is explicit; the protocol it triggers (fault → page request → page reply →
@@ -139,6 +138,8 @@ type Image struct {
 	// and reset paths only — the resident Load/Store fast path is untouched.
 	cFaults   *trace.Counter
 	cRecycled *trace.Counter
+	cRearmed  *trace.Counter
+	cKept     *trace.Counter
 	gResident *trace.Gauge
 }
 
@@ -154,16 +155,18 @@ func NewImage(fault FaultFunc) *Image {
 }
 
 // Instrument attaches shared metric handles: page faults bump
-// "mem.pages.faulted", frames returned to the pool on Reset bump
-// "mem.pages.recycled", and the cluster-wide resident-page level drives the
-// "mem.resident.pages" gauge (its Max is the high-water mark). A nil
-// registry is a no-op.
+// "mem.pages.faulted", frames returned to the pool bump "mem.pages.recycled",
+// pages a Rearm drops and keeps bump "mem.pages.rearmed" and "mem.pages.kept",
+// and the cluster-wide resident-page level drives the "mem.resident.pages"
+// gauge (its Max is the high-water mark). A nil registry is a no-op.
 func (im *Image) Instrument(m *trace.Metrics) {
 	if m == nil {
 		return
 	}
 	im.cFaults = m.Counter("mem.pages.faulted")
 	im.cRecycled = m.Counter("mem.pages.recycled")
+	im.cRearmed = m.Counter("mem.pages.rearmed")
+	im.cKept = m.Counter("mem.pages.kept")
 	im.gResident = m.Gauge("mem.resident.pages")
 }
 
@@ -325,8 +328,9 @@ func (im *Image) SharePage(id uva.PageID) *Page {
 func (im *Image) CopyPage(id uva.PageID) *Page { return clonePage(im.faultIn(id).pg) }
 
 // Reset drops every resident page, re-arming protection over the whole
-// space: the recovery step "reinstate the access protection to the heap
-// area, discarding the remaining speculative state".
+// space: the paper's recovery step "reinstate the access protection to the
+// heap area, discarding the remaining speculative state". The runtime
+// recovers with Rearm, and Resets an image only once its run has ended.
 func (im *Image) Reset() {
 	if im.release {
 		recycled := 0
@@ -384,6 +388,8 @@ func (im *Image) Rearm(stale []uva.PageID) {
 	im.resident -= dropped
 	im.gResident.Add(-int64(dropped))
 	im.cRecycled.Add(uint64(recycled))
+	im.cRearmed.Add(uint64(dropped))
+	im.cKept.Add(uint64(im.resident))
 }
 
 // AppendUnshared appends to dst every resident page no snapshot aliases:

@@ -144,7 +144,7 @@ func TestConnectRunsSuccessiveJobs(t *testing.T) {
 	if limit := 3 * (2*rec.Committed + 32*(rec.Misspecs+1)); rec.SubTXs > limit {
 		t.Errorf("197.parser at rate 0.05: %d subTXs executed, want <= %d", rec.SubTXs, limit)
 	}
-	// Live recovery re-arms only the pages that changed, so the job refetches
+	// Recovery re-arms only the pages that changed, so the job refetches
 	// little: ≈ 236 Copy-On-Access messages (requests and replies), against
 	// ≈ 1,580 when every recovery dropped every page.
 	if pages := rec.Traffic.PageMessages; pages > 600 {

@@ -212,10 +212,6 @@ func (h *Platform) Traffic() platform.TrafficStats {
 	return t
 }
 
-// Concurrent is true: processes are real goroutines, so shared runtime
-// state must be synchronized.
-func (h *Platform) Concurrent() bool { return true }
-
 // fail records the first failure and closes the down channel; every parked
 // receiver's select wakes, re-checks failed, and panics with the unwind
 // sentinel, draining the WaitGroup.

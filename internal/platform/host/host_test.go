@@ -107,9 +107,6 @@ func TestTrafficAccounting(t *testing.T) {
 // TestPlatformShape pins the host backend's contract constants.
 func TestPlatformShape(t *testing.T) {
 	h := New(3, nil)
-	if !h.Concurrent() {
-		t.Error("host must report Concurrent")
-	}
 	if h.InstrTime(1_000_000) != 0 {
 		t.Error("host must not charge instruction time")
 	}

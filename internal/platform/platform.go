@@ -214,8 +214,4 @@ type Platform interface {
 	Events() uint64
 	// Traffic returns a snapshot of accumulated wire traffic.
 	Traffic() TrafficStats
-	// Concurrent reports whether processes run truly concurrently (host) —
-	// shared runtime state then needs synchronization — or in strict
-	// cooperative alternation (vtime).
-	Concurrent() bool
 }

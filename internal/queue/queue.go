@@ -87,7 +87,7 @@ const batchHeaderBytes = 32
 // what a receiver returns while it works through a backlog faster than the
 // sender flushes: at most the backlog. A pipeline edge flushes once
 // per subTX, so its backlog is its consumer's lag in iterations, and at the
-// start of every epoch core's live backends let the first stage lead by the
+// start of every epoch core lets the first stage lead by the
 // run-ahead floor, 2·stride = 2·MarkerFlushIters·(P+1) = 32 iterations at the
 // smallest layout (P = 1).
 // A backlog that long recycles whole; past it the excess goes to the

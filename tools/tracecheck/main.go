@@ -19,7 +19,9 @@
 // workload. And when the try-commit unit's track ("trycommit0") has
 // validate spans, every commit span of MTX i starts at or after the end of
 // a validate span of i with ok=1 there, in the same chained invocation: a
-// group commit follows its verdict. CI runs tracecheck over the traces
+// group commit follows its verdict, and every recovery.SEQ span of MTX i
+// starts after a misspec instant or an ok=0 validate of i in its invocation:
+// only an MTX that misspeculated is re-executed. CI runs tracecheck over the traces
 // scripts/smoke.sh produces (vtime, misspeculating vtime, and wall clock).
 //
 // Usage:
@@ -33,6 +35,7 @@ import (
 	"log"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 
 	"dsmtx/internal/trace"
@@ -72,8 +75,8 @@ var commitOrderSpans = map[string]bool{
 	trace.SpanSEQ.String():    true,
 }
 
-// mtxSpan is a commit-order or validate span (or zero-length instant): its
-// MTX, its times in nanoseconds and a validate's verdict.
+// mtxSpan is a commit-order, validate or misspec span (or zero-length
+// instant): its MTX, its times in nanoseconds and a validate's verdict.
 type mtxSpan struct {
 	name       string
 	mtx        uint64
@@ -129,6 +132,26 @@ func checkVerdicts(commits, validates []mtxSpan) error {
 	return nil
 }
 
+// checkSEQCauses requires every recovery.SEQ in commits to start at or after
+// a cause of its MTX (causes: misspec instants, ok=0 validates) that starts
+// after the previous chained invocation's last commit-order span ends.
+func checkSEQCauses(commits, causes []mtxSpan) error {
+	floor, last := int64(math.MinInt64), int64(math.MinInt64)
+	for i, c := range commits {
+		if c.mtx == 0 && i > 0 {
+			floor = last
+		}
+		last = max(last, c.end)
+		if c.name == trace.SpanSEQ.String() && !slices.ContainsFunc(causes, func(m mtxSpan) bool {
+			return m.mtx == c.mtx && m.start >= floor && m.start <= c.start
+		}) {
+			return fmt.Errorf("cause: the recovery.SEQ of MTX %d starts at %d ns with no misspec or ok=0 validate of it before it in its invocation",
+				c.mtx, c.start)
+		}
+	}
+	return nil
+}
+
 // usec parses a trace timestamp (a JSON number in microseconds, emitted
 // with nanosecond precision as %d.%03d).
 func usec(raw json.RawMessage) (float64, error) {
@@ -173,10 +196,11 @@ func check(data []byte) (string, error) {
 		lastTs[*e.Tid] = ts
 		return nil
 	}
-	// noteMTX records a commit-order or validate span; a zero-length one is
-	// exported as an instant (dur 0), so both phases come here.
+	var causes []mtxSpan // misspec instants and ok=0 validates
+	// noteMTX records a commit-order, validate or misspec span; a zero-length
+	// one is exported as an instant (dur 0), so both phases come here.
 	noteMTX := func(i int, e *event, ts, dur float64) error {
-		if !commitOrderSpans[e.Name] && e.Name != trace.SpanValidate.String() {
+		if !commitOrderSpans[e.Name] && e.Name != trace.SpanValidate.String() && e.Name != trace.InstMisspec.String() {
 			return nil
 		}
 		mtx, ok := e.Args["mtx"].(float64)
@@ -184,8 +208,11 @@ func check(data []byte) (string, error) {
 			return fmt.Errorf("event %d (%q): no mtx arg", i, e.Name)
 		}
 		verdict, _ := e.Args["ok"].(float64)
-		mtxSpans[*e.Tid] = append(mtxSpans[*e.Tid], mtxSpan{e.Name, uint64(mtx),
-			int64(math.Round(ts * 1000)), int64(math.Round((ts + dur) * 1000)), verdict == 1})
+		sp := mtxSpan{e.Name, uint64(mtx), int64(math.Round(ts * 1000)), int64(math.Round((ts + dur) * 1000)), verdict == 1}
+		mtxSpans[*e.Tid] = append(mtxSpans[*e.Tid], sp)
+		if e.Name == trace.InstMisspec.String() || e.Name == trace.SpanValidate.String() && !sp.ok {
+			causes = append(causes, sp)
+		}
 		return nil
 	}
 	for i, e := range tf.TraceEvents {
@@ -268,6 +295,9 @@ func check(data []byte) (string, error) {
 	}
 	if validates != nil {
 		if err := checkVerdicts(commits, validates); err != nil {
+			return "", err
+		}
+		if err := checkSEQCauses(commits, causes); err != nil {
 			return "", err
 		}
 	}

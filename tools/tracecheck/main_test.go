@@ -319,3 +319,60 @@ func TestCheckVerdictRules(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckRejectsSEQWithoutCause: a hand-edited cut of a recovering
+// 197.parser vtime trace's trycommit0 and commit tracks (MTXs 0–10), whose
+// one ok=0 validate, of MTX 3, was flipped to ok=1. Commit order and every
+// verdict still hold, so only the cause rule refuses its recovery.SEQ of 3.
+func TestCheckRejectsSEQWithoutCause(t *testing.T) {
+	data, err := os.ReadFile("testdata/seq_without_cause.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := check(data); err == nil || !strings.Contains(err.Error(), "cause: the recovery.SEQ of MTX 3 starts at 426321 ns") {
+		t.Errorf("err = %v, want the causeless SEQ of MTX 3 named", err)
+	}
+}
+
+// TestCheckSEQCauseRules: with a trycommit0 track present, each
+// recovery.SEQ of MTX i needs a misspec instant of i on any track or an ok=0
+// validate of i, starting no later than the SEQ and after the previous
+// chained invocation's last commit-order span.
+func TestCheckSEQCauseRules(t *testing.T) {
+	const meta = `{"name":"thread_name","ph":"M","pid":0,"tid":4,"args":{"name":"commit"}},
+		{"name":"thread_name","ph":"M","pid":0,"tid":3,"args":{"name":"trycommit0"}},
+		{"name":"thread_name","ph":"M","pid":0,"tid":0,"args":{"name":"worker0"}},
+		{"name":"validate","ph":"X","pid":0,"tid":3,"ts":0,"dur":0,"args":{"mtx":9,"ok":1}}`
+	on4 := func(name string, mtx, ts int) string {
+		return fmt.Sprintf(`,{"name":%q,"ph":"X","pid":0,"tid":4,"ts":%d,"dur":1,"args":{"mtx":%d}}`, name, ts, mtx)
+	}
+	misspec := func(mtx, ts int) string {
+		return fmt.Sprintf(`,{"name":"misspec","ph":"i","s":"t","pid":0,"tid":0,"ts":%d,"args":{"mtx":%d}}`, ts, mtx)
+	}
+	refused := func(mtx, ts int) string {
+		return fmt.Sprintf(`,{"name":"validate","ph":"X","pid":0,"tid":3,"ts":%d,"dur":1,"args":{"mtx":%d,"ok":0}}`, ts, mtx)
+	}
+	cases := []struct {
+		name, events, want string // want: error substring; empty = must pass
+	}{
+		{"worker marker", misspec(0, 0) + on4("recovery.SEQ", 0, 2), ""},
+		{"refused verdict", refused(0, 0) + on4("recovery.SEQ", 0, 2), ""},
+		{"no cause", on4("recovery.SEQ", 0, 2), "recovery.SEQ of MTX 0 starts at 2000 ns with no misspec"},
+		{"another MTX's verdict", refused(1, 0) + on4("recovery.SEQ", 0, 2), "recovery.SEQ of MTX 0"},
+		{"marker after the SEQ", on4("recovery.SEQ", 0, 2) + misspec(0, 3), "recovery.SEQ of MTX 0"},
+		{"marker from the last invocation", misspec(0, 0) + misspec(1, 0) + on4("recovery.SEQ", 0, 1) + on4("recovery.SEQ", 1, 2) +
+			on4("recovery.SEQ", 0, 5) + on4("recovery.SEQ", 1, 6), "recovery.SEQ of MTX 0 starts at 5000 ns"},
+		{"marker in its own invocation", misspec(0, 0) + on4("recovery.SEQ", 0, 1) + misspec(1, 1) +
+			on4("recovery.SEQ", 1, 2) + misspec(0, 4) + on4("recovery.SEQ", 0, 5) + misspec(1, 5) + on4("recovery.SEQ", 1, 6), ""},
+	}
+	for _, tc := range cases {
+		_, err := check([]byte(`{"traceEvents":[` + meta + tc.events + `]}`))
+		if tc.want == "" {
+			if err != nil {
+				t.Errorf("%s: unexpected error: %v", tc.name, err)
+			}
+		} else if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}

@@ -91,8 +91,9 @@ go test -run=NONE -fuzz FuzzCorePayloads -fuzztime 10s -fuzzminimizetime 10x ./i
 # does everything that exercises bounded run-ahead — a blocking wait at the
 # head of every pipeline, in every epoch of a live run, must be wedge-free at
 # both widths: the workloads sweep (its misspeculating cells),
-# core's recovery tests and seeded random sweep on host (clean programs
-# included, at least one of which must wait), netrun's two-daemon
+# core's recovery tests and seeded random sweep, whose programs draw vtime
+# or host (clean programs included; at least one clean vtime program must
+# wait, whatever the width), netrun's two-daemon
 # recovering 197.parser (first stage and commit unit in different processes)
 # and its three-daemon fleet, where a workers-only daemon sits between two
 # others and each daemon crosses invocation boundaries on its own. Queue batches go back to
@@ -101,9 +102,10 @@ go test -run=NONE -fuzz FuzzCorePayloads -fuzztime 10s -fuzzminimizetime 10x ./i
 # cross-daemon no-recycle test ride along too. Idle parks after the same
 # 64 polls as Recv, so poll loops park often: the delivery conformance suite
 # (IdleWait, IdlePingPong, IdleAbort on host mailboxes and net meshes) runs at
-# both widths. Live recovery re-arms only the pages that changed, from a
+# both widths. Recovery re-arms only the pages that changed, from a
 # stale list each rank receives after the last barrier: core's selective
-# re-arm fixture (the commit unit's word, a squashed store) rides along. The
+# re-arm fixture (the commit unit's word, a squashed store; vtime and host,
+# each against a full reset counted on the same run) rides along. The
 # Committer hook runs on the commit goroutine while a Program
 # value shared with the test records it: core's hook test (once per MTX, in
 # order, recovery's re-executions included) rides along too. A page reply
